@@ -582,16 +582,10 @@ impl PathIntelService {
             .unwrap_or_else(ServiceResponse::Error)
     }
 
-    /// One JSON request line in, one JSON response line out.
+    /// One JSON request line in, one JSON response line out — the
+    /// [`Transport::call_json`] line codec over [`Self::dispatch`].
     pub fn dispatch_json(&self, line: &str) -> String {
-        match ServiceRequest::from_json_str(line) {
-            Ok(req) => self.dispatch(&req).to_json_string(),
-            Err(e) => ServiceResponse::Error(ServiceError::new(
-                ErrorCode::InvalidRequest,
-                format!("bad request JSON: {e}"),
-            ))
-            .to_json_string(),
-        }
+        self.call_json(line)
     }
 
     fn recommend(&self, req: &RecommendRequest) -> Result<RecommendResponse, ServiceError> {
@@ -844,6 +838,14 @@ impl InProcessTransport {
 impl Transport for InProcessTransport {
     fn call(&self, request: &ServiceRequest) -> ServiceResponse {
         self.service.dispatch(request)
+    }
+}
+
+/// The service is its own transport, so `dispatch_json` and every
+/// transport's `call_json` share one decode-or-`InvalidRequest` body.
+impl Transport for PathIntelService {
+    fn call(&self, request: &ServiceRequest) -> ServiceResponse {
+        self.dispatch(request)
     }
 }
 
@@ -1180,12 +1182,46 @@ mod tests {
     #[test]
     fn bad_request_json_is_answered_not_crashed() {
         let svc = service();
-        let out = svc.dispatch_json("{not json");
-        let resp = ServiceResponse::from_json_str(&out).unwrap();
-        let ServiceResponse::Error(e) = resp else {
-            panic!("expected an error response: {out}");
+        // The nested lines are far deeper than any stack: the parser's
+        // depth bound must turn them into an ordinary error.
+        let lines = [
+            "{not json".to_string(),
+            "[".repeat(200_000),
+            "{\"Recommend\":".repeat(200_000),
+        ];
+        for line in &lines {
+            let out = svc.dispatch_json(line);
+            let resp = ServiceResponse::from_json_str(&out).unwrap();
+            let ServiceResponse::Error(e) = resp else {
+                panic!("expected an error response: {out}");
+            };
+            assert_eq!(e.code, ErrorCode::InvalidRequest);
+            assert!(e.message().starts_with("bad request JSON: "), "{out}");
+        }
+    }
+
+    #[test]
+    fn full_range_u64_seed_round_trips_through_request_json() {
+        let req = |seed| {
+            ServiceRequest::StrategyScore(StrategyScoreRequest {
+                destination: "1".into(),
+                strategy: "random".into(),
+                objective: Objective::default(),
+                constraints: Constraints::default(),
+                k: 1,
+                seed,
+            })
         };
-        assert_eq!(e.code, ErrorCode::InvalidRequest);
+        let json = req(u64::MAX).to_json_string();
+        assert!(json.ends_with("\"seed\":18446744073709551615}}"), "{json}");
+        assert_eq!(ServiceRequest::from_json_str(&json).unwrap(), req(u64::MAX));
+        // Below 2^63 the bytes are what they always were.
+        let json = req(i64::MAX as u64).to_json_string();
+        assert!(json.ends_with("\"seed\":9223372036854775807}}"), "{json}");
+        assert_eq!(
+            ServiceRequest::from_json_str(&json).unwrap(),
+            req(i64::MAX as u64)
+        );
     }
 
     #[test]

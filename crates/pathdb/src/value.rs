@@ -5,6 +5,7 @@
 //! convert losslessly to and from `serde_json::Value` for persistence.
 
 use crate::document::Document;
+use serde::json;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -221,32 +222,12 @@ impl Value {
     /// committed batch through here, so the write path must not pay
     /// for a full deep copy per document.
     pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => push_i64(out, *i),
-            Value::Float(f) => {
-                let f = *f;
-                if !f.is_finite() {
-                    // Non-finite floats have no JSON form; `to_json`
-                    // maps them to null via `Number::from_f64`.
-                    out.push_str("null");
-                } else if f == f.trunc() && f.abs() < 1e15 && (f != 0.0 || f.is_sign_positive()) {
-                    // `{:?}` keeps the `.0` on integral floats so the
-                    // int/float distinction survives a round trip; for
-                    // integral values in the positional-notation range
-                    // that is exactly "<digits>.0", which skips the
-                    // shortest-round-trip float machinery. Measurement
-                    // timestamps and counters are all integral, so
-                    // this is most floats the WAL ever renders.
-                    push_i64(out, f as i64);
-                    out.push_str(".0");
-                } else {
-                    let _ = write!(out, "{f:?}");
-                }
-            }
-            Value::Str(s) => write_json_str(out, s),
+            Value::Int(i) => json::write_i64(out, *i),
+            Value::Float(f) => json::write_f64(out, *f),
+            Value::Str(s) => json::write_str(out, s),
             Value::Array(a) => {
                 out.push('[');
                 for (i, v) in a.iter().enumerate() {
@@ -318,66 +299,11 @@ pub fn write_json_doc(out: &mut String, d: &Document) {
         if i > 0 {
             out.push(',');
         }
-        write_json_str(out, k);
+        json::write_str(out, k);
         out.push(':');
         v.write_json(out);
     }
     out.push('}');
-}
-
-/// Decimal rendering without the `fmt::Formatter` machinery — the WAL
-/// renders tens of thousands of integers per committed campaign batch.
-fn push_i64(out: &mut String, v: i64) {
-    let mut buf = [0u8; 20];
-    let mut n = v.unsigned_abs();
-    let mut pos = buf.len();
-    loop {
-        pos -= 1;
-        buf[pos] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    if v < 0 {
-        pos -= 1;
-        buf[pos] = b'-';
-    }
-    // The buffer holds only ASCII digits and '-'.
-    out.push_str(std::str::from_utf8(&buf[pos..]).unwrap());
-}
-
-/// JSON string escaping, mirroring the vendored serde renderer: the
-/// two structural characters, the common control escapes, and `\uXXXX`
-/// for the rest of C0.
-pub(crate) fn write_json_str(out: &mut String, s: &str) {
-    use std::fmt::Write;
-    out.push('"');
-    // Copy maximal clean runs wholesale; every byte that needs an
-    // escape is ASCII, so byte-wise scanning never splits a UTF-8
-    // scalar. Most strings contain no escapes and take one push_str.
-    let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let esc: &str = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            b if b < 0x20 => {
-                out.push_str(&s[start..i]);
-                let _ = write!(out, "\\u{:04x}", b);
-                start = i + 1;
-                continue;
-            }
-            _ => continue,
-        };
-        out.push_str(&s[start..i]);
-        out.push_str(esc);
-        start = i + 1;
-    }
-    out.push_str(&s[start..]);
-    out.push('"');
 }
 
 /// Exact comparison of an i64 against an f64, without widening the int

@@ -28,7 +28,7 @@
 use crate::document::Document;
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
-use crate::value::{write_json_doc, write_json_str, Value};
+use crate::value::{write_json_doc, Value};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -263,7 +263,7 @@ impl WalOpRef<'_> {
         out.push_str("{\"t\":\"");
         out.push_str(tag);
         out.push_str("\",\"c\":");
-        write_json_str(out, coll);
+        serde::json::write_str(out, coll);
         match self {
             WalOpRef::Insert { doc, .. } => {
                 out.push_str(",\"d\":");
