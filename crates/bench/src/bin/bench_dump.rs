@@ -843,11 +843,10 @@ fn longitudinal_row(i: u64, ts: i64) -> Document {
 }
 
 /// The longitudinal storage story: rollup reads vs raw scans at 1M
-/// rows, incremental catch-up cost, generational-checkpoint pauses and
-/// the steady-state disk bound of a 30-sim-day retention run.
+/// rows, incremental catch-up cost and the steady-state disk bound of a
+/// 30-sim-day retention run.
 fn bench_longitudinal() {
     use pathdb::rollup::{read_rollup, scan_reference};
-    use upin_core::failover::percentile;
     use upin_core::schema::stats_rollup;
 
     const DAY_MS: i64 = 86_400_000;
@@ -899,10 +898,9 @@ fn bench_longitudinal() {
     }
 
     // 30 simulated days of measure → fold → expire → checkpoint on a
-    // 48 h raw-row window: checkpoint pauses and the disk footprint at
-    // day 5 vs day 30 (the retention acceptance bound is < 2x). The
-    // run is WAL-durable, so the pauses measure *generational*
-    // checkpoints — clean collections skip their rewrite.
+    // 48 h raw-row window: the disk footprint at day 5 vs day 30 (the
+    // retention acceptance bound is < 2x). Checkpoint pauses are the
+    // end-to-end benchmark's `pathdb.checkpoint_ms_*`.
     //
     // Rows mimic a dense longitudinal campaign: 21 destinations, one
     // ranked path each, measured every round with low-cardinality
@@ -928,14 +926,6 @@ fn bench_longitudinal() {
     )
     .unwrap();
     db2.register_rollup(stats_rollup());
-    // The rollup destination is always mostly-live in the log, so only
-    // the generation-lag bound truncates the segments it would pin; at
-    // 4 checkpoints/day a lag of 4 caps WAL retention at one sim-day.
-    db2.set_compaction_policy(pathdb::CompactionPolicy {
-        live_fraction: 0.5,
-        min_rows: 64,
-        max_lag: 4,
-    });
     db2.set_retention(pathdb::RetentionPolicy {
         collection: PATHS_STATS.into(),
         time_field: "timestamp_ms".into(),
@@ -945,7 +935,6 @@ fn bench_longitudinal() {
         let handle = db2.collection(PATHS_STATS);
         handle.write().create_index("timestamp_ms");
     }
-    let mut pauses_ns = Vec::new();
     let mut day5_bytes = 0u64;
     let mut id = 0u64;
     for day in 1..=30i64 {
@@ -960,9 +949,7 @@ fn bench_longitudinal() {
             db2.collection(PATHS_STATS).write().insert_many(batch).unwrap();
             db2.rollup_catch_up().unwrap();
             db2.expire_retention(ts).unwrap();
-            let start = Instant::now();
             db2.checkpoint().unwrap();
-            pauses_ns.push(start.elapsed().as_nanos() as f64);
         }
         if day == 5 {
             day5_bytes = db2.disk_usage().unwrap().1;
@@ -970,8 +957,6 @@ fn bench_longitudinal() {
     }
     let final_bytes = db2.disk_usage().unwrap().1;
     let disk_ratio = final_bytes as f64 / day5_bytes as f64;
-    let pause_p50 = percentile(&pauses_ns, 0.50).unwrap_or(0.0);
-    let pause_p99 = percentile(&pauses_ns, 0.99).unwrap_or(0.0);
 
     dump_with_ratios(
         "BENCH_longitudinal.json",
@@ -979,8 +964,6 @@ fn bench_longitudinal() {
             ("rollup/raw_scan_1M", scan_ns),
             ("rollup/read_rollup_1M", read_ns),
             ("rollup/catch_up_ns_per_row", catchup_best),
-            ("compaction/checkpoint_pause_p50", pause_p50),
-            ("compaction/checkpoint_pause_p99", pause_p99),
         ],
         &[
             ("rollup/speedup_vs_scan_1M", speedup),

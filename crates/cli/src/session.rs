@@ -301,9 +301,9 @@ impl Session {
         )
     }
 
-    /// Persist the database if a directory was configured: a full
-    /// atomic snapshot under `snapshot` durability, a checkpoint (which
-    /// also truncates the WAL) under `wal`, nothing under `none`.
+    /// Persist the database if a directory was configured: an atomic
+    /// checkpoint of what changed under `snapshot` durability, the same
+    /// (which also truncates the WAL) under `wal`, nothing under `none`.
     pub fn persist(&self) -> Result<(), CliError> {
         match (&self.db_dir, self.durability) {
             (None, _) | (_, Durability::None) => Ok(()),

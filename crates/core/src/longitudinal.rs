@@ -6,9 +6,10 @@
 //! paper's continuous-operation requirement (§4.1.2) actually needs at
 //! that horizon: raw measurement rows live in a bounded retention
 //! window, hourly rollups ([`crate::schema::stats_rollup`]) keep the
-//! full history at constant-per-bucket cost, and generational
-//! checkpoints keep the on-disk footprint proportional to the window —
-//! not to the campaign length.
+//! full history at constant-per-bucket cost, and sliced dirty-only
+//! checkpoints keep both the on-disk footprint and the per-round
+//! checkpoint cost proportional to the window — not to the campaign
+//! length.
 //!
 //! Determinism: for a fixed network seed the report renders
 //! byte-identical whether the per-round campaign runs sequentially or
@@ -176,7 +177,7 @@ impl LongitudinalReport {
 /// drives `sim_days × rounds_per_day` measurement rounds on the
 /// simulated clock. After every round the rollups catch up, retention
 /// expires rows behind the window and (for durable databases) a
-/// generational checkpoint runs — the same cadence a deployed suite
+/// checkpoint runs — the same cadence a deployed suite
 /// would use, so the reported disk footprint is the real steady state.
 pub fn run_longitudinal(
     db: &Database,

@@ -6,6 +6,7 @@ use crate::document::Document;
 use crate::error::{DbError, DbResult};
 use crate::plan::{self, QueryPlan};
 use crate::query::{Filter, FindOptions};
+use crate::snapshot::SLICE_ROWS;
 use crate::update::Update;
 use crate::value::Value;
 use crate::wal::{Wal, WalOpRef};
@@ -127,17 +128,11 @@ pub struct Collection {
     /// documents, deleted ids) after applying in memory, so a rejected
     /// write (e.g. a duplicate `_id`) never reaches the log.
     wal: Option<Arc<Wal>>,
-    /// Effects (documents/ids) committed to the WAL since this
-    /// collection's snapshot file was last rewritten. Together with
-    /// `dead_effects` this is the input to the generational checkpoint
-    /// policy: a collection whose logged effects are mostly superseded
-    /// is worth compacting, one whose log is small relative to its live
-    /// rows is cheaper to keep as replayable log.
-    logged_effects: u64,
-    /// The subset of `logged_effects` that superseded or removed live
-    /// rows (update post-images replacing an existing document, deleted
-    /// ids) — the "dead weight" a snapshot rewrite would shed.
-    dead_effects: u64,
+    /// Slices of the insertion sequence (`seq / SLICE_ROWS`) a mutation
+    /// touched since a checkpoint last took the set — exactly the slice
+    /// files that no longer match memory. Behind a mutex so a
+    /// checkpoint can take it under the collection's *read* lock.
+    dirty: Mutex<BTreeSet<u64>>,
     /// Telemetry sink shared with the owning [`crate::Database`]; `None`
     /// means the static no-op recorder (no allocation, no signals).
     recorder: Option<Arc<dyn Recorder>>,
@@ -159,8 +154,9 @@ struct SnapEntry {
 impl Clone for Collection {
     /// A detached logical copy: documents, indexes and version counters
     /// carry over; the WAL handle is dropped (mutating a clone must not
-    /// log under the original's name) and the snapshot memo starts
-    /// empty. The telemetry recorder is shared.
+    /// log under the original's name), and the snapshot memo and the
+    /// dirty-slice set (a clone is never checkpointed) start empty. The
+    /// telemetry recorder is shared.
     fn clone(&self) -> Collection {
         Collection {
             name: self.name.clone(),
@@ -172,8 +168,7 @@ impl Clone for Collection {
             version: self.version,
             last_reshape_version: self.last_reshape_version,
             wal: None,
-            logged_effects: self.logged_effects,
-            dead_effects: self.dead_effects,
+            dirty: Mutex::new(BTreeSet::new()),
             recorder: self.recorder.clone(),
             snap: Mutex::new(None),
         }
@@ -353,9 +348,7 @@ impl Collection {
         self.index_insert(seq, &doc);
         self.docs.insert(seq, doc);
         self.version += 1;
-        if self.wal.is_some() {
-            self.logged_effects += 1;
-        }
+        self.touch(seq);
         Ok(id_key)
     }
 
@@ -390,6 +383,7 @@ impl Collection {
             }
         }
         let mut ids = Vec::with_capacity(staged.len());
+        let first = self.next_seq;
         for (id_key, doc) in staged {
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -400,9 +394,9 @@ impl Collection {
         }
         if !ids.is_empty() {
             self.version += 1;
-            if self.wal.is_some() {
-                self.logged_effects += ids.len() as u64;
-            }
+            // Once per batch, not per row: the range's slices.
+            let slices = first / SLICE_ROWS..=(self.next_seq - 1) / SLICE_ROWS;
+            self.dirty.get_mut().extend(slices);
         }
         Ok(ids)
     }
@@ -424,7 +418,7 @@ impl Collection {
             }
         }
         let mut changed = 0usize;
-        let mut replaced = 0u64;
+        let mut replaced = false;
         for doc in &docs {
             let key = doc.get("_id").expect("validated above").index_key();
             match self.primary.get(&key).copied() {
@@ -439,8 +433,9 @@ impl Collection {
                     self.index_remove(seq, &old);
                     self.index_insert(seq, doc);
                     self.docs.insert(seq, doc.clone());
+                    self.touch(seq);
                     changed += 1;
-                    replaced += 1;
+                    replaced = true;
                 }
                 None => {
                     let seq = self.next_seq;
@@ -448,13 +443,14 @@ impl Collection {
                     self.primary.insert(key, seq);
                     self.index_insert(seq, doc);
                     self.docs.insert(seq, doc.clone());
+                    self.touch(seq);
                     changed += 1;
                 }
             }
         }
         if changed > 0 {
             self.version += 1;
-            if replaced > 0 {
+            if replaced {
                 self.last_reshape_version = self.version;
             }
             if let Some(wal) = self.wal.clone() {
@@ -469,8 +465,6 @@ impl Collection {
                     }],
                     docs.len() as u64,
                 );
-                self.logged_effects += docs.len() as u64;
-                self.dead_effects += replaced;
             }
         }
         Ok(changed)
@@ -517,6 +511,7 @@ impl Collection {
                 post_images.push(doc.clone());
             }
             self.docs.insert(seq, doc);
+            self.touch(seq);
             count += 1;
         }
         if count > 0 {
@@ -536,8 +531,6 @@ impl Collection {
                     }],
                     post_images.len() as u64,
                 );
-                self.logged_effects += post_images.len() as u64;
-                self.dead_effects += post_images.len() as u64;
             }
         }
         count
@@ -558,6 +551,7 @@ impl Collection {
                         removed_ids.push(id.clone());
                     }
                 }
+                self.touch(seq);
                 removed += 1;
             }
         }
@@ -574,8 +568,6 @@ impl Collection {
                     }],
                     removed_ids.len() as u64,
                 );
-                self.logged_effects += removed_ids.len() as u64;
-                self.dead_effects += removed_ids.len() as u64;
             }
         }
         removed
@@ -595,24 +587,42 @@ impl Collection {
         self.recorder = recorder;
     }
 
-    /// `(logged, dead)` effect counts since this collection's snapshot
-    /// file was last rewritten — the generational checkpoint's input.
-    pub fn log_stats(&self) -> (u64, u64) {
-        (self.logged_effects, self.dead_effects)
+    /// A mutation touched the row at `seq`: its slice file is stale.
+    fn touch(&mut self, seq: u64) {
+        self.dirty.get_mut().insert(seq / SLICE_ROWS);
     }
 
-    /// Reset the effect counters after a snapshot rewrite made the WAL
-    /// tail redundant for this collection.
-    pub(crate) fn reset_log_stats(&mut self) {
-        self.logged_effects = 0;
-        self.dead_effects = 0;
+    /// Take (and clear) the dirty-slice set, ascending. Callable under
+    /// the read lock: no writer can run, so the set and the rows a
+    /// checkpoint encodes in the same lock hold agree.
+    pub(crate) fn take_dirty(&self) -> Vec<u64> {
+        std::mem::take(&mut *self.dirty.lock())
+            .into_iter()
+            .collect()
     }
 
-    /// Seed the effect counters after recovery replayed `logged` effects
-    /// for this collection: those effects live only in the retained WAL
-    /// until the next rewrite, so the checkpoint policy must see them.
-    pub(crate) fn note_replayed_effects(&mut self, logged: u64) {
-        self.logged_effects += logged;
+    /// Hand slices back after a checkpoint that took them failed.
+    pub(crate) fn mark_dirty(&self, slices: Vec<u64>) {
+        self.dirty.lock().extend(slices);
+    }
+
+    /// Every slice that holds at least one row, ascending.
+    pub(crate) fn live_slices(&self) -> Vec<u64> {
+        let mut slices = Vec::new();
+        for slice in self.docs.keys().map(|seq| seq / SLICE_ROWS) {
+            if slices.last() != Some(&slice) {
+                slices.push(slice);
+            }
+        }
+        slices
+    }
+
+    /// The rows of one slice with their insertion sequences, in order.
+    pub(crate) fn slice_rows(&self, slice: u64) -> impl Iterator<Item = (u64, &Document)> {
+        let start = slice * SLICE_ROWS;
+        self.docs
+            .range(start..start + SLICE_ROWS)
+            .map(|(s, d)| (*s, d))
     }
 
     /// The active telemetry sink (the shared no-op when none is set).
@@ -668,6 +678,7 @@ impl Collection {
                 self.docs.insert(seq, doc);
                 self.version += 1;
                 self.last_reshape_version = self.version;
+                self.touch(seq);
             }
             None => {
                 let seq = self.next_seq;
@@ -676,6 +687,7 @@ impl Collection {
                 self.index_insert(seq, &doc);
                 self.docs.insert(seq, doc);
                 self.version += 1;
+                self.touch(seq);
             }
         }
     }
@@ -702,6 +714,7 @@ impl Collection {
         self.docs.insert(seq, doc);
         self.next_seq = self.next_seq.max(seq + 1);
         self.version += 1;
+        self.touch(seq);
     }
 
     /// Restore the insertion-sequence allocator (never moves backward):
@@ -719,6 +732,7 @@ impl Collection {
         self.index_insert(seq, &doc);
         self.docs.insert(seq, doc);
         self.version += 1;
+        self.touch(seq);
         Ok(id_key)
     }
 
@@ -731,6 +745,7 @@ impl Collection {
             if let Some(seq) = self.primary.remove(&key) {
                 if let Some(doc) = self.docs.remove(&seq) {
                     self.index_remove(seq, &doc);
+                    self.touch(seq);
                     removed += 1;
                 }
             }

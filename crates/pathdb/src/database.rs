@@ -10,19 +10,21 @@
 //!
 //! * [`Durability::None`] — in-memory only; [`Database::save_dir`] is
 //!   still available as an explicit (atomic) snapshot.
-//! * [`Durability::Snapshot`] — state lives in per-collection
-//!   `<name>.jsonl` snapshots, each replaced atomically (temp file +
-//!   fsync + rename) and committed by an atomically-replaced
-//!   `MANIFEST.json`; a crash mid-save leaves the previous good
-//!   snapshot intact.
+//! * [`Durability::Snapshot`] — state lives in immutable slice files
+//!   (fixed ranges of each collection's insertion sequence), written
+//!   atomically (temp file + fsync + rename) and committed together by
+//!   an atomically-replaced `MANIFEST.json`; a checkpoint writes only
+//!   the slices a mutation touched, and a crash mid-save leaves the
+//!   previous checkpoint whole.
 //! * [`Durability::Wal`] — every mutation additionally commits its
 //!   effects to `wal.<generation>.log` as a CRC-framed group, so at
 //!   most one uncommitted group (e.g. one destination's in-flight
 //!   `insert_many` batch, §4.2.2) can be lost to a crash.
 //!
 //! [`Database::open_durable`] is the recovery path: it loads the latest
-//! intact snapshot (lenient about torn tails), replays the intact WAL
-//! prefix in generation order, truncates torn WAL tails, and reports
+//! committed checkpoint (lenient about torn tails in directories that
+//! predate slices), replays the intact WAL prefix in generation order,
+//! truncates torn WAL tails, and reports
 //! what it did in a [`RecoveryReport`] instead of failing.
 
 use crate::collection::Collection;
@@ -30,13 +32,13 @@ use crate::error::{DbError, DbResult};
 use crate::query::Filter;
 use crate::rollup::{self, RollupConfig};
 use crate::snapshot::{
-    decode_jsonl, encode_jsonl_seq, read_manifest, take_seq, write_manifest, LoadOptions, Manifest,
-    SkippedLines,
+    encode_jsonl_seq, parse_slice_path, read_manifest, read_rows, slice_path, take_seq,
+    write_manifest, LoadOptions, Manifest, ManifestEntry, SkippedLines,
 };
 use crate::storage::{is_tmp, DiskStorage, Storage};
 use crate::wal::{parse_wal_path, read_wal, Wal, WalOp, WalOpRef};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -185,39 +187,6 @@ impl RecoveryReport {
     }
 }
 
-/// When a generational checkpoint rewrites a collection's snapshot
-/// file instead of leaving its effects replayable in retained WAL
-/// segments. The default compacts once the log is mostly dead weight
-/// (retention expiry's signature) or once replaying it would cost more
-/// than rewriting the live rows.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionPolicy {
-    /// Rewrite when the live fraction of the collection's logged
-    /// effects — `(logged - superseded) / logged` — drops below this.
-    pub live_fraction: f64,
-    /// The live-fraction rule only kicks in past this many logged
-    /// effects (tiny logs are never worth deciding about).
-    pub min_rows: u64,
-    /// Rewrite regardless once the collection's snapshot generation
-    /// falls this many checkpoints behind. WAL retention is governed
-    /// by the *oldest* kept generation across all collections, so a
-    /// small always-appending collection (a rollup destination is
-    /// exactly that) with a healthy, mostly-live log would otherwise
-    /// pin every other collection's heavy segments forever — unbounded
-    /// disk despite retention expiry.
-    pub max_lag: u64,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> CompactionPolicy {
-        CompactionPolicy {
-            live_fraction: 0.5,
-            min_rows: 64,
-            max_lag: 16,
-        }
-    }
-}
-
 /// Raw-row retention for one collection: rows whose numeric
 /// `time_field` falls `keep_ms` behind the clock passed to
 /// [`Database::expire_retention`] are deleted (via an index range scan
@@ -230,32 +199,6 @@ pub struct RetentionPolicy {
     pub keep_ms: i64,
 }
 
-/// Per-collection snapshot bookkeeping for generational checkpoints:
-/// which generation last rewrote the collection's `.jsonl`, and the
-/// mutation version it captured.
-#[derive(Debug, Clone, Copy)]
-struct SnapState {
-    gen: u64,
-    version: u64,
-    /// The insertion-sequence allocator persisted with the file — what
-    /// the manifest's `seqs` entry must carry forward when a checkpoint
-    /// skips this collection's rewrite.
-    file_next_seq: u64,
-}
-
-/// What a generational checkpoint decided for one collection.
-enum CheckpointAction {
-    /// Dirty (or untracked): encode and atomically replace its file.
-    Rewrite,
-    /// Unchanged since its last rewrite: its file already holds
-    /// everything, advance its generation for free.
-    Clean,
-    /// Dirty, but its effects sit in retained WAL segments and the log
-    /// is still mostly live: skip the rewrite, keep replaying from the
-    /// recorded generation.
-    KeepInLog(u64),
-}
-
 /// An embedded multi-collection document database.
 pub struct Database {
     collections: RwLock<HashMap<String, CollectionHandle>>,
@@ -266,9 +209,11 @@ pub struct Database {
     durability: Durability,
     wal: Option<Arc<Wal>>,
     recorder: Option<Arc<dyn Recorder>>,
-    /// Generational-checkpoint state for the bound directory.
-    snap_state: Mutex<HashMap<String, SnapState>>,
-    compaction: Mutex<CompactionPolicy>,
+    /// What the bound directory's manifest names: per collection, the
+    /// generation of each slice file. Held for the whole of a
+    /// checkpoint, which serializes checkpoints against each other and
+    /// against [`Database::drop_collection`].
+    persisted: Mutex<HashMap<String, BTreeMap<u64, u64>>>,
     retention: Mutex<Vec<RetentionPolicy>>,
     rollups: Mutex<Vec<RollupConfig>>,
     /// Serializes rollup catch-ups: concurrent folds of the same config
@@ -285,8 +230,7 @@ impl Default for Database {
             durability: Durability::None,
             wal: None,
             recorder: None,
-            snap_state: Mutex::new(HashMap::new()),
-            compaction: Mutex::new(CompactionPolicy::default()),
+            persisted: Mutex::new(HashMap::new()),
             retention: Mutex::new(Vec::new()),
             rollups: Mutex::new(Vec::new()),
             rollup_gate: Mutex::new(()),
@@ -348,7 +292,7 @@ impl Database {
         self.recorder.clone().unwrap_or_else(upin_telemetry::noop)
     }
 
-    // ---- rollups, retention, compaction ---------------------------------
+    // ---- rollups, retention ----------------------------------------------
 
     /// Register an incremental rollup (see [`crate::rollup`]): the
     /// destination collection gets its bucket index, and subsequent
@@ -416,16 +360,6 @@ impl Database {
         Ok(removed)
     }
 
-    /// Tune when generational checkpoints compact (see
-    /// [`CompactionPolicy`]).
-    pub fn set_compaction_policy(&self, policy: CompactionPolicy) {
-        *self.compaction.lock() = policy;
-    }
-
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        *self.compaction.lock()
-    }
-
     /// Whether a collection exists (has been created).
     pub fn has_collection(&self, name: &str) -> bool {
         self.collections.read().contains_key(name)
@@ -440,7 +374,7 @@ impl Database {
 
     /// Drop a collection entirely. Returns whether it existed.
     pub fn drop_collection(&self, name: &str) -> bool {
-        let existed = self.collections.write().remove(name).is_some();
+        let existed = self.forget(name);
         if existed {
             if let Some(wal) = &self.wal {
                 // Already removed in memory; a log failure poisons the
@@ -449,6 +383,15 @@ impl Database {
             }
         }
         existed
+    }
+
+    /// Remove a collection from memory together with the record of its
+    /// slice files, so a collection re-created under the name starts
+    /// from no slices. Waits for a checkpoint in flight.
+    fn forget(&self, name: &str) -> bool {
+        let mut persisted = self.persisted.lock();
+        persisted.remove(name);
+        self.collections.write().remove(name).is_some()
     }
 
     /// Total documents across all collections.
@@ -461,7 +404,7 @@ impl Database {
     }
 
     /// On-storage footprint of the bound directory as `(files, bytes)`
-    /// over snapshot files, WAL segments and the manifest. `None` for
+    /// over slice files, WAL segments and the manifest. `None` for
     /// databases not durably bound to a directory. Longitudinal runs
     /// report this to pin the steady-state disk bound.
     pub fn disk_usage(&self) -> Option<(usize, u64)> {
@@ -509,26 +452,8 @@ impl Database {
         storage.create_dir_all(dir)?;
         let mut report = RecoveryReport::default();
 
-        // 1. The roster: the manifest when present, else every *.jsonl
-        //    in the directory (legacy layout without a manifest).
-        let manifest = read_manifest(&*storage, dir)?;
-        let generation = manifest.as_ref().map_or(0, |m| m.generation);
-        let names: Vec<String> = match &manifest {
-            Some(m) => m.collections.clone(),
-            None => {
-                let mut names: Vec<String> = storage
-                    .list(dir)?
-                    .iter()
-                    .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("jsonl"))
-                    .filter_map(|p| p.file_stem().and_then(|s| s.to_str()).map(String::from))
-                    .collect();
-                names.sort();
-                names
-            }
-        };
-
-        // 2. Load the snapshots. The database has no WAL attached yet,
-        //    so nothing loaded here is re-logged.
+        // 1. Load the last committed checkpoint. The database has no
+        //    WAL attached yet, so nothing loaded here is re-logged.
         let db = Database {
             storage: storage.clone(),
             dir: Some(dir.to_path_buf()),
@@ -536,67 +461,24 @@ impl Database {
             recorder: opts.recorder.clone(),
             ..Database::default()
         };
-        for name in &names {
-            let path = dir.join(format!("{name}.jsonl"));
-            let handle = db.collection(name);
-            let mut coll = handle.write();
-            report.collections += 1;
-            let file_next_seq = manifest.as_ref().map_or(0, |m| m.seq_of(name));
-            if storage.exists(&path) {
-                let bytes = storage.read(&path)?;
-                let (docs, skipped) =
-                    decode_jsonl(&bytes, &path.display().to_string(), &opts.load)?;
-                report.snapshot_docs += docs.len();
-                for mut doc in docs {
-                    // Restore each row at its persisted sequence so
-                    // absolute watermarks survive recovery; legacy rows
-                    // without one renumber compactly as before.
-                    match take_seq(&mut doc) {
-                        Some(seq) => coll.apply_upsert_at(seq, doc),
-                        None => coll.apply_upsert(doc),
-                    }
-                }
-                if let Some(s) = skipped {
-                    report.skipped.push(s);
-                }
-            }
-            // Even with a deleted tail (or every row gone) the
-            // allocator resumes where the crashed process stopped.
-            coll.set_next_seq_at_least(file_next_seq);
-            // Listed but missing files load as empty collections (only
-            // a legacy dir edited by hand produces them). Either way,
-            // seed the generational-checkpoint state: the version
-            // captured *before* WAL replay, so replayed collections
-            // stay dirty until their first rewrite.
-            db.snap_state.lock().insert(
-                name.clone(),
-                SnapState {
-                    gen: manifest.as_ref().map_or(generation, |m| m.gen_of(name)),
-                    version: coll.mutation_version(),
-                    file_next_seq,
-                },
-            );
-        }
+        let manifest = db.load_checkpoint(&*storage, dir, &opts.load, &mut report)?;
 
-        // 3. Replay surviving WAL generations, oldest first, deleting
-        //    only logs *every* collection's snapshot already covers
-        //    (`min_gen` — a generational checkpoint may have left some
-        //    collections on older generations than the manifest's).
-        //    Replay is idempotent and op-ordered, so a log that
-        //    partially predates a collection's snapshot (a skipped
-        //    rewrite, or a crash between manifest write and log
-        //    deletion) converges all the same.
-        let min_gen = manifest.as_ref().map_or(0, |m| m.min_gen());
+        // 2. Replay surviving WAL generations, oldest first, deleting
+        //    the logs the checkpoint already covers. Replay is
+        //    idempotent and op-ordered, so a log that partially
+        //    predates the checkpoint (a crash between manifest write
+        //    and log deletion, or a format-2 directory's lagging
+        //    collections) converges all the same — and marks what it
+        //    touches dirty for the next checkpoint.
         let mut wal_files: Vec<(u64, PathBuf)> = storage
             .list(dir)?
             .into_iter()
             .filter_map(|p| parse_wal_path(&p).map(|g| (g, p)))
             .collect();
         wal_files.sort();
-        let mut max_gen = generation;
-        let mut replayed_per_coll: HashMap<String, u64> = HashMap::new();
+        let mut max_gen = manifest.generation;
         for (gen, path) in wal_files {
-            if gen < min_gen {
+            if gen < manifest.replay_from {
                 storage.remove(&path)?;
                 report.stale_wals_removed += 1;
                 continue;
@@ -607,8 +489,6 @@ impl Database {
             for group in &replay.groups {
                 for op in group {
                     report.wal_effects += op.effect_count();
-                    *replayed_per_coll.entry(op.coll().to_string()).or_insert(0) +=
-                        op.effect_count() as u64;
                     db.apply_wal_op(op);
                 }
             }
@@ -621,15 +501,8 @@ impl Database {
                 storage.truncate(&path, replay.valid_len)?;
             }
         }
-        // The replayed effects live only in the retained WAL until each
-        // collection's next rewrite: seed the compaction counters.
-        for (name, n) in &replayed_per_coll {
-            if db.has_collection(name) {
-                db.collection(name).write().note_replayed_effects(*n);
-            }
-        }
 
-        // 4. Attach the WAL (continuing the newest generation) so that
+        // 3. Attach the WAL (continuing the newest generation) so that
         //    subsequent mutations are logged.
         let mut db = db;
         if opts.durability == Durability::Wal {
@@ -653,6 +526,63 @@ impl Database {
         Ok((db, report))
     }
 
+    /// Materialize the checkpoint `dir` holds — the one reader behind
+    /// [`Database::open_durable`] and [`Database::load_dir`]. The
+    /// roster is the manifest when present, else every `*.jsonl` in the
+    /// directory (the layout before manifests).
+    fn load_checkpoint(
+        &self,
+        storage: &dyn Storage,
+        dir: &Path,
+        opts: &LoadOptions,
+        report: &mut RecoveryReport,
+    ) -> DbResult<Manifest> {
+        let manifest = match read_manifest(storage, dir)? {
+            Some(m) => m,
+            None => {
+                let mut names: Vec<String> = storage
+                    .list(dir)?
+                    .iter()
+                    .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("jsonl"))
+                    .filter_map(|p| p.file_stem().and_then(|s| s.to_str()).map(String::from))
+                    .collect();
+                names.sort();
+                Manifest::legacy_roster(names)
+            }
+        };
+        for entry in &manifest.collections {
+            let (docs, skipped) = read_rows(storage, dir, manifest.legacy, entry, opts)?;
+            let handle = self.collection(&entry.name);
+            let mut coll = handle.write();
+            report.collections += 1;
+            report.snapshot_docs += docs.len();
+            report.skipped.extend(skipped);
+            for mut doc in docs {
+                // Restore each row at its persisted sequence so
+                // absolute watermarks survive recovery (and the row
+                // stays in its slice); legacy rows without one
+                // renumber compactly.
+                match take_seq(&mut doc) {
+                    Some(seq) => coll.apply_upsert_at(seq, doc),
+                    None => coll.apply_upsert(doc),
+                }
+            }
+            // Even with a deleted tail (or every row gone) the
+            // allocator resumes where the crashed process stopped.
+            coll.set_next_seq_at_least(entry.next_seq);
+            if !manifest.legacy {
+                // Memory now equals the slice files. Rows of a legacy
+                // directory stay dirty instead: the first checkpoint
+                // rewrites all of them as slices.
+                coll.take_dirty();
+                self.persisted
+                    .lock()
+                    .insert(entry.name.clone(), entry.slices.clone());
+            }
+        }
+        Ok(manifest)
+    }
+
     /// Apply one replayed WAL effect. Bypasses logging (the effect is
     /// already in the log) and tolerates repetition.
     fn apply_wal_op(&self, op: &WalOp) {
@@ -671,15 +601,17 @@ impl Database {
                 self.collection(coll).write().apply_delete_ids(ids);
             }
             WalOp::Drop { coll } => {
-                self.collections.write().remove(coll);
+                self.forget(coll);
             }
         }
     }
 
-    /// Write a full snapshot of the current state to the bound
-    /// directory and supersede the WAL: rotate to a fresh generation,
-    /// land every collection and the manifest atomically, then delete
-    /// obsolete logs (and snapshot files of dropped collections).
+    /// Make the current state durable in the bound directory and
+    /// supersede the WAL: rotate to a fresh generation, write the
+    /// slices mutations touched since the last checkpoint, commit them
+    /// with the manifest, then delete the files it no longer names and
+    /// the obsolete logs. The cost follows what changed, not what is
+    /// stored.
     ///
     /// Requires a directory — open the database with
     /// [`Database::open_durable`] (any level) first.
@@ -689,7 +621,7 @@ impl Database {
                 "checkpoint requires a database opened with open_durable".into(),
             ));
         };
-        self.snapshot_to(&dir, true)
+        self.snapshot_to(&dir)
     }
 
     /// [`Database::checkpoint`] when the database was opened durably;
@@ -705,24 +637,25 @@ impl Database {
 
     // ---- persistence -----------------------------------------------------
 
-    /// Persist every collection as `<dir>/<name>.jsonl` (one document
-    /// per line), each file replaced atomically, committed by an
-    /// atomically-replaced `MANIFEST.json` that also retires snapshot
-    /// files of dropped collections. On a database with a WAL bound to
-    /// `dir` this is a full [`Database::checkpoint`].
+    /// Persist every collection into `dir` in the checkpoint layout
+    /// (slice files of one document per line, committed by an
+    /// atomically-replaced `MANIFEST.json`; see [`crate::snapshot`]).
+    /// On the directory this database is bound to this is a
+    /// [`Database::checkpoint`]; any other directory gets a complete
+    /// copy.
     pub fn save_dir<P: AsRef<Path>>(&self, dir: P) -> DbResult<()> {
-        let dir = dir.as_ref();
-        let rotate = self.wal.is_some() && self.dir.as_deref() == Some(dir);
-        self.snapshot_to(dir, rotate)
+        self.snapshot_to(dir.as_ref())
     }
 
-    fn snapshot_to(&self, dir: &Path, rotate_wal: bool) -> DbResult<()> {
+    fn snapshot_to(&self, dir: &Path) -> DbResult<()> {
         let started = Instant::now();
         self.storage.create_dir_all(dir)?;
-        // Only a snapshot of the *bound* directory may reuse the
-        // generational state (skip rewrites, advance per-collection
-        // gens); a foreign dir gets a full uniform snapshot.
+        // Only the *bound* directory holds the slice files `persisted`
+        // describes, so only there can a checkpoint write just the
+        // dirty slices (and consume the dirty sets); a foreign dir gets
+        // every slice.
         let bound = self.dir.as_deref() == Some(dir);
+        let mut persisted = self.persisted.lock();
         // Strictly above the manifest, the live WAL, *and* every WAL
         // file on disk: after a crash between a rotate and its manifest
         // the WAL generation runs ahead, and under `durability=snapshot`
@@ -741,108 +674,107 @@ impl Database {
             .max()
             .unwrap_or(0);
         let generation = manifest_gen.max(wal_gen).max(disk_wal_gen).wrapping_add(1);
-        if rotate_wal {
-            if let Some(wal) = &self.wal {
-                // Writers race the snapshot below; their groups land in
-                // the *new* generation's log, which survives the
-                // cleanup and replays idempotently over this snapshot.
-                wal.rotate(generation);
-            }
+        if let (true, Some(wal)) = (bound, &self.wal) {
+            // Writers race the checkpoint below; their groups land in
+            // the *new* generation's log, which survives the cleanup
+            // and replays idempotently over the slices.
+            wal.rotate(generation);
         }
-        let names = self.collection_names();
-        let policy = *self.compaction.lock();
-        let mut gens = Vec::with_capacity(names.len());
-        let mut seqs = Vec::with_capacity(names.len());
-        let mut rewritten = 0u64;
-        let mut clean = 0u64;
-        let mut kept = 0u64;
-        for name in &names {
-            let handle = self.collection(name);
-            let action = {
+        let mut taken: Vec<(CollectionHandle, Vec<u64>)> = Vec::new();
+        let (mut rewritten, mut clean, mut docs_written) = (0u64, 0u64, 0u64);
+        let committed = (|| {
+            let mut collections = Vec::new();
+            for name in self.collection_names() {
+                let handle = self.collection(&name);
+                // One lock hold takes the dirty set and encodes its
+                // slices: no writer can slip between the two, so every
+                // effect is either in these bytes or still marked dirty.
                 let coll = handle.read();
-                self.checkpoint_action(bound, name, &coll, &policy, generation)
-            };
-            match action {
-                CheckpointAction::Clean => {
-                    // Snapshot already contains every effect; advance
-                    // the generation vacuously (no WAL bytes to keep).
-                    clean += 1;
-                    gens.push(generation);
-                    let mut states = self.snap_state.lock();
-                    let entry = states.entry(name.clone()).and_modify(|s| s.gen = generation);
-                    seqs.push(match entry {
-                        std::collections::hash_map::Entry::Occupied(e) => e.get().file_next_seq,
-                        std::collections::hash_map::Entry::Vacant(_) => 0,
-                    });
+                let dirty = if bound {
+                    coll.take_dirty()
+                } else {
+                    coll.live_slices()
+                };
+                let files: Vec<(u64, Vec<u8>)> = dirty
+                    .iter()
+                    .map(|&slice| {
+                        let rows = coll.slice_rows(slice).inspect(|_| docs_written += 1);
+                        (slice, encode_jsonl_seq(rows))
+                    })
+                    .collect();
+                let next_seq = coll.append_watermark();
+                drop(coll);
+                let mut slices = BTreeMap::new();
+                if bound {
+                    taken.push((handle, dirty));
+                    slices = persisted.get(&name).cloned().unwrap_or_default();
                 }
-                CheckpointAction::KeepInLog(old_gen) => {
-                    // Dirty but not worth compacting: leave the effects
-                    // in their WAL segments and pin this collection's
-                    // generation so cleanup retains them for replay.
-                    kept += 1;
-                    gens.push(old_gen);
-                    seqs.push(
-                        self.snap_state
-                            .lock()
-                            .get(name)
-                            .map_or(0, |s| s.file_next_seq),
-                    );
-                }
-                CheckpointAction::Rewrite => {
+                if files.iter().any(|(_, bytes)| !bytes.is_empty()) {
                     rewritten += 1;
-                    let (bytes, version, next_seq) = {
-                        let coll = handle.read();
-                        (
-                            encode_jsonl_seq(coll.docs.iter().map(|(s, d)| (*s, d))),
-                            coll.mutation_version(),
-                            coll.append_watermark(),
-                        )
-                    };
-                    self.storage
-                        .atomic_write(&dir.join(format!("{name}.jsonl")), &bytes)?;
-                    gens.push(generation);
-                    seqs.push(next_seq);
-                    if bound {
-                        self.snap_state.lock().insert(
-                            name.clone(),
-                            SnapState {
-                                gen: generation,
-                                version,
-                                file_next_seq: next_seq,
-                            },
-                        );
-                        handle.write().reset_log_stats();
-                    }
+                } else {
+                    clean += 1;
                 }
+                for (slice, bytes) in files {
+                    if bytes.is_empty() {
+                        // Every row of the slice is gone.
+                        slices.remove(&slice);
+                        continue;
+                    }
+                    let path = slice_path(dir, &name, slice, generation);
+                    self.storage.atomic_write(&path, &bytes)?;
+                    slices.insert(slice, generation);
+                }
+                collections.push(ManifestEntry {
+                    name,
+                    next_seq,
+                    slices,
+                });
             }
-        }
-        // The manifest rename is the snapshot's commit point.
-        write_manifest(
-            &*self.storage,
-            dir,
-            &Manifest {
+            let manifest = Manifest {
                 generation,
-                collections: names.clone(),
-                gens: gens.clone(),
-                seqs,
-            },
-        )?;
+                collections,
+                legacy: false,
+                replay_from: generation,
+            };
+            // The manifest rename is the checkpoint's commit point.
+            write_manifest(&*self.storage, dir, &manifest)?;
+            Ok(manifest)
+        })();
+        let manifest: Manifest = match committed {
+            Ok(manifest) => manifest,
+            Err(e) => {
+                // Nothing was committed: the slices are still stale.
+                for (handle, dirty) in taken {
+                    handle.read().mark_dirty(dirty);
+                }
+                return Err(e);
+            }
+        };
+        let named: HashMap<String, BTreeMap<u64, u64>> = manifest
+            .collections
+            .into_iter()
+            .map(|e| (e.name, e.slices))
+            .collect();
         // Cleanup phase — everything after the commit point is
-        // best-effort garbage collection a crash may skip: superseded
-        // WAL generations (older than *every* collection's snapshot),
-        // snapshot files of dropped collections, and temp files left by
-        // interrupted atomic writes.
-        let keep_from = gens.iter().copied().min().unwrap_or(generation);
-        for path in self.storage.list(dir)? {
-            let stale_wal = parse_wal_path(&path).is_some_and(|g| g < keep_from);
-            let dropped = path.extension().and_then(|e| e.to_str()) == Some("jsonl")
-                && path
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .is_some_and(|stem| !names.iter().any(|n| n == stem));
-            if stale_wal || dropped || is_tmp(&path) {
+        // best-effort garbage collection a crash may skip: slice files
+        // the manifest does not name (superseded, emptied, of dropped
+        // collections, or left by a crashed checkpoint), legacy
+        // per-collection files, superseded WAL generations, and temp
+        // files left by interrupted atomic writes.
+        for path in self.storage.list(dir).unwrap_or_default() {
+            let garbage = match path.extension().and_then(|e| e.to_str()) {
+                Some("slice") => !parse_slice_path(&path).is_some_and(|(name, slice, gen)| {
+                    named.get(name).and_then(|slices| slices.get(&slice)) == Some(&gen)
+                }),
+                Some("jsonl") => true,
+                _ => is_tmp(&path) || parse_wal_path(&path).is_some_and(|g| g < generation),
+            };
+            if garbage {
                 let _ = self.storage.remove(&path);
             }
+        }
+        if bound {
+            *persisted = named;
         }
         let rec = self.recorder();
         rec.observe(
@@ -852,65 +784,17 @@ impl Database {
         rec.add("pathdb.checkpoints", 1);
         rec.add("pathdb.checkpoint.rewritten", rewritten);
         rec.add("pathdb.checkpoint.clean", clean);
-        rec.add("pathdb.checkpoint.kept_in_log", kept);
+        rec.add("pathdb.checkpoint.docs_written", docs_written);
         Ok(())
-    }
-
-    /// Decide what a checkpoint does with one collection. Generational
-    /// skipping applies only to the bound directory of a WAL-backed
-    /// database — everything else always rewrites (a foreign `save_dir`
-    /// must produce a complete copy).
-    fn checkpoint_action(
-        &self,
-        bound: bool,
-        name: &str,
-        coll: &Collection,
-        policy: &CompactionPolicy,
-        generation: u64,
-    ) -> CheckpointAction {
-        if !bound {
-            return CheckpointAction::Rewrite;
-        }
-        let states = self.snap_state.lock();
-        let Some(state) = states.get(name) else {
-            return CheckpointAction::Rewrite;
-        };
-        if state.version == coll.mutation_version() {
-            return CheckpointAction::Clean;
-        }
-        if self.wal.is_none() {
-            // No log holds the new effects — the snapshot is the only
-            // durable copy, so a dirty collection must be rewritten.
-            return CheckpointAction::Rewrite;
-        }
-        if generation.saturating_sub(state.gen) > policy.max_lag {
-            // Keeping this collection in the log would retain every
-            // WAL segment since `state.gen` — including other
-            // collections' traffic. Past the lag bound, rewriting is
-            // cheaper than what the pinned segments cost.
-            return CheckpointAction::Rewrite;
-        }
-        let (logged, dead) = coll.log_stats();
-        let live = coll.len() as u64;
-        let worth_compacting = logged == 0
-            || live == 0
-            || logged >= live
-            || (logged >= policy.min_rows
-                && ((logged - dead.min(logged)) as f64 / logged as f64) < policy.live_fraction);
-        if worth_compacting {
-            CheckpointAction::Rewrite
-        } else {
-            CheckpointAction::KeepInLog(state.gen)
-        }
     }
 
     /// Load all collections persisted in `dir` (strictly — any
     /// undecodable line fails the load; see
     /// [`Database::load_dir_with`] for the lenient variant). Honors the
-    /// manifest when one exists, so snapshot files of dropped
-    /// collections are ignored; directories without a manifest load
-    /// every `*.jsonl`. Purely reads `dir` — crash *repair* (WAL
-    /// replay, tail truncation) is [`Database::open_durable`]'s job.
+    /// manifest when one exists, so files it does not name are
+    /// ignored; directories without a manifest load every `*.jsonl`.
+    /// Purely reads `dir` — crash *repair* (WAL replay, tail
+    /// truncation) is [`Database::open_durable`]'s job.
     pub fn load_dir<P: AsRef<Path>>(dir: P) -> DbResult<Database> {
         Database::load_dir_with(dir, &LoadOptions::default()).map(|(db, _)| db)
     }
@@ -922,41 +806,10 @@ impl Database {
         dir: P,
         opts: &LoadOptions,
     ) -> DbResult<(Database, Vec<SkippedLines>)> {
-        let dir = dir.as_ref();
-        let storage = DiskStorage;
         let db = Database::new();
-        let mut skipped = Vec::new();
-        let names: Vec<String> = match read_manifest(&storage, dir)? {
-            Some(m) => m.collections,
-            None => {
-                let mut names: Vec<String> = storage
-                    .list(dir)?
-                    .iter()
-                    .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("jsonl"))
-                    .filter_map(|p| p.file_stem().and_then(|s| s.to_str()).map(String::from))
-                    .collect();
-                names.sort();
-                names
-            }
-        };
-        for name in &names {
-            let path = dir.join(format!("{name}.jsonl"));
-            if !storage.exists(&path) {
-                continue;
-            }
-            let handle = db.collection(name);
-            let mut coll = handle.write();
-            let bytes = storage.read(&path)?;
-            let (docs, file_skipped) = decode_jsonl(&bytes, &path.display().to_string(), opts)?;
-            for mut doc in docs {
-                // Plain loads ignore (but must not surface) the seq
-                // fidelity a durable checkpoint persisted.
-                take_seq(&mut doc);
-                coll.insert_one(doc)?;
-            }
-            skipped.extend(file_skipped);
-        }
-        Ok((db, skipped))
+        let mut report = RecoveryReport::default();
+        db.load_checkpoint(&DiskStorage, dir.as_ref(), opts, &mut report)?;
+        Ok((db, report.skipped))
     }
 }
 
@@ -965,7 +818,9 @@ mod tests {
     use super::*;
     use crate::doc;
     use crate::query::Filter;
+    use crate::snapshot::SLICE_ROWS;
     use crate::storage::FaultyStorage;
+    use crate::update::Update;
     use crate::value::Value;
     use crate::wal::wal_path;
     use std::fs;
@@ -1109,14 +964,18 @@ mod tests {
             .insert_one(doc! { "_id" => "2" })
             .unwrap();
         db.save_dir(&dir).unwrap();
-        assert!(dir.join("gone.jsonl").exists());
+        assert!(slice_path(&dir, "gone", 0, 1).exists());
 
         db.drop_collection("gone");
         db.save_dir(&dir).unwrap();
-        // The stale snapshot file is deleted and the manifest no longer
+        // The stale slice file is deleted and the manifest no longer
         // lists it; even if deletion were skipped by a crash, load
         // honors the manifest.
-        assert!(!dir.join("gone.jsonl").exists());
+        let left = DiskStorage.list(&dir).unwrap();
+        assert!(
+            !left.iter().any(|p| p.to_string_lossy().contains("gone")),
+            "{left:?}"
+        );
         let loaded = Database::load_dir(&dir).unwrap();
         assert_eq!(loaded.collection_names(), vec!["keep"]);
         fs::remove_dir_all(&dir).unwrap();
@@ -1456,8 +1315,25 @@ mod tests {
         );
     }
 
+    /// Documents in the slice files `dir`'s manifest names, per collection.
+    fn persisted_docs(storage: &FaultyStorage, dir: &Path) -> Vec<(String, usize)> {
+        let m = read_manifest(storage, dir).unwrap().unwrap();
+        assert!(!m.legacy);
+        let opts = LoadOptions::default();
+        let count = |e: &ManifestEntry| read_rows(storage, dir, false, e, &opts).unwrap().0.len();
+        m.collections
+            .iter()
+            .map(|e| (e.name.clone(), count(e)))
+            .collect()
+    }
+
     #[test]
-    fn a_small_appending_collection_cannot_pin_wal_retention() {
+    fn every_checkpoint_leaves_only_the_current_wal_generation() {
+        // A small always-appending collection next to a churning one
+        // (the pair that once pinned WAL segments behind a lagging
+        // generation). Every checkpoint brings every collection to the
+        // head generation, so no log older than the current one
+        // survives — whatever the traffic.
         let dir = PathBuf::from("/db");
         let storage = Arc::new(FaultyStorage::new());
         let (db, _) = Database::open_durable_with(
@@ -1465,15 +1341,6 @@ mod tests {
             OpenOptions::new(Durability::Wal).with_storage(storage.clone()),
         )
         .unwrap();
-        db.set_compaction_policy(CompactionPolicy {
-            live_fraction: 0.5,
-            min_rows: 64,
-            max_lag: 4,
-        });
-        // `hot` churns hard (rewritten every checkpoint); `ledger`
-        // appends a couple of always-live rows per round — the workload
-        // that would otherwise keep-in-log forever and thereby retain
-        // every one of `hot`'s WAL segments.
         for round in 0..30u32 {
             {
                 let handle = db.collection("hot");
@@ -1493,106 +1360,58 @@ mod tests {
                 ])
                 .unwrap();
             db.checkpoint().unwrap();
+            let m = read_manifest(&*storage, &dir).unwrap().unwrap();
+            let wals: Vec<u64> = storage
+                .list(&dir)
+                .unwrap()
+                .iter()
+                .filter_map(|p| parse_wal_path(p))
+                .collect();
+            assert!(wals.iter().all(|&g| g == m.generation), "{wals:?} vs {m:?}");
+            assert_eq!(m.replay_from, m.generation);
         }
-        let m = read_manifest(&*storage, &dir).unwrap().unwrap();
-        let retained = storage
+        // `hot` deletes its way through the slices: emptied ones are
+        // gone from the manifest and from the directory.
+        assert_eq!(
+            persisted_docs(&storage, &dir),
+            vec![("hot".to_string(), 50), ("ledger".to_string(), 60)]
+        );
+        let slice_files = storage
             .list(&dir)
             .unwrap()
             .iter()
-            .filter(|p| parse_wal_path(p).is_some())
+            .filter(|p| parse_slice_path(p).is_some())
             .count();
-        assert!(
-            retained <= 6,
-            "lag bound keeps WAL retention flat, got {retained} segments"
-        );
-        assert!(
-            m.generation - m.min_gen() <= 4,
-            "no generation lags past the bound: {m:?}"
-        );
-        // And nothing was lost along the way.
-        let (db2, _) = Database::open_durable_with(
-            &dir,
-            OpenOptions::new(Durability::Wal).with_storage(storage),
-        )
-        .unwrap();
-        assert_eq!(db2.collection("ledger").read().len(), 60);
-        assert_eq!(db2.collection("hot").read().len(), 50);
-    }
-
-    #[test]
-    fn generational_checkpoint_keeps_small_appends_in_the_log() {
-        let dir = PathBuf::from("/db");
-        let storage = Arc::new(FaultyStorage::new());
-        let (db, _) = Database::open_durable_with(
-            &dir,
-            OpenOptions::new(Durability::Wal).with_storage(storage.clone()),
-        )
-        .unwrap();
-        let docs: Vec<_> = (0..10).map(|i| doc! { "_id" => format!("{i}") }).collect();
-        db.collection("big").write().insert_many(docs).unwrap();
-        db.checkpoint().unwrap();
         let m = read_manifest(&*storage, &dir).unwrap().unwrap();
-        assert_eq!(m.gen_of("big"), m.generation);
-
-        // A small append is not worth rewriting a 10-row snapshot:
-        // the effects stay in their WAL segment, whose generation the
-        // manifest pins for replay.
-        db.collection("big")
-            .write()
-            .insert_many(vec![doc! { "_id" => "x" }, doc! { "_id" => "y" }])
-            .unwrap();
-        db.checkpoint().unwrap();
-        let m2 = read_manifest(&*storage, &dir).unwrap().unwrap();
-        assert_eq!(m2.gen_of("big"), m.generation, "generation pinned");
-        assert!(m2.generation > m.generation);
-        assert!(
-            storage.exists(&wal_path(&dir, m.generation)),
-            "the segment holding the appends survives cleanup"
-        );
-
+        let named: usize = m.collections.iter().map(|e| e.slices.len()).sum();
+        assert_eq!(slice_files, named, "no unnamed slice file survives cleanup");
+        // And nothing was lost along the way.
         let (db2, report) = Database::open_durable_with(
-            &dir,
-            OpenOptions::new(Durability::Wal).with_storage(storage.clone()),
-        )
-        .unwrap();
-        assert_eq!(report.wal_effects, 2, "only the kept appends replay");
-        assert_eq!(db2.collection("big").read().len(), 12);
-
-        // Deleting most rows turns the retained log into dead weight;
-        // the next checkpoint compacts and truncates every old segment.
-        db2.collection("big")
-            .write()
-            .delete_many(&Filter::lt("_id", "9"));
-        db2.checkpoint().unwrap();
-        let m3 = read_manifest(&*storage, &dir).unwrap().unwrap();
-        assert_eq!(m3.gen_of("big"), m3.generation, "compacted");
-        assert!(
-            !storage.list(&dir).unwrap().iter().any(|p| {
-                parse_wal_path(p).is_some_and(|g| g < m3.generation)
-            }),
-            "superseded segments truncated"
-        );
-        let (db3, report) = Database::open_durable_with(
             &dir,
             OpenOptions::new(Durability::Wal).with_storage(storage),
         )
         .unwrap();
         assert!(report.clean(), "{report:?}");
-        assert_eq!(db3.collection("big").read().len(), 3);
+        assert_eq!(db2.collection("ledger").read().len(), 60);
+        assert_eq!(db2.collection("hot").read().len(), 50);
     }
 
     #[test]
-    fn generational_checkpoint_skips_clean_collections() {
+    fn checkpoint_writes_only_the_slices_a_mutation_touched() {
         let dir = PathBuf::from("/db");
         let storage = Arc::new(FaultyStorage::new());
         let tel = Arc::new(upin_telemetry::Telemetry::new());
-        let (mut db, _) = Database::open_durable_with(
+        let (db, _) = Database::open_durable_with(
             &dir,
-            OpenOptions::new(Durability::Wal).with_storage(storage.clone()),
+            OpenOptions::new(Durability::Wal)
+                .with_storage(storage.clone())
+                .with_recorder(tel.clone()),
         )
         .unwrap();
-        db.set_recorder(Some(tel.clone()));
-        let docs: Vec<_> = (0..8).map(|i| doc! { "_id" => format!("{i}") }).collect();
+        let n = 4 * SLICE_ROWS;
+        let docs: Vec<_> = (0..n)
+            .map(|i| doc! { "_id" => format!("{i}"), "v" => i as i64 })
+            .collect();
         db.collection("hot").write().insert_many(docs).unwrap();
         db.collection("cold")
             .write()
@@ -1600,17 +1419,115 @@ mod tests {
             .unwrap();
         db.checkpoint().unwrap();
         assert_eq!(tel.counter("pathdb.checkpoint.rewritten"), 2);
+        assert_eq!(tel.counter("pathdb.checkpoint.docs_written"), n + 1);
+        let first = read_manifest(&*storage, &dir).unwrap().unwrap();
 
-        // Touch only `hot`; `cold` is clean and `hot`'s single append
-        // stays in the log — nothing is rewritten.
-        db.collection("hot")
+        // One update in slice 1, one append opening slice 4, all of
+        // slice 2 deleted: three slices are dirty, two get a file.
+        {
+            let handle = db.collection("hot");
+            let mut hot = handle.write();
+            let one = (SLICE_ROWS + 3) as i64;
+            hot.update_many(&Filter::eq("v", one), &Update::new().set("w", 1i64));
+            hot.insert_one(doc! { "_id" => "tail" }).unwrap();
+            let (lo, hi) = (2 * SLICE_ROWS as i64, 3 * SLICE_ROWS as i64);
+            hot.delete_many(&Filter::and(Filter::gte("v", lo), Filter::lt("v", hi)));
+        }
+        db.checkpoint().unwrap();
+        assert_eq!(tel.counter("pathdb.checkpoint.rewritten"), 3);
+        assert_eq!(
+            tel.counter("pathdb.checkpoint.clean"),
+            1,
+            "`cold` wrote nothing"
+        );
+        assert_eq!(
+            tel.counter("pathdb.checkpoint.docs_written"),
+            n + 1 + SLICE_ROWS + 1
+        );
+        let second = read_manifest(&*storage, &dir).unwrap().unwrap();
+        let (g1, g2) = (first.generation, second.generation);
+        assert_eq!(
+            second.collections[0], first.collections[0],
+            "`cold` untouched"
+        );
+        let hot: Vec<(u64, u64)> = second.collections[1]
+            .slices
+            .iter()
+            .map(|(s, g)| (*s, *g))
+            .collect();
+        assert_eq!(hot, vec![(0, g1), (1, g2), (3, g1), (4, g2)]);
+        assert!(
+            !storage.exists(&slice_path(&dir, "hot", 1, g1)),
+            "superseded"
+        );
+        assert!(!storage.exists(&slice_path(&dir, "hot", 2, g1)), "emptied");
+
+        // A third checkpoint with nothing dirty writes no slice at all.
+        db.checkpoint().unwrap();
+        assert_eq!(tel.counter("pathdb.checkpoint.rewritten"), 3);
+        assert_eq!(tel.counter("pathdb.checkpoint.clean"), 3);
+
+        let (db2, report) = Database::open_durable_with(
+            &dir,
+            OpenOptions::new(Durability::Wal).with_storage(storage),
+        )
+        .unwrap();
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(report.snapshot_docs as u64, n + 2 - SLICE_ROWS);
+        let handle = db2.collection("hot");
+        let hot = handle.read();
+        assert_eq!(hot.len() as u64, n + 1 - SLICE_ROWS);
+        assert!(hot
+            .find_by_id(format!("{}", SLICE_ROWS + 3))
+            .unwrap()
+            .contains_key("w"));
+        assert!(hot.find_by_id(format!("{}", 2 * SLICE_ROWS)).is_none());
+        assert!(hot.find_by_id("tail").is_some());
+    }
+
+    #[test]
+    fn failed_checkpoint_keeps_its_slices_dirty() {
+        // A checkpoint that could not commit must not forget what it
+        // set out to write: under `durability=snapshot` the slices are
+        // the only durable copy.
+        let dir = PathBuf::from("/db");
+        let storage = Arc::new(FaultyStorage::new());
+        let (db, _) = Database::open_durable_with(
+            &dir,
+            OpenOptions::new(Durability::Snapshot).with_storage(storage.clone()),
+        )
+        .unwrap();
+        db.collection("c")
             .write()
-            .insert_one(doc! { "_id" => "8" })
+            .insert_one(doc! { "_id" => "1" })
+            .unwrap();
+        storage.inject_transient_errors(1);
+        assert!(db.checkpoint().is_err());
+        db.checkpoint().unwrap();
+        assert_eq!(persisted_docs(&storage, &dir), vec![("c".to_string(), 1)]);
+    }
+
+    #[test]
+    fn recreated_collection_does_not_inherit_dropped_slices() {
+        let dir = PathBuf::from("/db");
+        let storage = Arc::new(FaultyStorage::new());
+        let (db, _) = Database::open_durable_with(
+            &dir,
+            OpenOptions::new(Durability::Snapshot).with_storage(storage.clone()),
+        )
+        .unwrap();
+        let docs: Vec<_> = (0..2 * SLICE_ROWS)
+            .map(|i| doc! { "_id" => format!("{i}") })
+            .collect();
+        db.collection("c").write().insert_many(docs).unwrap();
+        db.checkpoint().unwrap();
+        db.drop_collection("c");
+        db.collection("c")
+            .write()
+            .insert_one(doc! { "_id" => "new" })
             .unwrap();
         db.checkpoint().unwrap();
-        assert_eq!(tel.counter("pathdb.checkpoint.rewritten"), 2);
-        assert_eq!(tel.counter("pathdb.checkpoint.clean"), 1);
-        assert_eq!(tel.counter("pathdb.checkpoint.kept_in_log"), 1);
+        assert_eq!(persisted_docs(&storage, &dir), vec![("c".to_string(), 1)]);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   [`Collection::explain`] API exposing the chosen access path,
 //! * atomic bulk insertion — the batched write path whose
 //!   fault-tolerance/scalability trade-off the paper discusses,
-//! * crash-safe persistence: atomic JSON-lines snapshots with a
-//!   collection manifest ([`database::Database::save_dir`]), an
+//! * crash-safe persistence: JSON-lines slice files committed by a
+//!   collection manifest, rewritten only where a mutation touched them
+//!   ([`snapshot`], [`database::Database::checkpoint`]), an
 //!   optional CRC32-framed write-ahead log with group commit
 //!   ([`wal`]), and a recovery path
 //!   ([`database::Database::open_durable`]) that replays the intact
@@ -61,8 +62,7 @@ pub mod wal;
 pub use builder::Query;
 pub use collection::Collection;
 pub use database::{
-    CollectionHandle, CompactionPolicy, Database, Durability, OpenOptions, RecoveryReport,
-    RetentionPolicy,
+    CollectionHandle, Database, Durability, OpenOptions, RecoveryReport, RetentionPolicy,
 };
 pub use document::Document;
 pub use error::{DbError, DbResult};

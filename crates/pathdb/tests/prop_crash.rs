@@ -18,14 +18,15 @@
 //!
 //! The deterministic test sweeps **every** offset of a fixed workload
 //! (including offsets inside checkpoints, so every window of the
-//! snapshot/rotate/cleanup protocol is hit); the proptest randomizes
+//! rotate / slice write / manifest commit / cleanup protocol is hit,
+//! with slices rewritten, emptied and dropped); the proptest randomizes
 //! workloads and samples offsets, and also covers sector tearing and
 //! transient-error retries.
 
 use pathdb::database::OpenOptions;
 use pathdb::{
-    doc, CompactionPolicy, Database, Document, Durability, FaultyStorage, Filter, RetentionPolicy,
-    RollupConfig, Update, Value,
+    doc, Database, Document, Durability, FaultyStorage, Filter, RetentionPolicy, RollupConfig,
+    Update, Value,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -170,13 +171,6 @@ fn open_wal(storage: &FaultyStorage) -> (Database, pathdb::RecoveryReport) {
         OpenOptions::new(Durability::Wal).with_storage(Arc::new(storage.clone())),
     )
     .expect("recovery never fails on torn state");
-    // Exercise the generational-checkpoint decision paths aggressively:
-    // tiny collections already qualify for keep-in-log / compaction.
-    db.set_compaction_policy(CompactionPolicy {
-        live_fraction: 0.6,
-        min_rows: 2,
-        max_lag: 3,
-    });
     db.register_rollup(RollupConfig {
         source: "paths_stats".into(),
         dest: "rollup_stats".into(),
@@ -273,8 +267,8 @@ fn fixed_workload() -> Vec<Op> {
             ids: vec![20, 21],
         },
         // Expires the folded row d11 (t = 5500 < 9000 - 3000): the
-        // following checkpoint sees a log that is partly dead weight —
-        // the generational compaction decision runs inside the sweep.
+        // following checkpoint rewrites a slice that lost rows next to
+        // collections it leaves alone.
         Op::RollupFold,
         Op::Expire { now: 9000 },
         Op::Checkpoint,
@@ -282,11 +276,21 @@ fn fixed_workload() -> Vec<Op> {
         Op::Checkpoint,
         Op::Insert { coll: 1, id: 30 },
         Op::RollupFold,
+        // Empty `paths` row by row: its only slice loses every row, so
+        // the last checkpoint removes a slice from a live collection
+        // (the manifest stops naming it, cleanup deletes the file)
+        // while writing the slices of the re-created `paths_stats`.
+        Op::Delete { coll: 0, id: 1 },
+        Op::Delete { coll: 0, id: 2 },
+        Op::Delete { coll: 0, id: 20 },
+        Op::Delete { coll: 0, id: 21 },
+        Op::Checkpoint,
+        Op::Insert { coll: 0, id: 40 },
     ]
 }
 
 /// The exhaustive matrix: every single unit offset of the fixed
-/// workload, including every byte of three checkpoints' snapshot /
+/// workload, including every byte of four checkpoints' slice write /
 /// manifest / cleanup windows and of the rollup-fold and retention
 /// expiry commits between them.
 #[test]
