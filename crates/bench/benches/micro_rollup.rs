@@ -64,8 +64,7 @@ fn bench(c: &mut Criterion) {
             {
                 let handle = db.collection(PATHS_STATS);
                 let mut coll = handle.write();
-                let batch: Vec<Document> =
-                    (0..1_000).map(|j| row(next + j, DAY_MS)).collect();
+                let batch: Vec<Document> = (0..1_000).map(|j| row(next + j, DAY_MS)).collect();
                 next += 1_000;
                 coll.insert_many(batch).unwrap();
             }

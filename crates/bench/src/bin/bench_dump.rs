@@ -946,7 +946,10 @@ fn bench_longitudinal() {
                     retention_row(id, ts)
                 })
                 .collect();
-            db2.collection(PATHS_STATS).write().insert_many(batch).unwrap();
+            db2.collection(PATHS_STATS)
+                .write()
+                .insert_many(batch)
+                .unwrap();
             db2.rollup_catch_up().unwrap();
             db2.expire_retention(ts).unwrap();
             db2.checkpoint().unwrap();

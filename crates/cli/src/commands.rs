@@ -426,7 +426,11 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
                 let path = std::path::Path::new(out_dir).join(&f.name);
                 std::fs::write(&path, &f.contents)
                     .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
-                out.push_str(&format!("wrote {} ({} B)\n", path.display(), f.contents.len()));
+                out.push_str(&format!(
+                    "wrote {} ({} B)\n",
+                    path.display(),
+                    f.contents.len()
+                ));
             }
             finish(&s, out)
         }
@@ -1356,9 +1360,15 @@ mod tests {
             saved.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(out.contains("Longitudinal run: 2 sim-days, 4 rounds"), "{out}");
+        assert!(
+            out.contains("Longitudinal run: 2 sim-days, 4 rounds"),
+            "{out}"
+        );
         assert!(out.contains("Path churn"), "{out}");
-        assert!(out.contains("disk:"), "durable run reports footprint: {out}");
+        assert!(
+            out.contains("disk:"),
+            "durable run reports footprint: {out}"
+        );
 
         // `report churn` re-renders the saved report byte-identically.
         let again = run_cli(&["report", "churn", saved.to_str().unwrap()]).unwrap();
@@ -1382,8 +1392,8 @@ mod tests {
         assert!(parsed.tracked_paths > 0);
 
         // A bare churn.json renders through the fallback arm.
-        let via_file = run_cli(&["report", "churn", data.join("churn.json").to_str().unwrap()])
-            .unwrap();
+        let via_file =
+            run_cli(&["report", "churn", data.join("churn.json").to_str().unwrap()]).unwrap();
         assert!(via_file.contains("Path churn"), "{via_file}");
 
         let err = run_cli(&["longitudinal", "sideways"]);

@@ -103,7 +103,11 @@ impl ChurnReport {
     /// comparison artifact, and the CLI's `report churn` body.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "Path churn ({} buckets of {} ms)", self.span_buckets, self.bucket_ms);
+        let _ = writeln!(
+            out,
+            "Path churn ({} buckets of {} ms)",
+            self.span_buckets, self.bucket_ms
+        );
         let _ = writeln!(
             out,
             "  tracked {} paths toward {} destinations",
@@ -186,7 +190,10 @@ pub fn analyze(aggs: &[BucketAgg], bucket_ms: i64) -> ChurnReport {
         let bucket = agg.bucket_start_ms.div_euclid(bucket_ms);
         lo = lo.min(bucket);
         hi = hi.max(bucket);
-        presence.entry((server, path.clone())).or_default().insert(bucket);
+        presence
+            .entry((server, path.clone()))
+            .or_default()
+            .insert(bucket);
         if let Some(lat) = bucket_latency(agg) {
             best.entry((server, bucket))
                 .and_modify(|(cur, who)| {
@@ -234,7 +241,15 @@ pub fn analyze(aggs: &[BucketAgg], bucket_ms: i64) -> ChurnReport {
                 Some(p) if b == p + 1 => {}
                 _ => {
                     if let (Some(s), Some(p)) = (run_start, prev) {
-                        close_run(s, p, lo, hi, &mut lifetimes, &mut appearances, &mut disappearances);
+                        close_run(
+                            s,
+                            p,
+                            lo,
+                            hi,
+                            &mut lifetimes,
+                            &mut appearances,
+                            &mut disappearances,
+                        );
                     }
                     run_start = Some(b);
                 }
@@ -242,7 +257,15 @@ pub fn analyze(aggs: &[BucketAgg], bucket_ms: i64) -> ChurnReport {
             prev = Some(b);
         }
         if let (Some(s), Some(p)) = (run_start, prev) {
-            close_run(s, p, lo, hi, &mut lifetimes, &mut appearances, &mut disappearances);
+            close_run(
+                s,
+                p,
+                lo,
+                hi,
+                &mut lifetimes,
+                &mut appearances,
+                &mut disappearances,
+            );
         }
     }
     lifetimes.sort_unstable();
@@ -275,7 +298,11 @@ pub fn analyze(aggs: &[BucketAgg], bucket_ms: i64) -> ChurnReport {
                 } else {
                     *occupied as f64 / buckets.len() as f64
                 },
-                ranking_stability: if pairs == 0 { 1.0 } else { same as f64 / pairs as f64 },
+                ranking_stability: if pairs == 0 {
+                    1.0
+                } else {
+                    same as f64 / pairs as f64
+                },
                 ranking_pairs: pairs,
             }
         })

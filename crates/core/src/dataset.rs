@@ -42,9 +42,8 @@ fn cell(v: &Value) -> String {
 /// `rollups.csv`: one row per `(group, bucket, field)` aggregate.
 fn rollups_csv(db: &Database) -> String {
     let cfg = stats_rollup();
-    let mut out = String::from(
-        "server_id,path_id,bucket_start_ms,field,n,sum,min,max,mean,p50,p99\n",
-    );
+    let mut out =
+        String::from("server_id,path_id,bucket_start_ms,field,n,sum,min,max,mean,p50,p99\n");
     for agg in read_rollup(db, &cfg) {
         let group: Vec<String> = agg.group.iter().map(cell).collect();
         let group = group.join(",");
@@ -169,7 +168,10 @@ mod tests {
         let db = populated();
         let files = dataset_files(&db).unwrap();
         let names: Vec<&str> = files.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["rollups.csv", "paths.csv", "churn.json", "manifest.json"]);
+        assert_eq!(
+            names,
+            ["rollups.csv", "paths.csv", "churn.json", "manifest.json"]
+        );
         let rollups = &files[0].contents;
         assert!(rollups.starts_with("server_id,path_id,bucket_start_ms"));
         assert!(rollups.lines().count() > 1, "rollup rows exported");

@@ -89,8 +89,8 @@ pub mod verify;
 pub use api::{PathIntelService, ServiceError, ServiceRequest, ServiceResponse, Transport};
 pub use axioms::{evaluate_strategies, EvalConfig, Scorecard};
 pub use churn::ChurnReport;
-pub use dataset::{dataset_files, DatasetFile};
 pub use config::SuiteConfig;
+pub use dataset::{dataset_files, DatasetFile};
 pub use error::{SelectionFailure, SuiteError, SuiteResult};
 pub use failover::{run_chaos_campaign, ChaosReport, FailoverConfig};
 pub use longitudinal::{run_longitudinal, LongitudinalConfig, LongitudinalReport};

@@ -305,7 +305,11 @@ mod tests {
         assert!(last.raw_rows < report.inserted_total);
         // Rollups cover the whole campaign (one bucket per active hour)
         // even though the raw rows behind them are gone.
-        assert!(report.churn.span_buckets >= 48, "{}", report.churn.span_buckets);
+        assert!(
+            report.churn.span_buckets >= 48,
+            "{}",
+            report.churn.span_buckets
+        );
         assert_eq!(report.churn.destinations as u64, {
             let served: std::collections::BTreeSet<i64> =
                 report.churn.dests.iter().map(|d| d.server_id).collect();
@@ -343,7 +347,9 @@ mod tests {
         cfg.retention_hours = 12.0;
         cfg.disk_probe_day = 2;
         let report = run_longitudinal(&db, &net, &cfg).unwrap();
-        let ratio = report.disk_growth_ratio().expect("durable run reports disk");
+        let ratio = report
+            .disk_growth_ratio()
+            .expect("durable run reports disk");
         // Raw rows are windowed and rollups are tiny: the steady-state
         // footprint must not grow linearly with campaign length.
         assert!(ratio < 2.0, "disk grew {ratio}x: {report:?}");

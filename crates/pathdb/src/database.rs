@@ -355,7 +355,8 @@ impl Database {
                 .delete_many(&Filter::lt(&p.time_field, cutoff)) as u64;
         }
         if removed > 0 {
-            self.recorder().add("pathdb.retention.expired_rows", removed);
+            self.recorder()
+                .add("pathdb.retention.expired_rows", removed);
         }
         Ok(removed)
     }
@@ -1255,7 +1256,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.wal_effects, 2);
-        db.collection("c").write().delete_many(&Filter::eq("_id", "stale"));
+        db.collection("c")
+            .write()
+            .delete_many(&Filter::eq("_id", "stale"));
         db.checkpoint().unwrap();
         assert!(
             !storage.exists(&wal_path(&dir, 7)),
@@ -1310,7 +1313,11 @@ mod tests {
             "steady-state bytes grew: {bytes_mid} -> {bytes_end}"
         );
         assert!(
-            !storage.list(&dir).unwrap().iter().any(|p| parse_wal_path(p).is_some()),
+            !storage
+                .list(&dir)
+                .unwrap()
+                .iter()
+                .any(|p| parse_wal_path(p).is_some()),
             "no WAL files may linger under durability=snapshot"
         );
     }
@@ -1565,7 +1572,10 @@ mod tests {
             });
             let rows: Vec<_> = (0..4).map(row).collect();
             all_rows.extend(rows.clone());
-            db.collection("paths_stats").write().insert_many(rows).unwrap();
+            db.collection("paths_stats")
+                .write()
+                .insert_many(rows)
+                .unwrap();
             // Fold + expire everything older than one hour, then make
             // the compacted state durable. The process "crashes" here.
             db.expire_retention(3 * hour).unwrap();
@@ -1581,7 +1591,10 @@ mod tests {
         db.register_rollup(cfg.clone());
         let rows: Vec<_> = (4..6).map(row).collect();
         all_rows.extend(rows.clone());
-        db.collection("paths_stats").write().insert_many(rows).unwrap();
+        db.collection("paths_stats")
+            .write()
+            .insert_many(rows)
+            .unwrap();
         db.rollup_catch_up().unwrap();
         assert_eq!(
             crate::rollup::render(&crate::rollup::read_rollup(&db, &cfg)),
@@ -1611,7 +1624,10 @@ mod tests {
                 }
             })
             .collect();
-        db.collection("paths_stats").write().insert_many(rows).unwrap();
+        db.collection("paths_stats")
+            .write()
+            .insert_many(rows)
+            .unwrap();
         // Expire with a window that keeps only the last hour of raw
         // rows. Every older row must already be folded — the rollup
         // answer is identical before and after.

@@ -606,7 +606,10 @@ mod tests {
         let cfg = cfg();
         let mut shadow: Vec<Document> = Vec::new();
         let batches: Vec<Vec<Document>> = vec![
-            vec![stat(1, "1_0", 100, 20.0, 0.0), stat(1, "1_1", 150, 30.5, 1.0)],
+            vec![
+                stat(1, "1_0", 100, 20.0, 0.0),
+                stat(1, "1_1", 150, 30.5, 1.0),
+            ],
             vec![stat(1, "1_0", 900, 22.0, 0.5)],
             vec![
                 stat(2, "2_0", 1100, 90.0, 0.0),

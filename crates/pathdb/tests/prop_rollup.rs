@@ -16,9 +16,7 @@
 
 use pathdb::database::OpenOptions;
 use pathdb::rollup::{fold_reference, read_rollup, render};
-use pathdb::{
-    doc, Database, Document, Durability, FaultyStorage, RetentionPolicy, RollupConfig,
-};
+use pathdb::{doc, Database, Document, Durability, FaultyStorage, RetentionPolicy, RollupConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -49,9 +47,7 @@ fn arb_row() -> impl Strategy<Value = (u8, u8, u16, i32, bool)> {
         // and the min/max fold seeds all get exercised.
         (0u16..100, -500i32..5000, (0u8..10).prop_map(|x| x < 9)),
     )
-        .prop_map(|((server, path), (tenths, lat, with_lat))| {
-            (server, path, tenths, lat, with_lat)
-        })
+        .prop_map(|((server, path), (tenths, lat, with_lat))| (server, path, tenths, lat, with_lat))
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
