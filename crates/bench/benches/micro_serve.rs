@@ -11,8 +11,8 @@ use pathdb::Database;
 use scion_sim::net::ScionNetwork;
 use scion_sim::topology::scionlab::{scionlab_topology, MY_AS};
 use upin_core::api::{
-    EvaluateConstraintRequest, InProcessTransport, PathIntelService, RecommendRequest,
-    ServiceRequest, ServiceResponse, ShowPathsRequest, Transport,
+    EvaluateConstraintRequest, PathIntelService, RecommendRequest, ServiceRequest, ServiceResponse,
+    ShowPathsRequest, Transport,
 };
 use upin_core::config::SuiteConfig;
 use upin_core::suite::TestSuite;
@@ -35,7 +35,7 @@ fn measured_service() -> Arc<PathIntelService> {
 
 fn bench(c: &mut Criterion) {
     let svc = measured_service();
-    let transport = InProcessTransport::new(Arc::clone(&svc));
+    let transport: &dyn Transport = svc.as_ref();
 
     let recommend = ServiceRequest::Recommend(RecommendRequest {
         destination: "1".to_string(),

@@ -7,10 +7,7 @@ use crate::session::{CliError, Session, SessionOptions};
 use scion_sim::addr::{IsdAsn, ScionAddr};
 use scion_tools::ping::{PathSelection, PingOptions};
 use std::sync::Arc;
-use upin_core::api::{
-    self, EvaluateConstraintRequest, InProcessTransport, RecommendRequest, ShowPathsRequest,
-    Transport,
-};
+use upin_core::api::{self, EvaluateConstraintRequest, RecommendRequest, ShowPathsRequest};
 use upin_core::select::{recommend, Constraints, Objective, UserRequest};
 use upin_core::verify::verify_recommendation;
 use upin_core::{ServiceRequest, SuiteConfig};
@@ -216,33 +213,53 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             )?;
             let s = open(&p)?;
             let dst: ScionAddr = parse_addr(&p.positional[0])?;
-            let policy = scion_tools::multipath::FailoverPolicy {
-                total_probes: p
-                    .opt_parse::<u32>("probes")
+            // One failover session: a probe is one tick of K SCMP
+            // echoes, so K consecutive losses on the pinned path are
+            // what trigger the switch.
+            let cfg = upin_core::FailoverConfig {
+                local_as: s.local,
+                ticks: p
+                    .opt_parse::<usize>("probes")
                     .map_err(CliError::Usage)?
                     .unwrap_or(30),
-                loss_threshold: p
+                tick_interval_ms: 100.0,
+                probes: p
                     .opt_parse::<u32>("threshold")
                     .map_err(CliError::Usage)?
                     .unwrap_or(3),
-                interval_ms: 100.0,
+                max_paths: p
+                    .opt_parse::<usize>("max-paths")
+                    .map_err(CliError::Usage)?
+                    .unwrap_or(10),
+                ..upin_core::FailoverConfig::default()
             };
-            let max_paths = p
-                .opt_parse::<usize>("max-paths")
-                .map_err(CliError::Usage)?
-                .unwrap_or(10);
-            let r = scion_tools::multipath::ping_with_failover(
-                &s.net, s.local, dst, max_paths, &policy,
-            )?;
+            cfg.validate().map_err(CliError::Usage)?;
+            let mut session = upin_core::failover::Session::open(&s.net, &cfg, dst, None);
+            if session.candidates().is_empty() {
+                return Err(
+                    scion_tools::ToolError::NoPath(format!("no path to {}", dst.ia)).into(),
+                );
+            }
+            for _ in 0..cfg.ticks {
+                session.tick();
+            }
+            let r = session.into_report(0);
             let mut out = format!(
-                "{} probes over {} candidate paths: {} received ({:.0}% loss), {} switch(es)\n",
-                r.probes.len(),
-                r.paths.len(),
-                r.received(),
-                r.loss() * 100.0,
-                r.switches
+                "{} probes over {} candidate paths: {} served ({:.0}% degraded), {} switch(es), {} restore(s)\n",
+                r.ticks,
+                r.candidates,
+                r.ok_ticks,
+                (1.0 - r.availability()) * 100.0,
+                r.switch_ms.len(),
+                r.restores
             );
-            out.push_str(&format!("final path: {}\n", r.paths[r.final_path]));
+            match &r.serving {
+                Some(p) if p.stale => {
+                    out.push_str(&format!("final path: {} (stale)\n", p.sequence))
+                }
+                Some(p) => out.push_str(&format!("final path: {}\n", p.sequence)),
+                None => out.push_str("final path: none was ever live\n"),
+            }
             finish(&s, out)
         }
         "chaos" => {
@@ -487,34 +504,29 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
                 .map_err(CliError::Usage)?
                 .unwrap_or(1)
                 .max(1);
-            let service = Arc::new(s.service());
-            let transport = InProcessTransport::new(Arc::clone(&service));
+            let service = s.service();
             let out = match p.opt("requests") {
                 Some(path) => {
                     let text = std::fs::read_to_string(path)
                         .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
                     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-                    let mut answers: Vec<String> = vec![String::new(); lines.len()];
                     let chunk = lines.len().div_ceil(threads).max(1);
-                    std::thread::scope(|scope| {
-                        let transport = &transport;
-                        for (slot, work) in answers.chunks_mut(chunk).zip(lines.chunks(chunk)) {
-                            scope.spawn(move || {
-                                for (a, line) in slot.iter_mut().zip(work) {
-                                    *a = transport.call_json(line);
-                                }
-                            });
-                        }
-                    });
-                    let mut out = String::new();
-                    for a in answers {
-                        out.push_str(&a);
-                        out.push('\n');
-                    }
-                    out
+                    let (answers, _) = upin_core::pool::run_pool(
+                        lines.chunks(chunk).collect(),
+                        threads,
+                        |work| {
+                            let mut out = String::new();
+                            for line in work {
+                                out.push_str(&service.dispatch_json(line));
+                                out.push('\n');
+                            }
+                            out
+                        },
+                    )?;
+                    answers.concat()
                 }
                 None => {
-                    let mut line = transport.call_json(&ServiceRequest::Health.to_json_string());
+                    let mut line = service.dispatch_json(&ServiceRequest::Health.to_json_string());
                     line.push('\n');
                     line
                 }
@@ -566,8 +578,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
                 concurrent_campaign: p.flag("with-campaign"),
             };
             let service = Arc::new(s.service());
-            let transport = InProcessTransport::new(Arc::clone(&service));
-            let outcome = upin_core::loadgen::run_loadgen(&service, &transport, &cfg)?;
+            let outcome = upin_core::loadgen::run_loadgen(&service, service.as_ref(), &cfg)?;
             let mut out = outcome.report.clone();
             if let Some(path) = p.opt("bench-out") {
                 std::fs::write(path, &outcome.bench_json)
@@ -1331,9 +1342,46 @@ mod tests {
 
     #[test]
     fn failover_command_reports_session() {
-        let out = run_cli(&["failover", "16-ffaa:0:1002,[172.31.43.7]", "--probes", "8"]).unwrap();
-        assert!(out.contains("8 probes over"), "{out}");
-        assert!(out.contains("final path:"), "{out}");
+        let ireland = "16-ffaa:0:1002,[172.31.43.7]";
+        let final_path = |out: &str| {
+            let line = out.lines().find(|l| l.starts_with("final path:"));
+            line.unwrap_or_else(|| panic!("{out}")).to_string()
+        };
+        let healthy = run_cli(&["failover", ireland, "--probes", "8"]).unwrap();
+        assert!(healthy.contains("8 probes over"), "{healthy}");
+        assert!(healthy.contains(" 0 switch(es)"), "{healthy}");
+
+        // The same network, except that the link the top-ranked path
+        // takes out of the ETHZ core drops every packet: the session
+        // must detect it and finish on a path that avoids the link.
+        let topo = scion_sim::topology::scionlab::scionlab_topology();
+        let idx = |ia: &str| topo.index_of(ia.parse().unwrap()).unwrap();
+        let ends = [idx("17-ffaa:0:1101"), idx("19-ffaa:0:1301")];
+        let dead = topo
+            .links()
+            .position(|(_, l)| [l.a, l.b] == ends || [l.b, l.a] == ends)
+            .unwrap();
+        let mut json: serde_json::Value = serde_json::from_str(&topo.to_json_string()).unwrap();
+        let Some(serde_json::Value::Array(links)) = json.as_object_mut().unwrap().get_mut("links")
+        else {
+            panic!("topology JSON has a links array");
+        };
+        for dir in ["ab", "ba"] {
+            let attrs = links[dead].as_object_mut().unwrap().get_mut(dir).unwrap();
+            let attrs = attrs.as_object_mut().unwrap();
+            attrs.insert("base_loss".into(), serde_json::Value::from(1.0));
+        }
+        let file = std::env::temp_dir().join(format!("upin-cli-fo-{}.json", std::process::id()));
+        std::fs::write(&file, serde_json::to_string(&json).unwrap()).unwrap();
+        let out = run_cli(&["failover", ireland, "--topology", file.to_str().unwrap()]).unwrap();
+        std::fs::remove_file(&file).unwrap();
+        assert!(out.contains("30 probes over"), "{out}");
+        assert!(!out.contains(" 0 switch(es)"), "{out}");
+        assert_ne!(final_path(&out), final_path(&healthy), "{out}");
+        assert!(
+            !final_path(&out).contains("17-ffaa:0:1101#3,2 19-"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -1638,7 +1686,10 @@ mod tests {
              {\"Recommend\": {\"destination\": \"1\", \"k\": 2}}\n\
              {\"ShowPaths\": {\"destination\": \"16-ffaa:0:1002\", \"max_paths\": 2}}\n\
              {\"Recommend\": {\"destination\": \"no-such\", \"k\": 1}}\n\
-             not even json\n",
+             not even json\n\
+             {\"Recommend\":{\"destination\":\"1\",\"k\":3,\"weights\":{\"latency\":1e999}}}\n\
+             {\"Recommend\":{\"destination\":\"1\",\"k\":3,\"weights\":{\"latency\":-1}}}\n\
+             {\"Recommend\":{\"destination\":\"1\",\"k\":3,\"weights\":{}}}\n",
         )
         .unwrap();
         let out = run_cli(&[
@@ -1652,12 +1703,26 @@ mod tests {
         ])
         .unwrap();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 5, "{out}");
+        assert_eq!(lines.len(), 8, "{out}");
         assert!(lines[0].contains("\"Health\""), "{}", lines[0]);
         assert!(lines[1].contains("\"Recommend\""), "{}", lines[1]);
         assert!(lines[2].contains("\"ShowPaths\""), "{}", lines[2]);
         assert!(lines[3].contains("\"Error\""), "{}", lines[3]);
         assert!(lines[4].contains("\"InvalidRequest\""), "{}", lines[4]);
+        // Hostile weights (an infinite one, a negative one, none at
+        // all) are answered with an error, never a panic.
+        assert!(lines[5].contains("\"InvalidRequest\""), "{}", lines[5]);
+        assert!(lines[6].contains("\"InvalidRequest\""), "{}", lines[6]);
+        assert!(lines[7].contains("\"Error\""), "{}", lines[7]);
+        // `--weight` goes through the same check.
+        let err = run_cli(&["recommend", "1", "--weight", "latency=inf", "--db", dbflag]);
+        assert!(
+            matches!(
+                &err,
+                Err(CliError::Suite(upin_core::SuiteError::InvalidRequest(_)))
+            ),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -126,8 +126,6 @@ pub struct Session {
     pub quiet: bool,
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
-    db_dir: Option<PathBuf>,
-    durability: Durability,
 }
 
 /// The vantage point of a loaded topology: the designated user AS when
@@ -242,8 +240,6 @@ impl Session {
             quiet: opts.quiet,
             trace_out: opts.trace_out,
             metrics_out: opts.metrics_out,
-            db_dir,
-            durability,
         })
     }
 
@@ -302,13 +298,10 @@ impl Session {
     }
 
     /// Persist the database if a directory was configured: an atomic
-    /// checkpoint of what changed under `snapshot` durability, the same
-    /// (which also truncates the WAL) under `wal`, nothing under `none`.
+    /// checkpoint of what changed under `snapshot` and `wal` durability
+    /// (which also truncates the WAL), nothing under `none`.
     pub fn persist(&self) -> Result<(), CliError> {
-        match (&self.db_dir, self.durability) {
-            (None, _) | (_, Durability::None) => Ok(()),
-            (Some(_), Durability::Wal) => Ok(self.db.checkpoint()?),
-            (Some(dir), Durability::Snapshot) => Ok(self.db.save_dir(dir)?),
-        }
+        self.db.checkpoint_if_durable()?;
+        Ok(())
     }
 }

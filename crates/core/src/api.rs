@@ -589,6 +589,10 @@ impl PathIntelService {
     }
 
     fn recommend(&self, req: &RecommendRequest) -> Result<RecommendResponse, ServiceError> {
+        if let Some(w) = &req.weights {
+            w.validate()
+                .map_err(|m| ServiceError::new(ErrorCode::InvalidRequest, m))?;
+        }
         let server_id = self.resolve_destination(&req.destination)?;
         let suite = |e: SuiteError| ServiceError::from_suite(&e);
         if req.pareto || req.weights.is_some() {
@@ -796,11 +800,11 @@ impl PathIntelService {
 // Transport
 // ---------------------------------------------------------------------
 
-/// How requests reach a [`PathIntelService`]. The in-process transport
-/// hands typed values straight to the dispatcher; a socket transport
-/// would speak the JSON round-trip (`call_json`) instead. Both faces
-/// answer every request — errors travel as [`ServiceResponse::Error`],
-/// never as a transport failure.
+/// How requests reach a [`PathIntelService`]. In process the service
+/// is its own transport and hands typed values straight to the
+/// dispatcher; a socket transport would speak the JSON round-trip
+/// (`call_json`) instead. Both faces answer every request — errors
+/// travel as [`ServiceResponse::Error`], never as a transport failure.
 pub trait Transport: Send + Sync {
     /// Submit one typed request, receive one typed response.
     fn call(&self, request: &ServiceRequest) -> ServiceResponse;
@@ -818,31 +822,9 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// The zero-copy transport: requests are dispatched on the caller's
-/// thread against the shared service.
-pub struct InProcessTransport {
-    service: Arc<PathIntelService>,
-}
-
-impl InProcessTransport {
-    pub fn new(service: Arc<PathIntelService>) -> InProcessTransport {
-        InProcessTransport { service }
-    }
-
-    /// The service behind the transport.
-    pub fn service(&self) -> &Arc<PathIntelService> {
-        &self.service
-    }
-}
-
-impl Transport for InProcessTransport {
-    fn call(&self, request: &ServiceRequest) -> ServiceResponse {
-        self.service.dispatch(request)
-    }
-}
-
-/// The service is its own transport, so `dispatch_json` and every
-/// transport's `call_json` share one decode-or-`InvalidRequest` body.
+/// The in-process transport: requests are dispatched on the caller's
+/// thread, and `dispatch_json` and every transport's `call_json` share
+/// one decode-or-`InvalidRequest` body.
 impl Transport for PathIntelService {
     fn call(&self, request: &ServiceRequest) -> ServiceResponse {
         self.dispatch(request)
@@ -1226,10 +1208,8 @@ mod tests {
 
     #[test]
     fn transport_json_face_round_trips_a_health_call() {
-        let svc = Arc::new(service());
-        let t = InProcessTransport::new(svc);
         let line = ServiceRequest::Health.to_json_string();
-        let out = t.call_json(&line);
+        let out = service().call_json(&line);
         let resp = ServiceResponse::from_json_str(&out).unwrap();
         assert!(matches!(resp, ServiceResponse::Health(_)), "{out}");
     }

@@ -29,6 +29,7 @@
 use crate::collect::destinations;
 use crate::error::{SuiteError, SuiteResult};
 use crate::multi::pareto_front;
+use crate::pool::run_pool;
 use crate::schema::{PathId, STRATEGY_SCORECARDS};
 use crate::select::{Constraints, Objective, UserRequest};
 use crate::strategy::{registry, StrategyContext};
@@ -38,7 +39,6 @@ use rand::{Rng, SeedableRng};
 use scion_sim::addr::IsdAsn;
 use scion_sim::net::ScionNetwork;
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 /// Paths requested per destination when computing liveness masks — the
 /// paper's `showpaths -m 40`.
@@ -322,56 +322,27 @@ pub fn evaluate_strategies(
         .collect();
 
     // Per-destination, per-strategy outcomes. The work items are
-    // independent; parallel mode spreads them over a thread pool and
-    // writes each result into its destination's slot, so the ordered
-    // fold below sees exactly what the sequential path computes.
-    let mut per_dest: Vec<Option<Vec<DestOutcome>>> = Vec::new();
-    per_dest.resize_with(dests.len(), || None);
-    let eval_one = |&(server_id, ia): &(u32, IsdAsn)| -> SuiteResult<Vec<DestOutcome>> {
+    // independent; parallel mode spreads them over the worker pool,
+    // which hands them back in destination order, so the fold below
+    // sees exactly what the sequential path computes.
+    let workers = if cfg.parallel {
+        std::thread::available_parallelism().map_or(4, |n| n.get())
+    } else {
+        1
+    };
+    let n_dests = dests.len();
+    let (per_dest, _) = run_pool(dests, workers, |(server_id, ia)| {
         let masks = liveness_masks(net, local, ia, server_id, cfg);
         strategies
             .iter()
             .map(|s| eval_destination(db, s.as_ref(), server_id, &masks, cfg))
-            .collect()
-    };
-    if cfg.parallel && dests.len() > 1 {
-        let slots = Mutex::new(&mut per_dest);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(dests.len());
-        std::thread::scope(|scope| -> SuiteResult<()> {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| -> SuiteResult<()> {
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= dests.len() {
-                                return Ok(());
-                            }
-                            let outcome = eval_one(&dests[i])?;
-                            slots.lock().unwrap()[i] = Some(outcome);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join()
-                    .map_err(|_| SuiteError::Campaign("axioms worker panicked".into()))??;
-            }
-            Ok(())
-        })?;
-    } else {
-        for (i, d) in dests.iter().enumerate() {
-            per_dest[i] = Some(eval_one(d)?);
-        }
-    }
+            .collect::<SuiteResult<Vec<DestOutcome>>>()
+    })?;
 
     // Destination-ordered fold: transpose to per-strategy outcome rows.
     let mut rows: Vec<Vec<DestOutcome>> = strategies.iter().map(|_| Vec::new()).collect();
-    for slot in per_dest.into_iter().flatten() {
-        for (si, outcome) in slot.into_iter().enumerate() {
+    for slot in per_dest {
+        for (si, outcome) in slot?.into_iter().enumerate() {
             rows[si].push(outcome);
         }
     }
@@ -387,7 +358,7 @@ pub fn evaluate_strategies(
     });
 
     let rec = db.recorder();
-    rec.add("axioms.destinations", dests.len() as u64);
+    rec.add("axioms.destinations", n_dests as u64);
     rec.add("axioms.strategies", cards.len() as u64);
     Ok(cards)
 }

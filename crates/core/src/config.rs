@@ -68,7 +68,7 @@ pub struct SuiteConfig {
     /// (`--durability {none,snapshot,wal}`). With `wal`, every
     /// per-destination bulk insertion is one WAL commit group, making
     /// §4.2.2's loss bound hold across process crashes; the suite and
-    /// the scheduler additionally checkpoint after each campaign/round.
+    /// the round loop additionally checkpoint after each campaign/round.
     pub durability: Durability,
 }
 

@@ -7,8 +7,7 @@
 //! * **static exploration** — per-AS facts from the control plane
 //!   (ISD, role, operator, country, link degree, hosted servers);
 //! * **measurement enrichment** — per-AS latency contributions derived
-//!   from stored traceroute records (`path_traces`), folded with the
-//!   database's aggregation pipeline.
+//!   from stored traceroute records (`path_traces`).
 //!
 //! The selection and verification layers use this collection to resolve
 //! symbolic exclusions ("no devices in the United States") into
@@ -16,10 +15,10 @@
 
 use crate::error::{SuiteError, SuiteResult};
 use crate::verify::PATH_TRACES;
-use pathdb::aggregate::{Accumulator, GroupBy};
 use pathdb::{doc, Database, Document, Filter, Value};
 use scion_sim::addr::IsdAsn;
 use scion_sim::net::ScionNetwork;
+use std::collections::BTreeMap;
 
 /// Collection holding per-AS domain knowledge.
 pub const DOMAINS: &str = "domains";
@@ -86,11 +85,12 @@ pub fn explore(db: &Database, net: &ScionNetwork) -> SuiteResult<usize> {
 /// consecutive hop pair of every stored trace, the RTT delta is charged
 /// to the entered AS. Returns how many domains were enriched.
 pub fn enrich_from_traces(db: &Database) -> SuiteResult<usize> {
-    // Flatten traces into one observation document per (AS, delta).
-    let observations = {
+    // Charge each RTT delta to the entered AS: (sum, count) per AS, in
+    // trace order so the float sums do not depend on the map.
+    let mut per_as: BTreeMap<String, (f64, i64)> = BTreeMap::new();
+    {
         let handle = db.collection(PATH_TRACES);
         let coll = handle.read();
-        let mut obs: Vec<Document> = Vec::new();
         for trace in coll.query_all().run() {
             let Some(Value::Array(hops)) = trace.get("hops") else {
                 continue;
@@ -106,38 +106,23 @@ pub fn enrich_from_traces(db: &Database) -> SuiteResult<usize> {
                 };
                 let delta = (rtt - prev_rtt).max(0.0);
                 prev_rtt = rtt;
-                obs.push(doc! { "ia" => ia, "delta" => delta });
+                let (sum, n) = per_as.entry(ia.to_string()).or_insert((0.0, 0));
+                *sum += delta;
+                *n += 1;
             }
         }
-        obs
-    };
-    if observations.is_empty() {
-        return Ok(0);
     }
-    // Group with the aggregation pipeline.
-    let mut scratch = pathdb::Collection::new("trace_obs");
-    scratch.insert_many(observations)?;
-    let groups = GroupBy::key("ia")
-        .accumulate("mean_delta", Accumulator::Avg("delta".into()))
-        .accumulate("n", Accumulator::Count)
-        .run(&scratch, &Filter::True);
 
     let handle = db.collection(DOMAINS);
     let mut coll = handle.write();
     let mut enriched = 0;
-    for g in groups {
-        let Some(ia) = g.get("_id").and_then(Value::as_str) else {
-            continue;
-        };
-        let mean = g.get("mean_delta").cloned().unwrap_or(Value::Null);
-        let n = g.get("n").cloned().unwrap_or(Value::Int(0));
-        let updated = coll.update_many(
+    for (ia, (sum, n)) in per_as {
+        enriched += coll.update_many(
             &Filter::eq("_id", ia),
             &pathdb::Update::new()
-                .set("latency_contribution_ms", mean)
+                .set("latency_contribution_ms", sum / n as f64)
                 .set("observations", n),
         );
-        enriched += updated;
     }
     Ok(enriched)
 }

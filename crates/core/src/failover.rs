@@ -34,6 +34,7 @@
 //! byte-identical to a sequential run of the same seed.
 
 use crate::error::{SuiteError, SuiteResult};
+use crate::pool::run_pool;
 use pathdb::Database;
 use scion_sim::addr::{IsdAsn, ScionAddr};
 use scion_sim::chaos::{render_trace, ChaosSchedule};
@@ -42,8 +43,6 @@ use scion_sim::net::ScionNetwork;
 use scion_sim::path::{PathStatus, ScionPath};
 use scion_sim::topology::scionlab::MY_AS;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Simulated cost of confirming a fail-over target with one SCMP probe
 /// before re-pinning, ms (scaled by jitter in `[0.75, 1.25)`).
@@ -248,7 +247,6 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
 /// One destination's unit of work, mirroring the measurement runner's
 /// `DestJob`: everything a worker needs, no database access.
 struct SessionJob {
-    index: usize,
     server_id: u32,
     addr: ScionAddr,
     net: ScionNetwork,
@@ -256,11 +254,6 @@ struct SessionJob {
     /// prior measurements was supplied — what a fresh session serves if
     /// it degrades before ever seeing a live path.
     stale_seed: Option<String>,
-}
-
-struct SessionOutcome {
-    index: usize,
-    report: DestReport,
 }
 
 /// A long-lived failover session over one destination.
@@ -587,7 +580,6 @@ pub fn run_chaos_campaign(
         .iter()
         .enumerate()
         .map(|(index, &(server_id, addr))| SessionJob {
-            index,
             server_id,
             addr,
             net: net.fork(index as u64),
@@ -595,36 +587,30 @@ pub fn run_chaos_campaign(
         })
         .collect();
 
-    let mut outcomes = if cfg.parallel && cfg.workers > 1 && jobs.len() > 1 {
-        run_pooled(jobs, cfg)?
-    } else {
-        jobs.into_iter().map(|j| run_session(cfg, j)).collect()
-    };
-    outcomes.sort_by_key(|o| o.index);
+    let workers = if cfg.parallel { cfg.workers } else { 1 };
+    let (reports, _) = run_pool(jobs, workers, |j| run_session(cfg, j))?;
 
     // Telemetry, replayed in destination order on this thread — same
     // discipline as the measurement runner, same byte-identical export
     // guarantee.
     let rec = net.recorder();
-    let mut dests_out = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        for &ms in &o.report.switch_ms {
+    for report in &reports {
+        for &ms in &report.switch_ms {
             rec.observe("failover.switch_ms", ms);
         }
-        rec.add("failover.switches", o.report.switch_ms.len() as u64);
-        rec.add("failover.sla_violations", o.report.sla_violations as u64);
-        rec.add("failover.restores", o.report.restores as u64);
-        rec.add("failover.recoveries", o.report.recoveries as u64);
-        rec.add("failover.stale_ticks", o.report.stale_ticks as u64);
-        rec.add("failover.degraded_ticks", o.report.degraded_ticks as u64);
-        dests_out.push(o.report);
+        rec.add("failover.switches", report.switch_ms.len() as u64);
+        rec.add("failover.sla_violations", report.sla_violations as u64);
+        rec.add("failover.restores", report.restores as u64);
+        rec.add("failover.recoveries", report.recoveries as u64);
+        rec.add("failover.stale_ticks", report.stale_ticks as u64);
+        rec.add("failover.degraded_ticks", report.degraded_ticks as u64);
     }
 
     Ok(ChaosReport {
         sla_ms: cfg.sla_ms,
         transitions,
         trace,
-        dests: dests_out,
+        dests: reports,
     })
 }
 
@@ -643,53 +629,12 @@ fn stale_seed(db: &Database, server_id: u32) -> Option<String> {
         .map(|a| a.sequence.clone())
 }
 
-fn run_session(cfg: &FailoverConfig, job: SessionJob) -> SessionOutcome {
+fn run_session(cfg: &FailoverConfig, job: SessionJob) -> DestReport {
     let mut session = Session::open(&job.net, cfg, job.addr, job.stale_seed);
     for _ in 0..cfg.ticks {
         session.tick();
     }
-    SessionOutcome {
-        index: job.index,
-        report: session.into_report(job.server_id),
-    }
-}
-
-/// Bounded worker pool over the session jobs (same shape as the
-/// measurement runner's pool).
-fn run_pooled(jobs: Vec<SessionJob>, cfg: &FailoverConfig) -> SuiteResult<Vec<SessionOutcome>> {
-    let expected = jobs.len();
-    let spawned = cfg.workers.min(expected);
-    let queue = parking_lot::Mutex::new(jobs.into_iter().collect::<VecDeque<_>>());
-    let results = parking_lot::Mutex::new(Vec::with_capacity(expected));
-    let in_flight = AtomicUsize::new(0);
-    std::thread::scope(|scope| -> SuiteResult<()> {
-        let handles: Vec<_> = (0..spawned)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let Some(job) = queue.lock().pop_front() else {
-                        break;
-                    };
-                    in_flight.fetch_add(1, Ordering::SeqCst);
-                    let outcome = run_session(cfg, job);
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    results.lock().push(outcome);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join()
-                .map_err(|_| SuiteError::Campaign("a failover worker panicked".into()))?;
-        }
-        Ok(())
-    })?;
-    let out = results.into_inner();
-    if out.len() != expected {
-        return Err(SuiteError::Campaign(format!(
-            "failover pool lost sessions: {} of {expected} returned",
-            out.len()
-        )));
-    }
-    Ok(out)
+    session.into_report(job.server_id)
 }
 
 #[cfg(test)]

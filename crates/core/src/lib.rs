@@ -12,10 +12,14 @@
 //! * [`measure`] — the measurement stage (`ping -c 30 --interval 0.1s`,
 //!   bandwidth tests at 64 B and MTU), with per-destination batched
 //!   insertion and fault-tolerant error recording.
-//! * [`runner`] — the campaign engine: bounded worker pool, retry with
-//!   deterministic exponential backoff, per-destination circuit breaker,
-//!   and destination-ordered commits that make parallel campaigns
+//! * [`runner`] — the campaign engine: retry with deterministic
+//!   exponential backoff, per-destination circuit breaker, and
+//!   destination-ordered commits that make parallel campaigns
 //!   bit-identical to sequential ones.
+//! * [`pool`] — the one bounded worker pool behind every `--parallel`.
+//! * [`longitudinal`] — the one continuous driver: periodic rounds with
+//!   rollup catch-up, retention and a checkpoint after each, from
+//!   minutes to simulated months.
 //! * [`suite`] — the `test_suite.sh` wrapper (`<iterations>`, `--skip`,
 //!   `--some-only`, plus an optional `--parallel` mode).
 //! * [`select`] — the selection engine: performance objectives and
@@ -75,9 +79,9 @@ pub mod loadgen;
 pub mod longitudinal;
 pub mod measure;
 pub mod multi;
+pub mod pool;
 pub mod report;
 pub mod runner;
-pub mod schedule;
 pub mod schema;
 pub mod security;
 pub mod select;

@@ -542,7 +542,6 @@ pub fn run_loadgen(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::InProcessTransport;
     use crate::collect::register_available_servers;
     use pathdb::Database;
     use scion_sim::net::ScionNetwork;
@@ -615,14 +614,13 @@ mod tests {
     #[test]
     fn loadgen_reports_are_byte_identical_for_the_same_seed() {
         let svc = measured_service();
-        let transport = InProcessTransport::new(Arc::clone(&svc));
         let cfg = LoadgenConfig {
             clients: 3,
             requests_per_client: 30,
             ..LoadgenConfig::default()
         };
-        let a = run_loadgen(&svc, &transport, &cfg).unwrap();
-        let b = run_loadgen(&svc, &transport, &cfg).unwrap();
+        let a = run_loadgen(&svc, svc.as_ref(), &cfg).unwrap();
+        let b = run_loadgen(&svc, svc.as_ref(), &cfg).unwrap();
         assert_eq!(a.report, b.report, "deterministic report must pin");
         assert_eq!(
             a.errors, 0,
@@ -636,15 +634,14 @@ mod tests {
     #[test]
     fn concurrent_campaign_keeps_the_workload_side_deterministic() {
         let svc = measured_service();
-        let transport = InProcessTransport::new(Arc::clone(&svc));
         let cfg = LoadgenConfig {
             clients: 2,
             requests_per_client: 25,
             concurrent_campaign: true,
             ..LoadgenConfig::default()
         };
-        let a = run_loadgen(&svc, &transport, &cfg).unwrap();
-        let b = run_loadgen(&svc, &transport, &cfg).unwrap();
+        let a = run_loadgen(&svc, svc.as_ref(), &cfg).unwrap();
+        let b = run_loadgen(&svc, svc.as_ref(), &cfg).unwrap();
         assert_eq!(a.report, b.report, "workload side stays deterministic");
         assert!(
             !a.report.contains("response digest"),

@@ -1,10 +1,11 @@
 //! Longitudinal campaigns: simulated multi-day measurement runs over
 //! the rollup/retention/compaction machinery.
 //!
-//! A longitudinal run is the schedule loop of [`crate::schedule`]
-//! scaled from minutes to simulated days, with the storage story the
-//! paper's continuous-operation requirement (§4.1.2) actually needs at
-//! that horizon: raw measurement rows live in a bounded retention
+//! "Continuous measurements require continuous functioning" (§4.1.2):
+//! [`run_rounds`] is the one loop that re-measures on a period, and a
+//! longitudinal run is that loop scaled from minutes to simulated days,
+//! with the storage story the requirement actually needs at that
+//! horizon: raw measurement rows live in a bounded retention
 //! window, hourly rollups ([`crate::schema::stats_rollup`]) keep the
 //! full history at constant-per-bucket cost, and sliced dirty-only
 //! checkpoints keep both the on-disk footprint and the per-round
@@ -19,7 +20,7 @@
 use crate::churn::{analyze, ChurnReport};
 use crate::config::SuiteConfig;
 use crate::error::{SuiteError, SuiteResult};
-use crate::measure::run_tests;
+use crate::measure::{run_tests, MeasureReport};
 use crate::schema::{stats_rollup, PATHS_STATS, ROLLUP_PATHS_STATS};
 use pathdb::rollup::read_rollup;
 use pathdb::{Database, RetentionPolicy};
@@ -170,14 +171,70 @@ impl LongitudinalReport {
     }
 }
 
+/// What one measurement round did.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Round {
+    /// Network-clock time the round started at.
+    pub start_ms: f64,
+    pub measured: MeasureReport,
+    /// Source rows folded into the registered rollups.
+    pub folded: u64,
+    /// Raw rows expired by the registered retention policies.
+    pub expired: u64,
+}
+
+/// Keep raw `paths_stats` rows for a sliding window of `keep_ms` on the
+/// network clock; every round of [`run_rounds`] expires what fell
+/// behind it.
+pub fn retain_stats(db: &Database, keep_ms: i64) {
+    db.set_retention(RetentionPolicy {
+        collection: PATHS_STATS.into(),
+        time_field: "timestamp_ms".into(),
+        keep_ms,
+    });
+}
+
+/// Continuous operation (§4.1.2): `rounds` measurement rounds, one per
+/// `period_ms` of the network clock. After each campaign the rollups
+/// registered on `db` catch up, its retention policies expire rows
+/// behind their window (both no-ops with nothing registered) and a
+/// durable database checkpoints, so a crash costs at most the round in
+/// flight; the rest of the period is slept out. A round that outlasts
+/// the period is followed by the next one back-to-back.
+pub fn run_rounds(
+    db: &Database,
+    net: &ScionNetwork,
+    campaign: &SuiteConfig,
+    period_ms: f64,
+    rounds: u32,
+) -> SuiteResult<Vec<Round>> {
+    let mut out = Vec::with_capacity(rounds as usize);
+    for _ in 0..rounds {
+        let start_ms = net.now_ms();
+        let measured = run_tests(db, net, campaign)?;
+        let folded = db.rollup_catch_up()?;
+        let expired = db.expire_retention(net.now_ms() as i64)?;
+        db.checkpoint_if_durable()?;
+        let next = start_ms + period_ms;
+        if net.now_ms() < next {
+            net.advance_ms(next - net.now_ms());
+        }
+        out.push(Round {
+            start_ms,
+            measured,
+            folded,
+            expired,
+        });
+    }
+    Ok(out)
+}
+
 /// Run a longitudinal campaign against the paths currently stored.
 ///
 /// Registers the canonical stats rollup and the raw-row retention
 /// policy on `db`, installs `cfg.schedule` on `net` when given, then
-/// drives `sim_days × rounds_per_day` measurement rounds on the
-/// simulated clock. After every round the rollups catch up, retention
-/// expires rows behind the window and (for durable databases) a
-/// checkpoint runs — the same cadence a deployed suite
+/// drives `sim_days × rounds_per_day` rounds of [`run_rounds`] on the
+/// simulated clock, grouped by day — the same cadence a deployed suite
 /// would use, so the reported disk footprint is the real steady state.
 pub fn run_longitudinal(
     db: &Database,
@@ -186,11 +243,7 @@ pub fn run_longitudinal(
 ) -> SuiteResult<LongitudinalReport> {
     cfg.validate().map_err(SuiteError::InvalidRequest)?;
     db.register_rollup(stats_rollup());
-    db.set_retention(RetentionPolicy {
-        collection: PATHS_STATS.into(),
-        time_field: "timestamp_ms".into(),
-        keep_ms: (cfg.retention_hours * HOUR_MS) as i64,
-    });
+    retain_stats(db, (cfg.retention_hours * HOUR_MS) as i64);
     if let Some(schedule) = &cfg.schedule {
         net.install_chaos(schedule)
             .map_err(|e| SuiteError::Campaign(format!("chaos schedule rejected: {e}")))?;
@@ -198,38 +251,18 @@ pub fn run_longitudinal(
 
     let round_ms = DAY_MS / cfg.rounds_per_day as f64;
     let mut days = Vec::with_capacity(cfg.sim_days as usize);
-    let mut inserted_total = 0usize;
-    let mut expired_total = 0u64;
     for day in 1..=cfg.sim_days {
-        let mut stats = DayStats {
+        let rounds = run_rounds(db, net, &cfg.campaign, round_ms, cfg.rounds_per_day)?;
+        days.push(DayStats {
             day,
-            inserted: 0,
-            errors: 0,
-            folded: 0,
-            expired: 0,
-            raw_rows: 0,
-            rollup_rows: 0,
-            disk: None,
-        };
-        for _ in 0..cfg.rounds_per_day {
-            let start = net.now_ms();
-            let measured = run_tests(db, net, &cfg.campaign)?;
-            stats.inserted += measured.inserted;
-            stats.errors += measured.errors;
-            stats.folded += db.rollup_catch_up()?;
-            stats.expired += db.expire_retention(net.now_ms() as i64)?;
-            db.checkpoint_if_durable()?;
-            let next = start + round_ms;
-            if net.now_ms() < next {
-                net.advance_ms(next - net.now_ms());
-            }
-        }
-        stats.raw_rows = db.collection(PATHS_STATS).read().len();
-        stats.rollup_rows = db.collection(ROLLUP_PATHS_STATS).read().len();
-        stats.disk = db.disk_usage();
-        inserted_total += stats.inserted;
-        expired_total += stats.expired;
-        days.push(stats);
+            inserted: rounds.iter().map(|r| r.measured.inserted).sum(),
+            errors: rounds.iter().map(|r| r.measured.errors).sum(),
+            folded: rounds.iter().map(|r| r.folded).sum(),
+            expired: rounds.iter().map(|r| r.expired).sum(),
+            raw_rows: db.collection(PATHS_STATS).read().len(),
+            rollup_rows: db.collection(ROLLUP_PATHS_STATS).read().len(),
+            disk: db.disk_usage(),
+        });
     }
 
     let rollup = stats_rollup();
@@ -241,8 +274,8 @@ pub fn run_longitudinal(
     Ok(LongitudinalReport {
         sim_days: cfg.sim_days,
         rounds: cfg.sim_days * cfg.rounds_per_day,
-        inserted_total,
-        expired_total,
+        inserted_total: days.iter().map(|d| d.inserted).sum(),
+        expired_total: days.iter().map(|d| d.expired).sum(),
         days,
         disk_probe_bytes: probe,
         disk_final_bytes: fin,
@@ -289,6 +322,52 @@ mod tests {
             schedule: Some(ChaosSchedule::new(7, 3.0 * 86_400_000.0)),
             disk_probe_day: 2,
         }
+    }
+
+    #[test]
+    fn rounds_run_one_period_apart() {
+        let db = Database::new();
+        let net = setup(&db);
+        let rounds = run_rounds(&db, &net, &campaign(), 600_000.0, 3).unwrap();
+        assert_eq!(rounds.len(), 3);
+        assert!(rounds.iter().all(|r| r.expired == 0 && r.folded == 0));
+        // Rounds are shorter than the period, so starts are one apart.
+        for w in rounds.windows(2) {
+            let gap = w[1].start_ms - w[0].start_ms;
+            assert!((gap - 600_000.0).abs() < 1.0, "{gap}");
+        }
+        let n_paths = crate::measure::paths_of(&db, 1).unwrap().len();
+        let inserted: usize = rounds.iter().map(|r| r.measured.inserted).sum();
+        assert_eq!(inserted, 3 * n_paths);
+        assert_eq!(db.collection(PATHS_STATS).read().len(), 3 * n_paths);
+    }
+
+    #[test]
+    fn retention_keeps_a_sliding_window() {
+        let db = Database::new();
+        let net = setup(&db);
+        // A bit over one period: after each round only the latest two
+        // rounds' samples survive.
+        retain_stats(&db, 700_000);
+        let rounds = run_rounds(&db, &net, &campaign(), 600_000.0, 5).unwrap();
+        let n_paths = crate::measure::paths_of(&db, 1).unwrap().len();
+        let expired: u64 = rounds.iter().map(|r| r.expired).sum();
+        assert!(expired >= 3 * n_paths as u64, "expired {expired}");
+        let remaining = db.collection(PATHS_STATS).read().len();
+        assert!(remaining <= 2 * n_paths, "window bounded: {remaining}");
+        assert!(remaining >= n_paths, "latest round retained: {remaining}");
+        // Everything left is fresh.
+        let cutoff = net.now_ms() - 700_000.0 - 600_000.0;
+        let stale = pathdb::Filter::lt("timestamp_ms", cutoff);
+        assert_eq!(db.collection(PATHS_STATS).read().query(stale).count(), 0);
+    }
+
+    #[test]
+    fn rounds_run_back_to_back_when_the_period_is_shorter_than_a_round() {
+        let db = Database::new();
+        let net = setup(&db);
+        let rounds = run_rounds(&db, &net, &campaign(), 1.0, 2).unwrap();
+        assert!(rounds[1].start_ms > rounds[0].start_ms + 1.0);
     }
 
     #[test]

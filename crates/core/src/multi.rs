@@ -88,6 +88,22 @@ impl Weights {
         ]
     }
 
+    /// Weights arrive from request JSON and `--weight`: a negative,
+    /// NaN or infinite one (`1e999` parses to `inf`) has no meaning as
+    /// a ratio and would turn the scores into NaN.
+    pub fn validate(&self) -> Result<(), String> {
+        match self
+            .entries()
+            .iter()
+            .find(|(_, w)| !w.is_finite() || *w < 0.0)
+        {
+            Some((objective, w)) => Err(format!(
+                "weight for {objective:?} must be finite and >= 0, got {w}"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Criteria with nonzero weight.
     pub fn active(&self) -> Vec<Objective> {
         self.entries()
@@ -151,8 +167,7 @@ pub fn weighted_rank<'a>(
         })
         .collect();
     scored.sort_by(|x, y| {
-        x.0.partial_cmp(&y.0)
-            .expect("finite scores")
+        x.0.total_cmp(&y.0)
             .then_with(|| x.1.path_id.cmp(&y.1.path_id))
     });
     scored

@@ -31,16 +31,15 @@
 //! [`CampaignEvent::BreakerClosed`].
 
 use crate::config::SuiteConfig;
-use crate::error::{SuiteError, SuiteResult};
+use crate::error::SuiteResult;
 use crate::health::CampaignEvent;
 use crate::measure::{measure_path, paths_of, MeasureReport};
+use crate::pool::run_pool;
 use crate::schema::{PathId, PathSpec, PATHS_STATS};
 use pathdb::{Database, Document};
 use scion_sim::addr::ScionAddr;
 use scion_sim::net::ScionNetwork;
 use scion_tools::ToolError;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use upin_telemetry::{with_label, AttrValue, SpanId};
 
@@ -121,7 +120,6 @@ pub(crate) fn retry_tool<T>(
 /// path list is shared with the coordinator — building a job costs a
 /// refcount bump, not a deep copy per iteration.
 struct DestJob {
-    index: usize,
     server_id: u32,
     addr: ScionAddr,
     net: ScionNetwork,
@@ -134,7 +132,6 @@ struct DestJob {
 /// What a worker hands back, committed by the coordinator in
 /// destination order.
 struct DestBatch {
-    index: usize,
     server_id: u32,
     docs: Vec<Document>,
     errors: usize,
@@ -185,7 +182,7 @@ pub fn run_campaign(
             ("parallel", AttrValue::I64(cfg.parallel as i64)),
         ],
     );
-    let workers = cfg.workers.max(1);
+    let workers = if cfg.parallel { cfg.workers } else { 1 };
     // Per-destination breaker state across iterations: an entry means
     // the breaker is open, the value is the campaign-clock time at
     // which its cooldown elapses and a half-open trial is admitted.
@@ -203,47 +200,43 @@ pub fn run_campaign(
         // half-open trial. Fork salts depend only on (iteration,
         // destination index), so held destinations never shift another
         // destination's RNG stream.
-        let mut held: Vec<DestBatch> = Vec::new();
-        let jobs: Vec<DestJob> = dests
-            .iter()
-            .zip(&path_lists)
-            .enumerate()
-            .filter_map(
-                |(index, (&(server_id, addr), paths))| match breakers.get(&server_id) {
-                    Some(&until) if iter_start < until => {
-                        held.push(DestBatch {
-                            index,
-                            server_id,
-                            docs: Vec::new(),
-                            errors: 0,
-                            skipped: paths.len(),
-                            tripped: false,
-                            held: true,
-                            events: Vec::new(),
-                            elapsed_ms: 0.0,
-                            marks: Vec::new(),
-                        });
-                        None
-                    }
-                    state => Some(DestJob {
-                        index,
+        let mut jobs = Vec::new();
+        let mut held: Vec<Option<DestBatch>> = Vec::with_capacity(dests.len());
+        for (index, (&(server_id, addr), paths)) in dests.iter().zip(&path_lists).enumerate() {
+            match breakers.get(&server_id) {
+                Some(&until) if iter_start < until => held.push(Some(DestBatch {
+                    server_id,
+                    docs: Vec::new(),
+                    errors: 0,
+                    skipped: paths.len(),
+                    tripped: false,
+                    held: true,
+                    events: Vec::new(),
+                    elapsed_ms: 0.0,
+                    marks: Vec::new(),
+                })),
+                state => {
+                    held.push(None);
+                    jobs.push(DestJob {
                         server_id,
                         addr,
                         net: net.fork(((iter as u64) << 32) | index as u64),
                         paths: Arc::clone(paths),
                         trial: state.is_some(),
-                    }),
-                },
-            )
+                    });
+                }
+            }
+        }
+        let (measured, peak) = run_pool(jobs, workers, |j| run_destination(cfg, j))?;
+        report.peak_workers = report.peak_workers.max(peak);
+        // Destination order: a held slot keeps its place, every other
+        // slot takes the next measured batch (the pool returns them in
+        // job order).
+        let mut measured = measured.into_iter();
+        let batches: Vec<DestBatch> = held
+            .into_iter()
+            .map(|slot| slot.or_else(|| measured.next()).expect("one batch per job"))
             .collect();
-        let mut batches = if cfg.parallel && workers > 1 && jobs.len() > 1 {
-            run_pooled(jobs, cfg, workers, &mut report.peak_workers)?
-        } else {
-            report.peak_workers = report.peak_workers.max(1);
-            jobs.into_iter().map(|j| run_destination(cfg, j)).collect()
-        };
-        batches.extend(held);
-        batches.sort_by_key(|b| b.index);
         let all_held = !batches.is_empty() && batches.iter().all(|b| b.held);
         let mut iter_elapsed = 0.0f64;
         for batch in batches {
@@ -423,7 +416,6 @@ fn run_destination(cfg: &SuiteConfig, job: DestJob) -> DestBatch {
         }
     }
     DestBatch {
-        index: job.index,
         server_id: job.server_id,
         docs,
         errors,
@@ -434,53 +426,6 @@ fn run_destination(cfg: &SuiteConfig, job: DestJob) -> DestBatch {
         elapsed_ms: job.net.now_ms() - start_ms,
         marks,
     }
-}
-
-/// Drain `jobs` through at most `workers` threads. Threads pull from a
-/// shared queue, so the live thread count never exceeds
-/// `min(workers, jobs)` no matter how many destinations there are.
-fn run_pooled(
-    jobs: Vec<DestJob>,
-    cfg: &SuiteConfig,
-    workers: usize,
-    peak_workers: &mut usize,
-) -> SuiteResult<Vec<DestBatch>> {
-    let expected = jobs.len();
-    let spawned = workers.min(expected);
-    let queue = parking_lot::Mutex::new(jobs.into_iter().collect::<VecDeque<_>>());
-    let results = parking_lot::Mutex::new(Vec::with_capacity(expected));
-    let in_flight = AtomicUsize::new(0);
-    let peak = AtomicUsize::new(*peak_workers);
-    std::thread::scope(|scope| -> SuiteResult<()> {
-        let handles: Vec<_> = (0..spawned)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let Some(job) = queue.lock().pop_front() else {
-                        break;
-                    };
-                    let live = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(live, Ordering::SeqCst);
-                    let batch = run_destination(cfg, job);
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    results.lock().push(batch);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join()
-                .map_err(|_| SuiteError::Campaign("a measurement worker panicked".into()))?;
-        }
-        Ok(())
-    })?;
-    *peak_workers = peak.into_inner();
-    let out = results.into_inner();
-    if out.len() != expected {
-        return Err(SuiteError::Campaign(format!(
-            "worker pool lost batches: {} of {expected} returned",
-            out.len()
-        )));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

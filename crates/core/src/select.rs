@@ -249,9 +249,24 @@ pub fn aggregate_paths(
     Ok(out)
 }
 
+/// The entry every strategy shares: reject `k = 0` as an invalid
+/// request instead of silently returning an empty ranking, then
+/// aggregate the candidates that pass the metadata constraints.
+pub(crate) fn candidates_for(
+    db: &Database,
+    request: &UserRequest,
+    k: usize,
+) -> SuiteResult<Vec<PathAggregate>> {
+    if k == 0 {
+        return Err(SuiteError::InvalidRequest(
+            "k must be >= 1 (an empty ranking answers no request)".into(),
+        ));
+    }
+    aggregate_paths(db, request.server_id, &request.constraints)
+}
+
 /// Answer a user request: the top-`k` paths under the objective, after
-/// applying constraints and statistics gates. `k = 0` is rejected as an
-/// invalid request instead of silently returning an empty ranking.
+/// applying constraints and statistics gates.
 ///
 /// This is the paper's constraint-filtered objective ranking; the same
 /// pipeline is registered as the `paper` [`crate::strategy`], pinned
@@ -261,25 +276,7 @@ pub fn recommend(
     request: &UserRequest,
     k: usize,
 ) -> SuiteResult<Vec<Recommendation>> {
-    if k == 0 {
-        return Err(SuiteError::InvalidRequest(
-            "k must be >= 1 (an empty ranking answers no request)".into(),
-        ));
-    }
-    let candidates = aggregate_paths(db, request.server_id, &request.constraints)?;
-    paper_rank(request, candidates, k)
-}
-
-/// The canonical ranking pipeline over already-aggregated candidates:
-/// statistics gates, objective scoring, total-order sort, top-`k`.
-/// Empty outcomes are classified into [`SelectionFailure`] variants so
-/// "nothing matched", "everything gated" and "nothing scorable" stay
-/// distinguishable.
-pub(crate) fn paper_rank(
-    request: &UserRequest,
-    mut candidates: Vec<PathAggregate>,
-    k: usize,
-) -> SuiteResult<Vec<Recommendation>> {
+    let mut candidates = candidates_for(db, request, k)?;
     let matched = candidates.len();
     candidates.retain(|a| a.samples >= request.constraints.min_samples.max(1));
     if let Some(max_loss) = request.constraints.max_loss_pct {
@@ -287,10 +284,30 @@ pub(crate) fn paper_rank(
         // without a usable loss figure is filtered, not trusted.
         candidates.retain(|a| a.mean_loss_pct.is_some_and(|l| l <= max_loss));
     }
+    // Lower is always better (bandwidths are negated); shared with the
+    // multi-criteria engine so single- and multi-objective selection
+    // agree on what each objective means.
+    rank_scored(request.server_id, matched, candidates, k, |a| {
+        crate::multi::criterion_value(a, request.objective)
+    })
+}
+
+/// The one ranking tail: score the `candidates` that survived the
+/// caller's gates (of `matched` metadata matches), sort `(score,
+/// path_id)` into a total order, keep the top `k`. Empty outcomes are
+/// classified into [`SelectionFailure`] variants so "nothing matched",
+/// "everything gated" and "nothing scorable" stay distinguishable.
+pub(crate) fn rank_scored(
+    server_id: u32,
+    matched: usize,
+    candidates: Vec<PathAggregate>,
+    k: usize,
+    score: impl Fn(&PathAggregate) -> Option<f64>,
+) -> SuiteResult<Vec<Recommendation>> {
     let gated = candidates.len();
     let mut scored: Vec<(f64, PathAggregate)> = candidates
         .into_iter()
-        .filter_map(|a| score(&a, request.objective).map(|s| (s, a)))
+        .filter_map(|a| score(&a).map(|s| (s, a)))
         .collect();
     // total_cmp keeps the sort total even for a non-finite score (the
     // aggregates exclude non-finite samples, so in practice scores are
@@ -300,7 +317,6 @@ pub(crate) fn paper_rank(
             .then_with(|| x.1.path_id.cmp(&y.1.path_id))
     });
     if scored.is_empty() {
-        let server_id = request.server_id;
         return Err(SuiteError::Selection(if matched == 0 {
             SelectionFailure::NoMatch { server_id }
         } else if gated == 0 {
@@ -323,50 +339,6 @@ pub(crate) fn paper_rank(
             aggregate,
         })
         .collect())
-}
-
-/// The objective's scalar; `None` when the path lacks the statistic.
-/// Lower is always better (bandwidths are negated). Shared with the
-/// multi-criteria engine so single- and multi-objective selection agree
-/// on what each objective means.
-fn score(a: &PathAggregate, objective: Objective) -> Option<f64> {
-    crate::multi::criterion_value(a, objective)
-}
-
-/// Everything the selection layer knows about one destination, rendered
-/// for a user ("offer users many paths to choose from").
-#[deprecated(
-    since = "0.1.0",
-    note = "dispatch a `ServiceRequest::Recommend`/`EvaluateConstraint` through \
-            `api::PathIntelService` and render the typed response instead"
-)]
-pub fn describe_choices(db: &Database, server_id: u32) -> SuiteResult<String> {
-    let aggregates = aggregate_paths(db, server_id, &Constraints::default())?;
-    let mut out = format!(
-        "destination {server_id}: {} candidate paths\n",
-        aggregates.len()
-    );
-    for a in &aggregates {
-        let lat = a
-            .latency
-            .as_ref()
-            .map(|w| format!("{:.1}ms", w.mean))
-            .unwrap_or_else(|| "-".into());
-        let down = a
-            .bw_down_mtu
-            .as_ref()
-            .map(|w| format!("{:.1}Mbps", w.mean))
-            .unwrap_or_else(|| "-".into());
-        let loss = a
-            .mean_loss_pct
-            .map(|l| format!("{l:.1}%"))
-            .unwrap_or_else(|| "-".into());
-        out.push_str(&format!(
-            "  {}  hops={} samples={} latency={} loss={} down={}\n",
-            a.path_id, a.hops, a.samples, lat, loss, down
-        ));
-    }
-    Ok(out)
 }
 
 /// Check a stored path document against constraints directly (used by
@@ -520,13 +492,6 @@ mod tests {
                 crate::error::SelectionFailure::NoMatch { .. }
             ))
         ));
-
-        // 6. describe_choices lists every candidate (deprecated but
-        // kept one release; the service renderers replace it).
-        #[allow(deprecated)]
-        let text = describe_choices(&db, ireland).unwrap();
-        assert!(text.contains("candidate paths"));
-        assert!(text.lines().count() > 5, "{text}");
     }
 
     #[test]
@@ -707,10 +672,6 @@ mod tests {
             aggs[0].mean_loss_pct, None,
             "unknown loss must not be invented"
         );
-        // The renderer prints "-" for the unknown figure.
-        #[allow(deprecated)]
-        let text = describe_choices(&db, 1).unwrap();
-        assert!(text.contains("loss=-"), "{text}");
 
         // A path whose only loss samples are non-finite also stays
         // unknown, and a max_loss gate filters it rather than trusting

@@ -29,7 +29,9 @@
 //! do not look at the measurement history the way the paper's does.
 
 use crate::error::{SelectionFailure, SuiteError, SuiteResult};
-use crate::select::{aggregate_paths, recommend, PathAggregate, Recommendation, UserRequest};
+use crate::select::{
+    candidates_for, rank_scored, recommend, PathAggregate, Recommendation, UserRequest,
+};
 use pathdb::Database;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,56 +62,6 @@ pub trait SelectionStrategy: Send + Sync {
     ) -> SuiteResult<Vec<Recommendation>>;
 }
 
-/// Shared pipeline of the simple baselines: validate `k`, aggregate the
-/// metadata-matching candidates, score, sort `(score, path_id)` into a
-/// total order, classify empty outcomes.
-fn rank_by(
-    ctx: &StrategyContext<'_>,
-    request: &UserRequest,
-    k: usize,
-    score: impl Fn(&PathAggregate) -> Option<f64>,
-) -> SuiteResult<Vec<Recommendation>> {
-    if k == 0 {
-        return Err(SuiteError::InvalidRequest(
-            "k must be >= 1 (an empty ranking answers no request)".into(),
-        ));
-    }
-    let candidates = aggregate_paths(ctx.db, request.server_id, &request.constraints)?;
-    let matched = candidates.len();
-    let mut scored: Vec<(f64, PathAggregate)> = candidates
-        .into_iter()
-        .filter_map(|a| score(&a).map(|s| (s, a)))
-        .collect();
-    scored.sort_by(|x, y| {
-        x.0.total_cmp(&y.0)
-            .then_with(|| x.1.path_id.cmp(&y.1.path_id))
-    });
-    if scored.is_empty() {
-        let server_id = request.server_id;
-        return Err(SuiteError::Selection(if matched == 0 {
-            SelectionFailure::NoMatch { server_id }
-        } else {
-            // Baselines have no statistics gates, so a non-empty match
-            // that still scores nothing means the statistic is missing.
-            SelectionFailure::AllUnscorable {
-                server_id,
-                matched,
-                gated: matched,
-            }
-        }));
-    }
-    Ok(scored
-        .into_iter()
-        .take(k)
-        .enumerate()
-        .map(|(i, (score, aggregate))| Recommendation {
-            rank: i + 1,
-            score,
-            aggregate,
-        })
-        .collect())
-}
-
 /// The paper's constraint-filtered objective ranking — a thin wrapper
 /// over [`crate::select::recommend`], so it is the same code path, not
 /// a reimplementation that could drift.
@@ -132,56 +84,59 @@ impl SelectionStrategy for Paper {
     }
 }
 
-struct ShortestPath;
-
-impl SelectionStrategy for ShortestPath {
-    fn name(&self) -> &'static str {
-        "shortest-path"
-    }
-    fn description(&self) -> &'static str {
-        "fewest hops, ignoring all measurements"
-    }
-    fn rank(
-        &self,
-        ctx: &StrategyContext<'_>,
-        request: &UserRequest,
-        k: usize,
-    ) -> SuiteResult<Vec<Recommendation>> {
-        rank_by(ctx, request, k, |a| Some(a.hops as f64))
-    }
+/// A single-statistic baseline: rank the metadata-matching candidates
+/// by one scalar (lower is better), with no statistics gates — a
+/// non-empty match that scores nothing means the statistic is missing.
+#[derive(Clone, Copy)]
+struct Baseline {
+    name: &'static str,
+    description: &'static str,
+    score: fn(&PathAggregate) -> Option<f64>,
 }
 
-struct WidestPath;
-
-impl SelectionStrategy for WidestPath {
-    fn name(&self) -> &'static str {
-        "widest-path"
-    }
-    fn description(&self) -> &'static str {
-        "maximize the bottleneck bandwidth min(up, down)"
-    }
-    fn rank(
-        &self,
-        ctx: &StrategyContext<'_>,
-        request: &UserRequest,
-        k: usize,
-    ) -> SuiteResult<Vec<Recommendation>> {
-        rank_by(ctx, request, k, |a| {
+const BASELINES: [Baseline; 6] = [
+    Baseline {
+        name: "shortest-path",
+        description: "fewest hops, ignoring all measurements",
+        score: |a| Some(a.hops as f64),
+    },
+    Baseline {
+        name: "widest-path",
+        description: "maximize the bottleneck bandwidth min(up, down)",
+        score: |a| {
             let up = a.bw_up_mtu.as_ref().map(|w| w.mean)?;
             let down = a.bw_down_mtu.as_ref().map(|w| w.mean)?;
             Some(-up.min(down))
-        })
-    }
-}
+        },
+    },
+    Baseline {
+        name: "lowest-latency",
+        description: "lowest mean RTT",
+        score: |a| a.latency.as_ref().map(|w| w.mean),
+    },
+    Baseline {
+        name: "lowest-jitter",
+        description: "most consistent RTT (lowest mean jitter)",
+        score: |a| a.jitter_ms,
+    },
+    Baseline {
+        name: "lowest-loss",
+        description: "lowest mean packet loss (unknown loss is unscorable)",
+        score: |a| a.mean_loss_pct,
+    },
+    Baseline {
+        name: "scion-default",
+        description: "first-returned path-server order (stored path_index)",
+        score: |a| Some(a.path_id.path_index as f64),
+    },
+];
 
-struct LowestLatency;
-
-impl SelectionStrategy for LowestLatency {
+impl SelectionStrategy for Baseline {
     fn name(&self) -> &'static str {
-        "lowest-latency"
+        self.name
     }
     fn description(&self) -> &'static str {
-        "lowest mean RTT"
+        self.description
     }
     fn rank(
         &self,
@@ -189,45 +144,14 @@ impl SelectionStrategy for LowestLatency {
         request: &UserRequest,
         k: usize,
     ) -> SuiteResult<Vec<Recommendation>> {
-        rank_by(ctx, request, k, |a| a.latency.as_ref().map(|w| w.mean))
-    }
-}
-
-struct LowestJitter;
-
-impl SelectionStrategy for LowestJitter {
-    fn name(&self) -> &'static str {
-        "lowest-jitter"
-    }
-    fn description(&self) -> &'static str {
-        "most consistent RTT (lowest mean jitter)"
-    }
-    fn rank(
-        &self,
-        ctx: &StrategyContext<'_>,
-        request: &UserRequest,
-        k: usize,
-    ) -> SuiteResult<Vec<Recommendation>> {
-        rank_by(ctx, request, k, |a| a.jitter_ms)
-    }
-}
-
-struct LowestLoss;
-
-impl SelectionStrategy for LowestLoss {
-    fn name(&self) -> &'static str {
-        "lowest-loss"
-    }
-    fn description(&self) -> &'static str {
-        "lowest mean packet loss (unknown loss is unscorable)"
-    }
-    fn rank(
-        &self,
-        ctx: &StrategyContext<'_>,
-        request: &UserRequest,
-        k: usize,
-    ) -> SuiteResult<Vec<Recommendation>> {
-        rank_by(ctx, request, k, |a| a.mean_loss_pct)
+        let candidates = candidates_for(ctx.db, request, k)?;
+        rank_scored(
+            request.server_id,
+            candidates.len(),
+            candidates,
+            k,
+            self.score,
+        )
     }
 }
 
@@ -246,12 +170,7 @@ impl SelectionStrategy for Random {
         request: &UserRequest,
         k: usize,
     ) -> SuiteResult<Vec<Recommendation>> {
-        if k == 0 {
-            return Err(SuiteError::InvalidRequest(
-                "k must be >= 1 (an empty ranking answers no request)".into(),
-            ));
-        }
-        let mut candidates = aggregate_paths(ctx.db, request.server_id, &request.constraints)?;
+        let mut candidates = candidates_for(ctx.db, request, k)?;
         if candidates.is_empty() {
             return Err(SuiteError::Selection(SelectionFailure::NoMatch {
                 server_id: request.server_id,
@@ -283,36 +202,18 @@ impl SelectionStrategy for Random {
     }
 }
 
-struct ScionDefault;
-
-impl SelectionStrategy for ScionDefault {
-    fn name(&self) -> &'static str {
-        "scion-default"
-    }
-    fn description(&self) -> &'static str {
-        "first-returned path-server order (stored path_index)"
-    }
-    fn rank(
-        &self,
-        ctx: &StrategyContext<'_>,
-        request: &UserRequest,
-        k: usize,
-    ) -> SuiteResult<Vec<Recommendation>> {
-        rank_by(ctx, request, k, |a| Some(a.path_id.path_index as f64))
-    }
-}
-
 /// Every registered strategy, in canonical (registration) order.
 pub fn registry() -> Vec<Box<dyn SelectionStrategy>> {
+    let [shortest, widest, latency, jitter, loss, scion_default] = BASELINES;
     vec![
         Box::new(Paper),
-        Box::new(ShortestPath),
-        Box::new(WidestPath),
-        Box::new(LowestLatency),
-        Box::new(LowestJitter),
-        Box::new(LowestLoss),
+        Box::new(shortest),
+        Box::new(widest),
+        Box::new(latency),
+        Box::new(jitter),
+        Box::new(loss),
         Box::new(Random),
-        Box::new(ScionDefault),
+        Box::new(scion_default),
     ]
 }
 

@@ -18,8 +18,8 @@ use pathdb::Database;
 use scion_sim::net::ScionNetwork;
 use scion_sim::topology::scionlab::{scionlab_topology, MY_AS};
 use upin_core::api::{
-    EvaluateConstraintRequest, InProcessTransport, PathIntelService, RecommendRequest,
-    ServiceRequest, ServiceResponse, ShowPathsRequest, Transport,
+    EvaluateConstraintRequest, PathIntelService, RecommendRequest, ServiceRequest, ServiceResponse,
+    ShowPathsRequest, Transport,
 };
 use upin_core::config::SuiteConfig;
 use upin_core::suite::TestSuite;
@@ -52,7 +52,7 @@ fn collected_service() -> (Arc<PathIntelService>, Vec<(u32, String)>) {
 #[test]
 fn concurrent_reads_only_ever_see_whole_destination_batches() {
     let (svc, dests) = collected_service();
-    let transport = InProcessTransport::new(Arc::clone(&svc));
+    let transport: &dyn Transport = svc.as_ref();
     let writer_done = AtomicBool::new(false);
     let reads = AtomicU64::new(0);
     let ragged = std::sync::Mutex::new(Vec::<String>::new());
@@ -92,7 +92,6 @@ fn concurrent_reads_only_ever_see_whole_destination_batches() {
         });
 
         for r in 0..READERS {
-            let transport = &transport;
             let dests = &dests;
             let done = &writer_done;
             let reads = &reads;

@@ -1633,9 +1633,10 @@ mod tests {
         // answer is identical before and after.
         db.rollup_catch_up().unwrap();
         let before = crate::rollup::render(&crate::rollup::read_rollup(&db, &cfg));
-        let removed = db.expire_retention(5 * hour).unwrap();
-        assert!(removed >= 3, "old raw rows expired (got {removed})");
-        assert!(db.collection("paths_stats").read().len() < 6);
+        assert_eq!(db.expire_retention(0).unwrap(), 0, "nothing is older yet");
+        // Exactly the rows strictly behind `now - keep_ms` go.
+        assert_eq!(db.expire_retention(5 * hour).unwrap(), 4);
+        assert_eq!(db.collection("paths_stats").read().len(), 2);
         assert_eq!(
             crate::rollup::render(&crate::rollup::read_rollup(&db, &cfg)),
             before

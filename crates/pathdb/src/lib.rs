@@ -44,7 +44,6 @@
 //! assert_eq!(hit.id(), Some("2"));
 //! ```
 
-pub mod aggregate;
 pub mod builder;
 pub mod collection;
 pub mod database;

@@ -18,7 +18,6 @@
 pub mod address;
 pub mod bwtester;
 pub mod error;
-pub mod multipath;
 pub mod ping;
 pub mod shell;
 pub mod showpaths;

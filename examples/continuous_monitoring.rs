@@ -14,7 +14,7 @@ use upin::scion_sim::topology::scionlab::{paper_destinations, AWS_SINGAPORE};
 use upin::upin_core::analysis::server_id_of;
 use upin::upin_core::collect::{collect_paths, register_available_servers};
 use upin::upin_core::health::{detect, Anomaly, HealthConfig};
-use upin::upin_core::schedule::{run_scheduled, ScheduleConfig};
+use upin::upin_core::longitudinal::{retain_stats, run_rounds};
 use upin::upin_core::schema::PATHS_STATS;
 use upin::upin_core::SuiteConfig;
 
@@ -41,21 +41,12 @@ fn main() {
 
     // Phase 1: six clean 2-minute rounds with a 10-minute retention.
     println!("phase 1: six clean rounds (2 min period, 10 min retention)...");
-    let report = run_scheduled(
-        &db,
-        &net,
-        &ScheduleConfig {
-            campaign: campaign.clone(),
-            period_ms: 120_000.0,
-            rounds: 6,
-            retention_ms: Some(600_000.0),
-        },
-    )
-    .unwrap();
+    retain_stats(&db, 600_000);
+    let rounds = run_rounds(&db, &net, &campaign, 120_000.0, 6).unwrap();
     println!(
         "  {} samples stored, {} pruned by retention, {} in the window\n",
-        report.total_inserted(),
-        report.pruned,
+        rounds.iter().map(|r| r.measured.inserted).sum::<usize>(),
+        rounds.iter().map(|r| r.expired).sum::<u64>(),
         db.collection(PATHS_STATS).read().len()
     );
 
@@ -77,17 +68,7 @@ fn main() {
         end_ms: net.now_ms() + 10_000_000.0,
         severity: 1.0,
     });
-    run_scheduled(
-        &db,
-        &net,
-        &ScheduleConfig {
-            campaign,
-            period_ms: 120_000.0,
-            rounds: 2,
-            retention_ms: Some(600_000.0),
-        },
-    )
-    .unwrap();
+    run_rounds(&db, &net, &campaign, 120_000.0, 2).unwrap();
 
     let findings = detect(&db, server_id, &cfg).unwrap();
     println!("health scan: {} finding(s)", findings.len());

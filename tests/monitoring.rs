@@ -10,7 +10,7 @@ use upin::scion_sim::topology::scionlab::{paper_destinations, AWS_OHIO};
 use upin::upin_core::analysis::server_id_of;
 use upin::upin_core::collect::{collect_paths, register_available_servers};
 use upin::upin_core::health::{detect, Anomaly, HealthConfig};
-use upin::upin_core::schedule::{run_scheduled, ScheduleConfig};
+use upin::upin_core::longitudinal::run_rounds;
 use upin::upin_core::SuiteConfig;
 
 #[test]
@@ -36,13 +36,7 @@ fn scheduled_rounds_plus_health_detection() {
     }
 
     // Six clean rounds build the baseline.
-    let sched = ScheduleConfig {
-        campaign: campaign.clone(),
-        period_ms: 120_000.0,
-        rounds: 6,
-        retention_ms: None,
-    };
-    run_scheduled(&db, &net, &sched).unwrap();
+    run_rounds(&db, &net, &campaign, 120_000.0, 6).unwrap();
     let cfg = HealthConfig {
         recent_window: 2,
         min_baseline: 4,
@@ -61,13 +55,7 @@ fn scheduled_rounds_plus_health_detection() {
         end_ms: net.now_ms() + 10_000_000.0,
         severity: 1.0,
     });
-    let sched2 = ScheduleConfig {
-        campaign,
-        period_ms: 120_000.0,
-        rounds: 2,
-        retention_ms: None,
-    };
-    run_scheduled(&db, &net, &sched2).unwrap();
+    run_rounds(&db, &net, &campaign, 120_000.0, 2).unwrap();
 
     let findings = detect(&db, server_id, &cfg).unwrap();
     assert!(!findings.is_empty(), "the blackout must be flagged");
