@@ -1122,6 +1122,23 @@ mod tests {
     }
 
     #[test]
+    fn ping_refuses_a_count_above_the_probe_limit() {
+        // Used to size two vectors by `-c` and abort on the allocation.
+        let ireland = "16-ffaa:0:1002,[172.31.43.7]";
+        let line = format!("scion ping {ireland} -c 4000000000");
+        for args in [
+            &["ping", ireland, "-c", "4000000000"][..],
+            &["exec", line.as_str()][..],
+        ] {
+            let msg = run_cli(args).unwrap_err().to_string();
+            assert!(
+                msg.contains("ping count 4000000000 exceeds the limit of 100000"),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
     fn bwtest_with_mtu_spec() {
         let out = run_cli(&[
             "bwtest",

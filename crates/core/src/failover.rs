@@ -38,7 +38,7 @@ use crate::pool::run_pool;
 use pathdb::Database;
 use scion_sim::addr::{IsdAsn, ScionAddr};
 use scion_sim::chaos::{render_trace, ChaosSchedule};
-use scion_sim::dataplane::scmp::ProbeOptions;
+use scion_sim::dataplane::scmp::{ProbeOptions, MAX_PROBES};
 use scion_sim::net::ScionNetwork;
 use scion_sim::path::{PathStatus, ScionPath};
 use scion_sim::topology::scionlab::MY_AS;
@@ -115,6 +115,11 @@ impl FailoverConfig {
         }
         if self.probes == 0 {
             return Err("probes per tick must be at least 1".into());
+        }
+        if self.probes > MAX_PROBES {
+            // `ScionNetwork::ping` refuses such a train, which a session
+            // would misread as every candidate being dead.
+            return Err(format!("probes per tick must be at most {MAX_PROBES}"));
         }
         if self.max_paths == 0 {
             return Err("max_paths must be at least 1".into());
@@ -671,6 +676,10 @@ mod tests {
             },
             FailoverConfig {
                 tick_interval_ms: f64::NAN,
+                ..quick_cfg()
+            },
+            FailoverConfig {
+                probes: MAX_PROBES + 1,
                 ..quick_cfg()
             },
             FailoverConfig {

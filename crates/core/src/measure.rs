@@ -25,8 +25,8 @@ use crate::schema::{self, PathMeasurement, PathSpec, StatId, PATHS};
 use pathdb::{Database, Filter};
 use scion_sim::addr::ScionAddr;
 use scion_sim::net::ScionNetwork;
-use scion_tools::bwtester::bwtest;
-use scion_tools::ping::{ping, PathSelection, PingOptions};
+use scion_tools::bwtester::bwtest_over;
+use scion_tools::ping::{ping_over, resolve_path, PathSelection, PingOptions};
 use scion_tools::ToolError;
 
 /// Outcome of one measurement campaign.
@@ -91,7 +91,6 @@ pub fn measure_path(
         path: path_id,
         timestamp_ms: net.now_ms() as u64,
     };
-    let selection = PathSelection::Sequence(spec.sequence.clone());
     let mut m = PathMeasurement {
         stat_id,
         // The traversed ISD set was computed at collection time and
@@ -110,15 +109,27 @@ pub fn measure_path(
         error: None,
     };
 
+    // `--sequence` is parsed and authorized once; the three tools run
+    // over the resolved path. A sequence that no longer authorizes is
+    // what the first tool would have reported.
+    let selection = PathSelection::Sequence(spec.sequence.clone());
+    let path = match resolve_path(net, cfg.local_as, addr.ia, &selection) {
+        Ok(path) => path,
+        Err(e) => {
+            m.error = Some(error_tag("ping", &e));
+            return m;
+        }
+    };
+
     // 1. Latency and loss.
     let ping_opts = PingOptions {
         count: cfg.ping_count,
         interval_ms: cfg.ping_interval_ms,
         timeout_ms: 1000.0,
-        selection: selection.clone(),
+        selection,
     };
     match retry_tool(net, policy, "ping", path_id, events, || {
-        ping(net, cfg.local_as, addr, &ping_opts)
+        ping_over(net, addr, path.clone(), &ping_opts)
     }) {
         Ok(report) => {
             m.avg_latency_ms = report.avg_ms;
@@ -137,7 +148,7 @@ pub fn measure_path(
 
     // 2. Bandwidth with small packets.
     match retry_tool(net, policy, "bwtest64", path_id, events, || {
-        bwtest(net, cfg.local_as, addr, &cfg.small_spec(), None, &selection)
+        bwtest_over(net, addr, path.clone(), &cfg.small_spec(), None)
     }) {
         Ok(r) => {
             m.bw_up_64 = Some(r.cs.achieved_mbps);
@@ -148,7 +159,7 @@ pub fn measure_path(
 
     // 3. Bandwidth with MTU-sized packets.
     match retry_tool(net, policy, "bwtestMTU", path_id, events, || {
-        bwtest(net, cfg.local_as, addr, &cfg.mtu_spec(), None, &selection)
+        bwtest_over(net, addr, path.clone(), &cfg.mtu_spec(), None)
     }) {
         Ok(r) => {
             m.bw_up_mtu = Some(r.cs.achieved_mbps);
@@ -280,6 +291,56 @@ mod tests {
         assert!(m.avg_latency_ms.is_some(), "latency survives");
         assert!(m.bw_up_64.is_none(), "bandwidth does not");
         assert!(m.error.as_deref().unwrap().contains("bad response"));
+    }
+
+    #[test]
+    fn unauthorized_sequence_is_recorded_as_the_ping_stage_error() {
+        let cfg = SuiteConfig {
+            run_bwtests: true,
+            ..quick_cfg()
+        };
+        let (db, net) = setup(&cfg);
+        let (_, addr) = crate::collect::destinations(&db).unwrap()[0];
+        let mut spec = paths_of(&db, 1).unwrap().remove(0);
+        // Same endpoints, but an egress interface no beacon ever used.
+        spec.sequence = spec.sequence.replacen(',', ",6", 1);
+        let before = net.now_ms();
+        let mut events = Vec::new();
+        let policy = RetryPolicy::from_config(&cfg);
+        let m = measure_path(&net, &cfg, &policy, &spec, addr, &mut events);
+        assert_eq!(
+            m.error,
+            Some(format!(
+                "ping: no path: no path matching sequence '{}'",
+                spec.sequence
+            ))
+        );
+        assert_eq!(
+            (m.avg_latency_ms, m.loss_pct, m.bw_up_64),
+            (None, 100.0, None)
+        );
+        assert!(events.is_empty(), "not transient: never retried");
+        assert_eq!(net.now_ms(), before, "no tool ran");
+    }
+
+    #[test]
+    fn sequence_is_resolved_once_per_measurement() {
+        let cfg = SuiteConfig {
+            run_bwtests: true,
+            ..quick_cfg()
+        };
+        let (db, mut net) = setup(&cfg);
+        let telemetry = std::sync::Arc::new(upin_telemetry::Telemetry::new());
+        net.set_recorder(telemetry.clone());
+        let (_, addr) = crate::collect::destinations(&db).unwrap()[0];
+        let policy = RetryPolicy::from_config(&cfg);
+        for (n, spec) in paths_of(&db, 1).unwrap().iter().enumerate() {
+            let m = measure_path(&net, &cfg, &policy, spec, addr, &mut Vec::new());
+            assert_eq!(m.error, None);
+            assert!(m.bw_down_mtu.is_some(), "all three tools ran");
+            assert_eq!(telemetry.counter("sim.pathcache.hit"), n as u64 + 1);
+        }
+        assert_eq!(telemetry.counter("sim.pathcache.miss"), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Collections: insertion-ordered document stores with a unique `_id`
-//! index, optional secondary indexes (hash + ordered), planner-served
-//! queries, updates and bulk insertion.
+//! index, optional ordered secondary indexes, planner-served queries,
+//! updates and bulk insertion.
 
 use crate::document::Document;
 use crate::error::{DbError, DbResult};
@@ -19,14 +19,13 @@ use upin_telemetry::{NoopRecorder, Recorder};
 
 static NOOP: NoopRecorder = NoopRecorder;
 
-/// A secondary index over one field: hash buckets for O(1) point
-/// lookups plus an ordered mirror (over the order-preserving
-/// [`Value::index_key`] encoding) for range scans and key-order reads.
+/// A secondary index over one field: posting lists in an ordered map
+/// over the order-preserving [`Value::index_key`] encoding, which
+/// serves point lookups, range scans and key-order reads alike.
 /// Seqs within one key are a `BTreeSet`, so ties stream in ascending
 /// insertion order — the same tie order a stable sort produces.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FieldIndex {
-    hash: HashMap<String, HashSet<u64>>,
     pub(crate) ordered: BTreeMap<String, BTreeSet<u64>>,
     /// Documents contributing at least one key (field present).
     pub(crate) indexed_docs: usize,
@@ -37,7 +36,7 @@ pub(crate) struct FieldIndex {
 }
 
 impl FieldIndex {
-    fn insert(&mut self, seq: u64, keys: &[String]) {
+    fn insert(&mut self, seq: u64, keys: Vec<String>) {
         if keys.is_empty() {
             return;
         }
@@ -46,8 +45,7 @@ impl FieldIndex {
             self.multikey_docs += 1;
         }
         for key in keys {
-            self.hash.entry(key.clone()).or_default().insert(seq);
-            self.ordered.entry(key.clone()).or_default().insert(seq);
+            self.ordered.entry(key).or_default().insert(seq);
         }
     }
 
@@ -60,12 +58,6 @@ impl FieldIndex {
             self.multikey_docs -= 1;
         }
         for key in keys {
-            if let Some(set) = self.hash.get_mut(key) {
-                set.remove(&seq);
-                if set.is_empty() {
-                    self.hash.remove(key);
-                }
-            }
             if let Some(set) = self.ordered.get_mut(key) {
                 set.remove(&seq);
                 if set.is_empty() {
@@ -76,11 +68,11 @@ impl FieldIndex {
     }
 
     pub(crate) fn point_count(&self, key: &str) -> usize {
-        self.hash.get(key).map_or(0, HashSet::len)
+        self.ordered.get(key).map_or(0, BTreeSet::len)
     }
 
     pub(crate) fn point_seqs(&self, key: &str) -> impl Iterator<Item = u64> + '_ {
-        self.hash.get(key).into_iter().flatten().copied()
+        self.ordered.get(key).into_iter().flatten().copied()
     }
 
     pub(crate) fn range_count(&self, lo: &Bound<String>, hi: &Bound<String>) -> usize {
@@ -204,7 +196,7 @@ impl Collection {
         }
         let mut idx = FieldIndex::default();
         for (&seq, doc) in &self.docs {
-            idx.insert(seq, &index_keys_of(doc, field));
+            idx.insert(seq, index_keys_of(doc, field));
         }
         self.indexes.insert(field.to_string(), idx);
     }
@@ -220,7 +212,7 @@ impl Collection {
 
     fn index_insert(&mut self, seq: u64, doc: &Document) {
         for (field, idx) in &mut self.indexes {
-            idx.insert(seq, &index_keys_of(doc, field));
+            idx.insert(seq, index_keys_of(doc, field));
         }
     }
 
@@ -359,13 +351,13 @@ impl Collection {
         // Pre-validate ids (including duplicates within the batch) so a
         // failure leaves the collection untouched.
         let mut staged: Vec<(String, Document)> = Vec::with_capacity(docs.len());
-        let mut batch_ids: HashSet<String> = HashSet::with_capacity(docs.len());
         for mut doc in docs {
             let id_key = self.prepare_id(&mut doc)?;
-            if !batch_ids.insert(id_key.clone()) {
-                return Err(DbError::DuplicateId(id_key));
-            }
             staged.push((id_key, doc));
+        }
+        let mut batch_ids: HashSet<&str> = HashSet::with_capacity(staged.len());
+        if let Some((dup, _)) = staged.iter().find(|(id, _)| !batch_ids.insert(id)) {
+            return Err(DbError::DuplicateId(dup.clone()));
         }
         // Validation passed: the batch is one WAL commit group, so the
         // log preserves insert_many's all-or-nothing contract across
@@ -1302,6 +1294,46 @@ mod tests {
         c.create_index("isds");
         assert_eq!(c.query(Filter::eq("isds", 16i64)).count(), 5);
         assert_eq!(c.query(Filter::eq("isds", 99i64)).count(), 0);
+    }
+
+    #[test]
+    fn point_lookups_follow_multikey_arrays_removed_keys_and_emptied_lists() {
+        let mut c = stats_collection();
+        c.create_index("isds");
+        let point = |c: &Collection, v: Value| {
+            let idx = &c.indexes["isds"];
+            let key = v.index_key();
+            let seqs: Vec<u64> = idx.point_seqs(&key).collect();
+            assert_eq!(idx.point_count(&key), seqs.len());
+            seqs
+        };
+        // An array posts under each element and under the whole array.
+        assert_eq!(point(&c, Value::Int(16)), [0, 1, 2, 3, 4]);
+        assert_eq!(point(&c, Value::from(vec![16i64, 17])), [0, 1, 2, 3, 4]);
+        // An update that drops an element leaves that key's list.
+        let moved = Filter::eq("server_id", 1i64);
+        c.update_many(&moved, &Update::new().set("isds", vec![17i64, 19]));
+        assert_eq!(point(&c, Value::Int(16)), [2, 3, 4]);
+        assert_eq!(point(&c, Value::Int(17)), [0, 1, 2, 3, 4]);
+        assert_eq!(point(&c, Value::Int(19)), [0, 1]);
+        // The planner's cost and candidates come from the same lists.
+        let nineteen = Filter::eq("isds", 19i64);
+        assert_eq!(
+            c.query(&nineteen).explain().access,
+            Access::IndexPoint {
+                field: "isds".into(),
+                keys: 1,
+                candidates: 2
+            }
+        );
+        assert_eq!(c.query(&nineteen).count(), 2);
+        // Deleting the last poster removes the key, not just its seqs.
+        c.delete_many(&moved);
+        assert_eq!(point(&c, Value::Int(19)), []);
+        assert!(!c.indexes["isds"]
+            .ordered
+            .contains_key(&Value::Int(19).index_key()));
+        assert_eq!(point(&c, Value::Int(17)), [2, 3, 4]);
     }
 
     #[test]

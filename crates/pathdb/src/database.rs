@@ -486,14 +486,13 @@ impl Database {
             }
             max_gen = max_gen.max(gen);
             let bytes = storage.read(&path)?;
-            let replay = read_wal(&bytes);
-            for group in &replay.groups {
+            let replay = read_wal(&bytes, |group| {
                 for op in group {
                     report.wal_effects += op.effect_count();
                     db.apply_wal_op(op);
                 }
-            }
-            report.wal_groups += replay.groups.len();
+            });
+            report.wal_groups += replay.groups;
             report.torn_wal_bytes += replay.torn_bytes;
             report.dropped_uncommitted_ops += replay.dropped_uncommitted_ops;
             if replay.torn_bytes > 0 {
@@ -586,23 +585,23 @@ impl Database {
 
     /// Apply one replayed WAL effect. Bypasses logging (the effect is
     /// already in the log) and tolerates repetition.
-    fn apply_wal_op(&self, op: &WalOp) {
+    fn apply_wal_op(&self, op: WalOp) {
         match op {
             WalOp::Insert { coll, doc } => {
-                self.collection(coll).write().apply_upsert(doc.clone());
+                self.collection(&coll).write().apply_upsert(doc);
             }
             WalOp::InsertMany { coll, docs } | WalOp::Update { coll, docs } => {
-                let handle = self.collection(coll);
+                let handle = self.collection(&coll);
                 let mut c = handle.write();
                 for doc in docs {
-                    c.apply_upsert(doc.clone());
+                    c.apply_upsert(doc);
                 }
             }
             WalOp::Delete { coll, ids } => {
-                self.collection(coll).write().apply_delete_ids(ids);
+                self.collection(&coll).write().apply_delete_ids(&ids);
             }
             WalOp::Drop { coll } => {
-                self.forget(coll);
+                self.forget(&coll);
             }
         }
     }

@@ -9,8 +9,8 @@
 //!   (`$eq/$ne/$gt/$in/$nin/$exists/$all/$size`, `$and/$or/$not`,
 //!   array-contains equality, numeric widening),
 //! * [`update::Update`] (`$set/$unset/$inc/$push/$setOnInsert`),
-//! * unique `_id` plus secondary (multikey) indexes, kept both as hash
-//!   maps and as ordered maps over an order-preserving key encoding,
+//! * unique `_id` plus secondary (multikey) indexes, kept as ordered
+//!   maps over an order-preserving key encoding,
 //! * a cost-based query planner ([`plan`]): range scans for comparison
 //!   filters, index intersection/union over `$and`/`$or` conjuncts,
 //!   index-served sorting with skip/limit pushdown, and a

@@ -303,7 +303,7 @@ struct Costed<'a> {
 }
 
 /// Count the candidates an atom would produce, or `None` when no index
-/// can serve it. Cheap: hash-bucket sizes for points, a walk over the
+/// can serve it. Cheap: posting-list sizes for points, a walk over the
 /// distinct keys in range for ranges.
 fn cost_atom(coll: &Collection, atom: &Atom) -> Option<usize> {
     match atom {

@@ -338,8 +338,8 @@ pub fn encode_group_refs(ops: &[WalOpRef<'_>]) -> Vec<u8> {
 /// Result of scanning one WAL file.
 #[derive(Debug, Default)]
 pub struct WalReplay {
-    /// Committed groups in append order.
-    pub groups: Vec<Vec<WalOp>>,
+    /// Committed groups handed to the caller, in append order.
+    pub groups: usize,
     /// Byte offset just past the last committed group — the length to
     /// truncate the file to.
     pub valid_len: u64,
@@ -350,14 +350,11 @@ pub struct WalReplay {
     pub dropped_uncommitted_ops: usize,
 }
 
-impl WalReplay {
-    pub fn op_count(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
-}
-
 /// Scan a WAL byte stream, stopping at the first torn or corrupt frame.
-pub fn read_wal(bytes: &[u8]) -> WalReplay {
+/// Each group is handed to `apply` when its commit marker is reached —
+/// never before, so an uncommitted or torn tail is not seen — and is
+/// not kept: recovery holds one group at a time, not the whole log.
+pub fn read_wal(bytes: &[u8], mut apply: impl FnMut(Vec<WalOp>)) -> WalReplay {
     let mut replay = WalReplay::default();
     let mut pending: Vec<WalOp> = Vec::new();
     let mut off = 0usize;
@@ -382,7 +379,8 @@ pub fn read_wal(bytes: &[u8]) -> WalReplay {
             if json.get("n").and_then(|n| n.as_i64()) != Some(pending.len() as i64) {
                 break;
             }
-            replay.groups.push(std::mem::take(&mut pending));
+            apply(std::mem::take(&mut pending));
+            replay.groups += 1;
             replay.valid_len = (off + 8 + len as usize) as u64;
         } else {
             let Some(op) = WalOp::from_json(&json) else {
@@ -612,10 +610,10 @@ mod tests {
         let ops = sample_ops();
         let mut bytes = encode_group(&ops[..2]);
         bytes.extend(encode_group(&ops[2..]));
-        let replay = read_wal(&bytes);
-        assert_eq!(replay.groups.len(), 2);
-        assert_eq!(replay.groups[0], &ops[..2]);
-        assert_eq!(replay.groups[1], &ops[2..]);
+        let mut groups = Vec::new();
+        let replay = read_wal(&bytes, |group| groups.push(group));
+        assert_eq!(replay.groups, 2);
+        assert_eq!(groups, [&ops[..2], &ops[2..]]);
         assert_eq!(replay.valid_len, bytes.len() as u64);
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.dropped_uncommitted_ops, 0);
@@ -629,8 +627,14 @@ mod tests {
         bytes.extend(encode_group(&ops[2..]));
         // Cut anywhere inside the second group: only the first survives.
         for cut in good.len()..bytes.len() {
-            let replay = read_wal(&bytes[..cut]);
-            assert_eq!(replay.groups.len(), 1, "cut at {cut}");
+            let mut groups = Vec::new();
+            let replay = read_wal(&bytes[..cut], |group| groups.push(group));
+            assert_eq!(replay.groups, 1, "cut at {cut}");
+            assert_eq!(
+                groups,
+                [&ops[..2]],
+                "cut at {cut}: the torn group is never handed over"
+            );
             assert_eq!(replay.valid_len, good.len() as u64, "cut at {cut}");
             assert_eq!(replay.torn_bytes, (cut - good.len()) as u64);
         }
@@ -645,8 +649,8 @@ mod tests {
         // Flip a payload byte in the second group.
         let idx = good.len() + 10;
         bytes[idx] ^= 0x40;
-        let replay = read_wal(&bytes);
-        assert_eq!(replay.groups.len(), 1);
+        let replay = read_wal(&bytes, |_| {});
+        assert_eq!(replay.groups, 1);
         assert_eq!(replay.valid_len, good.len() as u64);
     }
 
@@ -657,8 +661,10 @@ mod tests {
         // Append two op frames with no commit marker.
         push_frame(&mut bytes, ops[2].to_json().to_string().as_bytes());
         push_frame(&mut bytes, ops[3].to_json().to_string().as_bytes());
-        let replay = read_wal(&bytes);
-        assert_eq!(replay.groups.len(), 1);
+        let mut groups = Vec::new();
+        let replay = read_wal(&bytes, |group| groups.push(group));
+        assert_eq!(replay.groups, 1);
+        assert_eq!(groups, [&ops[..2]], "uncommitted ops are never handed over");
         assert_eq!(replay.dropped_uncommitted_ops, 2);
         assert!(replay.torn_bytes > 0);
     }
@@ -672,7 +678,7 @@ mod tests {
         wal.commit(&ops).unwrap();
         wal.health().unwrap();
         let bytes = storage.read(&wal_path(Path::new("/db"), 0)).unwrap();
-        assert_eq!(read_wal(&bytes).groups.len(), 1);
+        assert_eq!(read_wal(&bytes, |_| {}).groups, 1);
     }
 
     #[test]

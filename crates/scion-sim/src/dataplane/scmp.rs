@@ -1,17 +1,30 @@
 //! SCMP probes: the packet-level machinery behind `scion ping` and
-//! `scion traceroute`, run on the discrete-event engine.
+//! `scion traceroute`, a discrete-event simulation of one probe train.
 //!
 //! Each probe is a chain of per-hop arrival events; a hop either drops
 //! the packet (residual loss, outage, congestion window) or delays it by
 //! propagation + serialization + queueing + jitter and forwards it. The
 //! destination's [`ServerBehavior`] decides whether an echo reply is
 //! generated; the reply walks the reverse hops the same way.
+//!
+//! An event is one [`InFlight`] record — a packet and the time it
+//! reaches its next hop. Events fire in `(fire time, scheduling
+//! sequence)` order, all draws come from one shared generator in that
+//! order, and only the packets actually between two hops are queued:
+//! the launches wait in send order until their time comes.
 
 use crate::dataplane::{sample_util, CompiledPath, WireHop};
-use crate::des::{Engine, SimTime};
+use crate::des::SimTime;
 use crate::fault::ServerBehavior;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Most echo requests one campaign may send (`-c`). The outcome holds
+/// one slot per request, so [`crate::net::ScionNetwork::ping`] refuses
+/// a larger count before anything is sized by it.
+pub const MAX_PROBES: u32 = 100_000;
 
 /// Options of one SCMP echo campaign (one `scion ping` invocation).
 #[derive(Debug, Clone, Copy)]
@@ -62,12 +75,8 @@ impl ProbeOutcome {
 
     /// Mean RTT over received probes (ms).
     pub fn avg_rtt_ms(&self) -> Option<f64> {
-        let v: Vec<f64> = self.rtts_ms.iter().flatten().copied().collect();
-        if v.is_empty() {
-            None
-        } else {
-            Some(v.iter().sum::<f64>() / v.len() as f64)
-        }
+        let n = self.received();
+        (n > 0).then(|| self.rtts_ms.iter().flatten().sum::<f64>() / n as f64)
     }
 
     pub fn min_rtt_ms(&self) -> Option<f64> {
@@ -88,46 +97,36 @@ impl ProbeOutcome {
 
     /// Population standard deviation of received RTTs ("mdev").
     pub fn mdev_ms(&self) -> Option<f64> {
-        let v: Vec<f64> = self.rtts_ms.iter().flatten().copied().collect();
-        if v.is_empty() {
-            return None;
-        }
-        let mean = v.iter().sum::<f64>() / v.len() as f64;
-        Some((v.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / v.len() as f64).sqrt())
+        let mean = self.avg_rtt_ms()?;
+        let squares = self.rtts_ms.iter().flatten().map(|r| (r - mean).powi(2));
+        Some((squares.sum::<f64>() / self.received() as f64).sqrt())
     }
 }
 
-/// Per-simulation state threaded through the event engine.
-struct ProbeSim {
-    rng: StdRng,
-    /// Completion time (network-clock ms) per probe, if it made it back.
-    done: Vec<Option<f64>>,
-}
-
-/// One in-flight packet's itinerary: remaining hop parameters, flattened
-/// to owned data so event closures are `'static`.
-#[derive(Clone)]
-struct Itinerary {
-    hops: std::sync::Arc<Vec<WireHop>>,
-    next: usize,
+/// One packet between two hops. The derived order is `(at, seq)` —
+/// fire time, then the order arrivals were scheduled in — which no two
+/// packets share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct InFlight {
+    /// When it reaches `next`.
+    at: SimTime,
+    seq: u64,
     probe: usize,
-    size: u32,
-    /// Reverse hops to walk after the server echoes, if any.
-    reply: Option<std::sync::Arc<Vec<WireHop>>>,
-    server: ServerBehavior,
+    /// Index of the hop it arrives at, in its direction's hop slice.
+    next: usize,
+    /// Echo reply on the reverse hops (else request on the forward ones).
+    reverse: bool,
 }
 
 /// Run one echo campaign over a compiled path, with the network clock at
 /// `start_ms`. Deterministic for a given `rng`.
-pub fn ping(path: &CompiledPath, opts: &ProbeOptions, start_ms: f64, rng: StdRng) -> ProbeOutcome {
-    run_probes(
-        std::sync::Arc::new(path.fwd.clone()),
-        Some(std::sync::Arc::new(path.rev.clone())),
-        path.server,
-        opts,
-        start_ms,
-        rng,
-    )
+pub fn ping(
+    path: &CompiledPath,
+    opts: &ProbeOptions,
+    start_ms: f64,
+    rng: &mut StdRng,
+) -> ProbeOutcome {
+    run_probes(&path.fwd, &path.rev, path.server, opts, start_ms, rng)
 }
 
 /// Probe a path prefix (used by traceroute): walk `upto` forward hops,
@@ -138,13 +137,11 @@ pub fn probe_prefix(
     upto: usize,
     opts: &ProbeOptions,
     start_ms: f64,
-    rng: StdRng,
+    rng: &mut StdRng,
 ) -> ProbeOutcome {
-    let fwd: Vec<WireHop> = path.fwd[..upto].to_vec();
-    let rev: Vec<WireHop> = path.rev[path.rev.len() - upto..].to_vec();
     run_probes(
-        std::sync::Arc::new(fwd),
-        Some(std::sync::Arc::new(rev)),
+        &path.fwd[..upto],
+        &path.rev[path.rev.len() - upto..],
         ServerBehavior::Up,
         opts,
         start_ms,
@@ -153,91 +150,113 @@ pub fn probe_prefix(
 }
 
 fn run_probes(
-    fwd: std::sync::Arc<Vec<WireHop>>,
-    rev: Option<std::sync::Arc<Vec<WireHop>>>,
+    fwd: &[WireHop],
+    rev: &[WireHop],
     server: ServerBehavior,
     opts: &ProbeOptions,
     start_ms: f64,
-    rng: StdRng,
+    rng: &mut StdRng,
 ) -> ProbeOutcome {
-    let mut engine: Engine<ProbeSim> = Engine::new();
-    let mut sim = ProbeSim {
-        rng,
-        done: vec![None; opts.count as usize],
-    };
-    for i in 0..opts.count as usize {
-        let at = SimTime::from_ms(start_ms + i as f64 * opts.interval_ms);
-        let itinerary = Itinerary {
-            hops: fwd.clone(),
+    let count = opts.count as usize;
+    let size = opts.payload_bytes + 48; // SCMP + SCION header floor
+    let sent_ms = |probe: usize| start_ms + probe as f64 * opts.interval_ms;
+    // Launch `i` is the `i`-th event scheduled. Send times tie under a
+    // zero interval and run backwards under a negative one, so the
+    // launches fire in `(at, seq)` order, not index order.
+    let mut launches: Vec<InFlight> = (0..count)
+        .map(|probe| InFlight {
+            at: SimTime::from_ms(sent_ms(probe)),
+            seq: probe as u64,
+            probe,
             next: 0,
-            probe: i,
-            size: opts.payload_bytes + 48, // SCMP + SCION header floor
-            reply: rev.clone(),
-            server,
-        };
-        engine.schedule_at(at, move |s, e| forward(itinerary, s, e));
-    }
-    engine.run_to_completion(&mut sim);
-    let timeout = opts.timeout_ms;
-    let rtts_ms = sim
-        .done
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            d.map(|t| t - (start_ms + i as f64 * opts.interval_ms))
-                .filter(|rtt| *rtt <= timeout)
+            reverse: false,
         })
         .collect();
-    ProbeOutcome {
-        sent: opts.count,
-        rtts_ms,
-    }
-}
-
-/// Process a packet's arrival at its next hop.
-fn forward(mut it: Itinerary, sim: &mut ProbeSim, engine: &mut Engine<ProbeSim>) {
-    let now_ms = engine.now().as_ms();
-    if it.next >= it.hops.len() {
-        // Arrived at the terminal AS of this direction.
-        match it.reply.take() {
-            Some(rev) => {
+    launches.sort_unstable();
+    let mut launches = launches.into_iter().peekable();
+    let mut pending: BinaryHeap<Reverse<InFlight>> = BinaryHeap::new();
+    let mut next_seq = count as u64;
+    // Completion time (network-clock ms) per probe, if it made it back.
+    let mut done: Vec<Option<f64>> = vec![None; count];
+    // Process a packet's arrival at its next hop; `Some` is its next
+    // arrival, `None` means it was dropped or has made it back. Called
+    // from one place so that it inlines into the event loop.
+    let mut arrive = |mut pkt: InFlight| -> Option<InFlight> {
+        let now_ms = pkt.at.as_ms();
+        let hops = if pkt.reverse { rev } else { fwd };
+        let delay_ms = match hops.get(pkt.next) {
+            Some(hop) => {
+                // Drop checks: outage, residual loss, congestion windows.
+                if rng.gen::<f64>() < hop.loss_at(now_ms) {
+                    return None;
+                }
+                // Delay: propagation + serialization + queueing + jitter.
+                let util = sample_util(hop.background_util, rng);
+                let queue_ms = hop.serialization_ms(hop.mtu) * (util / (1.0 - util)).min(50.0);
+                let jitter = (rng.gen::<f64>() * 2.0 - 1.0) * hop.jitter_ms;
+                pkt.next += 1;
+                (hop.prop_ms + hop.serialization_ms(size) + queue_ms + jitter).max(0.01)
+            }
+            None if pkt.reverse => {
+                done[pkt.probe] = Some(now_ms);
+                return None;
+            }
+            None => {
                 // Server-side handling before echoing.
-                match it.server {
-                    ServerBehavior::Down => return,
+                match server {
+                    ServerBehavior::Down => return None,
                     ServerBehavior::Flaky(p) => {
-                        if sim.rng.gen::<f64>() < p {
-                            return;
+                        if rng.gen::<f64>() < p {
+                            return None;
                         }
                     }
                     // BadResponse still echoes SCMP (the failure shows up
                     // at the application layer, not the probe layer).
                     ServerBehavior::BadResponse | ServerBehavior::Up => {}
                 }
-                it.hops = rev;
-                it.next = 0;
+                pkt.reverse = true;
+                pkt.next = 0;
                 // Negligible server turnaround delay (tenths of ms).
-                let turnaround = 0.05 + sim.rng.gen::<f64>() * 0.1;
-                engine.schedule_in((turnaround * 1e6) as u64, move |s, e| forward(it, s, e));
+                0.05 + rng.gen::<f64>() * 0.1
             }
-            None => {
-                sim.done[it.probe] = Some(now_ms);
+        };
+        pkt.at = pkt.at.plus_ns((delay_ms * 1e6) as u64);
+        pkt.seq = next_seq;
+        next_seq += 1;
+        Some(pkt)
+    };
+    loop {
+        // A launch's `seq` is below every arrival's, so it wins a tie.
+        let (launch_due, pkt) = match (launches.peek(), pending.peek()) {
+            (Some(launch), Some(Reverse(arrival))) if arrival < launch => (false, *arrival),
+            (Some(launch), _) => (true, *launch),
+            (None, Some(Reverse(arrival))) => (false, *arrival),
+            (None, None) => break,
+        };
+        match (launch_due, arrive(pkt)) {
+            (true, next) => {
+                launches.next();
+                if let Some(next) = next {
+                    pending.push(Reverse(next));
+                }
+            }
+            // The earliest arrival becomes its successor in place: one
+            // sift instead of a pop and a push.
+            (false, Some(next)) => *pending.peek_mut().expect("peeked above") = Reverse(next),
+            (false, None) => {
+                pending.pop();
             }
         }
-        return;
     }
-
-    let hop = &it.hops[it.next];
-    // Drop checks: outage, residual loss, congestion windows.
-    if sim.rng.gen::<f64>() < hop.loss_at(now_ms) {
-        return;
+    for (probe, d) in done.iter_mut().enumerate() {
+        *d = d
+            .map(|t| t - sent_ms(probe))
+            .filter(|rtt| *rtt <= opts.timeout_ms);
     }
-    // Delay: propagation + serialization + queueing + jitter.
-    let util = sample_util(hop.background_util, &mut sim.rng);
-    let queue_ms = hop.serialization_ms(hop.mtu) * (util / (1.0 - util)).min(50.0);
-    let jitter = (sim.rng.gen::<f64>() * 2.0 - 1.0) * hop.jitter_ms;
-    let delay_ms = (hop.prop_ms + hop.serialization_ms(it.size) + queue_ms + jitter).max(0.01);
-    it.next += 1;
-    engine.schedule_in((delay_ms * 1e6) as u64, move |s, e| forward(it, s, e));
+    ProbeOutcome {
+        sent: opts.count,
+        rtts_ms: done,
+    }
 }
 
 #[cfg(test)]
@@ -277,7 +296,7 @@ mod tests {
     #[test]
     fn clean_path_returns_all_probes() {
         let path = compiled(vec![hop(5.0, 0.0), hop(10.0, 0.0)]);
-        let out = ping(&path, &ProbeOptions::default(), 0.0, rng(1));
+        let out = ping(&path, &ProbeOptions::default(), 0.0, &mut rng(1));
         assert_eq!(out.sent, 30);
         assert_eq!(out.received(), 30);
         assert_eq!(out.loss(), 0.0);
@@ -292,13 +311,13 @@ mod tests {
             &compiled(vec![hop(2.0, 0.0)]),
             &ProbeOptions::default(),
             0.0,
-            rng(2),
+            &mut rng(2),
         );
         let far = ping(
             &compiled(vec![hop(80.0, 0.0)]),
             &ProbeOptions::default(),
             0.0,
-            rng(2),
+            &mut rng(2),
         );
         assert!(far.avg_rtt_ms().unwrap() > near.avg_rtt_ms().unwrap() + 100.0);
     }
@@ -307,7 +326,7 @@ mod tests {
     fn down_server_loses_everything() {
         let mut path = compiled(vec![hop(5.0, 0.0)]);
         path.server = ServerBehavior::Down;
-        let out = ping(&path, &ProbeOptions::default(), 0.0, rng(3));
+        let out = ping(&path, &ProbeOptions::default(), 0.0, &mut rng(3));
         assert_eq!(out.received(), 0);
         assert_eq!(out.loss(), 1.0);
         assert_eq!(out.avg_rtt_ms(), None);
@@ -321,7 +340,7 @@ mod tests {
             count: 200,
             ..ProbeOptions::default()
         };
-        let out = ping(&path, &opts, 0.0, rng(4));
+        let out = ping(&path, &opts, 0.0, &mut rng(4));
         let loss = out.loss();
         assert!((0.35..0.65).contains(&loss), "loss {loss}");
     }
@@ -332,7 +351,7 @@ mod tests {
         // Window covers probes sent in [0, 1500) ms of a 30×100 ms train.
         h.episodes.push((0.0, 1500.0, 1.0));
         let path = compiled(vec![h]);
-        let out = ping(&path, &ProbeOptions::default(), 0.0, rng(5));
+        let out = ping(&path, &ProbeOptions::default(), 0.0, &mut rng(5));
         // Probes 0..15 die, 15..30 survive (modulo in-flight boundary).
         assert!(
             out.received() >= 14 && out.received() <= 16,
@@ -350,7 +369,7 @@ mod tests {
             count: 300,
             ..ProbeOptions::default()
         };
-        let out = ping(&path, &opts, 0.0, rng(6));
+        let out = ping(&path, &opts, 0.0, &mut rng(6));
         // Two traversals (there and back) of a 10 % hop ≈ 19 % loss.
         let loss = out.loss();
         assert!((0.10..0.30).contains(&loss), "loss {loss}");
@@ -363,7 +382,7 @@ mod tests {
             timeout_ms: 1000.0,
             ..ProbeOptions::default()
         };
-        let out = ping(&path, &opts, 0.0, rng(7));
+        let out = ping(&path, &opts, 0.0, &mut rng(7));
         assert_eq!(out.received(), 0, "1400 ms RTT must exceed the 1 s timeout");
     }
 
@@ -374,8 +393,8 @@ mod tests {
             count: 5,
             ..ProbeOptions::default()
         };
-        let one = probe_prefix(&path, 1, &opts, 0.0, rng(8));
-        let three = probe_prefix(&path, 3, &opts, 0.0, rng(8));
+        let one = probe_prefix(&path, 1, &opts, 0.0, &mut rng(8));
+        let three = probe_prefix(&path, 3, &opts, 0.0, &mut rng(8));
         assert!(one.avg_rtt_ms().unwrap() < 20.0);
         assert!(three.avg_rtt_ms().unwrap() > 300.0);
     }
@@ -383,7 +402,7 @@ mod tests {
     #[test]
     fn stats_are_internally_consistent() {
         let path = compiled(vec![hop(20.0, 0.02)]);
-        let out = ping(&path, &ProbeOptions::default(), 0.0, rng(9));
+        let out = ping(&path, &ProbeOptions::default(), 0.0, &mut rng(9));
         let (min, avg, max) = (
             out.min_rtt_ms().unwrap(),
             out.avg_rtt_ms().unwrap(),
@@ -396,8 +415,8 @@ mod tests {
     #[test]
     fn deterministic_for_same_seed() {
         let path = compiled(vec![hop(10.0, 0.05), hop(30.0, 0.02)]);
-        let a = ping(&path, &ProbeOptions::default(), 0.0, rng(42));
-        let b = ping(&path, &ProbeOptions::default(), 0.0, rng(42));
+        let a = ping(&path, &ProbeOptions::default(), 0.0, &mut rng(42));
+        let b = ping(&path, &ProbeOptions::default(), 0.0, &mut rng(42));
         assert_eq!(a, b);
     }
 }

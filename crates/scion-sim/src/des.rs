@@ -1,12 +1,8 @@
-//! Minimal discrete-event simulation (DES) core: simulated time and a
-//! monotonic event queue.
+//! Simulated time for the data plane's discrete-event simulation.
 //!
-//! The data plane (packet forwarding, queueing, probe scheduling) runs on
-//! this engine. Events are closures keyed by a [`SimTime`]; ties are broken
-//! by insertion order so runs are fully deterministic for a fixed seed.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! The probe simulation in [`crate::dataplane::scmp`] orders its events
+//! by a [`SimTime`] fire time, then by scheduling order, so runs are
+//! fully deterministic for a fixed seed.
 
 /// Simulated time in nanoseconds since simulation start.
 ///
@@ -45,142 +41,6 @@ impl SimTime {
     }
 }
 
-/// The callback fired when an event's time arrives.
-type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Engine<S>)>;
-
-/// A scheduled event: fire time, tie-breaking sequence number, callback.
-struct Event<S> {
-    at: SimTime,
-    seq: u64,
-    run: EventFn<S>,
-}
-
-impl<S> PartialEq for Event<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<S> Eq for Event<S> {}
-impl<S> PartialOrd for Event<S> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<S> Ord for Event<S> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest time (then lowest
-        // sequence number) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The event engine, generic over the simulation state `S`.
-///
-/// Handlers receive `&mut S` and `&mut Engine<S>` so they can schedule
-/// follow-up events. The engine never goes backwards in time: events
-/// scheduled in the past are clamped to "now".
-pub struct Engine<S> {
-    queue: BinaryHeap<Event<S>>,
-    now: SimTime,
-    next_seq: u64,
-    executed: u64,
-}
-
-impl<S> Default for Engine<S> {
-    fn default() -> Self {
-        Engine::new()
-    }
-}
-
-impl<S> Engine<S> {
-    pub fn new() -> Engine<S> {
-        Engine {
-            queue: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            next_seq: 0,
-            executed: 0,
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events executed so far (diagnostics / perf counters).
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Schedule `f` to run at absolute time `at` (clamped to now).
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
-    where
-        F: FnOnce(&mut S, &mut Engine<S>) + 'static,
-    {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Event {
-            at,
-            seq,
-            run: Box::new(f),
-        });
-    }
-
-    /// Schedule `f` to run `delay_ns` nanoseconds from now.
-    pub fn schedule_in<F>(&mut self, delay_ns: u64, f: F)
-    where
-        F: FnOnce(&mut S, &mut Engine<S>) + 'static,
-    {
-        self.schedule_at(self.now.plus_ns(delay_ns), f);
-    }
-
-    /// Run events until the queue is empty or `until` is reached
-    /// (events at exactly `until` still run). Returns the number of
-    /// events executed by this call.
-    pub fn run_until(&mut self, state: &mut S, until: SimTime) -> u64 {
-        let mut count = 0;
-        while let Some(ev) = self.queue.peek() {
-            if ev.at > until {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event exists");
-            debug_assert!(ev.at >= self.now, "time must be monotonic");
-            self.now = ev.at;
-            (ev.run)(state, self);
-            self.executed += 1;
-            count += 1;
-        }
-        // Advance the clock to the horizon even if the queue drained early,
-        // so successive run_until calls compose predictably.
-        if self.now < until {
-            self.now = until;
-        }
-        count
-    }
-
-    /// Run all pending events to completion (including events they spawn).
-    pub fn run_to_completion(&mut self, state: &mut S) -> u64 {
-        let mut count = 0;
-        while let Some(ev) = self.queue.pop() {
-            debug_assert!(ev.at >= self.now);
-            self.now = ev.at;
-            (ev.run)(state, self);
-            self.executed += 1;
-            count += 1;
-        }
-        count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,115 +51,5 @@ mod tests {
         assert_eq!(t.0, 12_500_000);
         assert!((t.as_ms() - 12.5).abs() < 1e-9);
         assert!((SimTime::from_secs(3.0).as_secs() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn events_run_in_time_order() {
-        let mut engine: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        engine.schedule_at(SimTime(300), |s: &mut Vec<u32>, _| s.push(3));
-        engine.schedule_at(SimTime(100), |s: &mut Vec<u32>, _| s.push(1));
-        engine.schedule_at(SimTime(200), |s: &mut Vec<u32>, _| s.push(2));
-        engine.run_to_completion(&mut log);
-        assert_eq!(log, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut engine: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        for i in 0..10 {
-            engine.schedule_at(SimTime(50), move |s: &mut Vec<u32>, _| s.push(i));
-        }
-        engine.run_to_completion(&mut log);
-        assert_eq!(log, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn handlers_can_schedule_followups() {
-        let mut engine: Engine<Vec<u64>> = Engine::new();
-        let mut log = Vec::new();
-        engine.schedule_at(
-            SimTime(10),
-            |_s: &mut Vec<u64>, e: &mut Engine<Vec<u64>>| {
-                e.schedule_in(5, |s: &mut Vec<u64>, e2: &mut Engine<Vec<u64>>| {
-                    s.push(e2.now().0);
-                });
-            },
-        );
-        engine.run_to_completion(&mut log);
-        assert_eq!(log, vec![15]);
-        assert_eq!(engine.executed(), 2);
-    }
-
-    #[test]
-    fn run_until_respects_horizon_and_advances_clock() {
-        let mut engine: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        engine.schedule_at(SimTime(100), |s: &mut Vec<u32>, _| s.push(1));
-        engine.schedule_at(SimTime(1000), |s: &mut Vec<u32>, _| s.push(2));
-        let n = engine.run_until(&mut log, SimTime(500));
-        assert_eq!(n, 1);
-        assert_eq!(log, vec![1]);
-        assert_eq!(engine.now(), SimTime(500));
-        assert_eq!(engine.pending(), 1);
-        engine.run_until(&mut log, SimTime(1000));
-        assert_eq!(log, vec![1, 2]);
-    }
-
-    #[test]
-    fn ten_thousand_event_cascade_is_ordered_and_counted() {
-        // Each event schedules the next: a long causal chain exercising
-        // heap behaviour under sustained push/pop.
-        fn step(n: u64, s: &mut Vec<u64>, e: &mut Engine<Vec<u64>>) {
-            s.push(e.now().0);
-            if n > 0 {
-                e.schedule_in(3, move |s, e| step(n - 1, s, e));
-            }
-        }
-        let mut engine: Engine<Vec<u64>> = Engine::new();
-        let mut log = Vec::new();
-        engine.schedule_at(SimTime(0), |s: &mut Vec<u64>, e: &mut Engine<Vec<u64>>| {
-            step(9_999, s, e)
-        });
-        engine.run_to_completion(&mut log);
-        assert_eq!(log.len(), 10_000);
-        assert_eq!(engine.executed(), 10_000);
-        assert_eq!(*log.last().unwrap(), 3 * 9_999);
-        assert!(log.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn interleaved_run_until_and_scheduling() {
-        let mut engine: Engine<Vec<u64>> = Engine::new();
-        let mut log = Vec::new();
-        for t in [5u64, 15, 25, 35] {
-            engine.schedule_at(SimTime(t), move |s: &mut Vec<u64>, _| s.push(t));
-        }
-        // Drain in two windows, scheduling more in between.
-        engine.run_until(&mut log, SimTime(20));
-        engine.schedule_at(SimTime(22), |s: &mut Vec<u64>, _| s.push(22));
-        engine.run_until(&mut log, SimTime(100));
-        assert_eq!(log, vec![5, 15, 22, 25, 35]);
-    }
-
-    #[test]
-    fn past_events_clamp_to_now() {
-        let mut engine: Engine<Vec<u64>> = Engine::new();
-        let mut log = Vec::new();
-        engine.schedule_at(
-            SimTime(100),
-            |_s: &mut Vec<u64>, e: &mut Engine<Vec<u64>>| {
-                // Scheduling "in the past" runs at the current time instead.
-                e.schedule_at(
-                    SimTime(10),
-                    |s: &mut Vec<u64>, e2: &mut Engine<Vec<u64>>| {
-                        s.push(e2.now().0);
-                    },
-                );
-            },
-        );
-        engine.run_to_completion(&mut log);
-        assert_eq!(log, vec![100]);
     }
 }

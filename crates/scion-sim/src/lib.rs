@@ -13,9 +13,9 @@
 //!   PCB propagation with chained hop-field MACs, segment registration
 //!   and up×core×down path combination — the machinery behind
 //!   `scion showpaths`.
-//! * **Data plane** ([`dataplane`], [`des`]): SCMP probes on a
-//!   discrete-event engine and flow-level bandwidth tests with pps-bound
-//!   routers and congestion-biased loss.
+//! * **Data plane** ([`dataplane`], [`des`]): SCMP probes as a
+//!   discrete-event simulation and flow-level bandwidth tests with
+//!   pps-bound routers and congestion-biased loss.
 //! * **Faults** ([`fault`]): server behaviours, link outages and
 //!   time-windowed congestion episodes.
 //! * **Chaos** ([`chaos`]): declarative, seeded fault schedules (link

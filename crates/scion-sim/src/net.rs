@@ -12,7 +12,7 @@ use crate::addr::{IsdAsn, ScionAddr};
 use crate::beacon::{BeaconConfig, KeyProvider};
 use crate::chaos::{ChaosError, ChaosEvent, ChaosSchedule};
 use crate::dataplane::flows::{bwtest, FlowOutcome, FlowParams};
-use crate::dataplane::scmp::{ping, probe_prefix, ProbeOptions, ProbeOutcome};
+use crate::dataplane::scmp::{ping, probe_prefix, ProbeOptions, ProbeOutcome, MAX_PROBES};
 use crate::dataplane::{compile_path, compile_wire, header_bytes, CompiledPath};
 use crate::fault::{CongestionEpisode, FaultPlan, ServerBehavior};
 use crate::path::{PathDigest, PathHop, PathStatus, ScionPath};
@@ -39,6 +39,8 @@ pub enum NetError {
     BadResponse,
     /// The destination did not answer at all within the test window.
     Timeout,
+    /// More echo requests asked for than [`MAX_PROBES`].
+    TooManyProbes(u32),
 }
 
 impl std::fmt::Display for NetError {
@@ -48,6 +50,9 @@ impl std::fmt::Display for NetError {
             NetError::InvalidPath(e) => write!(f, "invalid path: {e}"),
             NetError::BadResponse => write!(f, "server returned an error response"),
             NetError::Timeout => write!(f, "destination timed out"),
+            NetError::TooManyProbes(n) => {
+                write!(f, "ping count {n} exceeds the limit of {MAX_PROBES}")
+            }
         }
     }
 }
@@ -748,12 +753,15 @@ impl ScionNetwork {
         dst: ScionAddr,
         opts: &ProbeOptions,
     ) -> Result<ProbeOutcome, NetError> {
+        if opts.count > MAX_PROBES {
+            return Err(NetError::TooManyProbes(opts.count));
+        }
         if path.dst() != Some(dst.ia) {
             return Err(NetError::UnknownDestination(dst));
         }
         let compiled = self.compile(path, Some(dst))?;
         let start = self.now_ms();
-        let out = ping(&compiled, opts, start, self.op_rng());
+        let out = ping(&compiled, opts, start, &mut self.op_rng());
         // The campaign occupies count × interval plus the last RTT.
         self.advance_ms(opts.count as f64 * opts.interval_ms + 300.0);
         self.record_op("sim.ping_ops", path, opts.count as u64);
@@ -776,7 +784,7 @@ impl ScionNetwork {
             rtt_ms: Some(0.05),
         });
         for (i, hop) in path.hops.iter().enumerate().skip(1) {
-            let probe = probe_prefix(&compiled, i, &opts, start, self.op_rng());
+            let probe = probe_prefix(&compiled, i, &opts, start, &mut self.op_rng());
             out.push(TraceHop {
                 ia: hop.ia,
                 rtt_ms: probe.rtts_ms.first().copied().flatten(),

@@ -1,6 +1,6 @@
-//! Property-based tests of the simulator: addressing codecs, DES
-//! ordering, MAC chaining, path-server output invariants and flow
-//! conservation laws.
+//! Property-based tests of the simulator: addressing codecs, the probe
+//! simulation against a reference event queue, MAC chaining,
+//! path-server output invariants and flow conservation laws.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -8,13 +8,17 @@ use rand::SeedableRng;
 use scion_sim::addr::{Asn, HostAddr, IfaceId, IsdAsn, ScionAddr};
 use scion_sim::crypto::{keyed_mac, SymmetricKey};
 use scion_sim::dataplane::flows::{simulate_flow, FlowParams, SENDER_PPS_CAP};
-use scion_sim::dataplane::WireHop;
-use scion_sim::des::{Engine, SimTime};
+use scion_sim::dataplane::scmp::{self, ProbeOptions, ProbeOutcome};
+use scion_sim::dataplane::{sample_util, CompiledPath, WireHop};
+use scion_sim::des::SimTime;
+use scion_sim::fault::ServerBehavior;
 use scion_sim::net::ScionNetwork;
 use scion_sim::path::{PathHop, ScionPath};
 use scion_sim::pathserver::validate_structure;
 use scion_sim::segments::{Segment, SegmentKind};
 use scion_sim::topology::scionlab::MY_AS;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 fn arb_isd_asn() -> impl Strategy<Value = IsdAsn> {
     (1u16..100, 0u64..(1u64 << 48)).prop_map(|(isd, asn)| IsdAsn::new(isd, Asn(asn)))
@@ -50,29 +54,6 @@ proptest! {
         };
         let parsed = ScionPath::from_sequence(&path.sequence()).unwrap();
         prop_assert!(parsed.same_route(&path));
-    }
-
-    #[test]
-    fn des_executes_in_nondecreasing_time_order(times in prop::collection::vec(0u64..1_000_000, 1..100)) {
-        let mut engine: Engine<Vec<(u64, u64)>> = Engine::new();
-        let mut log: Vec<(u64, u64)> = Vec::new();
-        for t in &times {
-            let t = *t;
-            engine.schedule_at(
-                SimTime(t),
-                move |s: &mut Vec<(u64, u64)>, e: &mut Engine<Vec<(u64, u64)>>| {
-                    s.push((t, e.now().0));
-                },
-            );
-        }
-        engine.run_to_completion(&mut log);
-        prop_assert_eq!(log.len(), times.len());
-        for (scheduled, now) in &log {
-            prop_assert_eq!(scheduled, now, "handlers observe their scheduled time");
-        }
-        for w in log.windows(2) {
-            prop_assert!(w[0].1 <= w[1].1);
-        }
     }
 
     #[test]
@@ -140,6 +121,143 @@ proptest! {
         prop_assert!(out.attempted_mbps <= (target * 1.04).min(cap_mbps * 1.04));
         prop_assert!((0.0..=1.0).contains(&out.loss));
         prop_assert!(out.packets_received <= out.packets_sent);
+    }
+}
+
+/// The probe simulation as a plain event queue, the way the retired
+/// `des::Engine` ran it: every launch is scheduled up front in index
+/// order, every arrival schedules the packet's next one, and events pop
+/// in `(fire time, scheduling sequence)` order.
+fn reference_probes(
+    fwd: &[WireHop],
+    rev: &[WireHop],
+    server: ServerBehavior,
+    opts: &ProbeOptions,
+    start_ms: f64,
+    rng: &mut StdRng,
+) -> ProbeOutcome {
+    use rand::Rng;
+    let sent_ms = |i: usize| start_ms + i as f64 * opts.interval_ms;
+    // (at, seq, probe, next hop, on the way back)
+    let mut queue = BinaryHeap::new();
+    let mut seq = 0u64;
+    for i in 0..opts.count as usize {
+        queue.push(Reverse((SimTime::from_ms(sent_ms(i)), seq, i, 0, false)));
+        seq += 1;
+    }
+    let mut done = vec![None; opts.count as usize];
+    while let Some(Reverse((now, _, probe, next, back))) = queue.pop() {
+        let hops = if back { rev } else { fwd };
+        let (delay_ms, next, back) = if let Some(hop) = hops.get(next) {
+            if rng.gen::<f64>() < hop.loss_at(now.as_ms()) {
+                continue;
+            }
+            let util = sample_util(hop.background_util, rng);
+            let queue_ms = hop.serialization_ms(hop.mtu) * (util / (1.0 - util)).min(50.0);
+            let jitter = (rng.gen::<f64>() * 2.0 - 1.0) * hop.jitter_ms;
+            let wire_ms = hop.prop_ms + hop.serialization_ms(opts.payload_bytes + 48);
+            ((wire_ms + queue_ms + jitter).max(0.01), next + 1, back)
+        } else if back {
+            done[probe] = Some(now.as_ms());
+            continue;
+        } else {
+            match server {
+                ServerBehavior::Down => continue,
+                ServerBehavior::Flaky(p) if rng.gen::<f64>() < p => continue,
+                _ => {}
+            }
+            (0.05 + rng.gen::<f64>() * 0.1, 0, true)
+        };
+        queue.push(Reverse((
+            now.plus_ns((delay_ms * 1e6) as u64),
+            seq,
+            probe,
+            next,
+            back,
+        )));
+        seq += 1;
+    }
+    let rtts_ms = (0..done.len())
+        .map(|i| {
+            done[i]
+                .map(|t| t - sent_ms(i))
+                .filter(|rtt| *rtt <= opts.timeout_ms)
+        })
+        .collect();
+    ProbeOutcome {
+        sent: opts.count,
+        rtts_ms,
+    }
+}
+
+fn arb_wire_hop() -> impl Strategy<Value = WireHop> {
+    (
+        (0.01..120.0f64, 1.0..1000.0f64, 0.0..0.95f64, 0.0..3.0f64),
+        prop_oneof![Just(0.0), 0.0..0.2f64],
+        0u8..40,
+        prop::collection::vec((0.0..4000.0f64, 0.0..3000.0f64, 0.0..1.0f64), 0..3),
+    )
+        .prop_map(
+            |((prop_ms, capacity_mbps, background_util, jitter_ms), base_loss, down, windows)| {
+                WireHop {
+                    prop_ms,
+                    capacity_mbps,
+                    background_util,
+                    jitter_ms,
+                    base_loss,
+                    pps_cap: None,
+                    episodes: windows
+                        .into_iter()
+                        .map(|(s, len, sev)| (s, s + len, sev))
+                        .collect(),
+                    down: down == 0,
+                    mtu: 1472,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `scmp::ping` and every `scmp::probe_prefix` cut agree with the
+    /// reference event queue on the outcome *and* leave the generator
+    /// in the same state — same events, same order, same draws.
+    #[test]
+    fn probe_trains_match_the_reference_event_queue(
+        hops in (1usize..=12).prop_flat_map(|n| {
+            (prop::collection::vec(arb_wire_hop(), n), prop::collection::vec(arb_wire_hop(), n))
+        }),
+        server in prop_oneof![
+            Just(ServerBehavior::Up),
+            Just(ServerBehavior::Down),
+            Just(ServerBehavior::BadResponse),
+            (0.0..1.0f64).prop_map(ServerBehavior::Flaky),
+        ],
+        // Zero, below any RTT, the paper's, above any RTT, backwards.
+        interval_ms in prop_oneof![Just(0.0), 0.001..2.0f64, Just(100.0), 2000.0..5000.0f64, Just(-40.0)],
+        shape in (0u32..=64, prop::sample::select(vec![30.0, 1000.0, 1e12]), 0.0..5000.0f64),
+        seed: u64,
+    ) {
+        let (fwd, rev) = hops;
+        let (count, timeout_ms, start_ms) = shape;
+        let opts = ProbeOptions { count, interval_ms, payload_bytes: 8, timeout_ms };
+        let path = CompiledPath { hop_count: fwd.len() + 1, fwd, rev, server, links: Vec::new() };
+        let check = |got: &dyn Fn(&mut StdRng) -> ProbeOutcome, fwd: &[WireHop], rev: &[WireHop], server| {
+            let (mut ours, mut theirs) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let want = reference_probes(fwd, rev, server, &opts, start_ms, &mut theirs);
+            prop_assert_eq!(got(&mut ours), want);
+            prop_assert_eq!(format!("{ours:?}"), format!("{theirs:?}"));
+        };
+        check(&|rng| scmp::ping(&path, &opts, start_ms, rng), &path.fwd, &path.rev, server);
+        for upto in 0..=path.fwd.len() {
+            check(
+                &|rng| scmp::probe_prefix(&path, upto, &opts, start_ms, rng),
+                &path.fwd[..upto],
+                &path.rev[path.rev.len() - upto..],
+                ServerBehavior::Up,
+            );
+        }
     }
 }
 

@@ -191,6 +191,17 @@ pub fn bwtest(
     selection: &PathSelection,
 ) -> Result<BwtestReport, ToolError> {
     let path = resolve_path(net, local, destination.ia, selection)?;
+    bwtest_over(net, destination, path, cs_spec, sc_spec)
+}
+
+/// [`bwtest`] over a path the caller already resolved.
+pub fn bwtest_over(
+    net: &ScionNetwork,
+    destination: ScionAddr,
+    path: ScionPath,
+    cs_spec: &str,
+    sc_spec: Option<&str>,
+) -> Result<BwtestReport, ToolError> {
     let header = scion_sim::dataplane::header_bytes(path.hop_count());
     let cs = BwParams::parse_with_mtu(cs_spec, path.mtu, header)?;
     let sc = match sc_spec {

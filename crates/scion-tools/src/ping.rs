@@ -158,6 +158,18 @@ pub fn ping(
     options: &PingOptions,
 ) -> Result<PingReport, ToolError> {
     let path = resolve_path(net, local, destination.ia, &options.selection)?;
+    ping_over(net, destination, path, options)
+}
+
+/// [`ping`] over a path the caller already resolved
+/// (`options.selection` is not consulted) — for callers that run
+/// several tools over one path, like the campaign's per-path suite.
+pub fn ping_over(
+    net: &ScionNetwork,
+    destination: ScionAddr,
+    path: ScionPath,
+    options: &PingOptions,
+) -> Result<PingReport, ToolError> {
     let probe_opts = ProbeOptions {
         count: options.count,
         interval_ms: options.interval_ms,
@@ -319,6 +331,30 @@ mod tests {
         assert_eq!(r.loss_pct, 100.0);
         assert_eq!(r.avg_ms, None);
         assert!(r.render().contains("100% packet loss"));
+    }
+
+    #[test]
+    fn count_above_the_probe_limit_is_refused() {
+        use scion_sim::dataplane::scmp::MAX_PROBES;
+        use scion_sim::net::NetError;
+        let n = net();
+        let at_limit = PingOptions {
+            count: MAX_PROBES,
+            interval_ms: 0.0,
+            ..PingOptions::default()
+        };
+        assert_eq!(
+            ping(&n, MY_AS, ireland(), &at_limit).unwrap().sent,
+            MAX_PROBES
+        );
+        let over = PingOptions {
+            count: 4_000_000_000,
+            ..PingOptions::default()
+        };
+        assert_eq!(
+            ping(&n, MY_AS, ireland(), &over),
+            Err(ToolError::Net(NetError::TooManyProbes(4_000_000_000)))
+        );
     }
 
     #[test]
