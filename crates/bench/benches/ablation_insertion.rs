@@ -7,26 +7,9 @@
 //! samples lost when a crash interrupts each strategy mid-destination.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use pathdb::database::OpenOptions;
-use pathdb::{doc, Collection, Database, Document, Durability, FaultyStorage, Value};
+use pathdb::{Collection, Durability, Value};
 use std::io::Write;
-use std::path::PathBuf;
-use std::sync::Arc;
-
-fn sample_docs(n: usize) -> Vec<Document> {
-    (0..n)
-        .map(|i| {
-            doc! {
-                "_id" => format!("2_{}_{}", i % 24, 1_000_000 + i),
-                "server_id" => 2i64,
-                "avg_latency_ms" => 25.0 + i as f64,
-                "loss_pct" => 0.0f64,
-                "isds" => vec![16i64, 17, 19],
-                "bw_down_mtu_mbps" => 11.9f64,
-            }
-        })
-        .collect()
-}
+use upin_bench::{empty_db, stats_batch};
 
 fn bench(c: &mut Criterion) {
     // Crash-loss accounting: with batching, a crash after k of n docs
@@ -50,7 +33,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("single_inserts_persisted/{batch}"), |b| {
             let path = dir.join("single.jsonl");
             b.iter_batched(
-                || sample_docs(batch),
+                || stats_batch(batch),
                 |docs| {
                     let mut f = std::fs::File::create(&path).unwrap();
                     for d in docs {
@@ -65,7 +48,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("insert_many_persisted/{batch}"), |b| {
             let path = dir.join("many.jsonl");
             b.iter_batched(
-                || sample_docs(batch),
+                || stats_batch(batch),
                 |docs| {
                     let mut buf = Vec::new();
                     for d in docs {
@@ -95,21 +78,7 @@ fn bench(c: &mut Criterion) {
         ] {
             g.bench_function(format!("insert_many_durability_{label}/{batch}"), |b| {
                 b.iter_batched(
-                    || {
-                        let db = match mode {
-                            Durability::None => Database::new(),
-                            _ => {
-                                Database::open_durable_with(
-                                    PathBuf::from("/bench"),
-                                    OpenOptions::new(mode)
-                                        .with_storage(Arc::new(FaultyStorage::new())),
-                                )
-                                .unwrap()
-                                .0
-                            }
-                        };
-                        (db, sample_docs(batch))
-                    },
+                    || (empty_db(mode), stats_batch(batch)),
                     |(db, docs)| {
                         db.collection("paths_stats")
                             .write()
@@ -126,7 +95,7 @@ fn bench(c: &mut Criterion) {
     for &batch in &[24usize, 240, 2400] {
         g.bench_function(format!("single_inserts/{batch}"), |b| {
             b.iter_batched(
-                || sample_docs(batch),
+                || stats_batch(batch),
                 |docs| {
                     let mut coll = Collection::new("paths_stats");
                     for d in docs {
@@ -139,7 +108,7 @@ fn bench(c: &mut Criterion) {
         });
         g.bench_function(format!("insert_many/{batch}"), |b| {
             b.iter_batched(
-                || sample_docs(batch),
+                || stats_batch(batch),
                 |docs| {
                     let mut coll = Collection::new("paths_stats");
                     coll.insert_many(black_box(docs)).unwrap();

@@ -8,66 +8,11 @@
 //! multi-criteria rankers over wide candidate sets.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pathdb::{doc, Database, Filter, Update, Value};
+use pathdb::{doc, Filter, Update};
+use upin_bench::synthetic_db;
 use upin_core::multi::{pareto_front, weighted_rank, Weights};
-use upin_core::schema::{PATHS, PATHS_STATS};
+use upin_core::schema::PATHS_STATS;
 use upin_core::select::{aggregate_paths, recommend, Constraints, Objective, UserRequest};
-
-/// Build a synthetic campaign database: `servers × paths_per × rounds`
-/// stats documents plus the path metadata.
-fn synthetic_db(servers: u32, paths_per: u32, rounds: u32, index: bool) -> Database {
-    let db = Database::new();
-    if index {
-        upin_core::schema::ensure_indexes(&db);
-    }
-    {
-        let handle = db.collection(PATHS);
-        let mut coll = handle.write();
-        for s in 1..=servers {
-            for p in 0..paths_per {
-                coll.insert_one(doc! {
-                    "_id" => format!("{s}_{p}"),
-                    "server_id" => s as i64,
-                    "path_index" => p as i64,
-                    "sequence" => format!("17-ffaa:1:eaf#0,1 17-ffaa:0:1107#{p},0"),
-                    "hops" => (5 + p % 3) as i64,
-                    "isds" => vec![16i64, 17, (17 + p % 4) as i64],
-                    "ases" => vec![format!("17-ffaa:0:{p}")],
-                    "countries" => vec![if p % 4 == 0 { "United States" } else { "Switzerland" }.to_string()],
-                    "operators" => vec!["op".to_string()],
-                })
-                .unwrap();
-            }
-        }
-    }
-    {
-        let handle = db.collection(PATHS_STATS);
-        let mut coll = handle.write();
-        let mut batch = Vec::new();
-        for s in 1..=servers {
-            for p in 0..paths_per {
-                for r in 0..rounds {
-                    batch.push(doc! {
-                        "_id" => format!("{s}_{p}_{r}"),
-                        "path_id" => format!("{s}_{p}"),
-                        "server_id" => s as i64,
-                        "timestamp_ms" => (r * 3300) as i64,
-                        "isds" => vec![16i64, 17],
-                        "hops" => (5 + p % 3) as i64,
-                        "avg_latency_ms" => 20.0 + (p * 13 % 250) as f64 + (r % 7) as f64,
-                        "jitter_ms" => 0.3 + (p % 5) as f64,
-                        "loss_pct" => (p % 9) as f64,
-                        "bw_up_mtu_mbps" => 8.0 + (p % 4) as f64,
-                        "bw_down_mtu_mbps" => 10.0 + (p % 3) as f64,
-                        "target_mbps" => 12.0,
-                    });
-                }
-            }
-        }
-        coll.insert_many(batch).unwrap();
-    }
-    db
-}
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro_select");
@@ -180,7 +125,6 @@ fn bench(c: &mut Criterion) {
         a.iter().map(|r| r.aggregate.path_id).collect::<Vec<_>>(),
         b.iter().map(|r| r.aggregate.path_id).collect::<Vec<_>>(),
     );
-    let _ = Value::Null; // keep the import used on all cfgs
 
     g.finish();
 }

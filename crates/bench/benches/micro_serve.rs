@@ -1,8 +1,8 @@
 //! Microbenchmarks of the typed service API: the per-request cost of
 //! dispatching `Recommend` / `ShowPaths` / `EvaluateConstraint` /
 //! `Health` through [`PathIntelService`], both as typed calls and as
-//! JSON lines through the in-process transport — the serve-side floor
-//! under the 100k-qps loadgen bound recorded in `BENCH_serve.json`.
+//! JSON lines through the in-process transport — the per-kind cost
+//! under the end-to-end benchmark's `serve_static` request.
 
 use std::sync::Arc;
 

@@ -9,7 +9,7 @@ use scion_sim::beacon::BeaconConfig;
 use scion_sim::net::ScionNetwork;
 use scion_sim::topology::random::{gravity_flows, random_topology, RandomTopologyConfig};
 use scion_sim::topology::scionlab::{scionlab_topology, AWS_IRELAND, MY_AS};
-use scion_sim::topology::{AsKind, Topology};
+use upin_bench::cross_isd_endpoints;
 
 fn sized_config(ases: usize) -> RandomTopologyConfig {
     let isds = 5;
@@ -22,21 +22,6 @@ fn sized_config(ases: usize) -> RandomTopologyConfig {
         pref_attachment: 0.6,
         ..RandomTopologyConfig::default()
     }
-}
-
-fn endpoints(topo: &Topology) -> (scion_sim::addr::IsdAsn, scion_sim::addr::IsdAsn) {
-    let user = topo
-        .ases()
-        .find(|(_, n)| n.kind == AsKind::User)
-        .map(|(_, n)| n.ia)
-        .expect("user AS");
-    let far = topo
-        .ases()
-        .filter(|(_, n)| n.kind.is_core())
-        .map(|(_, n)| n.ia)
-        .max_by_key(|ia| ia.isd)
-        .expect("cores");
-    (user, far)
 }
 
 fn bench(c: &mut Criterion) {
@@ -57,7 +42,7 @@ fn bench(c: &mut Criterion) {
     };
     for ases in [100usize, 500, 1000] {
         let (topo, _) = random_topology(3, &sized_config(ases)).expect("valid config");
-        let (user, far) = endpoints(&topo);
+        let (user, far) = cross_isd_endpoints(&topo);
 
         g.bench_function(format!("generate/{ases}"), |b| {
             b.iter(|| black_box(random_topology(3, &sized_config(ases)).unwrap()))
@@ -76,7 +61,7 @@ fn bench(c: &mut Criterion) {
     // The lazy prefix at work: asking for the top 5 paths on a warm
     // 1000-AS network must not force the full combination.
     let (topo, _) = random_topology(3, &sized_config(1000)).expect("valid config");
-    let (user, far) = endpoints(&topo);
+    let (user, far) = cross_isd_endpoints(&topo);
     let net = ScionNetwork::with_beacon_config(topo, 42, &cap);
     net.paths(user, far, 5);
     g.bench_function("paths_top5_warm_1000", |b| {

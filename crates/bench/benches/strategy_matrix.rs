@@ -1,70 +1,17 @@
 //! Strategy matrix: ranking latency for every registered selection
 //! strategy over the same synthetic campaign, plus the axiomatic
-//! evaluation harness end-to-end (sequential vs parallel fold).
+//! evaluation harness end-to-end.
 //!
 //! The per-strategy rows answer "how much does pluggable selection
 //! cost relative to the paper's ranking"; the harness rows answer
 //! "what does a full scorecard over a measured campaign cost".
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pathdb::{doc, Database};
+use pathdb::Database;
+use upin_bench::synthetic_db;
 use upin_core::axioms::{evaluate_strategies, EvalConfig};
-use upin_core::schema::{PATHS, PATHS_STATS};
 use upin_core::select::{Constraints, Objective, UserRequest};
 use upin_core::strategy::{registry, StrategyContext};
-
-/// Same synthetic campaign the `micro_select` bench builds.
-fn synthetic_db(servers: u32, paths_per: u32, rounds: u32) -> Database {
-    let db = Database::new();
-    upin_core::schema::ensure_indexes(&db);
-    {
-        let handle = db.collection(PATHS);
-        let mut coll = handle.write();
-        for s in 1..=servers {
-            for p in 0..paths_per {
-                coll.insert_one(doc! {
-                    "_id" => format!("{s}_{p}"),
-                    "server_id" => s as i64,
-                    "path_index" => p as i64,
-                    "sequence" => format!("17-ffaa:1:eaf#0,1 17-ffaa:0:1107#{p},0"),
-                    "hops" => (5 + p % 3) as i64,
-                    "isds" => vec![16i64, 17, (17 + p % 4) as i64],
-                    "ases" => vec![format!("17-ffaa:0:{p}")],
-                    "countries" => vec!["Switzerland".to_string()],
-                    "operators" => vec!["op".to_string()],
-                })
-                .unwrap();
-            }
-        }
-    }
-    {
-        let handle = db.collection(PATHS_STATS);
-        let mut coll = handle.write();
-        let mut batch = Vec::new();
-        for s in 1..=servers {
-            for p in 0..paths_per {
-                for r in 0..rounds {
-                    batch.push(doc! {
-                        "_id" => format!("{s}_{p}_{r}"),
-                        "path_id" => format!("{s}_{p}"),
-                        "server_id" => s as i64,
-                        "timestamp_ms" => (r * 3300) as i64,
-                        "isds" => vec![16i64, 17],
-                        "hops" => (5 + p % 3) as i64,
-                        "avg_latency_ms" => 20.0 + (p * 13 % 250) as f64 + (r % 7) as f64,
-                        "jitter_ms" => 0.3 + (p % 5) as f64,
-                        "loss_pct" => (p % 9) as f64,
-                        "bw_up_mtu_mbps" => 8.0 + (p % 4) as f64,
-                        "bw_down_mtu_mbps" => 10.0 + (p % 3) as f64,
-                        "target_mbps" => 12.0,
-                    });
-                }
-            }
-        }
-        coll.insert_many(batch).unwrap();
-    }
-    db
-}
 
 /// A measured scionlab campaign for the harness rows (the axioms need
 /// a real network to fork per epoch).
@@ -92,7 +39,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("strategy_matrix");
     g.sample_size(20);
 
-    let db = synthetic_db(21, 24, 60);
+    let db = synthetic_db(21, 24, 60, true);
     let ctx = StrategyContext { db: &db, seed: 42 };
     let request = UserRequest {
         server_id: 7,
@@ -110,17 +57,14 @@ fn bench(c: &mut Criterion) {
 
     let (net, campaign_db) = measured_campaign(42);
     let local = scion_sim::topology::scionlab::MY_AS;
-    for (label, parallel) in [("sequential", false), ("parallel", true)] {
-        let cfg = EvalConfig {
-            epochs: 4,
-            seed: 42,
-            parallel,
-            ..EvalConfig::default()
-        };
-        g.bench_function(format!("evaluate/{label}"), |b| {
-            b.iter(|| black_box(evaluate_strategies(&campaign_db, &net, local, &cfg).unwrap()))
-        });
-    }
+    let cfg = EvalConfig {
+        epochs: 4,
+        seed: 42,
+        ..EvalConfig::default()
+    };
+    g.bench_function("evaluate", |b| {
+        b.iter(|| black_box(evaluate_strategies(&campaign_db, &net, local, &cfg).unwrap()))
+    });
 
     g.finish();
 }

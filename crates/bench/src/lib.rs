@@ -3,7 +3,7 @@
 //! database → analysis → rendered series). The `figures` binary prints
 //! them; the Criterion benches time them and assert their shape.
 
-use pathdb::{Database, Filter};
+use pathdb::{doc, Database, Document, Durability, Filter};
 use scion_sim::addr::ScionAddr;
 use scion_sim::fault::{CongestionEpisode, CongestionTarget};
 use scion_sim::net::ScionNetwork;
@@ -342,6 +342,154 @@ pub fn summary_campaign(seed: u64, iterations: u32) -> (CampaignSummary, String)
     let summary = analysis::summary(&db).expect("summary");
     let text = report::render_summary(&summary);
     (summary, text)
+}
+
+/// A synthetic campaign database — `servers × paths_per` path documents
+/// and `servers × paths_per × rounds` stats rows — for the selection and
+/// strategy benches. Every fourth path crosses the United States, so
+/// country constraints have something to cut.
+pub fn synthetic_db(servers: u32, paths_per: u32, rounds: u32, index: bool) -> Database {
+    use upin_core::schema::{PATHS, PATHS_STATS};
+
+    let db = Database::new();
+    if index {
+        upin_core::schema::ensure_indexes(&db);
+    }
+    {
+        let handle = db.collection(PATHS);
+        let mut coll = handle.write();
+        for s in 1..=servers {
+            for p in 0..paths_per {
+                coll.insert_one(doc! {
+                    "_id" => format!("{s}_{p}"),
+                    "server_id" => s as i64,
+                    "path_index" => p as i64,
+                    "sequence" => format!("17-ffaa:1:eaf#0,1 17-ffaa:0:1107#{p},0"),
+                    "hops" => (5 + p % 3) as i64,
+                    "isds" => vec![16i64, 17, (17 + p % 4) as i64],
+                    "ases" => vec![format!("17-ffaa:0:{p}")],
+                    "countries" => vec![if p % 4 == 0 { "United States" } else { "Switzerland" }.to_string()],
+                    "operators" => vec!["op".to_string()],
+                })
+                .unwrap();
+            }
+        }
+    }
+    {
+        let handle = db.collection(PATHS_STATS);
+        let mut coll = handle.write();
+        let mut batch = Vec::new();
+        for s in 1..=servers {
+            for p in 0..paths_per {
+                for r in 0..rounds {
+                    batch.push(doc! {
+                        "_id" => format!("{s}_{p}_{r}"),
+                        "path_id" => format!("{s}_{p}"),
+                        "server_id" => s as i64,
+                        "timestamp_ms" => (r * 3300) as i64,
+                        "isds" => vec![16i64, 17],
+                        "hops" => (5 + p % 3) as i64,
+                        "avg_latency_ms" => 20.0 + (p * 13 % 250) as f64 + (r % 7) as f64,
+                        "jitter_ms" => 0.3 + (p % 5) as f64,
+                        "loss_pct" => (p % 9) as f64,
+                        "bw_up_mtu_mbps" => 8.0 + (p % 4) as f64,
+                        "bw_down_mtu_mbps" => 10.0 + (p % 3) as f64,
+                        "target_mbps" => 12.0,
+                    });
+                }
+            }
+        }
+        coll.insert_many(batch).unwrap();
+    }
+    db
+}
+
+/// `n` stats rows of one destination — the batch the insertion and
+/// durability ablations write.
+pub fn stats_batch(n: usize) -> Vec<Document> {
+    (0..n)
+        .map(|i| {
+            doc! {
+                "_id" => format!("2_{}_{}", i % 24, 1_000_000 + i),
+                "server_id" => 2i64,
+                "avg_latency_ms" => 25.0 + i as f64,
+                "loss_pct" => 0.0f64,
+                "isds" => vec![16i64, 17, 19],
+                "bw_down_mtu_mbps" => 11.9f64,
+            }
+        })
+        .collect()
+}
+
+/// An empty database at `mode` over the in-memory storage backend, so
+/// a durability comparison measures the WAL's framing and group commit,
+/// not disk latency.
+pub fn empty_db(mode: Durability) -> Database {
+    use pathdb::database::OpenOptions;
+    match mode {
+        Durability::None => Database::new(),
+        _ => {
+            Database::open_durable_with(
+                std::path::PathBuf::from("/bench"),
+                OpenOptions::new(mode)
+                    .with_storage(std::sync::Arc::new(pathdb::FaultyStorage::new())),
+            )
+            .expect("open on empty storage")
+            .0
+        }
+    }
+}
+
+/// One synthetic `paths_stats` row shaped like a campaign measurement,
+/// spread over 21 servers × 4 paths.
+pub fn rollup_row(i: u64, ts: i64) -> Document {
+    let s = (i % 21 + 1) as i64;
+    let p = (i % 4) as i64;
+    doc! {
+        "_id" => format!("{s}_{p}_{ts}_{i}"),
+        "server_id" => s,
+        "path_id" => format!("{s}_{p}"),
+        "timestamp_ms" => ts,
+        "avg_latency_ms" => 20.0 + (i % 250) as f64,
+        "jitter_ms" => 0.3 + (i % 5) as f64,
+        "loss_pct" => (i % 9) as f64,
+    }
+}
+
+/// A database with `n` [`rollup_row`]s spread over one simulated day
+/// (24 hourly buckets × 84 groups) and the stats rollup caught up.
+pub fn rollup_db(n: u64) -> Database {
+    const DAY_MS: i128 = 86_400_000;
+    let db = Database::new();
+    db.register_rollup(upin_core::schema::stats_rollup());
+    let docs = (0..n)
+        .map(|i| rollup_row(i, (i as i128 * DAY_MS / n as i128) as i64))
+        .collect();
+    db.collection(upin_core::schema::PATHS_STATS)
+        .write()
+        .insert_many(docs)
+        .unwrap();
+    db.rollup_catch_up().unwrap();
+    db
+}
+
+/// The query endpoints of a generated topology: its designated user AS
+/// and a core in the last ISD — a worst-case cross-ISD route.
+pub fn cross_isd_endpoints(
+    topo: &scion_sim::topology::Topology,
+) -> (scion_sim::addr::IsdAsn, scion_sim::addr::IsdAsn) {
+    let user = topo
+        .ases()
+        .find(|(_, n)| n.kind == scion_sim::topology::AsKind::User)
+        .map(|(_, n)| n.ia)
+        .expect("generated topology marks a user AS");
+    let far = topo
+        .ases()
+        .filter(|(_, n)| n.kind.is_core())
+        .map(|(_, n)| n.ia)
+        .max_by_key(|ia| ia.isd)
+        .expect("topology has cores");
+    (user, far)
 }
 
 #[cfg(test)]

@@ -713,8 +713,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
                     Spec::new(0, 0)
                         .value("epochs")
                         .value("objective")
-                        .value("strategy")
-                        .flag("parallel"),
+                        .value("strategy"),
                 ),
                 rest,
             )?;
@@ -731,7 +730,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
                     .opt_parse::<u64>("seed")
                     .map_err(CliError::Usage)?
                     .unwrap_or(42),
-                parallel: p.flag("parallel"),
                 only: p.opt("strategy").map(String::from),
             };
             let cards = upin_core::axioms::evaluate_strategies(&s.db, &s.net, s.local, &cfg)?;
@@ -840,7 +838,7 @@ fn usage() -> String {
      \x20 exec \"scion ping ... \"                executes a literal tool command line\n\
      \x20 summary                              campaign scalars + Fig 4\n\
      \x20 evaluate-strategies [--epochs N] [--objective X] [--strategy NAME]\n\
-     \x20           [--parallel]               score all selection strategies on the\n\
+     \x20                                      score all selection strategies on the\n\
      \x20                                      Pareto/stability/fairness axioms\n\
      \x20 longitudinal run [--sim-days D] [--rounds-per-day N] [--retention-hours H]\n\
      \x20       [--schedule FILE] [--parallel] [--workers N] [--out FILE]\n\

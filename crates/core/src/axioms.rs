@@ -20,16 +20,14 @@
 //!   destination near-optimal latency scores 1, one that favors some
 //!   destinations at others' expense scores lower.
 //!
-//! The harness is deterministic: same seed → byte-identical scorecards,
-//! sequential or parallel (per-destination work is independent and the
-//! fold is destination-ordered). Scorecards persist in the
+//! The harness is deterministic: same seed → byte-identical scorecards
+//! (the fold is destination-ordered). Scorecards persist in the
 //! [`crate::schema::STRATEGY_SCORECARDS`] collection and render as the
 //! `report strategies` table.
 
 use crate::collect::destinations;
 use crate::error::{SuiteError, SuiteResult};
 use crate::multi::pareto_front;
-use crate::pool::run_pool;
 use crate::schema::{PathId, STRATEGY_SCORECARDS};
 use crate::select::{Constraints, Objective, UserRequest};
 use crate::strategy::{registry, StrategyContext};
@@ -57,9 +55,6 @@ pub struct EvalConfig {
     pub constraints: Constraints,
     /// Seed for the fault draws and the `random` strategy.
     pub seed: u64,
-    /// Evaluate destinations on a thread pool; the scorecard is
-    /// byte-identical to the sequential one.
-    pub parallel: bool,
     /// Restrict to one strategy (registry key); `None` = all.
     pub only: Option<String>,
 }
@@ -71,7 +66,6 @@ impl Default for EvalConfig {
             objective: Objective::MinLatency,
             constraints: Constraints::default(),
             seed: 42,
-            parallel: false,
             only: None,
         }
     }
@@ -321,29 +315,12 @@ pub fn evaluate_strategies(
         .map(|(id, addr)| (id, addr.ia))
         .collect();
 
-    // Per-destination, per-strategy outcomes. The work items are
-    // independent; parallel mode spreads them over the worker pool,
-    // which hands them back in destination order, so the fold below
-    // sees exactly what the sequential path computes.
-    let workers = if cfg.parallel {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        1
-    };
-    let n_dests = dests.len();
-    let (per_dest, _) = run_pool(dests, workers, |(server_id, ia)| {
-        let masks = liveness_masks(net, local, ia, server_id, cfg);
-        strategies
-            .iter()
-            .map(|s| eval_destination(db, s.as_ref(), server_id, &masks, cfg))
-            .collect::<SuiteResult<Vec<DestOutcome>>>()
-    })?;
-
-    // Destination-ordered fold: transpose to per-strategy outcome rows.
+    // Destination-ordered fold into per-strategy outcome rows.
     let mut rows: Vec<Vec<DestOutcome>> = strategies.iter().map(|_| Vec::new()).collect();
-    for slot in per_dest {
-        for (si, outcome) in slot?.into_iter().enumerate() {
-            rows[si].push(outcome);
+    for &(server_id, ia) in &dests {
+        let masks = liveness_masks(net, local, ia, server_id, cfg);
+        for (row, s) in rows.iter_mut().zip(&strategies) {
+            row.push(eval_destination(db, s.as_ref(), server_id, &masks, cfg)?);
         }
     }
     let mut cards: Vec<Scorecard> = strategies
@@ -358,7 +335,7 @@ pub fn evaluate_strategies(
     });
 
     let rec = db.recorder();
-    rec.add("axioms.destinations", n_dests as u64);
+    rec.add("axioms.destinations", dests.len() as u64);
     rec.add("axioms.strategies", cards.len() as u64);
     Ok(cards)
 }

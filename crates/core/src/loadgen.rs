@@ -15,8 +15,8 @@
 //!   response digest when no concurrent writer races). Same seed ⇒
 //!   byte-identical, pinned by tests and the `serve-smoke` CI job.
 //! * [`LoadgenOutcome::bench_json`] — the wall-clock side (`qps`,
-//!   `p50_us`/`p99_us` from a telemetry histogram), quarantined in
-//!   `BENCH_serve.json` like every other `wall.` metric in this repo.
+//!   `p50_us`/`p99_us` from a telemetry histogram), quarantined in the
+//!   `--bench-out` file like every other `wall.` metric in this repo.
 
 use crate::api::{
     parse_objective, EvaluateConstraintRequest, PathIntelService, RecommendRequest, ServiceRequest,
@@ -32,6 +32,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use upin_telemetry::Telemetry;
+
+/// Most client threads one run may start (`--clients`).
+pub const MAX_CLIENTS: usize = 1_024;
+
+/// Most requests one run may issue over all clients (`--clients` ×
+/// `--requests`). Every stream is synthesized before the timed phase,
+/// so [`run_loadgen`] refuses a larger run before anything is sized by
+/// it.
+pub const MAX_REQUESTS: usize = 10_000_000;
 
 /// One weighted line of a request mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -132,15 +141,24 @@ impl Mix {
         }
     }
 
+    /// The sum of the entry weights a stream rolls against, if it is
+    /// positive and fits the `u32` the roll is drawn in.
+    fn total_weight(&self) -> Result<u32, String> {
+        let total: u64 = self.entries.iter().map(|e| u64::from(e.weight)).sum();
+        match u32::try_from(total) {
+            Ok(0) => Err("mix entries all have weight 0".into()),
+            Ok(total) => Ok(total),
+            Err(_) => Err(format!("mix weights sum to {total}, past {}", u32::MAX)),
+        }
+    }
+
     /// Parse a `--mix FILE` JSON payload.
     pub fn from_json_str(s: &str) -> Result<Mix, String> {
         let mix: Mix = serde_json::from_str(s).map_err(|e| e.to_string())?;
         if mix.entries.is_empty() {
             return Err("mix has no entries".into());
         }
-        if mix.entries.iter().all(|e| e.weight == 0) {
-            return Err("mix entries all have weight 0".into());
-        }
+        mix.total_weight()?;
         for e in &mix.entries {
             match e.kind.as_str() {
                 "recommend" | "showpaths" | "evaluate" | "strategy" | "health" => {}
@@ -195,7 +213,7 @@ impl Default for LoadgenConfig {
 pub struct LoadgenOutcome {
     /// Deterministic report: byte-identical for the same seed + config.
     pub report: String,
-    /// Wall-clock benchmark document (`BENCH_serve.json` payload).
+    /// Wall-clock benchmark document (the `--bench-out` payload).
     pub bench_json: String,
     /// Recommend-queries/second actually sustained.
     pub recommend_qps: f64,
@@ -227,7 +245,7 @@ fn client_stream(
 ) -> SuiteResult<Vec<ServiceRequest>> {
     let mut rng =
         StdRng::seed_from_u64(cfg.seed ^ (client as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let total_weight: u32 = cfg.mix.entries.iter().map(|e| e.weight).sum();
+    let total_weight = cfg.mix.total_weight().map_err(SuiteError::InvalidRequest)?;
     let mut out = Vec::with_capacity(cfg.requests_per_client);
     for _ in 0..cfg.requests_per_client {
         let mut roll = rng.gen_range(0..total_weight);
@@ -310,6 +328,30 @@ pub fn run_loadgen(
             "loadgen needs at least one client and one request".into(),
         ));
     }
+    if cfg.clients > MAX_CLIENTS {
+        return Err(SuiteError::InvalidRequest(format!(
+            "{} clients exceed the limit of {MAX_CLIENTS}",
+            cfg.clients
+        )));
+    }
+    if cfg.requests_per_client > MAX_REQUESTS / cfg.clients {
+        return Err(SuiteError::InvalidRequest(format!(
+            "{} clients x {} requests exceed the limit of {MAX_REQUESTS} requests",
+            cfg.clients, cfg.requests_per_client
+        )));
+    }
+    // Per-client pacing period for the aggregate arrival rate.
+    let period = if cfg.arrival_rate == 0.0 {
+        None
+    } else {
+        let period = Duration::try_from_secs_f64(cfg.clients as f64 / cfg.arrival_rate);
+        Some(period.map_err(|e| {
+            SuiteError::InvalidRequest(format!(
+                "arrival rate {:?} gives no usable pacing period: {e}",
+                cfg.arrival_rate
+            ))
+        })?)
+    };
     let dests: Vec<(u32, String)> = crate::collect::destinations(service.db())?
         .into_iter()
         .map(|(id, addr)| (id, addr.ia.to_string()))
@@ -348,14 +390,6 @@ pub fn run_loadgen(
     let stop_writer = AtomicBool::new(false);
     let writer_iterations = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
-    // Per-client pacing period for the aggregate arrival rate.
-    let period = if cfg.arrival_rate > 0.0 {
-        Some(Duration::from_secs_f64(
-            cfg.clients as f64 / cfg.arrival_rate,
-        ))
-    } else {
-        None
-    };
 
     let started = Instant::now();
     let mut client_results: Vec<(Vec<u64>, u64)> = Vec::new();
@@ -581,6 +615,66 @@ mod tests {
             r#"{"entries": [{"weight": 1, "kind": "recommend", "objective": "vibes"}]}"#
         )
         .is_err());
+    }
+
+    /// The `InvalidRequest` message `run_loadgen` refuses `cfg` with.
+    /// Validation comes before any request is issued, so registered
+    /// servers are all the service needs.
+    fn refused(cfg: LoadgenConfig) -> String {
+        let net = Arc::new(ScionNetwork::new(scionlab_topology(), 42));
+        let db = Arc::new(Database::new());
+        register_available_servers(&db, &net).unwrap();
+        let svc = Arc::new(PathIntelService::new(db, net, MY_AS, 42));
+        match run_loadgen(&svc, svc.as_ref(), &cfg) {
+            Err(SuiteError::InvalidRequest(m)) => m,
+            other => panic!("expected InvalidRequest, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn arrival_rate_without_a_representable_period_is_refused() {
+        // 4 clients / 1e-300 per second is no `Duration`: this panicked.
+        for rate in [1e-300, -1.0, f64::NAN] {
+            let m = refused(LoadgenConfig {
+                arrival_rate: rate,
+                ..LoadgenConfig::default()
+            });
+            assert!(m.contains("arrival rate"), "{m}");
+        }
+    }
+
+    #[test]
+    fn runs_past_the_client_and_request_caps_are_refused() {
+        // A stream capacity past `isize::MAX` aborted the process.
+        let m = refused(LoadgenConfig {
+            requests_per_client: usize::MAX,
+            ..LoadgenConfig::default()
+        });
+        assert!(m.contains("exceed the limit of 10000000 requests"), "{m}");
+        let m = refused(LoadgenConfig {
+            clients: MAX_CLIENTS + 1,
+            requests_per_client: 1,
+            ..LoadgenConfig::default()
+        });
+        assert!(m.contains("exceed the limit of 1024"), "{m}");
+    }
+
+    #[test]
+    fn mix_weights_summing_past_u32_are_refused() {
+        // The sum wrapped to 0 and the roll panicked on an empty range.
+        let wrapping = r#"{"entries": [
+            {"weight": 4294967295, "kind": "recommend"},
+            {"weight": 1, "kind": "health"}
+        ]}"#;
+        let m = Mix::from_json_str(wrapping).unwrap_err();
+        assert!(m.contains("sum to 4294967296"), "{m}");
+        let mut mix = Mix::default_mix();
+        mix.entries[0].weight = u32::MAX;
+        let m = refused(LoadgenConfig {
+            mix,
+            ..LoadgenConfig::default()
+        });
+        assert!(m.contains("mix weights sum to"), "{m}");
     }
 
     #[test]

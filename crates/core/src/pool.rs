@@ -1,6 +1,6 @@
 //! The one bounded worker pool: the measurement runner, the chaos
-//! campaign, the strategy harness and `upin serve` all drain their
-//! independent jobs through [`run_pool`].
+//! campaign and `upin serve` all drain their independent jobs through
+//! [`run_pool`].
 
 use crate::error::{SuiteError, SuiteResult};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -453,9 +453,7 @@ pub fn read_rollup(db: &Database, cfg: &RollupConfig) -> Vec<BucketAgg> {
             fields,
         });
     }
-    out.sort_by(|a, b| {
-        sort_key(&a.group, a.bucket_start_ms).cmp(&sort_key(&b.group, b.bucket_start_ms))
-    });
+    out.sort_by_cached_key(|a| sort_key(&a.group, a.bucket_start_ms));
     out
 }
 
@@ -479,9 +477,7 @@ pub fn fold_reference<'a>(
             fields: cfg.fields.iter().cloned().zip(cell.fields).collect(),
         })
         .collect();
-    out.sort_by(|a, b| {
-        sort_key(&a.group, a.bucket_start_ms).cmp(&sort_key(&b.group, b.bucket_start_ms))
-    });
+    out.sort_by_cached_key(|a| sort_key(&a.group, a.bucket_start_ms));
     out
 }
 

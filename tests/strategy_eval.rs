@@ -1,7 +1,6 @@
 //! End-to-end axiom harness: a recorded campaign evaluated by every
 //! registered strategy, with the determinism contract the scorecard
-//! depends on — same seed means byte-identical results, sequential or
-//! parallel.
+//! depends on — same seed means byte-identical results.
 
 use upin::pathdb::Database;
 use upin::scion_sim::net::ScionNetwork;
@@ -25,11 +24,10 @@ fn campaign(seed: u64) -> (ScionNetwork, Database) {
     (net, db)
 }
 
-fn eval_cfg(parallel: bool) -> EvalConfig {
+fn eval_cfg() -> EvalConfig {
     EvalConfig {
         epochs: 4,
         seed: 42,
-        parallel,
         ..EvalConfig::default()
     }
 }
@@ -39,7 +37,7 @@ fn harness_ranks_the_full_registry_deterministically() {
     let (net, db) = campaign(42);
     let local = upin::scion_sim::topology::scionlab::MY_AS;
 
-    let cards = evaluate_strategies(&db, &net, local, &eval_cfg(false)).unwrap();
+    let cards = evaluate_strategies(&db, &net, local, &eval_cfg()).unwrap();
     assert!(
         cards.len() >= 7,
         "expected >= 7 ranked strategies, got {}",
@@ -63,19 +61,15 @@ fn harness_ranks_the_full_registry_deterministically() {
 
     // Same seed, fresh campaign → byte-identical scorecard.
     let (net2, db2) = campaign(42);
-    let again = evaluate_strategies(&db2, &net2, local, &eval_cfg(false)).unwrap();
+    let again = evaluate_strategies(&db2, &net2, local, &eval_cfg()).unwrap();
     assert_eq!(format!("{cards:?}"), format!("{again:?}"));
-
-    // Parallel evaluation is a pure speedup: bit-identical fold.
-    let par = evaluate_strategies(&db2, &net2, local, &eval_cfg(true)).unwrap();
-    assert_eq!(format!("{cards:?}"), format!("{par:?}"));
 }
 
 #[test]
 fn scorecards_persist_and_render() {
     let (net, db) = campaign(7);
     let local = upin::scion_sim::topology::scionlab::MY_AS;
-    let cfg = eval_cfg(false);
+    let cfg = eval_cfg();
     let cards = evaluate_strategies(&db, &net, local, &cfg).unwrap();
     store_scorecards(&db, &cards, &cfg).unwrap();
 
@@ -100,7 +94,7 @@ fn scorecards_persist_and_render() {
     // are no transitions, so stability is unscored rather than invented.
     let one_epoch = EvalConfig {
         epochs: 1,
-        ..eval_cfg(false)
+        ..eval_cfg()
     };
     let cards1 = evaluate_strategies(&db, &net, local, &one_epoch).unwrap();
     assert!(
