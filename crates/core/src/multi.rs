@@ -89,8 +89,9 @@ impl Weights {
     }
 
     /// Weights arrive from request JSON and `--weight`: a negative,
-    /// NaN or infinite one (`1e999` parses to `inf`) has no meaning as
-    /// a ratio and would turn the scores into NaN.
+    /// NaN or infinite one (JSON `null` reads as NaN, `--weight
+    /// latency=inf` as infinity) has no meaning as a ratio and would
+    /// turn the scores into NaN.
     pub fn validate(&self) -> Result<(), String> {
         match self
             .entries()

@@ -42,6 +42,91 @@ impl fmt::Display for AddrParseError {
 
 impl std::error::Error for AddrParseError {}
 
+/// A stack buffer the address and path types render themselves into, so
+/// one `Display` call costs one `Formatter::write_str` instead of a
+/// nested `write!` per field. The fields are all 16-bit groups — ISD
+/// and interface ids in decimal, ASN groups in hex without leading
+/// zeros.
+pub(crate) struct Text {
+    buf: [u8; Text::CAPACITY],
+    len: usize,
+}
+
+impl Text {
+    const CAPACITY: usize = 256;
+    /// Longest single hop, `>65535 65535-ffff:ffff:ffff 65535`: callers
+    /// rendering an unbounded hop list flush when less than this is left.
+    pub(crate) const HOP: usize = 33;
+
+    pub(crate) fn new() -> Text {
+        Text {
+            buf: [0; Text::CAPACITY],
+            len: 0,
+        }
+    }
+
+    pub(crate) fn room(&self) -> usize {
+        Text::CAPACITY - self.len
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("only ASCII is pushed")
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    /// `n` in `digits` digits of base `RADIX` (a constant, so the
+    /// divisions compile to shifts and multiplications), written in
+    /// place from the last digit backwards.
+    #[inline]
+    fn group<const RADIX: u16>(&mut self, mut n: u16, digits: usize) {
+        let end = self.len + digits;
+        for slot in self.buf[self.len..end].iter_mut().rev() {
+            *slot = b"0123456789abcdef"[usize::from(n % RADIX)];
+            n /= RADIX;
+        }
+        self.len = end;
+    }
+
+    #[inline]
+    pub(crate) fn dec(&mut self, n: u16) {
+        let digits = 1 + [10, 100, 1000, 10000].iter().filter(|&&p| n >= p).count();
+        self.group::<10>(n, digits);
+    }
+
+    #[inline]
+    fn hex(&mut self, n: u16) {
+        let digits = (19 - (n | 1).leading_zeros() as usize) / 4;
+        self.group::<16>(n, digits);
+    }
+
+    /// `16-ffaa:0:1002`
+    #[inline]
+    pub(crate) fn isd_asn(&mut self, ia: IsdAsn) {
+        self.dec(ia.isd.0);
+        self.push(b'-');
+        self.asn(ia.asn);
+    }
+
+    #[inline]
+    fn asn(&mut self, asn: Asn) {
+        let (a, b, c) = asn.groups();
+        self.hex(a);
+        self.push(b':');
+        self.hex(b);
+        self.push(b':');
+        self.hex(c);
+    }
+}
+
 /// An isolation domain number.
 ///
 /// ISDs are SCION's trust and routing-plane partitions; SCIONLab uses
@@ -51,7 +136,9 @@ pub struct Isd(pub u16);
 
 impl fmt::Display for Isd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        let mut text = Text::new();
+        text.dec(self.0);
+        f.write_str(text.as_str())
     }
 }
 
@@ -93,8 +180,9 @@ impl Asn {
 
 impl fmt::Display for Asn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (a, b, c) = self.groups();
-        write!(f, "{a:x}:{b:x}:{c:x}")
+        let mut text = Text::new();
+        text.asn(*self);
+        f.write_str(text.as_str())
     }
 }
 
@@ -141,7 +229,9 @@ impl IsdAsn {
 
 impl fmt::Display for IsdAsn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-{}", self.isd, self.asn)
+        let mut text = Text::new();
+        text.isd_asn(*self);
+        f.write_str(text.as_str())
     }
 }
 
@@ -265,7 +355,9 @@ impl IfaceId {
 
 impl fmt::Display for IfaceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        let mut text = Text::new();
+        text.dec(self.0);
+        f.write_str(text.as_str())
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end SCION paths: hop sequences, hop-predicate strings and
 //! path metadata (`scion showpaths --extended` fields).
 
-use crate::addr::{AddrParseError, IfaceId, IsdAsn};
+use crate::addr::{AddrParseError, IfaceId, IsdAsn, Text};
 use crate::crypto::MacTag;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -29,11 +29,23 @@ impl PathHop {
     }
 }
 
+impl PathHop {
+    /// Canonical hop-predicate form used by `--sequence`:
+    /// `17-ffaa:0:1107#2,5` (ingress,egress).
+    fn render(&self, text: &mut Text) {
+        text.isd_asn(self.ia);
+        text.push(b'#');
+        text.dec(self.ingress.0);
+        text.push(b',');
+        text.dec(self.egress.0);
+    }
+}
+
 impl fmt::Display for PathHop {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Canonical hop-predicate form used by `--sequence`:
-        // `17-ffaa:0:1107#2,5` (ingress,egress).
-        write!(f, "{}#{},{}", self.ia, self.ingress, self.egress)
+        let mut text = Text::new();
+        self.render(&mut text);
+        f.write_str(text.as_str())
     }
 }
 
@@ -146,12 +158,18 @@ impl ScionPath {
     /// `scion ping --sequence '...'` in the paper's test-suite.
     pub fn sequence(&self) -> String {
         let mut s = String::new();
+        let mut text = Text::new();
         for (i, h) in self.hops.iter().enumerate() {
-            if i > 0 {
-                s.push(' ');
+            if text.room() < Text::HOP {
+                s.push_str(text.as_str());
+                text.clear();
             }
-            s.push_str(&h.to_string());
+            if i > 0 {
+                text.push(b' ');
+            }
+            h.render(&mut text);
         }
+        s.push_str(text.as_str());
         s
     }
 
@@ -224,48 +242,13 @@ pub fn route_key(hops: &[PathHop]) -> u64 {
     h.finish()
 }
 
-/// Fixed-capacity `fmt::Write` sink; errors instead of spilling.
-struct StackBuf<const N: usize> {
-    buf: [u8; N],
-    len: usize,
-}
-
-impl<const N: usize> StackBuf<N> {
-    fn new() -> StackBuf<N> {
-        StackBuf {
-            buf: [0; N],
-            len: 0,
-        }
-    }
-
-    fn bytes(&self) -> &[u8] {
-        &self.buf[..self.len]
-    }
-}
-
-impl<const N: usize> fmt::Write for StackBuf<N> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let b = s.as_bytes();
-        if self.len + b.len() > N {
-            return Err(fmt::Error);
-        }
-        self.buf[self.len..self.len + b.len()].copy_from_slice(b);
-        self.len += b.len();
-        Ok(())
-    }
-}
-
 /// Compare two hops by their rendered hop-predicate strings without
-/// allocating. Falls back to heap strings in the (sizing-impossible)
-/// event a rendering overflows the stack buffer.
+/// allocating.
 fn hop_display_cmp(a: &PathHop, b: &PathHop) -> Ordering {
-    use fmt::Write;
-    let mut ba = StackBuf::<48>::new();
-    let mut bb = StackBuf::<48>::new();
-    match (write!(ba, "{a}"), write!(bb, "{b}")) {
-        (Ok(()), Ok(())) => ba.bytes().cmp(bb.bytes()),
-        _ => a.to_string().cmp(&b.to_string()),
-    }
+    let (mut ta, mut tb) = (Text::new(), Text::new());
+    a.render(&mut ta);
+    b.render(&mut tb);
+    ta.as_str().cmp(tb.as_str())
 }
 
 /// Order two paths exactly as comparing their [`ScionPath::sequence`]
@@ -293,16 +276,24 @@ pub fn sequence_cmp(a: &ScionPath, b: &ScionPath) -> Ordering {
 impl fmt::Display for ScionPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // showpaths-like rendering: `A 2>1 B 4>3 C`.
+        let mut text = Text::new();
         for (i, h) in self.hops.iter().enumerate() {
-            if i == 0 {
-                write!(f, "{} {}", h.ia, h.egress)?;
-            } else if i == self.hops.len() - 1 {
-                write!(f, ">{} {}", h.ingress, h.ia)?;
-            } else {
-                write!(f, ">{} {} {}", h.ingress, h.ia, h.egress)?;
+            if text.room() < Text::HOP {
+                f.write_str(text.as_str())?;
+                text.clear();
+            }
+            if i > 0 {
+                text.push(b'>');
+                text.dec(h.ingress.0);
+                text.push(b' ');
+            }
+            text.isd_asn(h.ia);
+            if i == 0 || i < self.hops.len() - 1 {
+                text.push(b' ');
+                text.dec(h.egress.0);
             }
         }
-        Ok(())
+        f.write_str(text.as_str())
     }
 }
 

@@ -1,47 +1,17 @@
 //! Deterministic JSON export, the matching parser, and the
 //! `report telemetry` summary table.
 //!
-//! The writer is hand-rolled (this crate has no dependencies) with a
-//! fixed layout: sorted keys, two-space indentation, shortest-roundtrip
-//! float rendering via `{:?}`, trailing newline. Two exports of equal
-//! registries are byte-identical — that is the contract the CI
+//! The writer is hand-rolled with a fixed layout: sorted keys,
+//! two-space indentation, strings and shortest-roundtrip floats (`{:?}`
+//! text, `null` when not finite) from the workspace's one pair of
+//! scalar writers in `serde::json`, trailing newline. Two exports of
+//! equal registries are byte-identical — that is the contract the CI
 //! `telemetry-smoke` job diffs against.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::metrics::HistogramSummary;
-
-/// Writer primitives shared with the trace exporter.
-pub(crate) mod json {
-    /// JSON string literal with escaping.
-    pub fn write_str(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    /// Shortest-roundtrip float; non-finite values become `null`.
-    pub fn write_f64_or_null(out: &mut String, v: f64) {
-        if v.is_finite() {
-            out.push_str(&format!("{v:?}"));
-        } else {
-            out.push_str("null");
-        }
-    }
-}
 
 /// A parsed (or about-to-be-written) metrics export.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -54,7 +24,7 @@ pub struct MetricsDoc {
 impl MetricsDoc {
     /// Serialize with the fixed deterministic layout.
     pub fn to_json(&self) -> String {
-        use json::{write_f64_or_null, write_str};
+        use serde::json::{write_f64, write_str};
         let mut out = String::new();
         out.push_str("{\n  \"counters\": {");
         for (i, (k, v)) in self.counters.iter().enumerate() {
@@ -75,7 +45,7 @@ impl MetricsDoc {
             out.push_str("    ");
             write_str(&mut out, k);
             out.push_str(": ");
-            write_f64_or_null(&mut out, *v);
+            write_f64(&mut out, *v);
         }
         out.push_str(if self.gauges.is_empty() {
             "},\n"
@@ -91,26 +61,26 @@ impl MetricsDoc {
             out.push_str("      \"count\": ");
             out.push_str(&h.count.to_string());
             out.push_str(",\n      \"sum\": ");
-            write_f64_or_null(&mut out, h.sum);
+            write_f64(&mut out, h.sum);
             out.push_str(",\n      \"min\": ");
-            write_f64_or_null(&mut out, h.min);
+            write_f64(&mut out, h.min);
             out.push_str(",\n      \"max\": ");
-            write_f64_or_null(&mut out, h.max);
+            write_f64(&mut out, h.max);
             out.push_str(",\n      \"p50\": ");
-            write_f64_or_null(&mut out, h.p50);
+            write_f64(&mut out, h.p50);
             out.push_str(",\n      \"p95\": ");
-            write_f64_or_null(&mut out, h.p95);
+            write_f64(&mut out, h.p95);
             out.push_str(",\n      \"p99\": ");
-            write_f64_or_null(&mut out, h.p99);
+            write_f64(&mut out, h.p99);
             out.push_str(",\n      \"buckets\": [");
             for (j, (lo, hi, c)) in h.buckets.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
                 out.push('[');
-                write_f64_or_null(&mut out, *lo);
+                write_f64(&mut out, *lo);
                 out.push_str(", ");
-                write_f64_or_null(&mut out, *hi);
+                write_f64(&mut out, *hi);
                 out.push_str(", ");
                 out.push_str(&c.to_string());
                 out.push(']');

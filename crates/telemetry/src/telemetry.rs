@@ -57,7 +57,7 @@ impl Telemetry {
     /// Deterministic JSON export of the span tree and events, in id
     /// (i.e. start) order.
     pub fn trace_json(&self) -> String {
-        use crate::export::json::{write_f64_or_null, write_str};
+        use serde::json::{write_f64, write_str};
         let inner = self.inner.lock().unwrap();
         let mut out = String::new();
         out.push_str("{\n  \"spans\": [");
@@ -70,9 +70,9 @@ impl Telemetry {
             out.push_str(", \"name\": ");
             write_str(&mut out, &s.name);
             out.push_str(", \"start_ms\": ");
-            write_f64_or_null(&mut out, s.start_ms);
+            write_f64(&mut out, s.start_ms);
             out.push_str(", \"end_ms\": ");
-            write_f64_or_null(&mut out, s.end_ms);
+            write_f64(&mut out, s.end_ms);
             out.push_str(", \"attrs\": ");
             write_attrs(&mut out, &s.attrs);
             out.push('}');
@@ -85,7 +85,7 @@ impl Telemetry {
             out.push_str(", \"name\": ");
             write_str(&mut out, &e.name);
             out.push_str(", \"at_ms\": ");
-            write_f64_or_null(&mut out, e.at_ms);
+            write_f64(&mut out, e.at_ms);
             out.push_str(", \"attrs\": ");
             write_attrs(&mut out, &e.attrs);
             out.push('}');
@@ -117,8 +117,8 @@ impl Telemetry {
 }
 
 fn write_attrs(out: &mut String, attrs: &[(String, crate::span::OwnedAttr)]) {
-    use crate::export::json::{write_f64_or_null, write_str};
     use crate::span::OwnedAttr;
+    use serde::json::{write_f64, write_str};
     out.push('{');
     for (i, (k, v)) in attrs.iter().enumerate() {
         if i > 0 {
@@ -128,7 +128,7 @@ fn write_attrs(out: &mut String, attrs: &[(String, crate::span::OwnedAttr)]) {
         out.push_str(": ");
         match v {
             OwnedAttr::I64(n) => out.push_str(&n.to_string()),
-            OwnedAttr::F64(f) => write_f64_or_null(out, *f),
+            OwnedAttr::F64(f) => write_f64(out, *f),
             OwnedAttr::Str(s) => write_str(out, s),
         }
     }
