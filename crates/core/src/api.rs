@@ -24,7 +24,7 @@ use crate::multi::Weights;
 use crate::schema;
 use crate::select::{Constraints, Objective, PathAggregate, UserRequest};
 use crate::strategy::StrategyContext;
-use pathdb::{Database, Filter};
+use pathdb::{Collection, Database, Filter};
 use scion_sim::addr::{IsdAsn, ScionAddr};
 use scion_sim::net::ScionNetwork;
 use scion_tools::showpaths::ShowpathsOptions;
@@ -707,16 +707,26 @@ impl PathIntelService {
         req: &EvaluateConstraintRequest,
     ) -> Result<ConstraintReport, ServiceError> {
         let server_id = self.resolve_destination(&req.destination)?;
-        let suite = |e: SuiteError| ServiceError::from_suite(&e);
-        // Stored total from the same snapshot family the aggregation
-        // pins — a concurrent campaign cannot skew the funnel.
-        let stored = self
-            .db
-            .read_snapshot(schema::PATHS)
+        self.constraint_funnel(&crate::statcache::pin_pair(&self.db), server_id, req)
+    }
+
+    /// The funnel as one pinned `paths` + `paths_stats` pair shows it:
+    /// `stored` and `matched` are counted in the same `paths` image, so
+    /// a path collection landing mid-request cannot report more matches
+    /// than stored paths.
+    fn constraint_funnel(
+        &self,
+        pins: &(Arc<Collection>, Arc<Collection>),
+        server_id: u32,
+        req: &EvaluateConstraintRequest,
+    ) -> Result<ConstraintReport, ServiceError> {
+        let stored = pins
+            .0
             .query(Filter::eq("server_id", server_id as i64))
             .count();
         let candidates =
-            crate::select::aggregate_paths(&self.db, server_id, &req.constraints).map_err(suite)?;
+            crate::select::aggregate_paths_at(&self.db, pins, server_id, &req.constraints)
+                .map_err(|e| ServiceError::from_suite(&e))?;
         let matched = candidates.len();
         let min_samples = req.constraints.min_samples.max(1);
         let gated: Vec<&PathAggregate> = candidates
@@ -1225,6 +1235,49 @@ mod tests {
             ServiceRequest::from_json_str(&json).unwrap(),
             req(i64::MAX as u64)
         );
+    }
+
+    /// Regression: `stored` came from one pin of `paths` and `matched`
+    /// from a later one, so a path collection landing between the two
+    /// reported a funnel with `matched > stored`.
+    #[test]
+    fn constraint_funnel_counts_stored_and_matched_in_one_pin() {
+        let svc = service();
+        let insert_path = |index: i64| {
+            let doc = pathdb::doc! {
+                "_id" => format!("1_{index}"),
+                "server_id" => 1i64,
+                "path_index" => index,
+                "sequence" => format!("seq-{index}"),
+                "hops" => 5i64,
+            };
+            svc.db
+                .collection(schema::PATHS)
+                .write()
+                .insert_one(doc)
+                .unwrap();
+        };
+        insert_path(0);
+        insert_path(1);
+        let pins = crate::statcache::pin_pair(&svc.db);
+        insert_path(2);
+        for constraints in [
+            Constraints::default(),
+            Constraints {
+                max_hops: Some(9),
+                ..Constraints::default()
+            },
+        ] {
+            let req = EvaluateConstraintRequest {
+                destination: "1".into(),
+                objective: Objective::default(),
+                constraints,
+            };
+            let pinned = svc.constraint_funnel(&pins, 1, &req).unwrap();
+            assert_eq!((pinned.stored, pinned.matched), (2, 2), "{req:?}");
+            let live = svc.evaluate_constraint(&req).unwrap();
+            assert_eq!((live.stored, live.matched), (3, 3), "{req:?}");
+        }
     }
 
     #[test]

@@ -11,8 +11,10 @@
 use crate::analysis::Whisker;
 use crate::error::{SelectionFailure, SuiteError, SuiteResult};
 use crate::schema::{self, PathId, PathMeasurement};
-use pathdb::{Database, Document, Filter, Value};
+use pathdb::{Collection, Database, Document, Filter, Value};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+use upin_telemetry::Recorder;
 
 /// What the user optimizes for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -154,22 +156,23 @@ pub struct Recommendation {
 /// Non-finite samples (NaN, ±inf — e.g. a corrupted stats row) are
 /// excluded per statistic, so one bad value cannot drag a whole mean to
 /// NaN and sink (or, for negated bandwidth objectives, crown) the path.
-/// Every excluded sample increments `*dropped`; callers surface the
-/// total through the `select.samples_dropped` telemetry counter.
+/// Every excluded sample is counted in the `select.samples_dropped`
+/// telemetry counter.
 pub(crate) fn build_aggregate(
+    rec: &dyn Recorder,
     path_id: PathId,
     sequence: String,
     hops: usize,
     ms: &[PathMeasurement],
-    dropped: &mut u64,
 ) -> PathAggregate {
+    let mut dropped = 0u64;
     let mut finite = |field: fn(&PathMeasurement) -> Option<f64>| -> Vec<f64> {
         let mut out = Vec::new();
         for v in ms.iter().filter_map(field) {
             if v.is_finite() {
                 out.push(v);
             } else {
-                *dropped += 1;
+                dropped += 1;
             }
         }
         out
@@ -179,6 +182,9 @@ pub(crate) fn build_aggregate(
     let up = finite(|m| m.bw_up_mtu);
     let down = finite(|m| m.bw_down_mtu);
     let loss = finite(|m| Some(m.loss_pct));
+    if dropped > 0 {
+        rec.add("select.samples_dropped", dropped);
+    }
     let mean = |v: &[f64]| -> Option<f64> {
         if v.is_empty() {
             None
@@ -210,13 +216,23 @@ pub fn aggregate_paths(
     server_id: u32,
     constraints: &Constraints,
 ) -> SuiteResult<Vec<PathAggregate>> {
-    // One pinned snapshot pair serves both the candidate scan and the
-    // aggregate fetch: the two reads can never straddle a concurrent
-    // campaign batch, and the query runs without holding any lock.
-    let (paths_snap, stats_snap) = crate::statcache::pin_pair(db);
+    aggregate_paths_at(db, &crate::statcache::pin_pair(db), server_id, constraints)
+}
+
+/// [`aggregate_paths`] of an explicit [`crate::statcache::pin_pair`].
+/// One pinned snapshot pair serves both the candidate scan and the
+/// aggregate fetch (and whatever else the caller reads from it): the
+/// reads can never straddle a concurrent campaign batch, and the query
+/// runs without holding any lock.
+pub(crate) fn aggregate_paths_at(
+    db: &Database,
+    (paths_snap, stats_snap): &(Arc<Collection>, Arc<Collection>),
+    server_id: u32,
+    constraints: &Constraints,
+) -> SuiteResult<Vec<PathAggregate>> {
     let rec = db.recorder();
     rec.add("select.queries", 1);
-    let aggs = crate::statcache::aggregated_paths_at(db, &paths_snap, &stats_snap, server_id)?;
+    let aggs = crate::statcache::aggregated_paths_at(db, paths_snap, stats_snap, server_id)?;
     if constraints.is_metadata_free() {
         // The cached aggregate map IS the unconstrained candidate set
         // (both are built from the same pinned snapshot pair), so the
@@ -232,19 +248,16 @@ pub fn aggregate_paths(
     let candidates: Vec<&Document> = paths_snap.query(constraints.to_filter(server_id)).refs();
     rec.add("select.candidates", candidates.len() as u64);
     let mut out = Vec::with_capacity(candidates.len());
-    let mut dropped = 0u64;
     for doc in candidates {
         let (path_id, sequence, hops) = schema::parse_path_doc(doc)?;
         out.push(match aggs.get(&path_id) {
             Some(a) => a.clone(),
-            // Raced with an insert between the candidate scan and the
-            // cache read: aggregate with no statistics yet — loss stays
-            // honestly unknown (`None`), not a fabricated 100%.
-            None => build_aggregate(path_id, sequence, hops, &[], &mut dropped),
+            // A `paths` document the aggregate map does not list (it is
+            // built from the same pin, so this is defensive): no
+            // statistics yet — loss stays honestly unknown (`None`),
+            // not a fabricated 100%.
+            None => build_aggregate(&*rec, path_id, sequence, hops, &[]),
         });
-    }
-    if dropped > 0 {
-        rec.add("select.samples_dropped", dropped);
     }
     Ok(out)
 }

@@ -1,37 +1,28 @@
-//! Incremental cache for per-destination measurement groupings.
+//! Incremental cache for what every reader derives from a destination's
+//! `paths_stats` rows: measurements grouped by path, aggregates per path.
 //!
-//! Every figure analysis, the health detector and the selection engine
-//! start from the same expensive step: fetch a destination's
-//! `paths_stats` rows, decode them into [`PathMeasurement`]s and group
-//! them by path. On an interactively queried deployment those requests
-//! repeat against a database that changes rarely — and when a campaign
-//! *is* running, it only appends rows. The cache exploits pathdb's
-//! mutation-version / append-watermark protocol:
+//! Requests repeat against a database that changes rarely, and a
+//! running campaign only appends. So there is one entry per (stats
+//! collection, destination) and one function, [`fetch`], that `match`es
+//! on what pathdb says happened since the entry was filed
+//! ([`Collection::delta_since`]): `Same` → share what the entry holds;
+//! `Appended` → decode only the rows past the remembered watermark,
+//! merge them in, re-derive the aggregates of their paths; `Reshaped`
+//! (updates, deletes) → start over; `Ahead` (the caller's pin is older
+//! than the entry) → start over *beside* the cache and leave the entry
+//! alone. Aggregates also read path metadata, so they remember their
+//! `paths` version too: a newer `paths` rebuilds them from the grouping
+//! the entry has, an older one is again answered beside it.
 //!
-//! * equal [`Collection::mutation_version`] → return the memoized
-//!   grouping (an `Arc` clone; no document is touched),
-//! * append-only delta ([`Collection::is_append_only_since`]) → decode
-//!   only the rows past the remembered watermark and merge them in,
-//! * anything else (updates, deletes) → recompute through the planner.
-//!
-//! Entries are keyed by collection identity (the `Arc` the database
-//! hands out) plus destination id, and hold only a [`Weak`] reference,
-//! so dropping a [`Database`] releases its cached groupings.
-//!
-//! Since the service API landed, every fetch is **version-pinned**: the
-//! cache first pins an MVCC snapshot ([`Collection::read_snapshot`])
-//! and derives the version it files the result under from *that
-//! snapshot* — never from a separate, momentary read of the live
-//! collection. Under a concurrent writer the old protocol could record
-//! version `v` but read data from `v+1`, handing two readers
-//! differently-shaped aggregates for the same version pair; pinning
-//! makes version and data inseparable by construction.
+//! Every fetch is **version-pinned**: it reads MVCC snapshots
+//! ([`Collection::read_snapshot`]) and files what it derives under *their*
+//! versions, never under those of the live, concurrently written collection.
 
 use crate::error::SuiteResult;
-use crate::schema::{PathId, PathMeasurement, PATHS, PATHS_STATS};
-use crate::select::PathAggregate;
+use crate::schema::{parse_path_doc, PathId, PathMeasurement, PATHS, PATHS_STATS};
+use crate::select::{build_aggregate, PathAggregate};
 use parking_lot::{Mutex, RwLock};
-use pathdb::{Collection, CollectionHandle, Database, Filter};
+use pathdb::{Collection, CollectionHandle, Database, Delta, Filter};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -39,159 +30,54 @@ use std::sync::{Arc, OnceLock, Weak};
 /// ordered by timestamp within each path.
 pub type GroupedMeasurements = BTreeMap<PathId, Vec<PathMeasurement>>;
 
+/// Whiskers, mean jitter and mean loss of every path of a destination.
+pub type PathAggregates = BTreeMap<PathId, PathAggregate>;
+
+#[derive(Default)]
 struct Entry {
-    /// The collection this grouping was computed from. `Weak`, so the
-    /// cache never keeps a dropped database alive, and `upgrade` +
-    /// pointer equality guards against an address being reused by a
-    /// different collection.
-    coll: Weak<RwLock<Collection>>,
-    version: u64,
+    /// `Weak`, so the cache never keeps a dropped database alive;
+    /// [`is_live`] guards against its address naming another collection.
+    stats: Weak<RwLock<Collection>>,
+    stats_version: u64,
     watermark: u64,
     grouped: Arc<GroupedMeasurements>,
+    /// Filed once asked for, from `paths` as of `paths_version`, and
+    /// from then on kept at `stats_version` along with `grouped`.
+    aggs: Option<Arc<PathAggregates>>,
+    paths: Weak<RwLock<Collection>>,
+    paths_version: u64,
 }
 
-type CacheMap = HashMap<(usize, u32), Entry>;
+/// Keyed by collection identity (its handle's address) and destination.
+static CACHE: OnceLock<Mutex<HashMap<(usize, u32), Entry>>> = OnceLock::new();
 
-fn cache() -> &'static Mutex<CacheMap> {
-    static CACHE: OnceLock<Mutex<CacheMap>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn is_live(filed: &Weak<RwLock<Collection>>, handle: &CollectionHandle) -> bool {
+    filed.upgrade().is_some_and(|c| Arc::ptr_eq(&c, handle))
 }
 
 /// All measurements of `server_id`, grouped by path and sorted by
-/// timestamp — memoized against the `paths_stats` mutation version.
-///
-/// The returned map is shared: repeated calls on an unchanged database
-/// clone an `Arc`, and an append-only campaign pays only for the rows
-/// it added since the previous call.
+/// timestamp. Shared: an unchanged database costs an `Arc` clone, an
+/// append-only campaign the rows it added since the previous call.
 pub fn grouped_measurements(
     db: &Database,
     server_id: u32,
 ) -> SuiteResult<Arc<GroupedMeasurements>> {
-    let handle = db.collection(PATHS_STATS);
-    let snap = handle.read().read_snapshot();
-    grouped_measurements_at(db, &handle, &snap, server_id)
+    grouped_measurements_at(db, &db.read_snapshot(PATHS_STATS), server_id)
 }
 
-/// Version-pinned grouping fetch: computes from (and files the result
-/// under the version of) the explicit `snap`, which must be a
-/// [`Collection::read_snapshot`] of this database's `paths_stats`
-/// collection. The cache can neither serve data newer than the pin nor
-/// record the pinned data under a newer version — the version and the
-/// data it describes travel together.
+/// [`grouped_measurements`] of an explicit pin of `paths_stats`.
 pub fn grouped_measurements_at(
     db: &Database,
-    handle: &CollectionHandle,
-    snap: &Collection,
+    stats_snap: &Collection,
     server_id: u32,
 ) -> SuiteResult<Arc<GroupedMeasurements>> {
-    let version = snap.mutation_version();
-    let watermark = snap.append_watermark();
-    let key = (Arc::as_ptr(handle) as usize, server_id);
-
-    let rec = db.recorder();
-    let mut map = cache().lock();
-    if let Some(entry) = map.get_mut(&key) {
-        let same_collection = entry
-            .coll
-            .upgrade()
-            .is_some_and(|live| Arc::ptr_eq(&live, handle));
-        if same_collection && entry.version == version {
-            rec.add("statcache.grouped.hit", 1);
-            return Ok(entry.grouped.clone());
-        }
-        if same_collection && entry.version < version && snap.is_append_only_since(entry.version) {
-            // Decode the appended rows before touching the entry, so a
-            // malformed document leaves the cache consistent.
-            let filter = Filter::eq("server_id", server_id as i64);
-            let mut fresh: Vec<PathMeasurement> = Vec::new();
-            for d in snap.iter_from(entry.watermark) {
-                if filter.matches(d) {
-                    fresh.push(PathMeasurement::from_doc(d)?);
-                }
-            }
-            if !fresh.is_empty() {
-                let grouped = Arc::make_mut(&mut entry.grouped);
-                let mut touched: BTreeSet<PathId> = BTreeSet::new();
-                for m in fresh {
-                    touched.insert(m.stat_id.path);
-                    grouped.entry(m.stat_id.path).or_default().push(m);
-                }
-                // Stable sort: earlier rows of a path stay ahead of the
-                // appended ones on timestamp ties, exactly as a full
-                // recompute in insertion order would place them.
-                for path in touched {
-                    if let Some(ms) = grouped.get_mut(&path) {
-                        ms.sort_by_key(|m| m.stat_id.timestamp_ms);
-                    }
-                }
-            }
-            entry.version = version;
-            entry.watermark = watermark;
-            rec.add("statcache.grouped.merge", 1);
-            return Ok(entry.grouped.clone());
-        }
-        if same_collection && entry.version > version {
-            // A concurrent reader already cached a newer image than our
-            // pin. Serve the pinned snapshot without touching the entry:
-            // regressing the cache would re-merge rows it already holds.
-            let grouped = Arc::new(compute(snap, server_id)?);
-            rec.add("statcache.grouped.recompute", 1);
-            rec.add(
-                "statcache.recompute_docs",
-                grouped.values().map(|v| v.len() as u64).sum(),
-            );
-            return Ok(grouped);
-        }
-    }
-
-    let grouped = Arc::new(compute(snap, server_id)?);
-    rec.add("statcache.grouped.recompute", 1);
-    rec.add(
-        "statcache.recompute_docs",
-        grouped.values().map(|v| v.len() as u64).sum(),
-    );
-    map.retain(|_, e| e.coll.upgrade().is_some());
-    map.insert(
-        key,
-        Entry {
-            coll: Arc::downgrade(handle),
-            version,
-            watermark,
-            grouped: grouped.clone(),
-        },
-    );
-    Ok(grouped)
+    Ok(fetch(db, stats_snap, None, server_id)?.0)
 }
 
-struct AggEntry {
-    paths: Weak<RwLock<Collection>>,
-    stats: Weak<RwLock<Collection>>,
-    paths_version: u64,
-    stats_version: u64,
-    aggs: Arc<BTreeMap<PathId, PathAggregate>>,
-}
-
-type AggMap = HashMap<(usize, u32), AggEntry>;
-
-fn agg_cache() -> &'static Mutex<AggMap> {
-    static CACHE: OnceLock<Mutex<AggMap>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Per-path aggregates (whiskers, mean jitter, mean loss) for every
-/// path of `server_id` — the second cache layer, sitting on top of
-/// [`grouped_measurements`]. Keyed on *both* the `paths` and the
-/// `paths_stats` mutation versions: path metadata (hops, sequence,
-/// status) feeds the aggregate just like the measurements do, so a
-/// change to either collection invalidates the entry.
-///
+/// Per-path aggregates of every path `paths` lists for `server_id`.
 /// The selection engine intersects this constraint-independent map with
-/// whatever candidate set the user's constraints produce, which keeps
-/// one cache entry serving every `Constraints` variation.
-pub fn aggregated_paths(
-    db: &Database,
-    server_id: u32,
-) -> SuiteResult<Arc<BTreeMap<PathId, PathAggregate>>> {
+/// its candidate set, so one entry serves every `Constraints` variation.
+pub fn aggregated_paths(db: &Database, server_id: u32) -> SuiteResult<Arc<PathAggregates>> {
     let (paths_snap, stats_snap) = pin_pair(db);
     aggregated_paths_at(db, &paths_snap, &stats_snap, server_id)
 }
@@ -202,90 +88,134 @@ pub fn pin_pair(db: &Database) -> (Arc<Collection>, Arc<Collection>) {
     (db.read_snapshot(PATHS), db.read_snapshot(PATHS_STATS))
 }
 
-/// Version-pinned aggregate fetch: both the path metadata and the
-/// measurement rows come from the explicit snapshot pair, and the cache
-/// entry is filed under *those snapshots'* versions. Two readers asking
-/// for the same version pair therefore always receive identically
-/// shaped aggregates, no matter what a concurrent campaign is writing —
-/// snapshot data for a given version pair is immutable.
+/// [`aggregated_paths`] of an explicit [`pin_pair`]: readers of one
+/// version pair get identical aggregates, whatever a campaign is writing.
 pub fn aggregated_paths_at(
     db: &Database,
     paths_snap: &Collection,
     stats_snap: &Collection,
     server_id: u32,
-) -> SuiteResult<Arc<BTreeMap<PathId, PathAggregate>>> {
-    let paths_handle = db.collection(PATHS);
-    let stats_handle = db.collection(PATHS_STATS);
-    let paths_version = paths_snap.mutation_version();
-    let stats_version = stats_snap.mutation_version();
-    let key = (Arc::as_ptr(&paths_handle) as usize, server_id);
-
-    let mut entry_is_newer = false;
-    {
-        let map = agg_cache().lock();
-        if let Some(entry) = map.get(&key) {
-            let same_paths = entry
-                .paths
-                .upgrade()
-                .is_some_and(|live| Arc::ptr_eq(&live, &paths_handle));
-            let same_stats = entry
-                .stats
-                .upgrade()
-                .is_some_and(|live| Arc::ptr_eq(&live, &stats_handle));
-            if same_paths && same_stats {
-                if entry.paths_version == paths_version && entry.stats_version == stats_version {
-                    db.recorder().add("statcache.agg.hit", 1);
-                    return Ok(entry.aggs.clone());
-                }
-                // Don't evict an entry a concurrent reader filed for a
-                // newer pair: serve the pinned request off-cache instead.
-                entry_is_newer =
-                    entry.paths_version >= paths_version && entry.stats_version >= stats_version;
-            }
-        }
-    }
-    db.recorder().add("statcache.agg.recompute", 1);
-
-    // `grouped_measurements_at` takes the grouping cache's own mutex;
-    // keep the aggregate cache unlocked meanwhile.
-    let grouped = grouped_measurements_at(db, &stats_handle, stats_snap, server_id)?;
-    let mut aggs = BTreeMap::new();
-    let mut dropped = 0u64;
-    for d in paths_snap
-        .query(Filter::eq("server_id", server_id as i64))
-        .refs()
-    {
-        let (path_id, sequence, hops) = crate::schema::parse_path_doc(d)?;
-        let ms = grouped.get(&path_id).map(Vec::as_slice).unwrap_or(&[]);
-        aggs.insert(
-            path_id,
-            crate::select::build_aggregate(path_id, sequence, hops, ms, &mut dropped),
-        );
-    }
-    if dropped > 0 {
-        db.recorder().add("select.samples_dropped", dropped);
-    }
-    let aggs = Arc::new(aggs);
-    if !entry_is_newer {
-        let mut map = agg_cache().lock();
-        map.retain(|_, e| e.paths.upgrade().is_some());
-        map.insert(
-            key,
-            AggEntry {
-                paths: Arc::downgrade(&paths_handle),
-                stats: Arc::downgrade(&stats_handle),
-                paths_version,
-                stats_version,
-                aggs: aggs.clone(),
-            },
-        );
-    }
-    Ok(aggs)
+) -> SuiteResult<Arc<PathAggregates>> {
+    let (_, aggs) = fetch(db, stats_snap, Some(paths_snap), server_id)?;
+    Ok(aggs.expect("a paths pin is answered with aggregates"))
 }
 
-/// Full grouping through the query planner (`server_id` is indexed by
-/// [`crate::schema::ensure_indexes`], so this is a point lookup, not a
-/// collection scan).
+/// The one state machine: bring the destination's entry to the pinned
+/// `stats` (and `paths`), or leave it be and answer an older pin beside it.
+fn fetch(
+    db: &Database,
+    stats: &Collection,
+    paths: Option<&Collection>,
+    server_id: u32,
+) -> SuiteResult<(Arc<GroupedMeasurements>, Option<Arc<PathAggregates>>)> {
+    let rec = db.recorder();
+    let filter = || Filter::eq("server_id", server_id as i64);
+    let handle = db.collection(PATHS_STATS);
+    let paths = paths.map(|snap| (db.collection(PATHS), snap));
+    let aggregate = |e: &mut Entry| -> SuiteResult<()> {
+        let Some((handle, paths)) = &paths else {
+            return Ok(());
+        };
+        rec.add("statcache.agg.recompute", 1);
+        let mut by_path = BTreeMap::new();
+        for d in paths.query(filter()).refs() {
+            let (id, sequence, hops) = parse_path_doc(d)?;
+            let ms = e.grouped.get(&id).map_or(&[][..], Vec::as_slice);
+            by_path.insert(id, build_aggregate(&*rec, id, sequence, hops, ms));
+        }
+        e.aggs = Some(Arc::new(by_path));
+        (e.paths, e.paths_version) = (Arc::downgrade(handle), paths.mutation_version());
+        Ok(())
+    };
+    // Pinned `paths` against what `e`'s aggregates were built from.
+    let paths_delta = |e: &Entry| {
+        let (handle, paths) = paths.as_ref()?;
+        let filed = e.aggs.is_some() && is_live(&e.paths, handle);
+        filed.then(|| paths.delta_since(e.paths_version))
+    };
+    let answer = |e: &Entry| (e.grouped.clone(), e.aggs.clone());
+    // One lock from decision to filing: no rebuild is paid for twice.
+    let mut map = CACHE.get_or_init(Default::default).lock();
+    let key = (Arc::as_ptr(&handle) as usize, server_id);
+    let entry = map.entry(key).or_default();
+    // Never filed, or for a collection that is gone: as good as reshaped.
+    let filed = is_live(&entry.stats, &handle).then(|| stats.delta_since(entry.stats_version));
+    match filed.unwrap_or(Delta::Reshaped) {
+        Delta::Same if paths_delta(entry) == Some(Delta::Same) => {
+            rec.add("statcache.agg.hit", 1);
+            return Ok(answer(entry));
+        }
+        Delta::Same => rec.add("statcache.grouped.hit", 1),
+        Delta::Appended => {
+            // Decode first: a malformed document leaves the entry whole.
+            let (appended, filter) = (stats.iter_from(entry.watermark), filter());
+            let fresh = (appended.filter(|d| filter.matches(d)))
+                .map(PathMeasurement::from_doc)
+                .collect::<SuiteResult<Vec<_>>>()?;
+            if !fresh.is_empty() {
+                let grouped = Arc::make_mut(&mut entry.grouped);
+                let touched: BTreeSet<PathId> = fresh.iter().map(|m| m.stat_id.path).collect();
+                for m in fresh {
+                    grouped.entry(m.stat_id.path).or_default().push(m);
+                }
+                let mut aggs = entry.aggs.as_mut().map(Arc::make_mut);
+                for path in touched {
+                    let ms = grouped.get_mut(&path).expect("a row was just pushed");
+                    // Stable: on timestamp ties earlier rows stay ahead
+                    // of appended ones, as a full recompute places them.
+                    ms.sort_by_key(|m| m.stat_id.timestamp_ms);
+                    // A path `paths` does not list has no aggregate.
+                    if let Some(agg) = aggs.as_mut().and_then(|aggs| aggs.get_mut(&path)) {
+                        let sequence = std::mem::take(&mut agg.sequence);
+                        *agg = build_aggregate(&*rec, path, sequence, agg.hops, ms);
+                    }
+                }
+            }
+            entry.stats_version = stats.mutation_version();
+            entry.watermark = stats.append_watermark();
+            rec.add("statcache.grouped.merge", 1);
+        }
+        delta @ (Delta::Reshaped | Delta::Ahead) => {
+            let grouped = compute(stats, server_id)?;
+            rec.add("statcache.grouped.recompute", 1);
+            let rows = grouped.values().map(|v| v.len() as u64).sum();
+            rec.add("statcache.recompute_docs", rows);
+            let mut fresh = Entry {
+                stats: Arc::downgrade(&handle),
+                stats_version: stats.mutation_version(),
+                watermark: stats.append_watermark(),
+                grouped: Arc::new(grouped),
+                ..Entry::default()
+            };
+            aggregate(&mut fresh)?;
+            let answer = answer(&fresh);
+            // `Ahead`: a later reader filed a newer image than this
+            // pin, and regressing it would re-merge rows it holds.
+            if delta == Delta::Reshaped {
+                *entry = fresh;
+                map.retain(|_, e| e.stats.strong_count() > 0);
+            }
+            return Ok(answer);
+        }
+    }
+    // `grouped` is at the pin; so is `aggs`, for *its* `paths` version.
+    match paths_delta(entry) {
+        Some(Delta::Same) => rec.add("statcache.agg.recompute", 1),
+        Some(Delta::Ahead) => {
+            let mut beside = Entry {
+                grouped: entry.grouped.clone(),
+                ..Entry::default()
+            };
+            aggregate(&mut beside)?;
+            return Ok(answer(&beside));
+        }
+        // (Without a `paths` pin there is nothing to compare, or to do.)
+        Some(Delta::Appended | Delta::Reshaped) | None => aggregate(entry)?,
+    }
+    Ok(answer(entry))
+}
+
+/// Full grouping, an index point lookup ([`crate::schema::ensure_indexes`]).
 fn compute(coll: &Collection, server_id: u32) -> SuiteResult<GroupedMeasurements> {
     let mut grouped: GroupedMeasurements = BTreeMap::new();
     for d in coll.query(Filter::eq("server_id", server_id as i64)).refs() {
@@ -527,6 +457,45 @@ mod tests {
         // ...without evicting the newer entry.
         let live2 = aggregated_paths(&db, 1).unwrap();
         assert!(Arc::ptr_eq(&live, &live2));
+    }
+
+    /// A re-created collection restarts its version counter, so equal
+    /// versions alone would serve what was filed for its predecessor;
+    /// the `Weak` + pointer guard ([`is_live`]) is what tells them apart.
+    #[test]
+    fn dropped_and_recreated_collection_never_hits_a_stale_entry() {
+        let db = Database::new();
+        let pid = PathId {
+            server_id: 1,
+            path_index: 0,
+        };
+        insert_path(&db, 1, 0, 5);
+        insert(&db, &measurement(1, 0, 1000, 20.0));
+        assert_eq!(aggregated_paths(&db, 1).unwrap()[&pid].hops, 5);
+        let (paths_was, stats_was) = pin_pair(&db);
+
+        // `paths` again, same version, other content.
+        assert!(db.drop_collection(PATHS));
+        insert_path(&db, 1, 0, 9);
+        assert_eq!(
+            db.read_snapshot(PATHS).mutation_version(),
+            paths_was.mutation_version()
+        );
+        assert_eq!(aggregated_paths(&db, 1).unwrap()[&pid].hops, 9);
+
+        // `paths_stats` again, same version, other content.
+        assert!(db.drop_collection(PATHS_STATS));
+        insert(&db, &measurement(1, 0, 1000, 80.0));
+        assert_eq!(
+            db.read_snapshot(PATHS_STATS).mutation_version(),
+            stats_was.mutation_version()
+        );
+        assert_eq!(
+            grouped_measurements(&db, 1).unwrap()[&pid][0].avg_latency_ms,
+            Some(80.0)
+        );
+        let aggs = aggregated_paths(&db, 1).unwrap();
+        assert_eq!(aggs[&pid].latency.as_ref().unwrap().mean, 80.0);
     }
 
     #[test]

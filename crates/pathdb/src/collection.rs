@@ -11,6 +11,7 @@ use crate::update::Update;
 use crate::value::Value;
 use crate::wal::{Wal, WalOpRef};
 use parking_lot::Mutex;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -134,6 +135,26 @@ pub struct Collection {
     snap: Mutex<Option<SnapEntry>>,
 }
 
+/// How a collection (or a pinned image of one) differs from the state a
+/// consumer remembers by its [`Collection::mutation_version`] — the
+/// answer of [`Collection::delta_since`], and the whole protocol of
+/// folding rows incrementally: share on `Same`, fold the rows past the
+/// remembered [`Collection::append_watermark`] on `Appended`, start
+/// over on `Reshaped`, and on `Ahead` leave the remembered state alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delta {
+    /// Nothing changed.
+    Same,
+    /// Only inserts: every document the consumer saw is intact, the new
+    /// ones are [`Collection::iter_from`] its watermark.
+    Appended,
+    /// An update or a delete touched what the consumer saw.
+    Reshaped,
+    /// The consumer remembers a *newer* version than this image has: a
+    /// reader holding an old pin met state a later reader left behind.
+    Ahead,
+}
+
 /// The snapshot memo: the last pinned image plus the version/watermark
 /// it reflects, so the next pin can tell hit from append from reshape.
 #[derive(Debug)]
@@ -237,12 +258,17 @@ impl Collection {
         self.next_seq
     }
 
-    /// Whether every mutation since the snapshot `version` was a pure
-    /// append — no document the snapshot saw was updated or deleted,
-    /// so incremental consumers only need the documents past their
-    /// watermark.
-    pub fn is_append_only_since(&self, version: u64) -> bool {
-        self.last_reshape_version <= version
+    /// What happened to this collection since a consumer last looked, at
+    /// `version`. Every incremental consumer `match`es on the answer —
+    /// the snapshot memo below, `upin-core`'s stats cache — so a new
+    /// kind of delta cannot be added without each of them handling it.
+    pub fn delta_since(&self, version: u64) -> Delta {
+        match version.cmp(&self.version) {
+            Ordering::Equal => Delta::Same,
+            Ordering::Greater => Delta::Ahead,
+            Ordering::Less if self.last_reshape_version <= version => Delta::Appended,
+            Ordering::Less => Delta::Reshaped,
+        }
     }
 
     /// Iterate documents whose insertion sequence is `>= watermark`,
@@ -269,7 +295,7 @@ impl Collection {
     /// * **hit** — version unchanged since the memoized image: a
     ///   refcount bump, no copying at all;
     /// * **merge** — pure appends since the memo
-    ///   ([`Collection::is_append_only_since`]): only the documents past
+    ///   ([`Delta::Appended`]): only the documents past
     ///   the memo's watermark are replayed onto the image (copy-on-write:
     ///   if other readers still pin the old image, it is copied first, so
     ///   a pinned snapshot never changes underneath its holder);
@@ -280,30 +306,36 @@ impl Collection {
     pub fn read_snapshot(&self) -> Arc<Collection> {
         let mut slot = self.snap.lock();
         if let Some(entry) = slot.as_mut() {
-            if entry.version == self.version {
-                self.rec().add("pathdb.snapshot.hit", 1);
-                return Arc::clone(&entry.image);
-            }
-            if self.is_append_only_since(entry.version) {
-                let image = Arc::make_mut(&mut entry.image);
-                let mut appended = 0u64;
-                for (&seq, doc) in self.docs.range(entry.watermark..) {
-                    if let Some(id) = doc.get("_id") {
-                        image.primary.insert(id.index_key(), seq);
-                    }
-                    image.index_insert(seq, doc);
-                    image.docs.insert(seq, doc.clone());
-                    appended += 1;
+            match self.delta_since(entry.version) {
+                Delta::Same => {
+                    self.rec().add("pathdb.snapshot.hit", 1);
+                    return Arc::clone(&entry.image);
                 }
-                image.next_seq = self.next_seq;
-                image.next_auto_id = self.next_auto_id;
-                image.version = self.version;
-                image.last_reshape_version = self.last_reshape_version;
-                entry.version = self.version;
-                entry.watermark = self.next_seq;
-                self.rec().add("pathdb.snapshot.merge", 1);
-                self.rec().add("pathdb.snapshot.merge_docs", appended);
-                return Arc::clone(&entry.image);
+                Delta::Appended => {
+                    let image = Arc::make_mut(&mut entry.image);
+                    let mut appended = 0u64;
+                    for (&seq, doc) in self.docs.range(entry.watermark..) {
+                        if let Some(id) = doc.get("_id") {
+                            image.primary.insert(id.index_key(), seq);
+                        }
+                        image.index_insert(seq, doc);
+                        image.docs.insert(seq, doc.clone());
+                        appended += 1;
+                    }
+                    image.next_seq = self.next_seq;
+                    image.next_auto_id = self.next_auto_id;
+                    image.version = self.version;
+                    image.last_reshape_version = self.last_reshape_version;
+                    entry.version = self.version;
+                    entry.watermark = self.next_seq;
+                    self.rec().add("pathdb.snapshot.merge", 1);
+                    self.rec().add("pathdb.snapshot.merge_docs", appended);
+                    return Arc::clone(&entry.image);
+                }
+                // The memo is this collection's own and versions only
+                // grow, so it is never ahead; a fresh copy is right
+                // either way.
+                Delta::Reshaped | Delta::Ahead => {}
             }
         }
         let image = Arc::new(self.clone());
@@ -1241,7 +1273,7 @@ mod tests {
         let w = c.append_watermark();
         c.insert_many(vec![doc! { "x" => 2i64 }, doc! { "x" => 3i64 }])
             .unwrap();
-        assert!(c.is_append_only_since(v1));
+        assert_eq!(c.delta_since(v1), Delta::Appended);
         let appended: Vec<i64> = c
             .iter_from(w)
             .map(|d| d.get("x").and_then(Value::as_int).unwrap())
@@ -1250,8 +1282,9 @@ mod tests {
         // An update is a reshape: append-only no longer holds.
         let v2 = c.mutation_version();
         c.update_many(&Filter::eq("x", 1i64), &Update::new().set("x", 9i64));
-        assert!(!c.is_append_only_since(v2));
-        assert!(c.is_append_only_since(c.mutation_version()));
+        assert_eq!(c.delta_since(v2), Delta::Reshaped);
+        assert_eq!(c.delta_since(c.mutation_version()), Delta::Same);
+        assert_eq!(c.delta_since(c.mutation_version() + 1), Delta::Ahead);
         // No-op mutations do not bump the version.
         let v3 = c.mutation_version();
         c.delete_many(&Filter::eq("x", 999i64));
@@ -1385,7 +1418,8 @@ mod tests {
         assert_eq!(old.len(), 5);
         assert_eq!(mid.len(), 6);
         assert_eq!(new.len(), 4);
-        assert!(new.is_append_only_since(new.mutation_version()));
+        assert_eq!(new.delta_since(new.mutation_version()), Delta::Same);
+        assert_eq!(old.delta_since(new.mutation_version()), Delta::Ahead);
     }
 
     #[test]

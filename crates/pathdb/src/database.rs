@@ -267,15 +267,6 @@ impl Database {
         self.collection(name).read().read_snapshot()
     }
 
-    /// Like [`Database::read_snapshot`], but never waits on a writer:
-    /// if the collection's lock is write-held (e.g. mid
-    /// `insert_many`), returns `None` and the caller keeps serving its
-    /// previously pinned image. This is the serve-path read primitive —
-    /// readers never block on, or observe, a half-applied batch.
-    pub fn try_read_snapshot(&self, name: &str) -> Option<Arc<Collection>> {
-        self.collection(name).try_read().map(|c| c.read_snapshot())
-    }
-
     /// Attach a telemetry recorder to this database and every existing
     /// collection; collections created later inherit it. Pass `None`
     /// to detach (back to the no-op recorder).

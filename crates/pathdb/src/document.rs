@@ -146,7 +146,9 @@ fn set_path_inner(doc: &mut Document, parts: &[&str], value: Value) {
 
 impl fmt::Display for Document {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", Value::Doc(self.clone()).to_json())
+        let mut out = String::new();
+        crate::value::write_json_doc(&mut out, self);
+        f.write_str(&out)
     }
 }
 

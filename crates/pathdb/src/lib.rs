@@ -59,7 +59,7 @@ pub mod value;
 pub mod wal;
 
 pub use builder::Query;
-pub use collection::Collection;
+pub use collection::{Collection, Delta};
 pub use database::{
     CollectionHandle, Database, Durability, OpenOptions, RecoveryReport, RetentionPolicy,
 };

@@ -7,11 +7,14 @@
 //!
 //! A [`RollupConfig`] names a source collection, a destination
 //! collection, a numeric time field, a bucket width, the group-by
-//! fields and the numeric fields to aggregate. [`catch_up`] rides the
-//! mutation-version/append-watermark protocol the statcache already
-//! uses: the destination stores a meta document carrying the source
-//! *append watermark* it has folded through, and each catch-up folds
-//! only the source documents past that watermark. The updated
+//! fields and the numeric fields to aggregate. [`catch_up`] keeps a
+//! *durable* watermark of its own: the destination stores a meta
+//! document carrying the source [`Collection::append_watermark`] it
+//! has folded through, and each catch-up folds only the source
+//! documents past it. It never reads a mutation version, so it is not
+//! a consumer of [`Collection::delta_since`] (the in-memory protocol of
+//! the snapshot memo and `upin-core`'s stats cache); what stands in
+//! for `Reshaped` here is the two contracts below. The updated
 //! aggregate rows **and** the advanced watermark are committed through
 //! [`crate::Collection::upsert_many`] as one WAL group, so a crash
 //! either lands the whole fold or none of it — recovery can never

@@ -8,6 +8,8 @@
 //! equal registries are byte-identical — that is the contract the CI
 //! `telemetry-smoke` job diffs against.
 
+use serde::json::{write_f64, write_str, write_u64};
+use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -24,127 +26,63 @@ pub struct MetricsDoc {
 impl MetricsDoc {
     /// Serialize with the fixed deterministic layout.
     pub fn to_json(&self) -> String {
-        use serde::json::{write_f64, write_str};
-        let mut out = String::new();
-        out.push_str("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            write_str(&mut out, k);
-            out.push_str(": ");
-            out.push_str(&v.to_string());
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
+        let mut out = String::from("{\n");
+        section(&mut out, "counters", &self.counters, |out, v| {
+            write_u64(out, *v)
         });
-        out.push_str("  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            write_str(&mut out, k);
-            out.push_str(": ");
-            write_f64(&mut out, *v);
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
+        out.push_str(",\n");
+        section(&mut out, "gauges", &self.gauges, |out, v| {
+            write_f64(out, *v)
         });
-        out.push_str("  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            write_str(&mut out, k);
-            out.push_str(": {\n");
-            out.push_str("      \"count\": ");
-            out.push_str(&h.count.to_string());
-            out.push_str(",\n      \"sum\": ");
-            write_f64(&mut out, h.sum);
-            out.push_str(",\n      \"min\": ");
-            write_f64(&mut out, h.min);
-            out.push_str(",\n      \"max\": ");
-            write_f64(&mut out, h.max);
-            out.push_str(",\n      \"p50\": ");
-            write_f64(&mut out, h.p50);
-            out.push_str(",\n      \"p95\": ");
-            write_f64(&mut out, h.p95);
-            out.push_str(",\n      \"p99\": ");
-            write_f64(&mut out, h.p99);
+        out.push_str(",\n");
+        section(&mut out, "histograms", &self.histograms, |out, h| {
+            out.push_str("{\n      \"count\": ");
+            write_u64(out, h.count);
+            let names = ["sum", "min", "max", "p50", "p95", "p99"];
+            for (name, v) in names.iter().zip([h.sum, h.min, h.max, h.p50, h.p95, h.p99]) {
+                out.push_str(&format!(",\n      \"{name}\": "));
+                write_f64(out, v);
+            }
             out.push_str(",\n      \"buckets\": [");
             for (j, (lo, hi, c)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push('[');
-                write_f64(&mut out, *lo);
+                out.push_str(if j == 0 { "[" } else { ", [" });
+                write_f64(out, *lo);
                 out.push_str(", ");
-                write_f64(&mut out, *hi);
+                write_f64(out, *hi);
                 out.push_str(", ");
-                out.push_str(&c.to_string());
+                write_u64(out, *c);
                 out.push(']');
             }
             out.push_str("]\n    }");
-        }
-        out.push_str(if self.histograms.is_empty() {
-            "}\n}\n"
-        } else {
-            "\n  }\n}\n"
         });
+        out.push_str("\n}\n");
         out
     }
 
-    /// Parse an export produced by [`MetricsDoc::to_json`] (any valid
-    /// JSON with the same shape is accepted).
+    /// Parse an export produced by [`MetricsDoc::to_json`]: any JSON of
+    /// that shape, unknown keys ignored. The file is untrusted, so it
+    /// is read by the workspace's one JSON reader (`serde_json`:
+    /// bounded nesting, strict numbers and escapes, exact `u64`
+    /// counters) and every defect is a [`ParseError`].
     pub fn parse(text: &str) -> Result<MetricsDoc, ParseError> {
-        let value = Parser::new(text).parse_document()?;
-        let top = value.as_obj("top-level")?;
+        let root: Value =
+            serde_json::from_str(text).map_err(|e| ParseError { msg: e.to_string() })?;
         let mut doc = MetricsDoc::default();
-        for (key, v) in top {
+        for (key, v) in object(&root, "top-level")? {
             match key.as_str() {
                 "counters" => {
-                    for (name, n) in v.as_obj("counters")? {
-                        doc.counters.insert(name.clone(), n.as_u64(name)?);
+                    for (name, n) in object(v, key)? {
+                        doc.counters.insert(name.clone(), as_u64(n, name)?);
                     }
                 }
                 "gauges" => {
-                    for (name, n) in v.as_obj("gauges")? {
-                        doc.gauges.insert(name.clone(), n.as_f64(name)?);
+                    for (name, n) in object(v, key)? {
+                        doc.gauges.insert(name.clone(), as_f64(n, name)?);
                     }
                 }
                 "histograms" => {
-                    for (name, h) in v.as_obj("histograms")? {
-                        let fields = h.as_obj(name)?;
-                        let mut s = HistogramSummary::default();
-                        for (f, fv) in fields {
-                            match f.as_str() {
-                                "count" => s.count = fv.as_u64(f)?,
-                                "sum" => s.sum = fv.as_f64(f)?,
-                                "min" => s.min = fv.as_f64(f)?,
-                                "max" => s.max = fv.as_f64(f)?,
-                                "p50" => s.p50 = fv.as_f64(f)?,
-                                "p95" => s.p95 = fv.as_f64(f)?,
-                                "p99" => s.p99 = fv.as_f64(f)?,
-                                "buckets" => {
-                                    for b in fv.as_arr(f)? {
-                                        let triple = b.as_arr("bucket")?;
-                                        if triple.len() != 3 {
-                                            return Err(ParseError::shape(
-                                                "bucket is not a [lo, hi, count] triple",
-                                            ));
-                                        }
-                                        s.buckets.push((
-                                            triple[0].as_f64("bucket lo")?,
-                                            triple[1].as_f64("bucket hi")?,
-                                            triple[2].as_u64("bucket count")?,
-                                        ));
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        doc.histograms.insert(name.clone(), s);
+                    for (name, h) in object(v, key)? {
+                        doc.histograms.insert(name.clone(), histogram(h, name)?);
                     }
                 }
                 _ => {}
@@ -204,14 +142,6 @@ pub struct ParseError {
     msg: String,
 }
 
-impl ParseError {
-    fn shape(msg: &str) -> ParseError {
-        ParseError {
-            msg: msg.to_string(),
-        }
-    }
-}
-
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "metrics parse error: {}", self.msg)
@@ -220,254 +150,82 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-// ---- a minimal JSON reader (numbers, strings, arrays, objects) -------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// One `"name": { "key": value, ... }` member of the export, `value`
+/// writing what follows each key.
+fn section<V>(
+    out: &mut String,
+    name: &str,
+    map: &BTreeMap<String, V>,
+    value: impl Fn(&mut String, &V),
+) {
+    out.push_str(&format!("  \"{name}\": {{"));
+    for (i, (k, v)) in map.iter().enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        write_str(out, k);
+        out.push_str(": ");
+        value(out, v);
+    }
+    out.push_str(if map.is_empty() { "}" } else { "\n  }" });
 }
 
-impl Json {
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], ParseError> {
-        match self {
-            Json::Obj(fields) => Ok(fields),
-            _ => Err(ParseError {
-                msg: format!("{what}: expected an object"),
-            }),
-        }
-    }
+// ---- reading the value tree ---------------------------------------------
 
-    fn as_arr(&self, what: &str) -> Result<&[Json], ParseError> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            _ => Err(ParseError {
-                msg: format!("{what}: expected an array"),
-            }),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, ParseError> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            Json::Null => Ok(f64::NAN),
-            _ => Err(ParseError {
-                msg: format!("{what}: expected a number"),
-            }),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, ParseError> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-            _ => Err(ParseError {
-                msg: format!("{what}: expected a non-negative integer"),
-            }),
-        }
+fn expected(what: &str, wanted: &str) -> ParseError {
+    ParseError {
+        msg: format!("{what}: expected {wanted}"),
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn object<'a>(v: &'a Value, what: &str) -> Result<&'a Map, ParseError> {
+    v.as_object().ok_or_else(|| expected(what, "an object"))
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
+fn array<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], ParseError> {
+    (v.as_array().map(Vec::as_slice)).ok_or_else(|| expected(what, "an array"))
+}
 
-    fn parse_document(mut self) -> Result<Json, ParseError> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(ParseError::shape("trailing data after document"));
-        }
-        Ok(v)
+/// `null` is how the writer spells a non-finite float.
+fn as_f64(v: &Value, what: &str) -> Result<f64, ParseError> {
+    match v {
+        Value::Null => Ok(f64::NAN),
+        Value::Number(n) => n.as_f64().ok_or_else(|| expected(what, "a number")),
+        _ => Err(expected(what, "a number")),
     }
+}
 
-    fn err(&self, msg: &str) -> ParseError {
-        ParseError {
-            msg: format!("{msg} at byte {}", self.pos),
-        }
-    }
+fn as_u64(v: &Value, what: &str) -> Result<u64, ParseError> {
+    let n = match v {
+        Value::Number(n) => n.as_u64(),
+        _ => None,
+    };
+    n.ok_or_else(|| expected(what, "a non-negative integer"))
+}
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8, what: &str) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(what))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.eat(b'{', "expected '{'")?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':', "expected ':'")?;
-            let v = self.value()?;
-            fields.push((key, v));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.eat(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.eat(b'"', "expected '\"'")?;
-        let mut s = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
+fn histogram(v: &Value, name: &str) -> Result<HistogramSummary, ParseError> {
+    let mut h = HistogramSummary::default();
+    for (field, v) in object(v, name)? {
+        match field.as_str() {
+            "count" => h.count = as_u64(v, field)?,
+            "sum" => h.sum = as_f64(v, field)?,
+            "min" => h.min = as_f64(v, field)?,
+            "max" => h.max = as_f64(v, field)?,
+            "p50" => h.p50 = as_f64(v, field)?,
+            "p95" => h.p95 = as_f64(v, field)?,
+            "p99" => h.p99 = as_f64(v, field)?,
+            "buckets" => {
+                for bucket in array(v, field)? {
+                    let [lo, hi, count] = array(bucket, "bucket")? else {
+                        return Err(expected("bucket", "a [lo, hi, count] triple"));
                     };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = (start + len).min(self.bytes.len());
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    s.push_str(chunk);
-                    self.pos = end;
+                    let count = as_u64(count, "bucket count")?;
+                    h.buckets
+                        .push((as_f64(lo, "bucket lo")?, as_f64(hi, "bucket hi")?, count));
                 }
             }
+            _ => {}
         }
     }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+    Ok(h)
 }
 
 #[cfg(test)]
@@ -527,6 +285,104 @@ mod tests {
         assert!(MetricsDoc::parse("{\"counters\": 5}").is_err());
         assert!(MetricsDoc::parse("{} trailing").is_err());
         assert!(MetricsDoc::parse("{\"counters\": {\"x\": -1}}").is_err());
+    }
+
+    /// The layout is a contract (CI diffs exports): these are the bytes
+    /// the writer produced before its three sections shared one helper.
+    #[test]
+    fn export_bytes_are_pinned() {
+        let empty = "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}\n";
+        assert_eq!(MetricsDoc::default().to_json(), empty);
+        let golden = r#"{
+  "counters": {
+    "a.count": 7,
+    "z": 0
+  },
+  "gauges": {
+    "g\"quoted\"": -1.25
+  },
+  "histograms": {
+    "h_ms": {
+      "count": 3,
+      "sum": 6.5,
+      "min": 1.0,
+      "max": 4.0,
+      "p50": 1.5,
+      "p95": 4.0,
+      "p99": 4.0,
+      "buckets": [[0.0, 1.0, 1], [1.0, 2.0, 1], [2.0, 4.0, 1]]
+    }
+  }
+}
+"#;
+        assert_eq!(sample().to_json(), golden);
+    }
+
+    /// Regression: the private recursive-descent reader had no depth
+    /// bound, so a file of `[` overflowed the stack (abort, not error).
+    #[test]
+    fn hostile_nesting_is_a_parse_error() {
+        let deep = "[".repeat(300_000);
+        assert!(MetricsDoc::parse(&deep).is_err());
+        // Also under a key the shape ignores, and inside the shape.
+        assert!(MetricsDoc::parse(&format!("{{\"x\": {deep}")).is_err());
+        assert!(MetricsDoc::parse(&format!("{{\"counters\": {{\"c\": {deep}")).is_err());
+        let closed = format!("{{\"x\": {}{}}}", "[".repeat(200), "]".repeat(200));
+        let err = MetricsDoc::parse(&closed).unwrap_err();
+        assert!(
+            err.to_string().starts_with("metrics parse error: "),
+            "{err}"
+        );
+        // What is legal still skips: unknown keys of any shape.
+        let odd = r#"{"x": [1, {"y": [true, false, null, "s\n"]}], "counters": {"c": 1}}"#;
+        assert_eq!(MetricsDoc::parse(odd).unwrap().counters["c"], 1);
+    }
+
+    /// Regression: a lone surrogate escape became U+FFFD, so two
+    /// different metric names could collapse into one key.
+    #[test]
+    fn lone_surrogates_are_refused_and_pairs_decoded() {
+        assert!(MetricsDoc::parse(r#"{"counters": {"\ud83d": 1}}"#).is_err());
+        assert!(MetricsDoc::parse(r#"{"counters": {"\ud83d\u0041": 1}}"#).is_err());
+        let paired = MetricsDoc::parse(r#"{"counters": {"\ud83d\ude00": 1}}"#).unwrap();
+        assert_eq!(paired.counters["\u{1f600}"], 1);
+    }
+
+    /// Regression: counters travelled through `f64`, so a value above
+    /// 2^53 came back off by one.
+    #[test]
+    fn counters_above_2_pow_53_are_exact() {
+        let mut doc = MetricsDoc::default();
+        doc.counters.insert("big".into(), 9_007_199_254_740_993);
+        doc.counters.insert("max".into(), u64::MAX);
+        doc.histograms.insert(
+            "h".into(),
+            HistogramSummary {
+                count: 9_007_199_254_740_993,
+                buckets: vec![(0.0, 1.0, u64::MAX)],
+                ..HistogramSummary::default()
+            },
+        );
+        assert_eq!(MetricsDoc::parse(&doc.to_json()).unwrap(), doc);
+    }
+
+    /// Regression: spellings JSON does not have were read as numbers.
+    #[test]
+    fn malformed_numbers_are_refused() {
+        for bad in ["01", "1.", "-", "+1", "1e", ".5", "1e999", "1.5"] {
+            let text = format!("{{\"counters\": {{\"c\": {bad}}}}}");
+            assert!(MetricsDoc::parse(&text).is_err(), "{bad}");
+        }
+        for bad in ["01", "1.", "-.5", "1e999", "\"1\"", "true"] {
+            let text = format!("{{\"gauges\": {{\"g\": {bad}}}}}");
+            assert!(MetricsDoc::parse(&text).is_err(), "{bad}");
+        }
+        let nan = MetricsDoc::parse(r#"{"gauges": {"g": null}}"#).unwrap();
+        assert!(nan.gauges["g"].is_nan());
+        for bad in ["[1, 2]", "[1, 2, 3, 4]", "[1, 2, 3.5]", "[1, 2, -3]", "7"] {
+            let text = format!("{{\"histograms\": {{\"h\": {{\"buckets\": [{bad}]}}}}}}");
+            assert!(MetricsDoc::parse(&text).is_err(), "{bad}");
+        }
     }
 
     #[test]
