@@ -140,7 +140,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             if p.flag("some-only") {
                 suite_args.push("--some-only".to_string());
             }
-            for opt in ["workers", "retries", "durability"] {
+            for opt in ["workers", "retries"] {
                 if let Some(v) = p.opt(opt) {
                     suite_args.push(format!("--{opt}"));
                     suite_args.push(v.to_string());
@@ -158,12 +158,9 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             // `--quiet` suppresses the banner (the report itself stays).
             let mut out = String::new();
             if !s.quiet {
-                if let Some(rec) = &s.recovery {
-                    let counts = api::RecoveryCounts::from(rec);
-                    if !counts.clean() {
-                        out.push_str(&counts.render());
-                        out.push('\n');
-                    }
+                if let Some(rec) = s.recovery.as_ref().filter(|rec| !rec.clean()) {
+                    out.push_str(&rec.render());
+                    out.push('\n');
                 }
             }
             out.push_str(&report.render());

@@ -373,90 +373,6 @@ impl ServiceError {
     }
 }
 
-/// Typed mirror of [`pathdb::RecoveryReport`]: what crash recovery had
-/// to repair, as counts. The CLI recovery banner renders this payload.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryCounts {
-    pub collections: usize,
-    pub snapshot_docs: usize,
-    pub wal_groups: usize,
-    pub wal_effects: usize,
-    pub torn_wal_bytes: u64,
-    pub dropped_uncommitted_ops: usize,
-    #[serde(default)]
-    pub skipped: Vec<SkippedFile>,
-}
-
-/// One torn snapshot file the lenient loader truncated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SkippedFile {
-    pub file: String,
-    pub first_bad_line: usize,
-    pub skipped: usize,
-}
-
-impl From<&pathdb::RecoveryReport> for RecoveryCounts {
-    fn from(r: &pathdb::RecoveryReport) -> RecoveryCounts {
-        RecoveryCounts {
-            collections: r.collections,
-            snapshot_docs: r.snapshot_docs,
-            wal_groups: r.wal_groups,
-            wal_effects: r.wal_effects,
-            torn_wal_bytes: r.torn_wal_bytes,
-            dropped_uncommitted_ops: r.dropped_uncommitted_ops,
-            skipped: r
-                .skipped
-                .iter()
-                .map(|s| SkippedFile {
-                    file: s.file.clone(),
-                    first_bad_line: s.first_bad_line,
-                    skipped: s.skipped,
-                })
-                .collect(),
-        }
-    }
-}
-
-impl RecoveryCounts {
-    /// Whether the open was a clean start (no replay, no repair).
-    pub fn clean(&self) -> bool {
-        self.wal_groups == 0
-            && self.torn_wal_bytes == 0
-            && self.dropped_uncommitted_ops == 0
-            && self.skipped.is_empty()
-    }
-
-    /// The CLI recovery banner, byte-identical to
-    /// [`pathdb::RecoveryReport::render`].
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "recovered {} collection(s), {} snapshot document(s)",
-            self.collections, self.snapshot_docs
-        );
-        if self.wal_groups > 0 {
-            out.push_str(&format!(
-                "; replayed {} WAL group(s) ({} effect(s))",
-                self.wal_groups, self.wal_effects
-            ));
-        }
-        if self.torn_wal_bytes > 0 || self.dropped_uncommitted_ops > 0 {
-            out.push_str(&format!(
-                "; truncated {} torn WAL byte(s), dropped {} uncommitted op(s)",
-                self.torn_wal_bytes, self.dropped_uncommitted_ops
-            ));
-        }
-        for s in &self.skipped {
-            out.push_str(&format!(
-                "; {}: kept lines 1..{}, skipped {}",
-                s.file,
-                s.first_bad_line - 1,
-                s.skipped
-            ));
-        }
-        out
-    }
-}
-
 // ---------------------------------------------------------------------
 // JSON round-trip
 // ---------------------------------------------------------------------
@@ -1095,29 +1011,6 @@ mod tests {
                 "full render matches the SuiteError display chain"
             );
         }
-    }
-
-    #[test]
-    fn recovery_counts_render_matches_pathdb() {
-        let report = pathdb::RecoveryReport {
-            collections: 3,
-            snapshot_docs: 120,
-            wal_groups: 2,
-            wal_effects: 9,
-            torn_wal_bytes: 17,
-            dropped_uncommitted_ops: 1,
-            stale_wals_removed: 0,
-            skipped: vec![pathdb::SkippedLines {
-                file: "paths.jsonl".into(),
-                first_bad_line: 40,
-                skipped: 3,
-            }],
-        };
-        let counts = RecoveryCounts::from(&report);
-        assert_eq!(counts.render(), report.render());
-        assert_eq!(counts.clean(), report.clean());
-        let clean = RecoveryCounts::default();
-        assert!(clean.clean());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Configuration of the test-suite, mirroring the CLI of the paper's
 //! `test_suite.sh` wrapper plus the knobs its Python scripts hard-code.
 
-use pathdb::Durability;
 use scion_sim::addr::IsdAsn;
 use scion_sim::topology::scionlab::MY_AS;
 
@@ -64,12 +63,6 @@ pub struct SuiteConfig {
     /// iteration then admits exactly one trial path, closing the
     /// breaker on success and re-opening it on failure.
     pub breaker_cooldown_ms: f64,
-    /// Crash-safety level of the database the campaign writes to
-    /// (`--durability {none,snapshot,wal}`). With `wal`, every
-    /// per-destination bulk insertion is one WAL commit group, making
-    /// §4.2.2's loss bound hold across process crashes; the suite and
-    /// the round loop additionally checkpoint after each campaign/round.
-    pub durability: Durability,
 }
 
 impl Default for SuiteConfig {
@@ -94,23 +87,14 @@ impl Default for SuiteConfig {
             retry_multiplier: 2.0,
             breaker_threshold: 3,
             breaker_cooldown_ms: 30_000.0,
-            durability: Durability::None,
         }
     }
 }
 
 impl SuiteConfig {
-    /// Start a validating builder over the paper defaults:
-    /// `SuiteConfig::builder().workers(8).durability(Durability::Wal).build()?`.
-    pub fn builder() -> SuiteConfigBuilder {
-        SuiteConfigBuilder {
-            cfg: SuiteConfig::default(),
-        }
-    }
-
     /// Reject configurations no campaign can sensibly run with. Called
-    /// by [`SuiteConfigBuilder::build`] and [`SuiteConfig::from_args`];
-    /// hand-built struct literals can bypass it, at their own risk.
+    /// by [`SuiteConfig::from_args`]; hand-built struct literals can
+    /// bypass it, at their own risk.
     pub fn validate(&self) -> Result<(), String> {
         if self.iterations == 0 {
             return Err("iterations must be at least 1".into());
@@ -159,7 +143,7 @@ impl SuiteConfig {
 
     /// Parse the wrapper-script argument vector:
     /// `test_suite.sh <iterations> [--skip] [--some-only] [--parallel]
-    /// [--workers <n>] [--retries <n>] [--durability <level>]`.
+    /// [--workers <n>] [--retries <n>]`.
     pub fn from_args<I, S>(args: I) -> Result<SuiteConfig, String>
     where
         I: IntoIterator<Item = S>,
@@ -183,9 +167,6 @@ impl SuiteConfig {
                             .parse()
                             .map_err(|_| format!("--retries must be an integer, got {arg:?}"))?;
                     }
-                    "--durability" => {
-                        cfg.durability = arg.parse().map_err(|e| format!("--durability: {e}"))?;
-                    }
                     _ => unreachable!(),
                 }
                 continue;
@@ -196,7 +177,6 @@ impl SuiteConfig {
                 "--parallel" => cfg.parallel = true,
                 "--workers" => expecting = Some("--workers"),
                 "--retries" => expecting = Some("--retries"),
-                "--durability" => expecting = Some("--durability"),
                 other if !saw_iterations => {
                     cfg.iterations = other
                         .parse()
@@ -227,103 +207,6 @@ impl SuiteConfig {
     /// The `-cs` parameter string for the MTU-sized test.
     pub fn mtu_spec(&self) -> String {
         format!("{},MTU,?,{}Mbps", self.bw_duration_s, self.bw_target_mbps)
-    }
-}
-
-/// Chainable, validating constructor for [`SuiteConfig`]. Starts from
-/// the paper defaults; [`SuiteConfigBuilder::build`] rejects nonsense
-/// combinations (zero workers, retries with no backoff, ...) instead of
-/// letting a campaign spin on them.
-#[derive(Debug, Clone)]
-pub struct SuiteConfigBuilder {
-    cfg: SuiteConfig,
-}
-
-impl SuiteConfigBuilder {
-    pub fn iterations(mut self, n: u32) -> Self {
-        self.cfg.iterations = n;
-        self
-    }
-
-    pub fn skip_collection(mut self, v: bool) -> Self {
-        self.cfg.skip_collection = v;
-        self
-    }
-
-    pub fn some_only(mut self, v: bool) -> Self {
-        self.cfg.some_only = v;
-        self
-    }
-
-    pub fn max_paths(mut self, n: usize) -> Self {
-        self.cfg.max_paths = n;
-        self
-    }
-
-    pub fn hop_slack(mut self, n: usize) -> Self {
-        self.cfg.hop_slack = n;
-        self
-    }
-
-    /// Ping probe count and inter-probe interval (`-c`, `--interval`).
-    pub fn ping(mut self, count: u32, interval_ms: f64) -> Self {
-        self.cfg.ping_count = count;
-        self.cfg.ping_interval_ms = interval_ms;
-        self
-    }
-
-    /// Bandwidth-test duration and target rate; pass `run = false` to
-    /// skip bandwidth testing entirely (latency-only campaigns).
-    pub fn bandwidth(mut self, run: bool, duration_s: f64, target_mbps: f64) -> Self {
-        self.cfg.run_bwtests = run;
-        self.cfg.bw_duration_s = duration_s;
-        self.cfg.bw_target_mbps = target_mbps;
-        self
-    }
-
-    pub fn parallel(mut self, v: bool) -> Self {
-        self.cfg.parallel = v;
-        self
-    }
-
-    pub fn workers(mut self, n: usize) -> Self {
-        self.cfg.workers = n;
-        self
-    }
-
-    pub fn retries(mut self, attempts: u32) -> Self {
-        self.cfg.retry_attempts = attempts;
-        self
-    }
-
-    /// Backoff before the first retry and the growth factor applied
-    /// after each failed attempt.
-    pub fn retry_backoff(mut self, base_ms: f64, multiplier: f64) -> Self {
-        self.cfg.retry_base_ms = base_ms;
-        self.cfg.retry_multiplier = multiplier;
-        self
-    }
-
-    pub fn breaker_threshold(mut self, n: usize) -> Self {
-        self.cfg.breaker_threshold = n;
-        self
-    }
-
-    /// Cooldown before an open breaker admits its half-open trial.
-    pub fn breaker_cooldown_ms(mut self, ms: f64) -> Self {
-        self.cfg.breaker_cooldown_ms = ms;
-        self
-    }
-
-    pub fn durability(mut self, level: Durability) -> Self {
-        self.cfg.durability = level;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<SuiteConfig, String> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -362,67 +245,52 @@ mod tests {
     }
 
     #[test]
-    fn builder_builds_and_validates() {
-        let c = SuiteConfig::builder()
-            .iterations(10)
-            .workers(8)
-            .durability(Durability::Wal)
-            .parallel(true)
-            .ping(5, 50.0)
-            .bandwidth(false, 3.0, 12.0)
-            .build()
-            .unwrap();
-        assert_eq!(c.iterations, 10);
-        assert_eq!(c.workers, 8);
-        assert_eq!(c.durability, Durability::Wal);
-        assert!(c.parallel && !c.run_bwtests);
-        assert_eq!(c.ping_count, 5);
-    }
-
-    #[test]
-    fn builder_rejects_nonsense_combinations() {
-        assert!(SuiteConfig::builder().workers(0).build().is_err());
-        assert!(SuiteConfig::builder().iterations(0).build().is_err());
-        assert!(SuiteConfig::builder()
-            .retries(3)
-            .retry_backoff(0.0, 2.0)
-            .build()
-            .is_err());
-        assert!(SuiteConfig::builder()
-            .retries(3)
-            .retry_backoff(100.0, 0.5)
-            .build()
-            .is_err());
-        assert!(SuiteConfig::builder().ping(0, 100.0).build().is_err());
-        assert!(SuiteConfig::builder().max_paths(0).build().is_err());
-        assert!(SuiteConfig::builder()
-            .breaker_cooldown_ms(0.0)
-            .build()
-            .is_err());
-        assert!(SuiteConfig::builder()
-            .breaker_cooldown_ms(f64::NAN)
-            .build()
-            .is_err());
+    fn validate_rejects_nonsense_combinations() {
+        let base = SuiteConfig::default;
+        let bad = |cfg: SuiteConfig| cfg.validate().is_err();
+        assert!(!bad(base()));
+        assert!(bad(SuiteConfig {
+            workers: 0,
+            ..base()
+        }));
+        assert!(bad(SuiteConfig {
+            iterations: 0,
+            ..base()
+        }));
+        let retries = |retry_attempts, retry_base_ms, retry_multiplier| SuiteConfig {
+            retry_attempts,
+            retry_base_ms,
+            retry_multiplier,
+            ..base()
+        };
+        assert!(bad(retries(3, 0.0, 2.0)));
+        assert!(bad(retries(3, 100.0, 0.5)));
+        assert!(bad(SuiteConfig {
+            ping_count: 0,
+            ..base()
+        }));
+        assert!(bad(SuiteConfig {
+            max_paths: 0,
+            ..base()
+        }));
+        let breaker = |breaker_threshold, breaker_cooldown_ms| SuiteConfig {
+            breaker_threshold,
+            breaker_cooldown_ms,
+            ..base()
+        };
+        assert!(bad(breaker(3, 0.0)));
+        assert!(bad(breaker(3, f64::NAN)));
         // No breaker, no cooldown to validate.
-        assert!(SuiteConfig::builder()
-            .breaker_threshold(0)
-            .breaker_cooldown_ms(0.0)
-            .build()
-            .is_ok());
-        assert!(SuiteConfig::builder()
-            .bandwidth(true, 0.0, 12.0)
-            .build()
-            .is_err());
+        assert!(!bad(breaker(0, 0.0)));
+        let bandwidth = |run_bwtests, bw_duration_s| SuiteConfig {
+            run_bwtests,
+            bw_duration_s,
+            ..base()
+        };
+        assert!(bad(bandwidth(true, 0.0)));
         // The same combos are fine when the offending feature is off.
-        assert!(SuiteConfig::builder()
-            .retries(0)
-            .retry_backoff(0.0, 2.0)
-            .build()
-            .is_ok());
-        assert!(SuiteConfig::builder()
-            .bandwidth(false, 0.0, 12.0)
-            .build()
-            .is_ok());
+        assert!(!bad(retries(0, 0.0, 2.0)));
+        assert!(!bad(bandwidth(false, 0.0)));
     }
 
     #[test]
@@ -435,21 +303,8 @@ mod tests {
         assert!(SuiteConfig::from_args(["3", "--workers"]).is_err());
         assert!(SuiteConfig::from_args(["3", "--workers", "0"]).is_err());
         assert!(SuiteConfig::from_args(["3", "--retries", "x"]).is_err());
-        assert!(SuiteConfig::from_args(["3", "--durability"]).is_err());
-        assert!(SuiteConfig::from_args(["3", "--durability", "everything"]).is_err());
-    }
-
-    #[test]
-    fn parses_durability_levels() {
-        assert_eq!(SuiteConfig::default().durability, Durability::None);
-        for (arg, level) in [
-            ("none", Durability::None),
-            ("snapshot", Durability::Snapshot),
-            ("wal", Durability::Wal),
-        ] {
-            let c = SuiteConfig::from_args(["2", "--durability", arg]).unwrap();
-            assert_eq!(c.durability, level, "{arg}");
-        }
+        // The database's crash-safety level is the session's to parse.
+        assert!(SuiteConfig::from_args(["3", "--durability", "wal"]).is_err());
     }
 
     #[test]

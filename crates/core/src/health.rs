@@ -1,10 +1,10 @@
 //! Path health monitoring: detect paths whose recent behaviour deviates
 //! from their own history.
 //!
-//! A continuously-operated suite (see [`crate::schedule`]) accumulates a
-//! long baseline per path; the natural next question — and what an
-//! operator of the paper's system would ask the database — is *which
-//! paths just changed*. This module flags three anomaly classes:
+//! A continuously-operated suite (see [`crate::longitudinal::run_rounds`])
+//! accumulates a long baseline per path; the natural next question —
+//! and what an operator of the paper's system would ask the database —
+//! is *which paths just changed*. This module flags three anomaly classes:
 //! latency shifts (recent mean beyond k·σ of the baseline), loss onsets
 //! (a previously clean path starts dropping), and blackouts (every
 //! recent probe lost).

@@ -125,22 +125,6 @@ impl Mix {
         }
     }
 
-    /// A recommend-only mix (the throughput benchmark population).
-    pub fn recommend_only() -> Mix {
-        Mix {
-            entries: vec![MixEntry {
-                weight: 1,
-                kind: "recommend".into(),
-                objective: None,
-                k: 3,
-                strategy: None,
-                pareto: false,
-                weights: None,
-                constraints: None,
-            }],
-        }
-    }
-
     /// The sum of the entry weights a stream rolls against, if it is
     /// positive and fits the `u32` the roll is drawn in.
     fn total_weight(&self) -> Result<u32, String> {

@@ -3,7 +3,7 @@
 //!
 //! Requests repeat against a database that changes rarely, and a
 //! running campaign only appends. So there is one entry per (stats
-//! collection, destination) and one function, [`fetch`], that `match`es
+//! collection, destination) and one function, `fetch`, that `match`es
 //! on what pathdb says happened since the entry was filed
 //! ([`Collection::delta_since`]): `Same` → share what the entry holds;
 //! `Appended` → decode only the rows past the remembered watermark,

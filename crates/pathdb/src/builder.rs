@@ -1,7 +1,6 @@
 //! The chainable read API: [`Query`].
 //!
-//! One entry point replaces the old `find`/`find_one`/`find_with`/
-//! `count`/`distinct`/`explain_with` sprawl:
+//! One entry point for every read — find, count, distinct, explain:
 //!
 //! ```
 //! use pathdb::{doc, Collection, Filter};
@@ -17,9 +16,8 @@
 //! ```
 //!
 //! Terminal methods (`run`, `first`, `count`, `distinct`, `refs`,
-//! `explain`) execute through the same cost-based planner the old
-//! methods used, so results are byte-identical to the deprecated
-//! surface (pinned by `tests/prop_builder.rs`).
+//! `explain`) execute through the cost-based planner ([`crate::plan`]);
+//! `tests/prop_builder.rs` pins their results to a naive full scan.
 
 use crate::collection::Collection;
 use crate::document::Document;

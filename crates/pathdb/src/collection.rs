@@ -11,9 +11,10 @@ use crate::update::Update;
 use crate::value::Value;
 use crate::wal::{Wal, WalOpRef};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 use std::time::Instant;
 use upin_telemetry::{NoopRecorder, Recorder};
@@ -99,7 +100,8 @@ impl FieldIndex {
 pub struct Collection {
     name: String,
     /// Documents keyed by insertion sequence (preserves order under
-    /// deletion without shifting).
+    /// deletion without shifting). Every row carries an `_id`: inserts
+    /// assign a missing one, upserts demand one, updates cannot touch it.
     pub(crate) docs: BTreeMap<u64, Document>,
     next_seq: u64,
     /// Unique `_id` index: canonical id key → sequence.
@@ -226,23 +228,6 @@ impl Collection {
         self.indexes.keys().map(String::as_str).collect()
     }
 
-    /// Whether the field has a secondary index.
-    pub fn has_index(&self, field: &str) -> bool {
-        self.indexes.contains_key(field)
-    }
-
-    fn index_insert(&mut self, seq: u64, doc: &Document) {
-        for (field, idx) in &mut self.indexes {
-            idx.insert(seq, index_keys_of(doc, field));
-        }
-    }
-
-    fn index_remove(&mut self, seq: u64, doc: &Document) {
-        for (field, idx) in &mut self.indexes {
-            idx.remove(seq, &index_keys_of(doc, field));
-        }
-    }
-
     // ---- versioning -----------------------------------------------------
 
     /// Monotonically increasing counter, bumped by every successful
@@ -315,17 +300,15 @@ impl Collection {
                     let image = Arc::make_mut(&mut entry.image);
                     let mut appended = 0u64;
                     for (&seq, doc) in self.docs.range(entry.watermark..) {
-                        if let Some(id) = doc.get("_id") {
-                            image.primary.insert(id.index_key(), seq);
-                        }
-                        image.index_insert(seq, doc);
-                        image.docs.insert(seq, doc.clone());
+                        image.place(seq, id_key(doc), doc.clone());
                         appended += 1;
                     }
+                    // The image's counters follow. `last_reshape_version`
+                    // needs no copy: only appends happened since the
+                    // image took it.
                     image.next_seq = self.next_seq;
                     image.next_auto_id = self.next_auto_id;
                     image.version = self.version;
-                    image.last_reshape_version = self.last_reshape_version;
                     entry.version = self.version;
                     entry.watermark = self.next_seq;
                     self.rec().add("pathdb.snapshot.merge", 1);
@@ -348,38 +331,92 @@ impl Collection {
         image
     }
 
+    // ---- rows ------------------------------------------------------------
+    //
+    // The three places a row enters, changes in or leaves `primary`, the
+    // secondary indexes and `docs`. None of them counts anything: the
+    // mutation that called them says what it did to `record`, once.
+
+    /// Put `doc` at `seq`, which holds no row.
+    fn place(&mut self, seq: u64, id_key: String, doc: Document) {
+        self.primary.insert(id_key, seq);
+        for (field, idx) in &mut self.indexes {
+            idx.insert(seq, index_keys_of(&doc, field));
+        }
+        self.docs.insert(seq, doc);
+    }
+
+    /// Swap the row at `seq` for `doc`, which has the same `_id`.
+    /// `false`, and nothing happened, when the two are equal.
+    fn replace(&mut self, seq: u64, doc: Cow<'_, Document>) -> bool {
+        match self.docs.get_mut(&seq) {
+            Some(row) if *row != *doc => {
+                let old = std::mem::replace(row, doc.into_owned());
+                for (field, idx) in &mut self.indexes {
+                    idx.remove(seq, &index_keys_of(&old, field));
+                    idx.insert(seq, index_keys_of(row, field));
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Remove and return the row at `seq`.
+    fn take(&mut self, seq: u64) -> Option<Document> {
+        let doc = self.docs.remove(&seq)?;
+        for (field, idx) in &mut self.indexes {
+            idx.remove(seq, &index_keys_of(&doc, field));
+        }
+        self.primary.remove(&id_key(&doc));
+        Some(doc)
+    }
+
+    /// The bookkeeping of one mutation: the seqs it `appended` (rows
+    /// placed where none was) and the seqs it `reshaped` (rows replaced
+    /// or taken). Bumps the version once if it did anything, marks a
+    /// reshape, and names the slices whose files are now stale — the
+    /// only writer of all three.
+    fn record(&mut self, appended: Range<u64>, reshaped: &[u64]) {
+        if appended.is_empty() && reshaped.is_empty() {
+            return;
+        }
+        self.version += 1;
+        if !reshaped.is_empty() {
+            self.last_reshape_version = self.version;
+        }
+        let dirty = self.dirty.get_mut();
+        if !appended.is_empty() {
+            // Once per batch, not per row: the range's slices.
+            dirty.extend(appended.start / SLICE_ROWS..=(appended.end - 1) / SLICE_ROWS);
+        }
+        dirty.extend(reshaped.iter().map(|seq| seq / SLICE_ROWS));
+    }
+
     // ---- writes ---------------------------------------------------------
 
     /// Insert one document. A missing `_id` gets an auto-generated one.
     /// Returns the document's id key.
-    pub fn insert_one(&mut self, mut doc: Document) -> DbResult<String> {
-        let id_key = self.prepare_id(&mut doc)?;
-        // Log before applying: a write the log could not make durable
-        // is refused outright, leaving the collection untouched.
-        if let Some(wal) = self.wal.clone() {
-            self.wal_commit(
-                &wal,
-                &[WalOpRef::Insert {
-                    coll: &self.name,
-                    doc: &doc,
-                }],
-                1,
-            )?;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.primary.insert(id_key.clone(), seq);
-        self.index_insert(seq, &doc);
-        self.docs.insert(seq, doc);
-        self.version += 1;
-        self.touch(seq);
-        Ok(id_key)
+    pub fn insert_one(&mut self, doc: Document) -> DbResult<String> {
+        let mut ids = self.insert_logged(vec![doc], |coll, staged| WalOpRef::Insert {
+            coll,
+            doc: &staged[0].1,
+        })?;
+        Ok(ids.pop().expect("one id per inserted document"))
     }
 
     /// Bulk insertion: all-or-nothing. This is the batched write path the
     /// paper prefers for scalability (§4.2.2) — one call per destination
     /// instead of one per measurement.
     pub fn insert_many(&mut self, docs: Vec<Document>) -> DbResult<Vec<String>> {
+        self.insert_logged(docs, |coll, staged| WalOpRef::InsertMany {
+            coll,
+            docs: staged.iter().map(|(_, d)| d).collect(),
+        })
+    }
+
+    /// Stage, validate, log as `frame`, apply: the body of both inserts.
+    fn insert_logged(&mut self, docs: Vec<Document>, frame: InsertFrame) -> DbResult<Vec<String>> {
         // Pre-validate ids (including duplicates within the batch) so a
         // failure leaves the collection untouched.
         let mut staged: Vec<(String, Document)> = Vec::with_capacity(docs.len());
@@ -393,35 +430,20 @@ impl Collection {
         }
         // Validation passed: the batch is one WAL commit group, so the
         // log preserves insert_many's all-or-nothing contract across
-        // crashes too (§4.2.2 — one group per destination batch).
-        if let Some(wal) = self.wal.clone() {
-            if !staged.is_empty() {
-                self.wal_commit(
-                    &wal,
-                    &[WalOpRef::InsertMany {
-                        coll: &self.name,
-                        docs: staged.iter().map(|(_, d)| d).collect(),
-                    }],
-                    staged.len() as u64,
-                )?;
-            }
+        // crashes too (§4.2.2 — one group per destination batch). Log
+        // before applying: a write the log could not make durable is
+        // refused outright, leaving the collection untouched.
+        if !staged.is_empty() {
+            self.wal_commit(frame(&self.name, &staged), staged.len() as u64)?;
         }
-        let mut ids = Vec::with_capacity(staged.len());
         let first = self.next_seq;
+        let mut ids = Vec::with_capacity(staged.len());
         for (id_key, doc) in staged {
-            let seq = self.next_seq;
+            self.place(self.next_seq, id_key.clone(), doc);
             self.next_seq += 1;
-            self.primary.insert(id_key.clone(), seq);
-            self.index_insert(seq, &doc);
-            self.docs.insert(seq, doc);
             ids.push(id_key);
         }
-        if !ids.is_empty() {
-            self.version += 1;
-            // Once per batch, not per row: the range's slices.
-            let slices = first / SLICE_ROWS..=(self.next_seq - 1) / SLICE_ROWS;
-            self.dirty.get_mut().extend(slices);
-        }
+        self.record(first..self.next_seq, &[]);
         Ok(ids)
     }
 
@@ -441,57 +463,49 @@ impl Collection {
                 ));
             }
         }
-        let mut changed = 0usize;
-        let mut replaced = false;
+        let first = self.next_seq;
+        let mut replaced = Vec::new();
         for doc in &docs {
-            let key = doc.get("_id").expect("validated above").index_key();
-            match self.primary.get(&key).copied() {
-                Some(seq) => {
-                    let Some(old) = self.docs.remove(&seq) else {
-                        continue;
-                    };
-                    if old == *doc {
-                        self.docs.insert(seq, old);
-                        continue;
-                    }
-                    self.index_remove(seq, &old);
-                    self.index_insert(seq, doc);
-                    self.docs.insert(seq, doc.clone());
-                    self.touch(seq);
-                    changed += 1;
-                    replaced = true;
-                }
-                None => {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.primary.insert(key, seq);
-                    self.index_insert(seq, doc);
-                    self.docs.insert(seq, doc.clone());
-                    self.touch(seq);
-                    changed += 1;
-                }
+            if let Upserted::Replaced(seq) = self.upsert_row(None, Cow::Borrowed(doc)) {
+                replaced.push(seq);
             }
         }
+        let changed = (self.next_seq - first) as usize + replaced.len();
+        self.record(first..self.next_seq, &replaced);
         if changed > 0 {
-            self.version += 1;
-            if replaced {
-                self.last_reshape_version = self.version;
-            }
-            if let Some(wal) = self.wal.clone() {
-                // Apply-then-log, as for updates: the log carries the
-                // post-images (replayed as idempotent upserts) and a
-                // failure poisons the WAL rather than being refused.
-                let _ = self.wal_commit(
-                    &wal,
-                    &[WalOpRef::Update {
-                        coll: &self.name,
-                        docs: &docs,
-                    }],
-                    docs.len() as u64,
-                );
-            }
+            // Apply-then-log, as for updates: the log carries the
+            // post-images (replayed as idempotent upserts) and a
+            // failure poisons the WAL rather than being refused.
+            let coll = &self.name;
+            let _ = self.wal_commit(WalOpRef::Update { coll, docs: &docs }, docs.len() as u64);
         }
         Ok(changed)
+    }
+
+    /// Upsert one post-image: swap it for the live row with its `_id`,
+    /// where that is, or place it at `at` (the allocator when `None`).
+    /// A document without an id — the log and the slice files never
+    /// hold one; tolerated anyway — gets a generated one.
+    fn upsert_row(&mut self, at: Option<u64>, mut doc: Cow<'_, Document>) -> Upserted {
+        if doc.get("_id").is_none() {
+            let _ = self.prepare_id(doc.to_mut());
+        }
+        let key = id_key(&doc);
+        match self.primary.get(&key).copied() {
+            Some(seq) => {
+                if self.replace(seq, doc) {
+                    Upserted::Replaced(seq)
+                } else {
+                    Upserted::Unchanged
+                }
+            }
+            None => {
+                let seq = at.unwrap_or(self.next_seq);
+                self.next_seq = self.next_seq.max(seq + 1);
+                self.place(seq, key, doc.into_owned());
+                Upserted::Placed(seq)
+            }
+        }
     }
 
     fn prepare_id(&mut self, doc: &mut Document) -> DbResult<String> {
@@ -519,82 +533,55 @@ impl Collection {
         Ok(id_key)
     }
 
-    /// Update all documents matching `filter`; returns how many changed.
+    /// Update all documents matching `filter`; returns how many matched.
     pub fn update_many(&mut self, filter: &Filter, update: &Update) -> usize {
-        let seqs: Vec<u64> = plan::matching_seqs(self, filter);
-        let mut count = 0;
+        let mut seqs: Vec<u64> = plan::matching_seqs(self, filter);
         let mut post_images = Vec::new();
-        for seq in seqs {
-            let Some(mut doc) = self.docs.remove(&seq) else {
-                continue;
+        seqs.retain(|&seq| {
+            let Some(mut doc) = self.take(seq) else {
+                return false;
             };
-            self.index_remove(seq, &doc);
             update.apply(&mut doc);
-            self.index_insert(seq, &doc);
             if self.wal.is_some() {
                 post_images.push(doc.clone());
             }
-            self.docs.insert(seq, doc);
-            self.touch(seq);
-            count += 1;
+            self.place(seq, id_key(&doc), doc);
+            true
+        });
+        self.record(0..0, &seqs);
+        if !seqs.is_empty() {
+            // Filters are not serialized; the log carries the updated
+            // documents themselves, replayed as upserts. Already
+            // applied, so a log failure cannot be refused: it poisons
+            // the WAL (surfaced by `Database::wal_health`) and the next
+            // checkpoint restores durability.
+            let (coll, docs) = (&self.name, &post_images[..]);
+            let _ = self.wal_commit(WalOpRef::Update { coll, docs }, docs.len() as u64);
         }
-        if count > 0 {
-            self.version += 1;
-            self.last_reshape_version = self.version;
-            if let Some(wal) = self.wal.clone() {
-                // Filters are not serialized; the log carries the
-                // updated documents themselves, replayed as upserts.
-                // Already applied, so a log failure cannot be refused:
-                // it poisons the WAL (surfaced by `Database::wal_health`)
-                // and the next checkpoint restores durability.
-                let _ = self.wal_commit(
-                    &wal,
-                    &[WalOpRef::Update {
-                        coll: &self.name,
-                        docs: &post_images,
-                    }],
-                    post_images.len() as u64,
-                );
-            }
-        }
-        count
+        seqs.len()
     }
 
     /// Delete all documents matching `filter`; returns how many were
     /// actually removed (not merely matched).
     pub fn delete_many(&mut self, filter: &Filter) -> usize {
-        let seqs: Vec<u64> = plan::matching_seqs(self, filter);
-        let mut removed = 0;
+        let mut seqs: Vec<u64> = plan::matching_seqs(self, filter);
         let mut removed_ids = Vec::new();
-        for &seq in &seqs {
-            if let Some(doc) = self.docs.remove(&seq) {
-                self.index_remove(seq, &doc);
-                if let Some(id) = doc.get("_id") {
-                    self.primary.remove(&id.index_key());
-                    if self.wal.is_some() {
-                        removed_ids.push(id.clone());
-                    }
-                }
-                self.touch(seq);
-                removed += 1;
+        seqs.retain(|&seq| {
+            let Some(doc) = self.take(seq) else {
+                return false;
+            };
+            if self.wal.is_some() {
+                removed_ids.extend(doc.get("_id").cloned());
             }
+            true
+        });
+        self.record(0..0, &seqs);
+        if !seqs.is_empty() {
+            // Apply-then-log, as for updates: failure poisons.
+            let (coll, ids) = (&self.name, &removed_ids[..]);
+            let _ = self.wal_commit(WalOpRef::Delete { coll, ids }, ids.len() as u64);
         }
-        if removed > 0 {
-            self.version += 1;
-            self.last_reshape_version = self.version;
-            if let Some(wal) = self.wal.clone() {
-                // Apply-then-log, as for updates: failure poisons.
-                let _ = self.wal_commit(
-                    &wal,
-                    &[WalOpRef::Delete {
-                        coll: &self.name,
-                        ids: &removed_ids,
-                    }],
-                    removed_ids.len() as u64,
-                );
-            }
-        }
-        removed
+        seqs.len()
     }
 
     // ---- durability (see `crate::wal`) ----------------------------------
@@ -609,11 +596,6 @@ impl Collection {
     /// WAL commits report through it; `None` restores the no-op sink.
     pub(crate) fn set_recorder(&mut self, recorder: Option<Arc<dyn Recorder>>) {
         self.recorder = recorder;
-    }
-
-    /// A mutation touched the row at `seq`: its slice file is stale.
-    fn touch(&mut self, seq: u64) {
-        self.dirty.get_mut().insert(seq / SLICE_ROWS);
     }
 
     /// Take (and clear) the dirty-slice set, ascending. Callable under
@@ -657,12 +639,16 @@ impl Collection {
         }
     }
 
-    /// Commit one WAL group, reporting op counts (deterministic) and
-    /// wall-clock latency (under the `wall.` prefix — real I/O time,
-    /// excluded from the determinism contract).
-    fn wal_commit(&self, wal: &Wal, ops: &[WalOpRef<'_>], docs: u64) -> DbResult<()> {
+    /// Commit `op` as one WAL group (nothing to do without a log),
+    /// reporting op counts (deterministic) and wall-clock latency
+    /// (under the `wall.` prefix — real I/O time, excluded from the
+    /// determinism contract).
+    fn wal_commit(&self, op: WalOpRef<'_>, docs: u64) -> DbResult<()> {
+        let Some(wal) = &self.wal else {
+            return Ok(());
+        };
         let started = Instant::now();
-        let out = wal.commit_ref(ops);
+        let out = wal.commit_ref(&[op]);
         self.rec().observe(
             "wall.pathdb.wal.commit_ms",
             started.elapsed().as_secs_f64() * 1e3,
@@ -681,39 +667,7 @@ impl Collection {
     /// what lets recovery replay a WAL whose prefix a snapshot already
     /// contains. Never logs; only the replay path calls this.
     pub(crate) fn apply_upsert(&mut self, doc: Document) {
-        let Some(id) = doc.get("_id") else {
-            // Logged documents always carry an id (prepare_id assigns
-            // one before the effect is committed); tolerate anyway.
-            let _ = self.insert_unlogged(doc);
-            return;
-        };
-        let key = id.index_key();
-        match self.primary.get(&key).copied() {
-            Some(seq) => {
-                let Some(old) = self.docs.remove(&seq) else {
-                    return;
-                };
-                if old == doc {
-                    self.docs.insert(seq, old);
-                    return;
-                }
-                self.index_remove(seq, &old);
-                self.index_insert(seq, &doc);
-                self.docs.insert(seq, doc);
-                self.version += 1;
-                self.last_reshape_version = self.version;
-                self.touch(seq);
-            }
-            None => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.primary.insert(key, seq);
-                self.index_insert(seq, &doc);
-                self.docs.insert(seq, doc);
-                self.version += 1;
-                self.touch(seq);
-            }
-        }
+        self.apply_upsert_to(None, doc);
     }
 
     /// [`Collection::apply_upsert`] at an explicit insertion sequence —
@@ -724,21 +678,15 @@ impl Collection {
     /// rows afterwards, instead of being silently re-pointed by a
     /// compacting renumber.
     pub(crate) fn apply_upsert_at(&mut self, seq: u64, doc: Document) {
-        let Some(id) = doc.get("_id") else {
-            let _ = self.insert_unlogged(doc);
-            return;
-        };
-        let key = id.index_key();
-        if self.primary.contains_key(&key) {
-            self.apply_upsert(doc);
-            return;
+        self.apply_upsert_to(Some(seq), doc);
+    }
+
+    fn apply_upsert_to(&mut self, at: Option<u64>, doc: Document) {
+        match self.upsert_row(at, Cow::Owned(doc)) {
+            Upserted::Unchanged => {}
+            Upserted::Replaced(seq) => self.record(0..0, &[seq]),
+            Upserted::Placed(seq) => self.record(seq..seq + 1, &[]),
         }
-        self.primary.insert(key, seq);
-        self.index_insert(seq, &doc);
-        self.docs.insert(seq, doc);
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.version += 1;
-        self.touch(seq);
     }
 
     /// Restore the insertion-sequence allocator (never moves backward):
@@ -748,36 +696,18 @@ impl Collection {
         self.next_seq = self.next_seq.max(n);
     }
 
-    fn insert_unlogged(&mut self, mut doc: Document) -> DbResult<String> {
-        let id_key = self.prepare_id(&mut doc)?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.primary.insert(id_key.clone(), seq);
-        self.index_insert(seq, &doc);
-        self.docs.insert(seq, doc);
-        self.version += 1;
-        self.touch(seq);
-        Ok(id_key)
-    }
-
     /// Apply a logged delete: drop documents by `_id`, silently
     /// skipping ids that are already gone (idempotent replay).
     pub(crate) fn apply_delete_ids(&mut self, ids: &[Value]) {
-        let mut removed = 0;
+        let mut seqs = Vec::new();
         for id in ids {
-            let key = id.index_key();
-            if let Some(seq) = self.primary.remove(&key) {
-                if let Some(doc) = self.docs.remove(&seq) {
-                    self.index_remove(seq, &doc);
-                    self.touch(seq);
-                    removed += 1;
+            if let Some(&seq) = self.primary.get(&id.index_key()) {
+                if self.take(seq).is_some() {
+                    seqs.push(seq);
                 }
             }
         }
-        if removed > 0 {
-            self.version += 1;
-            self.last_reshape_version = self.version;
-        }
+        self.record(0..0, &seqs);
     }
 
     // ---- reads ----------------------------------------------------------
@@ -852,6 +782,24 @@ impl Collection {
     pub fn iter(&self) -> impl Iterator<Item = &Document> {
         self.docs.values()
     }
+}
+
+/// How an insert spells its staged batch in the log: one
+/// [`WalOpRef::Insert`] or one [`WalOpRef::InsertMany`] group.
+type InsertFrame = for<'a> fn(&'a str, &'a [(String, Document)]) -> WalOpRef<'a>;
+
+/// What [`Collection::upsert_row`] did with its document.
+enum Upserted {
+    Unchanged,
+    Replaced(u64),
+    Placed(u64),
+}
+
+/// The `primary` key of a stored row (see [`Collection::docs`]).
+fn id_key(doc: &Document) -> String {
+    doc.get("_id")
+        .expect("stored rows carry an _id")
+        .index_key()
 }
 
 /// Index keys a document contributes for `field`. Array fields index
@@ -1510,5 +1458,524 @@ mod tests {
             .explain_mutation(&Filter::lt("timestamp_ms", 5i64))
             .access
             .is_full_scan());
+    }
+
+    #[test]
+    fn live_version_arithmetic_is_one_bump_per_effective_call() {
+        let mut c = Collection::new("t");
+        let at = |c: &Collection| (c.mutation_version(), c.append_watermark());
+        assert_eq!(at(&c), (0, 0));
+        c.insert_one(doc! { "_id" => "a", "x" => 1i64 }).unwrap();
+        assert_eq!(at(&c), (1, 1));
+        let batch = (2..5i64).map(|x| doc! { "x" => x }).collect();
+        assert_eq!(c.insert_many(batch).unwrap().len(), 3);
+        assert_eq!(at(&c), (2, 4), "one bump per batch, one seq per row");
+        assert_eq!(c.delta_since(0), Delta::Appended);
+        assert_eq!(c.delta_since(1), Delta::Appended);
+        // Calls that change nothing leave both counters alone.
+        assert!(c.insert_many(Vec::new()).unwrap().is_empty());
+        let miss = Filter::eq("x", 999i64);
+        assert_eq!(c.update_many(&miss, &Update::new().set("y", 1i64)), 0);
+        assert_eq!(c.delete_many(&miss), 0);
+        let same = vec![doc! { "_id" => "a", "x" => 1i64 }];
+        assert_eq!(c.upsert_many(same).unwrap(), 0);
+        assert!(c.insert_one(doc! { "_id" => "a" }).is_err());
+        assert_eq!(at(&c), (2, 4));
+        assert_eq!(c.delta_since(2), Delta::Same);
+        // An upsert that replaces one row and appends another is one
+        // bump, one seq and a reshape.
+        let mixed = vec![doc! { "_id" => "a", "x" => 7i64 }, doc! { "_id" => "b" }];
+        assert_eq!(c.upsert_many(mixed).unwrap(), 2);
+        assert_eq!(at(&c), (3, 5));
+        assert_eq!(c.delta_since(2), Delta::Reshaped);
+        // An upsert that only appends is an append.
+        assert_eq!(c.upsert_many(vec![doc! { "_id" => "c" }]).unwrap(), 1);
+        assert_eq!(at(&c), (4, 6));
+        assert_eq!(c.delta_since(3), Delta::Appended);
+        // An update counts the rows it matched, changed or not.
+        assert_eq!(c.update_many(&Filter::eq("x", 7i64), &Update::new()), 1);
+        assert_eq!(at(&c), (5, 6));
+        assert_eq!(c.delta_since(4), Delta::Reshaped);
+        assert_eq!(c.delete_many(&Filter::gte("x", 3i64)), 3);
+        assert_eq!(at(&c), (6, 6), "a delete frees no seq");
+        assert_eq!(c.delta_since(5), Delta::Reshaped);
+        assert_eq!(c.delta_since(6), Delta::Same);
+        assert_eq!(c.delta_since(7), Delta::Ahead);
+        assert_eq!(c.take_dirty(), vec![0]);
+        assert!(c.take_dirty().is_empty());
+    }
+
+    // ---- every entry point against a model -------------------------------
+
+    use crate::snapshot::{decode_jsonl, encode_jsonl_seq, take_seq, LoadOptions};
+    use crate::storage::{FaultyStorage, Storage};
+    use crate::wal::{read_wal, wal_path, WalOp};
+    use proptest::prelude::*;
+    use std::path::Path;
+
+    /// `k` (scalar index) and `tags` (multikey index), each optional.
+    type RowSpec = (Option<i64>, Option<Vec<i64>>);
+
+    #[derive(Debug, Clone)]
+    enum Pick {
+        KBelow(i64),
+        Tag(i64),
+        /// The n-th live row, by `_id`.
+        Live(u8),
+        Nothing,
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `id`: 0 = auto-generated, 1 = fresh, 2 = taken (must fail).
+        InsertOne(u8, RowSpec),
+        /// `Some(n)`: the n-th row repeats an id (must fail whole).
+        InsertMany(Vec<RowSpec>, Option<u8>),
+        /// Per document: the row it aims at, and 0 = that row's own
+        /// content, 1 = new content under its id, 2 = a fresh id.
+        UpsertMany(Vec<(u8, u8, RowSpec)>),
+        /// Change: 0 = nothing, 1 = inc k, 2 = push a tag, 3 = unset
+        /// tags, 4 = set tags.
+        UpdateMany(Pick, u8, Vec<i64>),
+        DeleteMany(Pick),
+        Pin,
+        Unpin,
+        Checkpoint,
+        Reload,
+    }
+
+    fn arb_row() -> impl Strategy<Value = RowSpec> {
+        (
+            prop::option::of(0i64..60),
+            prop::option::of(prop::collection::vec(0i64..4, 0..3)),
+        )
+    }
+
+    fn arb_pick() -> impl Strategy<Value = Pick> {
+        prop_oneof![
+            (0i64..60).prop_map(Pick::KBelow),
+            (0i64..4).prop_map(Pick::Tag),
+            any::<u8>().prop_map(Pick::Live),
+            Just(Pick::Nothing),
+        ]
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let tags = || prop::collection::vec(0i64..4, 0..3);
+        prop_oneof![
+            ((0u8..3), arb_row()).prop_map(|(id, row)| Step::InsertOne(id, row)),
+            prop::collection::vec(arb_row(), 0..40).prop_map(|rows| Step::InsertMany(rows, None)),
+            prop::collection::vec(arb_row(), 0..40).prop_map(|rows| Step::InsertMany(rows, None)),
+            (prop::collection::vec(arb_row(), 1..6), any::<u8>())
+                .prop_map(|(rows, n)| Step::InsertMany(rows, Some(n))),
+            prop::collection::vec((any::<u8>(), (0u8..3), arb_row()), 0..6)
+                .prop_map(Step::UpsertMany),
+            (arb_pick(), (0u8..5), tags()).prop_map(|(p, ch, t)| Step::UpdateMany(p, ch, t)),
+            arb_pick().prop_map(Step::DeleteMany),
+            arb_pick().prop_map(Step::DeleteMany),
+            Just(Step::Pin),
+            Just(Step::Pin),
+            Just(Step::Unpin),
+            Just(Step::Checkpoint),
+            Just(Step::Reload),
+        ]
+    }
+
+    fn row(id: Option<String>, (k, tags): &RowSpec) -> Document {
+        let mut d = Document::new();
+        if let Some(id) = id {
+            d.set("_id", id);
+        }
+        if let Some(k) = k {
+            d.set("k", *k);
+        }
+        if let Some(tags) = tags {
+            d.set("tags", tags.clone());
+        }
+        d
+    }
+
+    type IndexImage<'a> = BTreeMap<&'a str, (&'a BTreeMap<String, BTreeSet<u64>>, usize, usize)>;
+
+    fn index_image(c: &Collection) -> IndexImage<'_> {
+        c.indexes
+            .iter()
+            .map(|(f, i)| (f.as_str(), (&i.ordered, i.indexed_docs, i.multikey_docs)))
+            .collect()
+    }
+
+    /// `primary`, `docs` and the indexes agree with each other.
+    fn assert_consistent(c: &Collection) {
+        assert_eq!(c.primary.len(), c.docs.len());
+        for (seq, doc) in &c.docs {
+            let key = doc.get("_id").expect("every row has an id").index_key();
+            assert_eq!(c.primary.get(&key), Some(seq));
+        }
+        let mut rebuilt = c.clone();
+        rebuilt.indexes.clear();
+        for field in c.indexes.keys() {
+            rebuilt.create_index(field);
+        }
+        assert_eq!(index_image(c), index_image(&rebuilt));
+    }
+
+    /// A live collection logging to an in-memory WAL, the model of what
+    /// it must hold, and a hand-rolled checkpoint (the dirty slices'
+    /// bytes) to reload it from — indexes in place, which a
+    /// [`crate::Database`] reopen never has.
+    struct Harness {
+        storage: FaultyStorage,
+        wal: Arc<Wal>,
+        c: Collection,
+        slices: BTreeMap<u64, Vec<u8>>,
+        slices_next_seq: u64,
+        rows: BTreeMap<u64, Document>,
+        next_seq: u64,
+        /// Versions the model has watched since `base`, each with
+        /// whether its mutation reshaped.
+        base: u64,
+        events: Vec<bool>,
+        /// Slices touched since the dirty set was last taken.
+        touched: BTreeSet<u64>,
+        pins: Vec<(Arc<Collection>, BTreeMap<u64, Document>)>,
+        fresh: u32,
+    }
+
+    impl Harness {
+        /// Rows start just below a slice boundary so a short run
+        /// already spans several slices.
+        const FIRST_SEQ: u64 = SLICE_ROWS - 8;
+
+        fn indexed() -> Collection {
+            let mut c = Collection::new("rows");
+            c.create_index("k");
+            c.create_index("tags");
+            c
+        }
+
+        fn new() -> Harness {
+            let storage = FaultyStorage::new();
+            let wal = Arc::new(Wal::new(Arc::new(storage.clone()), "/db".into(), 1));
+            let mut c = Harness::indexed();
+            c.set_next_seq_at_least(Harness::FIRST_SEQ);
+            c.set_wal(Some(wal.clone()));
+            Harness {
+                storage,
+                wal,
+                c,
+                slices: BTreeMap::new(),
+                slices_next_seq: Harness::FIRST_SEQ,
+                rows: BTreeMap::new(),
+                next_seq: Harness::FIRST_SEQ,
+                base: 0,
+                events: Vec::new(),
+                touched: BTreeSet::new(),
+                pins: Vec::new(),
+                fresh: 0,
+            }
+        }
+
+        fn fresh_id(&mut self) -> String {
+            self.fresh += 1;
+            format!("r{}", self.fresh)
+        }
+
+        fn live(&self, n: u8) -> Option<(u64, &Document)> {
+            let n = n as usize % self.rows.len().max(1);
+            self.rows.iter().nth(n).map(|(s, d)| (*s, d))
+        }
+
+        fn live_id(&self, n: u8) -> Option<String> {
+            self.live(n).map(|(_, d)| d.id().unwrap().to_string())
+        }
+
+        fn filter(&self, pick: &Pick) -> Filter {
+            match pick {
+                Pick::KBelow(k) => Filter::lt("k", *k),
+                Pick::Tag(t) => Filter::eq("tags", *t),
+                Pick::Live(n) => Filter::eq("_id", self.live_id(*n).unwrap_or_default()),
+                Pick::Nothing => Filter::eq("k", 999i64),
+            }
+        }
+
+        fn matching(&self, filter: &Filter) -> Vec<u64> {
+            let hit = |(s, d): (&u64, &Document)| filter.matches(d).then_some(*s);
+            self.rows.iter().filter_map(hit).collect()
+        }
+
+        /// The model's side of one live call: rows appended at the
+        /// allocator, rows replaced (`Some`) or removed (`None`) in place.
+        fn expect(&mut self, appended: Vec<Document>, reshaped: Vec<(u64, Option<Document>)>) {
+            if appended.is_empty() && reshaped.is_empty() {
+                return;
+            }
+            self.events.push(!reshaped.is_empty());
+            for doc in appended {
+                self.touched.insert(self.next_seq / SLICE_ROWS);
+                self.rows.insert(self.next_seq, doc);
+                self.next_seq += 1;
+            }
+            for (seq, doc) in reshaped {
+                self.touched.insert(seq / SLICE_ROWS);
+                match doc {
+                    Some(doc) => self.rows.insert(seq, doc),
+                    None => self.rows.remove(&seq),
+                };
+            }
+        }
+
+        /// What the collection stored for rows it just appended — the
+        /// input plus, where that had none, a generated `_id`.
+        fn stored(&self, inputs: &[Document]) -> Vec<Document> {
+            let stored: Vec<Document> = self.c.iter_from(self.next_seq).cloned().collect();
+            assert_eq!(stored.len(), inputs.len());
+            for (got, input) in stored.iter().zip(inputs) {
+                let mut want = input.clone();
+                if want.get("_id").is_none() {
+                    assert!(got.id().unwrap().starts_with("auto:"));
+                    want.set("_id", got.id().unwrap());
+                }
+                assert_eq!(*got, want);
+            }
+            stored
+        }
+
+        fn version(&self) -> u64 {
+            self.base + self.events.len() as u64
+        }
+
+        fn delta(&self, v: u64) -> Delta {
+            match v.cmp(&self.version()) {
+                Ordering::Equal => Delta::Same,
+                Ordering::Greater => Delta::Ahead,
+                Ordering::Less if self.events[(v - self.base) as usize..].contains(&true) => {
+                    Delta::Reshaped
+                }
+                Ordering::Less => Delta::Appended,
+            }
+        }
+
+        fn step(&mut self, step: &Step) {
+            match step {
+                Step::InsertOne(id, spec) => {
+                    let id = match id {
+                        0 => None,
+                        1 => Some(self.fresh_id()),
+                        _ => Some(self.live_id(0).unwrap_or_else(|| self.fresh_id())),
+                    };
+                    let taken = id
+                        .as_ref()
+                        .is_some_and(|id| self.c.find_by_id(id.as_str()).is_some());
+                    let doc = row(id, spec);
+                    match self.c.insert_one(doc.clone()) {
+                        Ok(key) => {
+                            assert!(!taken);
+                            let stored = self.stored(&[doc]);
+                            assert_eq!(key, stored[0].get("_id").unwrap().index_key());
+                            self.expect(stored, vec![]);
+                        }
+                        Err(e) => assert!(taken && matches!(e, DbError::DuplicateId(_))),
+                    }
+                }
+                Step::InsertMany(specs, dup) => {
+                    let mut docs: Vec<Document> = Vec::new();
+                    for (i, spec) in specs.iter().enumerate() {
+                        // Every fourth row leaves its id to the collection.
+                        let id = (i % 4 != 3).then(|| self.fresh_id());
+                        docs.push(row(id, spec));
+                    }
+                    let mut fails = false;
+                    if let Some(n) = dup {
+                        // Repeat a live row's id, or else the batch's own first.
+                        let id = self.live_id(*n).or(docs[0].id().map(String::from));
+                        if let Some(id) = id {
+                            let at = *n as usize % docs.len();
+                            fails = at != 0 || self.c.find_by_id(id.as_str()).is_some();
+                            docs[at].set("_id", id);
+                        }
+                    }
+                    match self.c.insert_many(docs.clone()) {
+                        Ok(keys) => {
+                            assert!(!fails);
+                            let stored = self.stored(&docs);
+                            for (key, doc) in keys.iter().zip(&stored) {
+                                assert_eq!(*key, doc.get("_id").unwrap().index_key());
+                            }
+                            self.expect(stored, vec![]);
+                        }
+                        Err(e) => assert!(fails && matches!(e, DbError::DuplicateId(_))),
+                    }
+                }
+                Step::UpsertMany(targets) => {
+                    let mut docs = Vec::new();
+                    for (n, how, spec) in targets {
+                        docs.push(match (how, self.live(*n)) {
+                            (0, Some((_, doc))) => doc.clone(),
+                            (1, Some((_, doc))) => row(doc.id().map(String::from), spec),
+                            _ => row(Some(self.fresh_id()), spec),
+                        });
+                    }
+                    // In order, like the collection: a later document
+                    // may aim at a row an earlier one appended.
+                    let mut model = self.rows.clone();
+                    let (mut appended, mut reshaped) = (Vec::new(), Vec::new());
+                    let mut next = self.next_seq;
+                    for doc in &docs {
+                        match model.iter().find(|(_, d)| d.id() == doc.id()) {
+                            Some((_, old)) if old == doc => {}
+                            Some((&seq, _)) => {
+                                model.insert(seq, doc.clone());
+                                reshaped.push(seq);
+                            }
+                            None => {
+                                model.insert(next, doc.clone());
+                                appended.push(doc.clone());
+                                next += 1;
+                            }
+                        }
+                    }
+                    let changed = appended.len() + reshaped.len();
+                    assert_eq!(self.c.upsert_many(docs).unwrap(), changed);
+                    let reshaped = reshaped
+                        .into_iter()
+                        .filter(|seq| *seq < self.next_seq)
+                        .map(|seq| (seq, Some(model[&seq].clone())))
+                        .collect();
+                    let appended = (self.next_seq..next).map(|s| model[&s].clone()).collect();
+                    self.expect(appended, reshaped);
+                }
+                Step::UpdateMany(pick, change, tags) => {
+                    let filter = self.filter(pick);
+                    let update = match change {
+                        0 => Update::new(),
+                        1 => Update::new().inc("k", 1.0),
+                        2 => Update::new().push("tags", tags.len() as i64),
+                        3 => Update::new().unset("tags"),
+                        _ => Update::new().set("tags", tags.clone()),
+                    };
+                    let post = |seq: u64| {
+                        let mut doc = self.rows[&seq].clone();
+                        update.apply(&mut doc);
+                        (seq, Some(doc))
+                    };
+                    let reshaped: Vec<_> = self.matching(&filter).into_iter().map(post).collect();
+                    assert_eq!(self.c.update_many(&filter, &update), reshaped.len());
+                    self.expect(vec![], reshaped);
+                }
+                Step::DeleteMany(pick) => {
+                    let filter = self.filter(pick);
+                    let gone: Vec<_> = self
+                        .matching(&filter)
+                        .into_iter()
+                        .map(|s| (s, None))
+                        .collect();
+                    assert_eq!(self.c.delete_many(&filter), gone.len());
+                    self.expect(vec![], gone);
+                }
+                Step::Pin => {
+                    // Hit, merge (in place or copy-on-write under the
+                    // older pins) or clone — the image is the collection.
+                    let image = self.c.read_snapshot();
+                    assert_eq!(image.docs, self.c.docs);
+                    assert_eq!(image.primary, self.c.primary);
+                    assert_eq!(index_image(&image), index_image(&self.c));
+                    assert_eq!(image.next_seq, self.c.next_seq);
+                    assert_eq!(image.next_auto_id, self.c.next_auto_id);
+                    for v in self.base..=self.version() + 1 {
+                        assert_eq!(image.delta_since(v), self.delta(v));
+                    }
+                    if self.pins.len() == 3 {
+                        self.pins.remove(0);
+                    }
+                    self.pins.push((image, self.rows.clone()));
+                }
+                Step::Unpin => self.pins.clear(),
+                Step::Checkpoint => {
+                    for slice in self.c.take_dirty() {
+                        let bytes = encode_jsonl_seq(self.c.slice_rows(slice));
+                        if bytes.is_empty() {
+                            self.slices.remove(&slice);
+                        } else {
+                            self.slices.insert(slice, bytes);
+                        }
+                    }
+                    self.slices_next_seq = self.c.append_watermark();
+                    self.wal.rotate(self.wal.generation() + 1);
+                    self.touched.clear();
+                }
+                Step::Reload => {
+                    let mut c = Harness::indexed();
+                    for bytes in self.slices.values() {
+                        let (docs, bad) = decode_jsonl(bytes, "slice", &LoadOptions::default())
+                            .expect("the checkpoint decodes");
+                        assert!(bad.is_none());
+                        for mut doc in docs {
+                            let seq = take_seq(&mut doc).expect("slice rows carry their seq");
+                            c.apply_upsert_at(seq, doc);
+                        }
+                    }
+                    // The allocator already clears every row it was shown.
+                    let past_last = c.docs.keys().last().map_or(0, |seq| seq + 1);
+                    assert_eq!(c.append_watermark(), past_last);
+                    c.set_next_seq_at_least(self.slices_next_seq);
+                    c.take_dirty();
+                    let log = wal_path(Path::new("/db"), self.wal.generation());
+                    let bytes = self.storage.read(&log).unwrap_or_default();
+                    let replay = read_wal(&bytes, |group| {
+                        for op in group {
+                            match op {
+                                WalOp::Insert { doc, .. } => c.apply_upsert(doc),
+                                WalOp::InsertMany { docs, .. } | WalOp::Update { docs, .. } => {
+                                    docs.into_iter().for_each(|doc| c.apply_upsert(doc))
+                                }
+                                WalOp::Delete { ids, .. } => c.apply_delete_ids(&ids),
+                                WalOp::Drop { .. } => unreachable!("nothing drops"),
+                            }
+                        }
+                    });
+                    assert_eq!(replay.torn_bytes, 0);
+                    // The slices the dirty sets named plus the log are
+                    // the whole collection, seq for seq; what the replay
+                    // changed is dirty again (a logged post-image equal
+                    // to the slice row changed nothing).
+                    assert_eq!(c.docs, self.c.docs);
+                    assert_eq!(c.next_seq, self.c.next_seq);
+                    assert!(c.dirty.lock().is_subset(&self.touched));
+                    self.touched = c.dirty.lock().clone();
+                    c.set_wal(Some(self.wal.clone()));
+                    self.c = c;
+                    self.base = self.c.mutation_version();
+                    self.events.clear();
+                }
+            }
+            assert_eq!(self.c.docs, self.rows);
+            assert_eq!(self.c.append_watermark(), self.next_seq);
+            assert_eq!(self.c.mutation_version(), self.version());
+            assert_consistent(&self.c);
+            // Exactly: a superset would be safe, but the next checkpoint
+            // would rewrite slices nothing touched.
+            assert_eq!(*self.c.dirty.lock(), self.touched);
+            for v in self.base..=self.version() + 1 {
+                assert_eq!(self.c.delta_since(v), self.delta(v));
+            }
+            for (image, rows) in &self.pins {
+                assert_eq!(image.docs, *rows, "a pinned image never changes");
+                assert_consistent(image);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_entry_point_keeps_rows_indexes_and_bookkeeping_in_step(
+            steps in prop::collection::vec(arb_step(), 1..48),
+        ) {
+            let mut h = Harness::new();
+            for step in &steps {
+                h.step(step);
+            }
+        }
     }
 }

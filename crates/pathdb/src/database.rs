@@ -297,11 +297,6 @@ impl Database {
         }
     }
 
-    /// The registered rollup configs.
-    pub fn rollup_configs(&self) -> Vec<RollupConfig> {
-        self.rollups.lock().clone()
-    }
-
     /// Fold every registered rollup forward to its source's append
     /// watermark. Serialized internally (concurrent catch-ups of one
     /// config could double-count). Returns total source rows folded.
@@ -322,11 +317,6 @@ impl Database {
         retention.retain(|p| p.collection != policy.collection);
         retention.push(policy);
         retention.sort_by(|a, b| a.collection.cmp(&b.collection));
-    }
-
-    /// The registered retention policies, sorted by collection.
-    pub fn retention_policies(&self) -> Vec<RetentionPolicy> {
-        self.retention.lock().clone()
     }
 
     /// Expire raw rows older than each policy's window relative to
@@ -901,6 +891,38 @@ mod tests {
         );
         assert_eq!(d.get("note"), Some(&Value::Null));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_report_renders_every_finding() {
+        let report = RecoveryReport {
+            collections: 3,
+            snapshot_docs: 120,
+            wal_groups: 2,
+            wal_effects: 9,
+            torn_wal_bytes: 17,
+            dropped_uncommitted_ops: 1,
+            stale_wals_removed: 0,
+            skipped: vec![SkippedLines {
+                file: "paths.jsonl".into(),
+                first_bad_line: 40,
+                skipped: 3,
+            }],
+        };
+        assert!(!report.clean());
+        assert_eq!(
+            report.render(),
+            "recovered 3 collection(s), 120 snapshot document(s); \
+             replayed 2 WAL group(s) (9 effect(s)); \
+             truncated 17 torn WAL byte(s), dropped 1 uncommitted op(s); \
+             paths.jsonl: kept lines 1..39, skipped 3"
+        );
+        let clean = RecoveryReport::default();
+        assert!(clean.clean());
+        assert_eq!(
+            clean.render(),
+            "recovered 0 collection(s), 0 snapshot document(s)"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * a cost-based query planner ([`plan`]): range scans for comparison
 //!   filters, index intersection/union over `$and`/`$or` conjuncts,
 //!   index-served sorting with skip/limit pushdown, and a
-//!   [`Collection::explain`] API exposing the chosen access path,
+//!   [`Query::explain`] API exposing the chosen access path,
 //! * atomic bulk insertion — the batched write path whose
 //!   fault-tolerance/scalability trade-off the paper discusses,
 //! * crash-safe persistence: JSON-lines slice files committed by a

@@ -68,8 +68,7 @@ impl Access {
     }
 }
 
-/// The planner's decision for a query — what
-/// [`Collection::explain_with`](crate::collection::Collection::explain_with)
+/// The planner's decision for a query — what [`crate::Query::explain`]
 /// returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {

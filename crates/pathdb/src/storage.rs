@@ -228,16 +228,6 @@ impl FaultyStorage {
             })),
         }
     }
-
-    /// Snapshot of the file map (paths + sizes), for test diagnostics.
-    pub fn file_sizes(&self) -> Vec<(PathBuf, usize)> {
-        self.inner
-            .lock()
-            .files
-            .iter()
-            .map(|(p, b)| (p.clone(), b.len()))
-            .collect()
-    }
 }
 
 impl FaultyInner {

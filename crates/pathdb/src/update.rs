@@ -84,11 +84,18 @@ impl Update {
                         continue;
                     }
                     let next = match doc.get_path(k) {
-                        Some(Value::Int(i)) if by.fract() == 0.0 => Value::Int(i + *by as i64),
-                        Some(v) => match v.as_number() {
-                            Some(f) => Value::Float(f + by),
-                            None => continue, // non-numeric: no-op
-                        },
+                        Some(v) => {
+                            // A sum that leaves i64 carries on as a float.
+                            let whole = match v {
+                                Value::Int(i) if by.fract() == 0.0 => i.checked_add(*by as i64),
+                                _ => None,
+                            };
+                            match (whole, v.as_number()) {
+                                (Some(n), _) => Value::Int(n),
+                                (None, Some(f)) => Value::Float(f + by),
+                                (None, None) => continue, // non-numeric: no-op
+                            }
+                        }
                         None => {
                             if by.fract() == 0.0 {
                                 Value::Int(*by as i64)
@@ -152,6 +159,19 @@ mod tests {
         let mut d = doc! { "n" => 5i64 };
         Update::new().inc("n", 2.0).apply(&mut d);
         assert_eq!(d.get("n"), Some(&Value::Int(7)));
+    }
+
+    #[test]
+    fn inc_past_i64_carries_on_as_a_float() {
+        let mut d = doc! { "hi" => i64::MAX, "lo" => i64::MIN, "fits" => i64::MAX - 1 };
+        Update::new()
+            .inc("hi", 1.0)
+            .inc("lo", -1.0)
+            .inc("fits", 1.0)
+            .apply(&mut d);
+        assert_eq!(d.get("hi"), Some(&Value::Float(i64::MAX as f64 + 1.0)));
+        assert_eq!(d.get("lo"), Some(&Value::Float(i64::MIN as f64 - 1.0)));
+        assert_eq!(d.get("fits"), Some(&Value::Int(i64::MAX)));
     }
 
     #[test]

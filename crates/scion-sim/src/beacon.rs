@@ -79,14 +79,6 @@ pub struct BeaconStore {
 }
 
 impl BeaconStore {
-    pub fn num_core_segments(&self) -> usize {
-        self.core.values().map(Vec::len).sum()
-    }
-
-    pub fn num_down_segments(&self) -> usize {
-        self.down.values().map(Vec::len).sum()
-    }
-
     /// How many beacons the `beacons_per_pair` cap dropped during
     /// propagation (0 when exhaustive).
     pub fn capped_count(&self) -> u64 {

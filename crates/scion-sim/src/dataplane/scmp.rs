@@ -7,7 +7,7 @@
 //! destination's [`ServerBehavior`] decides whether an echo reply is
 //! generated; the reply walks the reverse hops the same way.
 //!
-//! An event is one [`InFlight`] record — a packet and the time it
+//! An event is one `InFlight` record — a packet and the time it
 //! reaches its next hop. Events fire in `(fire time, scheduling
 //! sequence)` order, all draws come from one shared generator in that
 //! order, and only the packets actually between two hops are queued:

@@ -35,10 +35,6 @@ impl SimTime {
     pub fn plus_ns(self, ns: u64) -> SimTime {
         SimTime(self.0.saturating_add(ns))
     }
-
-    pub fn plus_ms(self, ms: f64) -> SimTime {
-        self.plus_ns((ms * 1_000_000.0).round().max(0.0) as u64)
-    }
 }
 
 #[cfg(test)]

@@ -147,14 +147,6 @@ impl PathServer {
         &self.store
     }
 
-    /// Segment statistics (diagnostics).
-    pub fn segment_counts(&self) -> (usize, usize) {
-        (
-            self.store.num_core_segments(),
-            self.store.num_down_segments(),
-        )
-    }
-
     /// The ranked path prefix for `(src, dst)`, forced to hold at least
     /// `k` paths (or everything, if fewer exist). Returns the prefix,
     /// whether the pair's entry pre-existed in the memoization cache,

@@ -4,11 +4,11 @@
 //! wraps (§3.3), running against [`scion_sim::net::ScionNetwork`] instead
 //! of a live testbed, with the same input/output contracts:
 //!
-//! * [`address`] — `scion address`
-//! * [`showpaths`] — `scion showpaths [-m N] [--extended]`
-//! * [`ping`] — `scion ping -c N --interval T [--sequence '...']`,
+//! * [`mod@address`] — `scion address`
+//! * [`mod@showpaths`] — `scion showpaths [-m N] [--extended]`
+//! * [`mod@ping`] — `scion ping -c N --interval T [--sequence '...']`,
 //!   including the interactive path-choice mode
-//! * [`traceroute`] — `scion traceroute`
+//! * [`mod@traceroute`] — `scion traceroute`
 //! * [`bwtester`] — `scion-bwtestclient -cs 'd,s,n,bw' [-sc ...]` with
 //!   `?` wildcard inference and the tool's duration/packet-size limits
 //!
