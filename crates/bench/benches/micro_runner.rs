@@ -16,13 +16,12 @@ fn seeded_db(net: &ScionNetwork, cfg: &SuiteConfig) -> Database {
     db
 }
 
-fn quick(workers: usize, parallel: bool) -> SuiteConfig {
+fn quick(workers: usize) -> SuiteConfig {
     SuiteConfig {
         iterations: 1,
         some_only: true,
         ping_count: 3,
         run_bwtests: false,
-        parallel,
         workers,
         ..SuiteConfig::default()
     }
@@ -32,7 +31,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro_runner");
     g.sample_size(20);
 
-    let cfg_seq = quick(1, false);
+    let cfg_seq = quick(1);
     let net = ScionNetwork::scionlab(42);
     let db = seeded_db(&net, &cfg_seq);
 
@@ -40,7 +39,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| run_campaign(&db, black_box(&net), &cfg_seq).unwrap())
     });
 
-    let cfg_pool = quick(4, true);
+    let cfg_pool = quick(4);
     g.bench_function("campaign_pooled_4_workers", |b| {
         b.iter(|| run_campaign(&db, black_box(&net), &cfg_pool).unwrap())
     });

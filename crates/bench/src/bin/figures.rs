@@ -7,86 +7,56 @@
 //! Output goes to stdout; pass `--out <dir>` to also write one
 //! `<figure>.txt` per figure (the inputs to EXPERIMENTS.md).
 
+use scion_tools::args::Spec;
 use std::io::Write;
 
+/// A figure's text as a function of `--seed` and `--iterations`.
+type Render = fn(u64, u32) -> String;
+
+/// Every figure, by name.
+const FIGURES: [(&str, Render); 10] = [
+    ("fig4", |seed, _| upin_bench::fig4(seed).1),
+    ("fig5", |seed, n| upin_bench::fig5(seed, n).1),
+    ("fig6", |seed, n| upin_bench::fig6(seed, n).2),
+    ("fig7", |seed, n| upin_bench::fig7(seed, n).1),
+    ("fig8", |seed, n| upin_bench::fig8(seed, n).1),
+    ("fig9", |seed, n| upin_bench::fig9(seed, n.min(5)).1),
+    ("correlation", |seed, n| upin_bench::correlation(seed, n).1),
+    ("consistency", |seed, n| {
+        upin_bench::destination_consistency(seed, n.min(5)).1
+    }),
+    ("diversity", |seed, n| {
+        upin_bench::choice_diversity(seed, n.min(5)).1
+    }),
+    ("summary", |seed, _| {
+        upin_bench::summary_campaign(seed, 25).1
+    }),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Vec<String> = Vec::new();
-    let mut seed = 42u64;
-    let mut iterations = 10u32;
-    let mut out_dir: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--iterations" => {
-                i += 1;
-                iterations = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                i += 1;
-                out_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            name if name.starts_with("fig")
-                || name == "summary"
-                || name == "correlation"
-                || name == "consistency"
-                || name == "diversity"
-                || name == "all" =>
-            {
-                which.push(name.to_string());
-            }
-            _ => usage(),
-        }
-        i += 1;
+    let spec = Spec::new(0, usize::MAX)
+        .value("seed")
+        .value("iterations")
+        .value("out");
+    let p = spec.parse(std::env::args().skip(1)).unwrap_or_else(usage);
+    let seed: u64 = p.get_or("seed", 42).unwrap_or_else(usage);
+    let iterations: u32 = p.get_or("iterations", 10).unwrap_or_else(usage);
+    let mut which: Vec<&str> = p.positional.iter().map(String::as_str).collect();
+    if which.is_empty() || which.contains(&"all") {
+        which = FIGURES.iter().map(|(name, _)| *name).collect();
     }
-    if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = [
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "correlation",
-            "consistency",
-            "diversity",
-            "summary",
-        ]
+    let figures: Vec<_> = which
         .iter()
-        .map(|s| s.to_string())
+        .map(|w| match FIGURES.iter().find(|(name, _)| name == w) {
+            Some(figure) => figure,
+            None => usage(format!("unknown figure {w:?}")),
+        })
         .collect();
-    }
 
-    for name in &which {
-        let text = match name.as_str() {
-            "fig4" => upin_bench::fig4(seed).1,
-            "fig5" => upin_bench::fig5(seed, iterations).1,
-            "fig6" => upin_bench::fig6(seed, iterations).2,
-            "fig7" => upin_bench::fig7(seed, iterations).1,
-            "fig8" => upin_bench::fig8(seed, iterations).1,
-            "fig9" => upin_bench::fig9(seed, iterations.min(5)).1,
-            "correlation" => upin_bench::correlation(seed, iterations).1,
-            "consistency" => upin_bench::destination_consistency(seed, iterations.min(5)).1,
-            "diversity" => upin_bench::choice_diversity(seed, iterations.min(5)).1,
-            "summary" => upin_bench::summary_campaign(seed, 25).1,
-            other => {
-                eprintln!("unknown figure {other:?}");
-                std::process::exit(2);
-            }
-        };
+    for (name, render) in figures {
+        let text = render(seed, iterations);
         println!("{text}");
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = p.opt("out") {
             std::fs::create_dir_all(dir).expect("create output dir");
             let path = format!("{dir}/{name}.txt");
             let mut f = std::fs::File::create(&path).expect("create figure file");
@@ -95,7 +65,8 @@ fn main() {
     }
 }
 
-fn usage() -> ! {
+fn usage<T>(error: String) -> T {
+    eprintln!("{error}");
     eprintln!(
         "usage: figures [fig4|fig5|fig6|fig7|fig8|fig9|summary|all] [--seed N] [--iterations N] [--out DIR]"
     );

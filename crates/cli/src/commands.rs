@@ -1,862 +1,381 @@
-//! Command implementations. Each command is a pure function from parsed
-//! arguments to output text, so the whole CLI is unit-testable without
-//! process spawning.
+//! The command table. Every `upin` command and subcommand is one row of
+//! `COMMANDS`: its name, its lines of `upin help`, its option table
+//! and a handler — a pure function from parsed arguments (and an open
+//! session, when the row needs one) to output text, so the whole CLI is
+//! unit-testable without process spawning. [`run`] does what every
+//! command shares — lookup, global options, session, telemetry exports
+//! — once.
 
-use crate::args::Spec;
 use crate::session::{CliError, Session, SessionOptions};
 use scion_sim::addr::{IsdAsn, ScionAddr};
+use scion_sim::chaos::ChaosSchedule;
+use scion_tools::args::{Parsed, Spec};
 use scion_tools::ping::{PathSelection, PingOptions};
+use scion_tools::showpaths::ShowpathsOptions;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use upin_core::api::{self, EvaluateConstraintRequest, RecommendRequest, ShowPathsRequest};
 use upin_core::select::{recommend, Constraints, Objective, UserRequest};
 use upin_core::verify::verify_recommendation;
-use upin_core::{ServiceRequest, SuiteConfig};
+use upin_core::{FailoverConfig, ServiceRequest, SuiteConfig};
+
+/// One row of the command table.
+struct Command {
+    /// What the user types: `"ping"`, `"chaos run"`.
+    name: &'static str,
+    /// The row's lines of `upin help`.
+    help: &'static str,
+    /// The positionals and options the row itself takes.
+    spec: fn() -> Spec,
+    run: Run,
+}
+
+type Handler = fn(&Parsed, &Session) -> Result<String, CliError>;
+
+/// A row's handler, by what [`run`] has to open for it.
+enum Run {
+    /// Nothing: no session, and so none of the session's global options.
+    Plain(fn(&Parsed) -> Result<String, CliError>),
+    /// A session — global options, network, database.
+    Session(Handler),
+    /// A session whose database lists the measurable servers.
+    Servers(Handler),
+}
 
 /// Top-level dispatch: `run(&["showpaths", "16-ffaa:0:1002", "-m", "40"])`.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let (command, rest) = argv.split_first().ok_or_else(|| CliError::Usage(usage()))?;
-
-    // Global options are valid on every command.
-    let with_globals = |spec: Spec| {
-        spec.value("seed")
-            .value("db")
-            .value("durability")
-            .value("trace-out")
-            .value("metrics-out")
-            .value("topology")
-            .value("beacon-cap")
-            .flag("quiet")
+    if let Some("help" | "--help" | "-h") = argv.first().map(String::as_str) {
+        return Ok(usage());
+    }
+    let (command, rest) = lookup(argv)?;
+    let parse = |spec: Spec| {
+        spec.parse(rest)
+            .map_err(|e| CliError::Usage(format!("{e}\nusage:\n{}", command.help.trim_end())))
     };
-
-    match command.as_str() {
-        "destinations" => {
-            let p = parse(with_globals(Spec::new(0, 0)), rest)?;
-            let s = open(&p)?;
-            let out = cmd_destinations(&s)?;
-            finish(&s, out)
+    let (handler, servers) = match command.run {
+        Run::Plain(handler) => return handler(&parse((command.spec)())?),
+        Run::Session(handler) => (handler, false),
+        Run::Servers(handler) => (handler, true),
+    };
+    let p = parse(with_globals((command.spec)()))?;
+    let s = open(&p)?;
+    if servers {
+        s.ensure_servers()?;
+    }
+    // The requested telemetry exports are written once the handler is
+    // done — also after a failed verification — and their banner
+    // (empty under `--quiet`) ends the output.
+    match handler(&p, &s) {
+        Ok(out) => Ok(out + &s.export_telemetry()?),
+        Err(e @ CliError::Verification(_)) => {
+            s.export_telemetry()?;
+            Err(e)
         }
-        "showpaths" => {
-            let p = parse(
-                with_globals(Spec::new(1, 1).value("m").flag("extended")),
-                rest,
-            )?;
-            let s = open(&p)?;
-            let dst: IsdAsn = parse_ia(&p.positional[0])?;
-            let req = ServiceRequest::ShowPaths(ShowPathsRequest {
-                destination: dst.to_string(),
-                max_paths: p
-                    .opt_parse::<usize>("m")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(10),
-                extended: p.flag("extended"),
-            });
-            let resp = s.service().try_dispatch(&req)?;
-            finish(&s, api::render_response(&resp))
-        }
-        "ping" => {
-            let p = parse(
-                with_globals(
-                    Spec::new(1, 1)
-                        .value("c")
-                        .value("interval")
-                        .value("sequence")
-                        .value("policy")
-                        .value("interactive"),
-                ),
-                rest,
-            )?;
-            let s = open(&p)?;
-            let dst: ScionAddr = parse_addr(&p.positional[0])?;
-            let mut opts = PingOptions {
-                count: p
-                    .opt_parse::<u32>("c")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(3),
-                selection: selection_from(&p)?,
-                ..PingOptions::default()
-            };
-            if let Some(iv) = p.opt("interval") {
-                opts = opts.with_interval_str(iv)?;
-            }
-            let r = scion_tools::ping::ping(&s.net, s.local, dst, &opts)?;
-            finish(&s, format!("using path: {}\n{}", r.path, r.render()))
-        }
-        "traceroute" => {
-            let p = parse(
-                with_globals(Spec::new(1, 1).value("sequence").value("policy")),
-                rest,
-            )?;
-            let s = open(&p)?;
-            let dst: IsdAsn = parse_ia(&p.positional[0])?;
-            let r =
-                scion_tools::traceroute::traceroute(&s.net, s.local, dst, &selection_from(&p)?)?;
-            finish(&s, r.render())
-        }
-        "bwtest" => {
-            let p = parse(
-                with_globals(
-                    Spec::new(1, 1)
-                        .value("cs")
-                        .value("sc")
-                        .value("sequence")
-                        .value("policy"),
-                ),
-                rest,
-            )?;
-            let s = open(&p)?;
-            let dst: ScionAddr = parse_addr(&p.positional[0])?;
-            let cs = p.opt("cs").unwrap_or("3,1000,?,12Mbps");
-            let r = scion_tools::bwtester::bwtest(
-                &s.net,
-                s.local,
-                dst,
-                cs,
-                p.opt("sc"),
-                &selection_from(&p)?,
-            )?;
-            finish(&s, format!("using path: {}\n{}", r.path, r.render()))
-        }
-        "campaign" => {
-            let p = parse(
-                with_globals(
-                    Spec::new(1, 1)
-                        .flag("skip")
-                        .flag("some-only")
-                        .flag("parallel")
-                        .flag("no-bwtests")
-                        .value("workers")
-                        .value("retries"),
-                ),
-                rest,
-            )?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let mut suite_args: Vec<String> = vec![p.positional[0].clone()];
-            for flag in ["skip", "parallel"] {
-                if p.flag(flag) {
-                    suite_args.push(format!("--{flag}"));
-                }
-            }
-            if p.flag("some-only") {
-                suite_args.push("--some-only".to_string());
-            }
-            for opt in ["workers", "retries"] {
-                if let Some(v) = p.opt(opt) {
-                    suite_args.push(format!("--{opt}"));
-                    suite_args.push(v.to_string());
-                }
-            }
-            let mut cfg = SuiteConfig::from_args(&suite_args).map_err(CliError::Usage)?;
-            cfg.run_bwtests = !p.flag("no-bwtests");
-            // Campaigns over a `--topology` file measure from that
-            // network's user AS, not the SCIONLab replica's.
-            cfg.local_as = s.local;
-            let report = upin_core::TestSuite::new(&s.net, &s.db, cfg).run()?;
-            s.persist()?;
-            // Lead with what crash recovery had to repair, if anything:
-            // the operator should know samples were dropped or replayed.
-            // `--quiet` suppresses the banner (the report itself stays).
-            let mut out = String::new();
-            if !s.quiet {
-                if let Some(rec) = s.recovery.as_ref().filter(|rec| !rec.clean()) {
-                    out.push_str(&rec.render());
-                    out.push('\n');
-                }
-            }
-            out.push_str(&report.render());
-            finish(&s, out)
-        }
-        "topology" => {
-            let p = parse(with_globals(Spec::new(0, 0)), rest)?;
-            let s = open(&p)?;
-            let out = scion_sim::topology::render::render(s.net.topology());
-            finish(&s, out)
-        }
-        "topo" => {
-            // `upin topo generate`: write a BRITE-style random topology
-            // (preferential attachment, sparse core meshes) as JSON for
-            // later `--topology FILE` runs.
-            let p = parse(
-                Spec::new(1, 1)
-                    .value("seed")
-                    .value("isds")
-                    .value("ases")
-                    .value("cores")
-                    .value("core-mesh-density")
-                    .value("pref-attachment")
-                    .value("extra-parent-prob")
-                    .value("peering-prob")
-                    .value("server-prob")
-                    .value("out"),
-                rest,
-            )?;
-            if p.positional[0] != "generate" {
-                return Err(CliError::Usage(format!(
-                    "unknown topo subcommand {:?} (expected: generate)",
-                    p.positional[0]
-                )));
-            }
-            cmd_topo_generate(&p)
-        }
-        "failover" => {
-            let p = parse(
-                with_globals(
-                    Spec::new(1, 1)
-                        .value("probes")
-                        .value("threshold")
-                        .value("max-paths"),
-                ),
-                rest,
-            )?;
-            let s = open(&p)?;
-            let dst: ScionAddr = parse_addr(&p.positional[0])?;
-            // One failover session: a probe is one tick of K SCMP
-            // echoes, so K consecutive losses on the pinned path are
-            // what trigger the switch.
-            let cfg = upin_core::FailoverConfig {
-                local_as: s.local,
-                ticks: p
-                    .opt_parse::<usize>("probes")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(30),
-                tick_interval_ms: 100.0,
-                probes: p
-                    .opt_parse::<u32>("threshold")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(3),
-                max_paths: p
-                    .opt_parse::<usize>("max-paths")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(10),
-                ..upin_core::FailoverConfig::default()
-            };
-            cfg.validate().map_err(CliError::Usage)?;
-            let mut session = upin_core::failover::Session::open(&s.net, &cfg, dst, None);
-            if session.candidates().is_empty() {
-                return Err(
-                    scion_tools::ToolError::NoPath(format!("no path to {}", dst.ia)).into(),
-                );
-            }
-            for _ in 0..cfg.ticks {
-                session.tick();
-            }
-            let r = session.into_report(0);
-            let mut out = format!(
-                "{} probes over {} candidate paths: {} served ({:.0}% degraded), {} switch(es), {} restore(s)\n",
-                r.ticks,
-                r.candidates,
-                r.ok_ticks,
-                (1.0 - r.availability()) * 100.0,
-                r.switch_ms.len(),
-                r.restores
-            );
-            match &r.serving {
-                Some(p) if p.stale => {
-                    out.push_str(&format!("final path: {} (stale)\n", p.sequence))
-                }
-                Some(p) => out.push_str(&format!("final path: {}\n", p.sequence)),
-                None => out.push_str("final path: none was ever live\n"),
-            }
-            finish(&s, out)
-        }
-        "chaos" => {
-            // `upin chaos run --schedule FILE [--sla-ms 500]`: run one
-            // long-lived failover session per destination while the
-            // schedule's faults fire on the simulated clock.
-            let p = parse(
-                with_globals(
-                    Spec::new(1, 1)
-                        .value("schedule")
-                        .value("sla-ms")
-                        .value("ticks")
-                        .value("tick-interval-ms")
-                        .value("probes")
-                        .value("max-paths")
-                        .value("workers")
-                        .value("out")
-                        .flag("parallel"),
-                ),
-                rest,
-            )?;
-            if p.positional[0] != "run" {
-                return Err(CliError::Usage(format!(
-                    "unknown chaos subcommand {:?} (expected: run)",
-                    p.positional[0]
-                )));
-            }
-            let path = p
-                .opt("schedule")
-                .ok_or_else(|| CliError::Usage("chaos run needs --schedule FILE".into()))?;
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-            let schedule = scion_sim::chaos::ChaosSchedule::from_json_str(&text)
-                .map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let defaults = upin_core::FailoverConfig::default();
-            let cfg = upin_core::FailoverConfig {
-                local_as: s.local,
-                sla_ms: p
-                    .opt_parse::<f64>("sla-ms")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(defaults.sla_ms),
-                ticks: p
-                    .opt_parse::<usize>("ticks")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(defaults.ticks),
-                tick_interval_ms: p
-                    .opt_parse::<f64>("tick-interval-ms")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(defaults.tick_interval_ms),
-                probes: p
-                    .opt_parse::<u32>("probes")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(defaults.probes),
-                max_paths: p
-                    .opt_parse::<usize>("max-paths")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(defaults.max_paths),
-                parallel: p.flag("parallel"),
-                workers: p
-                    .opt_parse::<usize>("workers")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(defaults.workers),
-                ..defaults
-            };
-            let dests = upin_core::collect::destinations(&s.db)?;
-            let report = upin_core::failover::run_chaos_campaign(
-                &s.net,
-                &schedule,
-                &dests,
-                &cfg,
-                Some(&s.db),
-            )?;
-            if let Some(out_path) = p.opt("out") {
-                std::fs::write(out_path, report.to_json_string())
-                    .map_err(|e| CliError::Io(format!("cannot write {out_path}: {e}")))?;
-            }
-            finish(&s, upin_core::report::render_chaos(&report))
-        }
-        "longitudinal" => {
-            // `upin longitudinal run --sim-days D [--schedule FILE]`:
-            // a multi-day measurement campaign on the simulated clock —
-            // raw rows on a retention window, hourly rollups forever,
-            // churn analytics from the rollups at the end.
-            let p = parse(
-                with_globals(
-                    Spec::new(1, 1)
-                        .value("sim-days")
-                        .value("rounds-per-day")
-                        .value("retention-hours")
-                        .value("schedule")
-                        .value("workers")
-                        .value("out")
-                        .flag("parallel"),
-                ),
-                rest,
-            )?;
-            if p.positional[0] != "run" {
-                return Err(CliError::Usage(format!(
-                    "unknown longitudinal subcommand {:?} (expected: run)",
-                    p.positional[0]
-                )));
-            }
-            let schedule = match p.opt("schedule") {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                    Some(
-                        scion_sim::chaos::ChaosSchedule::from_json_str(&text)
-                            .map_err(|e| CliError::Usage(format!("{path}: {e}")))?,
-                    )
-                }
-                None => None,
-            };
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let mut campaign = SuiteConfig {
-                iterations: 1,
-                some_only: true,
-                ping_count: 3,
-                run_bwtests: false,
-                skip_collection: true,
-                parallel: p.flag("parallel"),
-                local_as: s.local,
-                ..SuiteConfig::default()
-            };
-            if let Some(w) = p.opt_parse::<usize>("workers").map_err(CliError::Usage)? {
-                campaign.workers = w;
-            }
-            if s.db.collection(upin_core::schema::PATHS).read().is_empty() {
-                upin_core::collect::collect_paths(&s.db, &s.net, &campaign)?;
-            }
-            let defaults = upin_core::LongitudinalConfig::default();
-            let cfg = upin_core::LongitudinalConfig {
-                campaign,
-                sim_days: p
-                    .opt_parse::<u32>("sim-days")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(defaults.sim_days),
-                rounds_per_day: p
-                    .opt_parse::<u32>("rounds-per-day")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(defaults.rounds_per_day),
-                retention_hours: p
-                    .opt_parse::<f64>("retention-hours")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(defaults.retention_hours),
-                schedule,
-                ..defaults
-            };
-            let report = upin_core::run_longitudinal(&s.db, &s.net, &cfg)?;
-            s.persist()?;
-            if let Some(out_path) = p.opt("out") {
-                std::fs::write(out_path, report.to_json_string())
-                    .map_err(|e| CliError::Io(format!("cannot write {out_path}: {e}")))?;
-            }
-            finish(&s, report.render())
-        }
-        "export" => {
-            // `upin export dataset --out DIR`: write the longitudinal
-            // dataset (rollups.csv, paths.csv, churn.json,
-            // manifest.json) from the session database. Contents are
-            // byte-deterministic for a given database state.
-            let p = parse(with_globals(Spec::new(1, 1).value("out")), rest)?;
-            if p.positional[0] != "dataset" {
-                return Err(CliError::Usage(format!(
-                    "unknown export {:?} (expected: dataset)",
-                    p.positional[0]
-                )));
-            }
-            let out_dir = p
-                .opt("out")
-                .ok_or_else(|| CliError::Usage("export dataset needs --out DIR".into()))?;
-            let s = open(&p)?;
-            let files = upin_core::dataset_files(&s.db)?;
-            std::fs::create_dir_all(out_dir)
-                .map_err(|e| CliError::Io(format!("cannot create {out_dir}: {e}")))?;
-            let mut out = String::new();
-            for f in &files {
-                let path = std::path::Path::new(out_dir).join(&f.name);
-                std::fs::write(&path, &f.contents)
-                    .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
-                out.push_str(&format!(
-                    "wrote {} ({} B)\n",
-                    path.display(),
-                    f.contents.len()
-                ));
-            }
-            finish(&s, out)
-        }
-        "recommend" => {
-            // The whole command is one typed request: ranked, Pareto
-            // (--pareto) and weighted (--weight name=value, repeatable)
-            // modes all answer through the service dispatcher, and the
-            // output is the shared renderer over the typed response.
-            let p = parse(with_globals(recommend_spec()), rest)?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let req = ServiceRequest::Recommend(RecommendRequest {
-                destination: p.positional[0].clone(),
-                objective: objective_from(&p)?,
-                constraints: constraints_from(&p)?,
-                k: p.opt_parse::<usize>("k")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(3),
-                pareto: p.flag("pareto"),
-                weights: weights_from(&p)?,
-            });
-            let resp = s.service().try_dispatch(&req)?;
-            finish(&s, api::render_response(&resp))
-        }
-        "evaluate" => {
-            // `upin evaluate <server|addr> [filters]`: the constraint
-            // funnel — how many stored paths survive each stage of the
-            // selection pipeline under the given constraints.
-            let p = parse(with_globals(recommend_spec()), rest)?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let req = ServiceRequest::EvaluateConstraint(EvaluateConstraintRequest {
-                destination: p.positional[0].clone(),
-                objective: objective_from(&p)?,
-                constraints: constraints_from(&p)?,
-            });
-            let resp = s.service().try_dispatch(&req)?;
-            finish(&s, api::render_response(&resp))
-        }
-        "serve" => {
-            // `upin serve --db DIR [--threads N] [--requests FILE]`:
-            // answer JSON request lines through the service, one JSON
-            // response line per request, in input order. Without
-            // --requests, answer a single Health probe — the smoke face
-            // of the daemon.
-            let p = parse(
-                with_globals(Spec::new(0, 0).value("threads").value("requests")),
-                rest,
-            )?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let threads = p
-                .opt_parse::<usize>("threads")
-                .map_err(CliError::Usage)?
-                .unwrap_or(1)
-                .max(1);
-            let service = s.service();
-            let out = match p.opt("requests") {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-                    let chunk = lines.len().div_ceil(threads).max(1);
-                    let (answers, _) = upin_core::pool::run_pool(
-                        lines.chunks(chunk).collect(),
-                        threads,
-                        |work| {
-                            let mut out = String::new();
-                            for line in work {
-                                out.push_str(&service.dispatch_json(line));
-                                out.push('\n');
-                            }
-                            out
-                        },
-                    )?;
-                    answers.concat()
-                }
-                None => {
-                    let mut line = service.dispatch_json(&ServiceRequest::Health.to_json_string());
-                    line.push('\n');
-                    line
-                }
-            };
-            finish(&s, out)
-        }
-        "loadgen" => {
-            // `upin loadgen --db DIR [--clients N] [--requests N]
-            //  [--arrival-rate R] [--mix FILE] [--with-campaign]
-            //  [--bench-out FILE]`: the closed-loop load harness.
-            let p = parse(
-                with_globals(
-                    Spec::new(0, 0)
-                        .value("clients")
-                        .value("requests")
-                        .value("arrival-rate")
-                        .value("mix")
-                        .value("bench-out")
-                        .flag("with-campaign"),
-                ),
-                rest,
-            )?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let mix = match p.opt("mix") {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                    upin_core::loadgen::Mix::from_json_str(&text)
-                        .map_err(|e| CliError::Usage(format!("{path}: {e}")))?
-                }
-                None => upin_core::loadgen::Mix::default_mix(),
-            };
-            let cfg = upin_core::loadgen::LoadgenConfig {
-                clients: p
-                    .opt_parse::<usize>("clients")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(4),
-                requests_per_client: p
-                    .opt_parse::<usize>("requests")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(100),
-                arrival_rate: p
-                    .opt_parse::<f64>("arrival-rate")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(0.0),
-                seed: s.seed,
-                mix,
-                concurrent_campaign: p.flag("with-campaign"),
-            };
-            let service = Arc::new(s.service());
-            let outcome = upin_core::loadgen::run_loadgen(&service, service.as_ref(), &cfg)?;
-            let mut out = outcome.report.clone();
-            if let Some(path) = p.opt("bench-out") {
-                std::fs::write(path, &outcome.bench_json)
-                    .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-                out.push_str(&format!("bench written to {path}\n"));
-            }
-            finish(&s, out)
-        }
-        "verify" => {
-            let p = parse(with_globals(recommend_spec().value("tolerance")), rest)?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let server_id = resolve_server(&s, &p.positional[0])?;
-            let objective = objective_from(&p)?;
-            let constraints = constraints_from(&p)?;
-            let recs = recommend(
-                &s.db,
-                &UserRequest {
-                    server_id,
-                    objective,
-                    constraints: constraints.clone(),
-                },
-                1,
-            )?;
-            let tolerance = p
-                .opt_parse::<f64>("tolerance")
-                .map_err(CliError::Usage)?
-                .unwrap_or(1.5);
-            let report = verify_recommendation(
-                &s.db,
-                &s.net,
-                s.local,
-                &recs[0],
-                &constraints,
-                objective,
-                tolerance,
-            )?;
-            s.persist()?;
-            let mut out = format!("verifying {} ...\n", recs[0].aggregate.path_id);
-            for (ia, rtt) in &report.trace {
-                match rtt {
-                    Some(ms) => out.push_str(&format!("  {ia}  {ms:.2} ms\n")),
-                    None => out.push_str(&format!("  {ia}  *\n")),
-                }
-            }
-            if report.satisfied() {
-                out.push_str("intent satisfied: no violations\n");
-                finish(&s, out)
-            } else {
-                for v in &report.violations {
-                    out.push_str(&format!("  VIOLATION: {v}\n"));
-                }
-                // Telemetry still exports on a failed verification.
-                s.export_telemetry()?;
-                Err(CliError::Verification(out))
-            }
-        }
-        "health" => {
-            let p = parse(
-                with_globals(Spec::new(1, 1).value("window").value("sigmas")),
-                rest,
-            )?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let server_id = resolve_server(&s, &p.positional[0])?;
-            let mut cfg = upin_core::health::HealthConfig::default();
-            if let Some(w) = p.opt_parse::<usize>("window").map_err(CliError::Usage)? {
-                cfg.recent_window = w;
-            }
-            if let Some(k) = p.opt_parse::<f64>("sigmas").map_err(CliError::Usage)? {
-                cfg.threshold_sigmas = k;
-            }
-            let findings = upin_core::health::detect(&s.db, server_id, &cfg)?;
-            if findings.is_empty() {
-                return finish(&s, "all paths healthy\n".to_string());
-            }
-            let mut out = String::new();
-            for f in findings {
-                let what = match f.anomaly {
-                    upin_core::health::Anomaly::Blackout => "BLACKOUT".to_string(),
-                    upin_core::health::Anomaly::LossOnset {
-                        baseline_pct,
-                        recent_pct,
-                    } => {
-                        format!("loss onset {baseline_pct:.1}% -> {recent_pct:.1}%")
-                    }
-                    upin_core::health::Anomaly::LatencyShift {
-                        baseline_ms,
-                        recent_ms,
-                        sigmas,
-                    } => {
-                        format!("latency shift {baseline_ms:.1}ms -> {recent_ms:.1}ms ({sigmas:.1} sigma)")
-                    }
-                };
-                out.push_str(&format!("{}: {what}\n", f.path_id));
-            }
-            finish(&s, out)
-        }
-        "summary" => {
-            let p = parse(with_globals(Spec::new(0, 0)), rest)?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let summary = upin_core::analysis::summary(&s.db)?;
-            let hist = upin_core::analysis::reachability(&s.db)?;
-            finish(
-                &s,
-                format!(
-                    "{}\n{}",
-                    upin_core::report::render_summary(&summary),
-                    upin_core::report::render_fig4(&hist)
-                ),
-            )
-        }
-        "exec" => {
-            // Execute a literal SCION tool command line, exactly as the
-            // paper's scripts spawn them:
-            //   upin exec "scion ping 16-ffaa:0:1002,[172.31.43.7] -c 30 --interval 0.1s"
-            let p = parse(with_globals(Spec::new(1, 1)), rest)?;
-            let s = open(&p)?;
-            let out = scion_tools::shell::execute(
-                &s.net,
-                s.local,
-                scion_sim::addr::HostAddr::new(10, 0, 2, 15),
-                &p.positional[0],
-            )
-            .map_err(CliError::Tool)?;
-            finish(&s, out)
-        }
-        "evaluate-strategies" => {
-            let p = parse(
-                with_globals(
-                    Spec::new(0, 0)
-                        .value("epochs")
-                        .value("objective")
-                        .value("strategy"),
-                ),
-                rest,
-            )?;
-            let s = open(&p)?;
-            s.ensure_servers()?;
-            let cfg = upin_core::axioms::EvalConfig {
-                epochs: p
-                    .opt_parse::<u32>("epochs")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(4),
-                objective: objective_from(&p)?,
-                constraints: Constraints::default(),
-                seed: p
-                    .opt_parse::<u64>("seed")
-                    .map_err(CliError::Usage)?
-                    .unwrap_or(42),
-                only: p.opt("strategy").map(String::from),
-            };
-            let cards = upin_core::axioms::evaluate_strategies(&s.db, &s.net, s.local, &cfg)?;
-            upin_core::axioms::store_scorecards(&s.db, &cards, &cfg)?;
-            s.persist()?;
-            finish(&s, upin_core::report::render_strategies(&cards))
-        }
-        "report" => {
-            // `upin report telemetry <metrics.json>`: summarize a
-            // metrics export produced with `--metrics-out`.
-            // `upin report strategies [--db DIR]`: render the stored
-            // strategy scorecards from the last `evaluate-strategies`.
-            let p = parse(with_globals(Spec::new(1, 2)), rest)?;
-            match p.positional[0].as_str() {
-                "telemetry" => {
-                    let path = p.positional.get(1).ok_or_else(|| {
-                        CliError::Usage("report telemetry expects a metrics.json path".into())
-                    })?;
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                    let doc = upin_telemetry::MetricsDoc::parse(&text)
-                        .map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
-                    Ok(doc.render_table())
-                }
-                "strategies" => {
-                    let s = open(&p)?;
-                    let cards = upin_core::axioms::load_scorecards(&s.db)?;
-                    finish(&s, upin_core::report::render_strategies(&cards))
-                }
-                "chaos" => {
-                    let path = p.positional.get(1).ok_or_else(|| {
-                        CliError::Usage("report chaos expects a chaos report JSON path".into())
-                    })?;
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                    let report = upin_core::ChaosReport::from_json_str(&text)
-                        .map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
-                    Ok(upin_core::report::render_chaos(&report))
-                }
-                "churn" => {
-                    // Accepts either a longitudinal report saved with
-                    // `longitudinal run --out` or a bare `churn.json`
-                    // from `export dataset`.
-                    let path = p.positional.get(1).ok_or_else(|| {
-                        CliError::Usage("report churn expects a report/churn JSON path".into())
-                    })?;
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                    match upin_core::LongitudinalReport::from_json_str(&text) {
-                        Ok(report) => Ok(report.render()),
-                        Err(_) => {
-                            let churn = upin_core::ChurnReport::from_json_str(&text)
-                                .map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
-                            Ok(churn.render())
-                        }
-                    }
-                }
-                other => Err(CliError::Usage(format!(
-                    "unknown report {other:?} (expected: telemetry, strategies, chaos, churn)"
-                ))),
-            }
-        }
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?}\n\n{}",
-            usage()
-        ))),
+        Err(e) => Err(e),
     }
 }
 
-fn usage() -> String {
-    "upin — user-driven path control on a SCION network\n\
-     \n\
-     commands:\n\
-     \x20 destinations                         list the measurable servers\n\
-     \x20 showpaths <ia> [-m N] [--extended]   list paths to an AS\n\
-     \x20 ping <addr> [-c N] [--interval T] [--sequence S | --interactive N |\n\
-     \x20      --policy ACL]\n\
-     \x20 traceroute <ia> [--sequence S]\n\
-     \x20 bwtest <addr> [-cs SPEC] [-sc SPEC] [--sequence S]\n\
-     \x20 campaign <iterations> [--skip] [--some-only] [--parallel] [--workers N]\n\
-     \x20          [--retries N] [--no-bwtests] [--durability LEVEL]\n\
-     \x20 recommend <server|addr> [--objective latency|jitter|loss|bw-up|bw-down]\n\
-     \x20           [--exclude-country C]* [--exclude-isd N]* [--exclude-as IA]*\n\
-     \x20           [--exclude-operator O]* [--max-hops N] [-k N]\n\
-     \x20           [--pareto | --weight name=value ...]\n\
-     \x20 topology                             render the network map (Fig 1)\n\
-     \x20 topo generate [--seed N] [--isds N] [--ases LO,HI] [--cores LO,HI]\n\
-     \x20      [--core-mesh-density F] [--pref-attachment F] [--extra-parent-prob F]\n\
-     \x20      [--peering-prob F] [--server-prob F] [--out FILE]\n\
-     \x20                                      write a BRITE-style random topology\n\
-     \x20 failover <addr> [--probes N] [--threshold N] [--max-paths N]\n\
-     \x20 chaos run --schedule FILE [--sla-ms F] [--ticks N] [--tick-interval-ms F]\n\
-     \x20       [--probes N] [--max-paths N] [--parallel] [--workers N] [--out FILE]\n\
-     \x20                                      failover sessions under a fault schedule\n\
-     \x20 evaluate <server|addr> [same filters] constraint funnel: paths surviving\n\
-     \x20                                      each stage of the selection pipeline\n\
-     \x20 serve [--threads N] [--requests FILE] answer JSON service request lines\n\
-     \x20                                      (one response line per request)\n\
-     \x20 loadgen [--clients N] [--requests N] [--arrival-rate R] [--mix FILE]\n\
-     \x20         [--with-campaign] [--bench-out FILE]\n\
-     \x20                                      closed-loop load harness over the\n\
-     \x20                                      service (p50/p99 to --bench-out)\n\
-     \x20 verify <server|addr> [same filters] [--tolerance F]\n\
-     \x20 health <server|addr> [--window N] [--sigmas K]   anomaly scan\n\
-     \x20 exec \"scion ping ... \"                executes a literal tool command line\n\
-     \x20 summary                              campaign scalars + Fig 4\n\
-     \x20 evaluate-strategies [--epochs N] [--objective X] [--strategy NAME]\n\
-     \x20                                      score all selection strategies on the\n\
-     \x20                                      Pareto/stability/fairness axioms\n\
-     \x20 longitudinal run [--sim-days D] [--rounds-per-day N] [--retention-hours H]\n\
-     \x20       [--schedule FILE] [--parallel] [--workers N] [--out FILE]\n\
-     \x20                                      multi-day campaign: windowed raw rows,\n\
-     \x20                                      hourly rollups, churn analytics\n\
-     \x20 export dataset --out DIR             write rollups.csv, paths.csv,\n\
-     \x20                                      churn.json, manifest.json\n\
-     \x20 report telemetry <metrics.json>      summarize a --metrics-out export\n\
-     \x20 report strategies                    render the stored strategy scorecard\n\
-     \x20 report chaos <report.json>           render a chaos run saved with --out\n\
-     \x20 report churn <report.json>           render churn from a longitudinal run\n\
-     \n\
-     global: --seed N (default 42), --db DIR (persistent database),\n\
-     \x20       --durability LEVEL (none|snapshot|wal; default snapshot —\n\
-     \x20       wal group-commits every write and recovers torn state on open),\n\
-     \x20       --trace-out FILE (span tree as JSON), --metrics-out FILE\n\
-     \x20       (counters/histograms as JSON), --quiet (suppress banners),\n\
-     \x20       --topology FILE (run over a generated topology JSON),\n\
-     \x20       --beacon-cap N (keep at most N beacons per AS pair)\n"
-        .to_string()
+/// Find the row `argv` names — a command, or a command and its
+/// subcommand where the rows are `"<command> <sub>"` — and the
+/// arguments left for it.
+fn lookup(argv: &[String]) -> Result<(&'static Command, &[String]), CliError> {
+    let (name, rest) = argv.split_first().ok_or_else(|| CliError::Usage(usage()))?;
+    let named = |full: &str| COMMANDS.iter().find(|c| c.name == full);
+    if let Some(row) = named(name) {
+        return Ok((row, rest));
+    }
+    let subs: Vec<&str> = COMMANDS
+        .iter()
+        .filter_map(|c| c.name.strip_prefix(name.as_str())?.strip_prefix(' '))
+        .collect();
+    if subs.is_empty() {
+        return Err(CliError::Usage(format!(
+            "unknown command {name:?}\n\n{}",
+            usage()
+        )));
+    }
+    let (sub, rest) = rest
+        .split_first()
+        .map_or(("", rest), |(s, r)| (s.as_str(), r));
+    named(&format!("{name} {sub}"))
+        .map(|row| (row, rest))
+        .ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown {name} subcommand {sub:?} (expected: {})",
+                subs.join(", ")
+            ))
+        })
 }
+
+fn usage() -> String {
+    let rows: String = COMMANDS.iter().map(|c| c.help).collect();
+    format!(
+        "upin — user-driven path control on a SCION network\n\ncommands:\n{rows}\n{GLOBAL_HELP}"
+    )
+}
+
+const GLOBAL_HELP: &str = "\
+global: --seed N (default 42), --db DIR (persistent database),\n\
+\x20       --durability LEVEL (none|snapshot|wal; default snapshot —\n\
+\x20       wal group-commits every write and recovers torn state on open),\n\
+\x20       --trace-out FILE (span tree as JSON), --metrics-out FILE\n\
+\x20       (counters/histograms as JSON), --quiet (suppress banners),\n\
+\x20       --topology FILE (run over a generated topology JSON),\n\
+\x20       --beacon-cap N (keep at most N beacons per AS pair)\n";
+
+/// The session's options, valid on every command that opens one.
+fn with_globals(spec: Spec) -> Spec {
+    spec.value("seed")
+        .value("db")
+        .value("durability")
+        .value("trace-out")
+        .value("metrics-out")
+        .value("topology")
+        .value("beacon-cap")
+        .flag("quiet")
+}
+
+fn open(p: &Parsed) -> Result<Session, CliError> {
+    Session::open_with(SessionOptions {
+        seed: p.get_or("seed", 42)?,
+        db_dir: p.opt("db").map(String::from),
+        durability: p.opt("durability").map(String::from),
+        trace_out: p.opt("trace-out").map(PathBuf::from),
+        metrics_out: p.opt("metrics-out").map(PathBuf::from),
+        quiet: p.flag("quiet"),
+        topology: p.opt("topology").map(PathBuf::from),
+        beacon_cap: p.get("beacon-cap")?,
+    })
+}
+
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "destinations",
+        help: "  destinations                         list the measurable servers\n",
+        spec: || Spec::new(0, 0),
+        run: Run::Servers(cmd_destinations),
+    },
+    Command {
+        name: "showpaths",
+        help: "  showpaths <ia> [-m N] [--extended]   list paths to an AS\n",
+        spec: || ShowpathsOptions::options(Spec::new(1, 1)),
+        run: Run::Session(cmd_showpaths),
+    },
+    Command {
+        name: "ping",
+        help: "  ping <addr> [-c N] [--interval T] [--timeout T] [--sequence S |\n\
+               \x20      --interactive N | --policy ACL]\n",
+        spec: || PingOptions::options(Spec::new(1, 1)),
+        run: Run::Session(cmd_ping),
+    },
+    Command {
+        name: "traceroute",
+        help: "  traceroute <ia> [--sequence S | --policy ACL]\n",
+        spec: || PathSelection::options(Spec::new(1, 1)),
+        run: Run::Session(cmd_traceroute),
+    },
+    Command {
+        name: "bwtest",
+        help: "  bwtest <addr> [-cs SPEC] [-sc SPEC] [--sequence S | --policy ACL]\n",
+        spec: || scion_tools::bwtester::options(Spec::new(1, 1)),
+        run: Run::Session(cmd_bwtest),
+    },
+    Command {
+        name: "campaign",
+        help: "  campaign <iterations> [--skip] [--some-only] [--parallel] [--workers N]\n\
+               \x20          [--retries N] [--no-bwtests] [--durability LEVEL]\n",
+        spec: || SuiteConfig::spec().flag("no-bwtests"),
+        run: Run::Servers(cmd_campaign),
+    },
+    Command {
+        name: "recommend",
+        help: "  recommend <server|addr> [--objective latency|jitter|loss|bw-up|bw-down]\n\
+               \x20           [--exclude-country C]* [--exclude-isd N]* [--exclude-as IA]*\n\
+               \x20           [--exclude-operator O]* [--max-hops N] [-k N]\n\
+               \x20           [--pareto | --weight name=value ...]\n",
+        spec: recommend_spec,
+        run: Run::Servers(cmd_recommend),
+    },
+    Command {
+        name: "topology",
+        help: "  topology                             render the network map (Fig 1)\n",
+        spec: || Spec::new(0, 0),
+        run: Run::Session(|_, s| Ok(scion_sim::topology::render::render(s.net.topology()))),
+    },
+    Command {
+        name: "topo generate",
+        help: "  topo generate [--seed N] [--isds N] [--ases LO,HI] [--cores LO,HI]\n\
+               \x20      [--core-mesh-density F] [--pref-attachment F] [--extra-parent-prob F]\n\
+               \x20      [--peering-prob F] [--server-prob F] [--out FILE]\n\
+               \x20                                      write a BRITE-style random topology\n",
+        spec: || {
+            Spec::new(0, 0)
+                .value("seed")
+                .value("isds")
+                .value("ases")
+                .value("cores")
+                .value("core-mesh-density")
+                .value("pref-attachment")
+                .value("extra-parent-prob")
+                .value("peering-prob")
+                .value("server-prob")
+                .value("out")
+        },
+        run: Run::Plain(cmd_topo_generate),
+    },
+    Command {
+        name: "failover",
+        help: "  failover <addr> [--probes N] [--threshold N] [--max-paths N]\n",
+        spec: || {
+            Spec::new(1, 1)
+                .value("probes")
+                .value("threshold")
+                .value("max-paths")
+        },
+        run: Run::Session(cmd_failover),
+    },
+    Command {
+        name: "chaos run",
+        help:
+            "  chaos run --schedule FILE [--sla-ms F] [--ticks N] [--tick-interval-ms F]\n\
+               \x20       [--probes N] [--max-paths N] [--parallel] [--workers N] [--out FILE]\n\
+               \x20                                      failover sessions under a fault schedule\n",
+        spec: || {
+            upin_core::pool::options(Spec::new(0, 0))
+                .value("schedule")
+                .value("sla-ms")
+                .value("ticks")
+                .value("tick-interval-ms")
+                .value("probes")
+                .value("max-paths")
+                .value("out")
+        },
+        run: Run::Servers(cmd_chaos_run),
+    },
+    Command {
+        name: "evaluate",
+        help: "  evaluate <server|addr> [same filters] constraint funnel: paths surviving\n\
+               \x20                                      each stage of the selection pipeline\n",
+        spec: recommend_spec,
+        run: Run::Servers(cmd_evaluate),
+    },
+    Command {
+        name: "serve",
+        help: "  serve [--threads N] [--requests FILE] answer JSON service request lines\n\
+               \x20                                      (one response line per request)\n",
+        spec: || Spec::new(0, 0).value("threads").value("requests"),
+        run: Run::Servers(cmd_serve),
+    },
+    Command {
+        name: "loadgen",
+        help: "  loadgen [--clients N] [--requests N] [--arrival-rate R] [--mix FILE]\n\
+               \x20         [--with-campaign] [--bench-out FILE]\n\
+               \x20                                      closed-loop load harness over the\n\
+               \x20                                      service (p50/p99 to --bench-out)\n",
+        spec: || {
+            Spec::new(0, 0)
+                .value("clients")
+                .value("requests")
+                .value("arrival-rate")
+                .value("mix")
+                .value("bench-out")
+                .flag("with-campaign")
+        },
+        run: Run::Servers(cmd_loadgen),
+    },
+    Command {
+        name: "verify",
+        help: "  verify <server|addr> [same filters] [--tolerance F]\n",
+        spec: || recommend_spec().value("tolerance"),
+        run: Run::Servers(cmd_verify),
+    },
+    Command {
+        name: "health",
+        help: "  health <server|addr> [--window N] [--sigmas K]   anomaly scan\n",
+        spec: || Spec::new(1, 1).value("window").value("sigmas"),
+        run: Run::Servers(cmd_health),
+    },
+    Command {
+        name: "exec",
+        help: "  exec \"scion ping ... \"                executes a literal tool command line\n",
+        spec: || Spec::new(1, 1),
+        run: Run::Session(cmd_exec),
+    },
+    Command {
+        name: "summary",
+        help: "  summary                              campaign scalars + Fig 4\n",
+        spec: || Spec::new(0, 0),
+        run: Run::Servers(cmd_summary),
+    },
+    Command {
+        name: "evaluate-strategies",
+        help: "  evaluate-strategies [--epochs N] [--objective X] [--strategy NAME]\n\
+               \x20                                      score all selection strategies on the\n\
+               \x20                                      Pareto/stability/fairness axioms\n",
+        spec: || {
+            Spec::new(0, 0)
+                .value("epochs")
+                .value("objective")
+                .value("strategy")
+        },
+        run: Run::Servers(cmd_evaluate_strategies),
+    },
+    Command {
+        name: "longitudinal run",
+        help: "  longitudinal run [--sim-days D] [--rounds-per-day N] [--retention-hours H]\n\
+               \x20       [--schedule FILE] [--parallel] [--workers N] [--out FILE]\n\
+               \x20                                      multi-day campaign: windowed raw rows,\n\
+               \x20                                      hourly rollups, churn analytics\n",
+        spec: || {
+            upin_core::pool::options(Spec::new(0, 0))
+                .value("sim-days")
+                .value("rounds-per-day")
+                .value("retention-hours")
+                .value("schedule")
+                .value("out")
+        },
+        run: Run::Servers(cmd_longitudinal_run),
+    },
+    Command {
+        name: "export dataset",
+        help: "  export dataset --out DIR             write rollups.csv, paths.csv,\n\
+               \x20                                      churn.json, manifest.json\n",
+        spec: || Spec::new(0, 0).value("out"),
+        run: Run::Session(cmd_export_dataset),
+    },
+    Command {
+        name: "report telemetry",
+        help: "  report telemetry <metrics.json>      summarize a --metrics-out export\n",
+        spec: || Spec::new(1, 1),
+        run: Run::Plain(|p| {
+            Ok(read_parsed(&p.positional[0], upin_telemetry::MetricsDoc::parse)?.render_table())
+        }),
+    },
+    Command {
+        name: "report strategies",
+        help: "  report strategies                    render the stored strategy scorecard\n",
+        spec: || Spec::new(0, 0),
+        run: Run::Session(|_, s| {
+            let cards = upin_core::axioms::load_scorecards(&s.db)?;
+            Ok(upin_core::report::render_strategies(&cards))
+        }),
+    },
+    Command {
+        name: "report chaos",
+        help: "  report chaos <report.json>           render a chaos run saved with --out\n",
+        spec: || Spec::new(1, 1),
+        run: Run::Plain(|p| {
+            let report = read_parsed(&p.positional[0], upin_core::ChaosReport::from_json_str)?;
+            Ok(upin_core::report::render_chaos(&report))
+        }),
+    },
+    Command {
+        name: "report churn",
+        help: "  report churn <report.json>           render churn from a longitudinal run\n",
+        spec: || Spec::new(1, 1),
+        run: Run::Plain(cmd_report_churn),
+    },
+];
 
 fn recommend_spec() -> Spec {
     Spec::new(1, 1)
@@ -871,8 +390,482 @@ fn recommend_spec() -> Spec {
         .value("weight")
 }
 
+/// Read `path`; a file that cannot be read is an I/O error.
+fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))
+}
+
+/// Read `path` and parse its text; contents `parse` refuses are a
+/// usage error naming the file.
+fn read_parsed<T, E: std::fmt::Display>(
+    path: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, CliError> {
+    parse(&read_file(path)?).map_err(|e| CliError::Usage(format!("{path}: {e}")))
+}
+
+fn write_file(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    let path = path.as_ref();
+    std::fs::write(path, contents)
+        .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))
+}
+
+/// Answer one typed request through the service dispatcher and render
+/// the typed response with the shared renderer.
+fn dispatch(s: &Session, req: &ServiceRequest) -> Result<String, CliError> {
+    Ok(api::render_response(&s.service().try_dispatch(req)?))
+}
+
+fn cmd_destinations(_: &Parsed, s: &Session) -> Result<String, CliError> {
+    let dests = upin_core::collect::destinations(&s.db)?;
+    let mut out = format!("{} measurable destinations:\n", dests.len());
+    for (id, addr) in dests {
+        let name = s
+            .net
+            .topology()
+            .index_of(addr.ia)
+            .map(|i| s.net.topology().node(i).name.clone())
+            .unwrap_or_default();
+        out.push_str(&format!("{id:>3}  {addr}  ({name})\n"));
+    }
+    Ok(out)
+}
+
+/// The SCION tools' rows read their options with the tool's own table
+/// and reader — the ones `upin exec "scion ..."` goes through — so both
+/// faces take the same options. Here the destination is a positional,
+/// `showpaths` answers through the service, and `ping`/`bwtest` lead
+/// with the path they used.
+fn cmd_showpaths(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let opts = ShowpathsOptions::from_parsed(p)?;
+    let req = ServiceRequest::ShowPaths(ShowPathsRequest {
+        destination: parse_ia(&p.positional[0])?.to_string(),
+        max_paths: opts.max_paths,
+        extended: opts.extended,
+    });
+    dispatch(s, &req)
+}
+
+fn cmd_ping(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let dst = parse_addr(&p.positional[0])?;
+    let r = scion_tools::ping::ping(&s.net, s.local, dst, &PingOptions::from_parsed(p)?)?;
+    Ok(format!("using path: {}\n{}", r.path, r.render()))
+}
+
+fn cmd_traceroute(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let dst = parse_ia(&p.positional[0])?;
+    let selection = PathSelection::from_parsed(p)?;
+    Ok(scion_tools::traceroute::traceroute(&s.net, s.local, dst, &selection)?.render())
+}
+
+fn cmd_bwtest(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let dst = parse_addr(&p.positional[0])?;
+    let r = scion_tools::bwtester::bwtest_parsed(&s.net, s.local, dst, p, "3,1000,?,12Mbps")?;
+    Ok(format!("using path: {}\n{}", r.path, r.render()))
+}
+
+fn cmd_campaign(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let mut cfg = SuiteConfig::from_parsed(p)?;
+    cfg.run_bwtests = !p.flag("no-bwtests");
+    // Campaigns over a `--topology` file measure from that
+    // network's user AS, not the SCIONLab replica's.
+    cfg.local_as = s.local;
+    let report = upin_core::TestSuite::new(&s.net, &s.db, cfg).run()?;
+    s.persist()?;
+    // Lead with what crash recovery had to repair, if anything:
+    // the operator should know samples were dropped or replayed.
+    // `--quiet` suppresses the banner (the report itself stays).
+    let mut out = String::new();
+    if !s.quiet {
+        if let Some(rec) = s.recovery.as_ref().filter(|rec| !rec.clean()) {
+            out.push_str(&rec.render());
+            out.push('\n');
+        }
+    }
+    out.push_str(&report.render());
+    Ok(out)
+}
+
+/// `upin topo generate [--isds N] [--ases LO,HI] [--cores LO,HI] ...`:
+/// write a BRITE-style random topology (preferential attachment, sparse
+/// core meshes) as JSON — to stdout, or to `--out FILE` for later
+/// `--topology FILE` runs.
+fn cmd_topo_generate(p: &Parsed) -> Result<String, CliError> {
+    use scion_sim::topology::random::{random_topology, RandomTopologyConfig};
+    let mut cfg = RandomTopologyConfig::default();
+    cfg.isds = p.get_or("isds", cfg.isds)?;
+    if let Some(r) = p.opt("ases") {
+        cfg.ases_per_isd = parse_range(r)?;
+    }
+    if let Some(r) = p.opt("cores") {
+        cfg.cores_per_isd = parse_range(r)?;
+    }
+    for (name, field) in [
+        ("core-mesh-density", &mut cfg.core_mesh_density as &mut f64),
+        ("pref-attachment", &mut cfg.pref_attachment),
+        ("extra-parent-prob", &mut cfg.extra_parent_prob),
+        ("peering-prob", &mut cfg.peering_prob),
+        ("server-prob", &mut cfg.server_prob),
+    ] {
+        *field = p.get_or(name, *field)?;
+    }
+    let (topo, user) = random_topology(p.get_or("seed", 42)?, &cfg)
+        .map_err(|e| CliError::Usage(format!("bad topology: {e}")))?;
+    let json = topo.to_json_string();
+    match p.opt("out") {
+        Some(path) => {
+            write_file(path, &json)?;
+            Ok(format!(
+                "generated {} ASes in {} ISDs ({} links), user AS {user}\nwritten to {path}\n",
+                topo.num_ases(),
+                topo.isds().len(),
+                topo.num_links(),
+            ))
+        }
+        None => Ok(json),
+    }
+}
+
+/// Parse `LO,HI` (inclusive) or a single `N` as the range `(N, N)`.
+fn parse_range(s: &str) -> Result<(usize, usize), CliError> {
+    let bad = || CliError::Usage(format!("expected N or LO,HI, got {s:?}"));
+    match s.split_once(',') {
+        Some((lo, hi)) => Ok((
+            lo.trim().parse().map_err(|_| bad())?,
+            hi.trim().parse().map_err(|_| bad())?,
+        )),
+        None => {
+            let n = s.trim().parse().map_err(|_| bad())?;
+            Ok((n, n))
+        }
+    }
+}
+
+/// One failover session: a probe is one tick of K SCMP echoes, so K
+/// consecutive losses on the pinned path are what trigger the switch.
+fn cmd_failover(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let dst = parse_addr(&p.positional[0])?;
+    let cfg = FailoverConfig {
+        local_as: s.local,
+        ticks: p.get_or("probes", 30)?,
+        tick_interval_ms: 100.0,
+        probes: p.get_or("threshold", 3)?,
+        max_paths: p.get_or("max-paths", 10)?,
+        ..FailoverConfig::default()
+    };
+    cfg.validate()?;
+    let mut session = upin_core::failover::Session::open(&s.net, &cfg, dst, None);
+    if session.candidates().is_empty() {
+        return Err(scion_tools::ToolError::NoPath(format!("no path to {}", dst.ia)).into());
+    }
+    for _ in 0..cfg.ticks {
+        session.tick();
+    }
+    let r = session.into_report(0);
+    let mut out = format!(
+        "{} probes over {} candidate paths: {} served ({:.0}% degraded), {} switch(es), {} restore(s)\n",
+        r.ticks,
+        r.candidates,
+        r.ok_ticks,
+        (1.0 - r.availability()) * 100.0,
+        r.switch_ms.len(),
+        r.restores
+    );
+    match &r.serving {
+        Some(p) if p.stale => out.push_str(&format!("final path: {} (stale)\n", p.sequence)),
+        Some(p) => out.push_str(&format!("final path: {}\n", p.sequence)),
+        None => out.push_str("final path: none was ever live\n"),
+    }
+    Ok(out)
+}
+
+/// `upin chaos run --schedule FILE [--sla-ms 500]`: run one long-lived
+/// failover session per destination while the schedule's faults fire on
+/// the simulated clock.
+fn cmd_chaos_run(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let path = p.required("schedule", "chaos run needs --schedule FILE")?;
+    let schedule = read_parsed(path, ChaosSchedule::from_json_str)?;
+    let defaults = FailoverConfig::default();
+    let cfg = FailoverConfig {
+        local_as: s.local,
+        sla_ms: p.get_or("sla-ms", defaults.sla_ms)?,
+        ticks: p.get_or("ticks", defaults.ticks)?,
+        tick_interval_ms: p.get_or("tick-interval-ms", defaults.tick_interval_ms)?,
+        probes: p.get_or("probes", defaults.probes)?,
+        max_paths: p.get_or("max-paths", defaults.max_paths)?,
+        workers: upin_core::pool::workers_from(p)?,
+        ..defaults
+    };
+    let dests = upin_core::collect::destinations(&s.db)?;
+    let report =
+        upin_core::failover::run_chaos_campaign(&s.net, &schedule, &dests, &cfg, Some(&s.db))?;
+    if let Some(out_path) = p.opt("out") {
+        write_file(out_path, report.to_json_string())?;
+    }
+    Ok(upin_core::report::render_chaos(&report))
+}
+
+/// `upin longitudinal run --sim-days D [--schedule FILE]`: a multi-day
+/// measurement campaign on the simulated clock — raw rows on a
+/// retention window, hourly rollups forever, churn analytics from the
+/// rollups at the end.
+fn cmd_longitudinal_run(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let schedule = p
+        .opt("schedule")
+        .map(|path| read_parsed(path, ChaosSchedule::from_json_str))
+        .transpose()?;
+    let campaign = SuiteConfig {
+        iterations: 1,
+        some_only: true,
+        ping_count: 3,
+        run_bwtests: false,
+        skip_collection: true,
+        workers: upin_core::pool::workers_from(p)?,
+        local_as: s.local,
+        ..SuiteConfig::default()
+    };
+    if s.db.collection(upin_core::schema::PATHS).read().is_empty() {
+        upin_core::collect::collect_paths(&s.db, &s.net, &campaign)?;
+    }
+    let defaults = upin_core::LongitudinalConfig::default();
+    let cfg = upin_core::LongitudinalConfig {
+        campaign,
+        sim_days: p.get_or("sim-days", defaults.sim_days)?,
+        rounds_per_day: p.get_or("rounds-per-day", defaults.rounds_per_day)?,
+        retention_hours: p.get_or("retention-hours", defaults.retention_hours)?,
+        schedule,
+        ..defaults
+    };
+    let report = upin_core::run_longitudinal(&s.db, &s.net, &cfg)?;
+    s.persist()?;
+    if let Some(out_path) = p.opt("out") {
+        write_file(out_path, report.to_json_string())?;
+    }
+    Ok(report.render())
+}
+
+/// `upin export dataset --out DIR`: write the longitudinal dataset
+/// (rollups.csv, paths.csv, churn.json, manifest.json) from the session
+/// database. Contents are byte-deterministic for a given database
+/// state.
+fn cmd_export_dataset(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let out_dir = p.required("out", "export dataset needs --out DIR")?;
+    let files = upin_core::dataset_files(&s.db)?;
+    std::fs::create_dir_all(out_dir)
+        .map_err(|e| CliError::Io(format!("cannot create {out_dir}: {e}")))?;
+    let mut out = String::new();
+    for f in &files {
+        let path = Path::new(out_dir).join(&f.name);
+        write_file(&path, &f.contents)?;
+        out.push_str(&format!(
+            "wrote {} ({} B)\n",
+            path.display(),
+            f.contents.len()
+        ));
+    }
+    Ok(out)
+}
+
+/// The whole command is one typed request: ranked, Pareto (--pareto)
+/// and weighted (--weight name=value, repeatable) modes all answer
+/// through the service dispatcher, and the output is the shared
+/// renderer over the typed response.
+fn cmd_recommend(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let req = ServiceRequest::Recommend(RecommendRequest {
+        destination: p.positional[0].clone(),
+        objective: objective_from(p)?,
+        constraints: constraints_from(p)?,
+        k: p.get_or("k", 3)?,
+        pareto: p.flag("pareto"),
+        weights: weights_from(p)?,
+    });
+    dispatch(s, &req)
+}
+
+/// `upin evaluate <server|addr> [filters]`: the constraint funnel — how
+/// many stored paths survive each stage of the selection pipeline under
+/// the given constraints.
+fn cmd_evaluate(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let req = ServiceRequest::EvaluateConstraint(EvaluateConstraintRequest {
+        destination: p.positional[0].clone(),
+        objective: objective_from(p)?,
+        constraints: constraints_from(p)?,
+    });
+    dispatch(s, &req)
+}
+
+/// `upin serve --db DIR [--threads N] [--requests FILE]`: answer JSON
+/// request lines through the service, one JSON response line per
+/// request, in input order. Without --requests, answer a single Health
+/// probe — the smoke face of the daemon.
+fn cmd_serve(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let threads = p.get_or("threads", 1)?.max(1);
+    let service = s.service();
+    let Some(path) = p.opt("requests") else {
+        return Ok(service.dispatch_json(&ServiceRequest::Health.to_json_string()) + "\n");
+    };
+    let text = read_file(path)?;
+    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let chunk = lines.len().div_ceil(threads).max(1);
+    let (answers, _) = upin_core::pool::run_pool(lines.chunks(chunk).collect(), threads, |work| {
+        let mut out = String::new();
+        for line in work {
+            out.push_str(&service.dispatch_json(line));
+            out.push('\n');
+        }
+        out
+    })?;
+    Ok(answers.concat())
+}
+
+/// `upin loadgen --db DIR [--clients N] [--requests N]
+///  [--arrival-rate R] [--mix FILE] [--with-campaign]
+///  [--bench-out FILE]`: the closed-loop load harness.
+fn cmd_loadgen(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    use upin_core::loadgen::{run_loadgen, LoadgenConfig, Mix};
+    let cfg = LoadgenConfig {
+        clients: p.get_or("clients", 4)?,
+        requests_per_client: p.get_or("requests", 100)?,
+        arrival_rate: p.get_or("arrival-rate", 0.0)?,
+        seed: s.seed,
+        mix: match p.opt("mix") {
+            Some(path) => read_parsed(path, Mix::from_json_str)?,
+            None => Mix::default_mix(),
+        },
+        concurrent_campaign: p.flag("with-campaign"),
+    };
+    let service = Arc::new(s.service());
+    let outcome = run_loadgen(&service, service.as_ref(), &cfg)?;
+    let mut out = outcome.report.clone();
+    if let Some(path) = p.opt("bench-out") {
+        write_file(path, &outcome.bench_json)?;
+        out.push_str(&format!("bench written to {path}\n"));
+    }
+    Ok(out)
+}
+
+fn cmd_verify(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let server_id = resolve_server(s, &p.positional[0])?;
+    let objective = objective_from(p)?;
+    let constraints = constraints_from(p)?;
+    let recs = recommend(
+        &s.db,
+        &UserRequest {
+            server_id,
+            objective,
+            constraints: constraints.clone(),
+        },
+        1,
+    )?;
+    let report = verify_recommendation(
+        &s.db,
+        &s.net,
+        s.local,
+        &recs[0],
+        &constraints,
+        objective,
+        p.get_or("tolerance", 1.5)?,
+    )?;
+    s.persist()?;
+    let mut out = format!("verifying {} ...\n", recs[0].aggregate.path_id);
+    for (ia, rtt) in &report.trace {
+        match rtt {
+            Some(ms) => out.push_str(&format!("  {ia}  {ms:.2} ms\n")),
+            None => out.push_str(&format!("  {ia}  *\n")),
+        }
+    }
+    if report.satisfied() {
+        out.push_str("intent satisfied: no violations\n");
+        Ok(out)
+    } else {
+        for v in &report.violations {
+            out.push_str(&format!("  VIOLATION: {v}\n"));
+        }
+        Err(CliError::Verification(out))
+    }
+}
+
+fn cmd_health(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    use upin_core::health::{detect, Anomaly, HealthConfig};
+    let server_id = resolve_server(s, &p.positional[0])?;
+    let defaults = HealthConfig::default();
+    let cfg = HealthConfig {
+        recent_window: p.get_or("window", defaults.recent_window)?,
+        threshold_sigmas: p.get_or("sigmas", defaults.threshold_sigmas)?,
+        ..defaults
+    };
+    let findings = detect(&s.db, server_id, &cfg)?;
+    if findings.is_empty() {
+        return Ok("all paths healthy\n".to_string());
+    }
+    let mut out = String::new();
+    for f in findings {
+        let what = match f.anomaly {
+            Anomaly::Blackout => "BLACKOUT".to_string(),
+            Anomaly::LossOnset {
+                baseline_pct,
+                recent_pct,
+            } => {
+                format!("loss onset {baseline_pct:.1}% -> {recent_pct:.1}%")
+            }
+            Anomaly::LatencyShift {
+                baseline_ms,
+                recent_ms,
+                sigmas,
+            } => {
+                format!("latency shift {baseline_ms:.1}ms -> {recent_ms:.1}ms ({sigmas:.1} sigma)")
+            }
+        };
+        out.push_str(&format!("{}: {what}\n", f.path_id));
+    }
+    Ok(out)
+}
+
+fn cmd_summary(_: &Parsed, s: &Session) -> Result<String, CliError> {
+    let summary = upin_core::analysis::summary(&s.db)?;
+    let hist = upin_core::analysis::reachability(&s.db)?;
+    Ok(format!(
+        "{}\n{}",
+        upin_core::report::render_summary(&summary),
+        upin_core::report::render_fig4(&hist)
+    ))
+}
+
+/// Execute a literal SCION tool command line, exactly as the paper's
+/// scripts spawn them:
+///   upin exec "scion ping 16-ffaa:0:1002,[172.31.43.7] -c 30 --interval 0.1s"
+fn cmd_exec(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let host = scion_sim::addr::HostAddr::new(10, 0, 2, 15);
+    let line = &p.positional[0];
+    Ok(scion_tools::shell::execute(&s.net, s.local, host, line)?)
+}
+
+fn cmd_evaluate_strategies(p: &Parsed, s: &Session) -> Result<String, CliError> {
+    let cfg = upin_core::axioms::EvalConfig {
+        epochs: p.get_or("epochs", 4)?,
+        objective: objective_from(p)?,
+        constraints: Constraints::default(),
+        seed: s.seed,
+        only: p.opt("strategy").map(String::from),
+    };
+    let cards = upin_core::axioms::evaluate_strategies(&s.db, &s.net, s.local, &cfg)?;
+    upin_core::axioms::store_scorecards(&s.db, &cards, &cfg)?;
+    s.persist()?;
+    Ok(upin_core::report::render_strategies(&cards))
+}
+
+/// Accepts either a longitudinal report saved with `longitudinal run
+/// --out` or a bare `churn.json` from `export dataset`.
+fn cmd_report_churn(p: &Parsed) -> Result<String, CliError> {
+    read_parsed(&p.positional[0], |text| {
+        upin_core::LongitudinalReport::from_json_str(text)
+            .map(|report| report.render())
+            .or_else(|_| upin_core::ChurnReport::from_json_str(text).map(|churn| churn.render()))
+    })
+}
+
 /// Parse repeated `--weight name=value` options into [`multi::Weights`].
-fn weights_from(p: &crate::args::Parsed) -> Result<Option<upin_core::multi::Weights>, CliError> {
+fn weights_from(p: &Parsed) -> Result<Option<upin_core::multi::Weights>, CliError> {
     let specs = p.opt_all("weight");
     if specs.is_empty() {
         return Ok(None);
@@ -901,102 +894,6 @@ fn weights_from(p: &crate::args::Parsed) -> Result<Option<upin_core::multi::Weig
     Ok(Some(w))
 }
 
-fn parse(spec: Spec, rest: &[String]) -> Result<crate::args::Parsed, CliError> {
-    spec.parse(rest).map_err(CliError::Usage)
-}
-
-fn open(p: &crate::args::Parsed) -> Result<Session, CliError> {
-    let seed = p
-        .opt_parse::<u64>("seed")
-        .map_err(CliError::Usage)?
-        .unwrap_or(42);
-    Session::open_with(SessionOptions {
-        seed,
-        db_dir: p.opt("db").map(String::from),
-        durability: p.opt("durability").map(String::from),
-        trace_out: p.opt("trace-out").map(std::path::PathBuf::from),
-        metrics_out: p.opt("metrics-out").map(std::path::PathBuf::from),
-        quiet: p.flag("quiet"),
-        topology: p.opt("topology").map(std::path::PathBuf::from),
-        beacon_cap: p
-            .opt_parse::<usize>("beacon-cap")
-            .map_err(CliError::Usage)?,
-    })
-}
-
-/// `upin topo generate [--isds N] [--ases LO,HI] [--cores LO,HI] ...`:
-/// generate a random topology and print it (or `--out FILE` it) as JSON.
-fn cmd_topo_generate(p: &crate::args::Parsed) -> Result<String, CliError> {
-    use scion_sim::topology::random::{random_topology, RandomTopologyConfig};
-    let mut cfg = RandomTopologyConfig::default();
-    if let Some(n) = p.opt_parse::<usize>("isds").map_err(CliError::Usage)? {
-        cfg.isds = n;
-    }
-    if let Some(r) = p.opt("ases") {
-        cfg.ases_per_isd = parse_range(r)?;
-    }
-    if let Some(r) = p.opt("cores") {
-        cfg.cores_per_isd = parse_range(r)?;
-    }
-    for (name, field) in [
-        ("core-mesh-density", &mut cfg.core_mesh_density as &mut f64),
-        ("pref-attachment", &mut cfg.pref_attachment),
-        ("extra-parent-prob", &mut cfg.extra_parent_prob),
-        ("peering-prob", &mut cfg.peering_prob),
-        ("server-prob", &mut cfg.server_prob),
-    ] {
-        if let Some(v) = p.opt_parse::<f64>(name).map_err(CliError::Usage)? {
-            *field = v;
-        }
-    }
-    let seed = p
-        .opt_parse::<u64>("seed")
-        .map_err(CliError::Usage)?
-        .unwrap_or(42);
-    let (topo, user) =
-        random_topology(seed, &cfg).map_err(|e| CliError::Usage(format!("bad topology: {e}")))?;
-    let json = topo.to_json_string();
-    match p.opt("out") {
-        Some(path) => {
-            std::fs::write(path, &json)
-                .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-            Ok(format!(
-                "generated {} ASes in {} ISDs ({} links), user AS {user}\nwritten to {path}\n",
-                topo.num_ases(),
-                topo.isds().len(),
-                topo.num_links(),
-            ))
-        }
-        None => Ok(json),
-    }
-}
-
-/// Parse `LO,HI` (inclusive) or a single `N` as the range `(N, N)`.
-fn parse_range(s: &str) -> Result<(usize, usize), CliError> {
-    let bad = || CliError::Usage(format!("expected N or LO,HI, got {s:?}"));
-    match s.split_once(',') {
-        Some((lo, hi)) => Ok((
-            lo.trim().parse().map_err(|_| bad())?,
-            hi.trim().parse().map_err(|_| bad())?,
-        )),
-        None => {
-            let n = s.trim().parse().map_err(|_| bad())?;
-            Ok((n, n))
-        }
-    }
-}
-
-/// Finish a command: write the requested telemetry exports and append
-/// their banner (suppressed by `--quiet`) to the command output.
-fn finish(s: &Session, out: String) -> Result<String, CliError> {
-    let banner = s.export_telemetry()?;
-    if banner.is_empty() {
-        Ok(out)
-    } else {
-        Ok(format!("{out}{banner}"))
-    }
-}
-
 fn parse_ia(s: &str) -> Result<IsdAsn, CliError> {
     s.parse()
         .map_err(|e| CliError::Usage(format!("bad ISD-AS {s:?}: {e}")))
@@ -1007,43 +904,17 @@ fn parse_addr(s: &str) -> Result<ScionAddr, CliError> {
         .map_err(|e| CliError::Usage(format!("bad SCION address {s:?}: {e}")))
 }
 
-fn selection_from(p: &crate::args::Parsed) -> Result<PathSelection, CliError> {
-    if let Some(seq) = p.opt("sequence") {
-        return Ok(PathSelection::Sequence(seq.to_string()));
-    }
-    if let Some(policy) = p.opt("policy") {
-        return Ok(PathSelection::Policy(policy.to_string()));
-    }
-    if let Some(i) = p
-        .opt_parse::<usize>("interactive")
-        .map_err(CliError::Usage)?
-    {
-        return Ok(PathSelection::Interactive(i));
-    }
-    Ok(PathSelection::Default)
+fn objective_from(p: &Parsed) -> Result<Objective, CliError> {
+    let name = p.opt("objective").unwrap_or("latency");
+    Ok(api::parse_objective(name)?)
 }
 
-fn objective_from(p: &crate::args::Parsed) -> Result<Objective, CliError> {
-    api::parse_objective(p.opt("objective").unwrap_or("latency")).map_err(CliError::Usage)
-}
-
-fn constraints_from(p: &crate::args::Parsed) -> Result<Constraints, CliError> {
+fn constraints_from(p: &Parsed) -> Result<Constraints, CliError> {
     let mut c = Constraints {
-        exclude_countries: p
-            .opt_all("exclude-country")
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        exclude_ases: p
-            .opt_all("exclude-as")
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        exclude_operators: p
-            .opt_all("exclude-operator")
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        exclude_countries: p.opt_all("exclude-country").to_vec(),
+        exclude_ases: p.opt_all("exclude-as").to_vec(),
+        exclude_operators: p.opt_all("exclude-operator").to_vec(),
+        max_hops: p.get("max-hops")?,
         ..Constraints::default()
     };
     for isd in p.opt_all("exclude-isd") {
@@ -1052,7 +923,6 @@ fn constraints_from(p: &crate::args::Parsed) -> Result<Constraints, CliError> {
                 .map_err(|_| CliError::Usage(format!("bad ISD number {isd:?}")))?,
         );
     }
-    c.max_hops = p.opt_parse::<usize>("max-hops").map_err(CliError::Usage)?;
     Ok(c)
 }
 
@@ -1061,22 +931,6 @@ fn constraints_from(p: &crate::args::Parsed) -> Result<Constraints, CliError> {
 /// the service owns the logic (and the error prose), the CLI borrows it.
 fn resolve_server(s: &Session, token: &str) -> Result<u32, CliError> {
     Ok(s.service().resolve_destination(token)?)
-}
-
-fn cmd_destinations(s: &Session) -> Result<String, CliError> {
-    s.ensure_servers()?;
-    let dests = upin_core::collect::destinations(&s.db)?;
-    let mut out = format!("{} measurable destinations:\n", dests.len());
-    for (id, addr) in dests {
-        let name = s
-            .net
-            .topology()
-            .index_of(addr.ia)
-            .map(|i| s.net.topology().node(i).name.clone())
-            .unwrap_or_default();
-        out.push_str(&format!("{id:>3}  {addr}  ({name})\n"));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1936,5 +1790,158 @@ mod tests {
         ));
         let help = run_cli(&["help"]).unwrap();
         assert!(help.contains("commands:"));
+    }
+
+    #[test]
+    fn subcommands_are_one_lookup() {
+        let msg = run_cli(&["report", "vibes"]).unwrap_err().to_string();
+        assert!(
+            msg.contains("(expected: telemetry, strategies, chaos, churn)"),
+            "{msg}"
+        );
+        let msg = run_cli(&["chaos"]).unwrap_err().to_string();
+        assert!(msg.contains("unknown chaos subcommand"), "{msg}");
+        // A malformed invocation answers with the row's own help lines.
+        let msg = run_cli(&["report", "telemetry"]).unwrap_err().to_string();
+        assert!(msg.contains("report telemetry <metrics.json>"), "{msg}");
+        assert!(!msg.contains("report chaos"), "{msg}");
+    }
+
+    /// Rows that open no session take none of its options: they used to
+    /// be parsed and dropped (`report telemetry m.json --metrics-out
+    /// x.json` wrote no `x.json`).
+    #[test]
+    fn report_rows_without_a_session_refuse_session_options() {
+        for report in ["telemetry", "chaos", "churn"] {
+            for option in [&["--metrics-out", "x.json"][..], &["--db", "nowhere"]] {
+                let mut args = vec!["report", report, "/no/such/export.json"];
+                args.extend(option);
+                let err = run_cli(&args).unwrap_err();
+                assert!(matches!(err, CliError::Usage(_)), "{report}: {err:?}");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!("unknown option {}", option[0])),
+                    "{msg}"
+                );
+            }
+        }
+    }
+
+    /// The option tokens (`--opt`, `-o`) in a piece of help text,
+    /// dashes stripped.
+    fn option_tokens(text: &str) -> Vec<&str> {
+        text.split(|c: char| c.is_whitespace() || "[]()|*,".contains(c))
+            .filter_map(|t| t.strip_prefix("--").or_else(|| t.strip_prefix('-')))
+            .filter(|t| t.starts_with(|c: char| c.is_ascii_alphabetic()))
+            .collect()
+    }
+
+    #[test]
+    fn every_row_agrees_with_its_help_lines() {
+        let filters = COMMANDS.iter().find(|c| c.name == "recommend").unwrap();
+        for (i, row) in COMMANDS.iter().enumerate() {
+            let name = row.name;
+            assert!(COMMANDS[..i].iter().all(|c| c.name != name), "{name} twice");
+            assert!(row.help.trim_start().starts_with(name), "{name}");
+            let session = !matches!(row.run, Run::Plain(_));
+            let spec = if session {
+                with_globals((row.spec)())
+            } else {
+                (row.spec)()
+            };
+
+            // Every option the row parses is mentioned in `upin help`:
+            // in its own lines, in the filter block they point to, or
+            // in the global block.
+            let mut mentioned = option_tokens(row.help);
+            if row.help.contains("[same filters]") {
+                mentioned.extend(option_tokens(filters.help));
+            }
+            if session {
+                mentioned.extend(option_tokens(GLOBAL_HELP));
+            }
+            for option in spec.names() {
+                assert!(
+                    mentioned.contains(&option),
+                    "{name} parses --{option}, which `upin help` never mentions"
+                );
+            }
+
+            // Every option the row's synopsis shows parses for the row.
+            // The description column (after a wider gap) is prose.
+            for line in row.help.lines() {
+                let synopsis = line.trim_start().split("  ").next().unwrap();
+                for option in option_tokens(synopsis) {
+                    assert!(
+                        spec.names().any(|n| n == option),
+                        "`upin help` shows --{option} on {name}, which does not parse"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `upin <tool> ...` and `upin exec "scion <tool> ..."` read their
+    /// options through one table and one reader per tool, so the same
+    /// option strings give the same report on both faces.
+    #[test]
+    fn tool_rows_and_exec_take_the_same_options() {
+        let ireland = "16-ffaa:0:1002,[172.31.43.7]";
+        let magdeburg = "19-ffaa:0:1303,[141.44.25.144]";
+        let policy = "- 16-ffaa:0:1004, +";
+        let sequence = scion_sim::net::ScionNetwork::scionlab(42)
+            .paths(
+                scion_sim::topology::scionlab::MY_AS,
+                "16-ffaa:0:1002".parse().unwrap(),
+                2,
+            )
+            .pop()
+            .unwrap()
+            .sequence();
+        let cases: [(&str, &str, &[&str]); 12] = [
+            ("ping", ireland, &["-c", "2", "--interval", "0.1s"]),
+            ("ping", ireland, &["--count", "2", "--timeout", "1s"]),
+            ("ping", ireland, &["-c", "2", "--policy", policy]),
+            ("ping", ireland, &["-c", "2", "--sequence", &sequence]),
+            ("ping", ireland, &["-c", "2", "--interactive", "3"]),
+            ("traceroute", "16-ffaa:0:1002", &[]),
+            ("traceroute", "16-ffaa:0:1002", &["--policy", policy]),
+            ("traceroute", "16-ffaa:0:1002", &["--sequence", &sequence]),
+            ("bwtest", magdeburg, &["-cs", "3,64,?,12Mbps"]),
+            (
+                "bwtest",
+                ireland,
+                &[
+                    "-cs",
+                    "1,64,?,5Mbps",
+                    "-sc",
+                    "1,MTU,?,8Mbps",
+                    "--policy",
+                    policy,
+                ],
+            ),
+            ("showpaths", "16-ffaa:0:1002", &["-m", "5", "--extended"]),
+            ("showpaths", "16-ffaa:0:1002", &["--maxpaths", "3"]),
+        ];
+        for (tool, dst, options) in cases {
+            let mut args = vec![tool, dst];
+            args.extend(options);
+            let direct = run_cli(&args).unwrap();
+            // The row leads `ping`/`bwtest` reports with the path used.
+            let body = match direct.strip_prefix("using path: ") {
+                Some(rest) => rest.split_once('\n').unwrap().1,
+                None => &direct,
+            };
+
+            let mut line = match tool {
+                "bwtest" => format!("scion-bwtestclient -s {dst}"),
+                _ => format!("scion {tool} {dst}"),
+            };
+            for option in options {
+                line.push_str(&format!(" '{option}'"));
+            }
+            let via_exec = run_cli(&["exec", &line]).unwrap();
+            assert_eq!(body, via_exec, "{line}");
+        }
     }
 }

@@ -38,6 +38,13 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// Every `Result<_, String>` the CLI meets is a message from an
+/// argument reader or a configuration's `validate()`: a usage error.
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Usage(message)
+    }
+}
 impl From<upin_core::SuiteError> for CliError {
     fn from(e: upin_core::SuiteError) -> Self {
         CliError::Suite(e)
@@ -139,31 +146,20 @@ fn local_as_of(topo: &Topology) -> Option<IsdAsn> {
 }
 
 impl Session {
-    /// Open a session: bring up the simulated SCIONLab network and open
-    /// the database directory at the requested durability level
-    /// (`--durability {none,snapshot,wal}`, default `snapshot`).
+    /// Open a session: bring up the simulated network (the SCIONLab
+    /// replica, or `--topology FILE`) and open the database directory
+    /// at the requested durability level (`--durability
+    /// {none,snapshot,wal}`, default `snapshot`; without `--db` the
+    /// database lives in memory).
     ///
     /// `none` keeps the legacy behavior — load the directory if it
     /// exists, never write back implicitly; `snapshot` and `wal` run
     /// crash recovery on open and persist on [`Session::persist`].
-    pub fn open(
-        seed: u64,
-        db_dir: Option<&str>,
-        durability: Option<&str>,
-    ) -> Result<Session, CliError> {
-        Session::open_with(SessionOptions {
-            seed,
-            db_dir: db_dir.map(String::from),
-            durability: durability.map(String::from),
-            ..SessionOptions::default()
-        })
-    }
-
-    /// [`Session::open`] plus telemetry wiring: when `--trace-out` or
-    /// `--metrics-out` is requested, a collecting [`Telemetry`]
-    /// recorder is attached to both the database (from the first
-    /// moment of recovery, so WAL replay timings are captured) and the
-    /// simulated network.
+    ///
+    /// When `--trace-out` or `--metrics-out` is requested, a collecting
+    /// [`Telemetry`] recorder is attached to both the database (from
+    /// the first moment of recovery, so WAL replay timings are
+    /// captured) and the simulated network.
     pub fn open_with(opts: SessionOptions) -> Result<Session, CliError> {
         let telemetry = if opts.trace_out.is_some() || opts.metrics_out.is_some() {
             Some(Arc::new(Telemetry::new()))

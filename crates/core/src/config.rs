@@ -3,6 +3,7 @@
 
 use scion_sim::addr::IsdAsn;
 use scion_sim::topology::scionlab::MY_AS;
+use scion_tools::args::{Parsed, Spec};
 
 /// Test-suite configuration.
 ///
@@ -38,13 +39,12 @@ pub struct SuiteConfig {
     /// Run the bandwidth tests at all (latency-only campaigns are much
     /// faster; the Fig. 5/6/9 analyses only need ping data).
     pub run_bwtests: bool,
-    /// Test destinations concurrently. Parallel and sequential runs
-    /// produce the identical `paths_stats` document set for the same
-    /// seed: each destination runs on its own deterministic network
-    /// fork and batches commit in destination order.
-    pub parallel: bool,
-    /// Worker-pool size for `--parallel` campaigns; the runner never
-    /// holds more than this many destination measurements in flight.
+    /// Worker-pool size: the runner never holds more than this many
+    /// destination measurements in flight, and 1 tests them one after
+    /// the other on the caller's thread. Every size produces the
+    /// identical `paths_stats` document set for the same seed: each
+    /// destination runs on its own deterministic network fork and
+    /// batches commit in destination order.
     pub workers: usize,
     /// Extra attempts per failed tool invocation (0 disables retry).
     pub retry_attempts: u32,
@@ -80,8 +80,7 @@ impl Default for SuiteConfig {
             bw_target_mbps: 12.0,
             bw_small_bytes: 64,
             run_bwtests: true,
-            parallel: false,
-            workers: 4,
+            workers: 1,
             retry_attempts: 2,
             retry_base_ms: 200.0,
             retry_multiplier: 2.0,
@@ -141,57 +140,38 @@ impl SuiteConfig {
         Ok(())
     }
 
-    /// Parse the wrapper-script argument vector:
+    /// The wrapper script's option table:
     /// `test_suite.sh <iterations> [--skip] [--some-only] [--parallel]
     /// [--workers <n>] [--retries <n>]`.
+    pub fn spec() -> Spec {
+        crate::pool::options(Spec::new(1, 1).flag("skip").flag("some-only")).value("retries")
+    }
+
+    /// Parse the wrapper-script argument vector against
+    /// [`SuiteConfig::spec`].
     pub fn from_args<I, S>(args: I) -> Result<SuiteConfig, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut cfg = SuiteConfig::default();
-        let mut saw_iterations = false;
-        let mut expecting: Option<&'static str> = None;
-        for arg in args {
-            let arg = arg.as_ref();
-            if let Some(opt) = expecting.take() {
-                match opt {
-                    "--workers" => {
-                        cfg.workers =
-                            arg.parse().ok().filter(|w| *w >= 1).ok_or_else(|| {
-                                format!("--workers needs a count >= 1, got {arg:?}")
-                            })?;
-                    }
-                    "--retries" => {
-                        cfg.retry_attempts = arg
-                            .parse()
-                            .map_err(|_| format!("--retries must be an integer, got {arg:?}"))?;
-                    }
-                    _ => unreachable!(),
-                }
-                continue;
-            }
-            match arg {
-                "--skip" => cfg.skip_collection = true,
-                "--some-only" => cfg.some_only = true,
-                "--parallel" => cfg.parallel = true,
-                "--workers" => expecting = Some("--workers"),
-                "--retries" => expecting = Some("--retries"),
-                other if !saw_iterations => {
-                    cfg.iterations = other
-                        .parse()
-                        .map_err(|_| format!("iterations must be an integer, got {other:?}"))?;
-                    saw_iterations = true;
-                }
-                other => return Err(format!("unexpected argument {other:?}")),
-            }
-        }
-        if let Some(opt) = expecting {
-            return Err(format!("{opt} needs a value"));
-        }
-        if !saw_iterations {
-            return Err("missing <iterations> argument".into());
-        }
+        SuiteConfig::from_parsed(&SuiteConfig::spec().parse(args)?)
+    }
+
+    /// Read and validate a configuration from arguments parsed against
+    /// [`SuiteConfig::spec`] (or a table extending it).
+    pub fn from_parsed(p: &Parsed) -> Result<SuiteConfig, String> {
+        let defaults = SuiteConfig::default();
+        let iterations = &p.positional[0];
+        let cfg = SuiteConfig {
+            iterations: iterations
+                .parse()
+                .map_err(|_| format!("iterations must be an integer, got {iterations:?}"))?,
+            skip_collection: p.flag("skip"),
+            some_only: p.flag("some-only"),
+            workers: crate::pool::workers_from(p)?,
+            retry_attempts: p.get_or("retries", defaults.retry_attempts)?,
+            ..defaults
+        };
         cfg.validate()?;
         Ok(cfg)
     }
@@ -305,18 +285,32 @@ mod tests {
         assert!(SuiteConfig::from_args(["3", "--retries", "x"]).is_err());
         // The database's crash-safety level is the session's to parse.
         assert!(SuiteConfig::from_args(["3", "--durability", "wal"]).is_err());
+        // What the hand-written loop special-cased: a value missing at
+        // the end, a value that is itself an option, a non-number, and
+        // a leading-digit dash token, which stays positional.
+        assert!(SuiteConfig::from_args(["3", "--retries"]).is_err());
+        assert!(SuiteConfig::from_args(["3", "--workers", "--parallel"]).is_err());
+        assert!(SuiteConfig::from_args(["3", "--workers", "lots"]).is_err());
+        let err = SuiteConfig::from_args(["-5"]).unwrap_err();
+        assert!(err.contains("iterations must be an integer"), "{err}");
+        assert!(SuiteConfig::from_args(["3", "-5"]).is_err());
     }
 
     #[test]
     fn parses_runner_knobs() {
         let c = SuiteConfig::from_args(["7", "--parallel", "--workers", "2", "--retries", "5"])
             .unwrap();
-        assert!(c.parallel);
         assert_eq!(c.workers, 2);
         assert_eq!(c.retry_attempts, 5);
+        // One value decides the pool: `--workers N` means N with or
+        // without `--parallel`, which alone asks for the default pool.
+        let workers = |args: &[&str]| SuiteConfig::from_args(args).unwrap().workers;
+        assert_eq!(workers(&["7", "--workers", "2"]), 2);
+        assert_eq!(workers(&["7", "--parallel"]), crate::pool::PARALLEL_WORKERS);
+        assert_eq!(workers(&["7"]), 1);
         // Defaults keep the runner conservative but self-healing.
         let d = SuiteConfig::default();
-        assert_eq!(d.workers, 4);
+        assert_eq!(d.workers, 1);
         assert_eq!(d.retry_attempts, 2);
         assert_eq!(d.breaker_threshold, 3);
         assert_eq!(d.breaker_cooldown_ms, 30_000.0);

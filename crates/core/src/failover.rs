@@ -74,9 +74,8 @@ pub struct FailoverConfig {
     pub backoff_base_ms: f64,
     /// Backoff growth per repeated failure of the same path.
     pub backoff_multiplier: f64,
-    /// Run destinations through a worker pool.
-    pub parallel: bool,
-    /// Pool size for `parallel` runs.
+    /// Worker-pool size for the destinations' sessions; 1 runs them one
+    /// after the other on the caller's thread.
     pub workers: usize,
 }
 
@@ -92,8 +91,7 @@ impl Default for FailoverConfig {
             hysteresis_ticks: 3,
             backoff_base_ms: 2_000.0,
             backoff_multiplier: 2.0,
-            parallel: false,
-            workers: 4,
+            workers: 1,
         }
     }
 }
@@ -592,8 +590,7 @@ pub fn run_chaos_campaign(
         })
         .collect();
 
-    let workers = if cfg.parallel { cfg.workers } else { 1 };
-    let (reports, _) = run_pool(jobs, workers, |j| run_session(cfg, j))?;
+    let (reports, _) = run_pool(jobs, cfg.workers, |j| run_session(cfg, j))?;
 
     // Telemetry, replayed in destination order on this thread — same
     // discipline as the measurement runner, same byte-identical export
@@ -832,10 +829,9 @@ mod tests {
             .enumerate()
             .map(|(i, a)| (i as u32 + 1, a))
             .collect();
-        let run = |parallel: bool, workers: usize| {
+        let run = |workers: usize| {
             let net = ScionNetwork::scionlab(17);
             let cfg = FailoverConfig {
-                parallel,
                 workers,
                 ticks: 15,
                 probes: 2,
@@ -846,9 +842,9 @@ mod tests {
                 .unwrap()
                 .to_json_string()
         };
-        let seq = run(false, 1);
+        let seq = run(1);
         for workers in [2, 4, 8] {
-            assert_eq!(seq, run(true, workers), "workers={workers}");
+            assert_eq!(seq, run(workers), "workers={workers}");
         }
     }
 

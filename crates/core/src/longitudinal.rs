@@ -312,8 +312,7 @@ mod tests {
 
     fn short(parallel: bool) -> LongitudinalConfig {
         let mut campaign = campaign();
-        campaign.parallel = parallel;
-        campaign.workers = 3;
+        campaign.workers = if parallel { 3 } else { 1 };
         LongitudinalConfig {
             campaign,
             sim_days: 3,

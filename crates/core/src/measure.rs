@@ -370,15 +370,12 @@ mod tests {
     fn parallel_campaign_inserts_same_volume() {
         let cfg = SuiteConfig {
             some_only: false,
-            parallel: true,
+            workers: 4,
             ..quick_cfg()
         };
         let (db, net) = setup(&cfg);
         let report = run_tests(&db, &net, &cfg).unwrap();
-        let sequential_cfg = SuiteConfig {
-            parallel: false,
-            ..cfg
-        };
+        let sequential_cfg = SuiteConfig { workers: 1, ..cfg };
         let (db2, net2) = setup(&sequential_cfg);
         let report2 = run_tests(&db2, &net2, &sequential_cfg).unwrap();
         assert_eq!(report.inserted, report2.inserted);

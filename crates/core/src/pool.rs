@@ -3,7 +3,31 @@
 //! [`run_pool`].
 
 use crate::error::{SuiteError, SuiteResult};
+use scion_tools::args::{Parsed, Spec};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The pool `--parallel` asks for when no `--workers N` sizes it.
+pub const PARALLEL_WORKERS: usize = 4;
+
+/// The `[--parallel] [--workers N]` pair of every pooled command, on
+/// top of `spec`.
+pub fn options(spec: Spec) -> Spec {
+    spec.flag("parallel").value("workers")
+}
+
+/// Read the pool size: `--workers N` when given, else
+/// [`PARALLEL_WORKERS`] under `--parallel`, else 1.
+pub fn workers_from(p: &Parsed) -> Result<usize, String> {
+    let default = if p.flag("parallel") {
+        PARALLEL_WORKERS
+    } else {
+        1
+    };
+    match p.get_or("workers", default)? {
+        0 => Err("--workers needs a count >= 1, got 0".into()),
+        n => Ok(n),
+    }
+}
 
 /// Run `work` over `jobs` on at most `workers` threads and return the
 /// results in job order, plus the peak number of jobs that were live at

@@ -4,9 +4,9 @@
 //! kill the campaign; this module adds the three properties campaign-
 //! scale data quality actually needs on top of that:
 //!
-//! * **Bounded concurrency** — `--parallel` runs destinations through a
-//!   worker pool of [`SuiteConfig::workers`] threads, never one thread
-//!   per destination.
+//! * **Bounded concurrency** — `--parallel` / `--workers N` run
+//!   destinations through a worker pool of [`SuiteConfig::workers`]
+//!   threads, never one thread per destination.
 //! * **Determinism** — every destination is measured on its own
 //!   [`ScionNetwork::fork`], whose clock and RNG stream depend only on
 //!   the iteration and the destination's position. Workers return
@@ -179,10 +179,9 @@ pub fn run_campaign(
         &[
             ("iterations", AttrValue::I64(cfg.iterations as i64)),
             ("destinations", AttrValue::I64(dests.len() as i64)),
-            ("parallel", AttrValue::I64(cfg.parallel as i64)),
+            ("parallel", AttrValue::I64((cfg.workers > 1) as i64)),
         ],
     );
-    let workers = if cfg.parallel { cfg.workers } else { 1 };
     // Per-destination breaker state across iterations: an entry means
     // the breaker is open, the value is the campaign-clock time at
     // which its cooldown elapses and a half-open trial is admitted.
@@ -227,7 +226,7 @@ pub fn run_campaign(
                 }
             }
         }
-        let (measured, peak) = run_pool(jobs, workers, |j| run_destination(cfg, j))?;
+        let (measured, peak) = run_pool(jobs, cfg.workers, |j| run_destination(cfg, j))?;
         report.peak_workers = report.peak_workers.max(peak);
         // Destination order: a held slot keeps its place, every other
         // slot takes the next measured batch (the pool returns them in
@@ -467,14 +466,13 @@ mod tests {
         for workers in [1, 3, 16] {
             let seq_cfg = SuiteConfig {
                 iterations: 2,
-                parallel: false,
+                workers: 1,
                 ..quick()
             };
             let (db_seq, net_seq) = setup(23, &seq_cfg);
             run_campaign(&db_seq, &net_seq, &seq_cfg).unwrap();
 
             let par_cfg = SuiteConfig {
-                parallel: true,
                 workers,
                 ..seq_cfg.clone()
             };
@@ -488,6 +486,26 @@ mod tests {
             );
             assert!(report.peak_workers <= workers.max(1));
         }
+    }
+
+    /// `--workers N` decides the pool on its own: without `--parallel`
+    /// it used to be parsed, stored and ignored.
+    #[test]
+    fn workers_alone_runs_the_pool_it_names() {
+        let run = |args: &[&str]| {
+            let cfg = SuiteConfig {
+                ping_count: 5,
+                run_bwtests: false,
+                ..SuiteConfig::from_args(args).unwrap()
+            };
+            let (db, net) = setup(23, &cfg);
+            let report = run_campaign(&db, &net, &cfg).unwrap();
+            (report.peak_workers, stats_snapshot(&db))
+        };
+        let (peak, alone) = run(&["3", "--workers", "2"]);
+        assert_eq!(peak, 2, "--workers 2 must run two workers");
+        let (_, with_parallel) = run(&["3", "--parallel", "--workers", "2"]);
+        assert_eq!(alone, with_parallel);
     }
 
     #[test]

@@ -1,6 +1,10 @@
-//! Small declarative argument parser for the `upin` CLI.
+//! The one argument-vector reader: a declarative option table
+//! ([`Spec`]) and what it read ([`Parsed`]). Every command line in the
+//! workspace goes through [`Spec::parse`] — the SCION tools' under
+//! [`crate::shell::execute`], `test_suite.sh`'s under
+//! `SuiteConfig::from_args`, the `upin` command table and `figures`.
 //!
-//! Grammar: `upin <command> [positional...] [--opt value]... [--flag]...`
+//! Grammar: `[positional...] [--opt value]... [--flag]...`
 //! Options may repeat (`--exclude-country US --exclude-country SG`).
 
 use std::collections::HashMap;
@@ -30,11 +34,8 @@ impl Parsed {
     }
 
     /// All occurrences of a repeatable option.
-    pub fn opt_all(&self, name: &str) -> Vec<&str> {
-        self.options
-            .get(name)
-            .map(|v| v.iter().map(String::as_str).collect())
-            .unwrap_or_default()
+    pub fn opt_all(&self, name: &str) -> &[String] {
+        self.options.get(name).map_or(&[], Vec::as_slice)
     }
 
     pub fn flag(&self, name: &str) -> bool {
@@ -42,7 +43,7 @@ impl Parsed {
     }
 
     /// Parse an option as a number.
-    pub fn opt_parse<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+    pub fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         match self.opt(name) {
             None => Ok(None),
             Some(v) => v
@@ -51,12 +52,25 @@ impl Parsed {
                 .map_err(|_| format!("--{name} expects a number, got {v:?}")),
         }
     }
+
+    /// [`Parsed::get`], or `default` when the option was not given.
+    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.get(name)?.unwrap_or(default))
+    }
+
+    /// An option the command cannot run without; `what` is the error
+    /// when it is missing (`"chaos run needs --schedule FILE"`).
+    pub fn required(&self, name: &str, what: &str) -> Result<&str, String> {
+        self.opt(name).ok_or_else(|| what.to_string())
+    }
 }
 
 /// Declarative option table for one command.
 #[derive(Debug, Clone, Default)]
 pub struct Spec {
     options: Vec<(&'static str, Arity)>,
+    /// (alias, option): second spellings, such as `--count` for `-c`.
+    aliases: Vec<(&'static str, &'static str)>,
     /// (min, max) positional arguments.
     pub positionals: (usize, usize),
 }
@@ -65,6 +79,7 @@ impl Spec {
     pub fn new(min_pos: usize, max_pos: usize) -> Spec {
         Spec {
             options: Vec::new(),
+            aliases: Vec::new(),
             positionals: (min_pos, max_pos),
         }
     }
@@ -79,11 +94,25 @@ impl Spec {
         self
     }
 
-    fn arity_of(&self, name: &str) -> Option<Arity> {
-        self.options
+    /// Accept `alias` as another spelling of the option `name`.
+    pub fn alias(mut self, alias: &'static str, name: &'static str) -> Spec {
+        self.aliases.push((alias, name));
+        self
+    }
+
+    /// The options the table accepts (aliases not included).
+    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.options.iter().map(|(n, _)| *n)
+    }
+
+    /// The table's entry for `name` as typed, aliases resolved.
+    fn entry(&self, name: &str) -> Option<(&'static str, Arity)> {
+        let name = self
+            .aliases
             .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, a)| *a)
+            .find(|(a, _)| *a == name)
+            .map_or(name, |(_, n)| n);
+        self.options.iter().find(|(n, _)| *n == name).copied()
     }
 
     /// Parse an argument vector against the spec.
@@ -101,9 +130,9 @@ impl Spec {
                 arg.strip_prefix('-')
                     .filter(|r| !r.is_empty() && !r.chars().next().unwrap().is_ascii_digit())
             }) {
-                match self.arity_of(name) {
-                    Some(Arity::Flag) => out.flags.push(name.to_string()),
-                    Some(Arity::Value) => {
+                match self.entry(name) {
+                    Some((option, Arity::Flag)) => out.flags.push(option.to_string()),
+                    Some((option, Arity::Value)) => {
                         let v = iter
                             .next()
                             .ok_or_else(|| format!("--{name} expects a value"))?;
@@ -111,12 +140,12 @@ impl Spec {
                         // `--workers --parallel` should complain about the missing
                         // value, not record "--parallel" as the worker count.
                         if let Some(next_name) = v.strip_prefix("--") {
-                            if self.arity_of(next_name).is_some() {
+                            if self.entry(next_name).is_some() {
                                 return Err(format!("--{name} expects a value"));
                             }
                         }
                         out.options
-                            .entry(name.to_string())
+                            .entry(option.to_string())
                             .or_default()
                             .push(v.to_string());
                     }
@@ -156,7 +185,7 @@ mod tests {
         assert_eq!(p.positional, vec!["16-ffaa:0:1002"]);
         assert!(p.flag("extended"));
         assert_eq!(p.opt("m"), Some("40"));
-        assert_eq!(p.opt_parse::<usize>("m").unwrap(), Some(40));
+        assert_eq!(p.get::<usize>("m").unwrap(), Some(40));
     }
 
     #[test]
@@ -203,8 +232,31 @@ mod tests {
     }
 
     #[test]
+    fn aliases_read_as_the_option_they_name() {
+        let s = Spec::new(0, 0).value("c").alias("count", "c").value("m");
+        let p = s.parse(["--count", "3"]).unwrap();
+        assert_eq!(p.get::<u32>("c").unwrap(), Some(3));
+        assert_eq!(s.names().collect::<Vec<_>>(), ["c", "m"]);
+        // An alias is a known option when it stands where a value should.
+        assert!(s.parse(["-m", "--count"]).is_err());
+    }
+
+    #[test]
+    fn typed_getters_default_and_demand() {
+        let p = spec().parse(["x", "-m", "7"]).unwrap();
+        assert_eq!(p.get_or("m", 10usize).unwrap(), 7);
+        assert_eq!(p.get_or("exclude-country", 1.5f64).unwrap(), 1.5);
+        assert_eq!(p.required("m", "needs -m").unwrap(), "7");
+        assert_eq!(
+            p.required("exclude-country", "needs a country")
+                .unwrap_err(),
+            "needs a country"
+        );
+    }
+
+    #[test]
     fn bad_numeric_option_reports() {
         let p = spec().parse(["x", "-m", "lots"]).unwrap();
-        assert!(p.opt_parse::<usize>("m").is_err());
+        assert!(p.get::<usize>("m").is_err());
     }
 }

@@ -8,6 +8,7 @@
 //! packet size ≥ 4 bytes. `-cs` sets the client→server direction; `-sc`
 //! defaults to the same parameters, "resulting in 2 average bandwidths".
 
+use crate::args::{Parsed, Spec};
 use crate::error::ToolError;
 use crate::ping::{resolve_path, PathSelection};
 use crate::units::{format_bandwidth_mbps, parse_bandwidth_mbps};
@@ -192,6 +193,26 @@ pub fn bwtest(
 ) -> Result<BwtestReport, ToolError> {
     let path = resolve_path(net, local, destination.ia, selection)?;
     bwtest_over(net, destination, path, cs_spec, sc_spec)
+}
+
+/// `scion-bwtestclient`'s option table, on top of `spec` (the server is
+/// the face's to spell: `-s` on the tool's own command line).
+pub fn options(spec: Spec) -> Spec {
+    PathSelection::options(spec.value("cs").value("sc"))
+}
+
+/// [`bwtest`] with `-cs`, `-sc` and the path choice read from a parsed
+/// command line; `default_cs` is what the face runs without `-cs`.
+pub fn bwtest_parsed(
+    net: &ScionNetwork,
+    local: IsdAsn,
+    destination: ScionAddr,
+    p: &Parsed,
+    default_cs: &str,
+) -> Result<BwtestReport, ToolError> {
+    let cs = p.opt("cs").unwrap_or(default_cs);
+    let selection = PathSelection::from_parsed(p)?;
+    bwtest(net, local, destination, cs, p.opt("sc"), &selection)
 }
 
 /// [`bwtest`] over a path the caller already resolved.

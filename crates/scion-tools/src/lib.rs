@@ -13,9 +13,11 @@
 //!   `?` wildcard inference and the tool's duration/packet-size limits
 //!
 //! Every tool returns a structured result plus a `render()` method that
-//! produces CLI-shaped text.
+//! produces CLI-shaped text, and declares its option table and reader
+//! over [`args`], the workspace's one argument-vector parser.
 
 pub mod address;
+pub mod args;
 pub mod bwtester;
 pub mod error;
 pub mod ping;

@@ -11,6 +11,7 @@
 //! `--sequence` hop predicates, `--interactive` (choose from the listed
 //! paths), or the default first path.
 
+use crate::args::{Parsed, Spec};
 use crate::error::ToolError;
 use crate::units::parse_duration_ms;
 use scion_sim::addr::{IsdAsn, ScionAddr};
@@ -32,6 +33,30 @@ pub enum PathSelection {
     /// ACL path policy (SCION's pathpol language): the best path the
     /// policy allows, e.g. `"- 16-ffaa:0:1004, +"`.
     Policy(String),
+}
+
+impl PathSelection {
+    /// The path-choice options every probing tool takes (`ping` adds
+    /// `--interactive`).
+    pub fn options(spec: Spec) -> Spec {
+        spec.value("sequence").value("policy")
+    }
+
+    /// Read the choice: `--sequence` before `--policy` before
+    /// `--interactive N` — the scripted form of interactive mode, which
+    /// supplies the index a terminal would prompt for.
+    pub fn from_parsed(p: &Parsed) -> Result<PathSelection, ToolError> {
+        if let Some(seq) = p.opt("sequence") {
+            return Ok(PathSelection::Sequence(seq.to_string()));
+        }
+        if let Some(policy) = p.opt("policy") {
+            return Ok(PathSelection::Policy(policy.to_string()));
+        }
+        Ok(match p.get("interactive").map_err(ToolError::Usage)? {
+            Some(i) => PathSelection::Interactive(i),
+            None => PathSelection::Default,
+        })
+    }
 }
 
 /// Options of one `scion ping` run.
@@ -67,10 +92,27 @@ impl PingOptions {
         }
     }
 
-    /// Parse `--interval`-style strings (`0.1s`, `100ms`).
-    pub fn with_interval_str(mut self, s: &str) -> Result<PingOptions, ToolError> {
-        self.interval_ms = parse_duration_ms(s)?;
-        Ok(self)
+    /// `scion ping`'s option table, on top of `spec`.
+    pub fn options(spec: Spec) -> Spec {
+        PathSelection::options(spec)
+            .value("interactive")
+            .value("c")
+            .alias("count", "c")
+            .value("interval")
+            .value("timeout")
+    }
+
+    /// Read the options of one run; `--interval` and `--timeout` take
+    /// duration strings (`0.1s`, `100ms`).
+    pub fn from_parsed(p: &Parsed) -> Result<PingOptions, ToolError> {
+        let d = PingOptions::default();
+        let duration = |name, default| p.opt(name).map_or(Ok(default), parse_duration_ms);
+        Ok(PingOptions {
+            count: p.get_or("c", d.count).map_err(ToolError::Usage)?,
+            interval_ms: duration("interval", d.interval_ms)?,
+            timeout_ms: duration("timeout", d.timeout_ms)?,
+            selection: PathSelection::from_parsed(p)?,
+        })
     }
 }
 
@@ -217,10 +259,21 @@ mod tests {
     }
 
     #[test]
-    fn interval_string_parses() {
-        let o = PingOptions::paper().with_interval_str("0.1s").unwrap();
-        assert_eq!(o.interval_ms, 100.0);
-        assert!(PingOptions::paper().with_interval_str("zzz").is_err());
+    fn options_are_read_from_a_parsed_command_line() {
+        let read = |args: &[&str]| {
+            let p = PingOptions::options(Spec::new(0, 0)).parse(args).unwrap();
+            PingOptions::from_parsed(&p)
+        };
+        let o = read(&["--count", "30", "--interval", "0.1s", "--timeout", "250ms"]).unwrap();
+        assert_eq!((o.count, o.interval_ms, o.timeout_ms), (30, 100.0, 250.0));
+        assert_eq!(read(&[]).unwrap(), PingOptions::default());
+        assert!(read(&["--interval", "zzz"]).is_err());
+        assert!(read(&["-c", "lots"]).is_err());
+        // One precedence on every face, whatever the order typed.
+        let o = read(&["--interactive", "2", "--policy", "+", "--sequence", "s"]).unwrap();
+        assert_eq!(o.selection, PathSelection::Sequence("s".into()));
+        let o = read(&["--interactive", "2"]).unwrap();
+        assert_eq!(o.selection, PathSelection::Interactive(2));
     }
 
     #[test]

@@ -13,8 +13,19 @@
 //! arguments) and dispatches to the tool implementations, returning the
 //! rendered stdout — so higher layers can be written against command
 //! strings, like the original suite.
+//!
+//! Only the quoting ([`tokenize`]) is this module's own. The tokens are
+//! read by [`Spec::parse`] against the option table each tool declares
+//! next to its options — [`PingOptions::options`],
+//! [`PathSelection::options`], [`ShowpathsOptions::options`],
+//! [`bwtester::options`] — and turned into options by the matching
+//! `from_parsed`. The `upin ping|traceroute|bwtest|showpaths` commands
+//! use the same tables and readers, so the two faces accept the same
+//! options; what differs stays here: the server is `-s` rather than a
+//! positional, and `-cs` defaults to the tool's own `3,1000,30,?`.
 
-use crate::bwtester::bwtest;
+use crate::args::{Parsed, Spec};
+use crate::bwtester;
 use crate::error::ToolError;
 use crate::ping::{ping, PathSelection, PingOptions};
 use crate::showpaths::{showpaths, ShowpathsOptions};
@@ -100,137 +111,47 @@ pub fn execute(
     }
 }
 
-fn want_value<'a>(
-    args: &mut std::slice::Iter<'a, &'a str>,
-    flag: &str,
-) -> Result<&'a str, ToolError> {
-    args.next()
-        .copied()
-        .ok_or_else(|| ToolError::Usage(format!("{flag} expects a value")))
+/// Parse a tool's arguments against its table, naming the tool in the
+/// error.
+fn parse(tool: &str, spec: Spec, args: &[&str]) -> Result<Parsed, ToolError> {
+    spec.parse(args)
+        .map_err(|e| ToolError::Usage(format!("{tool}: {e}")))
 }
 
 fn exec_showpaths(net: &ScionNetwork, local: IsdAsn, args: &[&str]) -> Result<String, ToolError> {
-    let mut dst: Option<IsdAsn> = None;
-    let mut opts = ShowpathsOptions::default();
-    let mut it = args.iter();
-    while let Some(&arg) = it.next() {
-        match arg {
-            "--extended" => opts.extended = true,
-            "-m" | "--maxpaths" => {
-                let v = want_value(&mut it, arg)?;
-                opts.max_paths = v
-                    .parse()
-                    .map_err(|_| ToolError::Usage(format!("bad -m value {v:?}")))?;
-            }
-            a if !a.starts_with('-') && dst.is_none() => {
-                dst = Some(a.parse()?);
-            }
-            other => return Err(ToolError::Usage(format!("showpaths: unexpected {other:?}"))),
-        }
-    }
-    let dst = dst.ok_or_else(|| ToolError::Usage("showpaths: missing destination".into()))?;
-    Ok(showpaths(net, local, dst, opts)?.render())
+    let p = parse(
+        "showpaths",
+        ShowpathsOptions::options(Spec::new(1, 1)),
+        args,
+    )?;
+    let dst = p.positional[0].parse()?;
+    Ok(showpaths(net, local, dst, ShowpathsOptions::from_parsed(&p)?)?.render())
 }
 
 fn exec_ping(net: &ScionNetwork, local: IsdAsn, args: &[&str]) -> Result<String, ToolError> {
-    let mut dst: Option<ScionAddr> = None;
-    let mut opts = PingOptions::default();
-    let mut it = args.iter();
-    while let Some(&arg) = it.next() {
-        match arg {
-            "-c" | "--count" => {
-                let v = want_value(&mut it, arg)?;
-                opts.count = v
-                    .parse()
-                    .map_err(|_| ToolError::Usage(format!("bad -c value {v:?}")))?;
-            }
-            "--interval" => {
-                let v = want_value(&mut it, arg)?;
-                opts = opts.with_interval_str(v)?;
-            }
-            "--timeout" => {
-                let v = want_value(&mut it, arg)?;
-                opts.timeout_ms = crate::units::parse_duration_ms(v)?;
-            }
-            "--sequence" => {
-                opts.selection = PathSelection::Sequence(want_value(&mut it, arg)?.to_string());
-            }
-            "--policy" => {
-                opts.selection = PathSelection::Policy(want_value(&mut it, arg)?.to_string());
-            }
-            "--interactive" => {
-                // The scripted form of interactive mode supplies the
-                // chosen index (a terminal would prompt).
-                let v = want_value(&mut it, arg)?;
-                opts.selection = PathSelection::Interactive(
-                    v.parse()
-                        .map_err(|_| ToolError::Usage(format!("bad --interactive index {v:?}")))?,
-                );
-            }
-            a if !a.starts_with('-') && dst.is_none() => {
-                dst = Some(a.parse()?);
-            }
-            other => return Err(ToolError::Usage(format!("ping: unexpected {other:?}"))),
-        }
-    }
-    let dst = dst.ok_or_else(|| ToolError::Usage("ping: missing destination".into()))?;
-    Ok(ping(net, local, dst, &opts)?.render())
+    let p = parse("ping", PingOptions::options(Spec::new(1, 1)), args)?;
+    let dst = p.positional[0].parse()?;
+    Ok(ping(net, local, dst, &PingOptions::from_parsed(&p)?)?.render())
 }
 
 fn exec_traceroute(net: &ScionNetwork, local: IsdAsn, args: &[&str]) -> Result<String, ToolError> {
-    let mut dst: Option<IsdAsn> = None;
-    let mut selection = PathSelection::Default;
-    let mut it = args.iter();
-    while let Some(&arg) = it.next() {
-        match arg {
-            "--sequence" => {
-                selection = PathSelection::Sequence(want_value(&mut it, arg)?.to_string());
-            }
-            a if !a.starts_with('-') && dst.is_none() => {
-                // Accept both bare ISD-AS and full addresses.
-                dst = Some(match a.parse::<ScionAddr>() {
-                    Ok(addr) => addr.ia,
-                    Err(_) => a.parse()?,
-                });
-            }
-            other => {
-                return Err(ToolError::Usage(format!(
-                    "traceroute: unexpected {other:?}"
-                )))
-            }
-        }
-    }
-    let dst = dst.ok_or_else(|| ToolError::Usage("traceroute: missing destination".into()))?;
-    Ok(traceroute(net, local, dst, &selection)?.render())
+    let p = parse("traceroute", PathSelection::options(Spec::new(1, 1)), args)?;
+    // Accept both bare ISD-AS and full addresses.
+    let dst = match p.positional[0].parse::<ScionAddr>() {
+        Ok(addr) => addr.ia,
+        Err(_) => p.positional[0].parse()?,
+    };
+    Ok(traceroute(net, local, dst, &PathSelection::from_parsed(&p)?)?.render())
 }
 
 fn exec_bwtest(net: &ScionNetwork, local: IsdAsn, args: &[&str]) -> Result<String, ToolError> {
-    let mut server: Option<ScionAddr> = None;
-    let mut cs: Option<String> = None;
-    let mut sc: Option<String> = None;
-    let mut selection = PathSelection::Default;
-    let mut it = args.iter();
-    while let Some(&arg) = it.next() {
-        match arg {
-            "-s" | "--server" => {
-                server = Some(want_value(&mut it, arg)?.parse()?);
-            }
-            "-cs" => cs = Some(want_value(&mut it, arg)?.to_string()),
-            "-sc" => sc = Some(want_value(&mut it, arg)?.to_string()),
-            "--sequence" | "-sequence" => {
-                selection = PathSelection::Sequence(want_value(&mut it, arg)?.to_string());
-            }
-            other => {
-                return Err(ToolError::Usage(format!(
-                    "bwtestclient: unexpected {other:?}"
-                )))
-            }
-        }
-    }
-    let server =
-        server.ok_or_else(|| ToolError::Usage("bwtestclient: missing -s server".into()))?;
-    let cs = cs.unwrap_or_else(|| "3,1000,30,?".to_string());
-    Ok(bwtest(net, local, server, &cs, sc.as_deref(), &selection)?.render())
+    let spec = bwtester::options(Spec::new(0, 0).value("s").alias("server", "s"));
+    let p = parse("bwtestclient", spec, args)?;
+    let server = p
+        .required("s", "bwtestclient: missing -s server")
+        .map_err(ToolError::Usage)?
+        .parse()?;
+    Ok(bwtester::bwtest_parsed(net, local, server, &p, "3,1000,30,?")?.render())
 }
 
 #[cfg(test)]
@@ -321,6 +242,17 @@ mod tests {
             "scion showpaths 16-ffaa:0:1002 -m lots",
             "scion ping",
             "scion-bwtestclient -cs 3,64,?,12Mbps", // missing -s
+            // What the hand-written loops special-cased, now `Spec`'s:
+            // a value missing at the end, a value that is itself an
+            // option, a second positional, a leading-digit dash token
+            // (positional, so a bad address), another tool's option.
+            "scion ping 16-ffaa:0:1002,[172.31.43.7] -c",
+            "scion ping 16-ffaa:0:1002,[172.31.43.7] --interval --timeout 1s",
+            "scion ping 16-ffaa:0:1002,[172.31.43.7] -c lots",
+            "scion showpaths 16-ffaa:0:1002 17-ffaa:0:1107",
+            "scion ping -5",
+            "scion traceroute 16-ffaa:0:1002 --interactive 2",
+            "scion-bwtestclient -s",
         ] {
             assert!(
                 matches!(execute(&n, MY_AS, host(), line), Err(ToolError::Usage(_))),

@@ -4,6 +4,7 @@
 //! the 10-path default cap; the suite uses `-m 40`) and `--extended`
 //! (per-path MTU, status and latency metadata).
 
+use crate::args::{Parsed, Spec};
 use crate::error::ToolError;
 use scion_sim::addr::IsdAsn;
 use scion_sim::net::ScionNetwork;
@@ -24,6 +25,22 @@ impl Default for ShowpathsOptions {
             max_paths: 10,
             extended: false,
         }
+    }
+}
+
+impl ShowpathsOptions {
+    /// `scion showpaths`'s option table, on top of `spec`.
+    pub fn options(spec: Spec) -> Spec {
+        spec.value("m").alias("maxpaths", "m").flag("extended")
+    }
+
+    pub fn from_parsed(p: &Parsed) -> Result<ShowpathsOptions, ToolError> {
+        Ok(ShowpathsOptions {
+            max_paths: p
+                .get_or("m", ShowpathsOptions::default().max_paths)
+                .map_err(ToolError::Usage)?,
+            extended: p.flag("extended"),
+        })
     }
 }
 

@@ -31,7 +31,7 @@ fn main() {
 
     let cfg = FailoverConfig {
         ticks: 45,
-        parallel: true,
+        workers: 4,
         ..FailoverConfig::default()
     };
     let report = run_chaos_campaign(&net, &schedule, &dests, &cfg, Some(&db)).unwrap();

@@ -1,7 +1,7 @@
 //! The full test-suite, CLI-compatible with the paper's wrapper script:
 //!
 //! ```text
-//! cargo run --release --example measurement_campaign -- 2 [--skip] [--some_only] [--parallel]
+//! cargo run --release --example measurement_campaign -- 2 [--skip] [--some-only] [--parallel]
 //! ```
 //!
 //! Collects paths to all 21 destinations, measures each retained path
@@ -26,7 +26,7 @@ fn main() {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!(
-                "usage: measurement_campaign <iterations> [--skip] [--some_only] [--parallel]"
+                "usage: measurement_campaign <iterations> [--skip] [--some-only] [--parallel]"
             );
             eprintln!("error: {e}");
             std::process::exit(2);

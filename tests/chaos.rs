@@ -164,10 +164,9 @@ proptest! {
             .enumerate()
             .map(|(i, a)| (i as u32 + 1, a))
             .collect();
-        let run = |parallel: bool, workers: usize| {
+        let run = |workers: usize| {
             let net = ScionNetwork::scionlab(net_seed);
             let cfg = FailoverConfig {
-                parallel,
                 workers,
                 ..cfg.clone()
             };
@@ -175,9 +174,9 @@ proptest! {
                 .unwrap()
                 .to_json_string()
         };
-        let sequential = run(false, 1);
+        let sequential = run(1);
         for workers in [2, 5] {
-            prop_assert_eq!(&run(true, workers), &sequential, "workers {}", workers);
+            prop_assert_eq!(&run(workers), &sequential, "workers {}", workers);
         }
     }
 }

@@ -115,7 +115,12 @@ fn docs_cite_only_what_exists() {
                 }
                 _ if word == "cargo" => true, // checked flag by flag above
                 _ if word == "figures" => bins.contains(word),
-                rest if word == "upin" => commands.contains(&format!("\"{}\" =>", ident(rest))),
+                // A row of the command table, or the first word of one.
+                rest if word == "upin" => {
+                    let name = format!("name: \"{}", ident(rest));
+                    commands.contains(&format!("{name}\""))
+                        || commands.contains(&format!("{name} "))
+                }
                 _ => false,
             };
             if !known {

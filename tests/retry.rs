@@ -44,7 +44,6 @@ fn parallel_campaign_matches_sequential_document_set() {
 
     let (net_par, db_par, _) = upin::standard_setup(401);
     let par_cfg = SuiteConfig {
-        parallel: true,
         workers: 3,
         ..quick
     };
