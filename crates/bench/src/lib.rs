@@ -20,11 +20,11 @@ use upin_core::schema::AVAILABLE_SERVERS;
 
 /// Wall-clock (network time) one ping-only path measurement consumes:
 /// 30 probes × 100 ms + the tool's post-campaign slack.
-pub const PING_PATH_MS: f64 = 30.0 * 100.0 + 300.0;
+const PING_PATH_MS: f64 = 30.0 * 100.0 + 300.0;
 
 /// Set up a network + database with servers registered and paths
 /// collected (the state after `collect_paths.py`).
-pub fn collected(seed: u64, cfg: &SuiteConfig) -> (ScionNetwork, Database) {
+fn collected(seed: u64, cfg: &SuiteConfig) -> (ScionNetwork, Database) {
     let net = ScionNetwork::scionlab(seed);
     let db = Database::new();
     register_available_servers(&db, &net).expect("registration succeeds");
@@ -34,7 +34,7 @@ pub fn collected(seed: u64, cfg: &SuiteConfig) -> (ScionNetwork, Database) {
 
 /// Restrict `availableServers` to the given destinations (keeps their
 /// registered ids), so a campaign measures only those.
-pub fn restrict_destinations(db: &Database, keep: &[ScionAddr]) {
+fn restrict_destinations(db: &Database, keep: &[ScionAddr]) {
     let dests = upin_core::collect::destinations(db).expect("destinations readable");
     let keep_ids: Vec<pathdb::Value> = dests
         .iter()
@@ -79,7 +79,7 @@ pub fn fig5(seed: u64, iterations: u32) -> (Vec<PathLatency>, String) {
 }
 
 /// The two long-distance ASes the paper excludes in Fig. 6's right plot.
-pub fn fig6_excluded_ases() -> [String; 2] {
+fn fig6_excluded_ases() -> [String; 2] {
     [AWS_SINGAPORE.to_string(), AWS_OHIO.to_string()]
 }
 

@@ -94,15 +94,17 @@ fn lookup(argv: &[String]) -> Result<(&'static Command, &[String]), CliError> {
             usage()
         )));
     }
-    let (sub, rest) = rest
-        .split_first()
-        .map_or(("", rest), |(s, r)| (s.as_str(), r));
+    let expected = subs.join(", ");
+    let Some((sub, rest)) = rest.split_first() else {
+        return Err(CliError::Usage(format!(
+            "{name} needs a subcommand (expected: {expected})"
+        )));
+    };
     named(&format!("{name} {sub}"))
         .map(|row| (row, rest))
         .ok_or_else(|| {
             CliError::Usage(format!(
-                "unknown {name} subcommand {sub:?} (expected: {})",
-                subs.join(", ")
+                "unknown {name} subcommand {sub:?} (expected: {expected})"
             ))
         })
 }
@@ -594,7 +596,6 @@ fn cmd_chaos_run(p: &Parsed, s: &Session) -> Result<String, CliError> {
         probes: p.get_or("probes", defaults.probes)?,
         max_paths: p.get_or("max-paths", defaults.max_paths)?,
         workers: upin_core::pool::workers_from(p)?,
-        ..defaults
     };
     let dests = upin_core::collect::destinations(&s.db)?;
     let report =
@@ -1799,8 +1800,20 @@ mod tests {
             msg.contains("(expected: telemetry, strategies, chaos, churn)"),
             "{msg}"
         );
-        let msg = run_cli(&["chaos"]).unwrap_err().to_string();
-        assert!(msg.contains("unknown chaos subcommand"), "{msg}");
+        // Every family of `"<command> <sub>"` rows asks for the word it
+        // is missing.
+        let families: std::collections::BTreeSet<&str> = COMMANDS
+            .iter()
+            .filter_map(|c| Some(c.name.split_once(' ')?.0))
+            .collect();
+        assert!(families.contains("chaos"), "{families:?}");
+        for family in families {
+            let err = run_cli(&[family]).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{family}: {err:?}");
+            let msg = err.to_string();
+            let wanted = format!("{family} needs a subcommand (expected: ");
+            assert!(msg.contains(&wanted), "{msg}");
+        }
         // A malformed invocation answers with the row's own help lines.
         let msg = run_cli(&["report", "telemetry"]).unwrap_err().to_string();
         assert!(msg.contains("report telemetry <metrics.json>"), "{msg}");

@@ -92,7 +92,7 @@ impl From<upin_core::ServiceError> for CliError {
 
 /// Everything the global CLI options decide about a session.
 #[derive(Debug, Clone, Default)]
-pub struct SessionOptions {
+pub(crate) struct SessionOptions {
     pub seed: u64,
     pub db_dir: Option<String>,
     pub durability: Option<String>,
@@ -113,7 +113,7 @@ pub struct SessionOptions {
 }
 
 /// One CLI invocation's environment. The network and database are
-/// `Arc`'d so the typed service ([`Session::service`]) and its
+/// `Arc`'d so the typed service (`Session::service`) and its
 /// transports can share them across threads; `&s.db` / `&s.net` still
 /// deref to plain references everywhere else.
 pub struct Session {
@@ -160,7 +160,7 @@ impl Session {
     /// [`Telemetry`] recorder is attached to both the database (from
     /// the first moment of recovery, so WAL replay timings are
     /// captured) and the simulated network.
-    pub fn open_with(opts: SessionOptions) -> Result<Session, CliError> {
+    pub(crate) fn open_with(opts: SessionOptions) -> Result<Session, CliError> {
         let telemetry = if opts.trace_out.is_some() || opts.metrics_out.is_some() {
             Some(Arc::new(Telemetry::new()))
         } else {
@@ -242,7 +242,7 @@ impl Session {
     /// Write the requested telemetry exports (`--trace-out`,
     /// `--metrics-out`). Returns the banner lines to show the user —
     /// empty under `--quiet` or when no export was requested.
-    pub fn export_telemetry(&self) -> Result<String, CliError> {
+    pub(crate) fn export_telemetry(&self) -> Result<String, CliError> {
         let Some(t) = &self.telemetry else {
             return Ok(String::new());
         };
@@ -268,7 +268,7 @@ impl Session {
 
     /// Ensure `availableServers` is populated (idempotent bootstrap for
     /// DB-backed commands on a fresh database).
-    pub fn ensure_servers(&self) -> Result<(), CliError> {
+    pub(crate) fn ensure_servers(&self) -> Result<(), CliError> {
         if !self.db.has_collection(upin_core::schema::AVAILABLE_SERVERS)
             || self
                 .db
@@ -284,7 +284,7 @@ impl Session {
     /// The typed path-intelligence service over this session's state —
     /// the one dispatcher `recommend`, `showpaths`, `evaluate`, `serve`
     /// and `loadgen` all answer through.
-    pub fn service(&self) -> upin_core::PathIntelService {
+    pub(crate) fn service(&self) -> upin_core::PathIntelService {
         upin_core::PathIntelService::new(
             Arc::clone(&self.db),
             Arc::clone(&self.net),
@@ -296,7 +296,7 @@ impl Session {
     /// Persist the database if a directory was configured: an atomic
     /// checkpoint of what changed under `snapshot` and `wal` durability
     /// (which also truncates the WAL), nothing under `none`.
-    pub fn persist(&self) -> Result<(), CliError> {
+    pub(crate) fn persist(&self) -> Result<(), CliError> {
         self.db.checkpoint_if_durable()?;
         Ok(())
     }

@@ -340,7 +340,7 @@ pub struct CorrelationReport {
 
 /// Pearson correlation coefficient; `None` when either series is
 /// degenerate (fewer than two points or zero variance).
-pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
+fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     if x.len() != y.len() || x.len() < 2 {
         return None;
     }
@@ -363,7 +363,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
 
 /// Geographic length of a stored path: the sum of great-circle
 /// distances between consecutive on-path ASes, in km.
-pub fn path_distance_km(net: &scion_sim::net::ScionNetwork, sequence: &str) -> Option<f64> {
+fn path_distance_km(net: &scion_sim::net::ScionNetwork, sequence: &str) -> Option<f64> {
     let path = scion_sim::path::ScionPath::from_sequence(sequence).ok()?;
     let topo = net.topology();
     let mut total = 0.0;

@@ -256,7 +256,7 @@ pub struct ServiceError {
 
 impl ServiceError {
     /// A detail-only error.
-    pub fn new(code: ErrorCode, detail: impl Into<String>) -> ServiceError {
+    pub(crate) fn new(code: ErrorCode, detail: impl Into<String>) -> ServiceError {
         ServiceError {
             code,
             server_id: None,
@@ -267,7 +267,7 @@ impl ServiceError {
     }
 
     /// Lift a classified selection failure into the typed payload.
-    pub fn from_selection(f: &SelectionFailure) -> ServiceError {
+    pub(crate) fn from_selection(f: &SelectionFailure) -> ServiceError {
         let (code, server_id, matched, gated) = match *f {
             SelectionFailure::NoMatch { server_id } => (ErrorCode::NoMatch, server_id, None, None),
             SelectionFailure::AllGated { server_id, matched } => {
@@ -294,7 +294,7 @@ impl ServiceError {
     }
 
     /// Lift any core error into the typed payload.
-    pub fn from_suite(e: &SuiteError) -> ServiceError {
+    fn from_suite(e: &SuiteError) -> ServiceError {
         match e {
             SuiteError::Selection(f) => ServiceError::from_selection(f),
             SuiteError::InvalidRequest(m) => ServiceError::new(ErrorCode::InvalidRequest, m),
@@ -787,7 +787,7 @@ pub fn parse_objective(name: &str) -> Result<Objective, String> {
 }
 
 /// One aggregate line pair, exactly as the pre-service CLI printed it.
-pub fn render_aggregate(tag: &str, a: &PathAggregate) -> String {
+fn render_aggregate(tag: &str, a: &PathAggregate) -> String {
     let lat = a
         .latency
         .as_ref()
@@ -809,7 +809,7 @@ pub fn render_aggregate(tag: &str, a: &PathAggregate) -> String {
 }
 
 /// Render a recommend response — ranked, weighted, or Pareto.
-pub fn render_recommend(r: &RecommendResponse) -> String {
+fn render_recommend(r: &RecommendResponse) -> String {
     let mut out = String::new();
     if r.mode == RecommendMode::Pareto {
         out.push_str(&format!(
@@ -832,7 +832,7 @@ pub fn render_recommend(r: &RecommendResponse) -> String {
 
 /// Render a showpaths response, byte-identical to
 /// `ShowpathsResult::render`.
-pub fn render_showpaths(r: &ShowPathsResponse) -> String {
+fn render_showpaths(r: &ShowPathsResponse) -> String {
     let mut out = format!(
         "Available paths to {} ({} shown)\n",
         r.destination,
@@ -852,7 +852,7 @@ pub fn render_showpaths(r: &ShowPathsResponse) -> String {
 }
 
 /// Render the constraint funnel.
-pub fn render_constraint_report(r: &ConstraintReport) -> String {
+fn render_constraint_report(r: &ConstraintReport) -> String {
     let objective = match r.objective {
         Objective::MinLatency => "latency",
         Objective::MinJitter => "jitter",
@@ -871,7 +871,7 @@ pub fn render_constraint_report(r: &ConstraintReport) -> String {
 }
 
 /// Render a strategy scoring.
-pub fn render_strategy_score(r: &StrategyScoreResponse) -> String {
+fn render_strategy_score(r: &StrategyScoreResponse) -> String {
     let mut out = format!("strategy {} for destination {}:\n", r.strategy, r.server_id);
     for e in &r.entries {
         out.push_str(&render_aggregate(&format!("#{}", e.rank), &e.aggregate));
@@ -880,7 +880,7 @@ pub fn render_strategy_score(r: &StrategyScoreResponse) -> String {
 }
 
 /// Render a health status.
-pub fn render_health(h: &HealthStatus) -> String {
+fn render_health(h: &HealthStatus) -> String {
     let mut out = format!(
         "service healthy: {} collection(s), {} destination(s)\n",
         h.collections.len(),

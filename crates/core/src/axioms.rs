@@ -22,7 +22,7 @@
 //!
 //! The harness is deterministic: same seed → byte-identical scorecards
 //! (the fold is destination-ordered). Scorecards persist in the
-//! [`crate::schema::STRATEGY_SCORECARDS`] collection and render as the
+//! `crate::schema::STRATEGY_SCORECARDS` collection and render as the
 //! `report strategies` table.
 
 use crate::collect::destinations;
@@ -355,7 +355,7 @@ fn opt_f64(x: Option<f64>) -> Value {
 }
 
 /// Encode one scorecard as a pathdb document (`_id` = strategy name).
-pub fn scorecard_doc(s: &Scorecard, rank: usize, cfg: &EvalConfig) -> Document {
+fn scorecard_doc(s: &Scorecard, rank: usize, cfg: &EvalConfig) -> Document {
     let mut d = doc! {
         "_id" => s.strategy.clone(),
         "rank" => rank as i64,
@@ -372,7 +372,7 @@ pub fn scorecard_doc(s: &Scorecard, rank: usize, cfg: &EvalConfig) -> Document {
 }
 
 /// Persist the scorecards (replacing any previous evaluation) into the
-/// [`STRATEGY_SCORECARDS`] collection.
+/// `STRATEGY_SCORECARDS` collection.
 pub fn store_scorecards(db: &Database, cards: &[Scorecard], cfg: &EvalConfig) -> SuiteResult<()> {
     let handle = db.collection(STRATEGY_SCORECARDS);
     let mut coll = handle.write();

@@ -61,15 +61,15 @@ pub struct ChurnReport {
 }
 
 impl ChurnReport {
-    pub fn lifetime_p50(&self) -> i64 {
+    fn lifetime_p50(&self) -> i64 {
         percentile_sorted(&self.lifetimes, 0.50)
     }
 
-    pub fn lifetime_max(&self) -> i64 {
+    fn lifetime_max(&self) -> i64 {
         self.lifetimes.last().copied().unwrap_or(0)
     }
 
-    pub fn mean_lifetime(&self) -> f64 {
+    fn mean_lifetime(&self) -> f64 {
         if self.lifetimes.is_empty() {
             0.0
         } else {
@@ -78,7 +78,7 @@ impl ChurnReport {
     }
 
     /// Stability across all destinations, pair-weighted.
-    pub fn overall_stability(&self) -> f64 {
+    fn overall_stability(&self) -> f64 {
         let pairs: usize = self.dests.iter().map(|d| d.ranking_pairs).sum();
         if pairs == 0 {
             return 1.0;
@@ -91,7 +91,7 @@ impl ChurnReport {
         same / pairs as f64
     }
 
-    pub fn to_json_string(&self) -> String {
+    pub(crate) fn to_json_string(&self) -> String {
         serde_json::to_string_pretty(self).expect("churn reports always serialize")
     }
 

@@ -102,7 +102,7 @@ pub fn collect_paths(
 }
 
 /// Retention rule of §5.2: keep paths with `hops ≤ min_hops + slack`.
-pub fn retain_short_paths(paths: &[ScionPath], slack: usize) -> Vec<&ScionPath> {
+fn retain_short_paths(paths: &[ScionPath], slack: usize) -> Vec<&ScionPath> {
     let Some(min) = paths.iter().map(ScionPath::hop_count).min() else {
         return Vec::new();
     };
@@ -197,7 +197,7 @@ fn collect_for_destination(
 /// Per-hop country and operator sets of a path (deduplicated,
 /// order-preserving) — the Domain-Explorer-style metadata stored with
 /// each path for sovereignty/operator exclusion queries.
-pub fn hop_metadata(net: &ScionNetwork, path: &ScionPath) -> (Vec<String>, Vec<String>) {
+fn hop_metadata(net: &ScionNetwork, path: &ScionPath) -> (Vec<String>, Vec<String>) {
     let topo = net.topology();
     let mut countries: Vec<String> = Vec::new();
     let mut operators: Vec<String> = Vec::new();

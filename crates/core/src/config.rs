@@ -29,13 +29,9 @@ pub struct SuiteConfig {
     pub ping_count: u32,
     /// Ping inter-probe interval, ms (`--interval 0.1s`).
     pub ping_interval_ms: f64,
-    /// Bandwidth-test duration per direction, seconds.
-    pub bw_duration_s: f64,
     /// Target bandwidth of the tests, Mbps (12 in the standard campaign,
     /// 150 in the stress campaign of Fig. 8).
     pub bw_target_mbps: f64,
-    /// Small-packet size for the first bandwidth test, bytes.
-    pub bw_small_bytes: u32,
     /// Run the bandwidth tests at all (latency-only campaigns are much
     /// faster; the Fig. 5/6/9 analyses only need ping data).
     pub run_bwtests: bool,
@@ -76,9 +72,7 @@ impl Default for SuiteConfig {
             hop_slack: 1,
             ping_count: 30,
             ping_interval_ms: 100.0,
-            bw_duration_s: 3.0,
             bw_target_mbps: 12.0,
-            bw_small_bytes: 64,
             run_bwtests: true,
             workers: 1,
             retry_attempts: 2,
@@ -94,7 +88,7 @@ impl SuiteConfig {
     /// Reject configurations no campaign can sensibly run with. Called
     /// by [`SuiteConfig::from_args`]; hand-built struct literals can
     /// bypass it, at their own risk.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.iterations == 0 {
             return Err("iterations must be at least 1".into());
         }
@@ -130,9 +124,6 @@ impl SuiteConfig {
                 "the circuit breaker needs a positive cooldown, got {} ms",
                 self.breaker_cooldown_ms
             ));
-        }
-        if self.run_bwtests && self.bw_duration_s <= 0.0 {
-            return Err("bandwidth tests need a positive duration".into());
         }
         if self.run_bwtests && self.bw_target_mbps <= 0.0 {
             return Err("bandwidth tests need a positive target rate".into());
@@ -179,16 +170,21 @@ impl SuiteConfig {
     /// The `-cs` parameter string for the small-packet test.
     pub fn small_spec(&self) -> String {
         format!(
-            "{},{},?,{}Mbps",
-            self.bw_duration_s, self.bw_small_bytes, self.bw_target_mbps
+            "{BW_DURATION_S},{BW_SMALL_BYTES},?,{}Mbps",
+            self.bw_target_mbps
         )
     }
 
     /// The `-cs` parameter string for the MTU-sized test.
     pub fn mtu_spec(&self) -> String {
-        format!("{},MTU,?,{}Mbps", self.bw_duration_s, self.bw_target_mbps)
+        format!("{BW_DURATION_S},MTU,?,{}Mbps", self.bw_target_mbps)
     }
 }
+
+/// Bandwidth-test duration per direction, seconds.
+const BW_DURATION_S: f64 = 3.0;
+/// Small-packet size for the first bandwidth test, bytes.
+const BW_SMALL_BYTES: u32 = 64;
 
 #[cfg(test)]
 mod tests {
@@ -262,15 +258,8 @@ mod tests {
         assert!(bad(breaker(3, f64::NAN)));
         // No breaker, no cooldown to validate.
         assert!(!bad(breaker(0, 0.0)));
-        let bandwidth = |run_bwtests, bw_duration_s| SuiteConfig {
-            run_bwtests,
-            bw_duration_s,
-            ..base()
-        };
-        assert!(bad(bandwidth(true, 0.0)));
-        // The same combos are fine when the offending feature is off.
+        // The same combo is fine when the offending feature is off.
         assert!(!bad(retries(0, 0.0, 2.0)));
-        assert!(!bad(bandwidth(false, 0.0)));
     }
 
     #[test]

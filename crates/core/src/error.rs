@@ -26,17 +26,6 @@ pub enum SelectionFailure {
     },
 }
 
-impl SelectionFailure {
-    /// The destination the failed request addressed.
-    pub fn server_id(&self) -> u32 {
-        match self {
-            SelectionFailure::NoMatch { server_id }
-            | SelectionFailure::AllGated { server_id, .. }
-            | SelectionFailure::AllUnscorable { server_id, .. } => *server_id,
-        }
-    }
-}
-
 impl fmt::Display for SelectionFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The typed service payload owns the prose; this Display — and
@@ -108,4 +97,4 @@ impl From<DbError> for SuiteError {
 }
 
 /// Convenience alias.
-pub type SuiteResult<T> = Result<T, SuiteError>;
+pub(crate) type SuiteResult<T> = Result<T, SuiteError>;

@@ -16,7 +16,7 @@
 //!   two marginal paths cannot trade the session back and forth at tick
 //!   rate;
 //! * **hysteresis** — a better-ranked path must stay observably live
-//!   for [`FailoverConfig::hysteresis_ticks`] consecutive ticks before
+//!   for `HYSTERESIS_TICKS` consecutive ticks before
 //!   the session migrates back to it.
 //!
 //! Every switch's latency (detection → re-pin) lands in the
@@ -50,6 +50,13 @@ const CONFIRM_PROBE_MS: f64 = 40.0;
 /// Simulated cost of re-pinning a session to a new path (socket
 /// re-binding, header re-compilation), ms (same jitter band).
 const REPIN_MS: f64 = 120.0;
+/// Consecutive live observations a better-ranked path needs before the
+/// session migrates back to it.
+const HYSTERESIS_TICKS: usize = 3;
+/// Backoff before a failed path is eligible again (first failure), ms.
+const BACKOFF_BASE_MS: f64 = 2_000.0;
+/// Backoff growth per repeated failure of the same path.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
 
 /// Knobs of a chaos/failover campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,13 +74,6 @@ pub struct FailoverConfig {
     pub probes: u32,
     /// Ranked candidate prefix size (`showpaths -m` equivalent).
     pub max_paths: usize,
-    /// Consecutive live observations a better-ranked path needs before
-    /// the session migrates back to it.
-    pub hysteresis_ticks: usize,
-    /// Backoff before a failed path is eligible again (first failure).
-    pub backoff_base_ms: f64,
-    /// Backoff growth per repeated failure of the same path.
-    pub backoff_multiplier: f64,
     /// Worker-pool size for the destinations' sessions; 1 runs them one
     /// after the other on the caller's thread.
     pub workers: usize,
@@ -88,9 +88,6 @@ impl Default for FailoverConfig {
             tick_interval_ms: 1_000.0,
             probes: 3,
             max_paths: 8,
-            hysteresis_ticks: 3,
-            backoff_base_ms: 2_000.0,
-            backoff_multiplier: 2.0,
             workers: 1,
         }
     }
@@ -121,21 +118,6 @@ impl FailoverConfig {
         }
         if self.max_paths == 0 {
             return Err("max_paths must be at least 1".into());
-        }
-        if self.hysteresis_ticks == 0 {
-            return Err("hysteresis must be at least 1 tick (1 = immediate restore)".into());
-        }
-        if !self.backoff_base_ms.is_finite() || self.backoff_base_ms <= 0.0 {
-            return Err(format!(
-                "backoff base must be positive, got {}",
-                self.backoff_base_ms
-            ));
-        }
-        if self.backoff_multiplier < 1.0 {
-            return Err(format!(
-                "backoff multiplier must be >= 1, got {}",
-                self.backoff_multiplier
-            ));
         }
         if self.workers == 0 {
             return Err("workers must be at least 1".into());
@@ -357,10 +339,6 @@ impl<'a> Session<'a> {
         &self.candidates
     }
 
-    pub fn pinned(&self) -> Option<usize> {
-        self.pinned
-    }
-
     /// Best-ranked live candidate whose backoff penalty has expired,
     /// excluding `skip`. Liveness comes from the fault plan (the
     /// epoch-driven push model), so this does not advance the clock.
@@ -373,11 +351,7 @@ impl<'a> Session<'a> {
     /// Seeded, jittered exponential backoff for candidate `i`.
     fn penalize(&mut self, i: usize, now: f64) {
         self.failures[i] = self.failures[i].saturating_add(1);
-        let nominal = self.cfg.backoff_base_ms
-            * self
-                .cfg
-                .backoff_multiplier
-                .powi(self.failures[i] as i32 - 1);
+        let nominal = BACKOFF_BASE_MS * BACKOFF_MULTIPLIER.powi(self.failures[i] as i32 - 1);
         self.penalty_until[i] = now + nominal * (0.5 + self.net.jitter_unit());
     }
 
@@ -501,7 +475,7 @@ impl<'a> Session<'a> {
     }
 
     /// Hysteresis: migrate back to the best-ranked eligible alternative
-    /// only after it stays live for `hysteresis_ticks` consecutive
+    /// only after it stays live for `HYSTERESIS_TICKS` consecutive
     /// healthy ticks.
     fn consider_restore(&mut self, current: usize, now: f64) {
         if current == 0 {
@@ -518,7 +492,7 @@ impl<'a> Session<'a> {
                     Some((cand, n)) if cand == j => n + 1,
                     _ => 1,
                 };
-                if streak >= self.cfg.hysteresis_ticks {
+                if streak >= HYSTERESIS_TICKS {
                     self.repin(j);
                     self.restores += 1;
                 } else {
@@ -677,14 +651,6 @@ mod tests {
             },
             FailoverConfig {
                 probes: MAX_PROBES + 1,
-                ..quick_cfg()
-            },
-            FailoverConfig {
-                hysteresis_ticks: 0,
-                ..quick_cfg()
-            },
-            FailoverConfig {
-                backoff_multiplier: 0.5,
                 ..quick_cfg()
             },
             FailoverConfig {

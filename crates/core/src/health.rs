@@ -119,7 +119,7 @@ pub enum Anomaly {
         recent_ms: f64,
         sigmas: f64,
     },
-    /// Baseline loss was below 1 %, recent loss exceeds `loss_onset_pct`.
+    /// Baseline loss was below 1 %, recent loss reaches `LOSS_ONSET_PCT`.
     LossOnset { baseline_pct: f64, recent_pct: f64 },
     /// Every recent sample lost all probes.
     Blackout,
@@ -141,8 +141,6 @@ pub struct HealthConfig {
     pub min_baseline: usize,
     /// Latency-shift threshold in baseline standard deviations.
     pub threshold_sigmas: f64,
-    /// Loss percentage that counts as an onset on a clean path.
-    pub loss_onset_pct: f64,
 }
 
 impl Default for HealthConfig {
@@ -151,10 +149,12 @@ impl Default for HealthConfig {
             recent_window: 3,
             min_baseline: 5,
             threshold_sigmas: 4.0,
-            loss_onset_pct: 10.0,
         }
     }
 }
+
+/// Loss percentage that counts as an onset on a clean path.
+const LOSS_ONSET_PCT: f64 = 10.0;
 
 /// Scan one destination's measurement history for anomalies.
 /// Measurements are already timestamp-ordered per path.
@@ -191,7 +191,7 @@ fn judge(
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
     let base_loss = mean(&baseline.iter().map(|m| m.loss_pct).collect::<Vec<_>>());
     let recent_loss = mean(&recent.iter().map(|m| m.loss_pct).collect::<Vec<_>>());
-    if base_loss < 1.0 && recent_loss >= cfg.loss_onset_pct {
+    if base_loss < 1.0 && recent_loss >= LOSS_ONSET_PCT {
         return Some(Anomaly::LossOnset {
             baseline_pct: base_loss,
             recent_pct: recent_loss,

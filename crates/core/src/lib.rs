@@ -71,7 +71,6 @@ pub mod churn;
 pub mod collect;
 pub mod config;
 pub mod dataset;
-pub mod domain;
 pub mod error;
 pub mod failover;
 pub mod health;
@@ -95,7 +94,7 @@ pub use axioms::{evaluate_strategies, EvalConfig, Scorecard};
 pub use churn::ChurnReport;
 pub use config::SuiteConfig;
 pub use dataset::{dataset_files, DatasetFile};
-pub use error::{SelectionFailure, SuiteError, SuiteResult};
+pub use error::{SelectionFailure, SuiteError};
 pub use failover::{run_chaos_campaign, ChaosReport, FailoverConfig};
 pub use longitudinal::{run_longitudinal, LongitudinalConfig, LongitudinalReport};
 pub use schema::{PathId, PathMeasurement, StatId};

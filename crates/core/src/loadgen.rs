@@ -34,13 +34,13 @@ use std::time::{Duration, Instant};
 use upin_telemetry::Telemetry;
 
 /// Most client threads one run may start (`--clients`).
-pub const MAX_CLIENTS: usize = 1_024;
+const MAX_CLIENTS: usize = 1_024;
 
 /// Most requests one run may issue over all clients (`--clients` ×
 /// `--requests`). Every stream is synthesized before the timed phase,
 /// so [`run_loadgen`] refuses a larger run before anything is sized by
 /// it.
-pub const MAX_REQUESTS: usize = 10_000_000;
+const MAX_REQUESTS: usize = 10_000_000;
 
 /// One weighted line of a request mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -67,7 +67,7 @@ impl Default for LongitudinalConfig {
 }
 
 impl LongitudinalConfig {
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.sim_days == 0 {
             return Err("sim_days must be at least 1".into());
         }
@@ -126,7 +126,7 @@ impl LongitudinalReport {
     /// `final / probe` footprint ratio; `None` without a durable dir.
     /// The retention acceptance bound: a 30-day run must stay within a
     /// small constant of its 5-day prefix.
-    pub fn disk_growth_ratio(&self) -> Option<f64> {
+    fn disk_growth_ratio(&self) -> Option<f64> {
         match (self.disk_probe_bytes, self.disk_final_bytes) {
             (Some(probe), Some(fin)) if probe > 0 => Some(fin as f64 / probe as f64),
             _ => None,
@@ -436,14 +436,23 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let mut cfg = LongitudinalConfig::default();
-        cfg.sim_days = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = LongitudinalConfig::default();
-        cfg.retention_hours = 0.0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = LongitudinalConfig::default();
-        cfg.rounds_per_day = 0;
-        assert!(cfg.validate().is_err());
+        let base = LongitudinalConfig::default;
+        let bad = [
+            LongitudinalConfig {
+                sim_days: 0,
+                ..base()
+            },
+            LongitudinalConfig {
+                retention_hours: 0.0,
+                ..base()
+            },
+            LongitudinalConfig {
+                rounds_per_day: 0,
+                ..base()
+            },
+        ];
+        for cfg in bad {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
     }
 }

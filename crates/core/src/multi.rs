@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// The criterion value of a path under an objective, oriented so lower
 /// is better. `None` when the statistic is missing.
-pub fn criterion_value(a: &PathAggregate, objective: Objective) -> Option<f64> {
+pub(crate) fn criterion_value(a: &PathAggregate, objective: Objective) -> Option<f64> {
     match objective {
         Objective::MinLatency => a.latency.as_ref().map(|w| w.mean),
         Objective::MinJitter => a.jitter_ms,
@@ -92,7 +92,7 @@ impl Weights {
     /// NaN or infinite one (JSON `null` reads as NaN, `--weight
     /// latency=inf` as infinity) has no meaning as a ratio and would
     /// turn the scores into NaN.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match self
             .entries()
             .iter()

@@ -7,7 +7,7 @@ use scion_tools::args::{Parsed, Spec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The pool `--parallel` asks for when no `--workers N` sizes it.
-pub const PARALLEL_WORKERS: usize = 4;
+pub(crate) const PARALLEL_WORKERS: usize = 4;
 
 /// The `[--parallel] [--workers N]` pair of every pooled command, on
 /// top of `spec`.
@@ -16,7 +16,7 @@ pub fn options(spec: Spec) -> Spec {
 }
 
 /// Read the pool size: `--workers N` when given, else
-/// [`PARALLEL_WORKERS`] under `--parallel`, else 1.
+/// `PARALLEL_WORKERS` under `--parallel`, else 1.
 pub fn workers_from(p: &Parsed) -> Result<usize, String> {
     let default = if p.flag("parallel") {
         PARALLEL_WORKERS

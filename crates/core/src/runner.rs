@@ -64,7 +64,7 @@ impl RetryPolicy {
 
     /// Nominal backoff before retry number `attempt` (0-based), before
     /// jitter.
-    pub fn delay_ms(&self, attempt: u32) -> f64 {
+    pub(crate) fn delay_ms(&self, attempt: u32) -> f64 {
         self.base_ms * self.multiplier.powi(attempt as i32)
     }
 }

@@ -17,7 +17,7 @@ pub const PATHS: &str = "paths";
 pub const PATHS_STATS: &str = "paths_stats";
 /// Collection holding the latest [`crate::axioms`] strategy scorecards
 /// (one document per registered strategy, `_id` = strategy name).
-pub const STRATEGY_SCORECARDS: &str = "strategy_scorecards";
+pub(crate) const STRATEGY_SCORECARDS: &str = "strategy_scorecards";
 /// Collection holding the hourly measurement rollups that outlive the
 /// raw-row retention window (see [`stats_rollup`]).
 pub const ROLLUP_PATHS_STATS: &str = "rollup_paths_stats";
@@ -122,7 +122,7 @@ pub fn ensure_indexes(db: &Database) {
 // ---- availableServers ---------------------------------------------------
 
 /// Build an `availableServers` document.
-pub fn server_doc(server_id: u32, addr: ScionAddr, name: &str) -> Document {
+pub(crate) fn server_doc(server_id: u32, addr: ScionAddr, name: &str) -> Document {
     doc! {
         "_id" => server_id.to_string(),
         "address" => addr.to_string(),
@@ -131,7 +131,7 @@ pub fn server_doc(server_id: u32, addr: ScionAddr, name: &str) -> Document {
 }
 
 /// Decode an `availableServers` document.
-pub fn parse_server_doc(d: &Document) -> SuiteResult<(u32, ScionAddr)> {
+pub(crate) fn parse_server_doc(d: &Document) -> SuiteResult<(u32, ScionAddr)> {
     let id: u32 = d
         .id()
         .ok_or_else(|| SuiteError::Schema("server doc without _id".into()))?
@@ -150,7 +150,7 @@ pub fn parse_server_doc(d: &Document) -> SuiteResult<(u32, ScionAddr)> {
 
 /// Build a `paths` document from a discovered path plus the per-hop
 /// metadata the selection engine filters on (countries, operators).
-pub fn path_doc(
+pub(crate) fn path_doc(
     id: PathId,
     path: &ScionPath,
     countries: Vec<String>,
@@ -173,7 +173,7 @@ pub fn path_doc(
 }
 
 /// Decode the essentials of a `paths` document.
-pub fn parse_path_doc(d: &Document) -> SuiteResult<(PathId, String, usize)> {
+pub(crate) fn parse_path_doc(d: &Document) -> SuiteResult<(PathId, String, usize)> {
     let id: PathId = d
         .id()
         .ok_or_else(|| SuiteError::Schema("path doc without _id".into()))?
@@ -203,7 +203,7 @@ pub struct PathSpec {
 
 /// Decode a `paths` document into a [`PathSpec`]. A missing `isds` field
 /// decodes to an empty set, matching the old parse-failure fallback.
-pub fn parse_path_spec(d: &Document) -> SuiteResult<PathSpec> {
+pub(crate) fn parse_path_spec(d: &Document) -> SuiteResult<PathSpec> {
     let (id, sequence, hops) = parse_path_doc(d)?;
     let isds = match d.get("isds") {
         Some(Value::Array(a)) => a

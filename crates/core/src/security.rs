@@ -111,7 +111,7 @@ impl SecureWriter {
 
     /// Verify a batch end to end: authorization, certificate chain,
     /// signer binding and batch signature.
-    pub fn verify(&self, batch: &SignedBatch) -> SuiteResult<()> {
+    pub(crate) fn verify(&self, batch: &SignedBatch) -> SuiteResult<()> {
         if !self.authorized.contains(&batch.signer) {
             return Err(SuiteError::Unauthorized(format!(
                 "{} is not an authorized writer",

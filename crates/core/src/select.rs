@@ -97,7 +97,7 @@ impl Constraints {
     /// `server_id` equality — no metadata exclusion applies. The
     /// statistics gates (`min_samples`, `max_loss_pct`) are deliberately
     /// ignored: they act after aggregation, never on the candidate scan.
-    pub fn is_metadata_free(&self) -> bool {
+    fn is_metadata_free(&self) -> bool {
         self.exclude_isds.is_empty()
             && self.exclude_ases.is_empty()
             && self.exclude_countries.is_empty()

@@ -58,14 +58,14 @@ fn is_live(filed: &Weak<RwLock<Collection>>, handle: &CollectionHandle) -> bool 
 /// All measurements of `server_id`, grouped by path and sorted by
 /// timestamp. Shared: an unchanged database costs an `Arc` clone, an
 /// append-only campaign the rows it added since the previous call.
-pub fn grouped_measurements(
+pub(crate) fn grouped_measurements(
     db: &Database,
     server_id: u32,
 ) -> SuiteResult<Arc<GroupedMeasurements>> {
     grouped_measurements_at(db, &db.read_snapshot(PATHS_STATS), server_id)
 }
 
-/// [`grouped_measurements`] of an explicit pin of `paths_stats`.
+/// `grouped_measurements` of an explicit pin of `paths_stats`.
 pub fn grouped_measurements_at(
     db: &Database,
     stats_snap: &Collection,

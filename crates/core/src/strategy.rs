@@ -242,7 +242,7 @@ mod tests {
         use crate::schema::{PathMeasurement, StatId};
         use pathdb::Database;
 
-        pub fn populate(db: &Database) {
+        pub(crate) fn populate(db: &Database) {
             {
                 let handle = db.collection(PATHS);
                 let mut coll = handle.write();

@@ -64,10 +64,6 @@ impl<'a> TestSuite<'a> {
         TestSuite { net, db, cfg }
     }
 
-    pub fn config(&self) -> &SuiteConfig {
-        &self.cfg
-    }
-
     /// Ensure `availableServers` is populated (first-run bootstrap).
     pub fn bootstrap(&self) -> SuiteResult<usize> {
         register_available_servers(self.db, self.net)

@@ -24,7 +24,7 @@ use scion_tools::ping::PathSelection;
 use scion_tools::traceroute::traceroute;
 
 /// Collection holding tracer records.
-pub const PATH_TRACES: &str = "path_traces";
+pub(crate) const PATH_TRACES: &str = "path_traces";
 
 /// One verification finding.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +84,7 @@ impl VerificationReport {
 
 /// Trace a path hop by hop and persist the record (the Tracer role).
 /// Returns the per-hop RTTs.
-pub fn trace_and_record(
+pub(crate) fn trace_and_record(
     db: &Database,
     net: &ScionNetwork,
     local: IsdAsn,

@@ -52,12 +52,6 @@ impl<'c> Query<'c> {
         self
     }
 
-    /// Sort descending by `field`.
-    pub fn sort_desc<K: Into<String>>(mut self, field: K) -> Self {
-        self.opts = self.opts.sorted_by(field, Order::Desc);
-        self
-    }
-
     /// Sort by `field` in the given [`Order`].
     pub fn sort_by<K: Into<String>>(mut self, field: K, order: Order) -> Self {
         self.opts = self.opts.sorted_by(field, order);
@@ -73,13 +67,6 @@ impl<'c> Query<'c> {
     /// Skip the first `n` matches.
     pub fn skip(mut self, n: usize) -> Self {
         self.opts = self.opts.skipping(n);
-        self
-    }
-
-    /// Keep only `field` (plus `_id`) in returned documents. Chain for
-    /// several fields.
-    pub fn select<K: Into<String>>(mut self, field: K) -> Self {
-        self.opts = self.opts.project(field);
         self
     }
 
@@ -173,7 +160,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id(), Some("b"));
         assert_eq!(out[1].id(), Some("c"));
-        let out = c.query_all().sort_desc("rtt").limit(1).run();
+        let out = c.query_all().sort_by("rtt", Order::Desc).limit(1).run();
         assert_eq!(out[0].id(), Some("d"));
     }
 
@@ -190,15 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn skip_select_refs() {
+    fn skip_project_refs() {
         let c = sample();
-        let out = c
-            .query_all()
-            .sort("rtt")
-            .skip(1)
-            .limit(2)
-            .select("rtt")
-            .run();
+        let mut q = c.query_all().sort("rtt").skip(1).limit(2);
+        q.opts.projection.push("rtt".into());
+        let out = q.run();
         assert_eq!(out.len(), 2);
         assert!(out[0].contains_key("_id"));
         assert!(out[0].contains_key("rtt"));

@@ -198,10 +198,6 @@ impl Collection {
         }
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     pub fn len(&self) -> usize {
         self.docs.len()
     }
@@ -222,10 +218,6 @@ impl Collection {
             idx.insert(seq, index_keys_of(doc, field));
         }
         self.indexes.insert(field.to_string(), idx);
-    }
-
-    pub fn indexed_fields(&self) -> Vec<&str> {
-        self.indexes.keys().map(String::as_str).collect()
     }
 
     // ---- versioning -----------------------------------------------------
@@ -288,7 +280,7 @@ impl Collection {
     ///
     /// Snapshots carry no WAL handle: they are detached read views, and
     /// mutating one can never log under the live collection's name.
-    pub fn read_snapshot(&self) -> Arc<Collection> {
+    pub(crate) fn read_snapshot(&self) -> Arc<Collection> {
         let mut slot = self.snap.lock();
         if let Some(entry) = slot.as_mut() {
             match self.delta_since(entry.version) {
@@ -455,7 +447,7 @@ impl Collection {
     /// readers and crash recovery see all of it or none of it — the
     /// primitive [`crate::rollup`] uses to land "aggregate rows plus
     /// covered watermark" as a single crash-atomic effect group.
-    pub fn upsert_many(&mut self, docs: Vec<Document>) -> DbResult<usize> {
+    pub(crate) fn upsert_many(&mut self, docs: Vec<Document>) -> DbResult<usize> {
         for doc in &docs {
             if doc.get("_id").is_none() {
                 return Err(DbError::BadDocument(
@@ -768,16 +760,6 @@ impl Collection {
         plan::explain(self, filter, opts)
     }
 
-    /// The access path [`Collection::delete_many`] /
-    /// [`Collection::update_many`] would take for `filter` — the
-    /// mutation-side counterpart of the `Query::explain` terminal.
-    /// Retention expiry leans on this: a range filter over an indexed
-    /// time field must delete via an ordered index range scan, not a
-    /// full collection scan.
-    pub fn explain_mutation(&self, filter: &Filter) -> QueryPlan {
-        plan::explain(self, filter, &FindOptions::default())
-    }
-
     /// Iterate all documents in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Document> {
         self.docs.values()
@@ -978,6 +960,28 @@ mod tests {
         assert_eq!(c.find_by_id("1_0_100").unwrap().get("checked"), None);
     }
 
+    /// `_id` is immutable through any path: `Document::set_path`
+    /// overwrites a scalar intermediate, so an `_id.x` write that got
+    /// through would turn the id into a sub-document and leave
+    /// `primary` pointing at a key the row no longer has.
+    #[test]
+    fn a_dotted_path_under_id_is_ignored_like_id_itself() {
+        let mut dotted = stats_collection();
+        let mut plain = stats_collection();
+        let filter = Filter::eq("server_id", 2i64);
+        let n = dotted.update_many(&filter, &Update::new().set("_id.x", 1i64).inc("_id.n", 1.0));
+        assert_eq!(
+            n,
+            plain.update_many(&filter, &Update::new().set("_id", 1i64))
+        );
+        assert_eq!(n, 3);
+        let row = dotted
+            .find_by_id("2_1_100")
+            .expect("the old id still finds the row");
+        assert_eq!(row.id(), Some("2_1_100"));
+        assert!(dotted.iter().eq(plain.iter()));
+    }
+
     #[test]
     fn delete_many_removes_and_frees_ids() {
         let mut c = stats_collection();
@@ -1010,7 +1014,7 @@ mod tests {
         let filter = Filter::eq("server_id", 2i64).and(Filter::gt("avg_latency_ms", 100.0));
         let scan = c.query(&filter).run();
         c.create_index("server_id");
-        assert_eq!(c.indexed_fields(), vec!["server_id"]);
+        assert!(c.indexes.contains_key("server_id"));
         let indexed = c.query(&filter).run();
         assert_eq!(scan, indexed);
         // Index maintained across updates and deletes.
@@ -1133,10 +1137,11 @@ mod tests {
     fn sorted_queries_stream_the_ordered_index() {
         let mut c = stats_collection();
         c.create_index("avg_latency_ms");
-        let plan = c.query_all().sort_desc("avg_latency_ms").limit(2).explain();
+        let by_latency_desc = || c.query_all().sort_by("avg_latency_ms", crate::Order::Desc);
+        let plan = by_latency_desc().limit(2).explain();
         assert_eq!(plan.index_sort.as_deref(), Some("avg_latency_ms"));
         assert!(plan.limit_pushdown);
-        let out = c.query_all().sort_desc("avg_latency_ms").limit(2).run();
+        let out = by_latency_desc().limit(2).run();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id(), Some("2_1_200"));
         assert_eq!(out[1].id(), Some("2_1_100"));
@@ -1432,7 +1437,7 @@ mod tests {
         )
         .unwrap();
         let filter = Filter::lt("timestamp_ms", 20_000i64);
-        let plan = c.explain_mutation(&filter);
+        let plan = c.query(&filter).explain();
         assert!(
             matches!(
                 &plan.access,
@@ -1455,7 +1460,8 @@ mod tests {
         )
         .unwrap();
         assert!(flat
-            .explain_mutation(&Filter::lt("timestamp_ms", 5i64))
+            .query(Filter::lt("timestamp_ms", 5i64))
+            .explain()
             .access
             .is_full_scan());
     }
@@ -1849,8 +1855,8 @@ mod tests {
                     let update = match change {
                         0 => Update::new(),
                         1 => Update::new().inc("k", 1.0),
-                        2 => Update::new().push("tags", tags.len() as i64),
-                        3 => Update::new().unset("tags"),
+                        2 => Update::new().set("_id.x", tags.len() as i64),
+                        3 => Update::new().set("tags", Value::Null),
                         _ => Update::new().set("tags", tags.clone()),
                     };
                     let post = |seq: u64| {

@@ -21,7 +21,7 @@
 //!   most one uncommitted group (e.g. one destination's in-flight
 //!   `insert_many` batch, §4.2.2) can be lost to a crash.
 //!
-//! [`Database::open_durable`] is the recovery path: it loads the latest
+//! [`Database::open_durable_with`] is the recovery path: it loads the latest
 //! committed checkpoint (lenient about torn tails in directories that
 //! predate slices), replays the intact WAL prefix in generation order,
 //! truncates torn WAL tails, and reports
@@ -49,7 +49,7 @@ use upin_telemetry::Recorder;
 /// A handle to a collection, cloneable across threads.
 pub type CollectionHandle = Arc<RwLock<Collection>>;
 
-/// How much a database opened with [`Database::open_durable`] promises
+/// How much a database opened with [`Database::open_durable_with`] promises
 /// to survive. See the module docs for the protocol behind each level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
@@ -126,7 +126,7 @@ impl OpenOptions {
     }
 }
 
-/// What [`Database::open_durable`] found and repaired.
+/// What [`Database::open_durable_with`] found and repaired.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Collections materialized from snapshots.
@@ -260,7 +260,7 @@ impl Database {
     }
 
     /// Pin an MVCC read snapshot of one collection (see
-    /// [`Collection::read_snapshot`]): takes the collection's read lock
+    /// `Collection::read_snapshot`): takes the collection's read lock
     /// only for the pin itself, then the caller queries the returned
     /// image lock-free.
     pub fn read_snapshot(&self, name: &str) -> Arc<Collection> {
@@ -398,11 +398,6 @@ impl Database {
 
     // ---- durability ------------------------------------------------------
 
-    /// The level this database was opened with.
-    pub fn durability(&self) -> Durability {
-        self.durability
-    }
-
     /// `Err` once a WAL append has been lost (durability degraded until
     /// the next successful [`Database::checkpoint`]); `Ok` otherwise.
     pub fn wal_health(&self) -> DbResult<()> {
@@ -414,16 +409,9 @@ impl Database {
 
     /// Open (creating if needed) a durable database in `dir`,
     /// recovering whatever a previous process — cleanly exited or
-    /// crashed mid-write — left behind.
-    pub fn open_durable<P: AsRef<Path>>(
-        dir: P,
-        durability: Durability,
-    ) -> DbResult<(Database, RecoveryReport)> {
-        Database::open_durable_with(dir, OpenOptions::new(durability))
-    }
-
-    /// [`Database::open_durable`] with an injected storage backend and
-    /// loader options — the entry point of the crash-injection tests.
+    /// crashed mid-write — left behind. `opts` carries the durability
+    /// level, the loader options and the storage backend (the
+    /// crash-injection tests inject theirs).
     pub fn open_durable_with<P: AsRef<Path>>(
         dir: P,
         opts: OpenOptions,
@@ -508,7 +496,7 @@ impl Database {
     }
 
     /// Materialize the checkpoint `dir` holds — the one reader behind
-    /// [`Database::open_durable`] and [`Database::load_dir`]. The
+    /// [`Database::open_durable_with`] and [`Database::load_dir`]. The
     /// roster is the manifest when present, else every `*.jsonl` in the
     /// directory (the layout before manifests).
     fn load_checkpoint(
@@ -595,7 +583,7 @@ impl Database {
     /// stored.
     ///
     /// Requires a directory — open the database with
-    /// [`Database::open_durable`] (any level) first.
+    /// [`Database::open_durable_with`] (any level) first.
     pub fn checkpoint(&self) -> DbResult<()> {
         let Some(dir) = self.dir.clone() else {
             return Err(DbError::Durability(
@@ -771,11 +759,11 @@ impl Database {
 
     /// Load all collections persisted in `dir` (strictly — any
     /// undecodable line fails the load; see
-    /// [`Database::load_dir_with`] for the lenient variant). Honors the
+    /// `Database::load_dir_with` for the lenient variant). Honors the
     /// manifest when one exists, so files it does not name are
     /// ignored; directories without a manifest load every `*.jsonl`.
     /// Purely reads `dir` — crash *repair* (WAL replay, tail
-    /// truncation) is [`Database::open_durable`]'s job.
+    /// truncation) is [`Database::open_durable_with`]'s job.
     pub fn load_dir<P: AsRef<Path>>(dir: P) -> DbResult<Database> {
         Database::load_dir_with(dir, &LoadOptions::default()).map(|(db, _)| db)
     }
@@ -783,7 +771,7 @@ impl Database {
     /// [`Database::load_dir`] with loader options. With
     /// `skip_corrupt_tail` the intact prefix of each torn file is kept
     /// and the dropped lines are reported instead of failing.
-    pub fn load_dir_with<P: AsRef<Path>>(
+    fn load_dir_with<P: AsRef<Path>>(
         dir: P,
         opts: &LoadOptions,
     ) -> DbResult<(Database, Vec<SkippedLines>)> {
@@ -1154,7 +1142,7 @@ mod tests {
         let db = Database::new();
         assert!(matches!(db.checkpoint(), Err(DbError::Durability(_))));
         assert!(!db.checkpoint_if_durable().unwrap());
-        assert_eq!(db.durability(), Durability::None);
+        assert_eq!(db.durability, Durability::None);
         db.wal_health().unwrap();
     }
 

@@ -18,25 +18,11 @@ impl Document {
         Document::default()
     }
 
-    /// Build from `(key, value)` pairs; later duplicates overwrite.
-    pub fn from_pairs<I, K, V>(pairs: I) -> Document
-    where
-        I: IntoIterator<Item = (K, V)>,
-        K: Into<String>,
-        V: Into<Value>,
-    {
-        let mut d = Document::new();
-        for (k, v) in pairs {
-            d.set(k, v);
-        }
-        d
-    }
-
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.fields.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.fields.is_empty()
     }
 
@@ -56,28 +42,18 @@ impl Document {
         self
     }
 
-    /// Builder-style `set`.
-    pub fn with<K: Into<String>, V: Into<Value>>(mut self, key: K, value: V) -> Self {
-        self.set(key, value);
-        self
-    }
-
     /// Remove a direct field, returning its value.
-    pub fn remove(&mut self, key: &str) -> Option<Value> {
+    pub(crate) fn remove(&mut self, key: &str) -> Option<Value> {
         let i = self.fields.iter().position(|(k, _)| k == key)?;
         Some(self.fields.remove(i).1)
     }
 
-    pub fn contains_key(&self, key: &str) -> bool {
+    pub(crate) fn contains_key(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.fields.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.fields.iter().map(|(k, _)| k.as_str())
     }
 
     /// Dotted-path lookup: `"a.b.c"` descends nested documents.
@@ -181,7 +157,7 @@ mod tests {
         let mut d = Document::new();
         d.set("a", 1i64).set("b", 2i64).set("c", 3i64);
         d.set("b", 20i64);
-        let keys: Vec<&str> = d.keys().collect();
+        let keys: Vec<&str> = d.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
         assert_eq!(d.get("b"), Some(&Value::Int(20)));
     }
@@ -221,13 +197,6 @@ mod tests {
         assert_eq!(Document::new().id(), None);
         let n = doc! { "_id" => 7i64 };
         assert_eq!(n.id(), None, "non-string ids are not exposed as &str");
-    }
-
-    #[test]
-    fn from_pairs_applies_in_order() {
-        let d = Document::from_pairs([("a", 1i64), ("b", 2i64), ("a", 3i64)]);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.get("a"), Some(&Value::Int(3)));
     }
 
     #[test]

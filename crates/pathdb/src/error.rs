@@ -46,4 +46,4 @@ impl From<std::io::Error> for DbError {
 }
 
 /// Convenience alias.
-pub type DbResult<T> = Result<T, DbError>;
+pub(crate) type DbResult<T> = Result<T, DbError>;

@@ -22,7 +22,7 @@
 //!   ([`snapshot`], [`database::Database::checkpoint`]), an
 //!   optional CRC32-framed write-ahead log with group commit
 //!   ([`wal`]), and a recovery path
-//!   ([`database::Database::open_durable`]) that replays the intact
+//!   ([`database::Database::open_durable_with`]) that replays the intact
 //!   WAL prefix and truncates torn tails — all over an injectable
 //!   [`storage::Storage`] backend so crashes are testable
 //!   ([`storage::FaultyStorage`]).
@@ -64,11 +64,11 @@ pub use database::{
     CollectionHandle, Database, Durability, OpenOptions, RecoveryReport, RetentionPolicy,
 };
 pub use document::Document;
-pub use error::{DbError, DbResult};
+pub use error::DbError;
 pub use plan::{Access, QueryPlan};
 pub use query::{Filter, FindOptions, Order};
 pub use rollup::{read_rollup, BucketAgg, FieldAgg, RollupConfig, Sketch};
 pub use snapshot::{LoadOptions, SkippedLines};
 pub use storage::{DiskStorage, FaultyStorage, Storage};
-pub use update::{Update, UpdateOp};
+pub use update::Update;
 pub use value::Value;

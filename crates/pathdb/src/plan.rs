@@ -52,7 +52,7 @@ pub enum Access {
 
 impl Access {
     /// Candidate documents this access path feeds to the residual filter.
-    pub fn candidates(&self) -> usize {
+    pub(crate) fn candidates(&self) -> usize {
         match self {
             Access::FullScan { documents } => *documents,
             Access::Primary { keys } => *keys,

@@ -73,14 +73,8 @@ impl Filter {
     pub fn exists<K: Into<String>>(k: K) -> Filter {
         Filter::Exists(k.into(), true)
     }
-    pub fn missing<K: Into<String>>(k: K) -> Filter {
-        Filter::Exists(k.into(), false)
-    }
     pub fn contains<K: Into<String>, S: Into<String>>(k: K, s: S) -> Filter {
         Filter::Contains(k.into(), s.into())
-    }
-    pub fn all<K: Into<String>, V: Into<Value>>(k: K, vs: Vec<V>) -> Filter {
-        Filter::All(k.into(), vs.into_iter().map(Into::into).collect())
     }
 
     /// Conjunction, flattening nested `And`s.
@@ -190,7 +184,7 @@ pub enum Order {
 /// Find options: sort keys, pagination, projection.
 #[derive(Debug, Clone, Default)]
 pub struct FindOptions {
-    /// Sort by these fields in order, under [`Value::sort_cmp`]'s total
+    /// Sort by these fields in order, under `Value::sort_cmp`'s total
     /// order; missing fields sort after present ones (ascending).
     pub sort: Vec<(String, Order)>,
     pub skip: usize,
@@ -215,13 +209,8 @@ impl FindOptions {
         self
     }
 
-    pub fn project<K: Into<String>>(mut self, key: K) -> Self {
-        self.projection.push(key.into());
-        self
-    }
-
     /// Comparison between documents under the configured sort keys.
-    /// Uses [`Value::sort_cmp`]'s total order (type-ranked across
+    /// Uses `Value::sort_cmp`'s total order (type-ranked across
     /// types), so results are deterministic and an ordered index scan
     /// reproduces the same order.
     pub fn doc_cmp(&self, a: &Document, b: &Document) -> Ordering {
@@ -332,12 +321,13 @@ mod tests {
     fn exists_contains_all_size() {
         let d = sample();
         assert!(Filter::exists("status").matches(&d));
-        assert!(Filter::missing("nope").matches(&d));
+        assert!(Filter::Exists("nope".into(), false).matches(&d));
         assert!(Filter::exists("nested.loss").matches(&d));
         assert!(Filter::contains("_id", "_15").matches(&d));
         assert!(!Filter::contains("_id", "xx").matches(&d));
-        assert!(Filter::all("isds", vec![16i64, 19]).matches(&d));
-        assert!(!Filter::all("isds", vec![16i64, 18]).matches(&d));
+        let all = |vs: [i64; 2]| Filter::All("isds".into(), vs.map(Value::from).to_vec());
+        assert!(all([16, 19]).matches(&d));
+        assert!(!all([16, 18]).matches(&d));
         assert!(Filter::Size("isds".into(), 3).matches(&d));
         assert!(!Filter::Size("isds".into(), 2).matches(&d));
     }
@@ -374,9 +364,8 @@ mod tests {
 
     #[test]
     fn sort_and_projection() {
-        let opts = FindOptions::default()
-            .sorted_by("hops", Order::Desc)
-            .project("hops");
+        let mut opts = FindOptions::default().sorted_by("hops", Order::Desc);
+        opts.projection.push("hops".into());
         let a = doc! { "_id" => "a", "hops" => 6i64, "x" => 1i64 };
         let b = doc! { "_id" => "b", "hops" => 7i64, "x" => 2i64 };
         assert_eq!(opts.doc_cmp(&a, &b), Ordering::Greater);

@@ -7,7 +7,7 @@
 //!
 //! A [`RollupConfig`] names a source collection, a destination
 //! collection, a numeric time field, a bucket width, the group-by
-//! fields and the numeric fields to aggregate. [`catch_up`] keeps a
+//! fields and the numeric fields to aggregate. `catch_up` keeps a
 //! *durable* watermark of its own: the destination stores a meta
 //! document carrying the source [`Collection::append_watermark`] it
 //! has folded through, and each catch-up folds only the source
@@ -16,7 +16,7 @@
 //! the snapshot memo and `upin-core`'s stats cache); what stands in
 //! for `Reshaped` here is the two contracts below. The updated
 //! aggregate rows **and** the advanced watermark are committed through
-//! [`crate::Collection::upsert_many`] as one WAL group, so a crash
+//! `crate::Collection::upsert_many` as one WAL group, so a crash
 //! either lands the whole fold or none of it — recovery can never
 //! double-count a row (the oracle in `tests/prop_rollup.rs` pins
 //! this).
@@ -26,7 +26,7 @@
 //! * **Fold before expiry.** Retention deletes drop raw rows by
 //!   insertion sequence; `iter_from(watermark)` silently skips deleted
 //!   sequences, so a row expired *before* it was ever folded is lost
-//!   to the rollup. Run [`catch_up`] before applying retention (the
+//!   to the rollup. Run `catch_up` before applying retention (the
 //!   longitudinal runner and `Database::expire_retention` order it
 //!   that way).
 //! * **Measurements are immutable.** Updates to already-folded source
@@ -54,7 +54,7 @@ use std::collections::BTreeMap;
 
 /// `_id` of the per-destination meta document holding the covered
 /// source watermark. Excluded from every read path.
-pub const META_ID: &str = "_rollup_meta";
+const META_ID: &str = "_rollup_meta";
 
 /// Log-bucket growth factor: each sketch bin spans a γ-factor of the
 /// value axis, bounding the relative quantile error at (γ-1)/(γ+1).
@@ -102,7 +102,7 @@ impl Sketch {
         }
     }
 
-    pub fn insert(&mut self, v: f64) {
+    pub(crate) fn insert(&mut self, v: f64) {
         if !v.is_finite() {
             return;
         }
@@ -116,7 +116,7 @@ impl Sketch {
 
     /// The value at quantile `q` (lower-rank, no interpolation):
     /// deterministic given the bin counts.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -133,7 +133,7 @@ impl Sketch {
 
     /// Flatten to the stored form: `[key, count, key, count, ...]` in
     /// ascending key order.
-    pub fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value {
         let mut flat = Vec::with_capacity(self.bins.len() * 2);
         for (&k, &n) in &self.bins {
             flat.push(Value::Int(k));
@@ -145,7 +145,7 @@ impl Sketch {
     /// Rebuild from the stored form; unparseable shapes yield an empty
     /// sketch (the fold then restarts it, which only widens quantile
     /// error, never corrupts counts — those are stored separately).
-    pub fn from_value(v: Option<&Value>) -> Sketch {
+    fn from_value(v: Option<&Value>) -> Sketch {
         let mut s = Sketch::default();
         let Some(Value::Array(flat)) = v else {
             return s;
@@ -377,7 +377,7 @@ fn accum_to_doc(id: &str, cell: &Accum, cfg: &RollupConfig) -> Document {
 /// group. Returns how many source rows were folded. Callers must
 /// serialize concurrent catch-ups of the same rollup
 /// ([`Database::rollup_catch_up`] does).
-pub fn catch_up(db: &Database, cfg: &RollupConfig) -> DbResult<u64> {
+pub(crate) fn catch_up(db: &Database, cfg: &RollupConfig) -> DbResult<u64> {
     let src_h = db.collection(&cfg.source);
     let dst_h = db.collection(&cfg.dest);
     // Lock order: destination (write) before source (read). The fold

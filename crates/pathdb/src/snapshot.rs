@@ -3,7 +3,7 @@
 //! A collection's rows are persisted in fixed-size *slices* of its
 //! insertion sequence: the rows with `seq / SLICE_ROWS == s` live in
 //! `<name>.<s>.<generation>.slice` (JSONL, each row carrying its seq
-//! as [`SEQ_FIELD`]). Slice files are immutable: a checkpoint writes a
+//! as `SEQ_FIELD`). Slice files are immutable: a checkpoint writes a
 //! *new* file, under its own generation, for every slice a mutation
 //! touched since the last one, and then lands `MANIFEST.json`
 //! atomically, naming for every collection the generation of each of
@@ -33,12 +33,12 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The manifest file name inside a database directory.
-pub const MANIFEST: &str = "MANIFEST.json";
+pub(crate) const MANIFEST: &str = "MANIFEST.json";
 
 /// Manifest format version (bumped on incompatible layout changes).
 /// Format 3 names slice files; formats 1 and 2 (one `<name>.jsonl` per
 /// collection) are still read.
-pub const MANIFEST_FORMAT: i64 = 3;
+const MANIFEST_FORMAT: i64 = 3;
 
 /// Rows per slice file. A checkpoint's cost is the dirty slices' rows,
 /// so this bounds both the write amplification of a one-row change and
@@ -69,11 +69,11 @@ pub struct SkippedLines {
 /// stable across recovery is what lets absolute watermarks (the rollup
 /// meta document, [`crate::rollup`]) survive a crash — and what keeps a
 /// row in the same slice for life.
-pub const SEQ_FIELD: &str = "__seq";
+const SEQ_FIELD: &str = "__seq";
 
 /// One collection as the manifest records it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
+pub(crate) struct ManifestEntry {
     pub name: String,
     /// The insertion-sequence allocator (`next_seq`) at the checkpoint.
     /// Restored on recovery so sequence numbers never move backward —
@@ -87,7 +87,7 @@ pub struct ManifestEntry {
 
 /// The durable collection roster plus the checkpoint generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     pub generation: u64,
     pub collections: Vec<ManifestEntry>,
     /// The directory predates slices: each collection is one
@@ -102,7 +102,7 @@ pub struct Manifest {
 impl Manifest {
     /// The roster of a directory without a manifest: one legacy file
     /// per name, every WAL file replayed.
-    pub fn legacy_roster(names: Vec<String>) -> Manifest {
+    pub(crate) fn legacy_roster(names: Vec<String>) -> Manifest {
         let entry = |name| ManifestEntry {
             name,
             next_seq: 0,
@@ -201,7 +201,11 @@ impl Manifest {
 
 /// Write the manifest atomically — this is the checkpoint's commit
 /// point.
-pub fn write_manifest(storage: &dyn Storage, dir: &Path, manifest: &Manifest) -> DbResult<()> {
+pub(crate) fn write_manifest(
+    storage: &dyn Storage,
+    dir: &Path,
+    manifest: &Manifest,
+) -> DbResult<()> {
     let text = format!("{}\n", manifest.to_json());
     storage.atomic_write(&dir.join(MANIFEST), text.as_bytes())?;
     Ok(())
@@ -209,7 +213,7 @@ pub fn write_manifest(storage: &dyn Storage, dir: &Path, manifest: &Manifest) ->
 
 /// Read the manifest; `Ok(None)` when the directory has none (a legacy
 /// plain-JSONL directory or a brand-new database).
-pub fn read_manifest(storage: &dyn Storage, dir: &Path) -> DbResult<Option<Manifest>> {
+pub(crate) fn read_manifest(storage: &dyn Storage, dir: &Path) -> DbResult<Option<Manifest>> {
     let path = dir.join(MANIFEST);
     if !storage.exists(&path) {
         return Ok(None);
@@ -242,7 +246,7 @@ pub fn parse_slice_path(path: &Path) -> Option<(&str, u64, u64)> {
 /// Read one collection's persisted rows in seq order — its slice files,
 /// or under a legacy manifest its `<name>.jsonl` — still carrying
 /// [`SEQ_FIELD`] (strip it with [`take_seq`]).
-pub fn read_rows(
+pub(crate) fn read_rows(
     storage: &dyn Storage,
     dir: &Path,
     legacy: bool,
@@ -269,21 +273,11 @@ pub fn read_rows(
     Ok((docs, skipped))
 }
 
-/// Serialize documents as JSONL bytes, through the WAL's document
-/// writer ([`write_json_doc`]): one encoder for log and snapshot.
-pub fn encode_jsonl<'a>(docs: impl Iterator<Item = &'a Document>) -> Vec<u8> {
-    let mut out = String::new();
-    for doc in docs {
-        write_json_doc(&mut out, doc);
-        out.push('\n');
-    }
-    out.into_bytes()
-}
-
-/// [`encode_jsonl`] with each row's insertion sequence appended as the
-/// reserved [`SEQ_FIELD`] (the slice writer's path; loaders strip it
-/// with [`take_seq`]).
-pub fn encode_jsonl_seq<'a>(docs: impl Iterator<Item = (u64, &'a Document)>) -> Vec<u8> {
+/// Serialize rows as JSONL bytes, through the WAL's document writer
+/// ([`write_json_doc`]): one encoder for log and snapshot. Each row's
+/// insertion sequence is appended as the reserved [`SEQ_FIELD`]
+/// (loaders strip it with [`take_seq`]).
+pub(crate) fn encode_jsonl_seq<'a>(docs: impl Iterator<Item = (u64, &'a Document)>) -> Vec<u8> {
     let mut out = String::new();
     for (seq, doc) in docs {
         if doc.contains_key(SEQ_FIELD) {
@@ -308,7 +302,7 @@ pub fn encode_jsonl_seq<'a>(docs: impl Iterator<Item = (u64, &'a Document)>) -> 
 }
 
 /// Strip (and return) a row's persisted insertion sequence.
-pub fn take_seq(doc: &mut Document) -> Option<u64> {
+pub(crate) fn take_seq(doc: &mut Document) -> Option<u64> {
     match doc.remove(SEQ_FIELD) {
         Some(Value::Int(s)) if s >= 0 => Some(s as u64),
         _ => None,
@@ -322,7 +316,7 @@ pub fn take_seq(doc: &mut Document) -> Option<u64> {
 /// only the tail, so "first bad line to EOF" is the exact damage a
 /// crash can do — mid-file garbage in lenient mode likewise drops from
 /// the first bad line onward (we cannot trust anything after it).
-pub fn decode_jsonl(
+pub(crate) fn decode_jsonl(
     bytes: &[u8],
     file: &str,
     opts: &LoadOptions,
@@ -368,6 +362,17 @@ mod tests {
     use crate::doc;
     use crate::storage::FaultyStorage;
     use std::path::PathBuf;
+
+    /// Rows as the pre-slice `<collection>.jsonl` files spelled them
+    /// (no `__seq`): what `decode_jsonl` still has to read.
+    fn encode_jsonl<'a>(docs: impl Iterator<Item = &'a Document>) -> Vec<u8> {
+        let mut out = String::new();
+        for doc in docs {
+            write_json_doc(&mut out, doc);
+            out.push('\n');
+        }
+        out.into_bytes()
+    }
 
     fn entry(name: &str, next_seq: u64, slices: &[(u64, u64)]) -> ManifestEntry {
         ManifestEntry {
@@ -492,7 +497,7 @@ mod tests {
 
     #[test]
     fn seq_roundtrip_strips_the_reserved_field() {
-        let docs = vec![doc! { "_id" => "a" }, doc! { "_id" => "b" }];
+        let docs = [doc! { "_id" => "a" }, doc! { "_id" => "b" }];
         let bytes = encode_jsonl_seq(docs.iter().enumerate().map(|(i, d)| (i as u64 + 5, d)));
         let (loaded, _) = decode_jsonl(&bytes, "c.jsonl", &LoadOptions::default()).unwrap();
         let seqs: Vec<u64> = loaded

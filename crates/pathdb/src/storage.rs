@@ -27,7 +27,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 /// Sector size used by [`FaultyStorage`] when tearing writes.
-pub const SECTOR: u64 = 512;
+const SECTOR: u64 = 512;
 
 /// Abstract durable storage. Paths are interpreted by the backend;
 /// [`DiskStorage`] maps them to the real filesystem.
@@ -57,7 +57,7 @@ pub trait Storage: Send + Sync {
 // ---- real filesystem ------------------------------------------------------
 
 /// [`Storage`] over the real filesystem with `fsync` on every durable
-/// step. This is what `Database::open_durable` uses by default.
+/// step. This is what `Database::open_durable_with` uses by default.
 #[derive(Debug, Default, Clone)]
 pub struct DiskStorage;
 
@@ -142,14 +142,14 @@ impl Storage for DiskStorage {
 /// The temp-file sibling used by [`Storage::atomic_write`]
 /// (`<name>.jsonl` → `<name>.jsonl.tmp`). Recovery ignores `.tmp`
 /// leftovers from interrupted writes.
-pub fn tmp_path(path: &Path) -> PathBuf {
+fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
 }
 
 /// Whether a path is an [`Storage::atomic_write`] temp file.
-pub fn is_tmp(path: &Path) -> bool {
+pub(crate) fn is_tmp(path: &Path) -> bool {
     path.extension().and_then(|e| e.to_str()) == Some("tmp")
 }
 
@@ -211,10 +211,6 @@ impl FaultyStorage {
     /// fault-free run to learn every interesting kill offset.
     pub fn units_written(&self) -> u64 {
         self.inner.lock().units
-    }
-
-    pub fn is_dead(&self) -> bool {
-        self.inner.lock().dead
     }
 
     /// The surviving durable state as a fresh, healthy storage — what a
@@ -394,7 +390,7 @@ mod tests {
         let s = FaultyStorage::new();
         s.kill_at(4);
         assert!(s.append(&p("/db/a.log"), b"abcdefgh").is_err());
-        assert!(s.is_dead());
+        assert!(s.inner.lock().dead);
         // Exactly 4 bytes survived; everything later fails.
         let survivor = s.surviving();
         assert_eq!(survivor.read(&p("/db/a.log")).unwrap(), b"abcd");
@@ -446,7 +442,7 @@ mod tests {
         assert!(s.append(&p("/db/a.log"), b"x").is_err());
         s.append(&p("/db/a.log"), b"x").unwrap();
         assert_eq!(s.len(&p("/db/a.log")), 1, "failed attempts wrote nothing");
-        assert!(!s.is_dead());
+        assert!(!s.inner.lock().dead);
     }
 
     #[test]

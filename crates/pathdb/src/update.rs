@@ -1,23 +1,16 @@
-//! Document update operators (`$set`, `$unset`, `$inc`, `$push`, ...).
+//! Document update operators (`$set`, `$inc`).
 
 use crate::document::Document;
 use crate::value::Value;
 
 /// One mutation applied to a matching document.
 #[derive(Debug, Clone, PartialEq)]
-pub enum UpdateOp {
+pub(crate) enum UpdateOp {
     /// Set a (dotted) field.
     Set(String, Value),
-    /// Remove a (dotted) field.
-    Unset(String),
     /// Numerically increment a field; missing fields start at 0.
     /// Integer fields incremented by integers stay integers.
     Inc(String, f64),
-    /// Append to an array field; missing fields become 1-element arrays;
-    /// non-array fields are replaced.
-    Push(String, Value),
-    /// Set only if the field is currently absent.
-    SetOnInsert(String, Value),
 }
 
 /// An ordered list of update operators.
@@ -36,53 +29,23 @@ impl Update {
         self
     }
 
-    pub fn unset<K: Into<String>>(mut self, k: K) -> Update {
-        self.ops.push(UpdateOp::Unset(k.into()));
-        self
-    }
-
     pub fn inc<K: Into<String>>(mut self, k: K, by: f64) -> Update {
         self.ops.push(UpdateOp::Inc(k.into(), by));
         self
     }
 
-    pub fn push<K: Into<String>, V: Into<Value>>(mut self, k: K, v: V) -> Update {
-        self.ops.push(UpdateOp::Push(k.into(), v.into()));
-        self
-    }
-
-    pub fn set_on_insert<K: Into<String>, V: Into<Value>>(mut self, k: K, v: V) -> Update {
-        self.ops.push(UpdateOp::SetOnInsert(k.into(), v.into()));
-        self
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    pub fn ops(&self) -> &[UpdateOp] {
-        &self.ops
-    }
-
     /// Apply all operators to `doc` in order. The `_id` field is
-    /// immutable: operators addressing it are ignored.
-    pub fn apply(&self, doc: &mut Document) {
+    /// immutable: operators addressing it, or a dotted path under it,
+    /// are ignored.
+    pub(crate) fn apply(&self, doc: &mut Document) {
         for op in &self.ops {
+            let (UpdateOp::Set(k, _) | UpdateOp::Inc(k, _)) = op;
+            if k.split('.').next() == Some("_id") {
+                continue;
+            }
             match op {
-                UpdateOp::Set(k, v) => {
-                    if k != "_id" {
-                        doc.set_path(k, v.clone());
-                    }
-                }
-                UpdateOp::Unset(k) => {
-                    if k != "_id" {
-                        doc.remove_path(k);
-                    }
-                }
+                UpdateOp::Set(k, v) => doc.set_path(k, v.clone()),
                 UpdateOp::Inc(k, by) => {
-                    if k == "_id" {
-                        continue;
-                    }
                     let next = match doc.get_path(k) {
                         Some(v) => {
                             // A sum that leaves i64 carries on as a float.
@@ -106,24 +69,6 @@ impl Update {
                     };
                     doc.set_path(k, next);
                 }
-                UpdateOp::Push(k, v) => {
-                    if k == "_id" {
-                        continue;
-                    }
-                    match doc.get_path(k) {
-                        Some(Value::Array(arr)) => {
-                            let mut arr = arr.clone();
-                            arr.push(v.clone());
-                            doc.set_path(k, Value::Array(arr));
-                        }
-                        _ => doc.set_path(k, Value::Array(vec![v.clone()])),
-                    }
-                }
-                UpdateOp::SetOnInsert(k, v) => {
-                    if k != "_id" && doc.get_path(k).is_none() {
-                        doc.set_path(k, v.clone());
-                    }
-                }
             }
         }
     }
@@ -135,10 +80,10 @@ mod tests {
     use crate::doc;
 
     #[test]
-    fn set_and_unset() {
+    fn set_adds_and_overwrites() {
         let mut d = doc! { "a" => 1i64 };
-        Update::new().set("b", 2i64).unset("a").apply(&mut d);
-        assert_eq!(d.get("a"), None);
+        Update::new().set("b", 2i64).set("a", 3i64).apply(&mut d);
+        assert_eq!(d.get("a"), Some(&Value::Int(3)));
         assert_eq!(d.get("b"), Some(&Value::Int(2)));
     }
 
@@ -147,11 +92,11 @@ mod tests {
         let mut d = doc! { "_id" => "x", "a" => 1i64 };
         Update::new()
             .set("_id", "y")
-            .unset("_id")
             .inc("_id", 1.0)
-            .push("_id", 1i64)
+            .set("_id.x", 1i64)
+            .inc("_id.n", 1.0)
             .apply(&mut d);
-        assert_eq!(d.id(), Some("x"));
+        assert_eq!(d, doc! { "_id" => "x", "a" => 1i64 });
     }
 
     #[test]
@@ -192,33 +137,6 @@ mod tests {
         let mut d = doc! { "s" => "text" };
         Update::new().inc("s", 1.0).apply(&mut d);
         assert_eq!(d.get("s").unwrap().as_str(), Some("text"));
-    }
-
-    #[test]
-    fn push_semantics() {
-        let mut d = doc! { "a" => vec![1i64], "scalar" => 9i64 };
-        Update::new()
-            .push("a", 2i64)
-            .push("missing", 1i64)
-            .push("scalar", 1i64)
-            .apply(&mut d);
-        assert_eq!(
-            d.get("a"),
-            Some(&Value::Array(vec![1i64.into(), 2i64.into()]))
-        );
-        assert_eq!(d.get("missing"), Some(&Value::Array(vec![1i64.into()])));
-        assert_eq!(d.get("scalar"), Some(&Value::Array(vec![1i64.into()])));
-    }
-
-    #[test]
-    fn set_on_insert_only_fills_gaps() {
-        let mut d = doc! { "a" => 1i64 };
-        Update::new()
-            .set_on_insert("a", 99i64)
-            .set_on_insert("b", 2i64)
-            .apply(&mut d);
-        assert_eq!(d.get("a"), Some(&Value::Int(1)));
-        assert_eq!(d.get("b"), Some(&Value::Int(2)));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum Value {
 
 impl Value {
     /// Numeric view (ints widen to float) for cross-type comparison.
-    pub fn as_number(&self) -> Option<f64> {
+    pub(crate) fn as_number(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
             Value::Float(f) => Some(*f),
@@ -34,13 +34,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -63,14 +56,14 @@ impl Value {
         }
     }
 
-    pub fn as_doc(&self) -> Option<&Document> {
+    pub(crate) fn as_doc(&self) -> Option<&Document> {
         match self {
             Value::Doc(d) => Some(d),
             _ => None,
         }
     }
 
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -79,7 +72,7 @@ impl Value {
     /// different (non-numeric) types are unordered, which makes range
     /// filters on mismatched types evaluate to false — Mongo-like
     /// behaviour for the operators we support.
-    pub fn query_cmp(&self, other: &Value) -> Option<Ordering> {
+    pub(crate) fn query_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, Value::Null) => Some(Ordering::Equal),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
@@ -129,7 +122,7 @@ impl Value {
     /// * NaN compares equal to NaN and greater than every other number;
     /// * documents compare field-by-field (name, then value), then by
     ///   length.
-    pub fn sort_cmp(&self, other: &Value) -> Ordering {
+    pub(crate) fn sort_cmp(&self, other: &Value) -> Ordering {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
@@ -170,7 +163,7 @@ impl Value {
 
     /// A canonical string key for indexing: total across types and
     /// **order-preserving** — lexicographic order of keys equals
-    /// [`Value::sort_cmp`] order for scalar values, which lets the
+    /// `Value::sort_cmp` order for scalar values, which lets the
     /// ordered secondary indexes serve range scans and sorted reads.
     ///
     /// Numbers use a sign-flipped IEEE-754 bit pattern plus an exact
@@ -289,7 +282,7 @@ impl Value {
 /// Render a document as a compact JSON object without cloning it into
 /// a `Value` first — the borrowed counterpart of
 /// `Value::Doc(d.clone()).to_json().to_string()`.
-pub fn write_json_doc(out: &mut String, d: &Document) {
+pub(crate) fn write_json_doc(out: &mut String, d: &Document) {
     if d.is_empty() {
         out.push_str("{}");
         return;
@@ -308,7 +301,7 @@ pub fn write_json_doc(out: &mut String, d: &Document) {
 
 /// Exact comparison of an i64 against an f64, without widening the int
 /// to f64 (which loses precision above 2^53). `None` iff `f` is NaN.
-pub fn cmp_i64_f64(i: i64, f: f64) -> Option<Ordering> {
+fn cmp_i64_f64(i: i64, f: f64) -> Option<Ordering> {
     if f.is_nan() {
         return None;
     }
@@ -668,7 +661,6 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::Int(3).as_number(), Some(3.0));
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
         assert_eq!(Value::Float(1.5).as_int(), None);
     }

@@ -79,7 +79,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 checksum over `data` (IEEE polynomial, as in zlib/PNG).
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
@@ -114,19 +114,8 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// The collection this op targets.
-    pub fn coll(&self) -> &str {
-        match self {
-            WalOp::Insert { coll, .. }
-            | WalOp::InsertMany { coll, .. }
-            | WalOp::Update { coll, .. }
-            | WalOp::Delete { coll, .. }
-            | WalOp::Drop { coll } => coll,
-        }
-    }
-
     /// How many documents/ids the op carries (for recovery reporting).
-    pub fn effect_count(&self) -> usize {
+    pub(crate) fn effect_count(&self) -> usize {
         match self {
             WalOp::Insert { .. } | WalOp::Drop { .. } => 1,
             WalOp::InsertMany { docs, .. } | WalOp::Update { docs, .. } => docs.len(),
@@ -227,7 +216,7 @@ impl WalOp {
 /// the caller's documents, skipping both the owned [`WalOp`] clone and
 /// the intermediate `serde_json::Value` tree — this is what keeps the
 /// WAL's insertion overhead within the §4.2.2 ablation budget.
-pub enum WalOpRef<'a> {
+pub(crate) enum WalOpRef<'a> {
     Insert {
         coll: &'a str,
         doc: &'a Document,
@@ -320,7 +309,7 @@ pub fn encode_group(ops: &[WalOp]) -> Vec<u8> {
 }
 
 /// Borrowed counterpart of [`encode_group`].
-pub fn encode_group_refs(ops: &[WalOpRef<'_>]) -> Vec<u8> {
+fn encode_group_refs(ops: &[WalOpRef<'_>]) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut payload = String::new();
     for op in ops {
@@ -337,7 +326,7 @@ pub fn encode_group_refs(ops: &[WalOpRef<'_>]) -> Vec<u8> {
 
 /// Result of scanning one WAL file.
 #[derive(Debug, Default)]
-pub struct WalReplay {
+pub(crate) struct WalReplay {
     /// Committed groups handed to the caller, in append order.
     pub groups: usize,
     /// Byte offset just past the last committed group — the length to
@@ -354,7 +343,7 @@ pub struct WalReplay {
 /// Each group is handed to `apply` when its commit marker is reached —
 /// never before, so an uncommitted or torn tail is not seen — and is
 /// not kept: recovery holds one group at a time, not the whole log.
-pub fn read_wal(bytes: &[u8], mut apply: impl FnMut(Vec<WalOp>)) -> WalReplay {
+pub(crate) fn read_wal(bytes: &[u8], mut apply: impl FnMut(Vec<WalOp>)) -> WalReplay {
     let mut replay = WalReplay::default();
     let mut pending: Vec<WalOp> = Vec::new();
     let mut off = 0usize;
@@ -425,14 +414,14 @@ struct WalState {
 /// The append side of the log, shared by every collection of one
 /// database. `commit` serializes groups under an internal mutex, so a
 /// group from one writer never interleaves with another's.
-pub struct Wal {
+pub(crate) struct Wal {
     storage: Arc<dyn Storage>,
     dir: PathBuf,
     state: Mutex<WalState>,
 }
 
 impl Wal {
-    pub fn new(storage: Arc<dyn Storage>, dir: PathBuf, generation: u64) -> Wal {
+    pub(crate) fn new(storage: Arc<dyn Storage>, dir: PathBuf, generation: u64) -> Wal {
         Wal {
             storage,
             dir,
@@ -443,36 +432,29 @@ impl Wal {
         }
     }
 
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.state.lock().generation
     }
 
     /// `Err` with the first failure once an append has been lost;
     /// `Ok(())` while every committed group is durable.
-    pub fn health(&self) -> DbResult<()> {
+    pub(crate) fn health(&self) -> DbResult<()> {
         match &self.state.lock().poisoned {
             Some(msg) => Err(DbError::Durability(msg.clone())),
             None => Ok(()),
         }
     }
 
-    /// Append one commit group durably. Transient failures are retried
-    /// after rolling the file back to its pre-append length (so a torn
-    /// first attempt cannot corrupt the frame stream); persistent
-    /// failure poisons the log and returns the durability error so the
-    /// caller can refuse to acknowledge the write. Data already applied
-    /// before a poison (updates/deletes log after applying) stays in
-    /// memory and the next successful checkpoint restores durability.
-    pub fn commit(&self, ops: &[WalOp]) -> DbResult<()> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        self.commit_encoded(encode_group(ops))
-    }
-
-    /// [`Wal::commit`] over borrowed ops — the write path's entry
-    /// point, which never clones the documents it logs.
-    pub fn commit_ref(&self, ops: &[WalOpRef<'_>]) -> DbResult<()> {
+    /// Append one commit group durably, from borrowed ops: the write
+    /// path never clones the documents it logs. Transient failures are
+    /// retried after rolling the file back to its pre-append length (so
+    /// a torn first attempt cannot corrupt the frame stream);
+    /// persistent failure poisons the log and returns the durability
+    /// error so the caller can refuse to acknowledge the write. Data
+    /// already applied before a poison (updates/deletes log after
+    /// applying) stays in memory and the next successful checkpoint
+    /// restores durability.
+    pub(crate) fn commit_ref(&self, ops: &[WalOpRef<'_>]) -> DbResult<()> {
         if ops.is_empty() {
             return Ok(());
         }
@@ -509,7 +491,7 @@ impl Wal {
 
     /// Switch to a new generation (a fresh `wal.<gen>.log`) and clear
     /// any poisoning — called by checkpoint after the snapshot landed.
-    pub fn rotate(&self, generation: u64) {
+    pub(crate) fn rotate(&self, generation: u64) {
         let mut state = self.state.lock();
         state.generation = generation;
         state.poisoned = None;
@@ -532,6 +514,13 @@ mod tests {
     use super::*;
     use crate::doc;
     use crate::storage::FaultyStorage;
+
+    impl Wal {
+        /// `commit_ref` over owned ops, as `sample_ops` builds them.
+        fn commit(&self, ops: &[WalOp]) -> DbResult<()> {
+            self.commit_encoded(encode_group(ops))
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

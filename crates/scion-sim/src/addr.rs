@@ -160,11 +160,8 @@ impl FromStr for Isd {
 pub struct Asn(pub u64);
 
 impl Asn {
-    /// Maximum representable ASN (48 bits).
-    pub const MAX: Asn = Asn((1 << 48) - 1);
-
     /// Build an ASN from its three 16-bit groups, high to low.
-    pub const fn from_groups(a: u16, b: u16, c: u16) -> Asn {
+    pub(crate) const fn from_groups(a: u16, b: u16, c: u16) -> Asn {
         Asn(((a as u64) << 32) | ((b as u64) << 16) | (c as u64))
     }
 
@@ -216,14 +213,6 @@ pub struct IsdAsn {
 impl IsdAsn {
     pub const fn new(isd: u16, asn: Asn) -> IsdAsn {
         IsdAsn { isd: Isd(isd), asn }
-    }
-
-    /// Convenience constructor from the three ASN hex groups.
-    pub const fn from_parts(isd: u16, a: u16, b: u16, c: u16) -> IsdAsn {
-        IsdAsn {
-            isd: Isd(isd),
-            asn: Asn::from_groups(a, b, c),
-        }
     }
 }
 
@@ -346,9 +335,9 @@ pub struct IfaceId(pub u16);
 
 impl IfaceId {
     /// The "no interface" sentinel used at path endpoints.
-    pub const NONE: IfaceId = IfaceId(0);
+    pub(crate) const NONE: IfaceId = IfaceId(0);
 
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self.0 == 0
     }
 }

@@ -24,25 +24,28 @@ use std::collections::{HashMap, HashSet};
 
 /// Derives per-AS forwarding keys from a network master secret.
 #[derive(Debug, Clone, Copy)]
-pub struct KeyProvider {
+pub(crate) struct KeyProvider {
     master: u64,
 }
 
 impl KeyProvider {
-    pub fn new(master: u64) -> KeyProvider {
+    pub(crate) fn new(master: u64) -> KeyProvider {
         KeyProvider { master }
     }
 
-    pub fn key(&self, ia: IsdAsn) -> SymmetricKey {
+    pub(crate) fn key(&self, ia: IsdAsn) -> SymmetricKey {
         SymmetricKey::derive(self.master, ia)
     }
 }
 
+/// Maximum ASes in a core segment.
+const MAX_CORE_LEN: usize = 5;
+/// Info-field nonce base; segments from the same run share it.
+const INFO_BASE: u64 = 0x5c10;
+
 /// Propagation limits for beaconing.
 #[derive(Debug, Clone, Copy)]
 pub struct BeaconConfig {
-    /// Maximum ASes in a core segment.
-    pub max_core_len: usize,
     /// Maximum ASes in a down segment.
     pub max_down_len: usize,
     /// Maximum beacons kept (registered and further propagated) per
@@ -51,17 +54,13 @@ pub struct BeaconConfig {
     /// delay wins, tie-broken by the canonical hop tuple. `usize::MAX`
     /// recovers the exhaustive fixed point.
     pub beacons_per_pair: usize,
-    /// Info-field nonce base; segments from the same run share it.
-    pub info_base: u64,
 }
 
 impl Default for BeaconConfig {
     fn default() -> Self {
         BeaconConfig {
-            max_core_len: 5,
             max_down_len: 6,
             beacons_per_pair: usize::MAX,
-            info_base: 0x5c10,
         }
     }
 }
@@ -81,7 +80,7 @@ pub struct BeaconStore {
 impl BeaconStore {
     /// How many beacons the `beacons_per_pair` cap dropped during
     /// propagation (0 when exhaustive).
-    pub fn capped_count(&self) -> u64 {
+    pub(crate) fn capped_count(&self) -> u64 {
         self.capped
     }
 
@@ -106,7 +105,11 @@ impl BeaconStore {
 }
 
 /// Run beaconing to its converged state over `topo`.
-pub fn run_beaconing(topo: &Topology, keys: &KeyProvider, cfg: &BeaconConfig) -> BeaconStore {
+pub(crate) fn run_beaconing(
+    topo: &Topology,
+    keys: &KeyProvider,
+    cfg: &BeaconConfig,
+) -> BeaconStore {
     let mut store = BeaconStore::default();
     let cores: Vec<AsIndex> = topo
         .ases()
@@ -116,7 +119,7 @@ pub fn run_beaconing(topo: &Topology, keys: &KeyProvider, cfg: &BeaconConfig) ->
 
     for &origin in &cores {
         let ia = topo.node(origin).ia;
-        let info = cfg.info_base ^ (ia.asn.0 << 8) ^ ia.isd.0 as u64;
+        let info = INFO_BASE ^ (ia.asn.0 << 8) ^ ia.isd.0 as u64;
         let seed = Segment::originate(SegmentKind::Core, info, ia, &keys.key(ia));
         propagate(topo, keys, origin, seed, cfg, Pass::Core, &mut store);
 
@@ -161,7 +164,7 @@ fn propagate(
     store: &mut BeaconStore,
 ) {
     let max_len = match pass {
-        Pass::Core => cfg.max_core_len,
+        Pass::Core => MAX_CORE_LEN,
         Pass::Down => cfg.max_down_len,
     };
     let mut kept: HashMap<AsIndex, usize> = HashMap::new();

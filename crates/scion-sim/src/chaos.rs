@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// Upper bound on compiled transitions per schedule: a schedule whose
 /// dwell times are tiny relative to its horizon is a config error, not
 /// a reason to allocate without bound.
-pub const MAX_TRANSITIONS: usize = 100_000;
+const MAX_TRANSITIONS: usize = 100_000;
 
 /// A schedule that cannot be compiled onto a network.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,7 +51,7 @@ pub enum ChaosError {
     UnknownNode(IsdAsn),
     /// The address is not a registered server in the target topology.
     UnknownServer(ScionAddr),
-    /// The expanded schedule exceeds [`MAX_TRANSITIONS`].
+    /// The expanded schedule exceeds `MAX_TRANSITIONS`.
     TooManyTransitions(usize),
 }
 
@@ -226,7 +226,7 @@ impl ChaosSchedule {
     /// Topology-independent validation: every probability in [0, 1],
     /// every dwell/window sane. Run automatically by [`Self::compile`]
     /// and [`Self::from_json_str`].
-    pub fn validate(&self) -> Result<(), ChaosError> {
+    pub(crate) fn validate(&self) -> Result<(), ChaosError> {
         if !self.horizon_ms.is_finite() || self.horizon_ms <= 0.0 {
             return Err(ChaosError::BadHorizon(self.horizon_ms));
         }

@@ -145,20 +145,6 @@ fn cert_payload(subject: IsdAsn, subject_public: u64, issuer: IsdAsn) -> Vec<u8>
     v
 }
 
-/// A trust-root configuration: the set of core ASes of one ISD, which act
-/// as certificate issuers for every other AS in the ISD.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Trc {
-    pub isd: u16,
-    pub cores: Vec<IsdAsn>,
-}
-
-impl Trc {
-    pub fn is_core(&self, ia: IsdAsn) -> bool {
-        self.cores.contains(&ia)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,15 +210,5 @@ mod tests {
         let mut bad = cert.clone();
         bad.subject_public ^= 1;
         assert!(!bad.verify(&core_keys));
-    }
-
-    #[test]
-    fn trc_core_membership() {
-        let trc = Trc {
-            isd: 17,
-            cores: vec![ia(17, 0x1101)],
-        };
-        assert!(trc.is_core(ia(17, 0x1101)));
-        assert!(!trc.is_core(ia(17, 0x1107)));
     }
 }

@@ -39,7 +39,7 @@ pub struct FlowParams {
 
 impl FlowParams {
     /// Packets per second needed to hit the target at this packet size.
-    pub fn target_pps(&self) -> f64 {
+    fn target_pps(&self) -> f64 {
         self.target_mbps * 1e6 / (self.packet_bytes as f64 * 8.0)
     }
 
@@ -160,7 +160,7 @@ pub fn simulate_flow(
 /// server→client over the reverse hops. Returns `(cs, sc)` outcomes, or
 /// `None` when the server is down or answers garbage (the caller maps
 /// this to the tool-level error the paper's suite must handle).
-pub fn bwtest(
+pub(crate) fn bwtest(
     path: &CompiledPath,
     cs: &FlowParams,
     sc: &FlowParams,

@@ -53,7 +53,7 @@ pub struct WireHop {
 
 impl WireHop {
     /// Total drop severity from congestion windows active at `t_ms`.
-    pub fn congestion_at(&self, t_ms: f64) -> f64 {
+    fn congestion_at(&self, t_ms: f64) -> f64 {
         self.episodes
             .iter()
             .filter(|(s, e, _)| t_ms >= *s && t_ms < *e)
@@ -77,7 +77,7 @@ impl WireHop {
 }
 
 /// Serialization delay of `bytes` at `capacity_mbps`, in ms.
-pub fn serialization_ms(bytes: u32, capacity_mbps: f64) -> f64 {
+pub(crate) fn serialization_ms(bytes: u32, capacity_mbps: f64) -> f64 {
     if capacity_mbps <= 0.0 {
         return f64::INFINITY;
     }
@@ -103,17 +103,12 @@ pub struct CompiledPath {
     /// Number of ASes on the path.
     pub hop_count: usize,
     /// The traversed links, in forward order — lets
-    /// [`CompiledPath::still_valid`] re-check the fault-dependent
+    /// `CompiledPath::still_valid` re-check the fault-dependent
     /// inputs without resolving the topology again.
     pub links: Vec<LinkIndex>,
 }
 
 impl CompiledPath {
-    /// Path MTU (minimum across links); `None` for an empty compile.
-    pub fn mtu(&self) -> Option<u32> {
-        self.fwd.iter().map(|h| h.mtu).min()
-    }
-
     /// Whether this artifact is still exactly what [`compile_wire`]
     /// would produce for `path` under `faults`: the per-link down bits,
     /// the congestion windows touching each hop, and the destination
@@ -123,7 +118,7 @@ impl CompiledPath {
     /// of recompiling — chaos transitions elsewhere in the network stay
     /// off this route's data-plane cost. Uses the link indices recorded
     /// at compile time, so the check never touches the topology.
-    pub fn still_valid(
+    pub(crate) fn still_valid(
         &self,
         faults: &FaultPlan,
         path: &ScionPath,
@@ -182,7 +177,7 @@ impl CompiledPath {
 /// Fails when the path is structurally invalid; MAC verification is the
 /// path server's job ([`crate::pathserver::PathServer::validate`]) and is
 /// expected to have been done by the caller.
-pub fn compile_path(
+pub(crate) fn compile_path(
     topo: &Topology,
     faults: &FaultPlan,
     path: &ScionPath,
@@ -195,7 +190,7 @@ pub fn compile_path(
 /// [`compile_path`] without the structural re-validation: the fast path
 /// for callers that already hold a cached validation verdict for this
 /// exact route (see the network's compile cache).
-pub fn compile_wire(
+pub(crate) fn compile_wire(
     topo: &Topology,
     faults: &FaultPlan,
     path: &ScionPath,

@@ -13,22 +13,12 @@
 pub struct SimTime(pub u64);
 
 impl SimTime {
-    pub const ZERO: SimTime = SimTime(0);
-
     pub fn from_ms(ms: f64) -> SimTime {
         SimTime((ms * 1_000_000.0).round().max(0.0) as u64)
     }
 
-    pub fn from_secs(s: f64) -> SimTime {
-        SimTime::from_ms(s * 1000.0)
-    }
-
     pub fn as_ms(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
     }
 
     /// Saturating addition of a duration in nanoseconds.
@@ -46,6 +36,5 @@ mod tests {
         let t = SimTime::from_ms(12.5);
         assert_eq!(t.0, 12_500_000);
         assert!((t.as_ms() - 12.5).abs() < 1e-9);
-        assert!((SimTime::from_secs(3.0).as_secs() - 3.0).abs() < 1e-12);
     }
 }

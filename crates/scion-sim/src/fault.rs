@@ -42,7 +42,7 @@ impl std::fmt::Display for FaultError {
 impl std::error::Error for FaultError {}
 
 /// Validate a probability-typed field: finite and within [0, 1].
-pub fn check_probability(what: &'static str, value: f64) -> Result<(), FaultError> {
+pub(crate) fn check_probability(what: &'static str, value: f64) -> Result<(), FaultError> {
     if value.is_nan() || !(0.0..=1.0).contains(&value) {
         return Err(FaultError::InvalidProbability { what, value });
     }
@@ -66,13 +66,13 @@ pub enum ServerBehavior {
 
 impl ServerBehavior {
     /// Validating constructor for [`ServerBehavior::Flaky`].
-    pub fn flaky(p: f64) -> Result<ServerBehavior, FaultError> {
+    pub(crate) fn flaky(p: f64) -> Result<ServerBehavior, FaultError> {
         check_probability("flaky drop probability", p)?;
         Ok(ServerBehavior::Flaky(p))
     }
 
     /// Reject behaviours whose probability field is out of range.
-    pub fn validate(&self) -> Result<(), FaultError> {
+    pub(crate) fn validate(&self) -> Result<(), FaultError> {
         match self {
             ServerBehavior::Flaky(p) => check_probability("flaky drop probability", *p),
             _ => Ok(()),
@@ -121,24 +121,8 @@ pub struct CongestionEpisode {
 }
 
 impl CongestionEpisode {
-    /// Validating constructor: severity within [0, 1], sane window.
-    pub fn new(
-        target: CongestionTarget,
-        start_ms: f64,
-        end_ms: f64,
-        severity: f64,
-    ) -> Result<CongestionEpisode, FaultError> {
-        let ep = CongestionEpisode {
-            target,
-            start_ms,
-            end_ms,
-            severity,
-        };
-        ep.validate()?;
-        Ok(ep)
-    }
-
-    pub fn validate(&self) -> Result<(), FaultError> {
+    /// Severity within [0, 1], sane window.
+    pub(crate) fn validate(&self) -> Result<(), FaultError> {
         check_probability("congestion severity", self.severity)?;
         if !self.start_ms.is_finite() || !self.end_ms.is_finite() || self.end_ms < self.start_ms {
             return Err(FaultError::InvalidWindow {
@@ -149,7 +133,7 @@ impl CongestionEpisode {
         Ok(())
     }
 
-    pub fn active_at(&self, t_ms: f64) -> bool {
+    fn active_at(&self, t_ms: f64) -> bool {
         t_ms >= self.start_ms && t_ms < self.end_ms
     }
 }
@@ -187,7 +171,7 @@ pub enum CongestionTarget {
 
 /// Mutable fault state of a running network.
 #[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     servers: HashMap<ScionAddr, ServerBehavior>,
     episodes: Vec<CongestionEpisode>,
     /// Down-link bitset indexed by `LinkIndex` (one bit per link,
@@ -197,34 +181,34 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    pub fn new() -> FaultPlan {
+    pub(crate) fn new() -> FaultPlan {
         FaultPlan::default()
     }
 
-    pub fn set_server(&mut self, addr: ScionAddr, behavior: ServerBehavior) {
+    pub(crate) fn set_server(&mut self, addr: ScionAddr, behavior: ServerBehavior) {
         self.servers.insert(addr, behavior);
     }
 
-    pub fn server(&self, addr: ScionAddr) -> ServerBehavior {
+    pub(crate) fn server(&self, addr: ScionAddr) -> ServerBehavior {
         self.servers.get(&addr).copied().unwrap_or_default()
     }
 
-    pub fn add_episode(&mut self, ep: CongestionEpisode) {
+    pub(crate) fn add_episode(&mut self, ep: CongestionEpisode) {
         self.episodes.push(ep);
     }
 
-    pub fn clear_episodes(&mut self) {
+    pub(crate) fn clear_episodes(&mut self) {
         self.episodes.clear();
     }
 
     /// Drop episodes whose window already ended at `now_ms`. Long chaos
     /// schedules add and retire many episodes; pruning keeps the
     /// congestion scans O(live episodes) instead of O(history).
-    pub fn prune_expired(&mut self, now_ms: f64) {
+    pub(crate) fn prune_expired(&mut self, now_ms: f64) {
         self.episodes.retain(|e| e.end_ms > now_ms);
     }
 
-    pub fn set_link_down(&mut self, link: LinkIndex, down: bool) {
+    pub(crate) fn set_link_down(&mut self, link: LinkIndex, down: bool) {
         let (word, bit) = (link.0 as usize / 64, link.0 % 64);
         if down {
             if word >= self.links_down.len() {
@@ -236,7 +220,7 @@ impl FaultPlan {
         }
     }
 
-    pub fn link_is_down(&self, link: LinkIndex) -> bool {
+    pub(crate) fn link_is_down(&self, link: LinkIndex) -> bool {
         self.links_down
             .get(link.0 as usize / 64)
             .is_some_and(|w| w & (1 << (link.0 % 64)) != 0)
@@ -244,7 +228,7 @@ impl FaultPlan {
 
     /// Highest severity among episodes covering `node` at time `t_ms`
     /// (0.0 when none).
-    pub fn node_congestion(&self, node: IsdAsn, t_ms: f64) -> f64 {
+    pub(crate) fn node_congestion(&self, node: IsdAsn, t_ms: f64) -> f64 {
         self.episodes
             .iter()
             .filter(|e| e.target == CongestionTarget::Node(node) && e.active_at(t_ms))
@@ -253,7 +237,7 @@ impl FaultPlan {
     }
 
     /// Highest severity among episodes covering `link` at time `t_ms`.
-    pub fn link_congestion(&self, link: LinkIndex, t_ms: f64) -> f64 {
+    pub(crate) fn link_congestion(&self, link: LinkIndex, t_ms: f64) -> f64 {
         self.episodes
             .iter()
             .filter(|e| e.target == CongestionTarget::Link(link) && e.active_at(t_ms))
@@ -262,7 +246,10 @@ impl FaultPlan {
     }
 
     /// Congestion windows `(start_ms, end_ms, severity)` targeting `link`.
-    pub fn windows_for_link(&self, link: LinkIndex) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
+    pub(crate) fn windows_for_link(
+        &self,
+        link: LinkIndex,
+    ) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
         self.episodes
             .iter()
             .filter(move |e| e.target == CongestionTarget::Link(link))
@@ -270,7 +257,10 @@ impl FaultPlan {
     }
 
     /// Congestion windows `(start_ms, end_ms, severity)` targeting `node`.
-    pub fn windows_for_node(&self, node: IsdAsn) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
+    pub(crate) fn windows_for_node(
+        &self,
+        node: IsdAsn,
+    ) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
         self.episodes
             .iter()
             .filter(move |e| e.target == CongestionTarget::Node(node))
@@ -285,6 +275,22 @@ mod tests {
 
     fn ia(isd: u16, c: u16) -> IsdAsn {
         IsdAsn::new(isd, Asn::from_groups(0xffaa, 0, c))
+    }
+
+    fn episode(
+        target: CongestionTarget,
+        start_ms: f64,
+        end_ms: f64,
+        severity: f64,
+    ) -> Result<CongestionEpisode, FaultError> {
+        let ep = CongestionEpisode {
+            target,
+            start_ms,
+            end_ms,
+            severity,
+        };
+        ep.validate()?;
+        Ok(ep)
     }
 
     #[test]
@@ -367,22 +373,22 @@ mod tests {
     }
 
     #[test]
-    fn episode_severity_is_validated_at_construction() {
+    fn episode_severity_and_window_are_validated() {
         let target = CongestionTarget::Node(ia(16, 7));
-        assert!(CongestionEpisode::new(target, 0.0, 100.0, 0.8).is_ok());
+        assert!(episode(target, 0.0, 100.0, 0.8).is_ok());
         for bad in [-0.5, 2.0, f64::NAN] {
             assert!(matches!(
-                CongestionEpisode::new(target, 0.0, 100.0, bad),
+                episode(target, 0.0, 100.0, bad),
                 Err(FaultError::InvalidProbability { .. })
             ));
         }
         // Inverted or NaN windows are typed errors too.
         assert!(matches!(
-            CongestionEpisode::new(target, 200.0, 100.0, 0.5),
+            episode(target, 200.0, 100.0, 0.5),
             Err(FaultError::InvalidWindow { .. })
         ));
         assert!(matches!(
-            CongestionEpisode::new(target, f64::NAN, 100.0, 0.5),
+            episode(target, f64::NAN, 100.0, 0.5),
             Err(FaultError::InvalidWindow { .. })
         ));
     }
@@ -407,9 +413,7 @@ mod tests {
         let mut plan = FaultPlan::new();
         let node = ia(16, 7);
         for (start, end) in [(0.0, 100.0), (50.0, 500.0), (400.0, 900.0)] {
-            plan.add_episode(
-                CongestionEpisode::new(CongestionTarget::Node(node), start, end, 1.0).unwrap(),
-            );
+            plan.add_episode(episode(CongestionTarget::Node(node), start, end, 1.0).unwrap());
         }
         plan.prune_expired(450.0);
         assert_eq!(plan.node_congestion(node, 450.0), 1.0);

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Mean Earth radius in kilometers (IUGG).
-pub const EARTH_RADIUS_KM: f64 = 6371.0;
+const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// Effective propagation speed in fiber, km per millisecond.
 ///
@@ -19,7 +19,7 @@ pub const EARTH_RADIUS_KM: f64 = 6371.0;
 /// are not geodesics, so we use a slightly lower effective speed to absorb
 /// route stretch. This calibration is what places the Europe↔US-East RTT
 /// near the familiar ~80 ms mark.
-pub const FIBER_KM_PER_MS: f64 = 170.0;
+const FIBER_KM_PER_MS: f64 = 170.0;
 
 /// A geographic coordinate (degrees) plus human-readable placement,
 /// attached to every AS in the topology.
@@ -52,13 +52,13 @@ impl GeoLocation {
     /// One-way propagation delay to `other` in milliseconds, assuming the
     /// effective fiber speed [`FIBER_KM_PER_MS`] plus a small fixed
     /// per-link equipment latency.
-    pub fn propagation_ms(&self, other: &GeoLocation) -> f64 {
+    pub(crate) fn propagation_ms(&self, other: &GeoLocation) -> f64 {
         propagation_delay_ms(self.distance_km(other))
     }
 }
 
 /// Haversine great-circle distance between two (lat, lon) points, in km.
-pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
+fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
     let (phi1, phi2) = (lat1.to_radians(), lat2.to_radians());
     let dphi = (lat2 - lat1).to_radians();
     let dlambda = (lon2 - lon1).to_radians();
@@ -71,7 +71,7 @@ pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
 /// A constant 0.15 ms floor models local switching/serialization even for
 /// co-located ASes (two VMs in the same data center still observe sub-ms,
 /// nonzero RTTs on SCIONLab).
-pub fn propagation_delay_ms(distance_km: f64) -> f64 {
+fn propagation_delay_ms(distance_km: f64) -> f64 {
     0.15 + distance_km / FIBER_KM_PER_MS
 }
 

@@ -368,11 +368,6 @@ impl ScionNetwork {
         Arc::clone(&self.chaos.lock().events)
     }
 
-    /// How many of the compiled transitions have fired on this network.
-    pub fn chaos_applied(&self) -> usize {
-        self.chaos.lock().cursor
-    }
-
     /// Apply every armed transition whose time the clock has reached,
     /// as one batch: the fault lock is taken once and the epoch bumped
     /// once per drain, since consumers only ever compare epochs for
@@ -844,6 +839,11 @@ mod tests {
         paper_destinations()[1]
     }
 
+    /// How many of the compiled transitions have fired on `n`.
+    fn chaos_applied(n: &ScionNetwork) -> usize {
+        n.chaos.lock().cursor
+    }
+
     #[test]
     fn paths_to_ireland_have_paper_shape() {
         let n = net();
@@ -1097,7 +1097,7 @@ mod tests {
         });
         let installed = n.install_chaos(&s).unwrap();
         assert_eq!(installed, 2, "one down + one up transition");
-        assert_eq!(n.chaos_applied(), 0);
+        assert_eq!(chaos_applied(&n), 0);
         let epoch0 = n.fault_epoch();
 
         let path = n.paths(MY_AS, AWS_IRELAND, 1).remove(0); // clock → 800 ms
@@ -1106,7 +1106,7 @@ mod tests {
         // Cross the down transition: the uplink (hence every path) dies
         // and the fault epoch moves.
         n.advance_ms(10_000.0);
-        assert_eq!(n.chaos_applied(), 1);
+        assert_eq!(chaos_applied(&n), 1);
         assert!(n.fault_epoch() > epoch0);
         assert!(!n.path_is_up(&path));
         assert_eq!(
@@ -1116,7 +1116,7 @@ mod tests {
 
         // Cross the heal transition: liveness recovers automatically.
         n.advance_ms(10_000.0);
-        assert_eq!(n.chaos_applied(), 2);
+        assert_eq!(chaos_applied(&n), 2);
         assert!(n.path_is_up(&path));
     }
 
@@ -1132,7 +1132,7 @@ mod tests {
             duration_ms: 40_000.0, // still active at 20 s
         });
         n.install_chaos(&s).unwrap();
-        assert_eq!(n.chaos_applied(), 1, "the start transition is due");
+        assert_eq!(chaos_applied(&n), 1, "the start transition is due");
         let path = n.paths(MY_AS, AWS_IRELAND, 1).remove(0);
         assert!(!n.path_is_up(&path), "installed mid-outage");
     }
@@ -1173,10 +1173,10 @@ mod tests {
         assert_eq!(ups[0], ups[1]);
         assert!(ups[0].contains(&false), "the flap was observed");
         assert!(ups[0].contains(&true), "and so was a healthy phase");
-        assert_eq!(fa.chaos_applied(), fb.chaos_applied());
+        assert_eq!(chaos_applied(&fa), chaos_applied(&fb));
         // The parent's cursor is unaffected by its fork's progress
         // (still before the first transition at 2 s).
-        assert_eq!(a.chaos_applied(), 0);
+        assert_eq!(chaos_applied(&a), 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::str::FromStr;
 
 /// One transited AS on a path, with the ingress interface the packet
 /// arrives on and the egress interface it leaves through. Interface id 0
-/// ([`IfaceId::NONE`]) marks the missing side at the two endpoints.
+/// (`IfaceId::NONE`) marks the missing side at the two endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PathHop {
     pub ia: IsdAsn,
@@ -203,7 +203,7 @@ impl ScionPath {
     /// collisions over realistic path sets negligible; it runs on every
     /// cached compile and liveness probe, so it must cost nanoseconds,
     /// not a keyed-hash pass.
-    pub fn digest(&self) -> PathDigest {
+    pub(crate) fn digest(&self) -> PathDigest {
         #[inline]
         fn mix(h: u64, v: u64) -> u64 {
             let mut x = (h ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -232,11 +232,11 @@ impl ScionPath {
 }
 
 /// Digest of a path's identity (hops + MACs); see [`ScionPath::digest`].
-pub type PathDigest = (u64, u64);
+pub(crate) type PathDigest = (u64, u64);
 
 /// Deterministic 64-bit key of a hop tuple — the dedup key the path
 /// server uses instead of building sequence strings per candidate.
-pub fn route_key(hops: &[PathHop]) -> u64 {
+pub(crate) fn route_key(hops: &[PathHop]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     hops.hash(&mut h);
     h.finish()
@@ -260,7 +260,7 @@ fn hop_display_cmp(a: &PathHop, b: &PathHop) -> Ordering {
 /// is a strict prefix of the other's, or one path is a strict hop
 /// prefix of the other, the joined-string comparison also resolves in
 /// favour of the shorter side.
-pub fn sequence_cmp(a: &ScionPath, b: &ScionPath) -> Ordering {
+pub(crate) fn sequence_cmp(a: &ScionPath, b: &ScionPath) -> Ordering {
     for (ha, hb) in a.hops.iter().zip(&b.hops) {
         if ha == hb {
             continue;

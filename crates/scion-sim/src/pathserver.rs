@@ -134,7 +134,7 @@ pub struct PathServer {
 
 impl PathServer {
     /// Run beaconing over `topo` and index the resulting segments.
-    pub fn new(topo: &Topology, keys: KeyProvider, cfg: &BeaconConfig) -> PathServer {
+    pub(crate) fn new(topo: &Topology, keys: KeyProvider, cfg: &BeaconConfig) -> PathServer {
         PathServer {
             store: Arc::new(run_beaconing(topo, &keys, cfg)),
             keys,
@@ -181,13 +181,6 @@ impl PathServer {
             forced += 1;
         }
         (entry.paths.clone(), hit, forced)
-    }
-
-    /// The full ranked path list for `(src, dst)` plus whether its cache
-    /// entry pre-existed. Forces every level.
-    pub fn ranked(&self, topo: &Topology, src: IsdAsn, dst: IsdAsn) -> (Arc<Vec<ScionPath>>, bool) {
-        let (full, hit, _) = self.ranked_prefix(topo, src, dst, usize::MAX);
-        (full, hit)
     }
 
     /// All end-to-end paths from `src` to `dst`, ranked by hop count then
@@ -471,16 +464,6 @@ impl PathServer {
             }
             forced += 1;
         }
-    }
-
-    /// Re-attach metadata and MACs to a bare route (e.g. parsed from a
-    /// `--sequence` string). Returns `None` if the route is not one the
-    /// control plane would construct. Serves from the ranked cache and
-    /// stops at the first level that yields the route instead of
-    /// materializing the full enumeration.
-    pub fn authorize(&self, topo: &Topology, route: &ScionPath) -> Option<ScionPath> {
-        let (src, dst) = (route.src()?, route.dst()?);
-        self.find_route(topo, src, dst, route).0
     }
 
     /// Validate a path exactly as a chain of border routers would:

@@ -37,7 +37,7 @@ pub struct HopPattern {
 
 impl HopPattern {
     /// The match-anything pattern.
-    pub const ANY: HopPattern = HopPattern {
+    const ANY: HopPattern = HopPattern {
         isd: None,
         asn: None,
     };

@@ -50,7 +50,7 @@ pub struct Segment {
 }
 
 /// Compute the MAC for one hop entry chained on `prev`.
-pub fn hop_mac(
+pub(crate) fn hop_mac(
     key: &SymmetricKey,
     info: u64,
     ia: IsdAsn,
@@ -132,13 +132,8 @@ impl Segment {
     }
 
     /// First (originating) AS of the segment.
-    pub fn first_ia(&self) -> IsdAsn {
+    pub(crate) fn first_ia(&self) -> IsdAsn {
         self.hops[0].ia
-    }
-
-    /// Last AS of the segment.
-    pub fn last_ia(&self) -> IsdAsn {
-        self.hops[self.hops.len() - 1].ia
     }
 
     /// Number of ASes in the segment.
@@ -159,16 +154,6 @@ impl Segment {
             info: self.info,
             hops: Arc::from(hops),
         }
-    }
-
-    /// Whether the segment visits any AS twice.
-    pub fn has_loop(&self) -> bool {
-        for (i, h) in self.hops.iter().enumerate() {
-            if self.hops[i + 1..].iter().any(|o| o.ia == h.ia) {
-                return true;
-            }
-        }
-        false
     }
 
     /// Verify the segment: endpoint structure plus the full MAC chain.
@@ -202,6 +187,19 @@ mod tests {
     use super::*;
     use crate::addr::Asn;
 
+    impl Segment {
+        /// Whether the segment visits any AS twice: what the beaconing
+        /// tests hold every registered segment to.
+        pub(crate) fn has_loop(&self) -> bool {
+            for (i, h) in self.hops.iter().enumerate() {
+                if self.hops[i + 1..].iter().any(|o| o.ia == h.ia) {
+                    return true;
+                }
+            }
+            false
+        }
+    }
+
     fn ia(isd: u16, c: u16) -> IsdAsn {
         IsdAsn::new(isd, Asn::from_groups(0xffaa, 0, c))
     }
@@ -222,7 +220,7 @@ mod tests {
         let seg = three_hop_segment();
         assert_eq!(seg.len(), 3);
         assert_eq!(seg.first_ia(), ia(17, 1));
-        assert_eq!(seg.last_ia(), ia(17, 3));
+        assert_eq!(seg.hops[2].ia, ia(17, 3));
         assert_eq!(seg.hops[0].in_if, IfaceId::NONE);
         assert_eq!(seg.hops[0].out_if, IfaceId(1));
         assert_eq!(seg.hops[1].in_if, IfaceId(1));

@@ -70,7 +70,7 @@ pub struct AsNode {
 
 impl AsNode {
     /// Full SCION addresses of all servers housed in this AS.
-    pub fn server_addrs(&self) -> impl Iterator<Item = ScionAddr> + '_ {
+    fn server_addrs(&self) -> impl Iterator<Item = ScionAddr> + '_ {
         self.servers
             .iter()
             .map(move |s| ScionAddr::new(self.ia, s.host))
@@ -121,22 +121,22 @@ impl DirAttrs {
         }
     }
 
-    pub fn with_loss(mut self, p: f64) -> DirAttrs {
+    pub(crate) fn with_loss(mut self, p: f64) -> DirAttrs {
         self.base_loss = p;
         self
     }
 
-    pub fn with_jitter(mut self, ms: f64) -> DirAttrs {
+    pub(crate) fn with_jitter(mut self, ms: f64) -> DirAttrs {
         self.jitter_ms = ms;
         self
     }
 
-    pub fn with_background(mut self, util: f64) -> DirAttrs {
+    pub(crate) fn with_background(mut self, util: f64) -> DirAttrs {
         self.background_util = util;
         self
     }
 
-    pub fn with_pps_cap(mut self, pps: f64) -> DirAttrs {
+    pub(crate) fn with_pps_cap(mut self, pps: f64) -> DirAttrs {
         self.pps_cap = Some(pps);
         self
     }
@@ -175,7 +175,7 @@ impl Link {
     }
 
     /// Directional attributes when sending *from* `idx`.
-    pub fn attrs_from(&self, idx: AsIndex) -> Option<&DirAttrs> {
+    pub(crate) fn attrs_from(&self, idx: AsIndex) -> Option<&DirAttrs> {
         if idx == self.a {
             Some(&self.ab)
         } else if idx == self.b {
@@ -186,7 +186,7 @@ impl Link {
     }
 
     /// Interface id on the side of `idx`.
-    pub fn iface_of(&self, idx: AsIndex) -> Option<IfaceId> {
+    pub(crate) fn iface_of(&self, idx: AsIndex) -> Option<IfaceId> {
         if idx == self.a {
             Some(self.a_if)
         } else if idx == self.b {
@@ -287,7 +287,7 @@ impl Topology {
         &self.ases[idx.0 as usize]
     }
 
-    pub fn link(&self, idx: LinkIndex) -> &Link {
+    pub(crate) fn link(&self, idx: LinkIndex) -> &Link {
         &self.links[idx.0 as usize]
     }
 
@@ -303,7 +303,7 @@ impl Topology {
     }
 
     /// Resolve the link attached to interface `iface` of AS `idx`.
-    pub fn link_at_iface(&self, idx: AsIndex, iface: IfaceId) -> Option<(LinkIndex, &Link)> {
+    pub(crate) fn link_at_iface(&self, idx: AsIndex, iface: IfaceId) -> Option<(LinkIndex, &Link)> {
         let li = *self.iface_map.get(idx.0 as usize)?.get(&iface)?;
         Some((li, self.link(li)))
     }
@@ -317,7 +317,7 @@ impl Topology {
     }
 
     /// Core ASes of one ISD.
-    pub fn cores_of_isd(&self, isd: u16) -> Vec<AsIndex> {
+    pub(crate) fn cores_of_isd(&self, isd: u16) -> Vec<AsIndex> {
         self.ases()
             .filter(|(_, n)| n.ia.isd.0 == isd && n.kind.is_core())
             .map(|(i, _)| i)
@@ -361,7 +361,7 @@ impl Topology {
     /// Re-run the builder's global invariants on this topology (used
     /// after deserialization, where arbitrary JSON could encode an
     /// invalid graph).
-    pub fn validate(&self) -> Result<(), TopologyError> {
+    pub(crate) fn validate(&self) -> Result<(), TopologyError> {
         for isd in self.isds() {
             if self.cores_of_isd(isd).is_empty() {
                 return Err(TopologyError::IsdWithoutCore(isd));
@@ -418,7 +418,7 @@ impl Topology {
     }
 
     /// Rebuild the derived lookup structures (used after deserialization).
-    pub fn reindex(&mut self) {
+    fn reindex(&mut self) {
         self.by_ia = self
             .ases
             .iter()
@@ -477,7 +477,7 @@ impl TopologyBuilder {
     }
 
     /// Add a measurable server to an AS.
-    pub fn add_server(
+    pub(crate) fn add_server(
         &mut self,
         ia: IsdAsn,
         host: HostAddr,

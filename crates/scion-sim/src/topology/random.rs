@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A [`RandomTopologyConfig`] that cannot describe a valid network.
-/// Detected up front by [`RandomTopologyConfig::validate`], so a bad
+/// Detected up front by `RandomTopologyConfig::validate`, so a bad
 /// `topo generate` invocation fails with a message instead of a panic
 /// (or an infinite loop) halfway through generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +96,7 @@ impl Default for RandomTopologyConfig {
 
 impl RandomTopologyConfig {
     /// Check that the shape parameters describe a generatable network.
-    pub fn validate(&self) -> Result<(), TopologyConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), TopologyConfigError> {
         if self.isds < 1 {
             return Err(TopologyConfigError::NoIsds);
         }

@@ -22,7 +22,7 @@ use crate::geo::GeoLocation;
 use crate::topology::{AsKind, DirAttrs, LinkKind, Topology, TopologyBuilder};
 
 /// Convenience constructor for infrastructure ASNs (`ffaa:0:xxxx`).
-pub const fn infra(isd: u16, low: u16) -> IsdAsn {
+const fn infra(isd: u16, low: u16) -> IsdAsn {
     IsdAsn::new(isd, Asn::from_groups(0xffaa, 0, low))
 }
 
@@ -32,53 +32,53 @@ pub const MY_AS: IsdAsn = IsdAsn::new(17, Asn::from_groups(0xffaa, 1, 0xeaf));
 // ISD 16 — AWS.
 pub const AWS_FRANKFURT: IsdAsn = infra(16, 0x1001);
 pub const AWS_IRELAND: IsdAsn = infra(16, 0x1002);
-pub const AWS_N_VIRGINIA: IsdAsn = infra(16, 0x1003);
+const AWS_N_VIRGINIA: IsdAsn = infra(16, 0x1003);
 pub const AWS_SINGAPORE: IsdAsn = infra(16, 0x1004);
-pub const AWS_TOKYO: IsdAsn = infra(16, 0x1005);
-pub const AWS_OREGON: IsdAsn = infra(16, 0x1006);
+const AWS_TOKYO: IsdAsn = infra(16, 0x1005);
+const AWS_OREGON: IsdAsn = infra(16, 0x1006);
 pub const AWS_OHIO: IsdAsn = infra(16, 0x1007);
 
 // ISD 17 — Switzerland.
 pub const ETHZ_CORE: IsdAsn = infra(17, 0x1101);
 pub const SWISSCOM_CORE: IsdAsn = infra(17, 0x1102);
-pub const SCION_ASSOC: IsdAsn = infra(17, 0x1103);
+const SCION_ASSOC: IsdAsn = infra(17, 0x1103);
 pub const ETHZ_AP: IsdAsn = infra(17, 0x1107);
-pub const ETH_CAB: IsdAsn = infra(17, 0x1108);
+const ETH_CAB: IsdAsn = infra(17, 0x1108);
 
 // ISD 18 — North America.
-pub const CMU_CORE: IsdAsn = infra(18, 0x1201);
-pub const CMU_AP: IsdAsn = infra(18, 0x1202);
-pub const COLUMBIA: IsdAsn = infra(18, 0x1203);
-pub const TORONTO: IsdAsn = infra(18, 0x1204);
+const CMU_CORE: IsdAsn = infra(18, 0x1201);
+const CMU_AP: IsdAsn = infra(18, 0x1202);
+const COLUMBIA: IsdAsn = infra(18, 0x1203);
+const TORONTO: IsdAsn = infra(18, 0x1204);
 
 // ISD 19 — Europe.
-pub const OVGU_CORE: IsdAsn = infra(19, 0x1301);
-pub const GEANT_AP: IsdAsn = infra(19, 0x1302);
-pub const MAGDEBURG_AP: IsdAsn = infra(19, 0x1303);
-pub const TU_DELFT: IsdAsn = infra(19, 0x1304);
-pub const AALTO: IsdAsn = infra(19, 0x1305);
-pub const CENTRIA: IsdAsn = infra(19, 0x1306);
-pub const DARMSTADT: IsdAsn = infra(19, 0x1307);
+const OVGU_CORE: IsdAsn = infra(19, 0x1301);
+pub(crate) const GEANT_AP: IsdAsn = infra(19, 0x1302);
+const MAGDEBURG_AP: IsdAsn = infra(19, 0x1303);
+pub(crate) const TU_DELFT: IsdAsn = infra(19, 0x1304);
+const AALTO: IsdAsn = infra(19, 0x1305);
+const CENTRIA: IsdAsn = infra(19, 0x1306);
+const DARMSTADT: IsdAsn = infra(19, 0x1307);
 
 // ISD 20 — South Korea.
 pub const KISTI_CORE: IsdAsn = infra(20, 0x1401);
 pub const KISTI_AP: IsdAsn = infra(20, 0x1402);
-pub const KU: IsdAsn = infra(20, 0x1403);
+const KU: IsdAsn = infra(20, 0x1403);
 pub const ETRI: IsdAsn = infra(20, 0x1404);
 
 // ISD 21 — Japan.
-pub const KDDI_CORE: IsdAsn = infra(21, 0x1501);
-pub const TOKYO_AP: IsdAsn = infra(21, 0x1502);
-pub const OSAKA: IsdAsn = infra(21, 0x1503);
+const KDDI_CORE: IsdAsn = infra(21, 0x1501);
+const TOKYO_AP: IsdAsn = infra(21, 0x1502);
+const OSAKA: IsdAsn = infra(21, 0x1503);
 
 // ISD 22 — Taiwan.
-pub const NTU_CORE: IsdAsn = infra(22, 0x1601);
-pub const NCTU: IsdAsn = infra(22, 0x1602);
-pub const TWAREN_AP: IsdAsn = infra(22, 0x1603);
+const NTU_CORE: IsdAsn = infra(22, 0x1601);
+const NCTU: IsdAsn = infra(22, 0x1602);
+const TWAREN_AP: IsdAsn = infra(22, 0x1603);
 
 // ISD 25 — Australia.
-pub const SYDNEY_CORE: IsdAsn = infra(25, 0x1701);
-pub const MELBOURNE_AP: IsdAsn = infra(25, 0x1702);
+const SYDNEY_CORE: IsdAsn = infra(25, 0x1701);
+const MELBOURNE_AP: IsdAsn = infra(25, 0x1702);
 
 /// The paper's five analysis destinations (§6): Germany, Ireland,
 /// N. Virginia, Singapore and Korea — exact addresses where the paper

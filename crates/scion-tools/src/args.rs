@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// Whether an option consumes a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arity {
+enum Arity {
     Flag,
     Value,
 }
@@ -95,7 +95,7 @@ impl Spec {
     }
 
     /// Accept `alias` as another spelling of the option `name`.
-    pub fn alias(mut self, alias: &'static str, name: &'static str) -> Spec {
+    pub(crate) fn alias(mut self, alias: &'static str, name: &'static str) -> Spec {
         self.aliases.push((alias, name));
         self
     }

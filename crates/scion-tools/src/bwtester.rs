@@ -18,9 +18,9 @@ use scion_sim::net::ScionNetwork;
 use scion_sim::path::ScionPath;
 
 /// Maximum test duration accepted by bwtester (seconds).
-pub const MAX_DURATION_S: f64 = 10.0;
+const MAX_DURATION_S: f64 = 10.0;
 /// Minimum packet size accepted by bwtester (bytes).
-pub const MIN_PACKET_BYTES: u32 = 4;
+const MIN_PACKET_BYTES: u32 = 4;
 
 /// A fully resolved parameter tuple (after wildcard inference).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -14,7 +14,7 @@
 //! rendered stdout — so higher layers can be written against command
 //! strings, like the original suite.
 //!
-//! Only the quoting ([`tokenize`]) is this module's own. The tokens are
+//! Only the quoting (`tokenize`) is this module's own. The tokens are
 //! read by [`Spec::parse`] against the option table each tool declares
 //! next to its options — [`PingOptions::options`],
 //! [`PathSelection::options`], [`ShowpathsOptions::options`],
@@ -35,7 +35,7 @@ use scion_sim::net::ScionNetwork;
 
 /// Split a command line into tokens, honoring single and double quotes
 /// (the suite quotes hop-predicate sequences).
-pub fn tokenize(line: &str) -> Result<Vec<String>, ToolError> {
+fn tokenize(line: &str) -> Result<Vec<String>, ToolError> {
     let mut out = Vec::new();
     let mut cur = String::new();
     let mut quote: Option<char> = None;

@@ -8,7 +8,7 @@ use crate::args::{Parsed, Spec};
 use crate::error::ToolError;
 use scion_sim::addr::IsdAsn;
 use scion_sim::net::ScionNetwork;
-use scion_sim::path::{PathStatus, ScionPath};
+use scion_sim::path::ScionPath;
 
 /// Options of one `showpaths` invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,14 +62,6 @@ pub struct ShowpathsResult {
 }
 
 impl ShowpathsResult {
-    /// Number of alive paths.
-    pub fn alive(&self) -> usize {
-        self.paths
-            .iter()
-            .filter(|e| e.path.status == PathStatus::Alive)
-            .count()
-    }
-
     /// CLI-style text rendering.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -126,6 +118,7 @@ pub fn showpaths(
 mod tests {
     use super::*;
     use scion_sim::fault::ServerBehavior;
+    use scion_sim::path::PathStatus;
     use scion_sim::topology::scionlab::{paper_destinations, AWS_IRELAND, MY_AS};
 
     fn net() -> ScionNetwork {
@@ -150,7 +143,7 @@ mod tests {
         };
         let r = showpaths(&net(), MY_AS, AWS_IRELAND, opts).unwrap();
         assert!(r.paths.len() > 10, "got {}", r.paths.len());
-        assert_eq!(r.alive(), r.paths.len());
+        assert!(r.paths.iter().all(|e| e.path.status == PathStatus::Alive));
     }
 
     #[test]
@@ -195,6 +188,6 @@ mod tests {
         let n = net();
         n.set_server_behavior(paper_destinations()[1], ServerBehavior::Down);
         let r = showpaths(&n, MY_AS, AWS_IRELAND, ShowpathsOptions::default()).unwrap();
-        assert_eq!(r.alive(), r.paths.len());
+        assert!(r.paths.iter().all(|e| e.path.status == PathStatus::Alive));
     }
 }

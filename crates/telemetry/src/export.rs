@@ -25,7 +25,7 @@ pub struct MetricsDoc {
 
 impl MetricsDoc {
     /// Serialize with the fixed deterministic layout.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         section(&mut out, "counters", &self.counters, |out, v| {
             write_u64(out, *v)
@@ -59,7 +59,7 @@ impl MetricsDoc {
         out
     }
 
-    /// Parse an export produced by [`MetricsDoc::to_json`]: any JSON of
+    /// Parse an export produced by `MetricsDoc::to_json`: any JSON of
     /// that shape, unknown keys ignored. The file is untrusted, so it
     /// is read by the workspace's one JSON reader (`serde_json`:
     /// bounded nesting, strict numbers and escapes, exact `u64`

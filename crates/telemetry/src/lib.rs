@@ -52,9 +52,9 @@ mod span;
 mod telemetry;
 
 pub use export::{MetricsDoc, ParseError};
-pub use metrics::{Histogram, HistogramSummary};
+pub use metrics::HistogramSummary;
 pub use recorder::{noop, AttrValue, NoopRecorder, Recorder, SpanId};
-pub use span::{EventRecord, OwnedAttr, SpanRecord};
+pub use span::{OwnedAttr, SpanRecord};
 pub use telemetry::Telemetry;
 
 /// Render a labeled metric name: `with_label("hist", "server", "3")` →
@@ -70,11 +70,6 @@ pub fn with_label(base: &str, key: &str, value: &str) -> String {
     s.push('}');
     s
 }
-
-/// Prefix marking metrics derived from the host's wall clock (real I/O
-/// timings). Everything *not* under this prefix is reproducible for a
-/// given seed.
-pub const WALL_PREFIX: &str = "wall.";
 
 #[cfg(test)]
 mod tests {

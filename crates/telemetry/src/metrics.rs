@@ -15,7 +15,7 @@ const SCALE: f64 = 1024.0;
 
 /// A log-bucketed histogram with exact count/sum/min/max.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     count: u64,
     sum: f64,
     min: f64,
@@ -49,11 +49,11 @@ fn bucket_hi(k: u32) -> f64 {
 }
 
 impl Histogram {
-    pub fn new() -> Histogram {
+    pub(crate) fn new() -> Histogram {
         Histogram::default()
     }
 
-    pub fn observe(&mut self, value: f64) {
+    pub(crate) fn observe(&mut self, value: f64) {
         if !value.is_finite() {
             return;
         }
@@ -73,32 +73,8 @@ impl Histogram {
         *self.buckets.entry(bucket_of(value)).or_insert(0) += 1;
     }
 
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`) from the buckets.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -119,14 +95,14 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(lo, hi, count)` triples, ascending.
-    pub fn bucket_bounds(&self) -> Vec<(f64, f64, u64)> {
+    fn bucket_bounds(&self) -> Vec<(f64, f64, u64)> {
         self.buckets
             .iter()
             .map(|(&k, &c)| (bucket_lo(k), bucket_hi(k), c))
             .collect()
     }
 
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count,
             sum: self.sum,
@@ -140,7 +116,7 @@ impl Histogram {
     }
 }
 
-/// The exported view of a [`Histogram`]: exact count/sum/min/max,
+/// The exported view of a `Histogram`: exact count/sum/min/max,
 /// bucket-estimated p50/p95/p99, and the raw buckets.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSummary {
@@ -174,8 +150,8 @@ mod tests {
         assert_eq!(h.quantile(0.0), 42.0);
         assert_eq!(h.quantile(0.5), 42.0);
         assert_eq!(h.quantile(1.0), 42.0);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 42.0);
+        assert_eq!(h.count, 1);
+        assert_eq!(h.sum, 42.0);
     }
 
     #[test]
@@ -208,7 +184,7 @@ mod tests {
         assert!((250.0..=1000.0).contains(&p50), "p50={p50}");
         assert!((475.0..=1000.0).contains(&p95), "p95={p95}");
         assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
-        assert_eq!(h.count(), 1000);
+        assert_eq!(h.count, 1000);
     }
 
     #[test]
@@ -217,8 +193,8 @@ mod tests {
         h.observe(-5.0); // clamped into the zero bucket
         h.observe(f64::NAN); // dropped
         h.observe(f64::INFINITY); // dropped
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), -5.0);
+        assert_eq!(h.count, 1);
+        assert_eq!(h.min, -5.0);
         assert!(h.quantile(0.5) <= 0.0);
     }
 
@@ -226,7 +202,7 @@ mod tests {
     fn huge_values_saturate() {
         let mut h = Histogram::new();
         h.observe(1e300);
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.count, 1);
         assert_eq!(h.quantile(1.0), 1e300); // clamped to max
     }
 }

@@ -11,7 +11,7 @@ pub enum OwnedAttr {
 }
 
 impl OwnedAttr {
-    pub fn from_borrowed(v: &AttrValue<'_>) -> OwnedAttr {
+    fn from_borrowed(v: &AttrValue<'_>) -> OwnedAttr {
         match v {
             AttrValue::I64(i) => OwnedAttr::I64(*i),
             AttrValue::F64(f) => OwnedAttr::F64(*f),
@@ -54,7 +54,7 @@ impl SpanRecord {
 
 /// A point-in-time event, optionally attached to a span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
+pub(crate) struct EventRecord {
     pub span: SpanId,
     pub name: String,
     pub at_ms: f64,

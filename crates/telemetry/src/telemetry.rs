@@ -99,11 +99,6 @@ impl Telemetry {
         self.inner.lock().unwrap().spans.clone()
     }
 
-    /// All events recorded so far.
-    pub fn events(&self) -> Vec<EventRecord> {
-        self.inner.lock().unwrap().events.clone()
-    }
-
     /// Value of a counter (0 when never bumped).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner

@@ -3,7 +3,8 @@
 //! in DESIGN §5's "Regeneration target" column, `BENCHMARK.json`
 //! workloads, and — the convention is `` `workload` `metric` `` — the
 //! metric cited right after one. Nothing cites the retired bench system
-//! outside DESIGN's "One of each" record of its deletion.
+//! outside DESIGN's "One of each" record of its deletion. Every
+//! `src/{a,b,c}.rs` list of DESIGN §3's tree names files that exist.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -156,4 +157,71 @@ fn docs_cite_only_what_exists() {
         }
     }
     assert!(stale.is_empty(), "stale citations: {stale:#?}");
+}
+
+/// `a,b/{c,d}` → `a`, `b/c`, `b/d`.
+fn expand_braces(list: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let (mut depth, mut start) = (0, 0);
+    for (at, c) in list.char_indices().chain([(list.len(), ',')]) {
+        match c {
+            '{' => depth += 1,
+            '}' => depth -= 1,
+            ',' if depth == 0 => {
+                let item = &list[start..at];
+                match item.split_once('{') {
+                    Some((dir, inner)) => {
+                        let inner = inner.strip_suffix('}').expect("balanced braces");
+                        out.extend(expand_braces(inner).iter().map(|f| format!("{dir}{f}")));
+                    }
+                    None => out.push(item.to_string()),
+                }
+                start = at + 1;
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn design_tree_lists_files_that_exist() {
+    let design = read("DESIGN.md");
+    let section = design.split("## 3. Workspace inventory").nth(1).unwrap();
+    let tree = section.split("```").nth(1).expect("the tree is fenced");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    // The directories a line hangs under, by the column of their `── `.
+    let mut dirs: Vec<(usize, &str)> = Vec::new();
+    let (mut missing, mut lists) = (Vec::new(), 0);
+    for (n, line) in tree.lines().enumerate() {
+        let Some(column) = line.chars().position(|c| c == '─') else {
+            continue;
+        };
+        let entry = line.split("── ").nth(1).unwrap();
+        dirs.retain(|(c, _)| *c < column);
+        let parent: PathBuf = dirs.iter().map(|(_, d)| d).collect();
+        if let Some(list) = entry.strip_prefix("src/{") {
+            // The list may run over the following lines, up to `}.rs`.
+            let rest: String = tree.lines().skip(n + 1).collect();
+            let text = format!("{list}{rest}").replace(['│', ' '], "");
+            let list = &text[..text.find("}.rs").expect("list ends in `}.rs`")];
+            lists += 1;
+            for file in expand_braces(list) {
+                let path = parent.join("src").join(format!("{file}.rs"));
+                if !root.join(&path).is_file() {
+                    missing.push(path.display().to_string());
+                }
+            }
+        } else if let Some(dir) = entry.split(' ').next().and_then(|w| w.strip_suffix('/')) {
+            dirs.push((column, dir));
+        }
+    }
+    assert!(
+        lists >= 7,
+        "DESIGN §3 tree: found {lists} `src/{{…}}.rs` lists"
+    );
+    assert!(
+        missing.is_empty(),
+        "DESIGN §3 lists files that are not there: {missing:#?}"
+    );
 }
