@@ -9,29 +9,7 @@
 
 use scion_tools::args::Spec;
 use std::io::Write;
-
-/// A figure's text as a function of `--seed` and `--iterations`.
-type Render = fn(u64, u32) -> String;
-
-/// Every figure, by name.
-const FIGURES: [(&str, Render); 10] = [
-    ("fig4", |seed, _| upin_bench::fig4(seed).1),
-    ("fig5", |seed, n| upin_bench::fig5(seed, n).1),
-    ("fig6", |seed, n| upin_bench::fig6(seed, n).2),
-    ("fig7", |seed, n| upin_bench::fig7(seed, n).1),
-    ("fig8", |seed, n| upin_bench::fig8(seed, n).1),
-    ("fig9", |seed, n| upin_bench::fig9(seed, n.min(5)).1),
-    ("correlation", |seed, n| upin_bench::correlation(seed, n).1),
-    ("consistency", |seed, n| {
-        upin_bench::destination_consistency(seed, n.min(5)).1
-    }),
-    ("diversity", |seed, n| {
-        upin_bench::choice_diversity(seed, n.min(5)).1
-    }),
-    ("summary", |seed, _| {
-        upin_bench::summary_campaign(seed, 25).1
-    }),
-];
+use upin_bench::FIGURES;
 
 fn main() {
     let spec = Spec::new(0, usize::MAX)

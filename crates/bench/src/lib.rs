@@ -18,6 +18,28 @@ use upin_core::measure::run_tests;
 use upin_core::report;
 use upin_core::schema::AVAILABLE_SERVERS;
 
+/// A figure's text as a function of `--seed` and `--iterations`.
+pub type Render = fn(u64, u32) -> String;
+
+/// Every figure, by name: what `figures` prints and what
+/// `figures all --seed 42 --iterations 10 --out results` writes, one
+/// `results/<name>.txt` per entry (the root test `results_pin` holds
+/// the files to it).
+pub const FIGURES: [(&str, Render); 10] = [
+    ("fig4", |seed, _| fig4(seed).1),
+    ("fig5", |seed, n| fig5(seed, n).1),
+    ("fig6", |seed, n| fig6(seed, n).2),
+    ("fig7", |seed, n| fig7(seed, n).1),
+    ("fig8", |seed, n| fig8(seed, n).1),
+    ("fig9", |seed, n| fig9(seed, n.min(5)).1),
+    ("correlation", |seed, n| correlation(seed, n).1),
+    ("consistency", |seed, n| {
+        destination_consistency(seed, n.min(5)).1
+    }),
+    ("diversity", |seed, n| choice_diversity(seed, n.min(5)).1),
+    ("summary", |seed, _| summary_campaign(seed, 25).1),
+];
+
 /// Wall-clock (network time) one ping-only path measurement consumes:
 /// 30 probes × 100 ms + the tool's post-campaign slack.
 const PING_PATH_MS: f64 = 30.0 * 100.0 + 300.0;

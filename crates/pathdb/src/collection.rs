@@ -24,17 +24,76 @@ static NOOP: NoopRecorder = NoopRecorder;
 /// A secondary index over one field: posting lists in an ordered map
 /// over the order-preserving [`Value::index_key`] encoding, which
 /// serves point lookups, range scans and key-order reads alike.
-/// Seqs within one key are a `BTreeSet`, so ties stream in ascending
-/// insertion order — the same tie order a stable sort produces.
+/// Seqs within one key ascend, so ties stream in insertion order — the
+/// same tie order a stable sort produces.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FieldIndex {
-    pub(crate) ordered: BTreeMap<String, BTreeSet<u64>>,
+    pub(crate) ordered: BTreeMap<String, Postings>,
     /// Documents contributing at least one key (field present).
     pub(crate) indexed_docs: usize,
     /// Documents contributing more than one key (multikey arrays) —
     /// such documents appear under several keys, which rules the index
     /// out for serving sorts.
     pub(crate) multikey_docs: usize,
+}
+
+/// The seqs posted under one index key. A key held by one row — most
+/// keys of a field whose values are nearly unique, such as a measured
+/// latency — stores that seq inline instead of in a set of its own.
+/// The form is canonical: `One` exactly when one row holds the key, so
+/// an index equals its rebuild structurally.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Postings {
+    One(u64),
+    Many(BTreeSet<u64>),
+}
+
+impl Postings {
+    fn insert(&mut self, seq: u64) {
+        match self {
+            Postings::One(one) if *one == seq => {}
+            Postings::One(one) => *self = Postings::Many(BTreeSet::from([*one, seq])),
+            Postings::Many(set) => {
+                set.insert(seq);
+            }
+        }
+    }
+
+    /// Drop `seq`; `true` when no row is left under the key.
+    fn remove(&mut self, seq: u64) -> bool {
+        match self {
+            Postings::One(one) => *one == seq,
+            Postings::Many(set) => {
+                set.remove(&seq);
+                if set.len() > 1 {
+                    return false;
+                }
+                match set.pop_first() {
+                    Some(last) => {
+                        *self = Postings::One(last);
+                        false
+                    }
+                    None => true,
+                }
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Postings::One(_) => 1,
+            Postings::Many(set) => set.len(),
+        }
+    }
+
+    /// The seqs, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let (one, many) = match self {
+            Postings::One(seq) => (Some(*seq), None),
+            Postings::Many(set) => (None, Some(set.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 impl FieldIndex {
@@ -47,7 +106,10 @@ impl FieldIndex {
             self.multikey_docs += 1;
         }
         for key in keys {
-            self.ordered.entry(key).or_default().insert(seq);
+            self.ordered
+                .entry(key)
+                .and_modify(|postings| postings.insert(seq))
+                .or_insert(Postings::One(seq));
         }
     }
 
@@ -60,9 +122,8 @@ impl FieldIndex {
             self.multikey_docs -= 1;
         }
         for key in keys {
-            if let Some(set) = self.ordered.get_mut(key) {
-                set.remove(&seq);
-                if set.is_empty() {
+            if let Some(postings) = self.ordered.get_mut(key) {
+                if postings.remove(seq) {
                     self.ordered.remove(key);
                 }
             }
@@ -70,11 +131,11 @@ impl FieldIndex {
     }
 
     pub(crate) fn point_count(&self, key: &str) -> usize {
-        self.ordered.get(key).map_or(0, BTreeSet::len)
+        self.ordered.get(key).map_or(0, Postings::len)
     }
 
     pub(crate) fn point_seqs(&self, key: &str) -> impl Iterator<Item = u64> + '_ {
-        self.ordered.get(key).into_iter().flatten().copied()
+        self.ordered.get(key).into_iter().flat_map(Postings::iter)
     }
 
     pub(crate) fn range_count(&self, lo: &Bound<String>, hi: &Bound<String>) -> usize {
@@ -91,7 +152,7 @@ impl FieldIndex {
     ) -> impl Iterator<Item = u64> + 'a {
         self.ordered
             .range((lo.clone(), hi.clone()))
-            .flat_map(|(_, seqs)| seqs.iter().copied())
+            .flat_map(|(_, seqs)| seqs.iter())
     }
 }
 
@@ -1323,6 +1384,28 @@ mod tests {
     }
 
     #[test]
+    fn a_key_held_by_one_row_is_stored_inline() {
+        let mut c = stats_collection();
+        c.create_index("avg_latency_ms");
+        c.create_index("server_id");
+        let postings = |c: &Collection, field: &str, v: Value| {
+            c.indexes[field].ordered[&v.index_key()].clone()
+        };
+        assert_eq!(
+            postings(&c, "avg_latency_ms", 25.0.into()),
+            Postings::One(1)
+        );
+        assert_eq!(
+            postings(&c, "server_id", 1i64.into()),
+            Postings::Many(BTreeSet::from([0, 1]))
+        );
+        // Down to one row, a `Many` key is `One` again — what a rebuild holds.
+        c.delete_many(&Filter::eq("_id", "1_0_100"));
+        assert_eq!(postings(&c, "server_id", 1i64.into()), Postings::One(1));
+        assert_consistent(&c);
+    }
+
+    #[test]
     fn snapshot_answers_queries_identically_to_the_live_collection() {
         let mut c = stats_collection();
         c.create_index("server_id");
@@ -1601,7 +1684,7 @@ mod tests {
         d
     }
 
-    type IndexImage<'a> = BTreeMap<&'a str, (&'a BTreeMap<String, BTreeSet<u64>>, usize, usize)>;
+    type IndexImage<'a> = BTreeMap<&'a str, (&'a BTreeMap<String, Postings>, usize, usize)>;
 
     fn index_image(c: &Collection) -> IndexImage<'_> {
         c.indexes
@@ -1927,7 +2010,7 @@ mod tests {
                     c.take_dirty();
                     let log = wal_path(Path::new("/db"), self.wal.generation());
                     let bytes = self.storage.read(&log).unwrap_or_default();
-                    let replay = read_wal(&bytes, |group| {
+                    let replay = read_wal(&bytes[..], bytes.len() as u64, |group| {
                         for op in group {
                             match op {
                                 WalOp::Insert { doc, .. } => c.apply_upsert(doc),
@@ -1938,7 +2021,8 @@ mod tests {
                                 WalOp::Drop { .. } => unreachable!("nothing drops"),
                             }
                         }
-                    });
+                    })
+                    .unwrap();
                     assert_eq!(replay.torn_bytes, 0);
                     // The slices the dirty sets named plus the log are
                     // the whole collection, seq for seq; what the replay

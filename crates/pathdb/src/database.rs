@@ -23,7 +23,8 @@
 //!
 //! [`Database::open_durable_with`] is the recovery path: it loads the latest
 //! committed checkpoint (lenient about torn tails in directories that
-//! predate slices), replays the intact WAL prefix in generation order,
+//! predate slices), replays the intact WAL prefix in generation order
+//! (streamed frame by frame, never read whole),
 //! truncates torn WAL tails, and reports
 //! what it did in a [`RecoveryReport`] instead of failing.
 
@@ -454,13 +455,12 @@ impl Database {
                 continue;
             }
             max_gen = max_gen.max(gen);
-            let bytes = storage.read(&path)?;
-            let replay = read_wal(&bytes, |group| {
+            let replay = read_wal(storage.reader(&path)?, storage.len(&path), |group| {
                 for op in group {
                     report.wal_effects += op.effect_count();
                     db.apply_wal_op(op);
                 }
-            });
+            })?;
             report.wal_groups += replay.groups;
             report.torn_wal_bytes += replay.torn_bytes;
             report.dropped_uncommitted_ops += replay.dropped_uncommitted_ops;
@@ -793,6 +793,8 @@ mod tests {
     use crate::value::Value;
     use crate::wal::wal_path;
     use std::fs;
+    use std::io::{self, Read};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
     #[test]
     fn collections_are_created_on_demand() {
@@ -1062,6 +1064,159 @@ mod tests {
         assert!(h.read().find_by_id("a").is_none());
         assert!(h.read().find_by_id("b").is_some());
         assert!(h.read().find_by_id("c").is_some());
+    }
+
+    /// A [`Storage`] that counts, for `wal.*.log` paths, the whole-file
+    /// `read` calls and the bytes its readers hand out.
+    struct Recording<S> {
+        inner: S,
+        wal_reads: AtomicUsize,
+        wal_bytes: AtomicU64,
+    }
+
+    impl<S: Storage> Recording<S> {
+        fn new(inner: S) -> Arc<Recording<S>> {
+            Arc::new(Recording {
+                inner,
+                wal_reads: Default::default(),
+                wal_bytes: Default::default(),
+            })
+        }
+
+        fn wal_reads(&self) -> usize {
+            self.wal_reads.load(Relaxed)
+        }
+
+        fn wal_bytes(&self) -> u64 {
+            self.wal_bytes.load(Relaxed)
+        }
+    }
+
+    struct Counted<'a> {
+        inner: Box<dyn Read + 'a>,
+        bytes: &'a AtomicU64,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.bytes.fetch_add(n as u64, Relaxed);
+            Ok(n)
+        }
+    }
+
+    impl<S: Storage> Storage for Recording<S> {
+        fn reader(&self, path: &Path) -> io::Result<Box<dyn Read + '_>> {
+            let inner = self.inner.reader(path)?;
+            if parse_wal_path(path).is_none() {
+                return Ok(inner);
+            }
+            let bytes = &self.wal_bytes;
+            Ok(Box::new(Counted { inner, bytes }))
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            if parse_wal_path(path).is_some() {
+                self.wal_reads.fetch_add(1, Relaxed);
+            }
+            self.inner.read(path)
+        }
+        fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+            self.inner.append(path, data)
+        }
+        fn atomic_write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+            self.inner.atomic_write(path, data)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+            self.inner.truncate(path, len)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn len(&self, path: &Path) -> u64 {
+            self.inner.len(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            self.inner.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+    }
+
+    #[test]
+    fn recovery_streams_the_log_instead_of_reading_it_whole() {
+        let dir = PathBuf::from("/db");
+        let storage = FaultyStorage::new();
+        {
+            let opts = OpenOptions::new(Durability::Wal).with_storage(Arc::new(storage.clone()));
+            let (db, _) = Database::open_durable_with(&dir, opts).unwrap();
+            let h = db.collection("stats");
+            for i in 0..200 {
+                h.write().insert_one(doc! { "_id" => i, "v" => i }).unwrap();
+            }
+        }
+        let log_len = storage.len(&wal_path(&dir, 0));
+        let recording = Recording::new(storage);
+        let opts = OpenOptions::new(Durability::Wal).with_storage(recording.clone());
+        let (db, report) = Database::open_durable_with(&dir, opts).unwrap();
+        assert_eq!(report.wal_groups, 200);
+        assert_eq!(db.collection("stats").read().len(), 200);
+        assert_eq!(recording.wal_reads(), 0, "no whole-log copy");
+        assert_eq!(
+            recording.wal_bytes(),
+            log_len,
+            "each log byte handed out once"
+        );
+    }
+
+    #[test]
+    fn disk_log_cut_mid_frame_reopens_to_the_committed_prefix() {
+        let dir = std::env::temp_dir().join(format!("pathdb-torn-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let log = wal_path(&dir, 0);
+        let open = || {
+            let storage = Recording::new(DiskStorage);
+            let opts = OpenOptions::new(Durability::Wal).with_storage(storage.clone());
+            let (db, report) = Database::open_durable_with(&dir, opts).unwrap();
+            (db, report, storage)
+        };
+        let valid_len = {
+            let (db, _, _) = open();
+            let h = db.collection("stats");
+            h.write()
+                .insert_many(vec![doc! { "_id" => "a" }, doc! { "_id" => "b" }])
+                .unwrap();
+            h.write().insert_one(doc! { "_id" => "c" }).unwrap();
+            let valid_len = DiskStorage.len(&log);
+            h.write()
+                .insert_one(doc! { "_id" => "torn", "pad" => "x".repeat(64) })
+                .unwrap();
+            valid_len
+        };
+        // Cut the last group inside its first frame's payload.
+        DiskStorage.truncate(&log, valid_len + 20).unwrap();
+        let (db, report, storage) = open();
+        assert_eq!(report.wal_groups, 2);
+        assert_eq!(report.torn_wal_bytes, 20);
+        let ids: Vec<_> = db
+            .collection("stats")
+            .read()
+            .iter()
+            .map(|d| d.id().unwrap().to_string())
+            .collect();
+        assert_eq!(ids, ["a", "b", "c"]);
+        assert_eq!(DiskStorage.len(&log), valid_len, "truncated to valid_len");
+        // Streamed: the committed prefix, then the torn frame's header,
+        // whose length prefix overruns the file.
+        assert_eq!(
+            (storage.wal_reads(), storage.wal_bytes()),
+            (0, valid_len + 8)
+        );
+        drop(db);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

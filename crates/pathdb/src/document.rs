@@ -1,16 +1,56 @@
 //! Ordered documents: the unit of storage, a MongoDB-style record.
 
 use crate::value::Value;
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// An insertion-ordered string-keyed record.
 ///
 /// Field order is preserved (like BSON); lookup is linear, which is the
 /// right trade-off for the paper's documents (≤ ~15 fields). Dotted
 /// paths (`"stats.latency_ms"`) address nested documents.
+///
+/// Field names are shared, not copied: every row of a collection spells
+/// the same fifteen-odd names, so a name is an `Arc<str>` from a
+/// per-thread table, a row holds refcounts, and cloning a row bumps
+/// them. The table is bounded — names of at most 64 bytes, at most
+/// 1 024 of them per thread; any other name is a copy of its own per
+/// row — so a file of hostile, ever-new names cannot grow it. Sharing is
+/// invisible: equality, order and every byte written use the names'
+/// content.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Document {
-    fields: Vec<(String, Value)>,
+    fields: Vec<(Arc<str>, Value)>,
+}
+
+/// Longest name the per-thread table shares.
+const SHARED_NAME_MAX: usize = 64;
+/// Names the per-thread table holds at most.
+const SHARED_NAMES: usize = 1024;
+
+thread_local! {
+    static NAMES: RefCell<HashSet<Arc<str>>> = RefCell::new(HashSet::new());
+}
+
+/// `key` as a field name: the table's shared copy when it has (or has
+/// room for) one, else a copy of its own.
+fn field_name(key: &str) -> Arc<str> {
+    if key.len() > SHARED_NAME_MAX {
+        return Arc::from(key);
+    }
+    NAMES.with(|names| {
+        let mut names = names.borrow_mut();
+        if let Some(name) = names.get(key) {
+            return Arc::clone(name);
+        }
+        let name: Arc<str> = Arc::from(key);
+        if names.len() < SHARED_NAMES {
+            names.insert(Arc::clone(&name));
+        }
+        name
+    })
 }
 
 impl Document {
@@ -28,23 +68,26 @@ impl Document {
 
     /// Direct (non-dotted) field lookup.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.fields
+            .iter()
+            .find(|(k, _)| **k == *key)
+            .map(|(_, v)| v)
     }
 
     /// Set a direct field, overwriting in place to preserve order.
-    pub fn set<K: Into<String>, V: Into<Value>>(&mut self, key: K, value: V) -> &mut Self {
-        let key = key.into();
+    pub fn set<K: AsRef<str>, V: Into<Value>>(&mut self, key: K, value: V) -> &mut Self {
+        let key = key.as_ref();
         let value = value.into();
-        match self.fields.iter_mut().find(|(k, _)| *k == key) {
+        match self.fields.iter_mut().find(|(k, _)| **k == *key) {
             Some((_, v)) => *v = value,
-            None => self.fields.push((key, value)),
+            None => self.fields.push((field_name(key), value)),
         }
         self
     }
 
     /// Remove a direct field, returning its value.
     pub(crate) fn remove(&mut self, key: &str) -> Option<Value> {
-        let i = self.fields.iter().position(|(k, _)| k == key)?;
+        let i = self.fields.iter().position(|(k, _)| **k == *key)?;
         Some(self.fields.remove(i).1)
     }
 
@@ -53,7 +96,7 @@ impl Document {
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.fields.iter().map(|(k, v)| (k.as_str(), v))
+        self.fields.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Dotted-path lookup: `"a.b.c"` descends nested documents.
@@ -84,7 +127,7 @@ impl Document {
         };
         match rest {
             None => self.remove(head),
-            Some(rest) => match self.fields.iter_mut().find(|(k, _)| k == head) {
+            Some(rest) => match self.fields.iter_mut().find(|(k, _)| **k == *head) {
                 Some((_, Value::Doc(d))) => d.remove_path(rest),
                 _ => None,
             },
@@ -111,7 +154,7 @@ fn set_path_inner(doc: &mut Document, parts: &[&str], value: Value) {
             if let Some(Value::Doc(d)) = doc
                 .fields
                 .iter_mut()
-                .find(|(k, _)| k == head)
+                .find(|(k, _)| **k == **head)
                 .map(|(_, v)| v)
             {
                 set_path_inner(d, rest, value);
@@ -132,7 +175,7 @@ impl<'a> IntoIterator for &'a Document {
     type Item = (&'a str, &'a Value);
     type IntoIter = Box<dyn Iterator<Item = (&'a str, &'a Value)> + 'a>;
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.fields.iter().map(|(k, v)| (k.as_str(), v)))
+        Box::new(self.fields.iter().map(|(k, v)| (&**k, v)))
     }
 }
 
@@ -197,6 +240,57 @@ mod tests {
         assert_eq!(Document::new().id(), None);
         let n = doc! { "_id" => 7i64 };
         assert_eq!(n.id(), None, "non-string ids are not exposed as &str");
+    }
+
+    /// The `Arc` a row holds for `key`.
+    fn name<'a>(d: &'a Document, key: &str) -> &'a Arc<str> {
+        &d.fields.iter().find(|(k, _)| &**k == key).unwrap().0
+    }
+
+    #[test]
+    fn rows_share_field_names_however_they_were_built() {
+        use crate::snapshot::{decode_jsonl, encode_jsonl_seq, LoadOptions};
+        use crate::wal::{encode_group, read_wal, WalOp};
+        let built = doc! { "_id" => "a", "avg_latency_ms" => 20.5f64 };
+        let mut set = Document::new();
+        set.set(String::from("avg_latency_ms"), 21.0f64);
+        let json = Value::from_json(&Value::Doc(built.clone()).to_json());
+        let Value::Doc(json) = json else {
+            panic!("a document")
+        };
+        let log = encode_group(&[WalOp::Insert {
+            coll: "paths_stats".into(),
+            doc: built.clone(),
+        }]);
+        let mut logged = Vec::new();
+        read_wal(&log[..], log.len() as u64, |group| logged.extend(group)).unwrap();
+        let [WalOp::Insert { doc: logged, .. }] = &logged[..] else {
+            panic!("one insert")
+        };
+        let slice = encode_jsonl_seq([(7, &built)].into_iter());
+        let (sliced, _) = decode_jsonl(&slice, "slice", &LoadOptions::default()).unwrap();
+        let first = name(&built, "avg_latency_ms");
+        for other in [&set, &json, logged, &sliced[0], &built.clone()] {
+            assert!(Arc::ptr_eq(first, name(other, "avg_latency_ms")));
+        }
+    }
+
+    #[test]
+    fn the_name_table_stops_at_its_cap() {
+        let names: Vec<String> = (0..2000).map(|i| format!("field_{i}")).collect();
+        let rows: Vec<Document> = names.iter().map(|n| doc! { n => 1i64 }).collect();
+        assert_eq!(NAMES.with(|t| t.borrow().len()), SHARED_NAMES);
+        // Past the cap, and past the length bound, each row has its own copy.
+        let last = names.last().unwrap();
+        let again = doc! { last => 2i64 };
+        assert!(!Arc::ptr_eq(name(&rows[1999], last), name(&again, last)));
+        let long = "n".repeat(SHARED_NAME_MAX + 1);
+        let (a, b) = (doc! { &long => 1i64 }, doc! { &long => 1i64 });
+        assert!(!Arc::ptr_eq(name(&a, &long), name(&b, &long)));
+        for row in rows.into_iter().chain([a]) {
+            let row = Value::Doc(row);
+            assert_eq!(Value::from_json(&row.to_json()), row);
+        }
     }
 
     #[test]

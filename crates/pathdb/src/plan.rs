@@ -16,7 +16,7 @@
 //! decision for tests and observability, and every planning decision
 //! bumps a `pathdb.plan.*` telemetry counter.
 
-use crate::collection::Collection;
+use crate::collection::{Collection, Postings};
 use crate::document::Document;
 use crate::query::{Filter, FindOptions, Order};
 use crate::value::Value;
@@ -699,13 +699,13 @@ fn index_sorted_scan(
     let limit = opts.limit.unwrap_or(usize::MAX);
     let mut out = Vec::new();
     let mut skipped = 0usize;
-    let entries: Box<dyn Iterator<Item = &BTreeSet<u64>>> = match order {
+    let entries: Box<dyn Iterator<Item = &Postings>> = match order {
         Order::Asc => Box::new(idx.ordered.values()),
         Order::Desc => Box::new(idx.ordered.values().rev()),
     };
     'scan: for seqs in entries {
-        for seq in seqs {
-            let Some(doc) = coll.docs.get(seq) else {
+        for seq in seqs.iter() {
+            let Some(doc) = coll.docs.get(&seq) else {
                 continue;
             };
             if !filter.matches(doc) {

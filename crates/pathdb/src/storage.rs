@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,8 +32,16 @@ const SECTOR: u64 = 512;
 /// Abstract durable storage. Paths are interpreted by the backend;
 /// [`DiskStorage`] maps them to the real filesystem.
 pub trait Storage: Send + Sync {
+    /// Open a file for reading from its start. The one read entry point
+    /// each backend implements: recovery streams the log through it, so
+    /// a log is never held whole in memory.
+    fn reader(&self, path: &Path) -> io::Result<Box<dyn Read + '_>>;
     /// Read a whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        let mut bytes = Vec::new();
+        self.reader(path)?.read_to_end(&mut bytes)?;
+        Ok(bytes)
+    }
     /// Append bytes to a file (creating it) and flush them durably.
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()>;
     /// Replace a file's contents atomically: write `<path>.tmp`, flush
@@ -79,8 +87,8 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
 }
 
 impl Storage for DiskStorage {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        fs::read(path)
+    fn reader(&self, path: &Path) -> io::Result<Box<dyn Read + '_>> {
+        Ok(Box::new(BufReader::new(fs::File::open(path)?)))
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
@@ -249,19 +257,46 @@ impl FaultyInner {
         self.units += cost;
         Ok(cost)
     }
+
+    /// The bytes of `path`, read as the crash model allows.
+    fn file(&self, path: &Path) -> io::Result<&Vec<u8>> {
+        if self.dead {
+            return Err(eio("storage crashed"));
+        }
+        self.files
+            .get(path)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, path.display().to_string()))
+    }
+}
+
+/// A read cursor into one [`FaultyStorage`] file. Each `read` copies
+/// from the file under the storage's lock and, like every other call,
+/// fails once the storage is dead.
+struct FaultyReader<'a> {
+    storage: &'a FaultyStorage,
+    path: PathBuf,
+    pos: usize,
+}
+
+impl Read for FaultyReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let inner = self.storage.inner.lock();
+        let rest = inner.file(&self.path)?.get(self.pos..).unwrap_or_default();
+        let n = rest.len().min(buf.len());
+        buf[..n].copy_from_slice(&rest[..n]);
+        self.pos += n;
+        Ok(n)
+    }
 }
 
 impl Storage for FaultyStorage {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let inner = self.inner.lock();
-        if inner.dead {
-            return Err(eio("storage crashed"));
-        }
-        inner
-            .files
-            .get(path)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, path.display().to_string()))
+    fn reader(&self, path: &Path) -> io::Result<Box<dyn Read + '_>> {
+        self.inner.lock().file(path)?;
+        Ok(Box::new(FaultyReader {
+            storage: self,
+            path: path.to_path_buf(),
+            pos: 0,
+        }))
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
@@ -396,6 +431,22 @@ mod tests {
         assert_eq!(survivor.read(&p("/db/a.log")).unwrap(), b"abcd");
         assert!(s.append(&p("/db/a.log"), b"x").is_err());
         assert!(s.read(&p("/db/a.log")).is_err());
+    }
+
+    #[test]
+    fn an_open_reader_fails_once_the_storage_dies() {
+        let s = FaultyStorage::new();
+        s.append(&p("/db/a.log"), b"abcd").unwrap();
+        let mut r = s.reader(&p("/db/a.log")).unwrap();
+        let mut two = [0u8; 2];
+        r.read_exact(&mut two).unwrap();
+        assert_eq!(&two, b"ab");
+        s.kill_at(s.units_written());
+        assert!(s.append(&p("/db/a.log"), b"x").is_err());
+        assert!(
+            r.read(&mut two).is_err(),
+            "a crash ends reads in flight too"
+        );
     }
 
     #[test]

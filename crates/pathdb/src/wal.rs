@@ -24,12 +24,19 @@
 //! The reader stops at the first frame that is short, corrupt, or
 //! unparsable; everything before the last *committed* group is the
 //! intact prefix and the tail is truncated, not reported as an error.
+//!
+//! Recovery streams the log ([`crate::Storage::reader`]) instead of
+//! reading it whole: at any moment it holds one frame's payload, in one
+//! buffer reused for every frame, and the ops of the one group whose
+//! commit marker it has not reached yet — never the log's bytes, never
+//! its parsed ops.
 
 use crate::document::Document;
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
 use crate::value::{write_json_doc, Value};
 use parking_lot::Mutex;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -339,30 +346,50 @@ pub(crate) struct WalReplay {
     pub dropped_uncommitted_ops: usize,
 }
 
-/// Scan a WAL byte stream, stopping at the first torn or corrupt frame.
-/// Each group is handed to `apply` when its commit marker is reached —
-/// never before, so an uncommitted or torn tail is not seen — and is
-/// not kept: recovery holds one group at a time, not the whole log.
-pub(crate) fn read_wal(bytes: &[u8], mut apply: impl FnMut(Vec<WalOp>)) -> WalReplay {
+/// Scan the log `r` holds — `total_len` bytes — frame by frame,
+/// stopping at the first torn or corrupt frame. Each group is handed to
+/// `apply` when its commit marker is reached — never before, so an
+/// uncommitted or torn tail is not seen — and is not kept.
+///
+/// What the scan holds is one frame and one group: a payload is read
+/// into one buffer reused for every frame, and only after its length
+/// prefix has been checked against what remains of `total_len`, so a
+/// torn prefix claiming up to `MAX_FRAME` bytes allocates nothing.
+/// `Err` only when `r` itself fails (or ends before `total_len`); a
+/// damaged log is a [`WalReplay`] with torn bytes, not an error.
+pub(crate) fn read_wal(
+    mut r: impl Read,
+    total_len: u64,
+    mut apply: impl FnMut(Vec<WalOp>),
+) -> io::Result<WalReplay> {
     let mut replay = WalReplay::default();
     let mut pending: Vec<WalOp> = Vec::new();
-    let mut off = 0usize;
-    while let Some(header) = bytes.get(off..off + 8) {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_FRAME || (len as usize) > bytes.len() - off - 8 {
+    let mut payload = Vec::new();
+    let mut off = 0u64;
+    while total_len - off >= 8 {
+        let mut header = [0u8; 8];
+        r.read_exact(&mut header)?;
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
+        if len > MAX_FRAME || u64::from(len) > total_len - off - 8 {
             break;
         }
-        let payload = &bytes[off + 8..off + 8 + len as usize];
-        if crc32(payload) != crc {
+        payload.clear();
+        (&mut r).take(len.into()).read_to_end(&mut payload)?;
+        if payload.len() != len as usize {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        if crc32(&payload) != crc {
             break;
         }
-        let Ok(text) = std::str::from_utf8(payload) else {
+        let Ok(text) = std::str::from_utf8(&payload) else {
             break;
         };
         let Ok(json) = serde_json::from_str::<serde_json::Value>(text) else {
             break;
         };
+        off += 8 + u64::from(len);
         if json.get("t").and_then(|t| t.as_str()) == Some("C") {
             // Commit marker: the group is durable iff the count matches.
             if json.get("n").and_then(|n| n.as_i64()) != Some(pending.len() as i64) {
@@ -370,18 +397,17 @@ pub(crate) fn read_wal(bytes: &[u8], mut apply: impl FnMut(Vec<WalOp>)) -> WalRe
             }
             apply(std::mem::take(&mut pending));
             replay.groups += 1;
-            replay.valid_len = (off + 8 + len as usize) as u64;
+            replay.valid_len = off;
         } else {
             let Some(op) = WalOp::from_json(&json) else {
                 break;
             };
             pending.push(op);
         }
-        off += 8 + len as usize;
     }
     replay.dropped_uncommitted_ops = pending.len();
-    replay.torn_bytes = bytes.len() as u64 - replay.valid_len;
-    replay
+    replay.torn_bytes = total_len - replay.valid_len;
+    Ok(replay)
 }
 
 // ---- the log handle -------------------------------------------------------
@@ -547,6 +573,11 @@ mod tests {
         assert_eq!(crc32(&data), !c);
     }
 
+    /// [`read_wal`] over a whole log in memory.
+    fn replay(bytes: &[u8], apply: impl FnMut(Vec<WalOp>)) -> WalReplay {
+        read_wal(bytes, bytes.len() as u64, apply).unwrap()
+    }
+
     fn sample_ops() -> Vec<WalOp> {
         vec![
             WalOp::Insert {
@@ -600,7 +631,7 @@ mod tests {
         let mut bytes = encode_group(&ops[..2]);
         bytes.extend(encode_group(&ops[2..]));
         let mut groups = Vec::new();
-        let replay = read_wal(&bytes, |group| groups.push(group));
+        let replay = replay(&bytes, |group| groups.push(group));
         assert_eq!(replay.groups, 2);
         assert_eq!(groups, [&ops[..2], &ops[2..]]);
         assert_eq!(replay.valid_len, bytes.len() as u64);
@@ -617,7 +648,7 @@ mod tests {
         // Cut anywhere inside the second group: only the first survives.
         for cut in good.len()..bytes.len() {
             let mut groups = Vec::new();
-            let replay = read_wal(&bytes[..cut], |group| groups.push(group));
+            let replay = replay(&bytes[..cut], |group| groups.push(group));
             assert_eq!(replay.groups, 1, "cut at {cut}");
             assert_eq!(
                 groups,
@@ -638,7 +669,7 @@ mod tests {
         // Flip a payload byte in the second group.
         let idx = good.len() + 10;
         bytes[idx] ^= 0x40;
-        let replay = read_wal(&bytes, |_| {});
+        let replay = replay(&bytes, |_| {});
         assert_eq!(replay.groups, 1);
         assert_eq!(replay.valid_len, good.len() as u64);
     }
@@ -651,11 +682,33 @@ mod tests {
         push_frame(&mut bytes, ops[2].to_json().to_string().as_bytes());
         push_frame(&mut bytes, ops[3].to_json().to_string().as_bytes());
         let mut groups = Vec::new();
-        let replay = read_wal(&bytes, |group| groups.push(group));
+        let replay = replay(&bytes, |group| groups.push(group));
         assert_eq!(replay.groups, 1);
         assert_eq!(groups, [&ops[..2]], "uncommitted ops are never handed over");
         assert_eq!(replay.dropped_uncommitted_ops, 2);
         assert!(replay.torn_bytes > 0);
+    }
+
+    #[test]
+    fn a_torn_length_prefix_is_checked_before_its_payload_is_read() {
+        /// Hands out `bytes` and counts how many it handed out.
+        struct Probe<'a>(&'a [u8], usize);
+        impl Read for Probe<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = self.0.read(buf)?;
+                self.1 += n;
+                Ok(n)
+            }
+        }
+        let mut log = (60u32 << 20).to_le_bytes().to_vec();
+        log.extend([0xAB; 12]);
+        let mut probe = Probe(&log, 0);
+        let replay = read_wal(&mut probe, log.len() as u64, |_| panic!("nothing commits")).unwrap();
+        assert_eq!(
+            (replay.groups, replay.valid_len, replay.torn_bytes),
+            (0, 0, 16)
+        );
+        assert_eq!(probe.1, 8, "the header, and not one payload byte");
     }
 
     #[test]
@@ -667,7 +720,7 @@ mod tests {
         wal.commit(&ops).unwrap();
         wal.health().unwrap();
         let bytes = storage.read(&wal_path(Path::new("/db"), 0)).unwrap();
-        assert_eq!(read_wal(&bytes, |_| {}).groups, 1);
+        assert_eq!(replay(&bytes, |_| {}).groups, 1);
     }
 
     #[test]

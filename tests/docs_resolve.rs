@@ -5,6 +5,8 @@
 //! metric cited right after one. Nothing cites the retired bench system
 //! outside DESIGN's "One of each" record of its deletion. Every
 //! `src/{a,b,c}.rs` list of DESIGN §3's tree names files that exist.
+//! Every number a measured cell of EXPERIMENTS §Fig. 4–9 states is in
+//! that figure's pinned `results/` file.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -157,6 +159,71 @@ fn docs_cite_only_what_exists() {
         }
     }
     assert!(stale.is_empty(), "stale citations: {stale:#?}");
+}
+
+/// The words of `text` as a reader would split them, keeping names
+/// whole: `16-ffaa:0:1004`, `1_4` and `7-hop` are one word each, and a
+/// number is a word of digits and dots only (`27.52`, `71.4`, `100`).
+fn numbers(text: &str) -> impl Iterator<Item = &str> {
+    let in_word = |c: char| c.is_ascii_alphanumeric() || "_:.-".contains(c);
+    text.split(move |c| !in_word(c))
+        .map(|w| w.trim_end_matches('.'))
+        .filter(|w| w.chars().any(|c| c.is_ascii_digit()))
+        .filter(|w| w.chars().all(|c| c.is_ascii_digit() || c == '.'))
+}
+
+/// Table columns whose cells report what this repository measured.
+const MEASURED: [&str; 3] = ["Measured", "Upstream", "Downstream"];
+
+/// EXPERIMENTS §Fig. 4–9 cite the pinned figures (`results_pin`): every
+/// number in a measured cell occurs in that figure's `results/` file.
+#[test]
+fn experiments_cites_the_figures_it_claims() {
+    let experiments = read("EXPERIMENTS.md");
+    let (mut missing, mut checked) = (Vec::new(), 0);
+    for fig in 4..=9 {
+        let head = format!("\n## Fig. {fig} ");
+        let section = experiments.split(&head).nth(1).expect(&head);
+        let section = section.split("\n## ").next().unwrap();
+        let file = format!("results/fig{fig}.txt");
+        let results = read(&file);
+        let results: BTreeSet<&str> = numbers(&results).collect();
+        // The measured columns of the table a line belongs to.
+        let mut columns: Option<Vec<usize>> = None;
+        for line in section.lines() {
+            let Some(row) = line.strip_prefix('|') else {
+                columns = None;
+                continue;
+            };
+            let cells: Vec<&str> = row
+                .trim_end_matches('|')
+                .split('|')
+                .map(str::trim)
+                .collect();
+            let Some(measured) = &columns else {
+                let heads = cells
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, h)| MEASURED.contains(h));
+                columns = Some(heads.map(|(i, _)| i).collect());
+                continue;
+            };
+            for &i in measured {
+                let cell = cells.get(i).copied().unwrap_or_default();
+                for number in numbers(cell) {
+                    checked += 1;
+                    if !results.contains(number) {
+                        missing.push(format!("§Fig. {fig}: {number} (not in {file})"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked >= 40, "only {checked} measured numbers found");
+    assert!(
+        missing.is_empty(),
+        "EXPERIMENTS cites numbers its figures do not hold: {missing:#?}"
+    );
 }
 
 /// `a,b/{c,d}` → `a`, `b/c`, `b/d`.
