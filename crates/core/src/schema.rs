@@ -90,32 +90,32 @@ impl FromStr for StatId {
     }
 }
 
-/// Create the secondary indexes every deployment of the suite wants:
-/// the fields the selection engine ([`crate::select`]), the figure
-/// analyses ([`crate::analysis`]) and the health detector
-/// ([`crate::health`]) filter, range-scan or sort on. Idempotent —
-/// pathdb's `create_index` is a no-op for an existing index.
+/// Create the secondary indexes the suite's own filters read, and no
+/// others: an index no query plans through costs every insert a key
+/// and every row its memory. Each field and its reader:
+///
+/// * `paths_stats.server_id` — the stats cache groups a destination's
+///   rows (`eq`, [`crate::statcache`]);
+/// * `paths_stats.timestamp_ms` — retention expiry range-deletes
+///   behind the longitudinal clock (`lt`, `Database::expire_retention`);
+/// * `paths.server_id` — collection, measurement, selection and the
+///   analyses read one destination's paths (`eq`);
+/// * `paths.hops` — the selection engine's hop limit (`lte`,
+///   `Constraints::to_filter`);
+/// * `paths.status` — its alive-only constraint (`eq`, same filter).
+///
+/// Idempotent — pathdb's `create_index` is a no-op for an existing
+/// index.
 pub fn ensure_indexes(db: &Database) {
-    let stats = db.collection(PATHS_STATS);
-    {
-        let mut coll = stats.write();
-        // `timestamp_ms` is ordered-scanned by retention expiry
-        // (`Database::expire_retention` range-deletes behind the
-        // longitudinal clock) as well as by the schedule pruner.
-        for field in [
-            "server_id",
-            "path_id",
-            "avg_latency_ms",
-            "loss_pct",
-            "timestamp_ms",
-        ] {
+    for (name, fields) in [
+        (PATHS_STATS, &["server_id", "timestamp_ms"][..]),
+        (PATHS, &["server_id", "hops", "status"]),
+    ] {
+        let handle = db.collection(name);
+        let mut coll = handle.write();
+        for field in fields {
             coll.create_index(field);
         }
-    }
-    let paths = db.collection(PATHS);
-    let mut coll = paths.write();
-    for field in ["server_id", "hops", "status"] {
-        coll.create_index(field);
     }
 }
 
@@ -390,5 +390,63 @@ mod tests {
         let back = PathMeasurement::from_doc(&m.to_doc()).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.error.as_deref(), Some("timeout"));
+    }
+
+    /// Every query shape the suite sends plans through an index
+    /// `ensure_indexes` built, and a filter on a stats field no query
+    /// names scans: that index is not built.
+    #[test]
+    fn the_suites_query_shapes_plan_through_its_indexes() {
+        use crate::collect::{collect_paths, register_available_servers};
+        use crate::config::SuiteConfig;
+        use crate::measure::run_tests;
+        use pathdb::{Access, Filter};
+        use scion_sim::net::ScionNetwork;
+
+        let cfg = SuiteConfig {
+            iterations: 1,
+            some_only: false,
+            ping_count: 5,
+            run_bwtests: false,
+            ..SuiteConfig::default()
+        };
+        let net = ScionNetwork::scionlab(9);
+        let db = Database::new();
+        register_available_servers(&db, &net).unwrap();
+        collect_paths(&db, &net, &cfg).unwrap();
+        run_tests(&db, &net, &cfg).unwrap();
+        let access = |name: &str, f: Filter| db.collection(name).read().query(f).explain().access;
+
+        for name in [PATHS, PATHS_STATS] {
+            let plan = access(name, Filter::eq("server_id", 2i64));
+            assert!(
+                matches!(&plan, Access::IndexPoint { field, .. } if field == "server_id"),
+                "{name}: {plan:?}"
+            );
+        }
+        let stats = db.collection(PATHS_STATS);
+        let newest = stats.read().iter().last().unwrap().clone();
+        let expiry = Filter::lt("timestamp_ms", newest.get("timestamp_ms").unwrap().clone());
+        let plan = access(PATHS_STATS, expiry);
+        assert!(
+            matches!(&plan, Access::IndexRange { field, .. } if field == "timestamp_ms"),
+            "{plan:?}"
+        );
+
+        // Each of these would probe an index with fewer candidates than
+        // rows, if the index existed.
+        let latency = stats
+            .read()
+            .iter()
+            .find_map(|d| d.get("avg_latency_ms")?.as_float())
+            .unwrap();
+        for unindexed in [
+            Filter::eq("avg_latency_ms", latency),
+            Filter::lt("loss_pct", 0.0),
+            Filter::eq("path_id", newest.get("path_id").unwrap().clone()),
+        ] {
+            let plan = access(PATHS_STATS, unindexed.clone());
+            assert!(plan.is_full_scan(), "{unindexed:?} planned as {plan:?}");
+        }
     }
 }

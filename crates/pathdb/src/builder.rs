@@ -108,9 +108,11 @@ impl<'c> Query<'c> {
         self.coll.run_refs(&self.filter)
     }
 
-    /// The planner's decision for this query, without executing it.
+    /// The planner's decision for this query, without executing it. It
+    /// depends on the filter alone: sort, skip and limit run over the
+    /// matches whichever access path found them.
     pub fn explain(self) -> QueryPlan {
-        self.coll.run_explain(&self.filter, &self.opts)
+        self.coll.run_explain(&self.filter)
     }
 }
 

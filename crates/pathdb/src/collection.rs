@@ -23,18 +23,11 @@ static NOOP: NoopRecorder = NoopRecorder;
 
 /// A secondary index over one field: posting lists in an ordered map
 /// over the order-preserving [`Value::index_key`] encoding, which
-/// serves point lookups, range scans and key-order reads alike.
-/// Seqs within one key ascend, so ties stream in insertion order — the
-/// same tie order a stable sort produces.
+/// serves the planner's two index paths alike — a point lookup is a
+/// `get`, a comparison is a `range`.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FieldIndex {
     pub(crate) ordered: BTreeMap<String, Postings>,
-    /// Documents contributing at least one key (field present).
-    pub(crate) indexed_docs: usize,
-    /// Documents contributing more than one key (multikey arrays) —
-    /// such documents appear under several keys, which rules the index
-    /// out for serving sorts.
-    pub(crate) multikey_docs: usize,
 }
 
 /// The seqs posted under one index key. A key held by one row — most
@@ -98,13 +91,6 @@ impl Postings {
 
 impl FieldIndex {
     fn insert(&mut self, seq: u64, keys: Vec<String>) {
-        if keys.is_empty() {
-            return;
-        }
-        self.indexed_docs += 1;
-        if keys.len() > 1 {
-            self.multikey_docs += 1;
-        }
         for key in keys {
             self.ordered
                 .entry(key)
@@ -114,13 +100,6 @@ impl FieldIndex {
     }
 
     fn remove(&mut self, seq: u64, keys: &[String]) {
-        if keys.is_empty() {
-            return;
-        }
-        self.indexed_docs -= 1;
-        if keys.len() > 1 {
-            self.multikey_docs -= 1;
-        }
         for key in keys {
             if let Some(postings) = self.ordered.get_mut(key) {
                 if postings.remove(seq) {
@@ -817,8 +796,8 @@ impl Collection {
         out
     }
 
-    pub(crate) fn run_explain(&self, filter: &Filter, opts: &FindOptions) -> QueryPlan {
-        plan::explain(self, filter, opts)
+    pub(crate) fn run_explain(&self, filter: &Filter) -> QueryPlan {
+        plan::explain(self, filter)
     }
 
     /// Iterate all documents in insertion order.
@@ -1149,13 +1128,7 @@ mod tests {
         );
         assert_eq!(c.query(&open).run().len(), 3);
         let between = Filter::gte("avg_latency_ms", 25.0).and(Filter::lt("avg_latency_ms", 155.0));
-        assert_eq!(
-            c.query(&between).explain().access,
-            Access::IndexRange {
-                field: "avg_latency_ms".into(),
-                candidates: 2
-            }
-        );
+        assert!(!c.query(&between).explain().access.is_full_scan());
         let ids: Vec<_> = c
             .query(&between)
             .run()
@@ -1169,18 +1142,12 @@ mod tests {
     }
 
     #[test]
-    fn or_of_indexable_branches_unions_indexes() {
+    fn or_of_indexable_branches_is_a_full_scan() {
         let mut c = stats_collection();
         c.create_index("server_id");
         c.create_index("avg_latency_ms");
         let f = Filter::eq("server_id", 1i64).or(Filter::gt("avg_latency_ms", 150.0));
-        assert_eq!(
-            c.query(&f).explain().access,
-            Access::IndexUnion {
-                branches: 2,
-                candidates: 4
-            }
-        );
+        assert!(c.query(&f).explain().access.is_full_scan());
         let ids: Vec<_> = c
             .query(&f)
             .run()
@@ -1188,43 +1155,36 @@ mod tests {
             .map(|d| d.id().unwrap().to_string())
             .collect();
         assert_eq!(ids, vec!["1_0_100", "1_1_100", "2_1_100", "2_1_200"]);
-        // One unindexable branch poisons the union: full scan.
         let g = Filter::eq("server_id", 1i64).or(Filter::contains("_id", "2_1"));
         assert!(c.query(&g).explain().access.is_full_scan());
         assert_eq!(c.query(&g).run().len(), 4);
     }
 
     #[test]
-    fn sorted_queries_stream_the_ordered_index() {
+    fn sorted_limited_queries_over_an_indexed_field() {
         let mut c = stats_collection();
         c.create_index("avg_latency_ms");
-        let by_latency_desc = || c.query_all().sort_by("avg_latency_ms", crate::Order::Desc);
-        let plan = by_latency_desc().limit(2).explain();
-        assert_eq!(plan.index_sort.as_deref(), Some("avg_latency_ms"));
-        assert!(plan.limit_pushdown);
-        let out = by_latency_desc().limit(2).run();
+        let out = c
+            .query_all()
+            .sort_by("avg_latency_ms", crate::Order::Desc)
+            .limit(2)
+            .run();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id(), Some("2_1_200"));
         assert_eq!(out[1].id(), Some("2_1_100"));
-        // A multikey (array) index cannot serve sorts.
-        c.create_index("isds");
-        assert_eq!(
-            c.query_all().sort("isds").limit(2).explain().index_sort,
-            None
-        );
     }
 
     #[test]
-    fn unsorted_limit_is_pushed_down() {
+    fn unsorted_skip_and_limit_keep_insertion_order() {
         let c = stats_collection();
-        let q = || c.query(Filter::eq("server_id", 2i64)).limit(2).skip(1);
-        assert!(q().explain().limit_pushdown);
-        let out = q().run();
+        let out = c
+            .query(Filter::eq("server_id", 2i64))
+            .limit(2)
+            .skip(1)
+            .run();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id(), Some("2_1_100"));
         assert_eq!(out[1].id(), Some("2_1_200"));
-        // Sorted without an eligible index: no pushdown.
-        assert!(!c.query_all().sort("hops").limit(1).explain().limit_pushdown);
     }
 
     #[test]
@@ -1257,7 +1217,7 @@ mod tests {
     }
 
     #[test]
-    fn intersection_of_selective_indexes() {
+    fn conjunction_of_two_indexed_fields() {
         let mut c = Collection::new("t");
         for i in 0..100i64 {
             c.insert_one(doc! { "a" => i % 10, "b" => i % 7 }).unwrap();
@@ -1265,13 +1225,6 @@ mod tests {
         c.create_index("a");
         c.create_index("b");
         let f = Filter::eq("a", 3i64).and(Filter::eq("b", 2i64));
-        let plan = c.query(&f).explain();
-        if let Access::IndexIntersect { fields, candidates } = &plan.access {
-            assert_eq!(fields.len(), 2);
-            assert!(*candidates <= 10);
-        } else {
-            panic!("expected intersection, got {:?}", plan.access);
-        }
         let scan: Vec<_> = c.iter().filter(|d| f.matches(d)).cloned().collect();
         assert_eq!(c.query(&f).run(), scan);
     }
@@ -1684,12 +1637,12 @@ mod tests {
         d
     }
 
-    type IndexImage<'a> = BTreeMap<&'a str, (&'a BTreeMap<String, Postings>, usize, usize)>;
+    type IndexImage<'a> = BTreeMap<&'a str, &'a BTreeMap<String, Postings>>;
 
     fn index_image(c: &Collection) -> IndexImage<'_> {
         c.indexes
             .iter()
-            .map(|(f, i)| (f.as_str(), (&i.ordered, i.indexed_docs, i.multikey_docs)))
+            .map(|(f, i)| (f.as_str(), &i.ordered))
             .collect()
     }
 

@@ -286,12 +286,11 @@ impl Database {
 
     // ---- rollups, retention ----------------------------------------------
 
-    /// Register an incremental rollup (see [`crate::rollup`]): the
-    /// destination collection gets its bucket index, and subsequent
-    /// [`Database::rollup_catch_up`] calls fold new source rows into
-    /// it. Idempotent for an identical config.
+    /// Register an incremental rollup (see [`crate::rollup`]):
+    /// subsequent [`Database::rollup_catch_up`] calls fold new source
+    /// rows into its destination collection. Idempotent for an
+    /// identical config.
     pub fn register_rollup(&self, cfg: RollupConfig) {
-        rollup::prepare_dest(&mut self.collection(&cfg.dest).write());
         let mut rollups = self.rollups.lock();
         if !rollups.iter().any(|c| c == &cfg) {
             rollups.push(cfg);

@@ -11,10 +11,9 @@
 //! * [`update::Update`] (`$set/$unset/$inc/$push/$setOnInsert`),
 //! * unique `_id` plus secondary (multikey) indexes, kept as ordered
 //!   maps over an order-preserving key encoding,
-//! * a cost-based query planner ([`plan`]): range scans for comparison
-//!   filters, index intersection/union over `$and`/`$or` conjuncts,
-//!   index-served sorting with skip/limit pushdown, and a
-//!   [`Query::explain`] API exposing the chosen access path,
+//! * a cost-based query planner ([`plan`]): each query is a point
+//!   lookup, a range scan or a full scan, whichever touches the fewest
+//!   documents, with a [`Query::explain`] API exposing the choice,
 //! * atomic bulk insertion — the batched write path whose
 //!   fault-tolerance/scalability trade-off the paper discusses,
 //! * crash-safe persistence: JSON-lines slice files committed by a

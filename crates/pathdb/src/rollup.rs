@@ -9,10 +9,11 @@
 //! collection, a numeric time field, a bucket width, the group-by
 //! fields and the numeric fields to aggregate. `catch_up` keeps a
 //! *durable* watermark of its own: the destination stores a meta
-//! document carrying the source [`Collection::append_watermark`] it
-//! has folded through, and each catch-up folds only the source
-//! documents past it. It never reads a mutation version, so it is not
-//! a consumer of [`Collection::delta_since`] (the in-memory protocol of
+//! document carrying the source
+//! [`crate::Collection::append_watermark`] it has folded through, and
+//! each catch-up folds only the source documents past it. It never
+//! reads a mutation version, so it is not a consumer of
+//! [`crate::Collection::delta_since`] (the in-memory protocol of
 //! the snapshot memo and `upin-core`'s stats cache); what stands in
 //! for `Reshaped` here is the two contracts below. The updated
 //! aggregate rows **and** the advanced watermark are committed through
@@ -44,7 +45,6 @@
 //! exact, so the sketch state after incremental folds is also
 //! byte-identical to folding the raw rows in one pass.
 
-use crate::collection::Collection;
 use crate::database::Database;
 use crate::doc;
 use crate::document::Document;
@@ -521,12 +521,6 @@ pub fn render(aggs: &[BucketAgg]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Prepare a destination collection: index the bucket field so churn
-/// analytics can range-scan time windows through the planner.
-pub(crate) fn prepare_dest(dest: &mut Collection) {
-    dest.create_index("bucket_start_ms");
 }
 
 #[cfg(test)]
