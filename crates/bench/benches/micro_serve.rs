@@ -2,7 +2,8 @@
 //! dispatching `Recommend` / `ShowPaths` / `EvaluateConstraint` /
 //! `Health` through [`PathIntelService`], both as typed calls and as
 //! JSON lines through the in-process transport — the per-kind cost
-//! under the end-to-end benchmark's `serve_static` request.
+//! under the end-to-end benchmark's `serve_static` request — and the
+//! encoder layer alone: a typed response rendered to its answer line.
 
 use std::sync::Arc;
 
@@ -85,6 +86,19 @@ fn bench(c: &mut Criterion) {
     let recommend_line = recommend.to_json_string();
     g.bench_function("transport_json/recommend", |b| {
         b.iter(|| transport.call_json(black_box(&recommend_line)))
+    });
+
+    // The encoder alone: each response is built once, out here, and
+    // only its rendering is timed — over enough iterations that a
+    // microsecond is not the first iteration's cache misses.
+    g.sample_size(1000);
+    let recommended = svc.dispatch(&recommend);
+    g.bench_function("encode/recommend", |b| {
+        b.iter(|| black_box(&recommended).to_json_string())
+    });
+    let showpaths_answer = svc.dispatch(&showpaths);
+    g.bench_function("encode/showpaths", |b| {
+        b.iter(|| black_box(&showpaths_answer).to_json_string())
     });
 
     g.finish();

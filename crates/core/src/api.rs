@@ -396,10 +396,12 @@ impl ServiceRequest {
 const RESPONSE_CAPACITY: usize = 3072;
 
 impl ServiceResponse {
+    /// The answer line: streamed into one byte buffer, then checked as
+    /// UTF-8 once, whole.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(RESPONSE_CAPACITY);
+        let mut out = Vec::with_capacity(RESPONSE_CAPACITY);
         self.write_json(&mut out);
-        out
+        serde::json::into_text(out)
     }
 
     pub fn from_json_str(s: &str) -> Result<ServiceResponse, String> {

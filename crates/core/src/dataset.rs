@@ -31,11 +31,7 @@ fn cell(v: &Value) -> String {
         Value::Float(f) => format!("{f:?}"),
         Value::Bool(b) => b.to_string(),
         Value::Null => String::new(),
-        other => {
-            let mut s = String::new();
-            other.write_json(&mut s);
-            s
-        }
+        other => other.to_string(),
     }
 }
 

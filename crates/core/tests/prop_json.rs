@@ -445,9 +445,15 @@ proptest! {
 
 // ---- floats: `write_f64` is `{:?}` without `fmt` ---------------------------
 
+/// What a byte writer appended, as text.
+fn written(write: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::new();
+    write(&mut out);
+    String::from_utf8(out).unwrap()
+}
+
 fn assert_float_text(x: f64) {
-    let mut text = String::new();
-    serde::json::write_f64(&mut text, x);
+    let text = written(|out| serde::json::write_f64(out, x));
     if !x.is_finite() {
         assert_eq!(text, "null");
         return;
@@ -540,6 +546,75 @@ proptest! {
     }
 }
 
+// ---- strings and integers: the byte writers against their references -----
+
+/// Up to 300 characters: a long clean run (so a scan that works in
+/// blocks crosses block boundaries), one character from the escape
+/// alphabet at any offset, and multi-byte scalars at either edge.
+fn arb_long_string() -> impl Strategy<Value = String> {
+    let clean = vec![
+        'a', 'Z', '7', ' ', '-', ':', '/', '\u{7f}', 'é', 'ß', '€', '日', '😀',
+    ];
+    let escaped = vec![
+        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{8}', '\u{c}', '\u{1f}',
+    ];
+    let edge = vec!['é', '€', '日', '😀'];
+    (
+        prop::collection::vec(prop::sample::select(clean), 0..298),
+        prop::option::of((any::<prop::sample::Index>(), prop::sample::select(escaped))),
+        prop::option::of(prop::sample::select(edge.clone())),
+        prop::option::of(prop::sample::select(edge)),
+    )
+        .prop_map(|(mut run, escaped, lead, trail)| {
+            if let Some((at, c)) = escaped {
+                run.insert(at.index(run.len() + 1), c);
+            }
+            lead.into_iter().chain(run).chain(trail).collect()
+        })
+}
+
+fn assert_int_text(v: i64) {
+    assert_eq!(written(|out| serde::json::write_i64(out, v)), v.to_string());
+    let u = v as u64;
+    assert_eq!(written(|out| serde::json::write_u64(out, u)), u.to_string());
+}
+
+#[test]
+fn integer_text_is_to_string_text_at_every_power_of_ten() {
+    let mut power = 1u64;
+    loop {
+        for u in [power - 1, power, power + 1] {
+            assert_int_text(u as i64);
+            assert_int_text((u as i64).wrapping_neg());
+        }
+        match power.checked_mul(10) {
+            Some(next) => power = next,
+            None => break,
+        }
+    }
+    for v in [0, 1, -1, i64::MIN, i64::MIN + 1, i64::MAX, u64::MAX as i64] {
+        assert_int_text(v);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn long_strings_are_written_as_the_reference_spells_them(s in arb_long_string()) {
+        let mut reference = String::new();
+        write_escaped(&mut reference, &s, false);
+        prop_assert_eq!(written(|out| serde::json::write_str(out, &s)), reference);
+    }
+
+    #[test]
+    fn integer_text_is_to_string_text_on_random_bits(bits in any::<u64>()) {
+        assert_int_text(bits as i64);
+        // And at every width, not mostly at 19 and 20 digits.
+        assert_int_text((bits >> (bits % 64)) as i64);
+    }
+}
+
 // ---- decode: the typed fast path against the tree --------------------------
 
 /// `from_str::<T>` must answer exactly what reading the value tree with
@@ -610,17 +685,28 @@ impl Mutation {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// The reference string writer, spelled out from the JSON grammar one
+/// character at a time: the two structural characters and the named
+/// control escapes, `\u00XX` for the rest of C0, anything else as
+/// itself — what `write_str` writes. With `escape_more`, every letter
+/// and digit and every scalar beyond the BMP becomes a `\u` escape too,
+/// which the encoder never writes.
+fn write_escaped(out: &mut String, s: &str, escape_more: bool) {
     out.push('"');
     for c in s.chars() {
-        if c.is_ascii_alphanumeric() || c as u32 > 0xFFFF {
-            for unit in c.encode_utf16(&mut [0; 2]) {
-                out.push_str(&format!("\\u{unit:04x}"));
+        match c {
+            c if escape_more && (c.is_ascii_alphanumeric() || c as u32 > 0xFFFF) => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                }
             }
-        } else {
-            let mut quoted = String::new();
-            serde::json::write_str(&mut quoted, c.encode_utf8(&mut [0; 4]));
-            out.push_str(&quoted[1..quoted.len() - 1]);
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
     out.push('"');
@@ -646,7 +732,7 @@ fn write_mutant(v: &Value, m: Mutation, outermost: bool, out: &mut String) {
             out.push_str(&format!("{i}.0"));
         }
         Value::Number(Number::Float(_)) if m == Mutation::NullForFloat => out.push_str("null"),
-        Value::String(s) if m == Mutation::EscapedStrings => write_escaped(out, s),
+        Value::String(s) if m == Mutation::EscapedStrings => write_escaped(out, s, true),
         Value::Array(items) => {
             let parts = items.iter().map(|item| {
                 let mut part = String::new();
@@ -659,9 +745,9 @@ fn write_mutant(v: &Value, m: Mutation, outermost: bool, out: &mut String) {
             let member = |key: &str, value: &Value| {
                 let mut part = String::new();
                 if m == Mutation::EscapedKeys {
-                    write_escaped(&mut part, key);
+                    write_escaped(&mut part, key, true);
                 } else {
-                    serde::json::write_str(&mut part, key);
+                    part.push_str(&written(|out| serde::json::write_str(out, key)));
                 }
                 part.push_str(gap);
                 part.push(':');
@@ -693,7 +779,7 @@ fn write_mutant(v: &Value, m: Mutation, outermost: bool, out: &mut String) {
             }
             join(out, '{', parts, '}');
         }
-        plain => plain.write_json(out),
+        plain => out.push_str(&plain.to_string()),
     }
 }
 

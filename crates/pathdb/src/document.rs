@@ -165,9 +165,9 @@ fn set_path_inner(doc: &mut Document, parts: &[&str], value: Value) {
 
 impl fmt::Display for Document {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
+        let mut out = Vec::new();
         crate::value::write_json_doc(&mut out, self);
-        f.write_str(&out)
+        f.write_str(&serde::json::into_text(out))
     }
 }
 

@@ -49,7 +49,8 @@ use crate::database::Database;
 use crate::doc;
 use crate::document::Document;
 use crate::error::DbResult;
-use crate::value::Value;
+use crate::value::{write_json_array, Value};
+use serde::json;
 use std::collections::BTreeMap;
 
 /// `_id` of the per-destination meta document holding the covered
@@ -299,8 +300,12 @@ struct Accum {
 
 /// The rollup row id: the JSON of the group values plus the bucket
 /// index — deterministic, injective, and stable across runs.
-fn rollup_id(group_json: &str, bucket: i64) -> String {
-    format!("{group_json}@{bucket}")
+fn rollup_id(group: &[Value], bucket: i64) -> String {
+    let mut id = Vec::new();
+    write_json_array(&mut id, group);
+    id.push(b'@');
+    json::write_i64(&mut id, bucket);
+    json::into_text(id)
 }
 
 fn group_values(doc: &Document, cfg: &RollupConfig) -> Vec<Value> {
@@ -328,9 +333,7 @@ fn fold_row(
         return;
     };
     let group = group_values(doc, cfg);
-    let mut group_json = String::new();
-    Value::Array(group.clone()).write_json(&mut group_json);
-    let id = rollup_id(&group_json, bucket);
+    let id = rollup_id(&group, bucket);
     let cell = work.entry(id.clone()).or_insert_with(|| {
         let existing = seed(&id);
         let fields = cfg
@@ -417,9 +420,10 @@ pub(crate) fn catch_up(db: &Database, cfg: &RollupConfig) -> DbResult<u64> {
 
 // ---- reads ----------------------------------------------------------------
 
-fn sort_key(group: &[Value], bucket: i64) -> (String, i64) {
-    let mut j = String::new();
-    Value::Array(group.to_vec()).write_json(&mut j);
+/// Orders by the group's JSON bytes, which is the order of its text.
+fn sort_key(group: &[Value], bucket: i64) -> (Vec<u8>, i64) {
+    let mut j = Vec::new();
+    write_json_array(&mut j, group);
     (j, bucket)
 }
 
@@ -499,12 +503,11 @@ pub fn scan_reference(db: &Database, cfg: &RollupConfig) -> Vec<BucketAgg> {
 /// so two `Vec<BucketAgg>` render identically iff every stored bit is
 /// identical.
 pub fn render(aggs: &[BucketAgg]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
+    use std::io::Write;
+    let mut out = Vec::new();
     for a in aggs {
-        let mut gj = String::new();
-        Value::Array(a.group.clone()).write_json(&mut gj);
-        let _ = write!(out, "{gj}@{}", a.bucket_start_ms);
+        write_json_array(&mut out, &a.group);
+        let _ = write!(out, "@{}", a.bucket_start_ms);
         for (name, agg) in &a.fields {
             let _ = write!(
                 out,
@@ -518,9 +521,9 @@ pub fn render(aggs: &[BucketAgg]) -> String {
                 agg.p99(),
             );
         }
-        out.push('\n');
+        out.push(b'\n');
     }
-    out
+    json::into_text(out)
 }
 
 #[cfg(test)]

@@ -278,7 +278,7 @@ pub(crate) fn read_rows(
 /// insertion sequence is appended as the reserved [`SEQ_FIELD`]
 /// (loaders strip it with [`take_seq`]).
 pub(crate) fn encode_jsonl_seq<'a>(docs: impl Iterator<Item = (u64, &'a Document)>) -> Vec<u8> {
-    let mut out = String::new();
+    let mut out = Vec::new();
     for (seq, doc) in docs {
         if doc.contains_key(SEQ_FIELD) {
             // A row that already carries the reserved field keeps it in
@@ -290,15 +290,15 @@ pub(crate) fn encode_jsonl_seq<'a>(docs: impl Iterator<Item = (u64, &'a Document
             write_json_doc(&mut out, doc);
             out.pop();
             if !doc.is_empty() {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str("\"__seq\":");
+            out.extend_from_slice(b"\"__seq\":");
             Value::Int(seq as i64).write_json(&mut out);
-            out.push('}');
+            out.push(b'}');
         }
-        out.push('\n');
+        out.push(b'\n');
     }
-    out.into_bytes()
+    out
 }
 
 /// Strip (and return) a row's persisted insertion sequence.
@@ -366,12 +366,12 @@ mod tests {
     /// Rows as the pre-slice `<collection>.jsonl` files spelled them
     /// (no `__seq`): what `decode_jsonl` still has to read.
     fn encode_jsonl<'a>(docs: impl Iterator<Item = &'a Document>) -> Vec<u8> {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for doc in docs {
             write_json_doc(&mut out, doc);
-            out.push('\n');
+            out.push(b'\n');
         }
-        out.into_bytes()
+        out
     }
 
     fn entry(name: &str, next_seq: u64, slices: &[(u64, u64)]) -> ManifestEntry {

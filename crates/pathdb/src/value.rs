@@ -209,28 +209,19 @@ impl Value {
         }
     }
 
-    /// Render compact JSON straight into `out`, byte-identical to
-    /// `self.to_json().to_string()` but without building the
-    /// intermediate `serde_json::Value` tree — the WAL encodes every
-    /// committed batch through here, so the write path must not pay
-    /// for a full deep copy per document.
-    pub fn write_json(&self, out: &mut String) {
+    /// Render compact JSON straight into the byte sink `out`,
+    /// byte-identical to `self.to_json().to_string()` but without
+    /// building the intermediate `serde_json::Value` tree — the WAL
+    /// encodes every committed batch through here, so the write path
+    /// must not pay for a full deep copy per document.
+    pub(crate) fn write_json(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Null => out.extend_from_slice(b"null"),
+            Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             Value::Int(i) => json::write_i64(out, *i),
             Value::Float(f) => json::write_f64(out, *f),
             Value::Str(s) => json::write_str(out, s),
-            Value::Array(a) => {
-                out.push('[');
-                for (i, v) in a.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write_json(out);
-                }
-                out.push(']');
-            }
+            Value::Array(a) => write_json_array(out, a),
             Value::Doc(d) => write_json_doc(out, d),
         }
     }
@@ -279,24 +270,33 @@ impl Value {
     }
 }
 
+/// Render a slice of values as a compact JSON array without cloning it
+/// into a `Value::Array` first.
+pub(crate) fn write_json_array(out: &mut Vec<u8>, items: &[Value]) {
+    out.push(b'[');
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        v.write_json(out);
+    }
+    out.push(b']');
+}
+
 /// Render a document as a compact JSON object without cloning it into
 /// a `Value` first — the borrowed counterpart of
 /// `Value::Doc(d.clone()).to_json().to_string()`.
-pub(crate) fn write_json_doc(out: &mut String, d: &Document) {
-    if d.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push('{');
+pub(crate) fn write_json_doc(out: &mut Vec<u8>, d: &Document) {
+    out.push(b'{');
     for (i, (k, v)) in d.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         json::write_str(out, k);
-        out.push(':');
+        out.push(b':');
         v.write_json(out);
     }
-    out.push('}');
+    out.push(b'}');
 }
 
 /// Exact comparison of an i64 against an f64, without widening the int
@@ -389,9 +389,9 @@ fn num_key_parts(v: &Value) -> (u64, u16) {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write_json(&mut out);
-        f.write_str(&out)
+        f.write_str(&json::into_text(out))
     }
 }
 
@@ -534,12 +534,15 @@ mod tests {
         d.set("empty", Document::new());
         d.set("empty_a", Value::Array(vec![]));
         let v = Value::Doc(d);
-        let mut direct = String::new();
+        let mut direct = Vec::new();
         v.write_json(&mut direct);
-        assert_eq!(direct, v.to_json().to_string());
-        let mut doc_direct = String::new();
+        assert_eq!(direct, v.to_json().to_string().into_bytes());
+        let mut doc_direct = Vec::new();
         write_json_doc(&mut doc_direct, &inner);
-        assert_eq!(doc_direct, Value::Doc(inner).to_json().to_string());
+        assert_eq!(
+            doc_direct,
+            Value::Doc(inner).to_json().to_string().into_bytes()
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::document::Document;
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
-use crate::value::{write_json_doc, Value};
+use crate::value::{write_json_array, write_json_doc, Value};
 use parking_lot::Mutex;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -248,65 +248,60 @@ pub(crate) enum WalOpRef<'a> {
 impl WalOpRef<'_> {
     /// Render the frame payload, byte-identical to what the owned
     /// tree-building path produced (`{"t":..,"c":..,"d":..}`).
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut Vec<u8>) {
         let (tag, coll) = match self {
-            WalOpRef::Insert { coll, .. } => ("i", *coll),
-            WalOpRef::InsertMany { coll, .. } => ("m", *coll),
-            WalOpRef::Update { coll, .. } => ("u", *coll),
-            WalOpRef::Delete { coll, .. } => ("d", *coll),
-            WalOpRef::Drop { coll } => ("x", *coll),
+            WalOpRef::Insert { coll, .. } => (b'i', *coll),
+            WalOpRef::InsertMany { coll, .. } => (b'm', *coll),
+            WalOpRef::Update { coll, .. } => (b'u', *coll),
+            WalOpRef::Delete { coll, .. } => (b'd', *coll),
+            WalOpRef::Drop { coll } => (b'x', *coll),
         };
-        out.push_str("{\"t\":\"");
-        out.push_str(tag);
-        out.push_str("\",\"c\":");
+        out.extend_from_slice(b"{\"t\":\"");
+        out.push(tag);
+        out.extend_from_slice(b"\",\"c\":");
         serde::json::write_str(out, coll);
         match self {
             WalOpRef::Insert { doc, .. } => {
-                out.push_str(",\"d\":");
+                out.extend_from_slice(b",\"d\":");
                 write_json_doc(out, doc);
             }
-            WalOpRef::InsertMany { docs, .. } => {
-                out.push_str(",\"d\":[");
-                for (i, d) in docs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_doc(out, d);
-                }
-                out.push(']');
-            }
-            WalOpRef::Update { docs, .. } => {
-                out.push_str(",\"d\":[");
-                for (i, d) in docs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_doc(out, d);
-                }
-                out.push(']');
-            }
+            WalOpRef::InsertMany { docs, .. } => write_docs(out, docs.iter().copied()),
+            WalOpRef::Update { docs, .. } => write_docs(out, docs.iter()),
             WalOpRef::Delete { ids, .. } => {
-                out.push_str(",\"d\":[");
-                for (i, id) in ids.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    id.write_json(out);
-                }
-                out.push(']');
+                out.extend_from_slice(b",\"d\":");
+                write_json_array(out, ids);
             }
             WalOpRef::Drop { .. } => {}
         }
-        out.push('}');
+        out.push(b'}');
     }
+}
+
+/// `,"d":[<doc>,...]`, the member every batch op carries.
+fn write_docs<'a>(out: &mut Vec<u8>, docs: impl Iterator<Item = &'a Document>) {
+    out.extend_from_slice(b",\"d\":[");
+    for (i, d) in docs.enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_json_doc(out, d);
+    }
+    out.push(b']');
 }
 
 // ---- framing --------------------------------------------------------------
 
-fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+/// Append one frame whose payload `write` renders straight into `buf`
+/// behind a header placeholder; the header is filled in afterwards.
+fn push_frame(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let header = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    write(buf);
+    let payload = &buf[header + 8..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    buf[header..header + 4].copy_from_slice(&len);
+    buf[header + 4..header + 8].copy_from_slice(&crc);
 }
 
 /// Encode one commit group: N op frames + a commit frame `{"t":"C","n":N}`.
@@ -318,16 +313,14 @@ pub fn encode_group(ops: &[WalOp]) -> Vec<u8> {
 /// Borrowed counterpart of [`encode_group`].
 fn encode_group_refs(ops: &[WalOpRef<'_>]) -> Vec<u8> {
     let mut buf = Vec::new();
-    let mut payload = String::new();
     for op in ops {
-        payload.clear();
-        op.write_json(&mut payload);
-        push_frame(&mut buf, payload.as_bytes());
+        push_frame(&mut buf, |out| op.write_json(out));
     }
-    push_frame(
-        &mut buf,
-        format!("{{\"t\":\"C\",\"n\":{}}}", ops.len()).as_bytes(),
-    );
+    push_frame(&mut buf, |out| {
+        out.extend_from_slice(b"{\"t\":\"C\",\"n\":");
+        serde::json::write_u64(out, ops.len() as u64);
+        out.push(b'}');
+    });
     buf
 }
 
@@ -619,9 +612,9 @@ mod tests {
         // The borrowed fast path and the owned tree path must stay
         // byte-identical — they share one on-disk format.
         for op in sample_ops() {
-            let mut direct = String::new();
+            let mut direct = Vec::new();
             op.to_ref().write_json(&mut direct);
-            assert_eq!(direct, op.to_json().to_string());
+            assert_eq!(direct, op.to_json().to_string().into_bytes());
         }
     }
 
@@ -679,8 +672,11 @@ mod tests {
         let ops = sample_ops();
         let mut bytes = encode_group(&ops[..2]);
         // Append two op frames with no commit marker.
-        push_frame(&mut bytes, ops[2].to_json().to_string().as_bytes());
-        push_frame(&mut bytes, ops[3].to_json().to_string().as_bytes());
+        for op in &ops[2..4] {
+            push_frame(&mut bytes, |out| {
+                out.extend(op.to_json().to_string().bytes())
+            });
+        }
         let mut groups = Vec::new();
         let replay = replay(&bytes, |group| groups.push(group));
         assert_eq!(replay.groups, 1);

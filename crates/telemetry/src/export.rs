@@ -8,7 +8,7 @@
 //! equal registries are byte-identical — that is the contract the CI
 //! `telemetry-smoke` job diffs against.
 
-use serde::json::{write_f64, write_str, write_u64};
+use serde::json::{into_text, write_f64, write_str, write_u64};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,37 +26,39 @@ pub struct MetricsDoc {
 impl MetricsDoc {
     /// Serialize with the fixed deterministic layout.
     pub(crate) fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
+        let mut out = b"{\n".to_vec();
         section(&mut out, "counters", &self.counters, |out, v| {
             write_u64(out, *v)
         });
-        out.push_str(",\n");
+        out.extend_from_slice(b",\n");
         section(&mut out, "gauges", &self.gauges, |out, v| {
             write_f64(out, *v)
         });
-        out.push_str(",\n");
+        out.extend_from_slice(b",\n");
         section(&mut out, "histograms", &self.histograms, |out, h| {
-            out.push_str("{\n      \"count\": ");
+            out.extend_from_slice(b"{\n      \"count\": ");
             write_u64(out, h.count);
             let names = ["sum", "min", "max", "p50", "p95", "p99"];
             for (name, v) in names.iter().zip([h.sum, h.min, h.max, h.p50, h.p95, h.p99]) {
-                out.push_str(&format!(",\n      \"{name}\": "));
+                out.extend_from_slice(b",\n      \"");
+                out.extend_from_slice(name.as_bytes());
+                out.extend_from_slice(b"\": ");
                 write_f64(out, v);
             }
-            out.push_str(",\n      \"buckets\": [");
+            out.extend_from_slice(b",\n      \"buckets\": [");
             for (j, (lo, hi, c)) in h.buckets.iter().enumerate() {
-                out.push_str(if j == 0 { "[" } else { ", [" });
+                out.extend_from_slice(if j == 0 { b"[" } else { b", [" });
                 write_f64(out, *lo);
-                out.push_str(", ");
+                out.extend_from_slice(b", ");
                 write_f64(out, *hi);
-                out.push_str(", ");
+                out.extend_from_slice(b", ");
                 write_u64(out, *c);
-                out.push(']');
+                out.push(b']');
             }
-            out.push_str("]\n    }");
+            out.extend_from_slice(b"]\n    }");
         });
-        out.push_str("\n}\n");
-        out
+        out.extend_from_slice(b"\n}\n");
+        into_text(out)
     }
 
     /// Parse an export produced by `MetricsDoc::to_json`: any JSON of
@@ -153,19 +155,21 @@ impl std::error::Error for ParseError {}
 /// One `"name": { "key": value, ... }` member of the export, `value`
 /// writing what follows each key.
 fn section<V>(
-    out: &mut String,
+    out: &mut Vec<u8>,
     name: &str,
     map: &BTreeMap<String, V>,
-    value: impl Fn(&mut String, &V),
+    value: impl Fn(&mut Vec<u8>, &V),
 ) {
-    out.push_str(&format!("  \"{name}\": {{"));
+    out.extend_from_slice(b"  ");
+    write_str(out, name);
+    out.extend_from_slice(b": {");
     for (i, (k, v)) in map.iter().enumerate() {
-        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        out.extend_from_slice(if i == 0 { b"\n    " } else { b",\n    " });
         write_str(out, k);
-        out.push_str(": ");
+        out.extend_from_slice(b": ");
         value(out, v);
     }
-    out.push_str(if map.is_empty() { "}" } else { "\n  }" });
+    out.extend_from_slice(if map.is_empty() { b"}" } else { b"\n  }" });
 }
 
 // ---- reading the value tree ---------------------------------------------

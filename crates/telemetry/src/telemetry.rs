@@ -57,41 +57,40 @@ impl Telemetry {
     /// Deterministic JSON export of the span tree and events, in id
     /// (i.e. start) order.
     pub fn trace_json(&self) -> String {
-        use serde::json::{write_f64, write_str};
+        use serde::json::{into_text, write_f64, write_str, write_u64};
         let inner = self.inner.lock().unwrap();
-        let mut out = String::new();
-        out.push_str("{\n  \"spans\": [");
+        let mut out = b"{\n  \"spans\": [".to_vec();
         for (i, s) in inner.spans.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"id\": ");
-            out.push_str(&s.id.0.to_string());
-            out.push_str(", \"parent\": ");
-            out.push_str(&s.parent.0.to_string());
-            out.push_str(", \"name\": ");
+            out.extend_from_slice(if i == 0 { b"\n" } else { b",\n" });
+            out.extend_from_slice(b"    {\"id\": ");
+            write_u64(&mut out, s.id.0);
+            out.extend_from_slice(b", \"parent\": ");
+            write_u64(&mut out, s.parent.0);
+            out.extend_from_slice(b", \"name\": ");
             write_str(&mut out, &s.name);
-            out.push_str(", \"start_ms\": ");
+            out.extend_from_slice(b", \"start_ms\": ");
             write_f64(&mut out, s.start_ms);
-            out.push_str(", \"end_ms\": ");
+            out.extend_from_slice(b", \"end_ms\": ");
             write_f64(&mut out, s.end_ms);
-            out.push_str(", \"attrs\": ");
+            out.extend_from_slice(b", \"attrs\": ");
             write_attrs(&mut out, &s.attrs);
-            out.push('}');
+            out.push(b'}');
         }
-        out.push_str("\n  ],\n  \"events\": [");
+        out.extend_from_slice(b"\n  ],\n  \"events\": [");
         for (i, e) in inner.events.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"span\": ");
-            out.push_str(&e.span.0.to_string());
-            out.push_str(", \"name\": ");
+            out.extend_from_slice(if i == 0 { b"\n" } else { b",\n" });
+            out.extend_from_slice(b"    {\"span\": ");
+            write_u64(&mut out, e.span.0);
+            out.extend_from_slice(b", \"name\": ");
             write_str(&mut out, &e.name);
-            out.push_str(", \"at_ms\": ");
+            out.extend_from_slice(b", \"at_ms\": ");
             write_f64(&mut out, e.at_ms);
-            out.push_str(", \"attrs\": ");
+            out.extend_from_slice(b", \"attrs\": ");
             write_attrs(&mut out, &e.attrs);
-            out.push('}');
+            out.push(b'}');
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        out.extend_from_slice(b"\n  ]\n}\n");
+        into_text(out)
     }
 
     /// All spans recorded so far (open spans have `NaN` end times).
@@ -111,23 +110,23 @@ impl Telemetry {
     }
 }
 
-fn write_attrs(out: &mut String, attrs: &[(String, crate::span::OwnedAttr)]) {
+fn write_attrs(out: &mut Vec<u8>, attrs: &[(String, crate::span::OwnedAttr)]) {
     use crate::span::OwnedAttr;
-    use serde::json::{write_f64, write_str};
-    out.push('{');
+    use serde::json::{write_f64, write_i64, write_str};
+    out.push(b'{');
     for (i, (k, v)) in attrs.iter().enumerate() {
         if i > 0 {
-            out.push_str(", ");
+            out.extend_from_slice(b", ");
         }
         write_str(out, k);
-        out.push_str(": ");
+        out.extend_from_slice(b": ");
         match v {
-            OwnedAttr::I64(n) => out.push_str(&n.to_string()),
+            OwnedAttr::I64(n) => write_i64(out, *n),
             OwnedAttr::F64(f) => write_f64(out, *f),
             OwnedAttr::Str(s) => write_str(out, s),
         }
     }
-    out.push('}');
+    out.push(b'}');
 }
 
 impl Recorder for Telemetry {
