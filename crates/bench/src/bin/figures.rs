@@ -1,10 +1,12 @@
 //! Regenerate every figure of the paper as text series.
 //!
 //! ```text
-//! figures [fig4|fig5|fig6|fig7|fig8|fig9|summary|all] [--seed N] [--iterations N]
+//! figures [NAME...|all] [--seed N] [--iterations N] [--out DIR]
 //! ```
 //!
-//! Output goes to stdout; pass `--out <dir>` to also write one
+//! `NAME` is an entry of `upin_bench::FIGURES` (the usage line lists
+//! them). Each figure's text goes to stdout, and each of its claims to
+//! stderr with whether it holds; pass `--out <dir>` to also write one
 //! `<figure>.txt` per figure (the inputs to EXPERIMENTS.md).
 
 use scion_tools::args::Spec;
@@ -32,21 +34,28 @@ fn main() {
         .collect();
 
     for (name, render) in figures {
-        let text = render(seed, iterations);
-        println!("{text}");
+        let figure = render(seed, iterations);
+        println!("{}", figure.text);
+        for claim in &figure.claims {
+            let verdict = if claim.holds { "holds" } else { "FAILS" };
+            eprintln!("{name}: {verdict}: {}", claim.text);
+        }
         if let Some(dir) = p.opt("out") {
             std::fs::create_dir_all(dir).expect("create output dir");
             let path = format!("{dir}/{name}.txt");
             let mut f = std::fs::File::create(&path).expect("create figure file");
-            f.write_all(text.as_bytes()).expect("write figure file");
+            f.write_all(figure.text.as_bytes())
+                .expect("write figure file");
         }
     }
 }
 
 fn usage<T>(error: String) -> T {
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
     eprintln!("{error}");
     eprintln!(
-        "usage: figures [fig4|fig5|fig6|fig7|fig8|fig9|summary|all] [--seed N] [--iterations N] [--out DIR]"
+        "usage: figures [{}|all] [--seed N] [--iterations N] [--out DIR]",
+        names.join("|")
     );
     std::process::exit(2);
 }

@@ -1,43 +1,77 @@
-//! Shared experiment runners for the benchmark harness: each function
-//! regenerates one figure of the paper end to end (network → campaign →
-//! database → analysis → rendered series). The `figures` binary prints
-//! them; the Criterion benches time them and assert their shape.
+//! Shared experiment runners for the benchmark harness: each figure of
+//! the paper is regenerated end to end (network → campaign → database →
+//! analysis → rendered series) and judged against the claims the paper
+//! makes about it, from the same series. The `figures` binary prints
+//! them, the `paper_figures` bench times them, and the root test
+//! `results_pin` holds both the text and the claims.
 
 use pathdb::{doc, Database, Document, Durability, Filter};
 use scion_sim::addr::ScionAddr;
 use scion_sim::fault::{CongestionEpisode, CongestionTarget};
 use scion_sim::net::ScionNetwork;
 use scion_sim::topology::scionlab::{paper_destinations, AWS_FRANKFURT, AWS_OHIO, AWS_SINGAPORE};
-use upin_core::analysis::{
-    self, CampaignSummary, IsdSetLatency, PathBandwidth, PathLatency, PathLoss,
-    ReachabilityHistogram,
-};
+use std::fmt::Write;
+use upin_core::analysis::{self, IsdSetLatency, PathBandwidth, Whisker};
 use upin_core::collect::{collect_paths, register_available_servers};
 use upin_core::config::SuiteConfig;
 use upin_core::measure::run_tests;
 use upin_core::report;
 use upin_core::schema::AVAILABLE_SERVERS;
 
-/// A figure's text as a function of `--seed` and `--iterations`.
-pub type Render = fn(u64, u32) -> String;
+/// One statement the paper makes about a figure, judged on its series.
+pub struct Claim {
+    pub text: String,
+    pub holds: bool,
+}
+
+fn claim(text: impl Into<String>, holds: bool) -> Claim {
+    Claim {
+        text: text.into(),
+        holds,
+    }
+}
+
+/// A figure's rendering and its claims, from one run of its campaign.
+pub struct Figure {
+    pub text: String,
+    pub claims: Vec<Claim>,
+}
+
+/// A figure as a function of `--seed` and `--iterations`.
+pub type Render = fn(u64, u32) -> Figure;
 
 /// Every figure, by name: what `figures` prints and what
 /// `figures all --seed 42 --iterations 10 --out results` writes, one
 /// `results/<name>.txt` per entry (the root test `results_pin` holds
-/// the files to it).
+/// the files and the claims to it).
 pub const FIGURES: [(&str, Render); 10] = [
-    ("fig4", |seed, _| fig4(seed).1),
-    ("fig5", |seed, n| fig5(seed, n).1),
-    ("fig6", |seed, n| fig6(seed, n).2),
-    ("fig7", |seed, n| fig7(seed, n).1),
-    ("fig8", |seed, n| fig8(seed, n).1),
-    ("fig9", |seed, n| fig9(seed, n.min(5)).1),
-    ("correlation", |seed, n| correlation(seed, n).1),
+    ("fig4", |seed, _| fig4(seed)),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", |seed, n| fig9(seed, n.min(5))),
+    ("correlation", correlation),
     ("consistency", |seed, n| {
-        destination_consistency(seed, n.min(5)).1
+        destination_consistency(seed, n.min(5))
     }),
-    ("diversity", |seed, n| choice_diversity(seed, n.min(5)).1),
-    ("summary", |seed, _| summary_campaign(seed, 25).1),
+    ("diversity", |seed, n| choice_diversity(seed, n.min(5))),
+    ("summary", |seed, _| summary_campaign(seed, 25)),
+];
+
+/// `(figure, claim, why)`: the claims that do not hold at
+/// `figures all --seed 42 --iterations 10`. EXPERIMENTS marks each ⚠️.
+pub const EXPECTED_FAILURES: [(&str, &str, &str); 2] = [
+    (
+        "fig9",
+        "the majority of paths exhibits a loss ratio of 0 %",
+        "3 of the 7 healthy paths hold a clean round at seed 42",
+    ),
+    (
+        "diversity",
+        "19-ffaa:0:1303,[141.44.25.144]: the request mix lands on at least 2 distinct winners",
+        "Germany's 4 candidates put one path on the Pareto front alone",
+    ),
 ];
 
 /// Wall-clock (network time) one ping-only path measurement consumes:
@@ -69,12 +103,24 @@ fn restrict_destinations(db: &Database, keep: &[ScionAddr]) {
 }
 
 /// Fig. 4 — server reachability histogram.
-pub fn fig4(seed: u64) -> (ReachabilityHistogram, String) {
-    let cfg = SuiteConfig::default();
-    let (_net, db) = collected(seed, &cfg);
+fn fig4(seed: u64) -> Figure {
+    let (_net, db) = collected(seed, &SuiteConfig::default());
     let hist = analysis::reachability(&db).expect("histogram");
-    let text = report::render_fig4(&hist);
-    (hist, text)
+    let within_6 = hist.frac_within(6);
+    Figure {
+        text: report::render_fig4(&hist),
+        claims: vec![
+            claim("21 reachable destinations", hist.destinations == 21),
+            claim(
+                "mean minimum path length within 5.4–5.95 hops (paper: 5.66)",
+                (5.4..5.95).contains(&hist.mean_min_hops),
+            ),
+            claim(
+                "62–80 % of destinations within 6 hops (paper: ≈70 %)",
+                (0.62..0.80).contains(&within_6),
+            ),
+        ],
+    }
 }
 
 /// A ping-only latency campaign against one destination.
@@ -92,25 +138,58 @@ fn latency_campaign(seed: u64, iterations: u32, dest: ScionAddr) -> (ScionNetwor
 }
 
 /// Fig. 5 — per-path latency whiskers to AWS Ireland.
-pub fn fig5(seed: u64, iterations: u32) -> (Vec<PathLatency>, String) {
+fn fig5(seed: u64, iterations: u32) -> Figure {
     let ireland = paper_destinations()[1];
     let (_net, db, server_id) = latency_campaign(seed, iterations, ireland);
     let paths = analysis::latency_by_path(&db, server_id).expect("series");
-    let text = report::render_fig5(&format!("{ireland} (AWS - Ireland)"), &paths);
-    (paths, text)
+    // The paper's "clear separation of latency values into three main
+    // layers", lowest first: EU-only, US detours, Singapore detours. A
+    // layer that is not there averages NaN, which no claim accepts.
+    let layers = analysis::latency_layers(&paths, 0.35);
+    let layer_mean = |i: usize| {
+        let ids = layers.get(i).map_or(&[][..], Vec::as_slice);
+        let v: Vec<f64> = paths
+            .iter()
+            .filter(|p| ids.contains(&p.path_id))
+            .map(|p| p.whisker.mean)
+            .collect();
+        v.iter().sum::<f64>() / v.len() as f64
+    };
+    let (eu, us, singapore) = (layer_mean(0), layer_mean(1), layer_mean(2));
+    let hops = |h: usize| paths.iter().any(|p| p.hops == h);
+    Figure {
+        text: report::render_fig5(&format!("{ireland} (AWS - Ireland)"), &paths),
+        claims: vec![
+            claim("at least 8 retained paths", paths.len() >= 8),
+            claim(
+                "retained paths have 6 or 7 hops",
+                paths.iter().all(|p| p.hops == 6 || p.hops == 7),
+            ),
+            claim(
+                "both the 6-hop and the 7-hop class occur",
+                hops(6) && hops(7),
+            ),
+            claim("latency separates into three layers", layers.len() == 3),
+            claim("the EU-only layer averages under 80 ms", eu < 80.0),
+            claim(
+                "the US-detour layer averages over twice the EU-only one",
+                us > eu * 2.0,
+            ),
+            claim(
+                "the Singapore-detour layer averages over 1.4× the US-detour one",
+                singapore > us * 1.4,
+            ),
+        ],
+    }
 }
 
-/// The two long-distance ASes the paper excludes in Fig. 6's right plot.
-fn fig6_excluded_ases() -> [String; 2] {
-    [AWS_SINGAPORE.to_string(), AWS_OHIO.to_string()]
-}
-
-/// Fig. 6 — latency per ISD set × hop count, with/without exclusions.
-pub fn fig6(seed: u64, iterations: u32) -> (Vec<IsdSetLatency>, Vec<IsdSetLatency>, String) {
+/// Fig. 6 — latency per ISD set × hop count, with/without the two
+/// long-distance ASes the paper excludes in its right plot.
+fn fig6(seed: u64, iterations: u32) -> Figure {
     let ireland = paper_destinations()[1];
     let (_net, db, server_id) = latency_campaign(seed, iterations, ireland);
     let all = analysis::latency_by_isd_set(&db, server_id, &[]).expect("series");
-    let excl = fig6_excluded_ases();
+    let excl = [AWS_SINGAPORE.to_string(), AWS_OHIO.to_string()];
     let excl_refs: Vec<&str> = excl.iter().map(String::as_str).collect();
     let filtered = analysis::latency_by_isd_set(&db, server_id, &excl_refs).expect("series");
     let text = report::render_fig6(
@@ -119,16 +198,47 @@ pub fn fig6(seed: u64, iterations: u32) -> (Vec<IsdSetLatency>, Vec<IsdSetLatenc
         &filtered,
         &excl_refs,
     );
-    (all, filtered, text)
+    // The home ISD set's column at a hop count; a claim about a column
+    // that is not there does not hold.
+    const HOME: [u16; 3] = [16, 17, 19];
+    fn column(groups: &[IsdSetLatency], hops: usize) -> Option<&Whisker> {
+        let g = groups.iter().find(|g| g.isds == HOME && g.hops == hops);
+        g.map(|g| &g.whisker)
+    }
+    let (six, seven) = (column(&all, 6), column(&all, 7));
+    let narrowed = seven.zip(column(&filtered, 7));
+    Figure {
+        text,
+        claims: vec![
+            claim(
+                "the {16,17,19} 7-hop column's IQR exceeds 3× the 6-hop one's",
+                six.zip(seven)
+                    .is_some_and(|(six, seven)| seven.iqr() > six.iqr() * 3.0),
+            ),
+            claim(
+                "excluding the two ASes cuts the {16,17,19} 7-hop column's std below a third",
+                narrowed.is_some_and(|(full, excl)| excl.std < full.std / 3.0),
+            ),
+            claim(
+                "excluding the two ASes lowers the {16,17,19} 7-hop column's mean",
+                narrowed.is_some_and(|(full, excl)| excl.mean < full.mean),
+            ),
+            claim(
+                "an ISD-set column beyond {16,17,19} exists",
+                all.iter().any(|g| g.isds != HOME),
+            ),
+        ],
+    }
 }
 
-/// A bandwidth campaign against one destination at one target rate.
-fn bandwidth_campaign(
+/// A bandwidth campaign against one destination at one target rate:
+/// its per-path series.
+fn bandwidth_series(
     seed: u64,
     iterations: u32,
     dest: ScionAddr,
     target_mbps: f64,
-) -> (Database, u32) {
+) -> Vec<PathBandwidth> {
     let cfg = SuiteConfig {
         iterations,
         run_bwtests: true,
@@ -139,42 +249,107 @@ fn bandwidth_campaign(
     restrict_destinations(&db, &[dest]);
     let server_id = analysis::server_id_of(&db, dest).expect("dest registered");
     run_tests(&db, &net, &cfg).expect("campaign succeeds");
-    (db, server_id)
+    analysis::bandwidth_by_path(&db, server_id, target_mbps).expect("series")
 }
 
-/// Fig. 7 — bandwidth per path to the Germany server at 12 Mbps.
-pub fn fig7(seed: u64, iterations: u32) -> (Vec<PathBandwidth>, String) {
-    let germany = paper_destinations()[0];
-    let (db, server_id) = bandwidth_campaign(seed, iterations, germany, 12.0);
-    let paths = analysis::bandwidth_by_path(&db, server_id, 12.0).expect("series");
-    let text = report::render_fig_bandwidth(
-        "Fig 7",
-        &format!("{germany} (Magdeburg, Germany)"),
-        12.0,
-        &paths,
-    );
-    (paths, text)
+/// Each bandwidth series averaged over a destination's paths, Mbps: what
+/// Figs. 7 and 8 and the consistency readout compare.
+struct Means {
+    up_64: f64,
+    up_mtu: f64,
+    down_64: f64,
+    down_mtu: f64,
 }
 
-/// Fig. 8 — the same at a 150 Mbps target (the reversal experiment).
-pub fn fig8(seed: u64, iterations: u32) -> (Vec<PathBandwidth>, String) {
+impl Means {
+    fn of(paths: &[PathBandwidth]) -> Means {
+        let mean = |series: fn(&PathBandwidth) -> Option<&Whisker>| {
+            let v: Vec<f64> = paths.iter().filter_map(series).map(|w| w.mean).collect();
+            v.iter().sum::<f64>() / v.len().max(1) as f64
+        };
+        Means {
+            up_64: mean(|p| p.up_64.as_ref()),
+            up_mtu: mean(|p| p.up_mtu.as_ref()),
+            down_64: mean(|p| p.down_64.as_ref()),
+            down_mtu: mean(|p| p.down_mtu.as_ref()),
+        }
+    }
+}
+
+/// Fig. 7's MTU downstream mean clears this and Fig. 8's falls below it:
+/// the two claims together say the MTU series collapses between the 12
+/// and the 150 Mbps target, with each campaign run once.
+const MTU_DOWN_FLOOR_MBPS: f64 = 9.0;
+
+/// Figs. 7 and 8 — bandwidth per path to the Germany server at one
+/// target rate: the path count, the series means and the rendering.
+fn germany_bandwidth(
+    seed: u64,
+    iterations: u32,
+    title: &str,
+    target: f64,
+) -> (usize, Means, String) {
     let germany = paper_destinations()[0];
-    let (db, server_id) = bandwidth_campaign(seed, iterations, germany, 150.0);
-    let paths = analysis::bandwidth_by_path(&db, server_id, 150.0).expect("series");
-    let text = report::render_fig_bandwidth(
-        "Fig 8",
-        &format!("{germany} (Magdeburg, Germany)"),
-        150.0,
-        &paths,
-    );
-    (paths, text)
+    let paths = bandwidth_series(seed, iterations, germany, target);
+    let dest = format!("{germany} (Magdeburg, Germany)");
+    let text = report::render_fig_bandwidth(title, &dest, target, &paths);
+    (paths.len(), Means::of(&paths), text)
+}
+
+/// Fig. 7 — the 12 Mbps target.
+fn fig7(seed: u64, iterations: u32) -> Figure {
+    let (paths, m, text) = germany_bandwidth(seed, iterations, "Fig 7", 12.0);
+    Figure {
+        text,
+        claims: vec![
+            claim("at least 3 paths", paths >= 3),
+            claim(
+                "upstream: MTU beats 64 B by more than 1 Mbps",
+                m.up_mtu > m.up_64 + 1.0,
+            ),
+            claim(
+                "downstream: MTU beats 64 B by more than 0.5 Mbps",
+                m.down_mtu > m.down_64 + 0.5,
+            ),
+            claim("MTU: downstream beats upstream", m.down_mtu > m.up_mtu),
+            claim("64 B: downstream beats upstream", m.down_64 > m.up_64),
+            claim(
+                format!("MTU downstream approaches the target: above {MTU_DOWN_FLOOR_MBPS} Mbps"),
+                m.down_mtu > MTU_DOWN_FLOOR_MBPS,
+            ),
+        ],
+    }
+}
+
+/// Fig. 8 — the 150 Mbps target: the reversal experiment.
+fn fig8(seed: u64, iterations: u32) -> Figure {
+    let (paths, m, text) = germany_bandwidth(seed, iterations, "Fig 8", 150.0);
+    Figure {
+        text,
+        claims: vec![
+            claim("at least 3 paths", paths >= 3),
+            claim(
+                "upstream: 64 B beats MTU (the reversal)",
+                m.up_64 > m.up_mtu,
+            ),
+            claim(
+                "downstream: 64 B beats MTU (the reversal)",
+                m.down_64 > m.down_mtu,
+            ),
+            claim(
+                format!(
+                    "MTU downstream collapses below the {MTU_DOWN_FLOOR_MBPS} Mbps Fig. 7 clears"
+                ),
+                m.down_mtu < MTU_DOWN_FLOOR_MBPS,
+            ),
+        ],
+    }
 }
 
 /// Fig. 9 — packet loss per path to AWS N. Virginia, with a congestion
 /// episode at a shared node (AWS Frankfurt) blacking out the tail paths
-/// of every measurement round. Returns the series, the rendering and
-/// how many tail paths each round's episode covered.
-pub fn fig9(seed: u64, rounds: u32) -> (Vec<PathLoss>, String, usize) {
+/// of every measurement round.
+fn fig9(seed: u64, rounds: u32) -> Figure {
     let virginia = paper_destinations()[2];
     let cfg = SuiteConfig {
         iterations: 1,
@@ -203,43 +378,69 @@ pub fn fig9(seed: u64, rounds: u32) -> (Vec<PathLoss>, String, usize) {
         run_tests(&db, &net, &cfg).expect("round succeeds");
     }
     let paths = analysis::loss_by_path(&db, server_id).expect("series");
-    let text = report::render_fig9(&format!("{virginia} (AWS US N. Virginia)"), &paths);
-    (paths, text, blackout)
+    let (healthy, tail) = paths.split_at(paths.len().saturating_sub(blackout));
+    let blacked = paths.iter().filter(|p| p.total_blackout()).count();
+    let clean = healthy
+        .iter()
+        .filter(|p| p.points.first().is_some_and(|(l, _)| *l == 0.0))
+        .count();
+    Figure {
+        text: report::render_fig9(&format!("{virginia} (AWS US N. Virginia)"), &paths),
+        claims: vec![
+            claim("at least 6 paths", paths.len() >= 6),
+            claim(
+                "exactly the paths the episode covers black out",
+                blacked == blackout,
+            ),
+            claim(
+                "the blacked-out paths are consecutive at the tail",
+                tail.len() == blackout && tail.iter().all(|p| p.total_blackout()),
+            ),
+            // Of the healthy paths, at least half with a clean round.
+            claim(
+                "the majority of paths exhibits a loss ratio of 0 %",
+                clean * 2 >= healthy.len(),
+            ),
+            claim(
+                "healthy paths average under 20 % loss",
+                healthy.iter().all(|p| p.mean_loss() < 20.0),
+            ),
+        ],
+    }
 }
 
 /// §6.2's consistency claim: "we achieved a consistent trend across all
 /// five destinations". Runs the 12 Mbps campaign against each paper
 /// destination and reports, per destination, whether the two Fig. 7
 /// orderings (MTU > 64 B, downstream > upstream) hold.
-pub fn destination_consistency(
-    seed: u64,
-    iterations: u32,
-) -> (Vec<(ScionAddr, bool, bool)>, String) {
-    let mut rows = Vec::new();
+fn destination_consistency(seed: u64, iterations: u32) -> Figure {
+    let mut claims = Vec::new();
     let mut text =
         String::from("Fig 7 trend per destination (12 Mbps target): MTU>64B | down>up\n");
     for dest in paper_destinations() {
-        let (db, server_id) = bandwidth_campaign(seed, iterations, dest, 12.0);
-        let paths = analysis::bandwidth_by_path(&db, server_id, 12.0).expect("series");
-        let mean = |f: &dyn Fn(&analysis::PathBandwidth) -> Option<f64>| {
-            let v: Vec<f64> = paths.iter().filter_map(f).collect();
-            v.iter().sum::<f64>() / v.len().max(1) as f64
-        };
-        let up64 = mean(&|p| p.up_64.as_ref().map(|w| w.mean));
-        let upmtu = mean(&|p| p.up_mtu.as_ref().map(|w| w.mean));
-        let down64 = mean(&|p| p.down_64.as_ref().map(|w| w.mean));
-        let downmtu = mean(&|p| p.down_mtu.as_ref().map(|w| w.mean));
-        let mtu_beats_small = upmtu > up64 && downmtu > down64;
-        let down_beats_up = downmtu > upmtu && down64 > up64;
+        let m = Means::of(&bandwidth_series(seed, iterations, dest, 12.0));
+        let mtu_beats_small = m.up_mtu > m.up_64 && m.down_mtu > m.down_64;
+        let down_beats_up = m.down_mtu > m.up_mtu && m.down_64 > m.up_64;
         let _ = writeln!(
             &mut text,
-            "  {dest}:  {}  |  {}   (up {up64:.1}/{upmtu:.1}, down {down64:.1}/{downmtu:.1} Mbps)",
+            "  {dest}:  {}  |  {}   (up {:.1}/{:.1}, down {:.1}/{:.1} Mbps)",
             tick(mtu_beats_small),
-            tick(down_beats_up)
+            tick(down_beats_up),
+            m.up_64,
+            m.up_mtu,
+            m.down_64,
+            m.down_mtu,
         );
-        rows.push((dest, mtu_beats_small, down_beats_up));
+        claims.push(claim(
+            format!("{dest}: MTU beats 64 B in both directions"),
+            mtu_beats_small,
+        ));
+        claims.push(claim(
+            format!("{dest}: downstream beats upstream for both packet sizes"),
+            down_beats_up,
+        ));
     }
-    (rows, text)
+    Figure { text, claims }
 }
 
 fn tick(b: bool) -> &'static str {
@@ -250,15 +451,10 @@ fn tick(b: bool) -> &'static str {
     }
 }
 
-use std::fmt::Write;
-
 /// A usability readout the paper motivates ("offer users many paths to
 /// choose from"): for each paper destination, how many distinct paths a
 /// mix of user requests actually receives, and the Pareto-front size.
-pub fn choice_diversity(
-    seed: u64,
-    iterations: u32,
-) -> (Vec<(ScionAddr, usize, usize, usize)>, String) {
+fn choice_diversity(seed: u64, iterations: u32) -> Figure {
     use upin_core::multi::pareto_front;
     use upin_core::select::{aggregate_paths, recommend, Constraints, Objective, UserRequest};
 
@@ -302,7 +498,7 @@ pub fn choice_diversity(
             .collect()
     };
 
-    let mut rows = Vec::new();
+    let mut claims = Vec::new();
     let mut text = String::from(
         "Choice diversity per destination: candidates | distinct winners | Pareto front\n",
     );
@@ -332,28 +528,50 @@ pub fn choice_diversity(
             winners.len(),
             front.len()
         );
-        rows.push((dest, candidates.len(), winners.len(), front.len()));
+        claims.push(claim(
+            format!("{dest}: at least 3 candidates"),
+            candidates.len() >= 3,
+        ));
+        claims.push(claim(
+            format!("{dest}: the request mix lands on at least 2 distinct winners"),
+            winners.len() >= 2,
+        ));
+        claims.push(claim(
+            format!("{dest}: the Pareto front is non-empty and within the candidates"),
+            (1..=candidates.len()).contains(&front.len()),
+        ));
     }
-    (rows, text)
+    Figure { text, claims }
 }
 
 /// §6.1's thesis quantified: correlation of per-path latency with
 /// geographic path length vs hop count, over the Ireland campaign.
-pub fn correlation(seed: u64, iterations: u32) -> (upin_core::analysis::CorrelationReport, String) {
+fn correlation(seed: u64, iterations: u32) -> Figure {
     let ireland = paper_destinations()[1];
     let (net, db, server_id) = latency_campaign(seed, iterations, ireland);
-    let report = analysis::distance_correlation(&db, &net, server_id).expect("correlation");
-    let text = format!(
-        "Latency correlates with geography, not hop count (to {ireland}):\n  Pearson r (latency ~ path length km): {:+.3}\n  Pearson r (latency ~ hop count):      {:+.3}\n  over {} paths\n",
-        report.r_distance, report.r_hops, report.paths
-    );
-    (report, text)
+    let r = analysis::distance_correlation(&db, &net, server_id).expect("correlation");
+    Figure {
+        text: format!(
+            "Latency correlates with geography, not hop count (to {ireland}):\n  Pearson r (latency ~ path length km): {:+.3}\n  Pearson r (latency ~ hop count):      {:+.3}\n  over {} paths\n",
+            r.r_distance, r.r_hops, r.paths
+        ),
+        claims: vec![
+            claim("at least 8 paths", r.paths >= 8),
+            claim("r(latency, path length) above 0.95", r.r_distance > 0.95),
+            // Hop count correlates weakly and only incidentally (longer
+            // detours also add a hop): the paper's "predominant component".
+            claim(
+                "r(latency, path length) exceeds r(latency, hop count) by more than 0.3",
+                r.r_distance > r.r_hops + 0.3,
+            ),
+        ],
+    }
 }
 
 /// §6 scalars — a full campaign across all 21 destinations sized by
 /// `iterations` (≈ `iterations × total_paths` samples; 25 rounds land
 /// near the paper's ≈3000-sample dataset).
-pub fn summary_campaign(seed: u64, iterations: u32) -> (CampaignSummary, String) {
+fn summary_campaign(seed: u64, iterations: u32) -> Figure {
     let cfg = SuiteConfig {
         iterations,
         run_bwtests: false,
@@ -362,8 +580,10 @@ pub fn summary_campaign(seed: u64, iterations: u32) -> (CampaignSummary, String)
     let (net, db) = collected(seed, &cfg);
     run_tests(&db, &net, &cfg).expect("campaign succeeds");
     let summary = analysis::summary(&db).expect("summary");
-    let text = report::render_summary(&summary);
-    (summary, text)
+    Figure {
+        text: report::render_summary(&summary),
+        claims: Vec::new(),
+    }
 }
 
 /// A synthetic campaign database — `servers × paths_per` path documents
@@ -512,81 +732,4 @@ pub fn cross_isd_endpoints(
         .max_by_key(|ia| ia.isd)
         .expect("topology has cores");
     (user, far)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig4_matches_paper_scalars() {
-        let (hist, text) = fig4(1);
-        assert_eq!(hist.destinations, 21);
-        assert!(
-            (5.4..5.95).contains(&hist.mean_min_hops),
-            "{}",
-            hist.mean_min_hops
-        );
-        let frac = hist.frac_within(6);
-        assert!((0.62..0.80).contains(&frac), "{frac}");
-        assert!(text.contains("Fig 4"));
-    }
-
-    #[test]
-    fn fig7_trend_is_consistent_across_destinations() {
-        let (rows, text) = destination_consistency(11, 4);
-        assert_eq!(rows.len(), 5);
-        for (dest, mtu_beats_small, down_beats_up) in &rows {
-            assert!(mtu_beats_small, "MTU ordering broken at {dest}");
-            assert!(down_beats_up, "asymmetry broken at {dest}");
-        }
-        assert!(!text.contains("NO"), "{text}");
-    }
-
-    #[test]
-    fn users_get_real_choice() {
-        let (rows, text) = choice_diversity(13, 3);
-        assert_eq!(rows.len(), 5);
-        for (dest, candidates, winners, front) in &rows {
-            assert!(*candidates >= 3, "{dest}: {candidates}");
-            assert!(*winners >= 2, "{dest}: request mix must spread over paths");
-            assert!(*front >= 1 && front <= candidates, "{dest}");
-        }
-        assert!(text.contains("distinct winners"));
-    }
-
-    #[test]
-    fn latency_tracks_distance_not_hops() {
-        let (report, text) = correlation(3, 5);
-        assert!(report.paths >= 8);
-        assert!(
-            report.r_distance > 0.95,
-            "distance correlation {}",
-            report.r_distance
-        );
-        // Hop count correlates weakly and only incidentally (longer
-        // detours also add a hop); distance must dominate by a wide
-        // margin — the paper's "predominant component" claim.
-        assert!(
-            report.r_distance > report.r_hops + 0.3,
-            "distance {} must dominate hops {}",
-            report.r_distance,
-            report.r_hops
-        );
-        assert!(text.contains("Pearson"));
-    }
-
-    #[test]
-    fn fig9_blackout_hits_tail_paths() {
-        let (paths, text, blackout) = fig9(5, 2);
-        let n = paths.len();
-        assert!(n >= 6);
-        for p in &paths[n - blackout..] {
-            assert!(p.total_blackout(), "{p:?}");
-        }
-        for p in &paths[..n - blackout] {
-            assert!(p.mean_loss() < 20.0, "{p:?}");
-        }
-        assert!(text.contains("<- 100% loss"));
-    }
 }

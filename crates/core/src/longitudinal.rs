@@ -186,7 +186,7 @@ pub struct Round {
 /// Keep raw `paths_stats` rows for a sliding window of `keep_ms` on the
 /// network clock; every round of [`run_rounds`] expires what fell
 /// behind it.
-pub fn retain_stats(db: &Database, keep_ms: i64) {
+pub(crate) fn retain_stats(db: &Database, keep_ms: i64) {
     db.set_retention(RetentionPolicy {
         collection: PATHS_STATS.into(),
         time_field: "timestamp_ms".into(),

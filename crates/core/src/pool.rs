@@ -112,4 +112,18 @@ mod tests {
         });
         assert!(matches!(r, Err(SuiteError::Campaign(_))), "{r:?}");
     }
+
+    /// Two workers run two jobs at once: each job waits at a barrier
+    /// only the other can release, so the pool hangs unless both are
+    /// live together, and then it counts two.
+    #[test]
+    fn two_workers_overlap() {
+        let barrier = std::sync::Barrier::new(2);
+        let (out, peak) = run_pool(vec![1, 2], 2, |j| {
+            barrier.wait();
+            j
+        })
+        .unwrap();
+        assert_eq!((out, peak), (vec![1, 2], 2));
+    }
 }

@@ -16,7 +16,7 @@
 
 use crate::error::{SuiteError, SuiteResult};
 use crate::select::{Constraints, Objective, Recommendation};
-use pathdb::{doc, Database, Document, Value};
+use pathdb::{doc, Database, Value};
 use scion_sim::addr::IsdAsn;
 use scion_sim::net::ScionNetwork;
 use scion_sim::path::ScionPath;
@@ -188,13 +188,6 @@ pub fn verify_recommendation(
     Ok(VerificationReport { trace, violations })
 }
 
-/// Stored trace records for a sequence, newest last (for audits).
-pub fn traces_for(db: &Database, sequence: &str) -> Vec<Document> {
-    let handle = db.collection(PATH_TRACES);
-    let coll = handle.read();
-    coll.query(pathdb::Filter::eq("sequence", sequence)).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +195,15 @@ mod tests {
     use crate::config::SuiteConfig;
     use crate::measure::run_tests;
     use crate::select::{recommend, UserRequest};
+    use pathdb::Document;
     use scion_sim::topology::scionlab::{paper_destinations, AWS_SINGAPORE, MY_AS};
+
+    /// Stored trace records for a sequence, newest last.
+    fn traces_for(db: &Database, sequence: &str) -> Vec<Document> {
+        let handle = db.collection(PATH_TRACES);
+        let coll = handle.read();
+        coll.query(pathdb::Filter::eq("sequence", sequence)).run()
+    }
 
     fn campaign() -> (Database, ScionNetwork, u32) {
         let net = ScionNetwork::scionlab(77);

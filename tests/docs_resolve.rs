@@ -6,7 +6,8 @@
 //! outside DESIGN's "One of each" record of its deletion. Every
 //! `src/{a,b,c}.rs` list of DESIGN §3's tree names files that exist.
 //! Every number a measured cell of EXPERIMENTS §Fig. 4–9 states is in
-//! that figure's pinned `results/` file.
+//! that figure's pinned `results/` file, and its ⚠️ rows are the
+//! expected failures `results_pin` holds the figures' claims to.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -223,6 +224,48 @@ fn experiments_cites_the_figures_it_claims() {
     assert!(
         missing.is_empty(),
         "EXPERIMENTS cites numbers its figures do not hold: {missing:#?}"
+    );
+}
+
+/// EXPERIMENTS' Status column is `upin_bench::EXPECTED_FAILURES`, read
+/// without running a figure: in the section whose heading cites
+/// `` `figures NAME` ``, every ⚠️ line states a claim the table lists for
+/// NAME, and every listed claim is stated on a ⚠️ line there.
+#[test]
+fn experiments_marks_exactly_the_expected_failures() {
+    use upin_bench::{EXPECTED_FAILURES, FIGURES};
+    let experiments = read("EXPERIMENTS.md");
+    let (mut wrong, mut marked) = (Vec::new(), BTreeSet::new());
+    for (name, _) in FIGURES {
+        let cite = format!("`figures {name}`");
+        let heads = experiments.split("\n## ").skip(1);
+        let sections: Vec<&str> = heads
+            .filter(|s| s.lines().next().unwrap().contains(&cite))
+            .collect();
+        let [section] = sections[..] else {
+            wrong.push(format!("{} section headings cite {cite}", sections.len()));
+            continue;
+        };
+        for line in section.lines().filter(|l| l.contains('⚠')) {
+            let listed = EXPECTED_FAILURES
+                .iter()
+                .position(|(figure, claim, _)| *figure == name && line.contains(claim));
+            match listed {
+                Some(i) => {
+                    marked.insert(i);
+                }
+                None => wrong.push(format!("{name}: marked ⚠ but not listed: {line}")),
+            }
+        }
+    }
+    for (i, (figure, claim, _)) in EXPECTED_FAILURES.iter().enumerate() {
+        if !marked.contains(&i) {
+            wrong.push(format!("{figure}: listed, but no ⚠ row states it: {claim}"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "EXPERIMENTS' ⚠️ rows and EXPECTED_FAILURES disagree: {wrong:#?}"
     );
 }
 
