@@ -2,21 +2,23 @@
 //! the paper is regenerated end to end (network → campaign → database →
 //! analysis → rendered series) and judged against the claims the paper
 //! makes about it, from the same series. The `figures` binary prints
-//! them, the `paper_figures` bench times them, and the root test
-//! `results_pin` holds both the text and the claims.
+//! them and the root test `results_pin` holds both the text and the
+//! claims. The fixtures at the end build what the `floors` test times.
 
 use pathdb::{doc, Database, Document, Durability, Filter};
 use scion_sim::addr::ScionAddr;
 use scion_sim::fault::{CongestionEpisode, CongestionTarget};
 use scion_sim::net::ScionNetwork;
+use scion_sim::path::ScionPath;
 use scion_sim::topology::scionlab::{paper_destinations, AWS_FRANKFURT, AWS_OHIO, AWS_SINGAPORE};
+use scion_tools::showpaths::{showpaths, ShowpathsOptions};
 use std::fmt::Write;
 use upin_core::analysis::{self, IsdSetLatency, PathBandwidth, Whisker};
-use upin_core::collect::{collect_paths, register_available_servers};
+use upin_core::collect::{collect_paths, register_available_servers, retain_short_paths};
 use upin_core::config::SuiteConfig;
 use upin_core::measure::run_tests;
 use upin_core::report;
-use upin_core::schema::AVAILABLE_SERVERS;
+use upin_core::schema::{AVAILABLE_SERVERS, PATHS};
 
 /// One statement the paper makes about a figure, judged on its series.
 pub struct Claim {
@@ -44,7 +46,7 @@ pub type Render = fn(u64, u32) -> Figure;
 /// `figures all --seed 42 --iterations 10 --out results` writes, one
 /// `results/<name>.txt` per entry (the root test `results_pin` holds
 /// the files and the claims to it).
-pub const FIGURES: [(&str, Render); 10] = [
+pub const FIGURES: [(&str, Render); 11] = [
     ("fig4", |seed, _| fig4(seed)),
     ("fig5", fig5),
     ("fig6", fig6),
@@ -57,6 +59,7 @@ pub const FIGURES: [(&str, Render); 10] = [
     }),
     ("diversity", |seed, n| choice_diversity(seed, n.min(5))),
     ("summary", |seed, _| summary_campaign(seed, 25)),
+    ("pruning", |seed, _| pruning(seed)),
 ];
 
 /// `(figure, claim, why)`: the claims that do not hold at
@@ -586,68 +589,67 @@ fn summary_campaign(seed: u64, iterations: u32) -> Figure {
     }
 }
 
-/// A synthetic campaign database — `servers × paths_per` path documents
-/// and `servers × paths_per × rounds` stats rows — for the selection and
-/// strategy benches. Every fourth path crosses the United States, so
-/// country constraints have something to cut.
-pub fn synthetic_db(servers: u32, paths_per: u32, rounds: u32, index: bool) -> Database {
-    use upin_core::schema::{PATHS, PATHS_STATS};
-
-    let db = Database::new();
-    if index {
-        upin_core::schema::ensure_indexes(&db);
+/// §5.2's retention rule swept over the `showpaths -m 40` listing of
+/// every destination: how many paths each hop slack keeps, and what one
+/// campaign round of 30-probe pings then costs.
+fn pruning(seed: u64) -> Figure {
+    let cfg = SuiteConfig::default();
+    let (net, db) = collected(seed, &cfg);
+    let options = ShowpathsOptions {
+        max_paths: cfg.max_paths,
+        extended: true,
+    };
+    let listing = |addr: ScionAddr| match showpaths(&net, cfg.local_as, addr.ia, options) {
+        Ok(listing) => listing.paths.into_iter().map(|e| e.path).collect(),
+        Err(_) => Vec::new(),
+    };
+    let listings: Vec<Vec<ScionPath>> = upin_core::collect::destinations(&db)
+        .expect("destinations readable")
+        .into_iter()
+        .map(|(_, addr)| listing(addr))
+        .collect();
+    let kept = |slack| -> usize {
+        listings
+            .iter()
+            .map(|l| retain_short_paths(l, slack).len())
+            .sum()
+    };
+    let (shortest, paper) = (kept(0), kept(1));
+    let unlimited: usize = listings.iter().map(Vec::len).sum();
+    let stored = db.collection(PATHS).read().len();
+    let mut text = format!(
+        "Path retention over the showpaths -m {} listings of {} destinations:\n",
+        cfg.max_paths,
+        listings.len()
+    );
+    for (rule, paths) in [
+        ("slack 0 (shortest only)", shortest),
+        ("slack 1 (min+1, paper)", paper),
+        ("unlimited", unlimited),
+    ] {
+        let probes = paths * cfg.ping_count as usize;
+        let _ = writeln!(
+            &mut text,
+            "  {rule:<24} {paths:>4} paths -> {probes:>5} probes per campaign round"
+        );
     }
-    {
-        let handle = db.collection(PATHS);
-        let mut coll = handle.write();
-        for s in 1..=servers {
-            for p in 0..paths_per {
-                coll.insert_one(doc! {
-                    "_id" => format!("{s}_{p}"),
-                    "server_id" => s as i64,
-                    "path_index" => p as i64,
-                    "sequence" => format!("17-ffaa:1:eaf#0,1 17-ffaa:0:1107#{p},0"),
-                    "hops" => (5 + p % 3) as i64,
-                    "isds" => vec![16i64, 17, (17 + p % 4) as i64],
-                    "ases" => vec![format!("17-ffaa:0:{p}")],
-                    "countries" => vec![if p % 4 == 0 { "United States" } else { "Switzerland" }.to_string()],
-                    "operators" => vec!["op".to_string()],
-                })
-                .unwrap();
-            }
-        }
+    Figure {
+        text,
+        claims: vec![
+            claim(
+                "min+1 keeps at least twice the shortest-only paths",
+                paper >= 2 * shortest,
+            ),
+            claim("min+1 keeps fewer paths than unlimited", paper < unlimited),
+            claim(
+                "min+1 keeps exactly the paths collect_paths stores",
+                paper == stored,
+            ),
+        ],
     }
-    {
-        let handle = db.collection(PATHS_STATS);
-        let mut coll = handle.write();
-        let mut batch = Vec::new();
-        for s in 1..=servers {
-            for p in 0..paths_per {
-                for r in 0..rounds {
-                    batch.push(doc! {
-                        "_id" => format!("{s}_{p}_{r}"),
-                        "path_id" => format!("{s}_{p}"),
-                        "server_id" => s as i64,
-                        "timestamp_ms" => (r * 3300) as i64,
-                        "isds" => vec![16i64, 17],
-                        "hops" => (5 + p % 3) as i64,
-                        "avg_latency_ms" => 20.0 + (p * 13 % 250) as f64 + (r % 7) as f64,
-                        "jitter_ms" => 0.3 + (p % 5) as f64,
-                        "loss_pct" => (p % 9) as f64,
-                        "bw_up_mtu_mbps" => 8.0 + (p % 4) as f64,
-                        "bw_down_mtu_mbps" => 10.0 + (p % 3) as f64,
-                        "target_mbps" => 12.0,
-                    });
-                }
-            }
-        }
-        coll.insert_many(batch).unwrap();
-    }
-    db
 }
 
-/// `n` stats rows of one destination — the batch the insertion and
-/// durability ablations write.
+/// `n` stats rows of one destination — the batch the WAL floor writes.
 pub fn stats_batch(n: usize) -> Vec<Document> {
     (0..n)
         .map(|i| {
@@ -684,7 +686,7 @@ pub fn empty_db(mode: Durability) -> Database {
 
 /// One synthetic `paths_stats` row shaped like a campaign measurement,
 /// spread over 21 servers × 4 paths.
-pub fn rollup_row(i: u64, ts: i64) -> Document {
+fn rollup_row(i: u64, ts: i64) -> Document {
     let s = (i % 21 + 1) as i64;
     let p = (i % 4) as i64;
     doc! {
@@ -698,7 +700,7 @@ pub fn rollup_row(i: u64, ts: i64) -> Document {
     }
 }
 
-/// A database with `n` [`rollup_row`]s spread over one simulated day
+/// A database with `n` `rollup_row`s spread over one simulated day
 /// (24 hourly buckets × 84 groups) and the stats rollup caught up.
 pub fn rollup_db(n: u64) -> Database {
     const DAY_MS: i128 = 86_400_000;

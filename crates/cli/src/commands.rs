@@ -270,17 +270,14 @@ static COMMANDS: &[Command] = &[
     },
     Command {
         name: "loadgen",
-        help: "  loadgen [--clients N] [--requests N] [--arrival-rate R] [--mix FILE]\n\
-               \x20         [--with-campaign] [--bench-out FILE]\n\
+        help: "  loadgen [--clients N] [--requests N] [--mix FILE] [--with-campaign]\n\
                \x20                                      closed-loop load harness over the\n\
-               \x20                                      service (p50/p99 to --bench-out)\n",
+               \x20                                      service (deterministic report)\n",
         spec: || {
             Spec::new(0, 0)
                 .value("clients")
                 .value("requests")
-                .value("arrival-rate")
                 .value("mix")
-                .value("bench-out")
                 .flag("with-campaign")
         },
         run: Run::Servers(cmd_loadgen),
@@ -719,15 +716,13 @@ fn cmd_serve(p: &Parsed, s: &Session) -> Result<String, CliError> {
     Ok(answers.concat())
 }
 
-/// `upin loadgen --db DIR [--clients N] [--requests N]
-///  [--arrival-rate R] [--mix FILE] [--with-campaign]
-///  [--bench-out FILE]`: the closed-loop load harness.
+/// `upin loadgen --db DIR [--clients N] [--requests N] [--mix FILE]
+///  [--with-campaign]`: the closed-loop load harness.
 fn cmd_loadgen(p: &Parsed, s: &Session) -> Result<String, CliError> {
     use upin_core::loadgen::{run_loadgen, LoadgenConfig, Mix};
     let cfg = LoadgenConfig {
         clients: p.get_or("clients", 4)?,
         requests_per_client: p.get_or("requests", 100)?,
-        arrival_rate: p.get_or("arrival-rate", 0.0)?,
         seed: s.seed,
         mix: match p.opt("mix") {
             Some(path) => read_parsed(path, Mix::from_json_str)?,
@@ -736,13 +731,7 @@ fn cmd_loadgen(p: &Parsed, s: &Session) -> Result<String, CliError> {
         concurrent_campaign: p.flag("with-campaign"),
     };
     let service = Arc::new(s.service());
-    let outcome = run_loadgen(&service, service.as_ref(), &cfg)?;
-    let mut out = outcome.report.clone();
-    if let Some(path) = p.opt("bench-out") {
-        write_file(path, &outcome.bench_json)?;
-        out.push_str(&format!("bench written to {path}\n"));
-    }
-    Ok(out)
+    Ok(run_loadgen(&service, service.as_ref(), &cfg)?.report)
 }
 
 fn cmd_verify(p: &Parsed, s: &Session) -> Result<String, CliError> {
@@ -1594,14 +1583,13 @@ mod tests {
     }
 
     #[test]
-    fn loadgen_runs_and_writes_the_bench_doc() {
+    fn loadgen_report_is_deterministic_and_the_timing_options_are_gone() {
         let dir = std::env::temp_dir().join(format!("upin-cli-lg-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let dbflag = dir.to_str().unwrap();
         run_cli(&["campaign", "1", "--no-bwtests", "--db", dbflag]).unwrap();
 
-        let bench = dir.join("bench.json");
-        let out = run_cli(&[
+        let args = [
             "loadgen",
             "--db",
             dbflag,
@@ -1609,36 +1597,26 @@ mod tests {
             "2",
             "--requests",
             "20",
-            "--bench-out",
-            bench.to_str().unwrap(),
-        ])
-        .unwrap();
+        ];
+        let out = run_cli(&args).unwrap();
         assert!(
             out.contains("loadgen: 2 client(s) x 20 request(s), seed 42"),
             "{out}"
         );
         assert!(out.contains("workload digest:"), "{out}");
         assert!(out.contains("errors: 0"), "{out}");
+        // Same seed, same database → byte-identical report.
+        assert_eq!(
+            out,
+            run_cli(&args).unwrap(),
+            "same-seed loadgen must be byte-identical"
+        );
 
-        // Same seed, same database → byte-identical report (modulo the
-        // bench banner, which names the same file anyway).
-        let again = run_cli(&[
-            "loadgen",
-            "--db",
-            dbflag,
-            "--clients",
-            "2",
-            "--requests",
-            "20",
-            "--bench-out",
-            bench.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert_eq!(out, again, "same-seed loadgen must be byte-identical");
-
-        let doc = std::fs::read_to_string(&bench).unwrap();
-        assert!(doc.contains("\"bench\": \"serve\""), "{doc}");
-        assert!(doc.contains("\"p99_us\""), "{doc}");
+        // Wall-clock numbers come from the end-to-end benchmark only.
+        for retired in [["--bench-out", "b.json"], ["--arrival-rate", "100"]] {
+            let err = run_cli(&[&args[..], &retired[..]].concat());
+            assert!(matches!(err, Err(CliError::Usage(_))), "{err:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -101,8 +101,12 @@ pub fn collect_paths(
     Ok(report)
 }
 
+/// The hop slack the collection stage retains paths within (§5.2).
+const HOP_SLACK: usize = 1;
+
 /// Retention rule of §5.2: keep paths with `hops ≤ min_hops + slack`.
-fn retain_short_paths(paths: &[ScionPath], slack: usize) -> Vec<&ScionPath> {
+/// Collection passes `HOP_SLACK`; `figures pruning` sweeps the slack.
+pub fn retain_short_paths(paths: &[ScionPath], slack: usize) -> Vec<&ScionPath> {
     let Some(min) = paths.iter().map(ScionPath::hop_count).min() else {
         return Vec::new();
     };
@@ -133,7 +137,7 @@ fn collect_for_destination(
         return Err(SuiteError::NoCandidates(format!("no paths to {addr}")));
     }
     let discovered = all.len();
-    let retained: Vec<&ScionPath> = retain_short_paths(&all, cfg.hop_slack);
+    let retained: Vec<&ScionPath> = retain_short_paths(&all, HOP_SLACK);
 
     // Existing paths for this destination: sequence → (id, index).
     let handle = db.collection(PATHS);

@@ -23,8 +23,6 @@ pub struct SuiteConfig {
     pub some_only: bool,
     /// `showpaths -m`: maximum paths requested per destination.
     pub max_paths: usize,
-    /// Retain only paths with `hops ≤ min_hops + hop_slack` (§5.2 uses 1).
-    pub hop_slack: usize,
     /// Ping probes per path (`-c`).
     pub ping_count: u32,
     /// Ping inter-probe interval, ms (`--interval 0.1s`).
@@ -69,7 +67,6 @@ impl Default for SuiteConfig {
             skip_collection: false,
             some_only: false,
             max_paths: 40,
-            hop_slack: 1,
             ping_count: 30,
             ping_interval_ms: 100.0,
             bw_target_mbps: 12.0,
@@ -194,7 +191,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = SuiteConfig::default();
         assert_eq!(c.max_paths, 40);
-        assert_eq!(c.hop_slack, 1);
         assert_eq!(c.ping_count, 30);
         assert_eq!(c.ping_interval_ms, 100.0);
         assert_eq!(c.bw_target_mbps, 12.0);

@@ -2,21 +2,17 @@
 //!
 //! Simulates a population of users hammering one [`PathIntelService`]
 //! through a [`Transport`]: `--clients N` closed-loop clients (each
-//! waits for its response before issuing the next request), a seeded
-//! preference/constraint [`Mix`] deciding what each client asks, and an
-//! optional aggregate `--arrival-rate` pacing the population. A
+//! waits for its response before issuing the next request) and a seeded
+//! preference/constraint [`Mix`] deciding what each client asks. A
 //! campaign can write to the same database concurrently — the service's
 //! MVCC snapshot reads are exactly what makes that safe.
 //!
-//! The output splits in two, deliberately:
-//!
-//! * [`LoadgenOutcome::report`] — the deterministic side: request
-//!   counts per kind and an order-independent workload digest (plus
-//!   response digest when no concurrent writer races). Same seed ⇒
-//!   byte-identical, pinned by tests and the `serve-smoke` CI job.
-//! * [`LoadgenOutcome::bench_json`] — the wall-clock side (`qps`,
-//!   `p50_us`/`p99_us` from a telemetry histogram), quarantined in the
-//!   `--bench-out` file like every other `wall.` metric in this repo.
+//! [`LoadgenOutcome::report`] is deterministic: request counts per kind,
+//! an order-independent workload digest and the error count, plus a
+//! response digest when no concurrent writer races. Same seed ⇒
+//! byte-identical, pinned by tests and the `serve-smoke` CI job. Nothing
+//! here is timed; what a request costs is the end-to-end benchmark's
+//! `serve_static` / `serve_churn` (`benchmark/README.md`).
 
 use crate::api::{
     parse_objective, EvaluateConstraintRequest, PathIntelService, RecommendRequest, ServiceRequest,
@@ -30,15 +26,13 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use upin_telemetry::Telemetry;
 
 /// Most client threads one run may start (`--clients`).
 const MAX_CLIENTS: usize = 1_024;
 
 /// Most requests one run may issue over all clients (`--clients` ×
-/// `--requests`). Every stream is synthesized before the timed phase,
-/// so [`run_loadgen`] refuses a larger run before anything is sized by
+/// `--requests`). Every stream is synthesized before any is sent, so
+/// [`run_loadgen`] refuses a larger run before anything is sized by
 /// it.
 const MAX_REQUESTS: usize = 10_000_000;
 
@@ -168,9 +162,6 @@ pub struct LoadgenConfig {
     pub clients: usize,
     /// Requests each client issues.
     pub requests_per_client: usize,
-    /// Aggregate target arrival rate, requests/second over the whole
-    /// population; 0 = open throttle (as fast as responses return).
-    pub arrival_rate: f64,
     /// Seed of the per-client request streams.
     pub seed: u64,
     pub mix: Mix,
@@ -184,7 +175,6 @@ impl Default for LoadgenConfig {
         LoadgenConfig {
             clients: 4,
             requests_per_client: 100,
-            arrival_rate: 0.0,
             seed: 42,
             mix: Mix::default_mix(),
             concurrent_campaign: false,
@@ -197,14 +187,6 @@ impl Default for LoadgenConfig {
 pub struct LoadgenOutcome {
     /// Deterministic report: byte-identical for the same seed + config.
     pub report: String,
-    /// Wall-clock benchmark document (the `--bench-out` payload).
-    pub bench_json: String,
-    /// Recommend-queries/second actually sustained.
-    pub recommend_qps: f64,
-    /// All-request throughput.
-    pub qps: f64,
-    pub p50_us: f64,
-    pub p99_us: f64,
     /// Responses that came back as [`ServiceResponse::Error`].
     pub errors: u64,
 }
@@ -324,18 +306,6 @@ pub fn run_loadgen(
             cfg.clients, cfg.requests_per_client
         )));
     }
-    // Per-client pacing period for the aggregate arrival rate.
-    let period = if cfg.arrival_rate == 0.0 {
-        None
-    } else {
-        let period = Duration::try_from_secs_f64(cfg.clients as f64 / cfg.arrival_rate);
-        Some(period.map_err(|e| {
-            SuiteError::InvalidRequest(format!(
-                "arrival rate {:?} gives no usable pacing period: {e}",
-                cfg.arrival_rate
-            ))
-        })?)
-    };
     let dests: Vec<(u32, String)> = crate::collect::destinations(service.db())?
         .into_iter()
         .map(|(id, addr)| (id, addr.ia.to_string()))
@@ -346,7 +316,7 @@ pub fn run_loadgen(
         ));
     }
 
-    // Deterministic phase: synthesize every client's stream up front.
+    // Synthesize every client's stream up front.
     let streams: Vec<Vec<ServiceRequest>> = (0..cfg.clients)
         .map(|c| client_stream(cfg, &dests, c))
         .collect::<SuiteResult<_>>()?;
@@ -370,13 +340,10 @@ pub fn run_loadgen(
         }
     }
 
-    // Timed phase: closed-loop clients, optional concurrent writer.
+    // Closed-loop clients, optional concurrent writer.
     let stop_writer = AtomicBool::new(false);
-    let writer_iterations = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
-
-    let started = Instant::now();
-    let mut client_results: Vec<(Vec<u64>, u64)> = Vec::new();
+    let mut client_digests: Vec<u64> = Vec::new();
     std::thread::scope(|scope| -> SuiteResult<()> {
         let writer = if cfg.concurrent_campaign {
             let db = service.db();
@@ -401,7 +368,6 @@ pub fn run_loadgen(
                 net.advance_ms(newest - net.now_ms() + 1_000.0);
             }
             let stop = &stop_writer;
-            let iters = &writer_iterations;
             Some(scope.spawn(move || -> SuiteResult<()> {
                 let mut salt = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -424,7 +390,6 @@ pub fn run_loadgen(
                         net.advance_ms(lap_end - net.now_ms());
                     }
                     net.advance_ms(1_000.0);
-                    iters.fetch_add(1, Ordering::Relaxed);
                     salt += 1;
                 }
                 Ok(())
@@ -434,28 +399,16 @@ pub fn run_loadgen(
         };
 
         // The response digest is only reported (and only meaningful)
-        // without a concurrent writer; in benchmark mode skipping it
-        // keeps the measured cost to the dispatch itself rather than
-        // re-serializing every response.
+        // without a concurrent writer.
         let want_digest = !cfg.concurrent_campaign;
         let handles: Vec<_> = streams
             .iter()
             .map(|stream| {
                 let errors = &errors;
                 scope.spawn(move || {
-                    let mut latencies_us = Vec::with_capacity(stream.len());
                     let mut digest = 0u64;
-                    let start = Instant::now();
-                    for (i, req) in stream.iter().enumerate() {
-                        if let Some(p) = period {
-                            let due = p.checked_mul(i as u32).unwrap_or_default();
-                            while start.elapsed() < due {
-                                std::hint::spin_loop();
-                            }
-                        }
-                        let t0 = Instant::now();
+                    for req in stream {
                         let resp = transport.call(req);
-                        latencies_us.push(t0.elapsed().as_micros() as u64);
                         if matches!(resp, ServiceResponse::Error(_)) {
                             errors.fetch_add(1, Ordering::Relaxed);
                         }
@@ -463,12 +416,12 @@ pub fn run_loadgen(
                             digest = fnv1a(digest, resp.to_json_string().as_bytes());
                         }
                     }
-                    (latencies_us, digest)
+                    digest
                 })
             })
             .collect();
         for h in handles {
-            client_results.push(h.join().expect("loadgen client panicked"));
+            client_digests.push(h.join().expect("loadgen client panicked"));
         }
         stop_writer.store(true, Ordering::Relaxed);
         if let Some(w) = writer {
@@ -476,33 +429,6 @@ pub fn run_loadgen(
         }
         Ok(())
     })?;
-    let wall_s = started.elapsed().as_secs_f64().max(1e-9);
-
-    // Fold latencies into a telemetry histogram — p50/p99 come from the
-    // same summary estimator every other wall. metric uses.
-    let telemetry = Telemetry::new();
-    {
-        use upin_telemetry::Recorder;
-        for (latencies, _) in &client_results {
-            for &us in latencies {
-                telemetry.observe("wall.serve.call_us", us as f64);
-            }
-        }
-    }
-    let doc = telemetry.metrics_doc();
-    let summary = doc
-        .histograms
-        .get("wall.serve.call_us")
-        .expect("observed at least one call");
-
-    let total: u64 = kind_counts.iter().map(|(_, n)| n).sum();
-    let recommend_count = kind_counts
-        .iter()
-        .find(|(k, _)| *k == "recommend")
-        .map(|(_, n)| *n)
-        .unwrap_or(0);
-    let qps = total as f64 / wall_s;
-    let recommend_qps = recommend_count as f64 / wall_s;
     let errors = errors.load(Ordering::Relaxed);
 
     // Deterministic report. Response digests are only meaningful when
@@ -518,43 +444,16 @@ pub fn run_loadgen(
         }
     }
     report.push_str(&format!("  workload digest: {workload_digest:016x}\n"));
+    report.push_str(&format!("  errors: {errors}\n"));
     if !cfg.concurrent_campaign {
         let mut response_digest = 0u64;
-        for (_, d) in &client_results {
+        for d in &client_digests {
             response_digest = fnv1a(response_digest, &d.to_be_bytes());
         }
-        report.push_str(&format!("  errors: {errors}\n"));
         report.push_str(&format!("  response digest: {response_digest:016x}\n"));
     }
 
-    let bench_json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"clients\": {},\n  \"requests\": {},\n  \
-         \"arrival_rate\": {},\n  \"concurrent_writer\": {},\n  \
-         \"writer_iterations\": {},\n  \"wall_s\": {:.6},\n  \"qps\": {:.1},\n  \
-         \"recommend_qps\": {:.1},\n  \"p50_us\": {:.1},\n  \"p99_us\": {:.1},\n  \
-         \"errors\": {}\n}}\n",
-        cfg.clients,
-        total,
-        cfg.arrival_rate,
-        cfg.concurrent_campaign,
-        writer_iterations.load(Ordering::Relaxed),
-        wall_s,
-        qps,
-        recommend_qps,
-        summary.p50,
-        summary.p99,
-        errors,
-    );
-
-    Ok(LoadgenOutcome {
-        report,
-        bench_json,
-        recommend_qps,
-        qps,
-        p50_us: summary.p50,
-        p99_us: summary.p99,
-        errors,
-    })
+    Ok(LoadgenOutcome { report, errors })
 }
 
 #[cfg(test)]
@@ -612,18 +511,6 @@ mod tests {
         match run_loadgen(&svc, svc.as_ref(), &cfg) {
             Err(SuiteError::InvalidRequest(m)) => m,
             other => panic!("expected InvalidRequest, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn arrival_rate_without_a_representable_period_is_refused() {
-        // 4 clients / 1e-300 per second is no `Duration`: this panicked.
-        for rate in [1e-300, -1.0, f64::NAN] {
-            let m = refused(LoadgenConfig {
-                arrival_rate: rate,
-                ..LoadgenConfig::default()
-            });
-            assert!(m.contains("arrival rate"), "{m}");
         }
     }
 
@@ -705,8 +592,6 @@ mod tests {
             "measured DB answers every request:\n{}",
             a.report
         );
-        assert!(a.bench_json.contains("\"bench\": \"serve\""));
-        assert!(a.p99_us >= a.p50_us);
     }
 
     #[test]
@@ -726,5 +611,6 @@ mod tests {
             "response digest is meaningless under a concurrent writer:\n{}",
             a.report
         );
+        assert!(a.report.contains("  errors: 0\n"), "{}", a.report);
     }
 }

@@ -106,7 +106,7 @@ impl FromStr for StatId {
 ///
 /// Idempotent — pathdb's `create_index` is a no-op for an existing
 /// index.
-pub fn ensure_indexes(db: &Database) {
+pub(crate) fn ensure_indexes(db: &Database) {
     for (name, fields) in [
         (PATHS_STATS, &["server_id", "timestamp_ms"][..]),
         (PATHS, &["server_id", "hops", "status"]),

@@ -331,67 +331,6 @@ pub fn random_topology(
     Ok((topo, user))
 }
 
-/// Sample `n` measurement flows `(src, dst)` from a gravity model: the
-/// probability of a flow is proportional to the product of the endpoint
-/// "masses" (1 + AS degree, doubled for server hosts) divided by the
-/// squared geographic distance — nearby, well-connected ASes exchange
-/// the most traffic, the classic gravity assumption traffic-matrix
-/// synthesis rests on. Deterministic in `(topology, seed)`.
-pub fn gravity_flows(topo: &Topology, seed: u64, n: usize) -> Vec<(IsdAsn, IsdAsn)> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x6772_6176);
-    let nodes: Vec<_> = topo.ases().collect();
-    if nodes.len() < 2 || n == 0 {
-        return Vec::new();
-    }
-    let mass: Vec<f64> = nodes
-        .iter()
-        .map(|(idx, node)| {
-            let degree = topo.links_of(*idx).count() as f64;
-            let server_boost = if node.servers.is_empty() { 1.0 } else { 2.0 };
-            (1.0 + degree) * server_boost
-        })
-        .collect();
-
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        // Source by mass alone, destination by mass over distance².
-        let src_i = weighted_pick(&mut rng, &mass);
-        let src_loc = &nodes[src_i].1.location;
-        let weights: Vec<f64> = nodes
-            .iter()
-            .enumerate()
-            .map(|(j, (_, node))| {
-                if j == src_i {
-                    return 0.0;
-                }
-                // 100 km floor keeps co-located pairs finite-weighted.
-                let d = src_loc.distance_km(&node.location).max(100.0);
-                mass[j] / (d * d)
-            })
-            .collect();
-        let dst_i = weighted_pick(&mut rng, &weights);
-        out.push((nodes[src_i].1.ia, nodes[dst_i].1.ia));
-    }
-    out
-}
-
-/// Index into `weights` sampled proportionally to each (non-negative)
-/// weight. Falls back to index 0 if all weights are zero.
-fn weighted_pick(rng: &mut StdRng, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return 0;
-    }
-    let mut r = rng.gen_range(0.0..total);
-    for (i, w) in weights.iter().enumerate() {
-        if r < *w {
-            return i;
-        }
-        r -= w;
-    }
-    weights.len() - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,21 +504,6 @@ mod tests {
             skewed > uniform,
             "preferential attachment should concentrate children: {skewed} <= {uniform}"
         );
-    }
-
-    #[test]
-    fn gravity_flows_are_deterministic_and_mass_weighted() {
-        let (topo, _) = random_topology(3, &RandomTopologyConfig::default()).unwrap();
-        let a = gravity_flows(&topo, 9, 200);
-        let b = gravity_flows(&topo, 9, 200);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 200);
-        for (s, d) in &a {
-            assert_ne!(s, d, "gravity flows never self-loop");
-            assert!(topo.index_of(*s).is_some() && topo.index_of(*d).is_some());
-        }
-        // A different seed draws a different matrix.
-        assert_ne!(a, gravity_flows(&topo, 10, 200));
     }
 
     #[test]

@@ -62,7 +62,7 @@ const DARMSTADT: IsdAsn = infra(19, 0x1307);
 
 // ISD 20 — South Korea.
 pub const KISTI_CORE: IsdAsn = infra(20, 0x1401);
-pub const KISTI_AP: IsdAsn = infra(20, 0x1402);
+const KISTI_AP: IsdAsn = infra(20, 0x1402);
 const KU: IsdAsn = infra(20, 0x1403);
 pub const ETRI: IsdAsn = infra(20, 0x1404);
 

@@ -1,9 +1,10 @@
 //! README, EXPERIMENTS and DESIGN may only cite things that exist:
-//! cargo targets after `--bench` / `--test` / `--example` / `--bin` and
-//! in DESIGN §5's "Regeneration target" column, `BENCHMARK.json`
-//! workloads, and — the convention is `` `workload` `metric` `` — the
-//! metric cited right after one. Nothing cites the retired bench system
-//! outside DESIGN's "One of each" record of its deletion. Every
+//! cargo targets after `--test` / `--example` / `--bin` and in DESIGN
+//! §5's "Regeneration target" column, `BENCHMARK.json` workloads, and —
+//! the convention is `` `workload` `metric` `` — the metric cited right
+//! after one. Nothing cites a retired way of measuring (the bench
+//! targets, their runner, loadgen's timing options) outside DESIGN's
+//! "One of each" record of its deletion. Every
 //! `src/{a,b,c}.rs` list of DESIGN §3's tree names files that exist.
 //! Every number a measured cell of EXPERIMENTS §Fig. 4–9 states is in
 //! that figure's pinned `results/` file, and its ⚠️ rows are the
@@ -56,9 +57,8 @@ fn backticked(text: &str) -> impl Iterator<Item = &str> {
 
 #[test]
 fn docs_cite_only_what_exists() {
-    let (benches, tests, bins) = (targets("benches"), targets("tests"), targets("src/bin"));
+    let (tests, bins) = (targets("tests"), targets("src/bin"));
     let by_flag = [
-        ("--bench ", &benches),
         ("--test ", &tests),
         ("--example ", &targets("examples")),
         ("--bin ", &bins),
@@ -72,7 +72,6 @@ fn docs_cite_only_what_exists() {
         for (flag, known) in by_flag {
             assert!(!known.is_empty(), "no target for {flag}found at all");
             for (at, _) in text.match_indices(flag) {
-                // `cargo bench … -- --test` passes a flag and names nothing.
                 let name = ident(&text[at + flag.len()..]);
                 if !name.is_empty() && !known.contains(name) {
                     missing.push(format!("{doc}: {flag}{name}"));
@@ -112,8 +111,7 @@ fn docs_cite_only_what_exists() {
             let word = ident(token);
             let known = match token[word.len()..].trim_start() {
                 "" => {
-                    benches.contains(word)
-                        || tests.contains(word)
+                    tests.contains(word)
                         || workloads.contains(word)
                         || ci.contains(&format!("\n  {word}:\n"))
                 }
@@ -138,9 +136,16 @@ fn docs_cite_only_what_exists() {
     let retired = [
         concat!("bench", "_dump"),
         concat!("BENCH", "_"),
-        concat!("micro", "_failover"),
         concat!("InProcess", "Transport"),
         concat!("describe", "_choices"),
+        concat!("cargo", " bench"),
+        concat!("--", "bench "),
+        concat!("micro", "_"),    // every `micro_*` bench
+        concat!("ablation", "_"), // both `ablation_*` benches
+        concat!("paper", "_figures"),
+        concat!("strategy", "_matrix"),
+        concat!("--bench", "-out"),
+        concat!("--arrival", "-rate"),
     ];
     let mut stale = Vec::new();
     for doc in DOCS {

@@ -1,7 +1,7 @@
 //! A crate's `pub` items are the ones something outside its library
-//! names: another crate, its own `tests/`, `benches/` and bin targets,
-//! the facade, the root `tests/` and `examples/`, the end-to-end
-//! benchmark — or that such an item's own declaration names (the
+//! names: another crate, its own `tests/` and bin targets, the facade,
+//! the root `tests/` and `examples/`, the end-to-end benchmark — or
+//! that such an item's own declaration names (the
 //! return type of a `pub fn` a caller uses without spelling it, the
 //! type of a field). Anything else is `pub(crate)`, where the
 //! compiler's `dead_code` lint can see it. `unreachable_pub` cannot
@@ -100,7 +100,6 @@ fn every_pub_item_is_named_outside_its_crate() {
             sources.push((if bin_target { "" } else { name }, file, text));
         }
         sources.extend(read_all("", &dir.join("tests")));
-        sources.extend(read_all("", &dir.join("benches")));
     }
     // ALLOW spells its names here; that is no use of them.
     sources.retain(|(_, file, _)| !file.ends_with(file!()));
