@@ -13,7 +13,6 @@ use scion_tools::args::{Parsed, Spec};
 use scion_tools::ping::{PathSelection, PingOptions};
 use scion_tools::showpaths::ShowpathsOptions;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use upin_core::api::{self, EvaluateConstraintRequest, RecommendRequest, ShowPathsRequest};
 use upin_core::select::{recommend, Constraints, Objective, UserRequest};
 use upin_core::verify::verify_recommendation;
@@ -267,20 +266,6 @@ static COMMANDS: &[Command] = &[
                \x20                                      (one response line per request)\n",
         spec: || Spec::new(0, 0).value("threads").value("requests"),
         run: Run::Servers(cmd_serve),
-    },
-    Command {
-        name: "loadgen",
-        help: "  loadgen [--clients N] [--requests N] [--mix FILE] [--with-campaign]\n\
-               \x20                                      closed-loop load harness over the\n\
-               \x20                                      service (deterministic report)\n",
-        spec: || {
-            Spec::new(0, 0)
-                .value("clients")
-                .value("requests")
-                .value("mix")
-                .flag("with-campaign")
-        },
-        run: Run::Servers(cmd_loadgen),
     },
     Command {
         name: "verify",
@@ -714,24 +699,6 @@ fn cmd_serve(p: &Parsed, s: &Session) -> Result<String, CliError> {
         out
     })?;
     Ok(answers.concat())
-}
-
-/// `upin loadgen --db DIR [--clients N] [--requests N] [--mix FILE]
-///  [--with-campaign]`: the closed-loop load harness.
-fn cmd_loadgen(p: &Parsed, s: &Session) -> Result<String, CliError> {
-    use upin_core::loadgen::{run_loadgen, LoadgenConfig, Mix};
-    let cfg = LoadgenConfig {
-        clients: p.get_or("clients", 4)?,
-        requests_per_client: p.get_or("requests", 100)?,
-        seed: s.seed,
-        mix: match p.opt("mix") {
-            Some(path) => read_parsed(path, Mix::from_json_str)?,
-            None => Mix::default_mix(),
-        },
-        concurrent_campaign: p.flag("with-campaign"),
-    };
-    let service = Arc::new(s.service());
-    Ok(run_loadgen(&service, service.as_ref(), &cfg)?.report)
 }
 
 fn cmd_verify(p: &Parsed, s: &Session) -> Result<String, CliError> {
@@ -1513,6 +1480,16 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("match constraints:   0"), "{out}");
+
+        // A server id no snapshot holds is unknown, as an unregistered
+        // ISD-AS is: no funnel, no "all paths healthy".
+        for command in ["evaluate", "health", "recommend"] {
+            let err = run_cli(&[command, "99", "--db", dbflag]).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Service(e) if e.code == api::ErrorCode::UnknownDestination),
+                "{command}: {err:?}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1545,21 +1522,28 @@ mod tests {
              not even json\n\
              {\"Recommend\":{\"destination\":\"1\",\"k\":3,\"weights\":{\"latency\":1e999}}}\n\
              {\"Recommend\":{\"destination\":\"1\",\"k\":3,\"weights\":{\"latency\":-1}}}\n\
-             {\"Recommend\":{\"destination\":\"1\",\"k\":3,\"weights\":{}}}\n",
+             {\"Recommend\":{\"destination\":\"1\",\"k\":3,\"weights\":{}}}\n\
+             {\"EvaluateConstraint\": {\"destination\": \"1\"}}\n\
+             {\"StrategyScore\": {\"destination\": \"1\", \"strategy\": \"paper\", \"k\": 3}}\n",
         )
         .unwrap();
-        let out = run_cli(&[
-            "serve",
-            "--db",
-            dbflag,
-            "--threads",
-            "3",
-            "--requests",
-            reqs.to_str().unwrap(),
-        ])
-        .unwrap();
+        let serve = |threads: &str| {
+            let reqs = reqs.to_str().unwrap();
+            let args = [
+                "serve",
+                "--db",
+                dbflag,
+                "--threads",
+                threads,
+                "--requests",
+                reqs,
+            ];
+            run_cli(&args).unwrap()
+        };
+        let out = serve("3");
+        assert_eq!(out, serve("1"), "the pool must not move a byte");
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 8, "{out}");
+        assert_eq!(lines.len(), 10, "{out}");
         assert!(lines[0].contains("\"Health\""), "{}", lines[0]);
         assert!(lines[1].contains("\"Recommend\""), "{}", lines[1]);
         assert!(lines[2].contains("\"ShowPaths\""), "{}", lines[2]);
@@ -1570,53 +1554,18 @@ mod tests {
         assert!(lines[5].contains("\"InvalidRequest\""), "{}", lines[5]);
         assert!(lines[6].contains("\"InvalidRequest\""), "{}", lines[6]);
         assert!(lines[7].contains("\"Error\""), "{}", lines[7]);
+        assert!(
+            lines[8].starts_with("{\"EvaluateConstraint\""),
+            "{}",
+            lines[8]
+        );
+        assert!(lines[9].starts_with("{\"StrategyScore\""), "{}", lines[9]);
         // `--weight` goes through the same check.
         let err = run_cli(&["recommend", "1", "--weight", "latency=inf", "--db", dbflag]);
         assert!(
-            matches!(
-                &err,
-                Err(CliError::Suite(upin_core::SuiteError::InvalidRequest(_)))
-            ),
+            matches!(&err, Err(CliError::Service(e)) if e.code == api::ErrorCode::InvalidRequest),
             "{err:?}"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn loadgen_report_is_deterministic_and_the_timing_options_are_gone() {
-        let dir = std::env::temp_dir().join(format!("upin-cli-lg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let dbflag = dir.to_str().unwrap();
-        run_cli(&["campaign", "1", "--no-bwtests", "--db", dbflag]).unwrap();
-
-        let args = [
-            "loadgen",
-            "--db",
-            dbflag,
-            "--clients",
-            "2",
-            "--requests",
-            "20",
-        ];
-        let out = run_cli(&args).unwrap();
-        assert!(
-            out.contains("loadgen: 2 client(s) x 20 request(s), seed 42"),
-            "{out}"
-        );
-        assert!(out.contains("workload digest:"), "{out}");
-        assert!(out.contains("errors: 0"), "{out}");
-        // Same seed, same database → byte-identical report.
-        assert_eq!(
-            out,
-            run_cli(&args).unwrap(),
-            "same-seed loadgen must be byte-identical"
-        );
-
-        // Wall-clock numbers come from the end-to-end benchmark only.
-        for retired in [["--bench-out", "b.json"], ["--arrival-rate", "100"]] {
-            let err = run_cli(&[&args[..], &retired[..]].concat());
-            assert!(matches!(err, Err(CliError::Usage(_))), "{err:?}");
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

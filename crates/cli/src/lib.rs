@@ -21,8 +21,8 @@
 //!
 //! That is a sample: `upin help` prints all two dozen commands —
 //! `evaluate`, `health`, `failover`, `chaos run`, `longitudinal run`,
-//! `export dataset`, `serve`, `loadgen`, `evaluate-strategies`, `topo
-//! generate`, `topology`, four `report`s. The text is assembled from
+//! `export dataset`, `serve`, `evaluate-strategies`, `topo generate`,
+//! `topology`, four `report`s. The text is assembled from
 //! the command table in [`commands`], one row per command and
 //! subcommand (name, help lines, option table, handler), and every
 //! argument vector is read by [`scion_tools::args::Spec`]. The SCION

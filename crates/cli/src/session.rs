@@ -17,6 +17,8 @@ use upin_telemetry::Telemetry;
 pub enum CliError {
     Usage(String),
     Suite(upin_core::SuiteError),
+    /// A request the typed service refused, printed as it renders it.
+    Service(upin_core::ServiceError),
     Tool(scion_tools::ToolError),
     Db(pathdb::DbError),
     Verification(String),
@@ -28,6 +30,7 @@ impl fmt::Display for CliError {
         match self {
             CliError::Usage(m) => write!(f, "{m}"),
             CliError::Suite(e) => write!(f, "{e}"),
+            CliError::Service(e) => f.write_str(&e.render()),
             CliError::Tool(e) => write!(f, "{e}"),
             CliError::Db(e) => write!(f, "{e}"),
             CliError::Verification(m) => write!(f, "verification failed: {m}"),
@@ -61,32 +64,9 @@ impl From<pathdb::DbError> for CliError {
     }
 }
 
-/// Map a typed service error back onto the CLI's error variants so that
-/// both the rendered text and the variant-level matching (tests pattern
-/// on `CliError::Suite(SuiteError::Selection(..))` etc.) survive the
-/// migration byte-for-byte.
 impl From<upin_core::ServiceError> for CliError {
     fn from(e: upin_core::ServiceError) -> Self {
-        use upin_core::api::ErrorCode as C;
-        if let Some(f) = e.to_selection() {
-            return CliError::Suite(upin_core::SuiteError::Selection(f));
-        }
-        match e.code {
-            // Pre-service these were usage errors with the bare message.
-            C::UnknownDestination | C::NoCompleteStatistics | C::UnknownStrategy | C::Tool => {
-                CliError::Usage(e.message())
-            }
-            C::InvalidRequest => {
-                CliError::Suite(upin_core::SuiteError::InvalidRequest(e.message()))
-            }
-            C::NoCandidates => CliError::Suite(upin_core::SuiteError::NoCandidates(e.message())),
-            C::Schema => CliError::Suite(upin_core::SuiteError::Schema(e.message())),
-            C::Unauthorized => CliError::Suite(upin_core::SuiteError::Unauthorized(e.message())),
-            C::Campaign => CliError::Suite(upin_core::SuiteError::Campaign(e.message())),
-            // The prefixed render keeps the historical "database
-            // error: ..." text even though the DbError itself is gone.
-            _ => CliError::Usage(e.render()),
-        }
+        CliError::Service(e)
     }
 }
 
@@ -113,9 +93,9 @@ pub(crate) struct SessionOptions {
 }
 
 /// One CLI invocation's environment. The network and database are
-/// `Arc`'d so the typed service (`Session::service`) and its
-/// transports can share them across threads; `&s.db` / `&s.net` still
-/// deref to plain references everywhere else.
+/// `Arc`'d so the typed service (`Session::service`) can share them
+/// across `upin serve`'s threads; `&s.db` / `&s.net` still deref to
+/// plain references everywhere else.
 pub struct Session {
     pub net: Arc<ScionNetwork>,
     pub db: Arc<Database>,
@@ -282,8 +262,8 @@ impl Session {
     }
 
     /// The typed path-intelligence service over this session's state —
-    /// the one dispatcher `recommend`, `showpaths`, `evaluate`, `serve`
-    /// and `loadgen` all answer through.
+    /// the one dispatcher `recommend`, `showpaths`, `evaluate` and
+    /// `serve` all answer through.
     pub(crate) fn service(&self) -> upin_core::PathIntelService {
         upin_core::PathIntelService::new(
             Arc::clone(&self.db),

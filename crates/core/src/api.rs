@@ -13,8 +13,8 @@
 //! its own.
 //!
 //! Requests and responses round-trip through JSON (`to_json_string` /
-//! `from_json_str`), so the same surface serves the in-process
-//! [`Transport`] today and a socket transport later. Reads go through
+//! `from_json_str`), and [`PathIntelService::dispatch_json`] is the one
+//! line codec over [`PathIntelService::dispatch`]. Reads go through
 //! the MVCC snapshots of [`pathdb::Collection::read_snapshot`]: a
 //! dispatch pins one consistent image of the database and never blocks
 //! on — or observes half of — a concurrent campaign batch.
@@ -307,27 +307,6 @@ impl ServiceError {
         }
     }
 
-    /// Reconstruct the selection failure a selection-coded payload
-    /// carries (`None` for other codes) — lets a caller keep matching
-    /// on [`SuiteError::Selection`] variants across the service
-    /// boundary.
-    pub fn to_selection(&self) -> Option<SelectionFailure> {
-        let server_id = self.server_id?;
-        match self.code {
-            ErrorCode::NoMatch => Some(SelectionFailure::NoMatch { server_id }),
-            ErrorCode::AllGated => Some(SelectionFailure::AllGated {
-                server_id,
-                matched: self.matched.unwrap_or(0),
-            }),
-            ErrorCode::AllUnscorable => Some(SelectionFailure::AllUnscorable {
-                server_id,
-                matched: self.matched.unwrap_or(0),
-                gated: self.gated.unwrap_or(0),
-            }),
-            _ => None,
-        }
-    }
-
     /// The bare failure message, without any category prefix. This is
     /// the single source of the selection-failure prose:
     /// `SelectionFailure`'s `Display` delegates here.
@@ -360,7 +339,6 @@ impl ServiceError {
                 format!("no candidate paths: {}", self.message())
             }
             ErrorCode::InvalidRequest => format!("invalid request: {}", self.message()),
-            ErrorCode::Tool => format!("tool error: {}", self.message()),
             ErrorCode::Db => format!("database error: {}", self.message()),
             ErrorCode::Schema => format!("schema error: {}", self.message()),
             ErrorCode::NoCandidates => format!("no candidate paths: {}", self.message()),
@@ -368,7 +346,8 @@ impl ServiceError {
             ErrorCode::Campaign => format!("campaign runner error: {}", self.message()),
             ErrorCode::UnknownDestination
             | ErrorCode::NoCompleteStatistics
-            | ErrorCode::UnknownStrategy => self.message(),
+            | ErrorCode::UnknownStrategy
+            | ErrorCode::Tool => self.message(),
         }
     }
 }
@@ -454,7 +433,16 @@ impl PathIntelService {
     /// or ISD-AS — to a registered server id.
     pub fn resolve_destination(&self, token: &str) -> Result<u32, ServiceError> {
         if let Ok(id) = token.parse::<u32>() {
-            return Ok(id);
+            // One `_id` point read; only the address and ISD-AS
+            // spellings need every registered address parsed.
+            let handle = self.db.collection(schema::AVAILABLE_SERVERS);
+            return match handle.read().find_by_id(id.to_string()) {
+                Some(_) => Ok(id),
+                None => Err(ServiceError::new(
+                    ErrorCode::UnknownDestination,
+                    format!("no registered destination has id {id}"),
+                )),
+            };
         }
         let dests =
             crate::collect::destinations(&self.db).map_err(|e| ServiceError::from_suite(&e))?;
@@ -510,10 +498,18 @@ impl PathIntelService {
             .unwrap_or_else(ServiceResponse::Error)
     }
 
-    /// One JSON request line in, one JSON response line out — the
-    /// [`Transport::call_json`] line codec over [`Self::dispatch`].
+    /// One JSON request line in, one JSON response line out: the line
+    /// codec over [`Self::dispatch`]. A line that does not decode is
+    /// answered with an `InvalidRequest` error line.
     pub fn dispatch_json(&self, line: &str) -> String {
-        self.call_json(line)
+        match ServiceRequest::from_json_str(line) {
+            Ok(req) => self.dispatch(&req).to_json_string(),
+            Err(e) => ServiceResponse::Error(ServiceError::new(
+                ErrorCode::InvalidRequest,
+                format!("bad request JSON: {e}"),
+            ))
+            .to_json_string(),
+        }
     }
 
     fn recommend(&self, req: &RecommendRequest) -> Result<RecommendResponse, ServiceError> {
@@ -735,45 +731,10 @@ impl PathIntelService {
 }
 
 // ---------------------------------------------------------------------
-// Transport
-// ---------------------------------------------------------------------
-
-/// How requests reach a [`PathIntelService`]. In process the service
-/// is its own transport and hands typed values straight to the
-/// dispatcher; a socket transport would speak the JSON round-trip
-/// (`call_json`) instead. Both faces answer every request — errors
-/// travel as [`ServiceResponse::Error`], never as a transport failure.
-pub trait Transport: Send + Sync {
-    /// Submit one typed request, receive one typed response.
-    fn call(&self, request: &ServiceRequest) -> ServiceResponse;
-
-    /// One JSON request line in, one JSON response line out.
-    fn call_json(&self, line: &str) -> String {
-        match ServiceRequest::from_json_str(line) {
-            Ok(req) => self.call(&req).to_json_string(),
-            Err(e) => ServiceResponse::Error(ServiceError::new(
-                ErrorCode::InvalidRequest,
-                format!("bad request JSON: {e}"),
-            ))
-            .to_json_string(),
-        }
-    }
-}
-
-/// The in-process transport: requests are dispatched on the caller's
-/// thread, and `dispatch_json` and every transport's `call_json` share
-/// one decode-or-`InvalidRequest` body.
-impl Transport for PathIntelService {
-    fn call(&self, request: &ServiceRequest) -> ServiceResponse {
-        self.dispatch(request)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Renderers — the CLI's entire text surface for service responses
 // ---------------------------------------------------------------------
 
-/// Parse a CLI/mix-file objective name. The error text is the CLI's
+/// Parse a CLI objective name. The error text is the CLI's
 /// historical usage line — the CLI maps it straight into a usage error.
 pub fn parse_objective(name: &str) -> Result<Objective, String> {
     match name {
@@ -1006,7 +967,6 @@ mod tests {
         for f in failures {
             let payload = ServiceError::from_selection(&f);
             assert_eq!(payload.message(), f.to_string());
-            assert_eq!(payload.to_selection(), Some(f.clone()));
             assert_eq!(
                 payload.render(),
                 SuiteError::Selection(f).to_string(),
@@ -1176,9 +1136,9 @@ mod tests {
     }
 
     #[test]
-    fn transport_json_face_round_trips_a_health_call() {
+    fn dispatch_json_round_trips_a_health_call() {
         let line = ServiceRequest::Health.to_json_string();
-        let out = service().call_json(&line);
+        let out = service().dispatch_json(&line);
         let resp = ServiceResponse::from_json_str(&out).unwrap();
         assert!(matches!(resp, ServiceResponse::Health(_)), "{out}");
     }

@@ -74,7 +74,6 @@ pub mod dataset;
 pub mod error;
 pub mod failover;
 pub mod health;
-pub mod loadgen;
 pub mod longitudinal;
 pub mod measure;
 pub mod multi;
@@ -89,7 +88,7 @@ pub mod strategy;
 pub mod suite;
 pub mod verify;
 
-pub use api::{PathIntelService, ServiceError, ServiceRequest, ServiceResponse, Transport};
+pub use api::{PathIntelService, ServiceError, ServiceRequest, ServiceResponse};
 pub use axioms::{evaluate_strategies, EvalConfig, Scorecard};
 pub use churn::ChurnReport;
 pub use config::SuiteConfig;

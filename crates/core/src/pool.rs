@@ -34,7 +34,9 @@ pub fn workers_from(p: &Parsed) -> Result<usize, String> {
 /// once. Threads pull from a shared queue, so the live count never
 /// exceeds `min(workers, jobs)` however many jobs there are. With one
 /// worker (or at most one job) nothing is spawned: the jobs run on the
-/// caller's thread. A panicking worker surfaces as
+/// caller's thread. A thread the OS refuses shrinks the pool: the queue
+/// is shared, so the workers already running drain it, and with none
+/// running the caller does. A panicking worker surfaces as
 /// [`SuiteError::Campaign`] after the remaining workers drained the
 /// queue — never as a hang or a silently shorter result.
 pub fn run_pool<J: Send, R: Send>(
@@ -49,24 +51,26 @@ pub fn run_pool<J: Send, R: Send>(
     let queue = parking_lot::Mutex::new(jobs.into_iter().enumerate());
     let live = AtomicUsize::new(0);
     let peak = AtomicUsize::new(0);
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let Some((index, job)) = queue.lock().next() else {
+                break done;
+            };
+            peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            let result = work(job);
+            live.fetch_sub(1, Ordering::SeqCst);
+            done.push((index, result));
+        }
+    };
     let joined = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..spawned)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let Some((index, job)) = queue.lock().next() else {
-                            break done;
-                        };
-                        peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                        let result = work(job);
-                        live.fetch_sub(1, Ordering::SeqCst);
-                        done.push((index, result));
-                    }
-                })
-            })
+            .map_while(|_| std::thread::Builder::new().spawn_scoped(scope, drain).ok())
             .collect();
-        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+        if handles.is_empty() {
+            return vec![Ok(drain())];
+        }
+        handles.into_iter().map(|h| h.join()).collect()
     });
     let mut done = Vec::new();
     for worker in joined {

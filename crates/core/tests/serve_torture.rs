@@ -1,15 +1,18 @@
 //! Torture test of the service's MVCC read path: reader threads hammer
-//! `Recommend` / `ShowPaths` / `EvaluateConstraint` through the
-//! in-process transport while a campaign writer commits batches into
-//! the same database.
+//! `Recommend` / `EvaluateConstraint` / `ShowPaths` / `Health` through
+//! `PathIntelService::dispatch` while a campaign writer commits batches
+//! into the same database.
 //!
 //! The correctness oracle is the campaign's commit discipline: each
 //! destination iteration is ONE atomic `insert_many` covering every
 //! path of that destination (error rows included). A snapshot read can
 //! therefore only ever observe a whole number of iterations — all paths
 //! of one destination must show the SAME sample count, somewhere in
-//! `0..=iterations`. A reader that catches a half-written batch (the
+//! `1..=1 + iterations`. A reader that catches a half-written batch (the
 //! bug MVCC snapshots exist to prevent) sees ragged counts and fails.
+//! The fixture's first campaign has committed a batch for every
+//! destination before any reader starts, so no request may answer
+//! `Error` either.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,7 +22,7 @@ use scion_sim::net::ScionNetwork;
 use scion_sim::topology::scionlab::{scionlab_topology, MY_AS};
 use upin_core::api::{
     EvaluateConstraintRequest, PathIntelService, RecommendRequest, ServiceRequest, ServiceResponse,
-    ShowPathsRequest, Transport,
+    ShowPathsRequest,
 };
 use upin_core::config::SuiteConfig;
 use upin_core::suite::TestSuite;
@@ -49,10 +52,22 @@ fn collected_service() -> (Arc<PathIntelService>, Vec<(u32, String)>) {
     (Arc::new(PathIntelService::new(db, net, MY_AS, 42)), dests)
 }
 
+/// Recommend over ALL paths of the destination (big k, loss-tolerant)
+/// so the oracle sees every path.
+fn recommend_all(server_id: u32) -> ServiceRequest {
+    ServiceRequest::Recommend(RecommendRequest {
+        destination: server_id.to_string(),
+        objective: Default::default(),
+        constraints: Default::default(),
+        k: 64,
+        pareto: false,
+        weights: None,
+    })
+}
+
 #[test]
 fn concurrent_reads_only_ever_see_whole_destination_batches() {
     let (svc, dests) = collected_service();
-    let transport: &dyn Transport = svc.as_ref();
     let writer_done = AtomicBool::new(false);
     let reads = AtomicU64::new(0);
     let ragged = std::sync::Mutex::new(Vec::<String>::new());
@@ -92,26 +107,18 @@ fn concurrent_reads_only_ever_see_whole_destination_batches() {
         });
 
         for r in 0..READERS {
+            let svc = &svc;
             let dests = &dests;
             let done = &writer_done;
             let reads = &reads;
             let ragged = &ragged;
             scope.spawn(move || {
+                let fail = |what: String| ragged.lock().unwrap().push(what);
                 let mut i = r; // offset readers across the destinations
                 while !done.load(Ordering::SeqCst) {
                     let (server_id, ia) = &dests[i % dests.len()];
                     i += 1;
-                    // Recommend over ALL paths of the destination (big
-                    // k, loss-tolerant) so the oracle sees every path.
-                    let resp = transport.call(&ServiceRequest::Recommend(RecommendRequest {
-                        destination: server_id.to_string(),
-                        objective: Default::default(),
-                        constraints: Default::default(),
-                        k: 64,
-                        pareto: false,
-                        weights: None,
-                    }));
-                    match resp {
+                    match svc.dispatch(&recommend_all(*server_id)) {
                         ServiceResponse::Recommend(rec) => {
                             reads.fetch_add(1, Ordering::Relaxed);
                             let counts: Vec<usize> =
@@ -121,23 +128,16 @@ fn concurrent_reads_only_ever_see_whole_destination_batches() {
                                 .iter()
                                 .all(|c| *c >= 1 && *c <= 1 + WRITER_ITERATIONS as usize);
                             if !(all_equal && bounded) {
-                                ragged.lock().unwrap().push(format!(
+                                fail(format!(
                                     "destination {server_id}: ragged sample counts {counts:?}"
                                 ));
                             }
                         }
-                        ServiceResponse::Error(_) => {
-                            // Legitimate while this destination's first
-                            // batch is not yet committed.
-                        }
-                        other => ragged
-                            .lock()
-                            .unwrap()
-                            .push(format!("recommend answered {other:?}")),
+                        other => fail(format!("recommend {server_id} answered {other:?}")),
                     }
                     // The funnel reads two collections through one
                     // pinned snapshot pair; it must never error.
-                    let resp = transport.call(&ServiceRequest::EvaluateConstraint(
+                    let resp = svc.dispatch(&ServiceRequest::EvaluateConstraint(
                         EvaluateConstraintRequest {
                             destination: server_id.to_string(),
                             objective: Default::default(),
@@ -145,31 +145,29 @@ fn concurrent_reads_only_ever_see_whole_destination_batches() {
                         },
                     ));
                     match resp {
-                        ServiceResponse::EvaluateConstraint(f) => {
-                            if f.matched > f.stored {
-                                ragged.lock().unwrap().push(format!(
-                                    "destination {server_id}: funnel matched {} > stored {}",
-                                    f.matched, f.stored
-                                ));
-                            }
+                        ServiceResponse::EvaluateConstraint(f) if f.matched > f.stored => {
+                            fail(format!(
+                                "destination {server_id}: funnel matched {} > stored {}",
+                                f.matched, f.stored
+                            ))
                         }
-                        other => ragged
-                            .lock()
-                            .unwrap()
-                            .push(format!("evaluate answered {other:?}")),
+                        ServiceResponse::EvaluateConstraint(_) => {}
+                        other => fail(format!("evaluate answered {other:?}")),
                     }
                     // ShowPaths goes to the network, not the database —
                     // it must stay answerable under write load too.
-                    let resp = transport.call(&ServiceRequest::ShowPaths(ShowPathsRequest {
+                    let resp = svc.dispatch(&ServiceRequest::ShowPaths(ShowPathsRequest {
                         destination: ia.clone(),
                         max_paths: 5,
                         extended: true,
                     }));
                     if let ServiceResponse::Error(e) = resp {
-                        ragged
-                            .lock()
-                            .unwrap()
-                            .push(format!("showpaths {ia} errored: {}", e.render()));
+                        fail(format!("showpaths {ia} errored: {}", e.render()));
+                    }
+                    // Health pins every collection the writer touches.
+                    match svc.dispatch(&ServiceRequest::Health) {
+                        ServiceResponse::Health(_) => {}
+                        other => fail(format!("health answered {other:?}")),
                     }
                 }
             });
@@ -179,7 +177,7 @@ fn concurrent_reads_only_ever_see_whole_destination_batches() {
     let ragged = ragged.into_inner().unwrap();
     assert!(
         ragged.is_empty(),
-        "torn reads observed:\n{}",
+        "torn reads or failed answers observed:\n{}",
         ragged.join("\n")
     );
     assert!(
@@ -190,23 +188,16 @@ fn concurrent_reads_only_ever_see_whole_destination_batches() {
     // After the writer parks, every destination must show exactly the
     // initial batch plus WRITER_ITERATIONS appended ones, on all paths.
     for (server_id, _) in &dests {
-        let resp = svc.dispatch(&ServiceRequest::Recommend(RecommendRequest {
-            destination: server_id.to_string(),
-            objective: Default::default(),
-            constraints: Default::default(),
-            k: 64,
-            pareto: false,
-            weights: None,
-        }));
-        if let ServiceResponse::Recommend(rec) = resp {
-            for e in &rec.entries {
-                assert_eq!(
-                    e.aggregate.samples,
-                    1 + WRITER_ITERATIONS as usize,
-                    "destination {server_id} path {} missed batches",
-                    e.aggregate.path_id
-                );
-            }
+        let ServiceResponse::Recommend(rec) = svc.dispatch(&recommend_all(*server_id)) else {
+            panic!("destination {server_id} has no recommendation");
+        };
+        for e in &rec.entries {
+            assert_eq!(
+                e.aggregate.samples,
+                1 + WRITER_ITERATIONS as usize,
+                "destination {server_id} path {} missed batches",
+                e.aggregate.path_id
+            );
         }
     }
 }

@@ -2,9 +2,10 @@
 //! cargo targets after `--test` / `--example` / `--bin` and in DESIGN
 //! §5's "Regeneration target" column, `BENCHMARK.json` workloads, and —
 //! the convention is `` `workload` `metric` `` — the metric cited right
-//! after one. Nothing cites a retired way of measuring (the bench
-//! targets, their runner, loadgen's timing options) outside DESIGN's
-//! "One of each" record of its deletion. Every
+//! after one. Nothing cites a retired way of measuring or of driving the
+//! service (the bench targets, their runner, the load generator and its
+//! options, the transport trait) outside DESIGN's "One of each" record
+//! of its deletion. Every
 //! `src/{a,b,c}.rs` list of DESIGN §3's tree names files that exist.
 //! Every number a measured cell of EXPERIMENTS §Fig. 4–9 states is in
 //! that figure's pinned `results/` file, and its ⚠️ rows are the
@@ -146,6 +147,9 @@ fn docs_cite_only_what_exists() {
         concat!("strategy", "_matrix"),
         concat!("--bench", "-out"),
         concat!("--arrival", "-rate"),
+        concat!("load", "gen"),
+        concat!("`Trans", "port`"),
+        concat!("Crit", "erion"),
     ];
     let mut stale = Vec::new();
     for doc in DOCS {
