@@ -50,8 +50,8 @@ pub fn destinations(db: &Database) -> SuiteResult<Vec<(u32, ScionAddr)>> {
     let handle = db.collection(AVAILABLE_SERVERS);
     let coll = handle.read();
     let mut out = Vec::with_capacity(coll.len());
-    for d in coll.query_all().run() {
-        out.push(schema::parse_server_doc(&d)?);
+    for d in coll.query_all().refs() {
+        out.push(schema::parse_server_doc(d)?);
     }
     out.sort_by_key(|(id, _)| *id);
     Ok(out)

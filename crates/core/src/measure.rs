@@ -22,7 +22,7 @@ use crate::error::SuiteResult;
 use crate::health::CampaignEvent;
 use crate::runner::{retry_tool, RetryPolicy};
 use crate::schema::{self, PathMeasurement, PathSpec, StatId, PATHS};
-use pathdb::{Database, Filter};
+use pathdb::{Database, Filter, FindOptions, Order};
 use scion_sim::addr::ScionAddr;
 use scion_sim::net::ScionNetwork;
 use scion_tools::bwtester::bwtest_over;
@@ -62,15 +62,16 @@ pub fn run_tests(
     crate::runner::run_campaign(db, net, cfg)
 }
 
-/// Paths of one destination, ordered by path index.
+/// Paths of one destination, ordered by path index. Reads the stored
+/// documents in place: the sort is what orders them, since borrowed
+/// matches come in insertion order.
 pub fn paths_of(db: &Database, server_id: u32) -> SuiteResult<Vec<PathSpec>> {
     let handle = db.collection(PATHS);
     let coll = handle.read();
-    let docs = coll
-        .query(Filter::eq("server_id", server_id as i64))
-        .sort("path_index")
-        .run();
-    docs.iter().map(schema::parse_path_spec).collect()
+    let mut docs = coll.query(Filter::eq("server_id", server_id as i64)).refs();
+    let by_index = FindOptions::default().sorted_by("path_index", Order::Asc);
+    docs.sort_by(|a, b| by_index.doc_cmp(a, b));
+    docs.into_iter().map(schema::parse_path_spec).collect()
 }
 
 /// Measure a single path once, retrying transient tool failures under
@@ -222,6 +223,37 @@ mod tests {
             coll.query(Filter::eq("server_id", 1i64)).count(),
             coll.len()
         );
+    }
+
+    /// Borrowed matches come back in insertion order, so the sort is the
+    /// only thing ordering `paths_of`: a re-collection that appends a
+    /// lower index after higher ones must not reorder the campaign.
+    #[test]
+    fn paths_come_back_in_path_index_order_whatever_the_insertion_order() {
+        let db = Database::new();
+        crate::schema::ensure_indexes(&db);
+        let path = |server: i64, index: i64| {
+            pathdb::doc! {
+                "_id" => format!("{server}_{index}"),
+                "server_id" => server,
+                "path_index" => index,
+                "sequence" => format!("seq{index}"),
+                "hops" => 4i64,
+            }
+        };
+        let handle = db.collection(PATHS);
+        let mut coll = handle.write();
+        coll.insert_many(vec![path(3, 2), path(3, 5), path(4, 1)])
+            .unwrap();
+        coll.insert_many(vec![path(3, 0), path(3, 3)]).unwrap();
+        drop(coll);
+        let indexes = |server| -> Vec<u32> {
+            let specs = paths_of(&db, server).unwrap();
+            specs.iter().map(|p| p.id.path_index).collect()
+        };
+        assert_eq!(indexes(3), [0, 2, 3, 5]);
+        assert_eq!(indexes(4), [1]);
+        assert!(indexes(9).is_empty());
     }
 
     #[test]

@@ -163,11 +163,9 @@ pub struct Collection {
     /// documents, deleted ids) after applying in memory, so a rejected
     /// write (e.g. a duplicate `_id`) never reaches the log.
     wal: Option<Arc<Wal>>,
-    /// Slices of the insertion sequence (`seq / SLICE_ROWS`) a mutation
-    /// touched since a checkpoint last took the set — exactly the slice
-    /// files that no longer match memory. Behind a mutex so a
+    /// What changed since a checkpoint last took it. Behind a mutex so a
     /// checkpoint can take it under the collection's *read* lock.
-    dirty: Mutex<BTreeSet<u64>>,
+    dirty: Mutex<Dirty>,
     /// Telemetry sink shared with the owning [`crate::Database`]; `None`
     /// means the static no-op recorder (no allocation, no signals).
     recorder: Option<Arc<dyn Recorder>>,
@@ -197,6 +195,18 @@ pub enum Delta {
     Ahead,
 }
 
+/// The slice files that no longer match memory, and why.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub(crate) struct Dirty {
+    /// Slices of the insertion sequence (`seq / SLICE_ROWS`) a mutation
+    /// touched.
+    pub slices: BTreeSet<u64>,
+    /// Seqs whose row was replaced in place: the rows whose line in the
+    /// superseded slice file is stale. Appended rows are in no old file
+    /// and deleted ones are no longer in memory, so neither needs one.
+    pub replaced: BTreeSet<u64>,
+}
+
 /// The snapshot memo: the last pinned image plus the version/watermark
 /// it reflects, so the next pin can tell hit from append from reshape.
 #[derive(Debug)]
@@ -210,7 +220,7 @@ impl Clone for Collection {
     /// A detached logical copy: documents, indexes and version counters
     /// carry over; the WAL handle is dropped (mutating a clone must not
     /// log under the original's name), and the snapshot memo and the
-    /// dirty-slice set (a clone is never checkpointed) start empty. The
+    /// `Dirty` sets (a clone is never checkpointed) start empty. The
     /// telemetry recorder is shared.
     fn clone(&self) -> Collection {
         Collection {
@@ -223,7 +233,7 @@ impl Clone for Collection {
             version: self.version,
             last_reshape_version: self.last_reshape_version,
             wal: None,
-            dirty: Mutex::new(BTreeSet::new()),
+            dirty: Mutex::default(),
             recorder: self.recorder.clone(),
             snap: Mutex::new(None),
         }
@@ -405,24 +415,28 @@ impl Collection {
     }
 
     /// The bookkeeping of one mutation: the seqs it `appended` (rows
-    /// placed where none was) and the seqs it `reshaped` (rows replaced
-    /// or taken). Bumps the version once if it did anything, marks a
-    /// reshape, and names the slices whose files are now stale — the
-    /// only writer of all three.
-    fn record(&mut self, appended: Range<u64>, reshaped: &[u64]) {
-        if appended.is_empty() && reshaped.is_empty() {
+    /// placed where none was), `replaced` and `removed`. Bumps the
+    /// version once if it did anything, marks a reshape, and records
+    /// what the slice files no longer match — the only writer of all
+    /// three.
+    fn record(&mut self, appended: Range<u64>, replaced: &[u64], removed: &[u64]) {
+        if appended.is_empty() && replaced.is_empty() && removed.is_empty() {
             return;
         }
         self.version += 1;
-        if !reshaped.is_empty() {
+        if !replaced.is_empty() || !removed.is_empty() {
             self.last_reshape_version = self.version;
         }
         let dirty = self.dirty.get_mut();
         if !appended.is_empty() {
             // Once per batch, not per row: the range's slices.
-            dirty.extend(appended.start / SLICE_ROWS..=(appended.end - 1) / SLICE_ROWS);
+            dirty
+                .slices
+                .extend(appended.start / SLICE_ROWS..=(appended.end - 1) / SLICE_ROWS);
         }
-        dirty.extend(reshaped.iter().map(|seq| seq / SLICE_ROWS));
+        let reshaped = replaced.iter().chain(removed);
+        dirty.slices.extend(reshaped.map(|seq| seq / SLICE_ROWS));
+        dirty.replaced.extend(replaced);
     }
 
     // ---- writes ---------------------------------------------------------
@@ -475,7 +489,7 @@ impl Collection {
             self.next_seq += 1;
             ids.push(id_key);
         }
-        self.record(first..self.next_seq, &[]);
+        self.record(first..self.next_seq, &[], &[]);
         Ok(ids)
     }
 
@@ -503,7 +517,7 @@ impl Collection {
             }
         }
         let changed = (self.next_seq - first) as usize + replaced.len();
-        self.record(first..self.next_seq, &replaced);
+        self.record(first..self.next_seq, &replaced, &[]);
         if changed > 0 {
             // Apply-then-log, as for updates: the log carries the
             // post-images (replayed as idempotent upserts) and a
@@ -580,7 +594,7 @@ impl Collection {
             self.place(seq, id_key(&doc), doc);
             true
         });
-        self.record(0..0, &seqs);
+        self.record(0..0, &seqs, &[]);
         if !seqs.is_empty() {
             // Filters are not serialized; the log carries the updated
             // documents themselves, replayed as upserts. Already
@@ -607,7 +621,7 @@ impl Collection {
             }
             true
         });
-        self.record(0..0, &seqs);
+        self.record(0..0, &[], &seqs);
         if !seqs.is_empty() {
             // Apply-then-log, as for updates: failure poisons.
             let (coll, ids) = (&self.name, &removed_ids[..]);
@@ -630,33 +644,33 @@ impl Collection {
         self.recorder = recorder;
     }
 
-    /// Take (and clear) the dirty-slice set, ascending. Callable under
-    /// the read lock: no writer can run, so the set and the rows a
-    /// checkpoint encodes in the same lock hold agree.
-    pub(crate) fn take_dirty(&self) -> Vec<u64> {
+    /// Take (and clear) both [`Dirty`] sets in one lock hold. Callable
+    /// under the read lock: no writer can run, so the sets and the rows
+    /// a checkpoint writes in the same lock hold agree.
+    pub(crate) fn take_dirty(&self) -> Dirty {
         std::mem::take(&mut *self.dirty.lock())
-            .into_iter()
-            .collect()
     }
 
-    /// Hand slices back after a checkpoint that took them failed.
-    pub(crate) fn mark_dirty(&self, slices: Vec<u64>) {
-        self.dirty.lock().extend(slices);
+    /// Hand both sets back after a checkpoint that took them failed.
+    pub(crate) fn mark_dirty(&self, taken: Dirty) {
+        let mut dirty = self.dirty.lock();
+        dirty.slices.extend(taken.slices);
+        dirty.replaced.extend(taken.replaced);
     }
 
-    /// Every slice that holds at least one row, ascending.
-    pub(crate) fn live_slices(&self) -> Vec<u64> {
-        let mut slices = Vec::new();
+    /// Every slice that holds at least one row.
+    pub(crate) fn live_slices(&self) -> BTreeSet<u64> {
+        let mut slices = BTreeSet::new();
         for slice in self.docs.keys().map(|seq| seq / SLICE_ROWS) {
             if slices.last() != Some(&slice) {
-                slices.push(slice);
+                slices.insert(slice);
             }
         }
         slices
     }
 
     /// The rows of one slice with their insertion sequences, in order.
-    pub(crate) fn slice_rows(&self, slice: u64) -> impl Iterator<Item = (u64, &Document)> {
+    pub(crate) fn slice_rows(&self, slice: u64) -> impl Iterator<Item = (u64, &Document)> + Clone {
         let start = slice * SLICE_ROWS;
         self.docs
             .range(start..start + SLICE_ROWS)
@@ -716,8 +730,8 @@ impl Collection {
     fn apply_upsert_to(&mut self, at: Option<u64>, doc: Document) {
         match self.upsert_row(at, Cow::Owned(doc)) {
             Upserted::Unchanged => {}
-            Upserted::Replaced(seq) => self.record(0..0, &[seq]),
-            Upserted::Placed(seq) => self.record(seq..seq + 1, &[]),
+            Upserted::Replaced(seq) => self.record(0..0, &[seq], &[]),
+            Upserted::Placed(seq) => self.record(seq..seq + 1, &[], &[]),
         }
     }
 
@@ -739,7 +753,7 @@ impl Collection {
                 }
             }
         }
-        self.record(0..0, &seqs);
+        self.record(0..0, &[], &seqs);
     }
 
     // ---- reads ----------------------------------------------------------
@@ -1543,13 +1557,15 @@ mod tests {
         assert_eq!(c.delta_since(5), Delta::Reshaped);
         assert_eq!(c.delta_since(6), Delta::Same);
         assert_eq!(c.delta_since(7), Delta::Ahead);
-        assert_eq!(c.take_dirty(), vec![0]);
-        assert!(c.take_dirty().is_empty());
+        let taken = c.take_dirty();
+        assert_eq!(taken.slices, BTreeSet::from([0]));
+        assert_eq!(taken.replaced, BTreeSet::from([0]), "`a`, twice");
+        assert_eq!(c.take_dirty(), Dirty::default());
     }
 
     // ---- every entry point against a model -------------------------------
 
-    use crate::snapshot::{decode_jsonl, encode_jsonl_seq, take_seq, LoadOptions};
+    use crate::snapshot::{decode_jsonl, encode_jsonl_seq, take_seq, write_slice, LoadOptions};
     use crate::storage::{FaultyStorage, Storage};
     use crate::wal::{read_wal, wal_path, WalOp};
     use proptest::prelude::*;
@@ -1663,8 +1679,8 @@ mod tests {
 
     /// A live collection logging to an in-memory WAL, the model of what
     /// it must hold, and a hand-rolled checkpoint (the dirty slices'
-    /// bytes) to reload it from — indexes in place, which a
-    /// [`crate::Database`] reopen never has.
+    /// bytes, spliced from the previous ones) to reload it from —
+    /// indexes in place, which a [`crate::Database`] reopen never has.
     struct Harness {
         storage: FaultyStorage,
         wal: Arc<Wal>,
@@ -1677,8 +1693,9 @@ mod tests {
         /// whether its mutation reshaped.
         base: u64,
         events: Vec<bool>,
-        /// Slices touched since the dirty set was last taken.
-        touched: BTreeSet<u64>,
+        /// Slices touched and seqs replaced since the dirty sets were
+        /// last taken.
+        dirty: Dirty,
         pins: Vec<(Arc<Collection>, BTreeMap<u64, Document>)>,
         fresh: u32,
     }
@@ -1711,7 +1728,7 @@ mod tests {
                 next_seq: Harness::FIRST_SEQ,
                 base: 0,
                 events: Vec::new(),
-                touched: BTreeSet::new(),
+                dirty: Dirty::default(),
                 pins: Vec::new(),
                 fresh: 0,
             }
@@ -1753,14 +1770,17 @@ mod tests {
             }
             self.events.push(!reshaped.is_empty());
             for doc in appended {
-                self.touched.insert(self.next_seq / SLICE_ROWS);
+                self.dirty.slices.insert(self.next_seq / SLICE_ROWS);
                 self.rows.insert(self.next_seq, doc);
                 self.next_seq += 1;
             }
             for (seq, doc) in reshaped {
-                self.touched.insert(seq / SLICE_ROWS);
+                self.dirty.slices.insert(seq / SLICE_ROWS);
                 match doc {
-                    Some(doc) => self.rows.insert(seq, doc),
+                    Some(doc) => {
+                        self.dirty.replaced.insert(seq);
+                        self.rows.insert(seq, doc)
+                    }
                     None => self.rows.remove(&seq),
                 };
             }
@@ -1878,6 +1898,9 @@ mod tests {
                     }
                     let changed = appended.len() + reshaped.len();
                     assert_eq!(self.c.upsert_many(docs).unwrap(), changed);
+                    // A row the batch appended and then replaced counts
+                    // as replaced too (harmless: no old file holds it).
+                    self.dirty.replaced.extend(&reshaped);
                     let reshaped = reshaped
                         .into_iter()
                         .filter(|seq| *seq < self.next_seq)
@@ -1933,17 +1956,23 @@ mod tests {
                 }
                 Step::Unpin => self.pins.clear(),
                 Step::Checkpoint => {
-                    for slice in self.c.take_dirty() {
-                        let bytes = encode_jsonl_seq(self.c.slice_rows(slice));
-                        if bytes.is_empty() {
+                    let dirty = self.c.take_dirty();
+                    for &slice in &dirty.slices {
+                        let rows = self.c.slice_rows(slice);
+                        let old = self.slices.get(&slice).map(|bytes| &bytes[..]);
+                        let file = write_slice(rows.clone(), old, &dirty.replaced);
+                        // Copying a row's old line is encoding the row.
+                        assert_eq!(file.bytes, encode_jsonl_seq(rows.clone()));
+                        assert_eq!(file.copied + file.encoded, rows.count() as u64);
+                        if file.bytes.is_empty() {
                             self.slices.remove(&slice);
                         } else {
-                            self.slices.insert(slice, bytes);
+                            self.slices.insert(slice, file.bytes);
                         }
                     }
                     self.slices_next_seq = self.c.append_watermark();
                     self.wal.rotate(self.wal.generation() + 1);
-                    self.touched.clear();
+                    self.dirty = Dirty::default();
                 }
                 Step::Reload => {
                     let mut c = Harness::indexed();
@@ -1979,12 +2008,14 @@ mod tests {
                     assert_eq!(replay.torn_bytes, 0);
                     // The slices the dirty sets named plus the log are
                     // the whole collection, seq for seq; what the replay
-                    // changed is dirty again (a logged post-image equal
-                    // to the slice row changed nothing).
+                    // changed is dirty or replaced again (a logged
+                    // post-image equal to the slice row changed nothing).
                     assert_eq!(c.docs, self.c.docs);
                     assert_eq!(c.next_seq, self.c.next_seq);
-                    assert!(c.dirty.lock().is_subset(&self.touched));
-                    self.touched = c.dirty.lock().clone();
+                    let replayed = c.dirty.lock().clone();
+                    assert!(replayed.slices.is_subset(&self.dirty.slices));
+                    assert!(replayed.replaced.is_subset(&self.dirty.replaced));
+                    self.dirty = replayed;
                     c.set_wal(Some(self.wal.clone()));
                     self.c = c;
                     self.base = self.c.mutation_version();
@@ -1996,8 +2027,9 @@ mod tests {
             assert_eq!(self.c.mutation_version(), self.version());
             assert_consistent(&self.c);
             // Exactly: a superset would be safe, but the next checkpoint
-            // would rewrite slices nothing touched.
-            assert_eq!(*self.c.dirty.lock(), self.touched);
+            // would rewrite slices nothing touched and encode rows it
+            // could copy.
+            assert_eq!(*self.c.dirty.lock(), self.dirty);
             for v in self.base..=self.version() + 1 {
                 assert_eq!(self.c.delta_since(v), self.delta(v));
             }

@@ -267,8 +267,13 @@ impl FieldAgg {
         }
     }
 
-    fn from_doc(d: Option<&Value>) -> FieldAgg {
-        let Some(Value::Doc(d)) = d else {
+    /// Field `f`'s aggregate of a stored rollup row (`agg.<f>`), read in
+    /// place: two lookups, no dotted path built.
+    fn from_row(row: &Document, f: &str) -> FieldAgg {
+        let Some(Value::Doc(aggs)) = row.get("agg") else {
+            return FieldAgg::default();
+        };
+        let Some(Value::Doc(d)) = aggs.get(f) else {
             return FieldAgg::default();
         };
         let num = |k: &str| d.get(k).and_then(Value::as_number).unwrap_or(0.0);
@@ -323,11 +328,11 @@ fn bucket_of(doc: &Document, cfg: &RollupConfig) -> Option<i64> {
 /// Fold one source row into the working set, seeding a fresh cell from
 /// `seed` (the stored aggregate row) on first touch so the running
 /// `sum`/`min`/`max` continue the exact left-to-right fold.
-fn fold_row(
+fn fold_row<'s>(
     work: &mut BTreeMap<String, Accum>,
     doc: &Document,
     cfg: &RollupConfig,
-    seed: impl Fn(&str) -> Option<Document>,
+    seed: impl Fn(&str) -> Option<&'s Document>,
 ) {
     let Some(bucket) = bucket_of(doc, cfg) else {
         return;
@@ -341,8 +346,7 @@ fn fold_row(
             .iter()
             .map(|f| {
                 existing
-                    .as_ref()
-                    .map(|e| FieldAgg::from_doc(e.get_path(&format!("agg.{f}"))))
+                    .map(|e| FieldAgg::from_row(e, f))
                     .unwrap_or_default()
             })
             .collect();
@@ -401,7 +405,7 @@ pub(crate) fn catch_up(db: &Database, cfg: &RollupConfig) -> DbResult<u64> {
         }
         let mut folded = 0u64;
         for row in src.iter_from(w1) {
-            fold_row(&mut work, row, cfg, |id| dst.find_by_id(id).cloned());
+            fold_row(&mut work, row, cfg, |id| dst.find_by_id(id));
             folded += 1;
         }
         (w2, folded)
@@ -447,12 +451,7 @@ pub fn read_rollup(db: &Database, cfg: &RollupConfig) -> Vec<BucketAgg> {
         let fields = cfg
             .fields
             .iter()
-            .map(|f| {
-                (
-                    f.clone(),
-                    FieldAgg::from_doc(d.get_path(&format!("agg.{f}"))),
-                )
-            })
+            .map(|f| (f.clone(), FieldAgg::from_row(d, f)))
             .collect();
         out.push(BucketAgg {
             group,

@@ -29,7 +29,8 @@ use crate::document::Document;
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
 use crate::value::{write_json_doc, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
 /// The manifest file name inside a database directory.
@@ -40,8 +41,9 @@ pub(crate) const MANIFEST: &str = "MANIFEST.json";
 /// collection) are still read.
 const MANIFEST_FORMAT: i64 = 3;
 
-/// Rows per slice file. A checkpoint's cost is the dirty slices' rows,
-/// so this bounds both the write amplification of a one-row change and
+/// Rows per slice file. A checkpoint encodes the rows that changed and
+/// copies the rest of each dirty slice line for line from the file it
+/// supersedes, so this bounds the bytes a one-row change rewrites and
 /// the pause of a checkpoint under time-series traffic (appends at the
 /// newest seqs, expiry at the oldest: a handful of slices per round).
 pub const SLICE_ROWS: u64 = 256;
@@ -280,25 +282,120 @@ pub(crate) fn read_rows(
 pub(crate) fn encode_jsonl_seq<'a>(docs: impl Iterator<Item = (u64, &'a Document)>) -> Vec<u8> {
     let mut out = Vec::new();
     for (seq, doc) in docs {
-        if doc.contains_key(SEQ_FIELD) {
-            // A row that already carries the reserved field keeps it in
-            // place, overwritten — what `Document::set` does.
-            let mut with_seq = doc.clone();
-            with_seq.set(SEQ_FIELD, seq as i64);
-            write_json_doc(&mut out, &with_seq);
-        } else {
-            write_json_doc(&mut out, doc);
-            out.pop();
-            if !doc.is_empty() {
-                out.push(b',');
-            }
-            out.extend_from_slice(b"\"__seq\":");
-            Value::Int(seq as i64).write_json(&mut out);
-            out.push(b'}');
-        }
-        out.push(b'\n');
+        write_row(&mut out, seq, doc);
     }
     out
+}
+
+/// One line of [`encode_jsonl_seq`].
+fn write_row(out: &mut Vec<u8>, seq: u64, doc: &Document) {
+    if doc.contains_key(SEQ_FIELD) {
+        // A row that already carries the reserved field keeps it in
+        // place, overwritten — what `Document::set` does.
+        let mut with_seq = doc.clone();
+        with_seq.set(SEQ_FIELD, seq as i64);
+        write_json_doc(out, &with_seq);
+    } else {
+        write_json_doc(out, doc);
+        out.pop();
+        if !doc.is_empty() {
+            out.push(b',');
+        }
+        out.extend_from_slice(b"\"__seq\":");
+        Value::Int(seq as i64).write_json(out);
+        out.push(b'}');
+    }
+    out.push(b'\n');
+}
+
+/// One dirty slice's new file, and how many of its rows were copied
+/// from the file it supersedes and how many encoded.
+#[derive(Debug, PartialEq)]
+pub(crate) struct SliceFile {
+    pub bytes: Vec<u8>,
+    pub copied: u64,
+    pub encoded: u64,
+}
+
+/// Write a dirty slice: the [`encode_jsonl_seq`] bytes of `rows`,
+/// spliced from `old`, the slice's file as the last checkpoint left it.
+/// A row that is in `old` and not `replaced` since then is unchanged, so
+/// its old line is copied verbatim; every other row is encoded, and a
+/// row `old` holds but memory does not (deleted) drops out. Any surprise
+/// in `old` — no file, a read error, a line not ending in
+/// `"__seq":N}`, seqs out of order — encodes the whole slice instead.
+pub(crate) fn write_slice<'a>(
+    rows: impl Iterator<Item = (u64, &'a Document)> + Clone,
+    old: Option<impl BufRead>,
+    replaced: &BTreeSet<u64>,
+) -> SliceFile {
+    if let Some(spliced) = old.and_then(|old| splice(rows.clone(), old, replaced)) {
+        return spliced;
+    }
+    let mut encoded = 0;
+    let bytes = encode_jsonl_seq(rows.inspect(|_| encoded += 1));
+    SliceFile {
+        bytes,
+        copied: 0,
+        encoded,
+    }
+}
+
+/// [`write_slice`]'s merge walk of `rows` against `old` by seq; `None`
+/// on a surprise.
+fn splice<'a>(
+    rows: impl Iterator<Item = (u64, &'a Document)>,
+    mut old: impl BufRead,
+    replaced: &BTreeSet<u64>,
+) -> Option<SliceFile> {
+    let mut file = SliceFile {
+        bytes: Vec::new(),
+        copied: 0,
+        encoded: 0,
+    };
+    // The old line read last, and its seq: `u64::MAX`, which no row
+    // reaches, once `old` is spent.
+    let mut line = Vec::new();
+    let mut at = None;
+    for (seq, doc) in rows {
+        while at.is_none_or(|at| at < seq) {
+            line.clear();
+            if old.read_until(b'\n', &mut line).ok()? == 0 {
+                at = Some(u64::MAX);
+                break;
+            }
+            if line.last() == Some(&b'\n') {
+                line.pop();
+            }
+            let next = line_seq(&line)?;
+            if at.is_some_and(|at| next <= at) {
+                return None;
+            }
+            at = Some(next);
+        }
+        if at == Some(seq) && !replaced.contains(&seq) {
+            file.bytes.extend_from_slice(&line);
+            file.bytes.push(b'\n');
+            file.copied += 1;
+        } else {
+            write_row(&mut file.bytes, seq, doc);
+            file.encoded += 1;
+        }
+    }
+    Some(file)
+}
+
+/// The seq a slice line ends in: `…,"__seq":N}` (or `{"__seq":N}`), the
+/// last field [`write_row`] writes unless the row put it elsewhere.
+fn line_seq(line: &[u8]) -> Option<u64> {
+    let body = line.strip_suffix(b"}")?;
+    let digits = body.iter().rev().take_while(|b| b.is_ascii_digit()).count();
+    let (head, n) = body.split_at(body.len() - digits);
+    let head = head.strip_suffix(b"\"__seq\":")?;
+    if !matches!(head.last(), Some(b',' | b'{')) {
+        return None;
+    }
+    std::str::from_utf8(n).ok()?.parse().ok()
 }
 
 /// Strip (and return) a row's persisted insertion sequence.
@@ -493,6 +590,68 @@ mod tests {
         );
         assert!(want_seq.contains("{\"__seq\":7}\n"), "{want_seq}");
         assert!(want_seq.contains("\"f\":null"), "{want_seq}");
+    }
+
+    /// `rows` with their seqs, as `Collection::slice_rows` hands them.
+    fn seqd(rows: &[(u64, Document)]) -> impl Iterator<Item = (u64, &Document)> + Clone {
+        rows.iter().map(|(s, d)| (*s, d))
+    }
+
+    #[test]
+    fn a_splice_copies_unchanged_lines_and_encodes_the_rest() {
+        let row = |id: &str, v: i64| doc! { "_id" => id, "v" => v };
+        let before = [(3, row("a", 1)), (4, row("b", 2)), (6, row("c", 3))];
+        let old = encode_jsonl_seq(seqd(&before));
+        // `a` deleted, `b` replaced, `c` untouched, `d` appended.
+        let after = [(4, row("b", 9)), (6, row("c", 3)), (7, row("d", 4))];
+        let file = write_slice(seqd(&after), Some(&old[..]), &BTreeSet::from([4]));
+        assert_eq!(file.bytes, encode_jsonl_seq(seqd(&after)));
+        assert_eq!((file.copied, file.encoded), (1, 2));
+        // Replaced rows are what makes `b` encoded: without the record
+        // the stale line would be copied.
+        let stale = write_slice(seqd(&after), Some(&old[..]), &BTreeSet::new());
+        assert_ne!(stale.bytes, file.bytes);
+        // A last line without its newline is still a whole line.
+        let torn = &old[..old.len() - 1];
+        let file = write_slice(seqd(&before), Some(torn), &BTreeSet::new());
+        assert_eq!(file.bytes, old);
+        assert_eq!((file.copied, file.encoded), (3, 0));
+    }
+
+    #[test]
+    fn any_surprise_in_the_old_file_encodes_the_whole_slice() {
+        let rows = [
+            (1, doc! { "_id" => "a", "v" => 1i64 }),
+            (2, doc! { "_id" => "b" }),
+            (3, doc! { "_id" => "c" }),
+        ];
+        let full = encode_jsonl_seq(seqd(&rows));
+        let (a, b) = (
+            "{\"_id\":\"a\",\"v\":1,\"__seq\":1}\n",
+            "{\"_id\":\"b\",\"__seq\":2}\n",
+        );
+        let surprises = [
+            // A row that put `__seq` mid-document.
+            format!("{{\"_id\":\"a\",\"__seq\":1,\"v\":1}}\n{b}"),
+            // Out of order, and a repeated seq.
+            format!("{b}{a}"),
+            format!("{a}{a}"),
+            // Garbage, an empty line, a torn seq.
+            format!("{a}garbage\n"),
+            format!("{a}\n{b}"),
+            format!("{a}{}", &b[..b.len() - 3]),
+        ];
+        for old in surprises {
+            let file = write_slice(seqd(&rows), Some(old.as_bytes()), &BTreeSet::new());
+            assert_eq!(file.bytes, full, "{old}");
+            assert_eq!((file.copied, file.encoded), (0, 3), "{old}");
+        }
+        // So does a missing file.
+        let file = write_slice(seqd(&rows), None::<&[u8]>, &BTreeSet::new());
+        assert_eq!((file.bytes, file.copied, file.encoded), (full, 0, 3));
+        assert_eq!(line_seq(b"{\"__seq\":12}"), Some(12));
+        assert_eq!(line_seq(b"{\"a\":{\"__seq\":12}}"), None);
+        assert_eq!(line_seq(b"{\"a\":\"x\\\"__seq\\\":1}\"}"), None);
     }
 
     #[test]

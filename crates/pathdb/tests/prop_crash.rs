@@ -22,15 +22,25 @@
 //! with slices rewritten, emptied and dropped); the proptest randomizes
 //! workloads and samples offsets, and also covers sector tearing and
 //! transient-error retries.
+//!
+//! A second oracle holds what a checkpoint writes, not what survives
+//! it: a checkpoint copies the lines of unchanged rows from the slice
+//! files it supersedes, and every slice file its manifest names must
+//! equal, byte for byte, the file `save_dir` encodes in full into a
+//! fresh directory (see [`run_spliced`] for the one spelling a reopen
+//! changes under a file an earlier checkpoint wrote).
 
 use pathdb::database::OpenOptions;
+use pathdb::snapshot::slice_path;
 use pathdb::{
     doc, Database, Document, Durability, FaultyStorage, Filter, RetentionPolicy, RollupConfig,
-    Update, Value,
+    Storage, Update, Value,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use upin_telemetry::Telemetry;
 
 // ---- workload -------------------------------------------------------------
 
@@ -166,11 +176,20 @@ fn fingerprint(db: &Database) -> Vec<String> {
 }
 
 fn open_wal(storage: &FaultyStorage) -> (Database, pathdb::RecoveryReport) {
-    let (db, report) = Database::open_durable_with(
-        PathBuf::from("/db"),
-        OpenOptions::new(Durability::Wal).with_storage(Arc::new(storage.clone())),
-    )
-    .expect("recovery never fails on torn state");
+    open_traced(storage, None)
+}
+
+/// [`open_wal`], reporting to `telemetry` when given one.
+fn open_traced(
+    storage: &FaultyStorage,
+    telemetry: Option<&Arc<Telemetry>>,
+) -> (Database, pathdb::RecoveryReport) {
+    let mut opts = OpenOptions::new(Durability::Wal).with_storage(Arc::new(storage.clone()));
+    if let Some(t) = telemetry {
+        opts = opts.with_recorder(t.clone());
+    }
+    let (db, report) = Database::open_durable_with(PathBuf::from("/db"), opts)
+        .expect("recovery never fails on torn state");
     db.register_rollup(RollupConfig {
         source: "paths_stats".into(),
         dest: "rollup_stats".into(),
@@ -485,5 +504,312 @@ proptest! {
         for frac in offset_fracs {
             check_crash_at(&ops, &states, frac * total / 1000, sector_tear);
         }
+    }
+}
+
+// ---- spliced checkpoints --------------------------------------------------
+
+/// One step of the splice oracle: an [`Op`], or what only a run that
+/// does not crash can do.
+#[derive(Debug, Clone)]
+enum Step {
+    Op(Op),
+    /// A `paths_stats` row with a time but no `v`: the fold that follows
+    /// upserts its bucket's row unchanged.
+    InsertBare {
+        id: u32,
+    },
+    /// Delete the `n`-th live row in insertion order: `0` is the head of
+    /// the first slice, and without earlier deletes `256` the head of
+    /// the second.
+    DeleteNth {
+        coll: u8,
+        n: usize,
+    },
+    /// A row that carries the reserved `__seq` field itself, in the
+    /// middle of the document or as its last field.
+    InsertSeq {
+        coll: u8,
+        id: u32,
+        last: bool,
+    },
+    /// Close the database and open it again: the WAL replays post-images
+    /// over the slices.
+    Reopen,
+    /// A checkpoint the storage fails with a transient write error.
+    FailedCheckpoint,
+}
+
+fn apply_step(db: &Database, step: &Step) {
+    match step {
+        Step::Op(op) => apply(db, op),
+        Step::InsertBare { id } => {
+            let t = (*id as i64 % 12) * 1000;
+            let h = db.collection(coll_name(1));
+            let _ = h
+                .write()
+                .insert_one(doc! { "_id" => format!("x{id}"), "t" => t });
+        }
+        Step::DeleteNth { coll, n } => {
+            let h = db.collection(coll_name(*coll));
+            let id = h.read().iter().nth(*n).and_then(|d| d.get("_id").cloned());
+            if let Some(id) = id {
+                h.write().delete_many(&Filter::eq("_id", id));
+            }
+        }
+        Step::InsertSeq { coll, id, last } => {
+            let row = if *last {
+                doc! { "_id" => format!("s{id}"), "v" => *id as i64, "__seq" => 7i64 }
+            } else {
+                doc! { "_id" => format!("s{id}"), "__seq" => 7i64, "v" => *id as i64 }
+            };
+            let _ = db.collection(coll_name(*coll)).write().insert_one(row);
+        }
+        Step::Reopen | Step::FailedCheckpoint => unreachable!("run_spliced runs these"),
+    }
+}
+
+/// A slice file by `(collection, slice)`: the generation that wrote it
+/// and its bytes.
+type SliceFiles = BTreeMap<(String, u64), (u64, Vec<u8>)>;
+
+/// The generation of `dir`'s manifest and every slice file it names.
+fn named_slices(storage: &FaultyStorage, dir: &Path) -> (u64, SliceFiles) {
+    let text = storage.read(&dir.join("MANIFEST.json")).unwrap();
+    let manifest: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&text).unwrap()).expect("the manifest is JSON");
+    let field = |key: &str| manifest.get(key).cloned().unwrap();
+    let column = |key: &str| field(key).as_array().unwrap().clone();
+    let mut files = BTreeMap::new();
+    for (name, table) in column("collections").iter().zip(column("slices")) {
+        let name = name.as_str().unwrap();
+        let flat: Vec<u64> = table
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|x| x.as_i64().unwrap() as u64)
+            .collect();
+        for pair in flat.chunks(2) {
+            let path = slice_path(dir, name, pair[0], pair[1]);
+            let bytes = storage.read(&path).expect("a named slice file exists");
+            files.insert((name.to_string(), pair[0]), (pair[1], bytes));
+        }
+    }
+    (field("generation").as_i64().unwrap() as u64, files)
+}
+
+/// Whether every line of a slice file ends in its `"__seq":N}`.
+fn seq_last_everywhere(bytes: &[u8]) -> bool {
+    let text = String::from_utf8_lossy(bytes);
+    let digits = |c: char| c.is_ascii_digit();
+    text.lines().all(|l| {
+        l.trim_end_matches('}')
+            .trim_end_matches(digits)
+            .ends_with("\"__seq\":")
+    })
+}
+
+/// Run `steps` on one database, checking after every checkpoint that
+/// the bound directory holds what a full encode writes. Returns the
+/// rows the checkpoints copied.
+fn run_spliced(steps: &[Step]) -> u64 {
+    let storage = FaultyStorage::new();
+    let telemetry = Arc::new(Telemetry::new());
+    let open = || open_traced(&storage, Some(&telemetry)).0;
+    let mut db = open();
+    for (at, step) in steps.iter().enumerate() {
+        match step {
+            Step::Op(Op::Checkpoint) => {
+                db.checkpoint().expect("a fault-free checkpoint commits");
+                let fresh = PathBuf::from(format!("/fresh/{at}"));
+                db.save_dir(&fresh).unwrap();
+                let (generation, spliced) = named_slices(&storage, Path::new("/db"));
+                let (_, full) = named_slices(&storage, &fresh);
+                assert_eq!(
+                    spliced.keys().collect::<Vec<_>>(),
+                    full.keys().collect::<Vec<_>>(),
+                    "step {at}: the manifests name different slices"
+                );
+                for (key, (written, bytes)) in &spliced {
+                    let want = &full[key].1;
+                    // Every file this checkpoint wrote is a full encode.
+                    // One an earlier checkpoint wrote was checked then;
+                    // since, a reopen may have stripped a row's own
+                    // `__seq` from mid-document, which a re-encode puts
+                    // last — the loader's doing, not the splice's.
+                    let renormalized = *written < generation && !seq_last_everywhere(bytes);
+                    assert!(
+                        bytes == want || renormalized,
+                        "step {at}: {key:?} differs from a full encode\nspliced:\n{}\nfull:\n{}",
+                        String::from_utf8_lossy(bytes),
+                        String::from_utf8_lossy(want),
+                    );
+                }
+            }
+            Step::Reopen => {
+                drop(db);
+                db = open();
+            }
+            Step::FailedCheckpoint => {
+                storage.inject_transient_errors(1);
+                assert!(db.checkpoint().is_err(), "step {at}: the checkpoint failed");
+            }
+            step => apply_step(&db, step),
+        }
+    }
+    telemetry.counter("pathdb.checkpoint.rows_copied")
+}
+
+/// Every trap of the splice, each once, on collections that span
+/// several slices.
+#[test]
+fn spliced_checkpoints_write_what_a_full_encode_writes() {
+    let op = Step::Op;
+    let steps = vec![
+        op(Op::InsertMany {
+            coll: 1,
+            ids: (1..=300).collect(),
+        }),
+        op(Op::InsertMany {
+            coll: 0,
+            ids: vec![301, 302, 303],
+        }),
+        op(Op::RollupFold),
+        op(Op::Checkpoint),
+        // An in-place update inside an otherwise unchanged slice.
+        op(Op::Update {
+            coll: 1,
+            id: 100,
+            v: 99,
+        }),
+        op(Op::Checkpoint),
+        // A fold whose bare row leaves its bucket's row unchanged.
+        Step::InsertBare { id: 2 },
+        op(Op::RollupFold),
+        op(Op::Checkpoint),
+        // Deletes at the heads of the first two slices.
+        Step::DeleteNth { coll: 1, n: 0 },
+        Step::DeleteNth { coll: 1, n: 255 },
+        op(Op::Checkpoint),
+        // A drop, then a re-create under the same name: the new rows
+        // take the seqs the dropped slice file still holds.
+        op(Op::Drop { coll: 0 }),
+        op(Op::InsertMany {
+            coll: 0,
+            ids: vec![310, 311, 312],
+        }),
+        op(Op::Checkpoint),
+        // Rows that carry `__seq` themselves.
+        Step::InsertSeq {
+            coll: 0,
+            id: 400,
+            last: false,
+        },
+        Step::InsertSeq {
+            coll: 0,
+            id: 401,
+            last: true,
+        },
+        op(Op::Checkpoint),
+        // A reopen: the log replays an update, a delete and an insert
+        // over the slices, then a checkpoint.
+        op(Op::Update {
+            coll: 1,
+            id: 150,
+            v: 7,
+        }),
+        op(Op::Delete { coll: 1, id: 151 }),
+        op(Op::Insert { coll: 1, id: 320 }),
+        Step::Reopen,
+        op(Op::Checkpoint),
+        // A failed checkpoint hands its sets back to the next one.
+        op(Op::Update {
+            coll: 0,
+            id: 311,
+            v: 5,
+        }),
+        Step::FailedCheckpoint,
+        op(Op::Update {
+            coll: 1,
+            id: 160,
+            v: 3,
+        }),
+        op(Op::Checkpoint),
+        // The reloaded `__seq` rows: the mid-document one lost its field
+        // on the way in, so its slice is encoded in full.
+        Step::Reopen,
+        op(Op::Insert { coll: 0, id: 330 }),
+        op(Op::RollupFold),
+        op(Op::Expire { now: 9000 }),
+        op(Op::Checkpoint),
+    ];
+    let copied = run_spliced(&steps);
+    assert!(copied > 1000, "the checkpoints copied {copied} rows");
+}
+
+/// What [`Step`] adds to the crash workloads' [`OpSpec`]s.
+#[derive(Debug, Clone)]
+enum Extra {
+    /// A batch of `n` rows, enough to open another slice.
+    Bulk(u8, u16),
+    Bare,
+    DeleteNth(u8, u8),
+    Seq(u8, bool),
+    Reopen,
+    FailedCheckpoint,
+}
+
+fn arb_extra() -> impl Strategy<Value = Extra> {
+    prop_oneof![
+        ((0u8..2), (100u16..400)).prop_map(|(c, n)| Extra::Bulk(c, n)),
+        Just(Extra::Bare),
+        ((0u8..2), (0u8..4)).prop_map(|(c, k)| Extra::DeleteNth(c, k)),
+        ((0u8..2), any::<bool>()).prop_map(|(c, last)| Extra::Seq(c, last)),
+        Just(Extra::Reopen),
+        Just(Extra::FailedCheckpoint),
+    ]
+}
+
+/// `specs` resolved as for the crash matrix (minus the duplicate
+/// inserts, whose target an extra may have deleted), `extras` inserted
+/// at their positions, and a closing checkpoint.
+fn splice_workload(specs: &[OpSpec], extras: &[(u16, Extra)]) -> Vec<Step> {
+    let ops = resolve(specs).into_iter();
+    let mut steps: Vec<Step> = ops
+        .filter(|op| !matches!(op, Op::InsertDup { .. }))
+        .map(Step::Op)
+        .collect();
+    for (k, (at, extra)) in extras.iter().enumerate() {
+        // Ids far above the ones `resolve` mints.
+        let id = 1000 * (k as u32 + 1);
+        let step = match *extra {
+            Extra::Bulk(coll, n) => Step::Op(Op::InsertMany {
+                coll,
+                ids: (id..id + n as u32).collect(),
+            }),
+            Extra::Bare => Step::InsertBare { id },
+            Extra::DeleteNth(coll, k) => Step::DeleteNth {
+                coll,
+                n: [0, 1, 255, 256][k as usize],
+            },
+            Extra::Seq(coll, last) => Step::InsertSeq { coll, id, last },
+            Extra::Reopen => Step::Reopen,
+            Extra::FailedCheckpoint => Step::FailedCheckpoint,
+        };
+        steps.insert(*at as usize % (steps.len() + 1), step);
+    }
+    steps.push(Step::Op(Op::Checkpoint));
+    steps
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn randomized_spliced_checkpoints_write_what_a_full_encode_writes(
+        specs in prop::collection::vec(arb_op(), 1..24),
+        extras in prop::collection::vec((any::<u16>(), arb_extra()), 0..8),
+    ) {
+        run_spliced(&splice_workload(&specs, &extras));
     }
 }

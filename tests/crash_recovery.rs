@@ -486,8 +486,10 @@ fn format_2_directory_opens_and_is_upgraded_by_one_checkpoint() {
 #[test]
 fn checkpoint_cost_follows_the_change_not_the_history() {
     // The same round — append 100 rows, expire the 100 oldest — on a
-    // small and on a 100x larger collection writes the same documents.
-    let round_cost = |rows: u64| -> u64 {
+    // small and on a 100x larger collection encodes the 100 new rows and
+    // copies the rest of the two dirty slices: the first slice's
+    // survivors (the appended slice has no old file to copy from).
+    let round_cost = |rows: u64| -> (u64, u64) {
         let tel = Arc::new(Telemetry::new());
         let (db, _) = Database::open_durable_with(
             PathBuf::from("/flat"),
@@ -510,6 +512,7 @@ fn checkpoint_cost_follows_the_change_not_the_history() {
         }
         db.checkpoint().unwrap();
         assert_eq!(tel.counter("pathdb.checkpoint.docs_written"), rows);
+        assert_eq!(tel.counter("pathdb.checkpoint.rows_copied"), 0);
 
         db.collection("stats")
             .write()
@@ -518,11 +521,13 @@ fn checkpoint_cost_follows_the_change_not_the_history() {
         assert_eq!(db.expire_retention(rows as i64 + 100).unwrap(), 100);
         db.checkpoint().unwrap();
         assert_eq!(db.collection("stats").read().len() as u64, rows);
-        tel.counter("pathdb.checkpoint.docs_written") - rows
+        (
+            tel.counter("pathdb.checkpoint.docs_written") - rows,
+            tel.counter("pathdb.checkpoint.rows_copied"),
+        )
     };
     // Whole slices, so both collections end on the same boundary.
-    let small = round_cost(8 * SLICE_ROWS);
-    let large = round_cost(800 * SLICE_ROWS);
-    assert_eq!(small, large, "2 k rows vs 200 k rows");
-    assert!((100..=4 * SLICE_ROWS).contains(&small), "{small}");
+    for rows in [8 * SLICE_ROWS, 800 * SLICE_ROWS] {
+        assert_eq!(round_cost(rows), (100, SLICE_ROWS - 100), "{rows} rows");
+    }
 }

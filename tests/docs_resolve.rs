@@ -9,7 +9,8 @@
 //! `src/{a,b,c}.rs` list of DESIGN §3's tree names files that exist.
 //! Every number a measured cell of EXPERIMENTS §Fig. 4–9 states is in
 //! that figure's pinned `results/` file, and its ⚠️ rows are the
-//! expected failures `results_pin` holds the figures' claims to.
+//! expected failures `results_pin` holds the figures' claims to. New
+//! CHANGES entries stay short.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -276,6 +277,42 @@ fn experiments_marks_exactly_the_expected_failures() {
         wrong.is_empty(),
         "EXPERIMENTS' ⚠️ rows and EXPECTED_FAILURES disagree: {wrong:#?}"
     );
+}
+
+/// The first CHANGES entry held to the length rule; older ones are left
+/// as they were written.
+const FIRST_SHORT_ENTRY: u32 = 31;
+
+/// A CHANGES entry (`- PR N: …` and the lines up to the next one) from
+/// [`FIRST_SHORT_ENTRY`] on runs at most 40 lines of at most 100
+/// characters.
+#[test]
+fn changes_entries_stay_short() {
+    let changes = read("CHANGES.md");
+    let mut entries: Vec<(u32, Vec<&str>)> = Vec::new();
+    for line in changes.lines() {
+        let pr = line
+            .strip_prefix("- PR ")
+            .and_then(|rest| rest.split(':').next()?.parse().ok());
+        match (pr, entries.last_mut()) {
+            (Some(pr), _) => entries.push((pr, vec![line])),
+            (None, Some((_, lines))) => lines.push(line),
+            (None, None) => {}
+        }
+    }
+    let mut long = Vec::new();
+    for (pr, lines) in entries.iter().filter(|(pr, _)| *pr >= FIRST_SHORT_ENTRY) {
+        if lines.len() > 40 {
+            long.push(format!("PR {pr}: {} lines", lines.len()));
+        }
+        for (n, line) in lines.iter().enumerate() {
+            let chars = line.chars().count();
+            if chars > 100 {
+                long.push(format!("PR {pr}, line {}: {chars} characters", n + 1));
+            }
+        }
+    }
+    assert!(long.is_empty(), "CHANGES entries too long: {long:#?}");
 }
 
 /// `a,b/{c,d}` → `a`, `b/c`, `b/d`.
