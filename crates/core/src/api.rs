@@ -22,7 +22,7 @@
 use crate::error::{SelectionFailure, SuiteError};
 use crate::multi::Weights;
 use crate::schema;
-use crate::select::{Constraints, Objective, PathAggregate, UserRequest};
+use crate::select::{Constraints, Objective, PathAggregate, SharedAggregate, UserRequest};
 use crate::strategy::StrategyContext;
 use pathdb::{Collection, Database, Filter};
 use scion_sim::addr::{IsdAsn, ScionAddr};
@@ -138,7 +138,9 @@ pub struct RankedEntry {
     /// The ranking score; `None` for Pareto entries (no total order).
     #[serde(default)]
     pub score: Option<f64>,
-    pub aggregate: PathAggregate,
+    /// The statcache's own aggregate, by reference: its JSON is encoded
+    /// once per statcache version, not once per answer.
+    pub aggregate: SharedAggregate,
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -643,7 +645,7 @@ impl PathIntelService {
                 .map_err(|e| ServiceError::from_suite(&e))?;
         let matched = candidates.len();
         let min_samples = req.constraints.min_samples.max(1);
-        let gated: Vec<&PathAggregate> = candidates
+        let gated: Vec<&SharedAggregate> = candidates
             .iter()
             .filter(|a| a.samples >= min_samples)
             .filter(|a| match req.constraints.max_loss_pct {

@@ -10,6 +10,7 @@
 
 use crate::select::{Objective, PathAggregate};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// The criterion value of a path under an objective, oriented so lower
 /// is better. `None` when the statistic is missing.
@@ -45,18 +46,27 @@ pub fn dominates(a: &PathAggregate, b: &PathAggregate, criteria: &[Objective]) -
 }
 
 /// The Pareto-optimal subset of `candidates` under `criteria`, in the
-/// input order. Candidates missing any criterion are dropped.
-pub fn pareto_front<'a>(
-    candidates: &'a [PathAggregate],
+/// input order. Candidates missing any criterion are dropped. Takes
+/// plain or shared aggregates (`SharedAggregate`) alike.
+pub fn pareto_front<'a, A: Borrow<PathAggregate>>(
+    candidates: &'a [A],
     criteria: &[Objective],
-) -> Vec<&'a PathAggregate> {
-    let complete: Vec<&PathAggregate> = candidates
+) -> Vec<&'a A> {
+    let complete: Vec<&A> = candidates
         .iter()
-        .filter(|a| criteria.iter().all(|&c| criterion_value(a, c).is_some()))
+        .filter(|a| {
+            let a = (*a).borrow();
+            criteria.iter().all(|&c| criterion_value(a, c).is_some())
+        })
         .collect();
     complete
         .iter()
-        .filter(|a| !complete.iter().any(|b| dominates(b, a, criteria)))
+        .filter(|a| {
+            let a = (**a).borrow();
+            !complete
+                .iter()
+                .any(|b| dominates((*b).borrow(), a, criteria))
+        })
         .copied()
         .collect()
 }
@@ -120,17 +130,20 @@ impl Weights {
 /// sum of normalized values (lower = better). Candidates missing an
 /// active criterion are excluded. Returns `(score, aggregate)` pairs,
 /// best first.
-pub fn weighted_rank<'a>(
-    candidates: &'a [PathAggregate],
+pub fn weighted_rank<'a, A: Borrow<PathAggregate>>(
+    candidates: &'a [A],
     weights: &Weights,
-) -> Vec<(f64, &'a PathAggregate)> {
+) -> Vec<(f64, &'a A)> {
     let criteria = weights.active();
     if criteria.is_empty() {
         return Vec::new();
     }
-    let complete: Vec<&PathAggregate> = candidates
+    let complete: Vec<&A> = candidates
         .iter()
-        .filter(|a| criteria.iter().all(|&c| criterion_value(a, c).is_some()))
+        .filter(|a| {
+            let a = (*a).borrow();
+            criteria.iter().all(|&c| criterion_value(a, c).is_some())
+        })
         .collect();
     if complete.is_empty() {
         return Vec::new();
@@ -143,7 +156,7 @@ pub fn weighted_rank<'a>(
         .map(|&(c, w)| {
             let vals: Vec<f64> = complete
                 .iter()
-                .map(|a| criterion_value(a, c).expect("complete"))
+                .map(|a| criterion_value((*a).borrow(), c).expect("complete"))
                 .collect();
             let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
             let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -151,12 +164,12 @@ pub fn weighted_rank<'a>(
         })
         .collect();
     let total_w: f64 = ranges.iter().map(|(_, w, _, _)| w).sum();
-    let mut scored: Vec<(f64, &PathAggregate)> = complete
+    let mut scored: Vec<(f64, &A)> = complete
         .into_iter()
         .map(|a| {
             let mut score = 0.0;
             for &(c, w, min, max) in &ranges {
-                let v = criterion_value(a, c).expect("complete");
+                let v = criterion_value(a.borrow(), c).expect("complete");
                 let norm = if max > min {
                     (v - min) / (max - min)
                 } else {
@@ -168,8 +181,9 @@ pub fn weighted_rank<'a>(
         })
         .collect();
     scored.sort_by(|x, y| {
+        let path_id = |a: &A| a.borrow().path_id;
         x.0.total_cmp(&y.0)
-            .then_with(|| x.1.path_id.cmp(&y.1.path_id))
+            .then_with(|| path_id(x.1).cmp(&path_id(y.1)))
     });
     scored
 }

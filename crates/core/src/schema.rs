@@ -105,7 +105,8 @@ impl FromStr for StatId {
 /// * `paths.status` — its alive-only constraint (`eq`, same filter).
 ///
 /// Idempotent — pathdb's `create_index` is a no-op for an existing
-/// index.
+/// index. A checkpoint records the indexes in the manifest, so a
+/// reopened directory (`upin serve --db DIR`) has them without this.
 pub(crate) fn ensure_indexes(db: &Database) {
     for (name, fields) in [
         (PATHS_STATS, &["server_id", "timestamp_ms"][..]),
@@ -394,14 +395,17 @@ mod tests {
 
     /// Every query shape the suite sends plans through an index
     /// `ensure_indexes` built, and a filter on a stats field no query
-    /// names scans: that index is not built.
+    /// names scans: that index is not built. The same holds after a
+    /// checkpoint and a reopen.
     #[test]
     fn the_suites_query_shapes_plan_through_its_indexes() {
         use crate::collect::{collect_paths, register_available_servers};
         use crate::config::SuiteConfig;
         use crate::measure::run_tests;
-        use pathdb::{Access, Filter};
+        use pathdb::database::OpenOptions;
+        use pathdb::{Durability, FaultyStorage};
         use scion_sim::net::ScionNetwork;
+        use std::sync::Arc;
 
         let cfg = SuiteConfig {
             iterations: 1,
@@ -411,12 +415,27 @@ mod tests {
             ..SuiteConfig::default()
         };
         let net = ScionNetwork::scionlab(9);
-        let db = Database::new();
+        let storage = Arc::new(FaultyStorage::new());
+        let open = || {
+            let opts = OpenOptions::new(Durability::Wal).with_storage(storage.clone());
+            Database::open_durable_with("/shapes", opts).unwrap().0
+        };
+        let db = open();
         register_available_servers(&db, &net).unwrap();
         collect_paths(&db, &net, &cfg).unwrap();
         run_tests(&db, &net, &cfg).unwrap();
-        let access = |name: &str, f: Filter| db.collection(name).read().query(f).explain().access;
+        db.checkpoint().unwrap();
+        assert_shapes(&db);
+        // The same directory reopened the way `upin serve --db DIR` opens
+        // it: the manifest names the indexes, so it plans as the
+        // campaign did.
+        drop(db);
+        assert_shapes(&open());
+    }
 
+    fn assert_shapes(db: &Database) {
+        use pathdb::{Access, Filter};
+        let access = |name: &str, f: Filter| db.collection(name).read().query(f).explain().access;
         for name in [PATHS, PATHS_STATS] {
             let plan = access(name, Filter::eq("server_id", 2i64));
             assert!(

@@ -13,7 +13,7 @@ use crate::error::{SelectionFailure, SuiteError, SuiteResult};
 use crate::schema::{self, PathId, PathMeasurement};
 use pathdb::{Collection, Database, Document, Filter, Value};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use upin_telemetry::Recorder;
 
 /// What the user optimizes for.
@@ -140,6 +140,85 @@ pub struct PathAggregate {
     pub bw_down_mtu: Option<Whisker>,
 }
 
+/// A [`PathAggregate`] as the [`crate::statcache`] files it: one
+/// allocation shared by reference between every candidate list and
+/// answer of one statcache version, with its JSON encoded once, the
+/// first time an answer carries it. A clone is a refcount bump, and it
+/// reads as the aggregate it holds (`Deref`); it compares, prints,
+/// encodes and decodes exactly like that aggregate.
+#[derive(Clone)]
+pub struct SharedAggregate(Arc<Filed>);
+
+struct Filed {
+    aggregate: PathAggregate,
+    /// What `aggregate.write_json` writes, once asked for.
+    json: OnceLock<Box<[u8]>>,
+}
+
+impl SharedAggregate {
+    /// The aggregate's JSON, encoded by the first caller and shared with
+    /// every later one.
+    pub(crate) fn json(&self) -> &[u8] {
+        self.0.json.get_or_init(|| {
+            let mut bytes = Vec::new();
+            (**self).write_json(&mut bytes);
+            bytes.into_boxed_slice()
+        })
+    }
+}
+
+impl From<PathAggregate> for SharedAggregate {
+    fn from(aggregate: PathAggregate) -> SharedAggregate {
+        SharedAggregate(Arc::new(Filed {
+            aggregate,
+            json: OnceLock::new(),
+        }))
+    }
+}
+
+impl std::ops::Deref for SharedAggregate {
+    type Target = PathAggregate;
+    fn deref(&self) -> &PathAggregate {
+        &self.0.aggregate
+    }
+}
+
+impl std::borrow::Borrow<PathAggregate> for SharedAggregate {
+    fn borrow(&self) -> &PathAggregate {
+        self
+    }
+}
+
+impl PartialEq for SharedAggregate {
+    fn eq(&self, other: &SharedAggregate) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for SharedAggregate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl Serialize for SharedAggregate {
+    fn to_jval(&self) -> serde::json::Value {
+        (**self).to_jval()
+    }
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.json());
+    }
+}
+
+impl Deserialize for SharedAggregate {
+    fn from_jval(v: &serde::json::Value) -> Result<SharedAggregate, String> {
+        PathAggregate::from_jval(v).map(SharedAggregate::from)
+    }
+    fn read_json(r: &mut serde::json::Reader<'_>) -> Option<SharedAggregate> {
+        PathAggregate::read_json(r).map(SharedAggregate::from)
+    }
+}
+
 /// One ranked recommendation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Recommendation {
@@ -147,7 +226,7 @@ pub struct Recommendation {
     /// The objective's scalar for this path (lower is better; bandwidth
     /// objectives store the negated value so ordering is uniform).
     pub score: f64,
-    pub aggregate: PathAggregate,
+    pub aggregate: SharedAggregate,
 }
 
 /// Fold one path's measurements into its aggregate. Shared between the
@@ -210,12 +289,12 @@ pub(crate) fn build_aggregate(
 ///
 /// The per-path aggregates come from [`crate::statcache::aggregated_paths`],
 /// so repeated queries against an unchanged database only pay for the
-/// constraint scan plus clones of the matching aggregates.
+/// constraint lookup plus a refcount bump per matching aggregate.
 pub fn aggregate_paths(
     db: &Database,
     server_id: u32,
     constraints: &Constraints,
-) -> SuiteResult<Vec<PathAggregate>> {
+) -> SuiteResult<Vec<SharedAggregate>> {
     aggregate_paths_at(db, &crate::statcache::pin_pair(db), server_id, constraints)
 }
 
@@ -229,7 +308,7 @@ pub(crate) fn aggregate_paths_at(
     (paths_snap, stats_snap): &(Arc<Collection>, Arc<Collection>),
     server_id: u32,
     constraints: &Constraints,
-) -> SuiteResult<Vec<PathAggregate>> {
+) -> SuiteResult<Vec<SharedAggregate>> {
     let rec = db.recorder();
     rec.add("select.queries", 1);
     let aggs = crate::statcache::aggregated_paths_at(db, paths_snap, stats_snap, server_id)?;
@@ -239,6 +318,7 @@ pub(crate) fn aggregate_paths_at(
         // hot serve path skips the planner scan entirely. `PathId`
         // orders by (server, index) — the map iterates in the same
         // path-index order the scan would produce for one destination.
+        // Each candidate is the cached aggregate itself, by reference.
         rec.add("select.candidates", aggs.len() as u64);
         return Ok(aggs.values().cloned().collect());
     }
@@ -256,7 +336,7 @@ pub(crate) fn aggregate_paths_at(
             // built from the same pin, so this is defensive): no
             // statistics yet — loss stays honestly unknown (`None`),
             // not a fabricated 100%.
-            None => build_aggregate(&*rec, path_id, sequence, hops, &[]),
+            None => build_aggregate(&*rec, path_id, sequence, hops, &[]).into(),
         });
     }
     Ok(out)
@@ -269,7 +349,7 @@ pub(crate) fn candidates_for(
     db: &Database,
     request: &UserRequest,
     k: usize,
-) -> SuiteResult<Vec<PathAggregate>> {
+) -> SuiteResult<Vec<SharedAggregate>> {
     if k == 0 {
         return Err(SuiteError::InvalidRequest(
             "k must be >= 1 (an empty ranking answers no request)".into(),
@@ -313,12 +393,12 @@ pub fn recommend(
 pub(crate) fn rank_scored(
     server_id: u32,
     matched: usize,
-    candidates: Vec<PathAggregate>,
+    candidates: Vec<SharedAggregate>,
     k: usize,
     score: impl Fn(&PathAggregate) -> Option<f64>,
 ) -> SuiteResult<Vec<Recommendation>> {
     let gated = candidates.len();
-    let mut scored: Vec<(f64, PathAggregate)> = candidates
+    let mut scored: Vec<(f64, SharedAggregate)> = candidates
         .into_iter()
         .filter_map(|a| score(&a).map(|s| (s, a)))
         .collect();

@@ -20,7 +20,7 @@
 
 use crate::error::SuiteResult;
 use crate::schema::{parse_path_doc, PathId, PathMeasurement, PATHS, PATHS_STATS};
-use crate::select::{build_aggregate, PathAggregate};
+use crate::select::{build_aggregate, SharedAggregate};
 use parking_lot::{Mutex, RwLock};
 use pathdb::{Collection, CollectionHandle, Database, Delta, Filter};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -30,8 +30,11 @@ use std::sync::{Arc, OnceLock, Weak};
 /// ordered by timestamp within each path.
 pub type GroupedMeasurements = BTreeMap<PathId, Vec<PathMeasurement>>;
 
-/// Whiskers, mean jitter and mean loss of every path of a destination.
-pub type PathAggregates = BTreeMap<PathId, PathAggregate>;
+/// Whiskers, mean jitter and mean loss of every path of a destination,
+/// each shared by reference with every answer that carries it and
+/// encoded as JSON at most once: a path's aggregate is rebuilt, and so
+/// re-encoded, only by the fetch that finds its rows or metadata changed.
+pub type PathAggregates = BTreeMap<PathId, SharedAggregate>;
 
 #[derive(Default)]
 struct Entry {
@@ -121,7 +124,7 @@ fn fetch(
         for d in paths.query(filter()).refs() {
             let (id, sequence, hops) = parse_path_doc(d)?;
             let ms = e.grouped.get(&id).map_or(&[][..], Vec::as_slice);
-            by_path.insert(id, build_aggregate(&*rec, id, sequence, hops, ms));
+            by_path.insert(id, build_aggregate(&*rec, id, sequence, hops, ms).into());
         }
         e.aggs = Some(Arc::new(by_path));
         (e.paths, e.paths_version) = (Arc::downgrade(handle), paths.mutation_version());
@@ -166,8 +169,8 @@ fn fetch(
                     ms.sort_by_key(|m| m.stat_id.timestamp_ms);
                     // A path `paths` does not list has no aggregate.
                     if let Some(agg) = aggs.as_mut().and_then(|aggs| aggs.get_mut(&path)) {
-                        let sequence = std::mem::take(&mut agg.sequence);
-                        *agg = build_aggregate(&*rec, path, sequence, agg.hops, ms);
+                        let sequence = agg.sequence.clone();
+                        *agg = build_aggregate(&*rec, path, sequence, agg.hops, ms).into();
                     }
                 }
             }
@@ -373,6 +376,47 @@ mod tests {
         };
         assert_eq!(first[&pid].samples, 1);
         assert_eq!(first[&pid].latency.as_ref().unwrap().mean, 20.0);
+    }
+
+    /// An aggregate's JSON is encoded once and shared, bytes and all,
+    /// until a fetch finds its own rows changed: an append to one path
+    /// re-derives (and so re-encodes) that path only, and what is
+    /// written always equals the value tree's rendering.
+    #[test]
+    fn each_aggregate_is_encoded_once_per_version() {
+        use serde::Serialize;
+        let db = Database::new();
+        insert_path(&db, 1, 0, 5);
+        insert_path(&db, 1, 1, 6);
+        insert(&db, &measurement(1, 0, 1000, 20.0));
+        insert(&db, &measurement(1, 1, 1000, 30.0));
+        let [p0, p1] = [0, 1].map(|path_index| PathId {
+            server_id: 1,
+            path_index,
+        });
+        let tree = |a: &SharedAggregate| a.to_jval().to_string().into_bytes();
+        let first = aggregated_paths(&db, 1).unwrap();
+        for path in [p0, p1] {
+            let mut written = Vec::new();
+            first[&path].write_json(&mut written);
+            first[&path].write_json(&mut written);
+            assert_eq!(written, [tree(&first[&path]), tree(&first[&path])].concat());
+        }
+        let again = aggregated_paths(&db, 1).unwrap();
+        assert!(std::ptr::eq(again[&p0].json(), first[&p0].json()));
+
+        insert(&db, &measurement(1, 1, 2000, 50.0));
+        let after = aggregated_paths(&db, 1).unwrap();
+        assert!(
+            std::ptr::eq(after[&p0].json(), first[&p0].json()),
+            "an untouched path keeps its bytes"
+        );
+        assert!(
+            !std::ptr::eq(after[&p1].json(), first[&p1].json()),
+            "a re-derived path is encoded anew"
+        );
+        assert_eq!(after[&p1].json(), tree(&after[&p1]));
+        assert_ne!(after[&p1].json(), first[&p1].json(), "two samples now");
     }
 
     #[test]

@@ -381,8 +381,9 @@ proptest! {
     /// The oracle for the stats cache's state machine: whatever the
     /// interleaving of appends, reshapes, `paths` changes, pins taken
     /// early and used late, and fetch orders, every answer equals a
-    /// from-scratch recomputation over the snapshot it was pinned at,
-    /// and the counters tick as [`CacheModel`] says.
+    /// from-scratch recomputation over the snapshot it was pinned at —
+    /// each aggregate's encoded JSON too — and the counters tick as
+    /// [`CacheModel`] says.
     #[test]
     fn statcache_answers_equal_a_from_scratch_recompute(
         ops in prop::collection::vec(arb_cache_op(), 1..80),
@@ -441,7 +442,14 @@ proptest! {
                     for &aggregated in order {
                         if aggregated {
                             let got = statcache::aggregated_paths_at(&db, &pins.0, &pins.1, dest);
-                            prop_assert_eq!(&*got.unwrap(), &aggregates_from_scratch(&pins, dest));
+                            let (got, want) = (got.unwrap(), aggregates_from_scratch(&pins, dest));
+                            prop_assert_eq!(&*got, &want);
+                            // And the bytes an answer splices in: encoded
+                            // once per version, never carried over stale.
+                            let json = |a| serde_json::to_string(a).unwrap();
+                            for (id, a) in got.iter() {
+                                prop_assert_eq!(json(a), json(&want[id]), "{:?} after {:?}", id, op);
+                            }
                         } else {
                             let got = statcache::grouped_measurements_at(&db, &pins.1, dest);
                             prop_assert_eq!(&*got.unwrap(), &grouped);

@@ -270,6 +270,14 @@ impl Collection {
         self.indexes.insert(field.to_string(), idx);
     }
 
+    /// The fields this collection has secondary indexes on, sorted: what
+    /// a checkpoint records so a reopen rebuilds them.
+    pub(crate) fn index_fields(&self) -> Vec<String> {
+        let mut fields: Vec<String> = self.indexes.keys().cloned().collect();
+        fields.sort();
+        fields
+    }
+
     // ---- versioning -----------------------------------------------------
 
     /// Monotonically increasing counter, bumped by every successful

@@ -523,6 +523,11 @@ impl Database {
             let (docs, skipped) = read_rows(storage, dir, manifest.legacy, entry, opts)?;
             let handle = self.collection(&entry.name);
             let mut coll = handle.write();
+            // Indexes first: every row below then enters them as it is
+            // placed, so the reopened collection plans as it did.
+            for field in &entry.indexes {
+                coll.create_index(field);
+            }
             report.collections += 1;
             report.snapshot_docs += docs.len();
             report.skipped.extend(skipped);
@@ -691,6 +696,7 @@ impl Database {
                     })
                     .collect();
                 let next_seq = coll.append_watermark();
+                let indexes = coll.index_fields();
                 drop(coll);
                 let mut slices = BTreeMap::new();
                 if bound {
@@ -716,6 +722,7 @@ impl Database {
                     name,
                     next_seq,
                     slices,
+                    indexes,
                 });
             }
             let manifest = Manifest {
@@ -1237,6 +1244,80 @@ mod tests {
         );
         drop(db);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The manifest records each collection's indexes and a reopen (or
+    /// a load of a foreign `save_dir` copy) rebuilds them, so the same
+    /// filters plan through the same indexes with the same answers. An
+    /// index made after the last row changed still reaches the next
+    /// manifest, and a re-created collection starts without one.
+    #[test]
+    fn a_reopened_database_plans_through_the_indexes_it_checkpointed() {
+        use crate::plan::Access;
+        let dir = PathBuf::from("/db");
+        let storage = Arc::new(FaultyStorage::new());
+        let open_at = |dir: &Path, durability| {
+            let opts = OpenOptions::new(durability).with_storage(storage.clone());
+            Database::open_durable_with(dir, opts).unwrap().0
+        };
+        let open = || open_at(&dir, Durability::Wal);
+        let filters = [Filter::eq("server_id", 3i64), Filter::lt("t", 100i64)];
+        let plans = |db: &Database| {
+            let h = db.collection("c");
+            let c = h.read();
+            filters
+                .each_ref()
+                .map(|f| (c.query(f).explain().access, c.query(f).run()))
+        };
+        let db = open();
+        {
+            let h = db.collection("c");
+            let mut c = h.write();
+            c.create_index("server_id");
+            let rows = (0..600i64).map(|i| doc! { "_id" => i, "server_id" => i % 7, "t" => i });
+            c.insert_many(rows.collect()).unwrap();
+        }
+        db.collection("plain")
+            .write()
+            .insert_one(doc! { "_id" => "x" })
+            .unwrap();
+        db.checkpoint().unwrap();
+        db.collection("c").write().create_index("t");
+        db.checkpoint().unwrap();
+        // Sorted, whatever order the indexes were made in: the same
+        // database writes the same manifest.
+        let manifest = storage.read(&dir.join("MANIFEST.json")).unwrap();
+        let manifest = String::from_utf8(manifest).unwrap();
+        assert!(
+            manifest.ends_with(",\"indexes\":[[\"server_id\",\"t\"],[]]}\n"),
+            "{manifest}"
+        );
+        let want = plans(&db);
+        assert!(matches!(want[0].0, Access::IndexPoint { .. }), "{want:?}");
+        assert!(matches!(want[1].0, Access::IndexRange { .. }), "{want:?}");
+        let copy = PathBuf::from("/copy");
+        db.save_dir(&copy).unwrap();
+        drop(db);
+
+        let reopened = open();
+        assert_eq!(plans(&reopened), want);
+        assert_eq!(plans(&open_at(&copy, Durability::None)), want);
+        assert!(reopened
+            .collection("plain")
+            .read()
+            .index_fields()
+            .is_empty());
+
+        assert!(reopened.drop_collection("c"));
+        reopened
+            .collection("c")
+            .write()
+            .insert_one(doc! { "_id" => 1i64, "server_id" => 3i64, "t" => 1i64 })
+            .unwrap();
+        reopened.checkpoint().unwrap();
+        drop(reopened);
+        let plain = plans(&open());
+        assert!(plain.iter().all(|(access, _)| access.is_full_scan()));
     }
 
     #[test]

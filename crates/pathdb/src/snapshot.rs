@@ -16,6 +16,13 @@
 //! [`crate::wal`]) a checkpoint rotates to: recovery replays every log
 //! with generation `>=` the manifest's, idempotently.
 //!
+//! The manifest also names each collection's secondary-index fields,
+//! and loading rebuilds those indexes as it places the rows, so a
+//! reopened database plans through the indexes it was checkpointed
+//! with. The column is additive: a manifest without it (written before
+//! it existed) loads with no indexes, and a reader that predates it
+//! ignores it, so the format number stays.
+//!
 //! Directories written before slices (manifest format 1 and 2, or no
 //! manifest at all: one `<name>.jsonl` per collection, format 2 with
 //! per-collection generations) still load; the first checkpoint
@@ -85,6 +92,9 @@ pub(crate) struct ManifestEntry {
     /// Slice number → generation of the file that holds it. Empty in a
     /// legacy manifest.
     pub slices: BTreeMap<u64, u64>,
+    /// Fields with a secondary index, sorted. Empty in a manifest
+    /// written before indexes were recorded.
+    pub indexes: Vec<String>,
 }
 
 /// The durable collection roster plus the checkpoint generation.
@@ -109,6 +119,7 @@ impl Manifest {
             name,
             next_seq: 0,
             slices: BTreeMap::new(),
+            indexes: Vec::new(),
         };
         Manifest {
             generation: 0,
@@ -133,6 +144,13 @@ impl Manifest {
             column(&|e| {
                 let flat = e.slices.iter().flat_map(|(&s, &g)| [s as i64, g as i64]);
                 flat.collect::<Vec<_>>().into()
+            }),
+        );
+        m.insert(
+            "indexes".into(),
+            column(&|e| {
+                let fields = e.indexes.iter().map(|f| f.as_str().into());
+                fields.collect::<Vec<serde_json::Value>>().into()
             }),
         );
         serde_json::Value::Object(m)
@@ -181,15 +199,32 @@ impl Manifest {
                 .into_iter()
                 .fold(generation, u64::min),
         };
+        // Absent before indexes were recorded; present, it must be whole.
+        let indexes = match v.get("indexes") {
+            None => vec![Vec::new(); names.len()],
+            Some(lists) => {
+                let lists = lists.as_array()?;
+                if lists.len() != names.len() {
+                    return None;
+                }
+                let fields = |l: &serde_json::Value| -> Option<Vec<String>> {
+                    let strs = l.as_array()?.iter().map(|f| f.as_str().map(String::from));
+                    strs.collect()
+                };
+                lists.iter().map(fields).collect::<Option<Vec<_>>>()?
+            }
+        };
         let legacy = slices.is_none();
         let mut slices = slices.unwrap_or_default().into_iter();
         let collections = names
             .into_iter()
             .zip(seqs)
-            .map(|(name, next_seq)| ManifestEntry {
+            .zip(indexes)
+            .map(|((name, next_seq), indexes)| ManifestEntry {
                 name,
                 next_seq,
                 slices: slices.next().unwrap_or_default(),
+                indexes,
             })
             .collect();
         Some(Manifest {
@@ -476,6 +511,7 @@ mod tests {
             name: name.into(),
             next_seq,
             slices: slices.iter().copied().collect(),
+            indexes: Vec::new(),
         }
     }
 
@@ -487,7 +523,10 @@ mod tests {
         let m = Manifest {
             generation: 9,
             collections: vec![
-                entry("paths", 40, &[(0, 9), (1, 5), (7, 9)]),
+                ManifestEntry {
+                    indexes: vec!["hops".into(), "server_id".into()],
+                    ..entry("paths", 40, &[(0, 9), (1, 5), (7, 9)])
+                },
                 entry("empty", 17, &[]),
             ],
             legacy: false,
@@ -495,6 +534,36 @@ mod tests {
         };
         write_manifest(&storage, &dir, &m).unwrap();
         assert_eq!(read_manifest(&storage, &dir).unwrap(), Some(m));
+    }
+
+    /// A format-3 manifest from before the `indexes` column loads with
+    /// no indexes; a column that is there but malformed is an error.
+    #[test]
+    fn the_index_column_is_optional_but_never_half_read() {
+        let storage = FaultyStorage::new();
+        let dir = PathBuf::from("/db");
+        let read = |indexes: &str| {
+            let _ = storage.remove(&dir.join(MANIFEST));
+            let text = format!(
+                "{{\"format\":3,\"generation\":2,\"collections\":[\"a\",\"b\"],\
+                 \"seqs\":[3,0],\"slices\":[[0,2],[]]{indexes}}}\n"
+            );
+            storage
+                .append(&dir.join(MANIFEST), text.as_bytes())
+                .unwrap();
+            read_manifest(&storage, &dir)
+        };
+        let m = read("").unwrap().unwrap();
+        assert_eq!(
+            m.collections,
+            vec![entry("a", 3, &[(0, 2)]), entry("b", 0, &[])]
+        );
+        let m = read(",\"indexes\":[[\"t\",\"x.y\"],[]]").unwrap().unwrap();
+        assert_eq!(m.collections[0].indexes, ["t", "x.y"]);
+        for bad in ["[[\"t\"]]", "[[\"t\"],[1]]", "7", "[[],\"t\"]"] {
+            let parsed = read(&format!(",\"indexes\":{bad}"));
+            assert!(matches!(parsed, Err(DbError::Parse(_))), "{bad}");
+        }
     }
 
     #[test]

@@ -28,7 +28,11 @@
 //! files it supersedes, and every slice file its manifest names must
 //! equal, byte for byte, the file `save_dir` encodes in full into a
 //! fresh directory (see [`run_spliced`] for the one spelling a reopen
-//! changes under a file an earlier checkpoint wrote).
+//! changes under a file an earlier checkpoint wrote). The same runs
+//! create secondary indexes, which the manifest records and a reopen
+//! rebuilds: after every reopen each collection holds exactly the
+//! indexes its manifest names, and every read through them answers
+//! what a scan answers.
 
 use pathdb::database::OpenOptions;
 use pathdb::snapshot::slice_path;
@@ -533,6 +537,11 @@ enum Step {
         id: u32,
         last: bool,
     },
+    /// A secondary index on `field` of collection `coll`.
+    Index {
+        coll: u8,
+        field: &'static str,
+    },
     /// Close the database and open it again: the WAL replays post-images
     /// over the slices.
     Reopen,
@@ -565,6 +574,7 @@ fn apply_step(db: &Database, step: &Step) {
             };
             let _ = db.collection(coll_name(*coll)).write().insert_one(row);
         }
+        Step::Index { coll, field } => db.collection(coll_name(*coll)).write().create_index(field),
         Step::Reopen | Step::FailedCheckpoint => unreachable!("run_spliced runs these"),
     }
 }
@@ -598,6 +608,48 @@ fn named_slices(storage: &FaultyStorage, dir: &Path) -> (u64, SliceFiles) {
     (field("generation").as_i64().unwrap() as u64, files)
 }
 
+/// The manifest's index column of `dir`, by collection (none before
+/// the first checkpoint).
+fn named_indexes(storage: &FaultyStorage, dir: &Path) -> BTreeMap<String, Vec<String>> {
+    let Ok(text) = storage.read(&dir.join("MANIFEST.json")) else {
+        return BTreeMap::new();
+    };
+    let manifest: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&text).unwrap()).expect("the manifest is JSON");
+    let column = |key: &str| manifest.get(key).unwrap().as_array().unwrap().clone();
+    let strs = |v: &serde_json::Value| -> Vec<String> {
+        let items = v.as_array().unwrap().iter();
+        items.map(|s| s.as_str().unwrap().to_string()).collect()
+    };
+    let names = column("collections").into_iter();
+    let names = names.map(|n| n.as_str().unwrap().to_string());
+    names.zip(column("indexes").iter().map(strs)).collect()
+}
+
+/// Right after a reopen that replayed no log, each collection the
+/// manifest names plans through exactly the indexes it records; and,
+/// log or not, every read of an indexed field equals a scan.
+fn indexed_reads_hold(storage: &FaultyStorage, db: &Database, replayed: bool) {
+    for (name, fields) in named_indexes(storage, Path::new("/db")) {
+        let handle = db.collection(&name);
+        let coll = handle.read();
+        for field in ["t", "v"] {
+            let values: Vec<Value> = coll.iter().filter_map(|d| d.get(field).cloned()).collect();
+            for value in values.iter().take(3) {
+                let probe = Filter::eq(field, value.clone());
+                let scanned: Vec<&Document> = coll.iter().filter(|d| probe.matches(d)).collect();
+                assert_eq!(coll.query(&probe).refs(), scanned, "{name}.{field}");
+            }
+            // A probe no row holds: an index answers it from no candidate.
+            let plan = coll.query(Filter::eq(field, -1i64)).explain().access;
+            if !replayed && !coll.is_empty() {
+                let indexed = fields.iter().any(|f| f == field);
+                assert_eq!(!plan.is_full_scan(), indexed, "{name}.{field}: {plan:?}");
+            }
+        }
+    }
+}
+
 /// Whether every line of a slice file ends in its `"__seq":N}`.
 fn seq_last_everywhere(bytes: &[u8]) -> bool {
     let text = String::from_utf8_lossy(bytes);
@@ -615,8 +667,7 @@ fn seq_last_everywhere(bytes: &[u8]) -> bool {
 fn run_spliced(steps: &[Step]) -> u64 {
     let storage = FaultyStorage::new();
     let telemetry = Arc::new(Telemetry::new());
-    let open = || open_traced(&storage, Some(&telemetry)).0;
-    let mut db = open();
+    let mut db = open_traced(&storage, Some(&telemetry)).0;
     for (at, step) in steps.iter().enumerate() {
         match step {
             Step::Op(Op::Checkpoint) => {
@@ -625,6 +676,11 @@ fn run_spliced(steps: &[Step]) -> u64 {
                 db.save_dir(&fresh).unwrap();
                 let (generation, spliced) = named_slices(&storage, Path::new("/db"));
                 let (_, full) = named_slices(&storage, &fresh);
+                assert_eq!(
+                    named_indexes(&storage, Path::new("/db")),
+                    named_indexes(&storage, &fresh),
+                    "step {at}: the manifests name different indexes"
+                );
                 assert_eq!(
                     spliced.keys().collect::<Vec<_>>(),
                     full.keys().collect::<Vec<_>>(),
@@ -648,7 +704,9 @@ fn run_spliced(steps: &[Step]) -> u64 {
             }
             Step::Reopen => {
                 drop(db);
-                db = open();
+                let report;
+                (db, report) = open_traced(&storage, Some(&telemetry));
+                indexed_reads_hold(&storage, &db, report.wal_groups > 0);
             }
             Step::FailedCheckpoint => {
                 storage.inject_transient_errors(1);
@@ -674,8 +732,18 @@ fn spliced_checkpoints_write_what_a_full_encode_writes() {
             coll: 0,
             ids: vec![301, 302, 303],
         }),
+        // Indexes the manifest records and every reopen rebuilds.
+        Step::Index {
+            coll: 1,
+            field: "t",
+        },
+        Step::Index {
+            coll: 0,
+            field: "v",
+        },
         op(Op::RollupFold),
         op(Op::Checkpoint),
+        Step::Reopen,
         // An in-place update inside an otherwise unchanged slice.
         op(Op::Update {
             coll: 1,
@@ -755,6 +823,7 @@ enum Extra {
     Bare,
     DeleteNth(u8, u8),
     Seq(u8, bool),
+    Index(u8, bool),
     Reopen,
     FailedCheckpoint,
 }
@@ -765,6 +834,7 @@ fn arb_extra() -> impl Strategy<Value = Extra> {
         Just(Extra::Bare),
         ((0u8..2), (0u8..4)).prop_map(|(c, k)| Extra::DeleteNth(c, k)),
         ((0u8..2), any::<bool>()).prop_map(|(c, last)| Extra::Seq(c, last)),
+        ((0u8..2), any::<bool>()).prop_map(|(c, t)| Extra::Index(c, t)),
         Just(Extra::Reopen),
         Just(Extra::FailedCheckpoint),
     ]
@@ -793,6 +863,10 @@ fn splice_workload(specs: &[OpSpec], extras: &[(u16, Extra)]) -> Vec<Step> {
                 n: [0, 1, 255, 256][k as usize],
             },
             Extra::Seq(coll, last) => Step::InsertSeq { coll, id, last },
+            Extra::Index(coll, t) => Step::Index {
+                coll,
+                field: if t { "t" } else { "v" },
+            },
             Extra::Reopen => Step::Reopen,
             Extra::FailedCheckpoint => Step::FailedCheckpoint,
         };
