@@ -244,12 +244,12 @@ fn wal_group_commit_is_within_3_5x_of_in_memory_insert() {
 /// transitions per session tick, each bumping the fault epoch and
 /// making every session re-verify liveness and refresh its compiled
 /// route. (That they refresh and never recompile is pinned by counters
-/// in `scion-sim/tests/prop_cache.rs`; this is what the refresh costs.)
+/// in `scion_sim::net`'s cache properties; this is what the refresh costs.)
 #[test]
 #[cfg_attr(debug_assertions, ignore = "wall-clock ratio floor: release only")]
 fn chaos_tick_is_within_1_2x_of_a_plain_campaign() {
     use scion_sim::chaos::{ChaosSchedule, Dwell, LinkFlap};
-    use scion_sim::topology::scionlab::{paper_destinations, ETRI, KISTI_CORE};
+    use scion_sim::topology::scionlab::paper_destinations;
     use upin_core::failover::{run_chaos_campaign, FailoverConfig};
 
     let _alone = alone();
@@ -264,17 +264,15 @@ fn chaos_tick_is_within_1_2x_of_a_plain_campaign() {
         .collect();
     let empty = ChaosSchedule::new(1, 30_000.0);
     let mut busy = ChaosSchedule::new(1, 30_000.0);
+    // KISTI core ~ ETRI: a leaf link in ISD 20 that no measured path uses.
     busy.flaps.push(LinkFlap {
-        a: KISTI_CORE,
-        b: ETRI,
+        a: "20-ffaa:0:1401".parse().unwrap(),
+        b: "20-ffaa:0:1404".parse().unwrap(),
         first_down_ms: 100.0,
         down: Dwell::fixed(450.0),
         up: Dwell::fixed(500.0),
     });
-    let transitions = busy
-        .compile(ScionNetwork::scionlab(42).topology())
-        .unwrap()
-        .len();
+    let transitions = ScionNetwork::scionlab(42).install_chaos(&busy).unwrap();
     assert!(transitions > 50, "{transitions} transitions in 30 ticks");
 
     // One sample = 10 campaigns (~10 ms), so a timer tick or a context

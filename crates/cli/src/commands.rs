@@ -83,6 +83,12 @@ fn lookup(argv: &[String]) -> Result<(&'static Command, &[String]), CliError> {
     if let Some(row) = named(name) {
         return Ok((row, rest));
     }
+    // The retired row points at the one that replaced it.
+    if name == "failover" {
+        return Err(CliError::Usage(
+            "failover is now `chaos run --dest ADDR` (no --schedule: no faults)".into(),
+        ));
+    }
     let subs: Vec<&str> = COMMANDS
         .iter()
         .filter_map(|c| c.name.strip_prefix(name.as_str())?.strip_prefix(' '))
@@ -225,25 +231,15 @@ static COMMANDS: &[Command] = &[
         run: Run::Plain(cmd_topo_generate),
     },
     Command {
-        name: "failover",
-        help: "  failover <addr> [--probes N] [--threshold N] [--max-paths N]\n",
-        spec: || {
-            Spec::new(1, 1)
-                .value("probes")
-                .value("threshold")
-                .value("max-paths")
-        },
-        run: Run::Session(cmd_failover),
-    },
-    Command {
         name: "chaos run",
         help:
-            "  chaos run --schedule FILE [--sla-ms F] [--ticks N] [--tick-interval-ms F]\n\
-               \x20       [--probes N] [--max-paths N] [--parallel] [--workers N] [--out FILE]\n\
-               \x20                                      failover sessions under a fault schedule\n",
+            "  chaos run [--schedule FILE] [--dest ADDR] [--sla-ms F] [--ticks N]\n\
+               \x20       [--tick-interval-ms F] [--probes N] [--max-paths N] [--parallel]\n\
+               \x20       [--workers N] [--out FILE]     failover sessions under a fault schedule\n",
         spec: || {
             upin_core::pool::options(Spec::new(0, 0))
                 .value("schedule")
+                .value("dest")
                 .value("sla-ms")
                 .value("ticks")
                 .value("tick-interval-ms")
@@ -525,50 +521,14 @@ fn parse_range(s: &str) -> Result<(usize, usize), CliError> {
     }
 }
 
-/// One failover session: a probe is one tick of K SCMP echoes, so K
-/// consecutive losses on the pinned path are what trigger the switch.
-fn cmd_failover(p: &Parsed, s: &Session) -> Result<String, CliError> {
-    let dst = parse_addr(&p.positional[0])?;
-    let cfg = FailoverConfig {
-        local_as: s.local,
-        ticks: p.get_or("probes", 30)?,
-        tick_interval_ms: 100.0,
-        probes: p.get_or("threshold", 3)?,
-        max_paths: p.get_or("max-paths", 10)?,
-        ..FailoverConfig::default()
-    };
-    cfg.validate()?;
-    let mut session = upin_core::failover::Session::open(&s.net, &cfg, dst, None);
-    if session.candidates().is_empty() {
-        return Err(scion_tools::ToolError::NoPath(format!("no path to {}", dst.ia)).into());
-    }
-    for _ in 0..cfg.ticks {
-        session.tick();
-    }
-    let r = session.into_report(0);
-    let mut out = format!(
-        "{} probes over {} candidate paths: {} served ({:.0}% degraded), {} switch(es), {} restore(s)\n",
-        r.ticks,
-        r.candidates,
-        r.ok_ticks,
-        (1.0 - r.availability()) * 100.0,
-        r.switch_ms.len(),
-        r.restores
-    );
-    match &r.serving {
-        Some(p) if p.stale => out.push_str(&format!("final path: {} (stale)\n", p.sequence)),
-        Some(p) => out.push_str(&format!("final path: {}\n", p.sequence)),
-        None => out.push_str("final path: none was ever live\n"),
-    }
-    Ok(out)
-}
-
-/// `upin chaos run --schedule FILE [--sla-ms 500]`: run one long-lived
-/// failover session per destination while the schedule's faults fire on
-/// the simulated clock.
+/// `upin chaos run [--schedule FILE] [--dest ADDR] [--sla-ms 500]`: run
+/// one long-lived failover session per destination (or only `--dest`)
+/// while the schedule's faults, if any, fire on the simulated clock.
 fn cmd_chaos_run(p: &Parsed, s: &Session) -> Result<String, CliError> {
-    let path = p.required("schedule", "chaos run needs --schedule FILE")?;
-    let schedule = read_parsed(path, ChaosSchedule::from_json_str)?;
+    let schedule = p
+        .opt("schedule")
+        .map(|path| read_parsed(path, ChaosSchedule::from_json_str))
+        .transpose()?;
     let defaults = FailoverConfig::default();
     let cfg = FailoverConfig {
         local_as: s.local,
@@ -579,9 +539,18 @@ fn cmd_chaos_run(p: &Parsed, s: &Session) -> Result<String, CliError> {
         max_paths: p.get_or("max-paths", defaults.max_paths)?,
         workers: upin_core::pool::workers_from(p)?,
     };
-    let dests = upin_core::collect::destinations(&s.db)?;
-    let report =
-        upin_core::failover::run_chaos_campaign(&s.net, &schedule, &dests, &cfg, Some(&s.db))?;
+    let mut dests = upin_core::collect::destinations(&s.db)?;
+    if let Some(dest) = p.opt("dest") {
+        let id = s.service().resolve_destination(dest)?;
+        dests.retain(|&(server_id, _)| server_id == id);
+    }
+    let report = upin_core::failover::run_chaos_campaign(
+        &s.net,
+        schedule.as_ref(),
+        &dests,
+        &cfg,
+        Some(&s.db),
+    )?;
     if let Some(out_path) = p.opt("out") {
         write_file(out_path, report.to_json_string())?;
     }
@@ -1164,15 +1133,40 @@ mod tests {
     }
 
     #[test]
-    fn failover_command_reports_session() {
+    fn chaos_run_dest_reports_one_session() {
         let ireland = "16-ffaa:0:1002,[172.31.43.7]";
-        let final_path = |out: &str| {
-            let line = out.lines().find(|l| l.starts_with("final path:"));
-            line.unwrap_or_else(|| panic!("{out}")).to_string()
+        let tmp = |name: &str| {
+            std::env::temp_dir().join(format!("upin-cli-{name}-{}", std::process::id()))
         };
-        let healthy = run_cli(&["failover", ireland, "--probes", "8"]).unwrap();
-        assert!(healthy.contains("8 probes over"), "{healthy}");
-        assert!(healthy.contains(" 0 switch(es)"), "{healthy}");
+        // One session, no schedule: `--out` holds that destination only.
+        let session = |extra: &[&str]| {
+            let out = tmp("fo-out.json");
+            let mut argv = vec![
+                "chaos",
+                "run",
+                "--dest",
+                ireland,
+                "--out",
+                out.to_str().unwrap(),
+            ];
+            argv.extend_from_slice(extra);
+            let text = run_cli(&argv).unwrap();
+            let json: serde_json::Value =
+                serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
+            std::fs::remove_file(&out).unwrap();
+            assert_eq!(json["transitions"], serde_json::Value::from(0u64), "{text}");
+            let dests = json["dests"].as_array().unwrap();
+            assert_eq!(dests.len(), 1, "{text}");
+            assert_eq!(dests[0]["dest"].as_str(), Some(ireland), "{text}");
+            let switches = dests[0]["switch_ms"].as_array().unwrap().len();
+            let serving = dests[0]["serving"]["sequence"]
+                .as_str()
+                .unwrap()
+                .to_string();
+            (switches, serving)
+        };
+        let (switches, healthy) = session(&[]);
+        assert_eq!(switches, 0);
 
         // The same network, except that the link the top-ranked path
         // takes out of the ETHZ core drops every packet: the session
@@ -1194,16 +1188,25 @@ mod tests {
             let attrs = attrs.as_object_mut().unwrap();
             attrs.insert("base_loss".into(), serde_json::Value::from(1.0));
         }
-        let file = std::env::temp_dir().join(format!("upin-cli-fo-{}.json", std::process::id()));
+        let file = tmp("fo-topo.json");
         std::fs::write(&file, serde_json::to_string(&json).unwrap()).unwrap();
-        let out = run_cli(&["failover", ireland, "--topology", file.to_str().unwrap()]).unwrap();
+        let (switches, serving) = session(&["--topology", file.to_str().unwrap()]);
         std::fs::remove_file(&file).unwrap();
-        assert!(out.contains("30 probes over"), "{out}");
-        assert!(!out.contains(" 0 switch(es)"), "{out}");
-        assert_ne!(final_path(&out), final_path(&healthy), "{out}");
+        assert!(switches >= 1);
+        assert_ne!(serving, healthy);
+        assert!(!serving.contains("17-ffaa:0:1101#3,2 19-"), "{serving}");
+
+        // The old spelling points at the new one; an unregistered
+        // destination is named as such.
+        let err = run_cli(&["failover", ireland]).unwrap_err();
         assert!(
-            !final_path(&out).contains("17-ffaa:0:1101#3,2 19-"),
-            "{out}"
+            matches!(&err, CliError::Usage(m) if m.contains("chaos run --dest")),
+            "{err}"
+        );
+        let err = run_cli(&["chaos", "run", "--dest", "16-ffaa:0:1002,[10.9.9.9]"]).unwrap_err();
+        assert!(
+            err.to_string().contains("not a registered destination"),
+            "{err}"
         );
     }
 

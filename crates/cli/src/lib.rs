@@ -20,7 +20,7 @@
 //! ```
 //!
 //! That is a sample: `upin help` prints all two dozen commands —
-//! `evaluate`, `health`, `failover`, `chaos run`, `longitudinal run`,
+//! `evaluate`, `health`, `chaos run`, `longitudinal run`,
 //! `export dataset`, `serve`, `evaluate-strategies`, `topo generate`,
 //! `topology`, four `report`s. The text is assembled from
 //! the command table in [`commands`], one row per command and

@@ -28,7 +28,7 @@ pub struct Whisker {
 impl Whisker {
     /// Compute from raw samples; `None` when empty. Quartiles use linear
     /// interpolation (the common "type 7" estimator).
-    pub fn from_samples(samples: &[f64]) -> Option<Whisker> {
+    pub(crate) fn from_samples(samples: &[f64]) -> Option<Whisker> {
         if samples.is_empty() {
             return None;
         }
@@ -439,7 +439,7 @@ pub fn summary(db: &Database) -> SuiteResult<CampaignSummary> {
 /// Served from [`crate::statcache`]: repeated calls on an unchanged
 /// database share one `Arc`, and append-only campaigns pay only for the
 /// rows added since the previous call.
-pub fn measurements_by_path(
+pub(crate) fn measurements_by_path(
     db: &Database,
     server_id: u32,
 ) -> SuiteResult<Arc<BTreeMap<PathId, Vec<PathMeasurement>>>> {

@@ -233,7 +233,6 @@ pub enum ErrorCode {
     Db,
     Schema,
     NoCandidates,
-    Unauthorized,
     Campaign,
 }
 
@@ -304,7 +303,6 @@ impl ServiceError {
             SuiteError::Db(d) => ServiceError::new(ErrorCode::Db, d.to_string()),
             SuiteError::Schema(m) => ServiceError::new(ErrorCode::Schema, m),
             SuiteError::NoCandidates(m) => ServiceError::new(ErrorCode::NoCandidates, m),
-            SuiteError::Unauthorized(m) => ServiceError::new(ErrorCode::Unauthorized, m),
             SuiteError::Campaign(m) => ServiceError::new(ErrorCode::Campaign, m),
         }
     }
@@ -344,7 +342,6 @@ impl ServiceError {
             ErrorCode::Db => format!("database error: {}", self.message()),
             ErrorCode::Schema => format!("schema error: {}", self.message()),
             ErrorCode::NoCandidates => format!("no candidate paths: {}", self.message()),
-            ErrorCode::Unauthorized => format!("unauthorized: {}", self.message()),
             ErrorCode::Campaign => format!("campaign runner error: {}", self.message()),
             ErrorCode::UnknownDestination
             | ErrorCode::NoCompleteStatistics

@@ -51,8 +51,6 @@ pub enum SuiteError {
     /// A request was malformed before any path was considered (e.g.
     /// `k = 0`).
     InvalidRequest(String),
-    /// A signed write failed authentication.
-    Unauthorized(String),
     /// The campaign runner itself failed (e.g. a worker thread died) —
     /// distinct from per-measurement tool errors, which are recorded as
     /// data, not raised.
@@ -68,7 +66,6 @@ impl fmt::Display for SuiteError {
             SuiteError::NoCandidates(m) => write!(f, "no candidate paths: {m}"),
             SuiteError::Selection(failure) => write!(f, "no candidate paths: {failure}"),
             SuiteError::InvalidRequest(m) => write!(f, "invalid request: {m}"),
-            SuiteError::Unauthorized(m) => write!(f, "unauthorized: {m}"),
             SuiteError::Campaign(m) => write!(f, "campaign runner error: {m}"),
         }
     }

@@ -335,10 +335,6 @@ impl<'a> Session<'a> {
         }
     }
 
-    pub fn candidates(&self) -> &[ScionPath] {
-        &self.candidates
-    }
-
     /// Best-ranked live candidate whose backoff penalty has expired,
     /// excluding `skip`. Liveness comes from the fault plan (the
     /// epoch-driven push model), so this does not advance the clock.
@@ -531,7 +527,8 @@ impl<'a> Session<'a> {
     }
 }
 
-/// Run one failover session per destination under `schedule`.
+/// Run one failover session per destination under `schedule`, or
+/// under no chaos at all when it is `None`.
 ///
 /// The schedule is compiled and installed on `net` (so the campaign's
 /// event trace is fixed up front); every destination then runs on its
@@ -540,17 +537,20 @@ impl<'a> Session<'a> {
 /// way, making the report and metrics export byte-identical for a
 /// fixed seed. `db`, when given, seeds each session's last-known-good
 /// answer from the statcache aggregates.
-pub fn run_chaos_campaign(
+pub fn run_chaos_campaign<'s>(
     net: &ScionNetwork,
-    schedule: &ChaosSchedule,
+    schedule: impl Into<Option<&'s ChaosSchedule>>,
     dests: &[(u32, ScionAddr)],
     cfg: &FailoverConfig,
     db: Option<&Database>,
 ) -> SuiteResult<ChaosReport> {
     cfg.validate().map_err(SuiteError::InvalidRequest)?;
-    let transitions = net
-        .install_chaos(schedule)
-        .map_err(|e| SuiteError::Campaign(format!("chaos schedule rejected: {e}")))?;
+    let transitions = match schedule.into() {
+        Some(schedule) => net
+            .install_chaos(schedule)
+            .map_err(|e| SuiteError::Campaign(format!("chaos schedule rejected: {e}")))?,
+        None => 0,
+    };
     let trace = render_trace(&net.chaos_events());
 
     let jobs: Vec<SessionJob> = dests

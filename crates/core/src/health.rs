@@ -1,7 +1,7 @@
 //! Path health monitoring: detect paths whose recent behaviour deviates
 //! from their own history.
 //!
-//! A continuously-operated suite (see [`crate::longitudinal::run_rounds`])
+//! A continuously-operated suite (see `longitudinal::run_rounds`)
 //! accumulates a long baseline per path; the natural next question —
 //! and what an operator of the paper's system would ask the database —
 //! is *which paths just changed*. This module flags three anomaly classes:

@@ -42,8 +42,6 @@
 //!   new rows.
 //! * [`analysis`] / [`report`] — the statistics behind every figure of
 //!   the paper's §6 and their text renderings.
-//! * [`security`] — PKC-gated, signature-verified database writes
-//!   (§4.2.2's security design, implemented).
 //! * [`verify`] — the UPIN Path Tracer / Path Verifier roles (§2.1):
 //!   re-trace a delivered path, record it for audit, and check the
 //!   observed hops and latency against the user's intent.
@@ -81,7 +79,6 @@ pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod schema;
-pub mod security;
 pub mod select;
 pub mod statcache;
 pub mod strategy;

@@ -2,7 +2,7 @@
 //! the rollup/retention/compaction machinery.
 //!
 //! "Continuous measurements require continuous functioning" (§4.1.2):
-//! [`run_rounds`] is the one loop that re-measures on a period, and a
+//! `run_rounds` is the one loop that re-measures on a period, and a
 //! longitudinal run is that loop scaled from minutes to simulated days,
 //! with the storage story the requirement actually needs at that
 //! horizon: raw measurement rows live in a bounded retention
@@ -201,7 +201,7 @@ pub(crate) fn retain_stats(db: &Database, keep_ms: i64) {
 /// durable database checkpoints, so a crash costs at most the round in
 /// flight; the rest of the period is slept out. A round that outlasts
 /// the period is followed by the next one back-to-back.
-pub fn run_rounds(
+pub(crate) fn run_rounds(
     db: &Database,
     net: &ScionNetwork,
     campaign: &SuiteConfig,
@@ -233,7 +233,7 @@ pub fn run_rounds(
 ///
 /// Registers the canonical stats rollup and the raw-row retention
 /// policy on `db`, installs `cfg.schedule` on `net` when given, then
-/// drives `sim_days × rounds_per_day` rounds of [`run_rounds`] on the
+/// drives `sim_days × rounds_per_day` rounds of `run_rounds` on the
 /// simulated clock, grouped by day — the same cadence a deployed suite
 /// would use, so the reported disk footprint is the real steady state.
 pub fn run_longitudinal(

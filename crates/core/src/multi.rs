@@ -130,7 +130,7 @@ impl Weights {
 /// sum of normalized values (lower = better). Candidates missing an
 /// active criterion are excluded. Returns `(score, aggregate)` pairs,
 /// best first.
-pub fn weighted_rank<'a, A: Borrow<PathAggregate>>(
+pub(crate) fn weighted_rank<'a, A: Borrow<PathAggregate>>(
     candidates: &'a [A],
     weights: &Weights,
 ) -> Vec<(f64, &'a A)> {

@@ -269,7 +269,7 @@ impl PathMeasurement {
     }
 
     /// Decode from a `paths_stats` document.
-    pub fn from_doc(d: &Document) -> SuiteResult<PathMeasurement> {
+    pub(crate) fn from_doc(d: &Document) -> SuiteResult<PathMeasurement> {
         let stat_id: StatId = d
             .id()
             .ok_or_else(|| SuiteError::Schema("stats doc without _id".into()))?

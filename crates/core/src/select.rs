@@ -11,7 +11,7 @@
 use crate::analysis::Whisker;
 use crate::error::{SelectionFailure, SuiteError, SuiteResult};
 use crate::schema::{self, PathId, PathMeasurement};
-use pathdb::{Collection, Database, Document, Filter, Value};
+use pathdb::{Collection, Database, Document, Filter};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 use upin_telemetry::Recorder;
@@ -67,7 +67,7 @@ pub struct Constraints {
 impl Constraints {
     /// Translate the exclusions into a database filter over the `paths`
     /// collection (the metadata side; statistics gates apply later).
-    pub fn to_filter(&self, server_id: u32) -> Filter {
+    pub(crate) fn to_filter(&self, server_id: u32) -> Filter {
         let mut f = Filter::eq("server_id", server_id as i64);
         if !self.exclude_isds.is_empty() {
             f = f.and(Filter::not_in(
@@ -287,7 +287,7 @@ pub(crate) fn build_aggregate(
 /// Aggregate stored measurements for every path of a destination that
 /// passes the metadata constraints.
 ///
-/// The per-path aggregates come from [`crate::statcache::aggregated_paths`],
+/// The per-path aggregates come from `statcache::aggregated_paths`,
 /// so repeated queries against an unchanged database only pay for the
 /// constraint lookup plus a refcount bump per matching aggregate.
 pub fn aggregate_paths(
@@ -363,7 +363,7 @@ pub(crate) fn candidates_for(
 ///
 /// This is the paper's constraint-filtered objective ranking; the same
 /// pipeline is registered as the `paper` [`crate::strategy`], pinned
-/// byte-identical by `crates/core/tests/prop_strategy.rs`.
+/// byte-identical by `strategy`'s `paper_oracle` tests.
 pub fn recommend(
     db: &Database,
     request: &UserRequest,
@@ -434,36 +434,6 @@ pub(crate) fn rank_scored(
         .collect())
 }
 
-/// Check a stored path document against constraints directly (used by
-/// property tests to cross-validate the DB filter translation).
-pub fn doc_violates(doc: &Document, c: &Constraints) -> bool {
-    let has = |field: &str, wanted: &[String]| -> bool {
-        match doc.get(field) {
-            Some(Value::Array(arr)) => arr
-                .iter()
-                .filter_map(Value::as_str)
-                .any(|v| wanted.iter().any(|w| w == v)),
-            _ => false,
-        }
-    };
-    let isd_hit = match doc.get("isds") {
-        Some(Value::Array(arr)) => arr
-            .iter()
-            .filter_map(Value::as_int)
-            .any(|v| c.exclude_isds.contains(&(v as u16))),
-        _ => false,
-    };
-    let hops_hit = match (c.max_hops, doc.get("hops").and_then(Value::as_int)) {
-        (Some(max), Some(h)) => h as usize > max,
-        _ => false,
-    };
-    isd_hit
-        || has("ases", &c.exclude_ases)
-        || has("countries", &c.exclude_countries)
-        || has("operators", &c.exclude_operators)
-        || hops_hit
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,8 +441,39 @@ mod tests {
     use crate::config::SuiteConfig;
     use crate::measure::run_tests;
     use crate::schema::PATHS;
+    use pathdb::Value;
     use scion_sim::net::ScionNetwork;
     use scion_sim::topology::scionlab::{paper_destinations, AWS_OHIO, AWS_SINGAPORE};
+
+    /// Check a stored path document against constraints directly: the
+    /// reference the DB filter translation is cross-validated against.
+    pub(super) fn doc_violates(doc: &Document, c: &Constraints) -> bool {
+        let has = |field: &str, wanted: &[String]| -> bool {
+            match doc.get(field) {
+                Some(Value::Array(arr)) => arr
+                    .iter()
+                    .filter_map(Value::as_str)
+                    .any(|v| wanted.iter().any(|w| w == v)),
+                _ => false,
+            }
+        };
+        let isd_hit = match doc.get("isds") {
+            Some(Value::Array(arr)) => arr
+                .iter()
+                .filter_map(Value::as_int)
+                .any(|v| c.exclude_isds.contains(&(v as u16))),
+            _ => false,
+        };
+        let hops_hit = match (c.max_hops, doc.get("hops").and_then(Value::as_int)) {
+            (Some(max), Some(h)) => h as usize > max,
+            _ => false,
+        };
+        isd_hit
+            || has("ases", &c.exclude_ases)
+            || has("countries", &c.exclude_countries)
+            || has("operators", &c.exclude_operators)
+            || hops_hit
+    }
 
     /// One shared campaign against the Ireland destination.
     fn campaign() -> (Database, u32) {
@@ -891,5 +892,213 @@ mod tests {
             assert_eq!(included, !doc_violates(d, &c), "doc {:?}", d.id());
         }
         assert!(filtered.len() < all.len(), "constraints prune something");
+    }
+}
+
+#[cfg(test)]
+mod props {
+    //! Property-based tests of the UPIN core: id codecs, measurement
+    //! round-trips, whisker invariants, Pareto and weighted ranking, and
+    //! constraint-filter agreement.
+
+    use super::tests::doc_violates;
+    use super::{Constraints, Objective, PathAggregate};
+    use crate::analysis::{quantile, Whisker};
+    use crate::multi::{dominates, pareto_front, weighted_rank, Weights};
+    use crate::schema::{PathId, PathMeasurement, StatId};
+    use pathdb::doc;
+    use proptest::prelude::*;
+
+    fn arb_aggregate(idx: u32) -> impl Strategy<Value = PathAggregate> {
+        (5.0..400.0f64, 0.0..30.0f64, 1.0..100.0f64).prop_map(move |(lat, loss, bw)| {
+            let w = |mean: f64| Whisker {
+                n: 5,
+                min: mean,
+                q1: mean,
+                median: mean,
+                q3: mean,
+                max: mean,
+                mean,
+                std: 0.0,
+            };
+            PathAggregate {
+                path_id: PathId {
+                    server_id: 1,
+                    path_index: idx,
+                },
+                sequence: format!("seq-{idx}"),
+                hops: 6,
+                samples: 5,
+                latency: Some(w(lat)),
+                jitter_ms: Some(lat / 20.0),
+                mean_loss_pct: Some(loss),
+                bw_up_mtu: Some(w(bw / 3.0)),
+                bw_down_mtu: Some(w(bw)),
+            }
+        })
+    }
+
+    fn arb_candidates() -> impl Strategy<Value = Vec<PathAggregate>> {
+        prop::collection::vec(0u32..1000, 1..20).prop_flat_map(|idxs| {
+            idxs.into_iter()
+                .enumerate()
+                .map(|(i, _)| arb_aggregate(i as u32))
+                .collect::<Vec<_>>()
+        })
+    }
+
+    fn arb_path_id() -> impl Strategy<Value = PathId> {
+        (1u32..100, 0u32..1000).prop_map(|(server_id, path_index)| PathId {
+            server_id,
+            path_index,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn path_id_roundtrip(id in arb_path_id()) {
+            prop_assert_eq!(id.to_string().parse::<PathId>().unwrap(), id);
+        }
+
+        #[test]
+        fn stat_id_roundtrip(path in arb_path_id(), ts in any::<u32>()) {
+            let id = StatId { path, timestamp_ms: ts as u64 };
+            prop_assert_eq!(id.to_string().parse::<StatId>().unwrap(), id);
+        }
+
+        #[test]
+        fn measurement_doc_roundtrip(
+            path in arb_path_id(),
+            ts in any::<u32>(),
+            hops in 2usize..10,
+            lat in prop::option::of(1.0..500.0f64),
+            loss in 0.0..100.0f64,
+            bw in prop::option::of(0.0..200.0f64),
+            target in prop::sample::select(vec![12.0, 150.0]),
+            err in prop::option::of("[a-z ]{1,20}"),
+            isds in prop::collection::vec(1u16..30, 1..5),
+        ) {
+            let mut sorted = isds.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let m = PathMeasurement {
+                stat_id: StatId { path, timestamp_ms: ts as u64 },
+                isds: sorted,
+                hops,
+                avg_latency_ms: lat,
+                jitter_ms: lat.map(|l| l / 10.0),
+                loss_pct: loss,
+                bw_up_64: bw,
+                bw_down_64: bw.map(|b| b * 2.0),
+                bw_up_mtu: bw,
+                bw_down_mtu: bw,
+                target_mbps: target,
+                error: err,
+            };
+            let back = PathMeasurement::from_doc(&m.to_doc()).unwrap();
+            prop_assert_eq!(back, m);
+        }
+
+        #[test]
+        fn whisker_orders_its_five_numbers(samples in prop::collection::vec(-1e6..1e6f64, 1..200)) {
+            let w = Whisker::from_samples(&samples).unwrap();
+            prop_assert!(w.min <= w.q1);
+            prop_assert!(w.q1 <= w.median);
+            prop_assert!(w.median <= w.q3);
+            prop_assert!(w.q3 <= w.max);
+            prop_assert!(w.min <= w.mean && w.mean <= w.max);
+            prop_assert!(w.std >= 0.0);
+            prop_assert_eq!(w.n, samples.len());
+        }
+
+        #[test]
+        fn quantile_is_monotone(samples in prop::collection::vec(-1e6..1e6f64, 1..100),
+                                q1 in 0.0..1.0f64, q2 in 0.0..1.0f64) {
+            let mut v = samples;
+            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
+            prop_assert!(quantile(&v, lo) <= quantile(&v, hi));
+        }
+
+        /// Pareto-front soundness and completeness on random candidate sets:
+        /// no front member dominates another; every non-member is dominated
+        /// by some member.
+        #[test]
+        fn pareto_front_is_sound_and_complete(cands in arb_candidates()) {
+            let criteria = [Objective::MinLatency, Objective::MinLoss, Objective::MaxBandwidthDown];
+            let front = pareto_front(&cands, &criteria);
+            prop_assert!(!front.is_empty());
+            for a in &front {
+                for b in &front {
+                    prop_assert!(!dominates(a, b, &criteria) || a.path_id == b.path_id);
+                }
+            }
+            for c in &cands {
+                if !front.iter().any(|f| f.path_id == c.path_id) {
+                    prop_assert!(
+                        front.iter().any(|f| dominates(f, c, &criteria)),
+                        "non-member {:?} must be dominated", c.path_id
+                    );
+                }
+            }
+        }
+
+        /// Any weighted-scalarization winner lies on the Pareto front of the
+        /// active criteria.
+        #[test]
+        fn weighted_winner_is_pareto_optimal(
+            cands in arb_candidates(),
+            wl in 0.1..10.0f64,
+            wo in 0.1..10.0f64,
+            wb in 0.1..10.0f64,
+        ) {
+            let weights = Weights {
+                latency: wl,
+                loss: wo,
+                bw_down: wb,
+                ..Weights::default()
+            };
+            let ranked = weighted_rank(&cands, &weights);
+            prop_assert!(!ranked.is_empty());
+            let winner = ranked[0].1.path_id;
+            let front = pareto_front(&cands, &weights.active());
+            prop_assert!(front.iter().any(|f| f.path_id == winner));
+            // Scores are normalized and sorted.
+            for w in ranked.windows(2) {
+                prop_assert!(w[0].0 <= w[1].0);
+            }
+            prop_assert!(ranked.iter().all(|(s, _)| (0.0..=1.0 + 1e-12).contains(s)));
+        }
+
+        /// The Constraints → Filter translation agrees with the direct
+        /// document check on randomly generated path documents.
+        #[test]
+        fn constraints_filter_agrees_with_direct_check(
+            isds in prop::collection::vec(1u16..30, 1..4),
+            countries in prop::collection::vec(prop::sample::select(vec!["CH", "DE", "US", "SG", "KR"]), 1..4),
+            hops in 2i64..10,
+            excl_isd in 1u16..30,
+            excl_country in prop::sample::select(vec!["CH", "DE", "US", "SG", "KR"]),
+            max_hops in prop::option::of(2usize..10),
+        ) {
+            let server_id = 3u32;
+            let d = doc! {
+                "_id" => "3_0",
+                "server_id" => server_id as i64,
+                "hops" => hops,
+                "isds" => isds.iter().map(|i| *i as i64).collect::<Vec<i64>>(),
+                "ases" => Vec::<String>::new(),
+                "countries" => countries.iter().map(|c| c.to_string()).collect::<Vec<String>>(),
+                "operators" => Vec::<String>::new(),
+            };
+            let c = Constraints {
+                exclude_isds: vec![excl_isd],
+                exclude_countries: vec![excl_country.to_string()],
+                max_hops,
+                ..Constraints::default()
+            };
+            let filter_says_keep = c.to_filter(server_id).matches(&d);
+            prop_assert_eq!(filter_says_keep, !doc_violates(&d, &c));
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! * `paper` — the constraint-filtered objective ranking of
 //!   [`crate::select::recommend`], byte-identical to calling it
-//!   directly (pinned by `crates/core/tests/prop_strategy.rs`).
+//!   directly (pinned by the `paper_oracle` tests below).
 //! * `shortest-path` — fewest hops, the classic BGP-ish default.
 //! * `widest-path` — maximize the bottleneck bandwidth
 //!   `min(up, down)`.
@@ -218,7 +218,7 @@ pub fn registry() -> Vec<Box<dyn SelectionStrategy>> {
 }
 
 /// Look a strategy up by its registry key.
-pub fn by_name(name: &str) -> Option<Box<dyn SelectionStrategy>> {
+pub(crate) fn by_name(name: &str) -> Option<Box<dyn SelectionStrategy>> {
     registry().into_iter().find(|s| s.name() == name)
 }
 
@@ -398,6 +398,399 @@ mod tests {
                 "{} must reject k = 0",
                 s.name()
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod paper_oracle {
+    //! Oracle pinning of the `paper` strategy.
+    //!
+    //! The tentpole refactor turned `select::recommend` into one of many
+    //! registered strategies. Its ranking behavior is a contract: the
+    //! `paper` strategy must stay byte-identical to the legacy pipeline.
+    //! This oracle is an independent, deliberately naive reimplementation
+    //! of that pipeline (direct collection scans, no statcache, no trait
+    //! indirection) frozen at the post-bugfix semantics:
+    //!
+    //! * non-finite samples are excluded per statistic;
+    //! * zero-measurement paths report unknown (`None`) loss, and unknown
+    //!   loss never passes a `max_loss_pct` gate;
+    //! * empty rankings classify into NoMatch / AllGated / AllUnscorable;
+    //! * ties break on `path_id`, and `k = 0` is an invalid request.
+    //!
+    //! Any future change to the strategy layer that shifts `paper`'s output
+    //! by even one bit fails here.
+
+    use crate::analysis::Whisker;
+    use crate::schema::{PathId, PathMeasurement, StatId, PATHS, PATHS_STATS};
+    use crate::select::{recommend, Constraints, Objective, Recommendation, UserRequest};
+    use crate::strategy::{by_name, StrategyContext};
+    use crate::{SelectionFailure, SuiteError};
+    use pathdb::{doc, Database, Document, Filter, Value};
+    use proptest::prelude::*;
+
+    // ---- the frozen legacy pipeline ----------------------------------------
+
+    fn legacy_mean(samples: &[f64]) -> Option<f64> {
+        let finite: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
+        if finite.is_empty() {
+            None
+        } else {
+            Some(finite.iter().sum::<f64>() / finite.len() as f64)
+        }
+    }
+
+    struct LegacyAggregate {
+        path_id: PathId,
+        samples: usize,
+        latency: Option<Whisker>,
+        jitter_ms: Option<f64>,
+        mean_loss_pct: Option<f64>,
+        bw_up_mtu: Option<Whisker>,
+        bw_down_mtu: Option<Whisker>,
+    }
+
+    fn legacy_aggregate(db: &Database, server_id: u32, c: &Constraints) -> Vec<LegacyAggregate> {
+        let paths_handle = db.collection(PATHS);
+        let stats_handle = db.collection(PATHS_STATS);
+        let paths = paths_handle.read();
+        let stats = stats_handle.read();
+        let mut out = Vec::new();
+        for d in paths.query(c.to_filter(server_id)).refs() {
+            let id: PathId = d.id().unwrap().parse().unwrap();
+            let ms: Vec<PathMeasurement> = stats
+                .query(Filter::eq("path_id", id.to_string()))
+                .refs()
+                .iter()
+                .map(|sd| PathMeasurement::from_doc(sd).unwrap())
+                .collect();
+            let finite = |f: fn(&PathMeasurement) -> Option<f64>| -> Vec<f64> {
+                ms.iter().filter_map(f).filter(|v| v.is_finite()).collect()
+            };
+            out.push(LegacyAggregate {
+                path_id: id,
+                samples: ms.len(),
+                latency: Whisker::from_samples(&finite(|m| m.avg_latency_ms)),
+                jitter_ms: legacy_mean(&ms.iter().filter_map(|m| m.jitter_ms).collect::<Vec<_>>()),
+                mean_loss_pct: legacy_mean(&ms.iter().map(|m| m.loss_pct).collect::<Vec<_>>()),
+                bw_up_mtu: Whisker::from_samples(&finite(|m| m.bw_up_mtu)),
+                bw_down_mtu: Whisker::from_samples(&finite(|m| m.bw_down_mtu)),
+            });
+        }
+        // recommend scans the paths collection in storage (id) order; the
+        // query layer returns lexicographic-id order, which the sort below
+        // makes irrelevant anyway (ties break on path_id).
+        out
+    }
+
+    fn legacy_score(a: &LegacyAggregate, objective: Objective) -> Option<f64> {
+        match objective {
+            Objective::MinLatency => a.latency.as_ref().map(|w| w.mean),
+            Objective::MinJitter => a.jitter_ms,
+            Objective::MinLoss => a.mean_loss_pct,
+            Objective::MaxBandwidthDown => a.bw_down_mtu.as_ref().map(|w| -w.mean),
+            Objective::MaxBandwidthUp => a.bw_up_mtu.as_ref().map(|w| -w.mean),
+        }
+    }
+
+    enum LegacyOutcome {
+        Ranked(Vec<(usize, f64, PathId)>),
+        Invalid,
+        Failure(SelectionFailure),
+    }
+
+    fn legacy_recommend(db: &Database, request: &UserRequest, k: usize) -> LegacyOutcome {
+        if k == 0 {
+            return LegacyOutcome::Invalid;
+        }
+        let mut candidates = legacy_aggregate(db, request.server_id, &request.constraints);
+        let matched = candidates.len();
+        candidates.retain(|a| a.samples >= request.constraints.min_samples.max(1));
+        if let Some(max_loss) = request.constraints.max_loss_pct {
+            candidates.retain(|a| a.mean_loss_pct.is_some_and(|l| l <= max_loss));
+        }
+        let gated = candidates.len();
+        let mut scored: Vec<(f64, PathId)> = candidates
+            .iter()
+            .filter_map(|a| legacy_score(a, request.objective).map(|s| (s, a.path_id)))
+            .collect();
+        scored.sort_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
+        if scored.is_empty() {
+            let server_id = request.server_id;
+            return LegacyOutcome::Failure(if matched == 0 {
+                SelectionFailure::NoMatch { server_id }
+            } else if gated == 0 {
+                SelectionFailure::AllGated { server_id, matched }
+            } else {
+                SelectionFailure::AllUnscorable {
+                    server_id,
+                    matched,
+                    gated,
+                }
+            });
+        }
+        LegacyOutcome::Ranked(
+            scored
+                .into_iter()
+                .take(k)
+                .enumerate()
+                .map(|(i, (s, id))| (i + 1, s, id))
+                .collect(),
+        )
+    }
+
+    // ---- randomized databases and requests ----------------------------------
+
+    /// A sample value that is usually clean but sometimes hostile.
+    fn arb_sample() -> impl Strategy<Value = f64> {
+        // Mostly clean values, occasionally hostile non-finite ones (the
+        // vendored proptest has no weighted prop_oneof; an index draw over
+        // a 10-slot table approximates 8:1:1).
+        (0u8..10, 0.1f64..400.0).prop_map(|(pick, clean)| match pick {
+            8 => f64::NAN,
+            9 => {
+                if clean > 200.0 {
+                    f64::INFINITY
+                } else {
+                    f64::NEG_INFINITY
+                }
+            }
+            _ => clean,
+        })
+    }
+
+    #[derive(Debug, Clone)]
+    struct ArbMeasurement {
+        latency: Option<f64>,
+        jitter: Option<f64>,
+        loss: f64,
+        up: Option<f64>,
+        down: Option<f64>,
+    }
+
+    fn arb_measurement() -> impl Strategy<Value = ArbMeasurement> {
+        (
+            (
+                prop::option::of(arb_sample()),
+                prop::option::of(arb_sample()),
+            ),
+            (
+                arb_sample(),
+                prop::option::of(arb_sample()),
+                prop::option::of(arb_sample()),
+            ),
+        )
+            .prop_map(|((latency, jitter), (loss, up, down))| ArbMeasurement {
+                latency,
+                jitter,
+                loss,
+                up,
+                down,
+            })
+    }
+
+    #[derive(Debug, Clone)]
+    struct ArbPath {
+        hops: usize,
+        isds: Vec<u16>,
+        measurements: Vec<ArbMeasurement>,
+    }
+
+    fn arb_path() -> impl Strategy<Value = ArbPath> {
+        (
+            2usize..9,
+            prop::collection::vec(16u16..20, 1..4),
+            prop::collection::vec(arb_measurement(), 0..4),
+        )
+            .prop_map(|(hops, isds, measurements)| ArbPath {
+                hops,
+                isds,
+                measurements,
+            })
+    }
+
+    fn arb_db() -> impl Strategy<Value = Vec<Vec<ArbPath>>> {
+        // 1..=3 destinations with 0..6 paths each.
+        prop::collection::vec(prop::collection::vec(arb_path(), 0..6), 1..4)
+    }
+
+    fn path_doc(server_id: u32, path_index: u32, p: &ArbPath) -> Document {
+        doc! {
+            "_id" => format!("{server_id}_{path_index}"),
+            "server_id" => server_id as i64,
+            "path_index" => path_index as i64,
+            "sequence" => format!("seq-{server_id}-{path_index}"),
+            "hops" => p.hops as i64,
+            "isds" => p.isds.iter().map(|i| Value::Int(*i as i64)).collect::<Vec<_>>(),
+            "status" => "alive",
+        }
+    }
+
+    fn populate(db: &Database, dests: &[Vec<ArbPath>]) {
+        for (di, paths) in dests.iter().enumerate() {
+            let server_id = di as u32 + 1;
+            for (pi, p) in paths.iter().enumerate() {
+                {
+                    let handle = db.collection(PATHS);
+                    handle
+                        .write()
+                        .insert_one(path_doc(server_id, pi as u32, p))
+                        .unwrap();
+                }
+                let handle = db.collection(PATHS_STATS);
+                let mut coll = handle.write();
+                for (mi, m) in p.measurements.iter().enumerate() {
+                    let pm = PathMeasurement {
+                        stat_id: StatId {
+                            path: PathId {
+                                server_id,
+                                path_index: pi as u32,
+                            },
+                            timestamp_ms: 1000 + mi as u64,
+                        },
+                        isds: p.isds.clone(),
+                        hops: p.hops,
+                        avg_latency_ms: m.latency,
+                        jitter_ms: m.jitter,
+                        loss_pct: m.loss,
+                        bw_up_mtu: m.up,
+                        bw_down_mtu: m.down,
+                        bw_up_64: None,
+                        bw_down_64: None,
+                        target_mbps: 12.0,
+                        error: None,
+                    };
+                    coll.insert_one(pm.to_doc()).unwrap();
+                }
+            }
+        }
+    }
+
+    fn arb_objective() -> impl Strategy<Value = Objective> {
+        prop_oneof![
+            Just(Objective::MinLatency),
+            Just(Objective::MinJitter),
+            Just(Objective::MinLoss),
+            Just(Objective::MaxBandwidthDown),
+            Just(Objective::MaxBandwidthUp),
+        ]
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn arb_request() -> impl Strategy<Value = (u32, Objective, usize, Option<f64>, Option<usize>)> {
+        (
+            (1u32..5, arb_objective()), // destination sometimes nonexistent
+            (
+                0usize..4,
+                prop::option::of(0.0f64..40.0),
+                prop::option::of(2usize..8),
+            ),
+        )
+            .prop_map(
+                |((server_id, objective), (min_samples, max_loss, max_hops))| {
+                    (server_id, objective, min_samples, max_loss, max_hops)
+                },
+            )
+    }
+
+    fn as_tuples(recs: &[Recommendation]) -> Vec<(usize, f64, PathId)> {
+        recs.iter()
+            .map(|r| (r.rank, r.score, r.aggregate.path_id))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The `paper` strategy, `recommend`, and the frozen legacy oracle
+        /// agree bit-for-bit on every randomized database and request —
+        /// ranks, scores (compared as raw bits) and failure classification.
+        #[test]
+        fn paper_strategy_matches_legacy_oracle(
+            dests in arb_db(),
+            (server_id, objective, min_samples, max_loss_pct, max_hops) in arb_request(),
+            k in 0usize..6,
+        ) {
+            let db = Database::new();
+            populate(&db, &dests);
+            let request = UserRequest {
+                server_id,
+                objective,
+                constraints: Constraints {
+                    min_samples,
+                    max_loss_pct,
+                    max_hops,
+                    ..Constraints::default()
+                },
+            };
+
+            let expected = legacy_recommend(&db, &request, k);
+            let ctx = StrategyContext { db: &db, seed: 7 };
+            let paper = by_name("paper").unwrap();
+            let got_strategy = paper.rank(&ctx, &request, k);
+            let got_direct = recommend(&db, &request, k);
+
+            for got in [got_strategy, got_direct] {
+                match (&expected, got) {
+                    (LegacyOutcome::Invalid, Err(SuiteError::InvalidRequest(_))) => {}
+                    (LegacyOutcome::Failure(want), Err(SuiteError::Selection(have))) => {
+                        prop_assert_eq!(want, &have);
+                    }
+                    (LegacyOutcome::Ranked(want), Ok(recs)) => {
+                        let have = as_tuples(&recs);
+                        prop_assert_eq!(want.len(), have.len());
+                        for (w, h) in want.iter().zip(have.iter()) {
+                            prop_assert_eq!(w.0, h.0, "rank");
+                            prop_assert_eq!(w.2, h.2, "path id");
+                            // Byte-identical scores: compare raw bits, not
+                            // approximate equality.
+                            prop_assert_eq!(w.1.to_bits(), h.1.to_bits(), "score bits");
+                        }
+                    }
+                    (_, got) => {
+                        return Err(TestCaseError::fail(format!(
+                            "outcome class diverged: {got:?}"
+                        )));
+                    }
+                }
+            }
+        }
+
+        /// Every registered strategy is deterministic: the same database
+        /// and request produce bit-identical rankings on repeated calls.
+        #[test]
+        fn all_strategies_are_deterministic(
+            dests in arb_db(),
+            (server_id, objective, min_samples, max_loss_pct, max_hops) in arb_request(),
+        ) {
+            let db = Database::new();
+            populate(&db, &dests);
+            let request = UserRequest {
+                server_id,
+                objective,
+                constraints: Constraints {
+                    min_samples,
+                    max_loss_pct,
+                    max_hops,
+                    ..Constraints::default()
+                },
+            };
+            let ctx = StrategyContext { db: &db, seed: 1234 };
+            for s in crate::strategy::registry() {
+                let a = s.rank(&ctx, &request, 5);
+                let b = s.rank(&ctx, &request, 5);
+                match (a, b) {
+                    (Ok(x), Ok(y)) => prop_assert_eq!(
+                        format!("{x:?}"), format!("{y:?}"),
+                        "{} not deterministic", s.name()
+                    ),
+                    (Err(x), Err(y)) => prop_assert_eq!(x.to_string(), y.to_string()),
+                    _ => return Err(TestCaseError::fail(format!(
+                        "{}: Ok/Err diverged between identical calls", s.name()
+                    ))),
+                }
+            }
         }
     }
 }

@@ -281,7 +281,6 @@ fn arb_error() -> impl Strategy<Value = ServiceError> {
         ErrorCode::Db,
         ErrorCode::Schema,
         ErrorCode::NoCandidates,
-        ErrorCode::Unauthorized,
         ErrorCode::Campaign,
     ]);
     (

@@ -11,13 +11,13 @@
 //! }
 //! let fastest = col.query(Filter::True).sort("rtt").limit(2).run();
 //! assert_eq!(fastest[0].id(), Some("b"));
-//! assert_eq!(col.query(Filter::gt("rtt", 15.0)).count(), 2);
+//! assert_eq!(col.query(Filter::gte("rtt", 15.0)).count(), 2);
 //! assert!(col.query(Filter::eq("rtt", 10.0)).first().is_some());
 //! ```
 //!
 //! Terminal methods (`run`, `first`, `count`, `distinct`, `refs`,
 //! `explain`) execute through the cost-based planner ([`crate::plan`]);
-//! `tests/prop_builder.rs` pins their results to a naive full scan.
+//! the `props` tests below pin their results to a naive full scan.
 
 use crate::collection::Collection;
 use crate::document::Document;
@@ -70,13 +70,6 @@ impl<'c> Query<'c> {
         self
     }
 
-    /// Replace the options wholesale (escape hatch for callers that
-    /// already hold a [`FindOptions`]).
-    pub fn with_options(mut self, opts: FindOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     // ---- terminals ---------------------------------------------------
 
     /// Execute: matching documents, sorted/paginated/projected.
@@ -90,7 +83,7 @@ impl<'c> Query<'c> {
         self.coll.run_find(&self.filter, &self.opts).pop()
     }
 
-    /// Execute: how many documents match. Sort/skip/limit/projection
+    /// Execute: how many documents match. Sort/skip/limit
     /// are ignored, matching the old `count(filter)` semantics.
     pub fn count(self) -> usize {
         self.coll.run_count(&self.filter)
@@ -103,7 +96,7 @@ impl<'c> Query<'c> {
     }
 
     /// Execute: borrowed matches in insertion order — the clone-free
-    /// path for aggregation. Sort/pagination/projection are ignored.
+    /// path for aggregation. Sort/pagination are ignored.
     pub fn refs(self) -> Vec<&'c Document> {
         self.coll.run_refs(&self.filter)
     }
@@ -179,15 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn skip_project_refs() {
+    fn skip_limit_refs() {
         let c = sample();
-        let mut q = c.query_all().sort("rtt").skip(1).limit(2);
-        q.opts.projection.push("rtt".into());
-        let out = q.run();
+        let out = c.query_all().sort("rtt").skip(1).limit(2).run();
         assert_eq!(out.len(), 2);
-        assert!(out[0].contains_key("_id"));
-        assert!(out[0].contains_key("rtt"));
-        assert!(!out[0].contains_key("server_id"));
         let refs = c.query(Filter::eq("server_id", 1i64)).refs();
         assert_eq!(refs.len(), 2);
     }
@@ -215,14 +203,134 @@ mod tests {
         assert_eq!(c.query(&f).count(), 2);
         assert_eq!(c.query(f).count(), 2); // and owned
     }
+}
 
-    #[test]
-    fn with_options_escape_hatch() {
-        let c = sample();
-        let opts = FindOptions::default()
-            .sorted_by("rtt", Order::Desc)
-            .limited(1);
-        let out = c.query_all().with_options(opts).run();
-        assert_eq!(out[0].id(), Some("d"));
+#[cfg(test)]
+mod props {
+    //! Property-based correctness of the chainable [`Query`] builder
+    //! against a naive reference evaluator: for any collection, filter and
+    //! option combination, the builder (which may route through indexes and
+    //! early-exit scans) must return exactly what a full in-order scan
+    //! computes. This test replaced the deprecated `find*/count/distinct`
+    //! equivalence suite when that legacy surface was deleted.
+
+    use crate::{doc, Collection, Document, Filter, Order, Value};
+    use proptest::prelude::*;
+
+    fn populated(rows: &[(i64, f64, bool)]) -> Collection {
+        let mut coll = Collection::new("t");
+        coll.create_index("server_id");
+        for (i, (server, rtt, with_err)) in rows.iter().enumerate() {
+            let mut d = doc! {
+                "_id" => format!("{server}_{i}"),
+                "server_id" => *server,
+                "rtt" => *rtt,
+            };
+            if *with_err {
+                d.set("error", "timeout");
+            }
+            coll.insert_one(d).unwrap();
+        }
+        coll
+    }
+
+    fn arb_rows() -> impl Strategy<Value = Vec<(i64, f64, bool)>> {
+        prop::collection::vec((0..6i64, -100.0..100.0f64, any::<bool>()), 0..40)
+    }
+
+    fn arb_filter() -> impl Strategy<Value = Filter> {
+        prop_oneof![
+            Just(Filter::True),
+            (0..6i64).prop_map(|s| Filter::eq("server_id", s)),
+            (-100.0..100.0f64).prop_map(|r| Filter::lt("rtt", r)),
+            (0..6i64, -100.0..100.0f64)
+                .prop_map(|(s, r)| Filter::eq("server_id", s).and(Filter::gte("rtt", r))),
+            Just(Filter::exists("error")),
+        ]
+    }
+
+    /// The reference: a full scan in insertion order, no indexes, no
+    /// early exit.
+    fn naive_scan(coll: &Collection, f: &Filter) -> Vec<Document> {
+        coll.iter().filter(|d| f.matches(d)).cloned().collect()
+    }
+
+    fn rtt_of(d: &Document) -> f64 {
+        match d.get("rtt") {
+            Some(Value::Float(x)) => *x,
+            _ => f64::NAN,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn builder_run_matches_a_naive_scan(rows in arb_rows(), f in arb_filter()) {
+            let coll = populated(&rows);
+            prop_assert_eq!(coll.query(&f).run(), naive_scan(&coll, &f));
+        }
+
+        #[test]
+        fn builder_sort_skip_limit_match_a_naive_pipeline(
+            rows in arb_rows(),
+            f in arb_filter(),
+            desc in any::<bool>(),
+            skip in 0..5usize,
+            limit in 1..8usize,
+        ) {
+            let coll = populated(&rows);
+            let order = if desc { Order::Desc } else { Order::Asc };
+
+            // Reference pipeline: scan, stable-sort on rtt, skip, limit.
+            let mut expect = naive_scan(&coll, &f);
+            expect.sort_by(|a, b| {
+                let cmp = rtt_of(a).partial_cmp(&rtt_of(b)).unwrap();
+                if desc { cmp.reverse() } else { cmp }
+            });
+            let expect: Vec<Document> =
+                expect.into_iter().skip(skip).take(limit).collect();
+
+            let via_builder = coll
+                .query(&f)
+                .sort_by("rtt", order)
+                .skip(skip)
+                .limit(limit)
+                .run();
+            prop_assert_eq!(&via_builder, &expect);
+        }
+
+        #[test]
+        fn builder_count_first_distinct_refs_match_the_scan(
+            rows in arb_rows(),
+            f in arb_filter(),
+        ) {
+            let coll = populated(&rows);
+            let expect = naive_scan(&coll, &f);
+            prop_assert_eq!(coll.query(&f).count(), expect.len());
+            prop_assert_eq!(coll.query(&f).first(), expect.first().cloned());
+
+            // Distinct: first-encounter order over the scan.
+            let mut seen = std::collections::BTreeSet::new();
+            let mut distinct = Vec::new();
+            for d in &expect {
+                if let Some(v) = d.get("server_id") {
+                    if seen.insert(v.index_key()) {
+                        distinct.push(v.clone());
+                    }
+                }
+            }
+            prop_assert_eq!(coll.query(&f).distinct("server_id"), distinct);
+
+            let refs_builder: Vec<String> = coll
+                .query(&f)
+                .refs()
+                .iter()
+                .filter_map(|d| d.id().map(String::from))
+                .collect();
+            let refs_expect: Vec<String> = expect
+                .iter()
+                .filter_map(|d| d.id().map(String::from))
+                .collect();
+            prop_assert_eq!(refs_builder, refs_expect);
+        }
     }
 }

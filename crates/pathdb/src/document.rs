@@ -100,7 +100,7 @@ impl Document {
     }
 
     /// Dotted-path lookup: `"a.b.c"` descends nested documents.
-    pub fn get_path(&self, path: &str) -> Option<&Value> {
+    pub(crate) fn get_path(&self, path: &str) -> Option<&Value> {
         let mut cur: Option<&Value> = None;
         for (i, part) in path.split('.').enumerate() {
             cur = if i == 0 {
@@ -114,24 +114,9 @@ impl Document {
 
     /// Dotted-path set, creating intermediate documents as needed.
     /// Overwrites non-document intermediates.
-    pub fn set_path<V: Into<Value>>(&mut self, path: &str, value: V) {
+    pub(crate) fn set_path<V: Into<Value>>(&mut self, path: &str, value: V) {
         let parts: Vec<&str> = path.split('.').collect();
         set_path_inner(self, &parts, value.into());
-    }
-
-    /// Dotted-path removal; returns the removed value.
-    pub fn remove_path(&mut self, path: &str) -> Option<Value> {
-        let (head, rest) = match path.split_once('.') {
-            Some((h, r)) => (h, Some(r)),
-            None => (path, None),
-        };
-        match rest {
-            None => self.remove(head),
-            Some(rest) => match self.fields.iter_mut().find(|(k, _)| **k == *head) {
-                Some((_, Value::Doc(d))) => d.remove_path(rest),
-                _ => None,
-            },
-        }
     }
 
     /// The `_id` field as a string, if present.
@@ -213,16 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn dotted_path_get_set_remove() {
+    fn dotted_path_get_set() {
         let mut d = Document::new();
         d.set_path("stats.latency.avg", 21.5f64);
         d.set_path("stats.latency.max", 30.0f64);
         assert_eq!(d.get_path("stats.latency.avg"), Some(&Value::Float(21.5)));
         assert_eq!(d.get_path("stats.missing"), None);
         assert_eq!(d.get_path("missing.deep"), None);
-        let removed = d.remove_path("stats.latency.avg");
-        assert_eq!(removed, Some(Value::Float(21.5)));
-        assert_eq!(d.get_path("stats.latency.avg"), None);
         assert_eq!(d.get_path("stats.latency.max"), Some(&Value::Float(30.0)));
     }
 
@@ -297,6 +279,5 @@ mod tests {
     fn remove_missing_is_none() {
         let mut d = doc! { "a" => 1i64 };
         assert_eq!(d.remove("zz"), None);
-        assert_eq!(d.remove_path("a.b"), None);
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! * insertion-ordered [`document::Document`]s with dotted-path access,
 //! * [`query::Filter`] with Mongo operator semantics
-//!   (`$eq/$ne/$gt/$in/$nin/$exists/$all/$size`, `$and/$or/$not`,
-//!   array-contains equality, numeric widening),
-//! * [`update::Update`] (`$set/$unset/$inc/$push/$setOnInsert`),
+//!   (`$eq/$ne/$gt/$gte/$lt/$lte/$nin/$exists`, substring match,
+//!   `$and`, array-contains equality, numeric widening),
+//! * [`update::Update`] (`$set`),
 //! * unique `_id` plus secondary (multikey) indexes, kept as ordered
 //!   maps over an order-preserving key encoding,
 //! * a cost-based query planner ([`plan`]): each query is a point

@@ -4,8 +4,8 @@
 //! documents whose `server_id` is 2, whose `isds` contain no excluded
 //! domain, and whose average loss is below 1 %"*. [`Filter`] expresses
 //! exactly this: field comparisons with numeric widening, array-contains
-//! semantics on `Eq`, set operators, existence checks, substring match
-//! and boolean combinators.
+//! semantics on `Eq`, exclusion from a set, existence checks, substring
+//! match and conjunction — the operators the system sends, no others.
 
 use crate::document::Document;
 use crate::value::Value;
@@ -25,8 +25,6 @@ pub enum Filter {
     Gte(String, Value),
     Lt(String, Value),
     Lte(String, Value),
-    /// Field value (or any array element) is one of the listed values.
-    In(String, Vec<Value>),
     /// Field value is none of the listed values (also true when the
     /// field is missing, as in Mongo).
     Nin(String, Vec<Value>),
@@ -34,13 +32,7 @@ pub enum Filter {
     Exists(String, bool),
     /// String field contains the given substring.
     Contains(String, String),
-    /// Array field: every listed value appears in it (`$all`).
-    All(String, Vec<Value>),
-    /// Array field: its length equals the given size (`$size`).
-    Size(String, usize),
     And(Vec<Filter>),
-    Or(Vec<Filter>),
-    Not(Box<Filter>),
 }
 
 impl Filter {
@@ -52,9 +44,6 @@ impl Filter {
     pub fn ne<K: Into<String>, V: Into<Value>>(k: K, v: V) -> Filter {
         Filter::Ne(k.into(), v.into())
     }
-    pub fn gt<K: Into<String>, V: Into<Value>>(k: K, v: V) -> Filter {
-        Filter::Gt(k.into(), v.into())
-    }
     pub fn gte<K: Into<String>, V: Into<Value>>(k: K, v: V) -> Filter {
         Filter::Gte(k.into(), v.into())
     }
@@ -63,9 +52,6 @@ impl Filter {
     }
     pub fn lte<K: Into<String>, V: Into<Value>>(k: K, v: V) -> Filter {
         Filter::Lte(k.into(), v.into())
-    }
-    pub fn is_in<K: Into<String>, V: Into<Value>>(k: K, vs: Vec<V>) -> Filter {
-        Filter::In(k.into(), vs.into_iter().map(Into::into).collect())
     }
     pub fn not_in<K: Into<String>, V: Into<Value>>(k: K, vs: Vec<V>) -> Filter {
         Filter::Nin(k.into(), vs.into_iter().map(Into::into).collect())
@@ -97,29 +83,6 @@ impl Filter {
         }
     }
 
-    /// Disjunction.
-    pub fn or(self, other: Filter) -> Filter {
-        match (self, other) {
-            (Filter::Or(mut a), Filter::Or(b)) => {
-                a.extend(b);
-                Filter::Or(a)
-            }
-            (Filter::Or(mut a), f) => {
-                a.push(f);
-                Filter::Or(a)
-            }
-            (f, Filter::Or(mut b)) => {
-                b.insert(0, f);
-                Filter::Or(b)
-            }
-            (a, b) => Filter::Or(vec![a, b]),
-        }
-    }
-
-    pub fn negate(self) -> Filter {
-        Filter::Not(Box::new(self))
-    }
-
     // -- evaluation ------------------------------------------------------
 
     /// Evaluate the filter against a document.
@@ -132,24 +95,13 @@ impl Filter {
             Filter::Gte(k, v) => field_cmp(doc, k, v, |o| o != Ordering::Less),
             Filter::Lt(k, v) => field_cmp(doc, k, v, |o| o == Ordering::Less),
             Filter::Lte(k, v) => field_cmp(doc, k, v, |o| o != Ordering::Greater),
-            Filter::In(k, vs) => vs.iter().any(|v| field_eq(doc, k, v)),
             Filter::Nin(k, vs) => !vs.iter().any(|v| field_eq(doc, k, v)),
             Filter::Exists(k, want) => doc.get_path(k).is_some() == *want,
             Filter::Contains(k, s) => doc
                 .get_path(k)
                 .and_then(Value::as_str)
                 .is_some_and(|f| f.contains(s.as_str())),
-            Filter::All(k, vs) => match doc.get_path(k) {
-                Some(Value::Array(arr)) => vs.iter().all(|v| arr.iter().any(|e| e.query_eq(v))),
-                _ => vs.is_empty(),
-            },
-            Filter::Size(k, n) => doc
-                .get_path(k)
-                .and_then(Value::as_array)
-                .is_some_and(|a| a.len() == *n),
             Filter::And(fs) => fs.iter().all(|f| f.matches(doc)),
-            Filter::Or(fs) => fs.iter().any(|f| f.matches(doc)),
-            Filter::Not(f) => !f.matches(doc),
         }
     }
 }
@@ -181,7 +133,7 @@ pub enum Order {
     Desc,
 }
 
-/// Find options: sort keys, pagination, projection.
+/// Find options: sort keys and pagination.
 #[derive(Debug, Clone, Default)]
 pub struct FindOptions {
     /// Sort by these fields in order, under `Value::sort_cmp`'s total
@@ -189,8 +141,6 @@ pub struct FindOptions {
     pub sort: Vec<(String, Order)>,
     pub skip: usize,
     pub limit: Option<usize>,
-    /// Keep only these fields (plus `_id`) when non-empty.
-    pub projection: Vec<String>,
 }
 
 impl FindOptions {
@@ -199,7 +149,7 @@ impl FindOptions {
         self
     }
 
-    pub fn limited(mut self, n: usize) -> Self {
+    pub(crate) fn limited(mut self, n: usize) -> Self {
         self.limit = Some(n);
         self
     }
@@ -233,32 +183,19 @@ impl FindOptions {
         }
         Ordering::Equal
     }
-
-    /// Apply the projection to one document.
-    pub fn apply_projection(&self, doc: &Document) -> Document {
-        if self.projection.is_empty() {
-            return doc.clone();
-        }
-        let mut out = Document::new();
-        if let Some(v) = doc.get("_id") {
-            out.set("_id", v.clone());
-        }
-        for key in &self.projection {
-            if key == "_id" {
-                continue;
-            }
-            if let Some(v) = doc.get_path(key) {
-                out.set_path(key, v.clone());
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::doc;
+
+    impl Filter {
+        /// Only tests build `Gt`: the system's ranges are `gte`/`lt`/`lte`.
+        pub(crate) fn gt<K: Into<String>, V: Into<Value>>(k: K, v: V) -> Filter {
+            Filter::Gt(k.into(), v.into())
+        }
+    }
 
     fn sample() -> Document {
         doc! {
@@ -306,42 +243,32 @@ mod tests {
     }
 
     #[test]
-    fn in_and_nin() {
+    fn nin() {
         let d = sample();
-        assert!(Filter::is_in("hops", vec![6i64, 7]).matches(&d));
-        assert!(!Filter::is_in("hops", vec![5i64]).matches(&d));
         assert!(Filter::not_in("hops", vec![5i64, 6]).matches(&d));
         // Nin is true for missing fields, like Mongo.
         assert!(Filter::not_in("nope", vec![1i64]).matches(&d));
-        // In with array field: membership of any element.
-        assert!(Filter::is_in("isds", vec![19i64, 99]).matches(&d));
+        // Nin with array field: no element may be listed.
+        assert!(!Filter::not_in("isds", vec![19i64, 99]).matches(&d));
     }
 
     #[test]
-    fn exists_contains_all_size() {
+    fn exists_and_contains() {
         let d = sample();
         assert!(Filter::exists("status").matches(&d));
         assert!(Filter::Exists("nope".into(), false).matches(&d));
         assert!(Filter::exists("nested.loss").matches(&d));
         assert!(Filter::contains("_id", "_15").matches(&d));
         assert!(!Filter::contains("_id", "xx").matches(&d));
-        let all = |vs: [i64; 2]| Filter::All("isds".into(), vs.map(Value::from).to_vec());
-        assert!(all([16, 19]).matches(&d));
-        assert!(!all([16, 18]).matches(&d));
-        assert!(Filter::Size("isds".into(), 3).matches(&d));
-        assert!(!Filter::Size("isds".into(), 2).matches(&d));
     }
 
     #[test]
-    fn boolean_combinators() {
+    fn conjunction() {
         let d = sample();
         let f = Filter::eq("server_id", 2i64)
             .and(Filter::lt("avg_latency_ms", 200.0))
             .and(Filter::not_in("isds", vec![20i64]));
         assert!(f.matches(&d));
-        let g = Filter::eq("server_id", 9i64).or(Filter::eq("status", "alive"));
-        assert!(g.matches(&d));
-        assert!(!g.clone().negate().matches(&d));
         // And flattening keeps all clauses.
         if let Filter::And(clauses) = &f {
             assert_eq!(clauses.len(), 3);
@@ -363,16 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn sort_and_projection() {
-        let mut opts = FindOptions::default().sorted_by("hops", Order::Desc);
-        opts.projection.push("hops".into());
+    fn sort_descending() {
+        let opts = FindOptions::default().sorted_by("hops", Order::Desc);
         let a = doc! { "_id" => "a", "hops" => 6i64, "x" => 1i64 };
         let b = doc! { "_id" => "b", "hops" => 7i64, "x" => 2i64 };
         assert_eq!(opts.doc_cmp(&a, &b), Ordering::Greater);
-        let p = opts.apply_projection(&a);
-        assert!(p.contains_key("_id"));
-        assert!(p.contains_key("hops"));
-        assert!(!p.contains_key("x"));
     }
 
     #[test]
@@ -381,5 +303,156 @@ mod tests {
         let with = doc! { "k" => 1i64 };
         let without = doc! { "z" => 1i64 };
         assert_eq!(opts.doc_cmp(&with, &without), Ordering::Less);
+    }
+}
+
+#[cfg(test)]
+mod props {
+    //! Property-based tests of the document store: value round-trips,
+    //! filter algebra and collection invariants.
+
+    use crate::{doc, Collection, Document, Filter, Value};
+    use proptest::prelude::*;
+
+    // ---- generators -----------------------------------------------------------
+
+    fn arb_scalar() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i32>().prop_map(|i| Value::Int(i as i64)),
+            (-1.0e9..1.0e9f64).prop_map(Value::Float),
+            "[a-z0-9_]{0,12}".prop_map(Value::Str),
+        ]
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        arb_scalar().prop_recursive(3, 24, 6, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+                prop::collection::vec(("[a-z]{1,6}", inner), 0..4).prop_map(|pairs| {
+                    let mut d = Document::new();
+                    for (k, v) in pairs {
+                        d.set(k, v);
+                    }
+                    Value::Doc(d)
+                }),
+            ]
+        })
+    }
+
+    fn arb_doc() -> impl Strategy<Value = Document> {
+        prop::collection::vec(("[a-z]{1,8}", arb_value()), 0..8).prop_map(|pairs| {
+            let mut d = Document::new();
+            for (k, v) in pairs {
+                d.set(k, v);
+            }
+            d
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn json_roundtrip(v in arb_value()) {
+            let back = Value::from_json(&v.to_json());
+            prop_assert_eq!(back, v);
+        }
+
+        #[test]
+        fn query_eq_is_reflexive_for_json_representable(v in arb_value()) {
+            prop_assert!(v.query_eq(&v));
+        }
+
+        #[test]
+        fn index_key_consistent_with_query_eq(a in arb_scalar(), b in arb_scalar()) {
+            // Equal values must share an index key (the converse need not
+            // hold for floats vs ints, which is exactly why Eq widens).
+            if a.query_eq(&b) {
+                prop_assert_eq!(a.index_key(), b.index_key());
+            }
+        }
+
+        #[test]
+        fn set_then_get_path(segments in prop::collection::vec("[a-z]{1,5}", 1..4), v in arb_scalar()) {
+            let path = segments.join(".");
+            let mut d = Document::new();
+            d.set_path(&path, v.clone());
+            prop_assert_eq!(d.get_path(&path), Some(&v));
+        }
+
+        #[test]
+        fn and_agrees_with_pointwise(d in arb_doc(), k1 in "[a-z]{1,4}", k2 in "[a-z]{1,4}", v in arb_scalar()) {
+            let f1 = Filter::exists(k1);
+            let f2 = Filter::eq(k2, v);
+            let and = f1.clone().and(f2.clone());
+            prop_assert_eq!(and.matches(&d), f1.matches(&d) && f2.matches(&d));
+        }
+
+        #[test]
+        fn ne_is_not_eq(d in arb_doc(), k in "[a-z]{1,6}", v in arb_scalar()) {
+            prop_assert_eq!(
+                Filter::ne(k.clone(), v.clone()).matches(&d),
+                !Filter::eq(k, v).matches(&d)
+            );
+        }
+
+        #[test]
+        fn range_trichotomy_on_numbers(x in -1000i64..1000, y in -1000i64..1000) {
+            let d = doc! { "v" => x };
+            let gt = Filter::gt("v", y).matches(&d);
+            let lt = Filter::lt("v", y).matches(&d);
+            let eq = Filter::eq("v", y).matches(&d);
+            prop_assert_eq!([gt, lt, eq].iter().filter(|b| **b).count(), 1);
+            prop_assert_eq!(Filter::gte("v", y).matches(&d), gt || eq);
+            prop_assert_eq!(Filter::lte("v", y).matches(&d), lt || eq);
+        }
+
+        #[test]
+        fn insert_find_delete_roundtrip(ids in prop::collection::hash_set("[a-z0-9]{1,8}", 1..20)) {
+            let mut coll = Collection::new("t");
+            for (i, id) in ids.iter().enumerate() {
+                coll.insert_one(doc! { "_id" => id.clone(), "ord" => i as i64 }).unwrap();
+            }
+            prop_assert_eq!(coll.len(), ids.len());
+            for id in &ids {
+                prop_assert!(coll.find_by_id(id.clone()).is_some());
+                // Re-inserting any existing id fails.
+                let dup = coll.insert_one(doc! { "_id" => id.clone() });
+                prop_assert!(dup.is_err(), "duplicate id must be rejected");
+            }
+            let removed = coll.delete_many(&Filter::True);
+            prop_assert_eq!(removed, ids.len());
+            prop_assert!(coll.is_empty());
+        }
+
+        #[test]
+        fn indexed_and_scan_queries_agree(
+            vals in prop::collection::vec(0i64..5, 1..40),
+            probe in 0i64..5,
+        ) {
+            let mut scan = Collection::new("scan");
+            let mut idx = Collection::new("idx");
+            idx.create_index("k");
+            for (i, v) in vals.iter().enumerate() {
+                let d = doc! { "_id" => i.to_string(), "k" => *v };
+                scan.insert_one(d.clone()).unwrap();
+                idx.insert_one(d).unwrap();
+            }
+            let f = Filter::eq("k", probe);
+            prop_assert_eq!(scan.query(&f).run(), idx.query(&f).run());
+        }
+
+        #[test]
+        fn sort_orders_results(vals in prop::collection::vec(-100i64..100, 1..30)) {
+            let mut coll = Collection::new("t");
+            for (i, v) in vals.iter().enumerate() {
+                coll.insert_one(doc! { "_id" => i.to_string(), "v" => *v }).unwrap();
+            }
+            let out = coll.query_all().sort("v").run();
+            let sorted: Vec<i64> = out.iter().map(|d| d.get("v").unwrap().as_int().unwrap()).collect();
+            let mut expect = vals.clone();
+            expect.sort_unstable();
+            prop_assert_eq!(sorted, expect);
+        }
     }
 }

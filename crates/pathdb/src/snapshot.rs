@@ -53,7 +53,7 @@ const MANIFEST_FORMAT: i64 = 3;
 /// supersedes, so this bounds the bytes a one-row change rewrites and
 /// the pause of a checkpoint under time-series traffic (appends at the
 /// newest seqs, expiry at the oldest: a handful of slices per round).
-pub const SLICE_ROWS: u64 = 256;
+pub(crate) const SLICE_ROWS: u64 = 256;
 
 /// Loader behavior for persisted JSONL files.
 #[derive(Debug, Clone, Copy, Default)]
@@ -265,12 +265,12 @@ pub(crate) fn read_manifest(storage: &dyn Storage, dir: &Path) -> DbResult<Optio
 }
 
 /// The file holding slice `slice` of `name` as of `generation`.
-pub fn slice_path(dir: &Path, name: &str, slice: u64, generation: u64) -> PathBuf {
+pub(crate) fn slice_path(dir: &Path, name: &str, slice: u64, generation: u64) -> PathBuf {
     dir.join(format!("{name}.{slice}.{generation}.slice"))
 }
 
 /// Parse a [`slice_path`] back into `(name, slice, generation)`.
-pub fn parse_slice_path(path: &Path) -> Option<(&str, u64, u64)> {
+pub(crate) fn parse_slice_path(path: &Path) -> Option<(&str, u64, u64)> {
     let mut parts = path.file_name()?.to_str()?.rsplitn(4, '.');
     if parts.next()? != "slice" {
         return None;

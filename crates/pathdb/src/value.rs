@@ -107,7 +107,7 @@ impl Value {
     }
 
     /// Equality under query semantics (numeric widening).
-    pub fn query_eq(&self, other: &Value) -> bool {
+    pub(crate) fn query_eq(&self, other: &Value) -> bool {
         self.query_cmp(other) == Some(Ordering::Equal)
     }
 
@@ -170,7 +170,7 @@ impl Value {
     /// integer residual, so `Int(i)` and `Float(f)` share a key exactly
     /// when they are query-equal, floats differing in any bit get
     /// distinct keys, and i64 values beyond 2^53 do not collapse.
-    pub fn index_key(&self) -> String {
+    pub(crate) fn index_key(&self) -> String {
         let mut k = String::new();
         self.write_index_key(&mut k);
         k
@@ -246,7 +246,7 @@ impl Value {
     }
 
     /// Convert back from persisted JSON.
-    pub fn from_json(v: &serde_json::Value) -> Value {
+    pub(crate) fn from_json(v: &serde_json::Value) -> Value {
         match v {
             serde_json::Value::Null => Value::Null,
             serde_json::Value::Bool(b) => Value::Bool(*b),

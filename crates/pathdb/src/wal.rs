@@ -144,40 +144,6 @@ impl WalOp {
         }
     }
 
-    /// Reference rendering for the encoder tests: the tree-building
-    /// counterpart of [`WalOpRef::write_json`].
-    #[cfg(test)]
-    fn to_json(&self) -> serde_json::Value {
-        let mut m = serde_json::Map::new();
-        let (tag, coll) = match self {
-            WalOp::Insert { coll, .. } => ("i", coll),
-            WalOp::InsertMany { coll, .. } => ("m", coll),
-            WalOp::Update { coll, .. } => ("u", coll),
-            WalOp::Delete { coll, .. } => ("d", coll),
-            WalOp::Drop { coll } => ("x", coll),
-        };
-        m.insert("t".into(), serde_json::Value::String(tag.into()));
-        m.insert("c".into(), serde_json::Value::String(coll.clone()));
-        match self {
-            WalOp::Insert { doc, .. } => {
-                m.insert("d".into(), Value::Doc(doc.clone()).to_json());
-            }
-            WalOp::InsertMany { docs, .. } | WalOp::Update { docs, .. } => {
-                let arr = docs
-                    .iter()
-                    .map(|d| Value::Doc(d.clone()).to_json())
-                    .collect();
-                m.insert("d".into(), serde_json::Value::Array(arr));
-            }
-            WalOp::Delete { ids, .. } => {
-                let arr = ids.iter().map(Value::to_json).collect();
-                m.insert("d".into(), serde_json::Value::Array(arr));
-            }
-            WalOp::Drop { .. } => {}
-        }
-        serde_json::Value::Object(m)
-    }
-
     fn from_json(v: &serde_json::Value) -> Option<WalOp> {
         let tag = v.get("t")?.as_str()?;
         let coll = v.get("c")?.as_str()?.to_string();
@@ -408,12 +374,12 @@ pub(crate) fn read_wal(
 /// WAL file name for a generation: `wal.<gen>.log`. Generations tie a
 /// log to the snapshot it extends — recovery replays every log whose
 /// generation is `>=` the manifest's, in ascending order.
-pub fn wal_path(dir: &Path, generation: u64) -> PathBuf {
+pub(crate) fn wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal.{generation}.log"))
 }
 
 /// Parse `wal.<gen>.log` back into a generation.
-pub fn parse_wal_path(path: &Path) -> Option<u64> {
+pub(crate) fn parse_wal_path(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     name.strip_prefix("wal.")?
         .strip_suffix(".log")?
@@ -533,6 +499,41 @@ mod tests {
     use super::*;
     use crate::doc;
     use crate::storage::FaultyStorage;
+
+    impl WalOp {
+        /// Reference rendering for the encoder tests: the tree-building
+        /// counterpart of [`WalOpRef::write_json`].
+        fn to_json(&self) -> serde_json::Value {
+            let mut m = serde_json::Map::new();
+            let (tag, coll) = match self {
+                WalOp::Insert { coll, .. } => ("i", coll),
+                WalOp::InsertMany { coll, .. } => ("m", coll),
+                WalOp::Update { coll, .. } => ("u", coll),
+                WalOp::Delete { coll, .. } => ("d", coll),
+                WalOp::Drop { coll } => ("x", coll),
+            };
+            m.insert("t".into(), serde_json::Value::String(tag.into()));
+            m.insert("c".into(), serde_json::Value::String(coll.clone()));
+            match self {
+                WalOp::Insert { doc, .. } => {
+                    m.insert("d".into(), Value::Doc(doc.clone()).to_json());
+                }
+                WalOp::InsertMany { docs, .. } | WalOp::Update { docs, .. } => {
+                    let arr = docs
+                        .iter()
+                        .map(|d| Value::Doc(d.clone()).to_json())
+                        .collect();
+                    m.insert("d".into(), serde_json::Value::Array(arr));
+                }
+                WalOp::Delete { ids, .. } => {
+                    let arr = ids.iter().map(Value::to_json).collect();
+                    m.insert("d".into(), serde_json::Value::Array(arr));
+                }
+                WalOp::Drop { .. } => {}
+            }
+            serde_json::Value::Object(m)
+        }
+    }
 
     impl Wal {
         /// `commit_ref` over owned ops, as `sample_ops` builds them.

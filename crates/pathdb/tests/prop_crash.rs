@@ -35,7 +35,6 @@
 //! what a scan answers.
 
 use pathdb::database::OpenOptions;
-use pathdb::snapshot::slice_path;
 use pathdb::{
     doc, Database, Document, Durability, FaultyStorage, Filter, RetentionPolicy, RollupConfig,
     Storage, Update, Value,
@@ -600,7 +599,7 @@ fn named_slices(storage: &FaultyStorage, dir: &Path) -> (u64, SliceFiles) {
             .map(|x| x.as_i64().unwrap() as u64)
             .collect();
         for pair in flat.chunks(2) {
-            let path = slice_path(dir, name, pair[0], pair[1]);
+            let path = dir.join(format!("{name}.{}.{}.slice", pair[0], pair[1]));
             let bytes = storage.read(&path).expect("a named slice file exists");
             files.insert((name.to_string(), pair[0]), (pair[1], bytes));
         }

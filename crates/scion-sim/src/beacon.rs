@@ -20,7 +20,7 @@ use crate::crypto::SymmetricKey;
 use crate::segments::{HopEntry, Segment, SegmentKind};
 use crate::topology::{AsIndex, LinkKind, Topology};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Derives per-AS forwarding keys from a network master secret.
 #[derive(Debug, Clone, Copy)]
@@ -67,7 +67,7 @@ impl Default for BeaconConfig {
 
 /// Converged beaconing state: every registered segment.
 #[derive(Debug, Clone, Default)]
-pub struct BeaconStore {
+pub(crate) struct BeaconStore {
     /// Core segments keyed by (first AS, last AS) in beacon direction.
     pub core: HashMap<(IsdAsn, IsdAsn), Vec<Segment>>,
     /// Down segments keyed by the leaf (last) AS. Reversing one yields the
@@ -82,25 +82,6 @@ impl BeaconStore {
     /// propagation (0 when exhaustive).
     pub(crate) fn capped_count(&self) -> u64 {
         self.capped
-    }
-
-    /// Bytes held by the interned hop chains, counting each distinct
-    /// `Arc` allocation once no matter how many segments (or frontier
-    /// copies, or candidate paths) share it.
-    pub fn hop_bytes(&self) -> usize {
-        let mut seen: HashSet<*const HopEntry> = HashSet::new();
-        let mut bytes = 0usize;
-        for seg in self
-            .core
-            .values()
-            .flatten()
-            .chain(self.down.values().flatten())
-        {
-            if seen.insert(seg.hops.as_ptr()) {
-                bytes += std::mem::size_of_val(&*seg.hops);
-            }
-        }
-        bytes
     }
 }
 
@@ -243,6 +224,27 @@ mod tests {
     use crate::addr::{Asn, IsdAsn};
     use crate::geo::GeoLocation;
     use crate::topology::{AsKind, DirAttrs, TopologyBuilder};
+
+    impl BeaconStore {
+        /// Bytes held by the interned hop chains, counting each distinct
+        /// `Arc` allocation once no matter how many segments (or frontier
+        /// copies, or candidate paths) share it.
+        pub(crate) fn hop_bytes(&self) -> usize {
+            let mut seen = std::collections::HashSet::<*const HopEntry>::new();
+            let mut bytes = 0usize;
+            for seg in self
+                .core
+                .values()
+                .flatten()
+                .chain(self.down.values().flatten())
+            {
+                if seen.insert(seg.hops.as_ptr()) {
+                    bytes += std::mem::size_of_val(&*seg.hops);
+                }
+            }
+            bytes
+        }
+    }
 
     fn ia(isd: u16, c: u16) -> IsdAsn {
         IsdAsn::new(isd, Asn::from_groups(0xffaa, 0, c))

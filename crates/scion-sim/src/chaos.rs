@@ -5,7 +5,7 @@
 //! A [`ChaosSchedule`] is plain data (JSON-serializable, so campaigns
 //! can check their fault scenario into the repo) describing *stochastic
 //! processes* — "this link flaps, staying down 2–8 s and up 20–60 s".
-//! [`ChaosSchedule::compile`] expands the processes into a flat, sorted
+//! `ChaosSchedule::compile` expands the processes into a flat, sorted
 //! list of [`ChaosEvent`] transitions using only the schedule's own
 //! seed, so the same schedule always yields the byte-identical event
 //! trace regardless of what the network does. The network applies each
@@ -189,7 +189,7 @@ pub struct FlakyWindow {
 }
 
 /// The declarative chaos scenario: seeded stochastic fault processes
-/// over a bounded horizon. Compile with [`ChaosSchedule::compile`] (or
+/// over a bounded horizon. Compile with `ChaosSchedule::compile` (or
 /// install directly via `ScionNetwork::install_chaos`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosSchedule {
@@ -263,7 +263,7 @@ impl ChaosSchedule {
     /// Expand the stochastic processes into the flat, time-sorted
     /// transition list the network replays. Deterministic: depends only
     /// on the schedule (incl. its seed) and the topology.
-    pub fn compile(&self, topo: &Topology) -> Result<Vec<ChaosEvent>, ChaosError> {
+    pub(crate) fn compile(&self, topo: &Topology) -> Result<Vec<ChaosEvent>, ChaosError> {
         self.validate()?;
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xc4a0_5c4e_d01e_5eed);
         let mut events: Vec<ChaosEvent> = Vec::new();

@@ -69,7 +69,7 @@ pub struct FlowOutcome {
 /// run on it cannot sustain hundreds of kpps. 45 kpps is a deliberately
 /// round calibration: it never binds MTU-sized trains (12.8 kpps at
 /// 150 Mbps) and always binds 64-byte trains at 150 Mbps (293 kpps).
-pub const SENDER_PPS_CAP: f64 = 45_000.0;
+pub(crate) const SENDER_PPS_CAP: f64 = 45_000.0;
 
 /// Overload penalty strength (mechanism 3 above).
 const OVERLOAD_K: f64 = 1.35;
@@ -85,7 +85,7 @@ const SLICES: usize = 30;
 ///
 /// `header` is the per-packet wire overhead (SCION + UDP headers),
 /// `start_ms` the network-clock time the train starts.
-pub fn simulate_flow(
+pub(crate) fn simulate_flow(
     hops: &[WireHop],
     params: &FlowParams,
     header: u32,

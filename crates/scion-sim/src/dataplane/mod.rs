@@ -62,7 +62,7 @@ impl WireHop {
     }
 
     /// Per-packet drop probability at `t_ms`, excluding queueing effects.
-    pub fn loss_at(&self, t_ms: f64) -> f64 {
+    pub(crate) fn loss_at(&self, t_ms: f64) -> f64 {
         if self.down {
             return 1.0;
         }
@@ -71,7 +71,7 @@ impl WireHop {
     }
 
     /// Serialization delay for a packet of `bytes`, ms.
-    pub fn serialization_ms(&self, bytes: u32) -> f64 {
+    pub(crate) fn serialization_ms(&self, bytes: u32) -> f64 {
         serialization_ms(bytes, self.capacity_mbps)
     }
 }
@@ -86,7 +86,7 @@ pub(crate) fn serialization_ms(bytes: u32, capacity_mbps: f64) -> f64 {
 
 /// Sample an instantaneous utilization around `base` (truncated normal,
 /// σ = 0.08, clamped to [0, 0.98]).
-pub fn sample_util<R: Rng>(base: f64, rng: &mut R) -> f64 {
+pub(crate) fn sample_util<R: Rng>(base: f64, rng: &mut R) -> f64 {
     // Box-Muller-free approximation: sum of three uniforms has a
     // bell-shaped distribution with variance 3·(1/12); scale to σ≈0.08.
     let z: f64 = (0..3).map(|_| rng.gen::<f64>()).sum::<f64>() - 1.5;

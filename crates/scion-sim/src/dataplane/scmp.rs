@@ -132,7 +132,7 @@ pub fn ping(
 /// Probe a path prefix (used by traceroute): walk `upto` forward hops,
 /// turn around at that router, and walk the same hops back. Border
 /// routers always respond (server behaviour does not apply).
-pub fn probe_prefix(
+pub(crate) fn probe_prefix(
     path: &CompiledPath,
     upto: usize,
     opts: &ProbeOptions,

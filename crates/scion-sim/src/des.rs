@@ -1,7 +1,7 @@
 //! Simulated time for the data plane's discrete-event simulation.
 //!
 //! The probe simulation in [`crate::dataplane::scmp`] orders its events
-//! by a [`SimTime`] fire time, then by scheduling order, so runs are
+//! by a `SimTime` fire time, then by scheduling order, so runs are
 //! fully deterministic for a fixed seed.
 
 /// Simulated time in nanoseconds since simulation start.
@@ -10,19 +10,19 @@
 /// fast links (≈ 50 ns for 64 B at 10 Gbps) representable without
 /// floating-point drift in the event queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(pub u64);
+pub(crate) struct SimTime(pub(crate) u64);
 
 impl SimTime {
-    pub fn from_ms(ms: f64) -> SimTime {
+    pub(crate) fn from_ms(ms: f64) -> SimTime {
         SimTime((ms * 1_000_000.0).round().max(0.0) as u64)
     }
 
-    pub fn as_ms(self) -> f64 {
+    pub(crate) fn as_ms(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// Saturating addition of a duration in nanoseconds.
-    pub fn plus_ns(self, ns: u64) -> SimTime {
+    pub(crate) fn plus_ns(self, ns: u64) -> SimTime {
         SimTime(self.0.saturating_add(ns))
     }
 }

@@ -197,10 +197,6 @@ impl FaultPlan {
         self.episodes.push(ep);
     }
 
-    pub(crate) fn clear_episodes(&mut self) {
-        self.episodes.clear();
-    }
-
     /// Drop episodes whose window already ended at `now_ms`. Long chaos
     /// schedules add and retire many episodes; pruning keeps the
     /// congestion scans O(live episodes) instead of O(history).

@@ -247,15 +247,6 @@ impl ScionNetwork {
         }
     }
 
-    /// Enable or disable the control-plane caches for this network
-    /// (forks inherit the setting). With caching off every `paths`,
-    /// `authorize` and compile goes through the uncached reference
-    /// path — observable results are identical by construction, which
-    /// the property suite pins.
-    pub fn set_caching(&mut self, on: bool) {
-        self.caching = on;
-    }
-
     /// Whether this network and `other` share one control plane
     /// (topology, beacon store, caches) — true exactly for forks.
     pub fn shares_control_plane(&self, other: &ScionNetwork) -> bool {
@@ -437,12 +428,6 @@ impl ScionNetwork {
     pub fn add_congestion(&self, episode: CongestionEpisode) {
         let mut f = self.faults.lock();
         f.plan.add_episode(episode);
-        f.epoch = self.shared.next_epoch();
-    }
-
-    pub fn clear_congestion(&self) {
-        let mut f = self.faults.lock();
-        f.plan.clear_episodes();
         f.epoch = self.shared.next_epoch();
     }
 
@@ -1194,5 +1179,400 @@ mod tests {
             n.ping(&paths[0], virginia, &ProbeOptions::default()),
             Err(NetError::UnknownDestination(_))
         ));
+    }
+}
+
+#[cfg(test)]
+mod cache_props {
+    //! Equivalence oracle for the control-plane caches: a network with
+    //! caching enabled must produce *byte-identical* observable results to
+    //! the uncached reference implementation, across randomized fault
+    //! mutations (which drive epoch invalidation), fork salts and
+    //! interleavings of lookups on the root network and its forks.
+    //!
+    //! The comparison is on `format!("{:?}")` of every result — any drift
+    //! in path ordering, status, metadata, probe outcomes or error values
+    //! shows up as a string diff.
+
+    use crate::dataplane::scmp::ProbeOptions;
+    use crate::fault::{CongestionEpisode, CongestionTarget, ServerBehavior};
+    use crate::net::ScionNetwork;
+    use crate::path::ScionPath;
+    use crate::topology::scionlab::{paper_destinations, MY_AS};
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    impl ScionNetwork {
+        /// Enable or disable the control-plane caches for this network
+        /// (forks inherit the setting). With caching off every `paths`,
+        /// `authorize` and compile goes through the uncached reference
+        /// path — observable results are identical by construction, which
+        /// the property suite pins.
+        pub(crate) fn set_caching(&mut self, on: bool) {
+            self.caching = on;
+        }
+    }
+
+    /// One step of the randomized schedule. Lookup steps log their results;
+    /// mutation steps drive the fault state (and hence cache invalidation).
+    /// `on_fork` targets the most recent fork instead of the root network.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Paths {
+            dest: prop::sample::Index,
+            max: usize,
+            on_fork: bool,
+        },
+        Ping {
+            dest: prop::sample::Index,
+            path_pick: prop::sample::Index,
+            on_fork: bool,
+        },
+        Traceroute {
+            dest: prop::sample::Index,
+            path_pick: prop::sample::Index,
+            on_fork: bool,
+        },
+        Authorize {
+            dest: prop::sample::Index,
+            path_pick: prop::sample::Index,
+            on_fork: bool,
+        },
+        LinkDown {
+            link: prop::sample::Index,
+            down: bool,
+            on_fork: bool,
+        },
+        Congest {
+            node: prop::sample::Index,
+            offset_ms: u16,
+            duration_ms: u16,
+            on_fork: bool,
+        },
+        Server {
+            dest: prop::sample::Index,
+            behavior: u8,
+            on_fork: bool,
+        },
+        Fork {
+            salt: u64,
+        },
+        Advance {
+            ms: u16,
+        },
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        fn idx() -> impl Strategy<Value = prop::sample::Index> {
+            any::<prop::sample::Index>()
+        }
+        prop_oneof![
+            (idx(), 1usize..40, any::<bool>()).prop_map(|(dest, max, on_fork)| Op::Paths {
+                dest,
+                max,
+                on_fork
+            }),
+            (idx(), idx(), any::<bool>()).prop_map(|(dest, path_pick, on_fork)| Op::Ping {
+                dest,
+                path_pick,
+                on_fork
+            }),
+            (idx(), idx(), any::<bool>()).prop_map(|(dest, path_pick, on_fork)| Op::Traceroute {
+                dest,
+                path_pick,
+                on_fork
+            }),
+            (idx(), idx(), any::<bool>()).prop_map(|(dest, path_pick, on_fork)| Op::Authorize {
+                dest,
+                path_pick,
+                on_fork
+            }),
+            (idx(), any::<bool>(), any::<bool>()).prop_map(|(link, down, on_fork)| Op::LinkDown {
+                link,
+                down,
+                on_fork
+            }),
+            (idx(), any::<u16>(), 1u16..10_000, any::<bool>()).prop_map(
+                |(node, offset_ms, duration_ms, on_fork)| Op::Congest {
+                    node,
+                    offset_ms,
+                    duration_ms,
+                    on_fork
+                }
+            ),
+            (idx(), 0u8..4, any::<bool>()).prop_map(|(dest, behavior, on_fork)| Op::Server {
+                dest,
+                behavior,
+                on_fork
+            }),
+            any::<u64>().prop_map(|salt| Op::Fork { salt }),
+            (1u16..5_000).prop_map(|ms| Op::Advance { ms }),
+        ]
+    }
+
+    /// A short, distinct-draws ping so each case stays fast.
+    fn probe_opts() -> ProbeOptions {
+        ProbeOptions {
+            count: 3,
+            interval_ms: 50.0,
+            timeout_ms: 1000.0,
+            payload_bytes: 8,
+        }
+    }
+
+    /// Fetch a candidate path for `dst` without logging (both runs execute
+    /// the identical call sequence, so clocks and RNG streams stay aligned).
+    fn pick_path(
+        net: &ScionNetwork,
+        dst: crate::addr::IsdAsn,
+        pick: prop::sample::Index,
+    ) -> Option<ScionPath> {
+        let paths = net.paths(MY_AS, dst, 40);
+        if paths.is_empty() {
+            return None;
+        }
+        let i = pick.index(paths.len());
+        Some(paths[i].clone())
+    }
+
+    /// Replay `ops` on a fresh SCIONLab network with caching on or off and
+    /// return the log of every observable result.
+    fn run_schedule(caching: bool, ops: &[Op]) -> Vec<String> {
+        let mut net = ScionNetwork::scionlab(11);
+        net.set_caching(caching);
+        let mut fork: Option<ScionNetwork> = None;
+        let dests = paper_destinations();
+        let links: Vec<_> = net.topology().links().map(|(li, _)| li).collect();
+        let mut log = Vec::new();
+
+        for op in ops {
+            let target = |on_fork: bool| -> &ScionNetwork {
+                match (&fork, on_fork) {
+                    (Some(f), true) => f,
+                    _ => &net,
+                }
+            };
+            match op {
+                Op::Paths { dest, max, on_fork } => {
+                    let addr = dests[dest.index(dests.len())];
+                    let paths = target(*on_fork).paths(MY_AS, addr.ia, *max);
+                    log.push(format!("paths {addr} {max}: {paths:?}"));
+                }
+                Op::Ping {
+                    dest,
+                    path_pick,
+                    on_fork,
+                } => {
+                    let addr = dests[dest.index(dests.len())];
+                    let t = target(*on_fork);
+                    if let Some(path) = pick_path(t, addr.ia, *path_pick) {
+                        let out = t.ping(&path, addr, &probe_opts());
+                        log.push(format!("ping {addr} via {path}: {out:?}"));
+                    }
+                }
+                Op::Traceroute {
+                    dest,
+                    path_pick,
+                    on_fork,
+                } => {
+                    let addr = dests[dest.index(dests.len())];
+                    let t = target(*on_fork);
+                    if let Some(path) = pick_path(t, addr.ia, *path_pick) {
+                        let out = t.traceroute(&path);
+                        log.push(format!("traceroute via {path}: {out:?}"));
+                    }
+                }
+                Op::Authorize {
+                    dest,
+                    path_pick,
+                    on_fork,
+                } => {
+                    let addr = dests[dest.index(dests.len())];
+                    let t = target(*on_fork);
+                    if let Some(path) = pick_path(t, addr.ia, *path_pick) {
+                        // Strip to a bare route, as `--sequence` parsing would.
+                        let bare = ScionPath::from_sequence(&path.sequence()).unwrap();
+                        let out = t.authorize(&bare);
+                        log.push(format!("authorize {path}: {out:?}"));
+                    }
+                }
+                Op::LinkDown {
+                    link,
+                    down,
+                    on_fork,
+                } => {
+                    let li = links[link.index(links.len())];
+                    target(*on_fork).set_link_down(li, *down);
+                }
+                Op::Congest {
+                    node,
+                    offset_ms,
+                    duration_ms,
+                    on_fork,
+                } => {
+                    let addr = dests[node.index(dests.len())];
+                    let t = target(*on_fork);
+                    let start_ms = t.now_ms() + *offset_ms as f64;
+                    t.add_congestion(CongestionEpisode {
+                        target: CongestionTarget::Node(addr.ia),
+                        start_ms,
+                        end_ms: start_ms + *duration_ms as f64,
+                        severity: 1.0,
+                    });
+                }
+                Op::Server {
+                    dest,
+                    behavior,
+                    on_fork,
+                } => {
+                    let addr = dests[dest.index(dests.len())];
+                    let b = match behavior {
+                        0 => ServerBehavior::Up,
+                        1 => ServerBehavior::Down,
+                        2 => ServerBehavior::BadResponse,
+                        _ => ServerBehavior::Flaky(0.5),
+                    };
+                    target(*on_fork).set_server_behavior(addr, b);
+                }
+                Op::Fork { salt } => {
+                    fork = Some(net.fork(*salt));
+                }
+                Op::Advance { ms } => net.advance_ms(*ms as f64),
+            }
+        }
+        log
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The epoch-invalidation oracle: for any schedule of lookups, fault
+        /// mutations and forks, the cached network's observable outputs are
+        /// byte-identical to the uncached reference's.
+        #[test]
+        fn cached_and_uncached_networks_are_observably_identical(
+            ops in prop::collection::vec(arb_op(), 1..14),
+        ) {
+            let cached = run_schedule(true, &ops);
+            let reference = run_schedule(false, &ops);
+            prop_assert_eq!(cached, reference);
+        }
+    }
+
+    #[test]
+    fn fork_shares_the_control_plane_instead_of_cloning_it() {
+        let net = ScionNetwork::scionlab(3);
+        let fork = net.fork(1);
+        assert!(net.shares_control_plane(&fork));
+        assert!(
+            Arc::ptr_eq(
+                net.path_server().beacon_store(),
+                fork.path_server().beacon_store()
+            ),
+            "fork must share the beacon store, not clone it"
+        );
+        // Grandchildren share it too.
+        let grandchild = fork.fork(2);
+        assert!(net.shares_control_plane(&grandchild));
+        // Independently built networks do not.
+        let other = ScionNetwork::scionlab(3);
+        assert!(!net.shares_control_plane(&other));
+    }
+
+    #[test]
+    fn cache_counters_record_hits_and_misses() {
+        let tel = Arc::new(upin_telemetry::Telemetry::new());
+        let mut net = ScionNetwork::scionlab(5);
+        net.set_recorder(tel.clone());
+        let dst = paper_destinations()[1];
+
+        // First lookup misses, later lookups (any cap) hit.
+        net.paths(MY_AS, dst.ia, 5);
+        assert_eq!(tel.counter("sim.pathcache.miss"), 1);
+        assert_eq!(tel.counter("sim.pathcache.hit"), 0);
+        net.paths(MY_AS, dst.ia, 40);
+        net.paths(MY_AS, dst.ia, 1);
+        assert_eq!(tel.counter("sim.pathcache.miss"), 1);
+        assert_eq!(tel.counter("sim.pathcache.hit"), 2);
+
+        // Forks hit the shared cache.
+        let fork = net.fork(7);
+        fork.paths(MY_AS, dst.ia, 5);
+        assert_eq!(tel.counter("sim.pathcache.miss"), 1);
+        assert_eq!(tel.counter("sim.pathcache.hit"), 3);
+
+        // Compile caching: a repeated ping reuses the compiled path...
+        let path = net.paths(MY_AS, dst.ia, 1).remove(0);
+        let opts = ProbeOptions {
+            count: 1,
+            interval_ms: 10.0,
+            timeout_ms: 1000.0,
+            payload_bytes: 8,
+        };
+        net.ping(&path, dst, &opts).unwrap();
+        assert_eq!(tel.counter("sim.compile_cache.miss"), 1);
+        net.ping(&path, dst, &opts).unwrap();
+        assert_eq!(tel.counter("sim.compile_cache.hit"), 1);
+
+        // ...until a fault mutation bumps the epoch and invalidates it.
+        net.set_server_behavior(dst, ServerBehavior::Down);
+        net.ping(&path, dst, &opts).unwrap();
+        assert_eq!(tel.counter("sim.compile_cache.miss"), 2);
+        assert_eq!(tel.counter("sim.compile_cache.hit"), 1);
+    }
+
+    #[test]
+    fn irrelevant_fault_mutations_refresh_instead_of_recompiling() {
+        use crate::topology::scionlab::{ETRI, KISTI_CORE};
+
+        let tel = Arc::new(upin_telemetry::Telemetry::new());
+        let mut net = ScionNetwork::scionlab(5);
+        net.set_recorder(tel.clone());
+        let dst = paper_destinations()[1]; // Ireland — nowhere near KISTI
+        let path = net.paths(MY_AS, dst.ia, 1).remove(0);
+        let opts = ProbeOptions {
+            count: 1,
+            interval_ms: 10.0,
+            timeout_ms: 1000.0,
+            payload_bytes: 8,
+        };
+        net.ping(&path, dst, &opts).unwrap();
+        assert_eq!(tel.counter("sim.compile_cache.miss"), 1);
+
+        // A flap on the far KISTI~ETRI leaf link bumps the fault epoch but
+        // touches nothing on the Ireland route: the stale entry re-verifies
+        // and is re-tagged, not recompiled.
+        let kisti = net.topology().index_of(KISTI_CORE).unwrap();
+        let etri_ia = ETRI;
+        let (far_link, _) = net
+            .topology()
+            .links_of(kisti)
+            .find(|(_, l)| {
+                let peer = l.peer_of(kisti).unwrap();
+                net.topology()
+                    .ases()
+                    .any(|(i, n)| i == peer && n.ia == etri_ia)
+            })
+            .unwrap();
+        net.set_link_down(far_link, true);
+        net.ping(&path, dst, &opts).unwrap();
+        assert_eq!(tel.counter("sim.compile_cache.refresh"), 1);
+        assert_eq!(tel.counter("sim.compile_cache.miss"), 1);
+        net.set_link_down(far_link, false);
+        net.ping(&path, dst, &opts).unwrap();
+        assert_eq!(tel.counter("sim.compile_cache.refresh"), 2);
+        assert_eq!(tel.counter("sim.compile_cache.miss"), 1);
+
+        // A mutation that does touch the route — congestion at the
+        // destination AS — forces a real recompile.
+        net.add_congestion(CongestionEpisode {
+            target: CongestionTarget::Node(dst.ia),
+            start_ms: 0.0,
+            end_ms: 60_000.0,
+            severity: 0.5,
+        });
+        net.ping(&path, dst, &opts).unwrap();
+        assert_eq!(tel.counter("sim.compile_cache.miss"), 2);
+        assert_eq!(tel.counter("sim.compile_cache.refresh"), 2);
     }
 }

@@ -145,7 +145,7 @@ impl ScionPath {
     }
 
     /// Whether any AS appears twice (invalid path).
-    pub fn has_loop(&self) -> bool {
+    pub(crate) fn has_loop(&self) -> bool {
         for (i, h) in self.hops.iter().enumerate() {
             if self.hops[i + 1..].iter().any(|o| o.ia == h.ia) {
                 return true;

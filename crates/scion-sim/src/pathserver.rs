@@ -117,7 +117,7 @@ struct PairGen {
 ///
 /// In real SCION the path server *is* a cache over beaconed segments;
 /// this one additionally memoizes a lazily-extended ranked path prefix
-/// per `(src, dst)` pair ([`PathServer::ranked_prefix`]). Segments are
+/// per `(src, dst)` pair (`PathServer::ranked_prefix`). Segments are
 /// immutable after beaconing, so cached entries never need invalidation
 /// — liveness against the mutable fault state is the network's per-call
 /// concern, not the path server's.
@@ -143,7 +143,7 @@ impl PathServer {
     }
 
     /// The immutable segment store (shared by every fork of a network).
-    pub fn beacon_store(&self) -> &Arc<BeaconStore> {
+    pub(crate) fn beacon_store(&self) -> &Arc<BeaconStore> {
         &self.store
     }
 
@@ -155,7 +155,7 @@ impl PathServer {
     /// The prefix only ever grows, and every prefix of it is
     /// byte-identical to the same slice of the exhaustive ranking —
     /// callers that need the first k paths never pay for the rest.
-    pub fn ranked_prefix(
+    pub(crate) fn ranked_prefix(
         &self,
         topo: &Topology,
         src: IsdAsn,
@@ -196,7 +196,7 @@ impl PathServer {
     /// Reference implementation of [`PathServer::query`] that bypasses
     /// the memoization cache entirely — the oracle cached lookups are
     /// tested against, and the baseline the benchmarks compare to.
-    pub fn query_uncached(
+    pub(crate) fn query_uncached(
         &self,
         topo: &Topology,
         src: IsdAsn,
@@ -434,7 +434,7 @@ impl PathServer {
     /// forcing further levels only while no match has appeared. Returns
     /// the match (if any), whether the pair's cache entry pre-existed,
     /// and how many levels this call newly forced.
-    pub fn find_route(
+    pub(crate) fn find_route(
         &self,
         topo: &Topology,
         src: IsdAsn,
@@ -758,7 +758,7 @@ fn attach_metadata(topo: &Topology, path: &mut ScionPath) -> Result<(), PathErro
 
 /// Structural validation: endpoint interfaces, adjacency, loops and
 /// valley-freedom (up transitions may not follow core or down ones).
-pub fn validate_structure(topo: &Topology, path: &ScionPath) -> Result<(), PathError> {
+pub(crate) fn validate_structure(topo: &Topology, path: &ScionPath) -> Result<(), PathError> {
     if path.hops.len() < 2 {
         return Err(PathError::Malformed);
     }
@@ -811,4 +811,160 @@ pub fn validate_structure(topo: &Topology, path: &ScionPath) -> Result<(), PathE
         };
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod lazy_props {
+    //! Property-based oracle for the lazy top-k path combination: for every
+    //! prefix length k, the incrementally-forced ranking must be
+    //! byte-identical to the exhaustive reference enumeration — on random
+    //! BRITE-style topologies, capped and uncapped alike. Plus regression
+    //! coverage for NaN latencies in the ranked sort and a scaling check
+    //! that the capped beacon store stays sub-quadratic in topology size.
+
+    use crate::beacon::BeaconConfig;
+    use crate::net::ScionNetwork;
+    use crate::topology::random::{random_topology, RandomTopologyConfig};
+    use crate::topology::{AsKind, LinkKind, TopologyBuilder};
+    use proptest::prelude::*;
+
+    /// A small random internet: 1–3 ISDs, a handful of ASes each, with
+    /// shortcut/peering structure exercised via `peering_prob`.
+    fn small_config(isds: usize, hi: usize) -> RandomTopologyConfig {
+        RandomTopologyConfig {
+            isds,
+            ases_per_isd: (4, hi),
+            cores_per_isd: (1, 2),
+            peering_prob: 0.4,
+            ..RandomTopologyConfig::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// For all k, `ranked_prefix(..)[..k]` equals the uncached exhaustive
+        /// ranking truncated to k — including Debug formatting, i.e. every
+        /// field of every path, in order. Checked against the SAME server
+        /// with ascending k, so the prefix really is extended incrementally
+        /// rather than recomputed.
+        #[test]
+        fn lazy_prefix_matches_exhaustive_for_all_k(
+            seed in 0u64..1_000,
+            isds in 1usize..=3,
+            hi in 4usize..=8,
+            cap in prop_oneof![Just(2usize), Just(3usize), Just(usize::MAX)],
+            src_pick in 0usize..64,
+            dst_pick in 0usize..64,
+        ) {
+            let (topo, _user) = random_topology(seed, &small_config(isds, hi)).unwrap();
+            let src = topo.node(crate::topology::AsIndex((src_pick % topo.num_ases()) as u32)).ia;
+            let dst = topo.node(crate::topology::AsIndex((dst_pick % topo.num_ases()) as u32)).ia;
+            let bc = BeaconConfig { beacons_per_pair: cap, ..BeaconConfig::default() };
+            let net = ScionNetwork::with_beacon_config(topo, seed, &bc);
+            let ps = net.path_server();
+            let topo = net.topology();
+
+            let oracle = ps.query_uncached(topo, src, dst, usize::MAX);
+            for k in 0..=oracle.len() + 1 {
+                let (prefix, _, _) = ps.ranked_prefix(topo, src, dst, k);
+                let lazy: Vec<String> = prefix.iter().take(k).map(|p| format!("{p:?}")).collect();
+                let want: Vec<String> = oracle.iter().take(k).map(|p| format!("{p:?}")).collect();
+                prop_assert_eq!(&lazy, &want, "prefix diverges at k={} ({} -> {})", k, src, dst);
+            }
+
+            // find_route (the authorize fast path) agrees with the ranking:
+            // every enumerated path is found, hop-for-hop.
+            for p in oracle.iter().take(4) {
+                let (found, _, _) = ps.find_route(topo, src, dst, p);
+                let found = found.expect("ranked path must authorize");
+                prop_assert!(found.same_route(p));
+            }
+        }
+    }
+
+    /// A NaN expected latency (degenerate geography) must not panic the
+    /// ranked sort, and must rank last within its hop-count class — the
+    /// `total_cmp` regression this PR fixed.
+    #[test]
+    fn nan_latency_ranks_last_without_panicking() {
+        use crate::addr::{Asn, IsdAsn};
+        use crate::geo::GeoLocation;
+        use crate::topology::DirAttrs;
+
+        let ia = |asn: u64| IsdAsn::new(1, Asn(asn));
+        let geo = |lat: f64| GeoLocation::new(lat, 8.0, "x", "y");
+        let mut b = TopologyBuilder::new();
+        b.add_as(ia(1), AsKind::Core, "core", "t", geo(40.0))
+            .unwrap();
+        b.add_as(ia(2), AsKind::NonCore, "mid-ok", "t", geo(41.0))
+            .unwrap();
+        // NaN coordinates poison every latency derived through this AS.
+        b.add_as(ia(3), AsKind::NonCore, "mid-nan", "t", geo(f64::NAN))
+            .unwrap();
+        b.add_as(ia(4), AsKind::NonCore, "leaf", "t", geo(42.0))
+            .unwrap();
+        let attrs = || (DirAttrs::new(100.0), DirAttrs::new(100.0));
+        for (p, c) in [(1u64, 2u64), (1, 3), (2, 4), (3, 4)] {
+            let (ab, ba) = attrs();
+            b.add_link(ia(p), ia(c), LinkKind::Parent, 1472, ab, ba)
+                .unwrap();
+        }
+        let topo = b.build().unwrap();
+
+        let net = ScionNetwork::with_beacon_config(topo, 7, &BeaconConfig::default());
+        let paths = net
+            .path_server()
+            .query(net.topology(), ia(4), ia(1), usize::MAX);
+        assert_eq!(paths.len(), 2, "two 3-hop routes leaf->core expected");
+        assert!(
+            paths[0].expected_latency_ms.is_finite(),
+            "finite-latency path must rank first: {paths:?}"
+        );
+        assert!(
+            paths[1].expected_latency_ms.is_nan(),
+            "NaN-latency path must rank last in its hop class: {paths:?}"
+        );
+
+        // The uncached oracle agrees.
+        let oracle = net
+            .path_server()
+            .query_uncached(net.topology(), ia(4), ia(1), usize::MAX);
+        assert_eq!(format!("{paths:?}"), format!("{oracle:?}"));
+    }
+
+    /// With a fixed per-pair beacon cap, growing a topology 100 -> 1000 ASes
+    /// (same ISD/core shape) must grow beacon-store hop memory far slower
+    /// than quadratically. Quadratic growth would be ~112x here; the capped
+    /// store stays within a small constant factor of linear.
+    #[test]
+    fn capped_beacon_store_memory_is_sub_quadratic() {
+        let bytes_at = |ases: (usize, usize)| {
+            let cfg = RandomTopologyConfig {
+                isds: 5,
+                ases_per_isd: ases,
+                cores_per_isd: (2, 2),
+                ..RandomTopologyConfig::default()
+            };
+            let (topo, _) = random_topology(9, &cfg).unwrap();
+            let n = topo.num_ases();
+            let bc = BeaconConfig {
+                beacons_per_pair: 4,
+                ..BeaconConfig::default()
+            };
+            let net = ScionNetwork::with_beacon_config(topo, 9, &bc);
+            (n, net.path_server().beacon_store().hop_bytes())
+        };
+        let (n_small, b_small) = bytes_at((18, 22));
+        let (n_big, b_big) = bytes_at((190, 210));
+        assert!(n_small >= 90 && n_big >= 950, "{n_small} / {n_big}");
+
+        let growth = b_big as f64 / b_small as f64;
+        let quadratic = (n_big as f64 / n_small as f64).powi(2);
+        assert!(
+            growth < quadratic / 3.0,
+            "beacon store grew {growth:.1}x for {n_small}->{n_big} ASes \
+         (quadratic would be {quadratic:.0}x)"
+        );
+    }
 }

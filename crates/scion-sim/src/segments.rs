@@ -70,7 +70,12 @@ pub(crate) fn hop_mac(
 
 impl Segment {
     /// Start a new segment at an originating AS.
-    pub fn originate(kind: SegmentKind, info: u64, ia: IsdAsn, key: &SymmetricKey) -> Segment {
+    pub(crate) fn originate(
+        kind: SegmentKind,
+        info: u64,
+        ia: IsdAsn,
+        key: &SymmetricKey,
+    ) -> Segment {
         let mac = hop_mac(key, info, ia, IfaceId::NONE, IfaceId::NONE, MacTag(0));
         Segment {
             kind,
@@ -145,17 +150,6 @@ impl Segment {
         self.hops.is_empty()
     }
 
-    /// Replace the hop chain wholesale (re-interning it). Only
-    /// meaningful for tests that need to forge tampered segments; honest
-    /// construction goes through [`Segment::originate`]/[`Segment::extend`].
-    pub fn with_hops(&self, hops: Vec<HopEntry>) -> Segment {
-        Segment {
-            kind: self.kind,
-            info: self.info,
-            hops: Arc::from(hops),
-        }
-    }
-
     /// Verify the segment: endpoint structure plus the full MAC chain.
     ///
     /// The structural check (origin has no ingress, terminal has no
@@ -186,6 +180,19 @@ impl Segment {
 mod tests {
     use super::*;
     use crate::addr::Asn;
+
+    impl Segment {
+        /// Replace the hop chain wholesale (re-interning it): how tests
+        /// forge tampered segments. Honest construction goes through
+        /// `originate`/`extend`.
+        pub(crate) fn with_hops(&self, hops: Vec<HopEntry>) -> Segment {
+            Segment {
+                kind: self.kind,
+                info: self.info,
+                hops: Arc::from(hops),
+            }
+        }
+    }
 
     impl Segment {
         /// Whether the segment visits any AS twice: what the beaconing

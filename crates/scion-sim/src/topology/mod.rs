@@ -164,7 +164,7 @@ pub struct Link {
 
 impl Link {
     /// The other endpoint, given one endpoint index.
-    pub fn peer_of(&self, idx: AsIndex) -> Option<AsIndex> {
+    pub(crate) fn peer_of(&self, idx: AsIndex) -> Option<AsIndex> {
         if idx == self.a {
             Some(self.b)
         } else if idx == self.b {
@@ -451,7 +451,7 @@ impl TopologyBuilder {
     }
 
     /// Register an AS. Fails on duplicate ISD-AS identifiers.
-    pub fn add_as(
+    pub(crate) fn add_as(
         &mut self,
         ia: IsdAsn,
         kind: AsKind,
@@ -502,7 +502,7 @@ impl TopologyBuilder {
     /// Connect two ASes. For [`LinkKind::Parent`], `a` is the parent.
     /// Propagation delay is derived from the endpoints' geography; other
     /// attributes come from the caller. Returns the new link's index.
-    pub fn add_link(
+    pub(crate) fn add_link(
         &mut self,
         a: IsdAsn,
         b: IsdAsn,

@@ -40,7 +40,7 @@ pub const AWS_OHIO: IsdAsn = infra(16, 0x1007);
 
 // ISD 17 — Switzerland.
 pub const ETHZ_CORE: IsdAsn = infra(17, 0x1101);
-pub const SWISSCOM_CORE: IsdAsn = infra(17, 0x1102);
+pub(crate) const SWISSCOM_CORE: IsdAsn = infra(17, 0x1102);
 const SCION_ASSOC: IsdAsn = infra(17, 0x1103);
 pub const ETHZ_AP: IsdAsn = infra(17, 0x1107);
 const ETH_CAB: IsdAsn = infra(17, 0x1108);
@@ -61,10 +61,10 @@ const CENTRIA: IsdAsn = infra(19, 0x1306);
 const DARMSTADT: IsdAsn = infra(19, 0x1307);
 
 // ISD 20 — South Korea.
-pub const KISTI_CORE: IsdAsn = infra(20, 0x1401);
+pub(crate) const KISTI_CORE: IsdAsn = infra(20, 0x1401);
 const KISTI_AP: IsdAsn = infra(20, 0x1402);
 const KU: IsdAsn = infra(20, 0x1403);
-pub const ETRI: IsdAsn = infra(20, 0x1404);
+pub(crate) const ETRI: IsdAsn = infra(20, 0x1404);
 
 // ISD 21 — Japan.
 const KDDI_CORE: IsdAsn = infra(21, 0x1501);

@@ -59,10 +59,19 @@ impl Parsed {
     }
 
     /// An option the command cannot run without; `what` is the error
-    /// when it is missing (`"chaos run needs --schedule FILE"`).
+    /// when it is missing (`"export dataset needs --out DIR"`).
     pub fn required(&self, name: &str, what: &str) -> Result<&str, String> {
         self.opt(name).ok_or_else(|| what.to_string())
     }
+}
+
+/// The option `arg` names: `--name`, or the single-dash `-name` the SCION
+/// tools use (`-c`, `-m`, `-cs`); `-5` is a number, not an option.
+fn option_name(arg: &str) -> Option<&str> {
+    arg.strip_prefix("--").or_else(|| {
+        arg.strip_prefix('-')
+            .filter(|r| r.chars().next().is_some_and(|c| !c.is_ascii_digit()))
+    })
 }
 
 /// Declarative option table for one command.
@@ -125,11 +134,7 @@ impl Spec {
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let arg = arg.as_ref();
-            if let Some(name) = arg.strip_prefix("--").or_else(|| {
-                // Accept single-dash spellings the SCION tools use (-c, -m, -cs...).
-                arg.strip_prefix('-')
-                    .filter(|r| !r.is_empty() && !r.chars().next().unwrap().is_ascii_digit())
-            }) {
+            if let Some(name) = option_name(arg) {
                 match self.entry(name) {
                     Some((option, Arity::Flag)) => out.flags.push(option.to_string()),
                     Some((option, Arity::Value)) => {
@@ -137,12 +142,11 @@ impl Spec {
                             .next()
                             .ok_or_else(|| format!("--{name} expects a value"))?;
                         let v = v.as_ref();
-                        // `--workers --parallel` should complain about the missing
-                        // value, not record "--parallel" as the worker count.
-                        if let Some(next_name) = v.strip_prefix("--") {
-                            if self.entry(next_name).is_some() {
-                                return Err(format!("--{name} expects a value"));
-                            }
+                        // `--workers --parallel` (or `-parallel`) should complain
+                        // about the missing value, not record "--parallel" as
+                        // the worker count.
+                        if option_name(v).is_some_and(|next| self.entry(next).is_some()) {
+                            return Err(format!("--{name} expects a value"));
                         }
                         out.options
                             .entry(option.to_string())
@@ -210,6 +214,8 @@ mod tests {
     #[test]
     fn option_token_is_not_a_value() {
         assert!(spec().parse(["x", "-m", "--extended"]).is_err());
+        // The single-dash spelling of a known option is no value either.
+        assert!(spec().parse(["x", "-m", "-extended"]).is_err());
         // A value that merely starts with dashes but is not a known option
         // still parses (free-form strings are legal values).
         let p = spec().parse(["x", "--exclude-country", "--weird"]).unwrap();

@@ -5,7 +5,7 @@ use std::fmt;
 
 /// Errors from unit parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnitError(pub String);
+pub(crate) struct UnitError(pub(crate) String);
 
 impl fmt::Display for UnitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -17,7 +17,7 @@ impl std::error::Error for UnitError {}
 
 /// Parse a duration like `0.1s`, `100ms`, `2m` into milliseconds.
 /// A bare number is interpreted as seconds, matching the Go tools.
-pub fn parse_duration_ms(s: &str) -> Result<f64, UnitError> {
+pub(crate) fn parse_duration_ms(s: &str) -> Result<f64, UnitError> {
     let s = s.trim();
     let (num, factor) = if let Some(v) = s.strip_suffix("ms") {
         (v, 1.0)
@@ -37,7 +37,7 @@ pub fn parse_duration_ms(s: &str) -> Result<f64, UnitError> {
 
 /// Parse a bandwidth like `12Mbps`, `1500kbps`, `1Gbps`, or a bare
 /// bits-per-second count, into Mbps.
-pub fn parse_bandwidth_mbps(s: &str) -> Result<f64, UnitError> {
+pub(crate) fn parse_bandwidth_mbps(s: &str) -> Result<f64, UnitError> {
     let t = s.trim();
     let lower = t.to_ascii_lowercase();
     let (num, factor) = if let Some(v) = lower.strip_suffix("gbps") {
@@ -59,7 +59,7 @@ pub fn parse_bandwidth_mbps(s: &str) -> Result<f64, UnitError> {
 }
 
 /// Render a bandwidth in the `NMbps` form the tools print.
-pub fn format_bandwidth_mbps(mbps: f64) -> String {
+pub(crate) fn format_bandwidth_mbps(mbps: f64) -> String {
     if mbps >= 1000.0 {
         format!("{:.2}Gbps", mbps / 1000.0)
     } else if mbps >= 1.0 {
@@ -99,5 +99,31 @@ mod tests {
         assert_eq!(format_bandwidth_mbps(12.0), "12.00Mbps");
         assert_eq!(format_bandwidth_mbps(1500.0), "1.50Gbps");
         assert_eq!(format_bandwidth_mbps(0.5), "500kbps");
+    }
+}
+
+#[cfg(test)]
+mod props {
+    //! Unit parsing and rendering round-trips.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+    #[test]
+    fn bandwidth_format_parse_roundtrip(mbps in 0.001..5000.0f64) {
+        let s = format_bandwidth_mbps(mbps);
+        let back = parse_bandwidth_mbps(&s).unwrap();
+        // Rendering rounds to 2 decimals (or whole kbps).
+        prop_assert!((back - mbps).abs() / mbps < 0.02, "{mbps} -> {s} -> {back}");
+    }
+
+    #[test]
+    fn duration_parse_units_consistent(ms in 1u32..1_000_000) {
+        let from_ms = parse_duration_ms(&format!("{}ms", ms)).unwrap();
+        prop_assert_eq!(from_ms, ms as f64);
+        let from_s = parse_duration_ms(&format!("{}s", ms as f64 / 1000.0)).unwrap();
+        prop_assert!((from_s - ms as f64).abs() < 1e-6);
+    }
     }
 }

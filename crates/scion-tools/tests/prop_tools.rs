@@ -1,9 +1,7 @@
-//! Property-based tests of the tool layer: bwtester parameter algebra
-//! and unit parsing.
+//! Property-based tests of the tool layer: bwtester parameter algebra.
 
 use proptest::prelude::*;
 use scion_tools::bwtester::BwParams;
-use scion_tools::units::{format_bandwidth_mbps, parse_bandwidth_mbps, parse_duration_ms};
 
 proptest! {
     /// The `?` wildcard solves the bandwidth identity: for any
@@ -61,21 +59,5 @@ proptest! {
         let tiny = BwParams::parse(&format!("3,{},?,10Mbps", size));
         prop_assert!(long.is_err(), "duration over the cap must fail");
         prop_assert!(tiny.is_err(), "packet size under the floor must fail");
-    }
-
-    #[test]
-    fn bandwidth_format_parse_roundtrip(mbps in 0.001..5000.0f64) {
-        let s = format_bandwidth_mbps(mbps);
-        let back = parse_bandwidth_mbps(&s).unwrap();
-        // Rendering rounds to 2 decimals (or whole kbps).
-        prop_assert!((back - mbps).abs() / mbps < 0.02, "{mbps} -> {s} -> {back}");
-    }
-
-    #[test]
-    fn duration_parse_units_consistent(ms in 1u32..1_000_000) {
-        let from_ms = parse_duration_ms(&format!("{}ms", ms)).unwrap();
-        prop_assert_eq!(from_ms, ms as f64);
-        let from_s = parse_duration_ms(&format!("{}s", ms as f64 / 1000.0)).unwrap();
-        prop_assert!((from_s - ms as f64).abs() < 1e-6);
     }
 }

@@ -10,7 +10,7 @@
 //! Every number a measured cell of EXPERIMENTS §Fig. 4–9 states is in
 //! that figure's pinned `results/` file, and its ⚠️ rows are the
 //! expected failures `results_pin` holds the figures' claims to. New
-//! CHANGES entries stay short.
+//! CHANGES entries stay short. README's usage block is `upin help`.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -276,6 +276,26 @@ fn experiments_marks_exactly_the_expected_failures() {
     assert!(
         wrong.is_empty(),
         "EXPERIMENTS' ⚠️ rows and EXPECTED_FAILURES disagree: {wrong:#?}"
+    );
+}
+
+/// README's ```` ```text ```` block that opens like the usage text is
+/// the usage text `upin help` prints, so a deleted row or option cannot
+/// linger there.
+#[test]
+fn readme_usage_block_is_the_command_table() {
+    let usage = upin_cli::run(&["help".to_string()]).unwrap();
+    let head = usage.lines().next().unwrap();
+    let readme = read("README.md");
+    let blocks = readme.split("```text\n").skip(1);
+    let shown: Vec<&str> = blocks
+        .filter(|b| b.starts_with(head))
+        .map(|b| b.split("```").next().unwrap())
+        .collect();
+    assert_eq!(
+        shown,
+        [usage.as_str()],
+        "README's usage block is not `upin help`"
     );
 }
 

@@ -10,8 +10,19 @@ use upin::scion_sim::topology::scionlab::{paper_destinations, AWS_OHIO};
 use upin::upin_core::analysis::server_id_of;
 use upin::upin_core::collect::{collect_paths, register_available_servers};
 use upin::upin_core::health::{detect, Anomaly, HealthConfig};
-use upin::upin_core::longitudinal::run_rounds;
+use upin::upin_core::measure::run_tests;
 use upin::upin_core::SuiteConfig;
+
+/// `n` measurement rounds, one every two minutes of the network clock.
+fn run_rounds(db: &Database, net: &ScionNetwork, campaign: &SuiteConfig, n: u32) {
+    for _ in 0..n {
+        let next = net.now_ms() + 120_000.0;
+        run_tests(db, net, campaign).unwrap();
+        if net.now_ms() < next {
+            net.advance_ms(next - net.now_ms());
+        }
+    }
+}
 
 #[test]
 fn scheduled_rounds_plus_health_detection() {
@@ -36,7 +47,7 @@ fn scheduled_rounds_plus_health_detection() {
     }
 
     // Six clean rounds build the baseline.
-    run_rounds(&db, &net, &campaign, 120_000.0, 6).unwrap();
+    run_rounds(&db, &net, &campaign, 6);
     let cfg = HealthConfig {
         recent_window: 2,
         min_baseline: 4,
@@ -55,7 +66,7 @@ fn scheduled_rounds_plus_health_detection() {
         end_ms: net.now_ms() + 10_000_000.0,
         severity: 1.0,
     });
-    run_rounds(&db, &net, &campaign, 120_000.0, 2).unwrap();
+    run_rounds(&db, &net, &campaign, 2);
 
     let findings = detect(&db, server_id, &cfg).unwrap();
     assert!(!findings.is_empty(), "the blackout must be flagged");

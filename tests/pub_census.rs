@@ -1,9 +1,11 @@
 //! A crate's `pub` items are the ones something outside its library
-//! names: another crate, its own `tests/` and bin targets, the facade,
-//! the root `tests/` and `examples/`, the end-to-end benchmark — or
-//! that such an item's own declaration names (the
-//! return type of a `pub fn` a caller uses without spelling it, the
-//! type of a field). Anything else is `pub(crate)`, where the
+//! names: another crate, its bin targets, the facade, `examples/`, the
+//! end-to-end benchmark — or that such an item's own declaration names
+//! (the return type of a `pub fn` a caller uses without spelling it,
+//! the type of a field). A test is no user: an item only tests name is
+//! `pub(crate)` (its test lives in the crate), gone (nothing runs it),
+//! or an oracle, fault hook or fixture listed in `TEST_HOOKS` with the
+//! test that needs it. Anything else is `pub(crate)`, where the
 //! compiler's `dead_code` lint can see it. `unreachable_pub` cannot
 //! hold this line — every module here is `pub mod` — so this word
 //! census does. It is a ratchet, not a proof: a name that collides with
@@ -18,6 +20,39 @@ const ALLOW: [(&str, &str, &str); 1] = [(
     "PolicyParseError",
     "`<Acl as FromStr>::Err`: an impl names it, callers only `?` and print it",
 )];
+
+/// `(crate, item, the test outside the crate that needs it)`: oracles,
+/// fault hooks and fixtures that only tests call. An entry is stale once
+/// its test stops spelling the item or a non-test user appears.
+const TEST_HOOKS: [(&str, &str, &str); 13] = [
+    // Reference paths the oracles compare against.
+    ("pathdb", "scan_reference", FLOORS),
+    ("pathdb", "wal_health", "tests/crash_recovery.rs"),
+    ("scion-sim", "path_server", "tests/portability.rs"),
+    ("scion-sim", "shares_control_plane", FLOORS),
+    // Fault hooks.
+    (
+        "pathdb",
+        "inject_transient_errors",
+        "crates/pathdb/tests/prop_crash.rs",
+    ),
+    (
+        "pathdb",
+        "tear_to_sectors",
+        "crates/pathdb/tests/prop_crash.rs",
+    ),
+    // Fixtures: a hand-written older log, the floors' databases and
+    // endpoints, the claims `results_pin` expects to fail.
+    ("pathdb", "WalOp", "tests/crash_recovery.rs"),
+    ("pathdb", "encode_group", "tests/crash_recovery.rs"),
+    ("bench", "cross_isd_endpoints", FLOORS),
+    ("bench", "empty_db", FLOORS),
+    ("bench", "rollup_db", FLOORS),
+    ("bench", "stats_batch", FLOORS),
+    ("bench", "EXPECTED_FAILURES", "tests/results_pin.rs"),
+];
+
+const FLOORS: &str = "crates/bench/tests/floors.rs";
 
 const KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "const", "static", "type"];
 
@@ -83,13 +118,7 @@ fn every_pub_item_is_named_outside_its_crate() {
     // Every `.rs` file with the crate whose library it is part of (""
     // for what is no crate's library), and, per word, who spells it.
     let mut sources: Vec<(&str, PathBuf, String)> = Vec::new();
-    for dir in [
-        "src",
-        "tests",
-        "examples",
-        "benchmark/src",
-        "benchmark/tests",
-    ] {
+    for dir in ["src", "examples", "benchmark/src"] {
         sources.extend(read_all("", &root.join(dir)));
     }
     for name in &crates {
@@ -99,9 +128,8 @@ fn every_pub_item_is_named_outside_its_crate() {
             let bin_target = rel.starts_with("bin") || rel == Path::new("main.rs");
             sources.push((if bin_target { "" } else { name }, file, text));
         }
-        sources.extend(read_all("", &dir.join("tests")));
     }
-    // ALLOW spells its names here; that is no use of them.
+    // ALLOW and TEST_HOOKS spell their names here; that is no use of them.
     sources.retain(|(_, file, _)| !file.ends_with(file!()));
     let mut spelled_in: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (owner, _, text) in &sources {
@@ -112,7 +140,6 @@ fn every_pub_item_is_named_outside_its_crate() {
 
     // Per crate: each `pub` item above the first `#[cfg(test)]` with
     // where it is and the words of its declaration.
-    type Item<'a> = (&'a Path, &'a str, Vec<&'a str>);
     let mut items: BTreeMap<&str, BTreeMap<&str, Vec<Item>>> = BTreeMap::new();
     for (owner, file, text) in sources.iter().filter(|(owner, ..)| !owner.is_empty()) {
         let api = text.split("#[cfg(test)]").next().unwrap();
@@ -134,18 +161,22 @@ fn every_pub_item_is_named_outside_its_crate() {
 
     let mut orphans = Vec::new();
     let mut allowed = BTreeSet::new();
+    let mut stale_hooks = Vec::new();
     for (owner, items) in &items {
         let outside = |name: &str| spelled_in[name].iter().any(|other| other != owner);
-        let mut used: Vec<&str> = items.keys().copied().filter(|n| outside(n)).collect();
-        let mut seen: BTreeSet<&str> = used.iter().copied().collect();
-        while let Some(name) = used.pop() {
-            let named = items[name].iter().flat_map(|(_, _, words)| words);
-            for word in named.filter(|w| items.contains_key(*w)) {
-                if seen.insert(word) {
-                    used.push(word);
-                }
+        let used: Vec<&str> = items.keys().copied().filter(|n| outside(n)).collect();
+        let by_users = reach(items, used.clone());
+        let hooks: Vec<&str> = TEST_HOOKS
+            .iter()
+            .filter(|(c, ..)| c == owner)
+            .map(|&(_, item, _)| item)
+            .collect();
+        for hook in &hooks {
+            if !items.contains_key(hook) || by_users.contains(hook) {
+                stale_hooks.push(format!("{owner}::{hook}"));
             }
         }
+        let seen = reach(items, used.into_iter().chain(hooks).collect());
         for (name, places) in items.iter().filter(|(n, _)| !seen.contains(*n)) {
             if ALLOW.iter().any(|(c, n, _)| c == owner && n == name) {
                 allowed.insert((*owner, *name));
@@ -158,10 +189,22 @@ fn every_pub_item_is_named_outside_its_crate() {
     }
     assert!(
         orphans.is_empty(),
-        "{} `pub` items that nothing outside their crate's library names — demote to \
-         pub(crate) or add it to ALLOW with a reason: {orphans:#?}",
+        "{} `pub` items that nothing outside their crate's library names but tests — demote \
+         to pub(crate), delete, or list an oracle, fault hook or fixture in TEST_HOOKS: \
+         {orphans:#?}",
         orphans.len()
     );
+    assert!(
+        stale_hooks.is_empty(),
+        "in TEST_HOOKS but no `pub` item, or named by non-test code: {stale_hooks:?}"
+    );
+    for (krate, name, test) in TEST_HOOKS {
+        let text = std::fs::read_to_string(root.join(test)).unwrap_or_default();
+        assert!(
+            words(&text).any(|w| w == name),
+            "TEST_HOOKS: {test} no longer spells {krate}::{name}"
+        );
+    }
     assert!(ALLOW.len() <= 10, "ALLOW is for exceptions");
     for (krate, name, reason) in ALLOW {
         assert!(!reason.is_empty(), "{krate}::{name} needs a reason");
@@ -170,6 +213,25 @@ fn every_pub_item_is_named_outside_its_crate() {
             "{krate}::{name} is in ALLOW but no longer needs to be"
         );
     }
+}
+
+/// Where a `pub` item is declared, its kind and the words of its
+/// declaration.
+type Item<'a> = (&'a Path, &'a str, Vec<&'a str>);
+
+/// Everything reachable from `roots` through the declarations' words.
+fn reach<'a>(items: &BTreeMap<&'a str, Vec<Item<'a>>>, roots: Vec<&'a str>) -> BTreeSet<&'a str> {
+    let mut seen: BTreeSet<&str> = roots.iter().copied().collect();
+    let mut used = roots;
+    while let Some(name) = used.pop() {
+        let named = items[name].iter().flat_map(|(_, _, words)| words);
+        for word in named.filter(|w| items.contains_key(*w)) {
+            if seen.insert(word) {
+                used.push(word);
+            }
+        }
+    }
+    seen
 }
 
 fn read_all<'a>(owner: &'a str, dir: &Path) -> Vec<(&'a str, PathBuf, String)> {
