@@ -22,7 +22,10 @@
 use crate::error::{SelectionFailure, SuiteError};
 use crate::multi::Weights;
 use crate::schema;
-use crate::select::{Constraints, Objective, PathAggregate, SharedAggregate, UserRequest};
+use crate::select::{
+    select, Constraints, Objective, Order, PathAggregate, Recommendation, SharedAggregate,
+    UserRequest,
+};
 use crate::strategy::StrategyContext;
 use pathdb::{Collection, Database, Filter};
 use scion_sim::addr::{IsdAsn, ScionAddr};
@@ -131,23 +134,11 @@ pub enum RecommendMode {
     Pareto,
 }
 
-/// One entry of a ranking or Pareto menu.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RankedEntry {
-    pub rank: usize,
-    /// The ranking score; `None` for Pareto entries (no total order).
-    #[serde(default)]
-    pub score: Option<f64>,
-    /// The statcache's own aggregate, by reference: its JSON is encoded
-    /// once per statcache version, not once per answer.
-    pub aggregate: SharedAggregate,
-}
-
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecommendResponse {
     pub server_id: u32,
     pub mode: RecommendMode,
-    pub entries: Vec<RankedEntry>,
+    pub entries: Vec<Recommendation>,
 }
 
 /// One listed path, flattened for transport.
@@ -188,7 +179,7 @@ pub struct ConstraintReport {
 pub struct StrategyScoreResponse {
     pub server_id: u32,
     pub strategy: String,
-    pub entries: Vec<RankedEntry>,
+    pub entries: Vec<Recommendation>,
 }
 
 /// Shape of one collection as seen by the service's pinned snapshot.
@@ -512,75 +503,38 @@ impl PathIntelService {
     }
 
     fn recommend(&self, req: &RecommendRequest) -> Result<RecommendResponse, ServiceError> {
-        if let Some(w) = &req.weights {
-            w.validate()
-                .map_err(|m| ServiceError::new(ErrorCode::InvalidRequest, m))?;
-        }
-        let server_id = self.resolve_destination(&req.destination)?;
-        let suite = |e: SuiteError| ServiceError::from_suite(&e);
-        if req.pareto || req.weights.is_some() {
-            let candidates = crate::select::aggregate_paths(&self.db, server_id, &req.constraints)
-                .map_err(suite)?;
-            if let Some(w) = &req.weights {
-                let entries: Vec<RankedEntry> = crate::multi::weighted_rank(&candidates, w)
-                    .into_iter()
-                    .take(req.k)
-                    .enumerate()
-                    .map(|(i, (score, a))| RankedEntry {
-                        rank: i + 1,
-                        score: Some(score),
-                        aggregate: a.clone(),
-                    })
-                    .collect();
-                if entries.is_empty() {
-                    return Err(ServiceError::new(
-                        ErrorCode::NoCompleteStatistics,
-                        "no candidates with complete statistics",
-                    ));
-                }
-                return Ok(RecommendResponse {
-                    server_id,
-                    mode: RecommendMode::Weighted,
-                    entries,
-                });
+        let (mode, order) = match req.weights {
+            Some(w) => {
+                w.validate()
+                    .map_err(|m| ServiceError::new(ErrorCode::InvalidRequest, m))?;
+                (RecommendMode::Weighted, Order::Weighted(w))
             }
-            let criteria = [
-                Objective::MinLatency,
-                Objective::MinLoss,
-                Objective::MaxBandwidthDown,
-            ];
-            let entries = crate::multi::pareto_front(&candidates, &criteria)
-                .into_iter()
-                .enumerate()
-                .map(|(i, a)| RankedEntry {
-                    rank: i + 1,
-                    score: None,
-                    aggregate: a.clone(),
-                })
-                .collect();
-            return Ok(RecommendResponse {
-                server_id,
-                mode: RecommendMode::Pareto,
-                entries,
-            });
-        }
+            None if req.pareto => (RecommendMode::Pareto, Order::Pareto),
+            None => (RecommendMode::Ranked, Order::Gated),
+        };
+        let server_id = self.resolve_destination(&req.destination)?;
         let request = UserRequest {
             server_id,
             objective: req.objective,
             constraints: req.constraints.clone(),
         };
-        let recs = crate::select::recommend(&self.db, &request, req.k).map_err(suite)?;
+        let ctx = StrategyContext {
+            db: &self.db,
+            seed: self.seed,
+        };
+        let entries = select(&ctx, &request, req.k, order).map_err(|e| match e {
+            // A weighted ranking has no gates: whatever emptied it, no
+            // candidate carries every weighted statistic.
+            SuiteError::Selection(_) if mode == RecommendMode::Weighted => ServiceError::new(
+                ErrorCode::NoCompleteStatistics,
+                "no candidates with complete statistics",
+            ),
+            e => ServiceError::from_suite(&e),
+        })?;
         Ok(RecommendResponse {
             server_id,
-            mode: RecommendMode::Ranked,
-            entries: recs
-                .into_iter()
-                .map(|r| RankedEntry {
-                    rank: r.rank,
-                    score: Some(r.score),
-                    aggregate: r.aggregate,
-                })
-                .collect(),
+            mode,
+            entries,
         })
     }
 
@@ -641,14 +595,9 @@ impl PathIntelService {
             crate::select::aggregate_paths_at(&self.db, pins, server_id, &req.constraints)
                 .map_err(|e| ServiceError::from_suite(&e))?;
         let matched = candidates.len();
-        let min_samples = req.constraints.min_samples.max(1);
         let gated: Vec<&SharedAggregate> = candidates
             .iter()
-            .filter(|a| a.samples >= min_samples)
-            .filter(|a| match req.constraints.max_loss_pct {
-                Some(max) => a.mean_loss_pct.is_some_and(|l| l <= max),
-                None => true,
-            })
+            .filter(|a| req.constraints.admits(a))
             .collect();
         let scorable = gated
             .iter()
@@ -686,20 +635,13 @@ impl PathIntelService {
             objective: req.objective,
             constraints: req.constraints.clone(),
         };
-        let recs = strategy
+        let entries = strategy
             .rank(&ctx, &request, req.k)
             .map_err(|e| ServiceError::from_suite(&e))?;
         Ok(StrategyScoreResponse {
             server_id,
             strategy: req.strategy.clone(),
-            entries: recs
-                .into_iter()
-                .map(|r| RankedEntry {
-                    rank: r.rank,
-                    score: Some(r.score),
-                    aggregate: r.aggregate,
-                })
-                .collect(),
+            entries,
         })
     }
 
@@ -1131,6 +1073,160 @@ mod tests {
             assert_eq!((pinned.stored, pinned.matched), (2, 2), "{req:?}");
             let live = svc.evaluate_constraint(&req).unwrap();
             assert_eq!((live.stored, live.matched), (3, 3), "{req:?}");
+        }
+    }
+
+    /// Destination 1 with two paths on the Pareto front: path 0 is
+    /// faster, path 1 loses less.
+    fn two_tradeoffs(svc: &PathIntelService) {
+        use crate::schema::{PathId, PathMeasurement, StatId};
+        for (index, latency, loss) in [(0u32, 20.0, 2.0), (1, 40.0, 0.0)] {
+            let path = pathdb::doc! {
+                "_id" => format!("1_{index}"),
+                "server_id" => 1i64,
+                "path_index" => index as i64,
+                "sequence" => format!("seq-{index}"),
+                "hops" => 5i64,
+            };
+            svc.db
+                .collection(schema::PATHS)
+                .write()
+                .insert_one(path)
+                .unwrap();
+            let m = PathMeasurement {
+                stat_id: StatId {
+                    path: PathId {
+                        server_id: 1,
+                        path_index: index,
+                    },
+                    timestamp_ms: 1000,
+                },
+                isds: vec![17],
+                hops: 5,
+                avg_latency_ms: Some(latency),
+                jitter_ms: Some(1.0),
+                loss_pct: loss,
+                bw_up_mtu: Some(10.0),
+                bw_down_mtu: Some(10.0),
+                bw_up_64: None,
+                bw_down_64: None,
+                target_mbps: 12.0,
+                error: None,
+            };
+            let handle = svc.db.collection(schema::PATHS_STATS);
+            handle.write().insert_one(m.to_doc()).unwrap();
+        }
+    }
+
+    /// `k = 0` answers `InvalidRequest` however the ranking is spelled
+    /// (a weighted one used to answer `NoCompleteStatistics`, a Pareto
+    /// one the whole menu); for `k >= 1` the Pareto menu stays whole.
+    #[test]
+    fn k_zero_is_invalid_in_every_ranking_spelling() {
+        let svc = service();
+        two_tradeoffs(&svc);
+        let recommend = |k, pareto, weights| {
+            ServiceRequest::Recommend(RecommendRequest {
+                destination: "1".into(),
+                objective: Objective::default(),
+                constraints: Constraints::default(),
+                k,
+                pareto,
+                weights,
+            })
+        };
+        let weights = Some(Weights {
+            latency: 1.0,
+            ..Weights::default()
+        });
+        // Every registry row's `k = 0` is `strategy::tests`' to check.
+        let spellings = [
+            recommend(0, false, None),
+            recommend(0, false, weights),
+            recommend(0, true, None),
+            ServiceRequest::StrategyScore(StrategyScoreRequest {
+                destination: "1".into(),
+                strategy: "random".into(),
+                objective: Objective::default(),
+                constraints: Constraints::default(),
+                k: 0,
+                seed: 3,
+            }),
+        ];
+        for req in &spellings {
+            let err = svc.try_dispatch(req).unwrap_err();
+            assert_eq!(err.code, ErrorCode::InvalidRequest, "{req:?}: {err:?}");
+        }
+        for req in [recommend(1, false, None), recommend(1, false, weights)] {
+            let ServiceResponse::Recommend(r) = svc.dispatch(&req) else {
+                panic!("{req:?} must rank");
+            };
+            assert_eq!(r.entries.len(), 1, "{req:?}");
+        }
+        let ServiceResponse::Recommend(menu) = svc.dispatch(&recommend(1, true, None)) else {
+            panic!("the Pareto menu must answer");
+        };
+        assert_eq!(menu.entries.len(), 2, "the menu is not cut to k");
+        assert!(menu.entries.iter().all(|e| e.score.is_none()));
+    }
+
+    mod props {
+        use super::*;
+        use crate::select::props::{arb_db, arb_request, populate};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// `ConstraintReport`'s promise, over generated statistics
+            /// and constraints: `scorable == 0` predicts the failure a
+            /// ranked recommend answers, with the funnel's own counts,
+            /// and otherwise it returns `min(k, scorable)` entries.
+            #[test]
+            fn the_funnel_predicts_the_ranking(
+                dests in arb_db(),
+                (server_id, objective, min_samples, max_loss_pct, max_hops) in arb_request(),
+                k in 1usize..6,
+            ) {
+                let svc = service();
+                populate(&svc.db, &dests);
+                let constraints = Constraints {
+                    min_samples,
+                    max_loss_pct,
+                    max_hops,
+                    ..Constraints::default()
+                };
+                let funnel = svc
+                    .evaluate_constraint(&EvaluateConstraintRequest {
+                        destination: server_id.to_string(),
+                        objective,
+                        constraints: constraints.clone(),
+                    })
+                    .unwrap();
+                let ranked = svc.recommend(&RecommendRequest {
+                    destination: server_id.to_string(),
+                    objective,
+                    constraints,
+                    k,
+                    pareto: false,
+                    weights: None,
+                });
+                if funnel.scorable == 0 {
+                    let err = ranked.unwrap_err();
+                    let (matched, gated) = (funnel.matched, funnel.gated);
+                    let want = if matched == 0 {
+                        (ErrorCode::NoMatch, None, None)
+                    } else if gated == 0 {
+                        (ErrorCode::AllGated, Some(matched), None)
+                    } else {
+                        (ErrorCode::AllUnscorable, Some(matched), Some(gated))
+                    };
+                    prop_assert_eq!((err.code, err.matched, err.gated), want);
+                } else {
+                    let entries = ranked.unwrap().entries;
+                    prop_assert_eq!(entries.len(), k.min(funnel.scorable));
+                }
+            }
         }
     }
 

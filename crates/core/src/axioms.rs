@@ -162,7 +162,7 @@ fn liveness_masks(
 /// liveness masks.
 fn eval_destination(
     db: &Database,
-    strategy: &dyn crate::strategy::SelectionStrategy,
+    strategy: &crate::strategy::Strategy,
     server_id: u32,
     masks: &[BTreeSet<String>],
     cfg: &EvalConfig,
@@ -299,7 +299,7 @@ pub fn evaluate_strategies(
     cfg: &EvalConfig,
 ) -> SuiteResult<Vec<Scorecard>> {
     let strategies: Vec<_> = registry()
-        .into_iter()
+        .iter()
         .filter(|s| cfg.only.as_deref().is_none_or(|n| n == s.name()))
         .collect();
     if strategies.is_empty() {
@@ -320,7 +320,7 @@ pub fn evaluate_strategies(
     for &(server_id, ia) in &dests {
         let masks = liveness_masks(net, local, ia, server_id, cfg);
         for (row, s) in rows.iter_mut().zip(&strategies) {
-            row.push(eval_destination(db, s.as_ref(), server_id, &masks, cfg)?);
+            row.push(eval_destination(db, s, server_id, &masks, cfg)?);
         }
     }
     let mut cards: Vec<Scorecard> = strategies

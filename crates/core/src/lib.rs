@@ -95,5 +95,5 @@ pub use failover::{run_chaos_campaign, ChaosReport, FailoverConfig};
 pub use longitudinal::{run_longitudinal, LongitudinalConfig, LongitudinalReport};
 pub use schema::{PathId, PathMeasurement, StatId};
 pub use select::{Constraints, Objective, Recommendation, UserRequest};
-pub use strategy::{SelectionStrategy, StrategyContext};
+pub use strategy::{Strategy, StrategyContext};
 pub use suite::{SuiteReport, TestSuite};

@@ -27,7 +27,7 @@ pub(crate) fn criterion_value(a: &PathAggregate, objective: Objective) -> Option
 /// `a` dominates `b` iff it is no worse on every criterion and strictly
 /// better on at least one. Paths missing any criterion are incomparable
 /// (and excluded from the front by [`pareto_front`]).
-pub fn dominates(a: &PathAggregate, b: &PathAggregate, criteria: &[Objective]) -> bool {
+pub(crate) fn dominates(a: &PathAggregate, b: &PathAggregate, criteria: &[Objective]) -> bool {
     let mut strictly_better = false;
     for &c in criteria {
         match (criterion_value(a, c), criterion_value(b, c)) {
@@ -45,6 +45,20 @@ pub fn dominates(a: &PathAggregate, b: &PathAggregate, criteria: &[Objective]) -
     strictly_better
 }
 
+/// The candidates that carry every one of `criteria`, in input order.
+fn complete<'a, A: Borrow<PathAggregate>>(
+    candidates: &'a [A],
+    criteria: &[Objective],
+) -> Vec<&'a A> {
+    candidates
+        .iter()
+        .filter(|a| {
+            let a = (*a).borrow();
+            criteria.iter().all(|&c| criterion_value(a, c).is_some())
+        })
+        .collect()
+}
+
 /// The Pareto-optimal subset of `candidates` under `criteria`, in the
 /// input order. Candidates missing any criterion are dropped. Takes
 /// plain or shared aggregates (`SharedAggregate`) alike.
@@ -52,13 +66,7 @@ pub fn pareto_front<'a, A: Borrow<PathAggregate>>(
     candidates: &'a [A],
     criteria: &[Objective],
 ) -> Vec<&'a A> {
-    let complete: Vec<&A> = candidates
-        .iter()
-        .filter(|a| {
-            let a = (*a).borrow();
-            criteria.iter().all(|&c| criterion_value(a, c).is_some())
-        })
-        .collect();
+    let complete = complete(candidates, criteria);
     complete
         .iter()
         .filter(|a| {
@@ -135,29 +143,18 @@ pub(crate) fn weighted_rank<'a, A: Borrow<PathAggregate>>(
     weights: &Weights,
 ) -> Vec<(f64, &'a A)> {
     let criteria = weights.active();
-    if criteria.is_empty() {
+    let complete = complete(candidates, &criteria);
+    if criteria.is_empty() || complete.is_empty() {
         return Vec::new();
     }
-    let complete: Vec<&A> = candidates
-        .iter()
-        .filter(|a| {
-            let a = (*a).borrow();
-            criteria.iter().all(|&c| criterion_value(a, c).is_some())
-        })
-        .collect();
-    if complete.is_empty() {
-        return Vec::new();
-    }
-    // Per-criterion min/max over the candidate set.
+    let value = |a: &A, c| criterion_value(a.borrow(), c).expect("complete");
+    // Per-criterion weight and min/max over the candidate set.
     let ranges: Vec<(Objective, f64, f64, f64)> = weights
         .entries()
-        .iter()
+        .into_iter()
         .filter(|(_, w)| *w > 0.0)
-        .map(|&(c, w)| {
-            let vals: Vec<f64> = complete
-                .iter()
-                .map(|a| criterion_value((*a).borrow(), c).expect("complete"))
-                .collect();
+        .map(|(c, w)| {
+            let vals: Vec<f64> = complete.iter().map(|a| value(a, c)).collect();
             let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
             let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             (c, w, min, max)
@@ -169,7 +166,7 @@ pub(crate) fn weighted_rank<'a, A: Borrow<PathAggregate>>(
         .map(|a| {
             let mut score = 0.0;
             for &(c, w, min, max) in &ranges {
-                let v = criterion_value(a.borrow(), c).expect("complete");
+                let v = value(a, c);
                 let norm = if max > min {
                     (v - min) / (max - min)
                 } else {

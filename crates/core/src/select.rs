@@ -10,8 +10,12 @@
 
 use crate::analysis::Whisker;
 use crate::error::{SelectionFailure, SuiteError, SuiteResult};
+use crate::multi::{criterion_value, pareto_front, weighted_rank, Weights};
 use crate::schema::{self, PathId, PathMeasurement};
+use crate::strategy::StrategyContext;
 use pathdb::{Collection, Database, Document, Filter};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 use upin_telemetry::Recorder;
@@ -104,6 +108,17 @@ impl Constraints {
             && self.exclude_operators.is_empty()
             && self.max_hops.is_none()
             && !self.require_alive
+    }
+
+    /// The statistics gates: enough samples (at least one, whatever
+    /// `min_samples` says) and, under `max_loss_pct`, a known loss within
+    /// it. Unknown loss cannot be shown to satisfy the gate: a path
+    /// without a usable loss figure is filtered, not trusted.
+    pub(crate) fn admits(&self, a: &PathAggregate) -> bool {
+        a.samples >= self.min_samples.max(1)
+            && self
+                .max_loss_pct
+                .is_none_or(|max| a.mean_loss_pct.is_some_and(|l| l <= max))
     }
 }
 
@@ -219,13 +234,17 @@ impl Deserialize for SharedAggregate {
     }
 }
 
-/// One ranked recommendation.
+/// One entry of a ranking or of a Pareto menu.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Recommendation {
     pub rank: usize,
-    /// The objective's scalar for this path (lower is better; bandwidth
-    /// objectives store the negated value so ordering is uniform).
-    pub score: f64,
+    /// The ordering's scalar for this path, lower is better (bandwidth
+    /// objectives store the negated value so ordering is uniform);
+    /// `None` for Pareto entries, which have no total order.
+    #[serde(default)]
+    pub score: Option<f64>,
+    /// The statcache's own aggregate, by reference: its JSON is encoded
+    /// once per statcache version, not once per answer.
     pub aggregate: SharedAggregate,
 }
 
@@ -342,74 +361,84 @@ pub(crate) fn aggregate_paths_at(
     Ok(out)
 }
 
-/// The entry every strategy shares: reject `k = 0` as an invalid
-/// request instead of silently returning an empty ranking, then
-/// aggregate the candidates that pass the metadata constraints.
-pub(crate) fn candidates_for(
-    db: &Database,
+/// How [`select`] orders the candidates that pass the metadata
+/// constraints. `strategy::registry` rows carry the first three; a
+/// recommend request's `weights` or `pareto` picks one of the last two.
+#[derive(Clone, Copy)]
+pub(crate) enum Order {
+    /// The paper's engine: the statistics gates ([`Constraints::admits`]),
+    /// then the request's objective.
+    Gated,
+    /// One scalar per path, lower first, no statistics gates.
+    Score(fn(&PathAggregate) -> Option<f64>),
+    /// A uniform shuffle seeded by the context's seed and the
+    /// destination; the score is the draw position.
+    Shuffle,
+    /// Weighted scalarization over several objectives.
+    Weighted(Weights),
+    /// The Pareto front over latency, loss and downstream bandwidth:
+    /// unscored, never truncated, and an empty front is an answer.
+    Pareto,
+}
+
+/// The objectives a Pareto menu trades off.
+const PARETO_CRITERIA: [Objective; 3] = [
+    Objective::MinLatency,
+    Objective::MinLoss,
+    Objective::MaxBandwidthDown,
+];
+
+/// The one ranking: reject `k = 0` as an invalid request, aggregate the
+/// candidates that pass the metadata constraints, order them, number
+/// the top `k`. Scored orders sort `(score, path_id)` into a total
+/// order. An empty ranking is classified into a [`SelectionFailure`],
+/// so "nothing matched", "everything gated" and "nothing scorable" stay
+/// distinguishable.
+pub(crate) fn select(
+    ctx: &StrategyContext<'_>,
     request: &UserRequest,
     k: usize,
-) -> SuiteResult<Vec<SharedAggregate>> {
+    order: Order,
+) -> SuiteResult<Vec<Recommendation>> {
     if k == 0 {
         return Err(SuiteError::InvalidRequest(
             "k must be >= 1 (an empty ranking answers no request)".into(),
         ));
     }
-    aggregate_paths(db, request.server_id, &request.constraints)
-}
-
-/// Answer a user request: the top-`k` paths under the objective, after
-/// applying constraints and statistics gates.
-///
-/// This is the paper's constraint-filtered objective ranking; the same
-/// pipeline is registered as the `paper` [`crate::strategy`], pinned
-/// byte-identical by `strategy`'s `paper_oracle` tests.
-pub fn recommend(
-    db: &Database,
-    request: &UserRequest,
-    k: usize,
-) -> SuiteResult<Vec<Recommendation>> {
-    let mut candidates = candidates_for(db, request, k)?;
+    let server_id = request.server_id;
+    let mut candidates = aggregate_paths(ctx.db, server_id, &request.constraints)?;
     let matched = candidates.len();
-    candidates.retain(|a| a.samples >= request.constraints.min_samples.max(1));
-    if let Some(max_loss) = request.constraints.max_loss_pct {
-        // Unknown loss cannot be shown to satisfy the gate: a path
-        // without a usable loss figure is filtered, not trusted.
-        candidates.retain(|a| a.mean_loss_pct.is_some_and(|l| l <= max_loss));
-    }
-    // Lower is always better (bandwidths are negated); shared with the
-    // multi-criteria engine so single- and multi-objective selection
-    // agree on what each objective means.
-    rank_scored(request.server_id, matched, candidates, k, |a| {
-        crate::multi::criterion_value(a, request.objective)
-    })
-}
-
-/// The one ranking tail: score the `candidates` that survived the
-/// caller's gates (of `matched` metadata matches), sort `(score,
-/// path_id)` into a total order, keep the top `k`. Empty outcomes are
-/// classified into [`SelectionFailure`] variants so "nothing matched",
-/// "everything gated" and "nothing scorable" stay distinguishable.
-pub(crate) fn rank_scored(
-    server_id: u32,
-    matched: usize,
-    candidates: Vec<SharedAggregate>,
-    k: usize,
-    score: impl Fn(&PathAggregate) -> Option<f64>,
-) -> SuiteResult<Vec<Recommendation>> {
-    let gated = candidates.len();
-    let mut scored: Vec<(f64, SharedAggregate)> = candidates
-        .into_iter()
-        .filter_map(|a| score(&a).map(|s| (s, a)))
-        .collect();
-    // total_cmp keeps the sort total even for a non-finite score (the
-    // aggregates exclude non-finite samples, so in practice scores are
-    // finite; this is belt and braces, not NaN handling).
-    scored.sort_by(|x, y| {
-        x.0.total_cmp(&y.0)
-            .then_with(|| x.1.path_id.cmp(&y.1.path_id))
-    });
-    if scored.is_empty() {
+    let ranked: Vec<(f64, &SharedAggregate)> = match order {
+        Order::Gated => {
+            candidates.retain(|a| request.constraints.admits(a));
+            by_score(&candidates, |a| criterion_value(a, request.objective))
+        }
+        Order::Score(score) => by_score(&candidates, score),
+        Order::Shuffle => {
+            // Canonical order first so the shuffle depends only on the
+            // seed and the candidate set, not on storage order.
+            candidates.sort_by_key(|a| a.path_id);
+            let mut rng = StdRng::seed_from_u64(
+                ctx.seed ^ (server_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            // Fisher–Yates.
+            for i in (1..candidates.len()).rev() {
+                candidates.swap(i, rng.gen_range(0..=i));
+            }
+            candidates
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (i as f64, a))
+                .collect()
+        }
+        Order::Weighted(weights) => weighted_rank(&candidates, &weights),
+        Order::Pareto => {
+            let front = pareto_front(&candidates, &PARETO_CRITERIA);
+            return Ok(numbered(front.into_iter().map(|a| (None, a)), usize::MAX));
+        }
+    };
+    if ranked.is_empty() {
+        let gated = candidates.len();
         return Err(SuiteError::Selection(if matched == 0 {
             SelectionFailure::NoMatch { server_id }
         } else if gated == 0 {
@@ -422,16 +451,56 @@ pub(crate) fn rank_scored(
             }
         }));
     }
-    Ok(scored
-        .into_iter()
+    Ok(numbered(ranked.into_iter().map(|(s, a)| (Some(s), a)), k))
+}
+
+/// The candidates `score` rates, best first; ties break on `path_id`.
+fn by_score(
+    candidates: &[SharedAggregate],
+    score: impl Fn(&PathAggregate) -> Option<f64>,
+) -> Vec<(f64, &SharedAggregate)> {
+    let mut scored: Vec<(f64, &SharedAggregate)> = candidates
+        .iter()
+        .filter_map(|a| score(a).map(|s| (s, a)))
+        .collect();
+    // total_cmp keeps the sort total even for a non-finite score (the
+    // aggregates exclude non-finite samples, so in practice scores are
+    // finite; this is belt and braces, not NaN handling).
+    scored.sort_by(|x, y| {
+        x.0.total_cmp(&y.0)
+            .then_with(|| x.1.path_id.cmp(&y.1.path_id))
+    });
+    scored
+}
+
+/// The first `k` entries, ranked from 1.
+fn numbered<'a>(
+    ranked: impl Iterator<Item = (Option<f64>, &'a SharedAggregate)>,
+    k: usize,
+) -> Vec<Recommendation> {
+    ranked
         .take(k)
         .enumerate()
         .map(|(i, (score, aggregate))| Recommendation {
             rank: i + 1,
             score,
-            aggregate,
+            aggregate: aggregate.clone(),
         })
-        .collect())
+        .collect()
+}
+
+/// Answer a user request: the top-`k` paths under the objective, after
+/// applying constraints and statistics gates.
+///
+/// This is the paper's constraint-filtered objective ranking, the
+/// `paper` row of [`crate::strategy::registry`]; `strategy`'s
+/// `paper_oracle` tests pin it against a naive reimplementation.
+pub fn recommend(
+    db: &Database,
+    request: &UserRequest,
+    k: usize,
+) -> SuiteResult<Vec<Recommendation>> {
+    select(&StrategyContext { db, seed: 0 }, request, k, Order::Gated)
 }
 
 #[cfg(test)]
@@ -553,7 +622,8 @@ mod tests {
             },
         };
         let jrecs = recommend(&db, &jitter_req, 1).unwrap();
-        assert!(jrecs[0].score < 3.0, "clean path jitter {}", jrecs[0].score);
+        let jitter = jrecs[0].score.expect("a ranked entry carries its score");
+        assert!(jitter < 3.0, "clean path jitter {jitter}");
 
         // 4. Bandwidth objective ranks by downstream mean, descending.
         let bw_req = UserRequest {
@@ -719,7 +789,7 @@ mod tests {
                 "clean data must decide under {objective:?} poisoned with {poison}"
             );
             assert!(
-                recs.iter().all(|r| r.score.is_finite()),
+                recs.iter().all(|r| r.score.is_some_and(f64::is_finite)),
                 "{objective:?}/{poison}: scores stay finite"
             );
         }
@@ -896,18 +966,175 @@ mod tests {
 }
 
 #[cfg(test)]
-mod props {
+pub(crate) mod props {
     //! Property-based tests of the UPIN core: id codecs, measurement
     //! round-trips, whisker invariants, Pareto and weighted ranking, and
-    //! constraint-filter agreement.
+    //! constraint-filter agreement; and the generators of randomized
+    //! measurement databases the ranking oracles draw from.
 
     use super::tests::doc_violates;
     use super::{Constraints, Objective, PathAggregate};
     use crate::analysis::{quantile, Whisker};
     use crate::multi::{dominates, pareto_front, weighted_rank, Weights};
-    use crate::schema::{PathId, PathMeasurement, StatId};
-    use pathdb::doc;
+    use crate::schema::{PathId, PathMeasurement, StatId, PATHS, PATHS_STATS};
+    use pathdb::{doc, Database, Document, Value};
     use proptest::prelude::*;
+
+    // ---- randomized databases and requests ----------------------------------
+    // (shared with `strategy::paper_oracle` and the api funnel property)
+
+    /// A sample value that is usually clean but sometimes hostile.
+    fn arb_sample() -> impl Strategy<Value = f64> {
+        // Mostly clean values, occasionally hostile non-finite ones (the
+        // vendored proptest has no weighted prop_oneof; an index draw over
+        // a 10-slot table approximates 8:1:1).
+        (0u8..10, 0.1f64..400.0).prop_map(|(pick, clean)| match pick {
+            8 => f64::NAN,
+            9 => {
+                if clean > 200.0 {
+                    f64::INFINITY
+                } else {
+                    f64::NEG_INFINITY
+                }
+            }
+            _ => clean,
+        })
+    }
+
+    #[derive(Debug, Clone)]
+    struct ArbMeasurement {
+        latency: Option<f64>,
+        jitter: Option<f64>,
+        loss: f64,
+        up: Option<f64>,
+        down: Option<f64>,
+    }
+
+    fn arb_measurement() -> impl Strategy<Value = ArbMeasurement> {
+        (
+            (
+                prop::option::of(arb_sample()),
+                prop::option::of(arb_sample()),
+            ),
+            (
+                arb_sample(),
+                prop::option::of(arb_sample()),
+                prop::option::of(arb_sample()),
+            ),
+        )
+            .prop_map(|((latency, jitter), (loss, up, down))| ArbMeasurement {
+                latency,
+                jitter,
+                loss,
+                up,
+                down,
+            })
+    }
+
+    #[derive(Debug, Clone)]
+    pub(crate) struct ArbPath {
+        hops: usize,
+        isds: Vec<u16>,
+        measurements: Vec<ArbMeasurement>,
+    }
+
+    fn arb_path() -> impl Strategy<Value = ArbPath> {
+        (
+            2usize..9,
+            prop::collection::vec(16u16..20, 1..4),
+            prop::collection::vec(arb_measurement(), 0..4),
+        )
+            .prop_map(|(hops, isds, measurements)| ArbPath {
+                hops,
+                isds,
+                measurements,
+            })
+    }
+
+    pub(crate) fn arb_db() -> impl Strategy<Value = Vec<Vec<ArbPath>>> {
+        // 1..=3 destinations with 0..6 paths each.
+        prop::collection::vec(prop::collection::vec(arb_path(), 0..6), 1..4)
+    }
+
+    fn path_doc(server_id: u32, path_index: u32, p: &ArbPath) -> Document {
+        doc! {
+            "_id" => format!("{server_id}_{path_index}"),
+            "server_id" => server_id as i64,
+            "path_index" => path_index as i64,
+            "sequence" => format!("seq-{server_id}-{path_index}"),
+            "hops" => p.hops as i64,
+            "isds" => p.isds.iter().map(|i| Value::Int(*i as i64)).collect::<Vec<_>>(),
+            "status" => "alive",
+        }
+    }
+
+    pub(crate) fn populate(db: &Database, dests: &[Vec<ArbPath>]) {
+        for (di, paths) in dests.iter().enumerate() {
+            let server_id = di as u32 + 1;
+            for (pi, p) in paths.iter().enumerate() {
+                {
+                    let handle = db.collection(PATHS);
+                    handle
+                        .write()
+                        .insert_one(path_doc(server_id, pi as u32, p))
+                        .unwrap();
+                }
+                let handle = db.collection(PATHS_STATS);
+                let mut coll = handle.write();
+                for (mi, m) in p.measurements.iter().enumerate() {
+                    let pm = PathMeasurement {
+                        stat_id: StatId {
+                            path: PathId {
+                                server_id,
+                                path_index: pi as u32,
+                            },
+                            timestamp_ms: 1000 + mi as u64,
+                        },
+                        isds: p.isds.clone(),
+                        hops: p.hops,
+                        avg_latency_ms: m.latency,
+                        jitter_ms: m.jitter,
+                        loss_pct: m.loss,
+                        bw_up_mtu: m.up,
+                        bw_down_mtu: m.down,
+                        bw_up_64: None,
+                        bw_down_64: None,
+                        target_mbps: 12.0,
+                        error: None,
+                    };
+                    coll.insert_one(pm.to_doc()).unwrap();
+                }
+            }
+        }
+    }
+
+    fn arb_objective() -> impl Strategy<Value = Objective> {
+        prop_oneof![
+            Just(Objective::MinLatency),
+            Just(Objective::MinJitter),
+            Just(Objective::MinLoss),
+            Just(Objective::MaxBandwidthDown),
+            Just(Objective::MaxBandwidthUp),
+        ]
+    }
+
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn arb_request(
+    ) -> impl Strategy<Value = (u32, Objective, usize, Option<f64>, Option<usize>)> {
+        (
+            (1u32..5, arb_objective()), // destination sometimes nonexistent
+            (
+                0usize..4,
+                prop::option::of(0.0f64..40.0),
+                prop::option::of(2usize..8),
+            ),
+        )
+            .prop_map(
+                |((server_id, objective), (min_samples, max_loss, max_hops))| {
+                    (server_id, objective, min_samples, max_loss, max_hops)
+                },
+            )
+    }
 
     fn arb_aggregate(idx: u32) -> impl Strategy<Value = PathAggregate> {
         (5.0..400.0f64, 0.0..30.0f64, 1.0..100.0f64).prop_map(move |(lat, loss, bw)| {

@@ -3,19 +3,20 @@
 //! The paper's selection engine is one fixed ranking; the axiomatic
 //! literature (PAPERS.md: "An Axiomatic Analysis of Path Selection
 //! Strategies for Multipath Transport in Path-Aware Networks") judges
-//! *families* of strategies against each other. This module turns
-//! selection into a [`SelectionStrategy`] trait with a [`registry`] of
-//! baselines, so every workload — and the [`crate::axioms`] evaluation
-//! harness — composes with every strategy:
+//! *families* of strategies against each other. This module names such
+//! a family: [`registry`] is a table of [`Strategy`] rows, each a name
+//! plus how it orders candidates, and every row ranks through the one
+//! `select::select` function, so every workload — and the
+//! [`crate::axioms`] evaluation harness — composes with every strategy:
 //!
 //! * `paper` — the constraint-filtered objective ranking of
-//!   [`crate::select::recommend`], byte-identical to calling it
-//!   directly (pinned by the `paper_oracle` tests below).
+//!   [`crate::select::recommend`] (pinned by the `paper_oracle` tests
+//!   below).
 //! * `shortest-path` — fewest hops, the classic BGP-ish default.
 //! * `widest-path` — maximize the bottleneck bandwidth
 //!   `min(up, down)`.
 //! * `lowest-latency` / `lowest-jitter` / `lowest-loss` — single-statistic
-//!   greedy baselines.
+//!   greedy baselines (unknown loss is unscorable).
 //! * `random` — seeded uniform shuffle; the control every strategy must
 //!   beat.
 //! * `scion-default` — first-returned order of the path server
@@ -23,18 +24,14 @@
 //!   no path control at all.
 //!
 //! All strategies speak the same request language ([`UserRequest`]) and
-//! return the same [`Recommendation`] list; the non-`paper` baselines
-//! apply the metadata constraints (exclusions, hop bound, liveness) but
+//! return the same [`Recommendation`] list; the non-`paper` rows apply
+//! the metadata constraints (exclusions, hop bound, liveness) but
 //! deliberately skip the statistics gates — they model selectors that
 //! do not look at the measurement history the way the paper's does.
 
-use crate::error::{SelectionFailure, SuiteError, SuiteResult};
-use crate::select::{
-    candidates_for, rank_scored, recommend, PathAggregate, Recommendation, UserRequest,
-};
+use crate::error::SuiteResult;
+use crate::select::{select, Order, PathAggregate, Recommendation, UserRequest};
 use pathdb::Database;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Everything a strategy may draw on besides the request itself.
 pub struct StrategyContext<'a> {
@@ -45,193 +42,80 @@ pub struct StrategyContext<'a> {
     pub seed: u64,
 }
 
-/// A pluggable path-selection policy: given a user's request, produce a
-/// ranked list of recommendations (best first) or a classified
-/// [`SelectionFailure`].
-pub trait SelectionStrategy: Send + Sync {
-    /// Registry key, e.g. `"paper"` or `"widest-path"`.
-    fn name(&self) -> &'static str;
-    /// One-line description for `--help` and the scorecard.
-    fn description(&self) -> &'static str;
-    /// Rank the candidate paths for `request`, best first, at most `k`.
-    fn rank(
-        &self,
-        ctx: &StrategyContext<'_>,
-        request: &UserRequest,
-        k: usize,
-    ) -> SuiteResult<Vec<Recommendation>>;
-}
-
-/// The paper's constraint-filtered objective ranking — a thin wrapper
-/// over [`crate::select::recommend`], so it is the same code path, not
-/// a reimplementation that could drift.
-struct Paper;
-
-impl SelectionStrategy for Paper {
-    fn name(&self) -> &'static str {
-        "paper"
-    }
-    fn description(&self) -> &'static str {
-        "constraint-filtered objective ranking (the paper's selection engine)"
-    }
-    fn rank(
-        &self,
-        ctx: &StrategyContext<'_>,
-        request: &UserRequest,
-        k: usize,
-    ) -> SuiteResult<Vec<Recommendation>> {
-        recommend(ctx.db, request, k)
-    }
-}
-
-/// A single-statistic baseline: rank the metadata-matching candidates
-/// by one scalar (lower is better), with no statistics gates — a
-/// non-empty match that scores nothing means the statistic is missing.
-#[derive(Clone, Copy)]
-struct Baseline {
+/// One registered path-selection policy: a name and how it orders the
+/// candidates of a request.
+pub struct Strategy {
     name: &'static str,
-    description: &'static str,
-    score: fn(&PathAggregate) -> Option<f64>,
+    order: Order,
 }
 
-const BASELINES: [Baseline; 6] = [
-    Baseline {
-        name: "shortest-path",
-        description: "fewest hops, ignoring all measurements",
-        score: |a| Some(a.hops as f64),
-    },
-    Baseline {
-        name: "widest-path",
-        description: "maximize the bottleneck bandwidth min(up, down)",
-        score: |a| {
-            let up = a.bw_up_mtu.as_ref().map(|w| w.mean)?;
-            let down = a.bw_down_mtu.as_ref().map(|w| w.mean)?;
-            Some(-up.min(down))
-        },
-    },
-    Baseline {
-        name: "lowest-latency",
-        description: "lowest mean RTT",
-        score: |a| a.latency.as_ref().map(|w| w.mean),
-    },
-    Baseline {
-        name: "lowest-jitter",
-        description: "most consistent RTT (lowest mean jitter)",
-        score: |a| a.jitter_ms,
-    },
-    Baseline {
-        name: "lowest-loss",
-        description: "lowest mean packet loss (unknown loss is unscorable)",
-        score: |a| a.mean_loss_pct,
-    },
-    Baseline {
-        name: "scion-default",
-        description: "first-returned path-server order (stored path_index)",
-        score: |a| Some(a.path_id.path_index as f64),
-    },
-];
-
-impl SelectionStrategy for Baseline {
-    fn name(&self) -> &'static str {
+impl Strategy {
+    /// Registry key, e.g. `"paper"` or `"widest-path"`.
+    pub fn name(&self) -> &'static str {
         self.name
     }
-    fn description(&self) -> &'static str {
-        self.description
-    }
-    fn rank(
+
+    /// Rank the candidate paths for `request`, best first, at most `k`,
+    /// or say why none (a classified `SelectionFailure`).
+    pub fn rank(
         &self,
         ctx: &StrategyContext<'_>,
         request: &UserRequest,
         k: usize,
     ) -> SuiteResult<Vec<Recommendation>> {
-        let candidates = candidates_for(ctx.db, request, k)?;
-        rank_scored(
-            request.server_id,
-            candidates.len(),
-            candidates,
-            k,
-            self.score,
-        )
+        select(ctx, request, k, self.order)
     }
 }
 
-struct Random;
-
-impl SelectionStrategy for Random {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-    fn description(&self) -> &'static str {
-        "seeded uniform shuffle — the control baseline"
-    }
-    fn rank(
-        &self,
-        ctx: &StrategyContext<'_>,
-        request: &UserRequest,
-        k: usize,
-    ) -> SuiteResult<Vec<Recommendation>> {
-        let mut candidates = candidates_for(ctx.db, request, k)?;
-        if candidates.is_empty() {
-            return Err(SuiteError::Selection(SelectionFailure::NoMatch {
-                server_id: request.server_id,
-            }));
-        }
-        // Canonical order first so the shuffle depends only on the seed
-        // and the candidate set, not on storage order.
-        candidates.sort_by_key(|a| a.path_id);
-        let mut rng = StdRng::seed_from_u64(
-            ctx.seed ^ (request.server_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        // Fisher–Yates.
-        for i in (1..candidates.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            candidates.swap(i, j);
-        }
-        Ok(candidates
-            .into_iter()
-            .take(k)
-            .enumerate()
-            .map(|(i, aggregate)| Recommendation {
-                rank: i + 1,
-                // The draw position: meaningless as a statistic, but it
-                // keeps the score column monotone like every strategy.
-                score: i as f64,
-                aggregate,
-            })
-            .collect())
+/// A row ranking by one scalar, lower first, with no statistics gates.
+const fn scored(name: &'static str, score: fn(&PathAggregate) -> Option<f64>) -> Strategy {
+    Strategy {
+        name,
+        order: Order::Score(score),
     }
 }
+
+static REGISTRY: [Strategy; 8] = [
+    Strategy {
+        name: "paper",
+        order: Order::Gated,
+    },
+    scored("shortest-path", |a| Some(a.hops as f64)),
+    scored("widest-path", |a| {
+        let up = a.bw_up_mtu.as_ref().map(|w| w.mean)?;
+        let down = a.bw_down_mtu.as_ref().map(|w| w.mean)?;
+        Some(-up.min(down))
+    }),
+    scored("lowest-latency", |a| a.latency.as_ref().map(|w| w.mean)),
+    scored("lowest-jitter", |a| a.jitter_ms),
+    scored("lowest-loss", |a| a.mean_loss_pct),
+    Strategy {
+        name: "random",
+        order: Order::Shuffle,
+    },
+    scored("scion-default", |a| Some(a.path_id.path_index as f64)),
+];
 
 /// Every registered strategy, in canonical (registration) order.
-pub fn registry() -> Vec<Box<dyn SelectionStrategy>> {
-    let [shortest, widest, latency, jitter, loss, scion_default] = BASELINES;
-    vec![
-        Box::new(Paper),
-        Box::new(shortest),
-        Box::new(widest),
-        Box::new(latency),
-        Box::new(jitter),
-        Box::new(loss),
-        Box::new(Random),
-        Box::new(scion_default),
-    ]
+pub fn registry() -> &'static [Strategy] {
+    &REGISTRY
 }
 
 /// Look a strategy up by its registry key.
-pub(crate) fn by_name(name: &str) -> Option<Box<dyn SelectionStrategy>> {
-    registry().into_iter().find(|s| s.name() == name)
+pub(crate) fn by_name(name: &str) -> Option<&'static Strategy> {
+    REGISTRY.iter().find(|s| s.name == name)
 }
 
 /// The registry keys, in canonical order (for `--help` and error text).
 pub fn names() -> Vec<&'static str> {
-    registry().iter().map(|s| s.name()).collect()
+    REGISTRY.iter().map(Strategy::name).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{Constraints, Objective};
-    use crate::Recommendation;
+    use crate::error::SuiteError;
+    use crate::select::{recommend, Constraints, Objective};
     use pathdb::Database;
     use schema_fixture::populate;
 
@@ -423,11 +307,12 @@ mod paper_oracle {
     //! by even one bit fails here.
 
     use crate::analysis::Whisker;
-    use crate::schema::{PathId, PathMeasurement, StatId, PATHS, PATHS_STATS};
+    use crate::schema::{PathId, PathMeasurement, PATHS, PATHS_STATS};
+    use crate::select::props::{arb_db, arb_request, populate};
     use crate::select::{recommend, Constraints, Objective, Recommendation, UserRequest};
     use crate::strategy::{by_name, StrategyContext};
     use crate::{SelectionFailure, SuiteError};
-    use pathdb::{doc, Database, Document, Filter, Value};
+    use pathdb::{Database, Filter};
     use proptest::prelude::*;
 
     // ---- the frozen legacy pipeline ----------------------------------------
@@ -540,163 +425,12 @@ mod paper_oracle {
         )
     }
 
-    // ---- randomized databases and requests ----------------------------------
-
-    /// A sample value that is usually clean but sometimes hostile.
-    fn arb_sample() -> impl Strategy<Value = f64> {
-        // Mostly clean values, occasionally hostile non-finite ones (the
-        // vendored proptest has no weighted prop_oneof; an index draw over
-        // a 10-slot table approximates 8:1:1).
-        (0u8..10, 0.1f64..400.0).prop_map(|(pick, clean)| match pick {
-            8 => f64::NAN,
-            9 => {
-                if clean > 200.0 {
-                    f64::INFINITY
-                } else {
-                    f64::NEG_INFINITY
-                }
-            }
-            _ => clean,
-        })
-    }
-
-    #[derive(Debug, Clone)]
-    struct ArbMeasurement {
-        latency: Option<f64>,
-        jitter: Option<f64>,
-        loss: f64,
-        up: Option<f64>,
-        down: Option<f64>,
-    }
-
-    fn arb_measurement() -> impl Strategy<Value = ArbMeasurement> {
-        (
-            (
-                prop::option::of(arb_sample()),
-                prop::option::of(arb_sample()),
-            ),
-            (
-                arb_sample(),
-                prop::option::of(arb_sample()),
-                prop::option::of(arb_sample()),
-            ),
-        )
-            .prop_map(|((latency, jitter), (loss, up, down))| ArbMeasurement {
-                latency,
-                jitter,
-                loss,
-                up,
-                down,
-            })
-    }
-
-    #[derive(Debug, Clone)]
-    struct ArbPath {
-        hops: usize,
-        isds: Vec<u16>,
-        measurements: Vec<ArbMeasurement>,
-    }
-
-    fn arb_path() -> impl Strategy<Value = ArbPath> {
-        (
-            2usize..9,
-            prop::collection::vec(16u16..20, 1..4),
-            prop::collection::vec(arb_measurement(), 0..4),
-        )
-            .prop_map(|(hops, isds, measurements)| ArbPath {
-                hops,
-                isds,
-                measurements,
-            })
-    }
-
-    fn arb_db() -> impl Strategy<Value = Vec<Vec<ArbPath>>> {
-        // 1..=3 destinations with 0..6 paths each.
-        prop::collection::vec(prop::collection::vec(arb_path(), 0..6), 1..4)
-    }
-
-    fn path_doc(server_id: u32, path_index: u32, p: &ArbPath) -> Document {
-        doc! {
-            "_id" => format!("{server_id}_{path_index}"),
-            "server_id" => server_id as i64,
-            "path_index" => path_index as i64,
-            "sequence" => format!("seq-{server_id}-{path_index}"),
-            "hops" => p.hops as i64,
-            "isds" => p.isds.iter().map(|i| Value::Int(*i as i64)).collect::<Vec<_>>(),
-            "status" => "alive",
-        }
-    }
-
-    fn populate(db: &Database, dests: &[Vec<ArbPath>]) {
-        for (di, paths) in dests.iter().enumerate() {
-            let server_id = di as u32 + 1;
-            for (pi, p) in paths.iter().enumerate() {
-                {
-                    let handle = db.collection(PATHS);
-                    handle
-                        .write()
-                        .insert_one(path_doc(server_id, pi as u32, p))
-                        .unwrap();
-                }
-                let handle = db.collection(PATHS_STATS);
-                let mut coll = handle.write();
-                for (mi, m) in p.measurements.iter().enumerate() {
-                    let pm = PathMeasurement {
-                        stat_id: StatId {
-                            path: PathId {
-                                server_id,
-                                path_index: pi as u32,
-                            },
-                            timestamp_ms: 1000 + mi as u64,
-                        },
-                        isds: p.isds.clone(),
-                        hops: p.hops,
-                        avg_latency_ms: m.latency,
-                        jitter_ms: m.jitter,
-                        loss_pct: m.loss,
-                        bw_up_mtu: m.up,
-                        bw_down_mtu: m.down,
-                        bw_up_64: None,
-                        bw_down_64: None,
-                        target_mbps: 12.0,
-                        error: None,
-                    };
-                    coll.insert_one(pm.to_doc()).unwrap();
-                }
-            }
-        }
-    }
-
-    fn arb_objective() -> impl Strategy<Value = Objective> {
-        prop_oneof![
-            Just(Objective::MinLatency),
-            Just(Objective::MinJitter),
-            Just(Objective::MinLoss),
-            Just(Objective::MaxBandwidthDown),
-            Just(Objective::MaxBandwidthUp),
-        ]
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn arb_request() -> impl Strategy<Value = (u32, Objective, usize, Option<f64>, Option<usize>)> {
-        (
-            (1u32..5, arb_objective()), // destination sometimes nonexistent
-            (
-                0usize..4,
-                prop::option::of(0.0f64..40.0),
-                prop::option::of(2usize..8),
-            ),
-        )
-            .prop_map(
-                |((server_id, objective), (min_samples, max_loss, max_hops))| {
-                    (server_id, objective, min_samples, max_loss, max_hops)
-                },
-            )
-    }
-
     fn as_tuples(recs: &[Recommendation]) -> Vec<(usize, f64, PathId)> {
         recs.iter()
-            .map(|r| (r.rank, r.score, r.aggregate.path_id))
+            .map(|r| {
+                let score = r.score.expect("a ranked entry carries its score");
+                (r.rank, score, r.aggregate.path_id)
+            })
             .collect()
     }
 

@@ -16,7 +16,7 @@ use upin_core::analysis::Whisker;
 use upin_core::api::*;
 use upin_core::multi::Weights;
 use upin_core::schema::PathId;
-use upin_core::select::{Constraints, Objective, PathAggregate};
+use upin_core::select::{Constraints, Objective, PathAggregate, Recommendation};
 
 fn assert_stream_equals_tree<T: Serialize>(x: &T) {
     let streamed = serde_json::to_string(x).unwrap();
@@ -255,10 +255,10 @@ fn arb_aggregate() -> impl Strategy<Value = PathAggregate> {
         )
 }
 
-fn arb_entries() -> impl Strategy<Value = Vec<RankedEntry>> {
+fn arb_entries() -> impl Strategy<Value = Vec<Recommendation>> {
     prop::collection::vec(
         (arb_usize(), prop::option::of(arb_f64()), arb_aggregate()).prop_map(
-            |(rank, score, aggregate)| RankedEntry {
+            |(rank, score, aggregate)| Recommendation {
                 rank,
                 score,
                 aggregate: aggregate.into(),
@@ -829,9 +829,9 @@ fn sample_aggregate(path_index: u32) -> PathAggregate {
     }
 }
 
-fn sample_entries() -> Vec<RankedEntry> {
+fn sample_entries() -> Vec<Recommendation> {
     (0..3)
-        .map(|i| RankedEntry {
+        .map(|i| Recommendation {
             rank: i + 1,
             score: (i != 1).then_some(22.4 + i as f64),
             aggregate: sample_aggregate(i as u32).into(),

@@ -4,8 +4,9 @@
 //! the convention is `` `workload` `metric` `` — the metric cited right
 //! after one. Nothing cites a retired way of measuring or of driving the
 //! service (the bench targets, their runner, the load generator and its
-//! options, the transport trait) outside DESIGN's "One of each" record
-//! of its deletion. Every
+//! options, the transport trait) or of ranking (the strategy trait, the
+//! second entry struct, the old ranking tail) outside DESIGN's "One of
+//! each" record of its deletion. Every
 //! `src/{a,b,c}.rs` list of DESIGN §3's tree names files that exist.
 //! Every number a measured cell of EXPERIMENTS §Fig. 4–9 states is in
 //! that figure's pinned `results/` file, and its ⚠️ rows are the
@@ -151,6 +152,9 @@ fn docs_cite_only_what_exists() {
         concat!("load", "gen"),
         concat!("`Trans", "port`"),
         concat!("Crit", "erion"),
+        concat!("Selection", "Strategy"),
+        concat!("Ranked", "Entry"),
+        concat!("rank", "_scored"),
     ];
     let mut stale = Vec::new();
     for doc in DOCS {
