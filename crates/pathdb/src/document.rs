@@ -1,9 +1,12 @@
-//! Ordered documents: the unit of storage, a MongoDB-style record.
+//! Ordered documents: the unit of storage, a MongoDB-style record,
+//! kept as a field-name shape shared between rows plus the row's own
+//! values at their exact size.
 
 use crate::value::Value;
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// An insertion-ordered string-keyed record.
@@ -12,44 +15,134 @@ use std::sync::Arc;
 /// right trade-off for the paper's documents (≤ ~15 fields). Dotted
 /// paths (`"stats.latency_ms"`) address nested documents.
 ///
-/// Field names are shared, not copied: every row of a collection spells
-/// the same fifteen-odd names, so a name is an `Arc<str>` from a
-/// per-thread table, a row holds refcounts, and cloning a row bumps
-/// them. The table is bounded — names of at most 64 bytes, at most
-/// 1 024 of them per thread; any other name is a copy of its own per
-/// row — so a file of hostile, ever-new names cannot grow it. Sharing is
-/// invisible: equality, order and every byte written use the names'
-/// content.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A row is two parts: its *shape*, the ordered list of its field
+/// names, and its values, one per name, stored alone at their exact
+/// size. Every row of a collection spells the same fifteen-odd names in
+/// the same order, so rows share one refcounted shape from a per-thread
+/// table: `set` on a new name moves the row to the shape with that name
+/// appended, and `doc!` and the decoders (`Value::from_json`) place
+/// each row's values once, at their count. Cloning a row bumps one
+/// refcount and copies the values. The table is bounded — at most 1 024
+/// shapes per thread, each of at most 32 names of at most 64 bytes;
+/// past a bound a row owns its shape — so a file of hostile, ever-new
+/// field lists cannot grow it. Sharing is invisible: equality, order
+/// and every byte written use the names' content.
+#[derive(Clone, Default, PartialEq)]
 pub struct Document {
-    fields: Vec<(Arc<str>, Value)>,
+    /// `None` is the shape with no names.
+    shape: Option<Arc<Shape>>,
+    values: Box<[Value]>,
 }
 
-/// Longest name the per-thread table shares.
+/// The ordered field names a row's values are stored under.
+#[derive(PartialEq, Eq)]
+struct Shape {
+    names: Box<[Arc<str>]>,
+}
+
+impl Shape {
+    /// The name this shape appended to the one it extends.
+    fn last(&self) -> &str {
+        self.names.last().map_or("", |n| n)
+    }
+}
+
+/// Longest name a shared shape holds.
 const SHARED_NAME_MAX: usize = 64;
-/// Names the per-thread table holds at most.
-const SHARED_NAMES: usize = 1024;
+/// Most names a shared shape holds.
+const SHARED_FIELDS: usize = 32;
+/// Shapes the per-thread table holds at most.
+const SHARED_SHAPES: usize = 1024;
+
+/// The per-thread table: each shape it extended, keyed by the shape's
+/// address (`0` for no names), and how many shapes it holds.
+#[derive(Default)]
+struct Shapes {
+    next: HashMap<usize, Extended, BuildHasherDefault<AddrHasher>>,
+    held: usize,
+}
+
+/// A shape the table extended, kept alive so its address stays its own,
+/// and the shared shapes one name longer, by their last name (a binary
+/// search: a file of many first names cannot make every lookup long).
+struct Extended {
+    _from: Option<Arc<Shape>>,
+    longer: Vec<Arc<Shape>>,
+}
 
 thread_local! {
-    static NAMES: RefCell<HashSet<Arc<str>>> = RefCell::new(HashSet::new());
+    static SHAPES: RefCell<Shapes> = RefCell::new(Shapes::default());
 }
 
-/// `key` as a field name: the table's shared copy when it has (or has
-/// room for) one, else a copy of its own.
-fn field_name(key: &str) -> Arc<str> {
-    if key.len() > SHARED_NAME_MAX {
-        return Arc::from(key);
+/// Hashes a shape's address with one multiply: the table is looked up
+/// once per field a row is built with.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the shape table hashes addresses only")
     }
-    NAMES.with(|names| {
-        let mut names = names.borrow_mut();
-        if let Some(name) = names.get(key) {
-            return Arc::clone(name);
+
+    fn write_usize(&mut self, addr: usize) {
+        let x = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Where `key` goes in a row of shape `shape`.
+enum Place {
+    /// The row has it, in this slot.
+    At(usize),
+    /// The row lacks it: this is the shape with it appended.
+    Append(Arc<Shape>),
+}
+
+fn names_of(shape: &Option<Arc<Shape>>) -> &[Arc<str>] {
+    shape.as_deref().map_or(&[], |s| &s.names)
+}
+
+/// Place `key` in a row of shape `shape`. A shape the table already
+/// extended by `key` answers without a scan (the table extends a shape
+/// only by a name it lacks); otherwise the names are scanned, and a new
+/// longer shape is the table's when the table and its bounds allow,
+/// else the row's own.
+fn place(shape: &Option<Arc<Shape>>, key: &str) -> Place {
+    let addr = shape.as_ref().map_or(0, |s| Arc::as_ptr(s) as usize);
+    SHAPES.with(|table| {
+        let mut table = table.borrow_mut();
+        if let Some(extended) = table.next.get(&addr) {
+            if let Ok(i) = extended.longer.binary_search_by(|s| s.last().cmp(key)) {
+                return Place::Append(Arc::clone(&extended.longer[i]));
+            }
         }
-        let name: Arc<str> = Arc::from(key);
-        if names.len() < SHARED_NAMES {
-            names.insert(Arc::clone(&name));
+        let names = names_of(shape);
+        if let Some(i) = names.iter().position(|n| **n == *key) {
+            return Place::At(i);
         }
-        name
+        let shared = table.held < SHARED_SHAPES
+            && names.len() < SHARED_FIELDS
+            && names
+                .iter()
+                .map(|n| &**n)
+                .chain([key])
+                .all(|n| n.len() <= SHARED_NAME_MAX);
+        let names = names.iter().cloned().chain([Arc::from(key)]).collect();
+        let longer = Arc::new(Shape { names });
+        if shared {
+            table.held += 1;
+            let extended = table.next.entry(addr).or_insert_with(|| Extended {
+                _from: shape.clone(),
+                longer: Vec::new(),
+            });
+            let at = extended.longer.partition_point(|s| s.last() < key);
+            extended.longer.insert(at, Arc::clone(&longer));
+        }
+        Place::Append(longer)
     })
 }
 
@@ -58,45 +151,60 @@ impl Document {
         Document::default()
     }
 
+    fn names(&self) -> &[Arc<str>] {
+        names_of(&self.shape)
+    }
+
     pub(crate) fn len(&self) -> usize {
-        self.fields.len()
+        self.values.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.values.is_empty()
+    }
+
+    fn slot(&self, key: &str) -> Option<usize> {
+        self.names().iter().position(|k| **k == *key)
     }
 
     /// Direct (non-dotted) field lookup.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.fields
-            .iter()
-            .find(|(k, _)| **k == *key)
-            .map(|(_, v)| v)
+        self.slot(key).map(|i| &self.values[i])
     }
 
     /// Set a direct field, overwriting in place to preserve order.
     pub fn set<K: AsRef<str>, V: Into<Value>>(&mut self, key: K, value: V) -> &mut Self {
-        let key = key.as_ref();
         let value = value.into();
-        match self.fields.iter_mut().find(|(k, _)| **k == *key) {
-            Some((_, v)) => *v = value,
-            None => self.fields.push((field_name(key), value)),
+        match place(&self.shape, key.as_ref()) {
+            Place::At(i) => self.values[i] = value,
+            Place::Append(shape) => {
+                let mut values = std::mem::take(&mut self.values).into_vec();
+                values.reserve_exact(1);
+                values.push(value);
+                self.values = values.into_boxed_slice();
+                self.shape = Some(shape);
+            }
         }
         self
     }
 
     /// Remove a direct field, returning its value.
     pub(crate) fn remove(&mut self, key: &str) -> Option<Value> {
-        let i = self.fields.iter().position(|(k, _)| **k == *key)?;
-        Some(self.fields.remove(i).1)
+        let i = self.slot(key)?;
+        let mut values = std::mem::take(&mut self.values).into_vec();
+        let value = values.remove(i);
+        let names = self.names().iter().enumerate().filter(|&(j, _)| j != i);
+        let rest: Document = names.map(|(_, n)| &**n).zip(values).collect();
+        *self = rest;
+        Some(value)
     }
 
     pub(crate) fn contains_key(&self, key: &str) -> bool {
-        self.get(key).is_some()
+        self.slot(key).is_some()
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.fields.iter().map(|(k, v)| (&**k, v))
+        self.names().iter().map(|k| &**k).zip(self.values.iter())
     }
 
     /// Dotted-path lookup: `"a.b.c"` descends nested documents.
@@ -136,15 +244,43 @@ fn set_path_inner(doc: &mut Document, parts: &[&str], value: Value) {
             if needs_doc {
                 doc.set(*head, Document::new());
             }
-            if let Some(Value::Doc(d)) = doc
-                .fields
-                .iter_mut()
-                .find(|(k, _)| **k == **head)
-                .map(|(_, v)| v)
-            {
-                set_path_inner(d, rest, value);
+            if let Some(i) = doc.slot(head) {
+                if let Value::Doc(d) = &mut doc.values[i] {
+                    set_path_inner(d, rest, value);
+                }
             }
         }
+    }
+}
+
+/// Builds a row from its fields in order, its values placed once at
+/// their count; a repeated name overwrites in place, as `set` does.
+/// `doc!` and `Value::from_json` build through here.
+impl<'a> FromIterator<(&'a str, Value)> for Document {
+    fn from_iter<I: IntoIterator<Item = (&'a str, Value)>>(fields: I) -> Document {
+        let fields = fields.into_iter();
+        let mut shape = None;
+        let mut values = Vec::with_capacity(fields.size_hint().0);
+        for (key, value) in fields {
+            match place(&shape, key) {
+                Place::At(i) => values[i] = value,
+                Place::Append(longer) => {
+                    shape = Some(longer);
+                    values.push(value);
+                }
+            }
+        }
+        Document {
+            shape,
+            values: values.into_boxed_slice(),
+        }
+    }
+}
+
+impl fmt::Debug for Document {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields: Vec<(&str, &Value)> = self.iter().collect();
+        f.debug_struct("Document").field("fields", &fields).finish()
     }
 }
 
@@ -160,7 +296,7 @@ impl<'a> IntoIterator for &'a Document {
     type Item = (&'a str, &'a Value);
     type IntoIter = Box<dyn Iterator<Item = (&'a str, &'a Value)> + 'a>;
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.fields.iter().map(|(k, v)| (&**k, v)))
+        Box::new(self.iter())
     }
 }
 
@@ -169,16 +305,22 @@ impl<'a> IntoIterator for &'a Document {
 #[macro_export]
 macro_rules! doc {
     () => { $crate::document::Document::new() };
-    ($($k:expr => $v:expr),+ $(,)?) => {{
-        let mut d = $crate::document::Document::new();
-        $( d.set($k, $v); )+
-        d
-    }};
+    ($($k:expr => $v:expr),+ $(,)?) => {
+        <$crate::document::Document as ::core::iter::FromIterator<_>>::from_iter([
+            $( (
+                ::core::convert::AsRef::<str>::as_ref(&$k),
+                ::core::convert::Into::<$crate::value::Value>::into($v),
+            ) ),+
+        ])
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{decode_jsonl, encode_jsonl_seq, take_seq, LoadOptions};
+    use crate::value::write_json_doc;
+    use crate::wal::{encode_group, read_wal, WalOp};
 
     #[test]
     fn set_preserves_order_and_overwrites_in_place() {
@@ -195,6 +337,12 @@ mod tests {
         let d = doc! { "x" => 1i64, "y" => "hello" };
         assert_eq!(d.get("x"), Some(&Value::Int(1)));
         assert_eq!(d.get("y").unwrap().as_str(), Some("hello"));
+        let again = doc! { "x" => 1i64, "y" => 2i64, "x" => 3i64 };
+        assert_eq!(
+            again,
+            doc! { "x" => 3i64, "y" => 2i64 },
+            "a repeat overwrites"
+        );
     }
 
     #[test]
@@ -224,20 +372,10 @@ mod tests {
         assert_eq!(n.id(), None, "non-string ids are not exposed as &str");
     }
 
-    /// The `Arc` a row holds for `key`.
-    fn name<'a>(d: &'a Document, key: &str) -> &'a Arc<str> {
-        &d.fields.iter().find(|(k, _)| &**k == key).unwrap().0
-    }
-
-    #[test]
-    fn rows_share_field_names_however_they_were_built() {
-        use crate::snapshot::{decode_jsonl, encode_jsonl_seq, LoadOptions};
-        use crate::wal::{encode_group, read_wal, WalOp};
-        let built = doc! { "_id" => "a", "avg_latency_ms" => 20.5f64 };
-        let mut set = Document::new();
-        set.set(String::from("avg_latency_ms"), 21.0f64);
-        let json = Value::from_json(&Value::Doc(built.clone()).to_json());
-        let Value::Doc(json) = json else {
+    /// `built` through each reader: the JSON tree, a WAL frame, a slice
+    /// line (its `__seq` taken off again).
+    fn round_trips(built: &Document) -> [Document; 3] {
+        let Value::Doc(json) = Value::from_json(&Value::Doc(built.clone()).to_json()) else {
             panic!("a document")
         };
         let log = encode_group(&[WalOp::Insert {
@@ -249,29 +387,80 @@ mod tests {
         let [WalOp::Insert { doc: logged, .. }] = &logged[..] else {
             panic!("one insert")
         };
-        let slice = encode_jsonl_seq([(7, &built)].into_iter());
-        let (sliced, _) = decode_jsonl(&slice, "slice", &LoadOptions::default()).unwrap();
-        let first = name(&built, "avg_latency_ms");
-        for other in [&set, &json, logged, &sliced[0], &built.clone()] {
-            assert!(Arc::ptr_eq(first, name(other, "avg_latency_ms")));
+        let slice = encode_jsonl_seq([(7, built)].into_iter());
+        let (mut sliced, _) = decode_jsonl(&slice, "slice", &LoadOptions::default()).unwrap();
+        assert_eq!(take_seq(&mut sliced[0]), Some(7));
+        [json, logged.clone(), sliced.remove(0)]
+    }
+
+    /// Every builder's row of the same fields: `doc!`, `set` one by
+    /// one, each reader, and a clone.
+    fn built_every_way() -> Vec<Document> {
+        let built = doc! { "_id" => "a", "avg_latency_ms" => 20.5f64, "hops" => 3i64 };
+        let mut set = Document::new();
+        set.set(String::from("_id"), "a")
+            .set("avg_latency_ms", 20.5f64)
+            .set("hops", 3i64);
+        let mut rows = vec![built.clone(), set, built.clone()];
+        rows.extend(round_trips(&built));
+        rows
+    }
+
+    fn shape(d: &Document) -> &Arc<Shape> {
+        d.shape.as_ref().expect("a row with fields")
+    }
+
+    #[test]
+    fn rows_share_one_shape_however_they_were_built() {
+        let rows = built_every_way();
+        for row in &rows {
+            assert_eq!(row, &rows[0]);
+            assert!(Arc::ptr_eq(shape(&rows[0]), shape(row)), "{row:?}");
         }
     }
 
     #[test]
-    fn the_name_table_stops_at_its_cap() {
+    fn rows_are_built_at_their_size() {
+        // The values are a boxed slice, whose block is exactly its
+        // length: no spare slot can hide there. What is left to pin is
+        // one value per name, and the row's own 24 bytes (a shape
+        // pointer and the slice; no name is stored per row).
+        for row in built_every_way() {
+            let names = row.names().len();
+            let values: Box<[Value]> = row.values;
+            assert_eq!(values.len(), 3);
+            assert_eq!(names, values.len());
+        }
+        assert_eq!(std::mem::size_of::<Document>(), 24);
+    }
+
+    #[test]
+    fn the_shape_table_stops_at_its_cap() {
+        let share = |a: &Document, b: &Document| Arc::ptr_eq(shape(a), shape(b));
+        let held = || SHAPES.with(|t| t.borrow().held);
+        // Past the name and the field bound a row owns its shape.
+        let long = "n".repeat(SHARED_NAME_MAX + 1);
+        assert!(!share(&doc! { &long => 1i64 }, &doc! { &long => 1i64 }));
+        let wide_names: Vec<String> = (0..=SHARED_FIELDS).map(|i| format!("w{i}")).collect();
+        let wide = |n: usize| -> Document {
+            let names = wide_names[..n].iter();
+            names.map(|k| (k.as_str(), Value::Null)).collect()
+        };
+        assert!(share(&wide(SHARED_FIELDS), &wide(SHARED_FIELDS)));
+        assert!(!share(&wide(SHARED_FIELDS + 1), &wide(SHARED_FIELDS + 1)));
+        // 2 000 distinct field lists: the table fills and stops.
+        let room = SHARED_SHAPES - held();
         let names: Vec<String> = (0..2000).map(|i| format!("field_{i}")).collect();
         let rows: Vec<Document> = names.iter().map(|n| doc! { n => 1i64 }).collect();
-        assert_eq!(NAMES.with(|t| t.borrow().len()), SHARED_NAMES);
-        // Past the cap, and past the length bound, each row has its own copy.
-        let last = names.last().unwrap();
-        let again = doc! { last => 2i64 };
-        assert!(!Arc::ptr_eq(name(&rows[1999], last), name(&again, last)));
-        let long = "n".repeat(SHARED_NAME_MAX + 1);
-        let (a, b) = (doc! { &long => 1i64 }, doc! { &long => 1i64 });
-        assert!(!Arc::ptr_eq(name(&a, &long), name(&b, &long)));
-        for row in rows.into_iter().chain([a]) {
-            let row = Value::Doc(row);
-            assert_eq!(Value::from_json(&row.to_json()), row);
+        assert_eq!(held(), SHARED_SHAPES);
+        for (i, (row, name)) in rows.iter().zip(&names).enumerate() {
+            assert_eq!(share(row, &doc! { name => 2i64 }), i < room, "{name}");
+        }
+        let odd = [doc! { &long => 1i64 }, wide(SHARED_FIELDS + 1)];
+        for row in rows.into_iter().chain(odd) {
+            for back in round_trips(&row) {
+                assert_eq!(back, row);
+            }
         }
     }
 
@@ -279,5 +468,165 @@ mod tests {
     fn remove_missing_is_none() {
         let mut d = doc! { "a" => 1i64 };
         assert_eq!(d.remove("zz"), None);
+    }
+
+    /// The layout is invisible: a plain list of names and values, fed
+    /// the same steps, answers the same.
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone, PartialEq)]
+        enum Node {
+            Leaf(Value),
+            Doc(Model),
+        }
+
+        type Model = Vec<(String, Node)>;
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// What `doc!` expands to.
+            Build(Vec<(String, Value)>),
+            Set(String, Value),
+            SetPath(Vec<String>, Value),
+            Remove(String),
+            Clone,
+        }
+
+        fn arb_leaf() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                Just(Value::Null),
+                any::<bool>().prop_map(Value::Bool),
+                any::<i64>().prop_map(Value::Int),
+                (-1.0e6..1.0e6f64).prop_map(Value::Float),
+                "[a-z\"]{0,6}".prop_map(Value::Str),
+                prop::collection::vec(any::<i32>().prop_map(|i| Value::Int(i as i64)), 0..3)
+                    .prop_map(Value::Array),
+            ]
+        }
+
+        /// Few names, so steps hit the same fields and shapes again.
+        fn arb_name() -> impl Strategy<Value = String> {
+            "[a-e]{1,2}"
+        }
+
+        fn arb_step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                prop::collection::vec((arb_name(), arb_leaf()), 0..8).prop_map(Step::Build),
+                (arb_name(), arb_leaf()).prop_map(|(k, v)| Step::Set(k, v)),
+                (arb_name(), arb_leaf()).prop_map(|(k, v)| Step::Set(k, v)),
+                (prop::collection::vec(arb_name(), 1..4), arb_leaf())
+                    .prop_map(|(p, v)| Step::SetPath(p, v)),
+                arb_name().prop_map(Step::Remove),
+                Just(Step::Clone),
+            ]
+        }
+
+        fn model_set(m: &mut Model, key: &str, node: Node) {
+            match m.iter_mut().find(|(k, _)| k == key) {
+                Some((_, n)) => *n = node,
+                None => m.push((key.to_string(), node)),
+            }
+        }
+
+        fn model_set_path(m: &mut Model, parts: &[String], value: Value) {
+            let [head, rest @ ..] = parts else { return };
+            if rest.is_empty() {
+                return model_set(m, head, Node::Leaf(value));
+            }
+            if !m
+                .iter()
+                .any(|(k, n)| k == head && matches!(n, Node::Doc(_)))
+            {
+                model_set(m, head, Node::Doc(Vec::new()));
+            }
+            let Some((_, Node::Doc(inner))) = m.iter_mut().find(|(k, _)| k == head) else {
+                unreachable!()
+            };
+            model_set_path(inner, rest, value);
+        }
+
+        fn view(d: &Document) -> Model {
+            d.iter()
+                .map(|(k, v)| {
+                    let node = match v {
+                        Value::Doc(inner) => Node::Doc(view(inner)),
+                        leaf => Node::Leaf(leaf.clone()),
+                    };
+                    (k.to_string(), node)
+                })
+                .collect()
+        }
+
+        fn model_json(m: &Model, out: &mut Vec<u8>) {
+            out.push(b'{');
+            for (i, (k, node)) in m.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                serde::json::write_str(out, k);
+                out.push(b':');
+                match node {
+                    Node::Leaf(v) => v.write_json(out),
+                    Node::Doc(inner) => model_json(inner, out),
+                }
+            }
+            out.push(b'}');
+        }
+
+        /// Order, `get`, `==` and the bytes written, against the model.
+        fn agrees(d: &Document, m: &Model) -> Result<(), TestCaseError> {
+            prop_assert_eq!(&view(d), m);
+            prop_assert_eq!(d.len(), m.len());
+            for (k, _) in m {
+                prop_assert_eq!(d.get(k), d.iter().find(|(n, _)| n == k).map(|(_, v)| v));
+            }
+            prop_assert_eq!(d.get("zz"), None);
+            let (mut bytes, mut want) = (Vec::new(), Vec::new());
+            write_json_doc(&mut bytes, d);
+            model_json(m, &mut want);
+            prop_assert_eq!(bytes, want);
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn the_layout_is_invisible(steps in prop::collection::vec(arb_step(), 1..24)) {
+                let (mut d, mut m) = (Document::new(), Model::new());
+                for step in steps {
+                    match step {
+                        Step::Build(fields) => {
+                            d = fields.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+                            m.clear();
+                            for (k, v) in fields {
+                                model_set(&mut m, &k, Node::Leaf(v));
+                            }
+                        }
+                        Step::Set(k, v) => {
+                            d.set(&k, v.clone());
+                            model_set(&mut m, &k, Node::Leaf(v));
+                        }
+                        Step::SetPath(parts, v) => {
+                            d.set_path(&parts.join("."), v.clone());
+                            model_set_path(&mut m, &parts, v);
+                        }
+                        Step::Remove(k) => {
+                            let want = m.iter().position(|(n, _)| *n == k).map(|i| m.remove(i).1);
+                            let got = d.remove(&k);
+                            prop_assert_eq!(got.is_some(), want.is_some());
+                        }
+                        Step::Clone => d = d.clone(),
+                    }
+                    agrees(&d, &m)?;
+                    for back in round_trips(&d) {
+                        prop_assert_eq!(&back, &d);
+                        agrees(&back, &m)?;
+                    }
+                }
+            }
+        }
     }
 }

@@ -21,6 +21,10 @@ pub enum Value {
     Doc(Document),
 }
 
+// Every stored row is a `Document` of `Value`s: a new variant or field
+// must not grow them all silently.
+const _: () = assert!(size_of::<Value>() == 32 && size_of::<Document>() <= 32);
+
 impl Value {
     /// Numeric view (ints widen to float) for cross-type comparison.
     pub(crate) fn as_number(&self) -> Option<f64> {
@@ -259,13 +263,11 @@ impl Value {
             }
             serde_json::Value::String(s) => Value::Str(s.clone()),
             serde_json::Value::Array(a) => Value::Array(a.iter().map(Value::from_json).collect()),
-            serde_json::Value::Object(o) => {
-                let mut d = Document::new();
-                for (k, v) in o {
-                    d.set(k, Value::from_json(v));
-                }
-                Value::Doc(d)
-            }
+            serde_json::Value::Object(o) => Value::Doc(
+                o.iter()
+                    .map(|(k, v)| (k.as_str(), Value::from_json(v)))
+                    .collect(),
+            ),
         }
     }
 }
