@@ -15,7 +15,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::{Bound, Range};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use upin_telemetry::{NoopRecorder, Recorder};
 
@@ -135,6 +135,198 @@ impl FieldIndex {
     }
 }
 
+const CELLS: usize = SLICE_ROWS as usize;
+
+/// `SLICE_ROWS` consecutive insertion sequences' rows — the unit a
+/// checkpoint writes — shared by reference between a collection and
+/// the images pinned from it. A cell is written once through a shared
+/// reference, so an append into a slice an image shares copies
+/// nothing; replacing or clearing a cell needs the slice to itself.
+/// Which cells an owner sees is the owner's own `Held::live`.
+pub(crate) struct Slice {
+    cells: [OnceLock<Document>; CELLS],
+}
+
+impl Slice {
+    fn empty() -> Slice {
+        Slice {
+            cells: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+}
+
+/// One owner's hold on a slice: the slice and the cells it sees.
+#[derive(Clone)]
+struct Held {
+    slice: Arc<Slice>,
+    /// Bit `i` set: the row at `i` in the slice is this owner's.
+    live: [u64; CELLS / 64],
+}
+
+impl Held {
+    fn new() -> Held {
+        Held {
+            slice: Arc::new(Slice::empty()),
+            live: [0; CELLS / 64],
+        }
+    }
+
+    fn sees(&self, i: usize) -> bool {
+        self.live[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn flip(&mut self, i: usize) {
+        self.live[i / 64] ^= 1 << (i % 64);
+    }
+
+    /// The cells this owner sees, ascending.
+    fn cells(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.live.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits.wrapping_sub(1);
+                (bit < 64).then_some(w * 64 + bit)
+            })
+        })
+    }
+
+    fn row(&self, i: usize) -> &Document {
+        self.slice.cells[i]
+            .get()
+            .expect("a live cell holds its row")
+    }
+
+    /// The slice to write in, copied first — its live rows only —
+    /// when an image shares it. Returns the rows copied.
+    fn own(&mut self) -> (&mut Slice, u64) {
+        let mut copied = 0;
+        if Arc::get_mut(&mut self.slice).is_none() {
+            let fresh = Slice::empty();
+            for i in self.cells() {
+                let _ = fresh.cells[i].set(self.row(i).clone());
+                copied += 1;
+            }
+            self.slice = Arc::new(fresh);
+        }
+        let slice = Arc::get_mut(&mut self.slice).expect("an unshared slice");
+        (slice, copied)
+    }
+}
+
+/// A collection's rows by insertion sequence, in `Slice`s keyed by
+/// `seq / SLICE_ROWS`. Cloning copies the slice map, never a row; a
+/// write copies at most the one shared slice it changes (see
+/// `Collection::read_snapshot` for the whole budget). Every slice in
+/// the map holds at least one live row.
+#[derive(Clone, Default)]
+pub(crate) struct Rows {
+    slices: BTreeMap<u64, Held>,
+    len: usize,
+}
+
+fn split(seq: u64) -> (u64, usize) {
+    (seq / SLICE_ROWS, (seq % SLICE_ROWS) as usize)
+}
+
+impl Rows {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn get(&self, seq: u64) -> Option<&Document> {
+        let (key, i) = split(seq);
+        let held = self.slices.get(&key)?;
+        held.sees(i).then(|| held.row(i))
+    }
+
+    /// The rows of `seqs`, ascending.
+    pub(crate) fn range(
+        &self,
+        seqs: Range<u64>,
+    ) -> impl Iterator<Item = (u64, &Document)> + Clone + '_ {
+        let keys = seqs.start / SLICE_ROWS..seqs.end.div_ceil(SLICE_ROWS);
+        self.slices
+            .range(keys)
+            .flat_map(|(&key, held)| {
+                let base = key * SLICE_ROWS;
+                held.cells().map(move |i| (base + i as u64, held.row(i)))
+            })
+            .skip_while(move |(seq, _)| *seq < seqs.start)
+            .take_while(move |(seq, _)| *seq < seqs.end)
+    }
+
+    /// Every row, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Document)> + Clone + '_ {
+        self.range(0..u64::MAX)
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &Document> + '_ {
+        self.iter().map(|(_, doc)| doc)
+    }
+
+    /// Put `doc` at `seq`, which holds no row. Copies nothing unless
+    /// the cell still holds a row this owner no longer sees and an
+    /// image shares the slice. Returns the rows copied.
+    fn place(&mut self, seq: u64, doc: Document) -> u64 {
+        let (key, i) = split(seq);
+        let held = self.slices.entry(key).or_insert_with(Held::new);
+        let mut copied = 0;
+        if let Err(doc) = held.slice.cells[i].set(doc) {
+            let (slice, n) = held.own();
+            slice.cells[i] = OnceLock::from(doc);
+            copied = n;
+        }
+        held.flip(i);
+        self.len += 1;
+        copied
+    }
+
+    /// Swap the row at `seq`, which holds one, for `doc`: the old row
+    /// and the rows copied to do it.
+    fn replace(&mut self, seq: u64, doc: Document) -> (Document, u64) {
+        let (key, i) = split(seq);
+        let held = self.slices.get_mut(&key).expect("a live row's slice");
+        let (slice, copied) = held.own();
+        let old = std::mem::replace(&mut slice.cells[i], OnceLock::from(doc));
+        (old.into_inner().expect("a live row"), copied)
+    }
+
+    /// Drop the row at `seq`, which holds one. A slice left empty goes
+    /// whole; a shared one keeps the row for its other holders until
+    /// `settle`.
+    fn remove(&mut self, seq: u64) {
+        let (key, i) = split(seq);
+        let held = self.slices.get_mut(&key).expect("a live row's slice");
+        held.flip(i);
+        self.len -= 1;
+        if held.live == [0; CELLS / 64] {
+            self.slices.remove(&key);
+        } else if let Some(slice) = Arc::get_mut(&mut held.slice) {
+            slice.cells[i].take();
+        }
+    }
+
+    /// Copy the still-shared slices `removed` left rows in, so no
+    /// removed row outlives this owner's images in its own slices.
+    /// Returns the rows copied.
+    fn settle(&mut self, removed: &[u64]) -> u64 {
+        let mut copied = 0;
+        for seq in removed {
+            if let Some(held) = self.slices.get_mut(&(seq / SLICE_ROWS)) {
+                copied += held.own().1;
+            }
+        }
+        copied
+    }
+}
+
+impl std::fmt::Debug for Rows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// A single collection (a "table" of documents).
 #[derive(Debug, Default)]
 pub struct Collection {
@@ -142,7 +334,7 @@ pub struct Collection {
     /// Documents keyed by insertion sequence (preserves order under
     /// deletion without shifting). Every row carries an `_id`: inserts
     /// assign a missing one, upserts demand one, updates cannot touch it.
-    pub(crate) docs: BTreeMap<u64, Document>,
+    pub(crate) docs: Rows,
     next_seq: u64,
     /// Unique `_id` index: canonical id key → sequence.
     pub(crate) primary: HashMap<String, u64>,
@@ -218,7 +410,8 @@ struct SnapEntry {
 
 impl Clone for Collection {
     /// A detached logical copy: documents, indexes and version counters
-    /// carry over; the WAL handle is dropped (mutating a clone must not
+    /// carry over — the rows by sharing their slices, so no row is
+    /// copied; the WAL handle is dropped (mutating a clone must not
     /// log under the original's name), and the snapshot memo and the
     /// `Dirty` sets (a clone is never checkpointed) start empty. The
     /// telemetry recorder is shared.
@@ -253,7 +446,7 @@ impl Collection {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.docs.len() == 0
     }
 
     // ---- indexes ------------------------------------------------------
@@ -264,7 +457,7 @@ impl Collection {
             return;
         }
         let mut idx = FieldIndex::default();
-        for (&seq, doc) in &self.docs {
+        for (seq, doc) in self.docs.iter() {
             idx.insert(seq, index_keys_of(doc, field));
         }
         self.indexes.insert(field.to_string(), idx);
@@ -309,7 +502,7 @@ impl Collection {
     /// Iterate documents whose insertion sequence is `>= watermark`,
     /// in insertion order.
     pub fn iter_from(&self, watermark: u64) -> impl Iterator<Item = &Document> {
-        self.docs.range(watermark..).map(|(_, d)| d)
+        self.docs.range(watermark..u64::MAX).map(|(_, d)| d)
     }
 
     // ---- MVCC snapshot reads --------------------------------------------
@@ -324,17 +517,28 @@ impl Collection {
     /// never observe a half-applied [`Collection::insert_many`] group,
     /// because batches bump the version once, after fully applying.
     ///
-    /// Cost is amortized through the mutation-version/append-watermark
-    /// protocol (PR 2):
+    /// No arm copies a row: rows live in `SLICE_ROWS`-row slices that
+    /// the image and the collection share by reference. Cost is
+    /// amortized through the mutation-version/append-watermark protocol:
     ///
     /// * **hit** — version unchanged since the memoized image: a
     ///   refcount bump, no copying at all;
     /// * **merge** — pure appends since the memo
-    ///   ([`Delta::Appended`]): only the documents past
-    ///   the memo's watermark are replayed onto the image (copy-on-write:
-    ///   if other readers still pin the old image, it is copied first, so
-    ///   a pinned snapshot never changes underneath its holder);
-    /// * **clone** — a reshape (update/delete) happened: full copy.
+    ///   ([`Delta::Appended`]): the documents past the memo's watermark
+    ///   are posted in the image's `primary` and indexes, and the image
+    ///   takes the collection's slice map (copy-on-write: if other
+    ///   readers still pin the old image, its slice map, `primary` and
+    ///   indexes are copied first, so a pinned snapshot never changes
+    ///   underneath its holder);
+    /// * **clone** — a reshape (update/delete) happened: the slice map,
+    ///   `primary` and the indexes are copied.
+    ///
+    /// Writes keep the images intact at a bounded cost, counted as
+    /// `pathdb.snapshot.copied_rows`: an append fills a cell no image
+    /// sees and copies nothing, even in a slice an image shares; an
+    /// update or a delete copies the one shared slice it changes, once
+    /// per pin; a delete that empties a slice drops it uncopied; a
+    /// replace with an equal row does nothing.
     ///
     /// Snapshots carry no WAL handle: they are detached read views, and
     /// mutating one can never log under the live collection's name.
@@ -349,13 +553,15 @@ impl Collection {
                 Delta::Appended => {
                     let image = Arc::make_mut(&mut entry.image);
                     let mut appended = 0u64;
-                    for (&seq, doc) in self.docs.range(entry.watermark..) {
-                        image.place(seq, id_key(doc), doc.clone());
+                    for (seq, doc) in self.docs.range(entry.watermark..u64::MAX) {
+                        image.index_row(seq, id_key(doc), doc);
                         appended += 1;
                     }
-                    // The image's counters follow. `last_reshape_version`
-                    // needs no copy: only appends happened since the
-                    // image took it.
+                    // The appended rows are already in the slices: the
+                    // image takes the slice map. Its counters follow;
+                    // `last_reshape_version` needs no copy: only appends
+                    // happened since the image took it.
+                    image.docs = self.docs.clone();
                     image.next_seq = self.next_seq;
                     image.next_auto_id = self.next_auto_id;
                     image.version = self.version;
@@ -384,49 +590,68 @@ impl Collection {
     // ---- rows ------------------------------------------------------------
     //
     // The three places a row enters, changes in or leaves `primary`, the
-    // secondary indexes and `docs`. None of them counts anything: the
-    // mutation that called them says what it did to `record`, once.
+    // secondary indexes and `docs`. None of them keeps the books (they
+    // only report rows copied out of shared slices): the mutation that
+    // called them says what it did to `record`, once.
 
     /// Put `doc` at `seq`, which holds no row.
     fn place(&mut self, seq: u64, id_key: String, doc: Document) {
+        self.index_row(seq, id_key, &doc);
+        let copied = self.docs.place(seq, doc);
+        self.count_copies(copied);
+    }
+
+    /// Post the row `doc` at `seq` in `primary` and the indexes.
+    fn index_row(&mut self, seq: u64, id_key: String, doc: &Document) {
         self.primary.insert(id_key, seq);
         for (field, idx) in &mut self.indexes {
-            idx.insert(seq, index_keys_of(&doc, field));
+            idx.insert(seq, index_keys_of(doc, field));
         }
-        self.docs.insert(seq, doc);
     }
 
     /// Swap the row at `seq` for `doc`, which has the same `_id`.
-    /// `false`, and nothing happened, when the two are equal.
+    /// `false`, and nothing happened (nothing copied either), when the
+    /// two are equal.
     fn replace(&mut self, seq: u64, doc: Cow<'_, Document>) -> bool {
-        match self.docs.get_mut(&seq) {
-            Some(row) if *row != *doc => {
-                let old = std::mem::replace(row, doc.into_owned());
-                for (field, idx) in &mut self.indexes {
-                    idx.remove(seq, &index_keys_of(&old, field));
-                    idx.insert(seq, index_keys_of(row, field));
-                }
-                true
-            }
-            _ => false,
+        if self.docs.get(seq).is_none_or(|row| *row == *doc) {
+            return false;
         }
+        let (old, copied) = self.docs.replace(seq, doc.into_owned());
+        self.count_copies(copied);
+        let row = self.docs.get(seq).expect("just replaced");
+        for (field, idx) in &mut self.indexes {
+            idx.remove(seq, &index_keys_of(&old, field));
+            idx.insert(seq, index_keys_of(row, field));
+        }
+        true
     }
 
-    /// Remove and return the row at `seq`.
-    fn take(&mut self, seq: u64) -> Option<Document> {
-        let doc = self.docs.remove(&seq)?;
+    /// Remove the row at `seq`; `false` when there is none.
+    fn take(&mut self, seq: u64) -> bool {
+        let Some(doc) = self.docs.get(seq) else {
+            return false;
+        };
         for (field, idx) in &mut self.indexes {
-            idx.remove(seq, &index_keys_of(&doc, field));
+            idx.remove(seq, &index_keys_of(doc, field));
         }
-        self.primary.remove(&id_key(&doc));
-        Some(doc)
+        self.primary.remove(&id_key(doc));
+        self.docs.remove(seq);
+        true
+    }
+
+    /// Report rows a write deep-copied because an image shared them.
+    fn count_copies(&self, rows: u64) {
+        if rows > 0 {
+            self.rec().add("pathdb.snapshot.copied_rows", rows);
+        }
     }
 
     /// The bookkeeping of one mutation: the seqs it `appended` (rows
     /// placed where none was), `replaced` and `removed`. Bumps the
     /// version once if it did anything, marks a reshape, and records
     /// what the slice files no longer match — the only writer of all
-    /// three.
+    /// three — then copies away the shared slices its removals left
+    /// rows in (`Rows::settle`).
     fn record(&mut self, appended: Range<u64>, replaced: &[u64], removed: &[u64]) {
         if appended.is_empty() && replaced.is_empty() && removed.is_empty() {
             return;
@@ -445,6 +670,8 @@ impl Collection {
         let reshaped = replaced.iter().chain(removed);
         dirty.slices.extend(reshaped.map(|seq| seq / SLICE_ROWS));
         dirty.replaced.extend(replaced);
+        let copied = self.docs.settle(removed);
+        self.count_copies(copied);
     }
 
     // ---- writes ---------------------------------------------------------
@@ -592,14 +819,17 @@ impl Collection {
         let mut seqs: Vec<u64> = plan::matching_seqs(self, filter);
         let mut post_images = Vec::new();
         seqs.retain(|&seq| {
-            let Some(mut doc) = self.take(seq) else {
+            let Some(row) = self.docs.get(seq) else {
                 return false;
             };
+            let mut doc = row.clone();
             update.apply(&mut doc);
             if self.wal.is_some() {
-                post_images.push(doc.clone());
+                self.replace(seq, Cow::Borrowed(&doc));
+                post_images.push(doc);
+            } else {
+                self.replace(seq, Cow::Owned(doc));
             }
-            self.place(seq, id_key(&doc), doc);
             true
         });
         self.record(0..0, &seqs, &[]);
@@ -621,13 +851,13 @@ impl Collection {
         let mut seqs: Vec<u64> = plan::matching_seqs(self, filter);
         let mut removed_ids = Vec::new();
         seqs.retain(|&seq| {
-            let Some(doc) = self.take(seq) else {
+            let Some(doc) = self.docs.get(seq) else {
                 return false;
             };
             if self.wal.is_some() {
                 removed_ids.extend(doc.get("_id").cloned());
             }
-            true
+            self.take(seq)
         });
         self.record(0..0, &[], &seqs);
         if !seqs.is_empty() {
@@ -668,21 +898,13 @@ impl Collection {
 
     /// Every slice that holds at least one row.
     pub(crate) fn live_slices(&self) -> BTreeSet<u64> {
-        let mut slices = BTreeSet::new();
-        for slice in self.docs.keys().map(|seq| seq / SLICE_ROWS) {
-            if slices.last() != Some(&slice) {
-                slices.insert(slice);
-            }
-        }
-        slices
+        self.docs.slices.keys().copied().collect()
     }
 
     /// The rows of one slice with their insertion sequences, in order.
     pub(crate) fn slice_rows(&self, slice: u64) -> impl Iterator<Item = (u64, &Document)> + Clone {
         let start = slice * SLICE_ROWS;
-        self.docs
-            .range(start..start + SLICE_ROWS)
-            .map(|(s, d)| (*s, d))
+        self.docs.range(start..start + SLICE_ROWS)
     }
 
     /// The active telemetry sink (the shared no-op when none is set).
@@ -756,7 +978,7 @@ impl Collection {
         let mut seqs = Vec::new();
         for id in ids {
             if let Some(&seq) = self.primary.get(&id.index_key()) {
-                if self.take(seq).is_some() {
+                if self.take(seq) {
                     seqs.push(seq);
                 }
             }
@@ -769,7 +991,7 @@ impl Collection {
     /// Fetch by `_id`.
     pub fn find_by_id<V: Into<Value>>(&self, id: V) -> Option<&Document> {
         let key = id.into().index_key();
-        self.primary.get(&key).and_then(|seq| self.docs.get(seq))
+        self.primary.get(&key).and_then(|&seq| self.docs.get(seq))
     }
 
     /// Execute a filtered/sorted/paginated/projected read through the
@@ -784,7 +1006,7 @@ impl Collection {
     pub(crate) fn run_refs(&self, filter: &Filter) -> Vec<&Document> {
         plan::matching_seqs(self, filter)
             .into_iter()
-            .filter_map(|s| self.docs.get(&s))
+            .filter_map(|s| self.docs.get(s))
             .collect()
     }
 
@@ -801,7 +1023,7 @@ impl Collection {
         let mut seen: HashSet<String> = HashSet::new();
         let mut out = Vec::new();
         for seq in plan::matching_seqs(self, filter) {
-            let Some(doc) = self.docs.get(&seq) else {
+            let Some(doc) = self.docs.get(seq) else {
                 continue;
             };
             let candidates: Vec<Value> = match doc.get_path(field) {
@@ -868,6 +1090,7 @@ mod tests {
     use super::*;
     use crate::doc;
     use crate::plan::Access;
+    use upin_telemetry::Telemetry;
 
     fn stats_collection() -> Collection {
         let mut c = Collection::new("paths_stats");
@@ -1441,6 +1664,142 @@ mod tests {
         assert_eq!(snap.query(Filter::eq("server_id", 2i64)).count(), 4);
     }
 
+    // ---- what a pin and a write copy --------------------------------------
+
+    /// `rows` rows with `k` = their seq, under an index on `k`, and the
+    /// recorder that counts the rows writes copy.
+    fn counted(rows: u64) -> (Collection, Arc<Telemetry>) {
+        let telemetry = Arc::new(Telemetry::new());
+        let mut c = Collection::new("t");
+        c.set_recorder(Some(telemetry.clone()));
+        c.create_index("k");
+        let docs = (0..rows).map(|k| doc! { "k" => k as i64 }).collect();
+        c.insert_many(docs).unwrap();
+        (c, telemetry)
+    }
+
+    fn copied(telemetry: &Telemetry) -> u64 {
+        telemetry.counter("pathdb.snapshot.copied_rows")
+    }
+
+    /// `a` and `b` hold the same `Slice` at `slice`.
+    fn shares(a: &Collection, b: &Collection, slice: u64) -> bool {
+        match (a.docs.slices.get(&slice), b.docs.slices.get(&slice)) {
+            (Some(x), Some(y)) => Arc::ptr_eq(&x.slice, &y.slice),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn copy_budget_a_pin_copies_no_row() {
+        let (mut c, telemetry) = counted(3 * SLICE_ROWS + 10);
+        let first = c.read_snapshot();
+        c.insert_one(doc! { "k" => -1i64 }).unwrap();
+        // Appended under `first`: the merge arm copies the image, not a row.
+        let merged = c.read_snapshot();
+        assert_eq!(copied(&telemetry), 0);
+        assert!((0..4).all(|slice| shares(&c, &merged, slice)));
+        c.update_many(&Filter::eq("k", 5i64), &Update::new().set("k", 6i64));
+        let before = copied(&telemetry);
+        let reshaped = c.read_snapshot();
+        assert_eq!(copied(&telemetry), before, "the clone arm copies no row");
+        assert!((0..4).all(|slice| shares(&c, &reshaped, slice)));
+        for older in [&first, &merged] {
+            assert!(!shares(&c, older, 0), "the update copied slice 0 away");
+            assert!((1..4).all(|slice| shares(&c, older, slice)));
+        }
+        assert_eq!(first.len() as u64, 3 * SLICE_ROWS + 10);
+    }
+
+    #[test]
+    fn copy_budget_an_append_under_a_pin_copies_no_row() {
+        // The tail slice is part full, so the batch lands in a slice
+        // the image shares before it opens two new ones.
+        let (mut c, telemetry) = counted(SLICE_ROWS + 10);
+        let pin = c.read_snapshot();
+        let docs = (0..2 * SLICE_ROWS)
+            .map(|k| doc! { "k" => k as i64 })
+            .collect();
+        c.insert_many(docs).unwrap();
+        assert_eq!(copied(&telemetry), 0);
+        assert!(shares(&c, &pin, 0) && shares(&c, &pin, 1));
+        assert_eq!(
+            pin.len() as u64,
+            SLICE_ROWS + 10,
+            "the image does not see them"
+        );
+        assert_eq!(pin.iter_from(SLICE_ROWS).count(), 10);
+        assert_eq!(c.len() as u64, 3 * SLICE_ROWS + 10);
+        assert_eq!(c.iter_from(SLICE_ROWS).count() as u64, 2 * SLICE_ROWS + 10);
+    }
+
+    #[test]
+    fn copy_budget_an_update_copies_at_most_its_slice_once_per_pin() {
+        let (mut c, telemetry) = counted(3 * SLICE_ROWS);
+        let _pin = c.read_snapshot();
+        let set = |k: i64| Update::new().set("x", k);
+        c.update_many(&Filter::eq("k", 1i64), &set(1));
+        assert_eq!(copied(&telemetry), SLICE_ROWS);
+        // The slice is this collection's own now.
+        c.update_many(&Filter::eq("k", 2i64), &set(2));
+        assert_eq!(copied(&telemetry), SLICE_ROWS);
+        // A replace with an equal row copies nothing, nor does an update
+        // that changes nothing.
+        let same = c.find_by_id("auto:600").unwrap().clone();
+        assert_eq!(c.upsert_many(vec![same]).unwrap(), 0);
+        assert_eq!(c.update_many(&Filter::eq("k", 600i64), &Update::new()), 1);
+        assert_eq!(copied(&telemetry), SLICE_ROWS);
+        // A delete that leaves rows in a shared slice copies it once.
+        c.delete_many(&Filter::eq("k", 300i64));
+        c.delete_many(&Filter::eq("k", 301i64));
+        assert_eq!(copied(&telemetry), 2 * SLICE_ROWS - 1);
+        // A new pin shares every slice again: the next write copies anew.
+        let _again = c.read_snapshot();
+        c.update_many(&Filter::eq("k", 3i64), &set(3));
+        assert_eq!(copied(&telemetry), 3 * SLICE_ROWS - 1);
+    }
+
+    #[test]
+    fn copy_budget_an_expiry_over_whole_slices_copies_nothing_and_frees_them() {
+        let (mut c, telemetry) = counted(3 * SLICE_ROWS);
+        let pin = c.read_snapshot();
+        let gone: Vec<_> = (0..2)
+            .map(|s| Arc::downgrade(&c.docs.slices[&s].slice))
+            .collect();
+        let expired = c.delete_many(&Filter::lt("k", 2 * SLICE_ROWS as i64));
+        assert_eq!(expired as u64, 2 * SLICE_ROWS);
+        assert_eq!(copied(&telemetry), 0);
+        assert_eq!(c.live_slices(), BTreeSet::from([2]));
+        assert!(shares(&c, &pin, 2));
+        // The pin and the memo still hold the dropped slices; once the
+        // next pin replaces the memo and the old pin goes, nothing does.
+        assert!(gone.iter().all(|slice| slice.upgrade().is_some()));
+        drop(pin);
+        let _next = c.read_snapshot();
+        assert!(gone.iter().all(|slice| slice.upgrade().is_none()));
+    }
+
+    /// A clone shares the tail slice with its original; when both then
+    /// append at the same seq, the second finds the cell taken and
+    /// writes into a copy of its own.
+    #[test]
+    fn a_clone_and_its_original_append_apart() {
+        let (mut a, telemetry) = counted(10);
+        let mut b = a.clone();
+        a.insert_one(doc! { "_id" => "a" }).unwrap();
+        b.insert_one(doc! { "_id" => "b" }).unwrap();
+        assert_eq!(copied(&telemetry), 10);
+        assert_eq!(
+            a.iter_from(10).map(Document::id).collect::<Vec<_>>(),
+            [Some("a")]
+        );
+        assert_eq!(
+            b.iter_from(10).map(Document::id).collect::<Vec<_>>(),
+            [Some("b")]
+        );
+        assert!(b.find_by_id("a").is_none() && a.find_by_id("b").is_none());
+    }
+
     #[test]
     fn delete_many_routes_range_filters_through_the_planner() {
         // Retention expiry's hot path: a `$lt` over an indexed time
@@ -1621,6 +1980,25 @@ mod tests {
         d
     }
 
+    /// The rows compare as the map of `seq → row` they stand for.
+    impl PartialEq for Rows {
+        fn eq(&self, other: &Rows) -> bool {
+            self.len == other.len && self.iter().eq(other.iter())
+        }
+    }
+
+    impl PartialEq<BTreeMap<u64, Document>> for Rows {
+        fn eq(&self, other: &BTreeMap<u64, Document>) -> bool {
+            self.len == other.len() && self.iter().eq(other.iter().map(|(&s, d)| (s, d)))
+        }
+    }
+
+    impl Rows {
+        fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+            self.iter().map(|(seq, _)| seq)
+        }
+    }
+
     type IndexImage<'a> = BTreeMap<&'a str, &'a BTreeMap<String, Postings>>;
 
     fn index_image(c: &Collection) -> IndexImage<'_> {
@@ -1633,9 +2011,9 @@ mod tests {
     /// `primary`, `docs` and the indexes agree with each other.
     fn assert_consistent(c: &Collection) {
         assert_eq!(c.primary.len(), c.docs.len());
-        for (seq, doc) in &c.docs {
+        for (seq, doc) in c.docs.iter() {
             let key = doc.get("_id").expect("every row has an id").index_key();
-            assert_eq!(c.primary.get(&key), Some(seq));
+            assert_eq!(c.primary.get(&key), Some(&seq));
         }
         let mut rebuilt = c.clone();
         rebuilt.indexes.clear();
@@ -1664,9 +2042,18 @@ mod tests {
         /// Slices touched and seqs replaced since the dirty sets were
         /// last taken.
         dirty: Dirty,
-        pins: Vec<(Arc<Collection>, BTreeMap<u64, Document>)>,
+        pins: Vec<Pinned>,
         fresh: u32,
     }
+
+    /// A held image, the rows it showed when pinned and the slices the
+    /// collection has written since (`None` once a reload left the
+    /// image nothing to share).
+    type Pinned = (
+        Arc<Collection>,
+        BTreeMap<u64, Document>,
+        Option<BTreeSet<u64>>,
+    );
 
     impl Harness {
         /// Rows start just below a slice boundary so a short run
@@ -1737,6 +2124,7 @@ mod tests {
                 return;
             }
             self.events.push(!reshaped.is_empty());
+            self.wrote(reshaped.iter().map(|(seq, _)| *seq));
             for doc in appended {
                 self.dirty.slices.insert(self.next_seq / SLICE_ROWS);
                 self.rows.insert(self.next_seq, doc);
@@ -1751,6 +2139,13 @@ mod tests {
                     }
                     None => self.rows.remove(&seq),
                 };
+            }
+        }
+
+        /// Mark the slices of `seqs` as written under every held pin.
+        fn wrote(&mut self, seqs: impl Iterator<Item = u64> + Clone) {
+            for written in self.pins.iter_mut().filter_map(|pin| pin.2.as_mut()) {
+                written.extend(seqs.clone().map(|seq| seq / SLICE_ROWS));
             }
         }
 
@@ -1869,6 +2264,7 @@ mod tests {
                     // A row the batch appended and then replaced counts
                     // as replaced too (harmless: no old file holds it).
                     self.dirty.replaced.extend(&reshaped);
+                    self.wrote(reshaped.iter().copied());
                     let reshaped = reshaped
                         .into_iter()
                         .filter(|seq| *seq < self.next_seq)
@@ -1917,10 +2313,16 @@ mod tests {
                     for v in self.base..=self.version() + 1 {
                         assert_eq!(image.delta_since(v), self.delta(v));
                     }
+                    // Nothing is written since the pin: every slice is shared.
+                    for (slice, held) in &self.c.docs.slices {
+                        let pinned = &image.docs.slices[slice].slice;
+                        assert!(Arc::ptr_eq(&held.slice, pinned), "a pin copies no slice");
+                    }
                     if self.pins.len() == 3 {
                         self.pins.remove(0);
                     }
-                    self.pins.push((image, self.rows.clone()));
+                    self.pins
+                        .push((image, self.rows.clone(), Some(BTreeSet::new())));
                 }
                 Step::Unpin => self.pins.clear(),
                 Step::Checkpoint => {
@@ -1986,6 +2388,7 @@ mod tests {
                     self.dirty = replayed;
                     c.set_wal(Some(self.wal.clone()));
                     self.c = c;
+                    self.pins.iter_mut().for_each(|pin| pin.2 = None);
                     self.base = self.c.mutation_version();
                     self.events.clear();
                 }
@@ -2001,9 +2404,17 @@ mod tests {
             for v in self.base..=self.version() + 1 {
                 assert_eq!(self.c.delta_since(v), self.delta(v));
             }
-            for (image, rows) in &self.pins {
+            for (image, rows, written) in &self.pins {
                 assert_eq!(image.docs, *rows, "a pinned image never changes");
                 assert_consistent(image);
+                let Some(written) = written else { continue };
+                for (slice, held) in &self.c.docs.slices {
+                    if let Some(pinned) = image.docs.slices.get(slice) {
+                        let kept =
+                            written.contains(slice) || Arc::ptr_eq(&held.slice, &pinned.slice);
+                        assert!(kept, "slice {slice}: nothing wrote it, yet it is a copy");
+                    }
+                }
             }
         }
     }

@@ -275,13 +275,13 @@ pub(crate) fn matching_seqs(coll: &Collection, filter: &Filter) -> Vec<u64> {
     match choose_access(coll, filter).seqs {
         Some(seqs) => seqs
             .into_iter()
-            .filter(|s| coll.docs.get(s).is_some_and(|d| filter.matches(d)))
+            .filter(|&s| coll.docs.get(s).is_some_and(|d| filter.matches(d)))
             .collect(),
         None => coll
             .docs
             .iter()
             .filter(|(_, d)| filter.matches(d))
-            .map(|(&s, _)| s)
+            .map(|(s, _)| s)
             .collect(),
     }
 }
@@ -292,7 +292,7 @@ pub(crate) fn find_with(coll: &Collection, filter: &Filter, opts: &FindOptions) 
     match choose_access(coll, filter).seqs {
         Some(seqs) => page(
             seqs.iter()
-                .filter_map(|s| coll.docs.get(s))
+                .filter_map(|&s| coll.docs.get(s))
                 .filter(|d| filter.matches(d)),
             opts,
         ),
