@@ -450,6 +450,12 @@ fn cmd_campaign(p: &Parsed, s: &Session) -> Result<String, CliError> {
     // Campaigns over a `--topology` file measure from that
     // network's user AS, not the SCIONLab replica's.
     cfg.local_as = s.local;
+    // A stat `_id` carries the simulated clock, which every process
+    // starts at 0: resume it past the newest stored sample, so a
+    // campaign appended to a database mints no `_id` it already holds.
+    if let Some(newest) = newest_sample_ms(&s.db) {
+        s.net.advance_ms(newest as f64 + 1.0 - s.net.now_ms());
+    }
     let report = upin_core::TestSuite::new(&s.net, &s.db, cfg).run()?;
     s.persist()?;
     // Lead with what crash recovery had to repair, if anything:
@@ -464,6 +470,21 @@ fn cmd_campaign(p: &Parsed, s: &Session) -> Result<String, CliError> {
     }
     out.push_str(&report.render());
     Ok(out)
+}
+
+/// The `timestamp_ms` of the newest stored sample, if any.
+fn newest_sample_ms(db: &pathdb::Database) -> Option<i64> {
+    use upin_core::schema::PATHS_STATS;
+    if !db.has_collection(PATHS_STATS) {
+        return None;
+    }
+    let stats = db.collection(PATHS_STATS);
+    let newest = stats
+        .read()
+        .query_all()
+        .sort_by("timestamp_ms", pathdb::Order::Desc)
+        .first()?;
+    newest.get("timestamp_ms")?.as_int()
 }
 
 /// `upin topo generate [--isds N] [--ases LO,HI] [--cores LO,HI] ...`:
@@ -1449,6 +1470,85 @@ mod tests {
             "{out}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Samples stored under `dir`, read back as a plain load.
+    fn stored_samples(dir: &Path) -> usize {
+        let db = pathdb::Database::load_dir(dir).unwrap();
+        let samples = db.collection(upin_core::schema::PATHS_STATS).read().len();
+        samples
+    }
+
+    /// Stat `_id`s carry the simulated clock: a second campaign on one
+    /// database used to re-mint the first one's ids and fail with a
+    /// duplicate `_id`. It appends instead, whatever the seed.
+    #[test]
+    fn a_second_campaign_on_one_database_appends_its_samples() {
+        let dir = std::env::temp_dir().join(format!("upin-cli-twice-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dbflag = dir.to_str().unwrap();
+        for seed in ["42", "7"] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let campaign = [
+                "campaign",
+                "1",
+                "--some-only",
+                "--no-bwtests",
+                "--seed",
+                seed,
+                "--db",
+                dbflag,
+            ];
+            run_cli(&campaign).unwrap();
+            let once = stored_samples(&dir);
+            assert!(once > 0);
+            run_cli(&campaign).unwrap();
+            assert_eq!(stored_samples(&dir), 2 * once, "seed {seed}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A database directory may hold files the database did not write:
+    /// they are neither loaded nor deleted, with a manifest or without.
+    #[test]
+    fn files_a_campaign_did_not_write_survive_it() {
+        let root = std::env::temp_dir().join(format!("upin-cli-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (d, d2) = (root.join("db"), root.join("db2"));
+        let campaign = |dir: &Path, skip: bool| {
+            let mut args = vec!["campaign", "1", "--some-only", "--no-bwtests"];
+            if skip {
+                args.push("--skip");
+            }
+            args.extend(["--db", dir.to_str().unwrap()]);
+            run_cli(&args).unwrap()
+        };
+        campaign(&d, false);
+        let with_manifest = [
+            ("notes.tmp", "draft\n"),
+            ("reqs.jsonl", "\"Health\"\n"),
+            ("readme.slice", "hello\n"),
+        ];
+        for (name, text) in with_manifest {
+            std::fs::write(d.join(name), text).unwrap();
+        }
+        campaign(&d, true);
+
+        std::fs::create_dir_all(&d2).unwrap();
+        let fresh = [("notes.jsonl", "{\"_id\":\"n\",\"v\":1}\n\"Health\"\n")];
+        std::fs::write(d2.join(fresh[0].0), fresh[0].1).unwrap();
+        let out = campaign(&d2, false);
+        assert!(!out.contains("notes"), "{out}");
+
+        for (dir, files) in [(&d, &with_manifest[..]), (&d2, &fresh[..])] {
+            for (name, text) in files {
+                let kept = std::fs::read_to_string(dir.join(name)).unwrap();
+                assert_eq!(kept, *text, "{name}");
+            }
+            let names = pathdb::Database::load_dir(dir).unwrap().collection_names();
+            assert!(!names.iter().any(|n| n == "notes"), "{names:?}");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

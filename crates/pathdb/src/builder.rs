@@ -167,7 +167,7 @@ mod tests {
             Some("c")
         );
         assert!(c.query(Filter::eq("server_id", 9i64)).first().is_none());
-        assert_eq!(c.query(Filter::gt("rtt", 15.0)).count(), 3);
+        assert_eq!(c.query(Filter::gte("rtt", 15.0)).count(), 3);
         assert_eq!(c.query_all().distinct("server_id").len(), 2);
     }
 
@@ -190,7 +190,6 @@ mod tests {
             c.query(&f).explain().access,
             Access::IndexPoint {
                 field: "server_id".into(),
-                keys: 1,
                 candidates: 2
             }
         );

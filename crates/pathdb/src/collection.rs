@@ -765,14 +765,16 @@ impl Collection {
 
     /// Upsert one post-image: swap it for the live row with its `_id`,
     /// where that is, or place it at `at` (the allocator when `None`).
-    /// A document without an id — the log and the slice files never
-    /// hold one; tolerated anyway — gets a generated one.
+    /// An explicit `at` only places: a held `_id` leaves the collection
+    /// as it was. A document without an id — the log and the slice
+    /// files never hold one; tolerated anyway — gets a generated one.
     fn upsert_row(&mut self, at: Option<u64>, mut doc: Cow<'_, Document>) -> Upserted {
         if doc.get("_id").is_none() {
             let _ = self.prepare_id(doc.to_mut());
         }
         let key = id_key(&doc);
         match self.primary.get(&key).copied() {
+            Some(_) if at.is_some() => Upserted::Unchanged,
             Some(seq) => {
                 if self.replace(seq, doc) {
                     Upserted::Replaced(seq)
@@ -946,23 +948,25 @@ impl Collection {
         self.apply_upsert_to(None, doc);
     }
 
-    /// [`Collection::apply_upsert`] at an explicit insertion sequence —
-    /// the durable-snapshot loader's path. Snapshots persist each row's
-    /// seq (and the manifest the allocator), so the insertion-sequence
-    /// space is *stable across recovery*: an absolute watermark taken
-    /// before a crash (the rollup meta document) still names the same
-    /// rows afterwards, instead of being silently re-pointed by a
-    /// compacting renumber.
-    pub(crate) fn apply_upsert_at(&mut self, seq: u64, doc: Document) {
-        self.apply_upsert_to(Some(seq), doc);
+    /// Place a slice file's row at its persisted insertion sequence,
+    /// which holds no row — the snapshot loader's path. Snapshots persist
+    /// each row's seq (and the manifest the allocator), so the
+    /// insertion-sequence space is *stable across recovery*: an absolute
+    /// watermark taken before a crash (the rollup meta document) still
+    /// names the same rows afterwards. `false`, and nothing changed,
+    /// when a loaded row already holds the `_id`.
+    pub(crate) fn load_at(&mut self, seq: u64, doc: Document) -> bool {
+        matches!(self.apply_upsert_to(Some(seq), doc), Upserted::Placed(_))
     }
 
-    fn apply_upsert_to(&mut self, at: Option<u64>, doc: Document) {
-        match self.upsert_row(at, Cow::Owned(doc)) {
+    fn apply_upsert_to(&mut self, at: Option<u64>, doc: Document) -> Upserted {
+        let upserted = self.upsert_row(at, Cow::Owned(doc));
+        match upserted {
             Upserted::Unchanged => {}
             Upserted::Replaced(seq) => self.record(0..0, &[seq], &[]),
             Upserted::Placed(seq) => self.record(seq..seq + 1, &[], &[]),
         }
+        upserted
     }
 
     /// Restore the insertion-sequence allocator (never moves backward):
@@ -1168,7 +1172,7 @@ mod tests {
         assert_eq!(by_index[0].id(), Some("2_1_100"));
         // A conjunction keeps applying the residual filter.
         let narrowed = c
-            .query(Filter::eq("_id", "2_1_100").and(Filter::gt("hops", 100i64)))
+            .query(Filter::eq("_id", "2_1_100").and(Filter::gte("hops", 100i64)))
             .run();
         assert!(narrowed.is_empty());
         // Misses stay misses.
@@ -1293,7 +1297,7 @@ mod tests {
     #[test]
     fn secondary_index_agrees_with_scan() {
         let mut c = stats_collection();
-        let filter = Filter::eq("server_id", 2i64).and(Filter::gt("avg_latency_ms", 100.0));
+        let filter = Filter::eq("server_id", 2i64).and(Filter::gte("avg_latency_ms", 100.0));
         let scan = c.query(&filter).run();
         c.create_index("server_id");
         assert!(c.indexes.contains_key("server_id"));
@@ -1313,7 +1317,7 @@ mod tests {
     #[test]
     fn explain_reports_the_plan() {
         let mut c = stats_collection();
-        let f = Filter::eq("server_id", 2i64).and(Filter::gt("hops", 5i64));
+        let f = Filter::eq("server_id", 2i64).and(Filter::gte("hops", 6i64));
         assert_eq!(
             c.query(&f).explain().access,
             Access::FullScan { documents: 5 }
@@ -1323,13 +1327,12 @@ mod tests {
             c.query(&f).explain().access,
             Access::IndexPoint {
                 field: "server_id".into(),
-                keys: 1,
                 candidates: 3
             }
         );
         // A range on the indexed field becomes an ordered-index scan.
         assert_eq!(
-            c.query(Filter::gt("server_id", 1i64)).explain().access,
+            c.query(Filter::gte("server_id", 2i64)).explain().access,
             Access::IndexRange {
                 field: "server_id".into(),
                 candidates: 3
@@ -1360,8 +1363,10 @@ mod tests {
             .map(|d| d.id().unwrap().to_string())
             .collect();
         assert_eq!(ids, vec!["1_1_100", "2_0_100"]);
-        // Bounds are exact: Gt excludes the boundary, Gte includes it.
-        assert_eq!(c.query(Filter::gt("avg_latency_ms", 155.0)).count(), 1);
+        // Bounds are exact: Lt excludes the boundary, Lte includes it,
+        // and so does Gte.
+        assert_eq!(c.query(Filter::lt("avg_latency_ms", 155.0)).count(), 3);
+        assert_eq!(c.query(Filter::lte("avg_latency_ms", 155.0)).count(), 4);
         assert_eq!(c.query(Filter::gte("avg_latency_ms", 155.0)).count(), 2);
     }
 
@@ -1527,7 +1532,6 @@ mod tests {
             c.query(&nineteen).explain().access,
             Access::IndexPoint {
                 field: "isds".into(),
-                keys: 1,
                 candidates: 2
             }
         );
@@ -1892,7 +1896,7 @@ mod tests {
 
     // ---- every entry point against a model -------------------------------
 
-    use crate::snapshot::{decode_jsonl, encode_jsonl_seq, take_seq, write_slice, LoadOptions};
+    use crate::snapshot::{encode_jsonl_seq, load_slice, write_slice, LoadOptions};
     use crate::storage::{FaultyStorage, Storage};
     use crate::wal::{read_wal, wal_path, WalOp};
     use proptest::prelude::*;
@@ -2346,14 +2350,11 @@ mod tests {
                 }
                 Step::Reload => {
                     let mut c = Harness::indexed();
-                    for bytes in self.slices.values() {
-                        let (docs, bad) = decode_jsonl(bytes, "slice", &LoadOptions::default())
-                            .expect("the checkpoint decodes");
+                    for (&slice, bytes) in &self.slices {
+                        let (_, bad) =
+                            load_slice(&mut c, slice, bytes, "slice", &LoadOptions::default())
+                                .expect("the checkpoint loads");
                         assert!(bad.is_none());
-                        for mut doc in docs {
-                            let seq = take_seq(&mut doc).expect("slice rows carry their seq");
-                            c.apply_upsert_at(seq, doc);
-                        }
                     }
                     // The allocator already clears every row it was shown.
                     let past_last = c.docs.keys().last().map_or(0, |seq| seq + 1);

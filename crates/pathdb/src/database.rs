@@ -22,8 +22,8 @@
 //!   `insert_many` batch, §4.2.2) can be lost to a crash.
 //!
 //! [`Database::open_durable_with`] is the recovery path: it loads the latest
-//! committed checkpoint (lenient about torn tails in directories that
-//! predate slices), replays the intact WAL prefix in generation order
+//! committed checkpoint (leniently: a slice file's bad tail is skipped
+//! and reported), replays the intact WAL prefix in generation order
 //! (streamed frame by frame, never read whole),
 //! truncates torn WAL tails, and reports
 //! what it did in a [`RecoveryReport`] instead of failing.
@@ -33,10 +33,10 @@ use crate::error::{DbError, DbResult};
 use crate::query::Filter;
 use crate::rollup::{self, RollupConfig};
 use crate::snapshot::{
-    parse_slice_path, read_manifest, read_rows, slice_path, take_seq, write_manifest, write_slice,
-    LoadOptions, Manifest, ManifestEntry, SkippedLines,
+    load_slices, parse_slice_path, read_manifest, slice_path, write_manifest, write_slice,
+    LoadOptions, Manifest, ManifestEntry, SkippedLines, MANIFEST,
 };
-use crate::storage::{is_tmp, DiskStorage, Storage};
+use crate::storage::{tmp_target, DiskStorage, Storage};
 use crate::wal::{parse_wal_path, read_wal, Wal, WalOp, WalOpRef};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -95,10 +95,6 @@ pub struct OpenOptions {
     /// Storage backend — [`DiskStorage`] in production,
     /// [`crate::storage::FaultyStorage`] in the crash tests.
     pub storage: Arc<dyn Storage>,
-    /// Snapshot-loading behavior. Recovery defaults to lenient
-    /// (`skip_corrupt_tail: true`): a torn file yields its intact
-    /// prefix plus a report, never a failed open.
-    pub load: LoadOptions,
     /// Telemetry recorder attached to the database (and every
     /// collection) from the first moment of recovery, so WAL replay
     /// and recovery timings are captured too. `None` = no-op.
@@ -110,9 +106,6 @@ impl OpenOptions {
         OpenOptions {
             durability,
             storage: DiskStorage::shared(),
-            load: LoadOptions {
-                skip_corrupt_tail: true,
-            },
             recorder: None,
         }
     }
@@ -146,7 +139,7 @@ pub struct RecoveryReport {
     pub dropped_uncommitted_ops: usize,
     /// Stale WAL files (older than the manifest generation) deleted.
     pub stale_wals_removed: usize,
-    /// Lines dropped from torn snapshot files by the lenient loader.
+    /// Lines dropped from slice files by the lenient loader.
     pub skipped: Vec<SkippedLines>,
 }
 
@@ -410,9 +403,10 @@ impl Database {
 
     /// Open (creating if needed) a durable database in `dir`,
     /// recovering whatever a previous process — cleanly exited or
-    /// crashed mid-write — left behind. `opts` carries the durability
-    /// level, the loader options and the storage backend (the
-    /// crash-injection tests inject theirs).
+    /// crashed mid-write — left behind. Slice files load leniently: a
+    /// bad tail yields the rows before it plus a report, never a failed
+    /// open. `opts` carries the durability level and the storage
+    /// backend (the crash-injection tests inject theirs).
     pub fn open_durable_with<P: AsRef<Path>>(
         dir: P,
         opts: OpenOptions,
@@ -432,15 +426,17 @@ impl Database {
             recorder: opts.recorder.clone(),
             ..Database::default()
         };
-        let manifest = db.load_checkpoint(&*storage, dir, &opts.load, &mut report)?;
+        let lenient = LoadOptions {
+            skip_corrupt_tail: true,
+        };
+        let manifest = db.load_checkpoint(&*storage, dir, &lenient, &mut report)?;
 
         // 2. Replay surviving WAL generations, oldest first, deleting
         //    the logs the checkpoint already covers. Replay is
         //    idempotent and op-ordered, so a log that partially
         //    predates the checkpoint (a crash between manifest write
-        //    and log deletion, or a format-2 directory's lagging
-        //    collections) converges all the same — and marks what it
-        //    touches dirty for the next checkpoint.
+        //    and log deletion) converges all the same — and marks what
+        //    it touches dirty for the next checkpoint.
         let mut wal_files: Vec<(u64, PathBuf)> = storage
             .list(dir)?
             .into_iter()
@@ -449,7 +445,7 @@ impl Database {
         wal_files.sort();
         let mut max_gen = manifest.generation;
         for (gen, path) in wal_files {
-            if gen < manifest.replay_from {
+            if gen < manifest.generation {
                 storage.remove(&path)?;
                 report.stale_wals_removed += 1;
                 continue;
@@ -496,9 +492,9 @@ impl Database {
     }
 
     /// Materialize the checkpoint `dir` holds — the one reader behind
-    /// [`Database::open_durable_with`] and [`Database::load_dir`]. The
-    /// roster is the manifest when present, else every `*.jsonl` in the
-    /// directory (the layout before manifests).
+    /// [`Database::open_durable_with`] and [`Database::load_dir`]: the
+    /// slice files its manifest names, nothing else. Without a manifest
+    /// the database starts empty.
     fn load_checkpoint(
         &self,
         storage: &dyn Storage,
@@ -506,21 +502,8 @@ impl Database {
         opts: &LoadOptions,
         report: &mut RecoveryReport,
     ) -> DbResult<Manifest> {
-        let manifest = match read_manifest(storage, dir)? {
-            Some(m) => m,
-            None => {
-                let mut names: Vec<String> = storage
-                    .list(dir)?
-                    .iter()
-                    .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("jsonl"))
-                    .filter_map(|p| p.file_stem().and_then(|s| s.to_str()).map(String::from))
-                    .collect();
-                names.sort();
-                Manifest::legacy_roster(names)
-            }
-        };
+        let manifest = read_manifest(storage, dir)?.unwrap_or_default();
         for entry in &manifest.collections {
-            let (docs, skipped) = read_rows(storage, dir, manifest.legacy, entry, opts)?;
             let handle = self.collection(&entry.name);
             let mut coll = handle.write();
             // Indexes first: every row below then enters them as it is
@@ -528,32 +511,19 @@ impl Database {
             for field in &entry.indexes {
                 coll.create_index(field);
             }
+            let (loaded, skipped) = load_slices(storage, dir, entry, opts, &mut coll)?;
             report.collections += 1;
-            report.snapshot_docs += docs.len();
+            report.snapshot_docs += loaded;
             report.skipped.extend(skipped);
-            for mut doc in docs {
-                // Restore each row at its persisted sequence so
-                // absolute watermarks survive recovery (and the row
-                // stays in its slice); legacy rows without one
-                // renumber compactly.
-                match take_seq(&mut doc) {
-                    Some(seq) => coll.apply_upsert_at(seq, doc),
-                    None => coll.apply_upsert(doc),
-                }
-            }
             // Even with a deleted tail (or every row gone) the
             // allocator resumes where the crashed process stopped.
             coll.set_next_seq_at_least(entry.next_seq);
-            if !manifest.legacy {
-                // Memory now equals the slice files: nothing is dirty
-                // or replaced. Rows of a legacy directory stay dirty
-                // instead: the first checkpoint rewrites all of them as
-                // slices (no file names them, so it encodes them all).
-                coll.take_dirty();
-                self.persisted
-                    .lock()
-                    .insert(entry.name.clone(), entry.slices.clone());
-            }
+            // Memory now equals the slice files: nothing is dirty or
+            // replaced.
+            coll.take_dirty();
+            self.persisted
+                .lock()
+                .insert(entry.name.clone(), entry.slices.clone());
         }
         Ok(manifest)
     }
@@ -728,8 +698,6 @@ impl Database {
             let manifest = Manifest {
                 generation,
                 collections,
-                legacy: false,
-                replay_from: generation,
             };
             // The manifest rename is the checkpoint's commit point.
             write_manifest(&*self.storage, dir, &manifest)?;
@@ -751,18 +719,24 @@ impl Database {
             .map(|e| (e.name, e.slices))
             .collect();
         // Cleanup phase — everything after the commit point is
-        // best-effort garbage collection a crash may skip: slice files
-        // the manifest does not name (superseded, emptied, of dropped
-        // collections, or left by a crashed checkpoint), legacy
-        // per-collection files, superseded WAL generations, and temp
-        // files left by interrupted atomic writes.
+        // best-effort garbage collection a crash may skip, of files
+        // whose names only this database makes: slice files the
+        // manifest does not name (superseded, emptied, of dropped
+        // collections, or left by a crashed checkpoint), superseded WAL
+        // generations, and the temp files interrupted atomic writes
+        // left for either or for the manifest. Any other file is not
+        // the database's and stays.
         for path in self.storage.list(dir).unwrap_or_default() {
-            let garbage = match path.extension().and_then(|e| e.to_str()) {
-                Some("slice") => !parse_slice_path(&path).is_some_and(|(name, slice, gen)| {
-                    named.get(name).and_then(|slices| slices.get(&slice)) == Some(&gen)
-                }),
-                Some("jsonl") => true,
-                _ => is_tmp(&path) || parse_wal_path(&path).is_some_and(|g| g < generation),
+            let (file, tmp) = match tmp_target(&path) {
+                Some(file) => (file, true),
+                None => (path.clone(), false),
+            };
+            let garbage = if let Some((name, slice, gen)) = parse_slice_path(&file) {
+                tmp || named.get(name).and_then(|slices| slices.get(&slice)) != Some(&gen)
+            } else if let Some(gen) = parse_wal_path(&file) {
+                tmp || gen < generation
+            } else {
+                tmp && file.file_name().is_some_and(|n| n == MANIFEST)
             };
             if garbage {
                 let _ = self.storage.remove(&path);
@@ -784,13 +758,12 @@ impl Database {
         Ok(())
     }
 
-    /// Load all collections persisted in `dir` (strictly — any
-    /// undecodable line fails the load; see
-    /// `Database::load_dir_with` for the lenient variant). Honors the
-    /// manifest when one exists, so files it does not name are
-    /// ignored; directories without a manifest load every `*.jsonl`.
-    /// Purely reads `dir` — crash *repair* (WAL replay, tail
-    /// truncation) is [`Database::open_durable_with`]'s job.
+    /// Load all collections persisted in `dir` (strictly — any bad
+    /// slice line fails the load with its `file:line`; see
+    /// `Database::load_dir_with` for the lenient variant). Reads only
+    /// the slice files the manifest names; a directory without one
+    /// loads empty. Purely reads `dir` — crash *repair* (WAL replay,
+    /// tail truncation) is [`Database::open_durable_with`]'s job.
     pub fn load_dir<P: AsRef<Path>>(dir: P) -> DbResult<Database> {
         Database::load_dir_with(dir, &LoadOptions::default()).map(|(db, _)| db)
     }
@@ -813,6 +786,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::doc;
+    use crate::document::Document;
     use crate::query::Filter;
     use crate::snapshot::SLICE_ROWS;
     use crate::storage::FaultyStorage;
@@ -942,29 +916,38 @@ mod tests {
         );
     }
 
-    #[test]
-    fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join(format!("pathdb-garbage-{}", std::process::id()));
+    /// A checkpoint directory on disk whose manifest names one file,
+    /// slice 0 of `name` at generation 1, holding `rows`.
+    fn one_slice_dir(tag: &str, name: &str, rows: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pathdb-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("bad.jsonl"), "{not json\n").unwrap();
+        let manifest = format!(
+            "{{\"format\":3,\"generation\":1,\"collections\":[\"{name}\"],\"seqs\":[0],\
+             \"slices\":[[0,1]],\"indexes\":[[]]}}\n"
+        );
+        fs::write(dir.join("MANIFEST.json"), manifest).unwrap();
+        fs::write(slice_path(&dir, name, 0, 1), rows).unwrap();
+        dir
+    }
+
+    #[test]
+    fn load_rejects_garbage() {
+        let dir = one_slice_dir("garbage", "bad", "{not json\n");
         assert!(matches!(Database::load_dir(&dir), Err(DbError::Parse(_))));
-        fs::write(dir.join("bad.jsonl"), "[1,2,3]\n").unwrap();
+        fs::write(slice_path(&dir, "bad", 0, 1), "[1,2,3]\n").unwrap();
         assert!(matches!(Database::load_dir(&dir), Err(DbError::Parse(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn lenient_load_keeps_intact_prefix() {
-        let dir = std::env::temp_dir().join(format!("pathdb-lenient-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
         // A torn tail: the last line was cut mid-write.
-        fs::write(
-            dir.join("stats.jsonl"),
-            "{\"_id\":\"a\",\"v\":1}\n{\"_id\":\"b\",\"v\":2}\n{\"_id\":\"c\",\"v",
-        )
-        .unwrap();
+        let dir = one_slice_dir(
+            "lenient",
+            "stats",
+            "{\"_id\":\"a\",\"v\":1,\"__seq\":0}\n{\"_id\":\"b\",\"v\":2,\"__seq\":1}\n{\"_id\":\"c\",\"v",
+        );
         assert!(Database::load_dir(&dir).is_err());
         let (db, skipped) = Database::load_dir_with(
             &dir,
@@ -1648,9 +1631,11 @@ mod tests {
     /// Documents in the slice files `dir`'s manifest names, per collection.
     fn persisted_docs(storage: &FaultyStorage, dir: &Path) -> Vec<(String, usize)> {
         let m = read_manifest(storage, dir).unwrap().unwrap();
-        assert!(!m.legacy);
         let opts = LoadOptions::default();
-        let count = |e: &ManifestEntry| read_rows(storage, dir, false, e, &opts).unwrap().0.len();
+        let count = |e: &ManifestEntry| {
+            let mut c = Collection::new(&e.name);
+            load_slices(storage, dir, e, &opts, &mut c).unwrap().0
+        };
         m.collections
             .iter()
             .map(|e| (e.name.clone(), count(e)))
@@ -1698,7 +1683,6 @@ mod tests {
                 .filter_map(|p| parse_wal_path(p))
                 .collect();
             assert!(wals.iter().all(|&g| g == m.generation), "{wals:?} vs {m:?}");
-            assert_eq!(m.replay_from, m.generation);
         }
         // `hot` deletes its way through the slices: emptied ones are
         // gone from the manifest and from the directory.
@@ -1962,6 +1946,180 @@ mod tests {
         assert_eq!(
             crate::rollup::render(&crate::rollup::read_rollup(&db, &cfg)),
             before
+        );
+    }
+
+    /// Open [`one_slice_dir`] of collection `c` leniently: the database,
+    /// what it skipped, and the directory.
+    fn open_one_slice(tag: &str, rows: &str) -> (Database, Vec<SkippedLines>, PathBuf) {
+        let dir = one_slice_dir(tag, "c", rows);
+        let opts = OpenOptions::new(Durability::Snapshot);
+        let (db, report) = Database::open_durable_with(&dir, opts).unwrap();
+        (db, report.skipped, dir)
+    }
+
+    /// The ids `c` holds, in order; `len()` counts exactly them and
+    /// `find_by_id` finds each.
+    fn ids(db: &Database) -> Vec<String> {
+        let h = db.collection("c");
+        let c = h.read();
+        let ids: Vec<String> = c.iter().map(|d| d.id().unwrap().to_string()).collect();
+        assert_eq!(c.len(), ids.len());
+        for id in &ids {
+            assert!(c.find_by_id(id.as_str()).is_some(), "{id}");
+        }
+        ids
+    }
+
+    /// A slice row without its `__seq` is a bad line. (Renumbered, it
+    /// took the next row's seq: `len()` counted three rows, `iter()`
+    /// yielded one and `find_by_id` missed two.)
+    #[test]
+    fn a_slice_row_without_its_seq_ends_the_load_there() {
+        let (db, skipped, dir) = open_one_slice(
+            "no-seq",
+            "{\"_id\":\"a\",\"__seq\":0}\n{\"_id\":\"b\"}\n{\"_id\":\"c\",\"__seq\":1}\n",
+        );
+        let want = SkippedLines {
+            file: slice_path(&dir, "c", 0, 1).display().to_string(),
+            first_bad_line: 2,
+            skipped: 2,
+        };
+        assert_eq!(skipped, [want]);
+        assert_eq!(ids(&db), ["a"]);
+        assert!(db.collection("c").read().find_by_id("c").is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A second row at a seq is a bad line. (Placed over the first, it
+    /// left a row `len()` counted and nothing reached: `iter()` was
+    /// empty and `delete_many` deleted nothing.)
+    #[test]
+    fn a_repeated_slice_seq_ends_the_load_there() {
+        let rows = "{\"_id\":\"a\",\"__seq\":0}\n{\"_id\":\"b\",\"__seq\":0}\n";
+        let (db, skipped, dir) = open_one_slice("repeated-seq", rows);
+        assert_eq!((skipped[0].first_bad_line, skipped[0].skipped), (2, 1));
+        assert_eq!(ids(&db), ["a"]);
+        assert_eq!(db.collection("c").write().delete_many(&Filter::True), 1);
+        assert_eq!(db.collection("c").read().len(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The sweep after a checkpoint deletes only names the database
+    /// makes; a directory without a manifest is an empty database whose
+    /// files are never read.
+    #[test]
+    fn files_the_database_did_not_write_are_neither_loaded_nor_deleted() {
+        let dir = std::env::temp_dir().join(format!("pathdb-foreign-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let storage = DiskStorage::shared();
+        let foreign = [
+            ("notes.jsonl", "{\"_id\":\"n\"}\n\"Health\"\n"),
+            ("notes.tmp", "draft"),
+            ("readme.slice", "hello"),
+            ("c.x.1.slice", "{}"),
+            ("wal.old.log", "?"),
+            ("MANIFEST.json.bak", "{}"),
+        ];
+        for (name, text) in foreign {
+            storage.append(&dir.join(name), text.as_bytes()).unwrap();
+        }
+        let open = || {
+            let opts = OpenOptions::new(Durability::Wal).with_storage(storage.clone());
+            Database::open_durable_with(&dir, opts).unwrap()
+        };
+        let (db, report) = open();
+        assert!(report.clean() && report.collections == 0, "{report:?}");
+        assert!(db.collection_names().is_empty());
+        db.collection("c")
+            .write()
+            .insert_one(doc! { "_id" => "1" })
+            .unwrap();
+        db.checkpoint().unwrap();
+        // What the database did write and no longer needs goes.
+        let ours = [
+            slice_path(&dir, "c", 0, 0),
+            slice_path(&dir, "gone", 3, 1).with_extension("slice.tmp"),
+            dir.join("MANIFEST.json.tmp"),
+            wal_path(&dir, 0),
+        ];
+        for path in &ours {
+            storage.append(path, b"x").unwrap();
+        }
+        db.checkpoint().unwrap();
+        for path in &ours {
+            assert!(!storage.exists(path), "{path:?}");
+        }
+        let (db, _) = open();
+        assert_eq!(db.collection_names(), ["c"]);
+        for (name, text) in foreign {
+            assert_eq!(
+                storage.read(&dir.join(name)).unwrap(),
+                text.as_bytes(),
+                "{name}"
+            );
+        }
+        drop(db);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a reopen does with logs around a checkpoint: a log below the
+    /// manifest's generation (a crash between the manifest and the
+    /// cleanup) is deleted unread, effects the current log repeats from
+    /// the slices replay as no-ops, and the allocator resumes above a
+    /// deleted tail and a hole below it.
+    #[test]
+    fn a_reopen_drops_stale_logs_replays_covered_ones_and_keeps_the_allocator() {
+        let dir = PathBuf::from("/db");
+        let storage = Arc::new(FaultyStorage::new());
+        let open = || {
+            let opts = OpenOptions::new(Durability::Wal).with_storage(storage.clone());
+            Database::open_durable_with(&dir, opts).unwrap()
+        };
+        let (db, _) = open();
+        let h = db.collection("c");
+        let rows = (0..4i64).map(|i| doc! { "_id" => i, "v" => i }).collect();
+        h.write().insert_many(rows).unwrap();
+        // A hole at seq 2 and a deleted tail at seq 3.
+        h.write()
+            .delete_many(&Filter::and(Filter::gte("v", 2i64), Filter::lte("v", 3i64)));
+        db.checkpoint().unwrap();
+        h.write()
+            .update_many(&Filter::eq("v", 1i64), &Update::new().set("w", 1i64));
+        let covered = storage.read(&wal_path(&dir, 1)).unwrap();
+        db.checkpoint().unwrap();
+        let want: Vec<(u64, Document)> = {
+            let c = h.read();
+            c.slice_rows(0).map(|(s, d)| (s, d.clone())).collect()
+        };
+        assert_eq!(want.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1]);
+        drop((h, db));
+        // The update again in the current log, and a log from before
+        // the last checkpoint that its cleanup never reached.
+        storage.append(&wal_path(&dir, 2), &covered).unwrap();
+        storage
+            .append(&wal_path(&dir, 1), b"not even a frame")
+            .unwrap();
+
+        let (db, report) = open();
+        assert_eq!(report.stale_wals_removed, 1);
+        assert!(!storage.exists(&wal_path(&dir, 1)));
+        assert_eq!((report.wal_groups, report.torn_wal_bytes), (1, 0));
+        let h = db.collection("c");
+        let got: Vec<(u64, Document)> = h
+            .read()
+            .slice_rows(0)
+            .map(|(s, d)| (s, d.clone()))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(h.read().append_watermark(), 4);
+        h.write().insert_one(doc! { "_id" => 9i64 }).unwrap();
+        let seqs: Vec<u64> = h.read().slice_rows(0).map(|(s, _)| s).collect();
+        assert_eq!(
+            seqs,
+            [0, 1, 4],
+            "a new row takes neither the hole nor the deleted tail"
         );
     }
 }

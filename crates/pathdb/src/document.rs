@@ -320,7 +320,7 @@ mod tests {
     use super::*;
     use crate::snapshot::{decode_jsonl, encode_jsonl_seq, take_seq, LoadOptions};
     use crate::value::write_json_doc;
-    use crate::wal::{encode_group, read_wal, WalOp};
+    use crate::wal::{encode_group, read_wal, WalOp, WalOpRef};
 
     #[test]
     fn set_preserves_order_and_overwrites_in_place() {
@@ -378,9 +378,9 @@ mod tests {
         let Value::Doc(json) = Value::from_json(&Value::Doc(built.clone()).to_json()) else {
             panic!("a document")
         };
-        let log = encode_group(&[WalOp::Insert {
-            coll: "paths_stats".into(),
-            doc: built.clone(),
+        let log = encode_group(&[WalOpRef::Insert {
+            coll: "paths_stats",
+            doc: built,
         }]);
         let mut logged = Vec::new();
         read_wal(&log[..], log.len() as u64, |group| logged.extend(group)).unwrap();
@@ -388,8 +388,13 @@ mod tests {
             panic!("one insert")
         };
         let slice = encode_jsonl_seq([(7, built)].into_iter());
-        let (mut sliced, _) = decode_jsonl(&slice, "slice", &LoadOptions::default()).unwrap();
-        assert_eq!(take_seq(&mut sliced[0]), Some(7));
+        let mut sliced = Vec::new();
+        decode_jsonl(&slice, "slice", &LoadOptions::default(), |mut row| {
+            assert_eq!(take_seq(&mut row), Some(7));
+            sliced.push(row);
+            Ok(())
+        })
+        .unwrap();
         [json, logged.clone(), sliced.remove(0)]
     }
 

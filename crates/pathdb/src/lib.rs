@@ -6,7 +6,7 @@
 //!
 //! * insertion-ordered [`document::Document`]s with dotted-path access,
 //! * [`query::Filter`] with Mongo operator semantics
-//!   (`$eq/$ne/$gt/$gte/$lt/$lte/$nin/$exists`, substring match,
+//!   (`$eq/$ne/$gte/$lt/$lte/$nin/$exists`, substring match,
 //!   `$and`, array-contains equality, numeric widening),
 //! * [`update::Update`] (`$set`),
 //! * unique `_id` plus secondary (multikey) indexes, kept as ordered
@@ -67,7 +67,7 @@ pub use error::DbError;
 pub use plan::{Access, QueryPlan};
 pub use query::{Filter, FindOptions, Order};
 pub use rollup::{read_rollup, BucketAgg, FieldAgg, RollupConfig, Sketch};
-pub use snapshot::{LoadOptions, SkippedLines};
+pub use snapshot::SkippedLines;
 pub use storage::{DiskStorage, FaultyStorage, Storage};
 pub use update::Update;
 pub use value::Value;

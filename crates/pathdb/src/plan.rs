@@ -3,7 +3,7 @@
 //! Given a [`Filter`] and the collection's indexes, the planner picks
 //! one access path: a primary-index probe (`Eq` on `_id`), a point
 //! lookup on one secondary index (`Eq`), a range scan over one
-//! ordered secondary index (`Gt/Gte/Lt/Lte`), or a full scan. Every
+//! ordered secondary index (`Gte/Lt/Lte`), or a full scan. Every
 //! indexable conjunct of the filter is costed by the candidates its
 //! index would produce, and the cheapest wins if it touches fewer
 //! documents than the collection holds. The chosen path yields a
@@ -32,15 +32,13 @@ pub enum Access {
     FullScan { documents: usize },
     /// Unique `_id` index probe (`Eq` on `_id`).
     Primary { keys: usize },
-    /// Point lookups (`Eq`) on one secondary index.
+    /// A point lookup (`Eq`) on one secondary index.
     IndexPoint {
         field: String,
-        /// Index keys probed (one per `$eq`).
-        keys: usize,
-        /// Candidate documents the probes produced.
+        /// Candidate documents the probe produced.
         candidates: usize,
     },
-    /// Range scan over one ordered secondary index (`Gt/Gte/Lt/Lte`).
+    /// Range scan over one ordered secondary index (`Gte/Lt/Lte`).
     IndexRange { field: String, candidates: usize },
 }
 
@@ -73,7 +71,7 @@ enum Atom<'a> {
         index: &'a FieldIndex,
         key: String,
     },
-    /// `Gt/Gte/Lt/Lte` with a scalar bound on an indexed field: scan
+    /// `Gte/Lt/Lte` with a scalar bound on an indexed field: scan
     /// this key range.
     Range {
         field: &'a str,
@@ -122,7 +120,6 @@ fn atom_of<'a>(coll: &'a Collection, filter: &'a Filter) -> Option<Atom<'a>> {
     };
     match filter {
         Filter::Eq(k, v) => point(k, v),
-        Filter::Gt(k, v) => range(k, v, false, true),
         Filter::Gte(k, v) => range(k, v, true, true),
         Filter::Lt(k, v) => range(k, v, false, false),
         Filter::Lte(k, v) => range(k, v, true, false),
@@ -185,7 +182,6 @@ impl Atom<'_> {
             Atom::Primary { .. } => Access::Primary { keys: candidates },
             Atom::Point { field, .. } => Access::IndexPoint {
                 field: field.to_string(),
-                keys: 1,
                 candidates,
             },
             Atom::Range { field, .. } => Access::IndexRange {
@@ -376,7 +372,6 @@ mod props {
                 prop_oneof![
                     Just(Filter::eq(k.clone(), v.clone())),
                     Just(Filter::ne(k.clone(), v.clone())),
-                    Just(Filter::gt(k.clone(), v.clone())),
                     Just(Filter::gte(k.clone(), v.clone())),
                     Just(Filter::lt(k.clone(), v.clone())),
                     Just(Filter::lte(k.clone(), v.clone())),

@@ -21,7 +21,6 @@ pub enum Filter {
     Eq(String, Value),
     /// Negation of [`Filter::Eq`].
     Ne(String, Value),
-    Gt(String, Value),
     Gte(String, Value),
     Lt(String, Value),
     Lte(String, Value),
@@ -91,7 +90,6 @@ impl Filter {
             Filter::True => true,
             Filter::Eq(k, v) => field_eq(doc, k, v),
             Filter::Ne(k, v) => !field_eq(doc, k, v),
-            Filter::Gt(k, v) => field_cmp(doc, k, v, |o| o == Ordering::Greater),
             Filter::Gte(k, v) => field_cmp(doc, k, v, |o| o != Ordering::Less),
             Filter::Lt(k, v) => field_cmp(doc, k, v, |o| o == Ordering::Less),
             Filter::Lte(k, v) => field_cmp(doc, k, v, |o| o != Ordering::Greater),
@@ -190,13 +188,6 @@ mod tests {
     use super::*;
     use crate::doc;
 
-    impl Filter {
-        /// Only tests build `Gt`: the system's ranges are `gte`/`lt`/`lte`.
-        pub(crate) fn gt<K: Into<String>, V: Into<Value>>(k: K, v: V) -> Filter {
-            Filter::Gt(k.into(), v.into())
-        }
-    }
-
     fn sample() -> Document {
         doc! {
             "_id" => "2_15",
@@ -231,13 +222,13 @@ mod tests {
     #[test]
     fn range_operators() {
         let d = sample();
-        assert!(Filter::gt("avg_latency_ms", 100i64).matches(&d));
+        assert!(Filter::gte("avg_latency_ms", 100i64).matches(&d));
         assert!(Filter::lt("avg_latency_ms", 200i64).matches(&d));
         assert!(Filter::gte("hops", 7i64).matches(&d));
         assert!(Filter::lte("hops", 7i64).matches(&d));
-        assert!(!Filter::gt("hops", 7i64).matches(&d));
+        assert!(!Filter::lt("hops", 7i64).matches(&d));
         // Cross-type range never matches.
-        assert!(!Filter::gt("status", 3i64).matches(&d));
+        assert!(!Filter::gte("status", 3i64).matches(&d));
         // Missing field never matches a range.
         assert!(!Filter::lt("nope", 3i64).matches(&d));
     }
@@ -286,7 +277,7 @@ mod tests {
     #[test]
     fn nested_dotted_queries() {
         assert!(Filter::lt("nested.loss", 0.1f64).matches(&sample()));
-        assert!(!Filter::gt("nested.loss", 0.1f64).matches(&sample()));
+        assert!(!Filter::gte("nested.loss", 0.1f64).matches(&sample()));
     }
 
     #[test]
@@ -399,11 +390,10 @@ mod props {
         #[test]
         fn range_trichotomy_on_numbers(x in -1000i64..1000, y in -1000i64..1000) {
             let d = doc! { "v" => x };
-            let gt = Filter::gt("v", y).matches(&d);
             let lt = Filter::lt("v", y).matches(&d);
             let eq = Filter::eq("v", y).matches(&d);
-            prop_assert_eq!([gt, lt, eq].iter().filter(|b| **b).count(), 1);
-            prop_assert_eq!(Filter::gte("v", y).matches(&d), gt || eq);
+            prop_assert_eq!((lt, eq), (x < y, x == y));
+            prop_assert_eq!(Filter::gte("v", y).matches(&d), !lt);
             prop_assert_eq!(Filter::lte("v", y).matches(&d), lt || eq);
         }
 

@@ -19,19 +19,21 @@
 //! The manifest also names each collection's secondary-index fields,
 //! and loading rebuilds those indexes as it places the rows, so a
 //! reopened database plans through the indexes it was checkpointed
-//! with. The column is additive: a manifest without it (written before
-//! it existed) loads with no indexes, and a reader that predates it
-//! ignores it, so the format number stays.
+//! with.
 //!
-//! Directories written before slices (manifest format 1 and 2, or no
-//! manifest at all: one `<name>.jsonl` per collection, format 2 with
-//! per-collection generations) still load; the first checkpoint
-//! rewrites them in this layout.
+//! This is the one layout read and written: a manifest of another
+//! format, or one missing a column, is a parse error, and a directory
+//! without a manifest holds no database yet — its files are neither
+//! loaded nor deleted.
 //!
-//! Loading supports a lenient mode ([`LoadOptions::skip_corrupt_tail`])
-//! that keeps the intact prefix of a torn JSONL file and reports the
-//! skipped lines instead of failing the whole database.
+//! Loading places every row at its persisted seq. A line that is not a
+//! JSON object, has no `__seq`, has one outside its file's slice or not
+//! above the line before, or repeats an `_id` already loaded is bad:
+//! strict loads fail on it (`file:line`), lenient ones
+//! ([`LoadOptions::skip_corrupt_tail`]) keep the rows before it and
+//! report the rest of the file as skipped.
 
+use crate::collection::Collection;
 use crate::document::Document;
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
@@ -43,9 +45,8 @@ use std::path::{Path, PathBuf};
 /// The manifest file name inside a database directory.
 pub(crate) const MANIFEST: &str = "MANIFEST.json";
 
-/// Manifest format version (bumped on incompatible layout changes).
-/// Format 3 names slice files; formats 1 and 2 (one `<name>.jsonl` per
-/// collection) are still read.
+/// Manifest format version, the only one read: format 3 names slice
+/// files.
 const MANIFEST_FORMAT: i64 = 3;
 
 /// Rows per slice file. A checkpoint encodes the rows that changed and
@@ -55,11 +56,11 @@ const MANIFEST_FORMAT: i64 = 3;
 /// newest seqs, expiry at the oldest: a handful of slices per round).
 pub(crate) const SLICE_ROWS: u64 = 256;
 
-/// Loader behavior for persisted JSONL files.
+/// Loader behavior for slice files.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LoadOptions {
-    /// Keep the intact prefix of a file whose tail is torn or corrupt
-    /// (reporting the skipped lines) instead of failing the load.
+pub(crate) struct LoadOptions {
+    /// Keep the rows before a file's first bad line (reporting the
+    /// skipped lines) instead of failing the load.
     pub skip_corrupt_tail: bool,
 }
 
@@ -67,7 +68,7 @@ pub struct LoadOptions {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkippedLines {
     pub file: String,
-    /// 1-based line number of the first undecodable line.
+    /// 1-based line number of the first bad line.
     pub first_bad_line: usize,
     /// How many lines (from there to EOF) were dropped.
     pub skipped: usize,
@@ -87,48 +88,24 @@ pub(crate) struct ManifestEntry {
     /// The insertion-sequence allocator (`next_seq`) at the checkpoint.
     /// Restored on recovery so sequence numbers never move backward —
     /// even when the highest surviving row sits below the allocator (a
-    /// deleted tail). Format-1 manifests load with zero.
+    /// deleted tail).
     pub next_seq: u64,
-    /// Slice number → generation of the file that holds it. Empty in a
-    /// legacy manifest.
+    /// Slice number → generation of the file that holds it.
     pub slices: BTreeMap<u64, u64>,
-    /// Fields with a secondary index, sorted. Empty in a manifest
-    /// written before indexes were recorded.
+    /// Fields with a secondary index, sorted.
     pub indexes: Vec<String>,
 }
 
-/// The durable collection roster plus the checkpoint generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The durable collection roster plus the checkpoint generation. The
+/// default is a directory without a manifest: no collections, and every
+/// WAL file replayed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Manifest {
     pub generation: u64,
     pub collections: Vec<ManifestEntry>,
-    /// The directory predates slices: each collection is one
-    /// `<name>.jsonl`. Only ever read, never written.
-    pub legacy: bool,
-    /// The oldest WAL generation recovery must replay: `generation`,
-    /// except under a format-2 manifest whose per-collection `gens`
-    /// left some collections on older generations.
-    pub replay_from: u64,
 }
 
 impl Manifest {
-    /// The roster of a directory without a manifest: one legacy file
-    /// per name, every WAL file replayed.
-    pub(crate) fn legacy_roster(names: Vec<String>) -> Manifest {
-        let entry = |name| ManifestEntry {
-            name,
-            next_seq: 0,
-            slices: BTreeMap::new(),
-            indexes: Vec::new(),
-        };
-        Manifest {
-            generation: 0,
-            collections: names.into_iter().map(entry).collect(),
-            legacy: true,
-            replay_from: 0,
-        }
-    }
-
     fn to_json(&self) -> serde_json::Value {
         let column = |cell: &dyn Fn(&ManifestEntry) -> serde_json::Value| {
             serde_json::Value::from(self.collections.iter().map(cell).collect::<Vec<_>>())
@@ -156,82 +133,44 @@ impl Manifest {
         serde_json::Value::Object(m)
     }
 
+    /// The manifest [`Manifest::to_json`] writes, or `None`: another
+    /// format, a missing column, a column not one cell per collection,
+    /// or a cell of the wrong type.
     fn from_json(v: &serde_json::Value) -> Option<Manifest> {
-        let generation = v.get("generation")?.as_i64()?.max(0) as u64;
-        let names = v
-            .get("collections")?
-            .as_array()?
-            .iter()
-            .map(|n| n.as_str().map(String::from))
-            .collect::<Option<Vec<_>>>()?;
-        let u64s = |arr: &[serde_json::Value]| -> Option<Vec<u64>> {
-            arr.iter()
-                .map(|x| x.as_i64().map(|x| x.max(0) as u64))
-                .collect()
+        if v.get("format")?.as_i64()? != MANIFEST_FORMAT {
+            return None;
+        }
+        let u64_of = |x: &serde_json::Value| u64::try_from(x.as_i64()?).ok();
+        let generation = u64_of(v.get("generation")?)?;
+        let names = v.get("collections")?.as_array()?;
+        let column = |key: &str| {
+            let cells = v.get(key)?.as_array()?;
+            (cells.len() == names.len()).then_some(cells)
         };
-        let parallel_u64 = |key: &str, fallback: u64| -> Option<Vec<u64>> {
-            match v.get(key).and_then(|c| c.as_array()) {
-                Some(arr) if arr.len() == names.len() => u64s(arr),
-                // An older format (or a malformed list): the fallback.
-                _ => Some(vec![fallback; names.len()]),
+        let seqs = column("seqs")?;
+        let slices = column("slices")?;
+        let indexes = column("indexes")?;
+        let entry = |i: usize| -> Option<ManifestEntry> {
+            let flat = slices[i].as_array()?;
+            if flat.len() % 2 != 0 {
+                return None;
             }
-        };
-        let seqs = parallel_u64("seqs", 0)?;
-        // Slices are the data itself: a malformed table is a malformed
-        // manifest, never a silent fallback to the legacy layout.
-        let slices = match v.get("slices") {
-            None => None,
-            Some(tables) => {
-                let tables = tables.as_array()?;
-                if tables.len() != names.len() {
-                    return None;
-                }
-                let table = |t: &serde_json::Value| -> Option<BTreeMap<u64, u64>> {
-                    let flat = u64s(t.as_array()?)?;
-                    (flat.len() % 2 == 0).then(|| flat.chunks(2).map(|p| (p[0], p[1])).collect())
-                };
-                Some(tables.iter().map(table).collect::<Option<Vec<_>>>()?)
-            }
-        };
-        let replay_from = match slices {
-            Some(_) => generation,
-            None => parallel_u64("gens", generation)?
-                .into_iter()
-                .fold(generation, u64::min),
-        };
-        // Absent before indexes were recorded; present, it must be whole.
-        let indexes = match v.get("indexes") {
-            None => vec![Vec::new(); names.len()],
-            Some(lists) => {
-                let lists = lists.as_array()?;
-                if lists.len() != names.len() {
-                    return None;
-                }
-                let fields = |l: &serde_json::Value| -> Option<Vec<String>> {
-                    let strs = l.as_array()?.iter().map(|f| f.as_str().map(String::from));
-                    strs.collect()
-                };
-                lists.iter().map(fields).collect::<Option<Vec<_>>>()?
-            }
-        };
-        let legacy = slices.is_none();
-        let mut slices = slices.unwrap_or_default().into_iter();
-        let collections = names
-            .into_iter()
-            .zip(seqs)
-            .zip(indexes)
-            .map(|((name, next_seq), indexes)| ManifestEntry {
-                name,
-                next_seq,
-                slices: slices.next().unwrap_or_default(),
-                indexes,
+            let pairs = flat
+                .chunks(2)
+                .map(|p| Some((u64_of(&p[0])?, u64_of(&p[1])?)));
+            let fields = indexes[i].as_array()?.iter();
+            Some(ManifestEntry {
+                name: names[i].as_str()?.to_string(),
+                next_seq: u64_of(&seqs[i])?,
+                slices: pairs.collect::<Option<_>>()?,
+                indexes: fields
+                    .map(|f| f.as_str().map(String::from))
+                    .collect::<Option<_>>()?,
             })
-            .collect();
+        };
         Some(Manifest {
             generation,
-            collections,
-            legacy,
-            replay_from,
+            collections: (0..names.len()).map(entry).collect::<Option<_>>()?,
         })
     }
 }
@@ -248,8 +187,8 @@ pub(crate) fn write_manifest(
     Ok(())
 }
 
-/// Read the manifest; `Ok(None)` when the directory has none (a legacy
-/// plain-JSONL directory or a brand-new database).
+/// Read the manifest; `Ok(None)` when the directory has none (a
+/// database never checkpointed, or no database at all).
 pub(crate) fn read_manifest(storage: &dyn Storage, dir: &Path) -> DbResult<Option<Manifest>> {
     let path = dir.join(MANIFEST);
     if !storage.exists(&path) {
@@ -280,34 +219,57 @@ pub(crate) fn parse_slice_path(path: &Path) -> Option<(&str, u64, u64)> {
     Some((parts.next()?, slice, generation))
 }
 
-/// Read one collection's persisted rows in seq order — its slice files,
-/// or under a legacy manifest its `<name>.jsonl` — still carrying
-/// [`SEQ_FIELD`] (strip it with [`take_seq`]).
-pub(crate) fn read_rows(
+/// Load one collection's slice files, as `entry` names them, into
+/// `coll`. Returns how many rows were placed and what a lenient load
+/// skipped.
+pub(crate) fn load_slices(
     storage: &dyn Storage,
     dir: &Path,
-    legacy: bool,
     entry: &ManifestEntry,
     opts: &LoadOptions,
-) -> DbResult<(Vec<Document>, Vec<SkippedLines>)> {
-    let paths: Vec<PathBuf> = if legacy {
-        // A listed but missing legacy file (only a directory edited by
-        // hand produces one) loads as an empty collection.
-        let path = dir.join(format!("{}.jsonl", entry.name));
-        storage.exists(&path).then_some(path).into_iter().collect()
-    } else {
-        let path = |(&slice, &generation)| slice_path(dir, &entry.name, slice, generation);
-        entry.slices.iter().map(path).collect()
-    };
-    let mut docs = Vec::new();
+    coll: &mut Collection,
+) -> DbResult<(usize, Vec<SkippedLines>)> {
+    let mut loaded = 0;
     let mut skipped = Vec::new();
-    for path in paths {
+    for (&slice, &generation) in &entry.slices {
+        let path = slice_path(dir, &entry.name, slice, generation);
         let bytes = storage.read(&path)?;
-        let (rows, bad) = decode_jsonl(&bytes, &path.display().to_string(), opts)?;
-        docs.extend(rows);
+        let file = path.display().to_string();
+        let (rows, bad) = load_slice(coll, slice, &bytes, &file, opts)?;
+        loaded += rows;
         skipped.extend(bad);
     }
-    Ok((docs, skipped))
+    Ok((loaded, skipped))
+}
+
+/// Place the rows of slice `slice`'s file `bytes` into `coll`, each at
+/// its persisted seq, stopping at the first bad line (see the module
+/// docs).
+pub(crate) fn load_slice(
+    coll: &mut Collection,
+    slice: u64,
+    bytes: &[u8],
+    file: &str,
+    opts: &LoadOptions,
+) -> DbResult<(usize, Option<SkippedLines>)> {
+    let mut last = None;
+    let mut loaded = 0;
+    let skipped = decode_jsonl(bytes, file, opts, |mut doc| {
+        let seq = take_seq(&mut doc).ok_or("the row has no __seq")?;
+        if seq / SLICE_ROWS != slice {
+            return Err("__seq is outside the file's slice");
+        }
+        if last.is_some_and(|last| seq <= last) {
+            return Err("__seq is not above the previous row's");
+        }
+        if !coll.load_at(seq, doc) {
+            return Err("_id is already loaded");
+        }
+        last = Some(seq);
+        loaded += 1;
+        Ok(())
+    })?;
+    Ok((loaded, skipped))
 }
 
 /// Serialize rows as JSONL bytes, through the WAL's document writer
@@ -441,20 +403,22 @@ pub(crate) fn take_seq(doc: &mut Document) -> Option<u64> {
     }
 }
 
-/// Decode JSONL bytes into documents.
+/// Decode JSONL bytes, handing each line's document to `place`.
 ///
-/// Strict mode fails on the first bad line; lenient mode keeps the
-/// intact prefix and reports what was dropped. A torn write corrupts
-/// only the tail, so "first bad line to EOF" is the exact damage a
-/// crash can do — mid-file garbage in lenient mode likewise drops from
-/// the first bad line onward (we cannot trust anything after it).
+/// A line that is not a JSON object, or that `place` refuses (with the
+/// reason), is bad. Strict mode fails on the first bad line; lenient
+/// mode keeps what was placed before it and reports what was dropped.
+/// A torn write corrupts only the tail, so "first bad line to EOF" is
+/// the exact damage a crash can do — mid-file garbage in lenient mode
+/// likewise drops from the first bad line onward (we cannot trust
+/// anything after it).
 pub(crate) fn decode_jsonl(
     bytes: &[u8],
     file: &str,
     opts: &LoadOptions,
-) -> DbResult<(Vec<Document>, Option<SkippedLines>)> {
+    mut place: impl FnMut(Document) -> Result<(), &'static str>,
+) -> DbResult<Option<SkippedLines>> {
     let text = String::from_utf8_lossy(bytes);
-    let mut docs = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -462,30 +426,23 @@ pub(crate) fn decode_jsonl(
         let parsed = serde_json::from_str::<serde_json::Value>(line)
             .ok()
             .map(|j| Value::from_json(&j));
-        match parsed {
-            Some(Value::Doc(doc)) => docs.push(doc),
-            Some(_) | None => {
-                let reason = if parsed.is_none() {
-                    "not valid JSON"
-                } else {
-                    "top-level value is not an object"
-                };
-                if !opts.skip_corrupt_tail {
-                    return Err(DbError::Parse(format!("{file}:{}: {reason}", lineno + 1)));
-                }
-                let total = text.lines().count();
-                return Ok((
-                    docs,
-                    Some(SkippedLines {
-                        file: file.to_string(),
-                        first_bad_line: lineno + 1,
-                        skipped: total - lineno,
-                    }),
-                ));
+        let placed = match parsed {
+            Some(Value::Doc(doc)) => place(doc),
+            Some(_) => Err("top-level value is not an object"),
+            None => Err("not valid JSON"),
+        };
+        if let Err(reason) = placed {
+            if !opts.skip_corrupt_tail {
+                return Err(DbError::Parse(format!("{file}:{}: {reason}", lineno + 1)));
             }
+            return Ok(Some(SkippedLines {
+                file: file.to_string(),
+                first_bad_line: lineno + 1,
+                skipped: text.lines().count() - lineno,
+            }));
         }
     }
-    Ok((docs, None))
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -495,8 +452,7 @@ mod tests {
     use crate::storage::FaultyStorage;
     use std::path::PathBuf;
 
-    /// Rows as the pre-slice `<collection>.jsonl` files spelled them
-    /// (no `__seq`): what `decode_jsonl` still has to read.
+    /// Rows as the document writer spells them, without `__seq`.
     fn encode_jsonl<'a>(docs: impl Iterator<Item = &'a Document>) -> Vec<u8> {
         let mut out = Vec::new();
         for doc in docs {
@@ -529,82 +485,77 @@ mod tests {
                 },
                 entry("empty", 17, &[]),
             ],
-            legacy: false,
-            replay_from: 9,
         };
         write_manifest(&storage, &dir, &m).unwrap();
         assert_eq!(read_manifest(&storage, &dir).unwrap(), Some(m));
     }
 
-    /// A format-3 manifest from before the `indexes` column loads with
-    /// no indexes; a column that is there but malformed is an error.
+    /// The one manifest format, whole: another format number, a missing
+    /// column, or a column that is not one cell per collection is a
+    /// parse error, never a fallback.
     #[test]
-    fn the_index_column_is_optional_but_never_half_read() {
+    fn a_manifest_is_format_3_with_every_column_whole() {
         let storage = FaultyStorage::new();
         let dir = PathBuf::from("/db");
-        let read = |indexes: &str| {
+        let read = |text: &str| {
             let _ = storage.remove(&dir.join(MANIFEST));
-            let text = format!(
-                "{{\"format\":3,\"generation\":2,\"collections\":[\"a\",\"b\"],\
-                 \"seqs\":[3,0],\"slices\":[[0,2],[]]{indexes}}}\n"
-            );
             storage
-                .append(&dir.join(MANIFEST), text.as_bytes())
+                .append(&dir.join(MANIFEST), format!("{{{text}}}\n").as_bytes())
                 .unwrap();
             read_manifest(&storage, &dir)
         };
-        let m = read("").unwrap().unwrap();
+        let columns = [
+            "\"collections\":[\"a\",\"b\"]",
+            "\"seqs\":[3,0]",
+            "\"slices\":[[0,2],[]]",
+            "\"indexes\":[[\"t\",\"x.y\"],[]]",
+        ];
+        let whole = format!("\"format\":3,\"generation\":2,{}", columns.join(","));
+        let m = read(&whole).unwrap().unwrap();
+        assert_eq!(m.generation, 2);
         assert_eq!(
             m.collections,
-            vec![entry("a", 3, &[(0, 2)]), entry("b", 0, &[])]
+            vec![
+                ManifestEntry {
+                    indexes: vec!["t".into(), "x.y".into()],
+                    ..entry("a", 3, &[(0, 2)])
+                },
+                entry("b", 0, &[]),
+            ]
         );
-        let m = read(",\"indexes\":[[\"t\",\"x.y\"],[]]").unwrap().unwrap();
-        assert_eq!(m.collections[0].indexes, ["t", "x.y"]);
-        for bad in ["[[\"t\"]]", "[[\"t\"],[1]]", "7", "[[],\"t\"]"] {
-            let parsed = read(&format!(",\"indexes\":{bad}"));
-            assert!(matches!(parsed, Err(DbError::Parse(_))), "{bad}");
+        let mut bad = vec![
+            whole.replace("\"format\":3", "\"format\":2"),
+            whole.replace("\"format\":3,", ""),
+            whole.replace("\"generation\":2", "\"generation\":-1"),
+            // What formats 1 and 2 wrote: names and generations only.
+            "\"format\":1,\"generation\":4,\"collections\":[\"a\"]".into(),
+            "\"format\":2,\"generation\":9,\"collections\":[\"a\"],\"gens\":[9],\"seqs\":[4]"
+                .into(),
+        ];
+        for column in &columns[1..] {
+            bad.push(whole.replace(&format!(",{column}"), ""));
+        }
+        for indexes in ["[[\"t\"]]", "[[\"t\"],[1]]", "7", "[[],\"t\"]"] {
+            bad.push(whole.replace(columns[3], &format!("\"indexes\":{indexes}")));
+        }
+        bad.push(whole.replace(columns[1], "\"seqs\":[3]"));
+        bad.push(whole.replace(columns[1], "\"seqs\":[3,-1]"));
+        bad.push(whole.replace(columns[0], "\"collections\":[\"a\",2]"));
+        bad.push(whole.replace(columns[0], "\"collections\":[\"a\"]"));
+        for text in bad {
+            assert!(matches!(read(&text), Err(DbError::Parse(_))), "{text}");
         }
     }
 
     #[test]
-    fn older_manifest_formats_load_as_legacy() {
-        let storage = FaultyStorage::new();
-        let dir = PathBuf::from("/db");
-        let write = |text: &str| {
-            let _ = storage.remove(&dir.join(MANIFEST));
-            storage
-                .append(&dir.join(MANIFEST), text.as_bytes())
-                .unwrap();
-        };
-        // Format 1: every collection at the global generation.
-        write("{\"format\":1,\"generation\":4,\"collections\":[\"a\",\"b\"]}\n");
-        let m = read_manifest(&storage, &dir).unwrap().unwrap();
-        assert!(m.legacy);
-        assert_eq!(m.replay_from, 4);
-        assert_eq!(m.collections, vec![entry("a", 0, &[]), entry("b", 0, &[])]);
-        // Format 2: a lagging collection keeps older WAL generations
-        // replayable.
-        write(
-            "{\"format\":2,\"generation\":9,\"collections\":[\"fresh\",\"lagging\"],\
-             \"gens\":[9,5],\"seqs\":[40,17]}\n",
-        );
-        let m = read_manifest(&storage, &dir).unwrap().unwrap();
-        assert!(m.legacy);
-        assert_eq!((m.generation, m.replay_from), (9, 5));
-        assert_eq!(
-            m.collections,
-            vec![entry("fresh", 40, &[]), entry("lagging", 17, &[])]
-        );
-    }
-
-    #[test]
-    fn malformed_slice_table_is_a_parse_error_not_a_legacy_fallback() {
+    fn malformed_slice_table_is_a_parse_error() {
         let storage = FaultyStorage::new();
         let dir = PathBuf::from("/db");
         for slices in ["[[0]]", "[]", "[[0,\"x\"]]", "7"] {
             let _ = storage.remove(&dir.join(MANIFEST));
             let text = format!(
-                "{{\"format\":3,\"generation\":2,\"collections\":[\"a\"],\"seqs\":[3],\"slices\":{slices}}}\n"
+                "{{\"format\":3,\"generation\":2,\"collections\":[\"a\"],\"seqs\":[3],\
+                 \"slices\":{slices},\"indexes\":[[]]}}\n"
             );
             storage
                 .append(&dir.join(MANIFEST), text.as_bytes())
@@ -727,16 +678,79 @@ mod tests {
     fn seq_roundtrip_strips_the_reserved_field() {
         let docs = [doc! { "_id" => "a" }, doc! { "_id" => "b" }];
         let bytes = encode_jsonl_seq(docs.iter().enumerate().map(|(i, d)| (i as u64 + 5, d)));
-        let (loaded, _) = decode_jsonl(&bytes, "c.jsonl", &LoadOptions::default()).unwrap();
-        let seqs: Vec<u64> = loaded
-            .into_iter()
-            .map(|mut d| {
-                let s = take_seq(&mut d).unwrap();
-                assert!(d.get(SEQ_FIELD).is_none(), "reserved field stripped");
-                s
-            })
-            .collect();
-        assert_eq!(seqs, vec![5, 6]);
+        let mut c = Collection::new("c");
+        let loaded = load_slice(&mut c, 0, &bytes, "c", &LoadOptions::default()).unwrap();
+        assert_eq!(loaded, (2, None));
+        let rows: Vec<(u64, &Document)> = c.slice_rows(0).collect();
+        assert_eq!(
+            rows,
+            [(5, &docs[0]), (6, &docs[1])],
+            "reserved field stripped"
+        );
+    }
+
+    /// `text` as slice 1's file: what a strict load says, and the ids a
+    /// lenient one keeps and what it skips.
+    fn load_text(text: &str) -> (Result<usize, String>, Vec<String>, Option<SkippedLines>) {
+        let load = |opts: &LoadOptions| {
+            let mut c = Collection::new("c");
+            let loaded = load_slice(&mut c, 1, text.as_bytes(), "c.1.4.slice", opts);
+            let ids = c.iter().map(|d| d.id().unwrap().to_string()).collect();
+            (loaded, ids)
+        };
+        let (strict, _) = load(&LoadOptions::default());
+        let (lenient, ids) = load(&LoadOptions {
+            skip_corrupt_tail: true,
+        });
+        let (_, skipped) = lenient.unwrap();
+        (
+            strict.map(|(n, _)| n).map_err(|e| e.to_string()),
+            ids,
+            skipped,
+        )
+    }
+
+    /// Each bad-line rule stops the load at its line: strict names
+    /// `file:line`, lenient keeps the rows before it and skips the rest.
+    #[test]
+    fn a_bad_slice_line_stops_the_load_at_its_line() {
+        let a = "{\"_id\":\"a\",\"__seq\":256}";
+        let c = "{\"_id\":\"c\",\"__seq\":300}";
+        let cases = [
+            ("{\"_id\":\"b\"}", "the row has no __seq"),
+            ("{\"_id\":\"b\",\"__seq\":-1}", "the row has no __seq"),
+            ("{\"_id\":\"b\",\"__seq\":\"257\"}", "the row has no __seq"),
+            (
+                "{\"_id\":\"b\",\"__seq\":512}",
+                "__seq is outside the file's slice",
+            ),
+            (
+                "{\"_id\":\"b\",\"__seq\":255}",
+                "__seq is outside the file's slice",
+            ),
+            (
+                "{\"_id\":\"b\",\"__seq\":256}",
+                "__seq is not above the previous row's",
+            ),
+            ("{\"_id\":\"a\",\"__seq\":257}", "_id is already loaded"),
+            ("[1]", "top-level value is not an object"),
+            ("{\"_id\":\"b\",\"__se", "not valid JSON"),
+        ];
+        for (bad, reason) in cases {
+            let (strict, ids, skipped) = load_text(&format!("{a}\n{bad}\n{c}\n"));
+            let want = format!("parse error: c.1.4.slice:2: {reason}");
+            assert_eq!(strict, Err(want), "{bad}");
+            assert_eq!(ids, ["a"], "{bad}");
+            let want = SkippedLines {
+                file: "c.1.4.slice".into(),
+                first_bad_line: 2,
+                skipped: 2,
+            };
+            assert_eq!(skipped, Some(want), "{bad}");
+        }
+        let (strict, ids, skipped) = load_text(&format!("{a}\n{c}\n"));
+        assert_eq!((strict, skipped), (Ok(2), None));
+        assert_eq!(ids, ["a", "c"]);
     }
 
     #[test]
@@ -750,6 +764,16 @@ mod tests {
         ));
     }
 
+    /// Every line's document, in order, through [`decode_jsonl`].
+    fn decode(bytes: &[u8], opts: &LoadOptions) -> DbResult<(Vec<Document>, Option<SkippedLines>)> {
+        let mut docs = Vec::new();
+        let skipped = decode_jsonl(bytes, "c.jsonl", opts, |doc| {
+            docs.push(doc);
+            Ok(())
+        })?;
+        Ok((docs, skipped))
+    }
+
     #[test]
     fn jsonl_roundtrip_and_lenient_tail() {
         let docs = vec![
@@ -757,21 +781,17 @@ mod tests {
             doc! { "_id" => "2", "v" => 2.5f64 },
         ];
         let mut bytes = encode_jsonl(docs.iter());
-        let (back, skipped) = decode_jsonl(&bytes, "c.jsonl", &LoadOptions::default()).unwrap();
+        let (back, skipped) = decode(&bytes, &LoadOptions::default()).unwrap();
         assert_eq!(back, docs);
         assert_eq!(skipped, None);
 
         // Tear the last line: strict fails, lenient keeps the prefix.
         bytes.truncate(bytes.len() - 5);
-        assert!(decode_jsonl(&bytes, "c.jsonl", &LoadOptions::default()).is_err());
-        let (back, skipped) = decode_jsonl(
-            &bytes,
-            "c.jsonl",
-            &LoadOptions {
-                skip_corrupt_tail: true,
-            },
-        )
-        .unwrap();
+        assert!(decode(&bytes, &LoadOptions::default()).is_err());
+        let lenient = LoadOptions {
+            skip_corrupt_tail: true,
+        };
+        let (back, skipped) = decode(&bytes, &lenient).unwrap();
         assert_eq!(back, docs[..1]);
         assert_eq!(
             skipped,
@@ -786,14 +806,10 @@ mod tests {
     #[test]
     fn lenient_mode_drops_from_first_bad_line() {
         let bytes = b"{\"_id\":\"1\"}\ngarbage\n{\"_id\":\"3\"}\n";
-        let (docs, skipped) = decode_jsonl(
-            bytes,
-            "c.jsonl",
-            &LoadOptions {
-                skip_corrupt_tail: true,
-            },
-        )
-        .unwrap();
+        let lenient = LoadOptions {
+            skip_corrupt_tail: true,
+        };
+        let (docs, skipped) = decode(bytes, &lenient).unwrap();
         assert_eq!(docs.len(), 1);
         let skipped = skipped.unwrap();
         assert_eq!(skipped.first_bad_line, 2);

@@ -148,7 +148,7 @@ impl Storage for DiskStorage {
 }
 
 /// The temp-file sibling used by [`Storage::atomic_write`]
-/// (`<name>.jsonl` → `<name>.jsonl.tmp`). Recovery ignores `.tmp`
+/// (`MANIFEST.json` → `MANIFEST.json.tmp`). Recovery ignores `.tmp`
 /// leftovers from interrupted writes.
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -156,9 +156,10 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Whether a path is an [`Storage::atomic_write`] temp file.
-pub(crate) fn is_tmp(path: &Path) -> bool {
-    path.extension().and_then(|e| e.to_str()) == Some("tmp")
+/// The file a [`tmp_path`] stands in for, when `path` is one.
+pub(crate) fn tmp_target(path: &Path) -> Option<PathBuf> {
+    let name = path.file_name()?.to_str()?.strip_suffix(".tmp")?;
+    Some(path.with_file_name(name))
 }
 
 // ---- fault-injecting in-memory filesystem ---------------------------------
@@ -520,8 +521,8 @@ mod tests {
         assert_eq!(s.read(&f).unwrap(), b"one");
         s.atomic_write(&f, b"fresh").unwrap();
         assert_eq!(s.read(&f).unwrap(), b"fresh");
-        assert!(!is_tmp(&f));
-        assert!(is_tmp(&tmp_path(&f)));
+        assert_eq!(tmp_target(&f), None);
+        assert_eq!(tmp_target(&tmp_path(&f)), Some(f.clone()));
         assert_eq!(s.list(&dir).unwrap(), vec![f.clone()]);
         s.remove(&f).unwrap();
         assert!(!s.exists(&f));

@@ -112,7 +112,7 @@ fn crc32(data: &[u8]) -> u32 {
 /// One logged effect. `InsertMany`/`Update` carry post-image documents;
 /// `Delete` carries `_id` values; replay applies them idempotently.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalOp {
+pub(crate) enum WalOp {
     Insert { coll: String, doc: Document },
     InsertMany { coll: String, docs: Vec<Document> },
     Update { coll: String, docs: Vec<Document> },
@@ -127,20 +127,6 @@ impl WalOp {
             WalOp::Insert { .. } | WalOp::Drop { .. } => 1,
             WalOp::InsertMany { docs, .. } | WalOp::Update { docs, .. } => docs.len(),
             WalOp::Delete { ids, .. } => ids.len(),
-        }
-    }
-
-    /// Borrow this op for encoding.
-    fn to_ref(&self) -> WalOpRef<'_> {
-        match self {
-            WalOp::Insert { coll, doc } => WalOpRef::Insert { coll, doc },
-            WalOp::InsertMany { coll, docs } => WalOpRef::InsertMany {
-                coll,
-                docs: docs.iter().collect(),
-            },
-            WalOp::Update { coll, docs } => WalOpRef::Update { coll, docs },
-            WalOp::Delete { coll, ids } => WalOpRef::Delete { coll, ids },
-            WalOp::Drop { coll } => WalOpRef::Drop { coll },
         }
     }
 
@@ -271,13 +257,7 @@ fn push_frame(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// Encode one commit group: N op frames + a commit frame `{"t":"C","n":N}`.
-pub fn encode_group(ops: &[WalOp]) -> Vec<u8> {
-    let refs: Vec<WalOpRef<'_>> = ops.iter().map(WalOp::to_ref).collect();
-    encode_group_refs(&refs)
-}
-
-/// Borrowed counterpart of [`encode_group`].
-fn encode_group_refs(ops: &[WalOpRef<'_>]) -> Vec<u8> {
+pub(crate) fn encode_group(ops: &[WalOpRef<'_>]) -> Vec<u8> {
     let mut buf = Vec::new();
     for op in ops {
         push_frame(&mut buf, |out| op.write_json(out));
@@ -443,7 +423,7 @@ impl Wal {
         if ops.is_empty() {
             return Ok(());
         }
-        self.commit_encoded(encode_group_refs(ops))
+        self.commit_encoded(encode_group(ops))
     }
 
     fn commit_encoded(&self, buf: Vec<u8>) -> DbResult<()> {
@@ -501,6 +481,20 @@ mod tests {
     use crate::storage::FaultyStorage;
 
     impl WalOp {
+        /// Borrow this op for encoding.
+        fn to_ref(&self) -> WalOpRef<'_> {
+            match self {
+                WalOp::Insert { coll, doc } => WalOpRef::Insert { coll, doc },
+                WalOp::InsertMany { coll, docs } => WalOpRef::InsertMany {
+                    coll,
+                    docs: docs.iter().collect(),
+                },
+                WalOp::Update { coll, docs } => WalOpRef::Update { coll, docs },
+                WalOp::Delete { coll, ids } => WalOpRef::Delete { coll, ids },
+                WalOp::Drop { coll } => WalOpRef::Drop { coll },
+            }
+        }
+
         /// Reference rendering for the encoder tests: the tree-building
         /// counterpart of [`WalOpRef::write_json`].
         fn to_json(&self) -> serde_json::Value {
@@ -535,10 +529,16 @@ mod tests {
         }
     }
 
+    /// [`encode_group`] over owned ops, as `sample_ops` builds them.
+    fn encode(ops: &[WalOp]) -> Vec<u8> {
+        let refs: Vec<WalOpRef<'_>> = ops.iter().map(WalOp::to_ref).collect();
+        encode_group(&refs)
+    }
+
     impl Wal {
         /// `commit_ref` over owned ops, as `sample_ops` builds them.
         fn commit(&self, ops: &[WalOp]) -> DbResult<()> {
-            self.commit_encoded(encode_group(ops))
+            self.commit_encoded(encode(ops))
         }
     }
 
@@ -622,8 +622,8 @@ mod tests {
     #[test]
     fn groups_roundtrip_through_frames() {
         let ops = sample_ops();
-        let mut bytes = encode_group(&ops[..2]);
-        bytes.extend(encode_group(&ops[2..]));
+        let mut bytes = encode(&ops[..2]);
+        bytes.extend(encode(&ops[2..]));
         let mut groups = Vec::new();
         let replay = replay(&bytes, |group| groups.push(group));
         assert_eq!(replay.groups, 2);
@@ -636,9 +636,9 @@ mod tests {
     #[test]
     fn torn_tail_stops_at_last_commit() {
         let ops = sample_ops();
-        let good = encode_group(&ops[..2]);
+        let good = encode(&ops[..2]);
         let mut bytes = good.clone();
-        bytes.extend(encode_group(&ops[2..]));
+        bytes.extend(encode(&ops[2..]));
         // Cut anywhere inside the second group: only the first survives.
         for cut in good.len()..bytes.len() {
             let mut groups = Vec::new();
@@ -657,9 +657,9 @@ mod tests {
     #[test]
     fn corrupt_frame_stops_the_scan() {
         let ops = sample_ops();
-        let good = encode_group(&ops[..1]);
+        let good = encode(&ops[..1]);
         let mut bytes = good.clone();
-        bytes.extend(encode_group(&ops[1..2]));
+        bytes.extend(encode(&ops[1..2]));
         // Flip a payload byte in the second group.
         let idx = good.len() + 10;
         bytes[idx] ^= 0x40;
@@ -671,7 +671,7 @@ mod tests {
     #[test]
     fn uncommitted_group_is_dropped() {
         let ops = sample_ops();
-        let mut bytes = encode_group(&ops[..2]);
+        let mut bytes = encode(&ops[..2]);
         // Append two op frames with no commit marker.
         for op in &ops[2..4] {
             push_frame(&mut bytes, |out| {

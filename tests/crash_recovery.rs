@@ -13,14 +13,12 @@
 //!
 //! The second half pins the sliced checkpoint layout at the same
 //! level: a checkpoint killed between two slice writes, a writer racing
-//! checkpoints, a directory written before slices, and the cost of a
-//! checkpoint against the amount of stored history.
+//! checkpoints, and the cost of a checkpoint against the amount of
+//! stored history.
 
 use pathdb::database::OpenOptions;
-use pathdb::wal::{encode_group, WalOp};
 use pathdb::{
     doc, Database, Document, Durability, FaultyStorage, Filter, RetentionPolicy, Storage, Update,
-    Value,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -349,145 +347,6 @@ fn writer_racing_checkpoints_loses_nothing() {
     }
     let (from_slices, _) = open_at("/race", &survivor, Durability::Snapshot);
     assert_eq!(contents(&from_slices), model);
-}
-
-#[test]
-fn format_2_directory_opens_and_is_upgraded_by_one_checkpoint() {
-    // A directory as the generational checkpoints left it: one
-    // `<name>.jsonl` per collection, `paths_stats` two generations
-    // behind the head with its effects in retained WAL segments, a
-    // stale segment the manifest no longer needs.
-    let dir = Path::new("/fmt2");
-    let storage = FaultyStorage::new();
-    let put = |name: &str, text: &str| storage.append(&dir.join(name), text.as_bytes()).unwrap();
-    put(
-        "MANIFEST.json",
-        "{\"format\":2,\"generation\":5,\"collections\":[\"paths\",\"paths_stats\"],\
-         \"gens\":[5,3],\"seqs\":[2,4]}\n",
-    );
-    put(
-        "paths.jsonl",
-        "{\"_id\":\"p0\",\"hops\":3,\"__seq\":0}\n{\"_id\":\"p1\",\"hops\":5,\"__seq\":1}\n",
-    );
-    // Seq 2 was deleted before the file was written: a hole below the
-    // allocator the manifest records.
-    put(
-        "paths_stats.jsonl",
-        "{\"_id\":\"s0\",\"ms\":10.5,\"__seq\":0}\n{\"_id\":\"s1\",\"ms\":11.0,\"__seq\":1}\n\
-         {\"_id\":\"s3\",\"ms\":13.0,\"__seq\":3}\n",
-    );
-    let log = |gen: u64, groups: &[Vec<WalOp>]| {
-        for group in groups {
-            storage
-                .append(&dir.join(format!("wal.{gen}.log")), &encode_group(group))
-                .unwrap();
-        }
-    };
-    let stats = "paths_stats".to_string();
-    log(
-        2,
-        &[vec![WalOp::Insert {
-            coll: stats.clone(),
-            doc: doc! { "_id" => "stale", "ms" => 0.0f64 },
-        }]],
-    );
-    log(
-        3,
-        &[
-            vec![WalOp::InsertMany {
-                coll: stats.clone(),
-                docs: vec![
-                    doc! { "_id" => "s4", "ms" => 14.0f64 },
-                    doc! { "_id" => "s5", "ms" => 15.0f64 },
-                ],
-            }],
-            // Already inside `paths.jsonl` (generation 5): replays as a
-            // no-op.
-            vec![WalOp::Insert {
-                coll: "paths".into(),
-                doc: doc! { "_id" => "p1", "hops" => 5i64 },
-            }],
-        ],
-    );
-    log(
-        4,
-        &[
-            vec![WalOp::Update {
-                coll: stats.clone(),
-                docs: vec![doc! { "_id" => "s1", "ms" => 99.0f64 }],
-            }],
-            vec![WalOp::Delete {
-                coll: stats.clone(),
-                ids: vec![Value::from("s0")],
-            }],
-        ],
-    );
-    log(
-        5,
-        &[vec![WalOp::Insert {
-            coll: stats,
-            doc: doc! { "_id" => "s6", "ms" => 16.0f64 },
-        }]],
-    );
-
-    let answers = |db: &Database| {
-        let handle = db.collection("paths_stats");
-        let stats = handle.read();
-        (
-            contents(db),
-            stats.query(Filter::gte("ms", 14.0f64)).count(),
-            stats.find_by_id("s1").cloned(),
-            stats.append_watermark(),
-        )
-    };
-    let (db, report) = Database::open_durable_with(
-        dir,
-        OpenOptions::new(Durability::Wal).with_storage(Arc::new(storage.clone())),
-    )
-    .unwrap();
-    assert_eq!(report.snapshot_docs, 5);
-    assert_eq!(report.stale_wals_removed, 1);
-    assert_eq!(report.wal_groups, 5);
-    let before = answers(&db);
-    assert_eq!(
-        before.0,
-        [
-            "paths: {\"_id\":\"p0\",\"hops\":3}",
-            "paths: {\"_id\":\"p1\",\"hops\":5}",
-            "paths_stats: {\"_id\":\"s1\",\"ms\":99.0}",
-            "paths_stats: {\"_id\":\"s3\",\"ms\":13.0}",
-            "paths_stats: {\"_id\":\"s4\",\"ms\":14.0}",
-            "paths_stats: {\"_id\":\"s5\",\"ms\":15.0}",
-            "paths_stats: {\"_id\":\"s6\",\"ms\":16.0}",
-        ]
-    );
-    assert_eq!((before.1, before.3), (4, 7));
-
-    db.checkpoint().unwrap();
-    let files = storage.list(dir).unwrap();
-    let names: Vec<String> = files
-        .iter()
-        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-        .collect();
-    assert_eq!(
-        names,
-        ["MANIFEST.json", "paths.0.6.slice", "paths_stats.0.6.slice"],
-        "one checkpoint leaves only the new layout (and no log until the next write)"
-    );
-    let manifest = String::from_utf8(storage.read(&dir.join("MANIFEST.json")).unwrap()).unwrap();
-    assert!(
-        manifest.contains("\"format\":3") && manifest.contains("\"slices\""),
-        "{manifest}"
-    );
-
-    drop(db);
-    let (reopened, report) = Database::open_durable_with(
-        dir,
-        OpenOptions::new(Durability::Wal).with_storage(Arc::new(storage.surviving())),
-    )
-    .unwrap();
-    assert!(report.clean(), "{report:?}");
-    assert_eq!(answers(&reopened), before);
 }
 
 #[test]

@@ -24,7 +24,7 @@ const ALLOW: [(&str, &str, &str); 1] = [(
 /// `(crate, item, the test outside the crate that needs it)`: oracles,
 /// fault hooks and fixtures that only tests call. An entry is stale once
 /// its test stops spelling the item or a non-test user appears.
-const TEST_HOOKS: [(&str, &str, &str); 13] = [
+const TEST_HOOKS: [(&str, &str, &str); 11] = [
     // Reference paths the oracles compare against.
     ("pathdb", "scan_reference", FLOORS),
     ("pathdb", "wal_health", "tests/crash_recovery.rs"),
@@ -41,10 +41,8 @@ const TEST_HOOKS: [(&str, &str, &str); 13] = [
         "tear_to_sectors",
         "crates/pathdb/tests/prop_crash.rs",
     ),
-    // Fixtures: a hand-written older log, the floors' databases and
-    // endpoints, the claims `results_pin` expects to fail.
-    ("pathdb", "WalOp", "tests/crash_recovery.rs"),
-    ("pathdb", "encode_group", "tests/crash_recovery.rs"),
+    // Fixtures: the floors' databases and endpoints, the claims
+    // `results_pin` expects to fail.
     ("bench", "cross_isd_endpoints", FLOORS),
     ("bench", "empty_db", FLOORS),
     ("bench", "rollup_db", FLOORS),
