@@ -456,7 +456,7 @@ fn cmd_campaign(p: &Parsed, s: &Session) -> Result<String, CliError> {
     if let Some(newest) = newest_sample_ms(&s.db) {
         s.net.advance_ms(newest as f64 + 1.0 - s.net.now_ms());
     }
-    let report = upin_core::TestSuite::new(&s.net, &s.db, cfg).run()?;
+    let report = upin_core::run_suite(&s.db, &s.net, &cfg)?;
     s.persist()?;
     // Lead with what crash recovery had to repair, if anything:
     // the operator should know samples were dropped or replayed.
@@ -739,7 +739,6 @@ fn cmd_health(p: &Parsed, s: &Session) -> Result<String, CliError> {
     let cfg = HealthConfig {
         recent_window: p.get_or("window", defaults.recent_window)?,
         threshold_sigmas: p.get_or("sigmas", defaults.threshold_sigmas)?,
-        ..defaults
     };
     let findings = detect(&s.db, server_id, &cfg)?;
     if findings.is_empty() {

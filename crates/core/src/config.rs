@@ -40,23 +40,10 @@ pub struct SuiteConfig {
     /// destination runs on its own deterministic network fork and
     /// batches commit in destination order.
     pub workers: usize,
-    /// Extra attempts per failed tool invocation (0 disables retry).
+    /// Extra attempts per failed tool invocation (0 disables retry);
+    /// the backoff schedule and the circuit breaker are fixed (see
+    /// `runner`).
     pub retry_attempts: u32,
-    /// Backoff before the first retry, in simulated milliseconds.
-    pub retry_base_ms: f64,
-    /// Multiplier applied to the backoff after each failed retry.
-    pub retry_multiplier: f64,
-    /// Circuit breaker: after this many *consecutive* hard-failed paths
-    /// on one destination, its remaining paths are skipped for the
-    /// iteration and the destination is recorded in the report.
-    pub breaker_threshold: usize,
-    /// Cooldown before an open breaker admits a half-open trial probe,
-    /// in simulated milliseconds. After a destination trips, it is held
-    /// (paths skipped, no probes) until the cooldown — jittered by the
-    /// seeded network RNG — elapses on the campaign clock; the next
-    /// iteration then admits exactly one trial path, closing the
-    /// breaker on success and re-opening it on failure.
-    pub breaker_cooldown_ms: f64,
 }
 
 impl Default for SuiteConfig {
@@ -73,10 +60,6 @@ impl Default for SuiteConfig {
             run_bwtests: true,
             workers: 1,
             retry_attempts: 2,
-            retry_base_ms: 200.0,
-            retry_multiplier: 2.0,
-            breaker_threshold: 3,
-            breaker_cooldown_ms: 30_000.0,
         }
     }
 }
@@ -92,19 +75,6 @@ impl SuiteConfig {
         if self.workers == 0 {
             return Err("workers must be at least 1".into());
         }
-        if self.retry_attempts > 0 && self.retry_base_ms <= 0.0 {
-            return Err(format!(
-                "retries ({}) with a non-positive backoff ({} ms) would hammer \
-                 failing destinations with no delay",
-                self.retry_attempts, self.retry_base_ms
-            ));
-        }
-        if self.retry_attempts > 0 && self.retry_multiplier < 1.0 {
-            return Err(format!(
-                "retry multiplier must be >= 1, got {}",
-                self.retry_multiplier
-            ));
-        }
         if self.ping_count == 0 {
             return Err("ping count must be at least 1".into());
         }
@@ -113,14 +83,6 @@ impl SuiteConfig {
         }
         if self.max_paths == 0 {
             return Err("max_paths must be at least 1".into());
-        }
-        if self.breaker_threshold > 0
-            && !(self.breaker_cooldown_ms.is_finite() && self.breaker_cooldown_ms > 0.0)
-        {
-            return Err(format!(
-                "the circuit breaker needs a positive cooldown, got {} ms",
-                self.breaker_cooldown_ms
-            ));
         }
         if self.run_bwtests && self.bw_target_mbps <= 0.0 {
             return Err("bandwidth tests need a positive target rate".into());
@@ -229,14 +191,6 @@ mod tests {
             iterations: 0,
             ..base()
         }));
-        let retries = |retry_attempts, retry_base_ms, retry_multiplier| SuiteConfig {
-            retry_attempts,
-            retry_base_ms,
-            retry_multiplier,
-            ..base()
-        };
-        assert!(bad(retries(3, 0.0, 2.0)));
-        assert!(bad(retries(3, 100.0, 0.5)));
         assert!(bad(SuiteConfig {
             ping_count: 0,
             ..base()
@@ -245,17 +199,20 @@ mod tests {
             max_paths: 0,
             ..base()
         }));
-        let breaker = |breaker_threshold, breaker_cooldown_ms| SuiteConfig {
-            breaker_threshold,
-            breaker_cooldown_ms,
+        assert!(bad(SuiteConfig {
+            ping_interval_ms: -1.0,
             ..base()
-        };
-        assert!(bad(breaker(3, 0.0)));
-        assert!(bad(breaker(3, f64::NAN)));
-        // No breaker, no cooldown to validate.
-        assert!(!bad(breaker(0, 0.0)));
-        // The same combo is fine when the offending feature is off.
-        assert!(!bad(retries(0, 0.0, 2.0)));
+        }));
+        assert!(bad(SuiteConfig {
+            bw_target_mbps: 0.0,
+            ..base()
+        }));
+        // The same rate is fine when the bandwidth tests are off.
+        assert!(!bad(SuiteConfig {
+            bw_target_mbps: 0.0,
+            run_bwtests: false,
+            ..base()
+        }));
     }
 
     #[test]
@@ -297,7 +254,5 @@ mod tests {
         let d = SuiteConfig::default();
         assert_eq!(d.workers, 1);
         assert_eq!(d.retry_attempts, 2);
-        assert_eq!(d.breaker_threshold, 3);
-        assert_eq!(d.breaker_cooldown_ms, 30_000.0);
     }
 }

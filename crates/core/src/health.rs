@@ -137,8 +137,6 @@ pub struct HealthFinding {
 pub struct HealthConfig {
     /// How many of the newest samples form the "recent" window.
     pub recent_window: usize,
-    /// Minimum baseline samples required before judging a path.
-    pub min_baseline: usize,
     /// Latency-shift threshold in baseline standard deviations.
     pub threshold_sigmas: f64,
 }
@@ -147,11 +145,13 @@ impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
             recent_window: 3,
-            min_baseline: 5,
             threshold_sigmas: 4.0,
         }
     }
 }
+
+/// Minimum baseline samples required before judging a path.
+const MIN_BASELINE: usize = 5;
 
 /// Loss percentage that counts as an onset on a clean path.
 const LOSS_ONSET_PCT: f64 = 10.0;
@@ -166,7 +166,7 @@ pub fn detect(
     let grouped = measurements_by_path(db, server_id)?;
     let mut findings = Vec::new();
     for (&path_id, ms) in grouped.iter() {
-        if ms.len() < cfg.min_baseline + cfg.recent_window {
+        if ms.len() < MIN_BASELINE + cfg.recent_window {
             continue;
         }
         let (baseline, recent) = ms.split_at(ms.len() - cfg.recent_window);
@@ -201,7 +201,7 @@ fn judge(
     // Latency shift.
     let base_lat: Vec<f64> = baseline.iter().filter_map(|m| m.avg_latency_ms).collect();
     let recent_lat: Vec<f64> = recent.iter().filter_map(|m| m.avg_latency_ms).collect();
-    if base_lat.len() >= cfg.min_baseline && !recent_lat.is_empty() {
+    if base_lat.len() >= MIN_BASELINE && !recent_lat.is_empty() {
         let bm = mean(&base_lat);
         let var = base_lat.iter().map(|x| (x - bm).powi(2)).sum::<f64>() / base_lat.len() as f64;
         // Floor the deviation so ultra-stable baselines don't flag noise.

@@ -12,16 +12,17 @@
 //! * [`measure`] — the measurement stage (`ping -c 30 --interval 0.1s`,
 //!   bandwidth tests at 64 B and MTU), with per-destination batched
 //!   insertion and fault-tolerant error recording.
-//! * [`runner`] — the campaign engine: retry with deterministic
-//!   exponential backoff, per-destination circuit breaker, and
-//!   destination-ordered commits that make parallel campaigns
+//! * [`runner`] — the campaign engine, `run_tests`: retry with
+//!   deterministic exponential backoff, per-destination circuit breaker,
+//!   and destination-ordered commits that make parallel campaigns
 //!   bit-identical to sequential ones.
 //! * [`pool`] — the one bounded worker pool behind every `--parallel`.
 //! * [`longitudinal`] — the one continuous driver: periodic rounds with
 //!   rollup catch-up, retention and a checkpoint after each, from
 //!   minutes to simulated months.
-//! * [`suite`] — the `test_suite.sh` wrapper (`<iterations>`, `--skip`,
-//!   `--some-only`, plus an optional `--parallel` mode).
+//! * [`suite`] — the `test_suite.sh` wrapper, `run_suite`
+//!   (`<iterations>`, `--skip`, `--some-only`, plus an optional
+//!   `--parallel` mode).
 //! * [`select`] — the selection engine: performance objectives and
 //!   geographic/sovereignty/operator exclusion constraints over the
 //!   collected statistics.
@@ -49,16 +50,16 @@
 //! ```
 //! use pathdb::Database;
 //! use scion_sim::net::ScionNetwork;
+//! use upin_core::collect::register_available_servers;
 //! use upin_core::config::SuiteConfig;
-//! use upin_core::suite::TestSuite;
+//! use upin_core::suite::run_suite;
 //!
 //! let net = ScionNetwork::scionlab(42);
 //! let db = Database::new();
 //! let cfg = SuiteConfig { some_only: true, ping_count: 3, run_bwtests: false,
 //!                         ..SuiteConfig::default() };
-//! let suite = TestSuite::new(&net, &db, cfg);
-//! suite.bootstrap().unwrap();
-//! let report = suite.run().unwrap();
+//! register_available_servers(&db, &net).unwrap();
+//! let report = run_suite(&db, &net, &cfg).unwrap();
 //! assert!(report.measurement.inserted > 0);
 //! ```
 
@@ -96,4 +97,4 @@ pub use longitudinal::{run_longitudinal, LongitudinalConfig, LongitudinalReport}
 pub use schema::{PathId, PathMeasurement, StatId};
 pub use select::{Constraints, Objective, Recommendation, UserRequest};
 pub use strategy::{Strategy, StrategyContext};
-pub use suite::{SuiteReport, TestSuite};
+pub use suite::{run_suite, SuiteReport};

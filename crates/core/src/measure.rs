@@ -14,12 +14,14 @@
 //! (demonstrated end-to-end by `tests/crash_recovery.rs`).
 //!
 //! Execution (worker pool, retry/backoff, circuit breaker, deterministic
-//! batching) lives in [`crate::runner`]; this module defines what a
-//! single path measurement is and the campaign's report shape.
+//! batching) lives in [`crate::runner`], whose [`run_tests`] is
+//! re-exported here; this module defines what a single path measurement
+//! is and the campaign's report shape.
 
 use crate::config::SuiteConfig;
 use crate::error::SuiteResult;
 use crate::health::CampaignEvent;
+pub use crate::runner::run_tests;
 use crate::runner::{retry_tool, RetryPolicy};
 use crate::schema::{self, PathMeasurement, PathSpec, StatId, PATHS};
 use pathdb::{Database, Filter, FindOptions, Order};
@@ -51,15 +53,6 @@ pub struct MeasureReport {
     pub tripped: Vec<u32>,
     /// Structured retry/breaker event log, in destination order.
     pub events: Vec<CampaignEvent>,
-}
-
-/// Run the full campaign against the paths currently stored.
-pub fn run_tests(
-    db: &Database,
-    net: &ScionNetwork,
-    cfg: &SuiteConfig,
-) -> SuiteResult<MeasureReport> {
-    crate::runner::run_campaign(db, net, cfg)
 }
 
 /// Paths of one destination, ordered by path index. Reads the stored

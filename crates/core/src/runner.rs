@@ -1,4 +1,5 @@
-//! Campaign execution: the engine under [`crate::measure::run_tests`].
+//! Campaign execution: [`run_tests`], the one campaign entry point
+//! (re-exported as [`crate::measure::run_tests`]).
 //!
 //! The paper's requirement (§4.1.2) is that a dead destination must not
 //! kill the campaign; this module adds the three properties campaign-
@@ -15,19 +16,19 @@
 //!   set as a sequential one (same `_id`s, same field values), for any
 //!   worker count.
 //! * **Self-healing** — transiently failed tool invocations are retried
-//!   with deterministic exponential backoff (jitter drawn from the
-//!   fork's seeded RNG, delays advanced on the simulated clock), and a
-//!   per-destination circuit breaker stops hammering a destination
-//!   whose paths hard-fail consecutively, skipping its remaining paths
-//!   for the iteration. Both emit structured [`CampaignEvent`]s.
+//!   with deterministic exponential backoff (200 ms doubling per retry,
+//!   jitter drawn from the fork's seeded RNG, delays advanced on the
+//!   simulated clock), and a per-destination circuit breaker stops
+//!   hammering a destination whose paths hard-fail three times in a
+//!   row, skipping its remaining paths for the iteration. Both emit
+//!   structured [`CampaignEvent`]s.
 //!
 //! A tripped breaker is not permanent: the destination is *held* (all
-//! paths skipped, no probes) until a seeded cooldown
-//! ([`SuiteConfig::breaker_cooldown_ms`], jittered) elapses on the
-//! campaign clock, after which the next iteration admits exactly one
-//! **half-open** trial path — success closes the breaker and resumes
-//! full measurement, failure re-opens it for another cooldown. The
-//! transitions surface as [`CampaignEvent::BreakerHalfOpen`] /
+//! paths skipped, no probes) until a seeded cooldown (30 s, jittered)
+//! elapses on the campaign clock, after which the next iteration admits
+//! exactly one **half-open** trial path — success closes the breaker and
+//! resumes full measurement, failure re-opens it for another cooldown.
+//! The transitions surface as [`CampaignEvent::BreakerHalfOpen`] /
 //! [`CampaignEvent::BreakerClosed`].
 
 use crate::config::SuiteConfig;
@@ -43,29 +44,38 @@ use scion_tools::ToolError;
 use std::sync::Arc;
 use upin_telemetry::{with_label, AttrValue, SpanId};
 
+/// Backoff before the first retry, in simulated milliseconds.
+const RETRY_BASE_MS: f64 = 200.0;
+/// Multiplier applied to the backoff after each failed retry.
+const RETRY_MULTIPLIER: f64 = 2.0;
+/// Circuit breaker: after this many *consecutive* hard-failed paths on
+/// one destination, its remaining paths are skipped for the iteration
+/// and the destination is recorded in the report.
+pub(crate) const BREAKER_THRESHOLD: usize = 3;
+/// How long an open breaker holds its destination before a half-open
+/// trial, in simulated milliseconds, scaled by a seeded jitter factor in
+/// `[0.75, 1.25)`.
+const BREAKER_COOLDOWN_MS: f64 = 30_000.0;
+
 /// Retry schedule for one tool invocation: up to `attempts` retries,
-/// the n-th delayed by `base_ms * multiplier^n`, scaled by a
-/// deterministic jitter factor in `[0.5, 1.5)`.
+/// the n-th delayed by `RETRY_BASE_MS * RETRY_MULTIPLIER^n`, scaled by
+/// a deterministic jitter factor in `[0.5, 1.5)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    pub attempts: u32,
-    pub base_ms: f64,
-    pub multiplier: f64,
+    pub(crate) attempts: u32,
 }
 
 impl RetryPolicy {
     pub fn from_config(cfg: &SuiteConfig) -> RetryPolicy {
         RetryPolicy {
             attempts: cfg.retry_attempts,
-            base_ms: cfg.retry_base_ms,
-            multiplier: cfg.retry_multiplier,
         }
     }
 
     /// Nominal backoff before retry number `attempt` (0-based), before
     /// jitter.
-    pub(crate) fn delay_ms(&self, attempt: u32) -> f64 {
-        self.base_ms * self.multiplier.powi(attempt as i32)
+    fn delay_ms(attempt: u32) -> f64 {
+        RETRY_BASE_MS * RETRY_MULTIPLIER.powi(attempt as i32)
     }
 }
 
@@ -91,7 +101,7 @@ pub(crate) fn retry_tool<T>(
         match op() {
             Ok(v) => return Ok(v),
             Err(e) if retries < policy.attempts && is_transient(&e) => {
-                let delay = policy.delay_ms(retries) * (0.5 + net.jitter_unit());
+                let delay = RetryPolicy::delay_ms(retries) * (0.5 + net.jitter_unit());
                 net.advance_ms(delay);
                 retries += 1;
                 events.push(CampaignEvent::Retry {
@@ -150,10 +160,10 @@ struct DestBatch {
     marks: Vec<(PathId, f64, f64, bool)>,
 }
 
-/// Run the full campaign over the stored paths. Both the sequential and
-/// the parallel mode execute destinations on identical network forks;
-/// they differ only in *where* the work runs.
-pub fn run_campaign(
+/// Run the full campaign against the paths currently stored. Both the
+/// sequential and the parallel mode execute destinations on identical
+/// network forks; they differ only in *where* the work runs.
+pub fn run_tests(
     db: &Database,
     net: &ScionNetwork,
     cfg: &SuiteConfig,
@@ -319,7 +329,7 @@ pub fn run_campaign(
                 // jittered cooldown elapses on the campaign clock.
                 let reopen_at = iter_start
                     + batch.elapsed_ms
-                    + cfg.breaker_cooldown_ms * (0.75 + 0.5 * net.jitter_unit());
+                    + BREAKER_COOLDOWN_MS * (0.75 + 0.5 * net.jitter_unit());
                 breakers.insert(batch.server_id, reopen_at);
             }
             rec.span_end(dest_span, iter_start + batch.elapsed_ms);
@@ -397,13 +407,13 @@ fn run_destination(cfg: &SuiteConfig, job: DestJob) -> DestBatch {
         docs.push(m.to_doc());
         // A half-open destination gets exactly one trial: its first
         // path failing re-opens the breaker immediately, regardless of
-        // the configured consecutive-failure threshold.
+        // the consecutive-failure threshold.
         let threshold = if job.trial && i == 0 {
             1
         } else {
-            cfg.breaker_threshold
+            BREAKER_THRESHOLD
         };
-        if cfg.breaker_threshold > 0 && consecutive >= threshold {
+        if consecutive >= threshold {
             skipped = job.paths.len() - (i + 1);
             tripped = true;
             events.push(CampaignEvent::CircuitOpen {
@@ -470,14 +480,14 @@ mod tests {
                 ..quick()
             };
             let (db_seq, net_seq) = setup(23, &seq_cfg);
-            run_campaign(&db_seq, &net_seq, &seq_cfg).unwrap();
+            run_tests(&db_seq, &net_seq, &seq_cfg).unwrap();
 
             let par_cfg = SuiteConfig {
                 workers,
                 ..seq_cfg.clone()
             };
             let (db_par, net_par) = setup(23, &par_cfg);
-            let report = run_campaign(&db_par, &net_par, &par_cfg).unwrap();
+            let report = run_tests(&db_par, &net_par, &par_cfg).unwrap();
 
             assert_eq!(
                 stats_snapshot(&db_seq),
@@ -502,7 +512,7 @@ mod tests {
             };
             assert_eq!(cfg.workers, 2, "{args:?}");
             let (db, net) = setup(23, &cfg);
-            let report = run_campaign(&db, &net, &cfg).unwrap();
+            let report = run_tests(&db, &net, &cfg).unwrap();
             (report.peak_workers, stats_snapshot(&db))
         };
         let (peak, alone) = run(&["3", "--workers", "2"]);
@@ -514,11 +524,7 @@ mod tests {
     #[test]
     fn retry_backoff_grows_and_is_deterministic() {
         let net = ScionNetwork::scionlab(5);
-        let policy = RetryPolicy {
-            attempts: 3,
-            base_ms: 100.0,
-            multiplier: 2.0,
-        };
+        let policy = RetryPolicy { attempts: 3 };
         let pid = PathId {
             server_id: 1,
             path_index: 0,
@@ -549,7 +555,7 @@ mod tests {
             .collect();
         assert_eq!(delays.len(), 3);
         for (i, d) in delays.iter().enumerate() {
-            let nominal = 100.0 * 2f64.powi(i as i32);
+            let nominal = 200.0 * 2f64.powi(i as i32);
             assert!(
                 (nominal * 0.5..nominal * 1.5).contains(d),
                 "delay {d} outside jitter band of {nominal}"
@@ -566,11 +572,7 @@ mod tests {
     #[test]
     fn non_transient_errors_are_not_retried() {
         let net = ScionNetwork::scionlab(5);
-        let policy = RetryPolicy {
-            attempts: 5,
-            base_ms: 100.0,
-            multiplier: 2.0,
-        };
+        let policy = RetryPolicy { attempts: 5 };
         let mut events = Vec::new();
         let mut calls = 0;
         let r: Result<(), ToolError> = retry_tool(
@@ -603,12 +605,12 @@ mod tests {
         let (db, net) = setup(9, &cfg);
         let (server_id, addr) = crate::collect::destinations(&db).unwrap()[0];
         net.set_server_behavior(addr, ServerBehavior::Down);
-        let report = run_campaign(&db, &net, &cfg).unwrap();
+        let report = run_tests(&db, &net, &cfg).unwrap();
         let paths = paths_of(&db, server_id).unwrap();
         assert!(report.tripped.contains(&server_id));
-        assert_eq!(report.errors, cfg.breaker_threshold);
-        assert_eq!(report.skipped, paths.len() - cfg.breaker_threshold);
-        assert_eq!(report.measured, cfg.breaker_threshold);
+        assert_eq!(report.errors, BREAKER_THRESHOLD);
+        assert_eq!(report.skipped, paths.len() - BREAKER_THRESHOLD);
+        assert_eq!(report.measured, BREAKER_THRESHOLD);
         assert!(report.events.iter().any(
             |e| matches!(e, CampaignEvent::CircuitOpen { server_id: s, .. } if *s == server_id)
         ));
@@ -616,22 +618,21 @@ mod tests {
 
     #[test]
     fn half_open_trial_reopens_while_the_server_stays_dead() {
-        // Tiny cooldown: each trip holds exactly the next iteration
-        // (the cooldown outlasts the zero-advance held iteration, which
-        // then idles the clock past it), so the pattern is
-        // trip, held, trial, held, trial.
+        // Each trip holds exactly the next iteration (the cooldown
+        // outlasts the zero-advance held iteration, which then idles the
+        // clock past it), so the pattern is trip, held, trial, held,
+        // trial.
         let cfg = SuiteConfig {
             iterations: 5,
             some_only: true,
             run_bwtests: true,
             retry_attempts: 0,
-            breaker_cooldown_ms: 1.0,
             ..quick()
         };
         let (db, net) = setup(9, &cfg);
         let (server_id, addr) = crate::collect::destinations(&db).unwrap()[0];
         net.set_server_behavior(addr, ServerBehavior::Down);
-        let report = run_campaign(&db, &net, &cfg).unwrap();
+        let report = run_tests(&db, &net, &cfg).unwrap();
         let paths = paths_of(&db, server_id).unwrap();
         let count =
             |f: &dyn Fn(&CampaignEvent) -> bool| report.events.iter().filter(|e| f(e)).count();
@@ -649,11 +650,11 @@ mod tests {
             count(&|e| matches!(e, CampaignEvent::CircuitOpen { .. })),
             3
         );
-        assert_eq!(report.measured, cfg.breaker_threshold + 2);
-        assert_eq!(report.errors, cfg.breaker_threshold + 2);
+        assert_eq!(report.measured, BREAKER_THRESHOLD + 2);
+        assert_eq!(report.errors, BREAKER_THRESHOLD + 2);
         assert_eq!(
             report.skipped,
-            (paths.len() - cfg.breaker_threshold) + 2 * (paths.len() - 1) + 2 * paths.len()
+            (paths.len() - BREAKER_THRESHOLD) + 2 * (paths.len() - 1) + 2 * paths.len()
         );
         let _ = server_id;
     }
@@ -666,7 +667,6 @@ mod tests {
             some_only: true,
             run_bwtests: true,
             retry_attempts: 0,
-            breaker_cooldown_ms: 60_000.0,
             ..quick()
         };
         let (db, net) = setup(9, &cfg);
@@ -674,7 +674,7 @@ mod tests {
         // The destination server drops everything just after the
         // campaign starts (bwtests hard-fail) and the schedule clears
         // it well before the breaker cooldown can elapse. The window
-        // must outlast `breaker_threshold` path measurements (~14 s
+        // must outlast `BREAKER_THRESHOLD` path measurements (~14 s
         // each) for the trip to happen at all.
         let t = net.now_ms();
         let mut schedule = ChaosSchedule::new(1, t + 300_000.0);
@@ -685,7 +685,7 @@ mod tests {
             duration_ms: 50_000.0,
         });
         net.install_chaos(&schedule).unwrap();
-        let report = run_campaign(&db, &net, &cfg).unwrap();
+        let report = run_tests(&db, &net, &cfg).unwrap();
         let paths = paths_of(&db, server_id).unwrap();
         let has = |f: &dyn Fn(&CampaignEvent) -> bool| report.events.iter().any(f);
         // Iteration 0 trips; iteration 1 is held (the cooldown idles the
@@ -705,7 +705,7 @@ mod tests {
             report.events
         );
         assert!(
-            report.measured >= cfg.breaker_threshold + paths.len(),
+            report.measured >= BREAKER_THRESHOLD + paths.len(),
             "trip iteration + one fully measured iteration: {report:?}"
         );
         assert!(

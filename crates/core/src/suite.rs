@@ -4,7 +4,7 @@
 //! stage and reports combined statistics. This is the unit the paper's
 //! user invokes: `./test_suite.sh 100 --skip`.
 
-use crate::collect::{collect_paths, register_available_servers, CollectReport};
+use crate::collect::{collect_paths, CollectReport};
 use crate::config::SuiteConfig;
 use crate::error::SuiteResult;
 use crate::measure::{run_tests, MeasureReport};
@@ -52,44 +52,29 @@ impl SuiteReport {
     }
 }
 
-/// The test-suite: a network handle, a database and a configuration.
-pub struct TestSuite<'a> {
-    net: &'a ScionNetwork,
-    db: &'a Database,
-    cfg: SuiteConfig,
-}
-
-impl<'a> TestSuite<'a> {
-    pub fn new(net: &'a ScionNetwork, db: &'a Database, cfg: SuiteConfig) -> TestSuite<'a> {
-        TestSuite { net, db, cfg }
-    }
-
-    /// Ensure `availableServers` is populated (first-run bootstrap).
-    pub fn bootstrap(&self) -> SuiteResult<usize> {
-        register_available_servers(self.db, self.net)
-    }
-
-    /// Run the whole suite: collect (unless skipped), then measure.
-    /// On a durable database the campaign's results are checkpointed
-    /// before returning, truncating the WAL the measurements landed in.
-    pub fn run(&self) -> SuiteResult<SuiteReport> {
-        let collection = if self.cfg.skip_collection {
-            None
-        } else {
-            Some(collect_paths(self.db, self.net, &self.cfg)?)
-        };
-        let measurement = run_tests(self.db, self.net, &self.cfg)?;
-        self.db.checkpoint_if_durable()?;
-        Ok(SuiteReport {
-            collection,
-            measurement,
-        })
-    }
+/// Run the whole suite: collect (unless `--skip`), then measure. The
+/// caller registers the destinations first
+/// ([`crate::collect::register_available_servers`]). On a durable
+/// database the campaign's results are checkpointed before returning,
+/// truncating the WAL the measurements landed in.
+pub fn run_suite(db: &Database, net: &ScionNetwork, cfg: &SuiteConfig) -> SuiteResult<SuiteReport> {
+    let collection = if cfg.skip_collection {
+        None
+    } else {
+        Some(collect_paths(db, net, cfg)?)
+    };
+    let measurement = run_tests(db, net, cfg)?;
+    db.checkpoint_if_durable()?;
+    Ok(SuiteReport {
+        collection,
+        measurement,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collect::register_available_servers;
     use crate::schema::{PATHS, PATHS_STATS};
 
     fn quick() -> SuiteConfig {
@@ -105,9 +90,8 @@ mod tests {
     fn full_run_collects_and_measures() {
         let net = ScionNetwork::scionlab(13);
         let db = Database::new();
-        let suite = TestSuite::new(&net, &db, quick());
-        assert_eq!(suite.bootstrap().unwrap(), 21);
-        let report = suite.run().unwrap();
+        assert_eq!(register_available_servers(&db, &net).unwrap(), 21);
+        let report = run_suite(&db, &net, &quick()).unwrap();
         assert!(report.collection.is_some());
         assert!(report.measurement.inserted > 0);
         let text = report.render();
@@ -119,21 +103,16 @@ mod tests {
     fn skip_reuses_stored_paths() {
         let net = ScionNetwork::scionlab(13);
         let db = Database::new();
-        let suite = TestSuite::new(&net, &db, quick());
-        suite.bootstrap().unwrap();
-        suite.run().unwrap();
+        register_available_servers(&db, &net).unwrap();
+        run_suite(&db, &net, &quick()).unwrap();
         let paths_before = db.collection(PATHS).read().len();
         let stats_before = db.collection(PATHS_STATS).read().len();
 
-        let skipping = TestSuite::new(
-            &net,
-            &db,
-            SuiteConfig {
-                skip_collection: true,
-                ..quick()
-            },
-        );
-        let report = skipping.run().unwrap();
+        let skipping = SuiteConfig {
+            skip_collection: true,
+            ..quick()
+        };
+        let report = run_suite(&db, &net, &skipping).unwrap();
         assert!(report.collection.is_none());
         assert!(report.render().contains("skipped (--skip)"));
         assert_eq!(db.collection(PATHS).read().len(), paths_before);

@@ -25,7 +25,7 @@ use upin_core::api::{
     ShowPathsRequest,
 };
 use upin_core::config::SuiteConfig;
-use upin_core::suite::TestSuite;
+use upin_core::suite::run_suite;
 
 const WRITER_ITERATIONS: u64 = 6;
 const READERS: usize = 4;
@@ -43,7 +43,7 @@ fn collected_service() -> (Arc<PathIntelService>, Vec<(u32, String)>) {
         run_bwtests: false,
         ..SuiteConfig::default()
     };
-    TestSuite::new(&net, &db, cfg).run().unwrap();
+    run_suite(&db, &net, &cfg).unwrap();
     let dests: Vec<(u32, String)> = upin_core::collect::destinations(&db)
         .unwrap()
         .into_iter()
@@ -92,7 +92,7 @@ fn concurrent_reads_only_ever_see_whole_destination_batches() {
                 // and collide on stats `_id`s. Stride the fork's clock
                 // so every iteration writes in its own time range.
                 fork.advance_ms(i as f64 * 600_000.0);
-                if let Err(e) = TestSuite::new(&fork, svc_w.db(), cfg).run() {
+                if let Err(e) = run_suite(svc_w.db(), &fork, &cfg) {
                     // Record and park instead of panicking: the readers
                     // only stop when `done` is set, so a writer panic
                     // would hang the test forever rather than fail it.

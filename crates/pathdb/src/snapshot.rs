@@ -30,7 +30,7 @@
 //! JSON object, has no `__seq`, has one outside its file's slice or not
 //! above the line before, or repeats an `_id` already loaded is bad:
 //! strict loads fail on it (`file:line`), lenient ones
-//! ([`LoadOptions::skip_corrupt_tail`]) keep the rows before it and
+//! (`LoadOptions::skip_corrupt_tail`) keep the rows before it and
 //! report the rest of the file as skipped.
 
 use crate::collection::Collection;

@@ -32,7 +32,6 @@ fn main() {
         ping_count: 10,
         run_bwtests: true,
         retry_attempts: 3,
-        breaker_threshold: 3,
         ..SuiteConfig::default()
     };
     collect_paths(&db, &net, &cfg).unwrap();

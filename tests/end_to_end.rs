@@ -9,7 +9,7 @@ use upin::upin_core::analysis::server_id_of;
 use upin::upin_core::collect::destinations;
 use upin::upin_core::schema::{PATHS, PATHS_STATS};
 use upin::upin_core::select::{recommend, Constraints, Objective, UserRequest};
-use upin::upin_core::{SuiteConfig, TestSuite};
+use upin::upin_core::{run_suite, SuiteConfig};
 
 fn quick_cfg() -> SuiteConfig {
     SuiteConfig {
@@ -24,15 +24,15 @@ fn quick_cfg() -> SuiteConfig {
 fn campaign_then_recommendation() {
     let (net, db, _) = upin::standard_setup(101);
     let cfg = quick_cfg();
-    let suite = TestSuite::new(
-        &net,
+    let report = run_suite(
         &db,
-        SuiteConfig {
+        &net,
+        &SuiteConfig {
             skip_collection: true,
             ..cfg
         },
-    );
-    let report = suite.run().unwrap();
+    )
+    .unwrap();
     assert_eq!(report.measurement.destinations, 21);
     assert_eq!(report.measurement.errors, 0);
 
@@ -89,15 +89,14 @@ fn campaign_then_recommendation() {
 fn stats_volume_and_schema_consistency() {
     let (net, db, _) = upin::standard_setup(102);
     let cfg = quick_cfg();
-    TestSuite::new(
-        &net,
+    run_suite(
         &db,
-        SuiteConfig {
+        &net,
+        &SuiteConfig {
             skip_collection: true,
             ..cfg
         },
     )
-    .run()
     .unwrap();
 
     let paths = db.collection(PATHS);
@@ -128,16 +127,15 @@ fn stats_volume_and_schema_consistency() {
 fn deterministic_across_identical_runs() {
     let run = |seed: u64| {
         let (net, db, _) = upin::standard_setup(seed);
-        TestSuite::new(
-            &net,
+        run_suite(
             &db,
-            SuiteConfig {
+            &net,
+            &SuiteConfig {
                 skip_collection: true,
                 some_only: true,
                 ..quick_cfg()
             },
         )
-        .run()
         .unwrap();
         let stats = db.collection(PATHS_STATS);
         let coll = stats.read();

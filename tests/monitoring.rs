@@ -46,11 +46,11 @@ fn scheduled_rounds_plus_health_detection() {
             .delete_many(&upin::pathdb::Filter::ne("_id", server_id.to_string()));
     }
 
-    // Six clean rounds build the baseline.
-    run_rounds(&db, &net, &campaign, 6);
+    // Seven clean rounds build the baseline: the detector judges a path
+    // once it holds five baseline samples plus the recent window.
+    run_rounds(&db, &net, &campaign, 7);
     let cfg = HealthConfig {
         recent_window: 2,
-        min_baseline: 4,
         ..HealthConfig::default()
     };
     assert!(

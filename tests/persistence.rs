@@ -5,7 +5,7 @@
 use upin::pathdb::Database;
 use upin::upin_core::analysis;
 use upin::upin_core::schema::{PATHS, PATHS_STATS};
-use upin::upin_core::{SuiteConfig, TestSuite};
+use upin::upin_core::{run_suite, SuiteConfig};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("upin-it-{tag}-{}", std::process::id()));
@@ -28,7 +28,7 @@ fn quick_cfg() -> SuiteConfig {
 fn save_load_preserves_campaign() {
     let dir = tmpdir("roundtrip");
     let (net, db, _) = upin::standard_setup(201);
-    TestSuite::new(&net, &db, quick_cfg()).run().unwrap();
+    run_suite(&db, &net, &quick_cfg()).unwrap();
     db.save_dir(&dir).unwrap();
 
     let loaded = Database::load_dir(&dir).unwrap();
@@ -66,7 +66,7 @@ fn resumed_campaign_appends_without_clashes() {
     let dir = tmpdir("resume");
     // Session 1: campaign, persist, "crash".
     let (net, db, _) = upin::standard_setup(202);
-    TestSuite::new(&net, &db, quick_cfg()).run().unwrap();
+    run_suite(&db, &net, &quick_cfg()).unwrap();
     let first_stats = db.collection(PATHS_STATS).read().len();
     db.save_dir(&dir).unwrap();
     drop(db);
@@ -75,7 +75,7 @@ fn resumed_campaign_appends_without_clashes() {
     // whose clock has moved on.
     let db = Database::load_dir(&dir).unwrap();
     net.advance_ms(60_000.0);
-    TestSuite::new(&net, &db, quick_cfg()).run().unwrap();
+    run_suite(&db, &net, &quick_cfg()).unwrap();
     let after = db.collection(PATHS_STATS).read().len();
     assert_eq!(
         after,
@@ -102,7 +102,7 @@ fn reloaded_database_serves_recommendations() {
     use upin::upin_core::select::{recommend, Constraints, Objective, UserRequest};
     let dir = tmpdir("select");
     let (net, db, _) = upin::standard_setup(203);
-    TestSuite::new(&net, &db, quick_cfg()).run().unwrap();
+    run_suite(&db, &net, &quick_cfg()).unwrap();
     db.save_dir(&dir).unwrap();
 
     let loaded = Database::load_dir(&dir).unwrap();

@@ -104,12 +104,10 @@ fn down_destination_trips_the_breaker_instead_of_hanging() {
         "breaker records the destination"
     );
     assert!(report.skipped > 0, "remaining paths skipped, not hammered");
+    // The breaker trips on the third consecutive hard failure.
     assert_eq!(
-        report.errors, cfg.breaker_threshold,
+        report.errors, 3,
         "exactly the trip threshold of hard failures is recorded"
     );
-    assert_eq!(
-        report.measured, cfg.breaker_threshold,
-        "measurement stops at the trip point"
-    );
+    assert_eq!(report.measured, 3, "measurement stops at the trip point");
 }

@@ -7,7 +7,7 @@ use upin::scion_sim::net::ScionNetwork;
 use upin::standard_setup;
 use upin::upin_core::axioms::{evaluate_strategies, load_scorecards, store_scorecards, EvalConfig};
 use upin::upin_core::report::render_strategies;
-use upin::upin_core::{SuiteConfig, TestSuite};
+use upin::upin_core::{run_suite, SuiteConfig};
 
 /// A measured database + network at `seed`.
 fn campaign(seed: u64) -> (ScionNetwork, Database) {
@@ -20,7 +20,7 @@ fn campaign(seed: u64) -> (ScionNetwork, Database) {
         skip_collection: true,
         ..SuiteConfig::default()
     };
-    TestSuite::new(&net, &db, cfg).run().unwrap();
+    run_suite(&db, &net, &cfg).unwrap();
     (net, db)
 }
 

@@ -9,7 +9,7 @@ use std::time::Instant;
 use upin::pathdb::Database;
 use upin::scion_sim::net::ScionNetwork;
 use upin::upin_core::collect::{collect_paths, register_available_servers};
-use upin::upin_core::{SuiteConfig, TestSuite};
+use upin::upin_core::{run_suite, SuiteConfig};
 use upin::upin_telemetry::{AttrValue, Recorder, SpanId, Telemetry};
 
 fn quick_cfg() -> SuiteConfig {
@@ -35,7 +35,7 @@ fn campaign_with(seed: u64, recorder: Option<Arc<dyn Recorder>>) -> std::time::D
     register_available_servers(&db, &net).unwrap();
     collect_paths(&db, &net, &cfg).unwrap();
     let started = Instant::now();
-    TestSuite::new(&net, &db, cfg).run().unwrap();
+    run_suite(&db, &net, &cfg).unwrap();
     started.elapsed()
 }
 
@@ -81,7 +81,7 @@ fn different_workloads_diverge() {
     };
     register_available_servers(&db, &net).unwrap();
     collect_paths(&db, &net, &cfg).unwrap();
-    TestSuite::new(&net, &db, cfg).run().unwrap();
+    run_suite(&db, &net, &cfg).unwrap();
 
     assert_ne!(t1.metrics_json(), t2.metrics_json());
     assert_eq!(
