@@ -69,6 +69,18 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
+/// `p` in `[0, 1]` percentile of `xs` by nearest rank on a sorted copy;
+/// `None` for an empty slice.
+pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
+    if xs.is_empty() {
+        return None;
+    }
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    Some(sorted[rank - 1])
+}
+
 // ---- Fig. 4: server reachability -----------------------------------------
 
 /// The reachability histogram: destinations per minimum hop count.
@@ -478,6 +490,25 @@ pub fn server_id_of(db: &Database, addr: scion_sim::addr::ScionAddr) -> SuiteRes
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), None);
+        let xs = vec![10.0, 20.0, 30.0, 40.0];
+        assert_eq!(percentile(&xs, 0.5), Some(20.0));
+        assert_eq!(percentile(&xs, 0.99), Some(40.0));
+        assert_eq!(percentile(&xs, 0.0), Some(10.0));
+    }
+
+    /// At the median, nearest rank `ceil(n/2)` and the lower rank
+    /// `floor((n-1)/2) + 1` are the same element for every `n`.
+    #[test]
+    fn the_nearest_rank_median_is_the_lower_median() {
+        for n in 1..=64usize {
+            let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            assert_eq!(percentile(&xs, 0.5), Some(((n - 1) / 2) as f64), "n = {n}");
+        }
+    }
 
     #[test]
     fn whisker_five_numbers() {

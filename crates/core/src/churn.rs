@@ -14,6 +14,7 @@
 //! for a fixed rollup state, so a sequential and a `--parallel`
 //! longitudinal run of the same seed render byte-identical reports.
 
+use crate::analysis::percentile;
 use pathdb::rollup::BucketAgg;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -62,7 +63,8 @@ pub struct ChurnReport {
 
 impl ChurnReport {
     fn lifetime_p50(&self) -> i64 {
-        percentile_sorted(&self.lifetimes, 0.50)
+        let lifetimes: Vec<f64> = self.lifetimes.iter().map(|&l| l as f64).collect();
+        percentile(&lifetimes, 0.50).map_or(0, |p| p as i64)
     }
 
     fn lifetime_max(&self) -> i64 {
@@ -142,15 +144,6 @@ impl ChurnReport {
         }
         out
     }
-}
-
-/// Lower-rank percentile of an already-sorted slice (0 when empty).
-fn percentile_sorted(xs: &[i64], q: f64) -> i64 {
-    if xs.is_empty() {
-        return 0;
-    }
-    let rank = (q * (xs.len() - 1) as f64).floor() as usize;
-    xs[rank.min(xs.len() - 1)]
 }
 
 /// `(server_id, path_id)` parsed out of a rollup group, skipping

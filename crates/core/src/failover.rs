@@ -33,6 +33,7 @@
 //! destination order, so the exported report and metrics are
 //! byte-identical to a sequential run of the same seed.
 
+pub use crate::analysis::percentile;
 use crate::error::{SuiteError, SuiteResult};
 use crate::pool::run_pool;
 use pathdb::Database;
@@ -215,18 +216,6 @@ impl ChaosReport {
     pub fn from_json_str(s: &str) -> Result<ChaosReport, String> {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
-}
-
-/// `p` in `[0, 1]` percentile of `xs` by nearest-rank on a sorted copy;
-/// `None` for an empty slice.
-pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
 }
 
 /// One destination's unit of work, mirroring the measurement runner's
@@ -860,15 +849,6 @@ mod tests {
         }
         assert_eq!(stale_seed(&db, 7).as_deref(), Some("seq-b"));
         assert_eq!(stale_seed(&db, 8), None, "unknown destination");
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 0.5), None);
-        let xs = vec![10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&xs, 0.5), Some(20.0));
-        assert_eq!(percentile(&xs, 0.99), Some(40.0));
-        assert_eq!(percentile(&xs, 0.0), Some(10.0));
     }
 
     #[test]

@@ -179,7 +179,7 @@ pub fn render_strategies(cards: &[crate::axioms::Scorecard]) -> String {
 /// latency percentiles, SLA violations and degraded time, plus a
 /// campaign-wide totals line.
 pub fn render_chaos(r: &crate::failover::ChaosReport) -> String {
-    use crate::failover::percentile;
+    use crate::analysis::percentile;
     let cell = |x: Option<f64>| match x {
         Some(v) => format!("{v:>8.1}"),
         None => format!("{:>8}", "-"),
