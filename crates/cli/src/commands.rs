@@ -450,13 +450,7 @@ fn cmd_campaign(p: &Parsed, s: &Session) -> Result<String, CliError> {
     // Campaigns over a `--topology` file measure from that
     // network's user AS, not the SCIONLab replica's.
     cfg.local_as = s.local;
-    // A stat `_id` carries the simulated clock, which every process
-    // starts at 0: resume it past the newest stored sample, so a
-    // campaign appended to a database mints no `_id` it already holds.
-    if let Some(newest) = newest_sample_ms(&s.db) {
-        s.net.advance_ms(newest as f64 + 1.0 - s.net.now_ms());
-    }
-    let report = upin_core::run_suite(&s.db, &s.net, &cfg)?;
+    let report = s.measure(|net| upin_core::run_suite(&s.db, net, &cfg))?;
     s.persist()?;
     // Lead with what crash recovery had to repair, if anything:
     // the operator should know samples were dropped or replayed.
@@ -470,21 +464,6 @@ fn cmd_campaign(p: &Parsed, s: &Session) -> Result<String, CliError> {
     }
     out.push_str(&report.render());
     Ok(out)
-}
-
-/// The `timestamp_ms` of the newest stored sample, if any.
-fn newest_sample_ms(db: &pathdb::Database) -> Option<i64> {
-    use upin_core::schema::PATHS_STATS;
-    if !db.has_collection(PATHS_STATS) {
-        return None;
-    }
-    let stats = db.collection(PATHS_STATS);
-    let newest = stats
-        .read()
-        .query_all()
-        .sort_by("timestamp_ms", pathdb::Order::Desc)
-        .first()?;
-    newest.get("timestamp_ms")?.as_int()
 }
 
 /// `upin topo generate [--isds N] [--ases LO,HI] [--cores LO,HI] ...`:
@@ -609,7 +588,7 @@ fn cmd_longitudinal_run(p: &Parsed, s: &Session) -> Result<String, CliError> {
         schedule,
         ..defaults
     };
-    let report = upin_core::run_longitudinal(&s.db, &s.net, &cfg)?;
+    let report = s.measure(|net| upin_core::run_longitudinal(&s.db, net, &cfg))?;
     s.persist()?;
     if let Some(out_path) = p.opt("out") {
         write_file(out_path, report.to_json_string())?;
@@ -1505,6 +1484,75 @@ mod tests {
             assert_eq!(stored_samples(&dir), 2 * once, "seed {seed}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `(path_id, timestamp_ms, avg_latency_ms)` of every stored sample.
+    fn stored_latencies(dir: &Path) -> Vec<(String, i64, f64)> {
+        let db = pathdb::Database::load_dir(dir).unwrap();
+        let stats = db.collection(upin_core::schema::PATHS_STATS);
+        let rows = stats.read().query_all().run();
+        rows.iter()
+            .map(|d| {
+                let field = |name| d.get(name).unwrap();
+                (
+                    field("path_id").as_str().unwrap().to_string(),
+                    field("timestamp_ms").as_int().unwrap(),
+                    field("avg_latency_ms").as_float().unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    /// Runs `args` twice on one fresh `--db`: the second run's samples
+    /// are all later than the first's, and no path's latency repeats.
+    /// (A replayed draw differs only in the last digits, from the clock
+    /// offset.)
+    fn rerun_draws_afresh(tag: &str, args: [&[&str]; 2]) {
+        let dir = std::env::temp_dir().join(format!("upin-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = ["--db", dir.to_str().unwrap()];
+        run_cli(&[args[0], &db].concat()).unwrap();
+        let first = stored_latencies(&dir);
+        run_cli(&[args[1], &db].concat()).unwrap();
+        let last_first = first.iter().map(|r| r.1).max().unwrap();
+        let second: Vec<_> = stored_latencies(&dir)
+            .into_iter()
+            .filter(|r| !first.contains(r))
+            .collect();
+        assert_eq!(second.len(), first.len(), "{tag}");
+        for (path, at, latency) in &second {
+            assert!(*at > last_first, "{tag}: {path} at {at} ms <= {last_first}");
+            let (_, _, before) = first.iter().find(|r| r.0 == *path).unwrap();
+            assert!(
+                (latency - before).abs() > 1e-6 * before,
+                "{tag}: {path} replayed {before} ms"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The paper's `test_suite.sh N --skip` rerun measures afresh: a new
+    /// process resumes the clock and runs on a fork salted by it.
+    #[test]
+    fn a_rerun_campaign_draws_afresh_after_the_first() {
+        let campaign = ["campaign", "1", "--some-only", "--no-bwtests"];
+        rerun_draws_afresh("rerun", [&campaign, &[&campaign[..], &["--skip"]].concat()]);
+    }
+
+    /// `longitudinal run` resumes the clock the way `campaign` does: a
+    /// second run on one database used to re-store the first run's
+    /// timestamps and draws.
+    #[test]
+    fn a_second_longitudinal_run_resumes_and_draws_afresh() {
+        let run = [
+            "longitudinal",
+            "run",
+            "--sim-days",
+            "1",
+            "--rounds-per-day",
+            "2",
+        ];
+        rerun_draws_afresh("longi-rerun", [&run, &run]);
     }
 
     /// A database directory may hold files the database did not write:

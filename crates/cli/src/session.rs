@@ -273,6 +273,25 @@ impl Session {
         )
     }
 
+    /// Run a measuring command (`campaign`, `longitudinal run`) on the
+    /// network it appends with. On a database without samples that is
+    /// the session's network. Otherwise the clock, which every process
+    /// starts at 0, resumes past the newest stored sample, so the run
+    /// mints no stat `_id` the database already holds; and the run goes
+    /// on a fork salted with the resumed clock, so it draws afresh
+    /// instead of replaying an earlier process's draws. The session
+    /// clock follows the fork.
+    pub(crate) fn measure<T>(&self, run: impl FnOnce(&ScionNetwork) -> T) -> T {
+        let Some(newest) = newest_sample_ms(&self.db) else {
+            return run(&self.net);
+        };
+        self.net.advance_ms(newest as f64 + 1.0 - self.net.now_ms());
+        let fork = self.net.fork(self.net.now_ms().to_bits());
+        let out = run(&fork);
+        self.net.advance_ms(fork.now_ms() - self.net.now_ms());
+        out
+    }
+
     /// Persist the database if a directory was configured: an atomic
     /// checkpoint of what changed under `snapshot` and `wal` durability
     /// (which also truncates the WAL), nothing under `none`.
@@ -280,4 +299,19 @@ impl Session {
         self.db.checkpoint_if_durable()?;
         Ok(())
     }
+}
+
+/// The `timestamp_ms` of the newest stored sample, if any.
+fn newest_sample_ms(db: &Database) -> Option<i64> {
+    use upin_core::schema::PATHS_STATS;
+    if !db.has_collection(PATHS_STATS) {
+        return None;
+    }
+    let stats = db.collection(PATHS_STATS);
+    let newest = stats
+        .read()
+        .query_all()
+        .sort_by("timestamp_ms", pathdb::Order::Desc)
+        .first()?;
+    newest.get("timestamp_ms")?.as_int()
 }

@@ -287,6 +287,7 @@ pub fn run_longitudinal(
 mod tests {
     use super::*;
     use crate::collect::{collect_paths, register_available_servers};
+    use crate::schema::PathMeasurement;
     use pathdb::database::OpenOptions;
     use pathdb::{Durability, FaultyStorage};
     use std::path::PathBuf;
@@ -359,6 +360,48 @@ mod tests {
         let cutoff = net.now_ms() - 700_000.0 - 600_000.0;
         let stale = pathdb::Filter::lt("timestamp_ms", cutoff);
         assert_eq!(db.collection(PATHS_STATS).read().query(stale).count(), 0);
+    }
+
+    /// Each round is a new campaign on the same network, so it draws
+    /// its own jitter and loss: on an unchanged fault plan no path's
+    /// second latency repeats its first. (A replay differs only in the
+    /// last digits, from the clock offset.) The draws still depend on
+    /// the seed alone, whatever the pool size.
+    #[test]
+    fn consecutive_rounds_draw_afresh() {
+        let run = |workers: usize| {
+            let db = Database::new();
+            let net = setup(&db);
+            let campaign = SuiteConfig {
+                some_only: false,
+                workers,
+                ..campaign()
+            };
+            run_rounds(&db, &net, &campaign, 600_000.0, 2).unwrap();
+            let stats = db.collection(PATHS_STATS);
+            let rows = stats.read().query_all().run();
+            rows.iter()
+                .map(|d| PathMeasurement::from_doc(d).unwrap())
+                .map(|m| (m.stat_id, m.avg_latency_ms, m.jitter_ms, m.loss_pct))
+                .collect::<Vec<_>>()
+        };
+        let rows = run(1);
+        let mut by_path: std::collections::BTreeMap<_, Vec<f64>> = Default::default();
+        for &(id, latency, ..) in &rows {
+            by_path.entry(id.path).or_default().extend(latency);
+        }
+        assert!(by_path.len() > 20, "{} paths", by_path.len());
+        for (path, latency) in &by_path {
+            let [first, second] = latency[..] else {
+                panic!("{path:?}: {latency:?}");
+            };
+            assert!(
+                (first - second).abs() > 1e-6 * first,
+                "{path:?} replayed its first round: {first} ms, {second} ms"
+            );
+        }
+        assert_eq!(run(1), rows, "same seed, same samples");
+        assert_eq!(run(2), rows, "two workers store what one does");
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   threads, never one thread per destination.
 //! * **Determinism** — every destination is measured on its own
 //!   [`ScionNetwork::fork`], whose clock and RNG stream depend only on
-//!   the iteration and the destination's position. Workers return
+//!   the iteration, the destination's position and how many campaigns
+//!   the network ran before this one ([`ScionNetwork::next_campaign`]):
+//!   a rerun on one network draws afresh, a new network's first
+//!   campaign keeps the salt `(iteration << 32) | index`. Workers return
 //!   per-destination batches which commit in destination order, so a
 //!   parallel campaign produces the *identical* `paths_stats` document
 //!   set as a sequential one (same `_id`s, same field values), for any
@@ -181,6 +184,9 @@ pub fn run_tests(
         destinations: dests.len(),
         ..MeasureReport::default()
     };
+    // Keys this campaign's forks apart from earlier ones on `net`; 0
+    // (a network's first campaign) leaves the salts as they were.
+    let rerun = net.next_campaign().wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let rec = db.recorder();
     let campaign_span = rec.span_start(
         "campaign",
@@ -206,9 +212,9 @@ pub fn run_tests(
         );
         // Open breakers still cooling down hold their destination (all
         // paths skipped, no fork, no probes); cooled-down ones run a
-        // half-open trial. Fork salts depend only on (iteration,
-        // destination index), so held destinations never shift another
-        // destination's RNG stream.
+        // half-open trial. Fork salts depend only on (campaign count,
+        // iteration, destination index), so held destinations never
+        // shift another destination's RNG stream.
         let mut jobs = Vec::new();
         let mut held: Vec<Option<DestBatch>> = Vec::with_capacity(dests.len());
         for (index, (&(server_id, addr), paths)) in dests.iter().zip(&path_lists).enumerate() {
@@ -229,7 +235,7 @@ pub fn run_tests(
                     jobs.push(DestJob {
                         server_id,
                         addr,
-                        net: net.fork(((iter as u64) << 32) | index as u64),
+                        net: net.fork((((iter as u64) << 32) | index as u64) ^ rerun),
                         paths: Arc::clone(paths),
                         trial: state.is_some(),
                     });

@@ -202,6 +202,8 @@ pub struct ScionNetwork {
     clock_ms: Mutex<f64>,
     seed: u64,
     op_counter: Mutex<u64>,
+    /// Measurement campaigns run on this network (not on its forks).
+    campaigns: AtomicU64,
     /// Telemetry sink. Only commutative `u64` counters are recorded
     /// here — forks run on worker threads, and counter addition is the
     /// one signal whose aggregate is order-independent.
@@ -242,6 +244,7 @@ impl ScionNetwork {
             clock_ms: Mutex::new(0.0),
             seed,
             op_counter: Mutex::new(0),
+            campaigns: AtomicU64::new(0),
             recorder: upin_telemetry::noop(),
             caching: true,
         }
@@ -291,9 +294,18 @@ impl ScionNetwork {
             clock_ms: Mutex::new(self.now_ms()),
             seed: splitmix(self.seed ^ splitmix(salt)),
             op_counter: Mutex::new(0),
+            campaigns: AtomicU64::new(0),
             recorder: self.recorder.clone(),
             caching: self.caching,
         }
+    }
+
+    /// Count one more measurement campaign on this network and return
+    /// how many ran on it before: 0 on a new network and on every fork.
+    /// A campaign keys its forks by it, so a rerun on the same network
+    /// draws afresh instead of replaying the run before it.
+    pub fn next_campaign(&self) -> u64 {
+        self.campaigns.fetch_add(1, Ordering::Relaxed)
     }
 
     /// One deterministic draw in `[0, 1)` from this network's seeded
