@@ -1531,17 +1531,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The paper's `test_suite.sh N --skip` rerun measures afresh: a new
-    /// process resumes the clock and runs on a fork salted by it.
+    /// The paper's `test_suite.sh N --skip` rerun measures afresh: each
+    /// invocation opens a new session, as a new process does, whose
+    /// network has run no campaign yet; the resumed clock keys its draws.
     #[test]
     fn a_rerun_campaign_draws_afresh_after_the_first() {
         let campaign = ["campaign", "1", "--some-only", "--no-bwtests"];
         rerun_draws_afresh("rerun", [&campaign, &[&campaign[..], &["--skip"]].concat()]);
     }
 
-    /// `longitudinal run` resumes the clock the way `campaign` does: a
-    /// second run on one database used to re-store the first run's
-    /// timestamps and draws.
+    /// `longitudinal run` on a database with samples resumes the clock
+    /// and draws afresh, as `campaign` does.
     #[test]
     fn a_second_longitudinal_run_resumes_and_draws_afresh() {
         let run = [

@@ -74,12 +74,6 @@ impl RetryPolicy {
             attempts: cfg.retry_attempts,
         }
     }
-
-    /// Nominal backoff before retry number `attempt` (0-based), before
-    /// jitter.
-    fn delay_ms(attempt: u32) -> f64 {
-        RETRY_BASE_MS * RETRY_MULTIPLIER.powi(attempt as i32)
-    }
 }
 
 /// Only timeouts are worth retrying: a server that answers garbage
@@ -104,7 +98,8 @@ pub(crate) fn retry_tool<T>(
         match op() {
             Ok(v) => return Ok(v),
             Err(e) if retries < policy.attempts && is_transient(&e) => {
-                let delay = RetryPolicy::delay_ms(retries) * (0.5 + net.jitter_unit());
+                let nominal = RETRY_BASE_MS * RETRY_MULTIPLIER.powi(retries as i32);
+                let delay = nominal * (0.5 + net.jitter_unit());
                 net.advance_ms(delay);
                 retries += 1;
                 events.push(CampaignEvent::Retry {
