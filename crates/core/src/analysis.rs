@@ -7,7 +7,7 @@
 
 use crate::error::{SuiteError, SuiteResult};
 use crate::schema::{self, PathId, PathMeasurement, PATHS, PATHS_STATS};
-use pathdb::{Database, Filter, Value};
+use pathdb::{Database, Filter, Value, ValueRef};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -403,7 +403,7 @@ pub fn distance_correlation(
         let Some(doc) = coll.find_by_id(p.path_id.to_string()) else {
             continue;
         };
-        let Some(seq) = doc.get("sequence").and_then(Value::as_str) else {
+        let Some(seq) = doc.get("sequence").and_then(ValueRef::as_str) else {
             continue;
         };
         let Some(km) = path_distance_km(net, seq) else {

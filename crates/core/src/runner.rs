@@ -466,7 +466,7 @@ mod tests {
         let coll = handle.read();
         let mut out: Vec<(String, Document)> = coll
             .iter()
-            .map(|d| (d.id().unwrap().to_string(), d.clone()))
+            .map(|d| (d.id().unwrap().to_string(), d.to_document()))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out

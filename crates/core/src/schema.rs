@@ -2,7 +2,7 @@
 //! composite-id codecs (`"2_15"`, `"2_15_<timestamp>"`).
 
 use crate::error::{SuiteError, SuiteResult};
-use pathdb::{doc, Database, Document, Value};
+use pathdb::{doc, Database, Document, RowRef, ValueRef};
 use scion_sim::addr::ScionAddr;
 use scion_sim::path::ScionPath;
 use serde::{Deserialize, Serialize};
@@ -132,7 +132,8 @@ pub(crate) fn server_doc(server_id: u32, addr: ScionAddr, name: &str) -> Documen
 }
 
 /// Decode an `availableServers` document.
-pub(crate) fn parse_server_doc(d: &Document) -> SuiteResult<(u32, ScionAddr)> {
+pub(crate) fn parse_server_doc<'a>(d: impl Into<RowRef<'a>>) -> SuiteResult<(u32, ScionAddr)> {
+    let d = d.into();
     let id: u32 = d
         .id()
         .ok_or_else(|| SuiteError::Schema("server doc without _id".into()))?
@@ -140,7 +141,7 @@ pub(crate) fn parse_server_doc(d: &Document) -> SuiteResult<(u32, ScionAddr)> {
         .map_err(|_| SuiteError::Schema("non-integer server id".into()))?;
     let addr: ScionAddr = d
         .get("address")
-        .and_then(Value::as_str)
+        .and_then(ValueRef::as_str)
         .ok_or_else(|| SuiteError::Schema("server doc without address".into()))?
         .parse()
         .map_err(|e| SuiteError::Schema(format!("bad server address: {e}")))?;
@@ -174,19 +175,20 @@ pub(crate) fn path_doc(
 }
 
 /// Decode the essentials of a `paths` document.
-pub(crate) fn parse_path_doc(d: &Document) -> SuiteResult<(PathId, String, usize)> {
+pub(crate) fn parse_path_doc<'a>(d: impl Into<RowRef<'a>>) -> SuiteResult<(PathId, String, usize)> {
+    let d = d.into();
     let id: PathId = d
         .id()
         .ok_or_else(|| SuiteError::Schema("path doc without _id".into()))?
         .parse()?;
     let seq = d
         .get("sequence")
-        .and_then(Value::as_str)
+        .and_then(ValueRef::as_str)
         .ok_or_else(|| SuiteError::Schema("path doc without sequence".into()))?
         .to_string();
     let hops = d
         .get("hops")
-        .and_then(Value::as_int)
+        .and_then(ValueRef::as_int)
         .ok_or_else(|| SuiteError::Schema("path doc without hops".into()))? as usize;
     Ok((id, seq, hops))
 }
@@ -204,16 +206,10 @@ pub struct PathSpec {
 
 /// Decode a `paths` document into a [`PathSpec`]. A missing `isds` field
 /// decodes to an empty set, matching the old parse-failure fallback.
-pub(crate) fn parse_path_spec(d: &Document) -> SuiteResult<PathSpec> {
+pub(crate) fn parse_path_spec<'a>(d: impl Into<RowRef<'a>>) -> SuiteResult<PathSpec> {
+    let d = d.into();
     let (id, sequence, hops) = parse_path_doc(d)?;
-    let isds = match d.get("isds") {
-        Some(Value::Array(a)) => a
-            .iter()
-            .filter_map(Value::as_int)
-            .map(|i| i as u16)
-            .collect(),
-        _ => Vec::new(),
-    };
+    let isds = d.get("isds").map_or_else(Vec::new, isds_of);
     Ok(PathSpec {
         id,
         sequence,
@@ -223,6 +219,16 @@ pub(crate) fn parse_path_spec(d: &Document) -> SuiteResult<PathSpec> {
 }
 
 // ---- paths_stats -----------------------------------------------------------
+
+/// A stored ISD list: its integer items, as ISD numbers; anything but an
+/// array is none.
+fn isds_of(v: ValueRef<'_>) -> Vec<u16> {
+    let items = v.as_array().into_iter().flat_map(|a| a.iter());
+    items
+        .filter_map(ValueRef::as_int)
+        .map(|i| i as u16)
+        .collect()
+}
 
 /// One measurement round over one path, ready for storage.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,34 +274,55 @@ impl PathMeasurement {
         }
     }
 
-    /// Decode from a `paths_stats` document.
-    pub(crate) fn from_doc(d: &Document) -> SuiteResult<PathMeasurement> {
-        let stat_id: StatId = d
-            .id()
-            .ok_or_else(|| SuiteError::Schema("stats doc without _id".into()))?
-            .parse()?;
-        let isds = match d.get("isds") {
-            Some(Value::Array(a)) => a
-                .iter()
-                .filter_map(Value::as_int)
-                .map(|i| i as u16)
-                .collect(),
-            _ => Vec::new(),
-        };
-        let f = |k: &str| d.get(k).and_then(Value::as_float);
+    /// Decode from a `paths_stats` document, in one walk over its
+    /// fields (the statcache's recompute reads every stored row here).
+    pub(crate) fn from_doc<'a>(d: impl Into<RowRef<'a>>) -> SuiteResult<PathMeasurement> {
+        let (mut id, mut isds, mut hops, mut error) = (None, Vec::new(), 0, None);
+        let mut f = [None; 8];
+        for (name, v) in d.into().fields() {
+            let float = match name {
+                "_id" => {
+                    id = v.as_str();
+                    continue;
+                }
+                "isds" => {
+                    isds = isds_of(v);
+                    continue;
+                }
+                "hops" => {
+                    hops = v.as_int().unwrap_or(0) as usize;
+                    continue;
+                }
+                "error" => {
+                    error = v.as_str().map(String::from);
+                    continue;
+                }
+                "avg_latency_ms" => 0,
+                "jitter_ms" => 1,
+                "loss_pct" => 2,
+                "bw_up_64_mbps" => 3,
+                "bw_down_64_mbps" => 4,
+                "bw_up_mtu_mbps" => 5,
+                "bw_down_mtu_mbps" => 6,
+                "target_mbps" => 7,
+                _ => continue,
+            };
+            f[float] = v.as_float();
+        }
+        let id = id.ok_or_else(|| SuiteError::Schema("stats doc without _id".into()))?;
         Ok(PathMeasurement {
-            stat_id,
+            stat_id: id.parse()?,
             isds,
-            hops: d.get("hops").and_then(Value::as_int).unwrap_or(0) as usize,
-            avg_latency_ms: f("avg_latency_ms"),
-            jitter_ms: f("jitter_ms"),
-            loss_pct: f("loss_pct").unwrap_or(100.0),
-            bw_up_64: f("bw_up_64_mbps"),
-            bw_down_64: f("bw_down_64_mbps"),
-            bw_up_mtu: f("bw_up_mtu_mbps"),
-            bw_down_mtu: f("bw_down_mtu_mbps"),
-            target_mbps: f("target_mbps").unwrap_or(0.0),
-            error: d.get("error").and_then(Value::as_str).map(String::from),
+            hops,
+            avg_latency_ms: f[0],
+            jitter_ms: f[1],
+            loss_pct: f[2].unwrap_or(100.0),
+            bw_up_64: f[3],
+            bw_down_64: f[4],
+            bw_up_mtu: f[5],
+            bw_down_mtu: f[6],
+            target_mbps: f[7].unwrap_or(0.0),
+            error,
         })
     }
 }
@@ -444,7 +471,7 @@ mod tests {
             );
         }
         let stats = db.collection(PATHS_STATS);
-        let newest = stats.read().iter().last().unwrap().clone();
+        let newest = stats.read().iter().last().unwrap().to_document();
         let expiry = Filter::lt("timestamp_ms", newest.get("timestamp_ms").unwrap().clone());
         let plan = access(PATHS_STATS, expiry);
         assert!(

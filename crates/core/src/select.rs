@@ -13,7 +13,7 @@ use crate::error::{SelectionFailure, SuiteError, SuiteResult};
 use crate::multi::{criterion_value, pareto_front, weighted_rank, Weights};
 use crate::schema::{self, PathId, PathMeasurement};
 use crate::strategy::StrategyContext;
-use pathdb::{Collection, Database, Document, Filter};
+use pathdb::{Collection, Database, Filter, RowRef};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -344,7 +344,7 @@ pub(crate) fn aggregate_paths_at(
     // Borrowed candidate scan: the snapshot is pinned for the whole
     // function, so the planner's `refs` spelling avoids cloning every
     // matching path document just to read three fields out of it.
-    let candidates: Vec<&Document> = paths_snap.query(constraints.to_filter(server_id)).refs();
+    let candidates: Vec<RowRef<'_>> = paths_snap.query(constraints.to_filter(server_id)).refs();
     rec.add("select.candidates", candidates.len() as u64);
     let mut out = Vec::with_capacity(candidates.len());
     for doc in candidates {
@@ -510,7 +510,7 @@ mod tests {
     use crate::config::SuiteConfig;
     use crate::measure::run_tests;
     use crate::schema::PATHS;
-    use pathdb::Value;
+    use pathdb::{Document, Value};
     use scion_sim::net::ScionNetwork;
     use scion_sim::topology::scionlab::{paper_destinations, AWS_OHIO, AWS_SINGAPORE};
 

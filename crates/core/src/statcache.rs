@@ -566,7 +566,7 @@ mod props {
 
     use crate::schema::{PathId, PathMeasurement, StatId, PATHS, PATHS_STATS};
     use crate::statcache::{self, GroupedMeasurements, PathAggregates};
-    use pathdb::{doc, Collection, Database, Delta, Filter, Update, Value};
+    use pathdb::{doc, Collection, Database, Delta, Filter, RowRef, Update, ValueRef};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap};
     use std::sync::Arc;
@@ -664,7 +664,7 @@ mod props {
     fn grouped_from_scratch(stats: &Collection, dest: u32) -> GroupedMeasurements {
         let mut grouped = GroupedMeasurements::new();
         for d in stats.iter() {
-            if d.get("server_id").and_then(Value::as_int) == Some(dest as i64) {
+            if d.get("server_id").and_then(ValueRef::as_int) == Some(dest as i64) {
                 let m = PathMeasurement::from_doc(d).unwrap();
                 grouped.entry(m.stat_id.path).or_default().push(m);
             }
@@ -680,7 +680,7 @@ mod props {
     fn aggregates_from_scratch(pins: &Pins, dest: u32) -> PathAggregates {
         let fresh = Database::new();
         for (name, image) in [(PATHS, &pins.0), (PATHS_STATS, &pins.1)] {
-            let docs: Vec<_> = image.iter().cloned().collect();
+            let docs: Vec<_> = image.iter().map(RowRef::to_document).collect();
             fresh.collection(name).write().insert_many(docs).unwrap();
         }
         (*statcache::aggregated_paths(&fresh, dest).unwrap()).clone()

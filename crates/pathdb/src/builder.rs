@@ -20,7 +20,7 @@
 //! the `props` tests below pin their results to a naive full scan.
 
 use crate::collection::Collection;
-use crate::document::Document;
+use crate::document::{Document, RowRef};
 use crate::plan::QueryPlan;
 use crate::query::{Filter, FindOptions, Order};
 use crate::value::Value;
@@ -97,7 +97,7 @@ impl<'c> Query<'c> {
 
     /// Execute: borrowed matches in insertion order — the clone-free
     /// path for aggregation. Sort/pagination are ignored.
-    pub fn refs(self) -> Vec<&'c Document> {
+    pub fn refs(self) -> Vec<RowRef<'c>> {
         self.coll.run_refs(&self.filter)
     }
 
@@ -213,7 +213,7 @@ mod props {
     //! computes. This test replaced the deprecated `find*/count/distinct`
     //! equivalence suite when that legacy surface was deleted.
 
-    use crate::{doc, Collection, Document, Filter, Order, Value};
+    use crate::{doc, Collection, Document, Filter, Order, RowRef, Value};
     use proptest::prelude::*;
 
     fn populated(rows: &[(i64, f64, bool)]) -> Collection {
@@ -251,7 +251,10 @@ mod props {
     /// The reference: a full scan in insertion order, no indexes, no
     /// early exit.
     fn naive_scan(coll: &Collection, f: &Filter) -> Vec<Document> {
-        coll.iter().filter(|d| f.matches(d)).cloned().collect()
+        coll.iter()
+            .filter(|d| f.matches(d))
+            .map(RowRef::to_document)
+            .collect()
     }
 
     fn rtt_of(d: &Document) -> f64 {

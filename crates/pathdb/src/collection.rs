@@ -2,13 +2,14 @@
 //! index, optional ordered secondary indexes, planner-served queries,
 //! updates and bulk insertion.
 
-use crate::document::Document;
+use crate::arena::Sealed;
+use crate::document::{Document, RowRef};
 use crate::error::{DbError, DbResult};
 use crate::plan::{self, QueryPlan};
 use crate::query::{Filter, FindOptions};
 use crate::snapshot::SLICE_ROWS;
 use crate::update::Update;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use crate::wal::{Wal, WalOpRef};
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -139,18 +140,37 @@ const CELLS: usize = SLICE_ROWS as usize;
 
 /// `SLICE_ROWS` consecutive insertion sequences' rows — the unit a
 /// checkpoint writes — shared by reference between a collection and
-/// the images pinned from it. A cell is written once through a shared
-/// reference, so an append into a slice an image shares copies
-/// nothing; replacing or clearing a cell needs the slice to itself.
-/// Which cells an owner sees is the owner's own `Held::live`.
-pub(crate) struct Slice {
-    cells: [OnceLock<Document>; CELLS],
+/// the images pinned from it. Which cells an owner sees is the owner's
+/// own `Held::live`.
+pub(crate) enum Slice {
+    /// Rows as documents: the slice the allocator is in, or one a
+    /// write reopened. A cell is written once through a shared
+    /// reference, so an append into a slice an image shares copies
+    /// nothing; replacing or clearing a cell needs the slice to itself.
+    Cells {
+        cells: Box<[OnceLock<Document>; CELLS]>,
+        /// The sealed slice a write reopened, whose rows stand where a
+        /// cell is empty. Only a mutation in progress holds one: it
+        /// seals the slice again before it returns.
+        under: Option<Arc<Slice>>,
+    },
+    /// Rows as bytes ([`Sealed`]): every slice the allocator has passed.
+    Sealed(Sealed),
+}
+
+fn empty_cells() -> Box<[OnceLock<Document>; CELLS]> {
+    Box::new(std::array::from_fn(|_| OnceLock::new()))
 }
 
 impl Slice {
-    fn empty() -> Slice {
-        Slice {
-            cells: std::array::from_fn(|_| OnceLock::new()),
+    fn row(&self, i: usize) -> RowRef<'_> {
+        match self {
+            Slice::Cells { cells, under } => match (cells[i].get(), under) {
+                (Some(doc), _) => doc.into(),
+                (None, Some(under)) => under.row(i),
+                (None, None) => panic!("a live cell holds its row"),
+            },
+            Slice::Sealed(sealed) => sealed.row(i),
         }
     }
 }
@@ -166,7 +186,10 @@ struct Held {
 impl Held {
     fn new() -> Held {
         Held {
-            slice: Arc::new(Slice::empty()),
+            slice: Arc::new(Slice::Cells {
+                cells: empty_cells(),
+                under: None,
+            }),
             live: [0; CELLS / 64],
         }
     }
@@ -191,26 +214,58 @@ impl Held {
         })
     }
 
-    fn row(&self, i: usize) -> &Document {
-        self.slice.cells[i]
-            .get()
-            .expect("a live cell holds its row")
+    fn row(&self, i: usize) -> RowRef<'_> {
+        self.slice.row(i)
     }
 
-    /// The slice to write in, copied first — its live rows only —
-    /// when an image shares it. Returns the rows copied.
-    fn own(&mut self) -> (&mut Slice, u64) {
-        let mut copied = 0;
-        if Arc::get_mut(&mut self.slice).is_none() {
-            let fresh = Slice::empty();
-            for i in self.cells() {
-                let _ = fresh.cells[i].set(self.row(i).clone());
-                copied += 1;
+    /// The cells to write in: the slice's own when this owner holds it
+    /// alone and it is open; else a sealed slice reopened (empty cells
+    /// over its rows, which the next seal copies as bytes) or a copy of
+    /// a shared open one — its live rows only. Returns the live rows,
+    /// when an image shares the slice: what this owner's next seal of it
+    /// copies (or the copy did).
+    fn own(&mut self) -> (&mut [OnceLock<Document>; CELLS], u64) {
+        let shared = Arc::get_mut(&mut self.slice).is_none();
+        let copied = if shared {
+            self.cells().count() as u64
+        } else {
+            0
+        };
+        let fresh = match &*self.slice {
+            Slice::Sealed(_) => Some(Slice::Cells {
+                cells: empty_cells(),
+                under: Some(Arc::clone(&self.slice)),
+            }),
+            Slice::Cells { cells, under } if shared => {
+                let copy = empty_cells();
+                for i in self.cells() {
+                    if let Some(doc) = cells[i].get() {
+                        let _ = copy[i].set(doc.clone());
+                    }
+                }
+                Some(Slice::Cells {
+                    cells: copy,
+                    under: under.clone(),
+                })
             }
+            Slice::Cells { .. } => None,
+        };
+        if let Some(fresh) = fresh {
             self.slice = Arc::new(fresh);
         }
-        let slice = Arc::get_mut(&mut self.slice).expect("an unshared slice");
-        (slice, copied)
+        match Arc::get_mut(&mut self.slice) {
+            Some(Slice::Cells { cells, .. }) => (cells, copied),
+            _ => unreachable!("an unshared open slice"),
+        }
+    }
+
+    /// Seal an open slice into one of this owner's own: an image that
+    /// shares the open one keeps it, and no row counts as copied.
+    fn seal(&mut self) {
+        if let Slice::Cells { .. } = *self.slice {
+            let sealed = Sealed::new(self.cells().map(|i| (i, self.row(i))));
+            self.slice = Arc::new(Slice::Sealed(sealed));
+        }
     }
 }
 
@@ -218,10 +273,13 @@ impl Held {
 /// `seq / SLICE_ROWS`. Cloning copies the slice map, never a row; a
 /// write copies at most the one shared slice it changes (see
 /// `Collection::read_snapshot` for the whole budget). Every slice in
-/// the map holds at least one live row.
+/// the map holds at least one live row, and every slice the allocator
+/// has passed is sealed once a mutation is done (`Rows::seal_below`).
 #[derive(Clone, Default)]
 pub(crate) struct Rows {
     slices: BTreeMap<u64, Held>,
+    /// The slices that are open (`Slice::Cells`).
+    open: BTreeSet<u64>,
     len: usize,
 }
 
@@ -234,7 +292,7 @@ impl Rows {
         self.len
     }
 
-    pub(crate) fn get(&self, seq: u64) -> Option<&Document> {
+    pub(crate) fn get(&self, seq: u64) -> Option<RowRef<'_>> {
         let (key, i) = split(seq);
         let held = self.slices.get(&key)?;
         held.sees(i).then(|| held.row(i))
@@ -244,7 +302,7 @@ impl Rows {
     pub(crate) fn range(
         &self,
         seqs: Range<u64>,
-    ) -> impl Iterator<Item = (u64, &Document)> + Clone + '_ {
+    ) -> impl Iterator<Item = (u64, RowRef<'_>)> + Clone + '_ {
         let keys = seqs.start / SLICE_ROWS..seqs.end.div_ceil(SLICE_ROWS);
         self.slices
             .range(keys)
@@ -257,12 +315,20 @@ impl Rows {
     }
 
     /// Every row, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Document)> + Clone + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, RowRef<'_>)> + Clone + '_ {
         self.range(0..u64::MAX)
     }
 
-    pub(crate) fn values(&self) -> impl Iterator<Item = &Document> + '_ {
-        self.iter().map(|(_, doc)| doc)
+    pub(crate) fn values(&self) -> impl Iterator<Item = RowRef<'_>> + '_ {
+        self.iter().map(|(_, row)| row)
+    }
+
+    /// The cells of the slice at `key`, copied or reopened first as
+    /// `Held::own` says; the slice is open from here on.
+    fn own(&mut self, key: u64) -> (&mut [OnceLock<Document>; CELLS], u64) {
+        self.open.insert(key);
+        let held = self.slices.get_mut(&key).expect("a live row's slice");
+        held.own()
     }
 
     /// Put `doc` at `seq`, which holds no row. Copies nothing unless
@@ -270,31 +336,45 @@ impl Rows {
     /// image shares the slice. Returns the rows copied.
     fn place(&mut self, seq: u64, doc: Document) -> u64 {
         let (key, i) = split(seq);
-        let held = self.slices.entry(key).or_insert_with(Held::new);
+        let held = self.slices.entry(key).or_insert_with(|| {
+            self.open.insert(key);
+            Held::new()
+        });
         let mut copied = 0;
-        if let Err(doc) = held.slice.cells[i].set(doc) {
-            let (slice, n) = held.own();
-            slice.cells[i] = OnceLock::from(doc);
+        let refused = match &*held.slice {
+            Slice::Cells { cells, .. } => cells[i].set(doc).err(),
+            Slice::Sealed(_) => Some(doc),
+        };
+        if let Some(doc) = refused {
+            let (cells, n) = self.own(key);
+            cells[i] = OnceLock::from(doc);
             copied = n;
         }
+        let held = self.slices.get_mut(&key).expect("just placed");
         held.flip(i);
         self.len += 1;
         copied
     }
 
-    /// Swap the row at `seq`, which holds one, for `doc`: the old row
-    /// and the rows copied to do it.
-    fn replace(&mut self, seq: u64, doc: Document) -> (Document, u64) {
+    /// Swap the row at `seq`, which holds one, for `doc`: the rows
+    /// copied to do it. A sealed slice of this owner's own takes a row
+    /// of the same shape and size in place.
+    fn replace(&mut self, seq: u64, doc: Document) -> u64 {
         let (key, i) = split(seq);
         let held = self.slices.get_mut(&key).expect("a live row's slice");
-        let (slice, copied) = held.own();
-        let old = std::mem::replace(&mut slice.cells[i], OnceLock::from(doc));
-        (old.into_inner().expect("a live row"), copied)
+        if let Some(Slice::Sealed(sealed)) = Arc::get_mut(&mut held.slice) {
+            if sealed.replace_in_place(i, (&doc).into()) {
+                return 0;
+            }
+        }
+        let (cells, copied) = self.own(key);
+        cells[i] = OnceLock::from(doc);
+        copied
     }
 
     /// Drop the row at `seq`, which holds one. A slice left empty goes
-    /// whole; a shared one keeps the row for its other holders until
-    /// `settle`.
+    /// whole; a shared one keeps the row for its other holders, and a
+    /// sealed one its bytes, until `settle`.
     fn remove(&mut self, seq: u64) {
         let (key, i) = split(seq);
         let held = self.slices.get_mut(&key).expect("a live row's slice");
@@ -302,22 +382,36 @@ impl Rows {
         self.len -= 1;
         if held.live == [0; CELLS / 64] {
             self.slices.remove(&key);
-        } else if let Some(slice) = Arc::get_mut(&mut held.slice) {
-            slice.cells[i].take();
+            self.open.remove(&key);
+        } else if let Some(Slice::Cells { cells, .. }) = Arc::get_mut(&mut held.slice) {
+            cells[i].take();
         }
     }
 
-    /// Copy the still-shared slices `removed` left rows in, so no
-    /// removed row outlives this owner's images in its own slices.
-    /// Returns the rows copied.
+    /// Copy the still-shared slices `removed` left rows in, and reopen
+    /// the sealed ones, so no removed row outlives this owner's images
+    /// in its own slices. Returns the rows copied.
     fn settle(&mut self, removed: &[u64]) -> u64 {
         let mut copied = 0;
         for seq in removed {
-            if let Some(held) = self.slices.get_mut(&(seq / SLICE_ROWS)) {
-                copied += held.own().1;
+            let key = seq / SLICE_ROWS;
+            if self.slices.contains_key(&key) {
+                copied += self.own(key).1;
             }
         }
         copied
+    }
+
+    /// Seal every open slice below `seq`'s: the slices an allocator at
+    /// `seq` has passed.
+    fn seal_below(&mut self, seq: u64) {
+        let end = seq / SLICE_ROWS;
+        while let Some(key) = self.open.first().copied().filter(|&key| key < end) {
+            self.open.remove(&key);
+            if let Some(held) = self.slices.get_mut(&key) {
+                held.seal();
+            }
+        }
     }
 }
 
@@ -457,8 +551,8 @@ impl Collection {
             return;
         }
         let mut idx = FieldIndex::default();
-        for (seq, doc) in self.docs.iter() {
-            idx.insert(seq, index_keys_of(doc, field));
+        for (seq, row) in self.docs.iter() {
+            idx.insert(seq, index_keys_of(row, field));
         }
         self.indexes.insert(field.to_string(), idx);
     }
@@ -501,8 +595,8 @@ impl Collection {
 
     /// Iterate documents whose insertion sequence is `>= watermark`,
     /// in insertion order.
-    pub fn iter_from(&self, watermark: u64) -> impl Iterator<Item = &Document> {
-        self.docs.range(watermark..u64::MAX).map(|(_, d)| d)
+    pub fn iter_from(&self, watermark: u64) -> impl Iterator<Item = RowRef<'_>> {
+        self.docs.range(watermark..u64::MAX).map(|(_, row)| row)
     }
 
     // ---- MVCC snapshot reads --------------------------------------------
@@ -553,8 +647,8 @@ impl Collection {
                 Delta::Appended => {
                     let image = Arc::make_mut(&mut entry.image);
                     let mut appended = 0u64;
-                    for (seq, doc) in self.docs.range(entry.watermark..u64::MAX) {
-                        image.index_row(seq, id_key(doc), doc);
+                    for (seq, row) in self.docs.range(entry.watermark..u64::MAX) {
+                        image.index_row(seq, id_key(row), row);
                         appended += 1;
                     }
                     // The appended rows are already in the slices: the
@@ -596,16 +690,16 @@ impl Collection {
 
     /// Put `doc` at `seq`, which holds no row.
     fn place(&mut self, seq: u64, id_key: String, doc: Document) {
-        self.index_row(seq, id_key, &doc);
+        self.index_row(seq, id_key, (&doc).into());
         let copied = self.docs.place(seq, doc);
         self.count_copies(copied);
     }
 
-    /// Post the row `doc` at `seq` in `primary` and the indexes.
-    fn index_row(&mut self, seq: u64, id_key: String, doc: &Document) {
+    /// Post `row` at `seq` in `primary` and the indexes.
+    fn index_row(&mut self, seq: u64, id_key: String, row: RowRef<'_>) {
         self.primary.insert(id_key, seq);
         for (field, idx) in &mut self.indexes {
-            idx.insert(seq, index_keys_of(doc, field));
+            idx.insert(seq, index_keys_of(row, field));
         }
     }
 
@@ -613,14 +707,16 @@ impl Collection {
     /// `false`, and nothing happened (nothing copied either), when the
     /// two are equal.
     fn replace(&mut self, seq: u64, doc: Cow<'_, Document>) -> bool {
-        if self.docs.get(seq).is_none_or(|row| *row == *doc) {
+        let Some(old) = self.docs.get(seq).filter(|row| *row != *doc) else {
             return false;
+        };
+        for (field, idx) in &mut self.indexes {
+            idx.remove(seq, &index_keys_of(old, field));
         }
-        let (old, copied) = self.docs.replace(seq, doc.into_owned());
+        let copied = self.docs.replace(seq, doc.into_owned());
         self.count_copies(copied);
         let row = self.docs.get(seq).expect("just replaced");
         for (field, idx) in &mut self.indexes {
-            idx.remove(seq, &index_keys_of(&old, field));
             idx.insert(seq, index_keys_of(row, field));
         }
         true
@@ -628,13 +724,13 @@ impl Collection {
 
     /// Remove the row at `seq`; `false` when there is none.
     fn take(&mut self, seq: u64) -> bool {
-        let Some(doc) = self.docs.get(seq) else {
+        let Some(row) = self.docs.get(seq) else {
             return false;
         };
         for (field, idx) in &mut self.indexes {
-            idx.remove(seq, &index_keys_of(doc, field));
+            idx.remove(seq, &index_keys_of(row, field));
         }
-        self.primary.remove(&id_key(doc));
+        self.primary.remove(&id_key(row));
         self.docs.remove(seq);
         true
     }
@@ -651,7 +747,8 @@ impl Collection {
     /// version once if it did anything, marks a reshape, and records
     /// what the slice files no longer match — the only writer of all
     /// three — then copies away the shared slices its removals left
-    /// rows in (`Rows::settle`).
+    /// rows in (`Rows::settle`) and seals every slice the allocator
+    /// has passed (`Rows::seal_below`).
     fn record(&mut self, appended: Range<u64>, replaced: &[u64], removed: &[u64]) {
         if appended.is_empty() && replaced.is_empty() && removed.is_empty() {
             return;
@@ -672,6 +769,7 @@ impl Collection {
         dirty.replaced.extend(replaced);
         let copied = self.docs.settle(removed);
         self.count_copies(copied);
+        self.docs.seal_below(self.next_seq);
     }
 
     // ---- writes ---------------------------------------------------------
@@ -772,7 +870,7 @@ impl Collection {
         if doc.get("_id").is_none() {
             let _ = self.prepare_id(doc.to_mut());
         }
-        let key = id_key(&doc);
+        let key = id_key((&*doc).into());
         match self.primary.get(&key).copied() {
             Some(_) if at.is_some() => Upserted::Unchanged,
             Some(seq) => {
@@ -824,7 +922,7 @@ impl Collection {
             let Some(row) = self.docs.get(seq) else {
                 return false;
             };
-            let mut doc = row.clone();
+            let mut doc = row.to_document();
             update.apply(&mut doc);
             if self.wal.is_some() {
                 self.replace(seq, Cow::Borrowed(&doc));
@@ -853,11 +951,11 @@ impl Collection {
         let mut seqs: Vec<u64> = plan::matching_seqs(self, filter);
         let mut removed_ids = Vec::new();
         seqs.retain(|&seq| {
-            let Some(doc) = self.docs.get(seq) else {
+            let Some(row) = self.docs.get(seq) else {
                 return false;
             };
             if self.wal.is_some() {
-                removed_ids.extend(doc.get("_id").cloned());
+                removed_ids.extend(row.get("_id").map(Value::from));
             }
             self.take(seq)
         });
@@ -904,7 +1002,7 @@ impl Collection {
     }
 
     /// The rows of one slice with their insertion sequences, in order.
-    pub(crate) fn slice_rows(&self, slice: u64) -> impl Iterator<Item = (u64, &Document)> + Clone {
+    pub(crate) fn slice_rows(&self, slice: u64) -> impl Iterator<Item = (u64, RowRef<'_>)> + Clone {
         let start = slice * SLICE_ROWS;
         self.docs.range(start..start + SLICE_ROWS)
     }
@@ -974,6 +1072,7 @@ impl Collection {
     /// from where the crashed process stopped.
     pub(crate) fn set_next_seq_at_least(&mut self, n: u64) {
         self.next_seq = self.next_seq.max(n);
+        self.docs.seal_below(self.next_seq);
     }
 
     /// Apply a logged delete: drop documents by `_id`, silently
@@ -993,7 +1092,7 @@ impl Collection {
     // ---- reads ----------------------------------------------------------
 
     /// Fetch by `_id`.
-    pub fn find_by_id<V: Into<Value>>(&self, id: V) -> Option<&Document> {
+    pub fn find_by_id<V: Into<Value>>(&self, id: V) -> Option<RowRef<'_>> {
         let key = id.into().index_key();
         self.primary.get(&key).and_then(|&seq| self.docs.get(seq))
     }
@@ -1007,7 +1106,7 @@ impl Collection {
 
     /// Borrowed matches in insertion order — the clone-free read path
     /// for aggregation and grouping ([`crate::Query::refs`]).
-    pub(crate) fn run_refs(&self, filter: &Filter) -> Vec<&Document> {
+    pub(crate) fn run_refs(&self, filter: &Filter) -> Vec<RowRef<'_>> {
         plan::matching_seqs(self, filter)
             .into_iter()
             .filter_map(|s| self.docs.get(s))
@@ -1027,18 +1126,18 @@ impl Collection {
         let mut seen: HashSet<String> = HashSet::new();
         let mut out = Vec::new();
         for seq in plan::matching_seqs(self, filter) {
-            let Some(doc) = self.docs.get(seq) else {
+            let Some(row) = self.docs.get(seq) else {
                 continue;
             };
-            let candidates: Vec<Value> = match doc.get_path(field) {
-                Some(Value::Array(a)) => a.clone(),
-                Some(v) => vec![v.clone()],
-                None => continue,
-            };
-            for v in candidates {
+            let mut add = |v: ValueRef<'_>| {
                 if seen.insert(v.index_key()) {
-                    out.push(v);
+                    out.push(v.into());
                 }
+            };
+            match row.get_path(field) {
+                Some(ValueRef::Array(a)) => a.iter().for_each(add),
+                Some(v) => add(v),
+                None => {}
             }
         }
         out
@@ -1049,7 +1148,7 @@ impl Collection {
     }
 
     /// Iterate all documents in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Document> {
+    pub fn iter(&self) -> impl Iterator<Item = RowRef<'_>> {
         self.docs.values()
     }
 }
@@ -1066,19 +1165,19 @@ enum Upserted {
 }
 
 /// The `primary` key of a stored row (see [`Collection::docs`]).
-fn id_key(doc: &Document) -> String {
-    doc.get("_id")
+fn id_key(row: RowRef<'_>) -> String {
+    row.get("_id")
         .expect("stored rows carry an _id")
         .index_key()
 }
 
-/// Index keys a document contributes for `field`. Array fields index
-/// each element (Mongo multikey semantics) *and* the whole array, so
-/// both `Eq(field, element)` and `Eq(field, whole_array)` are served.
-fn index_keys_of(doc: &Document, field: &str) -> Vec<String> {
-    match doc.get_path(field) {
-        Some(v @ Value::Array(a)) => {
-            let mut keys: Vec<String> = a.iter().map(Value::index_key).collect();
+/// Index keys a row contributes for `field`. Array fields index each
+/// element (Mongo multikey semantics) *and* the whole array, so both
+/// `Eq(field, element)` and `Eq(field, whole_array)` are served.
+fn index_keys_of(row: RowRef<'_>, field: &str) -> Vec<String> {
+    match row.get_path(field) {
+        Some(v @ ValueRef::Array(a)) => {
+            let mut keys: Vec<String> = a.iter().map(ValueRef::index_key).collect();
             keys.push(v.index_key());
             keys.sort_unstable();
             keys.dedup();
@@ -1123,7 +1222,7 @@ mod tests {
         assert_eq!(c.len(), 5);
         assert_eq!(
             c.find_by_id("2_0_100").unwrap().get("hops"),
-            Some(&Value::Int(6))
+            Some(ValueRef::Int(6))
         );
         assert!(c.find_by_id("nope").is_none());
     }
@@ -1142,7 +1241,7 @@ mod tests {
         let id1 = c.insert_one(doc! { "x" => 1i64 }).unwrap();
         let id2 = c.insert_one(doc! { "x" => 2i64 }).unwrap();
         assert_ne!(id1, id2);
-        assert!(c.iter().all(|d| d.contains_key("_id")));
+        assert!(c.iter().all(|d| d.get("_id").is_some()));
     }
 
     #[test]
@@ -1237,8 +1336,8 @@ mod tests {
         );
         assert_eq!(n, 3);
         let d = c.find_by_id("2_1_100").unwrap();
-        assert_eq!(d.get("hops"), Some(&Value::Int(8)));
-        assert_eq!(d.get("checked"), Some(&Value::Bool(true)));
+        assert_eq!(d.get("hops"), Some(ValueRef::Int(8)));
+        assert_eq!(d.get("checked"), Some(ValueRef::Bool(true)));
         // Untouched documents unchanged.
         assert_eq!(c.find_by_id("1_0_100").unwrap().get("checked"), None);
     }
@@ -1279,7 +1378,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             c.find_by_id("1_0_100").unwrap().get("fresh"),
-            Some(&Value::Bool(true))
+            Some(ValueRef::Bool(true))
         );
     }
 
@@ -1435,7 +1534,11 @@ mod tests {
         c.create_index("a");
         c.create_index("b");
         let f = Filter::eq("a", 3i64).and(Filter::eq("b", 2i64));
-        let scan: Vec<_> = c.iter().filter(|d| f.matches(d)).cloned().collect();
+        let scan: Vec<_> = c
+            .iter()
+            .filter(|d| f.matches(d))
+            .map(RowRef::to_document)
+            .collect();
         assert_eq!(c.query(&f).run(), scan);
     }
 
@@ -1453,7 +1556,7 @@ mod tests {
         assert_eq!(c.delta_since(v1), Delta::Appended);
         let appended: Vec<i64> = c
             .iter_from(w)
-            .map(|d| d.get("x").and_then(Value::as_int).unwrap())
+            .map(|d| d.get("x").and_then(ValueRef::as_int).unwrap())
             .collect();
         assert_eq!(appended, vec![2, 3]);
         // An update is a reshape: append-only no longer holds.
@@ -1477,7 +1580,7 @@ mod tests {
         let owned = c.query(&f).run();
         assert_eq!(refs.len(), owned.len());
         for (r, o) in refs.iter().zip(&owned) {
-            assert_eq!(**r, *o);
+            assert_eq!(*r, *o);
         }
     }
 
@@ -1718,7 +1821,9 @@ mod tests {
     #[test]
     fn copy_budget_an_append_under_a_pin_copies_no_row() {
         // The tail slice is part full, so the batch lands in a slice
-        // the image shares before it opens two new ones.
+        // the image shares before it opens two new ones — and passes
+        // its end, so the writer seals it into a slice of its own while
+        // the image keeps the cells it shared.
         let (mut c, telemetry) = counted(SLICE_ROWS + 10);
         let pin = c.read_snapshot();
         let docs = (0..2 * SLICE_ROWS)
@@ -1726,7 +1831,7 @@ mod tests {
             .collect();
         c.insert_many(docs).unwrap();
         assert_eq!(copied(&telemetry), 0);
-        assert!(shares(&c, &pin, 0) && shares(&c, &pin, 1));
+        assert!(shares(&c, &pin, 0) && !shares(&c, &pin, 1));
         assert_eq!(
             pin.len() as u64,
             SLICE_ROWS + 10,
@@ -1749,7 +1854,7 @@ mod tests {
         assert_eq!(copied(&telemetry), SLICE_ROWS);
         // A replace with an equal row copies nothing, nor does an update
         // that changes nothing.
-        let same = c.find_by_id("auto:600").unwrap().clone();
+        let same = c.find_by_id("auto:600").unwrap().to_document();
         assert_eq!(c.upsert_many(vec![same]).unwrap(), 0);
         assert_eq!(c.update_many(&Filter::eq("k", 600i64), &Update::new()), 1);
         assert_eq!(copied(&telemetry), SLICE_ROWS);
@@ -1783,6 +1888,54 @@ mod tests {
         assert!(gone.iter().all(|slice| slice.upgrade().is_none()));
     }
 
+    /// A sealed slice of `paths_stats` rows costs its bytes — the
+    /// budget DESIGN and EXPERIMENTS quote — and sealing it under a pin
+    /// copies no row and leaves the pinned image as it was.
+    #[test]
+    fn a_sealed_slice_costs_its_bytes() {
+        // Built like `upin_core::schema::PathMeasurement::to_doc`.
+        let row = |n: u64| {
+            let (server, path, ts) = (12 + n % 3, n % 20, 1_699_000_000_000 + n * 1_000);
+            let f = |base: f64| base + n as f64 * 0.37;
+            doc! {
+                "_id" => format!("{server}_{path}_{ts}"),
+                "path_id" => format!("{server}_{path}"),
+                "server_id" => server as i64,
+                "timestamp_ms" => ts as i64,
+                "isds" => vec![16i64, 17, 19],
+                "hops" => 4 + (n % 5) as i64,
+                "avg_latency_ms" => f(20.0),
+                "jitter_ms" => f(0.5),
+                "loss_pct" => f(0.0),
+                "bw_up_64_mbps" => f(9.5),
+                "bw_down_64_mbps" => f(9.7),
+                "bw_up_mtu_mbps" => f(11.0),
+                "bw_down_mtu_mbps" => f(11.2),
+                "target_mbps" => 12.0,
+                "error" => Value::Null,
+            }
+        };
+        let rows: Vec<Document> = (0..SLICE_ROWS).map(row).collect();
+        let telemetry = Arc::new(Telemetry::new());
+        let mut c = Collection::new("paths_stats");
+        c.set_recorder(Some(telemetry.clone()));
+        let last = SLICE_ROWS as usize - 1;
+        c.insert_many(rows[..last].to_vec()).unwrap();
+        let pin = c.read_snapshot();
+        // The slice's last row: the allocator passes its end.
+        c.insert_one(rows[last].clone()).unwrap();
+        let Slice::Sealed(sealed) = &*c.docs.slices[&0].slice else {
+            panic!("the allocator passed slice 0: it is sealed")
+        };
+        let per_row = sealed.held_bytes() as f64 / SLICE_ROWS as f64;
+        println!("{per_row:.1} B per sealed row");
+        assert!(per_row <= 176.0, "{per_row} B per sealed row");
+        assert_eq!(copied(&telemetry), 0, "sealing copies no row");
+        assert!(matches!(*pin.docs.slices[&0].slice, Slice::Cells { .. }));
+        assert!(pin.iter().eq(rows[..last].iter().map(RowRef::from)));
+        assert!(c.iter().eq(rows.iter().map(RowRef::from)));
+    }
+
     /// A clone shares the tail slice with its original; when both then
     /// append at the same seq, the second finds the cell taken and
     /// writes into a copy of its own.
@@ -1794,11 +1947,11 @@ mod tests {
         b.insert_one(doc! { "_id" => "b" }).unwrap();
         assert_eq!(copied(&telemetry), 10);
         assert_eq!(
-            a.iter_from(10).map(Document::id).collect::<Vec<_>>(),
+            a.iter_from(10).map(RowRef::id).collect::<Vec<_>>(),
             [Some("a")]
         );
         assert_eq!(
-            b.iter_from(10).map(Document::id).collect::<Vec<_>>(),
+            b.iter_from(10).map(RowRef::id).collect::<Vec<_>>(),
             [Some("b")]
         );
         assert!(b.find_by_id("a").is_none() && a.find_by_id("b").is_none());
@@ -1993,7 +2146,8 @@ mod tests {
 
     impl PartialEq<BTreeMap<u64, Document>> for Rows {
         fn eq(&self, other: &BTreeMap<u64, Document>) -> bool {
-            self.len == other.len() && self.iter().eq(other.iter().map(|(&s, d)| (s, d)))
+            let rows = other.iter().map(|(&s, d)| (s, RowRef::from(d)));
+            self.len == other.len() && self.iter().eq(rows)
         }
     }
 
@@ -2129,11 +2283,16 @@ mod tests {
             }
             self.events.push(!reshaped.is_empty());
             self.wrote(reshaped.iter().map(|(seq, _)| *seq));
+            let passed = self.next_seq / SLICE_ROWS;
             for doc in appended {
                 self.dirty.slices.insert(self.next_seq / SLICE_ROWS);
                 self.rows.insert(self.next_seq, doc);
                 self.next_seq += 1;
             }
+            // The writer seals each slice the allocator passed into a
+            // slice of its own.
+            let sealed = passed..self.next_seq / SLICE_ROWS;
+            self.wrote(sealed.map(|slice| slice * SLICE_ROWS));
             for (seq, doc) in reshaped {
                 self.dirty.slices.insert(seq / SLICE_ROWS);
                 match doc {
@@ -2146,7 +2305,8 @@ mod tests {
             }
         }
 
-        /// Mark the slices of `seqs` as written under every held pin.
+        /// Mark the slices of `seqs` as written (or sealed) under every
+        /// held pin.
         fn wrote(&mut self, seqs: impl Iterator<Item = u64> + Clone) {
             for written in self.pins.iter_mut().filter_map(|pin| pin.2.as_mut()) {
                 written.extend(seqs.clone().map(|seq| seq / SLICE_ROWS));
@@ -2156,7 +2316,11 @@ mod tests {
         /// What the collection stored for rows it just appended — the
         /// input plus, where that had none, a generated `_id`.
         fn stored(&self, inputs: &[Document]) -> Vec<Document> {
-            let stored: Vec<Document> = self.c.iter_from(self.next_seq).cloned().collect();
+            let stored: Vec<Document> = self
+                .c
+                .iter_from(self.next_seq)
+                .map(RowRef::to_document)
+                .collect();
             assert_eq!(stored.len(), inputs.len());
             for (got, input) in stored.iter().zip(inputs) {
                 let mut want = input.clone();
@@ -2413,7 +2577,10 @@ mod tests {
                     if let Some(pinned) = image.docs.slices.get(slice) {
                         let kept =
                             written.contains(slice) || Arc::ptr_eq(&held.slice, &pinned.slice);
-                        assert!(kept, "slice {slice}: nothing wrote it, yet it is a copy");
+                        assert!(
+                            kept,
+                            "slice {slice}: nothing wrote or sealed it, yet it is a copy"
+                        );
                     }
                 }
             }

@@ -1793,7 +1793,8 @@ mod tests {
         assert!(hot
             .find_by_id(format!("{}", SLICE_ROWS + 3))
             .unwrap()
-            .contains_key("w"));
+            .get("w")
+            .is_some());
         assert!(hot.find_by_id(format!("{}", 2 * SLICE_ROWS)).is_none());
         assert!(hot.find_by_id("tail").is_some());
     }
@@ -2091,7 +2092,7 @@ mod tests {
         db.checkpoint().unwrap();
         let want: Vec<(u64, Document)> = {
             let c = h.read();
-            c.slice_rows(0).map(|(s, d)| (s, d.clone())).collect()
+            c.slice_rows(0).map(|(s, d)| (s, d.to_document())).collect()
         };
         assert_eq!(want.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1]);
         drop((h, db));
@@ -2110,7 +2111,7 @@ mod tests {
         let got: Vec<(u64, Document)> = h
             .read()
             .slice_rows(0)
-            .map(|(s, d)| (s, d.clone()))
+            .map(|(s, d)| (s, d.to_document()))
             .collect();
         assert_eq!(got, want);
         assert_eq!(h.read().append_watermark(), 4);

@@ -1,8 +1,11 @@
 //! Ordered documents: the unit of storage, a MongoDB-style record,
 //! kept as a field-name shape shared between rows plus the row's own
-//! values at their exact size.
+//! values at their exact size — and [`RowRef`], the one borrowed view
+//! every reader of a stored row goes through, whether the row is still
+//! a `Document` or sealed into its slice's bytes ([`crate::arena`]).
 
-use crate::value::Value;
+use crate::arena;
+use crate::value::{Value, ValueRef};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -36,7 +39,7 @@ pub struct Document {
 
 /// The ordered field names a row's values are stored under.
 #[derive(PartialEq, Eq)]
-struct Shape {
+pub(crate) struct Shape {
     names: Box<[Arc<str>]>,
 }
 
@@ -159,10 +162,6 @@ impl Document {
         self.values.len()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     fn slot(&self, key: &str) -> Option<usize> {
         self.names().iter().position(|k| **k == *key)
     }
@@ -199,25 +198,8 @@ impl Document {
         Some(value)
     }
 
-    pub(crate) fn contains_key(&self, key: &str) -> bool {
-        self.slot(key).is_some()
-    }
-
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.names().iter().map(|k| &**k).zip(self.values.iter())
-    }
-
-    /// Dotted-path lookup: `"a.b.c"` descends nested documents.
-    pub(crate) fn get_path(&self, path: &str) -> Option<&Value> {
-        let mut cur: Option<&Value> = None;
-        for (i, part) in path.split('.').enumerate() {
-            cur = if i == 0 {
-                self.get(part)
-            } else {
-                cur?.as_doc()?.get(part)
-            };
-        }
-        cur
     }
 
     /// Dotted-path set, creating intermediate documents as needed.
@@ -286,9 +268,7 @@ impl fmt::Debug for Document {
 
 impl fmt::Display for Document {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = Vec::new();
-        crate::value::write_json_doc(&mut out, self);
-        f.write_str(&serde::json::into_text(out))
+        RowRef::from(self).fmt(f)
     }
 }
 
@@ -297,6 +277,214 @@ impl<'a> IntoIterator for &'a Document {
     type IntoIter = Box<dyn Iterator<Item = (&'a str, &'a Value)> + 'a>;
     fn into_iter(self) -> Self::IntoIter {
         Box::new(self.iter())
+    }
+}
+
+/// A borrowed row: a [`Document`], or a row sealed into its slice's
+/// bytes. Every read of a stored row goes through it — filters, the
+/// planner, index upkeep, the statcache fold, rollups, the slice
+/// encoder — and [`RowRef::to_document`] copies one out where a caller
+/// needs it owned. Equality, order and every byte written are the
+/// `Document`'s: a sealed row and the document it was are
+/// indistinguishable.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a>(Repr<'a>);
+
+#[derive(Clone, Copy)]
+enum Repr<'a> {
+    Doc(&'a Document),
+    /// A sealed row: its shape, and its values' bytes in the shape's
+    /// order.
+    Sealed {
+        shape: &'a Option<Arc<Shape>>,
+        bytes: &'a [u8],
+    },
+    /// A document nested in a sealed row: `len` fields, each its name
+    /// then its value.
+    Nested {
+        len: usize,
+        bytes: &'a [u8],
+    },
+}
+
+impl<'a> From<&'a Document> for RowRef<'a> {
+    fn from(doc: &'a Document) -> RowRef<'a> {
+        RowRef(Repr::Doc(doc))
+    }
+}
+
+impl<'a> From<&RowRef<'a>> for RowRef<'a> {
+    fn from(row: &RowRef<'a>) -> RowRef<'a> {
+        *row
+    }
+}
+
+impl<'a> RowRef<'a> {
+    /// A sealed row of `shape` whose values are `bytes`.
+    pub(crate) fn sealed(shape: &'a Option<Arc<Shape>>, bytes: &'a [u8]) -> RowRef<'a> {
+        RowRef(Repr::Sealed { shape, bytes })
+    }
+
+    /// A nested document of `len` fields at the start of `bytes`.
+    pub(crate) fn nested(len: usize, bytes: &'a [u8]) -> RowRef<'a> {
+        RowRef(Repr::Nested { len, bytes })
+    }
+
+    /// The row's shape, what a slice's shape table holds. A stored row
+    /// is a document or sealed, never nested.
+    pub(crate) fn shape(self) -> &'a Option<Arc<Shape>> {
+        match self.0 {
+            Repr::Doc(doc) => &doc.shape,
+            Repr::Sealed { shape, .. } => shape,
+            Repr::Nested { .. } => unreachable!("a stored row is never nested"),
+        }
+    }
+
+    /// A sealed row's bytes.
+    pub(crate) fn sealed_bytes(self) -> Option<&'a [u8]> {
+        match self.0 {
+            Repr::Sealed { bytes, .. } => Some(bytes),
+            _ => None,
+        }
+    }
+
+    /// The fields in order, each read once: the one walk a sealed row
+    /// supports, so a reader of many fields matches names as they come.
+    pub fn fields(self) -> impl Iterator<Item = (&'a str, ValueRef<'a>)> + Clone {
+        match self.0 {
+            Repr::Doc(doc) => Fields::Doc(doc.names().iter(), doc.values.iter()),
+            Repr::Sealed { shape, bytes } => Fields::Sealed(names_of(shape).iter(), bytes),
+            Repr::Nested { len, bytes } => Fields::Nested(len, bytes),
+        }
+    }
+
+    pub(crate) fn len(self) -> usize {
+        match self.0 {
+            Repr::Doc(doc) => doc.len(),
+            Repr::Sealed { shape, .. } => names_of(shape).len(),
+            Repr::Nested { len, .. } => len,
+        }
+    }
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Direct (non-dotted) field lookup: the name found first, then
+    /// only that value read.
+    pub fn get(self, key: &str) -> Option<ValueRef<'a>> {
+        match self.0 {
+            Repr::Doc(doc) => doc.get(key).map(Value::view),
+            Repr::Sealed { shape, mut bytes } => {
+                let at = names_of(shape).iter().position(|n| **n == *key)?;
+                for _ in 0..at {
+                    arena::skip_value(&mut bytes);
+                }
+                Some(arena::read_value(&mut bytes))
+            }
+            Repr::Nested { len, mut bytes } => {
+                for _ in 0..len {
+                    if arena::read_name(&mut bytes) == key.as_bytes() {
+                        return Some(arena::read_value(&mut bytes));
+                    }
+                    arena::skip_value(&mut bytes);
+                }
+                None
+            }
+        }
+    }
+
+    /// Dotted-path lookup: `"a.b.c"` descends nested documents.
+    pub(crate) fn get_path(self, path: &str) -> Option<ValueRef<'a>> {
+        let mut parts = path.split('.');
+        let mut cur = self.get(parts.next()?)?;
+        for part in parts {
+            cur = cur.as_doc()?.get(part)?;
+        }
+        Some(cur)
+    }
+
+    /// The `_id` field as a string, if present.
+    pub fn id(self) -> Option<&'a str> {
+        self.get("_id")?.as_str()
+    }
+
+    /// An owned copy. A sealed row keeps its shape shared.
+    pub fn to_document(self) -> Document {
+        match self.0 {
+            Repr::Doc(doc) => doc.clone(),
+            Repr::Sealed { shape, .. } => Document {
+                shape: shape.clone(),
+                values: self.fields().map(|(_, v)| v.into()).collect(),
+            },
+            Repr::Nested { .. } => self.fields().map(|(k, v)| (k, v.into())).collect(),
+        }
+    }
+
+    /// Render the row as compact JSON into `out`: what the WAL and the
+    /// slice files hold.
+    pub(crate) fn write_json(self, out: &mut Vec<u8>) {
+        out.push(b'{');
+        for (i, (k, v)) in self.fields().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            serde::json::write_str(out, k);
+            out.push(b':');
+            v.write_json(out);
+        }
+        out.push(b'}');
+    }
+}
+
+/// [`RowRef::fields`]' walk.
+#[derive(Clone)]
+enum Fields<'a> {
+    Doc(std::slice::Iter<'a, Arc<str>>, std::slice::Iter<'a, Value>),
+    Sealed(std::slice::Iter<'a, Arc<str>>, &'a [u8]),
+    Nested(usize, &'a [u8]),
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = (&'a str, ValueRef<'a>);
+
+    fn next(&mut self) -> Option<(&'a str, ValueRef<'a>)> {
+        match self {
+            Fields::Doc(names, values) => Some((names.next()?, values.next()?.view())),
+            Fields::Sealed(names, bytes) => Some((names.next()?, arena::read_value(bytes))),
+            Fields::Nested(0, _) => None,
+            Fields::Nested(len, bytes) => {
+                *len -= 1;
+                Some((arena::read_str(bytes), arena::read_value(bytes)))
+            }
+        }
+    }
+}
+
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &RowRef<'_>) -> bool {
+        self.len() == other.len() && self.fields().eq(other.fields())
+    }
+}
+
+impl PartialEq<Document> for RowRef<'_> {
+    fn eq(&self, other: &Document) -> bool {
+        *self == RowRef::from(other)
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields: Vec<_> = self.fields().collect();
+        f.debug_struct("Row").field("fields", &fields).finish()
+    }
+}
+
+impl fmt::Display for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = Vec::new();
+        self.write_json(&mut out);
+        f.write_str(&serde::json::into_text(out))
     }
 }
 
@@ -319,7 +507,6 @@ macro_rules! doc {
 mod tests {
     use super::*;
     use crate::snapshot::{decode_jsonl, encode_jsonl_seq, take_seq, LoadOptions};
-    use crate::value::write_json_doc;
     use crate::wal::{encode_group, read_wal, WalOp, WalOpRef};
 
     #[test]
@@ -350,17 +537,18 @@ mod tests {
         let mut d = Document::new();
         d.set_path("stats.latency.avg", 21.5f64);
         d.set_path("stats.latency.max", 30.0f64);
-        assert_eq!(d.get_path("stats.latency.avg"), Some(&Value::Float(21.5)));
+        let d = RowRef::from(&d);
+        assert_eq!(d.get_path("stats.latency.avg"), Some(ValueRef::Float(21.5)));
         assert_eq!(d.get_path("stats.missing"), None);
         assert_eq!(d.get_path("missing.deep"), None);
-        assert_eq!(d.get_path("stats.latency.max"), Some(&Value::Float(30.0)));
+        assert_eq!(d.get_path("stats.latency.max"), Some(ValueRef::Float(30.0)));
     }
 
     #[test]
     fn set_path_overwrites_scalar_intermediate() {
         let mut d = doc! { "a" => 5i64 };
         d.set_path("a.b", 1i64);
-        assert_eq!(d.get_path("a.b"), Some(&Value::Int(1)));
+        assert_eq!(RowRef::from(&d).get_path("a.b"), Some(ValueRef::Int(1)));
     }
 
     #[test]
@@ -589,7 +777,7 @@ mod tests {
             }
             prop_assert_eq!(d.get("zz"), None);
             let (mut bytes, mut want) = (Vec::new(), Vec::new());
-            write_json_doc(&mut bytes, d);
+            RowRef::from(d).write_json(&mut bytes);
             model_json(m, &mut want);
             prop_assert_eq!(bytes, want);
             Ok(())
@@ -630,6 +818,160 @@ mod tests {
                         prop_assert_eq!(&back, &d);
                         agrees(&back, &m)?;
                     }
+                }
+            }
+        }
+    }
+
+    /// Sealed rows are invisible: rows of mixed shapes, holding every
+    /// kind of value, sealed into one slice, answer as the documents
+    /// they were — every float to its bit.
+    mod sealed {
+        use super::*;
+        use crate::arena::Sealed;
+        use proptest::prelude::*;
+
+        fn arb_value() -> impl Strategy<Value = Value> {
+            let leaf = prop_oneof![
+                Just(Value::Null),
+                any::<bool>().prop_map(Value::Bool),
+                any::<i64>().prop_map(Value::Int),
+                any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
+                prop::sample::select(vec![
+                    0.0,
+                    -0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NAN,
+                    -f64::NAN,
+                    f64::from_bits(0x7ff8_0000_dead_beef),
+                    f64::MIN_POSITIVE,
+                    -5e-324,
+                    20.5,
+                ])
+                .prop_map(Value::Float),
+                "[a-z\"\\é✓]{0,8}".prop_map(Value::Str),
+                "[a-z]{250,300}".prop_map(Value::Str),
+            ];
+            leaf.prop_recursive(2, 16, 4, |inner| {
+                prop_oneof![
+                    inner.clone(),
+                    prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+                    prop::collection::vec(("[a-c_]{0,3}", inner), 0..4).prop_map(|fields| {
+                        Value::Doc(
+                            fields
+                                .iter()
+                                .map(|(k, v)| (k.as_str(), v.clone()))
+                                .collect(),
+                        )
+                    }),
+                ]
+            })
+        }
+
+        /// A row of a few names, in any order, so one slice holds rows
+        /// of several shapes; most carry an `_id`.
+        fn arb_row() -> impl Strategy<Value = Document> {
+            let fields = prop::collection::vec(("[a-d]{1,2}", arb_value()), 0..6);
+            (prop::option::of("[0-9]{1,3}"), fields).prop_map(|(id, fields)| {
+                let id = id.map(|id| ("_id".to_string(), Value::Str(id)));
+                let fields: Vec<_> = id.into_iter().chain(fields).collect();
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.clone()))
+                    .collect()
+            })
+        }
+
+        /// The value with every float spelled as its bits: what "the
+        /// same value" means here.
+        fn bits(v: ValueRef<'_>) -> String {
+            match v {
+                ValueRef::Float(f) => format!("f{:x}", f.to_bits()),
+                ValueRef::Array(a) => {
+                    let items: Vec<String> = a.iter().map(bits).collect();
+                    format!("[{}]", items.join(","))
+                }
+                ValueRef::Doc(d) => {
+                    let fields: Vec<String> = d
+                        .fields()
+                        .map(|(k, v)| format!("{k:?}:{}", bits(v)))
+                        .collect();
+                    format!("{{{}}}", fields.join(","))
+                }
+                other => format!("{other:?}"),
+            }
+        }
+
+        fn row_bits(row: RowRef<'_>) -> String {
+            bits(ValueRef::Doc(row))
+        }
+
+        /// `sealed` answers as `doc`: names in order, `get`, `id`, `==`,
+        /// the copy out, and the bytes written and read back through
+        /// JSON, a WAL frame and a slice line.
+        fn agrees(sealed: RowRef<'_>, doc: &Document) -> Result<(), TestCaseError> {
+            let want = RowRef::from(doc);
+            let names = |r: RowRef<'_>| r.fields().map(|(k, _)| k.to_string()).collect::<Vec<_>>();
+            prop_assert_eq!(names(sealed), names(want));
+            prop_assert_eq!(sealed.len(), doc.len());
+            for (k, _) in doc.iter() {
+                prop_assert_eq!(sealed.get(k).map(bits), want.get(k).map(bits));
+            }
+            prop_assert!(sealed.get("zz").is_none());
+            prop_assert_eq!(sealed.id(), doc.id());
+            // A row equals itself unless it holds a NaN.
+            let reflexive = want == RowRef::from(doc);
+            prop_assert_eq!(sealed == want, reflexive);
+            let back = sealed.to_document();
+            prop_assert_eq!(row_bits((&back).into()), row_bits(want));
+            prop_assert_eq!(back == *doc, reflexive);
+            prop_assert!(back.shape == doc.shape);
+            let json = |r: RowRef<'_>| {
+                let mut out = Vec::new();
+                r.write_json(&mut out);
+                out
+            };
+            prop_assert_eq!(json(sealed), json(want));
+            prop_assert_eq!(sealed.to_string(), doc.to_string());
+            let wal = |d: &Document| encode_group(&[WalOpRef::Insert { coll: "c", doc: d }]);
+            prop_assert_eq!(wal(&back), wal(doc));
+            prop_assert_eq!(
+                encode_jsonl_seq([(7, sealed)].into_iter()),
+                encode_jsonl_seq([(7, want)].into_iter())
+            );
+            for (got, want) in round_trips(&back).iter().zip(round_trips(doc).iter()) {
+                prop_assert_eq!(row_bits(got.into()), row_bits(want.into()));
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn sealed_rows_are_invisible(
+                rows in prop::collection::vec(((0usize..4), arb_row()), 1..48),
+            ) {
+                // Rows at ascending cells with gaps: empty cells between.
+                let mut at = 0;
+                let cells: Vec<(usize, Document)> = rows
+                    .into_iter()
+                    .map(|(gap, row)| {
+                        at += gap;
+                        let cell = (at, row);
+                        at += 1;
+                        cell
+                    })
+                    .collect();
+                let sealed = Sealed::new(cells.iter().map(|(i, d)| (*i, RowRef::from(d))));
+                for (i, doc) in &cells {
+                    agrees(sealed.row(*i), doc)?;
+                }
+                // Sealing a sealed slice's rows again changes nothing.
+                let again = Sealed::new(cells.iter().map(|(i, _)| (*i, sealed.row(*i))));
+                for (i, doc) in &cells {
+                    agrees(again.row(*i), doc)?;
                 }
             }
         }

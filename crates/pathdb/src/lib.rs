@@ -43,6 +43,7 @@
 //! assert_eq!(hit.id(), Some("2"));
 //! ```
 
+pub mod arena;
 pub mod builder;
 pub mod collection;
 pub mod database;
@@ -62,7 +63,7 @@ pub use collection::{Collection, Delta};
 pub use database::{
     CollectionHandle, Database, Durability, OpenOptions, RecoveryReport, RetentionPolicy,
 };
-pub use document::Document;
+pub use document::{Document, RowRef};
 pub use error::DbError;
 pub use plan::{Access, QueryPlan};
 pub use query::{Filter, FindOptions, Order};
@@ -70,4 +71,4 @@ pub use rollup::{read_rollup, BucketAgg, FieldAgg, RollupConfig, Sketch};
 pub use snapshot::SkippedLines;
 pub use storage::{DiskStorage, FaultyStorage, Storage};
 pub use update::Update;
-pub use value::Value;
+pub use value::{Value, ValueRef};

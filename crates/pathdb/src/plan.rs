@@ -20,7 +20,7 @@
 //! bumps a `pathdb.plan.*` telemetry counter.
 
 use crate::collection::{Collection, FieldIndex};
-use crate::document::Document;
+use crate::document::{Document, RowRef};
 use crate::query::{Filter, FindOptions};
 use crate::value::Value;
 use std::ops::Bound;
@@ -299,18 +299,22 @@ pub(crate) fn find_with(coll: &Collection, filter: &Filter, opts: &FindOptions) 
 /// Skip and take `matches`, stable-sorted first when `opts`
 /// sorts. Unsorted, nothing past the last match taken is read, so
 /// `first()` stops at the first match.
-fn page<'a>(matches: impl Iterator<Item = &'a Document>, opts: &FindOptions) -> Vec<Document> {
+fn page<'a>(matches: impl Iterator<Item = RowRef<'a>>, opts: &FindOptions) -> Vec<Document> {
     let take = opts.limit.unwrap_or(usize::MAX);
     if opts.sort.is_empty() {
-        return matches.skip(opts.skip).take(take).cloned().collect();
+        return matches
+            .skip(opts.skip)
+            .take(take)
+            .map(RowRef::to_document)
+            .collect();
     }
-    let mut sorted: Vec<&Document> = matches.collect();
+    let mut sorted: Vec<RowRef<'_>> = matches.collect();
     sorted.sort_by(|a, b| opts.doc_cmp(a, b));
     sorted
         .into_iter()
         .skip(opts.skip)
         .take(take)
-        .cloned()
+        .map(RowRef::to_document)
         .collect()
 }
 
@@ -328,7 +332,9 @@ mod props {
     //! incremental index maintenance and its append/reshape bookkeeping are
     //! exercised alongside plan selection.
 
-    use crate::{Collection, Document, Filter, FindOptions, Order, Query, Update, Value};
+    use crate::{
+        Collection, Document, Filter, FindOptions, Order, Query, RowRef, Update, Value, ValueRef,
+    };
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -430,7 +436,7 @@ mod props {
     fn naive_find(mirror: &[Document], filter: &Filter, opts: &FindOptions) -> Vec<Document> {
         let mut out: Vec<Document> = mirror
             .iter()
-            .filter(|d| filter.matches(d))
+            .filter(|d| filter.matches(*d))
             .cloned()
             .collect();
         if !opts.sort.is_empty() {
@@ -445,10 +451,10 @@ mod props {
     fn naive_distinct(mirror: &[Document], field: &str, filter: &Filter) -> Vec<Value> {
         let mut seen: HashSet<String> = HashSet::new();
         let mut out = Vec::new();
-        for d in mirror.iter().filter(|d| filter.matches(d)) {
-            let candidates: Vec<Value> = match d.get_path(field) {
-                Some(Value::Array(a)) => a.clone(),
-                Some(v) => vec![v.clone()],
+        for d in mirror.iter().filter(|d| filter.matches(*d)) {
+            let candidates: Vec<Value> = match RowRef::from(d).get_path(field) {
+                Some(ValueRef::Array(a)) => a.iter().map(Value::from).collect(),
+                Some(v) => vec![v.into()],
                 None => continue,
             };
             for v in candidates {
@@ -499,7 +505,7 @@ mod props {
             if let Some((sel, key, val)) = &update {
                 coll.update_many(sel, &Update::new().set(key.clone(), val.clone()));
                 for d in &mut mirror {
-                    if sel.matches(d) {
+                    if sel.matches(&*d) {
                         d.set(key.clone(), val.clone());
                     }
                 }
@@ -521,11 +527,11 @@ mod props {
             // count / first / distinct ride the same matching_seqs path.
             prop_assert_eq!(
                 coll.query(&filter).count(),
-                mirror.iter().filter(|d| filter.matches(d)).count()
+                mirror.iter().filter(|d| filter.matches(*d)).count()
             );
             prop_assert_eq!(
                 coll.query(&filter).first(),
-                mirror.iter().find(|d| filter.matches(d)).cloned()
+                mirror.iter().find(|d| filter.matches(*d)).cloned()
             );
             for field in ["a", "b", "c"] {
                 prop_assert_eq!(
@@ -576,7 +582,7 @@ mod props {
             // A *selective* between-conjunction on an indexed field must not
             // degrade to a full collection scan. (When the range covers every
             // document the planner rightly refuses the index.)
-            let matched = mirror.iter().filter(|d| filter.matches(d)).count();
+            let matched = mirror.iter().filter(|d| filter.matches(*d)).count();
             if matched < mirror.len() {
                 prop_assert!(
                     !coll.query(&filter).explain().access.is_full_scan(),

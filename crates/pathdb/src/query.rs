@@ -7,8 +7,8 @@
 //! semantics on `Eq`, exclusion from a set, existence checks, substring
 //! match and conjunction — the operators the system sends, no others.
 
-use crate::document::Document;
-use crate::value::Value;
+use crate::document::RowRef;
+use crate::value::{Value, ValueRef};
 use std::cmp::Ordering;
 
 /// A predicate over documents.
@@ -84,8 +84,13 @@ impl Filter {
 
     // -- evaluation ------------------------------------------------------
 
-    /// Evaluate the filter against a document.
-    pub fn matches(&self, doc: &Document) -> bool {
+    /// Evaluate the filter against a row (a [`RowRef`], or a
+    /// `&Document`).
+    pub fn matches<'a>(&self, row: impl Into<RowRef<'a>>) -> bool {
+        self.matches_row(row.into())
+    }
+
+    fn matches_row(&self, doc: RowRef<'_>) -> bool {
         match self {
             Filter::True => true,
             Filter::Eq(k, v) => field_eq(doc, k, v),
@@ -97,29 +102,29 @@ impl Filter {
             Filter::Exists(k, want) => doc.get_path(k).is_some() == *want,
             Filter::Contains(k, s) => doc
                 .get_path(k)
-                .and_then(Value::as_str)
+                .and_then(ValueRef::as_str)
                 .is_some_and(|f| f.contains(s.as_str())),
-            Filter::And(fs) => fs.iter().all(|f| f.matches(doc)),
+            Filter::And(fs) => fs.iter().all(|f| f.matches_row(doc)),
         }
     }
 }
 
-fn field_eq(doc: &Document, key: &str, v: &Value) -> bool {
+fn field_eq(doc: RowRef<'_>, key: &str, v: &Value) -> bool {
     match doc.get_path(key) {
         Some(field) => {
-            if field.query_eq(v) {
+            if field.query_eq(v.view()) {
                 return true;
             }
             // Array-contains semantics.
-            matches!(field, Value::Array(arr) if arr.iter().any(|e| e.query_eq(v)))
+            matches!(field, ValueRef::Array(arr) if arr.iter().any(|e| e.query_eq(v.view())))
         }
         None => v.is_null(),
     }
 }
 
-fn field_cmp(doc: &Document, key: &str, v: &Value, pred: impl Fn(Ordering) -> bool) -> bool {
+fn field_cmp(doc: RowRef<'_>, key: &str, v: &Value, pred: impl Fn(Ordering) -> bool) -> bool {
     match doc.get_path(key) {
-        Some(field) => field.query_cmp(v).is_some_and(pred),
+        Some(field) => field.query_cmp(v.view()).is_some_and(pred),
         None => false,
     }
 }
@@ -134,7 +139,7 @@ pub enum Order {
 /// Find options: sort keys and pagination.
 #[derive(Debug, Clone, Default)]
 pub struct FindOptions {
-    /// Sort by these fields in order, under `Value::sort_cmp`'s total
+    /// Sort by these fields in order, under `ValueRef::sort_cmp`'s total
     /// order; missing fields sort after present ones (ascending).
     pub sort: Vec<(String, Order)>,
     pub skip: usize,
@@ -158,10 +163,11 @@ impl FindOptions {
     }
 
     /// Comparison between documents under the configured sort keys.
-    /// Uses `Value::sort_cmp`'s total order (type-ranked across
+    /// Uses `ValueRef::sort_cmp`'s total order (type-ranked across
     /// types), so results are deterministic and an ordered index scan
     /// reproduces the same order.
-    pub fn doc_cmp(&self, a: &Document, b: &Document) -> Ordering {
+    pub fn doc_cmp<'a, 'b>(&self, a: impl Into<RowRef<'a>>, b: impl Into<RowRef<'b>>) -> Ordering {
+        let (a, b) = (a.into(), b.into());
         for (key, order) in &self.sort {
             let av = a.get_path(key);
             let bv = b.get_path(key);
@@ -187,6 +193,7 @@ impl FindOptions {
 mod tests {
     use super::*;
     use crate::doc;
+    use crate::document::Document;
 
     fn sample() -> Document {
         doc! {
@@ -302,7 +309,8 @@ mod props {
     //! Property-based tests of the document store: value round-trips,
     //! filter algebra and collection invariants.
 
-    use crate::{doc, Collection, Document, Filter, Value};
+    use crate::value::tests::Compare;
+    use crate::{doc, Collection, Document, Filter, RowRef, Value};
     use proptest::prelude::*;
 
     // ---- generators -----------------------------------------------------------
@@ -368,7 +376,7 @@ mod props {
             let path = segments.join(".");
             let mut d = Document::new();
             d.set_path(&path, v.clone());
-            prop_assert_eq!(d.get_path(&path), Some(&v));
+            prop_assert_eq!(RowRef::from(&d).get_path(&path), Some(v.view()));
         }
 
         #[test]

@@ -47,9 +47,9 @@
 
 use crate::database::Database;
 use crate::doc;
-use crate::document::Document;
+use crate::document::{Document, RowRef};
 use crate::error::DbResult;
-use crate::value::{write_json_array, Value};
+use crate::value::{write_json_array, Value, ValueRef};
 use serde::json;
 use std::collections::BTreeMap;
 
@@ -146,16 +146,17 @@ impl Sketch {
     /// Rebuild from the stored form; unparseable shapes yield an empty
     /// sketch (the fold then restarts it, which only widens quantile
     /// error, never corrupts counts — those are stored separately).
-    fn from_value(v: Option<&Value>) -> Sketch {
+    fn from_value(v: Option<ValueRef<'_>>) -> Sketch {
         let mut s = Sketch::default();
-        let Some(Value::Array(flat)) = v else {
+        let Some(ValueRef::Array(flat)) = v else {
             return s;
         };
-        for pair in flat.chunks(2) {
-            if let [Value::Int(k), Value::Int(n)] = pair {
-                if *n > 0 {
-                    s.bins.insert(*k, *n as u64);
-                    s.count += *n as u64;
+        let mut items = flat.iter();
+        while let (Some(k), Some(n)) = (items.next(), items.next()) {
+            if let (ValueRef::Int(k), ValueRef::Int(n)) = (k, n) {
+                if n > 0 {
+                    s.bins.insert(k, n as u64);
+                    s.count += n as u64;
                 }
             }
         }
@@ -267,23 +268,36 @@ impl FieldAgg {
         }
     }
 
-    /// Field `f`'s aggregate of a stored rollup row (`agg.<f>`), read in
-    /// place: two lookups, no dotted path built.
-    fn from_row(row: &Document, f: &str) -> FieldAgg {
-        let Some(Value::Doc(aggs)) = row.get("agg") else {
-            return FieldAgg::default();
+    /// The aggregates of `fields` in a stored rollup row (`agg.<f>`), in
+    /// `fields` order, read in place in one walk over the row's `agg`: a
+    /// field it lacks, or any part of one, reads as empty.
+    fn from_row(row: RowRef<'_>, fields: &[String]) -> Vec<FieldAgg> {
+        let mut out = vec![FieldAgg::default(); fields.len()];
+        let Some(ValueRef::Doc(aggs)) = row.get("agg") else {
+            return out;
         };
-        let Some(Value::Doc(d)) = aggs.get(f) else {
-            return FieldAgg::default();
-        };
-        let num = |k: &str| d.get(k).and_then(Value::as_number).unwrap_or(0.0);
-        FieldAgg {
-            n: d.get("n").and_then(Value::as_int).unwrap_or(0).max(0) as u64,
-            sum: num("sum"),
-            min: num("min"),
-            max: num("max"),
-            sketch: Sketch::from_value(d.get("sketch")),
+        for (name, agg) in aggs.fields() {
+            let mut slots = out.iter_mut().zip(fields).filter(|(_, f)| *f == name);
+            let (Some((first, _)), ValueRef::Doc(d)) = (slots.next(), agg) else {
+                continue;
+            };
+            let mut read = FieldAgg::default();
+            for (k, v) in d.fields() {
+                match k {
+                    "n" => read.n = v.as_int().unwrap_or(0).max(0) as u64,
+                    "sum" => read.sum = v.as_float().unwrap_or(0.0),
+                    "min" => read.min = v.as_float().unwrap_or(0.0),
+                    "max" => read.max = v.as_float().unwrap_or(0.0),
+                    "sketch" => read.sketch = Sketch::from_value(Some(v)),
+                    _ => {}
+                }
+            }
+            for (slot, _) in slots {
+                *slot = read.clone();
+            }
+            *first = read;
         }
+        out
     }
 }
 
@@ -313,15 +327,15 @@ fn rollup_id(group: &[Value], bucket: i64) -> String {
     json::into_text(id)
 }
 
-fn group_values(doc: &Document, cfg: &RollupConfig) -> Vec<Value> {
+fn group_values(row: RowRef<'_>, cfg: &RollupConfig) -> Vec<Value> {
     cfg.group_by
         .iter()
-        .map(|f| doc.get_path(f).cloned().unwrap_or(Value::Null))
+        .map(|f| row.get_path(f).map_or(Value::Null, Value::from))
         .collect()
 }
 
-fn bucket_of(doc: &Document, cfg: &RollupConfig) -> Option<i64> {
-    let t = doc.get_path(&cfg.time_field)?.as_number()?;
+fn bucket_of(row: RowRef<'_>, cfg: &RollupConfig) -> Option<i64> {
+    let t = row.get_path(&cfg.time_field)?.as_float()?;
     Some((t / cfg.bucket_ms as f64).floor() as i64)
 }
 
@@ -330,9 +344,9 @@ fn bucket_of(doc: &Document, cfg: &RollupConfig) -> Option<i64> {
 /// `sum`/`min`/`max` continue the exact left-to-right fold.
 fn fold_row<'s>(
     work: &mut BTreeMap<String, Accum>,
-    doc: &Document,
+    doc: RowRef<'_>,
     cfg: &RollupConfig,
-    seed: impl Fn(&str) -> Option<&'s Document>,
+    seed: impl Fn(&str) -> Option<RowRef<'s>>,
 ) {
     let Some(bucket) = bucket_of(doc, cfg) else {
         return;
@@ -340,16 +354,10 @@ fn fold_row<'s>(
     let group = group_values(doc, cfg);
     let id = rollup_id(&group, bucket);
     let cell = work.entry(id.clone()).or_insert_with(|| {
-        let existing = seed(&id);
-        let fields = cfg
-            .fields
-            .iter()
-            .map(|f| {
-                existing
-                    .map(|e| FieldAgg::from_row(e, f))
-                    .unwrap_or_default()
-            })
-            .collect();
+        let fields = match seed(&id) {
+            Some(existing) => FieldAgg::from_row(existing, &cfg.fields),
+            None => vec![FieldAgg::default(); cfg.fields.len()],
+        };
         Accum {
             group,
             bucket,
@@ -357,7 +365,7 @@ fn fold_row<'s>(
         }
     });
     for (i, f) in cfg.fields.iter().enumerate() {
-        if let Some(v) = doc.get_path(f).and_then(Value::as_number) {
+        if let Some(v) = doc.get_path(f).and_then(ValueRef::as_float) {
             cell.fields[i].fold(v);
         }
     }
@@ -393,7 +401,7 @@ pub(crate) fn catch_up(db: &Database, cfg: &RollupConfig) -> DbResult<u64> {
     let w1 = dst
         .find_by_id(META_ID)
         .and_then(|d| d.get("watermark"))
-        .and_then(Value::as_int)
+        .and_then(ValueRef::as_int)
         .unwrap_or(0)
         .max(0) as u64;
     let mut work: BTreeMap<String, Accum> = BTreeMap::new();
@@ -442,17 +450,14 @@ pub fn read_rollup(db: &Database, cfg: &RollupConfig) -> Vec<BucketAgg> {
             continue;
         }
         let group = match d.get("group") {
-            Some(Value::Array(g)) => g.clone(),
+            Some(ValueRef::Array(g)) => g.iter().map(Value::from).collect(),
             _ => continue,
         };
-        let Some(bucket) = d.get("bucket").and_then(Value::as_int) else {
+        let Some(bucket) = d.get("bucket").and_then(ValueRef::as_int) else {
             continue;
         };
-        let fields = cfg
-            .fields
-            .iter()
-            .map(|f| (f.clone(), FieldAgg::from_row(d, f)))
-            .collect();
+        let aggs = FieldAgg::from_row(d, &cfg.fields);
+        let fields = cfg.fields.iter().cloned().zip(aggs).collect();
         out.push(BucketAgg {
             group,
             bucket_start_ms: bucket * cfg.bucket_ms,
@@ -468,12 +473,12 @@ pub fn read_rollup(db: &Database, cfg: &RollupConfig) -> Vec<BucketAgg> {
 /// shadow copy of *every row ever inserted* (rollups preserve history
 /// past the raw-row retention window) and compares rendered bytes.
 pub fn fold_reference<'a>(
-    rows: impl Iterator<Item = &'a Document>,
+    rows: impl Iterator<Item = impl Into<RowRef<'a>>>,
     cfg: &RollupConfig,
 ) -> Vec<BucketAgg> {
     let mut work: BTreeMap<String, Accum> = BTreeMap::new();
     for row in rows {
-        fold_row(&mut work, row, cfg, |_| None);
+        fold_row(&mut work, row.into(), cfg, |_| None);
     }
     let mut out: Vec<BucketAgg> = work
         .into_values()
@@ -571,7 +576,7 @@ mod tests {
             }
         }
         let merged = {
-            let mut m = Sketch::from_value(Some(&a.to_value()));
+            let mut m = Sketch::from_value(Some(a.to_value().view()));
             for (k, n) in &b.bins {
                 *m.bins.entry(*k).or_insert(0) += n;
                 m.count += n;
@@ -591,7 +596,7 @@ mod tests {
         assert!(s.quantile(0.0) < -9.0);
         assert_eq!(s.quantile(0.5), 0.0);
         assert!(s.quantile(1.0) > 9.0);
-        let rt = Sketch::from_value(Some(&s.to_value()));
+        let rt = Sketch::from_value(Some(s.to_value().view()));
         assert_eq!(rt, s);
     }
 

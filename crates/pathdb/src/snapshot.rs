@@ -34,10 +34,10 @@
 //! report the rest of the file as skipped.
 
 use crate::collection::Collection;
-use crate::document::Document;
+use crate::document::{Document, RowRef};
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
-use crate::value::{write_json_doc, Value};
+use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -272,30 +272,32 @@ pub(crate) fn load_slice(
     Ok((loaded, skipped))
 }
 
-/// Serialize rows as JSONL bytes, through the WAL's document writer
-/// ([`write_json_doc`]): one encoder for log and snapshot. Each row's
-/// insertion sequence is appended as the reserved [`SEQ_FIELD`]
-/// (loaders strip it with [`take_seq`]).
-pub(crate) fn encode_jsonl_seq<'a>(docs: impl Iterator<Item = (u64, &'a Document)>) -> Vec<u8> {
+/// Serialize rows as JSONL bytes, through the WAL's row writer
+/// ([`RowRef::write_json`]): one encoder for log and snapshot, sealed
+/// rows or not. Each row's insertion sequence is appended as the
+/// reserved [`SEQ_FIELD`] (loaders strip it with [`take_seq`]).
+pub(crate) fn encode_jsonl_seq<'a>(
+    rows: impl Iterator<Item = (u64, impl Into<RowRef<'a>>)>,
+) -> Vec<u8> {
     let mut out = Vec::new();
-    for (seq, doc) in docs {
-        write_row(&mut out, seq, doc);
+    for (seq, row) in rows {
+        write_row(&mut out, seq, row.into());
     }
     out
 }
 
 /// One line of [`encode_jsonl_seq`].
-fn write_row(out: &mut Vec<u8>, seq: u64, doc: &Document) {
-    if doc.contains_key(SEQ_FIELD) {
+fn write_row(out: &mut Vec<u8>, seq: u64, row: RowRef<'_>) {
+    if row.get(SEQ_FIELD).is_some() {
         // A row that already carries the reserved field keeps it in
         // place, overwritten — what `Document::set` does.
-        let mut with_seq = doc.clone();
+        let mut with_seq = row.to_document();
         with_seq.set(SEQ_FIELD, seq as i64);
-        write_json_doc(out, &with_seq);
+        RowRef::from(&with_seq).write_json(out);
     } else {
-        write_json_doc(out, doc);
+        row.write_json(out);
         out.pop();
-        if !doc.is_empty() {
+        if !row.is_empty() {
             out.push(b',');
         }
         out.extend_from_slice(b"\"__seq\":");
@@ -322,7 +324,7 @@ pub(crate) struct SliceFile {
 /// in `old` — no file, a read error, a line not ending in
 /// `"__seq":N}`, seqs out of order — encodes the whole slice instead.
 pub(crate) fn write_slice<'a>(
-    rows: impl Iterator<Item = (u64, &'a Document)> + Clone,
+    rows: impl Iterator<Item = (u64, impl Into<RowRef<'a>>)> + Clone,
     old: Option<impl BufRead>,
     replaced: &BTreeSet<u64>,
 ) -> SliceFile {
@@ -341,7 +343,7 @@ pub(crate) fn write_slice<'a>(
 /// [`write_slice`]'s merge walk of `rows` against `old` by seq; `None`
 /// on a surprise.
 fn splice<'a>(
-    rows: impl Iterator<Item = (u64, &'a Document)>,
+    rows: impl Iterator<Item = (u64, impl Into<RowRef<'a>>)>,
     mut old: impl BufRead,
     replaced: &BTreeSet<u64>,
 ) -> Option<SliceFile> {
@@ -375,7 +377,7 @@ fn splice<'a>(
             file.bytes.push(b'\n');
             file.copied += 1;
         } else {
-            write_row(&mut file.bytes, seq, doc);
+            write_row(&mut file.bytes, seq, doc.into());
             file.encoded += 1;
         }
     }
@@ -456,7 +458,7 @@ mod tests {
     fn encode_jsonl<'a>(docs: impl Iterator<Item = &'a Document>) -> Vec<u8> {
         let mut out = Vec::new();
         for doc in docs {
-            write_json_doc(&mut out, doc);
+            RowRef::from(doc).write_json(&mut out);
             out.push(b'\n');
         }
         out
@@ -681,10 +683,10 @@ mod tests {
         let mut c = Collection::new("c");
         let loaded = load_slice(&mut c, 0, &bytes, "c", &LoadOptions::default()).unwrap();
         assert_eq!(loaded, (2, None));
-        let rows: Vec<(u64, &Document)> = c.slice_rows(0).collect();
+        let rows: Vec<(u64, RowRef<'_>)> = c.slice_rows(0).collect();
         assert_eq!(
             rows,
-            [(5, &docs[0]), (6, &docs[1])],
+            [(5, RowRef::from(&docs[0])), (6, RowRef::from(&docs[1]))],
             "reserved field stripped"
         );
     }

@@ -61,7 +61,8 @@ mod tests {
             .set("s.latency.avg", 20.0)
             .set("s.count", 1i64)
             .apply(&mut d);
-        assert_eq!(d.get_path("s.latency.avg"), Some(&Value::Float(20.0)));
-        assert_eq!(d.get_path("s.count"), Some(&Value::Int(1)));
+        let d = crate::RowRef::from(&d);
+        assert_eq!(d.get_path("s.latency.avg"), Some(Value::Float(20.0).view()));
+        assert_eq!(d.get_path("s.count"), Some(Value::Int(1).view()));
     }
 }

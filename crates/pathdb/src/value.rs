@@ -3,8 +3,11 @@
 //! Mirrors the subset of BSON the paper's schema uses: null, booleans,
 //! integers, floats, strings, arrays and nested documents. Values
 //! convert losslessly to and from `serde_json::Value` for persistence.
+//! Stored values are read through the borrowed [`ValueRef`], which
+//! views a [`Value`] and a sealed row's bytes alike.
 
-use crate::document::Document;
+use crate::arena;
+use crate::document::{Document, RowRef};
 use serde::json;
 use std::cmp::Ordering;
 use std::fmt;
@@ -21,17 +24,21 @@ pub enum Value {
     Doc(Document),
 }
 
-// Every stored row is a `Document` of `Value`s: a new variant or field
-// must not grow them all silently.
+// Every row a writer builds is a `Document` of `Value`s: a new variant
+// or field must not grow them all silently.
 const _: () = assert!(size_of::<Value>() == 32 && size_of::<Document>() <= 32);
 
 impl Value {
-    /// Numeric view (ints widen to float) for cross-type comparison.
-    pub(crate) fn as_number(&self) -> Option<f64> {
+    /// The borrowed view every reader reads through.
+    pub(crate) fn view(&self) -> ValueRef<'_> {
         match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Array(a) => ValueRef::Array(ArrayRef(Items::Values(a))),
+            Value::Doc(d) => ValueRef::Doc(d.into()),
         }
     }
 
@@ -50,7 +57,7 @@ impl Value {
     }
 
     pub fn as_float(&self) -> Option<f64> {
-        self.as_number()
+        self.view().as_float()
     }
 
     pub fn as_array(&self) -> Option<&[Value]> {
@@ -60,174 +67,18 @@ impl Value {
         }
     }
 
-    pub(crate) fn as_doc(&self) -> Option<&Document> {
-        match self {
-            Value::Doc(d) => Some(d),
-            _ => None,
-        }
-    }
-
     pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
-    /// Query-ordering comparison. Numbers compare across Int/Float
-    /// (exactly — no precision loss for i64 beyond 2^53); values of
-    /// different (non-numeric) types are unordered, which makes range
-    /// filters on mismatched types evaluate to false — Mongo-like
-    /// behaviour for the operators we support.
-    pub(crate) fn query_cmp(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, Value::Null) => Some(Ordering::Equal),
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            (Value::Array(a), Value::Array(b)) => {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    match x.query_cmp(y) {
-                        Some(Ordering::Equal) => continue,
-                        other => return other,
-                    }
-                }
-                Some(a.len().cmp(&b.len()))
-            }
-            // Nested documents support equality only (no ordering).
-            (Value::Doc(a), Value::Doc(b)) => {
-                if a.len() == b.len()
-                    && a.iter()
-                        .zip(b.iter())
-                        .all(|((ka, va), (kb, vb))| ka == kb && va.query_eq(vb))
-                {
-                    Some(Ordering::Equal)
-                } else {
-                    None
-                }
-            }
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Int(a), Value::Float(b)) => cmp_i64_f64(*a, *b),
-            (Value::Float(a), Value::Int(b)) => cmp_i64_f64(*b, *a).map(Ordering::reverse),
-            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-            _ => None,
-        }
-    }
-
-    /// Equality under query semantics (numeric widening).
-    pub(crate) fn query_eq(&self, other: &Value) -> bool {
-        self.query_cmp(other) == Some(Ordering::Equal)
-    }
-
-    /// Total order used for sorting query results (`FindOptions::sort`)
-    /// and for the ordered secondary indexes. Extends [`Value::query_cmp`]
-    /// to a total order:
-    ///
-    /// * values of different types order by type rank
-    ///   (null < bool < number < string < array < document) — the same
-    ///   rank order the [`Value::index_key`] class prefixes encode, so a
-    ///   key-ordered index scan yields documents in `sort_cmp` order;
-    /// * NaN compares equal to NaN and greater than every other number;
-    /// * documents compare field-by-field (name, then value), then by
-    ///   length.
-    pub(crate) fn sort_cmp(&self, other: &Value) -> Ordering {
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Int(a), Value::Float(b)) => cmp_int_float_total(*a, *b),
-            (Value::Float(a), Value::Int(b)) => cmp_int_float_total(*b, *a).reverse(),
-            (Value::Float(a), Value::Float(b)) => match a.partial_cmp(b) {
-                Some(o) => o,
-                // At least one NaN: NaN == NaN, NaN > everything else.
-                None => match (a.is_nan(), b.is_nan()) {
-                    (true, true) => Ordering::Equal,
-                    (true, false) => Ordering::Greater,
-                    _ => Ordering::Less,
-                },
-            },
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (Value::Array(a), Value::Array(b)) => {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    match x.sort_cmp(y) {
-                        Ordering::Equal => continue,
-                        other => return other,
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            (Value::Doc(a), Value::Doc(b)) => {
-                for ((ka, va), (kb, vb)) in a.iter().zip(b.iter()) {
-                    match ka.cmp(kb).then_with(|| va.sort_cmp(vb)) {
-                        Ordering::Equal => continue,
-                        other => return other,
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            _ => type_rank(self).cmp(&type_rank(other)),
-        }
-    }
-
-    /// A canonical string key for indexing: total across types and
-    /// **order-preserving** — lexicographic order of keys equals
-    /// `Value::sort_cmp` order for scalar values, which lets the
-    /// ordered secondary indexes serve range scans and sorted reads.
-    ///
-    /// Numbers use a sign-flipped IEEE-754 bit pattern plus an exact
-    /// integer residual, so `Int(i)` and `Float(f)` share a key exactly
-    /// when they are query-equal, floats differing in any bit get
-    /// distinct keys, and i64 values beyond 2^53 do not collapse.
+    /// [`ValueRef::index_key`] of this value.
     pub(crate) fn index_key(&self) -> String {
-        let mut k = String::new();
-        self.write_index_key(&mut k);
-        k
+        self.view().index_key()
     }
 
-    fn write_index_key(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            Value::Null => out.push_str("0:"),
-            Value::Bool(b) => out.push_str(if *b { "1:1" } else { "1:0" }),
-            Value::Int(_) | Value::Float(_) => {
-                let (bits, residual) = num_key_parts(self);
-                let _ = write!(out, "2:{bits:016x}{residual:04x}");
-            }
-            Value::Str(s) => {
-                out.push_str("3:");
-                out.push_str(s);
-            }
-            // Arrays and documents need injectivity, not order: each
-            // component key is length-prefixed so distinct structures
-            // can never collide.
-            Value::Array(a) => {
-                let _ = write!(out, "4:{}#", a.len());
-                for v in a {
-                    let k = v.index_key();
-                    let _ = write!(out, "{}:{}", k.len(), k);
-                }
-            }
-            Value::Doc(d) => {
-                let _ = write!(out, "5:{}#", d.len());
-                for (name, v) in d.iter() {
-                    let k = v.index_key();
-                    let _ = write!(out, "{}:{}{}:{}", name.len(), name, k.len(), k);
-                }
-            }
-        }
-    }
-
-    /// Render compact JSON straight into the byte sink `out`,
-    /// byte-identical to `self.to_json().to_string()` but without
-    /// building the intermediate `serde_json::Value` tree — the WAL
-    /// encodes every committed batch through here, so the write path
-    /// must not pay for a full deep copy per document.
+    /// [`ValueRef::write_json`] of this value.
     pub(crate) fn write_json(&self, out: &mut Vec<u8>) {
-        match self {
-            Value::Null => out.extend_from_slice(b"null"),
-            Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
-            Value::Int(i) => json::write_i64(out, *i),
-            Value::Float(f) => json::write_f64(out, *f),
-            Value::Str(s) => json::write_str(out, s),
-            Value::Array(a) => write_json_array(out, a),
-            Value::Doc(d) => write_json_doc(out, d),
-        }
+        self.view().write_json(out)
     }
 
     /// Convert to a `serde_json::Value` for persistence.
@@ -272,33 +123,315 @@ impl Value {
     }
 }
 
+/// A borrowed value: a [`Value`] of a row that is a [`Document`], or a
+/// value's bytes in a sealed row ([`crate::arena`]). Every reader of
+/// stored rows reads through it; `Value::from` copies one out.
+/// Equality is [`Value`]'s: the same variant and content, floats by
+/// `==`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Array(ArrayRef<'a>),
+    Doc(RowRef<'a>),
+}
+
+/// A borrowed array: a `Value::Array`'s items or a sealed one's bytes.
+#[derive(Clone, Copy)]
+pub struct ArrayRef<'a>(Items<'a>);
+
+/// Where an [`ArrayRef`]'s items are, and the iterator over them.
+#[derive(Clone, Copy)]
+enum Items<'a> {
+    Values(&'a [Value]),
+    Sealed { len: usize, bytes: &'a [u8] },
+}
+
+impl<'a> ArrayRef<'a> {
+    /// The `len` items `bytes` starts with.
+    pub(crate) fn sealed(len: usize, bytes: &'a [u8]) -> ArrayRef<'a> {
+        ArrayRef(Items::Sealed { len, bytes })
+    }
+
+    pub fn len(self) -> usize {
+        match self.0 {
+            Items::Values(items) => items.len(),
+            Items::Sealed { len, .. } => len,
+        }
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn iter(self) -> impl Iterator<Item = ValueRef<'a>> + Clone {
+        self.0
+    }
+}
+
+impl<'a> Iterator for Items<'a> {
+    type Item = ValueRef<'a>;
+
+    fn next(&mut self) -> Option<ValueRef<'a>> {
+        match self {
+            Items::Values(items) => {
+                let (first, rest) = items.split_first()?;
+                *items = rest;
+                Some(first.view())
+            }
+            Items::Sealed { len: 0, .. } => None,
+            Items::Sealed { len, bytes } => {
+                *len -= 1;
+                Some(arena::read_value(bytes))
+            }
+        }
+    }
+}
+
+impl fmt::Debug for ArrayRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for ArrayRef<'_> {
+    fn eq(&self, other: &ArrayRef<'_>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+/// An owned copy.
+impl From<ValueRef<'_>> for Value {
+    fn from(v: ValueRef<'_>) -> Value {
+        match v {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(s.to_string()),
+            ValueRef::Array(a) => Value::Array(a.iter().map(Value::from).collect()),
+            ValueRef::Doc(d) => Value::Doc(d.to_document()),
+        }
+    }
+}
+
+impl<'a> ValueRef<'a> {
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_int(self) -> Option<i64> {
+        match self {
+            ValueRef::Int(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// Numeric view (ints widen to float) for cross-type comparison.
+    pub fn as_float(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(i) => Some(i as f64),
+            ValueRef::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    pub fn as_array(self) -> Option<ArrayRef<'a>> {
+        match self {
+            ValueRef::Array(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_doc(self) -> Option<RowRef<'a>> {
+        match self {
+            ValueRef::Doc(d) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// Query-ordering comparison. Numbers compare across Int/Float
+    /// (exactly — no precision loss for i64 beyond 2^53); values of
+    /// different (non-numeric) types are unordered, which makes range
+    /// filters on mismatched types evaluate to false — Mongo-like
+    /// behaviour for the operators we support.
+    pub(crate) fn query_cmp(self, other: ValueRef<'_>) -> Option<Ordering> {
+        match (self, other) {
+            (ValueRef::Null, ValueRef::Null) => Some(Ordering::Equal),
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => Some(a.cmp(&b)),
+            (ValueRef::Str(a), ValueRef::Str(b)) => Some(a.cmp(b)),
+            (ValueRef::Array(a), ValueRef::Array(b)) => {
+                for (x, y) in a.iter().zip(b.iter()) {
+                    match x.query_cmp(y) {
+                        Some(Ordering::Equal) => continue,
+                        other => return other,
+                    }
+                }
+                Some(a.len().cmp(&b.len()))
+            }
+            // Nested documents support equality only (no ordering).
+            (ValueRef::Doc(a), ValueRef::Doc(b)) => {
+                if a.len() == b.len()
+                    && a.fields()
+                        .zip(b.fields())
+                        .all(|((ka, va), (kb, vb))| ka == kb && va.query_eq(vb))
+                {
+                    Some(Ordering::Equal)
+                } else {
+                    None
+                }
+            }
+            (ValueRef::Int(a), ValueRef::Int(b)) => Some(a.cmp(&b)),
+            (ValueRef::Int(a), ValueRef::Float(b)) => cmp_i64_f64(a, b),
+            (ValueRef::Float(a), ValueRef::Int(b)) => cmp_i64_f64(b, a).map(Ordering::reverse),
+            (ValueRef::Float(a), ValueRef::Float(b)) => a.partial_cmp(&b),
+            _ => None,
+        }
+    }
+
+    /// Equality under query semantics (numeric widening).
+    pub(crate) fn query_eq(self, other: ValueRef<'_>) -> bool {
+        self.query_cmp(other) == Some(Ordering::Equal)
+    }
+
+    /// Total order used for sorting query results (`FindOptions::sort`)
+    /// and for the ordered secondary indexes. Extends
+    /// [`ValueRef::query_cmp`] to a total order:
+    ///
+    /// * values of different types order by type rank
+    ///   (null < bool < number < string < array < document) — the same
+    ///   rank order the [`ValueRef::index_key`] class prefixes encode,
+    ///   so a key-ordered index scan yields documents in `sort_cmp`
+    ///   order;
+    /// * NaN compares equal to NaN and greater than every other number;
+    /// * documents compare field-by-field (name, then value), then by
+    ///   length.
+    pub(crate) fn sort_cmp(self, other: ValueRef<'_>) -> Ordering {
+        match (self, other) {
+            (ValueRef::Null, ValueRef::Null) => Ordering::Equal,
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => a.cmp(&b),
+            (ValueRef::Int(a), ValueRef::Int(b)) => a.cmp(&b),
+            (ValueRef::Int(a), ValueRef::Float(b)) => cmp_int_float_total(a, b),
+            (ValueRef::Float(a), ValueRef::Int(b)) => cmp_int_float_total(b, a).reverse(),
+            (ValueRef::Float(a), ValueRef::Float(b)) => match a.partial_cmp(&b) {
+                Some(o) => o,
+                // At least one NaN: NaN == NaN, NaN > everything else.
+                None => match (a.is_nan(), b.is_nan()) {
+                    (true, true) => Ordering::Equal,
+                    (true, false) => Ordering::Greater,
+                    _ => Ordering::Less,
+                },
+            },
+            (ValueRef::Str(a), ValueRef::Str(b)) => a.cmp(b),
+            (ValueRef::Array(a), ValueRef::Array(b)) => {
+                for (x, y) in a.iter().zip(b.iter()) {
+                    match x.sort_cmp(y) {
+                        Ordering::Equal => continue,
+                        other => return other,
+                    }
+                }
+                a.len().cmp(&b.len())
+            }
+            (ValueRef::Doc(a), ValueRef::Doc(b)) => {
+                for ((ka, va), (kb, vb)) in a.fields().zip(b.fields()) {
+                    match ka.cmp(kb).then_with(|| va.sort_cmp(vb)) {
+                        Ordering::Equal => continue,
+                        other => return other,
+                    }
+                }
+                a.len().cmp(&b.len())
+            }
+            _ => type_rank(self).cmp(&type_rank(other)),
+        }
+    }
+
+    /// A canonical string key for indexing: total across types and
+    /// **order-preserving** — lexicographic order of keys equals
+    /// `ValueRef::sort_cmp` order for scalar values, which lets the
+    /// ordered secondary indexes serve range scans and sorted reads.
+    ///
+    /// Numbers use a sign-flipped IEEE-754 bit pattern plus an exact
+    /// integer residual, so `Int(i)` and `Float(f)` share a key exactly
+    /// when they are query-equal, floats differing in any bit get
+    /// distinct keys, and i64 values beyond 2^53 do not collapse.
+    pub(crate) fn index_key(self) -> String {
+        let mut k = String::new();
+        self.write_index_key(&mut k);
+        k
+    }
+
+    fn write_index_key(self, out: &mut String) {
+        use std::fmt::Write;
+        match self {
+            ValueRef::Null => out.push_str("0:"),
+            ValueRef::Bool(b) => out.push_str(if b { "1:1" } else { "1:0" }),
+            ValueRef::Int(_) | ValueRef::Float(_) => {
+                let (bits, residual) = num_key_parts(self);
+                let _ = write!(out, "2:{bits:016x}{residual:04x}");
+            }
+            ValueRef::Str(s) => {
+                out.push_str("3:");
+                out.push_str(s);
+            }
+            // Arrays and documents need injectivity, not order: each
+            // component key is length-prefixed so distinct structures
+            // can never collide.
+            ValueRef::Array(a) => {
+                let _ = write!(out, "4:{}#", a.len());
+                for v in a.iter() {
+                    let k = v.index_key();
+                    let _ = write!(out, "{}:{}", k.len(), k);
+                }
+            }
+            ValueRef::Doc(d) => {
+                let _ = write!(out, "5:{}#", d.len());
+                for (name, v) in d.fields() {
+                    let k = v.index_key();
+                    let _ = write!(out, "{}:{}{}:{}", name.len(), name, k.len(), k);
+                }
+            }
+        }
+    }
+
+    /// Render compact JSON straight into the byte sink `out`,
+    /// byte-identical to `Value::from(self).to_json().to_string()` but
+    /// without building the intermediate `serde_json::Value` tree — the
+    /// WAL encodes every committed batch through here, and the slice
+    /// encoder every sealed row, so neither pays for a deep copy.
+    pub(crate) fn write_json(self, out: &mut Vec<u8>) {
+        match self {
+            ValueRef::Null => out.extend_from_slice(b"null"),
+            ValueRef::Bool(b) => out.extend_from_slice(if b { b"true" } else { b"false" }),
+            ValueRef::Int(i) => json::write_i64(out, i),
+            ValueRef::Float(f) => json::write_f64(out, f),
+            ValueRef::Str(s) => json::write_str(out, s),
+            ValueRef::Array(a) => write_json_items(out, a.iter()),
+            ValueRef::Doc(d) => d.write_json(out),
+        }
+    }
+}
+
 /// Render a slice of values as a compact JSON array without cloning it
 /// into a `Value::Array` first.
 pub(crate) fn write_json_array(out: &mut Vec<u8>, items: &[Value]) {
+    write_json_items(out, items.iter().map(Value::view));
+}
+
+fn write_json_items<'a>(out: &mut Vec<u8>, items: impl Iterator<Item = ValueRef<'a>>) {
     out.push(b'[');
-    for (i, v) in items.iter().enumerate() {
+    for (i, v) in items.enumerate() {
         if i > 0 {
             out.push(b',');
         }
         v.write_json(out);
     }
     out.push(b']');
-}
-
-/// Render a document as a compact JSON object without cloning it into
-/// a `Value` first — the borrowed counterpart of
-/// `Value::Doc(d.clone()).to_json().to_string()`.
-pub(crate) fn write_json_doc(out: &mut Vec<u8>, d: &Document) {
-    out.push(b'{');
-    for (i, (k, v)) in d.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        json::write_str(out, k);
-        out.push(b':');
-        v.write_json(out);
-    }
-    out.push(b'}');
 }
 
 /// Exact comparison of an i64 against an f64, without widening the int
@@ -336,14 +469,14 @@ fn cmp_int_float_total(i: i64, f: f64) -> Ordering {
     cmp_i64_f64(i, f).unwrap_or(Ordering::Less)
 }
 
-fn type_rank(v: &Value) -> u8 {
+fn type_rank(v: ValueRef<'_>) -> u8 {
     match v {
-        Value::Null => 0,
-        Value::Bool(_) => 1,
-        Value::Int(_) | Value::Float(_) => 2,
-        Value::Str(_) => 3,
-        Value::Array(_) => 4,
-        Value::Doc(_) => 5,
+        ValueRef::Null => 0,
+        ValueRef::Bool(_) => 1,
+        ValueRef::Int(_) | ValueRef::Float(_) => 2,
+        ValueRef::Str(_) => 3,
+        ValueRef::Array(_) => 4,
+        ValueRef::Doc(_) => 5,
     }
 }
 
@@ -367,21 +500,21 @@ fn f64_order_bits(f: f64) -> u64 {
 /// residual 0 and therefore share the equal float's key. The residual
 /// of an i64 is bounded by half the f64 ulp at 2^63 (= 512 < 2^15), so
 /// it always fits the 16-bit bias.
-fn num_key_parts(v: &Value) -> (u64, u16) {
+fn num_key_parts(v: ValueRef<'_>) -> (u64, u16) {
     const BIAS: i128 = 0x8000;
     match v {
-        Value::Int(i) => {
-            let d = *i as f64; // round to nearest
-            let residual = *i as i128 - d as i128;
+        ValueRef::Int(i) => {
+            let d = i as f64; // round to nearest
+            let residual = i as i128 - d as i128;
             (f64_order_bits(d), (residual + BIAS) as u16)
         }
-        Value::Float(f) => {
+        ValueRef::Float(f) => {
             let f = if f.is_nan() {
                 f64::NAN // canonical NaN bit pattern
-            } else if *f == 0.0 {
+            } else if f == 0.0 {
                 0.0 // normalize -0.0
             } else {
-                *f
+                f
             };
             (f64_order_bits(f), BIAS as u16)
         }
@@ -390,6 +523,12 @@ fn num_key_parts(v: &Value) -> (u64, u16) {
 }
 
 impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+impl fmt::Display for ValueRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = Vec::new();
         self.write_json(&mut out);
@@ -459,8 +598,31 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The comparisons, spelled on owned values: each is the view's.
+    pub(crate) trait Compare {
+        fn query_cmp(&self, other: &Value) -> Option<Ordering>;
+        fn query_eq(&self, other: &Value) -> bool;
+        fn sort_cmp(&self, other: &Value) -> Ordering;
+        fn as_number(&self) -> Option<f64>;
+    }
+
+    impl Compare for Value {
+        fn query_cmp(&self, other: &Value) -> Option<Ordering> {
+            self.view().query_cmp(other.view())
+        }
+        fn query_eq(&self, other: &Value) -> bool {
+            self.view().query_eq(other.view())
+        }
+        fn sort_cmp(&self, other: &Value) -> Ordering {
+            self.view().sort_cmp(other.view())
+        }
+        fn as_number(&self) -> Option<f64> {
+            self.view().as_float()
+        }
+    }
 
     #[test]
     fn numeric_widening_equality() {
@@ -540,7 +702,7 @@ mod tests {
         v.write_json(&mut direct);
         assert_eq!(direct, v.to_json().to_string().into_bytes());
         let mut doc_direct = Vec::new();
-        write_json_doc(&mut doc_direct, &inner);
+        RowRef::from(&inner).write_json(&mut doc_direct);
         assert_eq!(
             doc_direct,
             Value::Doc(inner).to_json().to_string().into_bytes()

@@ -31,10 +31,10 @@
 //! commit marker it has not reached yet — never the log's bytes, never
 //! its parsed ops.
 
-use crate::document::Document;
+use crate::document::{Document, RowRef};
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
-use crate::value::{write_json_array, write_json_doc, Value};
+use crate::value::{write_json_array, Value};
 use parking_lot::Mutex;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -215,7 +215,7 @@ impl WalOpRef<'_> {
         match self {
             WalOpRef::Insert { doc, .. } => {
                 out.extend_from_slice(b",\"d\":");
-                write_json_doc(out, doc);
+                RowRef::from(*doc).write_json(out);
             }
             WalOpRef::InsertMany { docs, .. } => write_docs(out, docs.iter().copied()),
             WalOpRef::Update { docs, .. } => write_docs(out, docs.iter()),
@@ -236,7 +236,7 @@ fn write_docs<'a>(out: &mut Vec<u8>, docs: impl Iterator<Item = &'a Document>) {
         if i > 0 {
             out.push(b',');
         }
-        write_json_doc(out, d);
+        RowRef::from(d).write_json(out);
     }
     out.push(b']');
 }

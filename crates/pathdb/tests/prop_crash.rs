@@ -170,7 +170,7 @@ fn fingerprint(db: &Database) -> Vec<String> {
         }
         let mut docs: Vec<String> = coll
             .iter()
-            .map(|d| Value::Doc(d.clone()).to_json().to_string())
+            .map(|d| Value::Doc(d.to_document()).to_json().to_string())
             .collect();
         docs.sort();
         out.push(format!("{name}: {}", docs.join(" | ")));
@@ -560,7 +560,11 @@ fn apply_step(db: &Database, step: &Step) {
         }
         Step::DeleteNth { coll, n } => {
             let h = db.collection(coll_name(*coll));
-            let id = h.read().iter().nth(*n).and_then(|d| d.get("_id").cloned());
+            let id = h
+                .read()
+                .iter()
+                .nth(*n)
+                .and_then(|d| d.get("_id").map(Value::from));
             if let Some(id) = id {
                 h.write().delete_many(&Filter::eq("_id", id));
             }
@@ -633,10 +637,14 @@ fn indexed_reads_hold(storage: &FaultyStorage, db: &Database, replayed: bool) {
         let handle = db.collection(&name);
         let coll = handle.read();
         for field in ["t", "v"] {
-            let values: Vec<Value> = coll.iter().filter_map(|d| d.get(field).cloned()).collect();
+            let values: Vec<Value> = coll
+                .iter()
+                .filter_map(|d| d.get(field))
+                .map(Value::from)
+                .collect();
             for value in values.iter().take(3) {
                 let probe = Filter::eq(field, value.clone());
-                let scanned: Vec<&Document> = coll.iter().filter(|d| probe.matches(d)).collect();
+                let scanned: Vec<_> = coll.iter().filter(|d| probe.matches(d)).collect();
                 assert_eq!(coll.query(&probe).refs(), scanned, "{name}.{field}");
             }
             // A probe no row holds: an index answers it from no candidate.

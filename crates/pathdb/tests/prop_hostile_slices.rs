@@ -20,7 +20,7 @@
 //!    was mutated).
 
 use pathdb::database::OpenOptions;
-use pathdb::{doc, Database, DbError, DiskStorage, Document, Durability, Filter, SkippedLines};
+use pathdb::{doc, Database, DbError, DiskStorage, Durability, Filter, SkippedLines};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -173,11 +173,11 @@ fn contents(db: &Database) -> Vec<String> {
     for name in COLLECTIONS {
         let h = db.collection(name);
         let c = h.read();
-        let rows: Vec<Document> = c.iter().cloned().collect();
+        let rows: Vec<_> = c.iter().collect();
         assert_eq!(c.len(), rows.len(), "{name}: len() == iter().count()");
         for row in rows {
             let id = row.id().unwrap().to_string();
-            assert_eq!(c.find_by_id(id.as_str()), Some(&row), "{name}: {id}");
+            assert_eq!(c.find_by_id(id.as_str()), Some(row), "{name}: {id}");
             out.push(format!("{name}: {row}"));
         }
     }

@@ -12,6 +12,8 @@
 //! that figure's pinned `results/` file, and its ⚠️ rows are the
 //! expected failures `results_pin` holds the figures' claims to. New
 //! CHANGES entries stay short. README's usage block is `upin help`.
+//! Every `` `module::item` `` or `` `Type::method` `` README and
+//! EXPERIMENTS cite names a definition in the workspace's sources.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -403,5 +405,141 @@ fn design_tree_lists_files_that_exist() {
     assert!(
         missing.is_empty(),
         "DESIGN §3 lists files that are not there: {missing:#?}"
+    );
+}
+
+/// A crate of the workspace: its names (directory and package, `-` as
+/// `_`) and the `.rs` files under its `src/`, with their text.
+struct Crate {
+    names: [String; 2],
+    files: Vec<(PathBuf, String)>,
+}
+
+fn rust_files(dir: &std::path::Path, out: &mut Vec<(PathBuf, String)>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.map(|e| e.unwrap().path()) {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            out.push((path, text));
+        }
+    }
+}
+
+fn crates() -> Vec<Crate> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let dirs = std::fs::read_dir(root.join("crates")).expect("crates/");
+    let dirs = dirs.map(|d| d.unwrap().path()).chain([root.clone()]);
+    dirs.map(|dir| {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+        let package = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = "))
+            .expect("a package name")
+            .trim_matches('"');
+        let dir_name = dir.file_name().unwrap().to_str().unwrap();
+        let mut files = Vec::new();
+        rust_files(&dir.join("src"), &mut files);
+        Crate {
+            names: [dir_name, package].map(|n| n.replace('-', "_")),
+            files,
+        }
+    })
+    .collect()
+}
+
+/// The names `text` declares: every item after its keyword, and the
+/// fields and enum variants — a line that opens with the name and a
+/// `:`, `(`, `{` or `,`.
+fn declared(text: &str) -> BTreeSet<&str> {
+    const KEYWORDS: [&str; 8] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    let mut out = BTreeSet::new();
+    for line in text.lines() {
+        let words: Vec<&str> = line
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .collect();
+        for pair in words.windows(2) {
+            if KEYWORDS.contains(&pair[0]) {
+                out.insert(pair[1]);
+            }
+        }
+        let member = line.trim_start();
+        let member = member.strip_prefix("pub ").unwrap_or(member);
+        let name = ident(member);
+        let rest = &member[name.len()..];
+        if !name.is_empty() && !rest.starts_with("::") && rest.starts_with([':', '(', '{', ',']) {
+            out.insert(name);
+        }
+    }
+    out
+}
+
+fn stem(path: &std::path::Path) -> &str {
+    path.file_stem().unwrap().to_str().unwrap()
+}
+
+/// Whether one of `files` is module `name` or declares it.
+fn declares<'a>(mut files: impl Iterator<Item = &'a (PathBuf, String)>, name: &str) -> bool {
+    files.any(|(path, text)| stem(path) == name || declared(text).contains(name))
+}
+
+/// `token` when it is a code path: names joined by `::`, a trailing
+/// `()` dropped.
+fn code_path(token: &str) -> Option<Vec<&str>> {
+    let path = token.strip_suffix("()").unwrap_or(token);
+    let segments: Vec<&str> = path.split("::").collect();
+    let named = |s: &&str| !s.is_empty() && ident(s) == *s && !s.starts_with(char::is_numeric);
+    (segments.len() > 1 && segments.iter().all(named)).then_some(segments)
+}
+
+#[test]
+fn docs_name_code_that_exists() {
+    let crates = crates();
+    // Whether `child` is declared under `parent`: in a crate, anywhere
+    // in it (a module file too); in a module, in its file, the files
+    // under its directory or a file with a `mod parent` block; under a
+    // type, anywhere.
+    let resolves = |parent: &str, child: &str| {
+        let parent = parent.replace('-', "_");
+        let all = || crates.iter().flat_map(|c| &c.files);
+        let krate = crates.iter().find(|c| c.names.contains(&parent));
+        if krate.is_some_and(|krate| declares(krate.files.iter(), child)) {
+            return true;
+        }
+        let module = |(path, text): &&(PathBuf, String)| {
+            stem(path) == parent
+                || path.parent().is_some_and(|d| d.ends_with(&parent))
+                || text.contains(&format!("mod {parent} "))
+        };
+        if declares(all().filter(module), child) {
+            return true;
+        }
+        let is_type = all().any(|(_, text)| {
+            ["struct", "enum", "trait", "type"]
+                .iter()
+                .any(|kind| text.contains(&format!("{kind} {parent}")))
+        });
+        is_type && all().any(|(_, text)| declared(text).contains(child))
+    };
+    let mut unresolved = Vec::new();
+    for doc in ["README.md", "EXPERIMENTS.md"] {
+        for token in backticked(&read(doc)) {
+            let Some(segments) = code_path(token) else {
+                continue;
+            };
+            if !segments.windows(2).all(|pair| resolves(pair[0], pair[1])) {
+                unresolved.push(format!("{doc}: `{token}`"));
+            }
+        }
+    }
+    assert!(
+        unresolved.is_empty(),
+        "code paths that name no definition in the sources: {unresolved:#?}"
     );
 }

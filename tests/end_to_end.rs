@@ -3,7 +3,7 @@
 //! crossing every crate of the workspace.
 
 use std::collections::BTreeMap;
-use upin::pathdb::{Filter, Value};
+use upin::pathdb::{Filter, ValueRef};
 use upin::scion_sim::topology::scionlab::{paper_destinations, MY_AS};
 use upin::upin_core::analysis::server_id_of;
 use upin::upin_core::collect::destinations;
@@ -60,8 +60,8 @@ fn campaign_then_recommendation() {
             .query(Filter::eq("server_id", server_id as i64))
             .refs()
         {
-            let path_id = d.get("path_id").and_then(Value::as_str).unwrap();
-            let latency = d.get("avg_latency_ms").and_then(Value::as_float);
+            let path_id = d.get("path_id").and_then(ValueRef::as_str).unwrap();
+            let latency = d.get("avg_latency_ms").and_then(ValueRef::as_float);
             raw.entry(path_id.to_string()).or_default().extend(latency);
         }
         let samples = &raw[&best.path_id.to_string()];
@@ -110,15 +110,15 @@ fn stats_volume_and_schema_consistency() {
     let coll = stats.read();
     let pcoll = paths.read();
     for d in coll.query_all().refs() {
-        let path_id = d.get("path_id").and_then(Value::as_str).unwrap();
+        let path_id = d.get("path_id").and_then(ValueRef::as_str).unwrap();
         assert!(
             d.id().unwrap().starts_with(&format!("{path_id}_")),
             "stats id {d} does not extend its path id"
         );
         assert!(pcoll.find_by_id(path_id).is_some(), "orphan stats doc {d}");
-        let isds = d.get("isds").and_then(Value::as_array).unwrap();
+        let isds = d.get("isds").and_then(ValueRef::as_array).unwrap();
         assert!(!isds.is_empty());
-        let loss = d.get("loss_pct").and_then(Value::as_float).unwrap();
+        let loss = d.get("loss_pct").and_then(ValueRef::as_float).unwrap();
         assert!((0.0..=100.0).contains(&loss));
     }
 }

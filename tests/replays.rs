@@ -32,7 +32,7 @@ fn stats_snapshot(db: &Database) -> Vec<(String, Document)> {
     let coll = handle.read();
     let mut out: Vec<_> = coll
         .iter()
-        .map(|d| (d.id().unwrap().to_string(), d.clone()))
+        .map(|d| (d.id().unwrap().to_string(), d.to_document()))
         .collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
