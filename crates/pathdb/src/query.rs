@@ -93,12 +93,19 @@ impl Filter {
     fn matches_row(&self, doc: RowRef<'_>) -> bool {
         match self {
             Filter::True => true,
-            Filter::Eq(k, v) => field_eq(doc, k, v),
-            Filter::Ne(k, v) => !field_eq(doc, k, v),
+            Filter::Eq(k, v) => field_eq(doc.get_path(k), v),
+            Filter::Ne(k, v) => !field_eq(doc.get_path(k), v),
             Filter::Gte(k, v) => field_cmp(doc, k, v, |o| o != Ordering::Less),
             Filter::Lt(k, v) => field_cmp(doc, k, v, |o| o == Ordering::Less),
             Filter::Lte(k, v) => field_cmp(doc, k, v, |o| o != Ordering::Greater),
-            Filter::Nin(k, vs) => !vs.iter().any(|v| field_eq(doc, k, v)),
+            Filter::Nin(k, vs) => match doc.get_path(k) {
+                // An array's items are read once, not once per value.
+                Some(field @ ValueRef::Array(items)) => {
+                    let listed = |e: ValueRef<'_>| vs.iter().any(|v| e.query_eq(v.view()));
+                    !listed(field) && !items.iter().any(listed)
+                }
+                field => !vs.iter().any(|v| field_eq(field, v)),
+            },
             Filter::Exists(k, want) => doc.get_path(k).is_some() == *want,
             Filter::Contains(k, s) => doc
                 .get_path(k)
@@ -109,8 +116,9 @@ impl Filter {
     }
 }
 
-fn field_eq(doc: RowRef<'_>, key: &str, v: &Value) -> bool {
-    match doc.get_path(key) {
+/// `Eq` against a row's `field` (`None`: the row lacks it).
+fn field_eq(field: Option<ValueRef<'_>>, v: &Value) -> bool {
+    match field {
         Some(field) => {
             if field.query_eq(v.view()) {
                 return true;
