@@ -1,12 +1,12 @@
 //! Closed slices' rows as bytes.
 //!
 //! Once the insertion-sequence allocator has passed a slice's last seq
-//! no append can land in it, and the collection seals it
-//! (`collection::Rows`): its rows are encoded back to back into one
-//! arena, and the rows' `Document`s are dropped. A row's bytes are its
-//! values in its shape's order; the shape itself is stored once per
-//! slice, in a table each row indexes, so rows of different shapes
-//! share an arena. Readers see a sealed row through the same borrowed
+//! no append can land in it, and the collection seals it as soon as no
+//! pinned image shares it (`collection::Rows`): its rows are encoded
+//! back to back into one arena, and the rows' `Document`s are dropped.
+//! A row's bytes are its values in its shape's order; the shape itself
+//! is stored once per slice, in a table each row indexes, so rows of
+//! different shapes share an arena. Readers see a sealed row through the same borrowed
 //! view as any other, [`RowRef`].
 //!
 //! A value is a tag byte and its payload: an int as its zigzag LEB128
@@ -85,25 +85,6 @@ impl Sealed {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         let bytes = &self.arena[start as usize..self.ends[i] as usize];
         RowRef::sealed(&self.shapes[self.shape_of[i] as usize], bytes)
-    }
-
-    /// Overwrite the row at cell `i` with `row` where that changes no
-    /// other row: `row` has the old row's shape and encodes to as many
-    /// bytes (a counter or a watermark moved). `false`, and nothing
-    /// written, otherwise.
-    pub(crate) fn replace_in_place(&mut self, i: usize, row: RowRef<'_>) -> bool {
-        if self.shapes[self.shape_of[i] as usize] != *row.shape() {
-            return false;
-        }
-        let mut bytes = Vec::new();
-        row.fields().for_each(|(_, v)| put_value(&mut bytes, v));
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        let old = &mut self.arena[start..self.ends[i] as usize];
-        if old.len() != bytes.len() {
-            return false;
-        }
-        old.copy_from_slice(&bytes);
-        true
     }
 
     /// The bytes this slice holds its rows in, counted by length: the

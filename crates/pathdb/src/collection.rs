@@ -143,8 +143,8 @@ const CELLS: usize = SLICE_ROWS as usize;
 /// the images pinned from it. Which cells an owner sees is the owner's
 /// own `Held::live`.
 pub(crate) enum Slice {
-    /// Rows as documents: the slice the allocator is in, or one a
-    /// write reopened. A cell is written once through a shared
+    /// Rows as documents: the slice the allocator is in, one a pinned
+    /// image still shares, or one a write reopened. A cell is written once through a shared
     /// reference, so an append into a slice an image shares copies
     /// nothing; replacing or clearing a cell needs the slice to itself.
     Cells {
@@ -154,7 +154,8 @@ pub(crate) enum Slice {
         /// seals the slice again before it returns.
         under: Option<Arc<Slice>>,
     },
-    /// Rows as bytes ([`Sealed`]): every slice the allocator has passed.
+    /// Rows as bytes ([`Sealed`]): every slice the allocator has passed
+    /// that no pinned image shares.
     Sealed(Sealed),
 }
 
@@ -259,8 +260,7 @@ impl Held {
         }
     }
 
-    /// Seal an open slice into one of this owner's own: an image that
-    /// shares the open one keeps it, and no row counts as copied.
+    /// Seal an open slice into its bytes. No row counts as copied.
     fn seal(&mut self) {
         if let Slice::Cells { .. } = *self.slice {
             let sealed = Sealed::new(self.cells().map(|i| (i, self.row(i))));
@@ -274,7 +274,8 @@ impl Held {
 /// write copies at most the one shared slice it changes (see
 /// `Collection::read_snapshot` for the whole budget). Every slice in
 /// the map holds at least one live row, and every slice the allocator
-/// has passed is sealed once a mutation is done (`Rows::seal_below`).
+/// has passed and no pinned image shares is sealed once a mutation is
+/// done (`Rows::seal_below`).
 #[derive(Clone, Default)]
 pub(crate) struct Rows {
     slices: BTreeMap<u64, Held>,
@@ -357,16 +358,9 @@ impl Rows {
     }
 
     /// Swap the row at `seq`, which holds one, for `doc`: the rows
-    /// copied to do it. A sealed slice of this owner's own takes a row
-    /// of the same shape and size in place.
+    /// copied to do it.
     fn replace(&mut self, seq: u64, doc: Document) -> u64 {
         let (key, i) = split(seq);
-        let held = self.slices.get_mut(&key).expect("a live row's slice");
-        if let Some(Slice::Sealed(sealed)) = Arc::get_mut(&mut held.slice) {
-            if sealed.replace_in_place(i, (&doc).into()) {
-                return 0;
-            }
-        }
         let (cells, copied) = self.own(key);
         cells[i] = OnceLock::from(doc);
         copied
@@ -402,14 +396,37 @@ impl Rows {
         copied
     }
 
-    /// Seal every open slice below `seq`'s: the slices an allocator at
-    /// `seq` has passed.
-    fn seal_below(&mut self, seq: u64) {
-        let end = seq / SLICE_ROWS;
-        while let Some(key) = self.open.first().copied().filter(|&key| key < end) {
+    /// Seal every open slice below `seq`'s — the slices an allocator at
+    /// `seq` has passed — that no pinned image shares. `memo` is the
+    /// rows of the snapshot memo's image when nothing but the memo
+    /// holds it: a slice it shares is sealed for both. A slice a pinned
+    /// image shares stays open, so the image keeps what it pinned and
+    /// nothing is copied; a later mutation seals it once the pin is
+    /// dropped.
+    fn seal_below(&mut self, seq: u64, mut memo: Option<&mut Rows>) {
+        let passed: Vec<u64> = self.open.range(..seq / SLICE_ROWS).copied().collect();
+        for key in passed {
+            let Some(held) = self.slices.get_mut(&key) else {
+                self.open.remove(&key);
+                continue;
+            };
+            let mirror = memo.as_deref_mut().filter(|memo| {
+                let image = memo.slices.get(&key);
+                image.is_some_and(|image| Arc::ptr_eq(&image.slice, &held.slice))
+            });
+            if Arc::strong_count(&held.slice) > 1 + usize::from(mirror.is_some()) {
+                continue;
+            }
+            held.seal();
             self.open.remove(&key);
-            if let Some(held) = self.slices.get_mut(&key) {
-                held.seal();
+            if let Some(memo) = mirror {
+                // Only appends reach a slice the writer shares, so the
+                // memo's image sees a subset of the writer's cells: the
+                // sealed slice holds every row it sees.
+                let image = memo.slices.get_mut(&key).expect("shared above");
+                debug_assert!(image.cells().all(|i| held.sees(i)));
+                image.slice = Arc::clone(&held.slice);
+                memo.open.remove(&key);
             }
         }
     }
@@ -769,7 +786,16 @@ impl Collection {
         dirty.replaced.extend(replaced);
         let copied = self.docs.settle(removed);
         self.count_copies(copied);
-        self.docs.seal_below(self.next_seq);
+        self.seal_passed();
+    }
+
+    /// Seal the slices the allocator has passed (`Rows::seal_below`),
+    /// with the snapshot memo's image when no reader holds it.
+    fn seal_passed(&mut self) {
+        let memo = self.snap.get_mut().as_mut();
+        let memo = memo.and_then(|entry| Arc::get_mut(&mut entry.image));
+        self.docs
+            .seal_below(self.next_seq, memo.map(|image| &mut image.docs));
     }
 
     // ---- writes ---------------------------------------------------------
@@ -1072,7 +1098,7 @@ impl Collection {
     /// from where the crashed process stopped.
     pub(crate) fn set_next_seq_at_least(&mut self, n: u64) {
         self.next_seq = self.next_seq.max(n);
-        self.docs.seal_below(self.next_seq);
+        self.seal_passed();
     }
 
     /// Apply a logged delete: drop documents by `_id`, silently
@@ -1821,9 +1847,7 @@ mod tests {
     #[test]
     fn copy_budget_an_append_under_a_pin_copies_no_row() {
         // The tail slice is part full, so the batch lands in a slice
-        // the image shares before it opens two new ones — and passes
-        // its end, so the writer seals it into a slice of its own while
-        // the image keeps the cells it shared.
+        // the image shares before it opens two new ones.
         let (mut c, telemetry) = counted(SLICE_ROWS + 10);
         let pin = c.read_snapshot();
         let docs = (0..2 * SLICE_ROWS)
@@ -1831,7 +1855,7 @@ mod tests {
             .collect();
         c.insert_many(docs).unwrap();
         assert_eq!(copied(&telemetry), 0);
-        assert!(shares(&c, &pin, 0) && !shares(&c, &pin, 1));
+        assert!(shares(&c, &pin, 0) && shares(&c, &pin, 1));
         assert_eq!(
             pin.len() as u64,
             SLICE_ROWS + 10,
@@ -1889,8 +1913,9 @@ mod tests {
     }
 
     /// A sealed slice of `paths_stats` rows costs its bytes — the
-    /// budget DESIGN and EXPERIMENTS quote — and sealing it under a pin
-    /// copies no row and leaves the pinned image as it was.
+    /// budget DESIGN and EXPERIMENTS quote. A pinned image that shares
+    /// the slice keeps it open until it is dropped, and sealing copies
+    /// no row.
     #[test]
     fn a_sealed_slice_costs_its_bytes() {
         // Built like `upin_core::schema::PathMeasurement::to_doc`.
@@ -1922,18 +1947,28 @@ mod tests {
         let last = SLICE_ROWS as usize - 1;
         c.insert_many(rows[..last].to_vec()).unwrap();
         let pin = c.read_snapshot();
-        // The slice's last row: the allocator passes its end.
+        // The slice's last row: the allocator passes its end, but the
+        // pin shares the slice, so it stays open as the pin took it.
         c.insert_one(rows[last].clone()).unwrap();
+        assert!(shares(&c, &pin, 0));
+        assert!(matches!(*c.docs.slices[&0].slice, Slice::Cells { .. }));
+        assert!(pin.iter().eq(rows[..last].iter().map(RowRef::from)));
+        // Dropped, the pin leaves the slice to the writer and the memo:
+        // the next mutation seals it for both.
+        drop(pin);
+        c.insert_one(doc! { "_id" => "next" }).unwrap();
         let Slice::Sealed(sealed) = &*c.docs.slices[&0].slice else {
-            panic!("the allocator passed slice 0: it is sealed")
+            panic!("no image is pinned: the passed slice 0 is sealed")
         };
+        let memo = Arc::clone(&c.snap.lock().as_ref().expect("a memo").image);
+        assert!(shares(&c, &memo, 0), "the memo's image is sealed with it");
         let per_row = sealed.held_bytes() as f64 / SLICE_ROWS as f64;
         println!("{per_row:.1} B per sealed row");
         assert!(per_row <= 176.0, "{per_row} B per sealed row");
         assert_eq!(copied(&telemetry), 0, "sealing copies no row");
-        assert!(matches!(*pin.docs.slices[&0].slice, Slice::Cells { .. }));
-        assert!(pin.iter().eq(rows[..last].iter().map(RowRef::from)));
-        assert!(c.iter().eq(rows.iter().map(RowRef::from)));
+        assert!(memo.iter().eq(rows[..last].iter().map(RowRef::from)));
+        let sealed_rows = c.iter().take(SLICE_ROWS as usize);
+        assert!(sealed_rows.eq(rows.iter().map(RowRef::from)));
     }
 
     /// A clone shares the tail slice with its original; when both then
@@ -2283,16 +2318,11 @@ mod tests {
             }
             self.events.push(!reshaped.is_empty());
             self.wrote(reshaped.iter().map(|(seq, _)| *seq));
-            let passed = self.next_seq / SLICE_ROWS;
             for doc in appended {
                 self.dirty.slices.insert(self.next_seq / SLICE_ROWS);
                 self.rows.insert(self.next_seq, doc);
                 self.next_seq += 1;
             }
-            // The writer seals each slice the allocator passed into a
-            // slice of its own.
-            let sealed = passed..self.next_seq / SLICE_ROWS;
-            self.wrote(sealed.map(|slice| slice * SLICE_ROWS));
             for (seq, doc) in reshaped {
                 self.dirty.slices.insert(seq / SLICE_ROWS);
                 match doc {
@@ -2305,8 +2335,7 @@ mod tests {
             }
         }
 
-        /// Mark the slices of `seqs` as written (or sealed) under every
-        /// held pin.
+        /// Mark the slices of `seqs` as written under every held pin.
         fn wrote(&mut self, seqs: impl Iterator<Item = u64> + Clone) {
             for written in self.pins.iter_mut().filter_map(|pin| pin.2.as_mut()) {
                 written.extend(seqs.clone().map(|seq| seq / SLICE_ROWS));
@@ -2577,10 +2606,7 @@ mod tests {
                     if let Some(pinned) = image.docs.slices.get(slice) {
                         let kept =
                             written.contains(slice) || Arc::ptr_eq(&held.slice, &pinned.slice);
-                        assert!(
-                            kept,
-                            "slice {slice}: nothing wrote or sealed it, yet it is a copy"
-                        );
+                        assert!(kept, "slice {slice}: nothing wrote it, yet it is a copy");
                     }
                 }
             }

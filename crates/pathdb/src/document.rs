@@ -2,7 +2,7 @@
 //! kept as a field-name shape shared between rows plus the row's own
 //! values at their exact size — and [`RowRef`], the one borrowed view
 //! every reader of a stored row goes through, whether the row is still
-//! a `Document` or sealed into its slice's bytes ([`crate::arena`]).
+//! a `Document` or sealed into its slice's bytes (`arena`).
 
 use crate::arena;
 use crate::value::{Value, ValueRef};

@@ -43,7 +43,7 @@
 //! assert_eq!(hit.id(), Some("2"));
 //! ```
 
-pub mod arena;
+mod arena;
 pub mod builder;
 pub mod collection;
 pub mod database;

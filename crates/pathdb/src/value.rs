@@ -124,7 +124,7 @@ impl Value {
 }
 
 /// A borrowed value: a [`Value`] of a row that is a [`Document`], or a
-/// value's bytes in a sealed row ([`crate::arena`]). Every reader of
+/// value's bytes in a sealed row (`arena`). Every reader of
 /// stored rows reads through it; `Value::from` copies one out.
 /// Equality is [`Value`]'s: the same variant and content, floats by
 /// `==`.

@@ -451,33 +451,50 @@ fn crates() -> Vec<Crate> {
     .collect()
 }
 
-/// The names `text` declares: every item after its keyword, and the
-/// fields and enum variants — a line that opens with the name and a
-/// `:`, `(`, `{` or `,`.
+/// The words of `line`: its runs of name characters.
+fn words(line: &str) -> Vec<&str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// The names `text` declares: every item after its keyword, the fields
+/// (a line `name: ...,`) and the enum variants (a line that opens with
+/// a capitalised name and is `Name,`, `Name(...),` or `Name {`).
 fn declared(text: &str) -> BTreeSet<&str> {
     const KEYWORDS: [&str; 8] = [
         "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
     ];
     let mut out = BTreeSet::new();
     for line in text.lines() {
-        let words: Vec<&str> = line
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .filter(|w| !w.is_empty())
-            .collect();
-        for pair in words.windows(2) {
+        for pair in words(line).windows(2) {
             if KEYWORDS.contains(&pair[0]) {
                 out.insert(pair[1]);
             }
         }
-        let member = line.trim_start();
+        let member = line.trim();
         let member = member.strip_prefix("pub ").unwrap_or(member);
         let name = ident(member);
         let rest = &member[name.len()..];
-        if !name.is_empty() && !rest.starts_with("::") && rest.starts_with([':', '(', '{', ',']) {
+        let field = rest.starts_with(':') && !rest.starts_with("::") && rest.ends_with(',');
+        let variant = name.starts_with(char::is_uppercase)
+            && (rest == "," || rest == " {" || rest.starts_with('(') && rest.ends_with("),"));
+        if !name.is_empty() && (field || variant) {
             out.insert(name);
         }
     }
     out
+}
+
+/// Whether `text` defines type `name` or has an `impl` block for it.
+fn defines_type(text: &str, name: &str) -> bool {
+    text.lines().any(|line| {
+        let words = words(line);
+        let item = words
+            .windows(2)
+            .any(|pair| ["struct", "enum", "trait", "type"].contains(&pair[0]) && pair[1] == name);
+        item || words.first() == Some(&"impl") && words.contains(&name)
+    })
 }
 
 fn stem(path: &std::path::Path) -> &str {
@@ -504,7 +521,7 @@ fn docs_name_code_that_exists() {
     // Whether `child` is declared under `parent`: in a crate, anywhere
     // in it (a module file too); in a module, in its file, the files
     // under its directory or a file with a `mod parent` block; under a
-    // type, anywhere.
+    // type, in a file that defines the type or implements it.
     let resolves = |parent: &str, child: &str| {
         let parent = parent.replace('-', "_");
         let all = || crates.iter().flat_map(|c| &c.files);
@@ -520,12 +537,7 @@ fn docs_name_code_that_exists() {
         if declares(all().filter(module), child) {
             return true;
         }
-        let is_type = all().any(|(_, text)| {
-            ["struct", "enum", "trait", "type"]
-                .iter()
-                .any(|kind| text.contains(&format!("{kind} {parent}")))
-        });
-        is_type && all().any(|(_, text)| declared(text).contains(child))
+        all().any(|(_, text)| defines_type(text, &parent) && declared(text).contains(child))
     };
     let mut unresolved = Vec::new();
     for doc in ["README.md", "EXPERIMENTS.md"] {
