@@ -5,7 +5,7 @@
 //! and on arbitrary value trees. The float writer: `write_f64` against
 //! `{:?}`, its contract, and against the parser. The typed decoder:
 //! `from_str::<T>` against the value tree read with `from_jval`. Every
-//! CLI / `upin serve` / WAL byte pin rests on these equalities.
+//! CLI / `upin serve` / slice-line byte pin rests on these equalities.
 
 use proptest::prelude::*;
 use serde::json::Reader;

@@ -16,9 +16,14 @@
 //! byte length and, per field, the name as a string and the value. A
 //! row has no per-field offsets: a reader walks it field by field, and
 //! steps over an array or a nested document by its length.
+//!
+//! A write-ahead log frame holds its rows in the same encoding
+//! ([`put_rows`]): its own shape table, then each row as its shape's
+//! index and its values. A frame is read back by [`Checked`], which
+//! trusts none of its bytes.
 
-use crate::document::{RowRef, Shape};
-use crate::value::{ArrayRef, ValueRef};
+use crate::document::{names_of, Document, RowRef, Shape};
+use crate::value::{ArrayRef, Value, ValueRef};
 use std::sync::Arc;
 
 const NULL: u8 = 0;
@@ -98,7 +103,7 @@ impl Sealed {
     }
 }
 
-fn put_varint(out: &mut Vec<u8>, mut n: u64) {
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut n: u64) {
     while n >= 0x80 {
         out.push(n as u8 | 0x80);
         n >>= 7;
@@ -118,7 +123,7 @@ fn read_varint(bytes: &mut &[u8]) -> u64 {
     n
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
@@ -152,6 +157,17 @@ fn put_sized(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
 
 /// Append `v`'s bytes.
 pub(crate) fn put_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
+    put(out, v, false)
+}
+
+/// Append `v`'s bytes as a log frame holds them: a float that is not
+/// finite as null, which is what a slice line gives back for it, so a
+/// recovered row does not depend on the file that held it.
+pub(crate) fn put_logged_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
+    put(out, v, true)
+}
+
+fn put(out: &mut Vec<u8>, v: ValueRef<'_>, logged: bool) {
     match v {
         ValueRef::Null => out.push(NULL),
         ValueRef::Bool(b) => out.push(if b { TRUE } else { FALSE }),
@@ -159,6 +175,7 @@ pub(crate) fn put_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
             out.push(INT);
             put_varint(out, ((i << 1) ^ (i >> 63)) as u64);
         }
+        ValueRef::Float(f) if logged && !f.is_finite() => out.push(NULL),
         ValueRef::Float(f) => {
             out.push(FLOAT);
             out.extend_from_slice(&f.to_bits().to_le_bytes());
@@ -171,7 +188,7 @@ pub(crate) fn put_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
             out.push(ARRAY);
             put_varint(out, items.len() as u64);
             put_sized(out, |out| {
-                items.iter().for_each(|item| put_value(out, item))
+                items.iter().for_each(|item| put(out, item, logged))
             });
         }
         ValueRef::Doc(row) => {
@@ -180,10 +197,37 @@ pub(crate) fn put_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
             put_sized(out, |out| {
                 for (name, v) in row.fields() {
                     put_str(out, name);
-                    put_value(out, v);
+                    put(out, v, logged);
                 }
             });
         }
+    }
+}
+
+/// Append `rows` as a log frame holds them: the count of distinct
+/// shapes and each shape's names, then the count of rows and each row
+/// as its shape's index and its logged values.
+pub(crate) fn put_rows<'a>(out: &mut Vec<u8>, rows: impl Iterator<Item = &'a Document> + Clone) {
+    let mut shapes: Vec<&Option<Arc<Shape>>> = Vec::new();
+    let mut count = 0;
+    for row in rows.clone() {
+        let shape = RowRef::from(row).shape();
+        if !shapes.contains(&shape) {
+            shapes.push(shape);
+        }
+        count += 1;
+    }
+    put_varint(out, shapes.len() as u64);
+    for shape in &shapes {
+        let names = names_of(shape);
+        put_varint(out, names.len() as u64);
+        names.iter().for_each(|name| put_str(out, name));
+    }
+    put_varint(out, count);
+    for row in rows.map(RowRef::from) {
+        let shape = shapes.iter().position(|s| *s == row.shape());
+        put_varint(out, shape.expect("every shape is in the table") as u64);
+        row.fields().for_each(|(_, v)| put_logged_value(out, v));
     }
 }
 
@@ -235,5 +279,147 @@ pub(crate) fn read_value<'a>(bytes: &mut &'a [u8]) -> ValueRef<'a> {
             ValueRef::Doc(RowRef::nested(len, take(bytes, size)))
         }
         tag => unreachable!("no value is tagged {tag}"),
+    }
+}
+
+/// A checked walk over bytes no writer vouches for: a log frame's
+/// payload, which a valid checksum does not make well formed. Every
+/// read answers `None` rather than run past the end or accept a bad
+/// tag, and every count and length is held to the bytes left before
+/// anything is sized by it (an item takes at least one byte), so no
+/// claim in the bytes can allocate more than they could hold.
+pub(crate) struct Checked<'a>(&'a [u8]);
+
+impl<'a> Checked<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Checked<'a> {
+        Checked(bytes)
+    }
+
+    /// Every byte was read.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.0.len() {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    pub(crate) fn byte(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    /// A varint of at most ten bytes that fits 64 bits.
+    pub(crate) fn varint(&mut self) -> Option<u64> {
+        let mut n = 0;
+        for shift in (0..64).step_by(7) {
+            let byte = self.byte()?;
+            if shift == 63 && byte > 1 {
+                return None;
+            }
+            n |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return Some(n);
+            }
+        }
+        None
+    }
+
+    /// A count of items still to come, at most one per byte left.
+    pub(crate) fn count(&mut self) -> Option<usize> {
+        let n = self.varint()?;
+        (n <= self.0.len() as u64).then_some(n as usize)
+    }
+
+    pub(crate) fn str(&mut self) -> Option<&'a str> {
+        let len = self.count()?;
+        std::str::from_utf8(self.take(len)?).ok()
+    }
+
+    /// `len` items that fill the sized body which follows exactly.
+    fn sized<T>(
+        &mut self,
+        len: usize,
+        mut item: impl FnMut(&mut Checked<'a>) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let size = self.count()?;
+        let mut body = Checked(self.take(size)?);
+        if len > size {
+            return None;
+        }
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(item(&mut body)?);
+        }
+        body.is_empty().then_some(items)
+    }
+
+    /// The value these bytes start with, inside `depth` open documents
+    /// and arrays; no deeper than a JSON line may nest
+    /// (`serde::json::MAX_DEPTH`), so a slice line could hold it too.
+    pub(crate) fn value(&mut self, depth: usize) -> Option<Value> {
+        Some(match self.byte()? {
+            NULL => Value::Null,
+            FALSE => Value::Bool(false),
+            TRUE => Value::Bool(true),
+            INT => {
+                let n = self.varint()?;
+                Value::Int((n >> 1) as i64 ^ -((n & 1) as i64))
+            }
+            FLOAT => {
+                let bits = self.take(8)?.try_into().ok()?;
+                Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
+            }
+            STR => Value::Str(self.str()?.to_owned()),
+            ARRAY if depth < serde::json::MAX_DEPTH => {
+                let len = self.count()?;
+                Value::Array(self.sized(len, |body| body.value(depth + 1))?)
+            }
+            DOC if depth < serde::json::MAX_DEPTH => {
+                let len = self.count()?;
+                let fields = self.sized(len, |body| Some((body.str()?, body.value(depth + 1)?)))?;
+                let doc: Document = fields.into_iter().collect();
+                // A repeated name would fold two fields into one.
+                Value::Doc((doc.len() == len).then_some(doc)?)
+            }
+            _ => return None,
+        })
+    }
+
+    /// What [`put_rows`] wrote: each row a `Document` of its shape.
+    pub(crate) fn rows(&mut self) -> Option<Vec<Document>> {
+        let shapes = self.count()?;
+        let mut templates = Vec::with_capacity(shapes);
+        for _ in 0..shapes {
+            let names = self.count()?;
+            let mut template = Vec::with_capacity(names);
+            for _ in 0..names {
+                template.push((self.str()?, Value::Null));
+            }
+            let template: Document = template.into_iter().collect();
+            if template.len() != names {
+                return None;
+            }
+            templates.push(template);
+        }
+        let rows = self.count()?;
+        let mut out = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            let shape = usize::try_from(self.varint()?).ok()?;
+            let template = templates.get(shape)?;
+            if template.len() > self.0.len() {
+                return None;
+            }
+            let mut values = Vec::with_capacity(template.len());
+            for _ in 0..template.len() {
+                values.push(self.value(1)?);
+            }
+            out.push(Document::of_shape(template, values.into_boxed_slice()));
+        }
+        Some(out)
     }
 }

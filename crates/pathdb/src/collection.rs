@@ -1916,31 +1916,33 @@ mod tests {
     /// budget DESIGN and EXPERIMENTS quote. A pinned image that shares
     /// the slice keeps it open until it is dropped, and sealing copies
     /// no row.
+    /// A `paths_stats` row, built like
+    /// `upin_core::schema::PathMeasurement::to_doc`.
+    fn stats_row(n: u64) -> Document {
+        let (server, path, ts) = (12 + n % 3, n % 20, 1_699_000_000_000 + n * 1_000);
+        let f = |base: f64| base + n as f64 * 0.37;
+        doc! {
+            "_id" => format!("{server}_{path}_{ts}"),
+            "path_id" => format!("{server}_{path}"),
+            "server_id" => server as i64,
+            "timestamp_ms" => ts as i64,
+            "isds" => vec![16i64, 17, 19],
+            "hops" => 4 + (n % 5) as i64,
+            "avg_latency_ms" => f(20.0),
+            "jitter_ms" => f(0.5),
+            "loss_pct" => f(0.0),
+            "bw_up_64_mbps" => f(9.5),
+            "bw_down_64_mbps" => f(9.7),
+            "bw_up_mtu_mbps" => f(11.0),
+            "bw_down_mtu_mbps" => f(11.2),
+            "target_mbps" => 12.0,
+            "error" => Value::Null,
+        }
+    }
+
     #[test]
     fn a_sealed_slice_costs_its_bytes() {
-        // Built like `upin_core::schema::PathMeasurement::to_doc`.
-        let row = |n: u64| {
-            let (server, path, ts) = (12 + n % 3, n % 20, 1_699_000_000_000 + n * 1_000);
-            let f = |base: f64| base + n as f64 * 0.37;
-            doc! {
-                "_id" => format!("{server}_{path}_{ts}"),
-                "path_id" => format!("{server}_{path}"),
-                "server_id" => server as i64,
-                "timestamp_ms" => ts as i64,
-                "isds" => vec![16i64, 17, 19],
-                "hops" => 4 + (n % 5) as i64,
-                "avg_latency_ms" => f(20.0),
-                "jitter_ms" => f(0.5),
-                "loss_pct" => f(0.0),
-                "bw_up_64_mbps" => f(9.5),
-                "bw_down_64_mbps" => f(9.7),
-                "bw_up_mtu_mbps" => f(11.0),
-                "bw_down_mtu_mbps" => f(11.2),
-                "target_mbps" => 12.0,
-                "error" => Value::Null,
-            }
-        };
-        let rows: Vec<Document> = (0..SLICE_ROWS).map(row).collect();
+        let rows: Vec<Document> = (0..SLICE_ROWS).map(stats_row).collect();
         let telemetry = Arc::new(Telemetry::new());
         let mut c = Collection::new("paths_stats");
         c.set_recorder(Some(telemetry.clone()));
@@ -1969,6 +1971,32 @@ mod tests {
         assert!(memo.iter().eq(rows[..last].iter().map(RowRef::from)));
         let sealed_rows = c.iter().take(SLICE_ROWS as usize);
         assert!(sealed_rows.eq(rows.iter().map(RowRef::from)));
+    }
+
+    /// A logged batch of `paths_stats` rows costs its bytes — the budget
+    /// DESIGN and EXPERIMENTS quote: one `insert_many` of five rows (a
+    /// campaign's commit group averages 4.9), counted by the log's
+    /// length, and replayed to the rows it was.
+    #[test]
+    fn a_logged_batch_costs_its_bytes() {
+        use crate::storage::{FaultyStorage, Storage};
+        use crate::wal::{read_wal, wal_path, Wal, WalOp};
+        let storage = Arc::new(FaultyStorage::new());
+        let dir = std::path::PathBuf::from("/db");
+        let mut c = Collection::new("paths_stats");
+        c.set_wal(Some(Arc::new(Wal::new(storage.clone(), dir.clone(), 0))));
+        let rows: Vec<Document> = (0..5).map(stats_row).collect();
+        c.insert_many(rows.clone()).unwrap();
+        let log = storage.read(&wal_path(&dir, 0)).unwrap();
+        let per_row = log.len() as f64 / rows.len() as f64;
+        println!("{per_row:.1} B of log per row");
+        assert!(per_row <= 180.0, "{per_row} B of log per row");
+        let mut replayed = Vec::new();
+        read_wal(&log[..], log.len() as u64, |group| replayed.extend(group)).unwrap();
+        let [WalOp::InsertMany { docs, .. }] = &replayed[..] else {
+            panic!("one insert_many: {replayed:?}")
+        };
+        assert_eq!(docs, &rows);
     }
 
     /// A clone shares the tail slice with its original; when both then

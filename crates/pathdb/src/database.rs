@@ -457,6 +457,11 @@ impl Database {
                     db.apply_wal_op(op);
                 }
             })?;
+            if replay.older_format {
+                // An older build's log: refuse the open and leave the
+                // file as it is; truncating it would drop every group.
+                return Err(DbError::OlderLog(path));
+            }
             report.wal_groups += replay.groups;
             report.torn_wal_bytes += replay.torn_bytes;
             report.dropped_uncommitted_ops += replay.dropped_uncommitted_ops;
@@ -1528,6 +1533,69 @@ mod tests {
         .unwrap();
         assert_eq!(report.wal_groups, 200);
         assert_eq!(db2.collection("stats").read().len(), 200);
+    }
+
+    #[test]
+    fn an_older_builds_log_is_refused_not_truncated() {
+        // A commit group as an older build wrote it: the same framing
+        // around JSON payloads.
+        let frame = |payload: &str| {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend(crate::wal::crc32(payload.as_bytes()).to_le_bytes());
+            frame.extend(payload.as_bytes());
+            frame
+        };
+        let mut log = frame(r#"{"t":"m","c":"stats","d":[{"_id":"a","v":1}]}"#);
+        log.extend(frame(r#"{"t":"C","n":1}"#));
+        let dir = PathBuf::from("/db");
+        let storage = Arc::new(FaultyStorage::new());
+        let open = |durability| {
+            Database::open_durable_with(
+                &dir,
+                OpenOptions::new(durability).with_storage(storage.clone()),
+            )
+        };
+        {
+            let (db, _) = open(Durability::Snapshot).unwrap();
+            db.collection("stats")
+                .write()
+                .insert_one(doc! { "_id" => "kept", "v" => 0i64 })
+                .unwrap();
+            db.checkpoint().unwrap();
+        }
+        // A default-durability directory has no log, and an empty log
+        // is no older build's: both open and answer as before.
+        let answers = |db: &Database| {
+            let stats = db.collection("stats");
+            let ids: Vec<String> = stats
+                .read()
+                .iter()
+                .map(|r| r.id().unwrap().into())
+                .collect();
+            ids
+        };
+        let log_path = wal_path(&dir, 7);
+        for empty in [false, true] {
+            if empty {
+                storage.append(&log_path, &[]).unwrap();
+            }
+            let (db, report) = open(Durability::Snapshot).unwrap();
+            assert!(report.clean(), "{report:?}");
+            assert_eq!(answers(&db), ["kept"]);
+        }
+        storage.append(&log_path, &log).unwrap();
+        for durability in [Durability::Snapshot, Durability::Wal] {
+            let err = open(durability).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(&err, DbError::OlderLog(path) if *path == log_path),
+                "{err}"
+            );
+            assert!(err.to_string().contains("wal.7.log"), "{err}");
+            assert_eq!(storage.read(&log_path).unwrap(), log, "not one byte moved");
+        }
+        // Without it the directory answers as it did.
+        storage.remove(&log_path).unwrap();
+        assert_eq!(answers(&open(Durability::Snapshot).unwrap().0), ["kept"]);
     }
 
     #[test]

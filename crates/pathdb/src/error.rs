@@ -16,6 +16,9 @@ pub enum DbError {
     /// The durability subsystem lost a write or was misused (e.g.
     /// checkpointing a database that was not opened durably).
     Durability(String),
+    /// This write-ahead log was written by an older build, in JSON
+    /// frames this build does not read; the file is left as it was.
+    OlderLog(std::path::PathBuf),
 }
 
 impl fmt::Display for DbError {
@@ -26,6 +29,12 @@ impl fmt::Display for DbError {
             DbError::Io(e) => write!(f, "io error: {e}"),
             DbError::Parse(msg) => write!(f, "parse error: {msg}"),
             DbError::Durability(msg) => write!(f, "durability error: {msg}"),
+            DbError::OlderLog(path) => write!(
+                f,
+                "{}: write-ahead log in an older build's JSON frames; \
+                 this build reads only binary frames",
+                path.display()
+            ),
         }
     }
 }

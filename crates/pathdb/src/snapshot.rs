@@ -272,9 +272,8 @@ pub(crate) fn load_slice(
     Ok((loaded, skipped))
 }
 
-/// Serialize rows as JSONL bytes, through the WAL's row writer
-/// ([`RowRef::write_json`]): one encoder for log and snapshot, sealed
-/// rows or not. Each row's insertion sequence is appended as the
+/// Serialize rows as JSONL bytes, through the row writer
+/// ([`RowRef::write_json`]), sealed rows or not. Each row's insertion sequence is appended as the
 /// reserved [`SEQ_FIELD`] (loaders strip it with [`take_seq`]).
 pub(crate) fn encode_jsonl_seq<'a>(
     rows: impl Iterator<Item = (u64, impl Into<RowRef<'a>>)>,

@@ -402,8 +402,8 @@ impl<'a> ValueRef<'a> {
     /// Render compact JSON straight into the byte sink `out`,
     /// byte-identical to `Value::from(self).to_json().to_string()` but
     /// without building the intermediate `serde_json::Value` tree — the
-    /// WAL encodes every committed batch through here, and the slice
-    /// encoder every sealed row, so neither pays for a deep copy.
+    /// slice encoder writes every row through here, so it pays for no
+    /// deep copy.
     pub(crate) fn write_json(self, out: &mut Vec<u8>) {
         match self {
             ValueRef::Null => out.extend_from_slice(b"null"),

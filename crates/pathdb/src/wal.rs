@@ -4,12 +4,18 @@
 //! Frame layout (little-endian):
 //!
 //! ```text
-//! [len: u32] [crc32(payload): u32] [payload: len bytes of JSON]
+//! [len: u32] [crc32(payload): u32] [payload: len bytes]
 //! ```
 //!
-//! A *commit group* is N operation frames followed by one commit frame
-//! carrying the expected count. The whole group is appended (and
-//! fsync'd) as one write, so one `insert_many` batch reaches the disk
+//! A payload is a tag byte and its body, in the byte encoding sealed
+//! slices hold their rows in (`arena`). An op frame is its tag (`i`
+//! insert, `m` insert many, `u` update, `d` delete, `x` drop), the
+//! collection name, then its rows — one shape table per frame, each
+//! row as its shape's index and its values — or its `_id` values. A
+//! float that is not finite is logged as null, as a slice line holds
+//! it. A *commit group* is N op frames followed by one commit frame, a
+//! `C` and the count N. The whole group is appended (and fsync'd) as
+//! one write, so one `insert_many` batch reaches the disk
 //! all-or-nothing — the paper's §4.2.2 loss bound ("at most one sample
 //! per path of one destination") holds across crashes, not just across
 //! clean exits.
@@ -21,9 +27,15 @@
 //! landed" and "old log deleted" merely replays effects the snapshot
 //! already contains.
 //!
-//! The reader stops at the first frame that is short, corrupt, or
-//! unparsable; everything before the last *committed* group is the
-//! intact prefix and the tail is truncated, not reported as an error.
+//! The reader stops at the first frame that is short, corrupt, or does
+//! not decode — a valid checksum over bad contents is no better than a
+//! bad checksum, and decoding checks every count and length against
+//! the frame before it allocates; everything before the last
+//! *committed* group is the intact prefix and the tail is truncated,
+//! not reported as an error. A frame whose payload starts with `{` is
+//! an older build's JSON: the scan stops there and says so
+//! (`WalReplay::older_format`), and the open refuses the log rather
+//! than truncate it ([`crate::DbError::OlderLog`]).
 //!
 //! Recovery streams the log ([`crate::Storage::reader`]) instead of
 //! reading it whole: at any moment it holds one frame's payload, in one
@@ -31,10 +43,11 @@
 //! commit marker it has not reached yet — never the log's bytes, never
 //! its parsed ops.
 
-use crate::document::{Document, RowRef};
+use crate::arena::{self, Checked};
+use crate::document::Document;
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
-use crate::value::{write_json_array, Value};
+use crate::value::Value;
 use parking_lot::Mutex;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -86,7 +99,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 checksum over `data` (IEEE polynomial, as in zlib/PNG).
-fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
@@ -129,52 +142,21 @@ impl WalOp {
             WalOp::Delete { ids, .. } => ids.len(),
         }
     }
-
-    fn from_json(v: &serde_json::Value) -> Option<WalOp> {
-        let tag = v.get("t")?.as_str()?;
-        let coll = v.get("c")?.as_str()?.to_string();
-        let doc_of = |j: &serde_json::Value| match Value::from_json(j) {
-            Value::Doc(d) => Some(d),
-            _ => None,
-        };
-        match tag {
-            "i" => Some(WalOp::Insert {
-                coll,
-                doc: doc_of(v.get("d")?)?,
-            }),
-            "m" | "u" => {
-                let docs = v
-                    .get("d")?
-                    .as_array()?
-                    .iter()
-                    .map(doc_of)
-                    .collect::<Option<Vec<_>>>()?;
-                if tag == "m" {
-                    Some(WalOp::InsertMany { coll, docs })
-                } else {
-                    Some(WalOp::Update { coll, docs })
-                }
-            }
-            "d" => Some(WalOp::Delete {
-                coll,
-                ids: v
-                    .get("d")?
-                    .as_array()?
-                    .iter()
-                    .map(Value::from_json)
-                    .collect(),
-            }),
-            "x" => Some(WalOp::Drop { coll }),
-            _ => None,
-        }
-    }
 }
 
+// A payload's first byte: the op, or a commit marker.
+const INSERT: u8 = b'i';
+const INSERT_MANY: u8 = b'm';
+const UPDATE: u8 = b'u';
+const DELETE: u8 = b'd';
+const DROP: u8 = b'x';
+const COMMIT: u8 = b'C';
+
 /// Borrowed view of one op for encoding. The hot write path (one WAL
-/// commit per `insert_many` batch) renders commit groups straight from
-/// the caller's documents, skipping both the owned [`WalOp`] clone and
-/// the intermediate `serde_json::Value` tree — this is what keeps the
-/// WAL's insertion overhead within the §4.2.2 ablation budget.
+/// commit per `insert_many` batch) encodes commit groups straight from
+/// the caller's documents, skipping the owned [`WalOp`] clone — this is
+/// what keeps the WAL's insertion overhead within the §4.2.2 ablation
+/// budget.
 pub(crate) enum WalOpRef<'a> {
     Insert {
         coll: &'a str,
@@ -198,47 +180,75 @@ pub(crate) enum WalOpRef<'a> {
 }
 
 impl WalOpRef<'_> {
-    /// Render the frame payload, byte-identical to what the owned
-    /// tree-building path produced (`{"t":..,"c":..,"d":..}`).
-    fn write_json(&self, out: &mut Vec<u8>) {
+    /// Render the frame payload: the tag, the collection name, then the
+    /// rows or the ids.
+    fn write(&self, out: &mut Vec<u8>) {
         let (tag, coll) = match self {
-            WalOpRef::Insert { coll, .. } => (b'i', *coll),
-            WalOpRef::InsertMany { coll, .. } => (b'm', *coll),
-            WalOpRef::Update { coll, .. } => (b'u', *coll),
-            WalOpRef::Delete { coll, .. } => (b'd', *coll),
-            WalOpRef::Drop { coll } => (b'x', *coll),
+            WalOpRef::Insert { coll, .. } => (INSERT, *coll),
+            WalOpRef::InsertMany { coll, .. } => (INSERT_MANY, *coll),
+            WalOpRef::Update { coll, .. } => (UPDATE, *coll),
+            WalOpRef::Delete { coll, .. } => (DELETE, *coll),
+            WalOpRef::Drop { coll } => (DROP, *coll),
         };
-        out.extend_from_slice(b"{\"t\":\"");
         out.push(tag);
-        out.extend_from_slice(b"\",\"c\":");
-        serde::json::write_str(out, coll);
+        arena::put_str(out, coll);
         match self {
-            WalOpRef::Insert { doc, .. } => {
-                out.extend_from_slice(b",\"d\":");
-                RowRef::from(*doc).write_json(out);
-            }
-            WalOpRef::InsertMany { docs, .. } => write_docs(out, docs.iter().copied()),
-            WalOpRef::Update { docs, .. } => write_docs(out, docs.iter()),
+            WalOpRef::Insert { doc, .. } => arena::put_rows(out, std::iter::once(*doc)),
+            WalOpRef::InsertMany { docs, .. } => arena::put_rows(out, docs.iter().copied()),
+            WalOpRef::Update { docs, .. } => arena::put_rows(out, docs.iter()),
             WalOpRef::Delete { ids, .. } => {
-                out.extend_from_slice(b",\"d\":");
-                write_json_array(out, ids);
+                arena::put_varint(out, ids.len() as u64);
+                ids.iter()
+                    .for_each(|id| arena::put_logged_value(out, id.view()));
             }
             WalOpRef::Drop { .. } => {}
         }
-        out.push(b'}');
     }
 }
 
-/// `,"d":[<doc>,...]`, the member every batch op carries.
-fn write_docs<'a>(out: &mut Vec<u8>, docs: impl Iterator<Item = &'a Document>) {
-    out.extend_from_slice(b",\"d\":[");
-    for (i, d) in docs.enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        RowRef::from(d).write_json(out);
+/// What one frame's payload holds.
+#[derive(Debug, PartialEq)]
+enum Frame {
+    Op(WalOp),
+    /// A commit marker and the count of ops its group holds.
+    Commit(u64),
+}
+
+/// Read one payload in one checked walk: `None` unless all of it is one
+/// well-formed frame.
+fn decode(payload: &[u8]) -> Option<Frame> {
+    let mut r = Checked::new(payload);
+    let tag = r.byte()?;
+    if tag == COMMIT {
+        let n = r.varint()?;
+        return r.is_empty().then_some(Frame::Commit(n));
     }
-    out.push(b']');
+    let coll = r.str()?.to_owned();
+    let op = match tag {
+        INSERT => {
+            let [doc]: [Document; 1] = r.rows()?.try_into().ok()?;
+            WalOp::Insert { coll, doc }
+        }
+        INSERT_MANY => WalOp::InsertMany {
+            coll,
+            docs: r.rows()?,
+        },
+        UPDATE => WalOp::Update {
+            coll,
+            docs: r.rows()?,
+        },
+        DELETE => {
+            let len = r.count()?;
+            let mut ids = Vec::with_capacity(len);
+            for _ in 0..len {
+                ids.push(r.value(1)?);
+            }
+            WalOp::Delete { coll, ids }
+        }
+        DROP => WalOp::Drop { coll },
+        _ => return None,
+    };
+    r.is_empty().then_some(Frame::Op(op))
 }
 
 // ---- framing --------------------------------------------------------------
@@ -256,16 +266,15 @@ fn push_frame(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     buf[header + 4..header + 8].copy_from_slice(&crc);
 }
 
-/// Encode one commit group: N op frames + a commit frame `{"t":"C","n":N}`.
+/// Encode one commit group: N op frames + a commit frame (`C`, N).
 pub(crate) fn encode_group(ops: &[WalOpRef<'_>]) -> Vec<u8> {
     let mut buf = Vec::new();
     for op in ops {
-        push_frame(&mut buf, |out| op.write_json(out));
+        push_frame(&mut buf, |out| op.write(out));
     }
     push_frame(&mut buf, |out| {
-        out.extend_from_slice(b"{\"t\":\"C\",\"n\":");
-        serde::json::write_u64(out, ops.len() as u64);
-        out.push(b'}');
+        out.push(COMMIT);
+        arena::put_varint(out, ops.len() as u64);
     });
     buf
 }
@@ -283,12 +292,17 @@ pub(crate) struct WalReplay {
     /// Operation frames that parsed but whose commit marker never made
     /// it to disk; they are discarded, not replayed.
     pub dropped_uncommitted_ops: usize,
+    /// The scan stopped at a frame an older build wrote (a JSON
+    /// payload): the log is in a format this build does not read, not
+    /// torn, and must not be truncated.
+    pub older_format: bool,
 }
 
 /// Scan the log `r` holds — `total_len` bytes — frame by frame,
-/// stopping at the first torn or corrupt frame. Each group is handed to
-/// `apply` when its commit marker is reached — never before, so an
-/// uncommitted or torn tail is not seen — and is not kept.
+/// stopping at the first torn, corrupt or undecodable frame. Each group
+/// is handed to `apply` when its commit marker is reached — never
+/// before, so an uncommitted or torn tail is not seen — and is not
+/// kept.
 ///
 /// What the scan holds is one frame and one group: a payload is read
 /// into one buffer reused for every frame, and only after its length
@@ -315,33 +329,25 @@ pub(crate) fn read_wal(
             break;
         }
         payload.clear();
-        (&mut r).take(len.into()).read_to_end(&mut payload)?;
-        if payload.len() != len as usize {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
+        payload.resize(len as usize, 0);
+        r.read_exact(&mut payload)?;
         if crc32(&payload) != crc {
             break;
         }
-        let Ok(text) = std::str::from_utf8(&payload) else {
+        if payload.first() == Some(&b'{') {
+            replay.older_format = true;
             break;
-        };
-        let Ok(json) = serde_json::from_str::<serde_json::Value>(text) else {
-            break;
-        };
+        }
         off += 8 + u64::from(len);
-        if json.get("t").and_then(|t| t.as_str()) == Some("C") {
+        match decode(&payload) {
             // Commit marker: the group is durable iff the count matches.
-            if json.get("n").and_then(|n| n.as_i64()) != Some(pending.len() as i64) {
-                break;
+            Some(Frame::Commit(n)) if n == pending.len() as u64 => {
+                apply(std::mem::take(&mut pending));
+                replay.groups += 1;
+                replay.valid_len = off;
             }
-            apply(std::mem::take(&mut pending));
-            replay.groups += 1;
-            replay.valid_len = off;
-        } else {
-            let Some(op) = WalOp::from_json(&json) else {
-                break;
-            };
-            pending.push(op);
+            Some(Frame::Op(op)) => pending.push(op),
+            Some(Frame::Commit(_)) | None => break,
         }
     }
     replay.dropped_uncommitted_ops = pending.len();
@@ -494,39 +500,6 @@ mod tests {
                 WalOp::Drop { coll } => WalOpRef::Drop { coll },
             }
         }
-
-        /// Reference rendering for the encoder tests: the tree-building
-        /// counterpart of [`WalOpRef::write_json`].
-        fn to_json(&self) -> serde_json::Value {
-            let mut m = serde_json::Map::new();
-            let (tag, coll) = match self {
-                WalOp::Insert { coll, .. } => ("i", coll),
-                WalOp::InsertMany { coll, .. } => ("m", coll),
-                WalOp::Update { coll, .. } => ("u", coll),
-                WalOp::Delete { coll, .. } => ("d", coll),
-                WalOp::Drop { coll } => ("x", coll),
-            };
-            m.insert("t".into(), serde_json::Value::String(tag.into()));
-            m.insert("c".into(), serde_json::Value::String(coll.clone()));
-            match self {
-                WalOp::Insert { doc, .. } => {
-                    m.insert("d".into(), Value::Doc(doc.clone()).to_json());
-                }
-                WalOp::InsertMany { docs, .. } | WalOp::Update { docs, .. } => {
-                    let arr = docs
-                        .iter()
-                        .map(|d| Value::Doc(d.clone()).to_json())
-                        .collect();
-                    m.insert("d".into(), serde_json::Value::Array(arr));
-                }
-                WalOp::Delete { ids, .. } => {
-                    let arr = ids.iter().map(Value::to_json).collect();
-                    m.insert("d".into(), serde_json::Value::Array(arr));
-                }
-                WalOp::Drop { .. } => {}
-            }
-            serde_json::Value::Object(m)
-        }
     }
 
     /// [`encode_group`] over owned ops, as `sample_ops` builds them.
@@ -597,26 +570,51 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn ops_roundtrip_through_json() {
-        for op in sample_ops() {
-            let json = op.to_json();
-            let back = WalOp::from_json(
-                &serde_json::from_str::<serde_json::Value>(&json.to_string()).unwrap(),
-            );
-            assert_eq!(back.as_ref(), Some(&op), "{json}");
-        }
+    /// One op's payload, as its frame holds it.
+    fn payload(op: &WalOp) -> Vec<u8> {
+        let mut out = Vec::new();
+        op.to_ref().write(&mut out);
+        out
     }
 
     #[test]
-    fn ref_encoding_matches_tree_encoding() {
-        // The borrowed fast path and the owned tree path must stay
-        // byte-identical — they share one on-disk format.
+    fn ops_roundtrip_through_their_payloads() {
         for op in sample_ops() {
-            let mut direct = Vec::new();
-            op.to_ref().write_json(&mut direct);
-            assert_eq!(direct, op.to_json().to_string().into_bytes());
+            assert_eq!(decode(&payload(&op)), Some(Frame::Op(op.clone())));
         }
+        assert_eq!(decode(&[COMMIT, 2]), Some(Frame::Commit(2)));
+        assert_eq!(decode(&[]), None);
+        assert_eq!(
+            decode(&encode(&sample_ops())),
+            None,
+            "a whole group is no payload"
+        );
+    }
+
+    #[test]
+    fn payloads_spell_the_documented_layout() {
+        let ops = sample_ops();
+        // Tag, collection; the shape table: one shape of two names; the
+        // rows: one, of shape 0, its values a string and a zigzag int.
+        assert_eq!(
+            payload(&ops[0]),
+            b"i\x05paths\x01\x02\x03_id\x04hops\x01\x00\x05\x02p1\x03\x08"
+        );
+        // Two rows of one shape share its entry; a float is its bits.
+        let mut many = b"m\x0bpaths_stats\x01\x02\x03_id\x03lat\x02".to_vec();
+        for (id, lat) in [(b"s1", 20.5f64), (b"s2", 21.0)] {
+            many.extend(b"\x00\x05\x02");
+            many.extend(id);
+            many.push(4);
+            many.extend(lat.to_le_bytes());
+        }
+        assert_eq!(payload(&ops[1]), many);
+        // Ids are values; a drop is its collection.
+        assert_eq!(payload(&ops[3]), b"d\x0bpaths_stats\x02\x05\x02s1\x03\x0e");
+        assert_eq!(payload(&ops[4]), b"x\x03tmp");
+        // The commit frame: `C` and the op count, after its header.
+        let group = encode(&ops[..2]);
+        assert_eq!(group[group.len() - 2..], *b"C\x02");
     }
 
     #[test]
@@ -674,9 +672,7 @@ mod tests {
         let mut bytes = encode(&ops[..2]);
         // Append two op frames with no commit marker.
         for op in &ops[2..4] {
-            push_frame(&mut bytes, |out| {
-                out.extend(op.to_json().to_string().bytes())
-            });
+            push_frame(&mut bytes, |out| op.to_ref().write(out));
         }
         let mut groups = Vec::new();
         let replay = replay(&bytes, |group| groups.push(group));
@@ -736,5 +732,337 @@ mod tests {
         wal.rotate(1);
         wal.health().unwrap();
         assert_eq!(wal.generation(), 1);
+    }
+
+    /// A log made of an older build's JSON frames is reported, not
+    /// scanned past and not counted as torn.
+    #[test]
+    fn an_older_builds_frame_stops_the_scan_and_says_so() {
+        let mut log = encode(&sample_ops()[..1]);
+        let intact = log.len() as u64;
+        push_frame(&mut log, |out| out.extend(br#"{"t":"C","n":0}"#));
+        log.extend(encode(&sample_ops()[1..]));
+        let replay = replay(&log, |_| {});
+        assert!(replay.older_format);
+        assert_eq!((replay.groups, replay.valid_len), (1, intact));
+    }
+
+    /// Rows nested past what a JSON line may hold are refused, without
+    /// a stack as deep as the claim.
+    #[test]
+    fn nesting_is_bounded_like_a_json_line() {
+        let nested = |depth: usize| {
+            let mut v = Value::Int(1);
+            for _ in 0..depth {
+                v = Value::Array(vec![v]);
+            }
+            doc! { "_id" => "deep", "v" => v }
+        };
+        let group = |doc: &Document| encode_group(&[WalOpRef::Insert { coll: "c", doc }]);
+        // The row is one level, as a slice line's object is.
+        let deepest = serde::json::MAX_DEPTH - 1;
+        assert_eq!(replay(&group(&nested(deepest)), |_| {}).groups, 1);
+        for depth in [deepest + 1, 1000] {
+            let log = group(&nested(depth));
+            assert_eq!(replay(&log, |_| {}).torn_bytes, log.len() as u64, "{depth}");
+        }
+    }
+
+    mod hostile {
+        use super::*;
+        use proptest::prelude::*;
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        /// Notes the largest single allocation a thread asks for while
+        /// it reads a log in [`watched`]. A request past `REFUSED_FROM`
+        /// then is refused, which aborts the test binary rather than
+        /// lend a claim in hostile bytes the machine's memory.
+        struct Watch;
+
+        const REFUSED_FROM: usize = 256 << 20;
+
+        thread_local! {
+            static WATCHING: Cell<bool> = const { Cell::new(false) };
+            static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        /// Whether a request of `size` bytes may be served.
+        fn note(size: usize) -> bool {
+            let watched = WATCHING.try_with(Cell::get).unwrap_or(false);
+            if watched {
+                LARGEST.with(|l| l.set(l.get().max(size)));
+            }
+            !watched || size < REFUSED_FROM
+        }
+
+        unsafe impl GlobalAlloc for Watch {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                if note(layout.size()) {
+                    unsafe { System.alloc(layout) }
+                } else {
+                    std::ptr::null_mut()
+                }
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                if note(layout.size()) {
+                    unsafe { System.alloc_zeroed(layout) }
+                } else {
+                    std::ptr::null_mut()
+                }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                if note(new_size) {
+                    unsafe { System.realloc(ptr, layout, new_size) }
+                } else {
+                    std::ptr::null_mut()
+                }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                unsafe { System.dealloc(ptr, layout) }
+            }
+        }
+
+        #[global_allocator]
+        static WATCH: Watch = Watch;
+
+        /// `log` read whole: the replay, the groups it handed out, and
+        /// the largest single allocation the read made.
+        fn watched(log: &[u8]) -> (WalReplay, Vec<Vec<WalOp>>, usize) {
+            let mut groups = Vec::with_capacity(16);
+            LARGEST.with(|l| l.set(0));
+            WATCHING.with(|w| w.set(true));
+            let replay = read_wal(log, log.len() as u64, |group| groups.push(group));
+            WATCHING.with(|w| w.set(false));
+            (replay.unwrap(), groups, LARGEST.with(Cell::get))
+        }
+
+        /// What a read of frames as long as `longest` may allocate at
+        /// once: one item per byte, and no item the decoder holds is
+        /// wider than 64 B; plus the little a group's pending list and
+        /// the handed-out list take.
+        fn bound(longest: usize) -> usize {
+            64 * longest + 4096
+        }
+
+        /// Each frame's payload, in order.
+        fn payloads(log: &[u8]) -> Vec<Vec<u8>> {
+            let mut out = Vec::new();
+            let mut rest = log;
+            while !rest.is_empty() {
+                let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+                out.push(rest[8..8 + len].to_vec());
+                rest = &rest[8 + len..];
+            }
+            out
+        }
+
+        fn framed<'a>(payloads: impl IntoIterator<Item = &'a Vec<u8>>) -> Vec<u8> {
+            let mut log = Vec::new();
+            for p in payloads {
+                push_frame(&mut log, |out| out.extend_from_slice(p));
+            }
+            log
+        }
+
+        fn arb_value() -> impl Strategy<Value = Value> {
+            let leaf = prop_oneof![
+                Just(Value::Null),
+                any::<bool>().prop_map(Value::Bool),
+                any::<i64>().prop_map(Value::Int),
+                any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
+                "[a-z✓]{0,6}".prop_map(Value::Str),
+            ];
+            leaf.prop_recursive(2, 12, 3, |inner| {
+                prop_oneof![
+                    inner.clone(),
+                    prop::collection::vec(inner.clone(), 0..3).prop_map(Value::Array),
+                    prop::collection::vec(("[a-c]{1,2}", inner), 0..3).prop_map(|fields| {
+                        Value::Doc(
+                            fields
+                                .iter()
+                                .map(|(k, v)| (k.as_str(), v.clone()))
+                                .collect(),
+                        )
+                    }),
+                ]
+            })
+        }
+
+        fn arb_doc() -> impl Strategy<Value = Document> {
+            let fields = prop::collection::vec(("[a-d]{1,2}", arb_value()), 0..4);
+            ("[0-9]{1,3}", fields).prop_map(|(id, fields)| {
+                let rest = fields.iter().map(|(k, v)| (k.as_str(), v.clone()));
+                [("_id", Value::Str(id))].into_iter().chain(rest).collect()
+            })
+        }
+
+        fn arb_op() -> impl Strategy<Value = WalOp> {
+            let coll = "[a-z_]{1,12}";
+            prop_oneof![
+                (coll, arb_doc()).prop_map(|(coll, doc)| WalOp::Insert { coll, doc }),
+                (coll, prop::collection::vec(arb_doc(), 1..4))
+                    .prop_map(|(coll, docs)| WalOp::InsertMany { coll, docs }),
+                (coll, prop::collection::vec(arb_doc(), 0..3))
+                    .prop_map(|(coll, docs)| WalOp::Update { coll, docs }),
+                (coll, prop::collection::vec(arb_value(), 0..3))
+                    .prop_map(|(coll, ids)| WalOp::Delete { coll, ids }),
+                coll.prop_map(|coll| WalOp::Drop { coll }),
+            ]
+        }
+
+        /// One change to a payload at `at` (taken modulo its length).
+        #[derive(Debug, Clone)]
+        enum Mutation {
+            Flip(usize, u8),
+            Set(usize, u8),
+            Insert(usize, u8),
+            Remove(usize),
+            Truncate(usize),
+        }
+
+        fn arb_mutation() -> impl Strategy<Value = Mutation> {
+            let at = any::<usize>;
+            let special = prop::sample::select(vec![0xFF, 0x80, 0, b'{', b'C']);
+            prop_oneof![
+                (at(), 0u8..8).prop_map(|(at, bit)| Mutation::Flip(at, 1 << bit)),
+                (at(), any::<u8>()).prop_map(|(at, b)| Mutation::Set(at, b)),
+                (at(), special).prop_map(|(at, b)| Mutation::Set(at, b)),
+                (at(), any::<u8>()).prop_map(|(at, b)| Mutation::Insert(at, b)),
+                at().prop_map(Mutation::Remove),
+                at().prop_map(Mutation::Truncate),
+            ]
+        }
+
+        fn mutate(payload: &mut Vec<u8>, m: &Mutation) {
+            let len = payload.len();
+            let at = |i: usize| i % len;
+            match *m {
+                Mutation::Flip(i, bit) => payload[at(i)] ^= bit,
+                Mutation::Set(i, b) => payload[at(i)] = b,
+                Mutation::Insert(i, b) => payload.insert(at(i), b),
+                Mutation::Remove(i) => {
+                    payload.remove(at(i));
+                }
+                Mutation::Truncate(i) => payload.truncate(at(i)),
+            }
+        }
+
+        /// Random bytes, often behind a real tag.
+        fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
+            let tag = prop::sample::select(b"imudxC{\x00".to_vec());
+            let rest = prop::collection::vec(any::<u8>(), 0..48);
+            (tag, any::<bool>(), rest).prop_map(|(tag, tagged, mut rest)| {
+                if tagged {
+                    rest.insert(0, tag);
+                }
+                rest
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// A frame whose checksum holds over bad contents: the
+            /// decoder, not the checksum, must refuse it — without a
+            /// panic, without sizing anything by its claims, handing out
+            /// every intact group before it and nothing past it.
+            #[test]
+            fn hostile_frames_end_the_scan_and_nothing_else(
+                groups in prop::collection::vec(prop::collection::vec(arb_op(), 1..4), 1..4),
+                pick: usize,
+                mutation in arb_mutation(),
+            ) {
+                let log: Vec<u8> = groups.iter().flat_map(|g| encode(g)).collect();
+                let (intact, want, _) = watched(&log);
+                prop_assert_eq!(intact.groups, groups.len());
+                // Which group each frame belongs to, and where it starts.
+                let mut frames = payloads(&log);
+                let group_of: Vec<usize> = groups
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(k, g)| std::iter::repeat_n(k, g.len() + 1))
+                    .collect();
+                let f = pick % frames.len();
+                let k = group_of[f];
+                mutate(&mut frames[f], &mutation);
+                let log = framed(&frames);
+                let start: usize = frames
+                    .iter()
+                    .zip(&group_of)
+                    .take_while(|(_, &g)| g < k)
+                    .map(|(p, _)| 8 + p.len())
+                    .sum();
+                let longest = frames.iter().map(Vec::len).max().unwrap_or(0);
+
+                let (replay, got, largest) = watched(&log);
+                prop_assert!(largest <= bound(longest), "{largest} B for frames of {longest} B");
+                prop_assert_eq!(replay.valid_len + replay.torn_bytes, log.len() as u64);
+                prop_assert!(got.len() >= k, "an intact group before the damage was lost");
+                prop_assert_eq!(&got[..k], &want[..k]);
+                let stopped = (got.len(), replay.valid_len) == (k, start as u64);
+                if frames[f].first() == Some(&b'{') {
+                    prop_assert!(replay.older_format && stopped);
+                } else if decode(&frames[f]).is_none() {
+                    prop_assert!(!replay.older_format && stopped, "{:?}", replay);
+                } else {
+                    // It decoded as some other frame: the group holds
+                    // another op, ends early (and the scan ends at its
+                    // old commit), or no longer commits.
+                    prop_assert!(!replay.older_format);
+                    prop_assert!([k, k + 1, groups.len()].contains(&got.len()));
+                    if got.len() == groups.len() {
+                        prop_assert_eq!(&got[k + 1..], &want[k + 1..]);
+                    }
+                }
+            }
+
+            /// Random payloads behind valid checksums.
+            #[test]
+            fn random_payloads_never_panic_or_overallocate(
+                frames in prop::collection::vec(arb_payload(), 1..8),
+            ) {
+                let log = framed(&frames);
+                let longest = frames.iter().map(Vec::len).max().unwrap_or(0);
+                let (replay, got, largest) = watched(&log);
+                prop_assert!(largest <= bound(longest), "{largest} B for frames of {longest} B");
+                prop_assert_eq!(replay.valid_len + replay.torn_bytes, log.len() as u64);
+                prop_assert_eq!(got.len(), replay.groups);
+            }
+        }
+
+        /// Claims far past the frame — a count of rows, of shapes, of
+        /// names, of ids, an array's length and size — each refused
+        /// having sized nothing by it.
+        #[test]
+        fn claims_past_the_frame_allocate_nothing_for_them() {
+            let huge = |out: &mut Vec<u8>| arena::put_varint(out, u64::MAX >> 3);
+            let mut claims: Vec<Vec<u8>> = Vec::new();
+            // Rows: 1 shape of 0 names, then the row count.
+            claims.push(vec![b'm', 1, b'c', 1, 0]);
+            // Shapes.
+            claims.push(vec![b'm', 1, b'c']);
+            // Names of the one shape.
+            claims.push(vec![b'm', 1, b'c', 1]);
+            // Ids.
+            claims.push(vec![b'd', 1, b'c']);
+            // An array's length, and its size.
+            claims.push(vec![b'd', 1, b'c', 1, 6]);
+            claims.push(vec![b'd', 1, b'c', 1, 6, 1]);
+            for mut payload in claims {
+                huge(&mut payload);
+                payload.extend([0; 16]);
+                let log = framed([&payload]);
+                let (replay, got, largest) = watched(&log);
+                assert!(got.is_empty() && replay.torn_bytes == log.len() as u64);
+                assert!(
+                    largest <= bound(payload.len()),
+                    "{largest} B for {payload:?}"
+                );
+            }
+        }
     }
 }
