@@ -1,13 +1,15 @@
-//! Closed slices' rows as bytes.
+//! Rows as bytes: the one form a collection and its log hold a row in.
 //!
-//! Once the insertion-sequence allocator has passed a slice's last seq
-//! no append can land in it, and the collection seals it as soon as no
-//! pinned image shares it (`collection::Rows`): its rows are encoded
-//! back to back into one arena, and the rows' `Document`s are dropped.
-//! A row's bytes are its values in its shape's order; the shape itself
-//! is stored once per slice, in a table each row indexes, so rows of
-//! different shapes share an arena. Readers see a sealed row through the same borrowed
-//! view as any other, [`RowRef`].
+//! A row is encoded once, when it is written ([`Row::new`]): its values
+//! in its shape's order. An open slice's cell holds the row's shape and
+//! those bytes. Once the insertion-sequence allocator has passed a
+//! slice's last seq no append can land in it, and the collection packs
+//! it as soon as no pinned image shares it (`collection::Rows`): the
+//! cells' bytes are copied back to back into one arena, and nothing is
+//! encoded again ([`Sealed`]). A sealed slice stores each shape once, in
+//! a table each row indexes, so rows of different shapes share an
+//! arena. Readers see any stored row through the same borrowed view,
+//! [`RowRef`].
 //!
 //! A value is a tag byte and its payload: an int as its zigzag LEB128
 //! varint, a float as its eight bits (so `-0.0` and every NaN payload
@@ -17,13 +19,14 @@
 //! row has no per-field offsets: a reader walks it field by field, and
 //! steps over an array or a nested document by its length.
 //!
-//! A write-ahead log frame holds its rows in the same encoding
-//! ([`put_rows`]): its own shape table, then each row as its shape's
-//! index and its values. A frame is read back by [`Checked`], which
-//! trusts none of its bytes.
+//! A write-ahead log frame holds the same rows ([`put_rows`]): its own
+//! shape table, then each row as its shape's index and its bytes,
+//! copied. A frame is read back by [`Checked`], which trusts none of
+//! its bytes and keeps each row's bytes, once checked, as a [`Row`].
 
-use crate::document::{names_of, Document, RowRef, Shape};
+use crate::document::{names_of, shape_of, Document, RowRef, Shape};
 use crate::value::{ArrayRef, Value, ValueRef};
+use std::fmt;
 use std::sync::Arc;
 
 const NULL: u8 = 0;
@@ -38,6 +41,55 @@ const DOC: u8 = 7;
 /// Rows a sealed slice holds at most: one per cell.
 const CELLS: usize = crate::snapshot::SLICE_ROWS as usize;
 
+/// A stored row's shape and its values' bytes, borrowed.
+pub(crate) type Parts<'a> = (&'a Option<Arc<Shape>>, &'a [u8]);
+
+/// One row in bytes, encoded once — its shape and its values' bytes:
+/// what an open slice's cell holds and what a log frame copies. Two
+/// `Row`s are `==` when their shapes and bytes are; read through
+/// [`Row::view`], a row compares as its values do (a NaN unequal to
+/// itself, `-0.0` equal to `0.0`).
+#[derive(Clone, PartialEq)]
+pub(crate) struct Row(Option<Arc<Shape>>, Box<[u8]>);
+
+impl Row {
+    /// Encode `doc` into a box of exactly its bytes: a copy, since a
+    /// shrunk buffer would leave its tail behind as a hole in the heap.
+    pub(crate) fn new(doc: &Document) -> Row {
+        let mut bytes = Vec::with_capacity(12 * doc.len());
+        doc.iter()
+            .for_each(|(_, v)| put_value(&mut bytes, v.view()));
+        Row(doc.shape().clone(), Box::from(&bytes[..]))
+    }
+
+    pub(crate) fn parts(&self) -> Parts<'_> {
+        (&self.0, &self.1)
+    }
+
+    pub(crate) fn view(&self) -> RowRef<'_> {
+        RowRef::encoded(self.parts())
+    }
+}
+
+/// A copy of a stored row's bytes.
+impl From<Parts<'_>> for Row {
+    fn from((shape, bytes): Parts<'_>) -> Row {
+        Row(shape.clone(), bytes.into())
+    }
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+impl PartialEq<Document> for Row {
+    fn eq(&self, doc: &Document) -> bool {
+        self.view() == *doc
+    }
+}
+
 /// A sealed slice: every row's bytes in one arena, by cell.
 pub(crate) struct Sealed {
     arena: Box<[u8]>,
@@ -50,16 +102,15 @@ pub(crate) struct Sealed {
 }
 
 impl Sealed {
-    /// Encode `rows`, each at its cell, ascending.
-    pub(crate) fn new<'r>(rows: impl Iterator<Item = (usize, RowRef<'r>)>) -> Sealed {
+    /// Pack `rows`, each at its cell, ascending: their bytes are copied.
+    pub(crate) fn new<'r>(rows: impl Iterator<Item = (usize, Parts<'r>)>) -> Sealed {
         // Room for a slice of `paths_stats` rows without regrowing.
         let mut arena = Vec::with_capacity(CELLS * 128);
         let mut ends = Box::new([0; CELLS]);
         let mut shape_of = Box::new([0; CELLS]);
         let mut shapes: Vec<Option<Arc<Shape>>> = Vec::new();
         let mut filled = 0;
-        for (i, row) in rows {
-            let shape = row.shape();
+        for (i, (shape, bytes)) in rows {
             shape_of[i] = match shapes.iter().position(|s| s == shape) {
                 Some(at) => at as u8,
                 None => {
@@ -68,11 +119,7 @@ impl Sealed {
                 }
             };
             ends[filled..i].fill(arena.len() as u32);
-            match row.sealed_bytes() {
-                // Already these bytes: a reseal copies them.
-                Some(bytes) => arena.extend_from_slice(bytes),
-                None => row.fields().for_each(|(_, v)| put_value(&mut arena, v)),
-            }
+            arena.extend_from_slice(bytes);
             ends[i] = arena.len() as u32;
             filled = i + 1;
         }
@@ -86,10 +133,10 @@ impl Sealed {
     }
 
     /// The row at cell `i`, which holds one.
-    pub(crate) fn row(&self, i: usize) -> RowRef<'_> {
+    pub(crate) fn parts(&self, i: usize) -> Parts<'_> {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         let bytes = &self.arena[start as usize..self.ends[i] as usize];
-        RowRef::sealed(&self.shapes[self.shape_of[i] as usize], bytes)
+        (&self.shapes[self.shape_of[i] as usize], bytes)
     }
 
     /// The bytes this slice holds its rows in, counted by length: the
@@ -206,16 +253,17 @@ fn put(out: &mut Vec<u8>, v: ValueRef<'_>, logged: bool) {
 
 /// Append `rows` as a log frame holds them: the count of distinct
 /// shapes and each shape's names, then the count of rows and each row
-/// as its shape's index and its logged values.
-pub(crate) fn put_rows<'a>(out: &mut Vec<u8>, rows: impl Iterator<Item = &'a Document> + Clone) {
+/// as its shape's index and its bytes, copied — unless they may hold a
+/// float that is not finite: its exponent is all ones, so its last two
+/// bytes read `0xF0` or more, then `0x7F` or `0xFF`. Such a row is
+/// written again value by value, the float as null (a false alarm
+/// writes the same bytes).
+pub(crate) fn put_rows(out: &mut Vec<u8>, rows: &[Row]) {
     let mut shapes: Vec<&Option<Arc<Shape>>> = Vec::new();
-    let mut count = 0;
-    for row in rows.clone() {
-        let shape = RowRef::from(row).shape();
-        if !shapes.contains(&shape) {
-            shapes.push(shape);
+    for row in rows {
+        if !shapes.contains(&&row.0) {
+            shapes.push(&row.0);
         }
-        count += 1;
     }
     put_varint(out, shapes.len() as u64);
     for shape in &shapes {
@@ -223,11 +271,19 @@ pub(crate) fn put_rows<'a>(out: &mut Vec<u8>, rows: impl Iterator<Item = &'a Doc
         put_varint(out, names.len() as u64);
         names.iter().for_each(|name| put_str(out, name));
     }
-    put_varint(out, count);
-    for row in rows.map(RowRef::from) {
-        let shape = shapes.iter().position(|s| *s == row.shape());
+    put_varint(out, rows.len() as u64);
+    for row @ Row(shape, bytes) in rows {
+        let shape = shapes.iter().position(|s| *s == shape);
         put_varint(out, shape.expect("every shape is in the table") as u64);
-        row.fields().for_each(|(_, v)| put_logged_value(out, v));
+        let non_finite = bytes
+            .windows(2)
+            .any(|w| w[0] >= 0xF0 && w[1] & 0x7F == 0x7F);
+        if non_finite {
+            let fields = row.view().fields();
+            fields.for_each(|(_, v)| put_logged_value(out, v));
+        } else {
+            out.extend_from_slice(bytes);
+        }
     }
 }
 
@@ -358,67 +414,61 @@ impl<'a> Checked<'a> {
         body.is_empty().then_some(items)
     }
 
-    /// The value these bytes start with, inside `depth` open documents
-    /// and arrays; no deeper than a JSON line may nest
+    /// Step over the value these bytes start with, inside `depth` open
+    /// documents and arrays, checking all the unchecked readers
+    /// (`read_value`, `skip_value`) take on trust: its tag, its UTF-8,
+    /// every count and length against the body it claims, no name twice
+    /// in one document, and no deeper than a JSON line may nest
     /// (`serde::json::MAX_DEPTH`), so a slice line could hold it too.
-    pub(crate) fn value(&mut self, depth: usize) -> Option<Value> {
-        Some(match self.byte()? {
-            NULL => Value::Null,
-            FALSE => Value::Bool(false),
-            TRUE => Value::Bool(true),
-            INT => {
-                let n = self.varint()?;
-                Value::Int((n >> 1) as i64 ^ -((n & 1) as i64))
-            }
-            FLOAT => {
-                let bits = self.take(8)?.try_into().ok()?;
-                Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
-            }
-            STR => Value::Str(self.str()?.to_owned()),
+    pub(crate) fn value(&mut self, depth: usize) -> Option<()> {
+        match self.byte()? {
+            NULL | FALSE | TRUE => Some(()),
+            INT => self.varint().map(drop),
+            FLOAT => self.take(8).map(drop),
+            STR => self.str().map(drop),
             ARRAY if depth < serde::json::MAX_DEPTH => {
                 let len = self.count()?;
-                Value::Array(self.sized(len, |body| body.value(depth + 1))?)
+                self.sized(len, |body| body.value(depth + 1)).map(drop)
             }
             DOC if depth < serde::json::MAX_DEPTH => {
                 let len = self.count()?;
-                let fields = self.sized(len, |body| Some((body.str()?, body.value(depth + 1)?)))?;
-                let doc: Document = fields.into_iter().collect();
-                // A repeated name would fold two fields into one.
-                Value::Doc((doc.len() == len).then_some(doc)?)
+                let mut names = self.sized(len, |body| {
+                    let name = body.str()?;
+                    body.value(depth + 1).map(|()| name)
+                })?;
+                names.sort_unstable();
+                names.windows(2).all(|w| w[0] != w[1]).then_some(())
             }
-            _ => return None,
-        })
+            _ => None,
+        }
     }
 
-    /// What [`put_rows`] wrote: each row a `Document` of its shape.
-    pub(crate) fn rows(&mut self) -> Option<Vec<Document>> {
-        let shapes = self.count()?;
-        let mut templates = Vec::with_capacity(shapes);
-        for _ in 0..shapes {
-            let names = self.count()?;
-            let mut template = Vec::with_capacity(names);
-            for _ in 0..names {
-                template.push((self.str()?, Value::Null));
-            }
-            let template: Document = template.into_iter().collect();
-            if template.len() != names {
-                return None;
-            }
-            templates.push(template);
+    /// A checked value, owned: a logged `_id`.
+    pub(crate) fn owned(&mut self) -> Option<Value> {
+        let mut bytes = self.0;
+        self.value(1)?;
+        Some(read_value(&mut bytes).into())
+    }
+
+    /// What [`put_rows`] wrote: each row its shape and its checked
+    /// bytes.
+    pub(crate) fn rows(&mut self) -> Option<Vec<Row>> {
+        let mut table = Vec::new();
+        for _ in 0..self.count()? {
+            let names: Vec<&str> = (0..self.count()?)
+                .map(|_| self.str())
+                .collect::<Option<_>>()?;
+            table.push(shape_of(names)?);
         }
         let rows = self.count()?;
         let mut out = Vec::with_capacity(rows);
         for _ in 0..rows {
-            let shape = usize::try_from(self.varint()?).ok()?;
-            let template = templates.get(shape)?;
-            if template.len() > self.0.len() {
-                return None;
+            let shape = table.get(usize::try_from(self.varint()?).ok()?)?;
+            let start = self.0;
+            for _ in 0..names_of(shape).len() {
+                self.value(1)?;
             }
-            let mut values = Vec::with_capacity(template.len());
-            for _ in 0..template.len() {
-                values.push(self.value(1)?);
-            }
-            out.push(Document::of_shape(template, values.into_boxed_slice()));
+            out.push(Row::from((shape, &start[..start.len() - self.0.len()])));
         }
         Some(out)
     }

@@ -1,8 +1,9 @@
 //! Collections: insertion-ordered document stores with a unique `_id`
 //! index, optional ordered secondary indexes, planner-served queries,
-//! updates and bulk insertion.
+//! updates and bulk insertion. A collection stores no `Document`: a
+//! write encodes each row once ([`Row`]), then logs and keeps its bytes.
 
-use crate::arena::Sealed;
+use crate::arena::{Parts, Row, Sealed};
 use crate::document::{Document, RowRef};
 use crate::error::{DbError, DbResult};
 use crate::plan::{self, QueryPlan};
@@ -10,9 +11,8 @@ use crate::query::{Filter, FindOptions};
 use crate::snapshot::SLICE_ROWS;
 use crate::update::Update;
 use crate::value::{Value, ValueRef};
-use crate::wal::{Wal, WalOpRef};
+use crate::wal::{encode_group, Wal, WalOpRef};
 use parking_lot::Mutex;
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::{Bound, Range};
@@ -143,35 +143,27 @@ const CELLS: usize = SLICE_ROWS as usize;
 /// the images pinned from it. Which cells an owner sees is the owner's
 /// own `Held::live`.
 pub(crate) enum Slice {
-    /// Rows as documents: the slice the allocator is in, one a pinned
-    /// image still shares, or one a write reopened. A cell is written once through a shared
-    /// reference, so an append into a slice an image shares copies
-    /// nothing; replacing or clearing a cell needs the slice to itself.
-    Cells {
-        cells: Box<[OnceLock<Document>; CELLS]>,
-        /// The sealed slice a write reopened, whose rows stand where a
-        /// cell is empty. Only a mutation in progress holds one: it
-        /// seals the slice again before it returns.
-        under: Option<Arc<Slice>>,
-    },
-    /// Rows as bytes ([`Sealed`]): every slice the allocator has passed
-    /// that no pinned image shares.
+    /// A row's bytes to a cell: the slice the allocator is in, one a
+    /// pinned image still shares, or one a write reopened (and seals
+    /// again before it returns). A cell is written once through a
+    /// shared reference, so an append into a slice an image shares
+    /// copies nothing; replacing or clearing a cell needs the slice to
+    /// itself.
+    Cells(Box<[OnceLock<Row>; CELLS]>),
+    /// The rows' bytes packed into one arena ([`Sealed`]): every slice
+    /// the allocator has passed that no pinned image shares.
     Sealed(Sealed),
 }
 
-fn empty_cells() -> Box<[OnceLock<Document>; CELLS]> {
+fn empty_cells() -> Box<[OnceLock<Row>; CELLS]> {
     Box::new(std::array::from_fn(|_| OnceLock::new()))
 }
 
 impl Slice {
-    fn row(&self, i: usize) -> RowRef<'_> {
+    fn parts(&self, i: usize) -> Parts<'_> {
         match self {
-            Slice::Cells { cells, under } => match (cells[i].get(), under) {
-                (Some(doc), _) => doc.into(),
-                (None, Some(under)) => under.row(i),
-                (None, None) => panic!("a live cell holds its row"),
-            },
-            Slice::Sealed(sealed) => sealed.row(i),
+            Slice::Cells(cells) => cells[i].get().expect("a live cell holds its row").parts(),
+            Slice::Sealed(sealed) => sealed.parts(i),
         }
     }
 }
@@ -187,10 +179,7 @@ struct Held {
 impl Held {
     fn new() -> Held {
         Held {
-            slice: Arc::new(Slice::Cells {
-                cells: empty_cells(),
-                under: None,
-            }),
+            slice: Arc::new(Slice::Cells(empty_cells())),
             live: [0; CELLS / 64],
         }
     }
@@ -216,54 +205,39 @@ impl Held {
     }
 
     fn row(&self, i: usize) -> RowRef<'_> {
-        self.slice.row(i)
+        RowRef::encoded(self.slice.parts(i))
     }
 
     /// The cells to write in: the slice's own when this owner holds it
-    /// alone and it is open; else a sealed slice reopened (empty cells
-    /// over its rows, which the next seal copies as bytes) or a copy of
-    /// a shared open one — its live rows only. Returns the live rows,
-    /// when an image shares the slice: what this owner's next seal of it
-    /// copies (or the copy did).
-    fn own(&mut self) -> (&mut [OnceLock<Document>; CELLS], u64) {
+    /// alone and it is open; else cells holding a copy of its live
+    /// rows' bytes — a sealed slice reopened, or a shared one copied.
+    /// Returns the live rows when an image shares the slice: the rows
+    /// copied for it.
+    fn own(&mut self) -> (&mut [OnceLock<Row>; CELLS], u64) {
         let shared = Arc::get_mut(&mut self.slice).is_none();
+        if shared || matches!(*self.slice, Slice::Sealed(_)) {
+            let copy = empty_cells();
+            for i in self.cells() {
+                let _ = copy[i].set(Row::from(self.slice.parts(i)));
+            }
+            self.slice = Arc::new(Slice::Cells(copy));
+        }
         let copied = if shared {
             self.cells().count() as u64
         } else {
             0
         };
-        let fresh = match &*self.slice {
-            Slice::Sealed(_) => Some(Slice::Cells {
-                cells: empty_cells(),
-                under: Some(Arc::clone(&self.slice)),
-            }),
-            Slice::Cells { cells, under } if shared => {
-                let copy = empty_cells();
-                for i in self.cells() {
-                    if let Some(doc) = cells[i].get() {
-                        let _ = copy[i].set(doc.clone());
-                    }
-                }
-                Some(Slice::Cells {
-                    cells: copy,
-                    under: under.clone(),
-                })
-            }
-            Slice::Cells { .. } => None,
-        };
-        if let Some(fresh) = fresh {
-            self.slice = Arc::new(fresh);
-        }
         match Arc::get_mut(&mut self.slice) {
-            Some(Slice::Cells { cells, .. }) => (cells, copied),
+            Some(Slice::Cells(cells)) => (cells, copied),
             _ => unreachable!("an unshared open slice"),
         }
     }
 
-    /// Seal an open slice into its bytes. No row counts as copied.
+    /// Pack an open slice's bytes into one arena. No row counts as
+    /// copied.
     fn seal(&mut self) {
-        if let Slice::Cells { .. } = *self.slice {
-            let sealed = Sealed::new(self.cells().map(|i| (i, self.row(i))));
+        if let Slice::Cells(_) = *self.slice {
+            let sealed = Sealed::new(self.cells().map(|i| (i, self.slice.parts(i))));
             self.slice = Arc::new(Slice::Sealed(sealed));
         }
     }
@@ -326,16 +300,16 @@ impl Rows {
 
     /// The cells of the slice at `key`, copied or reopened first as
     /// `Held::own` says; the slice is open from here on.
-    fn own(&mut self, key: u64) -> (&mut [OnceLock<Document>; CELLS], u64) {
+    fn own(&mut self, key: u64) -> (&mut [OnceLock<Row>; CELLS], u64) {
         self.open.insert(key);
         let held = self.slices.get_mut(&key).expect("a live row's slice");
         held.own()
     }
 
-    /// Put `doc` at `seq`, which holds no row. Copies nothing unless
+    /// Put `row` at `seq`, which holds no row. Copies nothing unless
     /// the cell still holds a row this owner no longer sees and an
     /// image shares the slice. Returns the rows copied.
-    fn place(&mut self, seq: u64, doc: Document) -> u64 {
+    fn place(&mut self, seq: u64, row: Row) -> u64 {
         let (key, i) = split(seq);
         let held = self.slices.entry(key).or_insert_with(|| {
             self.open.insert(key);
@@ -343,12 +317,12 @@ impl Rows {
         });
         let mut copied = 0;
         let refused = match &*held.slice {
-            Slice::Cells { cells, .. } => cells[i].set(doc).err(),
-            Slice::Sealed(_) => Some(doc),
+            Slice::Cells(cells) => cells[i].set(row).err(),
+            Slice::Sealed(_) => Some(row),
         };
-        if let Some(doc) = refused {
+        if let Some(row) = refused {
             let (cells, n) = self.own(key);
-            cells[i] = OnceLock::from(doc);
+            cells[i] = OnceLock::from(row);
             copied = n;
         }
         let held = self.slices.get_mut(&key).expect("just placed");
@@ -357,12 +331,12 @@ impl Rows {
         copied
     }
 
-    /// Swap the row at `seq`, which holds one, for `doc`: the rows
+    /// Swap the row at `seq`, which holds one, for `row`: the rows
     /// copied to do it.
-    fn replace(&mut self, seq: u64, doc: Document) -> u64 {
+    fn replace(&mut self, seq: u64, row: Row) -> u64 {
         let (key, i) = split(seq);
         let (cells, copied) = self.own(key);
-        cells[i] = OnceLock::from(doc);
+        cells[i] = OnceLock::from(row);
         copied
     }
 
@@ -377,7 +351,7 @@ impl Rows {
         if held.live == [0; CELLS / 64] {
             self.slices.remove(&key);
             self.open.remove(&key);
-        } else if let Some(Slice::Cells { cells, .. }) = Arc::get_mut(&mut held.slice) {
+        } else if let Some(Slice::Cells(cells)) = Arc::get_mut(&mut held.slice) {
             cells[i].take();
         }
     }
@@ -705,10 +679,10 @@ impl Collection {
     // only report rows copied out of shared slices): the mutation that
     // called them says what it did to `record`, once.
 
-    /// Put `doc` at `seq`, which holds no row.
-    fn place(&mut self, seq: u64, id_key: String, doc: Document) {
-        self.index_row(seq, id_key, (&doc).into());
-        let copied = self.docs.place(seq, doc);
+    /// Put `row` at `seq`, which holds no row.
+    fn place(&mut self, seq: u64, id_key: String, row: Row) {
+        self.index_row(seq, id_key, row.view());
+        let copied = self.docs.place(seq, row);
         self.count_copies(copied);
     }
 
@@ -720,17 +694,18 @@ impl Collection {
         }
     }
 
-    /// Swap the row at `seq` for `doc`, which has the same `_id`.
+    /// Swap the row at `seq` for `row`, which has the same `_id`.
     /// `false`, and nothing happened (nothing copied either), when the
-    /// two are equal.
-    fn replace(&mut self, seq: u64, doc: Cow<'_, Document>) -> bool {
-        let Some(old) = self.docs.get(seq).filter(|row| *row != *doc) else {
+    /// two are equal as rows (not as bytes: `-0.0` equals `0.0`, a NaN
+    /// never equals itself).
+    fn replace(&mut self, seq: u64, row: Row) -> bool {
+        let Some(old) = self.docs.get(seq).filter(|old| *old != row.view()) else {
             return false;
         };
         for (field, idx) in &mut self.indexes {
             idx.remove(seq, &index_keys_of(old, field));
         }
-        let copied = self.docs.replace(seq, doc.into_owned());
+        let copied = self.docs.replace(seq, row);
         self.count_copies(copied);
         let row = self.docs.get(seq).expect("just replaced");
         for (field, idx) in &mut self.indexes {
@@ -803,9 +778,9 @@ impl Collection {
     /// Insert one document. A missing `_id` gets an auto-generated one.
     /// Returns the document's id key.
     pub fn insert_one(&mut self, doc: Document) -> DbResult<String> {
-        let mut ids = self.insert_logged(vec![doc], |coll, staged| WalOpRef::Insert {
+        let mut ids = self.insert_logged(vec![doc], |coll, rows| WalOpRef::Insert {
             coll,
-            doc: &staged[0].1,
+            doc: &rows[0],
         })?;
         Ok(ids.pop().expect("one id per inserted document"))
     }
@@ -814,23 +789,21 @@ impl Collection {
     /// paper prefers for scalability (§4.2.2) — one call per destination
     /// instead of one per measurement.
     pub fn insert_many(&mut self, docs: Vec<Document>) -> DbResult<Vec<String>> {
-        self.insert_logged(docs, |coll, staged| WalOpRef::InsertMany {
-            coll,
-            docs: staged.iter().map(|(_, d)| d).collect(),
-        })
+        self.insert_logged(docs, |coll, rows| WalOpRef::InsertMany { coll, docs: rows })
     }
 
     /// Stage, validate, log as `frame`, apply: the body of both inserts.
     fn insert_logged(&mut self, docs: Vec<Document>, frame: InsertFrame) -> DbResult<Vec<String>> {
         // Pre-validate ids (including duplicates within the batch) so a
         // failure leaves the collection untouched.
-        let mut staged: Vec<(String, Document)> = Vec::with_capacity(docs.len());
+        let mut ids = Vec::with_capacity(docs.len());
+        let mut rows = Vec::with_capacity(docs.len());
         for mut doc in docs {
-            let id_key = self.prepare_id(&mut doc)?;
-            staged.push((id_key, doc));
+            ids.push(self.prepare_id(&mut doc)?);
+            rows.push(Row::new(&doc));
         }
-        let mut batch_ids: HashSet<&str> = HashSet::with_capacity(staged.len());
-        if let Some((dup, _)) = staged.iter().find(|(id, _)| !batch_ids.insert(id)) {
+        let mut batch_ids: HashSet<&str> = HashSet::with_capacity(ids.len());
+        if let Some(dup) = ids.iter().find(|id| !batch_ids.insert(id)) {
             return Err(DbError::DuplicateId(dup.clone()));
         }
         // Validation passed: the batch is one WAL commit group, so the
@@ -838,15 +811,13 @@ impl Collection {
         // crashes too (§4.2.2 — one group per destination batch). Log
         // before applying: a write the log could not make durable is
         // refused outright, leaving the collection untouched.
-        if !staged.is_empty() {
-            self.wal_commit(frame(&self.name, &staged), staged.len() as u64)?;
+        if !rows.is_empty() {
+            self.wal_commit(self.wal_group(frame(&self.name, &rows)), rows.len() as u64)?;
         }
         let first = self.next_seq;
-        let mut ids = Vec::with_capacity(staged.len());
-        for (id_key, doc) in staged {
-            self.place(self.next_seq, id_key.clone(), doc);
+        for (id_key, row) in ids.iter().zip(rows) {
+            self.place(self.next_seq, id_key.clone(), row);
             self.next_seq += 1;
-            ids.push(id_key);
         }
         self.record(first..self.next_seq, &[], &[]);
         Ok(ids)
@@ -861,17 +832,20 @@ impl Collection {
     /// primitive [`crate::rollup`] uses to land "aggregate rows plus
     /// covered watermark" as a single crash-atomic effect group.
     pub(crate) fn upsert_many(&mut self, docs: Vec<Document>) -> DbResult<usize> {
-        for doc in &docs {
-            if doc.get("_id").is_none() {
-                return Err(DbError::BadDocument(
-                    "upsert_many requires an explicit _id on every document".into(),
-                ));
-            }
+        if docs.iter().any(|doc| doc.get("_id").is_none()) {
+            return Err(DbError::BadDocument(
+                "upsert_many requires an explicit _id on every document".into(),
+            ));
         }
+        let rows: Vec<Row> = docs.iter().map(Row::new).collect();
+        let group = self.wal_group(WalOpRef::Update {
+            coll: &self.name,
+            docs: &rows,
+        });
         let first = self.next_seq;
         let mut replaced = Vec::new();
-        for doc in &docs {
-            if let Upserted::Replaced(seq) = self.upsert_row(None, Cow::Borrowed(doc)) {
+        for row in rows {
+            if let Upserted::Replaced(seq) = self.upsert_row(None, row) {
                 replaced.push(seq);
             }
         }
@@ -881,8 +855,7 @@ impl Collection {
             // Apply-then-log, as for updates: the log carries the
             // post-images (replayed as idempotent upserts) and a
             // failure poisons the WAL rather than being refused.
-            let coll = &self.name;
-            let _ = self.wal_commit(WalOpRef::Update { coll, docs: &docs }, docs.len() as u64);
+            let _ = self.wal_commit(group, docs.len() as u64);
         }
         Ok(changed)
     }
@@ -890,17 +863,19 @@ impl Collection {
     /// Upsert one post-image: swap it for the live row with its `_id`,
     /// where that is, or place it at `at` (the allocator when `None`).
     /// An explicit `at` only places: a held `_id` leaves the collection
-    /// as it was. A document without an id — the log and the slice
-    /// files never hold one; tolerated anyway — gets a generated one.
-    fn upsert_row(&mut self, at: Option<u64>, mut doc: Cow<'_, Document>) -> Upserted {
-        if doc.get("_id").is_none() {
-            let _ = self.prepare_id(doc.to_mut());
+    /// as it was. A row without an id — the log and the slice files
+    /// never hold one; tolerated anyway — gets a generated one.
+    fn upsert_row(&mut self, at: Option<u64>, mut row: Row) -> Upserted {
+        if row.view().get("_id").is_none() {
+            let mut doc = row.view().to_document();
+            let _ = self.prepare_id(&mut doc);
+            row = Row::new(&doc);
         }
-        let key = id_key((&*doc).into());
+        let key = id_key(row.view());
         match self.primary.get(&key).copied() {
             Some(_) if at.is_some() => Upserted::Unchanged,
             Some(seq) => {
-                if self.replace(seq, doc) {
+                if self.replace(seq, row) {
                     Upserted::Replaced(seq)
                 } else {
                     Upserted::Unchanged
@@ -909,7 +884,7 @@ impl Collection {
             None => {
                 let seq = at.unwrap_or(self.next_seq);
                 self.next_seq = self.next_seq.max(seq + 1);
-                self.place(seq, key, doc.into_owned());
+                self.place(seq, key, row);
                 Upserted::Placed(seq)
             }
         }
@@ -950,23 +925,24 @@ impl Collection {
             };
             let mut doc = row.to_document();
             update.apply(&mut doc);
-            if self.wal.is_some() {
-                self.replace(seq, Cow::Borrowed(&doc));
-                post_images.push(doc);
-            } else {
-                self.replace(seq, Cow::Owned(doc));
-            }
+            post_images.push(Row::new(&doc));
             true
         });
+        // Filters are not serialized; the log carries the updated rows
+        // themselves, replayed as upserts.
+        let group = self.wal_group(WalOpRef::Update {
+            coll: &self.name,
+            docs: &post_images,
+        });
+        for (&seq, row) in seqs.iter().zip(post_images) {
+            self.replace(seq, row);
+        }
         self.record(0..0, &seqs, &[]);
         if !seqs.is_empty() {
-            // Filters are not serialized; the log carries the updated
-            // documents themselves, replayed as upserts. Already
-            // applied, so a log failure cannot be refused: it poisons
-            // the WAL (surfaced by `Database::wal_health`) and the next
-            // checkpoint restores durability.
-            let (coll, docs) = (&self.name, &post_images[..]);
-            let _ = self.wal_commit(WalOpRef::Update { coll, docs }, docs.len() as u64);
+            // Already applied, so a log failure cannot be refused: it
+            // poisons the WAL (surfaced by `Database::wal_health`) and
+            // the next checkpoint restores durability.
+            let _ = self.wal_commit(group, seqs.len() as u64);
         }
         seqs.len()
     }
@@ -989,7 +965,8 @@ impl Collection {
         if !seqs.is_empty() {
             // Apply-then-log, as for updates: failure poisons.
             let (coll, ids) = (&self.name, &removed_ids[..]);
-            let _ = self.wal_commit(WalOpRef::Delete { coll, ids }, ids.len() as u64);
+            let group = self.wal_group(WalOpRef::Delete { coll, ids });
+            let _ = self.wal_commit(group, ids.len() as u64);
         }
         seqs.len()
     }
@@ -1041,16 +1018,22 @@ impl Collection {
         }
     }
 
-    /// Commit `op` as one WAL group (nothing to do without a log),
-    /// reporting op counts (deterministic) and wall-clock latency
-    /// (under the `wall.` prefix — real I/O time, excluded from the
-    /// determinism contract).
-    fn wal_commit(&self, op: WalOpRef<'_>, docs: u64) -> DbResult<()> {
-        let Some(wal) = &self.wal else {
+    /// `op` encoded as one WAL group, when a log is attached: encoded
+    /// before the rows it copies move into the slices.
+    fn wal_group(&self, op: WalOpRef<'_>) -> Option<Vec<u8>> {
+        self.wal.as_ref().map(|_| encode_group(&[op]))
+    }
+
+    /// Append `group` ([`Collection::wal_group`]; nothing to do without
+    /// a log), reporting op counts (deterministic) and wall-clock
+    /// latency (under the `wall.` prefix — real I/O time, excluded from
+    /// the determinism contract).
+    fn wal_commit(&self, group: Option<Vec<u8>>, docs: u64) -> DbResult<()> {
+        let (Some(wal), Some(group)) = (&self.wal, group) else {
             return Ok(());
         };
         let started = Instant::now();
-        let out = wal.commit_ref(&[op]);
+        let out = wal.commit_encoded(group);
         self.rec().observe(
             "wall.pathdb.wal.commit_ms",
             started.elapsed().as_secs_f64() * 1e3,
@@ -1063,13 +1046,13 @@ impl Collection {
         out
     }
 
-    /// Apply a logged post-image: replace the live document with the
-    /// same `_id` in place (keeping its insertion sequence), or append
-    /// it. Idempotent — replaying an effect twice converges — which is
-    /// what lets recovery replay a WAL whose prefix a snapshot already
+    /// Apply a logged post-image: replace the live row with the same
+    /// `_id` in place (keeping its insertion sequence), or append it.
+    /// Idempotent — replaying an effect twice converges — which is what
+    /// lets recovery replay a WAL whose prefix a snapshot already
     /// contains. Never logs; only the replay path calls this.
-    pub(crate) fn apply_upsert(&mut self, doc: Document) {
-        self.apply_upsert_to(None, doc);
+    pub(crate) fn apply_upsert(&mut self, row: Row) {
+        self.apply_upsert_to(None, row);
     }
 
     /// Place a slice file's row at its persisted insertion sequence,
@@ -1079,12 +1062,12 @@ impl Collection {
     /// watermark taken before a crash (the rollup meta document) still
     /// names the same rows afterwards. `false`, and nothing changed,
     /// when a loaded row already holds the `_id`.
-    pub(crate) fn load_at(&mut self, seq: u64, doc: Document) -> bool {
-        matches!(self.apply_upsert_to(Some(seq), doc), Upserted::Placed(_))
+    pub(crate) fn load_at(&mut self, seq: u64, row: Row) -> bool {
+        matches!(self.apply_upsert_to(Some(seq), row), Upserted::Placed(_))
     }
 
-    fn apply_upsert_to(&mut self, at: Option<u64>, doc: Document) -> Upserted {
-        let upserted = self.upsert_row(at, Cow::Owned(doc));
+    fn apply_upsert_to(&mut self, at: Option<u64>, row: Row) -> Upserted {
+        let upserted = self.upsert_row(at, row);
         match upserted {
             Upserted::Unchanged => {}
             Upserted::Replaced(seq) => self.record(0..0, &[seq], &[]),
@@ -1181,9 +1164,9 @@ impl Collection {
 
 /// How an insert spells its staged batch in the log: one
 /// [`WalOpRef::Insert`] or one [`WalOpRef::InsertMany`] group.
-type InsertFrame = for<'a> fn(&'a str, &'a [(String, Document)]) -> WalOpRef<'a>;
+type InsertFrame = for<'a> fn(&'a str, &'a [Row]) -> WalOpRef<'a>;
 
-/// What [`Collection::upsert_row`] did with its document.
+/// What [`Collection::upsert_row`] did with its row.
 enum Upserted {
     Unchanged,
     Replaced(u64),
@@ -1971,6 +1954,52 @@ mod tests {
         assert!(memo.iter().eq(rows[..last].iter().map(RowRef::from)));
         let sealed_rows = c.iter().take(SLICE_ROWS as usize);
         assert!(sealed_rows.eq(rows.iter().map(RowRef::from)));
+    }
+
+    /// An open slice of `paths_stats` rows costs its bytes too: a cell
+    /// holds a row's shape and the bytes it was encoded in, once, which
+    /// are the bytes its log frame holds. Counted by length: the cells,
+    /// each row's bytes, and the shape's names, which every row shares.
+    #[test]
+    fn an_open_slice_costs_its_bytes() {
+        use crate::document::names_of;
+        use crate::storage::{FaultyStorage, Storage};
+        use crate::wal::{wal_path, Wal};
+        let rows: Vec<Document> = (0..SLICE_ROWS - 1).map(stats_row).collect();
+        let storage = Arc::new(FaultyStorage::new());
+        let dir = std::path::PathBuf::from("/db");
+        let telemetry = Arc::new(Telemetry::new());
+        let mut c = Collection::new("paths_stats");
+        c.set_recorder(Some(telemetry.clone()));
+        c.set_wal(Some(Arc::new(Wal::new(storage.clone(), dir.clone(), 0))));
+        let last = rows.len() - 1;
+        c.insert_many(rows[..last].to_vec()).unwrap();
+        let pin = c.read_snapshot();
+        c.insert_one(rows[last].clone()).unwrap();
+        assert!(shares(&c, &pin, 0));
+        let Slice::Cells(cells) = &*c.docs.slices[&0].slice else {
+            panic!("the slice the allocator is in is open")
+        };
+        let held: Vec<&Row> = cells.iter().filter_map(OnceLock::get).collect();
+        assert_eq!(held.len(), rows.len());
+        let names = names_of(held[0].parts().0);
+        let shape = std::mem::size_of_val(names) + names.iter().map(|n| n.len()).sum::<usize>();
+        let bytes: usize = held.iter().map(|row| row.parts().1.len()).sum();
+        let per_row = (std::mem::size_of_val(&**cells) + bytes + shape) as f64 / held.len() as f64;
+        println!("{per_row:.1} B per open row");
+        assert!(per_row <= 176.0, "{per_row} B per open row");
+        assert_eq!(copied(&telemetry), 0, "an append under a pin copies no row");
+        assert!(pin.iter().eq(rows[..last].iter().map(RowRef::from)));
+        assert!(c.iter().eq(rows.iter().map(RowRef::from)));
+        // Each row's bytes are in the log verbatim, in order.
+        let log = storage.read(&wal_path(&dir, 0)).unwrap();
+        let mut rest = &log[..];
+        for row in held {
+            let bytes = row.parts().1;
+            let at = rest.windows(bytes.len()).position(|w| w == bytes);
+            let at = at.expect("the log copies the row's bytes");
+            rest = &rest[at + bytes.len()..];
+        }
     }
 
     /// A logged batch of `paths_stats` rows costs its bytes — the budget

@@ -37,7 +37,7 @@ use crate::snapshot::{
     LoadOptions, Manifest, ManifestEntry, SkippedLines, MANIFEST,
 };
 use crate::storage::{tmp_target, DiskStorage, Storage};
-use crate::wal::{parse_wal_path, read_wal, Wal, WalOp, WalOpRef};
+use crate::wal::{encode_group, parse_wal_path, read_wal, Wal, WalOp, WalOpRef};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -355,7 +355,7 @@ impl Database {
             if let Some(wal) = &self.wal {
                 // Already removed in memory; a log failure poisons the
                 // WAL rather than resurrecting the collection.
-                let _ = wal.commit_ref(&[WalOpRef::Drop { coll: name }]);
+                let _ = wal.commit_encoded(encode_group(&[WalOpRef::Drop { coll: name }]));
             }
         }
         existed

@@ -1,10 +1,10 @@
-//! Ordered documents: the unit of storage, a MongoDB-style record,
-//! kept as a field-name shape shared between rows plus the row's own
-//! values at their exact size — and [`RowRef`], the one borrowed view
-//! every reader of a stored row goes through, whether the row is still
-//! a `Document` or sealed into its slice's bytes (`arena`).
+//! Ordered documents: a MongoDB-style record, kept as a field-name
+//! shape shared between rows plus the row's own values at their exact
+//! size — what requests, updates and answers carry; a collection stores
+//! each row as its shape and its bytes (`arena`) — and [`RowRef`], the
+//! one borrowed view every reader of a row goes through, stored or not.
 
-use crate::arena;
+use crate::arena::{self, Parts};
 use crate::value::{Value, ValueRef};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -162,14 +162,9 @@ impl Document {
         self.values.len()
     }
 
-    /// A row of `like`'s names holding `values`, one per name in order:
-    /// how the rows of a log frame share its shape table.
-    pub(crate) fn of_shape(like: &Document, values: Box<[Value]>) -> Document {
-        assert_eq!(like.len(), values.len(), "one value per name");
-        Document {
-            shape: like.shape.clone(),
-            values,
-        }
+    /// The row's shape, what a stored row keeps with its bytes.
+    pub(crate) fn shape(&self) -> &Option<Arc<Shape>> {
+        &self.shape
     }
 
     fn slot(&self, key: &str) -> Option<usize> {
@@ -269,6 +264,19 @@ impl<'a> FromIterator<(&'a str, Value)> for Document {
     }
 }
 
+/// The shape of `names` in order, shared as a built row's is; `None`
+/// when a name repeats.
+pub(crate) fn shape_of<'a>(names: impl IntoIterator<Item = &'a str>) -> Option<Option<Arc<Shape>>> {
+    let mut shape = None;
+    for name in names {
+        let Place::Append(longer) = place(&shape, name) else {
+            return None;
+        };
+        shape = Some(longer);
+    }
+    Some(shape)
+}
+
 impl fmt::Debug for Document {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let fields: Vec<(&str, &Value)> = self.iter().collect();
@@ -290,12 +298,12 @@ impl<'a> IntoIterator for &'a Document {
     }
 }
 
-/// A borrowed row: a [`Document`], or a row sealed into its slice's
-/// bytes. Every read of a stored row goes through it — filters, the
-/// planner, index upkeep, the statcache fold, rollups, the slice
-/// encoder — and [`RowRef::to_document`] copies one out where a caller
-/// needs it owned. Equality, order and every byte written are the
-/// `Document`'s: a sealed row and the document it was are
+/// A borrowed row: a stored row's bytes, or a [`Document`] a request
+/// or an answer holds. Every read of a stored row goes through it —
+/// filters, the planner, index upkeep, the statcache fold, rollups, the
+/// slice encoder — and [`RowRef::to_document`] copies one out where a
+/// caller needs it owned. Equality, order and every byte written are
+/// the `Document`'s: a stored row and the document it was are
 /// indistinguishable.
 #[derive(Clone, Copy)]
 pub struct RowRef<'a>(Repr<'a>);
@@ -303,13 +311,13 @@ pub struct RowRef<'a>(Repr<'a>);
 #[derive(Clone, Copy)]
 enum Repr<'a> {
     Doc(&'a Document),
-    /// A sealed row: its shape, and its values' bytes in the shape's
+    /// A stored row: its shape, and its values' bytes in the shape's
     /// order.
-    Sealed {
+    Encoded {
         shape: &'a Option<Arc<Shape>>,
         bytes: &'a [u8],
     },
-    /// A document nested in a sealed row: `len` fields, each its name
+    /// A document nested in a stored row: `len` fields, each its name
     /// then its value.
     Nested {
         len: usize,
@@ -330,9 +338,9 @@ impl<'a> From<&RowRef<'a>> for RowRef<'a> {
 }
 
 impl<'a> RowRef<'a> {
-    /// A sealed row of `shape` whose values are `bytes`.
-    pub(crate) fn sealed(shape: &'a Option<Arc<Shape>>, bytes: &'a [u8]) -> RowRef<'a> {
-        RowRef(Repr::Sealed { shape, bytes })
+    /// A stored row: its shape, and its values' bytes.
+    pub(crate) fn encoded((shape, bytes): Parts<'a>) -> RowRef<'a> {
+        RowRef(Repr::Encoded { shape, bytes })
     }
 
     /// A nested document of `len` fields at the start of `bytes`.
@@ -340,30 +348,12 @@ impl<'a> RowRef<'a> {
         RowRef(Repr::Nested { len, bytes })
     }
 
-    /// The row's shape, what a slice's shape table holds. A stored row
-    /// is a document or sealed, never nested.
-    pub(crate) fn shape(self) -> &'a Option<Arc<Shape>> {
-        match self.0 {
-            Repr::Doc(doc) => &doc.shape,
-            Repr::Sealed { shape, .. } => shape,
-            Repr::Nested { .. } => unreachable!("a stored row is never nested"),
-        }
-    }
-
-    /// A sealed row's bytes.
-    pub(crate) fn sealed_bytes(self) -> Option<&'a [u8]> {
-        match self.0 {
-            Repr::Sealed { bytes, .. } => Some(bytes),
-            _ => None,
-        }
-    }
-
-    /// The fields in order, each read once: the one walk a sealed row
+    /// The fields in order, each read once: the one walk a stored row
     /// supports, so a reader of many fields matches names as they come.
     pub fn fields(self) -> impl Iterator<Item = (&'a str, ValueRef<'a>)> + Clone {
         match self.0 {
             Repr::Doc(doc) => Fields::Doc(doc.names().iter(), doc.values.iter()),
-            Repr::Sealed { shape, bytes } => Fields::Sealed(names_of(shape).iter(), bytes),
+            Repr::Encoded { shape, bytes } => Fields::Encoded(names_of(shape).iter(), bytes),
             Repr::Nested { len, bytes } => Fields::Nested(len, bytes),
         }
     }
@@ -371,7 +361,7 @@ impl<'a> RowRef<'a> {
     pub(crate) fn len(self) -> usize {
         match self.0 {
             Repr::Doc(doc) => doc.len(),
-            Repr::Sealed { shape, .. } => names_of(shape).len(),
+            Repr::Encoded { shape, .. } => names_of(shape).len(),
             Repr::Nested { len, .. } => len,
         }
     }
@@ -385,7 +375,7 @@ impl<'a> RowRef<'a> {
     pub fn get(self, key: &str) -> Option<ValueRef<'a>> {
         match self.0 {
             Repr::Doc(doc) => doc.get(key).map(Value::view),
-            Repr::Sealed { shape, mut bytes } => {
+            Repr::Encoded { shape, mut bytes } => {
                 let at = names_of(shape).iter().position(|n| **n == *key)?;
                 for _ in 0..at {
                     arena::skip_value(&mut bytes);
@@ -419,11 +409,11 @@ impl<'a> RowRef<'a> {
         self.get("_id")?.as_str()
     }
 
-    /// An owned copy. A sealed row keeps its shape shared.
+    /// An owned copy. A stored row keeps its shape shared.
     pub fn to_document(self) -> Document {
         match self.0 {
             Repr::Doc(doc) => doc.clone(),
-            Repr::Sealed { shape, .. } => Document {
+            Repr::Encoded { shape, .. } => Document {
                 shape: shape.clone(),
                 values: self.fields().map(|(_, v)| v.into()).collect(),
             },
@@ -451,7 +441,7 @@ impl<'a> RowRef<'a> {
 #[derive(Clone)]
 enum Fields<'a> {
     Doc(std::slice::Iter<'a, Arc<str>>, std::slice::Iter<'a, Value>),
-    Sealed(std::slice::Iter<'a, Arc<str>>, &'a [u8]),
+    Encoded(std::slice::Iter<'a, Arc<str>>, &'a [u8]),
     Nested(usize, &'a [u8]),
 }
 
@@ -461,7 +451,7 @@ impl<'a> Iterator for Fields<'a> {
     fn next(&mut self) -> Option<(&'a str, ValueRef<'a>)> {
         match self {
             Fields::Doc(names, values) => Some((names.next()?, values.next()?.view())),
-            Fields::Sealed(names, bytes) => Some((names.next()?, arena::read_value(bytes))),
+            Fields::Encoded(names, bytes) => Some((names.next()?, arena::read_value(bytes))),
             Fields::Nested(0, _) => None,
             Fields::Nested(len, bytes) => {
                 *len -= 1;
@@ -516,6 +506,7 @@ macro_rules! doc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Row;
     use crate::snapshot::{decode_jsonl, encode_jsonl_seq, take_seq, LoadOptions};
     use crate::wal::{encode_group, read_wal, WalOp, WalOpRef};
 
@@ -578,13 +569,14 @@ mod tests {
         };
         let log = encode_group(&[WalOpRef::Insert {
             coll: "paths_stats",
-            doc: built,
+            doc: &Row::new(built),
         }]);
         let mut logged = Vec::new();
         read_wal(&log[..], log.len() as u64, |group| logged.extend(group)).unwrap();
         let [WalOp::Insert { doc: logged, .. }] = &logged[..] else {
             panic!("one insert")
         };
+        let logged = &logged.view().to_document();
         let slice = encode_jsonl_seq([(7, built)].into_iter());
         let mut sliced = Vec::new();
         decode_jsonl(&slice, "slice", &LoadOptions::default(), |mut row| {
@@ -960,7 +952,12 @@ mod tests {
             };
             prop_assert_eq!(json(sealed), json(want));
             prop_assert_eq!(sealed.to_string(), doc.to_string());
-            let wal = |d: &Document| encode_group(&[WalOpRef::Insert { coll: "c", doc: d }]);
+            let wal = |d: &Document| {
+                encode_group(&[WalOpRef::Insert {
+                    coll: "c",
+                    doc: &Row::new(d),
+                }])
+            };
             prop_assert_eq!(wal(&back), wal(doc));
             prop_assert_eq!(
                 encode_jsonl_seq([(7, sealed)].into_iter()),
@@ -990,14 +987,15 @@ mod tests {
                         cell
                     })
                     .collect();
-                let sealed = Sealed::new(cells.iter().map(|(i, d)| (*i, RowRef::from(d))));
+                let rows: Vec<_> = cells.iter().map(|(i, d)| (*i, Row::new(d))).collect();
+                let sealed = Sealed::new(rows.iter().map(|(i, row)| (*i, row.parts())));
                 for (i, doc) in &cells {
-                    agrees(sealed.row(*i), doc)?;
+                    agrees(RowRef::encoded(sealed.parts(*i)), doc)?;
                 }
                 // Sealing a sealed slice's rows again changes nothing.
-                let again = Sealed::new(cells.iter().map(|(i, _)| (*i, sealed.row(*i))));
+                let again = Sealed::new(cells.iter().map(|(i, _)| (*i, sealed.parts(*i))));
                 for (i, doc) in &cells {
-                    agrees(again.row(*i), doc)?;
+                    agrees(RowRef::encoded(again.parts(*i)), doc)?;
                 }
             }
         }

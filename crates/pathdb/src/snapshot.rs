@@ -33,6 +33,7 @@
 //! (`LoadOptions::skip_corrupt_tail`) keep the rows before it and
 //! report the rest of the file as skipped.
 
+use crate::arena::Row;
 use crate::collection::Collection;
 use crate::document::{Document, RowRef};
 use crate::error::{DbError, DbResult};
@@ -262,7 +263,7 @@ pub(crate) fn load_slice(
         if last.is_some_and(|last| seq <= last) {
             return Err("__seq is not above the previous row's");
         }
-        if !coll.load_at(seq, doc) {
+        if !coll.load_at(seq, Row::new(&doc)) {
             return Err("_id is already loaded");
         }
         last = Some(seq);
@@ -273,7 +274,7 @@ pub(crate) fn load_slice(
 }
 
 /// Serialize rows as JSONL bytes, through the row writer
-/// ([`RowRef::write_json`]), sealed rows or not. Each row's insertion sequence is appended as the
+/// ([`RowRef::write_json`]), stored or not. Each row's insertion sequence is appended as the
 /// reserved [`SEQ_FIELD`] (loaders strip it with [`take_seq`]).
 pub(crate) fn encode_jsonl_seq<'a>(
     rows: impl Iterator<Item = (u64, impl Into<RowRef<'a>>)>,

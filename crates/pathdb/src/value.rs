@@ -4,7 +4,7 @@
 //! integers, floats, strings, arrays and nested documents. Values
 //! convert losslessly to and from `serde_json::Value` for persistence.
 //! Stored values are read through the borrowed [`ValueRef`], which
-//! views a [`Value`] and a sealed row's bytes alike.
+//! views a [`Value`] and a stored row's bytes alike.
 
 use crate::arena;
 use crate::document::{Document, RowRef};
@@ -124,7 +124,7 @@ impl Value {
 }
 
 /// A borrowed value: a [`Value`] of a row that is a [`Document`], or a
-/// value's bytes in a sealed row (`arena`). Every reader of
+/// value's bytes in a stored row (`arena`). Every reader of
 /// stored rows reads through it; `Value::from` copies one out.
 /// Equality is [`Value`]'s: the same variant and content, floats by
 /// `==`.
@@ -139,7 +139,7 @@ pub enum ValueRef<'a> {
     Doc(RowRef<'a>),
 }
 
-/// A borrowed array: a `Value::Array`'s items or a sealed one's bytes.
+/// A borrowed array: a `Value::Array`'s items or a stored one's bytes.
 #[derive(Clone, Copy)]
 pub struct ArrayRef<'a>(Items<'a>);
 

@@ -7,18 +7,18 @@
 //! [len: u32] [crc32(payload): u32] [payload: len bytes]
 //! ```
 //!
-//! A payload is a tag byte and its body, in the byte encoding sealed
-//! slices hold their rows in (`arena`). An op frame is its tag (`i`
+//! A payload is a tag byte and its body, in the byte encoding a
+//! collection holds its rows in (`arena`). An op frame is its tag (`i`
 //! insert, `m` insert many, `u` update, `d` delete, `x` drop), the
 //! collection name, then its rows — one shape table per frame, each
-//! row as its shape's index and its values — or its `_id` values. A
-//! float that is not finite is logged as null, as a slice line holds
-//! it. A *commit group* is N op frames followed by one commit frame, a
-//! `C` and the count N. The whole group is appended (and fsync'd) as
-//! one write, so one `insert_many` batch reaches the disk
-//! all-or-nothing — the paper's §4.2.2 loss bound ("at most one sample
-//! per path of one destination") holds across crashes, not just across
-//! clean exits.
+//! row as its shape's index and its bytes, copied from the row the
+//! collection stores — or its `_id` values. A float that is not finite
+//! is logged as null, as a slice line holds it. A *commit group* is N
+//! op frames followed by one commit frame, a `C` and the count N. The
+//! whole group is appended (and fsync'd) as one write, so one
+//! `insert_many` batch reaches the disk all-or-nothing — the paper's
+//! §4.2.2 loss bound ("at most one sample per path of one destination")
+//! holds across crashes, not just across clean exits.
 //!
 //! Records carry *effects*, not logical operations: updates log their
 //! post-image documents and deletes log `_id` values. Replay is
@@ -30,10 +30,11 @@
 //! The reader stops at the first frame that is short, corrupt, or does
 //! not decode — a valid checksum over bad contents is no better than a
 //! bad checksum, and decoding checks every count and length against
-//! the frame before it allocates; everything before the last
-//! *committed* group is the intact prefix and the tail is truncated,
-//! not reported as an error. A frame whose payload starts with `{` is
-//! an older build's JSON: the scan stops there and says so
+//! the frame before it allocates, and every byte a stored row's
+//! readers will read; everything before the last *committed* group is
+//! the intact prefix and the tail is truncated, not reported as an
+//! error. A frame whose payload starts with `{` is an older build's
+//! JSON: the scan stops there and says so
 //! (`WalReplay::older_format`), and the open refuses the log rather
 //! than truncate it ([`crate::DbError::OlderLog`]).
 //!
@@ -43,8 +44,7 @@
 //! commit marker it has not reached yet — never the log's bytes, never
 //! its parsed ops.
 
-use crate::arena::{self, Checked};
-use crate::document::Document;
+use crate::arena::{self, Checked, Row};
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
 use crate::value::Value;
@@ -122,13 +122,13 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 
 // ---- operations -----------------------------------------------------------
 
-/// One logged effect. `InsertMany`/`Update` carry post-image documents;
+/// One logged effect. `InsertMany`/`Update` carry post-image rows;
 /// `Delete` carries `_id` values; replay applies them idempotently.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalOp {
-    Insert { coll: String, doc: Document },
-    InsertMany { coll: String, docs: Vec<Document> },
-    Update { coll: String, docs: Vec<Document> },
+    Insert { coll: String, doc: Row },
+    InsertMany { coll: String, docs: Vec<Row> },
+    Update { coll: String, docs: Vec<Row> },
     Delete { coll: String, ids: Vec<Value> },
     Drop { coll: String },
 }
@@ -153,30 +153,16 @@ const DROP: u8 = b'x';
 const COMMIT: u8 = b'C';
 
 /// Borrowed view of one op for encoding. The hot write path (one WAL
-/// commit per `insert_many` batch) encodes commit groups straight from
-/// the caller's documents, skipping the owned [`WalOp`] clone — this is
-/// what keeps the WAL's insertion overhead within the §4.2.2 ablation
-/// budget.
+/// commit per `insert_many` batch) copies the bytes each row was
+/// encoded in for the collection, so a row is encoded once for both —
+/// this is what keeps the WAL's insertion overhead within the §4.2.2
+/// ablation budget.
 pub(crate) enum WalOpRef<'a> {
-    Insert {
-        coll: &'a str,
-        doc: &'a Document,
-    },
-    InsertMany {
-        coll: &'a str,
-        docs: Vec<&'a Document>,
-    },
-    Update {
-        coll: &'a str,
-        docs: &'a [Document],
-    },
-    Delete {
-        coll: &'a str,
-        ids: &'a [Value],
-    },
-    Drop {
-        coll: &'a str,
-    },
+    Insert { coll: &'a str, doc: &'a Row },
+    InsertMany { coll: &'a str, docs: &'a [Row] },
+    Update { coll: &'a str, docs: &'a [Row] },
+    Delete { coll: &'a str, ids: &'a [Value] },
+    Drop { coll: &'a str },
 }
 
 impl WalOpRef<'_> {
@@ -193,9 +179,10 @@ impl WalOpRef<'_> {
         out.push(tag);
         arena::put_str(out, coll);
         match self {
-            WalOpRef::Insert { doc, .. } => arena::put_rows(out, std::iter::once(*doc)),
-            WalOpRef::InsertMany { docs, .. } => arena::put_rows(out, docs.iter().copied()),
-            WalOpRef::Update { docs, .. } => arena::put_rows(out, docs.iter()),
+            WalOpRef::Insert { doc, .. } => arena::put_rows(out, std::slice::from_ref(*doc)),
+            WalOpRef::InsertMany { docs, .. } | WalOpRef::Update { docs, .. } => {
+                arena::put_rows(out, docs)
+            }
             WalOpRef::Delete { ids, .. } => {
                 arena::put_varint(out, ids.len() as u64);
                 ids.iter()
@@ -226,7 +213,7 @@ fn decode(payload: &[u8]) -> Option<Frame> {
     let coll = r.str()?.to_owned();
     let op = match tag {
         INSERT => {
-            let [doc]: [Document; 1] = r.rows()?.try_into().ok()?;
+            let [doc]: [Row; 1] = r.rows()?.try_into().ok()?;
             WalOp::Insert { coll, doc }
         }
         INSERT_MANY => WalOp::InsertMany {
@@ -238,11 +225,7 @@ fn decode(payload: &[u8]) -> Option<Frame> {
             docs: r.rows()?,
         },
         DELETE => {
-            let len = r.count()?;
-            let mut ids = Vec::with_capacity(len);
-            for _ in 0..len {
-                ids.push(r.value(1)?);
-            }
+            let ids = (0..r.count()?).map(|_| r.owned()).collect::<Option<_>>()?;
             WalOp::Delete { coll, ids }
         }
         DROP => WalOp::Drop { coll },
@@ -416,23 +399,15 @@ impl Wal {
         }
     }
 
-    /// Append one commit group durably, from borrowed ops: the write
-    /// path never clones the documents it logs. Transient failures are
-    /// retried after rolling the file back to its pre-append length (so
-    /// a torn first attempt cannot corrupt the frame stream);
-    /// persistent failure poisons the log and returns the durability
-    /// error so the caller can refuse to acknowledge the write. Data
-    /// already applied before a poison (updates/deletes log after
-    /// applying) stays in memory and the next successful checkpoint
-    /// restores durability.
-    pub(crate) fn commit_ref(&self, ops: &[WalOpRef<'_>]) -> DbResult<()> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        self.commit_encoded(encode_group(ops))
-    }
-
-    fn commit_encoded(&self, buf: Vec<u8>) -> DbResult<()> {
+    /// Append one commit group ([`encode_group`]) durably. Transient
+    /// failures are retried after rolling the file back to its
+    /// pre-append length (so a torn first attempt cannot corrupt the
+    /// frame stream); persistent failure poisons the log and returns the
+    /// durability error so the caller can refuse to acknowledge the
+    /// write. Data already applied before a poison (updates/deletes log
+    /// after applying) stays in memory and the next successful
+    /// checkpoint restores durability.
+    pub(crate) fn commit_encoded(&self, buf: Vec<u8>) -> DbResult<()> {
         let mut state = self.state.lock();
         if let Some(msg) = &state.poisoned {
             return Err(DbError::Durability(msg.clone()));
@@ -484,6 +459,7 @@ impl std::fmt::Debug for Wal {
 mod tests {
     use super::*;
     use crate::doc;
+    use crate::document::Document;
     use crate::storage::FaultyStorage;
 
     impl WalOp {
@@ -491,10 +467,7 @@ mod tests {
         fn to_ref(&self) -> WalOpRef<'_> {
             match self {
                 WalOp::Insert { coll, doc } => WalOpRef::Insert { coll, doc },
-                WalOp::InsertMany { coll, docs } => WalOpRef::InsertMany {
-                    coll,
-                    docs: docs.iter().collect(),
-                },
+                WalOp::InsertMany { coll, docs } => WalOpRef::InsertMany { coll, docs },
                 WalOp::Update { coll, docs } => WalOpRef::Update { coll, docs },
                 WalOp::Delete { coll, ids } => WalOpRef::Delete { coll, ids },
                 WalOp::Drop { coll } => WalOpRef::Drop { coll },
@@ -509,7 +482,7 @@ mod tests {
     }
 
     impl Wal {
-        /// `commit_ref` over owned ops, as `sample_ops` builds them.
+        /// `commit_encoded` over owned ops, as `sample_ops` builds them.
         fn commit(&self, ops: &[WalOp]) -> DbResult<()> {
             self.commit_encoded(encode(ops))
         }
@@ -549,18 +522,18 @@ mod tests {
         vec![
             WalOp::Insert {
                 coll: "paths".into(),
-                doc: doc! { "_id" => "p1", "hops" => 4i64 },
+                doc: Row::new(&doc! { "_id" => "p1", "hops" => 4i64 }),
             },
             WalOp::InsertMany {
                 coll: "paths_stats".into(),
                 docs: vec![
-                    doc! { "_id" => "s1", "lat" => 20.5f64 },
-                    doc! { "_id" => "s2", "lat" => 21.0f64 },
+                    Row::new(&doc! { "_id" => "s1", "lat" => 20.5f64 }),
+                    Row::new(&doc! { "_id" => "s2", "lat" => 21.0f64 }),
                 ],
             },
             WalOp::Update {
                 coll: "paths".into(),
-                docs: vec![doc! { "_id" => "p1", "hops" => 5i64 }],
+                docs: vec![Row::new(&doc! { "_id" => "p1", "hops" => 5i64 })],
             },
             WalOp::Delete {
                 coll: "paths_stats".into(),
@@ -758,7 +731,12 @@ mod tests {
             }
             doc! { "_id" => "deep", "v" => v }
         };
-        let group = |doc: &Document| encode_group(&[WalOpRef::Insert { coll: "c", doc }]);
+        let group = |doc: &Document| {
+            encode_group(&[WalOpRef::Insert {
+                coll: "c",
+                doc: &Row::new(doc),
+            }])
+        };
         // The row is one level, as a slice line's object is.
         let deepest = serde::json::MAX_DEPTH - 1;
         assert_eq!(replay(&group(&nested(deepest)), |_| {}).groups, 1);
@@ -770,6 +748,9 @@ mod tests {
 
     mod hostile {
         use super::*;
+        use crate::arena::Sealed;
+        use crate::document::RowRef;
+        use crate::value::ValueRef;
         use proptest::prelude::*;
         use std::alloc::{GlobalAlloc, Layout, System};
         use std::cell::Cell;
@@ -903,11 +884,22 @@ mod tests {
         fn arb_op() -> impl Strategy<Value = WalOp> {
             let coll = "[a-z_]{1,12}";
             prop_oneof![
-                (coll, arb_doc()).prop_map(|(coll, doc)| WalOp::Insert { coll, doc }),
-                (coll, prop::collection::vec(arb_doc(), 1..4))
-                    .prop_map(|(coll, docs)| WalOp::InsertMany { coll, docs }),
-                (coll, prop::collection::vec(arb_doc(), 0..3))
-                    .prop_map(|(coll, docs)| WalOp::Update { coll, docs }),
+                (coll, arb_doc()).prop_map(|(coll, doc)| WalOp::Insert {
+                    coll,
+                    doc: Row::new(&doc)
+                }),
+                (coll, prop::collection::vec(arb_doc(), 1..4)).prop_map(|(coll, docs)| {
+                    WalOp::InsertMany {
+                        coll,
+                        docs: docs.iter().map(Row::new).collect(),
+                    }
+                }),
+                (coll, prop::collection::vec(arb_doc(), 0..3)).prop_map(|(coll, docs)| {
+                    WalOp::Update {
+                        coll,
+                        docs: docs.iter().map(Row::new).collect(),
+                    }
+                }),
                 (coll, prop::collection::vec(arb_value(), 0..3))
                     .prop_map(|(coll, ids)| WalOp::Delete { coll, ids }),
                 coll.prop_map(|coll| WalOp::Drop { coll }),
@@ -1032,6 +1024,82 @@ mod tests {
                 prop_assert_eq!(replay.valid_len + replay.torn_bytes, log.len() as u64);
                 prop_assert_eq!(got.len(), replay.groups);
             }
+        }
+
+        /// Every field of `row`, read by name and by walk, down through
+        /// its arrays and nested documents, then copied out and written.
+        fn read_whole(row: RowRef<'_>) {
+            fn read(v: ValueRef<'_>) {
+                match v {
+                    ValueRef::Array(items) => items.iter().for_each(read),
+                    ValueRef::Doc(doc) => read_whole(doc),
+                    _ => {}
+                }
+            }
+            for (name, v) in row.fields() {
+                assert!(row.get(name).is_some(), "{name} is found by name");
+                read(v);
+            }
+            assert_eq!(row.to_document().len(), row.len());
+            let mut json = Vec::new();
+            row.write_json(&mut json);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// A stored row is read without checks, so every row a
+            /// mutated frame still yields — its group accepted — must
+            /// be whole: it reads through `fields`, `get`,
+            /// `to_document` and `write_json`, and sealed, reads back
+            /// as the same bytes, with no panic.
+            #[test]
+            fn accepted_rows_read_whole_and_seal(
+                groups in prop::collection::vec(prop::collection::vec(arb_op(), 1..4), 1..4),
+                pick: usize,
+                mutation in arb_mutation(),
+            ) {
+                let log: Vec<u8> = groups.iter().flat_map(|g| encode(g)).collect();
+                let mut frames = payloads(&log);
+                let f = pick % frames.len();
+                mutate(&mut frames[f], &mutation);
+                let mut rows = Vec::new();
+                replay(&framed(&frames), |group| {
+                    for op in group {
+                        match op {
+                            WalOp::Insert { doc, .. } => rows.push(doc),
+                            WalOp::InsertMany { docs, .. } | WalOp::Update { docs, .. } => {
+                                rows.extend(docs)
+                            }
+                            WalOp::Delete { .. } | WalOp::Drop { .. } => {}
+                        }
+                    }
+                });
+                rows.iter().for_each(|row| read_whole(row.view()));
+                let sealed = Sealed::new(rows.iter().map(Row::parts).enumerate());
+                for (i, row) in rows.iter().enumerate() {
+                    prop_assert!(sealed.parts(i) == row.parts(), "cell {}", i);
+                    read_whole(RowRef::encoded(sealed.parts(i)));
+                }
+            }
+        }
+
+        /// A nested document that names a field twice is refused: a
+        /// reader would walk two fields, and a copy out keep one.
+        #[test]
+        fn a_repeated_nested_name_is_refused() {
+            let row = doc! { "_id" => "n", "v" => doc! { "a" => 1i64, "b" => 2i64 } };
+            let log = encode_group(&[WalOpRef::Insert {
+                coll: "c",
+                doc: &Row::new(&row),
+            }]);
+            assert_eq!(watched(&log).0.groups, 1);
+            let mut frames = payloads(&log);
+            let at = frames[0].windows(2).position(|w| w == b"\x01b").unwrap();
+            frames[0][at + 1] = b'a';
+            let log = framed(&frames);
+            let (replay, got, _) = watched(&log);
+            assert!(got.is_empty() && replay.torn_bytes == log.len() as u64);
         }
 
         /// Claims far past the frame — a count of rows, of shapes, of
