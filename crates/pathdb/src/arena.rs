@@ -19,10 +19,11 @@
 //! row has no per-field offsets: a reader walks it field by field, and
 //! steps over an array or a nested document by its length.
 //!
-//! A write-ahead log frame holds the same rows ([`put_rows`]): its own
-//! shape table, then each row as its shape's index and its bytes,
-//! copied. A frame is read back by [`Checked`], which trusts none of
-//! its bytes and keeps each row's bytes, once checked, as a [`Row`].
+//! A write-ahead log frame and a slice file hold the same rows
+//! ([`put_rows`]): their own shape table, then each row as its shape's
+//! index and its bytes, copied. Both are read back by [`Checked`], which
+//! trusts none of their bytes and keeps each row's bytes, once checked,
+//! as a [`Row`].
 
 use crate::document::{names_of, shape_of, Document, RowRef, Shape};
 use crate::value::{ArrayRef, Value, ValueRef};
@@ -207,9 +208,10 @@ pub(crate) fn put_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
     put(out, v, false)
 }
 
-/// Append `v`'s bytes as a log frame holds them: a float that is not
-/// finite as null, which is what a slice line gives back for it, so a
-/// recovered row does not depend on the file that held it.
+/// Append `v`'s bytes as a log frame and a slice file hold them: a
+/// float that is not finite as null, which is what a JSON export gives
+/// back for it, so a recovered row does not depend on which file held
+/// it.
 pub(crate) fn put_logged_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
     put(out, v, true)
 }
@@ -251,18 +253,18 @@ fn put(out: &mut Vec<u8>, v: ValueRef<'_>, logged: bool) {
     }
 }
 
-/// Append `rows` as a log frame holds them: the count of distinct
-/// shapes and each shape's names, then the count of rows and each row
-/// as its shape's index and its bytes, copied — unless they may hold a
-/// float that is not finite: its exponent is all ones, so its last two
-/// bytes read `0xF0` or more, then `0x7F` or `0xFF`. Such a row is
-/// written again value by value, the float as null (a false alarm
+/// Append `rows` as a log frame and a slice file hold them: the count
+/// of distinct shapes and each shape's names, then the count of rows and
+/// each row as its shape's index and its bytes, copied — unless they may
+/// hold a float that is not finite: its exponent is all ones, so its
+/// last two bytes read `0xF0` or more, then `0x7F` or `0xFF`. Such a row
+/// is written again value by value, the float as null (a false alarm
 /// writes the same bytes).
-pub(crate) fn put_rows(out: &mut Vec<u8>, rows: &[Row]) {
+pub(crate) fn put_rows<'r>(out: &mut Vec<u8>, rows: impl Iterator<Item = Parts<'r>> + Clone) {
     let mut shapes: Vec<&Option<Arc<Shape>>> = Vec::new();
-    for row in rows {
-        if !shapes.contains(&&row.0) {
-            shapes.push(&row.0);
+    for (shape, _) in rows.clone() {
+        if !shapes.contains(&shape) {
+            shapes.push(shape);
         }
     }
     put_varint(out, shapes.len() as u64);
@@ -271,15 +273,15 @@ pub(crate) fn put_rows(out: &mut Vec<u8>, rows: &[Row]) {
         put_varint(out, names.len() as u64);
         names.iter().for_each(|name| put_str(out, name));
     }
-    put_varint(out, rows.len() as u64);
-    for row @ Row(shape, bytes) in rows {
+    put_varint(out, rows.clone().count() as u64);
+    for row @ (shape, bytes) in rows {
         let shape = shapes.iter().position(|s| *s == shape);
         put_varint(out, shape.expect("every shape is in the table") as u64);
         let non_finite = bytes
             .windows(2)
             .any(|w| w[0] >= 0xF0 && w[1] & 0x7F == 0x7F);
         if non_finite {
-            let fields = row.view().fields();
+            let fields = RowRef::encoded(row).fields();
             fields.for_each(|(_, v)| put_logged_value(out, v));
         } else {
             out.extend_from_slice(bytes);
@@ -339,7 +341,8 @@ pub(crate) fn read_value<'a>(bytes: &mut &'a [u8]) -> ValueRef<'a> {
 }
 
 /// A checked walk over bytes no writer vouches for: a log frame's
-/// payload, which a valid checksum does not make well formed. Every
+/// payload, which a valid checksum does not make well formed, or a
+/// slice file, which nothing checksums. Every
 /// read answers `None` rather than run past the end or accept a bad
 /// tag, and every count and length is held to the bytes left before
 /// anything is sized by it (an item takes at least one byte), so no
@@ -418,8 +421,8 @@ impl<'a> Checked<'a> {
     /// documents and arrays, checking all the unchecked readers
     /// (`read_value`, `skip_value`) take on trust: its tag, its UTF-8,
     /// every count and length against the body it claims, no name twice
-    /// in one document, and no deeper than a JSON line may nest
-    /// (`serde::json::MAX_DEPTH`), so a slice line could hold it too.
+    /// in one document, and no deeper than a JSON text may nest
+    /// (`serde::json::MAX_DEPTH`), so an export of the row reads back.
     pub(crate) fn value(&mut self, depth: usize) -> Option<()> {
         match self.byte()? {
             NULL | FALSE | TRUE => Some(()),
@@ -450,9 +453,8 @@ impl<'a> Checked<'a> {
         Some(read_value(&mut bytes).into())
     }
 
-    /// What [`put_rows`] wrote: each row its shape and its checked
-    /// bytes.
-    pub(crate) fn rows(&mut self) -> Option<Vec<Row>> {
+    /// A shape table as [`put_rows`] writes it.
+    pub(crate) fn shapes(&mut self) -> Option<Vec<Option<Arc<Shape>>>> {
         let mut table = Vec::new();
         for _ in 0..self.count()? {
             let names: Vec<&str> = (0..self.count()?)
@@ -460,15 +462,28 @@ impl<'a> Checked<'a> {
                 .collect::<Option<_>>()?;
             table.push(shape_of(names)?);
         }
+        Some(table)
+    }
+
+    /// One row as [`put_rows`] writes it after `table`: its shape and
+    /// its checked bytes.
+    pub(crate) fn row(&mut self, table: &[Option<Arc<Shape>>]) -> Option<Row> {
+        let shape = table.get(usize::try_from(self.varint()?).ok()?)?;
+        let start = self.0;
+        for _ in 0..names_of(shape).len() {
+            self.value(1)?;
+        }
+        Some(Row::from((shape, &start[..start.len() - self.0.len()])))
+    }
+
+    /// What [`put_rows`] wrote: each row its shape and its checked
+    /// bytes.
+    pub(crate) fn rows(&mut self) -> Option<Vec<Row>> {
+        let table = self.shapes()?;
         let rows = self.count()?;
         let mut out = Vec::with_capacity(rows);
         for _ in 0..rows {
-            let shape = table.get(usize::try_from(self.varint()?).ok()?)?;
-            let start = self.0;
-            for _ in 0..names_of(shape).len() {
-                self.value(1)?;
-            }
-            out.push(Row::from((shape, &start[..start.len() - self.0.len()])));
+            out.push(self.row(&table)?);
         }
         Some(out)
     }

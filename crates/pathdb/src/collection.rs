@@ -1,7 +1,7 @@
 //! Collections: insertion-ordered document stores with a unique `_id`
 //! index, optional ordered secondary indexes, planner-served queries,
 //! updates and bulk insertion. A collection stores no `Document`: a
-//! write encodes each row once ([`Row`]), then logs and keeps its bytes.
+//! write encodes each row once (`arena::Row`), then logs and keeps its bytes.
 
 use crate::arena::{Parts, Row, Sealed};
 use crate::document::{Document, RowRef};
@@ -440,9 +440,11 @@ pub struct Collection {
     /// documents, deleted ids) after applying in memory, so a rejected
     /// write (e.g. a duplicate `_id`) never reaches the log.
     wal: Option<Arc<Wal>>,
-    /// What changed since a checkpoint last took it. Behind a mutex so a
-    /// checkpoint can take it under the collection's *read* lock.
-    dirty: Mutex<Dirty>,
+    /// The slices (`seq / SLICE_ROWS`) a mutation touched since a
+    /// checkpoint last took them: the slice files that no longer match
+    /// memory. Behind a mutex so a checkpoint can take them under the
+    /// collection's *read* lock.
+    dirty: Mutex<BTreeSet<u64>>,
     /// Telemetry sink shared with the owning [`crate::Database`]; `None`
     /// means the static no-op recorder (no allocation, no signals).
     recorder: Option<Arc<dyn Recorder>>,
@@ -472,18 +474,6 @@ pub enum Delta {
     Ahead,
 }
 
-/// The slice files that no longer match memory, and why.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub(crate) struct Dirty {
-    /// Slices of the insertion sequence (`seq / SLICE_ROWS`) a mutation
-    /// touched.
-    pub slices: BTreeSet<u64>,
-    /// Seqs whose row was replaced in place: the rows whose line in the
-    /// superseded slice file is stale. Appended rows are in no old file
-    /// and deleted ones are no longer in memory, so neither needs one.
-    pub replaced: BTreeSet<u64>,
-}
-
 /// The snapshot memo: the last pinned image plus the version/watermark
 /// it reflects, so the next pin can tell hit from append from reshape.
 #[derive(Debug)]
@@ -498,7 +488,7 @@ impl Clone for Collection {
     /// carry over — the rows by sharing their slices, so no row is
     /// copied; the WAL handle is dropped (mutating a clone must not
     /// log under the original's name), and the snapshot memo and the
-    /// `Dirty` sets (a clone is never checkpointed) start empty. The
+    /// dirty slices (a clone is never checkpointed) start empty. The
     /// telemetry recorder is shared.
     fn clone(&self) -> Collection {
         Collection {
@@ -752,13 +742,10 @@ impl Collection {
         let dirty = self.dirty.get_mut();
         if !appended.is_empty() {
             // Once per batch, not per row: the range's slices.
-            dirty
-                .slices
-                .extend(appended.start / SLICE_ROWS..=(appended.end - 1) / SLICE_ROWS);
+            dirty.extend(appended.start / SLICE_ROWS..=(appended.end - 1) / SLICE_ROWS);
         }
         let reshaped = replaced.iter().chain(removed);
-        dirty.slices.extend(reshaped.map(|seq| seq / SLICE_ROWS));
-        dirty.replaced.extend(replaced);
+        dirty.extend(reshaped.map(|seq| seq / SLICE_ROWS));
         let copied = self.docs.settle(removed);
         self.count_copies(copied);
         self.seal_passed();
@@ -985,18 +972,16 @@ impl Collection {
         self.recorder = recorder;
     }
 
-    /// Take (and clear) both [`Dirty`] sets in one lock hold. Callable
-    /// under the read lock: no writer can run, so the sets and the rows
+    /// Take (and clear) the dirty slices in one lock hold. Callable
+    /// under the read lock: no writer can run, so the set and the rows
     /// a checkpoint writes in the same lock hold agree.
-    pub(crate) fn take_dirty(&self) -> Dirty {
+    pub(crate) fn take_dirty(&self) -> BTreeSet<u64> {
         std::mem::take(&mut *self.dirty.lock())
     }
 
-    /// Hand both sets back after a checkpoint that took them failed.
-    pub(crate) fn mark_dirty(&self, taken: Dirty) {
-        let mut dirty = self.dirty.lock();
-        dirty.slices.extend(taken.slices);
-        dirty.replaced.extend(taken.replaced);
+    /// Hand the slices back after a checkpoint that took them failed.
+    pub(crate) fn mark_dirty(&self, taken: BTreeSet<u64>) {
+        self.dirty.lock().extend(taken);
     }
 
     /// Every slice that holds at least one row.
@@ -1004,10 +989,15 @@ impl Collection {
         self.docs.slices.keys().copied().collect()
     }
 
-    /// The rows of one slice with their insertion sequences, in order.
-    pub(crate) fn slice_rows(&self, slice: u64) -> impl Iterator<Item = (u64, RowRef<'_>)> + Clone {
-        let start = slice * SLICE_ROWS;
-        self.docs.range(start..start + SLICE_ROWS)
+    /// One slice as its file holds it: the cells that hold a row (bit
+    /// `i`: seq `slice * SLICE_ROWS + i`) and those rows' parts, in seq
+    /// order. `None` when the slice holds no row.
+    pub(crate) fn slice_parts(
+        &self,
+        slice: u64,
+    ) -> Option<(&[u64; CELLS / 64], impl Iterator<Item = Parts<'_>> + Clone)> {
+        let held = self.docs.slices.get(&slice)?;
+        Some((&held.live, held.cells().map(|i| held.slice.parts(i))))
     }
 
     /// The active telemetry sink (the shared no-op when none is set).
@@ -2133,15 +2123,13 @@ mod tests {
         assert_eq!(c.delta_since(5), Delta::Reshaped);
         assert_eq!(c.delta_since(6), Delta::Same);
         assert_eq!(c.delta_since(7), Delta::Ahead);
-        let taken = c.take_dirty();
-        assert_eq!(taken.slices, BTreeSet::from([0]));
-        assert_eq!(taken.replaced, BTreeSet::from([0]), "`a`, twice");
-        assert_eq!(c.take_dirty(), Dirty::default());
+        assert_eq!(c.take_dirty(), BTreeSet::from([0]));
+        assert_eq!(c.take_dirty(), BTreeSet::new());
     }
 
     // ---- every entry point against a model -------------------------------
 
-    use crate::snapshot::{encode_jsonl_seq, load_slice, write_slice, LoadOptions};
+    use crate::snapshot::{load_slice, write_slice, LoadOptions};
     use crate::storage::{FaultyStorage, Storage};
     use crate::wal::{read_wal, wal_path, WalOp};
     use proptest::prelude::*;
@@ -2275,7 +2263,7 @@ mod tests {
 
     /// A live collection logging to an in-memory WAL, the model of what
     /// it must hold, and a hand-rolled checkpoint (the dirty slices'
-    /// bytes, spliced from the previous ones) to reload it from —
+    /// files, the others kept from before) to reload it from —
     /// indexes in place, which a [`crate::Database`] reopen never has.
     struct Harness {
         storage: FaultyStorage,
@@ -2289,9 +2277,8 @@ mod tests {
         /// whether its mutation reshaped.
         base: u64,
         events: Vec<bool>,
-        /// Slices touched and seqs replaced since the dirty sets were
-        /// last taken.
-        dirty: Dirty,
+        /// Slices touched since the dirty slices were last taken.
+        dirty: BTreeSet<u64>,
         pins: Vec<Pinned>,
         fresh: u32,
     }
@@ -2333,7 +2320,7 @@ mod tests {
                 next_seq: Harness::FIRST_SEQ,
                 base: 0,
                 events: Vec::new(),
-                dirty: Dirty::default(),
+                dirty: BTreeSet::new(),
                 pins: Vec::new(),
                 fresh: 0,
             }
@@ -2376,17 +2363,14 @@ mod tests {
             self.events.push(!reshaped.is_empty());
             self.wrote(reshaped.iter().map(|(seq, _)| *seq));
             for doc in appended {
-                self.dirty.slices.insert(self.next_seq / SLICE_ROWS);
+                self.dirty.insert(self.next_seq / SLICE_ROWS);
                 self.rows.insert(self.next_seq, doc);
                 self.next_seq += 1;
             }
             for (seq, doc) in reshaped {
-                self.dirty.slices.insert(seq / SLICE_ROWS);
+                self.dirty.insert(seq / SLICE_ROWS);
                 match doc {
-                    Some(doc) => {
-                        self.dirty.replaced.insert(seq);
-                        self.rows.insert(seq, doc)
-                    }
+                    Some(doc) => self.rows.insert(seq, doc),
                     None => self.rows.remove(&seq),
                 };
             }
@@ -2515,9 +2499,6 @@ mod tests {
                     }
                     let changed = appended.len() + reshaped.len();
                     assert_eq!(self.c.upsert_many(docs).unwrap(), changed);
-                    // A row the batch appended and then replaced counts
-                    // as replaced too (harmless: no old file holds it).
-                    self.dirty.replaced.extend(&reshaped);
                     self.wrote(reshaped.iter().copied());
                     let reshaped = reshaped
                         .into_iter()
@@ -2580,23 +2561,19 @@ mod tests {
                 }
                 Step::Unpin => self.pins.clear(),
                 Step::Checkpoint => {
-                    let dirty = self.c.take_dirty();
-                    for &slice in &dirty.slices {
-                        let rows = self.c.slice_rows(slice);
-                        let old = self.slices.get(&slice).map(|bytes| &bytes[..]);
-                        let file = write_slice(rows.clone(), old, &dirty.replaced);
-                        // Copying a row's old line is encoding the row.
-                        assert_eq!(file.bytes, encode_jsonl_seq(rows.clone()));
-                        assert_eq!(file.copied + file.encoded, rows.count() as u64);
-                        if file.bytes.is_empty() {
-                            self.slices.remove(&slice);
-                        } else {
-                            self.slices.insert(slice, file.bytes);
+                    for slice in self.c.take_dirty() {
+                        match self.c.slice_parts(slice) {
+                            Some((mask, rows)) => {
+                                self.slices.insert(slice, write_slice(mask, rows));
+                            }
+                            None => {
+                                self.slices.remove(&slice);
+                            }
                         }
                     }
                     self.slices_next_seq = self.c.append_watermark();
                     self.wal.rotate(self.wal.generation() + 1);
-                    self.dirty = Dirty::default();
+                    self.dirty = BTreeSet::new();
                 }
                 Step::Reload => {
                     let mut c = Harness::indexed();
@@ -2629,13 +2606,12 @@ mod tests {
                     assert_eq!(replay.torn_bytes, 0);
                     // The slices the dirty sets named plus the log are
                     // the whole collection, seq for seq; what the replay
-                    // changed is dirty or replaced again (a logged
-                    // post-image equal to the slice row changed nothing).
+                    // changed is dirty again (a logged post-image equal to
+                    // the slice row changed nothing).
                     assert_eq!(c.docs, self.c.docs);
                     assert_eq!(c.next_seq, self.c.next_seq);
                     let replayed = c.dirty.lock().clone();
-                    assert!(replayed.slices.is_subset(&self.dirty.slices));
-                    assert!(replayed.replaced.is_subset(&self.dirty.replaced));
+                    assert!(replayed.is_subset(&self.dirty));
                     self.dirty = replayed;
                     c.set_wal(Some(self.wal.clone()));
                     self.c = c;
@@ -2649,8 +2625,7 @@ mod tests {
             assert_eq!(self.c.mutation_version(), self.version());
             assert_consistent(&self.c);
             // Exactly: a superset would be safe, but the next checkpoint
-            // would rewrite slices nothing touched and encode rows it
-            // could copy.
+            // would rewrite slices nothing touched.
             assert_eq!(*self.c.dirty.lock(), self.dirty);
             for v in self.base..=self.version() + 1 {
                 assert_eq!(self.c.delta_since(v), self.delta(v));

@@ -11,37 +11,38 @@
 //! * [`Durability::None`] — in-memory only; [`Database::save_dir`] is
 //!   still available as an explicit (atomic) snapshot.
 //! * [`Durability::Snapshot`] — state lives in immutable slice files
-//!   (fixed ranges of each collection's insertion sequence), written
-//!   atomically (temp file + fsync + rename) and committed together by
-//!   an atomically-replaced `MANIFEST.json`; a checkpoint writes only
-//!   the slices a mutation touched, and a crash mid-save leaves the
-//!   previous checkpoint whole.
+//!   (fixed ranges of each collection's insertion sequence, the rows in
+//!   the bytes memory and the log hold them in), written atomically
+//!   (temp file + fsync + rename) and committed together by an
+//!   atomically-replaced `MANIFEST.json`; a checkpoint writes only the
+//!   slices a mutation touched, copying their rows' bytes, and a crash
+//!   mid-save leaves the previous checkpoint whole.
 //! * [`Durability::Wal`] — every mutation additionally commits its
 //!   effects to `wal.<generation>.log` as a CRC-framed group, so at
 //!   most one uncommitted group (e.g. one destination's in-flight
 //!   `insert_many` batch, §4.2.2) can be lost to a crash.
 //!
-//! [`Database::open_durable_with`] is the recovery path: it loads the latest
-//! committed checkpoint (leniently: a slice file's bad tail is skipped
-//! and reported), replays the intact WAL prefix in generation order
-//! (streamed frame by frame, never read whole),
-//! truncates torn WAL tails, and reports
-//! what it did in a [`RecoveryReport`] instead of failing.
+//! [`Database::open_durable_with`] is the recovery path: it loads the
+//! latest committed checkpoint (leniently: a slice file's rows from its
+//! first bad one are skipped and reported; an older build's manifest or
+//! log is refused, [`DbError::OlderFormat`]), replays the intact WAL
+//! prefix in generation order (streamed frame by frame, never read
+//! whole), truncates torn WAL tails, and reports what it did in a
+//! [`RecoveryReport`] instead of failing.
 
-use crate::collection::{Collection, Dirty};
+use crate::collection::Collection;
 use crate::error::{DbError, DbResult};
 use crate::query::Filter;
 use crate::rollup::{self, RollupConfig};
 use crate::snapshot::{
     load_slices, parse_slice_path, read_manifest, slice_path, write_manifest, write_slice,
-    LoadOptions, Manifest, ManifestEntry, SkippedLines, MANIFEST,
+    LoadOptions, Manifest, ManifestEntry, SkippedRows, MANIFEST,
 };
 use crate::storage::{tmp_target, DiskStorage, Storage};
 use crate::wal::{encode_group, parse_wal_path, read_wal, Wal, WalOp, WalOpRef};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
@@ -139,8 +140,8 @@ pub struct RecoveryReport {
     pub dropped_uncommitted_ops: usize,
     /// Stale WAL files (older than the manifest generation) deleted.
     pub stale_wals_removed: usize,
-    /// Lines dropped from slice files by the lenient loader.
-    pub skipped: Vec<SkippedLines>,
+    /// Rows dropped from slice files by the lenient loader.
+    pub skipped: Vec<SkippedRows>,
 }
 
 impl RecoveryReport {
@@ -172,9 +173,9 @@ impl RecoveryReport {
         }
         for s in &self.skipped {
             out.push_str(&format!(
-                "; {}: kept lines 1..{}, skipped {}",
+                "; {}: kept rows 1..{}, skipped {}",
                 s.file,
-                s.first_bad_line - 1,
+                s.first_bad_row - 1,
                 s.skipped
             ));
         }
@@ -460,7 +461,7 @@ impl Database {
             if replay.older_format {
                 // An older build's log: refuse the open and leave the
                 // file as it is; truncating it would drop every group.
-                return Err(DbError::OlderLog(path));
+                return Err(DbError::OlderFormat(path));
             }
             report.wal_groups += replay.groups;
             report.torn_wal_bytes += replay.torn_bytes;
@@ -523,8 +524,7 @@ impl Database {
             // Even with a deleted tail (or every row gone) the
             // allocator resumes where the crashed process stopped.
             coll.set_next_seq_at_least(entry.next_seq);
-            // Memory now equals the slice files: nothing is dirty or
-            // replaced.
+            // Memory now equals the slice files: nothing is dirty.
             coll.take_dirty();
             self.persisted
                 .lock()
@@ -558,11 +558,10 @@ impl Database {
 
     /// Make the current state durable in the bound directory and
     /// supersede the WAL: rotate to a fresh generation, write the
-    /// slices mutations touched since the last checkpoint (encoding the
-    /// rows that changed, copying the others' lines from the files they
-    /// supersede), commit them with the manifest, then delete the files
-    /// it no longer names and the obsolete logs. The cost follows what
-    /// changed, not what is stored.
+    /// slices mutations touched since the last checkpoint (copying their
+    /// rows' bytes), commit them with the manifest, then delete the
+    /// files it no longer names and the obsolete logs. The cost follows
+    /// what changed, not what is stored.
     ///
     /// Requires a directory — open the database with
     /// [`Database::open_durable_with`] (any level) first.
@@ -589,8 +588,8 @@ impl Database {
     // ---- persistence -----------------------------------------------------
 
     /// Persist every collection into `dir` in the checkpoint layout
-    /// (slice files of one document per line, committed by an
-    /// atomically-replaced `MANIFEST.json`; see [`crate::snapshot`]).
+    /// (slice files of binary rows, committed by an atomically-replaced
+    /// `MANIFEST.json`; see [`crate::snapshot`]).
     /// On the directory this database is bound to this is a
     /// [`Database::checkpoint`]; any other directory gets a complete
     /// copy.
@@ -603,8 +602,8 @@ impl Database {
         self.storage.create_dir_all(dir)?;
         // Only the *bound* directory holds the slice files `persisted`
         // describes, so only there can a checkpoint write just the
-        // dirty slices (and consume the dirty sets) and copy unchanged
-        // rows from those files; a foreign dir gets every slice, encoded.
+        // dirty slices (and consume the dirty sets); a foreign dir gets
+        // every slice.
         let bound = self.dir.as_deref() == Some(dir);
         let mut persisted = self.persisted.lock();
         // Strictly above the manifest, the live WAL, *and* every WAL
@@ -631,9 +630,8 @@ impl Database {
             // and replays idempotently over the slices.
             wal.rotate(generation);
         }
-        let mut taken: Vec<(CollectionHandle, Dirty)> = Vec::new();
-        let (mut rewritten, mut clean) = (0u64, 0u64);
-        let (mut docs_written, mut rows_copied) = (0u64, 0u64);
+        let mut taken: Vec<(CollectionHandle, BTreeSet<u64>)> = Vec::new();
+        let (mut rewritten, mut clean, mut docs_written) = (0u64, 0u64, 0u64);
         let committed = (|| {
             let mut collections = Vec::new();
             for name in self.collection_names() {
@@ -642,34 +640,23 @@ impl Database {
                 // slices: no writer can slip between the two, so every
                 // effect is either in these bytes or still marked dirty.
                 let coll = handle.read();
-                let (dirty, old) = if bound {
-                    (coll.take_dirty(), persisted.get(&name))
+                let dirty = if bound {
+                    coll.take_dirty()
                 } else {
-                    let slices = coll.live_slices();
-                    (
-                        Dirty {
-                            slices,
-                            ..Dirty::default()
-                        },
-                        None,
-                    )
+                    coll.live_slices()
                 };
-                let files: Vec<(u64, Vec<u8>)> = dirty
-                    .slices
-                    .iter()
-                    .map(|&slice| {
-                        // The file this slice's new one supersedes, when
-                        // the manifest names one.
-                        let old = old.and_then(|old| old.get(&slice)).and_then(|&gen| {
-                            let path = slice_path(dir, &name, slice, gen);
-                            self.storage.reader(&path).ok().map(BufReader::new)
-                        });
-                        let file = write_slice(coll.slice_rows(slice), old, &dirty.replaced);
-                        docs_written += file.encoded;
-                        rows_copied += file.copied;
-                        (slice, file.bytes)
-                    })
-                    .collect();
+                let mut files = Vec::new();
+                for &slice in &dirty {
+                    // An emptied slice has no file.
+                    let bytes = match coll.slice_parts(slice) {
+                        Some((mask, rows)) => {
+                            docs_written += rows.clone().count() as u64;
+                            write_slice(mask, rows)
+                        }
+                        None => Vec::new(),
+                    };
+                    files.push((slice, bytes));
+                }
                 let next_seq = coll.append_watermark();
                 let indexes = coll.index_fields();
                 drop(coll);
@@ -759,12 +746,11 @@ impl Database {
         rec.add("pathdb.checkpoint.rewritten", rewritten);
         rec.add("pathdb.checkpoint.clean", clean);
         rec.add("pathdb.checkpoint.docs_written", docs_written);
-        rec.add("pathdb.checkpoint.rows_copied", rows_copied);
         Ok(())
     }
 
     /// Load all collections persisted in `dir` (strictly — any bad
-    /// slice line fails the load with its `file:line`; see
+    /// slice row fails the load with its `file:row`; see
     /// `Database::load_dir_with` for the lenient variant). Reads only
     /// the slice files the manifest names; a directory without one
     /// loads empty. Purely reads `dir` — crash *repair* (WAL replay,
@@ -775,11 +761,11 @@ impl Database {
 
     /// [`Database::load_dir`] with loader options. With
     /// `skip_corrupt_tail` the intact prefix of each torn file is kept
-    /// and the dropped lines are reported instead of failing.
+    /// and the dropped rows are reported instead of failing.
     fn load_dir_with<P: AsRef<Path>>(
         dir: P,
         opts: &LoadOptions,
-    ) -> DbResult<(Database, Vec<SkippedLines>)> {
+    ) -> DbResult<(Database, Vec<SkippedRows>)> {
         let db = Database::new();
         let mut report = RecoveryReport::default();
         db.load_checkpoint(&DiskStorage, dir.as_ref(), opts, &mut report)?;
@@ -791,7 +777,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::doc;
-    use crate::document::Document;
+    use crate::document::{Document, RowRef};
     use crate::query::Filter;
     use crate::snapshot::SLICE_ROWS;
     use crate::storage::FaultyStorage;
@@ -899,9 +885,9 @@ mod tests {
             torn_wal_bytes: 17,
             dropped_uncommitted_ops: 1,
             stale_wals_removed: 0,
-            skipped: vec![SkippedLines {
-                file: "paths.jsonl".into(),
-                first_bad_line: 40,
+            skipped: vec![SkippedRows {
+                file: "paths.0.3.slice".into(),
+                first_bad_row: 40,
                 skipped: 3,
             }],
         };
@@ -911,7 +897,7 @@ mod tests {
             "recovered 3 collection(s), 120 snapshot document(s); \
              replayed 2 WAL group(s) (9 effect(s)); \
              truncated 17 torn WAL byte(s), dropped 1 uncommitted op(s); \
-             paths.jsonl: kept lines 1..39, skipped 3"
+             paths.0.3.slice: kept rows 1..39, skipped 3"
         );
         let clean = RecoveryReport::default();
         assert!(clean.clean());
@@ -922,23 +908,37 @@ mod tests {
     }
 
     /// A checkpoint directory on disk whose manifest names one file,
-    /// slice 0 of `name` at generation 1, holding `rows`.
-    fn one_slice_dir(tag: &str, name: &str, rows: &str) -> PathBuf {
+    /// slice 0 of `name` at generation 1, holding `bytes`.
+    fn one_slice_dir(tag: &str, name: &str, bytes: &[u8]) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pathdb-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let manifest = format!(
-            "{{\"format\":3,\"generation\":1,\"collections\":[\"{name}\"],\"seqs\":[0],\
+            "{{\"format\":4,\"generation\":1,\"collections\":[\"{name}\"],\"seqs\":[0],\
              \"slices\":[[0,1]],\"indexes\":[[]]}}\n"
         );
         fs::write(dir.join("MANIFEST.json"), manifest).unwrap();
-        fs::write(slice_path(&dir, name, 0, 1), rows).unwrap();
+        fs::write(slice_path(&dir, name, 0, 1), bytes).unwrap();
         dir
+    }
+
+    /// Slice 0's file holding `ids` at seqs 0, 1, …, each with its
+    /// position as `v`.
+    fn slice_of(ids: &[&str]) -> Vec<u8> {
+        let c = Database::new().collection("c");
+        let docs = ids
+            .iter()
+            .zip(0i64..)
+            .map(|(id, v)| doc! { "_id" => *id, "v" => v });
+        c.write().insert_many(docs.collect()).unwrap();
+        let c = c.read();
+        let (mask, rows) = c.slice_parts(0).unwrap();
+        write_slice(mask, rows)
     }
 
     #[test]
     fn load_rejects_garbage() {
-        let dir = one_slice_dir("garbage", "bad", "{not json\n");
+        let dir = one_slice_dir("garbage", "bad", b"{not json\n");
         assert!(matches!(Database::load_dir(&dir), Err(DbError::Parse(_))));
         fs::write(slice_path(&dir, "bad", 0, 1), "[1,2,3]\n").unwrap();
         assert!(matches!(Database::load_dir(&dir), Err(DbError::Parse(_))));
@@ -947,12 +947,9 @@ mod tests {
 
     #[test]
     fn lenient_load_keeps_intact_prefix() {
-        // A torn tail: the last line was cut mid-write.
-        let dir = one_slice_dir(
-            "lenient",
-            "stats",
-            "{\"_id\":\"a\",\"v\":1,\"__seq\":0}\n{\"_id\":\"b\",\"v\":2,\"__seq\":1}\n{\"_id\":\"c\",\"v",
-        );
+        // A torn tail: the last row was cut mid-write.
+        let file = slice_of(&["a", "b", "c"]);
+        let dir = one_slice_dir("lenient", "stats", &file[..file.len() - 1]);
         assert!(Database::load_dir(&dir).is_err());
         let (db, skipped) = Database::load_dir_with(
             &dir,
@@ -963,7 +960,7 @@ mod tests {
         .unwrap();
         assert_eq!(db.collection("stats").read().len(), 2);
         assert_eq!(skipped.len(), 1);
-        assert_eq!(skipped[0].first_bad_line, 3);
+        assert_eq!(skipped[0].first_bad_row, 3);
         assert_eq!(skipped[0].skipped, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1316,7 +1313,6 @@ mod tests {
     #[test]
     fn an_index_made_after_the_last_checkpoint_is_lost_by_a_crash_and_no_answer_moves() {
         use crate::plan::Access;
-        use crate::snapshot::encode_jsonl_seq;
         let dir = PathBuf::from("/db");
         let storage = Arc::new(FaultyStorage::new());
         let open = || {
@@ -1332,8 +1328,10 @@ mod tests {
             let h = db.collection("c");
             let c = h.read();
             filters.each_ref().map(|f| {
-                let rows = c.query(f).run();
-                let bytes = encode_jsonl_seq(rows.iter().enumerate().map(|(i, d)| (i as u64, d)));
+                let mut bytes = Vec::new();
+                for row in c.query(f).run() {
+                    RowRef::from(&row).write_json(&mut bytes);
+                }
                 (c.query(f).explain().access, bytes)
             })
         };
@@ -1587,7 +1585,7 @@ mod tests {
         for durability in [Durability::Snapshot, Durability::Wal] {
             let err = open(durability).map(|_| ()).unwrap_err();
             assert!(
-                matches!(&err, DbError::OlderLog(path) if *path == log_path),
+                matches!(&err, DbError::OlderFormat(path) if *path == log_path),
                 "{err}"
             );
             assert!(err.to_string().contains("wal.7.log"), "{err}");
@@ -1822,9 +1820,11 @@ mod tests {
             1,
             "`cold` wrote nothing"
         );
-        // Slice 1 encodes its updated row and copies the other 255.
-        assert_eq!(tel.counter("pathdb.checkpoint.docs_written"), n + 1 + 2);
-        assert_eq!(tel.counter("pathdb.checkpoint.rows_copied"), SLICE_ROWS - 1);
+        // Slice 1 is written whole, and slice 4 holds its one row.
+        assert_eq!(
+            tel.counter("pathdb.checkpoint.docs_written"),
+            n + 1 + SLICE_ROWS + 1
+        );
         let second = read_manifest(&*storage, &dir).unwrap().unwrap();
         let (g1, g2) = (first.generation, second.generation);
         assert_eq!(
@@ -2020,8 +2020,8 @@ mod tests {
 
     /// Open [`one_slice_dir`] of collection `c` leniently: the database,
     /// what it skipped, and the directory.
-    fn open_one_slice(tag: &str, rows: &str) -> (Database, Vec<SkippedLines>, PathBuf) {
-        let dir = one_slice_dir(tag, "c", rows);
+    fn open_one_slice(tag: &str, bytes: &[u8]) -> (Database, Vec<SkippedRows>, PathBuf) {
+        let dir = one_slice_dir(tag, "c", bytes);
         let opts = OpenOptions::new(Durability::Snapshot);
         let (db, report) = Database::open_durable_with(&dir, opts).unwrap();
         (db, report.skipped, dir)
@@ -2040,38 +2040,101 @@ mod tests {
         ids
     }
 
-    /// A slice row without its `__seq` is a bad line. (Renumbered, it
-    /// took the next row's seq: `len()` counted three rows, `iter()`
+    /// A mask that names a row the file does not hold is bad before any
+    /// row: each row's seq is its place among the mask's bits, so no
+    /// row of the file can be placed. (A JSON line that lost its seq
+    /// once took the next row's: `len()` counted three rows, `iter()`
     /// yielded one and `find_by_id` missed two.)
     #[test]
-    fn a_slice_row_without_its_seq_ends_the_load_there() {
-        let (db, skipped, dir) = open_one_slice(
-            "no-seq",
-            "{\"_id\":\"a\",\"__seq\":0}\n{\"_id\":\"b\"}\n{\"_id\":\"c\",\"__seq\":1}\n",
-        );
-        let want = SkippedLines {
+    fn a_mask_that_disagrees_with_the_row_count_loads_no_row() {
+        let mut file = slice_of(&["a", "b", "c"]);
+        file[0] = 0b1111;
+        let (db, skipped, dir) = open_one_slice("mask", &file);
+        let want = SkippedRows {
             file: slice_path(&dir, "c", 0, 1).display().to_string(),
-            first_bad_line: 2,
-            skipped: 2,
+            first_bad_row: 1,
+            skipped: 4,
         };
         assert_eq!(skipped, [want]);
-        assert_eq!(ids(&db), ["a"]);
-        assert!(db.collection("c").read().find_by_id("c").is_none());
+        assert!(ids(&db).is_empty());
+        assert!(db.collection("c").read().find_by_id("a").is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A second row at a seq is a bad line. (Placed over the first, it
-    /// left a row `len()` counted and nothing reached: `iter()` was
-    /// empty and `delete_many` deleted nothing.)
+    /// A row's own `__seq` field — mid-document or last — is a field like
+    /// any other through a checkpoint and a reopen. (Slice files of JSON
+    /// lines kept each row's seq in that field: a checkpoint overwrote
+    /// it and the reopen stripped it.)
     #[test]
-    fn a_repeated_slice_seq_ends_the_load_there() {
-        let rows = "{\"_id\":\"a\",\"__seq\":0}\n{\"_id\":\"b\",\"__seq\":0}\n";
-        let (db, skipped, dir) = open_one_slice("repeated-seq", rows);
-        assert_eq!((skipped[0].first_bad_line, skipped[0].skipped), (2, 1));
-        assert_eq!(ids(&db), ["a"]);
-        assert_eq!(db.collection("c").write().delete_many(&Filter::True), 1);
-        assert_eq!(db.collection("c").read().len(), 0);
-        fs::remove_dir_all(&dir).unwrap();
+    fn a_row_with_its_own_seq_field_survives_a_reopen() {
+        let dir = PathBuf::from("/db");
+        let storage = Arc::new(FaultyStorage::new());
+        let open = || {
+            let opts = OpenOptions::new(Durability::Snapshot).with_storage(storage.clone());
+            Database::open_durable_with(&dir, opts).unwrap().0
+        };
+        let rows = vec![
+            doc! { "_id" => "mid", "__seq" => 7i64, "v" => 1i64 },
+            doc! { "_id" => "last", "v" => 2i64, "__seq" => "x" },
+            doc! { "_id" => "plain", "v" => 3i64 },
+        ];
+        let db = open();
+        db.collection("c")
+            .write()
+            .insert_many(rows.clone())
+            .unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+        let got: Vec<Document> = open()
+            .collection("c")
+            .read()
+            .iter()
+            .map(|r| r.to_document())
+            .collect();
+        assert_eq!(got, rows);
+    }
+
+    /// A directory an older build checkpointed — a format-3 manifest
+    /// naming slice files of JSON lines — fails the open naming its
+    /// manifest, and not one of its files moves: no slice or log is
+    /// read, truncated or swept.
+    #[test]
+    fn a_format_3_directory_is_refused_and_left_byte_for_byte() {
+        let dir = PathBuf::from("/db");
+        let storage = Arc::new(FaultyStorage::new());
+        let files: [(PathBuf, &[u8]); 4] = [
+            (
+                dir.join(MANIFEST),
+                b"{\"format\":3,\"generation\":2,\"collections\":[\"stats\"],\"seqs\":[2],\
+                  \"slices\":[[0,2]],\"indexes\":[[]]}\n",
+            ),
+            (
+                slice_path(&dir, "stats", 0, 2),
+                b"{\"_id\":\"a\",\"v\":1,\"__seq\":0}\n{\"_id\":\"b\",\"v\":2,\"__seq\":1}\n",
+            ),
+            // A log the older build's cleanup never reached, and its
+            // current one.
+            (wal_path(&dir, 1), b"stale"),
+            (wal_path(&dir, 2), b""),
+        ];
+        for (path, bytes) in &files {
+            storage.append(path, bytes).unwrap();
+        }
+        for durability in [Durability::None, Durability::Snapshot, Durability::Wal] {
+            let opts = OpenOptions::new(durability).with_storage(storage.clone());
+            let err = Database::open_durable_with(&dir, opts)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                matches!(&err, DbError::OlderFormat(path) if *path == dir.join(MANIFEST)),
+                "{err}"
+            );
+            assert!(err.to_string().contains("MANIFEST.json"), "{err}");
+            assert_eq!(storage.list(&dir).unwrap().len(), files.len());
+            for (path, bytes) in &files {
+                assert_eq!(storage.read(path).unwrap(), *bytes, "{path:?}");
+            }
+        }
     }
 
     /// The sweep after a checkpoint deletes only names the database
@@ -2160,7 +2223,7 @@ mod tests {
         db.checkpoint().unwrap();
         let want: Vec<(u64, Document)> = {
             let c = h.read();
-            c.slice_rows(0).map(|(s, d)| (s, d.to_document())).collect()
+            c.docs.iter().map(|(s, d)| (s, d.to_document())).collect()
         };
         assert_eq!(want.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1]);
         drop((h, db));
@@ -2178,13 +2241,14 @@ mod tests {
         let h = db.collection("c");
         let got: Vec<(u64, Document)> = h
             .read()
-            .slice_rows(0)
+            .docs
+            .iter()
             .map(|(s, d)| (s, d.to_document()))
             .collect();
         assert_eq!(got, want);
         assert_eq!(h.read().append_watermark(), 4);
         h.write().insert_one(doc! { "_id" => 9i64 }).unwrap();
-        let seqs: Vec<u64> = h.read().slice_rows(0).map(|(s, _)| s).collect();
+        let seqs: Vec<u64> = h.read().docs.iter().map(|(s, _)| s).collect();
         assert_eq!(
             seqs,
             [0, 1, 4],

@@ -23,8 +23,9 @@ use std::sync::Arc;
 /// size. Every row of a collection spells the same fifteen-odd names in
 /// the same order, so rows share one refcounted shape from a per-thread
 /// table: `set` on a new name moves the row to the shape with that name
-/// appended, and `doc!` and the decoders (`Value::from_json`) place
-/// each row's values once, at their count. Cloning a row bumps one
+/// appended, and `doc!` places each row's values once, at their
+/// count; a decoded row takes its shape from the same table
+/// (`shape_of`). Cloning a row bumps one
 /// refcount and copies the values. The table is bounded — at most 1 024
 /// shapes per thread, each of at most 32 names of at most 64 bytes;
 /// past a bound a row owns its shape — so a file of hostile, ever-new
@@ -192,17 +193,6 @@ impl Document {
         self
     }
 
-    /// Remove a direct field, returning its value.
-    pub(crate) fn remove(&mut self, key: &str) -> Option<Value> {
-        let i = self.slot(key)?;
-        let mut values = std::mem::take(&mut self.values).into_vec();
-        let value = values.remove(i);
-        let names = self.names().iter().enumerate().filter(|&(j, _)| j != i);
-        let rest: Document = names.map(|(_, n)| &**n).zip(values).collect();
-        *self = rest;
-        Some(value)
-    }
-
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.names().iter().map(|k| &**k).zip(self.values.iter())
     }
@@ -242,7 +232,7 @@ fn set_path_inner(doc: &mut Document, parts: &[&str], value: Value) {
 
 /// Builds a row from its fields in order, its values placed once at
 /// their count; a repeated name overwrites in place, as `set` does.
-/// `doc!` and `Value::from_json` build through here.
+/// `doc!` builds through here.
 impl<'a> FromIterator<(&'a str, Value)> for Document {
     fn from_iter<I: IntoIterator<Item = (&'a str, Value)>>(fields: I) -> Document {
         let fields = fields.into_iter();
@@ -364,10 +354,6 @@ impl<'a> RowRef<'a> {
             Repr::Encoded { shape, .. } => names_of(shape).len(),
             Repr::Nested { len, .. } => len,
         }
-    }
-
-    pub(crate) fn is_empty(self) -> bool {
-        self.len() == 0
     }
 
     /// Direct (non-dotted) field lookup: the name found first, then
@@ -506,8 +492,8 @@ macro_rules! doc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::Row;
-    use crate::snapshot::{decode_jsonl, encode_jsonl_seq, take_seq, LoadOptions};
+    use crate::arena::{Checked, Row};
+    use crate::snapshot::write_slice;
     use crate::wal::{encode_group, read_wal, WalOp, WalOpRef};
 
     #[test]
@@ -562,7 +548,7 @@ mod tests {
     }
 
     /// `built` through each reader: the JSON tree, a WAL frame, a slice
-    /// line (its `__seq` taken off again).
+    /// file.
     fn round_trips(built: &Document) -> [Document; 3] {
         let Value::Doc(json) = Value::from_json(&Value::Doc(built.clone()).to_json()) else {
             panic!("a document")
@@ -577,15 +563,16 @@ mod tests {
             panic!("one insert")
         };
         let logged = &logged.view().to_document();
-        let slice = encode_jsonl_seq([(7, built)].into_iter());
-        let mut sliced = Vec::new();
-        decode_jsonl(&slice, "slice", &LoadOptions::default(), |mut row| {
-            assert_eq!(take_seq(&mut row), Some(7));
-            sliced.push(row);
-            Ok(())
-        })
-        .unwrap();
-        // The log and a slice line give back the same row, bit for bit:
+        let row = Row::new(built);
+        let file = write_slice(&[1 << 7, 0, 0, 0], [row.parts()].into_iter());
+        // Past the 32-byte cell mask, the rows as a log frame holds them.
+        let [sliced]: [Row; 1] = Checked::new(&file[32..])
+            .rows()
+            .unwrap()
+            .try_into()
+            .unwrap();
+        let sliced = sliced.view().to_document();
+        // The log and a slice file give back the same row, bit for bit:
         // the one built, with a float that is not finite read as null.
         let bits = |row: &Document, put: fn(&mut Vec<u8>, ValueRef<'_>)| {
             let mut out = Vec::new();
@@ -596,12 +583,12 @@ mod tests {
         assert_eq!(
             [
                 bits(logged, arena::put_value),
-                bits(&sliced[0], arena::put_value)
+                bits(&sliced, arena::put_value)
             ],
             [want.clone(), want],
             "{built:?}"
         );
-        [json, logged.clone(), sliced.remove(0)]
+        [json, logged.clone(), sliced]
     }
 
     /// Every builder's row of the same fields: `doc!`, `set` one by
@@ -675,12 +662,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn remove_missing_is_none() {
-        let mut d = doc! { "a" => 1i64 };
-        assert_eq!(d.remove("zz"), None);
-    }
-
     /// The layout is invisible: a plain list of names and values, fed
     /// the same steps, answers the same.
     mod props {
@@ -701,7 +682,6 @@ mod tests {
             Build(Vec<(String, Value)>),
             Set(String, Value),
             SetPath(Vec<String>, Value),
-            Remove(String),
             Clone,
         }
 
@@ -729,7 +709,6 @@ mod tests {
                 (arb_name(), arb_leaf()).prop_map(|(k, v)| Step::Set(k, v)),
                 (prop::collection::vec(arb_name(), 1..4), arb_leaf())
                     .prop_map(|(p, v)| Step::SetPath(p, v)),
-                arb_name().prop_map(Step::Remove),
                 Just(Step::Clone),
             ]
         }
@@ -779,7 +758,7 @@ mod tests {
                 serde::json::write_str(out, k);
                 out.push(b':');
                 match node {
-                    Node::Leaf(v) => v.write_json(out),
+                    Node::Leaf(v) => v.view().write_json(out),
                     Node::Doc(inner) => model_json(inner, out),
                 }
             }
@@ -823,11 +802,6 @@ mod tests {
                         Step::SetPath(parts, v) => {
                             d.set_path(&parts.join("."), v.clone());
                             model_set_path(&mut m, &parts, v);
-                        }
-                        Step::Remove(k) => {
-                            let want = m.iter().position(|(n, _)| *n == k).map(|i| m.remove(i).1);
-                            let got = d.remove(&k);
-                            prop_assert_eq!(got.is_some(), want.is_some());
                         }
                         Step::Clone => d = d.clone(),
                     }
@@ -927,7 +901,7 @@ mod tests {
 
         /// `sealed` answers as `doc`: names in order, `get`, `id`, `==`,
         /// the copy out, and the bytes written and read back through
-        /// JSON, a WAL frame and a slice line.
+        /// JSON, a WAL frame and a slice file.
         fn agrees(sealed: RowRef<'_>, doc: &Document) -> Result<(), TestCaseError> {
             let want = RowRef::from(doc);
             let names = |r: RowRef<'_>| r.fields().map(|(k, _)| k.to_string()).collect::<Vec<_>>();
@@ -959,10 +933,6 @@ mod tests {
                 }])
             };
             prop_assert_eq!(wal(&back), wal(doc));
-            prop_assert_eq!(
-                encode_jsonl_seq([(7, sealed)].into_iter()),
-                encode_jsonl_seq([(7, want)].into_iter())
-            );
             for (got, want) in round_trips(&back).iter().zip(round_trips(doc).iter()) {
                 prop_assert_eq!(row_bits(got.into()), row_bits(want.into()));
             }

@@ -16,9 +16,11 @@ pub enum DbError {
     /// The durability subsystem lost a write or was misused (e.g.
     /// checkpointing a database that was not opened durably).
     Durability(String),
-    /// This write-ahead log was written by an older build, in JSON
-    /// frames this build does not read; the file is left as it was.
-    OlderLog(std::path::PathBuf),
+    /// This file was written by an older build in a format this build
+    /// does not read — a format-3 `MANIFEST.json`, whose slice files
+    /// hold JSON lines, or a `wal.*.log` of JSON frames. Nothing in the
+    /// directory is changed.
+    OlderFormat(std::path::PathBuf),
 }
 
 impl fmt::Display for DbError {
@@ -29,10 +31,10 @@ impl fmt::Display for DbError {
             DbError::Io(e) => write!(f, "io error: {e}"),
             DbError::Parse(msg) => write!(f, "parse error: {msg}"),
             DbError::Durability(msg) => write!(f, "durability error: {msg}"),
-            DbError::OlderLog(path) => write!(
+            DbError::OlderFormat(path) => write!(
                 f,
-                "{}: write-ahead log in an older build's JSON frames; \
-                 this build reads only binary frames",
+                "{}: written by an older build in JSON; \
+                 this build reads only binary rows (format 4)",
                 path.display()
             ),
         }

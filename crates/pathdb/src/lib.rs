@@ -16,7 +16,7 @@
 //!   documents, with a [`Query::explain`] API exposing the choice,
 //! * atomic bulk insertion — the batched write path whose
 //!   fault-tolerance/scalability trade-off the paper discusses,
-//! * crash-safe persistence: JSON-lines slice files committed by a
+//! * crash-safe persistence: slice files of binary rows committed by a
 //!   collection manifest, rewritten only where a mutation touched them
 //!   ([`snapshot`], [`database::Database::checkpoint`]), an
 //!   optional CRC32-framed write-ahead log with group commit
@@ -68,7 +68,7 @@ pub use error::DbError;
 pub use plan::{Access, QueryPlan};
 pub use query::{Filter, FindOptions, Order};
 pub use rollup::{read_rollup, BucketAgg, FieldAgg, RollupConfig, Sketch};
-pub use snapshot::SkippedLines;
+pub use snapshot::SkippedRows;
 pub use storage::{DiskStorage, FaultyStorage, Storage};
 pub use update::Update;
 pub use value::{Value, ValueRef};

@@ -2,15 +2,24 @@
 //!
 //! A collection's rows are persisted in fixed-size *slices* of its
 //! insertion sequence: the rows with `seq / SLICE_ROWS == s` live in
-//! `<name>.<s>.<generation>.slice` (JSONL, each row carrying its seq
-//! as `SEQ_FIELD`). Slice files are immutable: a checkpoint writes a
-//! *new* file, under its own generation, for every slice a mutation
-//! touched since the last one, and then lands `MANIFEST.json`
-//! atomically, naming for every collection the generation of each of
-//! its slices. The manifest rename is the commit point of the whole
-//! checkpoint — a file the manifest does not name is garbage, so a
-//! crash anywhere before it leaves the previous checkpoint whole, and
-//! the superseded files are deleted only after it.
+//! `<name>.<s>.<generation>.slice`. Slice files are immutable: a
+//! checkpoint writes a *new* file, under its own generation, for every
+//! slice a mutation touched since the last one, and then lands
+//! `MANIFEST.json` atomically, naming for every collection the
+//! generation of each of its slices. The manifest rename is the commit
+//! point of the whole checkpoint — a file the manifest does not name is
+//! garbage, so a crash anywhere before it leaves the previous checkpoint
+//! whole, and the superseded files are deleted only after it.
+//!
+//! A slice file (format 4) holds its rows in the bytes a collection
+//! holds them in: a 256-bit cell mask, 32 bytes, bit `i % 8` of byte
+//! `i / 8` set when seq `s * SLICE_ROWS + i` holds a row; then what a
+//! write-ahead log frame holds after its collection name
+//! (`arena::put_rows`): the shape table, the row count and each row as
+//! its shape's index and its bytes. A float that is not finite is
+//! written as null, as the log writes it, so a recovered row does not
+//! depend on which file held it. A checkpoint copies each dirty slice's
+//! row bytes; it encodes nothing and reads no old file.
 //!
 //! The generation also names the WAL file (`wal.<gen>.log`, see
 //! [`crate::wal`]) a checkpoint rotates to: recovery replays every log
@@ -21,66 +30,64 @@
 //! reopened database plans through the indexes it was checkpointed
 //! with.
 //!
-//! This is the one layout read and written: a manifest of another
-//! format, or one missing a column, is a parse error, and a directory
-//! without a manifest holds no database yet — its files are neither
-//! loaded nor deleted.
+//! This is the one layout read and written: a manifest of an older
+//! format is refused by name ([`DbError::OlderFormat`]) and the
+//! directory left as it is; any other format, or a missing column, is
+//! a parse error; and a directory without a manifest holds no database
+//! yet — its files are neither loaded nor deleted.
 //!
-//! Loading places every row at its persisted seq. A line that is not a
-//! JSON object, has no `__seq`, has one outside its file's slice or not
-//! above the line before, or repeats an `_id` already loaded is bad:
-//! strict loads fail on it (`file:line`), lenient ones
+//! Loading is one checked walk per file (`arena::Checked`, which checks
+//! each row as log replay does) and places every row at the seq its
+//! mask bit names, so seqs ascend inside their slice by construction. A
+//! mask cut short, a shape table or count that does not read, a count
+//! that is not the mask's, a row that does not read, a row whose `_id`
+//! is already loaded, or bytes after the last row are bad: strict loads
+//! fail on the first (`file:row`), lenient ones
 //! (`LoadOptions::skip_corrupt_tail`) keep the rows before it and
-//! report the rest of the file as skipped.
+//! report the rest of the file's rows as skipped.
 
-use crate::arena::Row;
+use crate::arena::{self, Checked, Parts};
 use crate::collection::Collection;
-use crate::document::{Document, RowRef};
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
-use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::BufRead;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The manifest file name inside a database directory.
 pub(crate) const MANIFEST: &str = "MANIFEST.json";
 
-/// Manifest format version, the only one read: format 3 names slice
-/// files.
-const MANIFEST_FORMAT: i64 = 3;
+/// Manifest format version, the only one read: format 4 names slice
+/// files of binary rows. Formats 1-3 are an older build's.
+const MANIFEST_FORMAT: i64 = 4;
 
-/// Rows per slice file. A checkpoint encodes the rows that changed and
-/// copies the rest of each dirty slice line for line from the file it
-/// supersedes, so this bounds the bytes a one-row change rewrites and
-/// the pause of a checkpoint under time-series traffic (appends at the
-/// newest seqs, expiry at the oldest: a handful of slices per round).
+/// Rows per slice file: one bit of a file's cell mask each. A
+/// checkpoint rewrites whole dirty slices, so this bounds the bytes a
+/// one-row change rewrites and the pause of a checkpoint under
+/// time-series traffic (appends at the newest seqs, expiry at the
+/// oldest: a handful of slices per round).
 pub(crate) const SLICE_ROWS: u64 = 256;
+
+/// Bytes of a slice file's cell mask.
+const MASK_BYTES: usize = SLICE_ROWS as usize / 8;
 
 /// Loader behavior for slice files.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LoadOptions {
-    /// Keep the rows before a file's first bad line (reporting the
-    /// skipped lines) instead of failing the load.
+    /// Keep the rows before a file's first bad row (reporting the
+    /// skipped rows) instead of failing the load.
     pub skip_corrupt_tail: bool,
 }
 
-/// Lines dropped from one file by a lenient load.
+/// Rows dropped from one file by a lenient load.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SkippedLines {
+pub struct SkippedRows {
     pub file: String,
-    /// 1-based line number of the first bad line.
-    pub first_bad_line: usize,
-    /// How many lines (from there to EOF) were dropped.
+    /// 1-based number of the first bad row, in file order.
+    pub first_bad_row: usize,
+    /// How many of the rows the file's cell mask names were dropped
+    /// (a mask cut short names the rows of the bytes it has).
     pub skipped: usize,
 }
-
-/// The reserved per-row field durable snapshots use to persist each
-/// document's insertion sequence (stripped again on load). Keeping seqs
-/// stable across recovery is what lets absolute watermarks (the rollup
-/// meta document, [`crate::rollup`]) survive a crash — and what keeps a
-/// row in the same slice for life.
-const SEQ_FIELD: &str = "__seq";
 
 /// One collection as the manifest records it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,7 +196,8 @@ pub(crate) fn write_manifest(
 }
 
 /// Read the manifest; `Ok(None)` when the directory has none (a
-/// database never checkpointed, or no database at all).
+/// database never checkpointed, or no database at all), and
+/// [`DbError::OlderFormat`] when an older build wrote it.
 pub(crate) fn read_manifest(storage: &dyn Storage, dir: &Path) -> DbResult<Option<Manifest>> {
     let path = dir.join(MANIFEST);
     if !storage.exists(&path) {
@@ -199,6 +207,10 @@ pub(crate) fn read_manifest(storage: &dyn Storage, dir: &Path) -> DbResult<Optio
     let text = String::from_utf8_lossy(&bytes);
     let json: serde_json::Value = serde_json::from_str(text.trim())
         .map_err(|e| DbError::Parse(format!("{}: {e}", path.display())))?;
+    let format = json.get("format").and_then(serde_json::Value::as_i64);
+    if format.is_some_and(|f| (1..MANIFEST_FORMAT).contains(&f)) {
+        return Err(DbError::OlderFormat(path));
+    }
     Manifest::from_json(&json)
         .map(Some)
         .ok_or_else(|| DbError::Parse(format!("{}: malformed manifest", path.display())))
@@ -229,7 +241,7 @@ pub(crate) fn load_slices(
     entry: &ManifestEntry,
     opts: &LoadOptions,
     coll: &mut Collection,
-) -> DbResult<(usize, Vec<SkippedLines>)> {
+) -> DbResult<(usize, Vec<SkippedRows>)> {
     let mut loaded = 0;
     let mut skipped = Vec::new();
     for (&slice, &generation) in &entry.slices {
@@ -243,226 +255,78 @@ pub(crate) fn load_slices(
     Ok((loaded, skipped))
 }
 
+/// Slice `slice`'s file: its cell mask (bit `i`: the row at seq
+/// `slice * SLICE_ROWS + i`), then `rows`, the masked rows in seq
+/// order, as `arena::put_rows` writes them.
+pub(crate) fn write_slice<'r>(
+    mask: &[u64; MASK_BYTES / 8],
+    rows: impl Iterator<Item = Parts<'r>> + Clone,
+) -> Vec<u8> {
+    let mut out: Vec<u8> = mask.iter().flat_map(|word| word.to_le_bytes()).collect();
+    arena::put_rows(&mut out, rows);
+    out
+}
+
 /// Place the rows of slice `slice`'s file `bytes` into `coll`, each at
-/// its persisted seq, stopping at the first bad line (see the module
-/// docs).
+/// the seq its mask bit names, stopping at the first bad row (see the
+/// module docs).
 pub(crate) fn load_slice(
     coll: &mut Collection,
     slice: u64,
     bytes: &[u8],
     file: &str,
     opts: &LoadOptions,
-) -> DbResult<(usize, Option<SkippedLines>)> {
-    let mut last = None;
+) -> DbResult<(usize, Option<SkippedRows>)> {
+    let (mask, body) = bytes.split_at(bytes.len().min(MASK_BYTES));
+    let named: usize = mask.iter().map(|b| b.count_ones() as usize).sum();
     let mut loaded = 0;
-    let skipped = decode_jsonl(bytes, file, opts, |mut doc| {
-        let seq = take_seq(&mut doc).ok_or("the row has no __seq")?;
-        if seq / SLICE_ROWS != slice {
-            return Err("__seq is outside the file's slice");
+    let mut place = || {
+        let mut r = Checked::new(body);
+        if mask.len() < MASK_BYTES {
+            return Err("the cell mask is cut short");
         }
-        if last.is_some_and(|last| seq <= last) {
-            return Err("__seq is not above the previous row's");
+        let table = r.shapes().ok_or("the shape table does not read")?;
+        if r.count() != Some(named) {
+            return Err("the row count is not the mask's");
         }
-        if !coll.load_at(seq, Row::new(&doc)) {
-            return Err("_id is already loaded");
+        let cells = (0..MASK_BYTES * 8).filter(|i| mask[i / 8] & (1 << (i % 8)) != 0);
+        for i in cells {
+            let row = r.row(&table).ok_or("the row does not read")?;
+            if !coll.load_at(slice * SLICE_ROWS + i as u64, row) {
+                return Err("_id is already loaded");
+            }
+            loaded += 1;
         }
-        last = Some(seq);
-        loaded += 1;
+        if !r.is_empty() {
+            return Err("bytes follow the last row");
+        }
         Ok(())
-    })?;
-    Ok((loaded, skipped))
-}
-
-/// Serialize rows as JSONL bytes, through the row writer
-/// ([`RowRef::write_json`]), stored or not. Each row's insertion sequence is appended as the
-/// reserved [`SEQ_FIELD`] (loaders strip it with [`take_seq`]).
-pub(crate) fn encode_jsonl_seq<'a>(
-    rows: impl Iterator<Item = (u64, impl Into<RowRef<'a>>)>,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (seq, row) in rows {
-        write_row(&mut out, seq, row.into());
-    }
-    out
-}
-
-/// One line of [`encode_jsonl_seq`].
-fn write_row(out: &mut Vec<u8>, seq: u64, row: RowRef<'_>) {
-    if row.get(SEQ_FIELD).is_some() {
-        // A row that already carries the reserved field keeps it in
-        // place, overwritten — what `Document::set` does.
-        let mut with_seq = row.to_document();
-        with_seq.set(SEQ_FIELD, seq as i64);
-        RowRef::from(&with_seq).write_json(out);
-    } else {
-        row.write_json(out);
-        out.pop();
-        if !row.is_empty() {
-            out.push(b',');
-        }
-        out.extend_from_slice(b"\"__seq\":");
-        Value::Int(seq as i64).write_json(out);
-        out.push(b'}');
-    }
-    out.push(b'\n');
-}
-
-/// One dirty slice's new file, and how many of its rows were copied
-/// from the file it supersedes and how many encoded.
-#[derive(Debug, PartialEq)]
-pub(crate) struct SliceFile {
-    pub bytes: Vec<u8>,
-    pub copied: u64,
-    pub encoded: u64,
-}
-
-/// Write a dirty slice: the [`encode_jsonl_seq`] bytes of `rows`,
-/// spliced from `old`, the slice's file as the last checkpoint left it.
-/// A row that is in `old` and not `replaced` since then is unchanged, so
-/// its old line is copied verbatim; every other row is encoded, and a
-/// row `old` holds but memory does not (deleted) drops out. Any surprise
-/// in `old` — no file, a read error, a line not ending in
-/// `"__seq":N}`, seqs out of order — encodes the whole slice instead.
-pub(crate) fn write_slice<'a>(
-    rows: impl Iterator<Item = (u64, impl Into<RowRef<'a>>)> + Clone,
-    old: Option<impl BufRead>,
-    replaced: &BTreeSet<u64>,
-) -> SliceFile {
-    if let Some(spliced) = old.and_then(|old| splice(rows.clone(), old, replaced)) {
-        return spliced;
-    }
-    let mut encoded = 0;
-    let bytes = encode_jsonl_seq(rows.inspect(|_| encoded += 1));
-    SliceFile {
-        bytes,
-        copied: 0,
-        encoded,
-    }
-}
-
-/// [`write_slice`]'s merge walk of `rows` against `old` by seq; `None`
-/// on a surprise.
-fn splice<'a>(
-    rows: impl Iterator<Item = (u64, impl Into<RowRef<'a>>)>,
-    mut old: impl BufRead,
-    replaced: &BTreeSet<u64>,
-) -> Option<SliceFile> {
-    let mut file = SliceFile {
-        bytes: Vec::new(),
-        copied: 0,
-        encoded: 0,
     };
-    // The old line read last, and its seq: `u64::MAX`, which no row
-    // reaches, once `old` is spent.
-    let mut line = Vec::new();
-    let mut at = None;
-    for (seq, doc) in rows {
-        while at.is_none_or(|at| at < seq) {
-            line.clear();
-            if old.read_until(b'\n', &mut line).ok()? == 0 {
-                at = Some(u64::MAX);
-                break;
-            }
-            if line.last() == Some(&b'\n') {
-                line.pop();
-            }
-            let next = line_seq(&line)?;
-            if at.is_some_and(|at| next <= at) {
-                return None;
-            }
-            at = Some(next);
-        }
-        if at == Some(seq) && !replaced.contains(&seq) {
-            file.bytes.extend_from_slice(&line);
-            file.bytes.push(b'\n');
-            file.copied += 1;
-        } else {
-            write_row(&mut file.bytes, seq, doc.into());
-            file.encoded += 1;
-        }
+    let Err(reason) = place() else {
+        return Ok((loaded, None));
+    };
+    if !opts.skip_corrupt_tail {
+        return Err(DbError::Parse(format!("{file}:{}: {reason}", loaded + 1)));
     }
-    Some(file)
-}
-
-/// The seq a slice line ends in: `…,"__seq":N}` (or `{"__seq":N}`), the
-/// last field [`write_row`] writes unless the row put it elsewhere.
-fn line_seq(line: &[u8]) -> Option<u64> {
-    let body = line.strip_suffix(b"}")?;
-    let digits = body.iter().rev().take_while(|b| b.is_ascii_digit()).count();
-    let (head, n) = body.split_at(body.len() - digits);
-    let head = head.strip_suffix(b"\"__seq\":")?;
-    if !matches!(head.last(), Some(b',' | b'{')) {
-        return None;
-    }
-    std::str::from_utf8(n).ok()?.parse().ok()
-}
-
-/// Strip (and return) a row's persisted insertion sequence.
-pub(crate) fn take_seq(doc: &mut Document) -> Option<u64> {
-    match doc.remove(SEQ_FIELD) {
-        Some(Value::Int(s)) if s >= 0 => Some(s as u64),
-        _ => None,
-    }
-}
-
-/// Decode JSONL bytes, handing each line's document to `place`.
-///
-/// A line that is not a JSON object, or that `place` refuses (with the
-/// reason), is bad. Strict mode fails on the first bad line; lenient
-/// mode keeps what was placed before it and reports what was dropped.
-/// A torn write corrupts only the tail, so "first bad line to EOF" is
-/// the exact damage a crash can do — mid-file garbage in lenient mode
-/// likewise drops from the first bad line onward (we cannot trust
-/// anything after it).
-pub(crate) fn decode_jsonl(
-    bytes: &[u8],
-    file: &str,
-    opts: &LoadOptions,
-    mut place: impl FnMut(Document) -> Result<(), &'static str>,
-) -> DbResult<Option<SkippedLines>> {
-    let text = String::from_utf8_lossy(bytes);
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = serde_json::from_str::<serde_json::Value>(line)
-            .ok()
-            .map(|j| Value::from_json(&j));
-        let placed = match parsed {
-            Some(Value::Doc(doc)) => place(doc),
-            Some(_) => Err("top-level value is not an object"),
-            None => Err("not valid JSON"),
-        };
-        if let Err(reason) = placed {
-            if !opts.skip_corrupt_tail {
-                return Err(DbError::Parse(format!("{file}:{}: {reason}", lineno + 1)));
-            }
-            return Ok(Some(SkippedLines {
-                file: file.to_string(),
-                first_bad_line: lineno + 1,
-                skipped: text.lines().count() - lineno,
-            }));
-        }
-    }
-    Ok(None)
+    Ok((
+        loaded,
+        Some(SkippedRows {
+            file: file.to_string(),
+            first_bad_row: loaded + 1,
+            skipped: named.saturating_sub(loaded),
+        }),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Row;
     use crate::doc;
+    use crate::document::Document;
     use crate::storage::FaultyStorage;
+    use std::collections::BTreeSet;
     use std::path::PathBuf;
-
-    /// Rows as the document writer spells them, without `__seq`.
-    fn encode_jsonl<'a>(docs: impl Iterator<Item = &'a Document>) -> Vec<u8> {
-        let mut out = Vec::new();
-        for doc in docs {
-            RowRef::from(doc).write_json(&mut out);
-            out.push(b'\n');
-        }
-        out
-    }
 
     fn entry(name: &str, next_seq: u64, slices: &[(u64, u64)]) -> ManifestEntry {
         ManifestEntry {
@@ -492,11 +356,12 @@ mod tests {
         assert_eq!(read_manifest(&storage, &dir).unwrap(), Some(m));
     }
 
-    /// The one manifest format, whole: another format number, a missing
-    /// column, or a column that is not one cell per collection is a
-    /// parse error, never a fallback.
+    /// The one manifest format, whole: an older build's format is
+    /// refused by name; another format number, a missing column, or a
+    /// column that is not one cell per collection is a parse error,
+    /// never a fallback.
     #[test]
-    fn a_manifest_is_format_3_with_every_column_whole() {
+    fn a_manifest_is_format_4_with_every_column_whole() {
         let storage = FaultyStorage::new();
         let dir = PathBuf::from("/db");
         let read = |text: &str| {
@@ -512,7 +377,7 @@ mod tests {
             "\"slices\":[[0,2],[]]",
             "\"indexes\":[[\"t\",\"x.y\"],[]]",
         ];
-        let whole = format!("\"format\":3,\"generation\":2,{}", columns.join(","));
+        let whole = format!("\"format\":4,\"generation\":2,{}", columns.join(","));
         let m = read(&whole).unwrap().unwrap();
         assert_eq!(m.generation, 2);
         assert_eq!(
@@ -525,14 +390,26 @@ mod tests {
                 entry("b", 0, &[]),
             ]
         );
-        let mut bad = vec![
-            whole.replace("\"format\":3", "\"format\":2"),
-            whole.replace("\"format\":3,", ""),
-            whole.replace("\"generation\":2", "\"generation\":-1"),
+        let older = [
+            // What format 3 wrote: the same columns, JSON slice lines.
+            whole.replace("\"format\":4", "\"format\":3"),
             // What formats 1 and 2 wrote: names and generations only.
             "\"format\":1,\"generation\":4,\"collections\":[\"a\"]".into(),
             "\"format\":2,\"generation\":9,\"collections\":[\"a\"],\"gens\":[9],\"seqs\":[4]"
                 .into(),
+        ];
+        for text in older {
+            let err = read(&text).unwrap_err();
+            assert!(
+                matches!(&err, DbError::OlderFormat(path) if *path == dir.join(MANIFEST)),
+                "{text}: {err}"
+            );
+        }
+        let mut bad = vec![
+            whole.replace("\"format\":4", "\"format\":5"),
+            whole.replace("\"format\":4", "\"format\":0"),
+            whole.replace("\"format\":4,", ""),
+            whole.replace("\"generation\":2", "\"generation\":-1"),
         ];
         for column in &columns[1..] {
             bad.push(whole.replace(&format!(",{column}"), ""));
@@ -556,7 +433,7 @@ mod tests {
         for slices in ["[[0]]", "[]", "[[0,\"x\"]]", "7"] {
             let _ = storage.remove(&dir.join(MANIFEST));
             let text = format!(
-                "{{\"format\":3,\"generation\":2,\"collections\":[\"a\"],\"seqs\":[3],\
+                "{{\"format\":4,\"generation\":2,\"collections\":[\"a\"],\"seqs\":[3],\
                  \"slices\":{slices},\"indexes\":[[]]}}\n"
             );
             storage
@@ -581,122 +458,60 @@ mod tests {
         assert_eq!(parse_slice_path(&dir.join("paths.1.7.slice.tmp")), None);
     }
 
-    /// The streamed encoder against the value-tree renderer it
-    /// replaced: the files must not change by a byte.
-    #[test]
-    fn streamed_jsonl_is_byte_identical_to_the_tree_renderer() {
-        let docs = [
-            doc! { "_id" => "a", "v" => 1i64, "nested" => doc! { "k" => vec![1i64, 2] } },
-            // Already carries the reserved field, mid-document.
-            doc! { "_id" => "b", "__seq" => 99i64, "tail" => "x\"y\\z\n" },
-            Document::new(),
-            doc! { "_id" => "nan", "f" => f64::NAN, "inf" => f64::NEG_INFINITY, "z" => -0.0f64 },
-            doc! { "_id" => "é", "big" => i64::MIN, "half" => 0.5f64, "null" => Value::Null },
-        ];
-        let tree = |d: &Document| Value::Doc(d.clone()).to_json().to_string();
-        let mut want = String::new();
-        let mut want_seq = String::new();
-        for (i, d) in docs.iter().enumerate() {
-            want.push_str(&tree(d));
-            want.push('\n');
-            let mut with_seq = d.clone();
-            with_seq.set(SEQ_FIELD, i as i64 + 5);
-            want_seq.push_str(&tree(&with_seq));
-            want_seq.push('\n');
-        }
-        assert_eq!(String::from_utf8(encode_jsonl(docs.iter())).unwrap(), want);
-        let seq_rows = docs.iter().enumerate().map(|(i, d)| (i as u64 + 5, d));
-        assert_eq!(
-            String::from_utf8(encode_jsonl_seq(seq_rows)).unwrap(),
-            want_seq
-        );
-        assert!(want_seq.contains("{\"__seq\":7}\n"), "{want_seq}");
-        assert!(want_seq.contains("\"f\":null"), "{want_seq}");
-    }
-
-    /// `rows` with their seqs, as `Collection::slice_rows` hands them.
-    fn seqd(rows: &[(u64, Document)]) -> impl Iterator<Item = (u64, &Document)> + Clone {
-        rows.iter().map(|(s, d)| (*s, d))
-    }
-
-    #[test]
-    fn a_splice_copies_unchanged_lines_and_encodes_the_rest() {
-        let row = |id: &str, v: i64| doc! { "_id" => id, "v" => v };
-        let before = [(3, row("a", 1)), (4, row("b", 2)), (6, row("c", 3))];
-        let old = encode_jsonl_seq(seqd(&before));
-        // `a` deleted, `b` replaced, `c` untouched, `d` appended.
-        let after = [(4, row("b", 9)), (6, row("c", 3)), (7, row("d", 4))];
-        let file = write_slice(seqd(&after), Some(&old[..]), &BTreeSet::from([4]));
-        assert_eq!(file.bytes, encode_jsonl_seq(seqd(&after)));
-        assert_eq!((file.copied, file.encoded), (1, 2));
-        // Replaced rows are what makes `b` encoded: without the record
-        // the stale line would be copied.
-        let stale = write_slice(seqd(&after), Some(&old[..]), &BTreeSet::new());
-        assert_ne!(stale.bytes, file.bytes);
-        // A last line without its newline is still a whole line.
-        let torn = &old[..old.len() - 1];
-        let file = write_slice(seqd(&before), Some(torn), &BTreeSet::new());
-        assert_eq!(file.bytes, old);
-        assert_eq!((file.copied, file.encoded), (3, 0));
-    }
-
-    #[test]
-    fn any_surprise_in_the_old_file_encodes_the_whole_slice() {
-        let rows = [
-            (1, doc! { "_id" => "a", "v" => 1i64 }),
-            (2, doc! { "_id" => "b" }),
-            (3, doc! { "_id" => "c" }),
-        ];
-        let full = encode_jsonl_seq(seqd(&rows));
-        let (a, b) = (
-            "{\"_id\":\"a\",\"v\":1,\"__seq\":1}\n",
-            "{\"_id\":\"b\",\"__seq\":2}\n",
-        );
-        let surprises = [
-            // A row that put `__seq` mid-document.
-            format!("{{\"_id\":\"a\",\"__seq\":1,\"v\":1}}\n{b}"),
-            // Out of order, and a repeated seq.
-            format!("{b}{a}"),
-            format!("{a}{a}"),
-            // Garbage, an empty line, a torn seq.
-            format!("{a}garbage\n"),
-            format!("{a}\n{b}"),
-            format!("{a}{}", &b[..b.len() - 3]),
-        ];
-        for old in surprises {
-            let file = write_slice(seqd(&rows), Some(old.as_bytes()), &BTreeSet::new());
-            assert_eq!(file.bytes, full, "{old}");
-            assert_eq!((file.copied, file.encoded), (0, 3), "{old}");
-        }
-        // So does a missing file.
-        let file = write_slice(seqd(&rows), None::<&[u8]>, &BTreeSet::new());
-        assert_eq!((file.bytes, file.copied, file.encoded), (full, 0, 3));
-        assert_eq!(line_seq(b"{\"__seq\":12}"), Some(12));
-        assert_eq!(line_seq(b"{\"a\":{\"__seq\":12}}"), None);
-        assert_eq!(line_seq(b"{\"a\":\"x\\\"__seq\\\":1}\"}"), None);
-    }
-
-    #[test]
-    fn seq_roundtrip_strips_the_reserved_field() {
-        let docs = [doc! { "_id" => "a" }, doc! { "_id" => "b" }];
-        let bytes = encode_jsonl_seq(docs.iter().enumerate().map(|(i, d)| (i as u64 + 5, d)));
+    /// A collection holding `rows` at their seqs.
+    fn holding(rows: &[(u64, Document)]) -> Collection {
         let mut c = Collection::new("c");
-        let loaded = load_slice(&mut c, 0, &bytes, "c", &LoadOptions::default()).unwrap();
-        assert_eq!(loaded, (2, None));
-        let rows: Vec<(u64, RowRef<'_>)> = c.slice_rows(0).collect();
-        assert_eq!(
-            rows,
-            [(5, RowRef::from(&docs[0])), (6, RowRef::from(&docs[1]))],
-            "reserved field stripped"
-        );
+        for (seq, doc) in rows {
+            assert!(c.load_at(*seq, Row::new(doc)));
+        }
+        c
     }
 
-    /// `text` as slice 1's file: what a strict load says, and the ids a
-    /// lenient one keeps and what it skips.
-    fn load_text(text: &str) -> (Result<usize, String>, Vec<String>, Option<SkippedLines>) {
+    /// Slice `slice`'s file as a checkpoint of `c` writes it.
+    fn file_of(c: &Collection, slice: u64) -> Vec<u8> {
+        let (mask, rows) = c.slice_parts(slice).expect("a slice with rows");
+        write_slice(mask, rows)
+    }
+
+    /// Every row of `c` with its seq.
+    fn rows_of(c: &Collection) -> Vec<(u64, Document)> {
+        c.docs.iter().map(|(s, r)| (s, r.to_document())).collect()
+    }
+
+    /// A slice file is the cell mask, then the rows as a log frame
+    /// holds them, and loads back to the same rows at the same seqs —
+    /// a row's own `__seq` field too, wherever it stands.
+    #[test]
+    fn a_slice_file_spells_the_documented_layout_and_loads_back() {
+        let rows = [
+            (256, doc! { "_id" => "a", "v" => 1i64 }),
+            (258, doc! { "_id" => "b", "__seq" => 99i64, "v" => 2i64 }),
+            (511, doc! { "_id" => "c", "v" => -1i64, "__seq" => "x" }),
+        ];
+        let c = holding(&rows);
+        let file = file_of(&c, 1);
+        let mut want = vec![0b101, 0, 0, 0, 0, 0, 0, 0];
+        want.extend([0; 23]);
+        want.push(0x80);
+        let mut body = Vec::new();
+        arena::put_rows(&mut body, c.slice_parts(1).unwrap().1);
+        want.extend(&body);
+        assert_eq!(file, want);
+        // Three shapes, the first of two names: `_id`, `v`.
+        assert_eq!(body[..7], [3, 2, 3, b'_', b'i', b'd', 1]);
+        let mut back = Collection::new("c");
+        let loaded = load_slice(&mut back, 1, &file, "c", &LoadOptions::default()).unwrap();
+        assert_eq!(loaded, (3, None));
+        assert_eq!(rows_of(&back), rows);
+        assert_eq!(back.take_dirty(), BTreeSet::from([1]));
+    }
+
+    /// `bytes` as slice 1's file: what a strict load says, and the ids
+    /// a lenient one keeps and what it skips.
+    fn load_bytes(bytes: &[u8]) -> (Result<usize, String>, Vec<String>, Option<SkippedRows>) {
         let load = |opts: &LoadOptions| {
             let mut c = Collection::new("c");
-            let loaded = load_slice(&mut c, 1, text.as_bytes(), "c.1.4.slice", opts);
+            let loaded = load_slice(&mut c, 1, bytes, "c.1.4.slice", opts);
             let ids = c.iter().map(|d| d.id().unwrap().to_string()).collect();
             (loaded, ids)
         };
@@ -712,47 +527,75 @@ mod tests {
         )
     }
 
-    /// Each bad-line rule stops the load at its line: strict names
-    /// `file:line`, lenient keeps the rows before it and skips the rest.
+    /// Each bad-row rule stops the load at its row: strict names
+    /// `file:row`, lenient keeps the rows before it and reports the rest
+    /// of the rows the mask names as skipped.
     #[test]
-    fn a_bad_slice_line_stops_the_load_at_its_line() {
-        let a = "{\"_id\":\"a\",\"__seq\":256}";
-        let c = "{\"_id\":\"c\",\"__seq\":300}";
-        let cases = [
-            ("{\"_id\":\"b\"}", "the row has no __seq"),
-            ("{\"_id\":\"b\",\"__seq\":-1}", "the row has no __seq"),
-            ("{\"_id\":\"b\",\"__seq\":\"257\"}", "the row has no __seq"),
-            (
-                "{\"_id\":\"b\",\"__seq\":512}",
-                "__seq is outside the file's slice",
-            ),
-            (
-                "{\"_id\":\"b\",\"__seq\":255}",
-                "__seq is outside the file's slice",
-            ),
-            (
-                "{\"_id\":\"b\",\"__seq\":256}",
-                "__seq is not above the previous row's",
-            ),
-            ("{\"_id\":\"a\",\"__seq\":257}", "_id is already loaded"),
-            ("[1]", "top-level value is not an object"),
-            ("{\"_id\":\"b\",\"__se", "not valid JSON"),
+    fn a_bad_slice_row_stops_the_load_at_its_row() {
+        let rows = [
+            (256, doc! { "_id" => "a", "v" => 1i64 }),
+            (257, doc! { "_id" => "b", "v" => 2i64 }),
+            (300, doc! { "_id" => "c", "v" => 3i64 }),
         ];
-        for (bad, reason) in cases {
-            let (strict, ids, skipped) = load_text(&format!("{a}\n{bad}\n{c}\n"));
-            let want = format!("parse error: c.1.4.slice:2: {reason}");
-            assert_eq!(strict, Err(want), "{bad}");
-            assert_eq!(ids, ["a"], "{bad}");
-            let want = SkippedLines {
+        let file = file_of(&holding(&rows), 1);
+        let (strict, ids, skipped) = load_bytes(&file);
+        assert_eq!((strict, skipped), (Ok(3), None));
+        assert_eq!(ids, ["a", "b", "c"]);
+        // Where row `b` starts: past the one shape (`_id`, `v`), the
+        // count, and `a` (its shape index, `"a"`, `1`).
+        let table = MASK_BYTES + 1 + 1 + 4 + 2;
+        let b = table + 1 + (1 + 3 + 2);
+        assert_eq!(file[b..b + 4], [0, 5, 1, b'b'], "b: shape 0, `_id` \"b\"");
+        let edit = |at: usize, byte: u8| {
+            let mut f = file.clone();
+            f[at] = byte;
+            f
+        };
+        let cases: [(Vec<u8>, usize, usize, &str); 10] = [
+            (file[..20].to_vec(), 1, 3, "the cell mask is cut short"),
+            (
+                file[..table - 3].to_vec(),
+                1,
+                3,
+                "the shape table does not read",
+            ),
+            (
+                file[..table].to_vec(),
+                1,
+                3,
+                "the row count is not the mask's",
+            ),
+            (edit(0, 0b111), 1, 4, "the row count is not the mask's"),
+            // An unused tag, a shape past the table, a length past the end.
+            (edit(b + 1, 9), 2, 2, "the row does not read"),
+            (edit(b, 5), 2, 2, "the row does not read"),
+            (edit(b + 2, 100), 2, 2, "the row does not read"),
+            (
+                file[..file.len() - 1].to_vec(),
+                3,
+                1,
+                "the row does not read",
+            ),
+            (edit(b + 3, b'a'), 2, 2, "_id is already loaded"),
+            (
+                [&file[..], &[0]].concat(),
+                4,
+                0,
+                "bytes follow the last row",
+            ),
+        ];
+        for (bytes, row, dropped, reason) in cases {
+            let (strict, ids, skipped) = load_bytes(&bytes);
+            let want = format!("parse error: c.1.4.slice:{row}: {reason}");
+            assert_eq!(strict, Err(want), "{reason}");
+            assert_eq!(ids, ["a", "b", "c"][..row - 1], "{reason}");
+            let want = SkippedRows {
                 file: "c.1.4.slice".into(),
-                first_bad_line: 2,
-                skipped: 2,
+                first_bad_row: row,
+                skipped: dropped,
             };
-            assert_eq!(skipped, Some(want), "{bad}");
+            assert_eq!(skipped, Some(want), "{reason}");
         }
-        let (strict, ids, skipped) = load_text(&format!("{a}\n{c}\n"));
-        assert_eq!((strict, skipped), (Ok(2), None));
-        assert_eq!(ids, ["a", "c"]);
     }
 
     #[test]
@@ -764,57 +607,5 @@ mod tests {
             read_manifest(&storage, &dir),
             Err(DbError::Parse(_))
         ));
-    }
-
-    /// Every line's document, in order, through [`decode_jsonl`].
-    fn decode(bytes: &[u8], opts: &LoadOptions) -> DbResult<(Vec<Document>, Option<SkippedLines>)> {
-        let mut docs = Vec::new();
-        let skipped = decode_jsonl(bytes, "c.jsonl", opts, |doc| {
-            docs.push(doc);
-            Ok(())
-        })?;
-        Ok((docs, skipped))
-    }
-
-    #[test]
-    fn jsonl_roundtrip_and_lenient_tail() {
-        let docs = vec![
-            doc! { "_id" => "1", "v" => 1i64 },
-            doc! { "_id" => "2", "v" => 2.5f64 },
-        ];
-        let mut bytes = encode_jsonl(docs.iter());
-        let (back, skipped) = decode(&bytes, &LoadOptions::default()).unwrap();
-        assert_eq!(back, docs);
-        assert_eq!(skipped, None);
-
-        // Tear the last line: strict fails, lenient keeps the prefix.
-        bytes.truncate(bytes.len() - 5);
-        assert!(decode(&bytes, &LoadOptions::default()).is_err());
-        let lenient = LoadOptions {
-            skip_corrupt_tail: true,
-        };
-        let (back, skipped) = decode(&bytes, &lenient).unwrap();
-        assert_eq!(back, docs[..1]);
-        assert_eq!(
-            skipped,
-            Some(SkippedLines {
-                file: "c.jsonl".into(),
-                first_bad_line: 2,
-                skipped: 1,
-            })
-        );
-    }
-
-    #[test]
-    fn lenient_mode_drops_from_first_bad_line() {
-        let bytes = b"{\"_id\":\"1\"}\ngarbage\n{\"_id\":\"3\"}\n";
-        let lenient = LoadOptions {
-            skip_corrupt_tail: true,
-        };
-        let (docs, skipped) = decode(bytes, &lenient).unwrap();
-        assert_eq!(docs.len(), 1);
-        let skipped = skipped.unwrap();
-        assert_eq!(skipped.first_bad_line, 2);
-        assert_eq!(skipped.skipped, 2);
     }
 }

@@ -76,11 +76,6 @@ impl Value {
         self.view().index_key()
     }
 
-    /// [`ValueRef::write_json`] of this value.
-    pub(crate) fn write_json(&self, out: &mut Vec<u8>) {
-        self.view().write_json(out)
-    }
-
     /// Convert to a `serde_json::Value` for persistence.
     pub fn to_json(&self) -> serde_json::Value {
         match self {
@@ -95,28 +90,6 @@ impl Value {
             Value::Doc(d) => serde_json::Value::Object(
                 d.iter()
                     .map(|(k, v)| (k.to_string(), v.to_json()))
-                    .collect(),
-            ),
-        }
-    }
-
-    /// Convert back from persisted JSON.
-    pub(crate) fn from_json(v: &serde_json::Value) -> Value {
-        match v {
-            serde_json::Value::Null => Value::Null,
-            serde_json::Value::Bool(b) => Value::Bool(*b),
-            serde_json::Value::Number(n) => {
-                if let Some(i) = n.as_i64() {
-                    Value::Int(i)
-                } else {
-                    Value::Float(n.as_f64().unwrap_or(f64::NAN))
-                }
-            }
-            serde_json::Value::String(s) => Value::Str(s.clone()),
-            serde_json::Value::Array(a) => Value::Array(a.iter().map(Value::from_json).collect()),
-            serde_json::Value::Object(o) => Value::Doc(
-                o.iter()
-                    .map(|(k, v)| (k.as_str(), Value::from_json(v)))
                     .collect(),
             ),
         }
@@ -601,6 +574,30 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 pub(crate) mod tests {
     use super::*;
 
+    impl Value {
+        /// A JSON tree back as a value: the reference the JSON writers
+        /// are held to.
+        pub(crate) fn from_json(v: &serde_json::Value) -> Value {
+            match v {
+                serde_json::Value::Null => Value::Null,
+                serde_json::Value::Bool(b) => Value::Bool(*b),
+                serde_json::Value::Number(n) => match n.as_i64() {
+                    Some(i) => Value::Int(i),
+                    None => Value::Float(n.as_f64().unwrap_or(f64::NAN)),
+                },
+                serde_json::Value::String(s) => Value::Str(s.clone()),
+                serde_json::Value::Array(a) => {
+                    Value::Array(a.iter().map(Value::from_json).collect())
+                }
+                serde_json::Value::Object(o) => Value::Doc(
+                    o.iter()
+                        .map(|(k, v)| (k.as_str(), Value::from_json(v)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
     /// The comparisons, spelled on owned values: each is the view's.
     pub(crate) trait Compare {
         fn query_cmp(&self, other: &Value) -> Option<Ordering>;
@@ -699,7 +696,7 @@ pub(crate) mod tests {
         d.set("empty_a", Value::Array(vec![]));
         let v = Value::Doc(d);
         let mut direct = Vec::new();
-        v.write_json(&mut direct);
+        v.view().write_json(&mut direct);
         assert_eq!(direct, v.to_json().to_string().into_bytes());
         let mut doc_direct = Vec::new();
         RowRef::from(&inner).write_json(&mut doc_direct);

@@ -12,8 +12,9 @@
 //! insert, `m` insert many, `u` update, `d` delete, `x` drop), the
 //! collection name, then its rows — one shape table per frame, each
 //! row as its shape's index and its bytes, copied from the row the
-//! collection stores — or its `_id` values. A float that is not finite
-//! is logged as null, as a slice line holds it. A *commit group* is N
+//! collection stores — or its `_id` values: what a slice file holds
+//! after its cell mask (`crate::snapshot`). A float that is not finite
+//! is logged as null, as a slice file holds it. A *commit group* is N
 //! op frames followed by one commit frame, a `C` and the count N. The
 //! whole group is appended (and fsync'd) as one write, so one
 //! `insert_many` batch reaches the disk all-or-nothing — the paper's
@@ -36,7 +37,7 @@
 //! error. A frame whose payload starts with `{` is an older build's
 //! JSON: the scan stops there and says so
 //! (`WalReplay::older_format`), and the open refuses the log rather
-//! than truncate it ([`crate::DbError::OlderLog`]).
+//! than truncate it ([`crate::DbError::OlderFormat`]).
 //!
 //! Recovery streams the log ([`crate::Storage::reader`]) instead of
 //! reading it whole: at any moment it holds one frame's payload, in one
@@ -179,9 +180,9 @@ impl WalOpRef<'_> {
         out.push(tag);
         arena::put_str(out, coll);
         match self {
-            WalOpRef::Insert { doc, .. } => arena::put_rows(out, std::slice::from_ref(*doc)),
+            WalOpRef::Insert { doc, .. } => arena::put_rows(out, [doc.parts()].into_iter()),
             WalOpRef::InsertMany { docs, .. } | WalOpRef::Update { docs, .. } => {
-                arena::put_rows(out, docs)
+                arena::put_rows(out, docs.iter().map(Row::parts))
             }
             WalOpRef::Delete { ids, .. } => {
                 arena::put_varint(out, ids.len() as u64);
@@ -720,7 +721,7 @@ mod tests {
         assert_eq!((replay.groups, replay.valid_len), (1, intact));
     }
 
-    /// Rows nested past what a JSON line may hold are refused, without
+    /// Rows nested past what a JSON text may hold are refused, without
     /// a stack as deep as the claim.
     #[test]
     fn nesting_is_bounded_like_a_json_line() {
@@ -737,7 +738,7 @@ mod tests {
                 doc: &Row::new(doc),
             }])
         };
-        // The row is one level, as a slice line's object is.
+        // The row is one level, as its exported object is.
         let deepest = serde::json::MAX_DEPTH - 1;
         assert_eq!(replay(&group(&nested(deepest)), |_| {}).groups, 1);
         for depth in [deepest + 1, 1000] {
@@ -749,7 +750,9 @@ mod tests {
     mod hostile {
         use super::*;
         use crate::arena::Sealed;
+        use crate::collection::Collection;
         use crate::document::RowRef;
+        use crate::snapshot::{load_slice, write_slice, LoadOptions};
         use crate::value::ValueRef;
         use proptest::prelude::*;
         use std::alloc::{GlobalAlloc, Layout, System};
@@ -810,15 +813,23 @@ mod tests {
         #[global_allocator]
         static WATCH: Watch = Watch;
 
+        /// What `read` returns, and the largest single allocation it
+        /// made.
+        fn watching<T>(read: impl FnOnce() -> T) -> (T, usize) {
+            LARGEST.with(|l| l.set(0));
+            WATCHING.with(|w| w.set(true));
+            let out = read();
+            WATCHING.with(|w| w.set(false));
+            (out, LARGEST.with(Cell::get))
+        }
+
         /// `log` read whole: the replay, the groups it handed out, and
         /// the largest single allocation the read made.
         fn watched(log: &[u8]) -> (WalReplay, Vec<Vec<WalOp>>, usize) {
             let mut groups = Vec::with_capacity(16);
-            LARGEST.with(|l| l.set(0));
-            WATCHING.with(|w| w.set(true));
-            let replay = read_wal(log, log.len() as u64, |group| groups.push(group));
-            WATCHING.with(|w| w.set(false));
-            (replay.unwrap(), groups, LARGEST.with(Cell::get))
+            let (replay, largest) =
+                watching(|| read_wal(log, log.len() as u64, |group| groups.push(group)));
+            (replay.unwrap(), groups, largest)
         }
 
         /// What a read of frames as long as `longest` may allocate at
@@ -1080,6 +1091,68 @@ mod tests {
                 for (i, row) in rows.iter().enumerate() {
                     prop_assert!(sealed.parts(i) == row.parts(), "cell {}", i);
                     read_whole(RowRef::encoded(sealed.parts(i)));
+                }
+            }
+        }
+
+        /// Slice 0's file holding `docs`, each `gap` cells past the one
+        /// before (a repeated `_id` is left out).
+        fn slice_file(docs: &[(u8, Document)]) -> Vec<u8> {
+            let mut c = Collection::new("c");
+            let mut seq = 0;
+            for (gap, doc) in docs {
+                seq += u64::from(*gap);
+                if c.load_at(seq, Row::new(doc)) {
+                    seq += 1;
+                }
+            }
+            let (mask, rows) = c.slice_parts(0).expect("one row at least");
+            write_slice(mask, rows)
+        }
+
+        /// `file` loaded as slice 0: what the load said, and the rows it
+        /// placed.
+        fn load(file: &[u8], skip_corrupt_tail: bool) -> (DbResult<usize>, Collection) {
+            let mut c = Collection::new("c");
+            let opts = LoadOptions { skip_corrupt_tail };
+            let loaded = load_slice(&mut c, 0, file, "f", &opts);
+            (loaded.map(|(n, _)| n), c)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// A slice file nothing checksums, mutated at random: a
+            /// lenient load never panics and sizes nothing by a claim in
+            /// the file — no allocation past 64 B a file byte, besides
+            /// the cells of the one slice it opens — and every row it
+            /// keeps reads whole; a strict load fails at the row the
+            /// lenient one stopped at, or loads the same rows.
+            #[test]
+            fn hostile_slice_files_never_panic_or_overallocate(
+                docs in prop::collection::vec((0u8..4, arb_doc()), 1..8),
+                mutation in arb_mutation(),
+            ) {
+                let mut file = slice_file(&docs);
+                mutate(&mut file, &mutation);
+                let ((lenient, kept), largest) = watching(|| load(&file, true));
+                let cells = std::mem::size_of::<[std::sync::OnceLock<Row>; 256]>();
+                prop_assert!(
+                    largest <= bound(file.len()) + cells,
+                    "{} B for a file of {} B", largest, file.len()
+                );
+                kept.iter().for_each(read_whole);
+                let (strict, _) = load(&file, false);
+                let opts = LoadOptions { skip_corrupt_tail: true };
+                let skipped = load_slice(&mut Collection::new("c"), 0, &file, "f", &opts).unwrap().1;
+                match (strict, skipped) {
+                    (Ok(n), None) => prop_assert_eq!(n, lenient.unwrap()),
+                    (Err(e), Some(bad)) => {
+                        let at = format!("parse error: f:{}: ", bad.first_bad_row);
+                        prop_assert!(e.to_string().starts_with(&at), "{} vs {}", e, at);
+                        prop_assert_eq!(bad.first_bad_row, lenient.unwrap() + 1);
+                    }
+                    (strict, skipped) => prop_assert!(false, "{:?} vs {:?}", strict, skipped),
                 }
             }
         }

@@ -24,14 +24,13 @@
 //! transient-error retries.
 //!
 //! A second oracle holds what a checkpoint writes, not what survives
-//! it: a checkpoint copies the lines of unchanged rows from the slice
-//! files it supersedes, and every slice file its manifest names must
-//! equal, byte for byte, the file `save_dir` encodes in full into a
-//! fresh directory (see [`run_spliced`] for the one spelling a reopen
-//! changes under a file an earlier checkpoint wrote). The same runs
-//! create secondary indexes, which the manifest records and a reopen
-//! rebuilds: after every reopen each collection holds exactly the
-//! indexes its manifest names, and every read through them answers
+//! it: a checkpoint writes only the slices a mutation touched, and
+//! every slice file its manifest names — whichever checkpoint wrote it,
+//! before or after a reopen — must equal, byte for byte, the file
+//! `save_dir` writes into a fresh directory ([`run_checkpoints`]). The
+//! same runs create secondary indexes, which the manifest records and a
+//! reopen rebuilds: after every reopen each collection holds exactly
+//! the indexes its manifest names, and every read through them answers
 //! what a scan answers.
 
 use pathdb::database::OpenOptions;
@@ -43,7 +42,6 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use upin_telemetry::Telemetry;
 
 // ---- workload -------------------------------------------------------------
 
@@ -179,18 +177,7 @@ fn fingerprint(db: &Database) -> Vec<String> {
 }
 
 fn open_wal(storage: &FaultyStorage) -> (Database, pathdb::RecoveryReport) {
-    open_traced(storage, None)
-}
-
-/// [`open_wal`], reporting to `telemetry` when given one.
-fn open_traced(
-    storage: &FaultyStorage,
-    telemetry: Option<&Arc<Telemetry>>,
-) -> (Database, pathdb::RecoveryReport) {
-    let mut opts = OpenOptions::new(Durability::Wal).with_storage(Arc::new(storage.clone()));
-    if let Some(t) = telemetry {
-        opts = opts.with_recorder(t.clone());
-    }
+    let opts = OpenOptions::new(Durability::Wal).with_storage(Arc::new(storage.clone()));
     let (db, report) = Database::open_durable_with(PathBuf::from("/db"), opts)
         .expect("recovery never fails on torn state");
     db.register_rollup(RollupConfig {
@@ -510,10 +497,10 @@ proptest! {
     }
 }
 
-// ---- spliced checkpoints --------------------------------------------------
+// ---- checkpoint files -----------------------------------------------------
 
-/// One step of the splice oracle: an [`Op`], or what only a run that
-/// does not crash can do.
+/// One step of the checkpoint-file oracle: an [`Op`], or what only a
+/// run that does not crash can do.
 #[derive(Debug, Clone)]
 enum Step {
     Op(Op),
@@ -529,8 +516,9 @@ enum Step {
         coll: u8,
         n: usize,
     },
-    /// A row that carries the reserved `__seq` field itself, in the
-    /// middle of the document or as its last field.
+    /// A row that carries a `__seq` field (once the JSON slice files'
+    /// reserved name), in the middle of the document or as its last
+    /// field.
     InsertSeq {
         coll: u8,
         id: u32,
@@ -578,21 +566,17 @@ fn apply_step(db: &Database, step: &Step) {
             let _ = db.collection(coll_name(*coll)).write().insert_one(row);
         }
         Step::Index { coll, field } => db.collection(coll_name(*coll)).write().create_index(field),
-        Step::Reopen | Step::FailedCheckpoint => unreachable!("run_spliced runs these"),
+        Step::Reopen | Step::FailedCheckpoint => unreachable!("run_checkpoints runs these"),
     }
 }
 
-/// A slice file by `(collection, slice)`: the generation that wrote it
-/// and its bytes.
-type SliceFiles = BTreeMap<(String, u64), (u64, Vec<u8>)>;
-
-/// The generation of `dir`'s manifest and every slice file it names.
-fn named_slices(storage: &FaultyStorage, dir: &Path) -> (u64, SliceFiles) {
+/// Every slice file `dir`'s manifest names, by `(collection, slice)`:
+/// its bytes.
+fn named_slices(storage: &FaultyStorage, dir: &Path) -> BTreeMap<(String, u64), Vec<u8>> {
     let text = storage.read(&dir.join("MANIFEST.json")).unwrap();
     let manifest: serde_json::Value =
         serde_json::from_str(std::str::from_utf8(&text).unwrap()).expect("the manifest is JSON");
-    let field = |key: &str| manifest.get(key).cloned().unwrap();
-    let column = |key: &str| field(key).as_array().unwrap().clone();
+    let column = |key: &str| manifest.get(key).unwrap().as_array().unwrap().clone();
     let mut files = BTreeMap::new();
     for (name, table) in column("collections").iter().zip(column("slices")) {
         let name = name.as_str().unwrap();
@@ -605,10 +589,10 @@ fn named_slices(storage: &FaultyStorage, dir: &Path) -> (u64, SliceFiles) {
         for pair in flat.chunks(2) {
             let path = dir.join(format!("{name}.{}.{}.slice", pair[0], pair[1]));
             let bytes = storage.read(&path).expect("a named slice file exists");
-            files.insert((name.to_string(), pair[0]), (pair[1], bytes));
+            files.insert((name.to_string(), pair[0]), bytes);
         }
     }
-    (field("generation").as_i64().unwrap() as u64, files)
+    files
 }
 
 /// The manifest's index column of `dir`, by collection (none before
@@ -657,62 +641,40 @@ fn indexed_reads_hold(storage: &FaultyStorage, db: &Database, replayed: bool) {
     }
 }
 
-/// Whether every line of a slice file ends in its `"__seq":N}`.
-fn seq_last_everywhere(bytes: &[u8]) -> bool {
-    let text = String::from_utf8_lossy(bytes);
-    let digits = |c: char| c.is_ascii_digit();
-    text.lines().all(|l| {
-        l.trim_end_matches('}')
-            .trim_end_matches(digits)
-            .ends_with("\"__seq\":")
-    })
-}
-
 /// Run `steps` on one database, checking after every checkpoint that
-/// the bound directory holds what a full encode writes. Returns the
-/// rows the checkpoints copied.
-fn run_spliced(steps: &[Step]) -> u64 {
+/// the bound directory holds what a full save writes.
+fn run_checkpoints(steps: &[Step]) {
     let storage = FaultyStorage::new();
-    let telemetry = Arc::new(Telemetry::new());
-    let mut db = open_traced(&storage, Some(&telemetry)).0;
+    let mut db = open_wal(&storage).0;
     for (at, step) in steps.iter().enumerate() {
         match step {
             Step::Op(Op::Checkpoint) => {
                 db.checkpoint().expect("a fault-free checkpoint commits");
                 let fresh = PathBuf::from(format!("/fresh/{at}"));
                 db.save_dir(&fresh).unwrap();
-                let (generation, spliced) = named_slices(&storage, Path::new("/db"));
-                let (_, full) = named_slices(&storage, &fresh);
+                let written = named_slices(&storage, Path::new("/db"));
+                let full = named_slices(&storage, &fresh);
                 assert_eq!(
                     named_indexes(&storage, Path::new("/db")),
                     named_indexes(&storage, &fresh),
                     "step {at}: the manifests name different indexes"
                 );
                 assert_eq!(
-                    spliced.keys().collect::<Vec<_>>(),
+                    written.keys().collect::<Vec<_>>(),
                     full.keys().collect::<Vec<_>>(),
                     "step {at}: the manifests name different slices"
                 );
-                for (key, (written, bytes)) in &spliced {
-                    let want = &full[key].1;
-                    // Every file this checkpoint wrote is a full encode.
-                    // One an earlier checkpoint wrote was checked then;
-                    // since, a reopen may have stripped a row's own
-                    // `__seq` from mid-document, which a re-encode puts
-                    // last — the loader's doing, not the splice's.
-                    let renormalized = *written < generation && !seq_last_everywhere(bytes);
+                for (key, bytes) in &written {
                     assert!(
-                        bytes == want || renormalized,
-                        "step {at}: {key:?} differs from a full encode\nspliced:\n{}\nfull:\n{}",
-                        String::from_utf8_lossy(bytes),
-                        String::from_utf8_lossy(want),
+                        *bytes == full[key],
+                        "step {at}: {key:?} differs from a full save"
                     );
                 }
             }
             Step::Reopen => {
                 drop(db);
                 let report;
-                (db, report) = open_traced(&storage, Some(&telemetry));
+                (db, report) = open_wal(&storage);
                 indexed_reads_hold(&storage, &db, report.wal_groups > 0);
             }
             Step::FailedCheckpoint => {
@@ -722,104 +684,6 @@ fn run_spliced(steps: &[Step]) -> u64 {
             step => apply_step(&db, step),
         }
     }
-    telemetry.counter("pathdb.checkpoint.rows_copied")
-}
-
-/// Every trap of the splice, each once, on collections that span
-/// several slices.
-#[test]
-fn spliced_checkpoints_write_what_a_full_encode_writes() {
-    let op = Step::Op;
-    let steps = vec![
-        op(Op::InsertMany {
-            coll: 1,
-            ids: (1..=300).collect(),
-        }),
-        op(Op::InsertMany {
-            coll: 0,
-            ids: vec![301, 302, 303],
-        }),
-        // Indexes the manifest records and every reopen rebuilds.
-        Step::Index {
-            coll: 1,
-            field: "t",
-        },
-        Step::Index {
-            coll: 0,
-            field: "v",
-        },
-        op(Op::RollupFold),
-        op(Op::Checkpoint),
-        Step::Reopen,
-        // An in-place update inside an otherwise unchanged slice.
-        op(Op::Update {
-            coll: 1,
-            id: 100,
-            v: 99,
-        }),
-        op(Op::Checkpoint),
-        // A fold whose bare row leaves its bucket's row unchanged.
-        Step::InsertBare { id: 2 },
-        op(Op::RollupFold),
-        op(Op::Checkpoint),
-        // Deletes at the heads of the first two slices.
-        Step::DeleteNth { coll: 1, n: 0 },
-        Step::DeleteNth { coll: 1, n: 255 },
-        op(Op::Checkpoint),
-        // A drop, then a re-create under the same name: the new rows
-        // take the seqs the dropped slice file still holds.
-        op(Op::Drop { coll: 0 }),
-        op(Op::InsertMany {
-            coll: 0,
-            ids: vec![310, 311, 312],
-        }),
-        op(Op::Checkpoint),
-        // Rows that carry `__seq` themselves.
-        Step::InsertSeq {
-            coll: 0,
-            id: 400,
-            last: false,
-        },
-        Step::InsertSeq {
-            coll: 0,
-            id: 401,
-            last: true,
-        },
-        op(Op::Checkpoint),
-        // A reopen: the log replays an update, a delete and an insert
-        // over the slices, then a checkpoint.
-        op(Op::Update {
-            coll: 1,
-            id: 150,
-            v: 7,
-        }),
-        op(Op::Delete { coll: 1, id: 151 }),
-        op(Op::Insert { coll: 1, id: 320 }),
-        Step::Reopen,
-        op(Op::Checkpoint),
-        // A failed checkpoint hands its sets back to the next one.
-        op(Op::Update {
-            coll: 0,
-            id: 311,
-            v: 5,
-        }),
-        Step::FailedCheckpoint,
-        op(Op::Update {
-            coll: 1,
-            id: 160,
-            v: 3,
-        }),
-        op(Op::Checkpoint),
-        // The reloaded `__seq` rows: the mid-document one lost its field
-        // on the way in, so its slice is encoded in full.
-        Step::Reopen,
-        op(Op::Insert { coll: 0, id: 330 }),
-        op(Op::RollupFold),
-        op(Op::Expire { now: 9000 }),
-        op(Op::Checkpoint),
-    ];
-    let copied = run_spliced(&steps);
-    assert!(copied > 1000, "the checkpoints copied {copied} rows");
 }
 
 /// What [`Step`] adds to the crash workloads' [`OpSpec`]s.
@@ -850,7 +714,7 @@ fn arb_extra() -> impl Strategy<Value = Extra> {
 /// `specs` resolved as for the crash matrix (minus the duplicate
 /// inserts, whose target an extra may have deleted), `extras` inserted
 /// at their positions, and a closing checkpoint.
-fn splice_workload(specs: &[OpSpec], extras: &[(u16, Extra)]) -> Vec<Step> {
+fn checkpoint_workload(specs: &[OpSpec], extras: &[(u16, Extra)]) -> Vec<Step> {
     let ops = resolve(specs).into_iter();
     let mut steps: Vec<Step> = ops
         .filter(|op| !matches!(op, Op::InsertDup { .. }))
@@ -887,10 +751,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn randomized_spliced_checkpoints_write_what_a_full_encode_writes(
+    fn randomized_checkpoints_write_what_a_full_save_writes(
         specs in prop::collection::vec(arb_op(), 1..24),
         extras in prop::collection::vec((any::<u16>(), arb_extra()), 0..8),
     ) {
-        run_spliced(&splice_workload(&specs, &extras));
+        run_checkpoints(&checkpoint_workload(&specs, &extras));
     }
 }

@@ -31,10 +31,10 @@ use upin::upin_telemetry::Telemetry;
 
 const SEED: u64 = 4711;
 
-/// Rows per slice file: one of the numbers format 3 fixes on disk.
+/// Rows per slice file: one of the numbers format 4 fixes on disk.
 const SLICE_ROWS: u64 = 256;
 
-/// The file a format-3 checkpoint of `generation` writes for one slice.
+/// The file a format-4 checkpoint of `generation` writes for one slice.
 fn slice_file(dir: &Path, name: &str, slice: u64, generation: u64) -> PathBuf {
     dir.join(format!("{name}.{slice}.{generation}.slice"))
 }
@@ -352,10 +352,9 @@ fn writer_racing_checkpoints_loses_nothing() {
 #[test]
 fn checkpoint_cost_follows_the_change_not_the_history() {
     // The same round — append 100 rows, expire the 100 oldest — on a
-    // small and on a 100x larger collection encodes the 100 new rows and
-    // copies the rest of the two dirty slices: the first slice's
-    // survivors (the appended slice has no old file to copy from).
-    let round_cost = |rows: u64| -> (u64, u64) {
+    // small and on a 100x larger collection writes the rows of the two
+    // dirty slices: the first slice's survivors and the 100 new rows.
+    let round_cost = |rows: u64| -> u64 {
         let tel = Arc::new(Telemetry::new());
         let (db, _) = Database::open_durable_with(
             PathBuf::from("/flat"),
@@ -378,7 +377,6 @@ fn checkpoint_cost_follows_the_change_not_the_history() {
         }
         db.checkpoint().unwrap();
         assert_eq!(tel.counter("pathdb.checkpoint.docs_written"), rows);
-        assert_eq!(tel.counter("pathdb.checkpoint.rows_copied"), 0);
 
         db.collection("stats")
             .write()
@@ -387,13 +385,10 @@ fn checkpoint_cost_follows_the_change_not_the_history() {
         assert_eq!(db.expire_retention(rows as i64 + 100).unwrap(), 100);
         db.checkpoint().unwrap();
         assert_eq!(db.collection("stats").read().len() as u64, rows);
-        (
-            tel.counter("pathdb.checkpoint.docs_written") - rows,
-            tel.counter("pathdb.checkpoint.rows_copied"),
-        )
+        tel.counter("pathdb.checkpoint.docs_written") - rows
     };
     // Whole slices, so both collections end on the same boundary.
     for rows in [8 * SLICE_ROWS, 800 * SLICE_ROWS] {
-        assert_eq!(round_cost(rows), (100, SLICE_ROWS - 100), "{rows} rows");
+        assert_eq!(round_cost(rows), SLICE_ROWS, "{rows} rows");
     }
 }
