@@ -22,8 +22,9 @@
 //! A write-ahead log frame and a slice file hold the same rows
 //! ([`put_rows`]): their own shape table, then each row as its shape's
 //! index and its bytes, copied. Both are read back by [`Checked`], which
-//! trusts none of their bytes and keeps each row's bytes, once checked,
-//! as a [`Row`].
+//! trusts none of their bytes and lends each row's bytes out once
+//! checked: a log's rows are copied into [`Row`]s, a slice file's are
+//! packed straight into one [`Sealed`] slice.
 
 use crate::document::{names_of, shape_of, Document, RowRef, Shape};
 use crate::value::{ArrayRef, Value, ValueRef};
@@ -103,10 +104,10 @@ pub(crate) struct Sealed {
 }
 
 impl Sealed {
-    /// Pack `rows`, each at its cell, ascending: their bytes are copied.
-    pub(crate) fn new<'r>(rows: impl Iterator<Item = (usize, Parts<'r>)>) -> Sealed {
-        // Room for a slice of `paths_stats` rows without regrowing.
-        let mut arena = Vec::with_capacity(CELLS * 128);
+    /// Pack `rows`, each at its cell, ascending: their bytes are copied
+    /// into an arena of exactly their length.
+    pub(crate) fn new<'r>(rows: impl Iterator<Item = (usize, Parts<'r>)> + Clone) -> Sealed {
+        let mut arena = Vec::with_capacity(rows.clone().map(|(_, (_, b))| b.len()).sum());
         let mut ends = Box::new([0; CELLS]);
         let mut shape_of = Box::new([0; CELLS]);
         let mut shapes: Vec<Option<Arc<Shape>>> = Vec::new();
@@ -466,24 +467,27 @@ impl<'a> Checked<'a> {
     }
 
     /// One row as [`put_rows`] writes it after `table`: its shape and
-    /// its checked bytes.
-    pub(crate) fn row(&mut self, table: &[Option<Arc<Shape>>]) -> Option<Row> {
+    /// its checked bytes, borrowed.
+    pub(crate) fn row<'t>(&mut self, table: &'t [Option<Arc<Shape>>]) -> Option<Parts<'t>>
+    where
+        'a: 't,
+    {
         let shape = table.get(usize::try_from(self.varint()?).ok()?)?;
         let start = self.0;
         for _ in 0..names_of(shape).len() {
             self.value(1)?;
         }
-        Some(Row::from((shape, &start[..start.len() - self.0.len()])))
+        Some((shape, &start[..start.len() - self.0.len()]))
     }
 
     /// What [`put_rows`] wrote: each row its shape and its checked
-    /// bytes.
+    /// bytes, copied.
     pub(crate) fn rows(&mut self) -> Option<Vec<Row>> {
         let table = self.shapes()?;
         let rows = self.count()?;
         let mut out = Vec::with_capacity(rows);
         for _ in 0..rows {
-            out.push(self.row(&table)?);
+            out.push(Row::from(self.row(&table)?));
         }
         Some(out)
     }

@@ -730,7 +730,8 @@ impl Collection {
     /// what the slice files no longer match — the only writer of all
     /// three — then copies away the shared slices its removals left
     /// rows in (`Rows::settle`) and seals every slice the allocator
-    /// has passed (`Rows::seal_below`).
+    /// has passed (`Rows::seal_below`), with the snapshot memo's image
+    /// when no reader holds it.
     fn record(&mut self, appended: Range<u64>, replaced: &[u64], removed: &[u64]) {
         if appended.is_empty() && replaced.is_empty() && removed.is_empty() {
             return;
@@ -748,12 +749,6 @@ impl Collection {
         dirty.extend(reshaped.map(|seq| seq / SLICE_ROWS));
         let copied = self.docs.settle(removed);
         self.count_copies(copied);
-        self.seal_passed();
-    }
-
-    /// Seal the slices the allocator has passed (`Rows::seal_below`),
-    /// with the snapshot memo's image when no reader holds it.
-    fn seal_passed(&mut self) {
         let memo = self.snap.get_mut().as_mut();
         let memo = memo.and_then(|entry| Arc::get_mut(&mut entry.image));
         self.docs
@@ -829,15 +824,7 @@ impl Collection {
             coll: &self.name,
             docs: &rows,
         });
-        let first = self.next_seq;
-        let mut replaced = Vec::new();
-        for row in rows {
-            if let Upserted::Replaced(seq) = self.upsert_row(None, row) {
-                replaced.push(seq);
-            }
-        }
-        let changed = (self.next_seq - first) as usize + replaced.len();
-        self.record(first..self.next_seq, &replaced, &[]);
+        let changed = self.apply_upserts(rows);
         if changed > 0 {
             // Apply-then-log, as for updates: the log carries the
             // post-images (replayed as idempotent upserts) and a
@@ -847,12 +834,25 @@ impl Collection {
         Ok(changed)
     }
 
+    /// Upsert post-images as one unlogged mutation: each replaces the
+    /// live row with its `_id` in place or is appended. Idempotent, so
+    /// recovery replays a log whose prefix a snapshot already holds, one
+    /// logged op a call. Returns the rows it changed.
+    pub(crate) fn apply_upserts(&mut self, rows: Vec<Row>) -> usize {
+        let first = self.next_seq;
+        let replaced: Vec<u64> = rows
+            .into_iter()
+            .filter_map(|row| self.upsert_row(row))
+            .collect();
+        self.record(first..self.next_seq, &replaced, &[]);
+        (self.next_seq - first) as usize + replaced.len()
+    }
+
     /// Upsert one post-image: swap it for the live row with its `_id`,
-    /// where that is, or place it at `at` (the allocator when `None`).
-    /// An explicit `at` only places: a held `_id` leaves the collection
-    /// as it was. A row without an id — the log and the slice files
-    /// never hold one; tolerated anyway — gets a generated one.
-    fn upsert_row(&mut self, at: Option<u64>, mut row: Row) -> Upserted {
+    /// where that is, or append it. Returns the seq it replaced a
+    /// different row at. A row without an id — no writer logs one; a
+    /// checksummed frame may still hold one — gets a generated one.
+    fn upsert_row(&mut self, mut row: Row) -> Option<u64> {
         if row.view().get("_id").is_none() {
             let mut doc = row.view().to_document();
             let _ = self.prepare_id(&mut doc);
@@ -860,19 +860,11 @@ impl Collection {
         }
         let key = id_key(row.view());
         match self.primary.get(&key).copied() {
-            Some(_) if at.is_some() => Upserted::Unchanged,
-            Some(seq) => {
-                if self.replace(seq, row) {
-                    Upserted::Replaced(seq)
-                } else {
-                    Upserted::Unchanged
-                }
-            }
+            Some(seq) => self.replace(seq, row).then_some(seq),
             None => {
-                let seq = at.unwrap_or(self.next_seq);
-                self.next_seq = self.next_seq.max(seq + 1);
-                self.place(seq, key, row);
-                Upserted::Placed(seq)
+                self.place(self.next_seq, key, row);
+                self.next_seq += 1;
+                None
             }
         }
     }
@@ -1036,42 +1028,53 @@ impl Collection {
         out
     }
 
-    /// Apply a logged post-image: replace the live row with the same
-    /// `_id` in place (keeping its insertion sequence), or append it.
-    /// Idempotent — replaying an effect twice converges — which is what
-    /// lets recovery replay a WAL whose prefix a snapshot already
-    /// contains. Never logs; only the replay path calls this.
-    pub(crate) fn apply_upsert(&mut self, row: Row) {
-        self.apply_upsert_to(None, row);
-    }
-
-    /// Place a slice file's row at its persisted insertion sequence,
-    /// which holds no row — the snapshot loader's path. Snapshots persist
-    /// each row's seq (and the manifest the allocator), so the
-    /// insertion-sequence space is *stable across recovery*: an absolute
+    /// Load slice `slice`, which holds no row, from its file's `rows`
+    /// (each at its cell, ascending, with an `_id`): the snapshot
+    /// loader's path. Snapshots persist each row's seq, so an absolute
     /// watermark taken before a crash (the rollup meta document) still
-    /// names the same rows afterwards. `false`, and nothing changed,
-    /// when a loaded row already holds the `_id`.
-    pub(crate) fn load_at(&mut self, seq: u64, row: Row) -> bool {
-        matches!(self.apply_upsert_to(Some(seq), row), Upserted::Placed(_))
-    }
-
-    fn apply_upsert_to(&mut self, at: Option<u64>, row: Row) -> Upserted {
-        let upserted = self.upsert_row(at, row);
-        match upserted {
-            Upserted::Unchanged => {}
-            Upserted::Replaced(seq) => self.record(0..0, &[seq], &[]),
-            Upserted::Placed(seq) => self.record(seq..seq + 1, &[], &[]),
+    /// names the same rows afterwards. Posts the rows in `primary` and
+    /// the indexes up to the first whose `_id` is already loaded, packs
+    /// them into one sealed slice, and counts a version a row, as their
+    /// appends did; marks nothing dirty. Returns how many it placed.
+    pub(crate) fn load_slice(&mut self, slice: u64, rows: &[(usize, Parts<'_>)]) -> usize {
+        let base = slice * SLICE_ROWS;
+        let mut placed = 0;
+        for &(i, row) in rows {
+            let key = id_key(RowRef::encoded(row));
+            if self.primary.contains_key(&key) {
+                break;
+            }
+            self.index_row(base + i as u64, key, RowRef::encoded(row));
+            placed += 1;
         }
-        upserted
+        let rows = &rows[..placed];
+        let Some(&(last, _)) = rows.last() else {
+            return 0;
+        };
+        let sealed = Sealed::new(rows.iter().copied());
+        let mut held = Held {
+            slice: Arc::new(Slice::Sealed(sealed)),
+            live: [0; CELLS / 64],
+        };
+        rows.iter().for_each(|&(i, _)| held.flip(i));
+        self.docs.slices.insert(slice, held);
+        self.docs.len += placed;
+        self.next_seq = self.next_seq.max(base + last as u64 + 1);
+        self.version += placed as u64;
+        placed
     }
 
     /// Restore the insertion-sequence allocator (never moves backward):
     /// even with every row of a snapshot deleted, recovery re-allocates
-    /// from where the crashed process stopped.
+    /// from where the crashed process stopped. Then reopen the slice it
+    /// is in, packed by the load, so that an append under a pin copies
+    /// nothing (see [`Collection::read_snapshot`]).
     pub(crate) fn set_next_seq_at_least(&mut self, n: u64) {
         self.next_seq = self.next_seq.max(n);
-        self.seal_passed();
+        let key = self.next_seq / SLICE_ROWS;
+        if self.docs.slices.contains_key(&key) {
+            self.docs.own(key);
+        }
     }
 
     /// Apply a logged delete: drop documents by `_id`, silently
@@ -1155,13 +1158,6 @@ impl Collection {
 /// How an insert spells its staged batch in the log: one
 /// [`WalOpRef::Insert`] or one [`WalOpRef::InsertMany`] group.
 type InsertFrame = for<'a> fn(&'a str, &'a [Row]) -> WalOpRef<'a>;
-
-/// What [`Collection::upsert_row`] did with its row.
-enum Upserted {
-    Unchanged,
-    Replaced(u64),
-    Placed(u64),
-}
 
 /// The `primary` key of a stored row (see [`Collection::docs`]).
 fn id_key(row: RowRef<'_>) -> String {
@@ -1794,6 +1790,47 @@ mod tests {
             (Some(x), Some(y)) => Arc::ptr_eq(&x.slice, &y.slice),
             _ => false,
         }
+    }
+
+    /// A reopen packs each slice file as a writer leaves a slice: every
+    /// slice below the allocator's sealed, the allocator's open, one
+    /// version a loaded row — and an append under a pin taken right
+    /// after copies nothing.
+    #[test]
+    fn a_reopen_packs_slices_and_keeps_the_allocators_open() {
+        use crate::database::{Database, Durability, OpenOptions};
+        use crate::storage::FaultyStorage;
+        let storage = Arc::new(FaultyStorage::new());
+        let telemetry = Arc::new(Telemetry::new());
+        let open = || {
+            let opts = OpenOptions::new(Durability::Snapshot)
+                .with_storage(storage.clone())
+                .with_recorder(telemetry.clone());
+            Database::open_durable_with("/db", opts).unwrap().0
+        };
+        let rows = 3 * SLICE_ROWS + 10;
+        let db = open();
+        let docs = (0..rows).map(|k| doc! { "k" => k as i64 }).collect();
+        db.collection("t").write().insert_many(docs).unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+        let db = open();
+        let handle = db.collection("t");
+        let mut c = handle.write();
+        assert_eq!(c.mutation_version(), rows);
+        let allocator = c.append_watermark() / SLICE_ROWS;
+        assert_eq!(
+            c.docs.slices.keys().copied().collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+        for (&key, held) in &c.docs.slices {
+            let sealed = matches!(*held.slice, Slice::Sealed(_));
+            assert_eq!(sealed, key < allocator, "slice {key}");
+        }
+        let pin = c.read_snapshot();
+        c.insert_one(doc! { "k" => -1i64 }).unwrap();
+        assert_eq!(copied(&telemetry), 0);
+        assert_eq!(pin.len() as u64, rows);
     }
 
     #[test]
@@ -2587,15 +2624,17 @@ mod tests {
                     let past_last = c.docs.keys().last().map_or(0, |seq| seq + 1);
                     assert_eq!(c.append_watermark(), past_last);
                     c.set_next_seq_at_least(self.slices_next_seq);
-                    c.take_dirty();
+                    assert!(c.dirty.lock().is_empty(), "a load marks nothing dirty");
                     let log = wal_path(Path::new("/db"), self.wal.generation());
                     let bytes = self.storage.read(&log).unwrap_or_default();
                     let replay = read_wal(&bytes[..], bytes.len() as u64, |group| {
                         for op in group {
                             match op {
-                                WalOp::Insert { doc, .. } => c.apply_upsert(doc),
+                                WalOp::Insert { doc, .. } => {
+                                    c.apply_upserts(vec![doc]);
+                                }
                                 WalOp::InsertMany { docs, .. } | WalOp::Update { docs, .. } => {
-                                    docs.into_iter().for_each(|doc| c.apply_upsert(doc))
+                                    c.apply_upserts(docs);
                                 }
                                 WalOp::Delete { ids, .. } => c.apply_delete_ids(&ids),
                                 WalOp::Drop { .. } => unreachable!("nothing drops"),

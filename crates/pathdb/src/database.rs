@@ -35,7 +35,7 @@ use crate::error::{DbError, DbResult};
 use crate::query::Filter;
 use crate::rollup::{self, RollupConfig};
 use crate::snapshot::{
-    load_slices, parse_slice_path, read_manifest, slice_path, write_manifest, write_slice,
+    load_slice, parse_slice_path, read_manifest, slice_path, write_manifest, write_slice,
     LoadOptions, Manifest, ManifestEntry, SkippedRows, MANIFEST,
 };
 use crate::storage::{tmp_target, DiskStorage, Storage};
@@ -513,19 +513,22 @@ impl Database {
             let handle = self.collection(&entry.name);
             let mut coll = handle.write();
             // Indexes first: every row below then enters them as it is
-            // placed, so the reopened collection plans as it did.
+            // loaded, so the reopened collection plans as it did.
             for field in &entry.indexes {
                 coll.create_index(field);
             }
-            let (loaded, skipped) = load_slices(storage, dir, entry, opts, &mut coll)?;
+            for (&slice, &generation) in &entry.slices {
+                let path = slice_path(dir, &entry.name, slice, generation);
+                let file = path.display().to_string();
+                let (loaded, skipped) =
+                    load_slice(&mut coll, slice, &storage.read(&path)?, &file, opts)?;
+                report.snapshot_docs += loaded;
+                report.skipped.extend(skipped);
+            }
             report.collections += 1;
-            report.snapshot_docs += loaded;
-            report.skipped.extend(skipped);
             // Even with a deleted tail (or every row gone) the
             // allocator resumes where the crashed process stopped.
             coll.set_next_seq_at_least(entry.next_seq);
-            // Memory now equals the slice files: nothing is dirty.
-            coll.take_dirty();
             self.persisted
                 .lock()
                 .insert(entry.name.clone(), entry.slices.clone());
@@ -538,14 +541,10 @@ impl Database {
     fn apply_wal_op(&self, op: WalOp) {
         match op {
             WalOp::Insert { coll, doc } => {
-                self.collection(&coll).write().apply_upsert(doc);
+                self.collection(&coll).write().apply_upserts(vec![doc]);
             }
             WalOp::InsertMany { coll, docs } | WalOp::Update { coll, docs } => {
-                let handle = self.collection(&coll);
-                let mut c = handle.write();
-                for doc in docs {
-                    c.apply_upsert(doc);
-                }
+                self.collection(&coll).write().apply_upserts(docs);
             }
             WalOp::Delete { coll, ids } => {
                 self.collection(&coll).write().apply_delete_ids(&ids);
@@ -1076,6 +1075,29 @@ mod tests {
         assert!(h.read().find_by_id("a").is_none());
         assert!(h.read().find_by_id("b").is_some());
         assert!(h.read().find_by_id("c").is_some());
+    }
+
+    /// A checksummed log frame whose row has no `_id` — no writer logs
+    /// one — replays without a panic, the row under a generated id.
+    #[test]
+    fn a_logged_row_without_an_id_replays_under_a_generated_one() {
+        let dir = PathBuf::from("/db");
+        let storage = Arc::new(FaultyStorage::new());
+        let rows = [crate::arena::Row::new(&doc! { "v" => 1i64 })];
+        let op = crate::wal::WalOpRef::InsertMany {
+            coll: "stats",
+            docs: &rows,
+        };
+        let log = crate::wal::encode_group(&[op]);
+        storage.append(&wal_path(&dir, 0), &log).unwrap();
+        let opts = OpenOptions::new(Durability::Wal).with_storage(storage);
+        let (db, report) = Database::open_durable_with(&dir, opts).unwrap();
+        assert_eq!((report.wal_groups, report.wal_effects), (1, 1));
+        let stats = db.collection("stats");
+        let stats = stats.read();
+        assert_eq!(stats.len(), 1);
+        let row = stats.find_by_id("auto:0").expect("a generated id");
+        assert_eq!(row, doc! { "v" => 1i64, "_id" => "auto:0" });
     }
 
     /// A [`Storage`] that counts, for `wal.*.log` paths, the whole-file
@@ -1696,15 +1718,14 @@ mod tests {
 
     /// Documents in the slice files `dir`'s manifest names, per collection.
     fn persisted_docs(storage: &FaultyStorage, dir: &Path) -> Vec<(String, usize)> {
-        let m = read_manifest(storage, dir).unwrap().unwrap();
-        let opts = LoadOptions::default();
-        let count = |e: &ManifestEntry| {
-            let mut c = Collection::new(&e.name);
-            load_slices(storage, dir, e, &opts, &mut c).unwrap().0
-        };
+        let db = Database::new();
+        let (opts, mut report) = (LoadOptions::default(), RecoveryReport::default());
+        let m = db
+            .load_checkpoint(storage, dir, &opts, &mut report)
+            .unwrap();
         m.collections
             .iter()
-            .map(|e| (e.name.clone(), count(e)))
+            .map(|e| (e.name.clone(), db.collection(&e.name).read().len()))
             .collect()
     }
 

@@ -26,7 +26,7 @@
 //! with generation `>=` the manifest's, idempotently.
 //!
 //! The manifest also names each collection's secondary-index fields,
-//! and loading rebuilds those indexes as it places the rows, so a
+//! and loading rebuilds those indexes as it posts the rows, so a
 //! reopened database plans through the indexes it was checkpointed
 //! with.
 //!
@@ -37,20 +37,21 @@
 //! yet — its files are neither loaded nor deleted.
 //!
 //! Loading is one checked walk per file (`arena::Checked`, which checks
-//! each row as log replay does) and places every row at the seq its
-//! mask bit names, so seqs ascend inside their slice by construction. A
-//! mask cut short, a shape table or count that does not read, a count
-//! that is not the mask's, a row that does not read, a row whose `_id`
-//! is already loaded, or bytes after the last row are bad: strict loads
+//! each row as log replay does) and packs the rows, each at the seq its
+//! mask bit names, straight into one sealed slice. A mask cut short, a
+//! shape table or count that does not read, a count that is not the
+//! mask's, a row that does not read, a row without an `_id` or with one
+//! already loaded, or bytes after the last row are bad: strict loads
 //! fail on the first (`file:row`), lenient ones
 //! (`LoadOptions::skip_corrupt_tail`) keep the rows before it and
 //! report the rest of the file's rows as skipped.
 
 use crate::arena::{self, Checked, Parts};
 use crate::collection::Collection;
+use crate::document::RowRef;
 use crate::error::{DbError, DbResult};
 use crate::storage::Storage;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// The manifest file name inside a database directory.
@@ -143,7 +144,8 @@ impl Manifest {
 
     /// The manifest [`Manifest::to_json`] writes, or `None`: another
     /// format, a missing column, a column not one cell per collection,
-    /// or a cell of the wrong type.
+    /// a cell of the wrong type, a slice past the seq space, or a
+    /// collection named twice (its slices would load over each other).
     fn from_json(v: &serde_json::Value) -> Option<Manifest> {
         if v.get("format")?.as_i64()? != MANIFEST_FORMAT {
             return None;
@@ -163,9 +165,11 @@ impl Manifest {
             if flat.len() % 2 != 0 {
                 return None;
             }
+            // A slice's seqs, and the allocator past them, fit 64 bits.
+            let slice = |s: &serde_json::Value| u64_of(s).filter(|&s| s < u64::MAX / SLICE_ROWS);
             let pairs = flat
                 .chunks(2)
-                .map(|p| Some((u64_of(&p[0])?, u64_of(&p[1])?)));
+                .map(|p| Some((slice(&p[0])?, u64_of(&p[1])?)));
             let fields = indexes[i].as_array()?.iter();
             Some(ManifestEntry {
                 name: names[i].as_str()?.to_string(),
@@ -176,9 +180,11 @@ impl Manifest {
                     .collect::<Option<_>>()?,
             })
         };
-        Some(Manifest {
+        let collections: Vec<ManifestEntry> = (0..names.len()).map(entry).collect::<Option<_>>()?;
+        let distinct: BTreeSet<&str> = collections.iter().map(|e| e.name.as_str()).collect();
+        (distinct.len() == collections.len()).then_some(Manifest {
             generation,
-            collections: (0..names.len()).map(entry).collect::<Option<_>>()?,
+            collections,
         })
     }
 }
@@ -232,29 +238,6 @@ pub(crate) fn parse_slice_path(path: &Path) -> Option<(&str, u64, u64)> {
     Some((parts.next()?, slice, generation))
 }
 
-/// Load one collection's slice files, as `entry` names them, into
-/// `coll`. Returns how many rows were placed and what a lenient load
-/// skipped.
-pub(crate) fn load_slices(
-    storage: &dyn Storage,
-    dir: &Path,
-    entry: &ManifestEntry,
-    opts: &LoadOptions,
-    coll: &mut Collection,
-) -> DbResult<(usize, Vec<SkippedRows>)> {
-    let mut loaded = 0;
-    let mut skipped = Vec::new();
-    for (&slice, &generation) in &entry.slices {
-        let path = slice_path(dir, &entry.name, slice, generation);
-        let bytes = storage.read(&path)?;
-        let file = path.display().to_string();
-        let (rows, bad) = load_slice(coll, slice, &bytes, &file, opts)?;
-        loaded += rows;
-        skipped.extend(bad);
-    }
-    Ok((loaded, skipped))
-}
-
 /// Slice `slice`'s file: its cell mask (bit `i`: the row at seq
 /// `slice * SLICE_ROWS + i`), then `rows`, the masked rows in seq
 /// order, as `arena::put_rows` writes them.
@@ -267,9 +250,9 @@ pub(crate) fn write_slice<'r>(
     out
 }
 
-/// Place the rows of slice `slice`'s file `bytes` into `coll`, each at
-/// the seq its mask bit names, stopping at the first bad row (see the
-/// module docs).
+/// Load slice `slice`'s file `bytes` into `coll`: its rows up to the
+/// first bad one (see the module docs), each at the cell its mask bit
+/// names, borrowed from `bytes` and packed by `Collection::load_slice`.
 pub(crate) fn load_slice(
     coll: &mut Collection,
     slice: u64,
@@ -279,31 +262,37 @@ pub(crate) fn load_slice(
 ) -> DbResult<(usize, Option<SkippedRows>)> {
     let (mask, body) = bytes.split_at(bytes.len().min(MASK_BYTES));
     let named: usize = mask.iter().map(|b| b.count_ones() as usize).sum();
-    let mut loaded = 0;
-    let mut place = || {
-        let mut r = Checked::new(body);
+    let mut r = Checked::new(body);
+    // A mask cut short leaves no body: no table reads.
+    let table = r.shapes();
+    let mut rows = Vec::new();
+    let mut read = || {
         if mask.len() < MASK_BYTES {
             return Err("the cell mask is cut short");
         }
-        let table = r.shapes().ok_or("the shape table does not read")?;
+        let table = table.as_deref().ok_or("the shape table does not read")?;
         if r.count() != Some(named) {
             return Err("the row count is not the mask's");
         }
         let cells = (0..MASK_BYTES * 8).filter(|i| mask[i / 8] & (1 << (i % 8)) != 0);
         for i in cells {
-            let row = r.row(&table).ok_or("the row does not read")?;
-            if !coll.load_at(slice * SLICE_ROWS + i as u64, row) {
-                return Err("_id is already loaded");
+            let row = r.row(table).ok_or("the row does not read")?;
+            if RowRef::encoded(row).get("_id").is_none() {
+                return Err("the row has no _id");
             }
-            loaded += 1;
+            rows.push((i, row));
         }
         if !r.is_empty() {
             return Err("bytes follow the last row");
         }
         Ok(())
     };
-    let Err(reason) = place() else {
-        return Ok((loaded, None));
+    let read = read();
+    let loaded = coll.load_slice(slice, &rows);
+    let reason = match read {
+        _ if loaded < rows.len() => "_id is already loaded",
+        Ok(()) => return Ok((loaded, None)),
+        Err(reason) => reason,
     };
     if !opts.skip_corrupt_tail {
         return Err(DbError::Parse(format!("{file}:{}: {reason}", loaded + 1)));
@@ -420,6 +409,7 @@ mod tests {
         bad.push(whole.replace(columns[1], "\"seqs\":[3]"));
         bad.push(whole.replace(columns[1], "\"seqs\":[3,-1]"));
         bad.push(whole.replace(columns[0], "\"collections\":[\"a\",2]"));
+        bad.push(whole.replace(columns[0], "\"collections\":[\"a\",\"a\"]"));
         bad.push(whole.replace(columns[0], "\"collections\":[\"a\"]"));
         for text in bad {
             assert!(matches!(read(&text), Err(DbError::Parse(_))), "{text}");
@@ -430,7 +420,8 @@ mod tests {
     fn malformed_slice_table_is_a_parse_error() {
         let storage = FaultyStorage::new();
         let dir = PathBuf::from("/db");
-        for slices in ["[[0]]", "[]", "[[0,\"x\"]]", "7"] {
+        // The last slice number is 2^56 - 1: its last seq's successor is 2^64.
+        for slices in ["[[0]]", "[]", "[[0,\"x\"]]", "7", "[[72057594037927935,1]]"] {
             let _ = storage.remove(&dir.join(MANIFEST));
             let text = format!(
                 "{{\"format\":4,\"generation\":2,\"collections\":[\"a\"],\"seqs\":[3],\
@@ -458,12 +449,16 @@ mod tests {
         assert_eq!(parse_slice_path(&dir.join("paths.1.7.slice.tmp")), None);
     }
 
-    /// A collection holding `rows` at their seqs.
+    /// A collection holding `rows`, one slice's, at their seqs.
     fn holding(rows: &[(u64, Document)]) -> Collection {
+        let slice = rows[0].0 / SLICE_ROWS;
+        let rows: Vec<(usize, Row)> = rows
+            .iter()
+            .map(|(seq, doc)| ((seq - slice * SLICE_ROWS) as usize, Row::new(doc)))
+            .collect();
+        let parts: Vec<_> = rows.iter().map(|(i, row)| (*i, row.parts())).collect();
         let mut c = Collection::new("c");
-        for (seq, doc) in rows {
-            assert!(c.load_at(*seq, Row::new(doc)));
-        }
+        assert_eq!(c.load_slice(slice, &parts), rows.len());
         c
     }
 
@@ -503,7 +498,8 @@ mod tests {
         let loaded = load_slice(&mut back, 1, &file, "c", &LoadOptions::default()).unwrap();
         assert_eq!(loaded, (3, None));
         assert_eq!(rows_of(&back), rows);
-        assert_eq!(back.take_dirty(), BTreeSet::from([1]));
+        // The file holds what was loaded: nothing is dirty.
+        assert_eq!(back.take_dirty(), BTreeSet::new());
     }
 
     /// `bytes` as slice 1's file: what a strict load says, and the ids

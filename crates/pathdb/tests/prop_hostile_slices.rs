@@ -7,8 +7,9 @@
 //! directory. Some of its slice files are then mutated — cut at any
 //! byte, a byte appended, a tag set to one no value has, a cell mask
 //! that disagrees with the row count, a shape index past the table, a
-//! length that claims more bytes than remain, an `_id` reused — and
-//! each mutation says which row turns bad. Then:
+//! length that claims more bytes than remain, an `_id` reused, `_id`
+//! renamed in the shape table — and each mutation says which row turns
+//! bad. Then:
 //!
 //! 1. a lenient open never panics, `len() == iter().count()`, every
 //!    loaded row is found by its `_id`, each file contributes exactly
@@ -51,6 +52,7 @@ enum Mutation {
     ShapePastTable,
     LengthPastEnd,
     ReuseId,
+    RenameId,
 }
 
 fn arb_mutation() -> impl Strategy<Value = Mutation> {
@@ -62,6 +64,7 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
         Just(Mutation::ShapePastTable),
         Just(Mutation::LengthPastEnd),
         Just(Mutation::ReuseId),
+        Just(Mutation::RenameId),
     ]
 }
 
@@ -249,6 +252,15 @@ fn mutate(file: &File, bytes: &[u8], m: Mutation, at: usize) -> (Vec<u8>, usize,
             }
             .render();
             i
+        }
+        Mutation::RenameId => {
+            // One letter of `_id`, after the shape count, its name
+            // count and the name's length, changes case (`_` becomes
+            // DEL): the rows have no `_id`, so the first is bad.
+            let letter = MASK + 3 + at % 3;
+            assert_eq!(out[letter], b"_id"[at % 3]);
+            out[letter] ^= 0x20;
+            0
         }
     };
     let named = named(&out);
